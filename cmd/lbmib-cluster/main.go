@@ -106,7 +106,7 @@ func main() {
 		// step with the mean wall time so the bundle's trace has a scale.
 		perStep := elapsed / time.Duration(*steps)
 		mlups := float64(*nx) * float64(*ny) * float64(*nz) / perStep.Seconds() / 1e6
-		rec.RecordStep(*steps, perStep, mlups, 0, 0)
+		rec.RecordStep(*steps, perStep, mlups, 0)
 	}
 	fmt.Printf("ranks=%d grid=%d×%d×%d steps=%d wall=%v\n",
 		*ranks, *nx, *ny, *nz, *steps, elapsed.Round(time.Millisecond))

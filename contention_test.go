@@ -1,5 +1,5 @@
 // Integration tests for the Config.Contention attribution layer: the
-// facade-level wiring of barrier/lock wait profiles, load-imbalance
+// facade-level wiring of barrier wait profiles, load-imbalance
 // gauges, the per-cube heatmap, and the step-log share fields.
 package lbmib
 
@@ -42,15 +42,6 @@ func TestContentionCubeEngine(t *testing.T) {
 	if st.BarrierWaitShare <= 0 || st.BarrierWaitShare >= 1 {
 		t.Errorf("barrier-wait share = %v, want in (0, 1)", st.BarrierWaitShare)
 	}
-	// Spreading is lock-free by default: the sheet's forces arrive via
-	// per-thread accumulation + reduction, never a lock.
-	if st.TotalAcquires != 0 || st.Reacquires != 0 {
-		t.Errorf("lock events on the lock-free path: %d acquires, %d reacquires",
-			st.TotalAcquires, st.Reacquires)
-	}
-	if st.LockWaitShare != 0 {
-		t.Errorf("lock-wait share = %v on the lock-free path, want 0", st.LockWaitShare)
-	}
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -88,47 +79,6 @@ func TestContentionCubeEngine(t *testing.T) {
 	}
 }
 
-// TestContentionLockedSpreadAblation runs both lockable engines with
-// Config.LockedSpread and checks the mutex path still records
-// acquisitions — the contention baseline the lock-free default is
-// measured against — and that fresh-vs-reacquire accounting holds
-// (contended counts can never exceed their attempt counts).
-func TestContentionLockedSpreadAblation(t *testing.T) {
-	for _, kind := range []SolverKind{CubeBased, OpenMP} {
-		t.Run(kind.String(), func(t *testing.T) {
-			sim, err := New(Config{
-				NX: 16, NY: 16, NZ: 16, Tau: 0.7,
-				BodyForce: [3]float64{1e-5, 0, 0},
-				Sheet:     telemetrySheet(),
-				Solver:    kind, Threads: 4, CubeSize: 4,
-				LockedSpread: true,
-				Contention:   true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sim.Close()
-			sim.Run(3)
-
-			st, ok := sim.ContentionStats()
-			if !ok {
-				t.Fatal("ContentionStats not available")
-			}
-			if st.TotalAcquires == 0 {
-				t.Error("no spreading-lock acquisitions recorded on the locked path")
-			}
-			if st.ContendedAcquires > st.TotalAcquires {
-				t.Errorf("contended fresh acquires (%d) exceed fresh total (%d)",
-					st.ContendedAcquires, st.TotalAcquires)
-			}
-			if st.ContendedReacquires > st.Reacquires {
-				t.Errorf("contended reacquires (%d) exceed reacquire total (%d)",
-					st.ContendedReacquires, st.Reacquires)
-			}
-		})
-	}
-}
-
 // TestContentionOmpStepLog runs the loop-parallel engine with the
 // attribution layer and a step log, checking the OmpP-style region
 // accounting reaches both the stats and the JSONL share fields.
@@ -154,11 +104,6 @@ func TestContentionOmpStepLog(t *testing.T) {
 	}
 	if st.ImbalanceRatio < 1 {
 		t.Errorf("imbalance ratio = %v, want ≥ 1", st.ImbalanceRatio)
-	}
-	// Spreading is lock-free by default: no plane-lock events.
-	if st.TotalAcquires != 0 || st.Reacquires != 0 {
-		t.Errorf("lock events on the lock-free path: %d acquires, %d reacquires",
-			st.TotalAcquires, st.Reacquires)
 	}
 
 	sc := bufio.NewScanner(&buf)

@@ -271,18 +271,11 @@ func (w *effectWalker) guardAtom(cond ast.Expr, info *types.Info) (guardVal, boo
 			return guardVal{"perKernel", true}, true
 		}
 		if c.Name == "reduce" {
-			// collideStreamLoop's reduce = lock-free && fibers present.
+			// collideStreamLoop's reduce = fibers present.
 			return guardVal{"fibers", true}, true
 		}
 	case *ast.SelectorExpr:
-		switch c.Sel.Name {
-		case "LegacyCopy":
-			return guardVal{"legacy", true}, true
-		case "LockedSpread":
-			return guardVal{"locked", true}, true
-		case "KeepEndBarrier":
-			return guardVal{"keepEndBarrier", true}, true
-		case "Float32":
+		if c.Sel.Name == "Float32" {
 			return guardVal{"float32", true}, true
 		}
 	case *ast.BinaryExpr:
@@ -294,10 +287,6 @@ func (w *effectWalker) guardAtom(cond ast.Expr, info *types.Info) (guardVal, boo
 			return guardVal{"fibers", false}, true
 		case strings.Contains(s, "len") && strings.Contains(s, "Sheets") && c.Op == token.EQL:
 			return guardVal{"fibers", false}, true
-		case strings.Contains(s, "accums") && c.Op == token.NEQ && strings.Contains(s, "nil"):
-			return guardVal{"locked", false}, true
-		case strings.Contains(s, "accums") && c.Op == token.EQL && strings.Contains(s, "nil"):
-			return guardVal{"locked", true}, true
 		case strings.Contains(s, "d32") && c.Op == token.NEQ && strings.Contains(s, "nil"):
 			return guardVal{"float32", true}, true
 		case strings.Contains(s, "d32") && c.Op == token.EQL && strings.Contains(s, "nil"):
@@ -306,9 +295,6 @@ func (w *effectWalker) guardAtom(cond ast.Expr, info *types.Info) (guardVal, boo
 			return guardVal{"multi", false}, true
 		case strings.Contains(s, "Size() > 1") || strings.Contains(s, "Threads > 1"):
 			return guardVal{"multi", true}, true
-		case c.Op == token.NEQ && strings.Contains(s, "nil") &&
-			(strings.Contains(s, "acc") || strings.Contains(s, "Accum")):
-			return guardVal{"locked", false}, true
 		case c.Op == token.LAND:
 			// Compound: only the (guard && guard) shapes the solvers use.
 			if l, ok := w.guardAtom(c.X, info); ok && l.val {

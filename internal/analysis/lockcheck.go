@@ -9,21 +9,19 @@ import (
 	"strings"
 )
 
-// LockCheck proves the mutex discipline of the spreading path: every
+// LockCheck proves the mutex discipline of the module: every
 // sync.Mutex/RWMutex acquisition (including a successful TryLock) must
 // be released on every control-flow path out of the acquiring function,
 // and nested acquisitions across the package must not form an ordering
-// cycle — the static counterpart of the paper's "a cube is protected by
-// its owner thread's private lock" rule, which only stays deadlock-free
-// while at most a consistent order of owner locks is ever held.
+// cycle. It guards the mutexes of the profiles, recorder rings and
+// registries; the engines' step paths hold none.
 //
 // The path model is intentionally simple: lock identity is the
 // canonical spelling of the receiver with indices wildcarded
-// (s.ownerLocks[_]), and held-sets are propagated through if/else,
-// loops, switch and select with a merge that requires agreement.
-// Hand-over-hand schemes whose release is data-dependent (the held
-// variable in spreadLocked) are outside the model and carry a reviewed
-// //lint:allow lockcheck with the manual proof.
+// (s.locks[_]), and held-sets are propagated through if/else, loops,
+// switch and select with a merge that requires agreement. Hand-over-hand
+// schemes whose release is data-dependent are outside the model and
+// carry a reviewed //lint:allow lockcheck with the manual proof.
 var LockCheck = &Analyzer{
 	Name: "lockcheck",
 	Doc:  "mutexes must be released on all paths; lock acquisition order must be acyclic",

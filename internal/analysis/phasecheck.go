@@ -140,9 +140,9 @@ func constName(arg ast.Expr) string {
 }
 
 // condPred parses a barrier activation condition into a scenario
-// predicate, inlining single-return helper methods (spreadBarrierNeeded,
-// endBarrierNeeded). Unrecognized atoms evaluate to true (the site is
-// conservatively treated as active).
+// predicate, inlining single-return helper methods
+// (spreadBarrierNeeded). Unrecognized atoms evaluate to true (the site
+// is conservatively treated as active).
 func (l *linearizer) condPred(e ast.Expr, depth int) (sitePred, string) {
 	switch v := e.(type) {
 	case *ast.ParenExpr:
@@ -174,13 +174,6 @@ func (l *linearizer) condPred(e ast.Expr, depth int) (sitePred, string) {
 	case *ast.Ident:
 		if v.Name == "perKernel" {
 			return func(sc scenario) bool { return sc.guard("perKernel") }, "perKernel"
-		}
-	case *ast.SelectorExpr:
-		switch v.Sel.Name {
-		case "LegacyCopy":
-			return func(sc scenario) bool { return sc.guard("legacy") }, "legacy"
-		case "KeepEndBarrier":
-			return func(sc scenario) bool { return sc.guard("keepEndBarrier") }, "keepEndBarrier"
 		}
 	case *ast.CallExpr:
 		// Inline a module helper with a single return statement.

@@ -56,13 +56,12 @@ type winEffect struct {
 // window collects the live effects of the segments on one side of a
 // site under one scenario. Walking wraps across the step boundary
 // (steady-state cyclic model); wrapped distribution accesses flip their
-// parity slot on the swap path, because "cur" of the next step is
-// "next" of this one.
+// parity slot, because every engine swaps buffers at the end of a step:
+// "cur" of the next step is "next" of this one.
 func window(items []item, siteIdx, dir int, sc scenario) []winEffect {
 	var out []winEffect
 	n := len(items)
 	wrapped := false
-	flip := !sc.guards["legacy"]
 	for off := 1; off < 2*n; off++ {
 		i := siteIdx + dir*off
 		for i < 0 {
@@ -85,7 +84,7 @@ func window(items []item, siteIdx, dir int, sc scenario) []winEffect {
 				continue
 			}
 			we := winEffect{Effect: e, segName: it.name}
-			if wrapped && flip && we.Slot != SlotNone {
+			if wrapped && we.Slot != SlotNone {
 				if we.Slot == SlotCur {
 					we.Slot = SlotNext
 				} else {
@@ -297,19 +296,15 @@ func boolSuffix(b bool, yes, no string) string {
 func cubeScenarios() []scenario {
 	var out []scenario
 	for _, fibers := range []bool{false, true} {
-		for _, legacy := range []bool{false, true} {
-			for _, perKernel := range []bool{false, true} {
-				out = append(out, scenario{
-					name: boolSuffix(fibers, "fibers", "fluid") + "+" +
-						boolSuffix(legacy, "legacy", "swap") + "+" +
-						boolSuffix(perKernel, "perKernel", "minimal"),
-					guards: map[string]bool{
-						"fibers": fibers, "legacy": legacy, "perKernel": perKernel,
-						"multi": true, "locked": false, "dynamic": false,
-						"float32": false, "keepEndBarrier": false,
-					},
-				})
-			}
+		for _, perKernel := range []bool{false, true} {
+			out = append(out, scenario{
+				name: boolSuffix(fibers, "fibers", "fluid") + "+swap+" +
+					boolSuffix(perKernel, "perKernel", "minimal"),
+				guards: map[string]bool{
+					"fibers": fibers, "perKernel": perKernel,
+					"multi": true, "dynamic": false, "float32": false,
+				},
+			})
 		}
 	}
 	return out
@@ -318,17 +313,13 @@ func cubeScenarios() []scenario {
 func ompScenarios() []scenario {
 	var out []scenario
 	for _, dynamic := range []bool{false, true} {
-		for _, legacy := range []bool{false, true} {
-			out = append(out, scenario{
-				name: boolSuffix(dynamic, "dynamic", "static") + "+" +
-					boolSuffix(legacy, "legacy", "swap"),
-				guards: map[string]bool{
-					"fibers": true, "legacy": legacy, "dynamic": dynamic,
-					"multi": true, "locked": false, "perKernel": false,
-					"float32": false, "keepEndBarrier": false,
-				},
-			})
-		}
+		out = append(out, scenario{
+			name: boolSuffix(dynamic, "dynamic", "static") + "+swap",
+			guards: map[string]bool{
+				"fibers": true, "dynamic": dynamic,
+				"multi": true, "perKernel": false, "float32": false,
+			},
+		})
 	}
 	return out
 }
@@ -339,9 +330,8 @@ func fusedScenarios() []scenario {
 		out = append(out, scenario{
 			name: boolSuffix(fibers, "fsi", "fluid") + "+swap+static",
 			guards: map[string]bool{
-				"fibers": fibers, "legacy": false, "dynamic": false,
-				"multi": true, "locked": false, "perKernel": false,
-				"float32": false, "keepEndBarrier": false,
+				"fibers": fibers, "dynamic": false,
+				"multi": true, "perKernel": false, "float32": false,
 			},
 		})
 	}

@@ -2,7 +2,7 @@
 // with a conditionally folded barrier spanned by a cross-thread
 // write→read conflict. The first kernel writes neighbor velocities, the
 // second reads its own — so the mid-step barrier separates a neighbor
-// write from its readers and folding it (the !legacy default) breaks
+// write from its readers and folding it (the !perKernel default) breaks
 // the bitwise contract. The analyzer must flag the fold guard.
 package phasebad
 
@@ -17,18 +17,19 @@ const (
 
 type mini struct {
 	Fluid *grid.Grid
-	// LegacyCopy keeps the mid-step barrier; the zero value folds it.
-	LegacyCopy bool
+	// PerKernel keeps the mid-step barrier; the zero value folds it.
+	PerKernel bool
 }
 
 func (m *mini) waitBarrier(site, tid int) {}
 
 func (m *mini) timeStep(tid, lo, hi int) {
 	g := m.Fluid
+	perKernel := m.PerKernel
 	for i := lo; i < hi; i++ {
 		g.Nodes[i+1].Vel[0] += g.Nodes[i].Rho
 	}
-	if m.LegacyCopy {
+	if perKernel {
 		m.waitBarrier(SiteMid, tid) //want:phasecheck
 	}
 	for i := lo; i < hi; i++ {
@@ -36,7 +37,7 @@ func (m *mini) timeStep(tid, lo, hi int) {
 	}
 	// This folded barrier is safe — both sides touch only thread-own
 	// nodes — so the analyzer must stay silent about it: no marker.
-	if m.LegacyCopy {
+	if perKernel {
 		m.waitBarrier(SiteOwn, tid)
 	}
 	for i := lo; i < hi; i++ {

@@ -49,6 +49,33 @@ func caseName(seed int64) string {
 	return string(name)
 }
 
+// TestEnginesPinned fixes the engine set: one mode per facade engine
+// (two for fused's storage modes), the cube-layout pair only on shapes
+// they accept, and the same set with or without an immersed structure.
+func TestEnginesPinned(t *testing.T) {
+	slab := []Engine{EngineSequential, EngineOMP, EngineFused, EngineFusedF32}
+	cubes := append(append([]Engine(nil), slab...), EngineCube, EngineTaskflow)
+	sheet := []*lbmib.SheetConfig{{NumFibers: 4, NodesPerFiber: 4, Width: 3, Height: 3}}
+	for _, tc := range []struct {
+		name       string
+		nx, ny, nz int
+		k          int
+		sheets     []*lbmib.SheetConfig
+		want       []Engine
+	}{
+		{"divisible fluid-only", 16, 16, 16, 4, nil, cubes},
+		{"divisible with sheet", 16, 16, 16, 4, sheet, cubes},
+		{"indivisible fluid-only", 15, 16, 16, 4, nil, slab},
+		{"indivisible with sheet", 16, 16, 18, 4, sheet, slab},
+		{"no cube size", 16, 16, 16, 0, nil, slab},
+	} {
+		c := Case{Config: lbmib.Config{NX: tc.nx, NY: tc.ny, NZ: tc.nz, CubeSize: tc.k, Sheets: tc.sheets}}
+		if got := Engines(c); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: Engines = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestGenDeterministic pins the property every replay instruction relies
 // on: the same seed always generates the identical case.
 func TestGenDeterministic(t *testing.T) {

@@ -61,9 +61,9 @@ func seqFinal(c Case) (state, error) {
 	if err != nil {
 		return state{}, err
 	}
-	e.run(c.Steps)
-	st := e.state()
-	e.close()
+	e.Run(c.Steps)
+	st := capture(e)
+	e.Close()
 	return st, nil
 }
 

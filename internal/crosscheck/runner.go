@@ -7,35 +7,24 @@ import (
 	"path/filepath"
 
 	"lbmib"
-	"lbmib/internal/core"
-	"lbmib/internal/fiber"
 	"lbmib/internal/flightrec"
 	"lbmib/internal/grid"
-	"lbmib/internal/lattice"
-	"lbmib/internal/soa"
 	"lbmib/internal/validate"
 )
 
-// Engine names one implementation under differential test. The facade
-// engines are addressed through lbmib.SolverKind; the SoA solver is
-// internal-only and driven directly.
+// Engine names one implementation under differential test; every engine
+// is a facade engine addressed through lbmib.SolverKind.
 type Engine string
 
-// The engines the Runner exercises. The -locked variants run the omp and
-// cube engines with Config.LockedSpread — the per-owner-lock spreading
-// ablation — so the retained locked path keeps differential coverage
-// against the sequential reference after the lock-free default landed.
-// The fused pair runs the single-sweep engine in both storage modes:
-// fused under the standard float64 contract, fused-f32 with float32
-// distribution storage under the Runner's relaxed Tol32 contract.
+// The engines the Runner exercises. The fused pair runs the single-sweep
+// engine in both storage modes: fused under the standard float64
+// contract, fused-f32 with float32 distribution storage under the
+// Runner's relaxed Tol32 contract.
 const (
 	EngineSequential Engine = "sequential"
 	EngineOMP        Engine = "omp"
 	EngineCube       Engine = "cube"
 	EngineTaskflow   Engine = "taskflow"
-	EngineSoA        Engine = "soa"
-	EngineOMPLocked  Engine = "omp-locked"
-	EngineCubeLocked Engine = "cube-locked"
 	EngineFused      Engine = "fused"
 	EngineFusedF32   Engine = "fused-f32"
 )
@@ -43,33 +32,25 @@ const (
 // Engines returns the engines applicable to the case. The cube-layout
 // engines require every grid edge to be divisible by the cube size; for
 // indivisible shapes the Runner instead asserts that they reject the
-// configuration. The locked-spreading ablations run only when the case
-// has an immersed structure — without one the spread path is never taken
-// and they would duplicate the base engines exactly.
+// configuration.
 func Engines(c Case) []Engine {
-	es := []Engine{EngineSequential, EngineOMP, EngineSoA, EngineFused, EngineFusedF32}
-	if len(c.Config.Sheets) > 0 {
-		es = append(es, EngineOMPLocked)
-	}
+	es := []Engine{EngineSequential, EngineOMP, EngineFused, EngineFusedF32}
 	if CubeDivisible(c) {
 		es = append(es, EngineCube, EngineTaskflow)
-		if len(c.Config.Sheets) > 0 {
-			es = append(es, EngineCubeLocked)
-		}
 	}
 	return es
 }
 
 // Deterministic reports whether engine e replays the exact same
 // floating-point trajectory for this case — the bitwise half of the
-// equivalence contract. Sequential and SoA execute one thread in program
-// order; taskflow spreads fiber forces as a single task and all cube
-// tasks write disjoint data, so it is bitwise at any worker count. The
-// omp, fused and cube engines order multi-threaded spread sums
-// differently from the sequential reference — under locks the order also
-// varies run to run; the lock-free reduction is reproducible but still
-// grouped per thread — so with an immersed structure and more than one
-// thread their low-order bits differ from the reference either way.
+// equivalence contract. Sequential executes one thread in program order;
+// taskflow spreads fiber forces as a single task and all cube tasks
+// write disjoint data, so it is bitwise at any worker count. The omp,
+// fused and cube engines group multi-threaded spread sums per thread —
+// reproducible run to run at a fixed thread count, but a different
+// floating-point order from the sequential reference's fiber order — so
+// with an immersed structure and more than one thread their low-order
+// bits differ from the reference.
 //
 // Note this is about trajectory reproducibility, which the float32 fused
 // mode has too (its rounding is deterministic): it governs round-trip
@@ -78,7 +59,7 @@ func Engines(c Case) []Engine {
 // relaxed Tol32 contract regardless.
 func Deterministic(e Engine, c Case) bool {
 	switch e {
-	case EngineOMP, EngineCube, EngineOMPLocked, EngineCubeLocked, EngineFused, EngineFusedF32:
+	case EngineOMP, EngineCube, EngineFused, EngineFusedF32:
 		return c.Config.Threads == 1 || len(c.Config.Sheets) == 0
 	default:
 		return true
@@ -175,90 +156,24 @@ type state struct {
 	sheetV [][][3]float64
 }
 
-// engineRun abstracts "an executing engine" over the facade simulations
-// and the internal SoA solver.
-type engineRun interface {
-	run(n int)
-	state() state
-	close()
-}
-
-// simRun drives a facade engine.
-type simRun struct{ sim *lbmib.Simulation }
-
-func (e *simRun) run(n int) { e.sim.Run(n) }
-func (e *simRun) close()    { e.sim.Close() }
-func (e *simRun) state() state {
-	st := state{grid: e.sim.FluidSnapshot()}
-	for i := 0; i < e.sim.NumSheets(); i++ {
-		x, _ := e.sim.SheetPositionsAt(i)
-		v, _ := e.sim.SheetVelocitiesAt(i)
+// capture snapshots a running simulation's state.
+func capture(sim *lbmib.Simulation) state {
+	st := state{grid: sim.FluidSnapshot()}
+	for i := 0; i < sim.NumSheets(); i++ {
+		x, _ := sim.SheetPositionsAt(i)
+		v, _ := sim.SheetVelocitiesAt(i)
 		st.sheetX = append(st.sheetX, x)
 		st.sheetV = append(st.sheetV, v)
 	}
 	return st
 }
 
-// soaRun drives the structure-of-arrays solver.
-type soaRun struct{ s *soa.Solver }
-
-func (e *soaRun) run(n int) { e.s.Run(n) }
-func (e *soaRun) close()    {}
-func (e *soaRun) state() state {
-	st := state{grid: e.s.Fluid.ToGrid()}
-	for _, sh := range e.s.Sheets {
-		st.sheetX = append(st.sheetX, append([][3]float64(nil), sh.X...))
-		st.sheetV = append(st.sheetV, append([][3]float64(nil), sh.Vel...))
-	}
-	return st
-}
-
-func toBC(b lbmib.Boundary) core.BC {
-	if b == lbmib.NoSlip {
-		return core.BounceBack
-	}
-	return core.Periodic
-}
-
-// effTau resolves the relaxation time the facade would derive for cfg.
-func effTau(cfg lbmib.Config) float64 {
-	if cfg.Tau == 0 && cfg.Viscosity > 0 {
-		return lattice.TauFromViscosity(cfg.Viscosity)
-	}
-	if cfg.Tau == 0 {
-		return 0.6
-	}
-	return cfg.Tau
-}
-
-// buildSheets constructs the fiber sheets for cfg exactly as the facade
-// does, for the engines driven outside the facade.
-func buildSheets(cfg lbmib.Config) []*fiber.Sheet {
-	var out []*fiber.Sheet
-	for _, sc := range cfg.Sheets {
-		s := fiber.NewSheet(fiber.Params{
-			NumFibers:     sc.NumFibers,
-			NodesPerFiber: sc.NodesPerFiber,
-			Width:         sc.Width,
-			Height:        sc.Height,
-			Origin:        sc.Origin,
-			Ks:            sc.Ks,
-			Kb:            sc.Kb,
-		})
-		if sc.FixedRadius > 0 {
-			s.FixRegion(sc.FixedRadius)
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 // solverKind maps a facade engine name to its SolverKind.
 func solverKind(e Engine) lbmib.SolverKind {
 	switch e {
-	case EngineOMP, EngineOMPLocked:
+	case EngineOMP:
 		return lbmib.OpenMP
-	case EngineCube, EngineCubeLocked:
+	case EngineCube:
 		return lbmib.CubeBased
 	case EngineTaskflow:
 		return lbmib.TaskScheduled
@@ -269,44 +184,25 @@ func solverKind(e Engine) lbmib.SolverKind {
 	}
 }
 
-// lockedSpread reports whether engine e is a locked-spreading ablation.
-func lockedSpread(e Engine) bool {
-	return e == EngineOMPLocked || e == EngineCubeLocked
-}
-
-// newEngine instantiates engine e for the case. Facade engines carry a
-// flight recorder when the Runner has a FlightRecDir, so a divergence
-// leaves forensics behind.
-func (r *Runner) newEngine(c Case, e Engine) (engineRun, error) {
-	if e == EngineSoA {
-		cfg := c.Config
-		s, err := soa.NewSolver(soa.Config{
-			NX: cfg.NX, NY: cfg.NY, NZ: cfg.NZ,
-			Tau:       effTau(cfg),
-			BodyForce: cfg.BodyForce,
-			BCX:       toBC(cfg.BoundaryX), BCY: toBC(cfg.BoundaryY), BCZ: toBC(cfg.BoundaryZ),
-			LidVelocity: cfg.LidVelocity,
-			Sheets:      buildSheets(cfg),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &soaRun{s}, nil
-	}
+// configFor returns the case's configuration with engine e selected.
+func configFor(c Case, e Engine) lbmib.Config {
 	cfg := c.Config
 	cfg.Solver = solverKind(e)
-	cfg.LockedSpread = lockedSpread(e)
 	cfg.Float32 = e == EngineFusedF32
+	return cfg
+}
+
+// newEngine instantiates engine e for the case, carrying a flight
+// recorder when the Runner has a FlightRecDir so a divergence leaves
+// forensics behind.
+func (r *Runner) newEngine(c Case, e Engine) (*lbmib.Simulation, error) {
+	cfg := configFor(c, e)
 	if r.FlightRecDir != "" {
 		cfg.FlightRec = &flightrec.Config{
 			Dir: filepath.Join(r.FlightRecDir, fmt.Sprintf("seed%d-%s", c.Seed, e)),
 		}
 	}
-	sim, err := lbmib.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &simRun{sim}, nil
+	return lbmib.New(cfg)
 }
 
 // Run executes the case on every applicable engine and applies the
@@ -328,7 +224,7 @@ func (r *Runner) Run(c Case) Result {
 		return res
 	}
 	refFinal, refFails := r.drive(ref, c, massRelTol)
-	ref.close()
+	ref.Close()
 	for _, f := range refFails {
 		res.Failures = append(res.Failures, "sequential: "+f)
 	}
@@ -337,7 +233,7 @@ func (r *Runner) Run(c Case) Result {
 	if !CubeDivisible(c) {
 		for _, e := range []Engine{EngineCube, EngineTaskflow} {
 			if eng, err := r.newEngine(c, e); err == nil {
-				eng.close()
+				eng.Close()
 				res.Failures = append(res.Failures,
 					fmt.Sprintf("%s accepted indivisible grid %d×%d×%d with cube size %d",
 						e, c.Config.NX, c.Config.NY, c.Config.NZ, c.Config.CubeSize))
@@ -363,16 +259,14 @@ func (r *Runner) Run(c Case) Result {
 		maxAbs, cmpFails := compareStates(refFinal, final, tol)
 		er.MaxAbs = maxAbs
 		er.Failures = append(er.Failures, cmpFails...)
-		// A diverged facade engine dumps its flight-recorder bundle
-		// before teardown, so the trajectory that disagreed is kept.
-		if len(er.Failures) > 0 {
-			if sr, ok := eng.(*simRun); ok && sr.sim.FlightRecorder() != nil {
-				if dir, err := sr.sim.WritePostMortem("crosscheck"); err == nil {
-					er.Bundle = dir
-				}
+		// A diverged engine dumps its flight-recorder bundle before
+		// teardown, so the trajectory that disagreed is kept.
+		if len(er.Failures) > 0 && eng.FlightRecorder() != nil {
+			if dir, err := eng.WritePostMortem("crosscheck"); err == nil {
+				er.Bundle = dir
 			}
 		}
-		eng.close()
+		eng.Close()
 		res.Engines = append(res.Engines, er)
 	}
 
@@ -396,24 +290,24 @@ func (r *Runner) Run(c Case) Result {
 // drive advances the engine to c.Steps, applying the invariant oracles
 // every c.CheckEvery steps with mass tolerance massRel, and returns the
 // final state.
-func (r *Runner) drive(e engineRun, c Case, massRel float64) (state, []string) {
+func (r *Runner) drive(e *lbmib.Simulation, c Case, massRel float64) (state, []string) {
 	var fails []string
-	m0 := e.state().grid.TotalMass()
+	m0 := capture(e).grid.TotalMass()
 	for done := 0; done < c.Steps; {
 		n := c.CheckEvery
 		if done+n > c.Steps {
 			n = c.Steps - done
 		}
-		e.run(n)
+		e.Run(n)
 		done += n
-		if msgs := checkInvariants(c, e.state(), m0, massRel); len(msgs) > 0 {
+		if msgs := checkInvariants(c, capture(e), m0, massRel); len(msgs) > 0 {
 			for _, m := range msgs {
 				fails = append(fails, fmt.Sprintf("step %d: %s", done, m))
 			}
 			break // the state is unphysical; later checks would cascade
 		}
 	}
-	final := e.state()
+	final := capture(e)
 	fails = append(fails, checkMomentumSign(c, final)...)
 	return final, fails
 }
@@ -496,29 +390,24 @@ func (r *Runner) roundTrip(c Case, e Engine) string {
 	if err != nil {
 		return fmt.Sprintf("round-trip %s: constructor: %v", e, err)
 	}
-	full.run(c.Steps)
-	want := full.state()
-	full.close()
+	full.Run(c.Steps)
+	want := capture(full)
+	full.Close()
 
 	// Interrupted: run half, checkpoint, restore, run the rest.
 	first, err := r.newEngine(c, e)
 	if err != nil {
 		return fmt.Sprintf("round-trip %s: constructor: %v", e, err)
 	}
-	first.run(half)
+	first.Run(half)
 	var buf bytes.Buffer
-	sim := first.(*simRun).sim
-	if err := sim.Checkpoint(&buf); err != nil {
-		first.close()
+	if err := first.Checkpoint(&buf); err != nil {
+		first.Close()
 		return fmt.Sprintf("round-trip %s: checkpoint: %v", e, err)
 	}
-	first.close()
+	first.Close()
 
-	cfg := c.Config
-	cfg.Solver = solverKind(e)
-	cfg.LockedSpread = lockedSpread(e)
-	cfg.Float32 = e == EngineFusedF32
-	restored, err := lbmib.Restore(bytes.NewReader(buf.Bytes()), cfg)
+	restored, err := lbmib.Restore(bytes.NewReader(buf.Bytes()), configFor(c, e))
 	if err != nil {
 		return fmt.Sprintf("round-trip %s: restore: %v", e, err)
 	}
@@ -527,8 +416,7 @@ func (r *Runner) roundTrip(c Case, e Engine) string {
 		restored.Close()
 		return fmt.Sprintf("round-trip %s: step count %d after restore, want %d", e, got, c.Steps)
 	}
-	rr := &simRun{restored}
-	got := rr.state()
+	got := capture(restored)
 	restored.Close()
 
 	tol := 0.0

@@ -47,23 +47,12 @@ func (b BarrierSite) String() string {
 }
 
 // ContentionObserver receives per-thread synchronization costs: how long
-// each thread waited at each barrier site, and how long each spreading
-// lock acquisition blocked (attributed to both the waiting thread and
-// the lock's owner thread). Contended reports whether the lock was held
-// by someone else at acquisition time — uncontended acquisitions are
-// reported too (with wait 0) so contended-acquire *rates* can be
-// computed, not just totals. Reacquire reports that the waiter already
-// held this owner's lock earlier within the same stencil spread: the
-// hand-over-hand walk released it to take another owner's lock and is
-// now returning (the A→B→A pattern). Fresh-acquisition rates must count
-// only !reacquire events — before this split, every return leg inflated
-// the acquisition total.
+// each thread waited at each barrier site.
 //
 // Callbacks arrive concurrently from all worker threads; implementations
 // must be safe for concurrent use.
 type ContentionObserver interface {
 	BarrierWait(site BarrierSite, tid int, wait time.Duration)
-	LockWait(waiter, owner int, wait time.Duration, contended, reacquire bool)
 }
 
 // BarrierArrivalObserver receives full arrival attribution for every
@@ -121,40 +110,6 @@ func (s *Solver) recordBarrierArrive(site, tid, rank int, crossing uint64, wait 
 		return
 	}
 	obs.BarrierArrive(BarrierSite(site), tid, rank, crossing, wait, last)
-}
-
-// lockBlockHook, when non-nil, is invoked after a TryLock found the lock
-// held but before the blocking Lock — the only instant the contended
-// path is externally visible before it parks. It is a test-only seam:
-// the deterministic interleaving test uses it to release the lock it is
-// holding exactly when the solver is committed to the contended path.
-// Production code never sets it.
-var lockBlockHook func(waiter, owner int)
-
-// lockOwner acquires owner's spreading lock on behalf of waiter. When a
-// ContentionObserver is attached, a TryLock first distinguishes the
-// uncontended fast path (reported with zero wait) from a contended
-// acquisition whose blocking time is measured. reacquire is forwarded to
-// the observer: true when spreadLocked already held this owner's lock
-// earlier in the same stencil (see ContentionObserver).
-//
-//lint:allow lockcheck -- acquire-side helper: returns holding ownerLocks[owner] by contract; spreadLocked releases it hand-over-hand
-func (s *Solver) lockOwner(waiter, owner int, reacquire bool) {
-	l := &s.ownerLocks[owner]
-	if s.Contention == nil {
-		l.Lock()
-		return
-	}
-	if l.TryLock() {
-		s.Contention.LockWait(waiter, owner, 0, false, reacquire)
-		return
-	}
-	if h := lockBlockHook; h != nil {
-		h(waiter, owner)
-	}
-	t0 := time.Now()
-	l.Lock()
-	s.Contention.LockWait(waiter, owner, time.Since(t0), true, reacquire)
 }
 
 // forOwnedCubesTimed is forOwnedCubes with per-cube wall-clock sampling

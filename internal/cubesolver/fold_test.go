@@ -33,38 +33,44 @@ func fluidOnlyCubeConfig(threads int) Config {
 // contract: a fluid-only run — where the end-of-step barrier is folded
 // away — must stay bitwise equal to the sequential reference at every
 // thread count. Parallel fluid-only execution reorders no floating-point
-// accumulation, so equality is exact, not tolerance-based.
+// accumulation, so equality is exact, not tolerance-based. The reference
+// runs kernel 9 as the published per-node copy, so the same comparison
+// proves the O(1) swap arithmetically invisible at both buffer parities
+// (even step count: swapped back, odd: flipped).
 func TestFoldedEndBarrierBitwiseEqualsSequential(t *testing.T) {
-	const steps = 10
-	ref := core.MustNewSolver(fluidOnlyRefConfig())
-	ref.Run(steps)
+	for _, steps := range []int{10, 11} {
+		ref := core.MustNewSolver(fluidOnlyRefConfig())
+		ref.Run(steps)
 
-	for _, threads := range []int{1, 2, 4, 8} {
-		s, err := NewSolver(fluidOnlyCubeConfig(threads))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.endBarrierNeeded() {
-			t.Fatalf("threads=%d: end barrier not folded on a fluid-only swap-path run", threads)
-		}
-		s.Run(steps)
-		g := s.Fluid.ToGrid()
-		for i := range ref.Fluid.Nodes {
-			if ref.Fluid.Nodes[i].DF != g.Nodes[i].DF {
-				t.Fatalf("threads=%d: node %d DF differs bitwise with the folded barrier", threads, i)
+		for _, threads := range []int{1, 2, 4, 8} {
+			s, err := NewSolver(fluidOnlyCubeConfig(threads))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if ref.Fluid.Nodes[i].Vel != g.Nodes[i].Vel {
-				t.Fatalf("threads=%d: node %d velocity differs bitwise with the folded barrier", threads, i)
+			if threads > 1 && s.spreadBarrierNeeded() {
+				t.Fatalf("threads=%d: end barrier not folded on a fluid-only run", threads)
 			}
+			s.Run(steps)
+			if got := s.Fluid.Cur(); got != steps%2 {
+				t.Fatalf("steps=%d: buffer parity = %d, want %d", steps, got, steps%2)
+			}
+			g := s.Fluid.ToGrid()
+			for i := range ref.Fluid.Nodes {
+				if ref.Fluid.Nodes[i].DF != g.Nodes[i].DF {
+					t.Fatalf("steps=%d threads=%d: node %d DF differs bitwise with the folded barrier", steps, threads, i)
+				}
+				if ref.Fluid.Nodes[i].Vel != g.Nodes[i].Vel {
+					t.Fatalf("steps=%d threads=%d: node %d velocity differs bitwise with the folded barrier", steps, threads, i)
+				}
+			}
+			s.Close()
 		}
-		s.Close()
 	}
 }
 
 // TestEndBarrierFoldConditions pins exactly when the barrier folds: a
-// fluid-only swap-path multi-worker run folds it; fibers, LegacyCopy, or
-// a single worker (where the barrier is trivially needed-free but kept
-// out of the condition) each restore it.
+// fluid-only multi-worker run folds it, fibers restore it, and a single
+// worker never needs it.
 func TestEndBarrierFoldConditions(t *testing.T) {
 	mk := func(mut func(*Config)) *Solver {
 		cfg := fluidOnlyCubeConfig(4)
@@ -78,16 +84,13 @@ func TestEndBarrierFoldConditions(t *testing.T) {
 		t.Cleanup(s.Close)
 		return s
 	}
-	if s := mk(nil); s.endBarrierNeeded() {
-		t.Error("fluid-only swap-path run: end barrier should fold")
+	if s := mk(nil); s.spreadBarrierNeeded() {
+		t.Error("fluid-only run: end barrier should fold")
 	}
-	if s := mk(func(c *Config) { c.Sheet = testSheet() }); !s.endBarrierNeeded() {
+	if s := mk(func(c *Config) { c.Sheet = testSheet() }); !s.spreadBarrierNeeded() {
 		t.Error("run with fibers: end barrier is required (sheet X write→read across fibers)")
 	}
-	if s := mk(func(c *Config) { c.LegacyCopy = true }); !s.endBarrierNeeded() {
-		t.Error("LegacyCopy run: end barrier is required (copy reads buffers streaming overwrites)")
-	}
-	if s := mk(func(c *Config) { c.Threads = 1 }); s.endBarrierNeeded() {
+	if s := mk(func(c *Config) { c.Threads = 1 }); s.spreadBarrierNeeded() {
 		t.Error("single-worker run: barrier orders nothing")
 	}
 }
@@ -105,9 +108,6 @@ func (c *countingContention) BarrierWait(site BarrierSite, tid int, wait time.Du
 	}
 	c.waits[site]++
 	c.mu.Unlock()
-}
-
-func (c *countingContention) LockWait(waiter, owner int, wait time.Duration, contended, reacquire bool) {
 }
 
 // TestFoldedEndBarrierEmitsNoCrossings proves the fold is real: with the

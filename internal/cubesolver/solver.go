@@ -8,16 +8,14 @@
 // computing only the cubes and fibers it owns, and synchronizes with a
 // small number of global barriers.
 //
-// Cross-thread force spreading is lock-free by default: each worker
-// accumulates contributions to cubes it does not own into a private,
-// sparse per-cube buffer (contributions to its own cubes go straight to
-// the grid), and after the spread barrier every owner folds the workers'
-// buffers into its own cubes in ascending thread order — a deterministic
+// Cross-thread force spreading is lock-free: each worker accumulates
+// contributions to cubes it does not own into a private, sparse per-cube
+// buffer (contributions to its own cubes go straight to the grid), and
+// after the spread barrier every owner folds the workers' buffers into
+// its own cubes in ascending thread order — a deterministic
 // owner-partitioned reduction, so results are reproducible run-to-run at
-// a fixed thread count (see DESIGN.md §13). The paper's scheme — one
-// private lock per owner thread, "a cube will be protected by its owner
-// thread's private lock" — is kept behind Config.LockedSpread as the
-// contention ablation and equivalence foil.
+// a fixed thread count (see DESIGN.md §13). It replaces the paper's
+// scheme of one private lock per owner thread.
 //
 // Deviation from the published pseudocode, documented in DESIGN.md: the
 // paper's Algorithm 4 shows three barriers per step (after loops 2, 3 and
@@ -33,7 +31,6 @@ package cubesolver
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"lbmib/internal/core"
@@ -109,22 +106,6 @@ type Config struct {
 	Dist        par.Dist       // cube2thread / fiber2thread policy (default Block)
 	BlockSize   int            // block-cyclic block size
 	Barriers    BarrierSchedule
-	// LegacyCopy restores the paper's kernel 9 (the per-node buffer copy
-	// loop) instead of the O(1) buffer swap — kept for the copy-vs-swap
-	// ablation; results are bitwise identical either way.
-	LegacyCopy bool
-	// LockedSpread restores the paper's per-owner-thread spreading locks
-	// instead of the default lock-free per-thread accumulation + reduction
-	// — kept for the contention ablation and as the crosscheck foil. Both
-	// paths match the sequential reference within the validation tolerance;
-	// only the lock-free path is deterministic run-to-run at a fixed
-	// thread count.
-	LockedSpread bool
-	// KeepEndBarrier forces the end-of-step barrier even when
-	// endBarrierNeeded proves it orders nothing — the measurement foil
-	// for the barrier-fold experiment (predicted vs realized gain).
-	// Results are bitwise identical either way; that is the point.
-	KeepEndBarrier bool
 }
 
 // Solver is the cube-centric parallel LBM-IB solver.
@@ -140,19 +121,12 @@ type Solver struct {
 	Map         par.CubeMap
 	FiberDist   par.Dist
 	Barriers    BarrierSchedule
-	LegacyCopy  bool
-	// LockedSpread selects the per-owner-lock spreading path (see
-	// Config.LockedSpread); the default is the lock-free reduction.
-	LockedSpread bool
-	// KeepEndBarrier keeps the end-of-step barrier unconditionally (see
-	// Config.KeepEndBarrier).
-	KeepEndBarrier bool
 
 	Observer PhaseObserver
 
 	// Contention, when non-nil, receives per-thread barrier waits (by
-	// call site) and spreading-lock waits; CubeWork, when non-nil,
-	// receives per-cube per-phase work samples for the load heatmap.
+	// call site); CubeWork, when non-nil, receives per-cube per-phase
+	// work samples for the load heatmap.
 	// Both default to nil — the uninstrumented step takes the exact
 	// pre-existing code paths.
 	Contention ContentionObserver
@@ -171,8 +145,7 @@ type Solver struct {
 	team         *par.Team
 	barrier      *par.Barrier
 	timedBarrier par.TimedBarrier // wraps barrier; used only with Contention set
-	ownerLocks   []sync.Mutex     // one private lock per thread (LockedSpread path)
-	accums       []*spreadAccum   // per-thread spread buffers (lock-free path); nil with LockedSpread
+	accums       []*spreadAccum   // per-thread spread buffers
 	step         int
 
 	// streamDelta[i] is the in-cube flat offset of the e_i neighbor for
@@ -214,27 +187,21 @@ func NewSolver(cfg Config) (*Solver, error) {
 			CX: layout.CX, CY: layout.CY, CZ: layout.CZ,
 			Mesh: par.NewMesh(cfg.Threads), Dist: cfg.Dist, BlockSize: cfg.BlockSize,
 		},
-		FiberDist:      cfg.Dist,
-		Barriers:       cfg.Barriers,
-		LegacyCopy:     cfg.LegacyCopy,
-		LockedSpread:   cfg.LockedSpread,
-		KeepEndBarrier: cfg.KeepEndBarrier,
+		FiberDist: cfg.Dist,
+		Barriers:  cfg.Barriers,
 		bc: core.StreamBC{
 			NX: cfg.NX, NY: cfg.NY, NZ: cfg.NZ,
 			BCX: cfg.BCX, BCY: cfg.BCY, BCZ: cfg.BCZ,
 			LidVelocity: cfg.LidVelocity,
 		},
-		team:       par.NewTeam(cfg.Threads),
-		barrier:    par.NewBarrier(cfg.Threads),
-		ownerLocks: make([]sync.Mutex, cfg.Threads),
+		team:    par.NewTeam(cfg.Threads),
+		barrier: par.NewBarrier(cfg.Threads),
 	}
 	s.timedBarrier = par.TimedBarrier{B: s.barrier, Rec: s.recordBarrierWait, Arrive: s.recordBarrierArrive}
-	if !cfg.LockedSpread {
-		nc := layout.CX * layout.CY * layout.CZ
-		s.accums = make([]*spreadAccum, cfg.Threads)
-		for i := range s.accums {
-			s.accums[i] = newSpreadAccum(nc)
-		}
+	nc := layout.CX * layout.CY * layout.CZ
+	s.accums = make([]*spreadAccum, cfg.Threads)
+	for i := range s.accums {
+		s.accums[i] = newSpreadAccum(nc)
 	}
 	for i := 0; i < lattice.Q; i++ {
 		k := layout.K
@@ -315,10 +282,10 @@ func (s *Solver) Step() { s.Run(1) }
 //
 // Buffer parity is captured once here, before the team forks, and each
 // worker derives its step's parity from the step index alone (the swap
-// flips it exactly once per step on the default path). No worker reads
-// the layout's shared parity bit mid-run, which is what makes thread 0's
-// Swap in the 5th loop conflict-free and lets endBarrierNeeded fold the
-// end-of-step barrier when nothing else spans it (see timeStep).
+// flips it exactly once per step). No worker reads the layout's shared
+// parity bit mid-run, which is what makes thread 0's Swap in the 5th
+// loop conflict-free and lets the end-of-step barrier fold away when
+// nothing else spans it (see timeStep).
 func (s *Solver) Run(n int) {
 	if n <= 0 {
 		return
@@ -327,11 +294,7 @@ func (s *Solver) Run(n int) {
 	p0 := s.Fluid.Cur()
 	s.team.Run(func(tid int) {
 		for st := first; st < first+n; st++ {
-			cur := p0
-			if !s.LegacyCopy {
-				cur = p0 ^ ((st - first) & 1)
-			}
-			s.timeStep(st, tid, cur)
+			s.timeStep(st, tid, p0^((st-first)&1))
 		}
 	})
 	s.step += n
@@ -366,8 +329,8 @@ func (s *Solver) timeStep(step, tid, cur int) {
 		s.waitBarrier(SiteAfterSpread, tid)
 	}
 
-	// 2nd loop: kernels 5–6 on owned cubes (the lock-free path first folds
-	// the workers' spread buffers into each owned cube).
+	// 2nd loop: kernels 5–6 on owned cubes (each first folds the workers'
+	// spread buffers into the cube).
 	phase(PhaseCollideStream, func() { s.collideStreamLoop(tid, perKernel, gen, cur) })
 	s.waitBarrier(SiteAfterStream, tid) // streaming → velocity-update dependency (paper's 1st barrier)
 
@@ -381,26 +344,23 @@ func (s *Solver) timeStep(step, tid, cur int) {
 		s.waitBarrier(SiteAfterMove, tid)
 	}
 
-	// 5th loop: kernel 9. Retired by default: thread 0 flips the layout's
-	// buffer parity in O(1) and everyone else's loop body is empty (each
-	// thread still reports the phase to its observer). The preceding
-	// barrier orders the flip after every thread's kernel-7 reads; workers
-	// derive their own parity from the step index, so the flip itself is
-	// unread until the run joins. With LegacyCopy every thread copies its
-	// owned cubes as published.
-	phase(PhaseCopy, func() { s.copyLoop(tid, cur) })
+	// 5th loop: kernel 9, retired: thread 0 flips the layout's buffer
+	// parity in O(1) and everyone else's loop body is empty (each thread
+	// still reports the phase to its observer). The preceding barrier
+	// orders the flip after every thread's kernel-7 reads; workers derive
+	// their own parity from the step index, so the flip itself is unread
+	// until the run joins.
+	phase(PhaseCopy, func() { s.copyLoop(tid) })
 	// End-of-step barrier (paper's 3rd). The phase-effect analysis
 	// (lbmib-lint -fusibility, DESIGN.md §16) proves it orders nothing in
-	// a fluid-only swap-path run: the move-fibers and copy phases between
-	// the after-velocity barrier and the next step's collide are then
-	// empty of cross-thread effects — fibers' X writes are absent, parity
-	// is derived per worker, and thread 0's Swap is unread until the team
+	// a fluid-only run: the move-fibers and copy phases between the
+	// after-velocity barrier and the next step's collide are then empty
+	// of cross-thread effects — fibers' X writes are absent, parity is
+	// derived per worker, and thread 0's Swap is unread until the team
 	// joins. With fibers it is required (move writes sheet X that the
-	// next step's bending stencil reads across fibers); with LegacyCopy
-	// it is required (the copy reads post-streaming buffers the next
-	// step's streaming overwrites cross-cube). The condition is
+	// next step's bending stencil reads across fibers). The condition is
 	// thread-invariant, so every worker takes the same branch.
-	if perKernel || s.KeepEndBarrier || s.endBarrierNeeded() {
+	if perKernel || s.spreadBarrierNeeded() {
 		s.waitBarrier(SiteEndOfStep, tid)
 	}
 }
@@ -416,15 +376,12 @@ func (c Config) allSheets() []*fiber.Sheet {
 
 // fiberForceLoop runs kernels 1–4 for every fiber owned by tid; fibers
 // are indexed globally across the structure's sheets. Spreading goes
-// through the worker's private accumulation buffer (lock-free default)
-// or the per-owner locks (LockedSpread); gen stamps this step's buffers.
+// through the worker's private accumulation buffer; gen stamps this
+// step's buffers.
 func (s *Solver) fiberForceLoop(tid, gen int) {
 	total := fiber.TotalFibers(s.Sheets)
 	n := s.team.Size()
-	var acc *accumWriter
-	if s.accums != nil {
-		acc = &accumWriter{s: s, acc: s.accums[tid], tid: tid, gen: gen}
-	}
+	acc := &accumWriter{s: s, acc: s.accums[tid], tid: tid, gen: gen}
 	for g := 0; g < total; g++ {
 		if par.FiberToThread(g, total, n, s.FiberDist) != tid {
 			continue
@@ -435,90 +392,22 @@ func (s *Solver) fiberForceLoop(tid, gen int) {
 		sh.ComputeBendingForce(lo, hi)
 		sh.ComputeStretchingForce(lo, hi)
 		sh.ComputeElasticForce(lo, hi)
-		if acc != nil {
-			for i := lo; i < hi; i++ {
-				ibm.Spread(acc, sh.X[i], sh.Force[i], area)
-			}
-			continue
-		}
 		for i := lo; i < hi; i++ {
-			s.spreadLocked(tid, sh.X[i], sh.Force[i], area)
+			ibm.Spread(acc, sh.X[i], sh.Force[i], area)
 		}
-	}
-}
-
-// spreadLocked spreads one fiber node's force under per-owner locking: the
-// 4×4×4 influential domain is walked in layout order and the owner lock of
-// each target cube is held while its nodes are updated. Only one lock is
-// held at a time, so the scheme cannot deadlock; consecutive targets that
-// share an owner reuse the held lock. tid is the spreading thread, used
-// only for lock-wait attribution; owners already locked once within this
-// stencil report their return legs as re-acquisitions (the A→B→A walk),
-// keeping fresh-acquisition rates honest.
-func (s *Solver) spreadLocked(tid int, x [3]float64, F [3]float64, area float64) {
-	var st ibm.Stencil
-	st.Compute(x)
-	l := s.Fluid
-	held := -1
-	var seenBuf [8]int // a 4-wide window crosses each cube axis at most once for k ≥ 4
-	seen := seenBuf[:0]
-	for i := 0; i < ibm.SupportWidth; i++ {
-		wx := st.Wx[i]
-		if wx == 0 { //lint:allow floatcheck -- exact-zero delta-function weight: product is exactly 0, skip is lossless
-			continue
-		}
-		for j := 0; j < ibm.SupportWidth; j++ {
-			wxy := wx * st.Wy[j]
-			if wxy == 0 { //lint:allow floatcheck -- exact-zero delta-function weight: product is exactly 0, skip is lossless
-				continue
-			}
-			for k := 0; k < ibm.SupportWidth; k++ {
-				w := wxy * st.Wz[k] * area
-				if w == 0 { //lint:allow floatcheck -- exact-zero delta-function weight: product is exactly 0, skip is lossless
-					continue
-				}
-				gx, gy, gz := l.Wrap(st.Base[0]+i, st.Base[1]+j, st.Base[2]+k)
-				owner := s.Map.CubeToThread(l.CubeOf(gx, gy, gz))
-				if owner != held {
-					if held >= 0 {
-						s.ownerLocks[held].Unlock()
-					}
-					reacquire := false
-					for _, o := range seen {
-						if o == owner {
-							reacquire = true
-							break
-						}
-					}
-					if !reacquire {
-						seen = append(seen, owner)
-					}
-					s.lockOwner(tid, owner, reacquire)
-					held = owner
-				}
-				n := &l.Nodes[l.Idx(gx, gy, gz)]
-				n.Force[0] += w * F[0]
-				n.Force[1] += w * F[1]
-				n.Force[2] += w * F[2]
-			}
-		}
-	}
-	if held >= 0 {
-		s.ownerLocks[held].Unlock()
 	}
 }
 
 // collideStreamLoop runs kernels 5 and 6 over the cubes owned by tid. With
 // the per-kernel barrier schedule, collision over all owned cubes
 // completes (and a barrier passes) before streaming starts; the minimal
-// schedule fuses them per cube as in Algorithm 4. On the lock-free path
-// each owned cube's spread reduction runs immediately before its
-// collision — the owner is the only thread touching the cube here, so the
-// reduction needs no synchronization beyond the spread barrier already
-// passed, and the cube's nodes are hot in cache for the collision that
-// follows.
+// schedule fuses them per cube as in Algorithm 4. Each owned cube's
+// spread reduction runs immediately before its collision — the owner is
+// the only thread touching the cube here, so the reduction needs no
+// synchronization beyond the spread barrier already passed, and the
+// cube's nodes are hot in cache for the collision that follows.
 func (s *Solver) collideStreamLoop(tid int, perKernel bool, gen, cur int) {
-	reduce := s.accums != nil && fiber.TotalFibers(s.Sheets) > 0
+	reduce := fiber.TotalFibers(s.Sheets) > 0
 	if perKernel {
 		s.forOwnedCubesTimed(tid, PhaseCollideStream, func(c int) {
 			if reduce {
@@ -639,22 +528,11 @@ func (s *Solver) moveFibersLoop(tid int) {
 	}
 }
 
-// copyLoop is the 5th loop. By default kernel 9 is retired: only thread 0
-// does anything, flipping the layout's buffer parity in O(1); the force
-// reset that used to ride along lives in updateVelocityLoop. With
-// LegacyCopy every thread runs the published per-node copy over its owned
-// cubes instead.
-func (s *Solver) copyLoop(tid, cur int) {
-	if !s.LegacyCopy {
-		if tid == 0 {
-			s.Fluid.Swap()
-		}
-		return
+// copyLoop is the 5th loop. Kernel 9 is retired: only thread 0 does
+// anything, flipping the layout's buffer parity in O(1); the force reset
+// that used to ride along lives in updateVelocityLoop.
+func (s *Solver) copyLoop(tid int) {
+	if tid == 0 {
+		s.Fluid.Swap()
 	}
-	s.forOwnedCubesTimed(tid, PhaseCopy, func(c int) {
-		nodes := s.Fluid.CubeNodes(c)
-		for i := range nodes {
-			*nodes[i].Buf(cur) = *nodes[i].Buf(1 - cur)
-		}
-	})
 }

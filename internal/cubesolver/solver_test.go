@@ -361,39 +361,3 @@ func TestMovingLidCornerNodeBitwise(t *testing.T) {
 		}
 	}
 }
-
-// The O(1) parity swap must be arithmetically invisible: a run with the
-// legacy per-node copy (kernel 9 as published) and a swap run must agree
-// bitwise on every distribution.
-func TestLegacyCopyBitwiseEqualsSwap(t *testing.T) {
-	mk := func(legacy bool) *Solver {
-		s, err := NewSolver(Config{
-			NX: 16, NY: 16, NZ: 16, CubeSize: 4, Threads: 4, Tau: 0.7,
-			BCZ: core.BounceBack, BodyForce: [3]float64{3e-5, 0, 0},
-			LidVelocity: [3]float64{0.02, 0, 0},
-			LegacyCopy:  legacy,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	const steps = 11 // odd, so the swap run ends on flipped parity
-	a, b := mk(false), mk(true)
-	defer a.Close()
-	defer b.Close()
-	a.Run(steps)
-	b.Run(steps)
-	if a.Fluid.Cur() == b.Fluid.Cur() {
-		t.Fatal("swap run should end on flipped parity after odd steps")
-	}
-	ga, gb := a.Fluid.ToGrid(), b.Fluid.ToGrid()
-	for i := range ga.Nodes {
-		if ga.Nodes[i].DF != gb.Nodes[i].DF {
-			t.Fatalf("node %d DF differs bitwise between swap and legacy copy", i)
-		}
-		if ga.Nodes[i].Vel != gb.Nodes[i].Vel {
-			t.Fatalf("node %d velocity differs between swap and legacy copy", i)
-		}
-	}
-}

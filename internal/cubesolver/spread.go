@@ -1,16 +1,15 @@
 // Lock-free force spreading: per-thread sparse accumulation plus a
-// deterministic owner-partitioned reduction. This replaces the per-owner
-// spreading locks on the default path (the locks remain behind
-// Config.LockedSpread); see DESIGN.md §13 for the scheme's invariants.
+// deterministic owner-partitioned reduction; see DESIGN.md §13 for the
+// scheme's invariants.
 package cubesolver
 
 import "lbmib/internal/fiber"
 
-// spreadAccum is one worker's private force-accumulation store for the
-// lock-free spreading path. It is sparse: a cube's k³-node block is
-// allocated the first time the worker spreads into that cube and kept
-// for the solver's lifetime, so a localized structure costs a few blocks
-// per worker rather than a full-grid force copy each.
+// spreadAccum is one worker's private force-accumulation store. It is
+// sparse: a cube's k³-node block is allocated the first time the worker
+// spreads into that cube and kept for the solver's lifetime, so a
+// localized structure costs a few blocks per worker rather than a
+// full-grid force copy each.
 //
 // gen[c] stamps which spread generation blocks[c]'s contents belong to.
 // Generations are never reused, and the owning thread's reduction zeroes
@@ -104,33 +103,24 @@ func (s *Solver) reduceSpreadCube(c, gen int) {
 
 // spreadBarrierNeeded reports whether the after-spread barrier orders
 // anything: it does only when more than one worker exists and fiber
-// forces are actually spread. The result depends on no per-thread state,
-// so every worker takes the same branch at the call site.
+// forces are actually spread. The end-of-step barrier shares the
+// predicate: in a fluid-only run the phases it separates (move-fibers,
+// the parity flip) are free of cross-thread effects — workers derive
+// their parity from the step index, so thread 0's Swap is unread until
+// the team joins — a legality the phase-effect analyzer proves
+// statically (lbmib-lint -fusibility; DESIGN.md §16); with fibers the
+// next step's bending stencil reads sheet positions that move-fibers
+// wrote on other threads. The result depends on no per-thread state, so
+// every worker takes the same branch at the call sites.
 func (s *Solver) spreadBarrierNeeded() bool {
 	return s.team.Size() > 1 && fiber.TotalFibers(s.Sheets) > 0
 }
 
-// endBarrierNeeded reports whether the end-of-step barrier orders
-// anything. It does not when a multi-worker run is fluid-only on the
-// swap path: the phases it separates (move-fibers, the parity flip) are
-// then free of cross-thread effects — workers derive their parity from
-// the step index, so thread 0's Swap is unread until the team joins —
-// a legality the phase-effect analyzer proves statically (lbmib-lint
-// -fusibility; DESIGN.md §16). With fibers the next step's bending
-// stencil reads sheet positions that move-fibers wrote on other
-// threads; with LegacyCopy the copy reads post-streaming buffers the
-// next step's streaming overwrites cross-cube — both make the barrier
-// required. The result depends on no per-thread state, so every worker
-// takes the same branch at the call site.
-func (s *Solver) endBarrierNeeded() bool {
-	return s.team.Size() > 1 && (fiber.TotalFibers(s.Sheets) > 0 || s.LegacyCopy)
-}
-
 // spreadOnly runs the fiber-force loop (kernels 1–4) once on the worker
-// team — including the owner-partitioned reduction on the lock-free path
-// — and stops before collision, leaving the accumulated force field in
-// place. It is a test seam: the spreading-equivalence tests compare the
-// force fields the locked, lock-free and sequential paths produce.
+// team — including the owner-partitioned reduction — and stops before
+// collision, leaving the accumulated force field in place. It is a test
+// seam: the spreading-equivalence tests compare this force field with
+// the sequential reference's.
 func (s *Solver) spreadOnly() {
 	gen := s.step + 1
 	s.team.Run(func(tid int) {
@@ -138,7 +128,7 @@ func (s *Solver) spreadOnly() {
 		if s.spreadBarrierNeeded() {
 			s.waitBarrier(SiteAfterSpread, tid)
 		}
-		if s.accums != nil && fiber.TotalFibers(s.Sheets) > 0 {
+		if fiber.TotalFibers(s.Sheets) > 0 {
 			s.forOwnedCubes(tid, func(c int) { s.reduceSpreadCube(c, gen) })
 		}
 	})

@@ -1,55 +1,56 @@
 // Tests for the lock-free spreading path (per-thread accumulation +
-// owner-partitioned reduction), its equivalence to the retained locked
-// path, the thread-count clamp, and the fresh-vs-reacquire lock-wait
-// attribution on the LockedSpread ablation.
+// owner-partitioned reduction), its equivalence to the sequential
+// reference, and the thread-count clamp.
 package cubesolver
 
 import (
 	"math"
-	"sync"
 	"testing"
-	"time"
 
 	"lbmib/internal/core"
 	"lbmib/internal/fiber"
-	"lbmib/internal/ibm"
+	"lbmib/internal/grid"
 	"lbmib/internal/validate"
 )
 
-// The lock-free default and the LockedSpread ablation must agree within
-// the validation tolerance at every thread count (they order the force
-// sums differently, so the match is tolerance-based, not bitwise).
-func TestLockFreeMatchesLockedSpread(t *testing.T) {
-	const steps = 10
+// spreadMatchesSequential runs kernels 1–4 once on the sequential
+// reference and on a cube solver of the given width, both built around a
+// fresh mkSheet(), and fails unless every node's force agrees within tol.
+// It returns the cube solver's force field on a slab grid.
+func spreadMatchesSequential(t *testing.T, mkSheet func() *fiber.Sheet, threads int, tol float64) *grid.Grid {
+	t.Helper()
+	ref := core.MustNewSolver(refConfig(mkSheet()))
+	ref.ComputeBendingForce()
+	ref.ComputeStretchingForce()
+	ref.ComputeElasticForce()
+	ref.SpreadForce()
+
+	s, err := NewSolver(cubeConfig(mkSheet(), threads, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.spreadOnly()
+	g := s.Fluid.ToGrid()
+	for i := range ref.Fluid.Nodes {
+		want, got := ref.Fluid.Nodes[i].Force, g.Nodes[i].Force
+		for d := 0; d < 3; d++ {
+			if math.Abs(want[d]-got[d]) > tol {
+				t.Fatalf("threads=%d: node %d force[%d] = %g, want %g (Δ=%g)",
+					threads, i, d, got[d], want[d], got[d]-want[d])
+			}
+		}
+	}
+	return g
+}
+
+// The force field the lock-free spread leaves on the grid must match the
+// sequential reference's kernel 4 at every thread count (the per-thread
+// buffers and the owner reduction order the sums differently, so the
+// match is tolerance-based, not bitwise).
+func TestLockFreeSpreadMatchesSequential(t *testing.T) {
 	for _, threads := range []int{2, 4, 8} {
-		lf, err := NewSolver(cubeConfig(testSheet(), threads, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := cubeConfig(testSheet(), threads, 4)
-		cfg.LockedSpread = true
-		lk, err := NewSolver(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lf.Run(steps)
-		lk.Run(steps)
-		gd, err := validate.Grids(lf.Fluid.ToGrid(), lk.Fluid.ToGrid())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !gd.Within(validate.DefaultTol) {
-			t.Fatalf("threads=%d: lock-free and locked spreading diverge: %v", threads, gd)
-		}
-		sd, err := validate.Sheets(lf.Sheet(), lk.Sheet())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sd.Within(validate.DefaultTol) {
-			t.Fatalf("threads=%d: sheets diverge between spread paths: %v", threads, sd)
-		}
-		lf.Close()
-		lk.Close()
+		spreadMatchesSequential(t, testSheet, threads, validate.DefaultTol)
 	}
 }
 
@@ -102,51 +103,17 @@ func wrapSheet() *fiber.Sheet {
 }
 
 // Satellite coverage for periodic-wrap spreading: with the support window
-// wrapping the domain edge, the locked, lock-free, and sequential paths
-// must produce the same force field, and the wrapped planes must actually
+// wrapping the domain edge, the lock-free and sequential paths must
+// produce the same force field, and the wrapped planes must actually
 // receive spread force (so the cross-owner wrap case is exercised, not
 // vacuously passed).
 func TestSpreadWrapEquivalence(t *testing.T) {
-	refCfg := refConfig(wrapSheet())
-	ref := core.MustNewSolver(refCfg)
-	ref.ComputeBendingForce()
-	ref.ComputeStretchingForce()
-	ref.ComputeElasticForce()
-	ref.SpreadForce()
-
-	mk := func(locked bool) *Solver {
-		cfg := cubeConfig(wrapSheet(), 4, 4)
-		cfg.LockedSpread = locked
-		s, err := NewSolver(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.spreadOnly()
-		return s
-	}
-	lf, lk := mk(false), mk(true)
-	defer lf.Close()
-	defer lk.Close()
-
-	const tol = 1e-13
-	for name, s := range map[string]*Solver{"lock-free": lf, "locked": lk} {
-		g := s.Fluid.ToGrid()
-		for i := range ref.Fluid.Nodes {
-			want, got := ref.Fluid.Nodes[i].Force, g.Nodes[i].Force
-			for d := 0; d < 3; d++ {
-				if math.Abs(want[d]-got[d]) > tol {
-					t.Fatalf("%s path: node %d force[%d] = %g, want %g (Δ=%g)",
-						name, i, d, got[d], want[d], got[d]-want[d])
-				}
-			}
-		}
-	}
+	g := spreadMatchesSequential(t, wrapSheet, 4, 1e-13)
 
 	// The window must really have wrapped: the x=0 and x=1 planes sit on
 	// the far side of the periodic boundary from the sheet and still
 	// receive force beyond the uniform body force.
-	g := lf.Fluid.ToGrid()
-	body := refCfg.BodyForce
+	body := refConfig(nil).BodyForce
 	for _, x := range []int{0, 1} {
 		found := false
 		for y := 0; y < 16 && !found; y++ {
@@ -202,181 +169,4 @@ func TestThreadsClampedToOwnedCubes(t *testing.T) {
 		}
 	}
 	s.Run(2)
-}
-
-// lockEvent is one observed LockWait callback.
-type lockEvent struct {
-	waiter, owner int
-	wait          time.Duration
-	contended     bool
-	reacquire     bool
-}
-
-// lockRecorder records LockWait callbacks in order.
-type lockRecorder struct {
-	mu     sync.Mutex
-	events []lockEvent
-}
-
-func (r *lockRecorder) BarrierWait(BarrierSite, int, time.Duration) {}
-
-func (r *lockRecorder) LockWait(waiter, owner int, wait time.Duration, contended, reacquire bool) {
-	r.mu.Lock()
-	r.events = append(r.events, lockEvent{waiter, owner, wait, contended, reacquire})
-	r.mu.Unlock()
-}
-
-// Satellite bugfix pin: lockOwner must attribute contended waits to the
-// right class — fresh acquisitions and A→B→A re-acquisitions separately.
-// The interleaving is made deterministic with lockBlockHook: the main
-// goroutine holds the lock until the solver goroutine is committed to the
-// contended slow path, so the contended branch is taken every run, not
-// just when the scheduler cooperates.
-func TestLockOwnerContendedAttribution(t *testing.T) {
-	cfg := cubeConfig(nil, 2, 4)
-	cfg.LockedSpread = true
-	s, err := NewSolver(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.Threads() < 2 {
-		t.Fatalf("need 2 owner locks, team has %d", s.Threads())
-	}
-	rec := &lockRecorder{}
-	s.Contention = rec
-
-	// Uncontended fresh acquisition: the TryLock fast path, zero wait.
-	s.lockOwner(0, 1, false)
-	s.ownerLocks[1].Unlock()
-
-	// Contended fresh, then contended reacquire, each with the lock held
-	// until the solver goroutine reports it is about to block.
-	for _, reacquire := range []bool{false, true} {
-		blocked := make(chan struct{})
-		lockBlockHook = func(waiter, owner int) { close(blocked) }
-		s.ownerLocks[1].Lock()
-		done := make(chan struct{})
-		go func(re bool) {
-			s.lockOwner(0, 1, re)
-			s.ownerLocks[1].Unlock()
-			close(done)
-		}(reacquire)
-		<-blocked // the solver is committed to the contended path
-		s.ownerLocks[1].Unlock()
-		<-done
-	}
-	lockBlockHook = nil
-
-	want := []struct{ contended, reacquire bool }{
-		{false, false}, // TryLock fast path
-		{true, false},  // contended fresh
-		{true, true},   // contended reacquire
-	}
-	if len(rec.events) != len(want) {
-		t.Fatalf("recorded %d lock events, want %d: %+v", len(rec.events), len(want), rec.events)
-	}
-	for i, w := range want {
-		e := rec.events[i]
-		if e.waiter != 0 || e.owner != 1 {
-			t.Errorf("event %d attributed to waiter=%d owner=%d, want 0→1", i, e.waiter, e.owner)
-		}
-		if e.contended != w.contended || e.reacquire != w.reacquire {
-			t.Errorf("event %d = contended=%v reacquire=%v, want contended=%v reacquire=%v",
-				i, e.contended, e.reacquire, w.contended, w.reacquire)
-		}
-		if w.contended && e.wait <= 0 {
-			t.Errorf("event %d contended with wait %v, want > 0", i, e.wait)
-		}
-		if !w.contended && e.wait != 0 {
-			t.Errorf("event %d uncontended with wait %v, want 0", i, e.wait)
-		}
-	}
-}
-
-// ownerLockSequence replicates spreadLocked's stencil walk and returns
-// the owner of each lockOwner call it makes for a node at x, with the
-// reacquire flag each call carries — the oracle for the event-order test
-// below, derived from the same layout and cube map the solver uses.
-func ownerLockSequence(s *Solver, x [3]float64) (owners []int, reacq []bool) {
-	var st ibm.Stencil
-	st.Compute(x)
-	l := s.Fluid
-	held := -1
-	var seen []int
-	for i := 0; i < ibm.SupportWidth; i++ {
-		for j := 0; j < ibm.SupportWidth; j++ {
-			for k := 0; k < ibm.SupportWidth; k++ {
-				if st.Wx[i]*st.Wy[j]*st.Wz[k] == 0 { //lint:allow floatcheck -- exact-zero delta weight, mirrors spreadLocked's skip
-					continue
-				}
-				gx, gy, gz := l.Wrap(st.Base[0]+i, st.Base[1]+j, st.Base[2]+k)
-				owner := s.Map.CubeToThread(l.CubeOf(gx, gy, gz))
-				if owner == held {
-					continue
-				}
-				re := false
-				for _, o := range seen {
-					if o == owner {
-						re = true
-						break
-					}
-				}
-				if !re {
-					seen = append(seen, owner)
-				}
-				owners = append(owners, owner)
-				reacq = append(reacq, re)
-				held = owner
-			}
-		}
-	}
-	return owners, reacq
-}
-
-// Satellite bugfix pin, sequence side: a stencil window straddling a cube
-// boundary in y alternates owners as the x-major walk advances (A→B→A…);
-// only the first visit to each owner may be reported fresh, every return
-// leg must carry the reacquire flag. Before the split, each return leg
-// inflated the fresh-acquisition total.
-func TestSpreadLockedReacquireSequence(t *testing.T) {
-	cfg := cubeConfig(nil, 4, 4)
-	cfg.LockedSpread = true
-	s, err := NewSolver(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	// 16³ at k=4 under 4 threads uses a 2×2×1 mesh: the owner depends on
-	// cx and cy. x=5.3 keeps the window inside cx=1; y=7.3 straddles the
-	// cy 1→2 boundary, so each x iteration visits owner A then owner B.
-	pos := [3]float64{5.3, 7.3, 5.3}
-	owners, wantRe := ownerLockSequence(s, pos)
-	distinct := map[int]bool{}
-	nRe := 0
-	for i, o := range owners {
-		distinct[o] = true
-		if wantRe[i] {
-			nRe++
-		}
-	}
-	if len(distinct) != 2 || nRe == 0 {
-		t.Fatalf("test geometry lost its shape: owner sequence %v with %d reacquires, want 2 owners and ≥ 1 reacquire", owners, nRe)
-	}
-
-	rec := &lockRecorder{}
-	s.Contention = rec
-	s.spreadLocked(0, pos, [3]float64{1e-3, 0, 0}, 1.0)
-
-	if len(rec.events) != len(owners) {
-		t.Fatalf("recorded %d lock events, want %d: %+v", len(rec.events), len(owners), rec.events)
-	}
-	for i := range owners {
-		e := rec.events[i]
-		if e.waiter != 0 || e.owner != owners[i] || e.reacquire != wantRe[i] || e.contended {
-			t.Errorf("event %d = %+v, want uncontended owner %d reacquire %v from waiter 0",
-				i, e, owners[i], wantRe[i])
-		}
-	}
 }

@@ -9,12 +9,9 @@ import (
 	"lbmib/internal/core"
 	"lbmib/internal/cubesolver"
 	"lbmib/internal/machine"
-	"lbmib/internal/omp"
 	"lbmib/internal/par"
 	"lbmib/internal/perfmon"
 	"lbmib/internal/perfsim"
-	"lbmib/internal/soa"
-	"lbmib/internal/telemetry"
 )
 
 // CubeSizeRow is one cube-size configuration of the k-sweep ablation.
@@ -270,15 +267,12 @@ type CopySwapResult struct {
 	CopySharePct float64
 	Total        time.Duration
 	CopyTime     time.Duration
-	AoSStep      time.Duration // measured AoS (copy) step
-	SoAStep      time.Duration // measured SoA (swap) step
 }
 
-// AblationCopyVsSwap quantifies what kernel 9's explicit buffer copy costs
-// and what a swap-capable layout buys. The paper's AoS node record embeds
-// both distribution buffers in every node, which forces the copy;
-// internal/soa restructures the grid to structure-of-arrays where kernel 9
-// is an O(1) buffer swap, so both variants can be measured for real.
+// AblationCopyVsSwap quantifies what kernel 9's explicit buffer copy
+// costs on the sequential reference, the one solver that keeps it as the
+// paper publishes it; the parallel engines retire it to an O(1) buffer
+// swap.
 func AblationCopyVsSwap(opt Options) (CopySwapResult, error) {
 	nx, ny, nz, steps := opt.table1Grid()
 	sheet := opt.sheet52([3]int{nx, ny, nz})
@@ -291,31 +285,14 @@ func AblationCopyVsSwap(opt Options) (CopySwapResult, error) {
 	}
 	prof := &perfmon.KernelProfile{}
 	s.Observer = prof
-	t0 := time.Now()
 	s.Run(steps)
-	aosStep := time.Since(t0) / time.Duration(steps)
 	copyTime := prof.KernelTime(core.KCopyDistribution)
 	total := prof.Total()
 	share := 0.0
 	if total > 0 {
 		share = 100 * float64(copyTime) / float64(total)
 	}
-
-	ss, err := soa.NewSolver(soa.Config{
-		NX: nx, NY: ny, NZ: nz, Tau: 0.7,
-		BodyForce: [3]float64{2e-5, 0, 0}, Sheet: opt.sheet52([3]int{nx, ny, nz}),
-	})
-	if err != nil {
-		return CopySwapResult{}, err
-	}
-	t0 = time.Now()
-	ss.Run(steps)
-	soaStep := time.Since(t0) / time.Duration(steps)
-
-	return CopySwapResult{
-		CopySharePct: share, Total: total, CopyTime: copyTime,
-		AoSStep: aosStep, SoAStep: soaStep,
-	}, nil
+	return CopySwapResult{CopySharePct: share, Total: total, CopyTime: copyTime}, nil
 }
 
 // Render formats the copy-vs-swap ablation.
@@ -324,10 +301,8 @@ func (r CopySwapResult) Render() string {
 	b.WriteString("Ablation — kernel 9 buffer copy vs pointer swap\n")
 	fmt.Fprintf(&b, "copy_fluid_velocity_distribution: %s of %s total (%.2f%%; paper: 5.9%%)\n",
 		fmtDuration(r.CopyTime), fmtDuration(r.Total), r.CopySharePct)
-	fmt.Fprintf(&b, "measured step time: AoS layout (copy) %s, SoA layout (swap) %s\n",
-		fmtDuration(r.AoSStep), fmtDuration(r.SoAStep))
-	b.WriteString("the paper's AoS node record embeds both buffers and pays the copy;\n")
-	b.WriteString("internal/soa stores directions as separate arrays and swaps in O(1).\n")
+	b.WriteString("the sequential reference keeps kernel 9 as published and pays the copy;\n")
+	b.WriteString("the parallel engines flip a buffer-parity bit in O(1) instead.\n")
 	return b.String()
 }
 
@@ -383,128 +358,5 @@ func (r LayoutResult) Render() string {
 		fmt.Fprintf(&b, "%-14s  %6.2f%%  %6.2f%%  %6.2f%%  %9.2f\n",
 			row.Name, row.L1Pct, row.L2Pct, row.L3Pct, row.MemPerNode)
 	}
-	return b.String()
-}
-
-// CopySwapEngineRow is one engine×mode measurement of the kernel-9
-// retirement ablation.
-type CopySwapEngineRow struct {
-	Engine  string
-	Mode    string // "copy" runs kernel 9 as published; "swap" is the O(1) parity flip
-	Elapsed time.Duration
-	MLUPS   float64
-}
-
-// CopySwapEnginesResult measures the double-buffer swap against the
-// legacy per-node copy on the real parallel engines (the in-place
-// counterpart of AblationCopyVsSwap's AoS/SoA comparison).
-type CopySwapEnginesResult struct {
-	NX, NY, NZ int
-	Steps      int
-	Rows       []CopySwapEngineRow
-}
-
-// AblationCopySwapEngines runs the OpenMP-style and cube solvers with
-// kernel 9 both ways — the legacy ~300 B/node copy and the O(1) buffer
-// swap — on identical immersed-sheet problems. When reg is non-nil each
-// measurement is published as the gauge
-// lbmib_ablation_copyswap_mlups{engine=...,mode=...}.
-func AblationCopySwapEngines(opt Options, reg *telemetry.Registry) (CopySwapEnginesResult, error) {
-	nx, ny, nz, steps, threads := opt.mlupsGrid()
-	nodes := float64(nx) * float64(ny) * float64(nz)
-	res := CopySwapEnginesResult{NX: nx, NY: ny, NZ: nz, Steps: steps}
-
-	record := func(engine, mode string, run func() error) error {
-		// Best-of-3: the minimum filters scheduler noise on a shared host.
-		best := time.Duration(1 << 62)
-		for rep := 0; rep < 3; rep++ {
-			t0 := time.Now()
-			if err := run(); err != nil {
-				return fmt.Errorf("%s/%s: %w", engine, mode, err)
-			}
-			if d := time.Since(t0); d < best {
-				best = d
-			}
-		}
-		mlups := nodes * float64(steps) / best.Seconds() / 1e6
-		res.Rows = append(res.Rows, CopySwapEngineRow{Engine: engine, Mode: mode, Elapsed: best, MLUPS: mlups})
-		if reg != nil {
-			reg.Gauge("lbmib_ablation_copyswap_mlups",
-				"Throughput with kernel 9 as a legacy copy vs an O(1) buffer swap.",
-				telemetry.L("engine", engine), telemetry.L("mode", mode)).Set(mlups)
-		}
-		return nil
-	}
-
-	for _, legacy := range []bool{true, false} {
-		mode := "swap"
-		if legacy {
-			mode = "copy"
-		}
-		if err := record("omp", mode, func() error {
-			s, err := omp.NewSolver(omp.Config{
-				Config: core.Config{
-					NX: nx, NY: ny, NZ: nz, Tau: 0.7,
-					BodyForce: [3]float64{2e-5, 0, 0},
-					Sheet:     opt.sheet52([3]int{nx, ny, nz}),
-				},
-				Threads: threads, LegacyCopy: legacy,
-			})
-			if err != nil {
-				return err
-			}
-			defer s.Close()
-			s.Run(steps)
-			return nil
-		}); err != nil {
-			return res, err
-		}
-		if err := record("cube", mode, func() error {
-			s, err := cubesolver.NewSolver(cubesolver.Config{
-				NX: nx, NY: ny, NZ: nz, CubeSize: 8, Threads: threads, Tau: 0.7,
-				BodyForce:  [3]float64{2e-5, 0, 0},
-				Sheet:      opt.sheet52([3]int{nx, ny, nz}),
-				LegacyCopy: legacy,
-			})
-			if err != nil {
-				return err
-			}
-			defer s.Close()
-			s.Run(steps)
-			return nil
-		}); err != nil {
-			return res, err
-		}
-	}
-	return res, nil
-}
-
-// mlups returns the row for one engine×mode pair, or nil.
-func (r CopySwapEnginesResult) row(engine, mode string) *CopySwapEngineRow {
-	for i := range r.Rows {
-		if r.Rows[i].Engine == engine && r.Rows[i].Mode == mode {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
-// Render formats the engine copy-vs-swap ablation.
-func (r CopySwapEnginesResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation — kernel 9 retirement in the parallel engines (%d×%d×%d, %d steps)\n",
-		r.NX, r.NY, r.NZ, r.Steps)
-	b.WriteString(header("Engine", "  Mode", "   Elapsed", "   MLUPS"))
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-6s  %6s  %10s  %7.2f\n",
-			row.Engine, row.Mode, fmtDuration(row.Elapsed), row.MLUPS)
-	}
-	for _, eng := range []string{"omp", "cube"} {
-		if c, s := r.row(eng, "copy"), r.row(eng, "swap"); c != nil && s != nil && c.MLUPS > 0 {
-			fmt.Fprintf(&b, "%s: swap is %+.1f%% vs copy\n", eng, 100*(s.MLUPS/c.MLUPS-1))
-		}
-	}
-	b.WriteString("the sequential reference keeps kernel 9 as published (paper fidelity);\n")
-	b.WriteString("both parallel engines retire it behind an O(1) parity swap.\n")
 	return b.String()
 }

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"lbmib/internal/core"
 	"lbmib/internal/par"
-	"lbmib/internal/telemetry"
 )
 
 // The experiment drivers replay multi-second cache traces; run them once
@@ -289,31 +290,37 @@ func TestAblationSchedule(t *testing.T) {
 	}
 }
 
-func TestAblationCopySwapEngines(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	r, err := AblationCopySwapEngines(Options{Steps: 3}, reg)
+// The Table II measurement must run a team the host can seat — barrier
+// waits on an oversubscribed team measure descheduling, not imbalance —
+// and must hand the scheduler width back.
+func TestLoadImbalanceCapsTeamAtCores(t *testing.T) {
+	before := runtime.GOMAXPROCS(0)
+	r, err := LoadImbalance(Options{Steps: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("%d rows, want omp/cube × copy/swap", len(r.Rows))
+	if got := runtime.GOMAXPROCS(0); got != before {
+		t.Fatalf("GOMAXPROCS left at %d, was %d", got, before)
 	}
-	for _, eng := range []string{"omp", "cube"} {
-		for _, mode := range []string{"copy", "swap"} {
-			row := r.row(eng, mode)
-			if row == nil || row.MLUPS <= 0 {
-				t.Fatalf("missing or empty row %s/%s", eng, mode)
-			}
+	if r.cores != runtime.NumCPU() || r.Threads > r.cores || r.Threads < 1 {
+		t.Fatalf("cores=%d threads=%d on a %d-CPU host", r.cores, r.Threads, runtime.NumCPU())
+	}
+	want := []string{"omp", "cube", "fused", "fused-f32"}
+	if len(r.Rows) != len(want) {
+		t.Fatalf("%d rows, want %v", len(r.Rows), want)
+	}
+	for i, row := range r.Rows {
+		if row.Engine != want[i] || row.Threads != r.Threads {
+			t.Errorf("row %d = %s on %d threads, want %s on %d", i, row.Engine, row.Threads, want[i], r.Threads)
+		}
+		if row.MLUPS <= 0 || row.BarrierWaitShare < 0 || row.BarrierWaitShare >= 1 {
+			t.Errorf("%s: MLUPS %g, barrier-wait share %g", row.Engine, row.MLUPS, row.BarrierWaitShare)
 		}
 	}
-	var dump strings.Builder
-	if err := reg.WritePrometheus(&dump); err != nil {
-		t.Fatal(err)
+	if r.Heatmap == nil {
+		t.Error("cube heatmap missing")
 	}
-	if !strings.Contains(dump.String(), `lbmib_ablation_copyswap_mlups{engine="cube",mode="swap"}`) {
-		t.Fatal("copyswap gauge missing from the registry exposition")
-	}
-	if !strings.Contains(r.Render(), "kernel 9 retirement") {
-		t.Fatal("render missing headline")
+	if head := fmt.Sprintf("%d cores, %d threads", r.cores, r.Threads); !strings.Contains(r.Render(), head) {
+		t.Errorf("render header lacks %q:\n%s", head, r.Render())
 	}
 }

@@ -20,32 +20,20 @@ import (
 // profile — the reproduction of the paper's Table II imbalance column
 // plus the wait attribution it could not measure.
 type ImbalanceRow struct {
-	Engine  string  `json:"engine"`
-	Threads int     `json:"threads"`
-	Millis  float64 `json:"millis"`
-	MLUPS   float64 `json:"mlups"`
+	Engine  string
+	Threads int
+	MLUPS   float64
 	// ImbalanceRatio is max/mean of per-thread busy time (Table II's
 	// metric): 1 = perfectly balanced.
-	ImbalanceRatio float64 `json:"imbalanceRatio"`
+	ImbalanceRatio float64
 	// BarrierWaitShare is the fraction of total thread-time (threads ×
 	// wall) spent waiting at barriers (cube) or at the parallel regions'
 	// implicit barriers (omp).
-	BarrierWaitShare float64 `json:"barrierWaitShare"`
-	// LockWaitShare is the fraction of total thread-time blocked on
-	// spreading locks (per-owner locks for cube, x-plane locks for omp).
-	LockWaitShare     float64 `json:"lockWaitShare"`
-	ContendedAcquires int64   `json:"contendedAcquires"`
-	TotalAcquires     int64   `json:"totalAcquires"`
+	BarrierWaitShare float64
 	// PhaseImbalance is the per-phase (cube) or per-kernel (omp) max/mean
 	// ratio, keyed by phase/kernel name; phases with no samples are
 	// omitted.
-	PhaseImbalance map[string]float64 `json:"phaseImbalance,omitempty"`
-	// PredictedSpeedupPct and RealizedSpeedupPct carry the barrierfold
-	// experiment's prove-then-fold verification: perfsim's predicted
-	// gain of removing the folded barrier versus the gain the folded run
-	// actually measured against its barrier-kept foil. Zero elsewhere.
-	PredictedSpeedupPct float64 `json:"predictedSpeedupPct,omitempty"`
-	RealizedSpeedupPct  float64 `json:"realizedSpeedupPct,omitempty"`
+	PhaseImbalance map[string]float64
 }
 
 // ImbalanceResult is the OpenMP-vs-cube contention comparison on one
@@ -53,7 +41,10 @@ type ImbalanceRow struct {
 type ImbalanceResult struct {
 	NX, NY, NZ int
 	CubeSize   int
+	// Threads is the team width actually run: the configured width
+	// capped at cores, the host's CPU count.
 	Threads    int
+	cores      int
 	Steps      int
 	FiberNodes int
 	Rows       []ImbalanceRow
@@ -99,25 +90,30 @@ func (o Options) twoSheets(nx, ny, nz int) []*fiber.Sheet {
 // LoadImbalance reproduces the Table II OpenMP-vs-cube load-imbalance
 // comparison with the contention attribution layer: both engines run the
 // same two-sheet problem under their wait profiles, and the result rows
-// carry the imbalance ratio plus the barrier- and lock-wait shares of
-// total thread-time. With a non-nil reg the rows are also published as
+// carry the imbalance ratio plus the barrier-wait share of total
+// thread-time. With a non-nil reg the rows are also published as
 // lbmib_load_imbalance_ratio{engine,phase} gauges (phase "total" for the
-// whole step) and the contention profiles as lbmib_barrier_wait_seconds
-// / lbmib_lock_wait_seconds.
+// whole step) and the contention profiles as
+// lbmib_barrier_wait_seconds.
 func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error) {
 	nx, ny, nz, steps, threads := opt.imbalanceGrid()
 	nodes := float64(nx) * float64(ny) * float64(nz)
 
-	// The worker threads must be able to overlap for waits to mean
-	// anything; on a scheduler narrower than the team, widen it for the
-	// duration of the measurement.
+	// A barrier wait means load imbalance only while every worker has a
+	// core of its own; on a team wider than the host it measures
+	// descheduling instead. Cap the team at the core count, and widen a
+	// narrower scheduler up to the team — never past the cores.
+	cores := runtime.NumCPU()
+	if threads > cores {
+		threads = cores
+	}
 	if prev := runtime.GOMAXPROCS(0); prev < threads {
 		runtime.GOMAXPROCS(threads)
 		defer runtime.GOMAXPROCS(prev)
 	}
 
 	res := ImbalanceResult{
-		NX: nx, NY: ny, NZ: nz, CubeSize: 4, Threads: threads, Steps: steps,
+		NX: nx, NY: ny, NZ: nz, CubeSize: 4, cores: cores, Threads: threads, Steps: steps,
 	}
 	for _, sh := range opt.twoSheets(nx, ny, nz) {
 		res.FiberNodes += sh.NumNodes()
@@ -154,9 +150,7 @@ func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error
 			return res, fmt.Errorf("omp: %w", err)
 		}
 		regions := perfmon.NewRegionProfile(threads)
-		locks := perfmon.NewContentionProfile(threads, nx) // owner = x-plane
 		s.Regions = regions
-		s.Locks = locks
 		t0 := time.Now()
 		s.Run(steps)
 		wall := time.Since(t0)
@@ -164,21 +158,16 @@ func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error
 
 		row := ImbalanceRow{
 			Engine: "omp", Threads: threads,
-			Millis:            float64(wall.Milliseconds()),
-			MLUPS:             nodes * float64(steps) / wall.Seconds() / 1e6,
-			ImbalanceRatio:    regions.ImbalanceRatio(),
-			BarrierWaitShare:  regions.BarrierWaitShare(),
-			LockWaitShare:     locks.LockWaitTotal().Seconds() / (float64(threads) * wall.Seconds()),
-			ContendedAcquires: locks.ContendedAcquires(),
-			TotalAcquires:     locks.TotalAcquires(),
-			PhaseImbalance:    map[string]float64{},
+			MLUPS:            nodes * float64(steps) / wall.Seconds() / 1e6,
+			ImbalanceRatio:   regions.ImbalanceRatio(),
+			BarrierWaitShare: regions.BarrierWaitShare(),
+			PhaseImbalance:   map[string]float64{},
 		}
 		for k := core.Kernel(1); k <= core.NumKernels; k++ {
 			if r := regions.KernelImbalanceRatio(k); r > 0 {
 				row.PhaseImbalance[k.String()] = r
 			}
 		}
-		locks.Publish(reg, "omp")
 		publish(row)
 	}
 
@@ -194,7 +183,7 @@ func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error
 			return res, fmt.Errorf("cube: %w", err)
 		}
 		phases := perfmon.NewPhaseProfile(threads)
-		cont := perfmon.NewContentionProfile(threads, threads)
+		cont := perfmon.NewContentionProfile(threads)
 		heat := perfmon.NewCubeHeatmap(s.Fluid.CX, s.Fluid.CY, s.Fluid.CZ, s.Fluid.K, threads)
 		s.Observer = phases
 		s.Contention = cont
@@ -207,14 +196,10 @@ func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error
 		threadTime := float64(threads) * wall.Seconds()
 		row := ImbalanceRow{
 			Engine: "cube", Threads: threads,
-			Millis:            float64(wall.Milliseconds()),
-			MLUPS:             nodes * float64(steps) / wall.Seconds() / 1e6,
-			ImbalanceRatio:    phases.ImbalanceRatio(),
-			BarrierWaitShare:  cont.BarrierWaitTotal().Seconds() / threadTime,
-			LockWaitShare:     cont.LockWaitTotal().Seconds() / threadTime,
-			ContendedAcquires: cont.ContendedAcquires(),
-			TotalAcquires:     cont.TotalAcquires(),
-			PhaseImbalance:    map[string]float64{},
+			MLUPS:            nodes * float64(steps) / wall.Seconds() / 1e6,
+			ImbalanceRatio:   phases.ImbalanceRatio(),
+			BarrierWaitShare: cont.BarrierWaitTotal().Seconds() / threadTime,
+			PhaseImbalance:   map[string]float64{},
 		}
 		for ph := cubesolver.Phase(1); ph <= cubesolver.NumPhases; ph++ {
 			if r := phases.PhaseImbalanceRatio(ph); r > 0 {
@@ -247,7 +232,7 @@ func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error
 			return res, fmt.Errorf("%s: %w", name, err)
 		}
 		phases := perfmon.NewPhaseProfile(threads)
-		cont := perfmon.NewContentionProfile(threads, threads)
+		cont := perfmon.NewContentionProfile(threads)
 		s.Observer = phases
 		s.Contention = cont
 		t0 := time.Now()
@@ -258,11 +243,9 @@ func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error
 		threadTime := float64(threads) * wall.Seconds()
 		row := ImbalanceRow{
 			Engine: name, Threads: threads,
-			Millis:           float64(wall.Milliseconds()),
 			MLUPS:            nodes * float64(steps) / wall.Seconds() / 1e6,
 			ImbalanceRatio:   phases.ImbalanceRatio(),
 			BarrierWaitShare: cont.BarrierWaitTotal().Seconds() / threadTime,
-			LockWaitShare:    cont.LockWaitTotal().Seconds() / threadTime,
 			PhaseImbalance:   map[string]float64{},
 		}
 		for ph := cubesolver.Phase(1); ph <= cubesolver.NumPhases; ph++ {
@@ -280,14 +263,12 @@ func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error
 // Render formats the contention comparison.
 func (r ImbalanceResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Load imbalance & contention (%d×%d×%d fluid, k=%d, %d fiber nodes, %d threads, %d steps)\n",
-		r.NX, r.NY, r.NZ, r.CubeSize, r.FiberNodes, r.Threads, r.Steps)
-	b.WriteString(header(fmt.Sprintf("%-8s", "Engine"), "  MLUPS", "imbal(max/mean)", "barrier-wait%", "lock-wait%", "contended/acquires"))
+	fmt.Fprintf(&b, "Load imbalance & contention (%d×%d×%d fluid, k=%d, %d fiber nodes, %d steps; %d cores, %d threads)\n",
+		r.NX, r.NY, r.NZ, r.CubeSize, r.FiberNodes, r.Steps, r.cores, r.Threads)
+	b.WriteString(header(fmt.Sprintf("%-9s", "Engine"), "  MLUPS", "imbal(max/mean)", "barrier-wait%"))
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-8s  %6.2f  %15.3f  %12.2f%%  %9.3f%%  %10d/%d\n",
-			row.Engine, row.MLUPS, row.ImbalanceRatio,
-			100*row.BarrierWaitShare, 100*row.LockWaitShare,
-			row.ContendedAcquires, row.TotalAcquires)
+		fmt.Fprintf(&b, "%-9s  %6.2f  %15.3f  %12.2f%%\n",
+			row.Engine, row.MLUPS, row.ImbalanceRatio, 100*row.BarrierWaitShare)
 	}
 	return b.String()
 }

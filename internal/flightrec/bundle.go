@@ -57,9 +57,6 @@ type RunSpec struct {
 	Solver      string     `json:"solver"`
 	Threads     int        `json:"threads"`
 	CubeSize    int        `json:"cubeSize,omitempty"`
-	// LockedSpread records the mutex-spreading ablation so a replayed run
-	// takes the same force-accumulation path as the original.
-	LockedSpread bool `json:"lockedSpread,omitempty"`
 	// Float32 records the fused engine's reduced-precision distribution
 	// storage so a replay uses the same arithmetic contract.
 	Float32 bool        `json:"float32,omitempty"`

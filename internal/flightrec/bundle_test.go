@@ -36,7 +36,7 @@ func buildFailedRun(t *testing.T, dir string) *Recorder {
 			t.Fatal(err)
 		}
 		r.RecordDigest(step, d)
-		r.RecordStep(step, time.Millisecond, 0.5, 0, 0)
+		r.RecordStep(step, time.Millisecond, 0.5, 0)
 		if step == 5 {
 			if err := r.TakeSnapshot(step, func(w io.Writer) error {
 				_, err := io.WriteString(w, "checkpoint-at-5")
@@ -169,7 +169,7 @@ func TestReadBundleRejectsWrongSchema(t *testing.T) {
 func TestBundleWithoutSnapshot(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "bundle")
 	r := New(Config{RingSize: 4, Dir: dir})
-	r.RecordStep(1, time.Millisecond, 1, 0, 0)
+	r.RecordStep(1, time.Millisecond, 1, 0)
 	if _, err := r.WriteBundle("manual", nil); err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,6 @@ type Record struct {
 	PhaseSeconds        [cubesolver.NumPhases]float64 `json:"phaseSeconds"`
 	ClusterPhaseSeconds [cluster.NumPhases]float64    `json:"clusterPhaseSeconds"`
 	BarrierWaitShare    float64                       `json:"barrierWaitShare,omitempty"`
-	LockWaitShare       float64                       `json:"lockWaitShare,omitempty"`
 	// HasDigest marks steps the full-grid digest ran on; the aggregates
 	// and per-tile digests below are only meaningful then.
 	HasDigest bool              `json:"hasDigest,omitempty"`
@@ -250,13 +249,12 @@ func (c clusterObserver) PhaseDone(step, rank int, p cluster.Phase, d time.Durat
 func (r *Recorder) ClusterObserver() cluster.PhaseObserver { return clusterObserver{r} }
 
 // RecordStep finalizes step's ring entry with whole-step aggregates.
-func (r *Recorder) RecordStep(step int, wall time.Duration, mlups, barrierShare, lockShare float64) {
+func (r *Recorder) RecordStep(step int, wall time.Duration, mlups, barrierShare float64) {
 	r.mu.Lock()
 	s := r.slotFor(step)
 	s.WallSeconds = wall.Seconds()
 	s.MLUPS = mlups
 	s.BarrierWaitShare = barrierShare
-	s.LockWaitShare = lockShare
 	if step > r.lastStep {
 		r.lastStep = step
 	}

@@ -16,7 +16,7 @@ func TestRingKeepsLastN(t *testing.T) {
 	r := New(Config{RingSize: 4, DigestEvery: 1})
 	for step := 1; step <= 10; step++ {
 		r.KernelObserved(step, core.KComputeCollision, time.Millisecond)
-		r.RecordStep(step, 2*time.Millisecond, 1.5, 0, 0)
+		r.RecordStep(step, 2*time.Millisecond, 1.5, 0)
 	}
 	recs := r.Records()
 	if len(recs) != 4 {
@@ -42,9 +42,9 @@ func TestRingKeepsLastN(t *testing.T) {
 func TestRingSlotReuseClearsEvictedStep(t *testing.T) {
 	r := New(Config{RingSize: 2})
 	r.KernelObserved(1, core.KMoveFibers, time.Second)
-	r.RecordStep(1, time.Second, 0, 0.5, 0.25)
+	r.RecordStep(1, time.Second, 0, 0.5)
 	// Step 3 lands on step 1's slot and must not inherit its timings.
-	r.RecordStep(3, time.Millisecond, 0, 0, 0)
+	r.RecordStep(3, time.Millisecond, 0, 0)
 	recs := r.Records()
 	var found bool
 	for _, rec := range recs {
@@ -70,7 +70,7 @@ func TestObserversAggregate(t *testing.T) {
 	}
 	r.ClusterObserver().PhaseDone(2, 0, 3, 5*time.Millisecond)
 	r.ClusterObserver().PhaseDone(2, 1, 3, 5*time.Millisecond)
-	r.RecordStep(2, 40*time.Millisecond, 0, 0, 0)
+	r.RecordStep(2, 40*time.Millisecond, 0, 0)
 	recs := r.Records()
 	if len(recs) != 1 {
 		t.Fatalf("got %d records", len(recs))
@@ -198,7 +198,7 @@ func TestConcurrentWritersAndReader(t *testing.T) {
 				r.PhaseObserved(step, tid, cubesolver.PhaseCollideStream, time.Microsecond)
 				r.ClusterPhaseObserved(step, tid, 1, time.Microsecond)
 				if tid == 0 {
-					r.RecordStep(step, time.Microsecond, 1, 0, 0)
+					r.RecordStep(step, time.Microsecond, 1, 0)
 				}
 			}
 		}(w)
@@ -268,7 +268,7 @@ func recordOneStep(r *Recorder, g *grid.Grid, d *grid.DigestGrid, step int) {
 		g.Digest(d) //nolint:errcheck // shapes fixed in test
 		r.RecordDigest(step, d)
 	}
-	r.RecordStep(step, 10*time.Microsecond, 1.0, 0.1, 0.05)
+	r.RecordStep(step, 10*time.Microsecond, 1.0, 0.1)
 }
 
 func BenchmarkRecordStep(b *testing.B) {

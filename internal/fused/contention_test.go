@@ -27,9 +27,6 @@ func (r *recordingContention) BarrierWait(site cubesolver.BarrierSite, tid int, 
 	r.mu.Unlock()
 }
 
-func (r *recordingContention) LockWait(waiter, owner int, wait time.Duration, contended, reacquire bool) {
-}
-
 // recordingArrivals counts last-arriver flags per site and checks wait
 // and rank invariants inline.
 type recordingArrivals struct {

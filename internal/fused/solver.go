@@ -110,10 +110,6 @@ type Config struct {
 	// the cost of a relaxed (~1e-5) differential contract vs the float64
 	// engines.
 	Float32 bool
-	// LockedSpread selects the mutex-protected force-spreading ablation
-	// of the embedded OpenMP-style solver instead of the lock-free
-	// default.
-	LockedSpread bool
 }
 
 // Solver is the fused engine. It embeds the OpenMP-style solver as its
@@ -159,9 +155,8 @@ type Solver struct {
 // chunk per thread.
 func NewSolver(cfg Config) (*Solver, error) {
 	base, err := omp.NewSolver(omp.Config{
-		Config:       cfg.Config,
-		Threads:      cfg.Threads,
-		LockedSpread: cfg.LockedSpread,
+		Config:  cfg.Config,
+		Threads: cfg.Threads,
 	})
 	if err != nil {
 		return nil, err

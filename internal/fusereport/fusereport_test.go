@@ -32,7 +32,7 @@ func sample() *Report {
 					Site:           "end_of_step",
 					AfterPhase:     "swap_distribution",
 					Classification: VerdictFusible,
-					FoldCondition:  "perKernel || fibers || legacy",
+					FoldCondition:  "perKernel || multi && fibers",
 					Scenarios: []ScenarioVerdict{{
 						Scenario: "fluid+swap+minimal", Active: false, Verdict: VerdictFusible,
 					}},

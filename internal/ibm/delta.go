@@ -77,8 +77,8 @@ func (s *Stencil) WeightSum() float64 {
 }
 
 // ForceAccumulator receives spread elastic force at wrapped lattice
-// coordinates. The slab grid, the cube layout, and the locked parallel
-// variants each implement it with their own storage and synchronization.
+// coordinates. The slab grid, the cube layout, and the parallel engines'
+// per-thread accumulators each implement it with their own storage.
 type ForceAccumulator interface {
 	// AddForce adds f to the elastic force of fluid node (x, y, z), which
 	// may be outside [0, N): implementations wrap periodically.

@@ -19,39 +19,3 @@ import (
 type RegionObserver interface {
 	RegionDone(step int, k core.Kernel, busy []time.Duration)
 }
-
-// LockObserver receives one event per x-plane lock acquisition during
-// force spreading: the waiting thread, the plane (the lock's identity),
-// how long the acquisition blocked, and whether it was contended at all.
-// Uncontended acquisitions report a zero wait so contention *rates* can
-// be derived. Reacquire reports that the waiter already locked this
-// plane earlier within the same stencil scatter: a SupportWidth window
-// spans several x-planes and the per-node walk returns to planes it
-// visited before (the A→B→A pattern), so fresh-acquisition rates must
-// count only !reacquire events. Callbacks arrive concurrently from all
-// worker threads.
-type LockObserver interface {
-	LockWait(waiter, plane int, wait time.Duration, contended, reacquire bool)
-}
-
-// lockPlane acquires the x-plane lock for the spreading thread tid,
-// measuring contention when a LockObserver is attached; without one it
-// is a plain Lock. reacquire is forwarded to the observer: true when the
-// current stencil scatter already held this plane's lock (see
-// LockObserver).
-//
-//lint:allow lockcheck -- acquire-side helper: returns holding planeLocks[plane] by contract; SpreadForce releases it after the scatter
-func (s *Solver) lockPlane(tid, plane int, reacquire bool) {
-	l := &s.planeLocks[plane]
-	if s.Locks == nil {
-		l.Lock()
-		return
-	}
-	if l.TryLock() {
-		s.Locks.LockWait(tid, plane, 0, false, reacquire)
-		return
-	}
-	t0 := time.Now()
-	l.Lock()
-	s.Locks.LockWait(tid, plane, time.Since(t0), true, reacquire)
-}

@@ -15,16 +15,13 @@
 // reduces the touched planes into the grid in ascending thread order —
 // no locks remain on the path, and under the Static schedule the
 // floating-point accumulation order is identical from run to run at a
-// fixed thread count (DESIGN.md §13). Config.LockedSpread restores the
-// original one-mutex-per-x-plane scheme for the locked-vs-lock-free
-// ablation. Either way the parallel accumulation order differs from the
-// sequential solver's fiber order, so results match it to floating-point
-// tolerance rather than bitwise (the paper likewise validates
-// numerically against the sequential program).
+// fixed thread count (DESIGN.md §13). The parallel accumulation order
+// differs from the sequential solver's fiber order, so results match it
+// to floating-point tolerance rather than bitwise (the paper likewise
+// validates numerically against the sequential program).
 package omp
 
 import (
-	"sync"
 	"time"
 
 	"lbmib/internal/core"
@@ -50,15 +47,6 @@ type Config struct {
 	Threads  int      // parallel region width; 0 means 1
 	Schedule Schedule // loop schedule (default Static)
 	Chunk    int      // dynamic-schedule chunk size (default 1 slab/fiber)
-	// LegacyCopy restores the paper's kernel 9 (the per-node buffer copy)
-	// instead of the O(1) buffer swap — kept for the copy-vs-swap
-	// ablation; results are bitwise identical either way.
-	LegacyCopy bool
-	// LockedSpread restores the per-x-plane mutex protection of force
-	// spreading instead of the lock-free accumulation + reduction default
-	// — kept for the locked-vs-lock-free ablation and as the contention
-	// baseline the attribution layer was built against.
-	LockedSpread bool
 }
 
 // Solver runs LBM-IB time steps with loop-level parallelism. It embeds the
@@ -66,23 +54,18 @@ type Config struct {
 // overrides the per-kernel loops with parallel regions.
 type Solver struct {
 	*core.Solver
-	Threads      int
-	Schedule     Schedule
-	Chunk        int
-	LegacyCopy   bool
-	LockedSpread bool
+	Threads  int
+	Schedule Schedule
+	Chunk    int
 
 	// Regions, when non-nil, receives per-thread busy times for every
-	// parallel region; Locks, when non-nil, receives per-acquisition
-	// spreading-lock waits. Both default to nil (zero overhead).
+	// parallel region. It defaults to nil (zero overhead).
 	Regions RegionObserver
-	Locks   LockObserver
 
-	team       *par.Team
-	planeLocks []sync.Mutex  // one per x-plane, guards Force accumulation (LockedSpread only)
-	accums     []*planeAccum // per-thread spreading buffers (lock-free path)
-	spreadGen  int           // current spread generation, stamps accum planes
-	curKernel  core.Kernel   // kernel whose region is running, for Regions
+	team      *par.Team
+	accums    []*planeAccum // per-thread spreading buffers
+	spreadGen int           // current spread generation, stamps accum planes
+	curKernel core.Kernel   // kernel whose region is running, for Regions
 }
 
 // NewSolver builds the parallel solver and starts its thread team. Like
@@ -106,16 +89,13 @@ func NewSolver(cfg Config) (*Solver, error) {
 		return nil, err
 	}
 	s := &Solver{
-		Solver:       cs,
-		Threads:      cfg.Threads,
-		Schedule:     cfg.Schedule,
-		Chunk:        cfg.Chunk,
-		LegacyCopy:   cfg.LegacyCopy,
-		LockedSpread: cfg.LockedSpread,
-		team:         par.NewTeam(cfg.Threads),
-		planeLocks:   make([]sync.Mutex, cfg.NX),
+		Solver:   cs,
+		Threads:  cfg.Threads,
+		Schedule: cfg.Schedule,
+		Chunk:    cfg.Chunk,
+		team:     par.NewTeam(cfg.Threads),
 	}
-	if !cfg.LockedSpread && cfg.Threads > 1 {
+	if cfg.Threads > 1 {
 		s.accums = make([]*planeAccum, cfg.Threads)
 		for i := range s.accums {
 			s.accums[i] = newPlaneAccum(cfg.NX)
@@ -267,67 +247,16 @@ func (s *Solver) ComputeElasticForce() {
 	})
 }
 
-// lockedPlanes adapts the fluid grid as an ibm.ForceAccumulator whose
-// accumulation is serialized per x-plane; tid identifies the spreading
-// thread for lock-wait attribution. seen tracks which planes the current
-// stencil scatter has already locked, so repeat acquisitions report as
-// re-acquires rather than inflating fresh-acquisition counts; begin
-// resets it at each stencil. A SupportWidth window spans at most
-// ibm.SupportWidth planes, so the backing array never spills to heap.
-type lockedPlanes struct {
-	s    *Solver
-	tid  int
-	seen []int
-	buf  [ibm.SupportWidth]int
-}
-
-func (l *lockedPlanes) begin() { l.seen = l.buf[:0] }
-
-func (l *lockedPlanes) AddForce(x, y, z int, f [3]float64) {
-	g := l.s.Fluid
-	wx, wy, wz := g.Wrap(x, y, z)
-	reacquire := false
-	for _, p := range l.seen {
-		if p == wx {
-			reacquire = true
-			break
-		}
-	}
-	if !reacquire {
-		l.seen = append(l.seen, wx)
-	}
-	l.s.lockPlane(l.tid, wx, reacquire)
-	n := &g.Nodes[g.Idx(wx, wy, wz)]
-	n.Force[0] += f[0]
-	n.Force[1] += f[1]
-	n.Force[2] += f[2]
-	l.s.planeLocks[wx].Unlock()
-}
-
 // SpreadForce is kernel 4, parallel over fibers. The force-field reset
 // the paper runs here is folded into the previous step's UpdateVelocity
 // sweep (and seeded at construction), saving one full-grid pass per
 // step; spreading accumulates on top of that reset.
 //
-// On the default lock-free path each thread scatters into its private
-// planeAccum and a second parallel region reduces the touched planes
-// into the grid (see spread.go); with LockedSpread the grid is written
-// directly under the per-x-plane mutexes.
+// Each thread scatters into its private planeAccum and a second
+// parallel region reduces the touched planes into the grid (see
+// spread.go); a one-thread team writes the grid directly.
 func (s *Solver) SpreadForce() {
 	if len(s.Sheets) == 0 {
-		return
-	}
-	if s.LockedSpread {
-		s.parallelFor(fiber.TotalFibers(s.Sheets), func(tid, lo, hi int) {
-			acc := lockedPlanes{s: s, tid: tid}
-			s.forEachFiber(lo, hi, func(sh *fiber.Sheet, a, b int) {
-				area := sh.AreaElement()
-				for i := a; i < b; i++ {
-					acc.begin()
-					ibm.Spread(&acc, sh.X[i], sh.Force[i], area)
-				}
-			})
-		})
 		return
 	}
 	if s.Threads == 1 {
@@ -411,22 +340,8 @@ func (s *Solver) MoveFibers() {
 	})
 }
 
-// CopyDistribution is kernel 9. By default it is retired: an O(1) buffer
-// swap makes the post-streaming buffer the present one, eliminating the
-// ~300-byte-per-node copy the paper's Table I prices at ~6% of a step.
-// With LegacyCopy the published parallel copy runs instead; both paths
-// produce bitwise-identical distributions.
-func (s *Solver) CopyDistribution() {
-	g := s.Fluid
-	if !s.LegacyCopy {
-		g.Swap()
-		return
-	}
-	cur := g.Cur()
-	s.parallelFor(g.NX, func(_, lo, hi int) {
-		for i := lo * g.NY * g.NZ; i < hi*g.NY*g.NZ; i++ {
-			n := &g.Nodes[i]
-			*n.Buf(cur) = *n.Buf(1 - cur)
-		}
-	})
-}
+// CopyDistribution is kernel 9, retired to an O(1) buffer swap that
+// makes the post-streaming buffer the present one. The paper's per-node
+// copy survives on the sequential reference (core.Solver), where Table I
+// prices it.
+func (s *Solver) CopyDistribution() { s.Fluid.Swap() }

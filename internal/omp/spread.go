@@ -1,8 +1,7 @@
 // Lock-free force spreading for the loop-parallel solver: per-thread
 // sparse x-plane accumulation plus a slab-parallel reduction region.
-// This replaces the per-plane mutexes on the default path (kept behind
-// Config.LockedSpread); the scheme and its determinism guarantee are
-// described in DESIGN.md §13.
+// The scheme and its determinism guarantee are described in DESIGN.md
+// §13.
 package omp
 
 // planeAccum is one worker's private force-accumulation store. It is

@@ -15,46 +15,22 @@ import (
 )
 
 // ContentionProfile attributes synchronization waits: per-thread barrier
-// waits by call site (cubesolver.ContentionObserver) and lock waits by
-// waiter and by lock owner. Its LockWait method also satisfies the
-// loop-parallel engine's omp.LockObserver structurally — there the
-// "owner" dimension is the x-plane index rather than a thread. All
-// accumulation is atomic; the profile is safe for concurrent use from
-// every worker thread.
+// waits by call site (cubesolver.ContentionObserver). All accumulation
+// is atomic; the profile is safe for concurrent use from every worker
+// thread.
 type ContentionProfile struct {
 	threads int
-	owners  int
 	// barrierNanos[site*threads+tid]
 	barrierNanos []atomic.Int64
 	barrierCount []atomic.Int64
-	// by owner (thread whose lock was taken — or plane index for omp)
-	// and by waiter (thread that blocked). Acquires and contention counts
-	// keep fresh acquisitions separate from within-stencil re-acquires
-	// (the A→B→A hand-over-hand return leg) so contended-acquire rates
-	// divide by stencil-level acquisition attempts, not every lock call.
-	lockNanosOwner  []atomic.Int64
-	lockNanosWaiter []atomic.Int64
-	acquiresOwner   []atomic.Int64
-	contendedOwner  []atomic.Int64
-	reacqOwner      []atomic.Int64
-	contendedReacq  []atomic.Int64
 }
 
-// NewContentionProfile sizes a profile for the given thread count and
-// lock-owner space (equal to threads for the cube solver's per-owner
-// locks; the x-plane count for the loop-parallel engine's plane locks).
-func NewContentionProfile(threads, owners int) *ContentionProfile {
+// NewContentionProfile sizes a profile for the given thread count.
+func NewContentionProfile(threads int) *ContentionProfile {
 	return &ContentionProfile{
-		threads:         threads,
-		owners:          owners,
-		barrierNanos:    make([]atomic.Int64, int(cubesolver.NumBarrierSites)*threads),
-		barrierCount:    make([]atomic.Int64, int(cubesolver.NumBarrierSites)*threads),
-		lockNanosOwner:  make([]atomic.Int64, owners),
-		lockNanosWaiter: make([]atomic.Int64, threads),
-		acquiresOwner:   make([]atomic.Int64, owners),
-		contendedOwner:  make([]atomic.Int64, owners),
-		reacqOwner:      make([]atomic.Int64, owners),
-		contendedReacq:  make([]atomic.Int64, owners),
+		threads:      threads,
+		barrierNanos: make([]atomic.Int64, int(cubesolver.NumBarrierSites)*threads),
+		barrierCount: make([]atomic.Int64, int(cubesolver.NumBarrierSites)*threads),
 	}
 }
 
@@ -66,34 +42,6 @@ func (p *ContentionProfile) BarrierWait(site cubesolver.BarrierSite, tid int, wa
 	i := int(site)*p.threads + tid
 	p.barrierNanos[i].Add(int64(wait))
 	p.barrierCount[i].Add(1)
-}
-
-// LockWait implements cubesolver.ContentionObserver (and, structurally,
-// omp.LockObserver): waiter blocked on owner's lock for wait. Fresh
-// acquisitions and within-stencil re-acquires are counted in separate
-// columns — TotalAcquires/ContendedAcquires report fresh ones only, so
-// the contended rate is per stencil-level attempt; re-acquire totals are
-// exposed via Reacquires/ContendedReacquires. Wait time is attributed to
-// the owner and waiter either way (blocking is blocking).
-func (p *ContentionProfile) LockWait(waiter, owner int, wait time.Duration, contended, reacquire bool) {
-	if owner >= 0 && owner < p.owners {
-		if reacquire {
-			p.reacqOwner[owner].Add(1)
-			if contended {
-				p.contendedReacq[owner].Add(1)
-				p.lockNanosOwner[owner].Add(int64(wait))
-			}
-		} else {
-			p.acquiresOwner[owner].Add(1)
-			if contended {
-				p.contendedOwner[owner].Add(1)
-				p.lockNanosOwner[owner].Add(int64(wait))
-			}
-		}
-	}
-	if contended && waiter >= 0 && waiter < p.threads {
-		p.lockNanosWaiter[waiter].Add(int64(wait))
-	}
 }
 
 // BarrierWaitAt returns thread tid's accumulated wait at one site.
@@ -125,79 +73,9 @@ func (p *ContentionProfile) BarrierWaitTotal() time.Duration {
 	return time.Duration(t)
 }
 
-// LockWaitByOwner returns the total time threads spent blocked on this
-// owner's lock.
-func (p *ContentionProfile) LockWaitByOwner(owner int) time.Duration {
-	if owner < 0 || owner >= p.owners {
-		return 0
-	}
-	return time.Duration(p.lockNanosOwner[owner].Load())
-}
-
-// LockWaitByWaiter returns the total time thread tid spent blocked on
-// any lock.
-func (p *ContentionProfile) LockWaitByWaiter(tid int) time.Duration {
-	if tid < 0 || tid >= p.threads {
-		return 0
-	}
-	return time.Duration(p.lockNanosWaiter[tid].Load())
-}
-
-// LockWaitTotal returns the lock wait summed over all owners.
-func (p *ContentionProfile) LockWaitTotal() time.Duration {
-	var t int64
-	for i := range p.lockNanosOwner {
-		t += p.lockNanosOwner[i].Load()
-	}
-	return time.Duration(t)
-}
-
-// TotalAcquires returns how many fresh lock acquisitions were recorded
-// (within-stencil re-acquires are counted by Reacquires instead).
-func (p *ContentionProfile) TotalAcquires() int64 {
-	var n int64
-	for i := range p.acquiresOwner {
-		n += p.acquiresOwner[i].Load()
-	}
-	return n
-}
-
-// ContendedAcquires returns how many fresh acquisitions found the lock
-// held.
-func (p *ContentionProfile) ContendedAcquires() int64 {
-	var n int64
-	for i := range p.contendedOwner {
-		n += p.contendedOwner[i].Load()
-	}
-	return n
-}
-
-// Reacquires returns how many within-stencil re-acquisitions were
-// recorded — return legs of the A→B→A hand-over-hand pattern, which
-// earlier inflated TotalAcquires.
-func (p *ContentionProfile) Reacquires() int64 {
-	var n int64
-	for i := range p.reacqOwner {
-		n += p.reacqOwner[i].Load()
-	}
-	return n
-}
-
-// ContendedReacquires returns how many re-acquisitions found the lock
-// held.
-func (p *ContentionProfile) ContendedReacquires() int64 {
-	var n int64
-	for i := range p.contendedReacq {
-		n += p.contendedReacq[i].Load()
-	}
-	return n
-}
-
 // Publish writes the profile into reg as gauges:
 // lbmib_barrier_wait_seconds{engine,site,thread} for every (site,thread)
-// with at least one recorded wait, and lbmib_lock_wait_seconds{engine,owner}
-// for every owner whose lock was ever contended (skipping zero rows keeps
-// the omp engine's per-plane owner space from flooding the exposition).
+// with at least one recorded wait.
 func (p *ContentionProfile) Publish(reg *telemetry.Registry, engine string) {
 	if reg == nil {
 		return
@@ -214,15 +92,6 @@ func (p *ContentionProfile) Publish(reg *telemetry.Registry, engine string) {
 				eng, telemetry.L("site", site.String()), telemetry.L("thread", strconv.Itoa(tid))).
 				Set(time.Duration(p.barrierNanos[i].Load()).Seconds())
 		}
-	}
-	for owner := 0; owner < p.owners; owner++ {
-		if p.contendedOwner[owner].Load() == 0 && p.contendedReacq[owner].Load() == 0 {
-			continue
-		}
-		reg.Gauge("lbmib_lock_wait_seconds",
-			"accumulated wait blocked on this owner's spreading lock",
-			eng, telemetry.L("owner", strconv.Itoa(owner))).
-			Set(time.Duration(p.lockNanosOwner[owner].Load()).Seconds())
 	}
 }
 

@@ -16,17 +16,16 @@ import (
 )
 
 // Compile-time checks that the profiles satisfy the solver observer
-// interfaces (LockWait doubles as omp.LockObserver structurally).
+// interfaces.
 var (
 	_ cubesolver.ContentionObserver = (*ContentionProfile)(nil)
-	_ omp.LockObserver              = (*ContentionProfile)(nil)
 	_ omp.RegionObserver            = (*RegionProfile)(nil)
 	_ cubesolver.CubeWorkObserver   = (*CubeHeatmap)(nil)
 	_ cubesolver.PhaseObserver      = (*PhaseProfile)(nil)
 )
 
 func TestContentionProfileAccumulates(t *testing.T) {
-	p := NewContentionProfile(2, 2)
+	p := NewContentionProfile(2)
 	p.BarrierWait(cubesolver.SiteAfterStream, 0, 10*time.Millisecond)
 	p.BarrierWait(cubesolver.SiteAfterStream, 0, 5*time.Millisecond)
 	p.BarrierWait(cubesolver.SiteEndOfStep, 1, 3*time.Millisecond)
@@ -40,38 +39,9 @@ func TestContentionProfileAccumulates(t *testing.T) {
 		t.Fatalf("total wait = %v", got)
 	}
 
-	p.LockWait(0, 1, 0, false, false)
-	p.LockWait(0, 1, 2*time.Millisecond, true, false)
-	p.LockWait(1, 0, 0, false, false)
-	if p.TotalAcquires() != 3 || p.ContendedAcquires() != 1 {
-		t.Fatalf("acquires = %d/%d", p.ContendedAcquires(), p.TotalAcquires())
-	}
-	if p.LockWaitByOwner(1) != 2*time.Millisecond || p.LockWaitByWaiter(0) != 2*time.Millisecond {
-		t.Fatalf("lock wait attribution wrong: owner=%v waiter=%v",
-			p.LockWaitByOwner(1), p.LockWaitByWaiter(0))
-	}
-	// Re-acquires (the A→B→A return leg of a hand-over-hand stencil walk)
-	// land in their own counters: they must not inflate fresh-acquisition
-	// totals, but a contended re-acquire's wait is still real blocking and
-	// stays attributed to owner and waiter.
-	p.LockWait(0, 1, 0, false, true)
-	p.LockWait(0, 1, time.Millisecond, true, true)
-	if p.TotalAcquires() != 3 || p.ContendedAcquires() != 1 {
-		t.Fatalf("re-acquires leaked into fresh counts: %d/%d",
-			p.ContendedAcquires(), p.TotalAcquires())
-	}
-	if p.Reacquires() != 2 || p.ContendedReacquires() != 1 {
-		t.Fatalf("reacquires = %d/%d, want 1/2", p.ContendedReacquires(), p.Reacquires())
-	}
-	if p.LockWaitByOwner(1) != 3*time.Millisecond || p.LockWaitByWaiter(0) != 3*time.Millisecond {
-		t.Fatalf("re-acquire wait lost: owner=%v waiter=%v",
-			p.LockWaitByOwner(1), p.LockWaitByWaiter(0))
-	}
 	// Out-of-range records must be dropped, not crash.
 	p.BarrierWait(cubesolver.BarrierSite(99), 0, time.Second)
 	p.BarrierWait(cubesolver.SiteEndOfStep, 99, time.Second)
-	p.LockWait(99, 99, time.Second, true, false)
-	p.LockWait(99, 99, time.Second, true, true)
 	if p.BarrierWaitTotal() != 18*time.Millisecond {
 		t.Fatal("out-of-range barrier record was kept")
 	}
@@ -83,17 +53,9 @@ func TestContentionProfileAccumulates(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	for _, want := range []string{
-		`lbmib_barrier_wait_seconds{engine="cube",site="after_stream",thread="0"} 0.015`,
-		`lbmib_lock_wait_seconds{engine="cube",owner="1"} 0.003`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q in:\n%s", want, text)
-		}
-	}
-	// Owner 0 was never contended: no gauge row.
-	if strings.Contains(text, `owner="0"`) {
-		t.Errorf("uncontended owner published:\n%s", text)
+	const want = `lbmib_barrier_wait_seconds{engine="cube",site="after_stream",thread="0"} 0.015`
+	if !strings.Contains(text, want) {
+		t.Errorf("exposition missing %q in:\n%s", want, text)
 	}
 }
 
@@ -200,8 +162,7 @@ func (s skewCubeWork) CubeWork(tid, c int, p cubesolver.Phase, d time.Duration) 
 // slow thread has the largest collide+stream phase time (imbalance ratio
 // well above 1) and the *smallest* barrier wait at the following barrier
 // site — everyone else accumulated wait waiting for it. Run under -race
-// this also exercises the instrumented barrier and per-owner lock paths
-// from 8 threads.
+// this also exercises the instrumented barrier path from 8 threads.
 func TestSkewSelfTest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real solver with injected delays")
@@ -221,7 +182,7 @@ func TestSkewSelfTest(t *testing.T) {
 	defer s.Close()
 
 	phases := NewPhaseProfile(threads)
-	cont := NewContentionProfile(threads, threads)
+	cont := NewContentionProfile(threads)
 	heat := NewCubeHeatmap(s.Fluid.CX, s.Fluid.CY, s.Fluid.CZ, s.Fluid.K, threads)
 	s.Observer = phases
 	s.Contention = cont
@@ -270,88 +231,6 @@ func TestSkewSelfTest(t *testing.T) {
 	}
 }
 
-// TestOwnerLockInstrumentation drives a multi-sheet 8-thread cube solver
-// on the LockedSpread ablation under the contention profile
-// (race-exercises the TryLock/timed-Lock path) and checks every
-// spreading acquisition was recorded.
-func TestOwnerLockInstrumentation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real solver")
-	}
-	const threads = 8
-	mkSheet := func(oy float64) *fiber.Sheet {
-		return fiber.NewSheet(fiber.Params{
-			NumFibers: 8, NodesPerFiber: 8, Width: 7, Height: 7,
-			Origin: fiber.Vec3{6, oy, 4.6}, Ks: 0.05, Kb: 0.001,
-		})
-	}
-	s, err := cubesolver.NewSolver(cubesolver.Config{
-		NX: 16, NY: 16, NZ: 16, CubeSize: 4, Threads: threads, Tau: 0.7,
-		BodyForce:    [3]float64{3e-5, 0, 0},
-		Sheets:       []*fiber.Sheet{mkSheet(4.3), mkSheet(8.1)},
-		LockedSpread: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	cont := NewContentionProfile(threads, threads)
-	s.Contention = cont
-	s.Run(3)
-
-	if cont.TotalAcquires() == 0 {
-		t.Fatal("no spreading-lock acquisitions recorded")
-	}
-	if c, a := cont.ContendedAcquires(), cont.TotalAcquires(); c > a {
-		t.Fatalf("contended (%d) exceeds total (%d)", c, a)
-	}
-	// Every recorded wait must be attributable: Σ by-owner == Σ by-waiter.
-	var byWaiter time.Duration
-	for tid := 0; tid < threads; tid++ {
-		byWaiter += cont.LockWaitByWaiter(tid)
-	}
-	if byWaiter != cont.LockWaitTotal() {
-		t.Fatalf("lock wait by-waiter %v != by-owner %v", byWaiter, cont.LockWaitTotal())
-	}
-}
-
-// TestLockFreeSpreadNoLockEvents is the tentpole's headline check at the
-// profile level: the same structure on the default (lock-free) spreading
-// path records zero lock events of any kind — the contended path is
-// gone, not merely cheaper.
-func TestLockFreeSpreadNoLockEvents(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a real solver")
-	}
-	const threads = 8
-	sh := fiber.NewSheet(fiber.Params{
-		NumFibers: 8, NodesPerFiber: 8, Width: 7, Height: 7,
-		Origin: fiber.Vec3{6, 4.3, 4.6}, Ks: 0.05, Kb: 0.001,
-	})
-	s, err := cubesolver.NewSolver(cubesolver.Config{
-		NX: 16, NY: 16, NZ: 16, CubeSize: 4, Threads: threads, Tau: 0.7,
-		Sheets: []*fiber.Sheet{sh},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	cont := NewContentionProfile(threads, threads)
-	s.Contention = cont
-	s.Run(3)
-
-	if a, r := cont.TotalAcquires(), cont.Reacquires(); a != 0 || r != 0 {
-		t.Fatalf("lock events on the lock-free path: %d acquires, %d reacquires", a, r)
-	}
-	if cont.LockWaitTotal() != 0 {
-		t.Fatalf("lock wait on the lock-free path: %v", cont.LockWaitTotal())
-	}
-	// Barrier instrumentation still works on this path.
-	if cont.BarrierWaitTotal() == 0 {
-		t.Error("no barrier waits recorded at all")
-	}
-}
-
 // TestRegionProfileRealSolver attaches the region profile to the real
 // loop-parallel engine and checks per-kernel busy accounting arrives for
 // every kernel region.
@@ -371,9 +250,7 @@ func TestRegionProfileRealSolver(t *testing.T) {
 	}
 	defer s.Close()
 	reg := NewRegionProfile(threads)
-	lock := NewContentionProfile(threads, 16) // owners = NX planes
 	s.Regions = reg
-	s.Locks = lock
 	const steps = 3
 	s.Run(steps)
 
@@ -391,10 +268,6 @@ func TestRegionProfileRealSolver(t *testing.T) {
 	if reg.KernelBusy(core.KComputeCollision)[0] == 0 {
 		t.Fatal("no busy time recorded for the collision kernel on thread 0")
 	}
-	// Spreading is lock-free by default: no plane-lock events at all.
-	if a, r := lock.TotalAcquires(), lock.Reacquires(); a != 0 || r != 0 {
-		t.Fatalf("plane-lock events on the lock-free path: %d acquires, %d reacquires", a, r)
-	}
 }
 
 // phaseRecorderMu guards nothing here — it exists to double-check the
@@ -403,7 +276,7 @@ func TestRegionProfileRealSolver(t *testing.T) {
 func TestProfilesConcurrentUse(t *testing.T) {
 	kp := NewKernelProfileIn(nil)
 	pp := NewPhaseProfile(8)
-	cp := NewContentionProfile(8, 8)
+	cp := NewContentionProfile(8)
 	var wg sync.WaitGroup
 	for tid := 0; tid < 8; tid++ {
 		wg.Add(1)
@@ -413,7 +286,6 @@ func TestProfilesConcurrentUse(t *testing.T) {
 				kp.KernelDone(i, core.KComputeCollision, time.Microsecond)
 				pp.PhaseDone(i, tid, cubesolver.PhaseCollideStream, time.Microsecond)
 				cp.BarrierWait(cubesolver.SiteEndOfStep, tid, time.Microsecond)
-				cp.LockWait(tid, (tid+1)%8, time.Microsecond, true, i%2 == 1)
 			}
 		}(tid)
 	}
@@ -424,8 +296,7 @@ func TestProfilesConcurrentUse(t *testing.T) {
 	if pp.ImbalanceRatio() != 1 {
 		t.Fatalf("uniform load imbalance ratio = %g, want 1", pp.ImbalanceRatio())
 	}
-	if cp.TotalAcquires() != 800 || cp.Reacquires() != 800 {
-		t.Fatalf("acquires = %d/%d, want 800 fresh + 800 reacquires",
-			cp.TotalAcquires(), cp.Reacquires())
+	if got := cp.BarrierWaitTotal(); got != 1600*time.Microsecond {
+		t.Fatalf("barrier wait total = %v, want 1.6ms", got)
 	}
 }

@@ -6,8 +6,8 @@
 //     kernel, ranked).
 //   - PhaseProfile accumulates per-thread time per Algorithm-4 loop nest
 //     and computes the load-imbalance ratio of Table II.
-//   - ContentionProfile attributes barrier and spreading-lock waits to
-//     threads and owners; RegionProfile does the OmpP-style per-region
+//   - ContentionProfile attributes barrier waits to threads and call
+//     sites; RegionProfile does the OmpP-style per-region
 //     accounting for the loop-parallel engine; CubeHeatmap samples
 //     per-cube work (contention.go).
 //   - ScheduleImbalance computes the deterministic component of load

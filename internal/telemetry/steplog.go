@@ -28,9 +28,6 @@ type StepRecord struct {
 	// BarrierWaitShare is the fraction of total thread-time spent waiting
 	// at barriers so far.
 	BarrierWaitShare float64 `json:"barrierWaitShare,omitempty"`
-	// LockWaitShare is the fraction of total thread-time spent blocked on
-	// spreading locks so far.
-	LockWaitShare float64 `json:"lockWaitShare,omitempty"`
 	// CritPath names the step's critical path when the critical-path
 	// profiler is enabled (absent otherwise).
 	CritPath *CritPathStep `json:"critpath,omitempty"`

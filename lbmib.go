@@ -183,12 +183,6 @@ type Config struct {
 	// CubeSize is the cube edge k for the CubeBased engine (default 4);
 	// the grid dimensions must be divisible by it.
 	CubeSize int
-	// LockedSpread restores mutex-protected force spreading (per-owner
-	// locks for CubeBased, per-x-plane locks for OpenMP and Fused)
-	// instead of the lock-free per-thread accumulation + reduction
-	// default — kept for the locked-vs-lock-free ablation (lbmib-bench
-	// -exp spreading).
-	LockedSpread bool
 	// Float32 stores the velocity distributions as float32 with the
 	// Fused engine (arithmetic stays float64), halving the sweep's
 	// memory traffic at the cost of a relaxed (~1e-5) differential
@@ -226,13 +220,13 @@ type Config struct {
 	// replaced by the recorder's digest pass, not added to it.
 	FlightRec *flightrec.Config
 	// Contention, when true, attributes waiting time: per-site barrier
-	// waits and spreading-lock waits (CubeBased and OpenMP engines),
-	// per-thread phase times, and — for the CubeBased engine — a per-cube
-	// work heatmap (WriteCubeHeatmap). ContentionStats reports the
-	// rollup; with a Telemetry registry the profiles are also published
-	// as lbmib_load_imbalance_ratio / lbmib_barrier_wait_seconds /
-	// lbmib_lock_wait_seconds gauges. Off by default: the uninstrumented
-	// engines take their exact pre-existing code paths.
+	// waits (CubeBased and Fused engines; the OpenMP engine's implicit
+	// region barriers), per-thread phase times, and — for the CubeBased
+	// engine — a per-cube work heatmap (WriteCubeHeatmap).
+	// ContentionStats reports the rollup; with a Telemetry registry the
+	// profiles are also published as lbmib_load_imbalance_ratio /
+	// lbmib_barrier_wait_seconds gauges. Off by default: the
+	// uninstrumented engines take their exact pre-existing code paths.
 	Contention bool
 	// CritPath, when true, runs the critical-path profiler: per-step
 	// last-arriver attribution at every barrier site, a per-thread phase
@@ -278,7 +272,7 @@ type stepInstr struct {
 	threads    int
 	phaseProf  *perfmon.PhaseProfile      // per-thread phase times (CubeBased/TaskScheduled)
 	regionProf *perfmon.RegionProfile     // OmpP-style per-region accounting (OpenMP)
-	cont       *perfmon.ContentionProfile // barrier + spreading-lock waits
+	cont       *perfmon.ContentionProfile // per-site barrier waits
 	heatmap    *perfmon.CubeHeatmap       // per-cube work samples (CubeBased)
 
 	// Critical-path attribution (Config.CritPath); receives phase/region
@@ -443,8 +437,7 @@ func New(cfg Config) (*Simulation, error) {
 		}
 		sim.eng = &seqEngine{cs}
 	case OpenMP:
-		os, err := omp.NewSolver(omp.Config{Config: coreCfg, Threads: cfg.Threads,
-			LockedSpread: cfg.LockedSpread})
+		os, err := omp.NewSolver(omp.Config{Config: coreCfg, Threads: cfg.Threads})
 		if err != nil {
 			return nil, err
 		}
@@ -462,10 +455,9 @@ func New(cfg Config) (*Simulation, error) {
 			CubeSize: k, Threads: cfg.Threads, Tau: cfg.Tau,
 			BodyForce: cfg.BodyForce,
 			BCX:       toBC(cfg.BoundaryX), BCY: toBC(cfg.BoundaryY), BCZ: toBC(cfg.BoundaryZ),
-			LidVelocity:  cfg.LidVelocity,
-			Sheets:       sheets,
-			Dist:         par.Block,
-			LockedSpread: cfg.LockedSpread,
+			LidVelocity: cfg.LidVelocity,
+			Sheets:      sheets,
+			Dist:        par.Block,
 		})
 		if err != nil {
 			return nil, err
@@ -493,7 +485,7 @@ func New(cfg Config) (*Simulation, error) {
 		sim.eng = &taskflowEngine{ts}
 	case Fused:
 		fs, err := fused.NewSolver(fused.Config{Config: coreCfg, Threads: cfg.Threads,
-			Float32: cfg.Float32, LockedSpread: cfg.LockedSpread})
+			Float32: cfg.Float32})
 		if err != nil {
 			return nil, err
 		}
@@ -575,16 +567,15 @@ func (s *Simulation) initTelemetry() error {
 		switch cfg.Solver {
 		case OpenMP:
 			si.regionProf = perfmon.NewRegionProfile(cfg.Threads)
-			si.cont = perfmon.NewContentionProfile(cfg.Threads, cfg.NX) // lock owner = x-plane
 		case CubeBased:
 			si.phaseProf = perfmon.NewPhaseProfile(cfg.Threads)
-			si.cont = perfmon.NewContentionProfile(cfg.Threads, cfg.Threads) // lock owner = thread
+			si.cont = perfmon.NewContentionProfile(cfg.Threads)
 		case Fused:
 			// The fused sweep has two instrumentable barrier sites (the
 			// mid-sweep wavefront join and the end-of-sweep join), so it
 			// gets the same wait attribution as the cube engine.
 			si.phaseProf = perfmon.NewPhaseProfile(cfg.Threads)
-			si.cont = perfmon.NewContentionProfile(cfg.Threads, cfg.Threads) // lock owner = thread
+			si.cont = perfmon.NewContentionProfile(cfg.Threads)
 		case TaskScheduled:
 			// No timed barrier sites; only per-thread phase times apply.
 			si.phaseProf = perfmon.NewPhaseProfile(cfg.Threads)
@@ -640,12 +631,11 @@ func (s *Simulation) runSpec() flightrec.RunSpec {
 		Tau:       cfg.Tau,
 		BodyForce: cfg.BodyForce,
 		BoundaryX: bname(cfg.BoundaryX), BoundaryY: bname(cfg.BoundaryY), BoundaryZ: bname(cfg.BoundaryZ),
-		LidVelocity:  cfg.LidVelocity,
-		Solver:       cfg.Solver.String(),
-		Threads:      cfg.Threads,
-		CubeSize:     cfg.CubeSize,
-		LockedSpread: cfg.LockedSpread,
-		Float32:      cfg.Float32,
+		LidVelocity: cfg.LidVelocity,
+		Solver:      cfg.Solver.String(),
+		Threads:     cfg.Threads,
+		CubeSize:    cfg.CubeSize,
+		Float32:     cfg.Float32,
 	}
 	for _, sc := range append(append([]*SheetConfig(nil), cfg.Sheets...), cfg.Sheet) {
 		if sc == nil {
@@ -680,14 +670,13 @@ func ConfigFromRunSpec(spec flightrec.RunSpec) (Config, error) {
 	}
 	cfg := Config{
 		NX: spec.NX, NY: spec.NY, NZ: spec.NZ,
-		Tau:          spec.Tau,
-		BodyForce:    spec.BodyForce,
-		LidVelocity:  spec.LidVelocity,
-		Solver:       solver,
-		Threads:      spec.Threads,
-		CubeSize:     spec.CubeSize,
-		LockedSpread: spec.LockedSpread,
-		Float32:      spec.Float32,
+		Tau:         spec.Tau,
+		BodyForce:   spec.BodyForce,
+		LidVelocity: spec.LidVelocity,
+		Solver:      solver,
+		Threads:     spec.Threads,
+		CubeSize:    spec.CubeSize,
+		Float32:     spec.Float32,
 	}
 	if cfg.BoundaryX, err = bparse(spec.BoundaryX); err != nil {
 		return Config{}, err
@@ -792,11 +781,8 @@ func (s *Simulation) runSteps(n int) {
 					s.rec.RecordDigest(step, dig)
 				}
 			}
-			bs, ls := 0.0, 0.0
-			if st, ok := s.ContentionStats(); ok {
-				bs, ls = st.BarrierWaitShare, st.LockWaitShare
-			}
-			s.rec.RecordStep(step, elapsed, mlups, bs, ls)
+			st, _ := s.ContentionStats() // zero without Config.Contention
+			s.rec.RecordStep(step, elapsed, mlups, st.BarrierWaitShare)
 			healthy := s.watchdog == nil || s.watchdog.Healthy()
 			if healthy && s.rec.WantSnapshot(step) {
 				s.rec.TakeSnapshot(step, s.Checkpoint) //nolint:errcheck // best-effort; last good snapshot is kept
@@ -828,7 +814,6 @@ func (s *Simulation) runSteps(n int) {
 			if st, ok := s.ContentionStats(); ok {
 				rec.Imbalance = st.ImbalanceRatio
 				rec.BarrierWaitShare = st.BarrierWaitShare
-				rec.LockWaitShare = st.LockWaitShare
 			}
 			// The profiler is keyed by the engine's internal step index
 			// (what the observer callbacks carry), which lags StepCount by
@@ -883,8 +868,7 @@ func (s *Simulation) recordBatch(n int, nodes float64, elapsed time.Duration) {
 
 // publishContention rolls the contention profiles up into the registry:
 // the Table II imbalance ratio as lbmib_load_imbalance_ratio{engine,
-// phase} and the wait attribution as lbmib_barrier_wait_seconds /
-// lbmib_lock_wait_seconds.
+// phase} and the wait attribution as lbmib_barrier_wait_seconds.
 func (s *Simulation) publishContention() {
 	r := s.cfg.Telemetry
 	if r == nil || !s.cfg.Contention {
@@ -925,17 +909,6 @@ type ContentionStats struct {
 	// at barriers (CubeBased) or at the parallel regions' implicit
 	// barriers (OpenMP).
 	BarrierWaitShare float64
-	// LockWaitShare is the fraction of total thread-time blocked on
-	// spreading locks. Identically zero on the default lock-free spreading
-	// path; nonzero only with Config.LockedSpread.
-	LockWaitShare     float64
-	ContendedAcquires int64
-	TotalAcquires     int64
-	// Reacquires counts within-stencil re-acquisitions (the A→B→A
-	// hand-over-hand return leg), kept out of TotalAcquires so contended
-	// rates divide by stencil-level attempts.
-	Reacquires          int64
-	ContendedReacquires int64
 }
 
 // ContentionStats reports the accumulated contention rollup; ok is false
@@ -958,15 +931,6 @@ func (s *Simulation) ContentionStats() (ContentionStats, bool) {
 		st.BarrierWaitShare = si.regionProf.BarrierWaitShare()
 	} else if si.cont != nil && threadSec > 0 {
 		st.BarrierWaitShare = si.cont.BarrierWaitTotal().Seconds() / threadSec
-	}
-	if si.cont != nil {
-		if threadSec > 0 {
-			st.LockWaitShare = si.cont.LockWaitTotal().Seconds() / threadSec
-		}
-		st.ContendedAcquires = si.cont.ContendedAcquires()
-		st.TotalAcquires = si.cont.TotalAcquires()
-		st.Reacquires = si.cont.Reacquires()
-		st.ContendedReacquires = si.cont.ContendedReacquires()
 	}
 	return st, true
 }
@@ -1220,9 +1184,6 @@ func (e *ompEngine) observe(si *stepInstr) {
 		// stepInstr fans RegionDone out to whichever of the OmpP-style
 		// profile and the critical-path profiler are configured.
 		e.s.Regions = si
-	}
-	if si.cont != nil {
-		e.s.Locks = si.cont
 	}
 }
 func (e *ompEngine) load(g *grid.Grid) error {

@@ -3,15 +3,15 @@
 # detector on the packages where concurrency bugs would hide (telemetry
 # sinks are called from every worker thread; the cube solver owns the
 # P×Q×R barrier choreography; the omp and cube engines flip the shared
-# double-buffer parity bit from worker threads; soa swaps slices; the
-# taskflow engine schedules cubes over a dependency graph; the fused
-# engine's wavefront sweep overlaps collide and finalize planes across
-# one parallel region; the cluster solver exchanges halos between ranks;
-# perfmon profiles accumulate from all workers; par's timed barrier
-# wraps the team barrier), plus two differential-testing smokes — a
-# seeded cross-engine sweep and a short native-fuzz run of the
-# checkpoint decoder — and a load-imbalance bench smoke that emits and
-# validates a schema-versioned BENCH file.
+# double-buffer parity bit from worker threads and reduce per-thread
+# spread buffers; the taskflow engine schedules cubes over a dependency
+# graph; the fused engine's wavefront sweep overlaps collide and finalize
+# planes across one parallel region; the cluster solver exchanges halos
+# between ranks; perfmon profiles accumulate from all workers; par's
+# timed barrier wraps the team barrier), the barrier-fusibility proof
+# gate, a seeded cross-engine differential sweep, four native-fuzz
+# smokes, the flight-recorder and critical-path report smokes, and the
+# repo benchmark's verification pass on every workload.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -40,7 +40,7 @@ go run ./cmd/lbmib-lint -fusibility -o "$FUSEOUT"
 cmp FUSE_report.json "$FUSEOUT"
 rm -f "$FUSEOUT"
 
-go test -race ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/soa/... ./internal/taskflow/... ./internal/cluster/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/critpath/... ./internal/perfsim/...
+go test -race ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/taskflow/... ./internal/cluster/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/critpath/... ./internal/perfsim/...
 
 # Cross-engine differential smoke: 10 seeded cases on every engine,
 # including the fused engine in both storage modes (float64 on the
@@ -62,29 +62,6 @@ go test -run '^$' -fuzz '^FuzzLintParse$' -fuzztime 5s ./internal/analysis/
 # decoder must never panic and must round-trip when they validate.
 go test -run '^$' -fuzz '^FuzzFusibilityReport$' -fuzztime 5s ./internal/fusereport/
 
-# Load-imbalance bench smoke: emit a fresh schema-versioned benchmark
-# and diff it against the committed baseline (warn-only drift tripwire;
-# the structural/schema checks do fail the script).
-go run ./cmd/lbmib-bench -exp imbalance -out BENCH_smoke.json
-scripts/bench_compare BENCH_baseline.json BENCH_smoke.json
-rm -f BENCH_smoke.json
-
-# Spreading bench smoke: locked vs lock-free force spreading on both
-# lockable engines, diffed against the committed baseline and checked
-# against the spreading invariants (lock-free rows must be lock-event-
-# free; slower-than-locked is a warning, like all drift here).
-go run ./cmd/lbmib-bench -exp spreading -out BENCH_smoke.json
-scripts/bench_compare BENCH_pr7.json BENCH_smoke.json
-rm -f BENCH_smoke.json
-
-# Fused-engine bench smoke: the single-sweep engine against the omp and
-# cube baselines, diffed against the committed baseline (warn-only
-# drift tripwire; same step count as the baseline so the comparator
-# diffs like against like).
-go run ./cmd/lbmib-bench -exp fused -steps 40 -out BENCH_smoke.json
-scripts/bench_compare BENCH_pr8.json BENCH_smoke.json
-rm -f BENCH_smoke.json
-
 # Flight-recorder forensics smoke: a run driven far past the lattice's
 # stability envelope must trip the watchdog, leave a post-mortem bundle,
 # and lbmib-postmortem must decode it.
@@ -99,12 +76,6 @@ test -f "$FRDIR/manifest.json"
 go run ./cmd/lbmib-postmortem -ring 5 "$FRDIR"
 rm -rf "$FRDIR"
 
-# Flight-recorder overhead tripwire: fresh measurement against the
-# committed recorder-on/off baseline (warn-only, like the one above).
-go run ./cmd/lbmib-bench -exp flightrec -out BENCH_smoke.json
-scripts/bench_compare BENCH_pr6.json BENCH_smoke.json
-rm -f BENCH_smoke.json
-
 # Critical-path profiler smoke: a tiny attributed run must emit a valid
 # schema-versioned report naming at least one barrier site.
 CPOUT=$(mktemp)
@@ -114,16 +85,8 @@ grep -q '"schema": "lbmib-critpath/v1"' "$CPOUT"
 grep -q '"site": "end_of_step"' "$CPOUT"
 rm -f "$CPOUT"
 
-# Critical-path profiler overhead tripwire: fresh profiler-on/off pair
-# against the committed baseline (warn-only drift, budget 2%).
-go run ./cmd/lbmib-bench -exp critpath -out BENCH_smoke.json
-scripts/bench_compare BENCH_pr9.json BENCH_smoke.json
-rm -f BENCH_smoke.json
-
-# Barrier-fold bench smoke: the proven end-of-step fold against its
-# barrier-kept foil, diffed against the committed baseline. The
-# realized-vs-predicted shortfall check inside is warn-only (fold gains
-# are sync-cost sized and noise-prone); schema/structure checks fail.
-go run ./cmd/lbmib-bench -exp barrierfold -steps 40 -out BENCH_smoke.json
-scripts/bench_compare BENCH_pr10.json BENCH_smoke.json
-rm -f BENCH_smoke.json
+# Benchmark smoke: every workload of the repo benchmark (BENCHMARK.json)
+# at smoke length. Each run verifies its engine against Sequential under
+# the crosscheck contract, Checkpoint→Restore→step, and the VTK output
+# against its header; any failed check exits non-zero.
+go run ./bench -workload all -smoke
