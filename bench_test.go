@@ -16,7 +16,6 @@ import (
 	"lbmib/internal/fiber"
 	"lbmib/internal/machine"
 	"lbmib/internal/omp"
-	"lbmib/internal/par"
 	"lbmib/internal/perfmon"
 	"lbmib/internal/taskflow"
 )
@@ -102,13 +101,18 @@ func reportMLUPS(b *testing.B) {
 	}
 }
 
+// benchConfig is the 32³ sheet problem every engine benchmark steps.
+func benchConfig() core.Config {
+	return core.Config{NX: 32, NY: 32, NZ: 32, Tau: 0.7,
+		BodyForce: [3]float64{2e-5, 0, 0}, Sheet: benchSheet()}
+}
+
 // BenchmarkSolverStep times one full LBM-IB step per engine on identical
 // inputs — the real-code counterpart of the modeled comparisons — and
 // reports each engine's throughput in MLUPS.
 func BenchmarkSolverStep(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
-		s := core.MustNewSolver(core.Config{NX: 32, NY: 32, NZ: 32, Tau: 0.7,
-			BodyForce: [3]float64{2e-5, 0, 0}, Sheet: benchSheet()})
+		s := core.MustNewSolver(benchConfig())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s.Step()
@@ -116,8 +120,7 @@ func BenchmarkSolverStep(b *testing.B) {
 		reportMLUPS(b)
 	})
 	b.Run("omp-4thr", func(b *testing.B) {
-		s := omp.MustNewSolver(omp.Config{Config: core.Config{NX: 32, NY: 32, NZ: 32, Tau: 0.7,
-			BodyForce: [3]float64{2e-5, 0, 0}, Sheet: benchSheet()}, Threads: 4})
+		s := omp.MustNewSolver(omp.Config{Config: benchConfig(), Threads: 4})
 		defer s.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -126,9 +129,7 @@ func BenchmarkSolverStep(b *testing.B) {
 		reportMLUPS(b)
 	})
 	b.Run("cube-4thr-k8", func(b *testing.B) {
-		s, err := cubesolver.NewSolver(cubesolver.Config{NX: 32, NY: 32, NZ: 32,
-			CubeSize: 8, Threads: 4, Tau: 0.7,
-			BodyForce: [3]float64{2e-5, 0, 0}, Sheet: benchSheet()})
+		s, err := cubesolver.NewSolver(cubesolver.Config{Config: benchConfig(), CubeSize: 8, Threads: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,9 +141,7 @@ func BenchmarkSolverStep(b *testing.B) {
 		reportMLUPS(b)
 	})
 	b.Run("taskflow-4wrk-k8", func(b *testing.B) {
-		s, err := taskflow.NewSolver(taskflow.Config{NX: 32, NY: 32, NZ: 32,
-			CubeSize: 8, Workers: 4, Tau: 0.7,
-			BodyForce: [3]float64{2e-5, 0, 0}, Sheet: benchSheet()})
+		s, err := taskflow.NewSolver(taskflow.Config{Config: benchConfig(), CubeSize: 8, Workers: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -160,9 +159,7 @@ func BenchmarkSolverStep(b *testing.B) {
 // global synchronizations.
 func BenchmarkExtensionTaskflowVsBarriers(b *testing.B) {
 	b.Run("barriers", func(b *testing.B) {
-		s, err := cubesolver.NewSolver(cubesolver.Config{NX: 32, NY: 32, NZ: 32,
-			CubeSize: 8, Threads: 4, Tau: 0.7,
-			BodyForce: [3]float64{2e-5, 0, 0}, Sheet: benchSheet()})
+		s, err := cubesolver.NewSolver(cubesolver.Config{Config: benchConfig(), CubeSize: 8, Threads: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -173,9 +170,7 @@ func BenchmarkExtensionTaskflowVsBarriers(b *testing.B) {
 		}
 	})
 	b.Run("taskflow", func(b *testing.B) {
-		s, err := taskflow.NewSolver(taskflow.Config{NX: 32, NY: 32, NZ: 32,
-			CubeSize: 8, Workers: 4, Tau: 0.7,
-			BodyForce: [3]float64{2e-5, 0, 0}, Sheet: benchSheet()})
+		s, err := taskflow.NewSolver(taskflow.Config{Config: benchConfig(), CubeSize: 8, Workers: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,60 +182,13 @@ func BenchmarkExtensionTaskflowVsBarriers(b *testing.B) {
 }
 
 // BenchmarkAblationCubeSize sweeps the cube edge k on the real cube
-// solver (DESIGN.md ablation 1).
+// solver (DESIGN.md §9 ablation 1).
 func BenchmarkAblationCubeSize(b *testing.B) {
 	for _, k := range []int{4, 8, 16, 32} {
 		b.Run(benchName("k", k), func(b *testing.B) {
 			s, err := cubesolver.NewSolver(cubesolver.Config{
-				NX: 32, NY: 32, NZ: 32, CubeSize: k, Threads: 1, Tau: 0.7,
-				BodyForce: [3]float64{1e-5, 0, 0},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Step()
-			}
-		})
-	}
-}
-
-// BenchmarkAblationDistribution compares cube2thread policies on the real
-// solver (DESIGN.md ablation 2).
-func BenchmarkAblationDistribution(b *testing.B) {
-	for _, d := range []par.Dist{par.Block, par.Cyclic, par.BlockCyclic} {
-		b.Run(d.String(), func(b *testing.B) {
-			s, err := cubesolver.NewSolver(cubesolver.Config{
-				NX: 32, NY: 32, NZ: 32, CubeSize: 8, Threads: 4, Tau: 0.7,
-				BodyForce: [3]float64{1e-5, 0, 0}, Sheet: benchSheet(),
-				Dist: d, BlockSize: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Step()
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBarriers compares the minimal and per-kernel barrier
-// schedules (DESIGN.md ablation 3).
-func BenchmarkAblationBarriers(b *testing.B) {
-	for _, cfg := range []struct {
-		name  string
-		sched cubesolver.BarrierSchedule
-	}{{"minimal", cubesolver.BarrierMinimal}, {"per-kernel", cubesolver.BarrierPerKernel}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			s, err := cubesolver.NewSolver(cubesolver.Config{
-				NX: 32, NY: 32, NZ: 32, CubeSize: 8, Threads: 4, Tau: 0.7,
-				BodyForce: [3]float64{1e-5, 0, 0}, Sheet: benchSheet(),
-				Barriers: cfg.sched,
+				Config:   core.Config{NX: 32, NY: 32, NZ: 32, Tau: 0.7, BodyForce: [3]float64{1e-5, 0, 0}},
+				CubeSize: k, Threads: 1,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -255,7 +203,7 @@ func BenchmarkAblationBarriers(b *testing.B) {
 }
 
 // BenchmarkAblationCopyVsSwap times kernel 9 alone — what a pointer-swap
-// scheme would save per step (DESIGN.md ablation 4).
+// scheme would save per step (DESIGN.md §9 ablation 2).
 func BenchmarkAblationCopyVsSwap(b *testing.B) {
 	s := core.MustNewSolver(core.Config{NX: 32, NY: 32, NZ: 32, Tau: 0.7})
 	b.ResetTimer()
@@ -265,7 +213,7 @@ func BenchmarkAblationCopyVsSwap(b *testing.B) {
 }
 
 // BenchmarkAblationLayoutCache replays one step per layout through the
-// cache simulator (DESIGN.md ablation 5) and reports DRAM lines per node.
+// cache simulator (DESIGN.md §9 ablation 3) and reports DRAM lines per node.
 func BenchmarkAblationLayoutCache(b *testing.B) {
 	for _, cfg := range []struct {
 		name string

@@ -99,22 +99,7 @@ func main() {
 			} else {
 				b.WriteString(r.Render() + "\n")
 			}
-			if r, err := experiments.AblationDistribution(opt); err != nil {
-				return "", err
-			} else {
-				b.WriteString(r.Render() + "\n")
-			}
-			if r, err := experiments.AblationBarriers(opt); err != nil {
-				return "", err
-			} else {
-				b.WriteString(r.Render() + "\n")
-			}
 			if r, err := experiments.AblationCopyVsSwap(opt); err != nil {
-				return "", err
-			} else {
-				b.WriteString(r.Render() + "\n")
-			}
-			if r, err := experiments.AblationSchedule(opt); err != nil {
 				return "", err
 			} else {
 				b.WriteString(r.Render() + "\n")

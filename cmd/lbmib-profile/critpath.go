@@ -76,11 +76,7 @@ func runCritPath(o critPathOpts, nx, ny, nz, steps int, tau float64, sheet *fibe
 	var cleanup func()
 	switch o.solver {
 	case "cube":
-		s, err := cubesolver.NewSolver(cubesolver.Config{
-			NX: nx, NY: ny, NZ: nz, CubeSize: o.cube,
-			Threads: o.threads, Tau: tau,
-			BodyForce: [3]float64{2e-5, 0, 0}, Sheet: sheet,
-		})
+		s, err := cubesolver.NewSolver(cubesolver.Config{Config: base, CubeSize: o.cube, Threads: o.threads})
 		if err != nil {
 			log.Fatal(err)
 		}

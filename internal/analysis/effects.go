@@ -72,7 +72,7 @@ type Effect struct {
 	Slot   Slot
 	// Part names the data partition an ExtOwn access is aligned to
 	// ("cube", "xslab", "fiber"): own×own accesses conflict only across
-	// partitions or under a dynamic schedule.
+	// partitions (every schedule is static).
 	Part string
 	// Guards names the feature toggles that must be on (value true) or
 	// off for the access to execute; phasecheck drops effects whose
@@ -267,9 +267,6 @@ func (w *effectWalker) guardAtom(cond ast.Expr, info *types.Info) (guardVal, boo
 			}
 		}
 	case *ast.Ident:
-		if c.Name == "perKernel" {
-			return guardVal{"perKernel", true}, true
-		}
 		if c.Name == "reduce" {
 			// collideStreamLoop's reduce = fibers present.
 			return guardVal{"fibers", true}, true
@@ -358,13 +355,6 @@ func (w *effectWalker) stmt(s ast.Stmt, info *types.Info, ctx *effectCtx, out *[
 		c2 := ctx.clone()
 		if id, ok := st.Key.(*ast.Ident); ok && id.Name != "_" {
 			c2.coords[id.Name] = true
-		}
-		// Ranging over the per-thread accumulator set reads every
-		// thread's buffers: the owner-ordered reduction. The grid writes
-		// inside stay own-partition — only the accum read is all-threads.
-		if isAccumsRange(st.X, info) {
-			*out = append(*out, Effect{Field: "accum", Write: false, Extent: ExtAll,
-				Part: c2.part, Guards: c2.guards, Pos: st.Pos()})
 		}
 		w.expr(st.X, info, c2, false, out)
 		w.block(st.Body, info, c2, out)
@@ -668,7 +658,7 @@ func writeExpr(b *strings.Builder, e ast.Expr) {
 	}
 }
 
-func isAccumsRange(e ast.Expr, info *types.Info) bool {
-	sel, ok := e.(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "accums"
+func isNil(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "nil"
 }

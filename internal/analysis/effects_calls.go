@@ -27,7 +27,7 @@ func (w *effectWalker) relevantField(sel *ast.SelectorExpr, info *types.Info) st
 		case "X", "Vel", "BendForce", "StretchForce", "Force", "Fixed":
 			return "sheet." + sel.Sel.Name
 		}
-	case "spreadAccum", "planeAccum":
+	case "SpreadAccum":
 		return "accum"
 	case "Dist32":
 		if sel.Sel.Name == "buf" || sel.Sel.Name == "bufs" {
@@ -118,9 +118,9 @@ func (w *effectWalker) expr(e ast.Expr, info *types.Info, ctx *effectCtx, write 
 
 func (w *effectWalker) emit(out *[]Effect, ctx *effectCtx, field string, write bool, slot Slot, pos token.Pos) {
 	ext := ctx.ambient
-	// Accumulation-buffer accesses are per-thread private except inside
-	// the owner-ordered reduction's all-threads sweep (tracked by the
-	// range-over-accums marker, not by ambient).
+	// Accumulation-buffer accesses are per-thread private except the
+	// owner-ordered reduction's all-threads sweep, which the ReduceSpread
+	// intrinsic emits at ExtAll.
 	if field == "accum" && ext != ExtAll {
 		ext = ExtPrivate
 	}
@@ -198,6 +198,55 @@ func (w *effectWalker) call(call *ast.CallExpr, info *types.Info, ctx *effectCtx
 			w.inlineAddForce(call.Args[0], info, ctx, call.Pos(), out)
 		}
 		return
+	case "SpreadSheetNodes":
+		// Kernel 4's shared body: reads own fiber nodes' position and
+		// force, scatters through the accumulator passed at this call
+		// site (inside the body it is only an interface value).
+		w.emit(out, ctx, "sheet.X", false, SlotNone, call.Pos())
+		w.emit(out, ctx, "sheet.Force", false, SlotNone, call.Pos())
+		if len(call.Args) > 0 {
+			w.inlineAddForce(call.Args[0], info, ctx, call.Pos(), out)
+		}
+		return
+	case "ReduceSpread":
+		// The owner-ordered reduction: sweeps every thread's buffers for
+		// one block (the all-threads read) and folds them into the
+		// block's own nodes.
+		if len(call.Args) == 4 {
+			all := ctx.clone()
+			all.ambient = ExtAll
+			w.emit(out, all, "accum", false, SlotNone, call.Pos())
+			w.emit(out, ctx, "accum", false, SlotNone, call.Pos())
+			c2 := ctx.clone()
+			c2.ambient = w.nodeExprExtent(call.Args[1], ctx)
+			w.emit(out, c2, "node.Force", true, SlotNone, call.Pos())
+			return
+		}
+	case "Block":
+		// core.Streamer.Block(b, cur): kernel 6's push body. It reads the
+		// block's own nodes (density for the moving lid), writes bounced
+		// values back into them, and writes the neighbours' — possibly
+		// other blocks' — post-streaming buffer. Buffers are reached
+		// through Buf pointers, so each access counts as load and store,
+		// the same convention the Buf intrinsic uses.
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && len(call.Args) == 2 &&
+			namedTypeName(info.TypeOf(sel.X)) == "Streamer" {
+			cur := SlotCur
+			if s := w.slotOf(call.Args[1], ctx); s != SlotNone {
+				cur = s
+			}
+			own := ctx.clone()
+			own.ambient = maxExtent(ctx.ambient, ExtOwn)
+			nb := ctx.clone()
+			nb.ambient = ExtNeighbor
+			for _, write := range []bool{false, true} {
+				w.emit(out, own, "node.DF", write, cur, call.Pos())
+				w.emit(out, own, "node.DF", write, flip(cur), call.Pos())
+				w.emit(out, nb, "node.DF", write, flip(cur), call.Pos())
+			}
+			w.emit(out, own, "node.Rho", false, SlotNone, call.Pos())
+			return
+		}
 	case "AddForce":
 		g := ctx.clone()
 		g.ambient = ExtGather
@@ -211,7 +260,7 @@ func (w *effectWalker) call(call *ast.CallExpr, info *types.Info, ctx *effectCtx
 			w.expr(a, info, ctx, false, out)
 		}
 		return
-	case "CollideNodeBuf":
+	case "CollideRange":
 		ext := ctx.ambient
 		if len(call.Args) > 0 {
 			ext = w.nodeExprExtent(call.Args[0], ctx)
@@ -230,13 +279,13 @@ func (w *effectWalker) call(call *ast.CallExpr, info *types.Info, ctx *effectCtx
 		w.emit(out, c2, "node.Vel", false, SlotNone, call.Pos())
 		w.emit(out, c2, "node.Force", false, SlotNone, call.Pos())
 		return
-	case "UpdateVelocityNodeBuf":
+	case "UpdateRange":
 		ext := ctx.ambient
 		if len(call.Args) > 0 {
 			ext = w.nodeExprExtent(call.Args[0], ctx)
 		}
 		slot := SlotNext
-		if len(call.Args) == 2 {
+		if len(call.Args) == 3 {
 			if s := w.slotOf(call.Args[1], ctx); s != SlotNone {
 				slot = s
 			}
@@ -247,6 +296,10 @@ func (w *effectWalker) call(call *ast.CallExpr, info *types.Info, ctx *effectCtx
 		w.emit(out, c2, "node.Force", false, SlotNone, call.Pos())
 		w.emit(out, c2, "node.Rho", true, SlotNone, call.Pos())
 		w.emit(out, c2, "node.Vel", true, SlotNone, call.Pos())
+		if len(call.Args) == 3 && !isNil(call.Args[2]) {
+			// The folded force reset.
+			w.emit(out, c2, "node.Force", true, SlotNone, call.Pos())
+		}
 		return
 	case "MoveSheetNodes":
 		// Kernel 8: gathers fluid velocity, writes own fiber nodes.
@@ -288,14 +341,17 @@ func (w *effectWalker) call(call *ast.CallExpr, info *types.Info, ctx *effectCtx
 				return
 			}
 		}
-	case "forOwnedCubes", "forOwnedCubesTimed":
-		// Algorithm 4's owned-cube visitor: the closure's cube index is
-		// an own-partition coordinate.
-		if n := len(call.Args); n >= 2 {
+	case "forOwnedCubes", "forOwnedCubesTimed", "forSlabs":
+		// Algorithm 4's owned-cube visitor and the slab engine's x-slab
+		// region: the closure's parameters are own-partition coordinates.
+		if n := len(call.Args); n >= 1 {
 			if fl, ok := call.Args[n-1].(*ast.FuncLit); ok {
 				c2 := ctx.clone()
 				c2.ambient = maxExtent(c2.ambient, ExtOwn)
 				c2.part = "cube"
+				if name == "forSlabs" {
+					c2.ambient, c2.part = ExtOwn, "xslab"
+				}
 				for _, f := range fl.Type.Params.List {
 					for _, p := range f.Names {
 						c2.coords[p.Name] = true
@@ -305,11 +361,17 @@ func (w *effectWalker) call(call *ast.CallExpr, info *types.Info, ctx *effectCtx
 				return
 			}
 		}
-	case "forEachFiber":
-		if n := len(call.Args); n >= 3 {
+	case "ForFibers", "forOwnedFibers", "forFibers":
+		// Fiber visitors: the closure sees own (sheet, node-range)
+		// pieces and is empty without a structure. forFibers is the slab
+		// engine's parallel region over them.
+		if n := len(call.Args); n >= 1 {
 			if fl, ok := call.Args[n-1].(*ast.FuncLit); ok {
 				c2 := ctx.clone()
 				c2.part = "fiber"
+				if name == "forFibers" {
+					c2.ambient = ExtOwn
+				}
 				c2.guards["fibers"] = true
 				for _, f := range fl.Type.Params.List {
 					for _, p := range f.Names {
@@ -367,6 +429,16 @@ func (w *effectWalker) inlineAddForce(accArg ast.Expr, info *types.Info, ctx *ef
 	g.ambient = ExtGather
 	g.depth++
 	t := info.TypeOf(accArg)
+	if namedTypeName(t) == "SpreadAccum" {
+		// core.SpreadAccum.AddForce stores through a pointer chosen
+		// between the worker's private buffer and — for blocks the worker
+		// owns — the grid itself; the walker cannot follow the pointer, so
+		// both destinations are stated here.
+		w.emit(out, g, "accum", false, SlotNone, pos)
+		w.emit(out, g, "accum", true, SlotNone, pos)
+		w.emit(out, g, "node.Force", true, SlotNone, pos)
+		return
+	}
 	if t != nil {
 		if fn := w.methodOn(t, "AddForce"); fn != nil {
 			*out = append(*out, w.funcEffects(fn, g)...)

@@ -171,10 +171,6 @@ func (l *linearizer) condPred(e ast.Expr, depth int) (sitePred, string) {
 		case strings.Contains(s, "Size() > 1") || strings.Contains(s, "Threads > 1"):
 			return func(sc scenario) bool { return sc.guard("multi") }, "multi"
 		}
-	case *ast.Ident:
-		if v.Name == "perKernel" {
-			return func(sc scenario) bool { return sc.guard("perKernel") }, "perKernel"
-		}
 	case *ast.CallExpr:
 		// Inline a module helper with a single return statement.
 		if fn := l.w.resolveCallee(v, l.pkg.Info); fn != nil && depth < 4 && fn.Body != nil && len(fn.Body.List) == 1 {
@@ -215,8 +211,8 @@ func newStepCtx(ambient Extent, part string) *effectCtx {
 }
 
 // siteCond combines the guard context a barrier site was reached under
-// (a site inside the perKernel arm of a spliced helper only exists on
-// the per-kernel schedule) with the site's own activation predicate.
+// (a site inside a guarded arm of a spliced helper only exists when the
+// guard holds) with the site's own activation predicate.
 func siteCond(ctx *effectCtx, extra sitePred, extraStr string) (sitePred, string) {
 	if len(ctx.guards) == 0 {
 		return extra, extraStr
@@ -301,8 +297,8 @@ func (l *linearizer) linearizeBody(b *segBuilder, stmts []ast.Stmt, info *astInf
 				}
 				b.add(l.callEffects(call, info, ctx))
 			default:
-				// A helper whose body contains a barrier (collideStreamLoop)
-				// is spliced inline; everything else is effect-walked.
+				// A helper whose body contains a barrier is spliced inline;
+				// everything else is effect-walked.
 				if fn := l.w.resolveCallee(call, info.info); fn != nil && containsBarrier(fn) {
 					ctx2 := l.bindCallCtx(fn, call, info, ctx)
 					l.linearizeBody(b, fn.Body.List, info, ctx2)
@@ -319,8 +315,7 @@ func (l *linearizer) linearizeBody(b *segBuilder, stmts []ast.Stmt, info *astInf
 				continue
 			}
 			// Guarded region that itself contains barriers: splice both
-			// arms under their guards (the perKernel branch of
-			// collideStreamLoop).
+			// arms under their guards.
 			if bodyContainsBarrier(s.Body) {
 				if g, ok := l.w.guardAtom(s.Cond, info.info); ok {
 					l.linearizeBody(b, s.Body.List, info, ctx.withGuard(g.name, g.val))
@@ -390,10 +385,6 @@ func (l *linearizer) bindCallCtx(fn *ast.FuncDecl, call *ast.CallExpr, info *ast
 					}
 					if l.w.isCoordExpr(call.Args[i], ctx) || isIntLiteral(call.Args[i]) {
 						c2.coords[pname.Name] = true
-					}
-					if id, ok := call.Args[i].(*ast.Ident); ok && id.Name == "perKernel" {
-						// propagate the schedule toggle by name
-						c2.coords[pname.Name] = c2.coords[pname.Name]
 					}
 				}
 				i++

@@ -124,9 +124,10 @@ func crossThread(a, b winEffect, sc scenario) bool {
 	if a.Extent == ExtThread0 || b.Extent == ExtThread0 {
 		return true
 	}
-	// Own×own: aligned partitions under a static schedule stay disjoint.
+	// Own×own: aligned partitions under a static schedule — the only
+	// kind the engines have — stay disjoint.
 	if a.Extent == ExtOwn && b.Extent == ExtOwn {
-		return a.Part != b.Part || sc.guards["dynamic"]
+		return a.Part != b.Part
 	}
 	// Any wider extent (neighbor/gather/all) reaches other threads' data.
 	return true
@@ -296,43 +297,27 @@ func boolSuffix(b bool, yes, no string) string {
 func cubeScenarios() []scenario {
 	var out []scenario
 	for _, fibers := range []bool{false, true} {
-		for _, perKernel := range []bool{false, true} {
-			out = append(out, scenario{
-				name: boolSuffix(fibers, "fibers", "fluid") + "+swap+" +
-					boolSuffix(perKernel, "perKernel", "minimal"),
-				guards: map[string]bool{
-					"fibers": fibers, "perKernel": perKernel,
-					"multi": true, "dynamic": false, "float32": false,
-				},
-			})
-		}
+		out = append(out, scenario{
+			name:   boolSuffix(fibers, "fibers", "fluid") + "+swap+minimal",
+			guards: map[string]bool{"fibers": fibers, "multi": true, "float32": false},
+		})
 	}
 	return out
 }
 
 func ompScenarios() []scenario {
-	var out []scenario
-	for _, dynamic := range []bool{false, true} {
-		out = append(out, scenario{
-			name: boolSuffix(dynamic, "dynamic", "static") + "+swap",
-			guards: map[string]bool{
-				"fibers": true, "dynamic": dynamic,
-				"multi": true, "perKernel": false, "float32": false,
-			},
-		})
-	}
-	return out
+	return []scenario{{
+		name:   "static+swap",
+		guards: map[string]bool{"fibers": true, "multi": true, "float32": false},
+	}}
 }
 
 func fusedScenarios() []scenario {
 	var out []scenario
 	for _, fibers := range []bool{false, true} {
 		out = append(out, scenario{
-			name: boolSuffix(fibers, "fsi", "fluid") + "+swap+static",
-			guards: map[string]bool{
-				"fibers": fibers, "dynamic": false,
-				"multi": true, "perKernel": false, "float32": false,
-			},
+			name:   boolSuffix(fibers, "fsi", "fluid") + "+swap+static",
+			guards: map[string]bool{"fibers": fibers, "multi": true, "float32": false},
 		})
 	}
 	return out

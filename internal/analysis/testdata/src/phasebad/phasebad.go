@@ -2,8 +2,8 @@
 // with a conditionally folded barrier spanned by a cross-thread
 // write→read conflict. The first kernel writes neighbor velocities, the
 // second reads its own — so the mid-step barrier separates a neighbor
-// write from its readers and folding it (the !perKernel default) breaks
-// the bitwise contract. The analyzer must flag the fold guard.
+// write from its readers and folding it (as the fluid-only guard does)
+// breaks the bitwise contract. The analyzer must flag the fold guard.
 package phasebad
 
 import "lbmib/internal/grid"
@@ -16,20 +16,22 @@ const (
 )
 
 type mini struct {
-	Fluid *grid.Grid
-	// PerKernel keeps the mid-step barrier; the zero value folds it.
-	PerKernel bool
+	Fluid  *grid.Grid
+	fibers int
 }
+
+// TotalFibers is the structure's fiber count; the guarded barriers below
+// are kept only when it is positive and folded in fluid-only runs.
+func (m *mini) TotalFibers() int { return m.fibers }
 
 func (m *mini) waitBarrier(site, tid int) {}
 
 func (m *mini) timeStep(tid, lo, hi int) {
 	g := m.Fluid
-	perKernel := m.PerKernel
 	for i := lo; i < hi; i++ {
 		g.Nodes[i+1].Vel[0] += g.Nodes[i].Rho
 	}
-	if perKernel {
+	if m.TotalFibers() > 0 {
 		m.waitBarrier(SiteMid, tid) //want:phasecheck
 	}
 	for i := lo; i < hi; i++ {
@@ -37,7 +39,7 @@ func (m *mini) timeStep(tid, lo, hi int) {
 	}
 	// This folded barrier is safe — both sides touch only thread-own
 	// nodes — so the analyzer must stay silent about it: no marker.
-	if perKernel {
+	if m.TotalFibers() > 0 {
 		m.waitBarrier(SiteOwn, tid)
 	}
 	for i := lo; i < hi; i++ {

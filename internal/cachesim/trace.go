@@ -100,10 +100,7 @@ func (w *Workload) blocks() [][]block {
 		return out
 	}
 	k := w.CubeSize
-	cm := par.CubeMap{
-		CX: w.NX / k, CY: w.NY / k, CZ: w.NZ / k,
-		Mesh: par.NewMesh(w.Threads), Dist: par.Block,
-	}
+	cm := par.CubeMap{CX: w.NX / k, CY: w.NY / k, CZ: w.NZ / k, Mesh: par.NewMesh(w.Threads)}
 	for cx := 0; cx < cm.CX; cx++ {
 		for cy := 0; cy < cm.CY; cy++ {
 			for cz := 0; cz < cm.CZ; cz++ {
@@ -235,7 +232,7 @@ func (w *Workload) replayFiberCoupling(h *Hierarchy, spread bool) {
 	fb := w.fiberBase()
 	const fiberRec = 6 * 8 // position + force/velocity vectors
 	for f := 0; f < w.FiberRows; f++ {
-		core := par.FiberToThread(f, w.FiberRows, w.Threads, par.Block)
+		core := par.FiberToThread(f, w.FiberRows, w.Threads)
 		for c := 0; c < w.FiberCols; c++ {
 			i := f*w.FiberCols + c
 			rec := fb + uint64(i)*fiberRec

@@ -1,13 +1,20 @@
-// Package core implements the sequential LBM-IB solver of Section III of
-// the paper: Algorithm 1, executing the nine computational kernels per time
-// step over a slab-layout fluid grid and a fiber sheet.
+// Package core holds the LBM-IB kernels every engine executes and the
+// sequential solver of Section III of the paper.
 //
-// The kernel decomposition is kept exactly as published — including
-// kernel 9's explicit buffer copy, which a pointer swap would eliminate —
-// because the paper's Table I profiles these nine functions and the
-// parallel algorithms are organized around them. Each kernel is an exported
-// method so the profiling harness (internal/perfmon) can time it and the
-// parallel solvers can reuse the per-node bodies.
+// The loop bodies of the nine kernels exist once, here (bodies.go,
+// spread.go), written against the block-layout contract Layout that the
+// slab grid and the cube layout both satisfy. An engine — this package's
+// sequential Solver, internal/omp, internal/cubesolver,
+// internal/taskflow, internal/fused — is a schedule: it decides which
+// thread runs which body over which blocks and where the barriers stand,
+// and restates none of the arithmetic, which is what keeps the engines
+// bitwise comparable.
+//
+// The sequential Solver keeps the kernel decomposition exactly as
+// published — Algorithm 1, including kernel 9's explicit buffer copy,
+// which a pointer swap would eliminate — because the paper's Table I
+// profiles these nine functions. Each kernel is an exported method so
+// the profiling harness (internal/perfmon) can time it.
 package core
 
 import (
@@ -17,8 +24,6 @@ import (
 
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
-	"lbmib/internal/ibm"
-	"lbmib/internal/lattice"
 )
 
 // Kernel identifies one of the nine LBM-IB computational kernels, numbered
@@ -107,47 +112,53 @@ type Config struct {
 	Sheets      []*fiber.Sheet
 }
 
-// AllSheets returns Sheets with the convenience Sheet appended, the list
-// every solver iterates over.
-func (c Config) AllSheets() []*fiber.Sheet {
-	sheets := append([]*fiber.Sheet(nil), c.Sheets...)
-	if c.Sheet != nil {
-		sheets = append(sheets, c.Sheet)
-	}
-	return sheets
+// Problem is the engine-independent part of a configured problem: what
+// every engine holds besides its fluid container and its schedule.
+type Problem struct {
+	Sheets        []*fiber.Sheet // Config.Sheets with the convenience Sheet appended
+	Tau           float64
+	BodyForce     [3]float64
+	BCX, BCY, BCZ BC
+	LidVelocity   [3]float64
 }
 
-// Solver is the sequential reference LBM-IB solver (Algorithm 1).
-type Solver struct {
-	Fluid       *grid.Grid
-	Sheets      []*fiber.Sheet
-	Tau         float64
-	BodyForce   [3]float64
-	BCX         BC
-	BCY         BC
-	BCZ         BC
-	LidVelocity [3]float64
-
-	Observer Observer
-	step     int
-
-	// bc resolves boundary streaming; built from the Config so the body
-	// is shared with the cube-layout solvers.
-	bc StreamBC
-
-	// streamDelta[i] is the flat-index offset of the e_i neighbor for
-	// interior nodes, so streaming avoids coordinate arithmetic off the
-	// boundary.
-	streamDelta [lattice.Q]int
+// NewProblem resolves a Config into the state the kernels read. A zero
+// Tau defaults to 0.6; any other Tau that ValidateTau rejects is an
+// error.
+func NewProblem(cfg Config) (Problem, error) {
+	if cfg.Tau == 0 { //lint:allow floatcheck -- Tau==0 is the documented "unset" sentinel; real values are vetted by ValidateTau
+		cfg.Tau = 0.6
+	}
+	if err := ValidateTau(cfg.Tau); err != nil {
+		return Problem{}, err
+	}
+	sheets := append([]*fiber.Sheet(nil), cfg.Sheets...)
+	if cfg.Sheet != nil {
+		sheets = append(sheets, cfg.Sheet)
+	}
+	return Problem{
+		Sheets: sheets, Tau: cfg.Tau, BodyForce: cfg.BodyForce,
+		BCX: cfg.BCX, BCY: cfg.BCY, BCZ: cfg.BCZ, LidVelocity: cfg.LidVelocity,
+	}, nil
 }
 
 // Sheet returns the first immersed sheet (nil without a structure); a
 // convenience for the common single-sheet setup.
-func (s *Solver) Sheet() *fiber.Sheet {
-	if len(s.Sheets) == 0 {
+func (p *Problem) Sheet() *fiber.Sheet {
+	if len(p.Sheets) == 0 {
 		return nil
 	}
-	return s.Sheets[0]
+	return p.Sheets[0]
+}
+
+// StreamBC returns the problem's boundary conditions bound to an
+// nx×ny×nz domain.
+func (p *Problem) StreamBC(nx, ny, nz int) StreamBC {
+	return StreamBC{
+		NX: nx, NY: ny, NZ: nz,
+		BCX: p.BCX, BCY: p.BCY, BCZ: p.BCZ,
+		LidVelocity: p.LidVelocity,
+	}
 }
 
 // ValidateTau checks that a BGK relaxation time is stable: τ must be a
@@ -155,7 +166,7 @@ func (s *Solver) Sheet() *fiber.Sheet {
 // non-positive (or undefined) and the collision amplifies perturbations
 // into NaNs. NaN and ±Inf are rejected explicitly — NaN compares false
 // against every threshold, and an infinite τ makes the collision operator
-// a silent no-op. All solver constructors share it.
+// a silent no-op. NewProblem applies it for every engine.
 func ValidateTau(tau float64) error {
 	if math.IsNaN(tau) || math.IsInf(tau, 0) || tau <= 0.5 {
 		return fmt.Errorf("tau %g must be a finite value exceeding 0.5 (viscosity must be positive)", tau)
@@ -163,33 +174,29 @@ func ValidateTau(tau float64) error {
 	return nil
 }
 
+// Solver is the sequential reference LBM-IB solver (Algorithm 1): the
+// shared loop bodies run over the whole slab grid on the calling
+// goroutine, one kernel after another.
+type Solver struct {
+	Problem
+	Fluid *grid.Grid
+
+	Observer Observer
+	step     int
+	stream   *Streamer
+}
+
 // NewSolver builds a solver with the fluid at rest. An empty structure is
 // allowed and yields a pure-LBM simulation (useful for fluid-only
 // validation such as Poiseuille flow). A zero Tau defaults to 0.6; any
 // other Tau at or below 0.5 is rejected as NaN-unstable.
 func NewSolver(cfg Config) (*Solver, error) {
-	if cfg.Tau == 0 { //lint:allow floatcheck -- Tau==0 is the documented "unset" sentinel; real values are vetted by ValidateTau
-		cfg.Tau = 0.6
-	}
-	if err := ValidateTau(cfg.Tau); err != nil {
+	p, err := NewProblem(cfg)
+	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	s := &Solver{
-		Fluid:       grid.New(cfg.NX, cfg.NY, cfg.NZ),
-		Sheets:      cfg.AllSheets(),
-		Tau:         cfg.Tau,
-		BodyForce:   cfg.BodyForce,
-		BCX:         cfg.BCX,
-		BCY:         cfg.BCY,
-		BCZ:         cfg.BCZ,
-		LidVelocity: cfg.LidVelocity,
-		bc: StreamBC{
-			NX: cfg.NX, NY: cfg.NY, NZ: cfg.NZ,
-			BCX: cfg.BCX, BCY: cfg.BCY, BCZ: cfg.BCZ,
-			LidVelocity: cfg.LidVelocity,
-		},
-	}
-	s.streamDelta = s.Fluid.StreamDeltas()
+	s := &Solver{Problem: p, Fluid: grid.New(cfg.NX, cfg.NY, cfg.NZ)}
+	s.stream = NewStreamer(s.Fluid, p.StreamBC(cfg.NX, cfg.NY, cfg.NZ))
 	return s, nil
 }
 
@@ -207,7 +214,7 @@ func MustNewSolver(cfg Config) *Solver {
 func (s *Solver) StepCount() int { return s.step }
 
 // AdvanceStep increments the step counter without running kernels. The
-// parallel solvers embed *Solver as their state container, drive the
+// slab-parallel solvers embed *Solver as their state container, drive the
 // kernels themselves, and use this to keep the counter consistent.
 func (s *Solver) AdvanceStep() { s.step++ }
 
@@ -267,163 +274,37 @@ func (s *Solver) ComputeElasticForce() {
 // body force and spreads every fiber node's elastic force onto the fluid
 // nodes of its 4×4×4 influential domain through the smoothed Dirac delta.
 func (s *Solver) SpreadForce() {
-	for i := range s.Fluid.Nodes {
-		s.Fluid.Nodes[i].Force = s.BodyForce
-	}
+	SeedForce(s.Fluid.Nodes, s.BodyForce)
 	for _, sh := range s.Sheets {
-		area := sh.AreaElement()
-		for i := 0; i < sh.NumNodes(); i++ {
-			ibm.Spread(s.Fluid, sh.X[i], sh.Force[i], area)
-		}
-	}
-}
-
-// CollideNode applies the BGK collision with Guo forcing to a single node
-// in place, on the node's DF field (the present buffer of an unswapped
-// container); shared by every solver implementation.
-func CollideNode(n *grid.Node, tau float64) { CollideNodeBuf(n, tau, 0) }
-
-// CollideNodeBuf is CollideNode on distribution buffer cur — the variant
-// the swap-based engines use, where the present buffer alternates between
-// the node's two fields (see grid.Node.Buf).
-func CollideNodeBuf(n *grid.Node, tau float64, cur int) {
-	var geq, F [lattice.Q]float64
-	lattice.Equilibrium(n.Rho, n.Vel, &geq)
-	lattice.GuoForce(tau, n.Vel, n.Force, &F)
-	inv := 1 / tau
-	df := n.Buf(cur)
-	for i := 0; i < lattice.Q; i++ {
-		df[i] -= inv*(df[i]-geq[i]) - F[i]
+		SpreadSheetNodes(s.Fluid, sh, 0, sh.NumNodes())
 	}
 }
 
 // ComputeCollision is kernel 5: the D3Q19 BGK collision with the elastic
 // body force applied at every fluid node, in the 19 directions of the model.
 func (s *Solver) ComputeCollision() {
-	cur := s.Fluid.Cur()
-	for i := range s.Fluid.Nodes {
-		CollideNodeBuf(&s.Fluid.Nodes[i], s.Tau, cur)
-	}
+	CollideRange(s.Fluid.Nodes, s.Tau, s.Fluid.Cur())
 }
 
 // StreamDistribution is kernel 6: it pushes each node's post-collision
-// distribution to its 18 immediate neighbors' DFNew buffers, applying
-// periodic wrap or halfway bounce-back per axis.
+// distribution to its 18 immediate neighbors' post-streaming buffers,
+// applying periodic wrap or halfway bounce-back per axis.
 func (s *Solver) StreamDistribution() {
-	g := s.Fluid
-	for x := 0; x < g.NX; x++ {
-		for y := 0; y < g.NY; y++ {
-			for z := 0; z < g.NZ; z++ {
-				s.StreamNode(x, y, z)
-			}
-		}
+	cur := s.Fluid.Cur()
+	for x := 0; x < s.Fluid.NX; x++ {
+		s.StreamPlane(x, cur)
 	}
 }
 
-// StreamBC resolves the boundary streaming of one (node, direction) pair:
-// the periodic wrap, the halfway bounce-back walls, and the moving-lid
-// momentum-exchange term (Ladd). The sequential, OpenMP-style, cube and
-// task-scheduled solvers all stream boundary nodes through the same
-// Resolve body, so the engines cannot drift apart. Lattice velocities
-// have components in {−1, 0, 1}, so wrapping needs only a
-// compare-and-add, not a modulo.
-type StreamBC struct {
-	NX, NY, NZ    int
-	BCX, BCY, BCZ BC
-	LidVelocity   [3]float64
-}
-
-// Resolve classifies the streaming of direction q from node (x, y, z)
-// whose distribution value is gi and density rho. If the move crosses a
-// bounce-back wall it returns bounce = true with the reflected value
-// refl, which the caller must store into the source node's post-streaming
-// buffer at lattice.Opposite[q]; otherwise it returns the (periodically
-// wrapped) target coordinates into whose post-streaming buffer the caller
-// stores gi at q.
-func (bc *StreamBC) Resolve(q, x, y, z int, gi, rho float64) (tx, ty, tz int, refl float64, bounce bool) {
-	tx = x + lattice.E[q][0]
-	ty = y + lattice.E[q][1]
-	tz = z + lattice.E[q][2]
-	if (bc.BCX == BounceBack && (tx < 0 || tx >= bc.NX)) ||
-		(bc.BCY == BounceBack && (ty < 0 || ty >= bc.NY)) ||
-		(bc.BCZ == BounceBack && (tz < 0 || tz >= bc.NZ)) {
-		// Halfway bounce-back: the particle returns to its node with
-		// reversed velocity. The z-max wall may move (Ladd's
-		// momentum-exchange term).
-		refl = gi
-		if bc.BCZ == BounceBack && tz >= bc.NZ && bc.LidVelocity != ([3]float64{}) {
-			eu := float64(lattice.E[q][0])*bc.LidVelocity[0] +
-				float64(lattice.E[q][1])*bc.LidVelocity[1] +
-				float64(lattice.E[q][2])*bc.LidVelocity[2]
-			refl -= 6 * lattice.W[q] * rho * eu
-		}
-		return 0, 0, 0, refl, true
-	}
-	if tx < 0 {
-		tx += bc.NX
-	} else if tx >= bc.NX {
-		tx -= bc.NX
-	}
-	if ty < 0 {
-		ty += bc.NY
-	} else if ty >= bc.NY {
-		ty -= bc.NY
-	}
-	if tz < 0 {
-		tz += bc.NZ
-	} else if tz >= bc.NZ {
-		tz -= bc.NZ
-	}
-	return tx, ty, tz, 0, false
-}
-
-// StreamNode streams the distribution of a single node; shared by the
-// parallel solvers. It reads the grid's present buffer and writes the
-// post-streaming one, whichever fields those currently are.
-func (s *Solver) StreamNode(x, y, z int) {
-	g := s.Fluid
-	cur := g.Cur()
-	next := 1 - cur
-	idx := g.Idx(x, y, z)
-	src := &g.Nodes[idx]
-	srcBuf := src.Buf(cur)
-	if x > 0 && x < g.NX-1 && y > 0 && y < g.NY-1 && z > 0 && z < g.NZ-1 {
-		// Interior fast path: every neighbor exists at a fixed index
-		// offset regardless of boundary conditions.
-		for i := 0; i < lattice.Q; i++ {
-			g.Nodes[idx+s.streamDelta[i]].Buf(next)[i] = srcBuf[i]
-		}
-		return
-	}
-	for i := 0; i < lattice.Q; i++ {
-		tx, ty, tz, refl, bounce := s.bc.Resolve(i, x, y, z, srcBuf[i], src.Rho)
-		if bounce {
-			src.Buf(next)[lattice.Opposite[i]] = refl
-			continue
-		}
-		g.Nodes[g.Idx(tx, ty, tz)].Buf(next)[i] = srcBuf[i]
-	}
-}
+// StreamPlane is kernel 6 over x-plane x, reading buffer cur; the unit
+// the slab-parallel schedules distribute.
+func (s *Solver) StreamPlane(x, cur int) { s.stream.Block(x, cur) }
 
 // UpdateVelocity is kernel 7: it recomputes each fluid node's density and
 // velocity from the post-streaming distribution and the elastic force
 // (half-force Guo correction).
 func (s *Solver) UpdateVelocity() {
-	next := 1 - s.Fluid.Cur()
-	for i := range s.Fluid.Nodes {
-		UpdateVelocityNodeBuf(&s.Fluid.Nodes[i], next)
-	}
-}
-
-// UpdateVelocityNode updates the macroscopic state of one node from its
-// DFNew field (the post-streaming buffer of an unswapped container);
-// shared by the parallel solvers.
-func UpdateVelocityNode(n *grid.Node) { UpdateVelocityNodeBuf(n, 1) }
-
-// UpdateVelocityNodeBuf is UpdateVelocityNode reading post-streaming
-// buffer next — the variant the swap-based engines use.
-func UpdateVelocityNodeBuf(n *grid.Node, next int) {
-	n.Rho = lattice.Moments(n.Buf(next), n.Force, &n.Vel)
+	UpdateRange(s.Fluid.Nodes, 1-s.Fluid.Cur(), nil)
 }
 
 // MoveFibers is kernel 8: each fiber node's velocity is interpolated from
@@ -436,32 +317,12 @@ func (s *Solver) MoveFibers() {
 	}
 }
 
-// MoveSheetNodes advects fiber nodes [lo, hi) of one sheet with the
-// interpolated fluid velocity; shared by every solver implementation.
-func MoveSheetNodes(v ibm.VelocitySampler, sh *fiber.Sheet, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if sh.Fixed[i] {
-			sh.Vel[i] = fiber.Vec3{}
-			continue
-		}
-		u := ibm.Interpolate(v, sh.X[i])
-		sh.Vel[i] = u
-		sh.X[i][0] += u[0]
-		sh.X[i][1] += u[1]
-		sh.X[i][2] += u[2]
-	}
-}
-
 // CopyDistribution is kernel 9: it copies the new velocity distribution
-// buffer into the present buffer so DFNew can be reused next step. The
-// sequential reference keeps this copy exactly as the paper publishes it
-// (Table I prices it at ~6% of a step); the parallel engines retire it
-// with an O(1) buffer swap instead (see internal/cubesolver and
-// internal/omp).
+// buffer into the present buffer so the post-streaming buffer can be
+// reused next step. The sequential reference keeps this copy exactly as
+// the paper publishes it (Table I prices it at ~6% of a step); the
+// parallel engines retire it with an O(1) buffer swap instead (see
+// internal/cubesolver and internal/omp).
 func (s *Solver) CopyDistribution() {
-	cur := s.Fluid.Cur()
-	for i := range s.Fluid.Nodes {
-		n := &s.Fluid.Nodes[i]
-		*n.Buf(cur) = *n.Buf(1 - cur)
-	}
+	CopyRange(s.Fluid.Nodes, s.Fluid.Cur(), nil)
 }

@@ -1,0 +1,123 @@
+package core
+
+import "lbmib/internal/grid"
+
+// SpreadAccum is one worker's private force-accumulation store for
+// lock-free parallel spreading (DESIGN.md §13), keyed by layout block.
+// It is sparse: a block's buffer is allocated the first time the worker
+// spreads into that block and kept for the solver's lifetime, so a
+// localized structure costs a few blocks per worker rather than a
+// full-grid force copy each.
+//
+// stamp[b] records which spread generation blocks[b]'s contents belong
+// to. Generations are never reused and ReduceSpread zeroes every block it
+// consumes, so any block whose stamp is not the current generation is
+// known all-zero — which is what lets accumulation skip per-step zeroing
+// entirely.
+//
+// A worker implements ibm.ForceAccumulator with it: contributions to
+// blocks the worker owns go straight to the grid — the owner is the only
+// writer of its blocks' forces until the reduction — and all others land
+// in the private buffers. Both destinations are filled in the worker's
+// fixed fiber order, which is half of the determinism guarantee
+// (ReduceSpread's sweep order is the other half).
+type SpreadAccum struct {
+	nodes []grid.Node
+	// blk and off split the layout's separable index per axis into block
+	// and in-block parts: node (x, y, z) is slot off[0][x]+off[1][y]+off[2][z]
+	// of block blk[0][x]+blk[1][y]+blk[2][z]. (The in-block parts are the
+	// node's z-fastest position inside its box, so they sum below
+	// blockLen.) Tabulated so AddForce, which runs 64 times per fiber
+	// node, neither divides nor calls through the Layout interface.
+	blk, off axisIndex
+	blockLen int
+	owner    []int // owner[b] is block b's owning worker; nil when no block is worker-owned
+	tid      int
+	blocks   [][][3]float64
+	stamp    []int
+	gen      int
+}
+
+// NewSpreadAccums builds one accumulator per worker over l's blocks.
+// owner maps each block to the worker that
+// alone writes it during spreading (the cube engine's cube2thread); nil
+// means spreading workers own no fluid (the loop-parallel engine assigns
+// fibers, not planes, to its spreading threads), so every contribution is
+// buffered.
+func NewSpreadAccums(l Layout, workers int, owner []int) []*SpreadAccum {
+	_, e := l.BlockBox(0)
+	blockLen := e[0] * e[1] * e[2]
+	nodes, blk, off := l.Storage(), newAxisIndex(l), newAxisIndex(l)
+	for a := range blk {
+		for c, idx := range blk[a] {
+			blk[a][c], off[a][c] = idx/blockLen, idx%blockLen
+		}
+	}
+	numBlocks := len(nodes) / blockLen
+	accums := make([]*SpreadAccum, workers)
+	for tid := range accums {
+		accums[tid] = &SpreadAccum{
+			nodes: nodes, blk: blk, off: off, blockLen: blockLen, owner: owner, tid: tid,
+			blocks: make([][][3]float64, numBlocks),
+			stamp:  make([]int, numBlocks),
+		}
+	}
+	return accums
+}
+
+// Begin opens spread generation gen: contributions until the next Begin
+// are stamped with it. The worker calls it before spreading.
+func (a *SpreadAccum) Begin(gen int) { a.gen = gen }
+
+// block returns block b's buffer stamped for the current generation,
+// allocating it on first touch. A re-stamped buffer needs no zeroing
+// (see the invariant above).
+func (a *SpreadAccum) block(b int) [][3]float64 {
+	if a.stamp[b] != a.gen {
+		if a.blocks[b] == nil {
+			a.blocks[b] = make([][3]float64, a.blockLen)
+		}
+		a.stamp[b] = a.gen
+	}
+	return a.blocks[b]
+}
+
+// AddForce implements ibm.ForceAccumulator; coordinates may be
+// unwrapped, exactly as ibm.Spread produces them.
+func (a *SpreadAccum) AddForce(x, y, z int, f [3]float64) {
+	x = grid.WrapIndex(x, len(a.blk[0]))
+	y = grid.WrapIndex(y, len(a.blk[1]))
+	z = grid.WrapIndex(z, len(a.blk[2]))
+	b := a.blk[0][x] + a.blk[1][y] + a.blk[2][z]
+	i := a.off[0][x] + a.off[1][y] + a.off[2][z]
+	p := &a.nodes[b*a.blockLen+i].Force
+	if a.owner == nil || a.owner[b] != a.tid {
+		p = &a.block(b)[i]
+	}
+	p[0] += f[0]
+	p[1] += f[1]
+	p[2] += f[2]
+}
+
+// ReduceSpread folds every worker's generation-gen contributions for
+// block b into nodes, the block's node slice, and zeroes the consumed
+// buffers. The sweep visits workers in ascending index, so at a fixed
+// worker count the floating-point accumulation order — owner-direct
+// writes in fiber order, then worker 0's buffer, then worker 1's, … —
+// is identical from run to run. The caller must be the only thread
+// touching block b, after a barrier that orders every worker's
+// accumulation before it.
+func ReduceSpread(accums []*SpreadAccum, nodes []grid.Node, b, gen int) {
+	for _, a := range accums {
+		if a.stamp[b] != gen {
+			continue
+		}
+		buf := a.blocks[b]
+		for i := range nodes {
+			nodes[i].Force[0] += buf[i][0]
+			nodes[i].Force[1] += buf[i][1]
+			nodes[i].Force[2] += buf[i][2]
+			buf[i] = [3]float64{}
+		}
+	}
+}

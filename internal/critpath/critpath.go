@@ -255,12 +255,10 @@ func precedingPhase(site cubesolver.BarrierSite) cubesolver.Phase {
 	switch site {
 	case cubesolver.SiteAfterSpread:
 		return cubesolver.PhaseFibersForce
-	case cubesolver.SiteAfterCollide, cubesolver.SiteAfterStream:
+	case cubesolver.SiteAfterStream:
 		return cubesolver.PhaseCollideStream
 	case cubesolver.SiteAfterVelocity:
 		return cubesolver.PhaseUpdateVelocity
-	case cubesolver.SiteAfterMove:
-		return cubesolver.PhaseMoveFibers
 	default:
 		return cubesolver.PhaseCopy
 	}

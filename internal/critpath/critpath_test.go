@@ -207,9 +207,8 @@ func TestStragglerEndToEnd(t *testing.T) {
 	)
 	p := New(Config{Engine: "cube", Threads: threads})
 	s, err := cubesolver.NewSolver(cubesolver.Config{
-		NX: 16, NY: 8, NZ: 8, CubeSize: 4,
-		Threads: threads, Tau: 0.8,
-		BodyForce: [3]float64{1e-6, 0, 0},
+		Config:   core.Config{NX: 16, NY: 8, NZ: 8, Tau: 0.8, BodyForce: [3]float64{1e-6, 0, 0}},
+		CubeSize: 4, Threads: threads,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,8 @@ import (
 
 // Layout is the cube-tiled fluid grid. Nodes are stored cube-major: cube
 // (cx, cy, cz) occupies the K³ nodes starting at CubeIndex(cx,cy,cz)*K³,
-// ordered z-fastest within the cube.
+// ordered z-fastest within the cube. In the block-layout contract the
+// solvers share (core.Layout) its blocks are the cubes.
 type Layout struct {
 	K          int // cube edge length (nodes)
 	NX, NY, NZ int // fluid grid dimensions
@@ -79,6 +80,20 @@ func (l *Layout) NumCubes() int { return l.CX * l.CY * l.CZ }
 // NumNodes returns the number of fluid nodes.
 func (l *Layout) NumNodes() int { return len(l.Nodes) }
 
+// Dims returns the fluid grid dimensions.
+func (l *Layout) Dims() (nx, ny, nz int) { return l.NX, l.NY, l.NZ }
+
+// Storage returns every node in layout order: block c (cube c) occupies
+// Storage()[c·K³ : (c+1)·K³].
+func (l *Layout) Storage() []grid.Node { return l.Nodes }
+
+// BlockBox returns the fluid coordinates of cube c's first node and the
+// cube's extent.
+func (l *Layout) BlockBox(c int) (origin, extent [3]int) {
+	cx, cy, cz := l.CubeCoord(c)
+	return [3]int{cx * l.K, cy * l.K, cz * l.K}, [3]int{l.K, l.K, l.K}
+}
+
 // CubeIndex returns the linear index of cube (cx, cy, cz).
 func (l *Layout) CubeIndex(cx, cy, cz int) int { return (cx*l.CY+cy)*l.CZ + cz }
 
@@ -116,15 +131,7 @@ func (l *Layout) CubeNodes(c int) []grid.Node {
 
 // Wrap maps possibly out-of-range coordinates onto the periodic domain.
 func (l *Layout) Wrap(x, y, z int) (int, int, int) {
-	return wrap(x, l.NX), wrap(y, l.NY), wrap(z, l.NZ)
-}
-
-func wrap(i, n int) int {
-	i %= n
-	if i < 0 {
-		i += n
-	}
-	return i
+	return grid.WrapIndex(x, l.NX), grid.WrapIndex(y, l.NY), grid.WrapIndex(z, l.NZ)
 }
 
 // VelocityAt returns the macroscopic velocity at the periodic image of
@@ -135,8 +142,10 @@ func (l *Layout) VelocityAt(x, y, z int) [3]float64 {
 }
 
 // AddForce accumulates force at the periodic image of (x, y, z); it
-// satisfies ibm.ForceAccumulator. It is not synchronized — the cube solver
-// wraps it with its per-owner locking.
+// satisfies ibm.ForceAccumulator. It is not synchronized: only the
+// single-writer paths (the task-scheduled engine's serial fiber task)
+// spread through it; the cube solver's workers go through their
+// per-thread core.SpreadAccum instead.
 func (l *Layout) AddForce(x, y, z int, f [3]float64) {
 	x, y, z = l.Wrap(x, y, z)
 	n := &l.Nodes[l.Idx(x, y, z)]
@@ -190,13 +199,7 @@ func (l *Layout) ToGrid() *grid.Grid {
 	return g
 }
 
-// TotalMass returns the summed present-buffer distribution mass.
-func (l *Layout) TotalMass() float64 {
-	sum := 0.0
-	for i := range l.Nodes {
-		for _, v := range l.Nodes[i].Buf(l.cur) {
-			sum += v
-		}
-	}
-	return sum
-}
+// TotalMass returns the summed present-buffer distribution mass. The sum
+// runs in cube order, so it can differ from ToGrid().TotalMass() in the
+// last bits.
+func (l *Layout) TotalMass() float64 { return grid.TotalMass(l.Nodes, l.cur) }

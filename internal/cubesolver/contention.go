@@ -4,9 +4,7 @@ import "time"
 
 // BarrierSite identifies one of the global-barrier call sites of
 // Algorithm 4's time step, so barrier-wait attribution can say not just
-// *that* a thread waited but *which* dependency it waited on. The two
-// perKernel-only sites exist only under the BarrierPerKernel ablation
-// schedule.
+// *that* a thread waited but *which* dependency it waited on.
 type BarrierSite int
 
 const (
@@ -14,18 +12,12 @@ const (
 	// correctness barrier this implementation adds to the paper's
 	// schedule).
 	SiteAfterSpread BarrierSite = iota
-	// SiteAfterCollide separates collision from streaming under the
-	// BarrierPerKernel ablation.
-	SiteAfterCollide
 	// SiteAfterStream orders streaming before the velocity update (the
 	// paper's 1st barrier).
 	SiteAfterStream
 	// SiteAfterVelocity orders the velocity update before fiber movement
 	// (the paper's 2nd barrier).
 	SiteAfterVelocity
-	// SiteAfterMove separates fiber movement from the copy loop under
-	// the BarrierPerKernel ablation.
-	SiteAfterMove
 	// SiteEndOfStep is the end-of-step barrier (the paper's 3rd),
 	// publishing the buffer swap before any thread's next step.
 	SiteEndOfStep
@@ -34,8 +26,7 @@ const (
 )
 
 var barrierSiteNames = [NumBarrierSites]string{
-	"after_spread", "after_collide", "after_stream",
-	"after_velocity", "after_move", "end_of_step",
+	"after_spread", "after_stream", "after_velocity", "end_of_step",
 }
 
 // String names the barrier site.

@@ -21,12 +21,7 @@ func fluidOnlyRefConfig() core.Config {
 }
 
 func fluidOnlyCubeConfig(threads int) Config {
-	return Config{
-		NX: 16, NY: 16, NZ: 16, CubeSize: 4, Threads: threads, Tau: 0.7,
-		BodyForce:   [3]float64{3e-5, 0, 0},
-		BCZ:         core.BounceBack,
-		LidVelocity: [3]float64{0.05, 0, 0},
-	}
+	return Config{Config: fluidOnlyRefConfig(), CubeSize: 4, Threads: threads}
 }
 
 // TestFoldedEndBarrierBitwiseEqualsSequential is the fold's correctness
@@ -135,39 +130,6 @@ func TestFoldedEndBarrierEmitsNoCrossings(t *testing.T) {
 	for _, site := range []BarrierSite{SiteAfterStream, SiteAfterVelocity} {
 		if n := obs.waits[site]; n != steps*threads {
 			t.Errorf("%v crossings = %d, want %d", site, n, steps*threads)
-		}
-	}
-}
-
-// TestPerKernelScheduleKeepsEndBarrier pins the ablation contract: the
-// BarrierPerKernel schedule synchronizes after every loop nest even when
-// the minimal schedule would fold, and both schedules stay bitwise equal.
-func TestPerKernelScheduleKeepsEndBarrier(t *testing.T) {
-	const steps, threads = 5, 4
-	cfg := fluidOnlyCubeConfig(threads)
-	cfg.Barriers = BarrierPerKernel
-	s, err := NewSolver(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	obs := &countingContention{}
-	s.Contention = obs
-	s.Run(steps)
-	if n := obs.waits[SiteEndOfStep]; n != steps*threads {
-		t.Errorf("per-kernel end_of_step crossings = %d, want %d", n, steps*threads)
-	}
-
-	min, err := NewSolver(fluidOnlyCubeConfig(threads))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer min.Close()
-	min.Run(steps)
-	ga, gb := s.Fluid.ToGrid(), min.Fluid.ToGrid()
-	for i := range ga.Nodes {
-		if ga.Nodes[i].DF != gb.Nodes[i].DF {
-			t.Fatalf("node %d: per-kernel and folded-minimal schedules differ bitwise", i)
 		}
 	}
 }

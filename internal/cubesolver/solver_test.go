@@ -8,7 +8,6 @@ import (
 
 	"lbmib/internal/core"
 	"lbmib/internal/fiber"
-	"lbmib/internal/par"
 	"lbmib/internal/validate"
 )
 
@@ -28,15 +27,11 @@ func refConfig(sheet *fiber.Sheet) core.Config {
 }
 
 func cubeConfig(sheet *fiber.Sheet, threads, k int) Config {
-	return Config{
-		NX: 16, NY: 16, NZ: 16, CubeSize: k, Threads: threads, Tau: 0.7,
-		BodyForce: [3]float64{3e-5, 0, 0},
-		Sheet:     sheet,
-	}
+	return Config{Config: refConfig(sheet), CubeSize: k, Threads: threads}
 }
 
 // The central correctness property: the cube solver must reproduce the
-// sequential solver for any thread count, cube size and distribution.
+// sequential solver for any thread count and cube size.
 func TestMatchesSequential(t *testing.T) {
 	const steps = 12
 	ref := core.MustNewSolver(refConfig(testSheet()))
@@ -68,55 +63,6 @@ func TestMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestDistributionsMatchSequential(t *testing.T) {
-	const steps = 8
-	ref := core.MustNewSolver(refConfig(testSheet()))
-	ref.Run(steps)
-	for _, d := range []par.Dist{par.Block, par.Cyclic, par.BlockCyclic} {
-		cfg := cubeConfig(testSheet(), 4, 4)
-		cfg.Dist = d
-		cfg.BlockSize = 2
-		s, err := NewSolver(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Run(steps)
-		gd, err := validate.Grids(ref.Fluid, s.Fluid.ToGrid())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !gd.Within(validate.DefaultTol) {
-			t.Fatalf("dist=%v diverges: %v", d, gd)
-		}
-		s.Close()
-	}
-}
-
-func TestBarrierSchedulesAgree(t *testing.T) {
-	const steps = 10
-	a, err := NewSolver(cubeConfig(testSheet(), 4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	cfg := cubeConfig(testSheet(), 4, 4)
-	cfg.Barriers = BarrierPerKernel
-	b, err := NewSolver(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	a.Run(steps)
-	b.Run(steps)
-	gd, err := validate.Grids(a.Fluid.ToGrid(), b.Fluid.ToGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gd.Within(validate.DefaultTol) {
-		t.Fatalf("barrier schedules disagree: %v", gd)
-	}
-}
-
 func TestSingleThreadBitwiseEqualsSequential(t *testing.T) {
 	const steps = 8
 	ref := core.MustNewSolver(refConfig(testSheet()))
@@ -145,8 +91,7 @@ func TestBounceBackMatchesSequential(t *testing.T) {
 		BodyForce: [3]float64{1e-4, 0, 0}}
 	ref := core.MustNewSolver(refCfg)
 	ref.Run(15)
-	s, err := NewSolver(Config{NX: 8, NY: 8, NZ: 8, CubeSize: 4, Threads: 4, Tau: 0.8,
-		BCZ: core.BounceBack, BodyForce: [3]float64{1e-4, 0, 0}})
+	s, err := NewSolver(Config{Config: refCfg, CubeSize: 4, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +120,13 @@ func TestMassConserved(t *testing.T) {
 }
 
 func TestRejectsIndivisibleCubeSize(t *testing.T) {
-	if _, err := NewSolver(Config{NX: 10, NY: 16, NZ: 16, CubeSize: 4, Threads: 2, Tau: 0.7}); err == nil {
+	if _, err := NewSolver(Config{Config: core.Config{NX: 10, NY: 16, NZ: 16, Tau: 0.7}, CubeSize: 4, Threads: 2}); err == nil {
 		t.Fatal("accepted NX not divisible by cube size")
 	}
 }
 
 func TestRejectsBadTau(t *testing.T) {
-	if _, err := NewSolver(Config{NX: 8, NY: 8, NZ: 8, CubeSize: 4, Tau: 0.4}); err == nil {
+	if _, err := NewSolver(Config{Config: core.Config{NX: 8, NY: 8, NZ: 8, Tau: 0.4}, CubeSize: 4}); err == nil {
 		t.Fatal("accepted tau <= 0.5")
 	}
 }
@@ -335,11 +280,7 @@ func TestMovingLidCornerNodeBitwise(t *testing.T) {
 	const steps = 20
 	ref := core.MustNewSolver(mk)
 	ref.Run(steps)
-	s, err := NewSolver(Config{
-		NX: 8, NY: 8, NZ: 8, CubeSize: 4, Threads: 4, Tau: 0.8,
-		BCZ: core.BounceBack, BodyForce: [3]float64{1e-4, 0, 0},
-		LidVelocity: [3]float64{0.05, 0.01, 0},
-	})
+	s, err := NewSolver(Config{Config: mk, CubeSize: 4, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

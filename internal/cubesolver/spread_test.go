@@ -136,7 +136,7 @@ func TestSpreadWrapEquivalence(t *testing.T) {
 func TestThreadsClampedToOwnedCubes(t *testing.T) {
 	// More workers than cubes: 8³ at k=4 has 8 cubes, so a request for 64
 	// workers comes down to one worker per cube.
-	s, err := NewSolver(Config{NX: 8, NY: 8, NZ: 8, CubeSize: 4, Threads: 64, Tau: 0.7})
+	s, err := NewSolver(Config{Config: core.Config{NX: 8, NY: 8, NZ: 8, Tau: 0.7}, CubeSize: 4, Threads: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestThreadsClampedToOwnedCubes(t *testing.T) {
 	// 2×2×1 mesh a 4-thread team builds (the second y coordinate owns
 	// nothing), so the count drops to 3 — the largest team with no idle
 	// worker.
-	s, err = NewSolver(Config{NX: 16, NY: 4, NZ: 4, CubeSize: 4, Threads: 4, Tau: 0.7})
+	s, err = NewSolver(Config{Config: core.Config{NX: 16, NY: 4, NZ: 4, Tau: 0.7}, CubeSize: 4, Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"lbmib/internal/core"
 	"lbmib/internal/cubesolver"
 	"lbmib/internal/machine"
-	"lbmib/internal/par"
 	"lbmib/internal/perfmon"
 	"lbmib/internal/perfsim"
 )
@@ -22,7 +21,7 @@ type CubeSizeRow struct {
 	HostStepTime time.Duration // measured real single-thread step on this host
 }
 
-// CubeSizeResult is the cube-size ablation (DESIGN.md ablation 1).
+// CubeSizeResult is the cube-size ablation (DESIGN.md §9 ablation 1).
 type CubeSizeResult struct{ Rows []CubeSizeRow }
 
 // AblationCubeSize sweeps the cube edge k: smaller cubes fit caches better
@@ -52,8 +51,8 @@ func AblationCubeSize(opt Options) (CubeSizeResult, error) {
 		}
 
 		s, err := cubesolver.NewSolver(cubesolver.Config{
-			NX: 32, NY: 32, NZ: 32, CubeSize: k, Threads: 1, Tau: 0.7,
-			BodyForce: [3]float64{1e-5, 0, 0},
+			Config:   core.Config{NX: 32, NY: 32, NZ: 32, Tau: 0.7, BodyForce: [3]float64{1e-5, 0, 0}},
+			CubeSize: k, Threads: 1,
 		})
 		if err != nil {
 			return res, err
@@ -90,179 +89,7 @@ func (r CubeSizeResult) Render() string {
 	return b.String()
 }
 
-// DistRow is one distribution policy of the cube2thread ablation.
-type DistRow struct {
-	Dist         par.Dist
-	ImbalancePct float64
-	// RemoteFacePct is the share of cube-face neighbor pairs owned by
-	// different threads — the inter-thread streaming surface, a proxy for
-	// coherence traffic and for the locks crossed during force spreading.
-	RemoteFacePct float64
-	PredictedMs   float64
-}
-
-// DistResult is the distribution-policy ablation (DESIGN.md ablation 2).
-type DistResult struct {
-	CubeGrid [3]int
-	Threads  int
-	Rows     []DistRow
-}
-
-// AblationDistribution compares the block, cyclic and block-cyclic
-// cube2thread policies on a cube grid that does not divide the thread
-// mesh evenly, reporting the deterministic load imbalance and the
-// predicted step time including it.
-func AblationDistribution(opt Options) (DistResult, error) {
-	m := machine.Thog()
-	pred := perfsim.NewPredictor(m)
-	tx, ty, tz := opt.traceGrid()
-	tr, err := perfsim.Measure(m, &cachesim.Workload{
-		NX: tx, NY: ty, NZ: tz, CubeSize: 16, Threads: 8, FiberRows: 26, FiberCols: 26,
-	})
-	if err != nil {
-		return DistResult{}, err
-	}
-	// 5×5×5 cubes of 16³ nodes on 8 threads: 125 cubes cannot balance
-	// perfectly. Because cube2thread is a product of per-axis maps, every
-	// policy achieves the same ownership counts here — what distinguishes
-	// them is locality: how much of the streaming surface crosses thread
-	// boundaries.
-	cm := par.CubeMap{CX: 5, CY: 5, CZ: 5, Mesh: par.NewMesh(8), BlockSize: 1}
-	res := DistResult{CubeGrid: [3]int{5, 5, 5}, Threads: 8}
-	for _, d := range []par.Dist{par.Block, par.Cyclic, par.BlockCyclic} {
-		cm.Dist = d
-		counts := cm.Counts()
-		nodes := make([]int, len(counts))
-		for i, c := range counts {
-			nodes[i] = c * 16 * 16 * 16
-		}
-		tns, err := pred.StepTimeNs(tr, perfsim.Schedule{NodesPerThread: nodes, Barriers: 4})
-		if err != nil {
-			return res, err
-		}
-		res.Rows = append(res.Rows, DistRow{
-			Dist:          d,
-			ImbalancePct:  100 * perfmon.ScheduleImbalance(counts),
-			RemoteFacePct: 100 * remoteFaceShare(cm),
-			PredictedMs:   tns * 1e-6,
-		})
-	}
-	return res, nil
-}
-
-// remoteFaceShare returns the fraction of periodic cube-face adjacencies
-// whose two cubes have different owner threads.
-func remoteFaceShare(cm par.CubeMap) float64 {
-	wrap := func(i, n int) int {
-		i %= n
-		if i < 0 {
-			i += n
-		}
-		return i
-	}
-	total, remote := 0, 0
-	dirs := [3][3]int{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
-	for x := 0; x < cm.CX; x++ {
-		for y := 0; y < cm.CY; y++ {
-			for z := 0; z < cm.CZ; z++ {
-				own := cm.CubeToThread(x, y, z)
-				for _, d := range dirs {
-					n := cm.CubeToThread(wrap(x+d[0], cm.CX), wrap(y+d[1], cm.CY), wrap(z+d[2], cm.CZ))
-					total++
-					if n != own {
-						remote++
-					}
-				}
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(remote) / float64(total)
-}
-
-// Render formats the distribution ablation.
-func (r DistResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation — cube2thread distribution (%d×%d×%d cubes on %d threads)\n",
-		r.CubeGrid[0], r.CubeGrid[1], r.CubeGrid[2], r.Threads)
-	b.WriteString(header("Policy        ", "Imbalance", "  Remote faces", "  Predicted step"))
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-14s  %8.2f%%  %12.2f%%  %13.2fms\n",
-			row.Dist, row.ImbalancePct, row.RemoteFacePct, row.PredictedMs)
-	}
-	b.WriteString("product maps balance counts identically here; block minimizes the\n")
-	b.WriteString("inter-thread streaming surface, cyclic maximizes it.\n")
-	return b.String()
-}
-
-// BarrierRow is one barrier schedule of the synchronization ablation.
-type BarrierRow struct {
-	Schedule        cubesolver.BarrierSchedule
-	BarriersPerStep int
-	HostTime        time.Duration // measured wall time for the run on this host
-	PredictedSyncNs float64       // modeled per-step synchronization cost at 64 threads
-}
-
-// BarrierResult is the barrier-minimization ablation (DESIGN.md ablation 3).
-type BarrierResult struct{ Rows []BarrierRow }
-
-// AblationBarriers compares the paper's minimized barrier schedule against
-// a barrier-per-kernel schedule: measured wall time of a real run on this
-// host (4 worker goroutines) plus the modeled synchronization cost per
-// step at 64 threads on thog.
-func AblationBarriers(opt Options) (BarrierResult, error) {
-	m := machine.Thog()
-	syncNs := m.BarrierBaseNs + 64*m.BarrierPerThreadNs
-	var res BarrierResult
-	for _, cfg := range []struct {
-		sched    cubesolver.BarrierSchedule
-		barriers int
-	}{
-		{cubesolver.BarrierMinimal, 4},
-		{cubesolver.BarrierPerKernel, 6},
-	} {
-		sheet := opt.sheet52([3]int{32, 32, 32})
-		s, err := cubesolver.NewSolver(cubesolver.Config{
-			NX: 32, NY: 32, NZ: 32, CubeSize: 8, Threads: 4, Tau: 0.7,
-			BodyForce: [3]float64{1e-5, 0, 0}, Sheet: sheet, Barriers: cfg.sched,
-		})
-		if err != nil {
-			return res, err
-		}
-		const steps = 10
-		t0 := time.Now()
-		s.Run(steps)
-		host := time.Since(t0) / steps
-		s.Close()
-		res.Rows = append(res.Rows, BarrierRow{
-			Schedule:        cfg.sched,
-			BarriersPerStep: cfg.barriers,
-			HostTime:        host,
-			PredictedSyncNs: float64(cfg.barriers) * syncNs,
-		})
-	}
-	return res, nil
-}
-
-// Render formats the barrier ablation.
-func (r BarrierResult) Render() string {
-	var b strings.Builder
-	b.WriteString("Ablation — barrier schedule (global synchronizations per time step)\n")
-	b.WriteString(header("Schedule   ", "Barriers/step", "  Host step (4 thr)", "  Modeled sync @64 thr"))
-	for _, row := range r.Rows {
-		name := "minimal"
-		if row.Schedule == cubesolver.BarrierPerKernel {
-			name = "per-kernel"
-		}
-		fmt.Fprintf(&b, "%-11s  %13d  %18s  %18.1fµs\n",
-			name, row.BarriersPerStep, fmtDuration(row.HostTime), row.PredictedSyncNs/1000)
-	}
-	return b.String()
-}
-
-// CopySwapResult is the kernel-9 ablation (DESIGN.md ablation 4).
+// CopySwapResult is the kernel-9 ablation (DESIGN.md §9 ablation 2).
 type CopySwapResult struct {
 	CopySharePct float64
 	Total        time.Duration
@@ -313,7 +140,7 @@ type LayoutRow struct {
 	MemPerNode          float64
 }
 
-// LayoutResult is the slab-vs-cube cache ablation (DESIGN.md ablation 5).
+// LayoutResult is the slab-vs-cube cache ablation (DESIGN.md §9 ablation 3).
 type LayoutResult struct{ Rows []LayoutRow }
 
 // AblationLayoutCache contrasts the slab and cube layouts' simulated cache

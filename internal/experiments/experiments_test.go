@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"lbmib/internal/core"
-	"lbmib/internal/par"
 )
 
 // The experiment drivers replay multi-second cache traces; run them once
@@ -192,55 +191,6 @@ func TestAblationCubeSize(t *testing.T) {
 	}
 }
 
-func TestAblationDistribution(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trace replay")
-	}
-	r, err := AblationDistribution(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("%d rows", len(r.Rows))
-	}
-	// 125 cubes on 8 threads can never balance perfectly.
-	for _, row := range r.Rows {
-		if row.ImbalancePct <= 0 {
-			t.Fatalf("%v imbalance = %g, want > 0", row.Dist, row.ImbalancePct)
-		}
-	}
-	// Block distribution keeps more of the streaming surface local than
-	// cyclic — the locality rationale for the paper's default.
-	var block, cyclic float64
-	for _, row := range r.Rows {
-		switch row.Dist {
-		case par.Block:
-			block = row.RemoteFacePct
-		case par.Cyclic:
-			cyclic = row.RemoteFacePct
-		}
-	}
-	if block >= cyclic {
-		t.Fatalf("block remote faces %.1f%% not below cyclic %.1f%%", block, cyclic)
-	}
-}
-
-func TestAblationBarriers(t *testing.T) {
-	r, err := AblationBarriers(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("%d rows", len(r.Rows))
-	}
-	if r.Rows[0].BarriersPerStep >= r.Rows[1].BarriersPerStep {
-		t.Fatal("minimal schedule must use fewer barriers")
-	}
-	if r.Rows[0].PredictedSyncNs >= r.Rows[1].PredictedSyncNs {
-		t.Fatal("fewer barriers must model cheaper sync")
-	}
-}
-
 func TestAblationCopyVsSwap(t *testing.T) {
 	r, err := AblationCopyVsSwap(Options{Steps: 4})
 	if err != nil {
@@ -269,24 +219,6 @@ func TestAblationLayoutCache(t *testing.T) {
 	}
 	if cube.MemPerNode >= slab.MemPerNode {
 		t.Fatalf("cube DRAM traffic %.2f not below slab %.2f", cube.MemPerNode, slab.MemPerNode)
-	}
-}
-
-func TestAblationSchedule(t *testing.T) {
-	r, err := AblationSchedule(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 3 {
-		t.Fatalf("%d rows, want 3", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if row.HostStep <= 0 {
-			t.Fatalf("%s: empty measurement", row.Name)
-		}
-	}
-	if !strings.Contains(r.Render(), "dynamic") {
-		t.Fatal("render broken")
 	}
 }
 

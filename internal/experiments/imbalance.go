@@ -11,7 +11,6 @@ import (
 	"lbmib/internal/fiber"
 	"lbmib/internal/fused"
 	"lbmib/internal/omp"
-	"lbmib/internal/par"
 	"lbmib/internal/perfmon"
 	"lbmib/internal/telemetry"
 )
@@ -174,10 +173,12 @@ func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error
 	// --- cube-based engine ---
 	{
 		s, err := cubesolver.NewSolver(cubesolver.Config{
-			NX: nx, NY: ny, NZ: nz, CubeSize: res.CubeSize, Threads: threads, Tau: 0.7,
-			BodyForce: [3]float64{2e-5, 0, 0},
-			Sheets:    opt.twoSheets(nx, ny, nz),
-			Dist:      par.Block,
+			Config: core.Config{
+				NX: nx, NY: ny, NZ: nz, Tau: 0.7,
+				BodyForce: [3]float64{2e-5, 0, 0},
+				Sheets:    opt.twoSheets(nx, ny, nz),
+			},
+			CubeSize: res.CubeSize, Threads: threads,
 		})
 		if err != nil {
 			return res, fmt.Errorf("cube: %w", err)
@@ -214,7 +215,7 @@ func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error
 	// --- fused engines ---
 	// The fused sweep's two barrier sites (mid-sweep wavefront join and
 	// end-of-sweep join) feed the same wait attribution as the cube
-	// engine's six, so the comparison covers the memory-aware engine too.
+	// engine's four, so the comparison covers the memory-aware engine too.
 	for _, f32 := range []bool{false, true} {
 		name := "fused"
 		if f32 {

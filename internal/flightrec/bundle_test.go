@@ -184,3 +184,37 @@ func TestBundleWithoutSnapshot(t *testing.T) {
 		t.Fatalf("digest-free ring localized: %+v", b.Localization)
 	}
 }
+
+// Bundles written while the cluster engine existed carry a
+// clusterPhaseSeconds array in every ring record. The field is gone from
+// Record; such a bundle must still decode with its other fields intact.
+func TestReadBundleIgnoresRetiredClusterField(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "bundle")
+	r := buildFailedRun(t, dir)
+	if _, err := r.WriteBundle("watchdog", nil); err != nil {
+		t.Fatal(err)
+	}
+	ringPath := filepath.Join(dir, RingFile)
+	raw, err := os.ReadFile(ringPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.ReplaceAll(string(raw), `"phaseSeconds":`,
+		`"clusterPhaseSeconds": [0, 0.25, 0, 0, 0, 0], "phaseSeconds":`)
+	if old == string(raw) {
+		t.Fatal("ring.json has no phaseSeconds key to anchor the injection on")
+	}
+	if err := os.WriteFile(ringPath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReadBundle(dir)
+	if err != nil {
+		t.Fatalf("bundle with the retired field rejected: %v", err)
+	}
+	if len(b.Records) != 10 || b.Records[9].Step != 10 {
+		t.Fatalf("decoded %d records, last step %d", len(b.Records), b.Records[len(b.Records)-1].Step)
+	}
+	if ks := b.Records[0].KernelSeconds[0]; ks < 0.9e-4 || ks > 1.1e-4 {
+		t.Fatalf("kernelSeconds lost beside the retired field: %g", ks)
+	}
+}

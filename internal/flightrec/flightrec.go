@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"lbmib/internal/cluster"
 	"lbmib/internal/core"
 	"lbmib/internal/cubesolver"
 	"lbmib/internal/grid"
@@ -76,11 +75,11 @@ type Record struct {
 	MLUPS       float64 `json:"mlups,omitempty"`
 	// KernelSeconds[k-1] is kernel k's time (sequential/omp engines);
 	// PhaseSeconds[p-1] sums phase p over worker threads (cube/taskflow
-	// engines); ClusterPhaseSeconds[p-1] sums over ranks.
-	KernelSeconds       [core.NumKernels]float64      `json:"kernelSeconds"`
-	PhaseSeconds        [cubesolver.NumPhases]float64 `json:"phaseSeconds"`
-	ClusterPhaseSeconds [cluster.NumPhases]float64    `json:"clusterPhaseSeconds"`
-	BarrierWaitShare    float64                       `json:"barrierWaitShare,omitempty"`
+	// engines). Bundles written while the cluster engine existed also
+	// carry a clusterPhaseSeconds array; decoding ignores it.
+	KernelSeconds    [core.NumKernels]float64      `json:"kernelSeconds"`
+	PhaseSeconds     [cubesolver.NumPhases]float64 `json:"phaseSeconds"`
+	BarrierWaitShare float64                       `json:"barrierWaitShare,omitempty"`
 	// HasDigest marks steps the full-grid digest ran on; the aggregates
 	// and per-tile digests below are only meaningful then.
 	HasDigest bool              `json:"hasDigest,omitempty"`
@@ -224,29 +223,6 @@ func (r *Recorder) PhaseObserved(step, tid int, p cubesolver.Phase, d time.Durat
 	r.slotFor(step).PhaseSeconds[p-1] += d.Seconds()
 	r.mu.Unlock()
 }
-
-// ClusterPhaseObserved accumulates one cluster phase duration (summed
-// over ranks) into step's record.
-func (r *Recorder) ClusterPhaseObserved(step, rank int, p cluster.Phase, d time.Duration) {
-	if p < 1 || int(p) > cluster.NumPhases {
-		return
-	}
-	_ = rank
-	r.mu.Lock()
-	r.slotFor(step).ClusterPhaseSeconds[p-1] += d.Seconds()
-	r.mu.Unlock()
-}
-
-// clusterObserver adapts the Recorder to cluster.PhaseObserver.
-type clusterObserver struct{ r *Recorder }
-
-func (c clusterObserver) PhaseDone(step, rank int, p cluster.Phase, d time.Duration) {
-	c.r.ClusterPhaseObserved(step, rank, p, d)
-}
-
-// ClusterObserver returns a cluster.PhaseObserver recording into the
-// ring.
-func (r *Recorder) ClusterObserver() cluster.PhaseObserver { return clusterObserver{r} }
 
 // RecordStep finalizes step's ring entry with whole-step aggregates.
 func (r *Recorder) RecordStep(step int, wall time.Duration, mlups, barrierShare float64) {

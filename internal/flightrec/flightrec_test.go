@@ -68,8 +68,6 @@ func TestObserversAggregate(t *testing.T) {
 	for tid := 0; tid < 4; tid++ {
 		r.PhaseObserved(2, tid, cubesolver.PhaseCollideStream, 10*time.Millisecond)
 	}
-	r.ClusterObserver().PhaseDone(2, 0, 3, 5*time.Millisecond)
-	r.ClusterObserver().PhaseDone(2, 1, 3, 5*time.Millisecond)
 	r.RecordStep(2, 40*time.Millisecond, 0, 0)
 	recs := r.Records()
 	if len(recs) != 1 {
@@ -79,14 +77,10 @@ func TestObserversAggregate(t *testing.T) {
 	if got < 0.039 || got > 0.041 {
 		t.Fatalf("phase sum = %g, want 0.04", got)
 	}
-	if cp := recs[0].ClusterPhaseSeconds[2]; cp < 0.009 || cp > 0.011 {
-		t.Fatalf("cluster phase sum = %g, want 0.01", cp)
-	}
 	// Out-of-range enum values must be ignored, not crash or corrupt.
 	r.KernelObserved(2, 0, time.Second)
 	r.KernelObserved(2, core.NumKernels+1, time.Second)
 	r.PhaseObserved(2, 0, 0, time.Second)
-	r.ClusterPhaseObserved(2, 0, 99, time.Second)
 }
 
 func TestRecordDigestCopiesTiles(t *testing.T) {
@@ -196,7 +190,6 @@ func TestConcurrentWritersAndReader(t *testing.T) {
 			for step := 1; step <= steps; step++ {
 				r.KernelObserved(step, core.KComputeCollision, time.Microsecond)
 				r.PhaseObserved(step, tid, cubesolver.PhaseCollideStream, time.Microsecond)
-				r.ClusterPhaseObserved(step, tid, 1, time.Microsecond)
 				if tid == 0 {
 					r.RecordStep(step, time.Microsecond, 1, 0)
 				}

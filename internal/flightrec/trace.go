@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 
-	"lbmib/internal/cluster"
 	"lbmib/internal/core"
 	"lbmib/internal/cubesolver"
 )
@@ -33,7 +32,6 @@ const (
 	trackSteps = iota
 	trackKernels
 	trackPhases
-	trackClusterPhases
 )
 
 // writeTrace renders the ring's final window as a Chrome trace-event
@@ -86,18 +84,6 @@ func writeTrace(w io.Writer, records []Record) error {
 				events = append(events, traceEvent{
 					Name: cubesolver.Phase(p + 1).String(), Cat: "phase", Phase: "X",
 					TS: off, Dur: us(s), PID: 1, TID: trackPhases,
-					Args: map[string]any{"step": r.Step},
-				})
-				off += us(s)
-			}
-		}
-		off = now
-		for p := 0; p < cluster.NumPhases; p++ {
-			if s := r.ClusterPhaseSeconds[p]; s > 0 {
-				name(trackClusterPhases, "cluster phases (rank-seconds)")
-				events = append(events, traceEvent{
-					Name: cluster.Phase(p + 1).String(), Cat: "phase", Phase: "X",
-					TS: off, Dur: us(s), PID: 1, TID: trackClusterPhases,
 					Args: map[string]any{"step": r.Step},
 				})
 				off += us(s)

@@ -36,9 +36,8 @@
 //
 // Pulling requires every upwind neighbor's post-collision value, so
 // collision and gathering cannot naively fuse. The sweep runs as one
-// parallel region over x-slabs (Static schedule, one contiguous chunk
-// per thread — forced, the wavefront depends on it) with an explicit
-// mid-sweep barrier:
+// parallel region over x-slabs (one contiguous chunk per thread — the
+// wavefront depends on it) with an explicit mid-sweep barrier:
 //
 //	one region (per thread, chunk [lo, hi)):
 //	    region A:
@@ -86,8 +85,9 @@
 // goes).
 //
 // Fiber kernels 1–4 and 8 are inherited unchanged from the OpenMP-style
-// solver (same team, same lock-free spreading), so the immersed-boundary
-// side of the method is shared code, not a fork.
+// solver (same team, same lock-free spreading), and the float64 collision
+// is core.CollideRange, so only the pull sweep and the float32 storage
+// path are this package's own code.
 package fused
 
 import (
@@ -150,9 +150,7 @@ type Solver struct {
 }
 
 // NewSolver builds the fused engine and starts its worker team. Threads
-// is clamped to NX like the embedded solver's; the loop schedule is
-// always Static because the wavefront sweep requires one contiguous
-// chunk per thread.
+// is clamped to NX like the embedded solver's.
 func NewSolver(cfg Config) (*Solver, error) {
 	base, err := omp.NewSolver(omp.Config{
 		Config:  cfg.Config,
@@ -162,13 +160,9 @@ func NewSolver(cfg Config) (*Solver, error) {
 		return nil, err
 	}
 	s := &Solver{
-		Solver:  base,
-		Float32: cfg.Float32,
-		bc: core.StreamBC{
-			NX: cfg.NX, NY: cfg.NY, NZ: cfg.NZ,
-			BCX: cfg.BCX, BCY: cfg.BCY, BCZ: cfg.BCZ,
-			LidVelocity: cfg.LidVelocity,
-		},
+		Solver:      base,
+		Float32:     cfg.Float32,
+		bc:          base.StreamBC(cfg.NX, cfg.NY, cfg.NZ),
 		streamDelta: base.Fluid.StreamDeltas(),
 		barrier:     par.NewBarrier(base.Threads),
 	}
@@ -342,9 +336,7 @@ func (s *Solver) collidePlane(x, cur int, tau float64) {
 		}
 		return
 	}
-	for i := x * nyz; i < (x+1)*nyz; i++ {
-		core.CollideNodeBuf(&g.Nodes[i], tau, cur)
-	}
+	core.CollideRange(g.Nodes[x*nyz:(x+1)*nyz], tau, cur)
 }
 
 // finalizePlane completes every node of x-plane x: it gathers the 19
@@ -461,7 +453,7 @@ func (s *Solver) Load(g *grid.Grid) error {
 			return err
 		}
 	}
-	s.SeedForce()
+	core.SeedForce(s.Fluid.Nodes, s.BodyForce)
 	return nil
 }
 

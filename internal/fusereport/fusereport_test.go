@@ -32,7 +32,7 @@ func sample() *Report {
 					Site:           "end_of_step",
 					AfterPhase:     "swap_distribution",
 					Classification: VerdictFusible,
-					FoldCondition:  "perKernel || multi && fibers",
+					FoldCondition:  "multi && fibers",
 					Scenarios: []ScenarioVerdict{{
 						Scenario: "fluid+swap+minimal", Active: false, Verdict: VerdictFusible,
 					}},

@@ -46,9 +46,12 @@ func (n *Node) Buf(b int) *[lattice.Q]float64 {
 }
 
 // Grid is a structured Nx×Ny×Nz fluid mesh with all nodes stored in a
-// single x-major slice: index = (x*Ny + y)*Nz + z. All boundaries are
-// periodic; an optional body force (e.g. a pressure-gradient surrogate
-// driving a tunnel flow) may be applied uniformly by the solvers.
+// single x-major slice: index = (x*Ny + y)*Nz + z. The container itself
+// is boundary-agnostic — Wrap and the IB coupling accessors treat every
+// axis as periodic, and the solvers' streaming step applies the
+// configured per-axis conditions (core.StreamBC). In the block-layout
+// contract the solvers share (core.Layout) its blocks are the NX
+// x-planes of NY·NZ nodes.
 type Grid struct {
 	NX, NY, NZ int
 	Nodes      []Node
@@ -100,10 +103,12 @@ func (g *Grid) At(x, y, z int) *Node { return &g.Nodes[g.Idx(x, y, z)] }
 // Wrap maps a possibly out-of-range coordinate triple onto the periodic
 // domain.
 func (g *Grid) Wrap(x, y, z int) (int, int, int) {
-	return wrap(x, g.NX), wrap(y, g.NY), wrap(z, g.NZ)
+	return WrapIndex(x, g.NX), WrapIndex(y, g.NY), WrapIndex(z, g.NZ)
 }
 
-func wrap(i, n int) int {
+// WrapIndex maps a possibly out-of-range index onto [0, n), the periodic
+// image along one axis.
+func WrapIndex(i, n int) int {
 	i %= n
 	if i < 0 {
 		i += n
@@ -113,6 +118,19 @@ func wrap(i, n int) int {
 
 // NumNodes returns the total number of fluid nodes.
 func (g *Grid) NumNodes() int { return len(g.Nodes) }
+
+// Dims returns the fluid grid dimensions.
+func (g *Grid) Dims() (nx, ny, nz int) { return g.NX, g.NY, g.NZ }
+
+// Storage returns every node in layout order: block b (x-plane b)
+// occupies Storage()[b·NY·NZ : (b+1)·NY·NZ].
+func (g *Grid) Storage() []Node { return g.Nodes }
+
+// BlockBox returns the fluid coordinates of block b's first node and the
+// block's extent: x-plane b is the 1×NY×NZ box at (b, 0, 0).
+func (g *Grid) BlockBox(b int) (origin, extent [3]int) {
+	return [3]int{b, 0, 0}, [3]int{1, g.NY, g.NZ}
+}
 
 // Cur returns the distribution-buffer parity: node i's present buffer is
 // Nodes[i].Buf(Cur()).
@@ -143,10 +161,16 @@ func (g *Grid) Normalize() {
 // TotalMass returns Σ_nodes Σ_i g_i over the present distribution buffer.
 // The BGK collision and periodic streaming conserve it exactly (up to
 // floating-point rounding), which the test suite exploits as an invariant.
-func (g *Grid) TotalMass() float64 {
+func (g *Grid) TotalMass() float64 { return TotalMass(g.Nodes, g.cur) }
+
+// TotalMass sums distribution buffer cur over nodes in slice order — the
+// body behind Grid.TotalMass and cube.Layout.TotalMass, whose results
+// can differ in the last bits because the two layouts order their nodes
+// differently.
+func TotalMass(nodes []Node, cur int) float64 {
 	sum := 0.0
-	for i := range g.Nodes {
-		for _, v := range g.Nodes[i].Buf(g.cur) {
+	for i := range nodes {
+		for _, v := range nodes[i].Buf(cur) {
 			sum += v
 		}
 	}
@@ -171,10 +195,14 @@ func (g *Grid) TotalMomentum() [3]float64 {
 // MaxVelocity returns the largest velocity magnitude over all nodes, a
 // cheap stability diagnostic (|u| must stay well below the lattice speed of
 // sound ≈ 0.577 for the simulation to be valid).
-func (g *Grid) MaxVelocity() float64 {
+func (g *Grid) MaxVelocity() float64 { return MaxVelocity(g.Nodes) }
+
+// MaxVelocity returns the largest velocity magnitude over nodes; a
+// maximum is order-independent, so every layout reports the same bits.
+func MaxVelocity(nodes []Node) float64 {
 	max := 0.0
-	for i := range g.Nodes {
-		v := g.Nodes[i].Vel
+	for i := range nodes {
+		v := nodes[i].Vel
 		m2 := v[0]*v[0] + v[1]*v[1] + v[2]*v[2]
 		if m2 > max {
 			max = m2
@@ -184,10 +212,11 @@ func (g *Grid) MaxVelocity() float64 {
 }
 
 // StreamDeltas returns, for each lattice direction, the flat-index offset
-// of the e_i neighbor of an interior node — the table the push-streaming
-// solvers use to skip coordinate arithmetic off the boundary, and that the
-// fused pull-streaming sweep negates to find the node it gathers from
-// (source of direction q is the node at index − StreamDeltas()[q]).
+// of the e_i neighbor of an interior node — the table the fused
+// pull-streaming sweep negates to find the node it gathers from (source
+// of direction q is the node at index − StreamDeltas()[q]). The
+// push-streaming engines derive the same offsets for any layout in
+// core.NewStreamer.
 func (g *Grid) StreamDeltas() [lattice.Q]int {
 	var d [lattice.Q]int
 	for i := 0; i < lattice.Q; i++ {

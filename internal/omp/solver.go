@@ -10,15 +10,18 @@
 //     (Algorithm 3).
 //
 // Force spreading (kernel 4) lets different fibers write the same fluid
-// node. By default each spreading thread accumulates its contributions
-// into a private sparse per-x-plane buffer and a second parallel region
-// reduces the touched planes into the grid in ascending thread order —
-// no locks remain on the path, and under the Static schedule the
-// floating-point accumulation order is identical from run to run at a
-// fixed thread count (DESIGN.md §13). The parallel accumulation order
-// differs from the sequential solver's fiber order, so results match it
-// to floating-point tolerance rather than bitwise (the paper likewise
-// validates numerically against the sequential program).
+// node. Each spreading thread accumulates its contributions into a
+// private sparse per-x-plane buffer (core.SpreadAccum) and a second
+// parallel region reduces the touched planes into the grid in ascending
+// thread order — no locks are on the path, and because the schedule is
+// static the floating-point accumulation order is identical from run to
+// run at a fixed thread count (DESIGN.md §13). The parallel accumulation
+// order differs from the sequential solver's fiber order, so results
+// match it to floating-point tolerance rather than bitwise (the paper
+// likewise validates numerically against the sequential program).
+//
+// The kernels' loop bodies are internal/core's; this package is the
+// schedule — which thread runs them over which slab or fiber range.
 package omp
 
 import (
@@ -26,46 +29,33 @@ import (
 
 	"lbmib/internal/core"
 	"lbmib/internal/fiber"
-	"lbmib/internal/ibm"
+	"lbmib/internal/grid"
 	"lbmib/internal/par"
-)
-
-// Schedule selects the loop schedule of the parallel-for regions.
-type Schedule int
-
-const (
-	// Static divides each loop into one contiguous chunk per thread
-	// (the paper's default; it reports identical performance for dynamic).
-	Static Schedule = iota
-	// Dynamic lets idle threads steal fixed-size chunks.
-	Dynamic
 )
 
 // Config configures the OpenMP-style solver.
 type Config struct {
 	core.Config
-	Threads  int      // parallel region width; 0 means 1
-	Schedule Schedule // loop schedule (default Static)
-	Chunk    int      // dynamic-schedule chunk size (default 1 slab/fiber)
+	Threads int // parallel region width; 0 means 1
 }
 
 // Solver runs LBM-IB time steps with loop-level parallelism. It embeds the
-// sequential solver as its state container and per-node kernel bodies, and
-// overrides the per-kernel loops with parallel regions.
+// sequential solver as its state container and overrides each kernel's
+// whole-grid loop with a statically scheduled parallel region (one
+// contiguous chunk per thread — the paper's default, which it reports as
+// performing identically to dynamic).
 type Solver struct {
 	*core.Solver
-	Threads  int
-	Schedule Schedule
-	Chunk    int
+	Threads int
 
 	// Regions, when non-nil, receives per-thread busy times for every
 	// parallel region. It defaults to nil (zero overhead).
 	Regions RegionObserver
 
 	team      *par.Team
-	accums    []*planeAccum // per-thread spreading buffers
-	spreadGen int           // current spread generation, stamps accum planes
-	curKernel core.Kernel   // kernel whose region is running, for Regions
+	accums    []*core.SpreadAccum // per-thread spreading buffers, one block per x-plane
+	spreadGen int                 // current spread generation, stamps accum planes
+	curKernel core.Kernel         // kernel whose region is running, for Regions
 }
 
 // NewSolver builds the parallel solver and starts its thread team. Like
@@ -81,30 +71,22 @@ func NewSolver(cfg Config) (*Solver, error) {
 	if cfg.Threads > cfg.NX {
 		cfg.Threads = cfg.NX
 	}
-	if cfg.Chunk < 1 {
-		cfg.Chunk = 1
-	}
 	cs, err := core.NewSolver(cfg.Config)
 	if err != nil {
 		return nil, err
 	}
 	s := &Solver{
-		Solver:   cs,
-		Threads:  cfg.Threads,
-		Schedule: cfg.Schedule,
-		Chunk:    cfg.Chunk,
-		team:     par.NewTeam(cfg.Threads),
+		Solver:  cs,
+		Threads: cfg.Threads,
+		team:    par.NewTeam(cfg.Threads),
 	}
 	if cfg.Threads > 1 {
-		s.accums = make([]*planeAccum, cfg.Threads)
-		for i := range s.accums {
-			s.accums[i] = newPlaneAccum(cfg.NX)
-		}
+		s.accums = core.NewSpreadAccums(s.Fluid, cfg.Threads, nil)
 	}
 	// Kernel 4 accumulates on top of the reset that UpdateVelocity leaves
 	// behind (the force-reset sweep is folded into kernel 7 here); seed
 	// the initial body force the same way.
-	s.SeedForce()
+	core.SeedForce(s.Fluid.Nodes, s.BodyForce)
 	return s, nil
 }
 
@@ -118,22 +100,11 @@ func MustNewSolver(cfg Config) *Solver {
 	return s
 }
 
-// SeedForce initializes every node's force to the uniform body force —
-// the invariant UpdateVelocity maintains between steps. It must be called
-// after loading external state into the fluid grid (e.g. a checkpoint)
-// because SpreadForce no longer resets the field itself.
-func (s *Solver) SeedForce() {
-	body := s.BodyForce
-	for i := range s.Fluid.Nodes {
-		s.Fluid.Nodes[i].Force = body
-	}
-}
-
 // Close releases the worker team.
 func (s *Solver) Close() { s.team.Close() }
 
-// parallelFor dispatches a loop of n iterations under the configured
-// schedule. With a RegionObserver attached, each thread's busy time
+// parallelFor dispatches a loop of n iterations as one contiguous chunk
+// per thread. With a RegionObserver attached, each thread's busy time
 // inside the region is accumulated (each thread writes only its own
 // slot) and reported once from the coordinator after the implicit
 // barrier.
@@ -149,22 +120,17 @@ func (s *Solver) parallelFor(n int, body func(tid, lo, hi int)) {
 			busy[tid] += time.Since(t0)
 		}
 	}
-	if s.Schedule == Dynamic {
-		s.team.ForDynamic(n, s.Chunk, run)
-	} else {
-		s.team.ForStatic(n, run)
-	}
+	s.team.ForStatic(n, run)
 	if obs != nil {
 		obs.RegionDone(s.StepCount(), s.curKernel, busy)
 	}
 }
 
 // ParallelFor dispatches a loop of n iterations on the solver's worker
-// team under the configured schedule — the seam for engines layered on
-// this solver (internal/fused) to run their own parallel regions on the
-// same team the fiber kernels use. Under the Static schedule each thread
-// receives exactly one contiguous chunk, the property the fused sweep's
-// wavefront relies on.
+// team — the seam for engines layered on this solver (internal/fused)
+// to run their own parallel regions on the same team the fiber kernels
+// use. Each thread receives exactly one contiguous chunk, the property
+// the fused sweep's wavefront relies on.
 func (s *Solver) ParallelFor(n int, body func(tid, lo, hi int)) { s.parallelFor(n, body) }
 
 // Step advances one time step by running the nine kernels as parallel
@@ -210,41 +176,36 @@ func (s *Solver) Run(n int) {
 	}
 }
 
-// forEachFiber runs body over the global fiber range [lo, hi) mapped onto
-// (sheet, node-range) pieces — the fiber loops of Algorithm 3 generalized
-// to a multi-sheet structure.
-func (s *Solver) forEachFiber(lo, hi int, body func(sh *fiber.Sheet, nodeLo, nodeHi int)) {
-	for g := lo; g < hi; {
-		sh, f := fiber.Locate(s.Sheets, g)
-		// Extend to the run of fibers of this sheet inside [g, hi).
-		run := sh.NumFibers - f
-		if g+run > hi {
-			run = hi - g
-		}
-		body(sh, f*sh.NodesPerFiber, (f+run)*sh.NodesPerFiber)
-		g += run
-	}
+// forFibers is a parallel region over the structure's fibers
+// (Algorithm 3): each thread's chunk of the global fiber range reaches
+// body as (sheet, node-range) pieces.
+func (s *Solver) forFibers(body func(tid int, sh *fiber.Sheet, nodeLo, nodeHi int)) {
+	s.parallelFor(fiber.TotalFibers(s.Sheets), func(tid, lo, hi int) {
+		core.ForFibers(s.Sheets, lo, hi, func(sh *fiber.Sheet, a, b int) { body(tid, sh, a, b) })
+	})
+}
+
+// forSlabs is a parallel region over x-slabs (Algorithm 2): each thread's
+// chunk of planes [lo, hi) reaches body with the chunk's node slice.
+func (s *Solver) forSlabs(body func(lo, hi int, nodes []grid.Node)) {
+	g := s.Fluid
+	nyz := g.NY * g.NZ
+	s.parallelFor(g.NX, func(_, lo, hi int) { body(lo, hi, g.Nodes[lo*nyz:hi*nyz]) })
 }
 
 // ComputeBendingForce is kernel 1 parallelized over fibers.
 func (s *Solver) ComputeBendingForce() {
-	s.parallelFor(fiber.TotalFibers(s.Sheets), func(_, lo, hi int) {
-		s.forEachFiber(lo, hi, func(sh *fiber.Sheet, a, b int) { sh.ComputeBendingForce(a, b) })
-	})
+	s.forFibers(func(_ int, sh *fiber.Sheet, a, b int) { sh.ComputeBendingForce(a, b) })
 }
 
 // ComputeStretchingForce is kernel 2 parallelized over fibers.
 func (s *Solver) ComputeStretchingForce() {
-	s.parallelFor(fiber.TotalFibers(s.Sheets), func(_, lo, hi int) {
-		s.forEachFiber(lo, hi, func(sh *fiber.Sheet, a, b int) { sh.ComputeStretchingForce(a, b) })
-	})
+	s.forFibers(func(_ int, sh *fiber.Sheet, a, b int) { sh.ComputeStretchingForce(a, b) })
 }
 
 // ComputeElasticForce is kernel 3 parallelized over fibers.
 func (s *Solver) ComputeElasticForce() {
-	s.parallelFor(fiber.TotalFibers(s.Sheets), func(_, lo, hi int) {
-		s.forEachFiber(lo, hi, func(sh *fiber.Sheet, a, b int) { sh.ComputeElasticForce(a, b) })
-	})
+	s.forFibers(func(_ int, sh *fiber.Sheet, a, b int) { sh.ComputeElasticForce(a, b) })
 }
 
 // SpreadForce is kernel 4, parallel over fibers. The force-field reset
@@ -252,92 +213,69 @@ func (s *Solver) ComputeElasticForce() {
 // sweep (and seeded at construction), saving one full-grid pass per
 // step; spreading accumulates on top of that reset.
 //
-// Each thread scatters into its private planeAccum and a second
-// parallel region reduces the touched planes into the grid (see
-// spread.go); a one-thread team writes the grid directly.
+// Each thread scatters into its private core.SpreadAccum and a second
+// parallel region over x-slabs — each plane has exactly one reducing
+// thread — folds the touched planes into the grid; the accumulate
+// region's closing barrier orders all writes to the accums before any
+// read there. A one-thread team writes the grid directly: spreading
+// cannot race there, and buffering would only change the floating-point
+// accumulation order away from the sequential solver's fiber order — the
+// crosscheck contract expects one-thread runs to be bitwise-equal to the
+// sequential reference.
 func (s *Solver) SpreadForce() {
 	if len(s.Sheets) == 0 {
 		return
 	}
 	if s.Threads == 1 {
-		s.parallelFor(fiber.TotalFibers(s.Sheets), func(_, lo, hi int) {
-			acc := gridWriter{s: s}
-			s.forEachFiber(lo, hi, func(sh *fiber.Sheet, a, b int) {
-				area := sh.AreaElement()
-				for i := a; i < b; i++ {
-					ibm.Spread(acc, sh.X[i], sh.Force[i], area)
-				}
-			})
-		})
+		s.forFibers(func(_ int, sh *fiber.Sheet, a, b int) { core.SpreadSheetNodes(s.Fluid, sh, a, b) })
 		return
 	}
 	s.spreadGen++
 	gen := s.spreadGen
-	s.parallelFor(fiber.TotalFibers(s.Sheets), func(tid, lo, hi int) {
-		acc := &planeWriter{s: s, acc: s.accums[tid], gen: gen}
-		s.forEachFiber(lo, hi, func(sh *fiber.Sheet, a, b int) {
-			area := sh.AreaElement()
-			for i := a; i < b; i++ {
-				ibm.Spread(acc, sh.X[i], sh.Force[i], area)
-			}
-		})
+	s.forFibers(func(tid int, sh *fiber.Sheet, a, b int) {
+		acc := s.accums[tid]
+		acc.Begin(gen)
+		core.SpreadSheetNodes(acc, sh, a, b)
 	})
-	s.reduceSpread(gen)
-}
-
-// ComputeCollision is kernel 5 parallelized over x-slabs (Algorithm 2).
-func (s *Solver) ComputeCollision() {
-	g := s.Fluid
-	tau := s.Tau
-	cur := g.Cur()
-	s.parallelFor(g.NX, func(_, lo, hi int) {
-		for i := lo * g.NY * g.NZ; i < hi*g.NY*g.NZ; i++ {
-			core.CollideNodeBuf(&g.Nodes[i], tau, cur)
+	g, nyz := s.Fluid, s.Fluid.NY*s.Fluid.NZ
+	s.forSlabs(func(lo, hi int, _ []grid.Node) {
+		for x := lo; x < hi; x++ {
+			core.ReduceSpread(s.accums, g.Nodes[x*nyz:(x+1)*nyz], x, gen)
 		}
 	})
 }
 
+// ComputeCollision is kernel 5 parallelized over x-slabs (Algorithm 2).
+func (s *Solver) ComputeCollision() {
+	tau, cur := s.Tau, s.Fluid.Cur()
+	s.forSlabs(func(_, _ int, nodes []grid.Node) { core.CollideRange(nodes, tau, cur) })
+}
+
 // StreamDistribution is kernel 6 parallelized over x-slabs. Writes into
-// neighbor slabs' DFNew are race-free because each (node, direction) pair
-// has exactly one writer.
+// neighbor slabs' post-streaming buffers are race-free because each
+// (node, direction) pair has exactly one writer.
 func (s *Solver) StreamDistribution() {
-	g := s.Fluid
-	s.parallelFor(g.NX, func(_, lo, hi int) {
+	cur := s.Fluid.Cur()
+	s.forSlabs(func(lo, hi int, _ []grid.Node) {
 		for x := lo; x < hi; x++ {
-			for y := 0; y < g.NY; y++ {
-				for z := 0; z < g.NZ; z++ {
-					s.StreamNode(x, y, z)
-				}
-			}
+			s.StreamPlane(x, cur)
 		}
 	})
 }
 
 // UpdateVelocity is kernel 7 parallelized over x-slabs. After computing a
 // node's moments (which read the elastic force for the half-force
-// correction) it resets the node's force to the uniform body force — the
-// fold that lets SpreadForce skip its own full-grid reset sweep.
+// correction) the pass resets the node's force to the uniform body force —
+// the fold that lets SpreadForce skip its own full-grid reset sweep.
 func (s *Solver) UpdateVelocity() {
-	g := s.Fluid
-	next := 1 - g.Cur()
-	body := s.BodyForce
-	s.parallelFor(g.NX, func(_, lo, hi int) {
-		for i := lo * g.NY * g.NZ; i < hi*g.NY*g.NZ; i++ {
-			core.UpdateVelocityNodeBuf(&g.Nodes[i], next)
-			g.Nodes[i].Force = body
-		}
-	})
+	next, body := 1-s.Fluid.Cur(), s.BodyForce
+	s.forSlabs(func(_, _ int, nodes []grid.Node) { core.UpdateRange(nodes, next, &body) })
 }
 
 // MoveFibers is kernel 8 parallelized over fibers. Fluid velocities are
 // read-only here, so no locking is needed.
 func (s *Solver) MoveFibers() {
-	g := s.Fluid
-	s.parallelFor(fiber.TotalFibers(s.Sheets), func(_, lo, hi int) {
-		s.forEachFiber(lo, hi, func(sh *fiber.Sheet, a, b int) {
-			core.MoveSheetNodes(g, sh, a, b)
-		})
-	})
+	s.forFibers(func(_ int, sh *fiber.Sheet, a, b int) { core.MoveSheetNodes(s.Fluid, sh, a, b) })
 }
 
 // CopyDistribution is kernel 9, retired to an O(1) buffer swap that

@@ -26,32 +26,30 @@ func baseConfig(sheet *fiber.Sheet) core.Config {
 }
 
 // The central correctness property: the OpenMP-style solver must reproduce
-// the sequential solver's state for any thread count and schedule.
+// the sequential solver's state for any thread count.
 func TestMatchesSequential(t *testing.T) {
 	const steps = 12
 	ref := core.MustNewSolver(baseConfig(testSheet()))
 	ref.Run(steps)
 
 	for _, threads := range []int{1, 2, 3, 4, 8} {
-		for _, sched := range []Schedule{Static, Dynamic} {
-			s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: threads, Schedule: sched, Chunk: 2})
-			s.Run(steps)
-			gd, err := validate.Grids(ref.Fluid, s.Fluid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !gd.Within(validate.DefaultTol) {
-				t.Fatalf("threads=%d sched=%v fluid diverges: %v", threads, sched, gd)
-			}
-			sd, err := validate.Sheets(ref.Sheet(), s.Sheet())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sd.Within(validate.DefaultTol) {
-				t.Fatalf("threads=%d sched=%v sheet diverges: %v", threads, sched, sd)
-			}
-			s.Close()
+		s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: threads})
+		s.Run(steps)
+		gd, err := validate.Grids(ref.Fluid, s.Fluid)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !gd.Within(validate.DefaultTol) {
+			t.Fatalf("threads=%d fluid diverges: %v", threads, gd)
+		}
+		sd, err := validate.Sheets(ref.Sheet(), s.Sheet())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sd.Within(validate.DefaultTol) {
+			t.Fatalf("threads=%d sheet diverges: %v", threads, sd)
+		}
+		s.Close()
 	}
 }
 

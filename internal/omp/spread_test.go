@@ -46,13 +46,13 @@ func TestLockFreeSpreadMatchesSequential(t *testing.T) {
 	}
 }
 
-// Under the Static schedule each thread's plane range is fixed and the
+// The schedule is static, so each thread's plane range is fixed and the
 // reduction folds buffers in ascending thread order, so two identical
 // multi-threaded lock-free runs must be bitwise equal.
 func TestLockFreeDeterministicRunToRun(t *testing.T) {
 	const steps = 8
 	run := func() *Solver {
-		s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: 4, Schedule: Static})
+		s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: 4})
 		s.Run(steps)
 		return s
 	}

@@ -54,52 +54,14 @@ func (m Mesh) Coord(id int) (i, j, k int) {
 	return
 }
 
-// Dist selects a data-distribution policy for the cube2thread and
-// fiber2thread mapping functions (Section V-A: "block distribution, cyclic
-// distribution, or block cyclic distribution").
-type Dist int
-
-const (
-	// Block assigns each thread one contiguous span (the paper's default
-	// and its Figure 6 example).
-	Block Dist = iota
-	// Cyclic deals indices round-robin.
-	Cyclic
-	// BlockCyclic deals fixed-size blocks round-robin.
-	BlockCyclic
-)
-
-// String names the distribution policy.
-func (d Dist) String() string {
-	switch d {
-	case Block:
-		return "block"
-	case Cyclic:
-		return "cyclic"
-	case BlockCyclic:
-		return "block-cyclic"
-	default:
-		return fmt.Sprintf("dist(%d)", int(d))
-	}
-}
-
-// axisMap maps index c of nc cells onto np positions under policy d with
-// block-cyclic block size b.
-func axisMap(c, nc, np int, d Dist, b int) int {
+// axisMap maps index c of nc cells onto np positions as balanced
+// contiguous spans — the block distribution of Section V-A and the
+// paper's Figure 6 example.
+func axisMap(c, nc, np int) int {
 	if np == 1 {
 		return 0
 	}
-	switch d {
-	case Cyclic:
-		return c % np
-	case BlockCyclic:
-		if b < 1 {
-			b = 1
-		}
-		return (c / b) % np
-	default: // Block: balanced contiguous spans.
-		return c * np / nc
-	}
+	return c * np / nc
 }
 
 // CubeMap is the user-defined data-distribution function of Section V-A:
@@ -108,16 +70,14 @@ func axisMap(c, nc, np int, d Dist, b int) int {
 type CubeMap struct {
 	CX, CY, CZ int
 	Mesh       Mesh
-	Dist       Dist
-	BlockSize  int // block-cyclic block size (cubes per block), default 1
 }
 
 // CubeToThread implements int cube2thread(cube_x, cube_y, cube_z): the
 // owner thread id of the cube at (cx, cy, cz).
 func (m CubeMap) CubeToThread(cx, cy, cz int) int {
-	i := axisMap(cx, m.CX, m.Mesh.P, m.Dist, m.BlockSize)
-	j := axisMap(cy, m.CY, m.Mesh.Q, m.Dist, m.BlockSize)
-	k := axisMap(cz, m.CZ, m.Mesh.R, m.Dist, m.BlockSize)
+	i := axisMap(cx, m.CX, m.Mesh.P)
+	j := axisMap(cy, m.CY, m.Mesh.Q)
+	k := axisMap(cz, m.CZ, m.Mesh.R)
 	return m.Mesh.ID(i, j, k)
 }
 
@@ -139,10 +99,10 @@ func (m CubeMap) Counts() []int {
 }
 
 // FiberToThread implements int fiber2thread(fiber_i): the owner thread of
-// fiber i out of nfibers, distributed over nthreads with the given policy.
-func FiberToThread(i, nfibers, nthreads int, d Dist) int {
+// fiber i out of nfibers, block-distributed over nthreads.
+func FiberToThread(i, nfibers, nthreads int) int {
 	if nthreads <= 1 {
 		return 0
 	}
-	return axisMap(i, nfibers, nthreads, d, 1)
+	return axisMap(i, nfibers, nthreads)
 }

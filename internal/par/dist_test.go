@@ -63,7 +63,7 @@ func TestNewMeshPanicsOnZero(t *testing.T) {
 func TestCubeMapFigure6Example(t *testing.T) {
 	// The paper's Figure 6: 2×2×2 cubes onto a 2×2×2 thread mesh with
 	// block distribution — every thread owns exactly one cube.
-	m := CubeMap{CX: 2, CY: 2, CZ: 2, Mesh: NewMesh(8), Dist: Block}
+	m := CubeMap{CX: 2, CY: 2, CZ: 2, Mesh: NewMesh(8)}
 	counts := m.Counts()
 	for tid, c := range counts {
 		if c != 1 {
@@ -73,11 +73,10 @@ func TestCubeMapFigure6Example(t *testing.T) {
 }
 
 func TestCubeMapValidOwners(t *testing.T) {
-	f := func(cxr, cyr, czr, nr uint8, dr uint8) bool {
+	f := func(cxr, cyr, czr, nr uint8) bool {
 		cx, cy, cz := int(cxr)%6+1, int(cyr)%6+1, int(czr)%6+1
 		n := int(nr)%16 + 1
-		d := Dist(int(dr) % 3)
-		m := CubeMap{CX: cx, CY: cy, CZ: cz, Mesh: NewMesh(n), Dist: d, BlockSize: 2}
+		m := CubeMap{CX: cx, CY: cy, CZ: cz, Mesh: NewMesh(n)}
 		for x := 0; x < cx; x++ {
 			for y := 0; y < cy; y++ {
 				for z := 0; z < cz; z++ {
@@ -98,7 +97,7 @@ func TestCubeMapValidOwners(t *testing.T) {
 func TestCubeMapBlockIsContiguousPerAxis(t *testing.T) {
 	// Under block distribution the owner index along an axis must be
 	// non-decreasing in the cube coordinate.
-	m := CubeMap{CX: 16, CY: 1, CZ: 1, Mesh: Mesh{P: 4, Q: 1, R: 1}, Dist: Block}
+	m := CubeMap{CX: 16, CY: 1, CZ: 1, Mesh: Mesh{P: 4, Q: 1, R: 1}}
 	prev := -1
 	for x := 0; x < 16; x++ {
 		tid := m.CubeToThread(x, 0, 0)
@@ -115,39 +114,18 @@ func TestCubeMapBlockIsContiguousPerAxis(t *testing.T) {
 	}
 }
 
-func TestCubeMapCyclicRoundRobin(t *testing.T) {
-	m := CubeMap{CX: 8, CY: 1, CZ: 1, Mesh: Mesh{P: 4, Q: 1, R: 1}, Dist: Cyclic}
-	for x := 0; x < 8; x++ {
-		if got := m.CubeToThread(x, 0, 0); got != x%4 {
-			t.Fatalf("cyclic cube %d -> thread %d, want %d", x, got, x%4)
-		}
-	}
-}
-
-func TestCubeMapBlockCyclic(t *testing.T) {
-	m := CubeMap{CX: 8, CY: 1, CZ: 1, Mesh: Mesh{P: 2, Q: 1, R: 1}, Dist: BlockCyclic, BlockSize: 2}
-	want := []int{0, 0, 1, 1, 0, 0, 1, 1}
-	for x := 0; x < 8; x++ {
-		if got := m.CubeToThread(x, 0, 0); got != want[x] {
-			t.Fatalf("block-cyclic cube %d -> thread %d, want %d", x, got, want[x])
-		}
-	}
-}
-
 func TestCubeMapBalancedWhenDivisible(t *testing.T) {
 	// 8×8×8 cubes on 64 threads (4×4×4): each thread owns exactly 8.
-	for _, d := range []Dist{Block, Cyclic, BlockCyclic} {
-		m := CubeMap{CX: 8, CY: 8, CZ: 8, Mesh: NewMesh(64), Dist: d, BlockSize: 1}
-		for tid, c := range m.Counts() {
-			if c != 8 {
-				t.Fatalf("%v: thread %d owns %d cubes, want 8", d, tid, c)
-			}
+	m := CubeMap{CX: 8, CY: 8, CZ: 8, Mesh: NewMesh(64)}
+	for tid, c := range m.Counts() {
+		if c != 8 {
+			t.Fatalf("thread %d owns %d cubes, want 8", tid, c)
 		}
 	}
 }
 
 func TestCubeMapCountsSumToNumCubes(t *testing.T) {
-	m := CubeMap{CX: 5, CY: 7, CZ: 3, Mesh: NewMesh(6), Dist: Block}
+	m := CubeMap{CX: 5, CY: 7, CZ: 3, Mesh: NewMesh(6)}
 	sum := 0
 	for _, c := range m.Counts() {
 		sum += c
@@ -162,7 +140,7 @@ func TestFiberToThreadBlock(t *testing.T) {
 	counts := make([]int, 4)
 	prev := 0
 	for i := 0; i < 52; i++ {
-		tid := FiberToThread(i, 52, 4, Block)
+		tid := FiberToThread(i, 52, 4)
 		if tid < prev {
 			t.Fatalf("fiber block distribution not monotone at %d", i)
 		}
@@ -178,7 +156,7 @@ func TestFiberToThreadBlock(t *testing.T) {
 
 func TestFiberToThreadSingleThread(t *testing.T) {
 	for i := 0; i < 10; i++ {
-		if FiberToThread(i, 10, 1, Cyclic) != 0 {
+		if FiberToThread(i, 10, 1) != 0 {
 			t.Fatal("single thread must own every fiber")
 		}
 	}
@@ -194,7 +172,7 @@ func TestFiberToThreadImbalanceBounded(t *testing.T) {
 		}
 		counts := make([]int, nt)
 		for i := 0; i < nf; i++ {
-			counts[FiberToThread(i, nf, nt, Block)]++
+			counts[FiberToThread(i, nf, nt)]++
 		}
 		min, max := nf, 0
 		for _, c := range counts {
@@ -209,14 +187,5 @@ func TestFiberToThreadImbalanceBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDistString(t *testing.T) {
-	if Block.String() != "block" || Cyclic.String() != "cyclic" || BlockCyclic.String() != "block-cyclic" {
-		t.Fatal("Dist names wrong")
-	}
-	if Dist(9).String() == "" {
-		t.Fatal("unknown Dist must still stringify")
 	}
 }

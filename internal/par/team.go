@@ -6,17 +6,15 @@
 //     OpenMP thread team or a set of pthreads created once in main()
 //     (Algorithm 4's create_thread loop);
 //   - Barrier — a reusable global barrier (thread_barrier_wait);
-//   - parallel-for helpers with OpenMP-style static and dynamic schedules
-//     (Algorithm 2/3's "#pragma omp parallel for");
+//   - a parallel-for helper with OpenMP's static schedule (Algorithm
+//     2/3's "#pragma omp parallel for");
 //   - Mesh — the P×Q×R logical thread mesh of Section V-A;
-//   - the data-distribution functions cube2thread and fiber2thread with
-//     block, cyclic, and block-cyclic policies.
+//   - the block data-distribution functions cube2thread and fiber2thread.
 package par
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Team is a persistent group of n worker goroutines addressed by thread id
@@ -120,29 +118,6 @@ func (t *Team) ForStatic(n int, body func(tid, lo, hi int)) {
 	t.Run(func(tid int) {
 		lo, hi := StaticRange(n, t.n, tid)
 		if lo < hi {
-			body(tid, lo, hi)
-		}
-	})
-}
-
-// ForDynamic runs body over [0, n) in chunks of the given size that idle
-// workers claim from a shared counter (OpenMP "schedule(dynamic, chunk)"),
-// with an implicit barrier at the end. chunk < 1 is treated as 1.
-func (t *Team) ForDynamic(n, chunk int, body func(tid, lo, hi int)) {
-	if chunk < 1 {
-		chunk = 1
-	}
-	var next int64
-	t.Run(func(tid int) {
-		for {
-			lo := int(atomic.AddInt64(&next, int64(chunk))) - chunk
-			if lo >= n {
-				return
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
 			body(tid, lo, hi)
 		}
 	})

@@ -143,35 +143,6 @@ func TestForStaticEmptyRange(t *testing.T) {
 	}
 }
 
-func TestForDynamicVisitsEachIndexOnce(t *testing.T) {
-	team := NewTeam(3)
-	defer team.Close()
-	n := 97
-	hits := make([]int32, n)
-	team.ForDynamic(n, 5, func(tid, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&hits[i], 1)
-		}
-	})
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times", i, h)
-		}
-	}
-}
-
-func TestForDynamicChunkClamp(t *testing.T) {
-	team := NewTeam(2)
-	defer team.Close()
-	var total int32
-	team.ForDynamic(10, 0, func(tid, lo, hi int) { // chunk 0 -> 1
-		atomic.AddInt32(&total, int32(hi-lo))
-	})
-	if total != 10 {
-		t.Fatalf("dynamic schedule covered %d of 10", total)
-	}
-}
-
 func TestBarrierPhases(t *testing.T) {
 	const n = 4
 	const rounds = 25

@@ -174,7 +174,8 @@ func TestSkewSelfTest(t *testing.T) {
 		delay   = 2 * time.Millisecond // per owned cube, ≈16ms skew per step
 	)
 	s, err := cubesolver.NewSolver(cubesolver.Config{
-		NX: 16, NY: 16, NZ: 16, CubeSize: 4, Threads: threads, Tau: 0.7,
+		Config:   core.Config{NX: 16, NY: 16, NZ: 16, Tau: 0.7},
+		CubeSize: 4, Threads: threads,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,3 @@
-//lint:allow paritycheck -- kernel-9-faithful engine: its grids are never swapped (parity stays 0), so DF is always "present" and DFNew always "next"
-
 // Package taskflow implements the paper's stated future work (Section
 // VIII): a cube-based LBM-IB solver that replaces Algorithm 4's global
 // barriers with dynamic task scheduling over a per-cube dependency graph,
@@ -32,6 +30,9 @@
 // runnable, expanded by the delta support plus a safety margin and rounded
 // out to whole cubes; if the box wraps the periodic domain the set
 // conservatively becomes "all cubes".
+//
+// The task bodies are internal/core's loop bodies; the layout is never
+// swapped (Copy is kernel 9 as published), so its buffer parity stays 0.
 package taskflow
 
 import (
@@ -43,8 +44,7 @@ import (
 	"lbmib/internal/cube"
 	"lbmib/internal/cubesolver"
 	"lbmib/internal/fiber"
-	"lbmib/internal/ibm"
-	"lbmib/internal/lattice"
+	"lbmib/internal/grid"
 )
 
 // PhaseObserver is the uniform per-thread phase-duration callback shared
@@ -65,21 +65,12 @@ var phaseOf = [...]cubesolver.Phase{
 	phCopy:       cubesolver.PhaseCopy,
 }
 
-// Config assembles a task-scheduled cube LBM-IB problem. The fields mirror
-// cubesolver.Config; there is no barrier schedule because there are no
-// barriers.
+// Config assembles a task-scheduled cube LBM-IB problem; there is no
+// barrier schedule because there are no barriers.
 type Config struct {
-	NX, NY, NZ    int
-	CubeSize      int
-	Workers       int
-	Tau           float64
-	BodyForce     [3]float64
-	BCX, BCY, BCZ core.BC
-	// LidVelocity is the tangential velocity of the z-max wall when BCZ
-	// is BounceBack (Ladd's momentum-exchange bounce-back).
-	LidVelocity [3]float64
-	Sheet       *fiber.Sheet   // single-sheet convenience, appended to Sheets
-	Sheets      []*fiber.Sheet // the immersed structure's sheets
+	core.Config
+	CubeSize int // k; fluid dimensions must be multiples of it (default 4)
+	Workers  int
 }
 
 // phase identifies a task kind.
@@ -102,24 +93,15 @@ type task struct {
 
 // Solver runs the LBM-IB method under dynamic task scheduling.
 type Solver struct {
-	Fluid       *cube.Layout
-	Sheets      []*fiber.Sheet
-	Tau         float64
-	BodyForce   [3]float64
-	BCX         core.BC
-	BCY         core.BC
-	BCZ         core.BC
-	LidVelocity [3]float64
+	core.Problem
+	Fluid *cube.Layout
 
 	// Observer, when non-nil, receives one PhaseDone per executed task
 	// (worker id as tid). Nil by default: the uninstrumented scheduler
 	// executes tasks with no timing calls.
 	Observer PhaseObserver
 
-	// bc resolves boundary streaming with the body shared across engines
-	// (core.StreamBC).
-	bc core.StreamBC
-
+	stream  *core.Streamer
 	workers int
 	step    int
 
@@ -142,8 +124,6 @@ type Solver struct {
 	influence [2][]bool
 	inflStep  [2]int
 
-	streamDelta [lattice.Q]int
-
 	mu      sync.Mutex
 	cond    *sync.Cond
 	ready   []task
@@ -160,10 +140,8 @@ func NewSolver(cfg Config) (*Solver, error) {
 	if cfg.CubeSize == 0 {
 		cfg.CubeSize = 4
 	}
-	if cfg.Tau == 0 { //lint:allow floatcheck -- Tau==0 is the documented "unset" sentinel; real values are vetted by ValidateTau
-		cfg.Tau = 0.6
-	}
-	if err := core.ValidateTau(cfg.Tau); err != nil {
+	p, err := core.NewProblem(cfg.Config)
+	if err != nil {
 		return nil, fmt.Errorf("taskflow: %w", err)
 	}
 	layout, err := cube.NewLayout(cfg.NX, cfg.NY, cfg.NZ, cfg.CubeSize)
@@ -171,19 +149,9 @@ func NewSolver(cfg Config) (*Solver, error) {
 		return nil, err
 	}
 	s := &Solver{
-		Fluid:       layout,
-		Sheets:      append(append([]*fiber.Sheet(nil), cfg.Sheets...), nonNil(cfg.Sheet)...),
-		Tau:         cfg.Tau,
-		BodyForce:   cfg.BodyForce,
-		BCX:         cfg.BCX,
-		BCY:         cfg.BCY,
-		BCZ:         cfg.BCZ,
-		LidVelocity: cfg.LidVelocity,
-		bc: core.StreamBC{
-			NX: cfg.NX, NY: cfg.NY, NZ: cfg.NZ,
-			BCX: cfg.BCX, BCY: cfg.BCY, BCZ: cfg.BCZ,
-			LidVelocity: cfg.LidVelocity,
-		},
+		Problem:  p,
+		Fluid:    layout,
+		stream:   core.NewStreamer(layout, p.StreamBC(cfg.NX, cfg.NY, cfg.NZ)),
 		workers:  cfg.Workers,
 		csDone:   make([]int, layout.NumCubes()),
 		uvDone:   make([]int, layout.NumCubes()),
@@ -209,27 +177,14 @@ func NewSolver(cfg Config) (*Solver, error) {
 	s.moveQ = -1
 	s.inflStep[0] = -1
 	s.inflStep[1] = -1
-	for i := 0; i < lattice.Q; i++ {
-		k := layout.K
-		s.streamDelta[i] = (lattice.E[i][0]*k+lattice.E[i][1])*k + lattice.E[i][2]
-	}
 	s.buildNeighbors()
-	for i := range s.Fluid.Nodes {
-		s.Fluid.Nodes[i].Force = s.BodyForce
-	}
+	core.SeedForce(layout.Nodes, s.BodyForce)
 	return s, nil
 }
 
 func (s *Solver) buildNeighbors() {
 	l := s.Fluid
 	s.neighbors = make([][]int, l.NumCubes())
-	wrap := func(i, n int) int {
-		i %= n
-		if i < 0 {
-			i += n
-		}
-		return i
-	}
 	for c := 0; c < l.NumCubes(); c++ {
 		cx, cy, cz := l.CubeCoord(c)
 		seen := map[int]bool{}
@@ -237,7 +192,7 @@ func (s *Solver) buildNeighbors() {
 		for dx := -1; dx <= 1; dx++ {
 			for dy := -1; dy <= 1; dy++ {
 				for dz := -1; dz <= 1; dz++ {
-					n := l.CubeIndex(wrap(cx+dx, l.CX), wrap(cy+dy, l.CY), wrap(cz+dz, l.CZ))
+					n := l.CubeIndex(grid.WrapIndex(cx+dx, l.CX), grid.WrapIndex(cy+dy, l.CY), grid.WrapIndex(cz+dz, l.CZ))
 					if !seen[n] {
 						seen[n] = true
 						list = append(list, n)
@@ -247,14 +202,6 @@ func (s *Solver) buildNeighbors() {
 		}
 		s.neighbors[c] = list
 	}
-}
-
-// Sheet returns the first immersed sheet (nil without a structure).
-func (s *Solver) Sheet() *fiber.Sheet {
-	if len(s.Sheets) == 0 {
-		return nil
-	}
-	return s.Sheets[0]
 }
 
 // StepCount returns the number of completed time steps.
@@ -438,26 +385,23 @@ func (s *Solver) workerLoop(w int) {
 	}
 }
 
-// execute runs the task body without holding the scheduler lock.
+// execute runs the task body without holding the scheduler lock. The
+// layout's parity is 0 throughout: present buffer 0, post-streaming 1.
 func (s *Solver) execute(t task) {
 	switch t.ph {
 	case phFiberForce:
 		s.runFiberForce(t.step)
 	case phCS:
-		s.collideStreamCube(t.cube)
+		core.CollideRange(s.Fluid.CubeNodes(t.cube), s.Tau, 0)
+		s.stream.Block(t.cube, 0)
 	case phUV:
-		nodes := s.Fluid.CubeNodes(t.cube)
-		for i := range nodes {
-			core.UpdateVelocityNode(&nodes[i])
-		}
+		core.UpdateRange(s.Fluid.CubeNodes(t.cube), 1, nil)
 	case phMove:
-		s.runMoveFibers()
-	case phCopy:
-		nodes := s.Fluid.CubeNodes(t.cube)
-		for i := range nodes {
-			nodes[i].DF = nodes[i].DFNew
-			nodes[i].Force = s.BodyForce
+		for _, sh := range s.Sheets {
+			core.MoveSheetNodes(s.Fluid, sh, 0, sh.NumNodes())
 		}
+	case phCopy:
+		core.CopyRange(s.Fluid.CubeNodes(t.cube), 0, &s.BodyForce)
 	}
 }
 
@@ -517,14 +461,6 @@ func (s *Solver) complete(t task) {
 	}
 }
 
-// nonNil wraps an optional sheet as a slice for appending.
-func nonNil(sh *fiber.Sheet) []*fiber.Sheet {
-	if sh == nil {
-		return nil
-	}
-	return []*fiber.Sheet{sh}
-}
-
 // runFiberForce executes kernels 1–4 over every sheet and publishes the
 // step's influence set.
 func (s *Solver) runFiberForce(step int) {
@@ -534,10 +470,7 @@ func (s *Solver) runFiberForce(step int) {
 		sh.ComputeStretchingForce(0, sh.NumNodes())
 		sh.ComputeElasticForce(0, sh.NumNodes())
 		s.markInfluence(infl, sh)
-		area := sh.AreaElement()
-		for i := 0; i < sh.NumNodes(); i++ {
-			ibm.Spread(s.Fluid, sh.X[i], sh.Force[i], area)
-		}
+		core.SpreadSheetNodes(s.Fluid, sh, 0, sh.NumNodes())
 	}
 	s.mu.Lock()
 	slot := step & 1
@@ -576,70 +509,11 @@ func (s *Solver) markInfluence(infl []bool, sh *fiber.Sheet) {
 		cubeLo[d] = a
 		cubeHi[d] = b
 	}
-	wrap := func(i, n int) int {
-		i %= n
-		if i < 0 {
-			i += n
-		}
-		return i
-	}
-	k := l.K
 	for x := cubeLo[0]; x <= cubeHi[0]; x++ {
 		for y := cubeLo[1]; y <= cubeHi[1]; y++ {
 			for z := cubeLo[2]; z <= cubeHi[2]; z++ {
-				cx := wrap(x, dims[0]) / k
-				cy := wrap(y, dims[1]) / k
-				cz := wrap(z, dims[2]) / k
-				infl[l.CubeIndex(cx, cy, cz)] = true
+				infl[l.CubeIndex(l.CubeOf(l.Wrap(x, y, z)))] = true
 			}
 		}
-	}
-}
-
-// runMoveFibers executes kernel 8 over every sheet.
-func (s *Solver) runMoveFibers() {
-	for _, sh := range s.Sheets {
-		core.MoveSheetNodes(s.Fluid, sh, 0, sh.NumNodes())
-	}
-}
-
-// collideStreamCube fuses kernels 5 and 6 over one cube.
-func (s *Solver) collideStreamCube(c int) {
-	l := s.Fluid
-	nodes := l.CubeNodes(c)
-	for i := range nodes {
-		core.CollideNode(&nodes[i], s.Tau)
-	}
-	k := l.K
-	cx, cy, cz := l.CubeCoord(c)
-	x0, y0, z0 := cx*k, cy*k, cz*k
-	for lx := 0; lx < k; lx++ {
-		for ly := 0; ly < k; ly++ {
-			for lz := 0; lz < k; lz++ {
-				s.streamNode(x0+lx, y0+ly, z0+lz)
-			}
-		}
-	}
-}
-
-func (s *Solver) streamNode(x, y, z int) {
-	l := s.Fluid
-	idx := l.Idx(x, y, z)
-	src := &l.Nodes[idx]
-	k := l.K
-	lx, ly, lz := x%k, y%k, z%k
-	if lx > 0 && lx < k-1 && ly > 0 && ly < k-1 && lz > 0 && lz < k-1 {
-		for i := 0; i < lattice.Q; i++ {
-			l.Nodes[idx+s.streamDelta[i]].DFNew[i] = src.DF[i]
-		}
-		return
-	}
-	for i := 0; i < lattice.Q; i++ {
-		tx, ty, tz, refl, bounce := s.bc.Resolve(i, x, y, z, src.DF[i], src.Rho)
-		if bounce {
-			src.DFNew[lattice.Opposite[i]] = refl
-			continue
-		}
-		l.Nodes[l.Idx(tx, ty, tz)].DFNew[i] = src.DF[i]
 	}
 }

@@ -25,11 +25,7 @@ func refConfig(sheet *fiber.Sheet) core.Config {
 }
 
 func tfConfig(sheet *fiber.Sheet, workers int) Config {
-	return Config{
-		NX: 16, NY: 16, NZ: 16, CubeSize: 4, Workers: workers, Tau: 0.7,
-		BodyForce: [3]float64{3e-5, 0, 0},
-		Sheet:     sheet,
-	}
+	return Config{Config: refConfig(sheet), CubeSize: 4, Workers: workers}
 }
 
 // The headline property: because spreading runs as one task and all cube
@@ -67,8 +63,7 @@ func TestFluidOnlyMatchesSequential(t *testing.T) {
 	refCfg := core.Config{NX: 16, NY: 16, NZ: 16, Tau: 0.8, BodyForce: [3]float64{1e-4, 0, 0}}
 	ref := core.MustNewSolver(refCfg)
 	ref.Run(steps)
-	s, err := NewSolver(Config{NX: 16, NY: 16, NZ: 16, CubeSize: 4, Workers: 4, Tau: 0.8,
-		BodyForce: [3]float64{1e-4, 0, 0}})
+	s, err := NewSolver(Config{Config: refCfg, CubeSize: 4, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +83,7 @@ func TestBounceBackMatchesSequential(t *testing.T) {
 		BodyForce: [3]float64{1e-4, 0, 0}}
 	ref := core.MustNewSolver(refCfg)
 	ref.Run(steps)
-	s, err := NewSolver(Config{NX: 8, NY: 8, NZ: 8, CubeSize: 4, Workers: 3, Tau: 0.8,
-		BCZ: core.BounceBack, BodyForce: [3]float64{1e-4, 0, 0}})
+	s, err := NewSolver(Config{Config: refCfg, CubeSize: 4, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +152,10 @@ func TestFixedNodesRespected(t *testing.T) {
 }
 
 func TestRejectsBadConfig(t *testing.T) {
-	if _, err := NewSolver(Config{NX: 10, NY: 16, NZ: 16, CubeSize: 4, Tau: 0.7}); err == nil {
+	if _, err := NewSolver(Config{Config: core.Config{NX: 10, NY: 16, NZ: 16, Tau: 0.7}, CubeSize: 4}); err == nil {
 		t.Fatal("indivisible cube size accepted")
 	}
-	if _, err := NewSolver(Config{NX: 8, NY: 8, NZ: 8, CubeSize: 4, Tau: 0.3}); err == nil {
+	if _, err := NewSolver(Config{Config: core.Config{NX: 8, NY: 8, NZ: 8, Tau: 0.3}, CubeSize: 4}); err == nil {
 		t.Fatal("bad tau accepted")
 	}
 }

@@ -7,9 +7,8 @@
 //     histograms with exponential buckets) with snapshot, Prometheus
 //     text, and JSON encodings;
 //   - Tracer — turns the solvers' observer callbacks (core.Observer,
-//     cubesolver.PhaseObserver, cluster.PhaseObserver) into Chrome
-//     trace-event JSON loadable in chrome://tracing or Perfetto, one
-//     track per worker thread or rank;
+//     cubesolver.PhaseObserver) into Chrome trace-event JSON loadable
+//     in chrome://tracing or Perfetto, one track per worker thread;
 //   - Watchdog — samples per-step physics health (total mass drift, max
 //     velocity, NaN/Inf in ρ and u) and flags a run the step it goes
 //     unstable;

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"lbmib/internal/cluster"
 	"lbmib/internal/core"
 	"lbmib/internal/cubesolver"
 )
@@ -40,10 +39,9 @@ type traceFile struct {
 // callbacks and writes it as one JSON document on Flush. It implements
 // core.Observer (sequential and OpenMP-style solvers report on track 0)
 // and cubesolver.PhaseObserver (one track per worker thread of the P×Q×R
-// mesh, so barrier waits show as gaps between a thread's phase slices);
-// ClusterObserver adapts it to the distributed solver's per-rank
-// callbacks. Safe for concurrent use — the cube solver's workers and the
-// cluster's ranks all report into the same Tracer.
+// mesh, so barrier waits show as gaps between a thread's phase slices).
+// Safe for concurrent use — the cube solver's workers all report into
+// the same Tracer.
 //
 // The observer callbacks deliver durations at completion time, so each
 // slice's start is reconstructed as (now − duration) relative to the
@@ -158,20 +156,6 @@ func (t *Tracer) PhaseDone(step, tid int, p cubesolver.Phase, d time.Duration) {
 	t.NameTrack(tid, fmt.Sprintf("worker %d", tid))
 	t.Slice(tid, p.String(), "phase", d, map[string]any{"step": step})
 }
-
-// clusterTracer adapts a Tracer to cluster.PhaseObserver (the method set
-// clashes with cubesolver.PhaseObserver, so the adapter is a separate
-// type).
-type clusterTracer struct{ t *Tracer }
-
-func (c clusterTracer) PhaseDone(step, rank int, p cluster.Phase, d time.Duration) {
-	c.t.NameTrack(rank, fmt.Sprintf("rank %d", rank))
-	c.t.Slice(rank, p.String(), "phase", d, map[string]any{"step": step})
-}
-
-// ClusterObserver returns a cluster.PhaseObserver writing one track per
-// rank into this Tracer.
-func (t *Tracer) ClusterObserver() cluster.PhaseObserver { return clusterTracer{t} }
 
 // Len returns how many events have been recorded (metadata included).
 func (t *Tracer) Len() int {

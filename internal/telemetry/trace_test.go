@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"lbmib/internal/cluster"
 	"lbmib/internal/core"
 	"lbmib/internal/cubesolver"
 	"lbmib/internal/fiber"
@@ -72,8 +71,11 @@ func TestTracerCubeSolverRun(t *testing.T) {
 		Origin: fiber.Vec3{4, 6, 6}, Ks: 0.05, Kb: 0.001,
 	})
 	s, err := cubesolver.NewSolver(cubesolver.Config{
-		NX: 16, NY: 16, NZ: 16, CubeSize: 4, Threads: threads, Tau: 0.7,
-		BodyForce: [3]float64{1e-5, 0, 0}, Sheet: sheet,
+		Config: core.Config{
+			NX: 16, NY: 16, NZ: 16, Tau: 0.7,
+			BodyForce: [3]float64{1e-5, 0, 0}, Sheet: sheet,
+		},
+		CubeSize: 4, Threads: threads,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,28 +121,6 @@ func TestTracerCubeSolverRun(t *testing.T) {
 	}
 	if slices != wantSlices {
 		t.Fatalf("got %d phase slices, want %d", slices, wantSlices)
-	}
-}
-
-func TestTracerClusterObserver(t *testing.T) {
-	tr := NewTracer()
-	obs := tr.ClusterObserver()
-	obs.PhaseDone(0, 0, cluster.PhaseCollideStream, time.Millisecond)
-	obs.PhaseDone(0, 1, cluster.PhaseHaloExchange, time.Millisecond)
-
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	doc := decodeTrace(t, buf.Bytes())
-	tracks := map[int]string{}
-	for _, ev := range doc.TraceEvents {
-		if ev.Phase == "M" {
-			tracks[ev.TID], _ = ev.Args["name"].(string)
-		}
-	}
-	if tracks[0] != "rank 0" || tracks[1] != "rank 1" {
-		t.Fatalf("rank track names = %v", tracks)
 	}
 }
 

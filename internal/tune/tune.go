@@ -12,6 +12,7 @@ import (
 	"sort"
 	"time"
 
+	"lbmib/internal/core"
 	"lbmib/internal/cubesolver"
 	"lbmib/internal/fiber"
 )
@@ -93,9 +94,11 @@ func Tune(opt Options) (Result, error) {
 			sheet = opt.SheetSpec()
 		}
 		s, err := cubesolver.NewSolver(cubesolver.Config{
-			NX: opt.NX, NY: opt.NY, NZ: opt.NZ,
-			CubeSize: k, Threads: opt.Threads, Tau: opt.Tau,
-			BodyForce: opt.BodyForce, Sheet: sheet,
+			Config: core.Config{
+				NX: opt.NX, NY: opt.NY, NZ: opt.NZ, Tau: opt.Tau,
+				BodyForce: opt.BodyForce, Sheet: sheet,
+			},
+			CubeSize: k, Threads: opt.Threads,
 		})
 		if err != nil {
 			return Result{}, fmt.Errorf("tune: k=%d: %w", k, err)

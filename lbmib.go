@@ -46,6 +46,7 @@ import (
 
 	"lbmib/internal/core"
 	"lbmib/internal/critpath"
+	"lbmib/internal/cube"
 	"lbmib/internal/cubesolver"
 	"lbmib/internal/fiber"
 	"lbmib/internal/flightrec"
@@ -54,7 +55,6 @@ import (
 	"lbmib/internal/lattice"
 	"lbmib/internal/omp"
 	"lbmib/internal/output"
-	"lbmib/internal/par"
 	"lbmib/internal/perfmon"
 	"lbmib/internal/taskflow"
 	"lbmib/internal/telemetry"
@@ -180,8 +180,9 @@ type Config struct {
 	// than cubes (CubeBased) or x-planes (OpenMP) — are clamped at
 	// construction; Config() reports the effective count.
 	Threads int
-	// CubeSize is the cube edge k for the CubeBased engine (default 4);
-	// the grid dimensions must be divisible by it.
+	// CubeSize is the cube edge k for the CubeBased and TaskScheduled
+	// engines (default 4; Config() reports the effective value); the grid
+	// dimensions must be divisible by it.
 	CubeSize int
 	// Float32 stores the velocity distributions as float32 with the
 	// Fused engine (arithmetic stays float64), halving the sweep's
@@ -243,18 +244,25 @@ type Config struct {
 	CritPath bool
 }
 
-// engine is what each solver implementation provides to the facade.
+// engine is what each solver implementation provides to the facade. The
+// stepping methods are the solver's own (each adapter embeds its solver)
+// and the live-state accessors come from its fluid layout (onLayout), so
+// an adapter states only what differs per engine: snapshot, load,
+// observe and close.
 type engine interface {
-	step()
-	run(n int)
-	stepCount() int
+	Step()
+	Run(n int)
+	StepCount() int
 	snapshot() *grid.Grid
-	digest(d *grid.DigestGrid) error // per-tile physics digest of the live state
 	load(g *grid.Grid) error
-	velocityAt(x, y, z int) [3]float64
-	densityAt(x, y, z int) float64
 	observe(si *stepInstr) // attach timing callbacks where the engine supports them
 	close()
+
+	velocityAt(x, y, z int) [3]float64
+	densityAt(x, y, z int) float64
+	maxVelocity() float64
+	totalMass() float64
+	digest(d *grid.DigestGrid) error // per-tile physics digest of the live state
 }
 
 // stepInstr fans the engines' timing callbacks out to the configured
@@ -429,70 +437,46 @@ func New(cfg Config) (*Simulation, error) {
 		LidVelocity: cfg.LidVelocity,
 		Sheets:      sheets,
 	}
+	// The solvers may clamp the requested thread count and default the
+	// cube size; the effective values are stored back so Config(), the
+	// run-spec and the telemetry profiles describe the team and layout
+	// that actually run.
 	switch cfg.Solver {
 	case Sequential:
 		cs, err := core.NewSolver(coreCfg)
 		if err != nil {
 			return nil, err
 		}
-		sim.eng = &seqEngine{cs}
+		sim.eng = &seqEngine{cs, onLayout{cs.Fluid}}
 	case OpenMP:
 		os, err := omp.NewSolver(omp.Config{Config: coreCfg, Threads: cfg.Threads})
 		if err != nil {
 			return nil, err
 		}
-		// The solver may clamp the requested thread count; the telemetry
-		// profiles below must be sized to the team that actually runs.
 		sim.cfg.Threads = os.Threads
-		sim.eng = &ompEngine{os}
+		sim.eng = &ompEngine{os, onLayout{os.Fluid}}
 	case CubeBased:
-		k := cfg.CubeSize
-		if k == 0 {
-			k = 4
-		}
-		cs, err := cubesolver.NewSolver(cubesolver.Config{
-			NX: cfg.NX, NY: cfg.NY, NZ: cfg.NZ,
-			CubeSize: k, Threads: cfg.Threads, Tau: cfg.Tau,
-			BodyForce: cfg.BodyForce,
-			BCX:       toBC(cfg.BoundaryX), BCY: toBC(cfg.BoundaryY), BCZ: toBC(cfg.BoundaryZ),
-			LidVelocity: cfg.LidVelocity,
-			Sheets:      sheets,
-			Dist:        par.Block,
-		})
+		cs, err := cubesolver.NewSolver(cubesolver.Config{Config: coreCfg, CubeSize: cfg.CubeSize, Threads: cfg.Threads})
 		if err != nil {
 			return nil, err
 		}
-		// The solver may clamp the requested thread count; the telemetry
-		// profiles below must be sized to the team that actually runs.
-		sim.cfg.Threads = cs.Threads()
-		sim.eng = &cubeEngine{cs}
+		sim.cfg.Threads, sim.cfg.CubeSize = cs.Threads(), cs.Fluid.K
+		sim.eng = &cubeEngine{cs, onLayout{cs.Fluid}}
 	case TaskScheduled:
-		k := cfg.CubeSize
-		if k == 0 {
-			k = 4
-		}
-		ts, err := taskflow.NewSolver(taskflow.Config{
-			NX: cfg.NX, NY: cfg.NY, NZ: cfg.NZ,
-			CubeSize: k, Workers: cfg.Threads, Tau: cfg.Tau,
-			BodyForce: cfg.BodyForce,
-			BCX:       toBC(cfg.BoundaryX), BCY: toBC(cfg.BoundaryY), BCZ: toBC(cfg.BoundaryZ),
-			LidVelocity: cfg.LidVelocity,
-			Sheets:      sheets,
-		})
+		ts, err := taskflow.NewSolver(taskflow.Config{Config: coreCfg, CubeSize: cfg.CubeSize, Workers: cfg.Threads})
 		if err != nil {
 			return nil, err
 		}
-		sim.eng = &taskflowEngine{ts}
+		sim.cfg.CubeSize = ts.Fluid.K
+		sim.eng = &taskflowEngine{ts, onLayout{ts.Fluid}}
 	case Fused:
 		fs, err := fused.NewSolver(fused.Config{Config: coreCfg, Threads: cfg.Threads,
 			Float32: cfg.Float32})
 		if err != nil {
 			return nil, err
 		}
-		// The solver may clamp the requested thread count; the telemetry
-		// profiles below must be sized to the team that actually runs.
 		sim.cfg.Threads = fs.Threads
-		sim.eng = &fusedEngine{fs}
+		sim.eng = &fusedEngine{fs, onLayout{fs.Fluid}}
 	default:
 		return nil, fmt.Errorf("lbmib: unknown solver kind %d", cfg.Solver)
 	}
@@ -529,15 +513,10 @@ func (s *Simulation) initTelemetry() error {
 	}
 	if fc := cfg.FlightRec; fc != nil {
 		c := *fc
-		if c.TileSize == 0 {
-			switch cfg.Solver {
-			case CubeBased, TaskScheduled:
-				// Make digest tiles coincide with the engine's cubes so
-				// localization names real cubes.
-				if c.TileSize = cfg.CubeSize; c.TileSize == 0 {
-					c.TileSize = 4
-				}
-			}
+		if c.TileSize == 0 && (cfg.Solver == CubeBased || cfg.Solver == TaskScheduled) {
+			// Make digest tiles coincide with the engine's cubes so
+			// localization names real cubes.
+			c.TileSize = cfg.CubeSize
 		}
 		s.rec = flightrec.New(c)
 		s.rec.SetRunSpec(s.runSpec())
@@ -714,7 +693,7 @@ func (s *Simulation) runSteps(n int) {
 		return
 	}
 	if !s.instrumented() {
-		s.eng.run(n)
+		s.eng.Run(n)
 		return
 	}
 	if s.rec != nil {
@@ -732,7 +711,7 @@ func (s *Simulation) runSteps(n int) {
 	nodes := float64(s.cfg.NX) * float64(s.cfg.NY) * float64(s.cfg.NZ)
 	if s.logger == nil && s.watchdog == nil && s.rec == nil {
 		t0 := time.Now()
-		s.eng.run(n)
+		s.eng.Run(n)
 		s.recordBatch(n, nodes, time.Since(t0))
 		return
 	}
@@ -741,7 +720,7 @@ func (s *Simulation) runSteps(n int) {
 			return // the run is flagged; don't advance a diverged state
 		}
 		t0 := time.Now()
-		s.eng.step()
+		s.eng.Step()
 		elapsed := time.Since(t0)
 		s.recordBatch(1, nodes, elapsed)
 
@@ -819,7 +798,7 @@ func (s *Simulation) runSteps(n int) {
 			// (what the observer callbacks carry), which lags StepCount by
 			// one and excludes any restore offset.
 			if si := s.instr; si != nil && si.crit != nil {
-				if cp, ok := si.crit.StepRecord(s.eng.stepCount() - 1); ok {
+				if cp, ok := si.crit.StepRecord(s.eng.StepCount() - 1); ok {
 					rec.CritPath = &cp
 				}
 			}
@@ -971,7 +950,7 @@ func (s *Simulation) Health() error {
 
 // StepCount returns the number of completed time steps, including steps
 // recorded in a restored checkpoint.
-func (s *Simulation) StepCount() int { return s.stepOffset + s.eng.stepCount() }
+func (s *Simulation) StepCount() int { return s.stepOffset + s.eng.StepCount() }
 
 // Close releases worker goroutines held by parallel engines and, when a
 // TraceFile is configured, writes the accumulated Chrome trace-event
@@ -1006,12 +985,15 @@ func (s *Simulation) FluidVelocity(x, y, z int) [3]float64 { return s.eng.veloci
 func (s *Simulation) FluidDensity(x, y, z int) float64 { return s.eng.densityAt(x, y, z) }
 
 // TotalMass returns the total distribution mass, an exactly conserved
-// invariant useful for sanity checks.
-func (s *Simulation) TotalMass() float64 { return s.eng.snapshot().TotalMass() }
+// invariant useful for sanity checks. It is summed over the engine's
+// live layout in storage order — no snapshot is materialized — so on the
+// cube engines it can differ from FluidSnapshot().TotalMass() in the
+// last bits (the same terms, added cube by cube).
+func (s *Simulation) TotalMass() float64 { return s.eng.totalMass() }
 
 // MaxVelocity returns the largest fluid speed; it must remain well below
 // the lattice sound speed (≈0.577) for the simulation to stay valid.
-func (s *Simulation) MaxVelocity() float64 { return s.eng.snapshot().MaxVelocity() }
+func (s *Simulation) MaxVelocity() float64 { return s.eng.maxVelocity() }
 
 // HasSheet reports whether a structure is immersed.
 func (s *Simulation) HasSheet() bool { return len(s.sheets) > 0 }
@@ -1135,167 +1117,130 @@ func (s *Simulation) WriteFluidSliceCSV(w io.Writer, plane int) error {
 
 // --- engine adapters ---
 
-type seqEngine struct{ s *core.Solver }
+// onLayout answers the live-state accessors from the engine's fluid
+// container through the block-layout contract, in place.
+type onLayout struct{ l core.Layout }
 
-func (e *seqEngine) step()                { e.s.Step() }
-func (e *seqEngine) run(n int)            { e.s.Run(n) }
-func (e *seqEngine) stepCount() int       { return e.s.StepCount() }
-func (e *seqEngine) snapshot() *grid.Grid { return e.s.Fluid }
-func (e *seqEngine) velocityAt(x, y, z int) [3]float64 {
-	return e.s.Fluid.VelocityAt(x, y, z)
+func (o onLayout) node(x, y, z int) *grid.Node {
+	x, y, z = o.l.Wrap(x, y, z)
+	return &o.l.Storage()[o.l.Idx(x, y, z)]
 }
-func (e *seqEngine) densityAt(x, y, z int) float64 {
-	x, y, z = e.s.Fluid.Wrap(x, y, z)
-	return e.s.Fluid.At(x, y, z).Rho
+func (o onLayout) velocityAt(x, y, z int) [3]float64 { return o.node(x, y, z).Vel }
+func (o onLayout) densityAt(x, y, z int) float64     { return o.node(x, y, z).Rho }
+func (o onLayout) maxVelocity() float64              { return grid.MaxVelocity(o.l.Storage()) }
+func (o onLayout) totalMass() float64                { return grid.TotalMass(o.l.Storage(), o.l.Cur()) }
+func (o onLayout) digest(d *grid.DigestGrid) error   { return o.l.Digest(d) }
+
+type seqEngine struct {
+	*core.Solver
+	onLayout
 }
-func (e *seqEngine) digest(d *grid.DigestGrid) error { return e.s.Fluid.Digest(d) }
-func (e *seqEngine) close()                          {}
-func (e *seqEngine) observe(si *stepInstr)           { e.s.Observer = si }
+
+func (e *seqEngine) snapshot() *grid.Grid  { return e.Fluid }
+func (e *seqEngine) close()                {}
+func (e *seqEngine) observe(si *stepInstr) { e.Observer = si }
 func (e *seqEngine) load(g *grid.Grid) error {
-	copy(e.s.Fluid.Nodes, g.Nodes)
+	copy(e.Fluid.Nodes, g.Nodes)
 	return nil
 }
 
-type ompEngine struct{ s *omp.Solver }
-
-func (e *ompEngine) step()          { e.s.Step() }
-func (e *ompEngine) run(n int)      { e.s.Run(n) }
-func (e *ompEngine) stepCount() int { return e.s.StepCount() }
+type ompEngine struct {
+	*omp.Solver
+	onLayout
+}
 
 // snapshot materializes the present buffer into the DF field first: the
 // swap-based engine's live grid may have odd parity, and snapshot
 // consumers (checkpointing, VTK output) read raw fields.
-func (e *ompEngine) snapshot() *grid.Grid { e.s.Fluid.Normalize(); return e.s.Fluid }
-func (e *ompEngine) velocityAt(x, y, z int) [3]float64 {
-	return e.s.Fluid.VelocityAt(x, y, z)
-}
-func (e *ompEngine) densityAt(x, y, z int) float64 {
-	x, y, z = e.s.Fluid.Wrap(x, y, z)
-	return e.s.Fluid.At(x, y, z).Rho
-}
-
-// digest reads the present buffer in place — unlike snapshot it needs
-// no Normalize, so the watchdog/steplog pass leaves the grid untouched.
-func (e *ompEngine) digest(d *grid.DigestGrid) error { return e.s.Fluid.Digest(d) }
-func (e *ompEngine) close()                          { e.s.Close() }
+func (e *ompEngine) snapshot() *grid.Grid { e.Fluid.Normalize(); return e.Fluid }
+func (e *ompEngine) close()               { e.Close() }
 func (e *ompEngine) observe(si *stepInstr) {
-	e.s.Observer = si
+	e.Observer = si
 	if si.regionProf != nil || si.crit != nil {
 		// stepInstr fans RegionDone out to whichever of the OmpP-style
 		// profile and the critical-path profiler are configured.
-		e.s.Regions = si
+		e.Regions = si
 	}
 }
 func (e *ompEngine) load(g *grid.Grid) error {
-	e.s.Fluid.Normalize() // align parity with the (normalized) snapshot
-	copy(e.s.Fluid.Nodes, g.Nodes)
+	e.Fluid.Normalize() // align parity with the (normalized) snapshot
+	copy(e.Fluid.Nodes, g.Nodes)
 	// Re-establish the between-steps invariant Force == BodyForce that
 	// SpreadForce relies on; the snapshot may carry another engine's
 	// end-of-step force state, which is dead state for every engine.
-	e.s.SeedForce()
+	core.SeedForce(e.Fluid.Nodes, e.BodyForce)
 	return nil
 }
 
-type cubeEngine struct{ s *cubesolver.Solver }
-
-func (e *cubeEngine) step()                { e.s.Step() }
-func (e *cubeEngine) run(n int)            { e.s.Run(n) }
-func (e *cubeEngine) stepCount() int       { return e.s.StepCount() }
-func (e *cubeEngine) snapshot() *grid.Grid { return e.s.Fluid.ToGrid() }
-func (e *cubeEngine) velocityAt(x, y, z int) [3]float64 {
-	return e.s.Fluid.VelocityAt(x, y, z)
-}
-func (e *cubeEngine) densityAt(x, y, z int) float64 {
-	x, y, z = e.s.Fluid.Wrap(x, y, z)
-	return e.s.Fluid.At(x, y, z).Rho
-}
-
-// digest walks the cube layout in place, avoiding the full-grid
-// materialization that snapshot's ToGrid would allocate every step.
-func (e *cubeEngine) digest(d *grid.DigestGrid) error { return e.s.Fluid.Digest(d) }
-func (e *cubeEngine) close()                          { e.s.Close() }
-func (e *cubeEngine) observe(si *stepInstr) {
-	e.s.Observer = si
-	if si.cont != nil {
-		e.s.Contention = si.cont
-		si.heatmap = perfmon.NewCubeHeatmap(e.s.Fluid.CX, e.s.Fluid.CY, e.s.Fluid.CZ, e.s.Fluid.K, si.threads)
-		e.s.CubeWork = si.heatmap
-	}
-	if si.crit != nil {
-		e.s.Arrivals = si.crit
-	}
-}
-func (e *cubeEngine) load(g *grid.Grid) error {
-	if err := e.s.Fluid.FromGrid(g); err != nil {
+// loadCubes loads a snapshot into a cube layout and re-establishes the
+// between-steps invariant Force == BodyForce (see ompEngine.load).
+func loadCubes(l *cube.Layout, g *grid.Grid, body [3]float64) error {
+	if err := l.FromGrid(g); err != nil {
 		return err
 	}
-	// Re-establish the between-steps invariant Force == BodyForce (the
-	// snapshot may carry the sequential engine's end-of-step force state,
-	// which every engine treats as dead).
-	e.s.SeedForce()
+	core.SeedForce(l.Nodes, body)
 	return nil
 }
 
-type fusedEngine struct{ s *fused.Solver }
+type cubeEngine struct {
+	*cubesolver.Solver
+	onLayout
+}
 
-func (e *fusedEngine) step()          { e.s.Step() }
-func (e *fusedEngine) run(n int)      { e.s.Run(n) }
-func (e *fusedEngine) stepCount() int { return e.s.StepCount() }
+func (e *cubeEngine) snapshot() *grid.Grid { return e.Fluid.ToGrid() }
+func (e *cubeEngine) close()               { e.Close() }
+func (e *cubeEngine) observe(si *stepInstr) {
+	e.Observer = si
+	if si.cont != nil {
+		e.Contention = si.cont
+		si.heatmap = perfmon.NewCubeHeatmap(e.Fluid.CX, e.Fluid.CY, e.Fluid.CZ, e.Fluid.K, si.threads)
+		e.CubeWork = si.heatmap
+	}
+	if si.crit != nil {
+		e.Arrivals = si.crit
+	}
+}
+func (e *cubeEngine) load(g *grid.Grid) error { return loadCubes(e.Fluid, g, e.BodyForce) }
+
+type fusedEngine struct {
+	*fused.Solver
+	onLayout
+}
 
 // snapshot normalizes like the OpenMP engine's; in float32 mode it also
-// materializes the reduced-precision storage into the grid's DF fields.
-func (e *fusedEngine) snapshot() *grid.Grid { return e.s.Snapshot() }
-func (e *fusedEngine) velocityAt(x, y, z int) [3]float64 {
-	return e.s.Fluid.VelocityAt(x, y, z)
-}
-func (e *fusedEngine) densityAt(x, y, z int) float64 {
-	x, y, z = e.s.Fluid.Wrap(x, y, z)
-	return e.s.Fluid.At(x, y, z).Rho
-}
-func (e *fusedEngine) digest(d *grid.DigestGrid) error { return e.s.Digest(d) }
-func (e *fusedEngine) close()                          { e.s.Close() }
+// materializes the reduced-precision storage into the grid's DF fields,
+// which is why the two distribution-reading accessors go through it (or
+// the solver's own Digest) instead of the bare layout.
+func (e *fusedEngine) snapshot() *grid.Grid            { return e.Snapshot() }
+func (e *fusedEngine) totalMass() float64              { return e.Snapshot().TotalMass() }
+func (e *fusedEngine) digest(d *grid.DigestGrid) error { return e.Digest(d) }
+func (e *fusedEngine) close()                          { e.Close() }
 func (e *fusedEngine) observe(si *stepInstr) {
-	e.s.Observer = si
+	e.Solver.Observer = si
 	// The fiber kernels inherited from the OpenMP-style solver support
 	// region accounting, but the fused step reports through the phase
 	// vocabulary instead; the phase profile and the sweep's two timed
 	// barrier sites (mid-sweep and end-of-sweep joins) apply here.
 	if si.cont != nil {
-		e.s.Contention = si.cont
+		e.Contention = si.cont
 	}
 	if si.crit != nil {
-		e.s.Arrivals = si.crit
+		e.Arrivals = si.crit
 	}
 }
-func (e *fusedEngine) load(g *grid.Grid) error { return e.s.Load(g) }
+func (e *fusedEngine) load(g *grid.Grid) error { return e.Load(g) }
 
-type taskflowEngine struct{ s *taskflow.Solver }
+type taskflowEngine struct {
+	*taskflow.Solver
+	onLayout
+}
 
-func (e *taskflowEngine) step()                { e.s.Step() }
-func (e *taskflowEngine) run(n int)            { e.s.Run(n) }
-func (e *taskflowEngine) stepCount() int       { return e.s.StepCount() }
-func (e *taskflowEngine) snapshot() *grid.Grid { return e.s.Fluid.ToGrid() }
-func (e *taskflowEngine) velocityAt(x, y, z int) [3]float64 {
-	return e.s.Fluid.VelocityAt(x, y, z)
-}
-func (e *taskflowEngine) densityAt(x, y, z int) float64 {
-	x, y, z = e.s.Fluid.Wrap(x, y, z)
-	return e.s.Fluid.At(x, y, z).Rho
-}
-func (e *taskflowEngine) digest(d *grid.DigestGrid) error { return e.s.Fluid.Digest(d) }
-func (e *taskflowEngine) close()                          {}
+func (e *taskflowEngine) snapshot() *grid.Grid { return e.Fluid.ToGrid() }
+func (e *taskflowEngine) close()               {}
 
 // observe attaches the per-phase observer: each worker reports every
 // task body it executes (phases interleave across steps, so the step
 // index in each callback — not arrival order — says which step the
 // sample belongs to).
-func (e *taskflowEngine) observe(si *stepInstr) { e.s.Observer = si }
-func (e *taskflowEngine) load(g *grid.Grid) error {
-	if err := e.s.Fluid.FromGrid(g); err != nil {
-		return err
-	}
-	for i := range e.s.Fluid.Nodes {
-		e.s.Fluid.Nodes[i].Force = e.s.BodyForce
-	}
-	return nil
-}
+func (e *taskflowEngine) observe(si *stepInstr)   { e.Observer = si }
+func (e *taskflowEngine) load(g *grid.Grid) error { return loadCubes(e.Fluid, g, e.BodyForce) }

@@ -3,8 +3,11 @@ package lbmib
 import (
 	"bytes"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"lbmib/internal/flightrec"
 )
 
 func sheetCfg() *SheetConfig {
@@ -274,5 +277,74 @@ func TestMaxVelocityStability(t *testing.T) {
 	}
 	if rho := s.FluidDensity(8, 8, 8); math.Abs(rho-1) > 0.1 {
 		t.Fatalf("density = %g, want ≈1", rho)
+	}
+}
+
+// TotalMass and MaxVelocity are computed on the cube engines' layout in
+// place: no slab grid is materialized per call (they used to cost a full
+// ToGrid each — and lbmib-sim calls both for every progress line). The
+// run is left at odd buffer parity so the in-place sum must read the
+// swapped buffer. MaxVelocity is order-independent and must match the
+// snapshot path bitwise; the mass sums the same terms cube by cube, so
+// only its last bits may differ.
+func TestMassAndMaxVelocityInPlaceOnCubeEngines(t *testing.T) {
+	for _, kind := range []SolverKind{CubeBased, TaskScheduled} {
+		cfg := baseCfg(kind)
+		cfg.Threads = 2
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Run(7) // odd: the cube engine's layout is left swapped
+		snap := sim.FluidSnapshot()
+		if got, want := sim.MaxVelocity(), snap.MaxVelocity(); got != want {
+			t.Errorf("%v: in-place MaxVelocity %.17g != snapshot %.17g", kind, got, want)
+		}
+		got, want := sim.TotalMass(), snap.TotalMass()
+		if math.Abs(got-want) > 1e-12*want {
+			t.Errorf("%v: in-place TotalMass %.17g vs snapshot %.17g", kind, got, want)
+		}
+		if n := testing.AllocsPerRun(5, func() { _ = sim.TotalMass() + sim.MaxVelocity() }); n != 0 {
+			t.Errorf("%v: TotalMass+MaxVelocity allocate %v times per call, want 0 (no materialized grid)", kind, n)
+		}
+		sim.Close()
+	}
+}
+
+// The cube size the engines default to (4) is stored back into the
+// configuration once, like the clamped thread count: Config() reports it,
+// a bundle's run-spec carries it, and ConfigFromRunSpec round-trips it.
+func TestDefaultCubeSizeIsReported(t *testing.T) {
+	for _, kind := range []SolverKind{CubeBased, TaskScheduled} {
+		dir := filepath.Join(t.TempDir(), "bundle")
+		cfg := baseCfg(kind)
+		cfg.CubeSize = 0
+		cfg.FlightRec = &flightrec.Config{Dir: dir}
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := sim.Config().CubeSize; k != 4 {
+			t.Errorf("%v: Config().CubeSize = %d, want the effective default 4", kind, k)
+		}
+		sim.Run(2)
+		if _, err := sim.WritePostMortem("manual"); err != nil {
+			t.Fatal(err)
+		}
+		sim.Close()
+		b, err := flightrec.ReadBundle(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Manifest.Run == nil || b.Manifest.Run.CubeSize != 4 {
+			t.Fatalf("%v: bundle run-spec = %+v, want CubeSize 4", kind, b.Manifest.Run)
+		}
+		back, err := ConfigFromRunSpec(*b.Manifest.Run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.CubeSize != 4 || back.Solver != kind {
+			t.Errorf("%v: ConfigFromRunSpec gave solver %v, CubeSize %d", kind, back.Solver, back.CubeSize)
+		}
 	}
 }

@@ -6,12 +6,12 @@
 # double-buffer parity bit from worker threads and reduce per-thread
 # spread buffers; the taskflow engine schedules cubes over a dependency
 # graph; the fused engine's wavefront sweep overlaps collide and finalize
-# planes across one parallel region; the cluster solver exchanges halos
-# between ranks; perfmon profiles accumulate from all workers; par's
-# timed barrier wraps the team barrier), the barrier-fusibility proof
-# gate, a seeded cross-engine differential sweep, four native-fuzz
-# smokes, the flight-recorder and critical-path report smokes, and the
-# repo benchmark's verification pass on every workload.
+# planes across one parallel region; perfmon profiles accumulate from
+# all workers; par's timed barrier wraps the team barrier), the
+# barrier-fusibility proof gate, a seeded cross-engine differential
+# sweep, four native-fuzz smokes, the flight-recorder and critical-path
+# report smokes, and the repo benchmark's verification pass on every
+# workload.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -40,7 +40,7 @@ go run ./cmd/lbmib-lint -fusibility -o "$FUSEOUT"
 cmp FUSE_report.json "$FUSEOUT"
 rm -f "$FUSEOUT"
 
-go test -race ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/taskflow/... ./internal/cluster/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/critpath/... ./internal/perfsim/...
+go test -race ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/taskflow/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/critpath/... ./internal/perfsim/...
 
 # Cross-engine differential smoke: 10 seeded cases on every engine,
 # including the fused engine in both storage modes (float64 on the

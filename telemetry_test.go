@@ -210,7 +210,7 @@ func TestWatchdogStopsRun(t *testing.T) {
 	// Poison the engine state directly (the sequential engine exposes
 	// its grid through the snapshot).
 	seq := sim.eng.(*seqEngine)
-	seq.s.Fluid.Nodes[42].DF[3] = math.NaN()
+	seq.Fluid.Nodes[42].DF[3] = math.NaN()
 
 	sim.Run(10)
 	he := new(telemetry.HealthError)
@@ -246,7 +246,7 @@ func TestNoTelemetryNoObserver(t *testing.T) {
 	if sim.instrumented() {
 		t.Fatal("plain config reports instrumented")
 	}
-	if sim.eng.(*seqEngine).s.Observer != nil {
+	if sim.eng.(*seqEngine).Observer != nil {
 		t.Fatal("plain config attached an observer")
 	}
 }
