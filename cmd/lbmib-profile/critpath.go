@@ -32,41 +32,40 @@ type critPathOpts struct {
 	slowMS  float64
 }
 
-// phaseFan forwards each phase completion to the Chrome tracer and the
-// profiler, optionally pinning one thread as an artificial straggler by
-// sleeping after its collide_stream slice (on the worker, before the
-// next barrier — exactly where a real straggler loses time).
-type phaseFan struct {
-	tracer  *telemetry.Tracer
-	prof    *critpath.Profiler
-	slowTid int
-	slowFor time.Duration
+// straggler forwards every event to the sinks, pinning thread tid (none
+// when it is −1) as an artificial straggler by sleeping after its
+// collide_stream slice (on the worker, before the next barrier — exactly
+// where a real straggler loses time).
+type straggler struct {
+	core.Probes
+	tid   int
+	delay time.Duration
 }
 
-func (f *phaseFan) PhaseDone(step, tid int, p cubesolver.Phase, d time.Duration) {
-	if f.slowFor > 0 && tid == f.slowTid && p == cubesolver.PhaseCollideStream {
-		time.Sleep(f.slowFor)
-		d += f.slowFor
+func (s straggler) Emit(e core.Event) {
+	if e.Kind == core.PhaseDone && e.Tid == s.tid && e.Phase == core.PhaseCollideStream {
+		time.Sleep(s.delay)
+		e.D += s.delay
 	}
-	if f.tracer != nil {
-		f.tracer.PhaseDone(step, tid, p, d)
-	}
-	f.prof.PhaseDone(step, tid, p, d)
+	s.Probes.Emit(e)
 }
 
 // runCritPath drives the selected engine for steps time steps with the
 // profiler attached and renders the report.
 func runCritPath(o critPathOpts, nx, ny, nz, steps int, tau float64, sheet *fiber.Sheet, traceOut string) {
+	var sinks core.Probes
 	var tracer *telemetry.Tracer
 	if traceOut != "" {
 		tracer = telemetry.NewTracer()
+		sinks = append(sinks, tracer)
 	}
 	prof := critpath.New(critpath.Config{
 		Engine:  o.solver,
 		Threads: o.threads,
 		Tracer:  tracer,
 	})
-	fan := &phaseFan{tracer: tracer, prof: prof, slowTid: o.slowTid, slowFor: time.Duration(o.slowMS * float64(time.Millisecond))}
+	sinks = append(sinks, prof)
+	probe := straggler{sinks, o.slowTid, time.Duration(o.slowMS * float64(time.Millisecond))}
 
 	base := core.Config{
 		NX: nx, NY: ny, NZ: nz, Tau: tau,
@@ -80,8 +79,7 @@ func runCritPath(o critPathOpts, nx, ny, nz, steps int, tau float64, sheet *fibe
 		if err != nil {
 			log.Fatal(err)
 		}
-		s.Observer = fan
-		s.Arrivals = prof
+		s.Probe = probe
 		run, cleanup = s.Run, s.Close
 	case "fused", "fused-f32":
 		s, err := fused.NewSolver(fused.Config{
@@ -90,8 +88,7 @@ func runCritPath(o critPathOpts, nx, ny, nz, steps int, tau float64, sheet *fibe
 		if err != nil {
 			log.Fatal(err)
 		}
-		s.Observer = fan
-		s.Arrivals = prof
+		s.Probe = probe
 		run, cleanup = s.Run, s.Close
 	case "omp":
 		if o.slowTid >= 0 {
@@ -101,7 +98,7 @@ func runCritPath(o critPathOpts, nx, ny, nz, steps int, tau float64, sheet *fibe
 		if err != nil {
 			log.Fatal(err)
 		}
-		s.Regions = prof
+		s.Probe = probe
 		run, cleanup = s.Run, s.Close
 	default:
 		log.Fatalf("unknown -solver %q (cube | fused | fused-f32 | omp)", o.solver)

@@ -27,25 +27,6 @@ import (
 	"lbmib/internal/telemetry"
 )
 
-// fanObserver forwards each kernel completion to every sink: the
-// gprof-style profile and, when enabled, the Chrome tracer and the
-// per-kernel latency histograms.
-type fanObserver struct {
-	prof   *perfmon.KernelProfile
-	tracer *telemetry.Tracer
-	hist   [core.NumKernels + 1]*telemetry.Histogram
-}
-
-func (f *fanObserver) KernelDone(step int, k core.Kernel, d time.Duration) {
-	f.prof.KernelDone(step, k, d)
-	if f.tracer != nil {
-		f.tracer.KernelDone(step, k, d)
-	}
-	if k >= 1 && k <= core.NumKernels && f.hist[k] != nil {
-		f.hist[k].Observe(d.Seconds())
-	}
-}
-
 // buildSheet parses FIBERSxNODES and centers the sheet in the domain's
 // yz cross-section, a quarter of the way downstream.
 func buildSheet(dims string, nx, ny, nz int) *fiber.Sheet {
@@ -110,17 +91,15 @@ func main() {
 	// same lbmib_kernel_nanos_total counters /metrics serves, so the two
 	// renderings cannot disagree.
 	reg := telemetry.NewRegistry()
-	obs := &fanObserver{prof: perfmon.NewKernelProfileIn(reg)}
+	prof := perfmon.NewProfile(reg, 0)
+	probes := core.Probes{prof}
+	var tracer *telemetry.Tracer
 	if *traceOut != "" {
-		obs.tracer = telemetry.NewTracer()
+		tracer = telemetry.NewTracer()
+		probes = append(probes, tracer)
 	}
 	if *metricsAddr != "" {
-		buckets := telemetry.ExpBuckets(1e-5, 2, 18)
-		for k := core.Kernel(1); k <= core.NumKernels; k++ {
-			obs.hist[k] = reg.Histogram("lbmib_kernel_seconds",
-				"Wall-clock time per kernel execution (Algorithm 1).",
-				buckets, telemetry.L("kernel", k.String()))
-		}
+		probes = append(probes, telemetry.NewLatencies(reg, true))
 		e, err := telemetry.Serve(*metricsAddr, reg, nil)
 		if err != nil {
 			log.Fatal(err)
@@ -128,7 +107,7 @@ func main() {
 		defer e.Close()
 		fmt.Printf("metrics on http://%s/metrics (pprof under /debug/pprof/)\n", e.Addr())
 	}
-	s.Observer = obs
+	s.Probe = probes
 
 	fmt.Printf("profiling %d steps of %d×%d×%d", *steps, *nx, *ny, *nz)
 	if sheet != nil {
@@ -138,14 +117,14 @@ func main() {
 	t0 := time.Now()
 	s.Run(*steps)
 	fmt.Printf("wall time %v\n\n", time.Since(t0).Round(time.Millisecond))
-	fmt.Print(obs.prof.Report())
+	fmt.Print(prof.Report())
 
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := obs.tracer.Write(f); err != nil {
+		if err := tracer.Write(f); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {

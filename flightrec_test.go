@@ -9,7 +9,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"lbmib/internal/flightrec"
@@ -268,5 +271,106 @@ func TestPostMortemReplay(t *testing.T) {
 	replay.Run(2) // and it must keep stepping
 	if replay.StepCount() != 10 {
 		t.Fatalf("replay advanced to %d, want 10", replay.StepCount())
+	}
+}
+
+// TestFlightRecorderRingSpeaksStepCount pins the step numbering every
+// sink shares: an engine stamps events with its own 0-based step index,
+// the driver records aggregates under Simulation.StepCount(), and the
+// facade translates the former into the latter — once, fresh or after a
+// Restore. At the parent of this test the ring paired step n's wall time
+// with step n+1's timings: a phantom step-0 record, and an empty last one.
+func TestFlightRecorderRingSpeaksStepCount(t *testing.T) {
+	for _, kind := range []SolverKind{Sequential, OpenMP, CubeBased, TaskScheduled, Fused} {
+		for _, restoredAt := range []int{0, 3} {
+			t.Run(fmt.Sprintf("%v/from%d", kind, restoredAt), func(t *testing.T) {
+				const threads, steps = 2, 3
+				plain := Config{
+					NX: 16, NY: 16, NZ: 16, Tau: 0.7,
+					BodyForce: [3]float64{1e-5, 0, 0},
+					Sheet:     telemetrySheet(),
+					Solver:    kind, Threads: threads, CubeSize: 4,
+				}
+				var log, ck bytes.Buffer
+				cfg := plain
+				cfg.FlightRec = &flightrec.Config{}
+				cfg.LogWriter = &log
+				cfg.TraceFile = filepath.Join(t.TempDir(), "trace.json")
+
+				var sim *Simulation
+				var err error
+				if restoredAt == 0 {
+					sim, err = New(cfg)
+				} else {
+					seed, serr := New(plain)
+					if serr != nil {
+						t.Fatal(serr)
+					}
+					seed.Run(restoredAt)
+					if err := seed.Checkpoint(&ck); err != nil {
+						t.Fatal(err)
+					}
+					seed.Close()
+					sim, err = Restore(&ck, cfg)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				sim.Run(steps)
+				recs := sim.FlightRecorder().Records()
+				if err := sim.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				want := map[int]bool{}
+				for i := 1; i <= steps; i++ {
+					want[restoredAt+i] = true
+				}
+				ringed := map[int]bool{}
+				for _, r := range recs {
+					ringed[r.Step] = true
+					timed := 0.0
+					for _, v := range r.KernelSeconds {
+						timed += v
+					}
+					for _, v := range r.PhaseSeconds {
+						timed += v
+					}
+					if r.WallSeconds <= 0 || timed <= 0 {
+						t.Errorf("step %d: wall %gs, kernel+phase %gs; both must be recorded", r.Step, r.WallSeconds, timed)
+					}
+					if limit := threads * r.WallSeconds * 1.05; timed > limit {
+						t.Errorf("step %d: kernel+phase %gs exceeds threads × wall = %gs: timings of another step", r.Step, timed, limit)
+					}
+				}
+
+				logged, traced := map[int]bool{}, map[int]bool{}
+				for sc := bufio.NewScanner(&log); sc.Scan(); {
+					var rec telemetry.StepRecord
+					if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+						t.Fatal(err)
+					}
+					logged[rec.Step] = true
+				}
+				data, err := os.ReadFile(cfg.TraceFile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var doc chromeTrace
+				if err := json.Unmarshal(data, &doc); err != nil {
+					t.Fatal(err)
+				}
+				for _, ev := range doc.TraceEvents {
+					if ev.Phase == "X" {
+						traced[int(ev.Args["step"].(float64))] = true
+					}
+				}
+				for sink, got := range map[string]map[int]bool{"ring": ringed, "step log": logged, "trace": traced} {
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s labels its steps %v, want %v (StepCount numbering)", sink, got, want)
+					}
+				}
+			})
+		}
 	}
 }

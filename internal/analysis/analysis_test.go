@@ -3,6 +3,7 @@ package analysis
 import (
 	"bufio"
 	"errors"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -136,6 +137,40 @@ func TestLintSelfHost(t *testing.T) {
 	}
 	if res.Suppressed == 0 {
 		t.Error("self-host run saw no suppressions: //lint:allow indexing is broken (the repo documents several)")
+	}
+}
+
+// TestImportDirection pins which way the event contract points: the
+// sinks depend (transitively) on the vocabulary in internal/core and on
+// no engine, and fused — which may build on omp, whose solver it embeds
+// — and taskflow take no names from cubesolver.
+func TestImportDirection(t *testing.T) {
+	p := sharedProgram(t)
+	engines := []string{"cubesolver", "omp", "fused", "taskflow"}
+	for from, banned := range map[string][]string{
+		"telemetry": engines, "flightrec": engines, "perfmon": engines, "critpath": engines,
+		"fused": {"cubesolver"}, "taskflow": {"cubesolver"},
+	} {
+		pkg, err := p.LoadDir(filepath.Join("..", from))
+		if err != nil {
+			t.Fatalf("LoadDir(%s): %v", from, err)
+		}
+		deps := map[string]bool{}
+		var visit func(tp *types.Package)
+		visit = func(tp *types.Package) {
+			if !deps[tp.Path()] {
+				deps[tp.Path()] = true
+				for _, imp := range tp.Imports() {
+					visit(imp)
+				}
+			}
+		}
+		visit(pkg.Types)
+		for _, b := range banned {
+			if deps["lbmib/internal/"+b] {
+				t.Errorf("internal/%s depends on internal/%s", from, b)
+			}
+		}
 	}
 }
 

@@ -45,9 +45,9 @@ var threadVarNames = map[string]bool{
 // isBarrierCall reports whether a call synchronizes on a barrier:
 // Wait/Arrive on a *Barrier-named receiver type, or a call to a
 // function whose name mentions "barrier" (the solvers' waitBarrier
-// wrappers). Observer callbacks (ContentionObserver.BarrierWait) and
-// constructors are excluded — they record barriers, they are not
-// barriers.
+// wrappers). Constructors and recorders are excluded — they are not
+// barriers; neither is a barrier-arrival event, which reaches its sink
+// through Probe.Emit.
 func isBarrierCall(pass *Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -55,9 +55,6 @@ func isBarrierCall(pass *Pass, call *ast.CallExpr) bool {
 	}
 	name := sel.Sel.Name
 	recvType := namedTypeName(pass.TypeOf(sel.X))
-	if strings.HasSuffix(recvType, "Observer") {
-		return false
-	}
 	if name == "Wait" || name == "Arrive" {
 		if strings.Contains(recvType, "Barrier") {
 			return true

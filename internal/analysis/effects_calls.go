@@ -341,7 +341,7 @@ func (w *effectWalker) call(call *ast.CallExpr, info *types.Info, ctx *effectCtx
 				return
 			}
 		}
-	case "forOwnedCubes", "forOwnedCubesTimed", "forSlabs":
+	case "forOwnedCubes", "forSlabs":
 		// Algorithm 4's owned-cube visitor and the slab engine's x-slab
 		// region: the closure's parameters are own-partition coordinates.
 		if n := len(call.Args); n >= 1 {

@@ -7,13 +7,13 @@ import (
 	"go/types"
 )
 
-// ObserverCheck guards the telemetry seam: the engines' observer hooks
-// (PhaseObserver, ContentionObserver, CubeWorkObserver, RegionObserver,
-// LockObserver, KernelObserver, ...) default to nil so the
-// uninstrumented hot path pays nothing — which means every invocation
-// site must prove the interface is non-nil first. An unguarded call is
-// a latent panic that only fires on the uninstrumented configuration,
-// i.e. exactly the one the race detector never runs.
+// ObserverCheck guards the telemetry seam: the engines' one
+// instrumentation hook, core.Probe (reached through Problem.Probe),
+// defaults to nil so the uninstrumented hot path pays nothing — which
+// means every invocation site must prove the interface is non-nil
+// first. An unguarded call is a latent panic that only fires on the
+// uninstrumented configuration, i.e. exactly the one the race detector
+// never runs.
 //
 // A call obs.M(...) counts as guarded when one of these dominates it:
 //
@@ -44,7 +44,7 @@ func runObserverCheck(pass *Pass) []Diagnostic {
 			}
 			recv := sel.X
 			t := pass.TypeOf(recv)
-			if !isObserverInterface(t) {
+			if !isProbe(t) {
 				return true
 			}
 			if isNilGuarded(pass, par, recv, call) {
@@ -53,7 +53,7 @@ func runObserverCheck(pass *Pass) []Diagnostic {
 			d := Diagnostic{
 				Check: "observercheck",
 				Pos:   call.Pos(),
-				Message: fmt.Sprintf("call to %s observer %s.%s is not nil-guarded: observers default to nil on the uninstrumented path",
+				Message: fmt.Sprintf("call to %s %s.%s is not nil-guarded: the probe defaults to nil on the uninstrumented path",
 					namedTypeName(t), exprKey(recv), sel.Sel.Name),
 			}
 			if fix := guardFix(pass, par, recv, call, fi); fix != nil {
@@ -66,22 +66,17 @@ func runObserverCheck(pass *Pass) []Diagnostic {
 	return diags
 }
 
-// isObserverInterface reports whether t is a named interface type whose
-// name ends in "Observer", or a func-typed observer callback named
-// *Func whose zero value is nil — the shapes the engines use for
-// optional instrumentation.
-func isObserverInterface(t types.Type) bool {
-	if t == nil {
+// isProbe reports whether t is the event contract itself: the interface
+// type Probe declared in internal/core. Recognition is by type, not by
+// name, so a sink's own helper interfaces are not swept in and renaming
+// a local cannot hide a call.
+func isProbe(t types.Type) bool {
+	named, ok := types.Unalias(t).(*types.Named)
+	if !ok || named.Obj().Name() != "Probe" || named.Obj().Pkg() == nil {
 		return false
 	}
-	name := namedTypeName(t)
-	if name == "" {
-		return false
-	}
-	if _, ok := t.Underlying().(*types.Interface); ok {
-		return len(name) >= 8 && name[len(name)-8:] == "Observer"
-	}
-	return false
+	_, iface := named.Underlying().(*types.Interface)
+	return iface && hasSuffixPath(named.Obj().Pkg().Path(), "internal/core")
 }
 
 // parentMap records each node's parent for upward walks.
@@ -221,9 +216,9 @@ func condImpliesNonNil(cond ast.Expr, aliases map[string]bool, sense bool) bool 
 			return condImpliesNonNil(v.X, aliases, true) || condImpliesNonNil(v.Y, aliases, true)
 		}
 		if !sense && v.Op == token.LOR {
-			// `if X == nil || Y { exit }` falling through still proves X != nil
-			// only when the guard is the whole disjunct; be conservative:
-			return false
+			// `if X == nil || Y { exit }` falls through only when every
+			// disjunct is false, X == nil among them.
+			return condImpliesNonNil(v.X, aliases, false) || condImpliesNonNil(v.Y, aliases, false)
 		}
 		var want token.Token
 		if sense {

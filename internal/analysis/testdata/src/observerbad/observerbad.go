@@ -1,27 +1,31 @@
 // Package observerbad is lbmib-lint's golden-bad corpus for
-// observercheck: nil-defaulting observer interfaces invoked without a
-// dominating nil guard — the panic that only fires on the
+// observercheck: the nil-defaulting event contract core.Probe invoked
+// without a dominating nil guard — the panic that only fires on the
 // uninstrumented configuration.
 package observerbad
 
-// StatsObserver mirrors the engines' optional telemetry seams.
-type StatsObserver interface {
-	Record(v int)
+import "lbmib/internal/core"
+
+// S mirrors an engine: one optional probe, nil by default.
+type S struct {
+	Obs core.Probe
 }
 
-type S struct {
-	Obs StatsObserver
-}
+// StatsObserver only looks like a hook: the check goes by type, not by
+// name, so the call on it is no finding.
+type StatsObserver interface{ Record(v int) }
+
+func byTypeNotName(o StatsObserver, v int) { o.Record(v) }
 
 // unguarded invokes the observer with no guard at all.
 func unguarded(s *S, v int) {
-	s.Obs.Record(v) //want:observercheck
+	s.Obs.Emit(core.Event{Step: v}) //want:observercheck
 }
 
 // guardedThen is clean: the call sits in the then-branch of a != nil.
 func guardedThen(s *S, v int) {
 	if s.Obs != nil {
-		s.Obs.Record(v)
+		s.Obs.Emit(core.Event{Step: v})
 	}
 }
 
@@ -30,7 +34,7 @@ func guardedEarly(s *S, v int) {
 	if s.Obs == nil {
 		return
 	}
-	s.Obs.Record(v)
+	s.Obs.Emit(core.Event{Step: v})
 }
 
 // aliasGuarded is clean: obs was assigned once from s.Obs, so a guard on
@@ -38,7 +42,7 @@ func guardedEarly(s *S, v int) {
 func aliasGuarded(s *S, v int) {
 	obs := s.Obs
 	if s.Obs != nil {
-		obs.Record(v)
+		obs.Emit(core.Event{Step: v})
 	}
 }
 
@@ -50,7 +54,7 @@ func closureStable(s *S, run func(func())) {
 	}
 	obs := s.Obs
 	run(func() {
-		obs.Record(1)
+		obs.Emit(core.Event{Step: 1})
 	})
 }
 
@@ -61,6 +65,16 @@ func closureField(s *S, run func(func())) {
 		return
 	}
 	run(func() {
-		s.Obs.Record(1) //want:observercheck
+		s.Obs.Emit(core.Event{Step: 1}) //want:observercheck
 	})
+}
+
+// guardedDisjunct is clean: the early exit is taken whenever the probe
+// is nil, whatever the other disjunct says.
+func guardedDisjunct(s *S, skip bool) {
+	obs := s.Obs
+	if obs == nil || skip {
+		return
+	}
+	obs.Emit(core.Event{Step: 1})
 }

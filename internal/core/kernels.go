@@ -14,13 +14,16 @@
 // published — Algorithm 1, including kernel 9's explicit buffer copy,
 // which a pointer swap would eliminate — because the paper's Table I
 // profiles these nine functions. Each kernel is an exported method so
-// the profiling harness (internal/perfmon) can time it.
+// a harness can time it alone.
+//
+// probe.go declares the event contract (Probe) through which every
+// schedule reports its timings, next to the Kernel, Phase and BarrierSite
+// vocabularies the events are stamped with.
 package core
 
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
@@ -76,13 +79,6 @@ func Kernels() []Kernel {
 	return ks
 }
 
-// Observer receives the wall-clock duration of each kernel execution; the
-// profiling harness implements it to reproduce Table I. A nil observer is
-// allowed everywhere and costs one branch per kernel.
-type Observer interface {
-	KernelDone(step int, k Kernel, d time.Duration)
-}
-
 // BC selects the boundary condition applied to one axis of the fluid
 // domain.
 type BC int
@@ -120,6 +116,12 @@ type Problem struct {
 	BodyForce     [3]float64
 	BCX, BCY, BCZ BC
 	LidVelocity   [3]float64
+
+	// Probe, when non-nil, receives the timing events of whichever
+	// schedule runs the problem — every engine's one instrumentation
+	// attach point. Set it between steps; nil (the default) costs one
+	// branch per kernel or phase and reads no clock.
+	Probe Probe
 }
 
 // NewProblem resolves a Config into the state the kernels read. A zero
@@ -181,9 +183,8 @@ type Solver struct {
 	Problem
 	Fluid *grid.Grid
 
-	Observer Observer
-	step     int
-	stream   *Streamer
+	step   int
+	stream *Streamer
 }
 
 // NewSolver builds a solver with the fluid at rest. An empty structure is
@@ -221,15 +222,7 @@ func (s *Solver) AdvanceStep() { s.step++ }
 // Step advances the simulation one time step by executing the nine kernels
 // of Algorithm 1 in order.
 func (s *Solver) Step() {
-	run := func(k Kernel, fn func()) {
-		if s.Observer == nil {
-			fn()
-			return
-		}
-		t0 := time.Now()
-		fn()
-		s.Observer.KernelDone(s.step, k, time.Since(t0))
-	}
+	run := func(k Kernel, fn func()) { s.Timed(Event{Kind: KernelDone, Step: s.step, Kernel: k}, fn) }
 	run(KComputeBendingForce, s.ComputeBendingForce)
 	run(KComputeStretchingForce, s.ComputeStretchingForce)
 	run(KComputeElasticForce, s.ComputeElasticForce)

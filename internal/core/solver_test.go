@@ -251,18 +251,21 @@ type recordObserver struct {
 	total time.Duration
 }
 
-func (r *recordObserver) KernelDone(step int, k Kernel, d time.Duration) {
+func (r *recordObserver) Emit(e Event) {
+	if e.Kind != KernelDone {
+		return
+	}
 	if r.calls == nil {
 		r.calls = map[Kernel]int{}
 	}
-	r.calls[k]++
-	r.total += d
+	r.calls[e.Kernel]++
+	r.total += e.D
 }
 
 func TestObserverSeesAllNineKernels(t *testing.T) {
 	s := MustNewSolver(Config{NX: 6, NY: 6, NZ: 6, Tau: 0.7, Sheet: smallSheet()})
 	obs := &recordObserver{}
-	s.Observer = obs
+	s.Probe = obs
 	s.Run(3)
 	if len(obs.calls) != NumKernels {
 		t.Fatalf("observer saw %d kernels, want %d", len(obs.calls), NumKernels)

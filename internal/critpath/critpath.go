@@ -13,7 +13,7 @@
 //   - per-(site, thread) barrier-arrival accumulators: summed waits and
 //     how often each thread was the *last arriver* — the thread that
 //     released each crossing, taken from par.Barrier.WaitRank via the
-//     engines' BarrierArrivalObserver;
+//     engines' barrier-arrival events;
 //   - a per-thread phase-slice timeline ring (telemetry.Timeline) with
 //     begin/end stamps per kernel phase, flight-recorder style;
 //   - a step ring folding each step's per-phase critical time (the
@@ -56,7 +56,6 @@ import (
 	"time"
 
 	"lbmib/internal/core"
-	"lbmib/internal/cubesolver"
 	"lbmib/internal/fusereport"
 	"lbmib/internal/perfsim"
 	"lbmib/internal/telemetry"
@@ -109,10 +108,9 @@ type Config struct {
 	Tracer *telemetry.Tracer
 }
 
-// Profiler accumulates critical-path attribution. It implements
-// cubesolver.PhaseObserver, cubesolver.BarrierArrivalObserver, and
-// omp.RegionObserver; all methods are safe for concurrent use from all
-// worker threads.
+// Profiler accumulates critical-path attribution. It is a core.Probe
+// consuming phase, barrier-arrival and region events; all methods are
+// safe for concurrent use from all worker threads.
 type Profiler struct {
 	engine  string
 	threads int
@@ -136,8 +134,6 @@ type Profiler struct {
 	// Per-(segment, thread) busy accumulators, index seg*threads+tid.
 	busyNanos []atomic.Int64
 
-	curStep atomic.Int64
-
 	// Step ring: per-step per-segment critical/summed slice times,
 	// folded into the cumulative totals below when a slot recycles.
 	slots []stepSlot
@@ -151,6 +147,11 @@ type Profiler struct {
 	foldedSum   []int64 // per segment, nanos
 
 	synthCrossing atomic.Uint64 // crossing ids for region-mode sites
+
+	// Gauges Publish has resolved so far (see Publish).
+	pubReg  *telemetry.Registry
+	pubCrit []*telemetry.Gauge // per segment
+	pubLast []*telemetry.Gauge // site*threads+tid
 }
 
 type stepSlot struct {
@@ -202,20 +203,20 @@ func New(cfg Config) *Profiler {
 			p.siteSeg[k-1] = k
 		}
 	default:
-		p.segNames = make([]string, cubesolver.NumPhases+1)
-		for ph := cubesolver.Phase(1); ph <= cubesolver.NumPhases; ph++ {
+		p.segNames = make([]string, core.NumPhases+1)
+		for ph := core.Phase(1); ph <= core.NumPhases; ph++ {
 			p.segNames[ph] = ph.String()
 		}
-		p.siteNames = make([]string, cubesolver.NumBarrierSites)
-		p.siteSeg = make([]int, cubesolver.NumBarrierSites)
-		for si := cubesolver.BarrierSite(0); si < cubesolver.NumBarrierSites; si++ {
+		p.siteNames = make([]string, core.NumBarrierSites)
+		p.siteSeg = make([]int, core.NumBarrierSites)
+		for si := core.BarrierSite(0); si < core.NumBarrierSites; si++ {
 			p.siteNames[si] = si.String()
 			p.siteSeg[si] = int(precedingPhase(si))
 		}
 		if strings.HasPrefix(cfg.Engine, "fused") {
 			// The fused sweep's end-of-step barrier follows region B
 			// (reported as PhaseUpdateVelocity), not a copy loop.
-			p.siteSeg[cubesolver.SiteEndOfStep] = int(cubesolver.PhaseUpdateVelocity)
+			p.siteSeg[core.SiteEndOfStep] = int(core.PhaseUpdateVelocity)
 		}
 	}
 	nsites, nsegs := len(p.siteNames), len(p.segNames)
@@ -251,52 +252,48 @@ func maxInt(a, b int) int {
 // precedingPhase maps a cube-engine barrier site to the phase whose
 // completion the site orders — the phase whose slow thread is the
 // site's last arriver.
-func precedingPhase(site cubesolver.BarrierSite) cubesolver.Phase {
+func precedingPhase(site core.BarrierSite) core.Phase {
 	switch site {
-	case cubesolver.SiteAfterSpread:
-		return cubesolver.PhaseFibersForce
-	case cubesolver.SiteAfterStream:
-		return cubesolver.PhaseCollideStream
-	case cubesolver.SiteAfterVelocity:
-		return cubesolver.PhaseUpdateVelocity
+	case core.SiteAfterSpread:
+		return core.PhaseFibersForce
+	case core.SiteAfterStream:
+		return core.PhaseCollideStream
+	case core.SiteAfterVelocity:
+		return core.PhaseUpdateVelocity
 	default:
-		return cubesolver.PhaseCopy
+		return core.PhaseCopy
 	}
 }
 
-// Engine returns the engine label the profiler publishes under.
-func (p *Profiler) Engine() string { return p.engine }
-
-// Timeline returns the per-thread phase-slice ring.
-func (p *Profiler) Timeline() *telemetry.Timeline { return p.timeline }
-
-// PhaseDone implements cubesolver.PhaseObserver: one thread finished
-// one kernel phase of one step.
-func (p *Profiler) PhaseDone(step, tid int, ph cubesolver.Phase, d time.Duration) {
-	seg := int(ph)
-	if p.regions || seg < 1 || seg >= len(p.segNames) || tid < 0 || tid >= p.threads {
-		return
+// Emit implements core.Probe. In the phase vocabulary it takes phase
+// and barrier-arrival events; in the omp vocabulary, region events.
+func (p *Profiler) Emit(e core.Event) {
+	inRange := e.Tid >= 0 && e.Tid < p.threads
+	switch {
+	case e.Kind == core.RegionDone && p.regions:
+		p.regionDone(e.Step, int(e.Kernel), e.Busy)
+	case e.Kind == core.PhaseDone && !p.regions && inRange && e.Phase >= 1 && int(e.Phase) < len(p.segNames):
+		p.segmentDone(e.Step, e.Tid, int(e.Phase), e.D)
+	case e.Kind == core.BarrierArrive && !p.regions && inRange && e.Site >= 0 && int(e.Site) < len(p.siteNames):
+		p.siteArrive(e.Step, int(e.Site), e.Tid, e.Crossing, e.D, e.Last)
 	}
-	p.segmentDone(step, tid, seg, d)
 }
 
-// RegionDone implements omp.RegionObserver: the coordinating goroutine
-// reports every thread's busy time for one parallel region. The
-// region's implicit join is a barrier in all but name, so the busy
-// vector yields both the slices and a synthesized arrival record: the
-// busiest thread is the last arriver, and each thread's wait is the gap
-// to it.
-func (p *Profiler) RegionDone(step int, k core.Kernel, busy []time.Duration) {
-	seg := int(k)
-	if !p.regions || seg < 1 || seg >= len(p.segNames) {
+// regionDone takes every thread's busy time for one parallel region of
+// kernel seg. The region's implicit join is a barrier in all but name,
+// so the busy vector yields both the slices and a synthesized arrival
+// record: the busiest thread is the last arriver, and each thread's wait
+// is the gap to it.
+func (p *Profiler) regionDone(step, seg int, busy []time.Duration) {
+	if seg < 1 || seg >= len(p.segNames) {
 		return
+	}
+	if len(busy) > p.threads {
+		busy = busy[:p.threads]
 	}
 	var max time.Duration
 	arg := 0
 	for tid, d := range busy {
-		if tid >= p.threads {
-			break
-		}
 		p.segmentDone(step, tid, seg, d)
 		if d > max {
 			max, arg = d, tid
@@ -305,31 +302,13 @@ func (p *Profiler) RegionDone(step int, k core.Kernel, busy []time.Duration) {
 	site := seg - 1
 	crossing := p.synthCrossing.Add(1) - 1
 	for tid, d := range busy {
-		if tid >= p.threads {
-			break
-		}
-		p.siteArrive(site, tid, crossing, max-d, tid == arg)
+		p.siteArrive(step, site, tid, crossing, max-d, tid == arg)
 	}
-}
-
-// BarrierArrive implements cubesolver.BarrierArrivalObserver.
-func (p *Profiler) BarrierArrive(site cubesolver.BarrierSite, tid, rank int, crossing uint64, wait time.Duration, last bool) {
-	si := int(site)
-	if p.regions || si < 0 || si >= len(p.siteNames) || tid < 0 || tid >= p.threads {
-		return
-	}
-	p.siteArrive(si, tid, crossing, wait, last)
 }
 
 func (p *Profiler) segmentDone(step, tid, seg int, d time.Duration) {
 	p.busyNanos[seg*p.threads+tid].Add(int64(d))
 	p.timeline.RecordDone(tid, step, seg, d)
-	for {
-		cur := p.curStep.Load()
-		if int64(step) <= cur || p.curStep.CompareAndSwap(cur, int64(step)) {
-			break
-		}
-	}
 	s := &p.slots[step%p.window]
 	s.mu.Lock()
 	if s.step != step {
@@ -362,7 +341,7 @@ func (p *Profiler) foldSlot(s *stepSlot) {
 	p.foldMu.Unlock()
 }
 
-func (p *Profiler) siteArrive(site, tid int, crossing uint64, wait time.Duration, last bool) {
+func (p *Profiler) siteArrive(step, site, tid int, crossing uint64, wait time.Duration, last bool) {
 	i := site*p.threads + tid
 	p.waitNanos[i].Add(int64(wait))
 	p.arrivals[i].Add(1)
@@ -381,7 +360,7 @@ func (p *Profiler) siteArrive(site, tid int, crossing uint64, wait time.Duration
 	if c.crossing != crossing+1 {
 		c.crossing = crossing + 1
 		c.site = int32(site)
-		c.step = int32(p.curStep.Load())
+		c.step = int32(step)
 		c.lastTid = -1
 		c.maxWait = 0
 	}
@@ -390,7 +369,6 @@ func (p *Profiler) siteArrive(site, tid int, crossing uint64, wait time.Duration
 	}
 	if last {
 		c.lastTid = int32(tid)
-		c.step = int32(p.curStep.Load())
 	}
 	c.mu.Unlock()
 	if p.tracer != nil {
@@ -471,20 +449,18 @@ type Report struct {
 	WhatIf []perfsim.WhatIfScenario `json:"whatIf,omitempty"`
 }
 
-// Report assembles the current attribution state. Safe to call
-// concurrently with recording; it reads a consistent-enough snapshot
-// for profiling purposes.
-//lint:allow hotalloc -- report assembly runs once per run, not per step; reachable from Step only through observer registration
-func (p *Profiler) Report() Report {
+// segmentTotals returns how many steps have critical-path samples and,
+// per segment, the cumulative critical (slowest-thread) and mean slice
+// nanoseconds: the folded totals plus the live ring slots.
+func (p *Profiler) segmentTotals() (steps int64, crit, sum []int64) {
 	nsegs := len(p.segNames)
-	crit := make([]int64, nsegs)
-	sum := make([]int64, nsegs)
+	crit = make([]int64, nsegs)
+	sum = make([]int64, nsegs)
 	p.foldMu.Lock()
-	steps := p.foldedSteps
+	steps = p.foldedSteps
 	copy(crit, p.foldedCrit)
 	copy(sum, p.foldedSum)
 	p.foldMu.Unlock()
-	// Live (unfolded) ring slots count too.
 	for i := range p.slots {
 		s := &p.slots[i]
 		s.mu.Lock()
@@ -497,6 +473,16 @@ func (p *Profiler) Report() Report {
 		}
 		s.mu.Unlock()
 	}
+	return steps, crit, sum
+}
+
+// Report assembles the current attribution state. Safe to call
+// concurrently with recording; it reads a consistent-enough snapshot
+// for profiling purposes.
+//lint:allow hotalloc -- report assembly runs once per run, not per step; reachable from Step only through observer registration
+func (p *Profiler) Report() Report {
+	nsegs := len(p.segNames)
+	steps, crit, sum := p.segmentTotals()
 
 	r := Report{Schema: Schema, Engine: p.engine, Threads: p.threads, Steps: steps}
 	for seg := 1; seg < nsegs; seg++ {
@@ -651,30 +637,43 @@ func (p *Profiler) StepRecord(step int) (telemetry.CritPathStep, bool) {
 // Publish exports the profiler's state as gauges:
 // lbmib_critical_path_seconds{engine,phase} (cumulative per-phase
 // critical time) and lbmib_last_arriver_total{engine,site,tid}
-// (cumulative last-arriver counts). Safe to call repeatedly.
+// (cumulative last-arriver counts). It is called once per step batch, so
+// it reads the accumulators directly and resolves each series once, the
+// first time it has a value; a nil reg is a no-op. For the driver
+// goroutine: it must not run concurrently with itself.
 func (p *Profiler) Publish(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
+	if p.pubReg != reg {
+		p.pubReg = reg
+		p.pubCrit = make([]*telemetry.Gauge, len(p.segNames))
+		p.pubLast = make([]*telemetry.Gauge, len(p.lastTotal))
+	}
 	eng := telemetry.L("engine", p.engine)
-	r := p.Report()
-	for _, pr := range r.Phases {
-		if pr.CriticalSeconds == 0 {
+	_, crit, _ := p.segmentTotals()
+	for seg := 1; seg < len(crit); seg++ {
+		if crit[seg] == 0 {
 			continue
 		}
-		reg.Gauge("lbmib_critical_path_seconds",
-			"Cumulative critical-path (slowest-thread) seconds per kernel phase.",
-			eng, telemetry.L("phase", pr.Phase)).Set(pr.CriticalSeconds)
-	}
-	for _, sr := range r.Sites {
-		for tid, la := range sr.LastArrivals {
-			if la == 0 {
-				continue
-			}
-			reg.Gauge("lbmib_last_arriver_total",
-				"How often each thread was the last arriver (releaser) at each barrier site.",
-				eng, telemetry.L("site", sr.Site), telemetry.L("tid", strconv.Itoa(tid))).Set(float64(la))
+		if p.pubCrit[seg] == nil {
+			p.pubCrit[seg] = reg.Gauge("lbmib_critical_path_seconds",
+				"Cumulative critical-path (slowest-thread) seconds per kernel phase.",
+				eng, telemetry.L("phase", p.segNames[seg]))
 		}
+		p.pubCrit[seg].Set(float64(crit[seg]) / 1e9)
+	}
+	for i := range p.lastTotal {
+		la := p.lastTotal[i].Load()
+		if la == 0 {
+			continue
+		}
+		if p.pubLast[i] == nil {
+			p.pubLast[i] = reg.Gauge("lbmib_last_arriver_total",
+				"How often each thread was the last arriver (releaser) at each barrier site.",
+				eng, telemetry.L("site", p.siteNames[i/p.threads]), telemetry.L("tid", strconv.Itoa(i%p.threads)))
+		}
+		p.pubLast[i].Set(float64(la))
 	}
 }
 

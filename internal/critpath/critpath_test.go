@@ -18,14 +18,14 @@ import (
 // others), then one crossing of each of the three minimal-schedule
 // barrier sites with lastTid arriving last and everyone else waiting
 // the gap to it.
-func feedStep(p *Profiler, step int, threads int, phase cubesolver.Phase, busy []time.Duration, lastTid int, crossing *uint64) {
-	for ph := cubesolver.Phase(1); ph <= cubesolver.NumPhases; ph++ {
+func feedStep(p *Profiler, step int, threads int, phase core.Phase, busy []time.Duration, lastTid int, crossing *uint64) {
+	for ph := core.Phase(1); ph <= core.NumPhases; ph++ {
 		for tid := 0; tid < threads; tid++ {
 			d := time.Millisecond
 			if ph == phase {
 				d = busy[tid]
 			}
-			p.PhaseDone(step, tid, ph, d)
+			p.Emit(core.Event{Kind: core.PhaseDone, Step: step, Tid: tid, Phase: ph, D: d})
 		}
 	}
 	var maxBusy time.Duration
@@ -34,8 +34,8 @@ func feedStep(p *Profiler, step int, threads int, phase cubesolver.Phase, busy [
 			maxBusy = d
 		}
 	}
-	for _, site := range []cubesolver.BarrierSite{
-		cubesolver.SiteAfterStream, cubesolver.SiteAfterVelocity, cubesolver.SiteEndOfStep,
+	for _, site := range []core.BarrierSite{
+		core.SiteAfterStream, core.SiteAfterVelocity, core.SiteEndOfStep,
 	} {
 		c := *crossing
 		*crossing++
@@ -44,10 +44,10 @@ func feedStep(p *Profiler, step int, threads int, phase cubesolver.Phase, busy [
 			if tid == lastTid {
 				continue
 			}
-			p.BarrierArrive(site, tid, rank, c, maxBusy-busy[tid], false)
+			p.Emit(core.Event{Kind: core.BarrierArrive, Step: step, Site: site, Tid: tid, Rank: rank, Crossing: c, D: maxBusy - busy[tid]})
 			rank++
 		}
-		p.BarrierArrive(site, lastTid, threads-1, c, 0, true)
+		p.Emit(core.Event{Kind: core.BarrierArrive, Step: step, Site: site, Tid: lastTid, Rank: threads - 1, Crossing: c, Last: true})
 	}
 }
 
@@ -71,7 +71,7 @@ func TestClassifyStragglerSynthetic(t *testing.T) {
 	var crossing uint64
 	busy := []time.Duration{time.Millisecond, time.Millisecond, 3 * time.Millisecond, time.Millisecond}
 	for step := 0; step < 20; step++ {
-		feedStep(p, step, threads, cubesolver.PhaseCollideStream, busy, slow, &crossing)
+		feedStep(p, step, threads, core.PhaseCollideStream, busy, slow, &crossing)
 	}
 	r := p.Report()
 	if err := Validate(r); err != nil {
@@ -108,7 +108,7 @@ func TestClassifyRotatingImbalance(t *testing.T) {
 			busy[tid] = time.Millisecond
 		}
 		busy[heavy] = 2 * time.Millisecond
-		feedStep(p, step, threads, cubesolver.PhaseCollideStream, busy, heavy, &crossing)
+		feedStep(p, step, threads, core.PhaseCollideStream, busy, heavy, &crossing)
 	}
 	r := p.Report()
 	sr := siteByName(t, r, "after_stream")
@@ -138,7 +138,7 @@ func TestClassifyTopology(t *testing.T) {
 	var crossing uint64
 	busy := []time.Duration{time.Millisecond, time.Millisecond + 2*time.Microsecond, time.Millisecond + time.Microsecond, time.Millisecond + 3*time.Microsecond}
 	for step := 0; step < 20; step++ {
-		feedStep(p, step, threads, cubesolver.PhaseCollideStream, busy, 3, &crossing)
+		feedStep(p, step, threads, core.PhaseCollideStream, busy, 3, &crossing)
 	}
 	sr := siteByName(t, p.Report(), "after_stream")
 	if sr.Cause != CauseTopology {
@@ -155,7 +155,7 @@ func TestChainsAndStepRecord(t *testing.T) {
 	var crossing uint64
 	busy := []time.Duration{time.Millisecond, 4 * time.Millisecond}
 	for step := 0; step < 5; step++ {
-		feedStep(p, step, threads, cubesolver.PhaseCollideStream, busy, slow, &crossing)
+		feedStep(p, step, threads, core.PhaseCollideStream, busy, slow, &crossing)
 	}
 	r := p.Report()
 	if len(r.Chains) == 0 {
@@ -196,7 +196,7 @@ func TestChainsAndStepRecord(t *testing.T) {
 }
 
 // TestStragglerEndToEnd reuses the PR 4 pinned-slow-thread pattern on
-// the real cube solver: a PhaseObserver sleeps on one thread's
+// the real cube solver: a probe sleeps on one thread's
 // collide_stream completion, making that thread the persistent last
 // arriver at the following barrier — the profiler must name it.
 func TestStragglerEndToEnd(t *testing.T) {
@@ -214,8 +214,7 @@ func TestStragglerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.Arrivals = p
-	s.Observer = phaseFan{p, slowPhase{slow, cubesolver.PhaseCollideStream, 5 * time.Millisecond}}
+	s.Probe = core.Probes{p, slowPhase{tid: slow, phase: core.PhaseCollideStream, delay: 5 * time.Millisecond}}
 	s.Run(steps)
 
 	r := p.Report()
@@ -234,25 +233,16 @@ func TestStragglerEndToEnd(t *testing.T) {
 	}
 }
 
-// phaseFan forwards PhaseDone to several observers in order.
-type phaseFan []cubesolver.PhaseObserver
-
-func (f phaseFan) PhaseDone(step, tid int, p cubesolver.Phase, d time.Duration) {
-	for _, o := range f {
-		o.PhaseDone(step, tid, p, d)
-	}
-}
-
 // slowPhase sleeps on one thread after one phase — the injection runs
 // on the worker's own goroutine, delaying its next barrier arrival.
 type slowPhase struct {
 	tid   int
-	phase cubesolver.Phase
+	phase core.Phase
 	delay time.Duration
 }
 
-func (s slowPhase) PhaseDone(step, tid int, p cubesolver.Phase, d time.Duration) {
-	if tid == s.tid && p == s.phase {
+func (s slowPhase) Emit(e core.Event) {
+	if e.Kind == core.PhaseDone && e.Tid == s.tid && e.Phase == s.phase {
 		time.Sleep(s.delay)
 	}
 }
@@ -266,7 +256,7 @@ func TestRegionMode(t *testing.T) {
 	busy := []time.Duration{time.Millisecond, time.Millisecond, time.Millisecond, 3 * time.Millisecond}
 	for step := 0; step < 10; step++ {
 		for k := core.Kernel(1); k <= core.NumKernels; k++ {
-			p.RegionDone(step, k, busy)
+			p.Emit(core.Event{Kind: core.RegionDone, Step: step, Kernel: k, Busy: busy})
 		}
 	}
 	r := p.Report()
@@ -282,7 +272,7 @@ func TestRegionMode(t *testing.T) {
 	}
 	// Phase-vocabulary input must be ignored in region mode.
 	before := p.Report()
-	p.PhaseDone(0, 0, cubesolver.PhaseCollideStream, time.Second)
+	p.Emit(core.Event{Kind: core.PhaseDone, Phase: core.PhaseCollideStream, D: time.Second})
 	after := p.Report()
 	for i := range after.Phases {
 		if after.Phases[i].CriticalSeconds != before.Phases[i].CriticalSeconds {
@@ -296,7 +286,7 @@ func TestRegionMode(t *testing.T) {
 func TestReportJSONRoundTrip(t *testing.T) {
 	p := New(Config{Engine: "cube", Threads: 2})
 	var crossing uint64
-	feedStep(p, 0, 2, cubesolver.PhaseCollideStream, []time.Duration{time.Millisecond, 2 * time.Millisecond}, 1, &crossing)
+	feedStep(p, 0, 2, core.PhaseCollideStream, []time.Duration{time.Millisecond, 2 * time.Millisecond}, 1, &crossing)
 	r := p.Report()
 	AddWhatIf(&r, 16*16*16)
 	if len(r.WhatIf) == 0 {
@@ -330,7 +320,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 func TestPublish(t *testing.T) {
 	p := New(Config{Engine: "cube", Threads: 2})
 	var crossing uint64
-	feedStep(p, 0, 2, cubesolver.PhaseCollideStream, []time.Duration{time.Millisecond, 2 * time.Millisecond}, 1, &crossing)
+	feedStep(p, 0, 2, core.PhaseCollideStream, []time.Duration{time.Millisecond, 2 * time.Millisecond}, 1, &crossing)
 	reg := telemetry.NewRegistry()
 	p.Publish(reg)
 	var buf bytes.Buffer
@@ -362,11 +352,11 @@ func TestProfilerRace(t *testing.T) {
 		go func(tid int) {
 			defer wg.Done()
 			for step := 0; step < 200; step++ {
-				for ph := cubesolver.Phase(1); ph <= cubesolver.NumPhases; ph++ {
-					p.PhaseDone(step, tid, ph, time.Microsecond)
+				for ph := core.Phase(1); ph <= core.NumPhases; ph++ {
+					p.Emit(core.Event{Kind: core.PhaseDone, Step: step, Tid: tid, Phase: ph, D: time.Microsecond})
 				}
 				c := crossing.next()
-				p.BarrierArrive(cubesolver.SiteEndOfStep, tid, tid, c, 200*time.Microsecond, tid == step%threads)
+				p.Emit(core.Event{Kind: core.BarrierArrive, Step: step, Site: core.SiteEndOfStep, Tid: tid, Rank: tid, Crossing: c, D: 200 * time.Microsecond, Last: tid == step%threads})
 			}
 		}(tid)
 	}

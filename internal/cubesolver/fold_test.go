@@ -3,7 +3,6 @@ package cubesolver
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"lbmib/internal/core"
 )
@@ -90,23 +89,27 @@ func TestEndBarrierFoldConditions(t *testing.T) {
 	}
 }
 
-// countingContention tallies barrier-wait events per site.
+// countingContention tallies barrier-arrival events per site.
 type countingContention struct {
 	mu    sync.Mutex
-	waits map[BarrierSite]int
+	waits map[core.BarrierSite]int
 }
 
-func (c *countingContention) BarrierWait(site BarrierSite, tid int, wait time.Duration) {
+func (c *countingContention) Emit(e core.Event) {
+	if e.Kind != core.BarrierArrive {
+		return
+	}
+	site := e.Site
 	c.mu.Lock()
 	if c.waits == nil {
-		c.waits = make(map[BarrierSite]int)
+		c.waits = make(map[core.BarrierSite]int)
 	}
 	c.waits[site]++
 	c.mu.Unlock()
 }
 
 // TestFoldedEndBarrierEmitsNoCrossings proves the fold is real: with the
-// contention observer attached, a fluid-only run records zero end-of-step
+// probe attached, a fluid-only run records zero end-of-step
 // crossings (and zero after-spread crossings — that site folded in PR 7)
 // while the two required sites fire once per step per thread.
 func TestFoldedEndBarrierEmitsNoCrossings(t *testing.T) {
@@ -118,16 +121,16 @@ func TestFoldedEndBarrierEmitsNoCrossings(t *testing.T) {
 	}
 	defer s.Close()
 	obs := &countingContention{}
-	s.Contention = obs
+	s.Probe = obs
 	s.Run(steps)
 
-	if n := obs.waits[SiteEndOfStep]; n != 0 {
+	if n := obs.waits[core.SiteEndOfStep]; n != 0 {
 		t.Errorf("end_of_step crossings = %d on a fluid-only run, want 0 (folded)", n)
 	}
-	if n := obs.waits[SiteAfterSpread]; n != 0 {
+	if n := obs.waits[core.SiteAfterSpread]; n != 0 {
 		t.Errorf("after_spread crossings = %d on a fluid-only run, want 0 (folded)", n)
 	}
-	for _, site := range []BarrierSite{SiteAfterStream, SiteAfterVelocity} {
+	for _, site := range []core.BarrierSite{core.SiteAfterStream, core.SiteAfterVelocity} {
 		if n := obs.waits[site]; n != steps*threads {
 			t.Errorf("%v crossings = %d, want %d", site, n, steps*threads)
 		}

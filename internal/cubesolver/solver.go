@@ -39,41 +39,6 @@ import (
 	"lbmib/internal/par"
 )
 
-// Phase identifies one of the five loop nests of Algorithm 4, for
-// per-thread load-imbalance accounting.
-type Phase int
-
-// The five loop nests of Algorithm 4.
-const (
-	PhaseFibersForce    Phase = iota + 1 // 1st loop: kernels 1–4 on owned fibers
-	PhaseCollideStream                   // 2nd loop: kernels 5–6 on owned cubes
-	PhaseUpdateVelocity                  // 3rd loop: kernel 7 on owned cubes
-	PhaseMoveFibers                      // 4th loop: kernel 8 on owned fibers
-	PhaseCopy                            // 5th loop: kernel 9, retired to an O(1) buffer swap
-)
-
-// NumPhases is the number of loop nests per time step.
-const NumPhases = 5
-
-var phaseNames = [NumPhases + 1]string{
-	"", "fiber_force_spread", "collide_stream", "update_velocity", "move_fibers", "swap_distribution",
-}
-
-// String names the phase.
-func (p Phase) String() string {
-	if p < 1 || p > NumPhases {
-		return "unknown_phase"
-	}
-	return phaseNames[p]
-}
-
-// PhaseObserver receives the wall-clock duration each worker spent in each
-// loop nest; the profiling harness uses it to measure load imbalance (the
-// paper's OmpP substitute).
-type PhaseObserver interface {
-	PhaseDone(step, tid int, p Phase, d time.Duration)
-}
-
 // Config assembles a cube-based LBM-IB problem.
 type Config struct {
 	core.Config
@@ -87,26 +52,10 @@ type Solver struct {
 	Fluid *cube.Layout
 	Map   par.CubeMap // cube2thread
 
-	Observer PhaseObserver
-
-	// Contention, when non-nil, receives per-thread barrier waits (by
-	// call site); CubeWork, when non-nil, receives per-cube per-phase
-	// work samples for the load heatmap.
-	// Both default to nil — the uninstrumented step takes the exact
-	// pre-existing code paths.
-	Contention ContentionObserver
-	CubeWork   CubeWorkObserver
-
-	// Arrivals, when non-nil, receives full arrival attribution (rank,
-	// crossing, last-arriver identity) for every barrier crossing — the
-	// feed of the critical-path profiler. Defaults to nil with the same
-	// zero-overhead contract as Contention.
-	Arrivals BarrierArrivalObserver
-
 	stream       *core.Streamer
 	team         *par.Team
 	barrier      *par.Barrier
-	timedBarrier par.TimedBarrier    // wraps barrier; used only with Contention set
+	timedBarrier par.TimedBarrier    // wraps barrier; used only with a Probe attached
 	accums       []*core.SpreadAccum // per-thread spread buffers, one block per cube
 	step         int
 
@@ -147,7 +96,7 @@ func NewSolver(cfg Config) (*Solver, error) {
 		owned:   make([][]int, threads),
 		fibers:  make([][2]int, threads),
 	}
-	s.timedBarrier = par.TimedBarrier{B: s.barrier, Rec: s.recordBarrierWait, Arrive: s.recordBarrierArrive}
+	s.timedBarrier = par.TimedBarrier{B: s.barrier, Arrive: s.BarrierArrived}
 	owner := make([]int, layout.NumCubes())
 	for c := range owner {
 		owner[c] = s.Map.CubeToThread(layout.CubeCoord(c))
@@ -237,49 +186,43 @@ func (s *Solver) Run(n int) {
 // step's distribution-buffer parity, derived from the step index by Run
 // so that workers never load the shared parity bit between barriers.
 func (s *Solver) timeStep(step, tid, cur int) {
-	phase := func(p Phase, fn func()) {
-		if s.Observer == nil {
-			fn()
-			return
-		}
-		t0 := time.Now()
-		fn()
-		s.Observer.PhaseDone(step, tid, p, time.Since(t0))
+	phase := func(p core.Phase, fn func()) {
+		s.Timed(core.Event{Kind: core.PhaseDone, Step: step, Tid: tid, Phase: p}, fn)
 	}
 	// gen stamps this step's spread accumulation; generations are never
 	// reused, which is what lets the lock-free buffers skip zeroing.
 	gen := step + 1
 
 	// 1st loop: kernels 1–4 on owned fibers.
-	phase(PhaseFibersForce, func() { s.fiberForceLoop(tid, gen) })
+	phase(core.PhaseFibersForce, func() { s.fiberForceLoop(tid, gen) })
 	// Spread → collision dependency (see package comment). The barrier
 	// folds away when it orders nothing: without fibers no forces are
 	// spread, and a single worker spreads and collides in program order.
 	// The condition is thread-invariant, so every worker takes the same
 	// branch.
 	if s.spreadBarrierNeeded() {
-		s.waitBarrier(SiteAfterSpread, tid)
+		s.waitBarrier(core.SiteAfterSpread, tid, step)
 	}
 
 	// 2nd loop: kernels 5–6 on owned cubes (each first folds the workers'
 	// spread buffers into the cube).
-	phase(PhaseCollideStream, func() { s.collideStreamLoop(tid, gen, cur) })
-	s.waitBarrier(SiteAfterStream, tid) // streaming → velocity-update dependency (paper's 1st barrier)
+	phase(core.PhaseCollideStream, func() { s.collideStreamLoop(tid, step, gen, cur) })
+	s.waitBarrier(core.SiteAfterStream, tid, step) // streaming → velocity-update dependency (paper's 1st barrier)
 
 	// 3rd loop: kernel 7 on owned cubes.
-	phase(PhaseUpdateVelocity, func() { s.updateVelocityLoop(tid, cur) })
-	s.waitBarrier(SiteAfterVelocity, tid) // velocity → move-fibers dependency (paper's 2nd barrier)
+	phase(core.PhaseUpdateVelocity, func() { s.updateVelocityLoop(tid, step, cur) })
+	s.waitBarrier(core.SiteAfterVelocity, tid, step) // velocity → move-fibers dependency (paper's 2nd barrier)
 
 	// 4th loop: kernel 8 on owned fibers.
-	phase(PhaseMoveFibers, func() { s.moveFibersLoop(tid) })
+	phase(core.PhaseMoveFibers, func() { s.moveFibersLoop(tid) })
 
 	// 5th loop: kernel 9, retired: thread 0 flips the layout's buffer
 	// parity in O(1) and everyone else's loop body is empty (each thread
-	// still reports the phase to its observer). The after-velocity
+	// still reports the phase to the probe). The after-velocity
 	// barrier orders the flip after every thread's kernel-7 reads;
 	// workers derive their own parity from the step index, so the flip
 	// itself is unread until the run joins.
-	phase(PhaseCopy, func() { s.copyLoop(tid) })
+	phase(core.PhaseCopy, func() { s.copyLoop(tid) })
 	// End-of-step barrier (paper's 3rd). The phase-effect analysis
 	// (lbmib-lint -fusibility, DESIGN.md §16) proves it orders nothing in
 	// a fluid-only run: the move-fibers and copy phases between the
@@ -290,7 +233,7 @@ func (s *Solver) timeStep(step, tid, cur int) {
 	// next step's bending stencil reads across fibers). The condition is
 	// thread-invariant, so every worker takes the same branch.
 	if s.spreadBarrierNeeded() {
-		s.waitBarrier(SiteEndOfStep, tid)
+		s.waitBarrier(core.SiteEndOfStep, tid, step)
 	}
 }
 
@@ -311,10 +254,21 @@ func (s *Solver) forOwnedFibers(tid int, body func(sh *fiber.Sheet, nodeLo, node
 }
 
 // forOwnedCubes visits every cube owned by tid, in cube-index order —
-// Algorithm 4's "for each cube ... if cube2thread(I,J,K) == tid".
-func (s *Solver) forOwnedCubes(tid int, fn func(c int)) {
+// Algorithm 4's "for each cube ... if cube2thread(I,J,K) == tid" — as
+// loop nest p of the given step. With a probe attached each cube's visit
+// is timed and reported as a block event.
+func (s *Solver) forOwnedCubes(tid, step int, p core.Phase, fn func(c int)) {
+	probe := s.Probe
+	if probe == nil {
+		for _, c := range s.owned[tid] {
+			fn(c)
+		}
+		return
+	}
 	for _, c := range s.owned[tid] {
+		t0 := time.Now()
 		fn(c)
+		probe.Emit(core.Event{Kind: core.BlockDone, Step: step, Tid: tid, Block: c, Phase: p, D: time.Since(t0)})
 	}
 }
 
@@ -338,9 +292,9 @@ func (s *Solver) fiberForceLoop(tid, gen int) {
 // touching the cube here, so the reduction needs no synchronization
 // beyond the spread barrier already passed, and the cube's nodes are hot
 // in cache for the collision that follows.
-func (s *Solver) collideStreamLoop(tid, gen, cur int) {
+func (s *Solver) collideStreamLoop(tid, step, gen, cur int) {
 	reduce := fiber.TotalFibers(s.Sheets) > 0
-	s.forOwnedCubesTimed(tid, PhaseCollideStream, func(c int) {
+	s.forOwnedCubes(tid, step, core.PhaseCollideStream, func(c int) {
 		nodes := s.Fluid.CubeNodes(c)
 		if reduce {
 			core.ReduceSpread(s.accums, nodes, c, gen)
@@ -354,8 +308,8 @@ func (s *Solver) collideStreamLoop(tid, gen, cur int) {
 // node's force to the uniform body force in the same pass — the reset
 // the paper's loop 5 performed, folded here so the retired copy loop
 // leaves nothing behind.
-func (s *Solver) updateVelocityLoop(tid, cur int) {
-	s.forOwnedCubesTimed(tid, PhaseUpdateVelocity, func(c int) {
+func (s *Solver) updateVelocityLoop(tid, step, cur int) {
+	s.forOwnedCubes(tid, step, core.PhaseUpdateVelocity, func(c int) {
 		core.UpdateRange(s.Fluid.CubeNodes(c), 1-cur, &s.BodyForce)
 	})
 }
@@ -387,10 +341,23 @@ func (s *Solver) spreadOnly() {
 	s.team.Run(func(tid int) {
 		s.fiberForceLoop(tid, gen)
 		if s.spreadBarrierNeeded() {
-			s.waitBarrier(SiteAfterSpread, tid)
+			s.waitBarrier(core.SiteAfterSpread, tid, s.step)
 		}
 		if fiber.TotalFibers(s.Sheets) > 0 {
-			s.forOwnedCubes(tid, func(c int) { core.ReduceSpread(s.accums, s.Fluid.CubeNodes(c), c, gen) })
+			for _, c := range s.owned[tid] {
+				core.ReduceSpread(s.accums, s.Fluid.CubeNodes(c), c, gen)
+			}
 		}
 	})
+}
+
+// waitBarrier is the instrumented barrier: a plain Barrier.Wait without
+// a probe (the zero-overhead default), a timed wait reported as a
+// barrier arrival of the given step otherwise.
+func (s *Solver) waitBarrier(site core.BarrierSite, tid, step int) {
+	if s.Probe == nil {
+		s.barrier.Wait()
+		return
+	}
+	s.timedBarrier.Wait(step, int(site), tid)
 }

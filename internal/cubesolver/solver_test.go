@@ -2,9 +2,7 @@ package cubesolver
 
 import (
 	"math"
-	"sync"
 	"testing"
-	"time"
 
 	"lbmib/internal/core"
 	"lbmib/internal/fiber"
@@ -146,50 +144,20 @@ func TestStepCountAndStep(t *testing.T) {
 }
 
 func TestPhaseNames(t *testing.T) {
-	want := map[Phase]string{
-		PhaseFibersForce:    "fiber_force_spread",
-		PhaseCollideStream:  "collide_stream",
-		PhaseUpdateVelocity: "update_velocity",
-		PhaseMoveFibers:     "move_fibers",
-		PhaseCopy:           "swap_distribution",
+	want := map[core.Phase]string{
+		core.PhaseFibersForce:    "fiber_force_spread",
+		core.PhaseCollideStream:  "collide_stream",
+		core.PhaseUpdateVelocity: "update_velocity",
+		core.PhaseMoveFibers:     "move_fibers",
+		core.PhaseCopy:           "swap_distribution",
 	}
 	for p, n := range want {
 		if p.String() != n {
 			t.Fatalf("phase %d name %q, want %q", p, p.String(), n)
 		}
 	}
-	if Phase(0).String() != "unknown_phase" {
+	if core.Phase(0).String() != "unknown_phase" {
 		t.Fatal("phase 0 must be unknown")
-	}
-}
-
-type phaseRecorder struct {
-	mu    sync.Mutex
-	calls map[Phase]int
-}
-
-func (r *phaseRecorder) PhaseDone(step, tid int, p Phase, d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.calls == nil {
-		r.calls = map[Phase]int{}
-	}
-	r.calls[p]++
-}
-
-func TestPhaseObserverCoverage(t *testing.T) {
-	s, err := NewSolver(cubeConfig(testSheet(), 3, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	rec := &phaseRecorder{}
-	s.Observer = rec
-	s.Run(4)
-	for p := Phase(1); p <= NumPhases; p++ {
-		if rec.calls[p] != 4*3 { // steps × threads
-			t.Fatalf("phase %v observed %d times, want 12", p, rec.calls[p])
-		}
 	}
 }
 

@@ -110,8 +110,8 @@ func AblationCopyVsSwap(opt Options) (CopySwapResult, error) {
 	if err != nil {
 		return CopySwapResult{}, err
 	}
-	prof := &perfmon.KernelProfile{}
-	s.Observer = prof
+	prof := perfmon.NewProfile(nil, 0)
+	s.Probe = prof
 	s.Run(steps)
 	copyTime := prof.KernelTime(core.KCopyDistribution)
 	total := prof.Total()

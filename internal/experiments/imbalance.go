@@ -118,144 +118,78 @@ func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error
 		res.FiberNodes += sh.NumNodes()
 	}
 
-	publish := func(row ImbalanceRow) {
-		res.Rows = append(res.Rows, row)
-		if reg == nil {
-			return
+	// Every engine runs the same problem under one profile; which events
+	// reach it — parallel regions (omp) or loop nests and barrier sites
+	// (cube, fused) — is the engine's business. The fused sweep's two
+	// barrier sites feed the same wait attribution as the cube engine's
+	// four, so the comparison covers the memory-aware engine too.
+	for _, name := range []string{"omp", "cube", "fused", "fused-f32"} {
+		cfg := core.Config{
+			NX: nx, NY: ny, NZ: nz, Tau: 0.7,
+			BodyForce: [3]float64{2e-5, 0, 0},
+			Sheets:    opt.twoSheets(nx, ny, nz),
 		}
-		eng := telemetry.L("engine", row.Engine)
-		reg.Gauge("lbmib_bench_mlups", "Throughput per engine (million lattice updates per second).", eng).Set(row.MLUPS)
-		reg.Gauge("lbmib_load_imbalance_ratio",
-			"max/mean per-thread phase time (Table II load-imbalance metric)",
-			eng, telemetry.L("phase", "total")).Set(row.ImbalanceRatio)
-		for phase, ratio := range row.PhaseImbalance {
-			reg.Gauge("lbmib_load_imbalance_ratio",
-				"max/mean per-thread phase time (Table II load-imbalance metric)",
-				eng, telemetry.L("phase", phase)).Set(ratio)
-		}
-	}
-
-	// --- OpenMP-style engine ---
-	{
-		s, err := omp.NewSolver(omp.Config{
-			Config: core.Config{
-				NX: nx, NY: ny, NZ: nz, Tau: 0.7,
-				BodyForce: [3]float64{2e-5, 0, 0},
-				Sheets:    opt.twoSheets(nx, ny, nz),
-			},
-			Threads: threads,
-		})
-		if err != nil {
-			return res, fmt.Errorf("omp: %w", err)
-		}
-		regions := perfmon.NewRegionProfile(threads)
-		s.Regions = regions
-		t0 := time.Now()
-		s.Run(steps)
-		wall := time.Since(t0)
-		s.Close()
-
-		row := ImbalanceRow{
-			Engine: "omp", Threads: threads,
-			MLUPS:            nodes * float64(steps) / wall.Seconds() / 1e6,
-			ImbalanceRatio:   regions.ImbalanceRatio(),
-			BarrierWaitShare: regions.BarrierWaitShare(),
-			PhaseImbalance:   map[string]float64{},
-		}
-		for k := core.Kernel(1); k <= core.NumKernels; k++ {
-			if r := regions.KernelImbalanceRatio(k); r > 0 {
-				row.PhaseImbalance[k.String()] = r
+		var (
+			problem *core.Problem
+			run     func(n int)
+			done    func()
+			err     error
+		)
+		switch name {
+		case "omp":
+			var s *omp.Solver
+			if s, err = omp.NewSolver(omp.Config{Config: cfg, Threads: threads}); err == nil {
+				problem, run, done = &s.Problem, s.Run, s.Close
+			}
+		case "cube":
+			var s *cubesolver.Solver
+			if s, err = cubesolver.NewSolver(cubesolver.Config{Config: cfg, CubeSize: res.CubeSize, Threads: threads}); err == nil {
+				problem, run, done = &s.Problem, s.Run, s.Close
+			}
+		default:
+			var s *fused.Solver
+			if s, err = fused.NewSolver(fused.Config{Config: cfg, Threads: threads, Float32: name == "fused-f32"}); err == nil {
+				problem, run, done = &s.Problem, s.Run, s.Close
 			}
 		}
-		publish(row)
-	}
-
-	// --- cube-based engine ---
-	{
-		s, err := cubesolver.NewSolver(cubesolver.Config{
-			Config: core.Config{
-				NX: nx, NY: ny, NZ: nz, Tau: 0.7,
-				BodyForce: [3]float64{2e-5, 0, 0},
-				Sheets:    opt.twoSheets(nx, ny, nz),
-			},
-			CubeSize: res.CubeSize, Threads: threads,
-		})
-		if err != nil {
-			return res, fmt.Errorf("cube: %w", err)
-		}
-		phases := perfmon.NewPhaseProfile(threads)
-		cont := perfmon.NewContentionProfile(threads)
-		heat := perfmon.NewCubeHeatmap(s.Fluid.CX, s.Fluid.CY, s.Fluid.CZ, s.Fluid.K, threads)
-		s.Observer = phases
-		s.Contention = cont
-		s.CubeWork = heat
-		t0 := time.Now()
-		s.Run(steps)
-		wall := time.Since(t0)
-		s.Close()
-
-		threadTime := float64(threads) * wall.Seconds()
-		row := ImbalanceRow{
-			Engine: "cube", Threads: threads,
-			MLUPS:            nodes * float64(steps) / wall.Seconds() / 1e6,
-			ImbalanceRatio:   phases.ImbalanceRatio(),
-			BarrierWaitShare: cont.BarrierWaitTotal().Seconds() / threadTime,
-			PhaseImbalance:   map[string]float64{},
-		}
-		for ph := cubesolver.Phase(1); ph <= cubesolver.NumPhases; ph++ {
-			if r := phases.PhaseImbalanceRatio(ph); r > 0 {
-				row.PhaseImbalance[ph.String()] = r
-			}
-		}
-		cont.Publish(reg, "cube")
-		res.Heatmap = heat
-		publish(row)
-	}
-
-	// --- fused engines ---
-	// The fused sweep's two barrier sites (mid-sweep wavefront join and
-	// end-of-sweep join) feed the same wait attribution as the cube
-	// engine's four, so the comparison covers the memory-aware engine too.
-	for _, f32 := range []bool{false, true} {
-		name := "fused"
-		if f32 {
-			name = "fused-f32"
-		}
-		s, err := fused.NewSolver(fused.Config{
-			Config: core.Config{
-				NX: nx, NY: ny, NZ: nz, Tau: 0.7,
-				BodyForce: [3]float64{2e-5, 0, 0},
-				Sheets:    opt.twoSheets(nx, ny, nz),
-			},
-			Threads: threads, Float32: f32,
-		})
 		if err != nil {
 			return res, fmt.Errorf("%s: %w", name, err)
 		}
-		phases := perfmon.NewPhaseProfile(threads)
-		cont := perfmon.NewContentionProfile(threads)
-		s.Observer = phases
-		s.Contention = cont
+		prof := perfmon.NewProfile(nil, threads)
+		probes := core.Probes{prof}
+		if k := res.CubeSize; name == "cube" {
+			res.Heatmap = perfmon.NewCubeHeatmap(nx/k, ny/k, nz/k, k, threads)
+			probes = append(probes, res.Heatmap)
+		}
+		problem.Probe = probes
 		t0 := time.Now()
-		s.Run(steps)
+		run(steps)
 		wall := time.Since(t0)
-		s.Close()
+		done()
 
-		threadTime := float64(threads) * wall.Seconds()
 		row := ImbalanceRow{
 			Engine: name, Threads: threads,
 			MLUPS:            nodes * float64(steps) / wall.Seconds() / 1e6,
-			ImbalanceRatio:   phases.ImbalanceRatio(),
-			BarrierWaitShare: cont.BarrierWaitTotal().Seconds() / threadTime,
+			ImbalanceRatio:   prof.ImbalanceRatio(),
+			BarrierWaitShare: prof.BarrierWaitShare(wall),
 			PhaseImbalance:   map[string]float64{},
 		}
-		for ph := cubesolver.Phase(1); ph <= cubesolver.NumPhases; ph++ {
-			if r := phases.PhaseImbalanceRatio(ph); r > 0 {
+		for k := core.Kernel(1); k <= core.NumKernels; k++ {
+			if r := prof.KernelImbalanceRatio(k); r > 0 {
+				row.PhaseImbalance[k.String()] = r
+			}
+		}
+		for ph := core.Phase(1); ph <= core.NumPhases; ph++ {
+			if r := prof.PhaseImbalanceRatio(ph); r > 0 {
 				row.PhaseImbalance[ph.String()] = r
 			}
 		}
-		cont.Publish(reg, name)
-		publish(row)
+		res.Rows = append(res.Rows, row)
+		if reg != nil {
+			reg.Gauge("lbmib_bench_mlups", "Throughput per engine (million lattice updates per second).",
+				telemetry.L("engine", name)).Set(row.MLUPS)
+			prof.Publish(reg, name)
+		}
 	}
 
 	return res, nil

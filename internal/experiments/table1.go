@@ -46,8 +46,8 @@ func Table1(opt Options) (Table1Result, error) {
 	if err != nil {
 		return Table1Result{}, err
 	}
-	prof := &perfmon.KernelProfile{}
-	s.Observer = prof
+	prof := perfmon.NewProfile(nil, 0)
+	s.Probe = prof
 	s.Run(steps)
 	return Table1Result{
 		NX: nx, NY: ny, NZ: nz,

@@ -30,7 +30,7 @@ func buildFailedRun(t *testing.T, dir string) *Recorder {
 			g.At(5, 5, 5).Rho = math.Inf(1) // the blow-up
 		}
 		for k := core.Kernel(1); k <= core.NumKernels; k++ {
-			r.KernelObserved(step, k, 100*time.Microsecond)
+			r.Emit(core.Event{Kind: core.KernelDone, Step: step, Kernel: k, D: 100 * time.Microsecond})
 		}
 		if err := g.Digest(d); err != nil {
 			t.Fatal(err)

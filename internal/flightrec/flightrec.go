@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"lbmib/internal/core"
-	"lbmib/internal/cubesolver"
 	"lbmib/internal/grid"
 )
 
@@ -66,7 +65,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Record is one ring entry: everything the recorder knows about one
-// step. Timing fields accumulate from observer callbacks during the
+// step. Timing fields accumulate from the engine's events during the
 // step; digests and aggregates land when the driver samples them.
 type Record struct {
 	Step int `json:"step"`
@@ -77,9 +76,9 @@ type Record struct {
 	// PhaseSeconds[p-1] sums phase p over worker threads (cube/taskflow
 	// engines). Bundles written while the cluster engine existed also
 	// carry a clusterPhaseSeconds array; decoding ignores it.
-	KernelSeconds    [core.NumKernels]float64      `json:"kernelSeconds"`
-	PhaseSeconds     [cubesolver.NumPhases]float64 `json:"phaseSeconds"`
-	BarrierWaitShare float64                       `json:"barrierWaitShare,omitempty"`
+	KernelSeconds    [core.NumKernels]float64 `json:"kernelSeconds"`
+	PhaseSeconds     [core.NumPhases]float64  `json:"phaseSeconds"`
+	BarrierWaitShare float64                  `json:"barrierWaitShare,omitempty"`
 	// HasDigest marks steps the full-grid digest ran on; the aggregates
 	// and per-tile digests below are only meaningful then.
 	HasDigest bool              `json:"hasDigest,omitempty"`
@@ -89,7 +88,9 @@ type Record struct {
 	Digests   []grid.TileDigest `json:"digests,omitempty"`
 }
 
-// Recorder is the flight recorder. All methods are safe for concurrent
+// Recorder is the flight recorder. It is a core.Probe consuming kernel
+// and phase events; the step an event carries must be the step number
+// the driver passes to RecordStep. All methods are safe for concurrent
 // use: engine worker threads report timings while the driver records
 // step aggregates and a bundle writer snapshots the ring.
 type Recorder struct {
@@ -201,27 +202,20 @@ func (r *Recorder) slotFor(step int) *Record {
 	return s
 }
 
-// KernelObserved accumulates one kernel duration into step's record
-// (core.Observer shape; the facade forwards its observer fan-out here).
-func (r *Recorder) KernelObserved(step int, k core.Kernel, d time.Duration) {
-	if k < 1 || int(k) > core.NumKernels {
-		return
+// Emit implements core.Probe, accumulating kernel and phase durations
+// into the event's step's record. Per-thread resolution lives in the
+// tracer; the ring keeps phase sums over worker threads.
+func (r *Recorder) Emit(e core.Event) {
+	switch {
+	case e.Kind == core.KernelDone && e.Kernel >= 1 && e.Kernel <= core.NumKernels:
+		r.mu.Lock()
+		r.slotFor(e.Step).KernelSeconds[e.Kernel-1] += e.D.Seconds()
+		r.mu.Unlock()
+	case e.Kind == core.PhaseDone && e.Phase >= 1 && e.Phase <= core.NumPhases:
+		r.mu.Lock()
+		r.slotFor(e.Step).PhaseSeconds[e.Phase-1] += e.D.Seconds()
+		r.mu.Unlock()
 	}
-	r.mu.Lock()
-	r.slotFor(step).KernelSeconds[k-1] += d.Seconds()
-	r.mu.Unlock()
-}
-
-// PhaseObserved accumulates one cube-solver phase duration (summed over
-// worker threads) into step's record.
-func (r *Recorder) PhaseObserved(step, tid int, p cubesolver.Phase, d time.Duration) {
-	if p < 1 || int(p) > cubesolver.NumPhases {
-		return
-	}
-	_ = tid // per-thread resolution lives in the tracer; the ring keeps sums
-	r.mu.Lock()
-	r.slotFor(step).PhaseSeconds[p-1] += d.Seconds()
-	r.mu.Unlock()
 }
 
 // RecordStep finalizes step's ring entry with whole-step aggregates.

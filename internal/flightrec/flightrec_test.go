@@ -8,14 +8,13 @@ import (
 	"time"
 
 	"lbmib/internal/core"
-	"lbmib/internal/cubesolver"
 	"lbmib/internal/grid"
 )
 
 func TestRingKeepsLastN(t *testing.T) {
 	r := New(Config{RingSize: 4, DigestEvery: 1})
 	for step := 1; step <= 10; step++ {
-		r.KernelObserved(step, core.KComputeCollision, time.Millisecond)
+		r.Emit(core.Event{Kind: core.KernelDone, Step: step, Kernel: core.KComputeCollision, D: time.Millisecond})
 		r.RecordStep(step, 2*time.Millisecond, 1.5, 0)
 	}
 	recs := r.Records()
@@ -41,7 +40,7 @@ func TestRingKeepsLastN(t *testing.T) {
 
 func TestRingSlotReuseClearsEvictedStep(t *testing.T) {
 	r := New(Config{RingSize: 2})
-	r.KernelObserved(1, core.KMoveFibers, time.Second)
+	r.Emit(core.Event{Kind: core.KernelDone, Step: 1, Kernel: core.KMoveFibers, D: time.Second})
 	r.RecordStep(1, time.Second, 0, 0.5)
 	// Step 3 lands on step 1's slot and must not inherit its timings.
 	r.RecordStep(3, time.Millisecond, 0, 0)
@@ -66,21 +65,21 @@ func TestRingSlotReuseClearsEvictedStep(t *testing.T) {
 func TestObserversAggregate(t *testing.T) {
 	r := New(Config{RingSize: 8})
 	for tid := 0; tid < 4; tid++ {
-		r.PhaseObserved(2, tid, cubesolver.PhaseCollideStream, 10*time.Millisecond)
+		r.Emit(core.Event{Kind: core.PhaseDone, Step: 2, Tid: tid, Phase: core.PhaseCollideStream, D: 10 * time.Millisecond})
 	}
 	r.RecordStep(2, 40*time.Millisecond, 0, 0)
 	recs := r.Records()
 	if len(recs) != 1 {
 		t.Fatalf("got %d records", len(recs))
 	}
-	got := recs[0].PhaseSeconds[cubesolver.PhaseCollideStream-1]
+	got := recs[0].PhaseSeconds[core.PhaseCollideStream-1]
 	if got < 0.039 || got > 0.041 {
 		t.Fatalf("phase sum = %g, want 0.04", got)
 	}
 	// Out-of-range enum values must be ignored, not crash or corrupt.
-	r.KernelObserved(2, 0, time.Second)
-	r.KernelObserved(2, core.NumKernels+1, time.Second)
-	r.PhaseObserved(2, 0, 0, time.Second)
+	r.Emit(core.Event{Kind: core.KernelDone, Step: 2, D: time.Second})
+	r.Emit(core.Event{Kind: core.KernelDone, Step: 2, Kernel: core.NumKernels + 1, D: time.Second})
+	r.Emit(core.Event{Kind: core.PhaseDone, Step: 2, D: time.Second})
 }
 
 func TestRecordDigestCopiesTiles(t *testing.T) {
@@ -188,8 +187,8 @@ func TestConcurrentWritersAndReader(t *testing.T) {
 		go func(tid int) {
 			defer wg.Done()
 			for step := 1; step <= steps; step++ {
-				r.KernelObserved(step, core.KComputeCollision, time.Microsecond)
-				r.PhaseObserved(step, tid, cubesolver.PhaseCollideStream, time.Microsecond)
+				r.Emit(core.Event{Kind: core.KernelDone, Step: step, Kernel: core.KComputeCollision, D: time.Microsecond})
+				r.Emit(core.Event{Kind: core.PhaseDone, Step: step, Tid: tid, Phase: core.PhaseCollideStream, D: time.Microsecond})
 				if tid == 0 {
 					r.RecordStep(step, time.Microsecond, 1, 0)
 				}
@@ -252,10 +251,10 @@ func TestSteadyStateRecordingAllocatesNothing(t *testing.T) {
 
 func recordOneStep(r *Recorder, g *grid.Grid, d *grid.DigestGrid, step int) {
 	for k := core.Kernel(1); k <= core.NumKernels; k++ {
-		r.KernelObserved(step, k, time.Microsecond)
+		r.Emit(core.Event{Kind: core.KernelDone, Step: step, Kernel: k, D: time.Microsecond})
 	}
-	for p := cubesolver.Phase(1); p <= cubesolver.NumPhases; p++ {
-		r.PhaseObserved(step, 0, p, time.Microsecond)
+	for p := core.Phase(1); p <= core.NumPhases; p++ {
+		r.Emit(core.Event{Kind: core.PhaseDone, Step: step, Phase: p, D: time.Microsecond})
 	}
 	if r.WantDigest(step) {
 		g.Digest(d) //nolint:errcheck // shapes fixed in test

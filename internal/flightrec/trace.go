@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"lbmib/internal/core"
-	"lbmib/internal/cubesolver"
 )
 
 // The bundle's trace is synthesized from the ring after the fact, so it
@@ -78,11 +77,11 @@ func writeTrace(w io.Writer, records []Record) error {
 			}
 		}
 		off = now
-		for p := 0; p < cubesolver.NumPhases; p++ {
+		for p := 0; p < core.NumPhases; p++ {
 			if s := r.PhaseSeconds[p]; s > 0 {
 				name(trackPhases, "phases (thread-seconds)")
 				events = append(events, traceEvent{
-					Name: cubesolver.Phase(p + 1).String(), Cat: "phase", Phase: "X",
+					Name: core.Phase(p + 1).String(), Cat: "phase", Phase: "X",
 					TS: off, Dur: us(s), PID: 1, TID: trackPhases,
 					Args: map[string]any{"step": r.Step},
 				})

@@ -62,11 +62,21 @@
 // The mid-sweep barrier is the engine's own par.Barrier (the team's
 // implicit region join used to separate A and B when they were two
 // dispatches; the explicit barrier keeps the identical ordering with one
-// dispatch fewer) and is instrumentable: with a ContentionObserver or
-// BarrierArrivalObserver attached, it and an extra end-of-sweep barrier
-// report per-thread waits under the cube engine's site vocabulary
-// (SiteAfterStream and SiteEndOfStep), which is what lets the
-// load-imbalance bench and the critical-path profiler cover this engine.
+// dispatch fewer) and is instrumentable: with a probe attached, it and
+// an extra end-of-sweep barrier report per-thread arrivals under the
+// cube engine's site vocabulary (core.SiteAfterStream and
+// core.SiteEndOfStep), which is what lets the load-imbalance bench and
+// the critical-path profiler cover this engine.
+//
+// # Events
+//
+// The step reports through core.Problem.Probe in the phase vocabulary:
+// the fiber-force kernels as PhaseFibersForce and kernel 8 as
+// PhaseMoveFibers (both from the coordinator, as thread 0), region A of
+// the sweep as PhaseCollideStream and region B as PhaseUpdateVelocity
+// (both per thread), plus the two barrier sites above. It emits no
+// kernel or region events: the embedded loop-parallel solver times
+// regions only inside its own Step, which this engine never runs.
 //
 // # Float32 storage
 //
@@ -94,7 +104,6 @@ import (
 	"time"
 
 	"lbmib/internal/core"
-	"lbmib/internal/cubesolver"
 	"lbmib/internal/grid"
 	"lbmib/internal/lattice"
 	"lbmib/internal/omp"
@@ -121,27 +130,6 @@ type Solver struct {
 	// Float32 reports whether distributions are stored in float32.
 	Float32 bool
 
-	// Observer, when non-nil, receives per-thread phase timings using the
-	// cube engine's phase vocabulary: the fiber-force kernels report as
-	// PhaseFibersForce (thread 0), region A of the sweep as
-	// PhaseCollideStream and region B as PhaseUpdateVelocity (both per
-	// thread), and kernel 8 as PhaseMoveFibers (thread 0). It shadows the
-	// embedded solver's kernel Observer, which the fused step does not
-	// drive.
-	Observer cubesolver.PhaseObserver
-
-	// Contention, when non-nil, receives per-thread barrier waits for the
-	// sweep's two barrier sites, reported under the cube engine's site
-	// vocabulary: the mid-sweep wavefront barrier as SiteAfterStream and
-	// the end-of-sweep barrier as SiteEndOfStep. Arrivals, when non-nil,
-	// additionally receives arrival ranks, crossing numbers, and
-	// last-arriver identity — the critical-path profiler's feed. Both
-	// default to nil: the uninstrumented sweep takes plain barrier waits
-	// and skips the end-of-sweep site entirely (the region's implicit
-	// join already orders it), so attaching neither costs nothing.
-	Contention cubesolver.ContentionObserver
-	Arrivals   cubesolver.BarrierArrivalObserver
-
 	bc           core.StreamBC
 	streamDelta  [lattice.Q]int
 	d32          *grid.Dist32 // non-nil iff Float32
@@ -166,7 +154,7 @@ func NewSolver(cfg Config) (*Solver, error) {
 		streamDelta: base.Fluid.StreamDeltas(),
 		barrier:     par.NewBarrier(base.Threads),
 	}
-	s.timedBarrier = par.TimedBarrier{B: s.barrier, Rec: s.recordBarrierWait, Arrive: s.recordBarrierArrive}
+	s.timedBarrier = par.TimedBarrier{B: s.barrier, Arrive: s.BarrierArrived}
 	if cfg.Float32 {
 		s.d32 = grid.NewDist32(cfg.NX, cfg.NY, cfg.NZ)
 		if err := s.d32.FromGrid(s.Fluid); err != nil {
@@ -197,23 +185,17 @@ var FaultHook func(*Solver)
 // Step advances one time step: fiber kernels 1–4, the fused fluid sweep
 // (kernels 5+6+7+9 in one pass), then kernel 8.
 func (s *Solver) Step() {
-	run := func(p cubesolver.Phase, fn func()) {
-		if s.Observer == nil {
-			fn()
-			return
-		}
-		t0 := time.Now()
-		fn()
-		s.Observer.PhaseDone(s.StepCount(), 0, p, time.Since(t0))
+	run := func(p core.Phase, fn func()) {
+		s.Timed(core.Event{Kind: core.PhaseDone, Step: s.StepCount(), Phase: p}, fn)
 	}
-	run(cubesolver.PhaseFibersForce, func() {
+	run(core.PhaseFibersForce, func() {
 		s.ComputeBendingForce()
 		s.ComputeStretchingForce()
 		s.ComputeElasticForce()
 		s.SpreadForce()
 	})
 	s.sweep()
-	run(cubesolver.PhaseMoveFibers, s.MoveFibers)
+	run(core.PhaseMoveFibers, s.MoveFibers)
 	if FaultHook != nil {
 		FaultHook(s)
 	}
@@ -231,10 +213,10 @@ func (s *Solver) Run(n int) {
 // sweep is the fused collide+stream+update+swap pass (see package doc).
 // It is one parallel region: region A (collide + interior finalize),
 // the explicit wavefront barrier, region B (chunk-edge finalize), and —
-// only when barrier instrumentation is attached — an end-of-sweep
-// barrier measuring the wait the region's implicit join would otherwise
-// hide. Both instrumentation conditions are thread-invariant, so every
-// worker executes the same barrier sequence.
+// only with a probe attached — an end-of-sweep barrier measuring the
+// wait the region's implicit join would otherwise hide. The probe is
+// read once, before the region forks, so every worker executes the same
+// barrier sequence.
 func (s *Solver) sweep() {
 	g := s.Fluid
 	var cur int
@@ -245,11 +227,10 @@ func (s *Solver) sweep() {
 	}
 	next := 1 - cur
 	tau, body := s.Tau, s.BodyForce
-	obs, step := s.Observer, s.StepCount()
-	measureJoin := s.Contention != nil || s.Arrivals != nil
+	probe, step := s.Probe, s.StepCount()
 	s.ParallelFor(g.NX, func(tid, lo, hi int) {
 		var t0 time.Time
-		if obs != nil {
+		if probe != nil {
 			t0 = time.Now()
 		}
 		for x := lo; x < hi; x++ {
@@ -258,22 +239,20 @@ func (s *Solver) sweep() {
 				s.finalizePlane(x-1, cur, next, body)
 			}
 		}
-		if obs != nil {
-			obs.PhaseDone(step, tid, cubesolver.PhaseCollideStream, time.Since(t0))
+		if probe != nil {
+			probe.Emit(core.Event{Kind: core.PhaseDone, Step: step, Tid: tid, Phase: core.PhaseCollideStream, D: time.Since(t0)})
 		}
-		s.waitBarrier(cubesolver.SiteAfterStream, tid)
-		if obs != nil {
+		s.waitBarrier(core.SiteAfterStream, tid, step)
+		if probe != nil {
 			t0 = time.Now()
 		}
 		s.finalizePlane(lo, cur, next, body)
 		if hi-1 != lo {
 			s.finalizePlane(hi-1, cur, next, body)
 		}
-		if obs != nil {
-			obs.PhaseDone(step, tid, cubesolver.PhaseUpdateVelocity, time.Since(t0))
-		}
-		if measureJoin {
-			s.waitBarrier(cubesolver.SiteEndOfStep, tid)
+		if probe != nil {
+			probe.Emit(core.Event{Kind: core.PhaseDone, Step: step, Tid: tid, Phase: core.PhaseUpdateVelocity, D: time.Since(t0)})
+			s.waitBarrier(core.SiteEndOfStep, tid, step)
 		}
 	})
 	if s.Float32 {
@@ -284,35 +263,14 @@ func (s *Solver) sweep() {
 }
 
 // waitBarrier is the sweep's instrumented barrier: a plain Barrier.Wait
-// when neither observer is attached, a timed wait attributed to
-// (site, tid) otherwise — the same contract as the cube solver's.
-func (s *Solver) waitBarrier(site cubesolver.BarrierSite, tid int) {
-	if s.Contention == nil && s.Arrivals == nil {
+// without a probe, a timed wait reported as a barrier arrival otherwise
+// — the same contract as the cube solver's.
+func (s *Solver) waitBarrier(site core.BarrierSite, tid, step int) {
+	if s.Probe == nil {
 		s.barrier.Wait()
 		return
 	}
-	s.timedBarrier.Wait(int(site), tid)
-}
-
-// recordBarrierWait adapts par.BarrierWaitFunc to the observer; bound
-// once at construction. The field is re-read and guarded so detaching
-// the observer between steps drops the sample instead of panicking.
-func (s *Solver) recordBarrierWait(site, tid int, wait time.Duration) {
-	obs := s.Contention
-	if obs == nil {
-		return
-	}
-	obs.BarrierWait(cubesolver.BarrierSite(site), tid, wait)
-}
-
-// recordBarrierArrive adapts par.BarrierArriveFunc to the observer with
-// the same re-read-and-guard contract.
-func (s *Solver) recordBarrierArrive(site, tid, rank int, crossing uint64, wait time.Duration, last bool) {
-	obs := s.Arrivals
-	if obs == nil {
-		return
-	}
-	obs.BarrierArrive(cubesolver.BarrierSite(site), tid, rank, crossing, wait, last)
+	s.timedBarrier.Wait(step, int(site), tid)
 }
 
 // collidePlane applies the BGK+Guo collision in place to every node of

@@ -4,10 +4,8 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"lbmib/internal/core"
-	"lbmib/internal/cubesolver"
 	"lbmib/internal/fiber"
 	"lbmib/internal/omp"
 	"lbmib/internal/validate"
@@ -303,8 +301,10 @@ func TestLoadRoundTrip(t *testing.T) {
 // report per worker thread.
 type phaseCount struct{ calls atomic.Int64 }
 
-func (p *phaseCount) PhaseDone(step, tid int, ph cubesolver.Phase, d time.Duration) {
-	p.calls.Add(1)
+func (p *phaseCount) Emit(e core.Event) {
+	if e.Kind == core.PhaseDone {
+		p.calls.Add(1)
+	}
 }
 
 // The fused step reports one fibers-force and one move-fibers sample
@@ -313,7 +313,7 @@ func TestObserverCoverage(t *testing.T) {
 	obs := &phaseCount{}
 	s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: 3})
 	defer s.Close()
-	s.Observer = obs
+	s.Probe = obs
 	const steps = 4
 	s.Run(steps)
 	want := int64(steps * (2 + 2*s.Threads))

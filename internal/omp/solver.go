@@ -48,14 +48,19 @@ type Solver struct {
 	*core.Solver
 	Threads int
 
-	// Regions, when non-nil, receives per-thread busy times for every
-	// parallel region. It defaults to nil (zero overhead).
-	Regions RegionObserver
-
 	team      *par.Team
 	accums    []*core.SpreadAccum // per-thread spreading buffers, one block per x-plane
 	spreadGen int                 // current spread generation, stamps accum planes
-	curKernel core.Kernel         // kernel whose region is running, for Regions
+
+	// Region timing, used only with a Probe attached. curKernel is the
+	// kernel Step is running (0 outside Step: an engine layered on this
+	// solver reports in its own vocabulary). busy and body are the running
+	// region's per-thread times and loop body; timed is timedChunk bound
+	// once, so timing a region allocates nothing.
+	curKernel core.Kernel
+	busy      []time.Duration
+	body      func(tid, lo, hi int)
+	timed     func(tid, lo, hi int)
 }
 
 // NewSolver builds the parallel solver and starts its thread team. Like
@@ -79,7 +84,9 @@ func NewSolver(cfg Config) (*Solver, error) {
 		Solver:  cs,
 		Threads: cfg.Threads,
 		team:    par.NewTeam(cfg.Threads),
+		busy:    make([]time.Duration, cfg.Threads),
 	}
+	s.timed = s.timedChunk
 	if cfg.Threads > 1 {
 		s.accums = core.NewSpreadAccums(s.Fluid, cfg.Threads, nil)
 	}
@@ -104,26 +111,30 @@ func MustNewSolver(cfg Config) *Solver {
 func (s *Solver) Close() { s.team.Close() }
 
 // parallelFor dispatches a loop of n iterations as one contiguous chunk
-// per thread. With a RegionObserver attached, each thread's busy time
-// inside the region is accumulated (each thread writes only its own
-// slot) and reported once from the coordinator after the implicit
-// barrier.
+// per thread. With a probe attached, each thread's busy time inside a
+// kernel's region is taken (each thread writes only its own slot) and
+// reported once from the coordinator after the implicit barrier — the
+// OmpP-style measurement behind the paper's Table II: the rest of the
+// region's wall time a thread spent waiting at that barrier.
 func (s *Solver) parallelFor(n int, body func(tid, lo, hi int)) {
-	run := body
-	obs := s.Regions
-	var busy []time.Duration
-	if obs != nil {
-		busy = make([]time.Duration, s.Threads)
-		run = func(tid, lo, hi int) {
-			t0 := time.Now()
-			body(tid, lo, hi)
-			busy[tid] += time.Since(t0)
-		}
+	probe := s.Probe
+	if probe == nil || s.curKernel == 0 {
+		s.team.ForStatic(n, body)
+		return
 	}
-	s.team.ForStatic(n, run)
-	if obs != nil {
-		obs.RegionDone(s.StepCount(), s.curKernel, busy)
-	}
+	clear(s.busy)
+	s.body = body
+	s.team.ForStatic(n, s.timed)
+	s.body = nil
+	probe.Emit(core.Event{Kind: core.RegionDone, Step: s.StepCount(), Kernel: s.curKernel, Busy: s.busy})
+}
+
+// timedChunk runs one thread's chunk of the current region under the
+// clock.
+func (s *Solver) timedChunk(tid, lo, hi int) {
+	t0 := time.Now()
+	s.body(tid, lo, hi)
+	s.busy[tid] = time.Since(t0)
 }
 
 // ParallelFor dispatches a loop of n iterations on the solver's worker
@@ -138,13 +149,8 @@ func (s *Solver) ParallelFor(n int, body func(tid, lo, hi int)) { s.parallelFor(
 func (s *Solver) Step() {
 	run := func(k core.Kernel, fn func()) {
 		s.curKernel = k
-		if s.Observer == nil {
-			fn()
-			return
-		}
-		t0 := time.Now()
-		fn()
-		s.Observer.KernelDone(s.StepCount(), k, time.Since(t0))
+		s.Timed(core.Event{Kind: core.KernelDone, Step: s.StepCount(), Kernel: k}, fn)
+		s.curKernel = 0
 	}
 	run(core.KComputeBendingForce, s.ComputeBendingForce)
 	run(core.KComputeStretchingForce, s.ComputeStretchingForce)

@@ -3,7 +3,6 @@ package omp
 import (
 	"math"
 	"testing"
-	"time"
 
 	"lbmib/internal/core"
 	"lbmib/internal/fiber"
@@ -132,21 +131,6 @@ func TestBounceBackMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestObserverCoverage(t *testing.T) {
-	obs := &countObserver{}
-	s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: 2})
-	defer s.Close()
-	s.Observer = obs
-	s.Run(4)
-	if obs.calls != 4*core.NumKernels {
-		t.Fatalf("observer calls = %d, want %d", obs.calls, 4*core.NumKernels)
-	}
-}
-
-type countObserver struct{ calls int }
-
-func (c *countObserver) KernelDone(step int, k core.Kernel, d time.Duration) { c.calls++ }
-
 func TestRejectsBadTau(t *testing.T) {
 	if _, err := NewSolver(Config{Config: core.Config{NX: 8, NY: 8, NZ: 8, Tau: 0.4}, Threads: 2}); err == nil {
 		t.Fatal("accepted tau <= 0.5")
@@ -198,5 +182,30 @@ func TestMovingLidFSIMatchesSequential(t *testing.T) {
 	}
 	if !sd.Within(validate.DefaultTol) {
 		t.Fatalf("moving-lid sheet diverges: %v", sd)
+	}
+}
+
+// TestObservedStepAllocatesNothingExtra pins the region-timing contract:
+// the busy vector and the timed loop body live on the solver, so a step
+// with a probe attached allocates exactly what the same step allocates
+// detached — whatever the number of parallel regions (a sheet adds
+// spreading's two) and whatever the team width.
+func TestObservedStepAllocatesNothingExtra(t *testing.T) {
+	for _, sheet := range []bool{false, true} {
+		for _, threads := range []int{1, 2, 4} {
+			var sh *fiber.Sheet
+			if sheet {
+				sh = testSheet()
+			}
+			s := MustNewSolver(Config{Config: baseConfig(sh), Threads: threads})
+			s.Step() // past first-step growth of the spread buffers
+			detached := testing.AllocsPerRun(5, s.Step)
+			s.Probe = core.Probes{}
+			observed := testing.AllocsPerRun(5, s.Step)
+			s.Close()
+			if observed != detached {
+				t.Errorf("sheet=%v threads=%d: observed step allocates %v, detached %v", sheet, threads, observed, detached)
+			}
+		}
 	}
 }

@@ -2,46 +2,39 @@ package par
 
 import "time"
 
-// BarrierWaitFunc receives one participant's wait at one barrier call
-// site: the time between the thread arriving at the barrier and the
-// barrier releasing it. Site identifiers are caller-defined small
-// integers (the cube solver names its Algorithm-4 barrier sites with
-// them).
-type BarrierWaitFunc func(site, tid int, wait time.Duration)
-
 // BarrierArriveFunc receives full arrival attribution for one
-// participant at one barrier crossing: its arrival rank (0 = first),
-// the crossing number (unique per release of the underlying barrier),
-// its wait, and whether it was the last arriver — the thread that
+// participant at one barrier crossing: the caller's step and call-site
+// tags (small integers the barrier only passes through — the engines
+// name their Algorithm-4 barrier sites with them), its arrival rank
+// (0 = first), the crossing number (unique per release of the
+// underlying barrier), its wait — the time between arriving and being
+// released — and whether it was the last arriver, the thread that
 // released everyone else. The last arriver's wait is exactly 0 by
 // construction, not a small clock-read residue.
-type BarrierArriveFunc func(site, tid, rank int, crossing uint64, wait time.Duration, last bool)
+type BarrierArriveFunc func(step, site, tid, rank int, crossing uint64, wait time.Duration, last bool)
 
 // TimedBarrier wraps a Barrier with per-participant wait attribution:
-// every Wait is timed and reported to Rec together with the call site
-// and the waiting thread, and to Arrive with the arrival rank and
-// crossing identity. The underlying barrier is shared — timed and
-// plain Wait calls synchronize with each other, so a solver can switch
-// instrumentation on without replacing its barrier.
+// every Wait is timed and reported to Arrive. The underlying barrier is
+// shared — timed and plain Wait calls synchronize with each other, so a
+// solver can switch instrumentation on without replacing its barrier.
 //
 // A TimedBarrier is a small value; constructing one per use is free.
-// With both Rec and Arrive nil it degrades to a plain Wait, so the
-// wrapper itself is never the thing a caller must make conditional.
+// With Arrive nil it degrades to a plain Wait, so the wrapper itself is
+// never the thing a caller must make conditional.
 type TimedBarrier struct {
 	B      *Barrier
-	Rec    BarrierWaitFunc
 	Arrive BarrierArriveFunc
 }
 
-// Wait blocks on the wrapped barrier, reports how long participant tid
-// waited at the given site, and returns the participant's arrival rank
-// (0 = first to arrive; −1 on the uninstrumented path, which does not
-// track ranks). The last thread to arrive records exactly zero wait —
-// it never waited, it released the others — so the attribution flags
-// slow threads by their *zero* wait while everyone else accumulated
-// time waiting for them.
-func (t TimedBarrier) Wait(site, tid int) int {
-	if t.Rec == nil && t.Arrive == nil {
+// Wait blocks on the wrapped barrier, reports participant tid's arrival
+// at the given step and site, and returns its arrival rank (0 = first
+// to arrive; −1 on the uninstrumented path, which does not track
+// ranks). The last thread to arrive records exactly zero wait — it
+// never waited, it released the others — so the attribution flags slow
+// threads by their *zero* wait while everyone else accumulated time
+// waiting for them.
+func (t TimedBarrier) Wait(step, site, tid int) int {
+	if t.Arrive == nil {
 		t.B.Wait()
 		return -1
 	}
@@ -51,11 +44,6 @@ func (t TimedBarrier) Wait(site, tid int) int {
 	if !last {
 		w = time.Since(t0)
 	}
-	if t.Rec != nil {
-		t.Rec(site, tid, w)
-	}
-	if t.Arrive != nil {
-		t.Arrive(site, tid, rank, crossing, w, last)
-	}
+	t.Arrive(step, site, tid, rank, crossing, w, last)
 	return rank
 }

@@ -24,7 +24,7 @@ func TestTimedBarrierSkewAttribution(t *testing.T) {
 	sites := make(map[int]int)
 	tb := TimedBarrier{
 		B: NewBarrier(n),
-		Rec: func(site, tid int, w time.Duration) {
+		Arrive: func(_, site, tid, _ int, _ uint64, w time.Duration, _ bool) {
 			mu.Lock()
 			waits[tid] += w
 			sites[site]++
@@ -39,7 +39,7 @@ func TestTimedBarrierSkewAttribution(t *testing.T) {
 			if tid == slow {
 				time.Sleep(delay)
 			}
-			tb.Wait(7, tid)
+			tb.Wait(s, 7, tid)
 		}
 	})
 
@@ -81,11 +81,11 @@ func TestTimedBarrierNilRec(t *testing.T) {
 			if got := atomic.LoadInt64(&phase); got != int64(s) {
 				t.Errorf("tid %d saw phase %d at step %d", tid, got, s)
 			}
-			tb.Wait(0, tid)
+			tb.Wait(s, 0, tid)
 			if tid == 0 {
 				atomic.AddInt64(&phase, 1)
 			}
-			tb.Wait(1, tid)
+			tb.Wait(s, 1, tid)
 		}
 	})
 }
@@ -99,6 +99,7 @@ func TestTimedBarrierNilRec(t *testing.T) {
 // number is shared by both arrivals and advances between crossings.
 func TestTimedBarrierLastArriverDeterministic(t *testing.T) {
 	type arrival struct {
+		step     int
 		rank     int
 		crossing uint64
 		wait     time.Duration
@@ -109,9 +110,9 @@ func TestTimedBarrierLastArriverDeterministic(t *testing.T) {
 	got := make(map[int]arrival) // keyed by tid
 	tb := TimedBarrier{
 		B: b,
-		Arrive: func(site, tid, rank int, crossing uint64, w time.Duration, last bool) {
+		Arrive: func(step, site, tid, rank int, crossing uint64, w time.Duration, last bool) {
 			mu.Lock()
-			got[tid] = arrival{rank, crossing, w, last}
+			got[tid] = arrival{step, rank, crossing, w, last}
 			mu.Unlock()
 		},
 	}
@@ -120,7 +121,7 @@ func TestTimedBarrierLastArriverDeterministic(t *testing.T) {
 	for c := 0; c < crossings; c++ {
 		done := make(chan int)
 		go func() {
-			done <- tb.Wait(0, 0)
+			done <- tb.Wait(c, 0, 0)
 		}()
 		// Wait until tid 0 is parked inside the barrier: its arrival has
 		// been counted but the crossing has not released.
@@ -133,7 +134,7 @@ func TestTimedBarrierLastArriverDeterministic(t *testing.T) {
 			}
 			time.Sleep(50 * time.Microsecond)
 		}
-		rank1 := tb.Wait(0, 1) // deterministically the last arriver
+		rank1 := tb.Wait(c, 0, 1) // deterministically the last arriver
 		rank0 := <-done
 
 		if rank0 != 0 || rank1 != 1 {
@@ -142,6 +143,9 @@ func TestTimedBarrierLastArriverDeterministic(t *testing.T) {
 		mu.Lock()
 		a0, a1 := got[0], got[1]
 		mu.Unlock()
+		if a0.step != c || a1.step != c {
+			t.Fatalf("crossing %d: step tags (%d, %d) not passed through", c, a0.step, a1.step)
+		}
 		if !a1.last || a0.last {
 			t.Fatalf("crossing %d: last flags (tid0=%v, tid1=%v), want (false, true)", c, a0.last, a1.last)
 		}
@@ -203,16 +207,16 @@ func TestBarrierWaitRankRanks(t *testing.T) {
 // barrier stays a no-op (and still reports a zero-ish wait).
 func TestTimedBarrierSingleThread(t *testing.T) {
 	called := 0
-	tb := TimedBarrier{B: NewBarrier(1), Rec: func(site, tid int, w time.Duration) {
+	tb := TimedBarrier{B: NewBarrier(1), Arrive: func(step, site, tid, rank int, _ uint64, w time.Duration, last bool) {
 		called++
-		if site != 3 || tid != 0 {
-			t.Errorf("got site=%d tid=%d", site, tid)
+		if step != 9 || site != 3 || tid != 0 || rank != 0 || !last {
+			t.Errorf("got step=%d site=%d tid=%d rank=%d last=%v", step, site, tid, rank, last)
 		}
 		if w > time.Second {
 			t.Errorf("implausible wait %v for 1-thread barrier", w)
 		}
 	}}
-	tb.Wait(3, 0)
+	tb.Wait(9, 3, 0)
 	if called != 1 {
 		t.Fatalf("recorder called %d times, want 1", called)
 	}

@@ -3,6 +3,7 @@ package perfmon
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -15,35 +16,41 @@ import (
 	"lbmib/internal/telemetry"
 )
 
-// Compile-time checks that the profiles satisfy the solver observer
-// interfaces.
+// Compile-time checks that the sinks satisfy the event contract.
 var (
-	_ cubesolver.ContentionObserver = (*ContentionProfile)(nil)
-	_ omp.RegionObserver            = (*RegionProfile)(nil)
-	_ cubesolver.CubeWorkObserver   = (*CubeHeatmap)(nil)
-	_ cubesolver.PhaseObserver      = (*PhaseProfile)(nil)
+	_ core.Probe = (*Profile)(nil)
+	_ core.Probe = (*CubeHeatmap)(nil)
 )
 
+// wait feeds p one barrier arrival carrying only what a Profile keeps.
+func wait(p *Profile, site core.BarrierSite, tid int, w time.Duration) {
+	p.Emit(core.Event{Kind: core.BarrierArrive, Site: site, Tid: tid, D: w})
+}
+
 func TestContentionProfileAccumulates(t *testing.T) {
-	p := NewContentionProfile(2)
-	p.BarrierWait(cubesolver.SiteAfterStream, 0, 10*time.Millisecond)
-	p.BarrierWait(cubesolver.SiteAfterStream, 0, 5*time.Millisecond)
-	p.BarrierWait(cubesolver.SiteEndOfStep, 1, 3*time.Millisecond)
-	if got := p.BarrierWaitAt(cubesolver.SiteAfterStream, 0); got != 15*time.Millisecond {
+	p := NewProfile(nil, 2)
+	wait(p, core.SiteAfterStream, 0, 10*time.Millisecond)
+	wait(p, core.SiteAfterStream, 0, 5*time.Millisecond)
+	wait(p, core.SiteEndOfStep, 1, 3*time.Millisecond)
+	if got := p.BarrierWaitAt(core.SiteAfterStream, 0); got != 15*time.Millisecond {
 		t.Fatalf("site wait = %v", got)
 	}
-	if got := p.ThreadBarrierWait(1); got != 3*time.Millisecond {
-		t.Fatalf("thread wait = %v", got)
+	if got := p.BarrierWaitAt(core.SiteEndOfStep, 1); got != 3*time.Millisecond {
+		t.Fatalf("thread 1 wait = %v", got)
 	}
 	if got := p.BarrierWaitTotal(); got != 18*time.Millisecond {
 		t.Fatalf("total wait = %v", got)
 	}
 
 	// Out-of-range records must be dropped, not crash.
-	p.BarrierWait(cubesolver.BarrierSite(99), 0, time.Second)
-	p.BarrierWait(cubesolver.SiteEndOfStep, 99, time.Second)
+	wait(p, core.BarrierSite(99), 0, time.Second)
+	wait(p, core.SiteEndOfStep, 99, time.Second)
 	if p.BarrierWaitTotal() != 18*time.Millisecond {
 		t.Fatal("out-of-range barrier record was kept")
+	}
+	// 18ms of waits over 2 threads × 90ms of wall time.
+	if got := p.BarrierWaitShare(90 * time.Millisecond); math.Abs(got-0.1) > 1e-12 {
+		t.Fatalf("barrier wait share = %g, want 0.1", got)
 	}
 
 	reg := telemetry.NewRegistry()
@@ -60,14 +67,14 @@ func TestContentionProfileAccumulates(t *testing.T) {
 }
 
 func TestRegionProfileImbalance(t *testing.T) {
-	p := NewRegionProfile(2)
+	p := NewProfile(nil, 2)
 	// Two regions of kernel 5: thread 0 busy 30ms total, thread 1 10ms.
-	p.RegionDone(0, core.KComputeCollision, []time.Duration{20 * time.Millisecond, 5 * time.Millisecond})
-	p.RegionDone(1, core.KComputeCollision, []time.Duration{10 * time.Millisecond, 5 * time.Millisecond})
+	p.Emit(core.Event{Kind: core.RegionDone, Kernel: core.KComputeCollision, Busy: []time.Duration{20 * time.Millisecond, 5 * time.Millisecond}})
+	p.Emit(core.Event{Kind: core.RegionDone, Step: 1, Kernel: core.KComputeCollision, Busy: []time.Duration{10 * time.Millisecond, 5 * time.Millisecond}})
 	if p.Regions() != 2 {
 		t.Fatalf("regions = %d", p.Regions())
 	}
-	if got := p.ThreadBusy(0); got != 30*time.Millisecond {
+	if got := p.ThreadTime(0); got != 30*time.Millisecond {
 		t.Fatalf("thread 0 busy = %v", got)
 	}
 	// max=30ms, mean=20ms → ratio 1.5.
@@ -75,7 +82,7 @@ func TestRegionProfileImbalance(t *testing.T) {
 		t.Fatalf("imbalance ratio = %g, want 1.5", got)
 	}
 	// Waiting: (20−5)+(10−5)=20ms; critical 30ms; share 20/(2×30)=1/3.
-	if got := p.BarrierWaitShare(); got < 0.33 || got > 0.34 {
+	if got := p.BarrierWaitShare(0); got < 0.33 || got > 0.34 {
 		t.Fatalf("barrier wait share = %g, want ≈1/3", got)
 	}
 	if p.CriticalPath() != 30*time.Millisecond {
@@ -85,10 +92,10 @@ func TestRegionProfileImbalance(t *testing.T) {
 
 func TestCubeHeatmapExports(t *testing.T) {
 	h := NewCubeHeatmap(2, 1, 1, 4, 2)
-	h.CubeWork(0, 0, cubesolver.PhaseCollideStream, 5*time.Millisecond)
-	h.CubeWork(1, 1, cubesolver.PhaseCollideStream, 3*time.Millisecond)
-	h.CubeWork(1, 1, cubesolver.PhaseUpdateVelocity, 2*time.Millisecond)
-	h.CubeWork(0, 99, cubesolver.PhaseCopy, time.Second) // dropped
+	h.Emit(core.Event{Kind: core.BlockDone, Phase: core.PhaseCollideStream, D: 5 * time.Millisecond})
+	h.Emit(core.Event{Kind: core.BlockDone, Tid: 1, Block: 1, Phase: core.PhaseCollideStream, D: 3 * time.Millisecond})
+	h.Emit(core.Event{Kind: core.BlockDone, Tid: 1, Block: 1, Phase: core.PhaseUpdateVelocity, D: 2 * time.Millisecond})
+	h.Emit(core.Event{Kind: core.BlockDone, Block: 99, Phase: core.PhaseCopy, D: time.Second}) // dropped
 	if h.CubeTotal(1) != 5*time.Millisecond || h.Owner(1) != 1 || h.Owner(0) != 0 {
 		t.Fatalf("accumulation wrong: total=%v owners=%d,%d", h.CubeTotal(1), h.Owner(0), h.Owner(1))
 	}
@@ -113,7 +120,7 @@ func TestCubeHeatmapExports(t *testing.T) {
 	if doc.Schema != HeatmapSchema {
 		t.Fatalf("schema = %q", doc.Schema)
 	}
-	if len(doc.Cubes) != 2 || len(doc.Phases) != cubesolver.NumPhases {
+	if len(doc.Cubes) != 2 || len(doc.Phases) != core.NumPhases {
 		t.Fatalf("dims: %d cubes, %d phases", len(doc.Cubes), len(doc.Phases))
 	}
 	if doc.Cubes[1].TotalNanos != int64(5*time.Millisecond) {
@@ -140,21 +147,19 @@ func TestCubeHeatmapExports(t *testing.T) {
 }
 
 // skewCubeWork delays one pinned thread's collide+stream work per cube,
-// then forwards to the wrapped observer — the controlled load skew of
-// the self-test below.
+// then forwards to the sinks — the controlled load skew of the self-test
+// below.
 type skewCubeWork struct {
-	inner cubesolver.CubeWorkObserver
+	core.Probes
 	slow  int
 	delay time.Duration
 }
 
-func (s skewCubeWork) CubeWork(tid, c int, p cubesolver.Phase, d time.Duration) {
-	if tid == s.slow && p == cubesolver.PhaseCollideStream {
+func (s skewCubeWork) Emit(e core.Event) {
+	if e.Kind == core.BlockDone && e.Tid == s.slow && e.Phase == core.PhaseCollideStream {
 		time.Sleep(s.delay)
 	}
-	if s.inner != nil {
-		s.inner.CubeWork(tid, c, p, d)
-	}
+	s.Probes.Emit(e)
 }
 
 // TestSkewSelfTest pins an artificially slow thread in a real 8-thread
@@ -182,16 +187,14 @@ func TestSkewSelfTest(t *testing.T) {
 	}
 	defer s.Close()
 
-	phases := NewPhaseProfile(threads)
-	cont := NewContentionProfile(threads)
+	prof := NewProfile(nil, threads)
+	phases, cont := prof, prof
 	heat := NewCubeHeatmap(s.Fluid.CX, s.Fluid.CY, s.Fluid.CZ, s.Fluid.K, threads)
-	s.Observer = phases
-	s.Contention = cont
-	s.CubeWork = skewCubeWork{inner: heat, slow: slow, delay: delay}
+	s.Probe = skewCubeWork{Probes: core.Probes{prof, heat}, slow: slow, delay: delay}
 	s.Run(steps)
 
 	// Load attribution: the slow thread dominates collide+stream.
-	pt := phases.PhaseTime(cubesolver.PhaseCollideStream)
+	pt := phases.PhaseTime(core.PhaseCollideStream)
 	argmax := 0
 	for tid := range pt {
 		if pt[tid] > pt[argmax] {
@@ -201,7 +204,7 @@ func TestSkewSelfTest(t *testing.T) {
 	if argmax != slow {
 		t.Errorf("collide_stream argmax thread = %d (times %v), want slow thread %d", argmax, pt, slow)
 	}
-	if ratio := phases.PhaseImbalanceRatio(cubesolver.PhaseCollideStream); ratio < 1.5 {
+	if ratio := phases.PhaseImbalanceRatio(core.PhaseCollideStream); ratio < 1.5 {
 		t.Errorf("collide_stream imbalance ratio = %g, want ≥ 1.5 with a pinned slow thread", ratio)
 	}
 
@@ -209,14 +212,14 @@ func TestSkewSelfTest(t *testing.T) {
 	// thread waits least — it arrives last.
 	argmin := 0
 	for tid := 0; tid < threads; tid++ {
-		if cont.BarrierWaitAt(cubesolver.SiteAfterStream, tid) < cont.BarrierWaitAt(cubesolver.SiteAfterStream, argmin) {
+		if cont.BarrierWaitAt(core.SiteAfterStream, tid) < cont.BarrierWaitAt(core.SiteAfterStream, argmin) {
 			argmin = tid
 		}
 	}
 	if argmin != slow {
 		waits := make([]time.Duration, threads)
 		for tid := range waits {
-			waits[tid] = cont.BarrierWaitAt(cubesolver.SiteAfterStream, tid)
+			waits[tid] = cont.BarrierWaitAt(core.SiteAfterStream, tid)
 		}
 		t.Errorf("after_stream min-wait thread = %d (waits %v), want slow thread %d", argmin, waits, slow)
 	}
@@ -226,7 +229,7 @@ func TestSkewSelfTest(t *testing.T) {
 
 	// The heatmap saw every cube in the collide+stream phase.
 	for c := 0; c < heat.NumCubes(); c++ {
-		if heat.CubeTime(c, cubesolver.PhaseCollideStream) == 0 {
+		if heat.CubeTime(c, core.PhaseCollideStream) == 0 {
 			t.Fatalf("cube %d has no collide_stream samples", c)
 		}
 	}
@@ -250,8 +253,8 @@ func TestRegionProfileRealSolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	reg := NewRegionProfile(threads)
-	s.Regions = reg
+	reg := NewProfile(nil, threads)
+	s.Probe = reg
 	const steps = 3
 	s.Run(steps)
 
@@ -263,7 +266,7 @@ func TestRegionProfileRealSolver(t *testing.T) {
 	if reg.ImbalanceRatio() < 1 {
 		t.Fatalf("imbalance ratio = %g, want ≥ 1", reg.ImbalanceRatio())
 	}
-	if share := reg.BarrierWaitShare(); share < 0 || share >= 1 {
+	if share := reg.BarrierWaitShare(0); share < 0 || share >= 1 {
 		t.Fatalf("barrier wait share = %g, want in [0,1)", share)
 	}
 	if reg.KernelBusy(core.KComputeCollision)[0] == 0 {
@@ -275,18 +278,17 @@ func TestRegionProfileRealSolver(t *testing.T) {
 // registry-backed profiles stay safe when hammered concurrently (the
 // -race companion to the unit tests above).
 func TestProfilesConcurrentUse(t *testing.T) {
-	kp := NewKernelProfileIn(nil)
-	pp := NewPhaseProfile(8)
-	cp := NewContentionProfile(8)
+	prof := NewProfile(nil, 8)
+	kp, pp, cp := prof, prof, prof
 	var wg sync.WaitGroup
 	for tid := 0; tid < 8; tid++ {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				kp.KernelDone(i, core.KComputeCollision, time.Microsecond)
-				pp.PhaseDone(i, tid, cubesolver.PhaseCollideStream, time.Microsecond)
-				cp.BarrierWait(cubesolver.SiteEndOfStep, tid, time.Microsecond)
+				kp.Emit(core.Event{Kind: core.KernelDone, Step: i, Kernel: core.KComputeCollision, D: time.Microsecond})
+				pp.Emit(core.Event{Kind: core.PhaseDone, Step: i, Tid: tid, Phase: core.PhaseCollideStream, D: time.Microsecond})
+				wait(cp, core.SiteEndOfStep, tid, time.Microsecond)
 			}
 		}(tid)
 	}

@@ -7,15 +7,14 @@ import (
 	"time"
 
 	"lbmib/internal/core"
-	"lbmib/internal/cubesolver"
 	"lbmib/internal/fiber"
 )
 
 func TestKernelProfileAccumulates(t *testing.T) {
-	p := &KernelProfile{}
-	p.KernelDone(0, core.KComputeCollision, 30*time.Millisecond)
-	p.KernelDone(1, core.KComputeCollision, 50*time.Millisecond)
-	p.KernelDone(0, core.KStreamDistribution, 20*time.Millisecond)
+	p := NewProfile(nil, 0)
+	p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.KComputeCollision, D: 30 * time.Millisecond})
+	p.Emit(core.Event{Kind: core.KernelDone, Step: 1, Kernel: core.KComputeCollision, D: 50 * time.Millisecond})
+	p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.KStreamDistribution, D: 20 * time.Millisecond})
 	if got := p.KernelTime(core.KComputeCollision); got != 80*time.Millisecond {
 		t.Fatalf("collision time = %v", got)
 	}
@@ -28,20 +27,20 @@ func TestKernelProfileAccumulates(t *testing.T) {
 }
 
 func TestKernelProfileIgnoresBogusKernels(t *testing.T) {
-	p := &KernelProfile{}
-	p.KernelDone(0, core.Kernel(0), time.Second)
-	p.KernelDone(0, core.Kernel(99), time.Second)
+	p := NewProfile(nil, 0)
+	p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.Kernel(0), D: time.Second})
+	p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.Kernel(99), D: time.Second})
 	if p.Total() != 0 {
 		t.Fatal("bogus kernel indices were recorded")
 	}
 }
 
 func TestRankedOrderAndPercent(t *testing.T) {
-	p := &KernelProfile{}
-	p.KernelDone(0, core.KComputeCollision, 730*time.Millisecond)
-	p.KernelDone(0, core.KUpdateVelocity, 126*time.Millisecond)
-	p.KernelDone(0, core.KCopyDistribution, 59*time.Millisecond)
-	p.KernelDone(0, core.KStreamDistribution, 54*time.Millisecond)
+	p := NewProfile(nil, 0)
+	p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.KComputeCollision, D: 730 * time.Millisecond})
+	p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.KUpdateVelocity, D: 126 * time.Millisecond})
+	p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.KCopyDistribution, D: 59 * time.Millisecond})
+	p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.KStreamDistribution, D: 54 * time.Millisecond})
 	rows := p.Ranked()
 	if rows[0].Kernel != core.KComputeCollision {
 		t.Fatalf("top kernel = %v", rows[0].Kernel)
@@ -62,8 +61,8 @@ func TestRankedOrderAndPercent(t *testing.T) {
 }
 
 func TestReportContainsKernelNames(t *testing.T) {
-	p := &KernelProfile{}
-	p.KernelDone(0, core.KComputeCollision, time.Second)
+	p := NewProfile(nil, 0)
+	p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.KComputeCollision, D: time.Second})
 	rep := p.Report()
 	for _, want := range []string{"compute_fluid_collision", "% Total", "total"} {
 		if !strings.Contains(rep, want) {
@@ -73,44 +72,44 @@ func TestReportContainsKernelNames(t *testing.T) {
 }
 
 func TestPhaseProfileImbalanceZeroWhenEqual(t *testing.T) {
-	p := NewPhaseProfile(4)
+	p := NewProfile(nil, 4)
 	for tid := 0; tid < 4; tid++ {
-		p.PhaseDone(0, tid, cubesolver.PhaseCollideStream, 10*time.Millisecond)
+		p.Emit(core.Event{Kind: core.PhaseDone, Tid: tid, Phase: core.PhaseCollideStream, D: 10 * time.Millisecond})
 	}
-	if im := p.Imbalance(); im != 0 {
-		t.Fatalf("equal threads imbalance = %g", im)
+	if r := p.PhaseImbalanceRatio(core.PhaseCollideStream); r != 1 {
+		t.Fatalf("equal threads imbalance ratio = %g, want 1", r)
 	}
 }
 
 func TestPhaseProfileImbalanceDetectsSkew(t *testing.T) {
-	p := NewPhaseProfile(2)
-	p.PhaseDone(0, 0, cubesolver.PhaseCollideStream, 20*time.Millisecond)
-	p.PhaseDone(0, 1, cubesolver.PhaseCollideStream, 10*time.Millisecond)
-	// Waiting = (20−20)+(20−10) = 10; total = 2×20 = 40 → 0.25.
-	if im := p.Imbalance(); math.Abs(im-0.25) > 1e-12 {
-		t.Fatalf("imbalance = %g, want 0.25", im)
+	p := NewProfile(nil, 2)
+	p.Emit(core.Event{Kind: core.PhaseDone, Phase: core.PhaseCollideStream, D: 20 * time.Millisecond})
+	p.Emit(core.Event{Kind: core.PhaseDone, Tid: 1, Phase: core.PhaseCollideStream, D: 10 * time.Millisecond})
+	// max = 20, mean = 15 → 4/3.
+	if r := p.ImbalanceRatio(); math.Abs(r-4.0/3) > 1e-12 {
+		t.Fatalf("imbalance ratio = %g, want 4/3", r)
 	}
 }
 
 func TestPhaseProfileIgnoresOutOfRange(t *testing.T) {
-	p := NewPhaseProfile(2)
-	p.PhaseDone(0, 5, cubesolver.PhaseCopy, time.Second)           // bad tid
-	p.PhaseDone(0, 0, cubesolver.Phase(0), time.Second)            // bad phase
-	p.PhaseDone(0, 0, cubesolver.Phase(99), time.Second)           // bad phase
-	p.PhaseDone(0, -1, cubesolver.PhaseCollideStream, time.Second) // bad tid
-	if p.Imbalance() != 0 {
+	p := NewProfile(nil, 2)
+	p.Emit(core.Event{Kind: core.PhaseDone, Tid: 5, Phase: core.PhaseCopy, D: time.Second})           // bad tid
+	p.Emit(core.Event{Kind: core.PhaseDone, Phase: core.Phase(0), D: time.Second})                    // bad phase
+	p.Emit(core.Event{Kind: core.PhaseDone, Phase: core.Phase(99), D: time.Second})                   // bad phase
+	p.Emit(core.Event{Kind: core.PhaseDone, Tid: -1, Phase: core.PhaseCollideStream, D: time.Second}) // bad tid
+	if p.ImbalanceRatio() != 0 {
 		t.Fatal("out-of-range records were kept")
 	}
 }
 
 func TestThreadTimeAndPhaseTime(t *testing.T) {
-	p := NewPhaseProfile(3)
-	p.PhaseDone(0, 1, cubesolver.PhaseFibersForce, 5*time.Millisecond)
-	p.PhaseDone(0, 1, cubesolver.PhaseCopy, 7*time.Millisecond)
+	p := NewProfile(nil, 3)
+	p.Emit(core.Event{Kind: core.PhaseDone, Tid: 1, Phase: core.PhaseFibersForce, D: 5 * time.Millisecond})
+	p.Emit(core.Event{Kind: core.PhaseDone, Tid: 1, Phase: core.PhaseCopy, D: 7 * time.Millisecond})
 	if got := p.ThreadTime(1); got != 12*time.Millisecond {
 		t.Fatalf("ThreadTime(1) = %v", got)
 	}
-	pt := p.PhaseTime(cubesolver.PhaseCopy)
+	pt := p.PhaseTime(core.PhaseCopy)
 	if len(pt) != 3 || pt[1] != 7*time.Millisecond || pt[0] != 0 {
 		t.Fatalf("PhaseTime = %v", pt)
 	}
@@ -159,17 +158,17 @@ func TestScheduleImbalanceGrowsWithCores(t *testing.T) {
 	}
 }
 
-// KernelProfile plugged into the real sequential solver must rank the
+// A Profile plugged into the real sequential solver must rank the
 // fluid kernels above the fiber kernels (the Table I headline).
 func TestProfileRealSolverRanksFluidKernelsFirst(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real solver")
 	}
-	prof := &KernelProfile{}
+	prof := NewProfile(nil, 0)
 	sh := fiber.NewSheet(fiber.Params{NumFibers: 8, NodesPerFiber: 8, Width: 7, Height: 7,
 		Origin: fiber.Vec3{6, 4, 4}, Ks: 0.05, Kb: 0.001})
 	s := core.MustNewSolver(core.Config{NX: 16, NY: 16, NZ: 16, Tau: 0.7, Sheet: sh})
-	s.Observer = prof
+	s.Probe = prof
 	s.Run(5)
 	rows := prof.Ranked()
 	if rows[0].Kernel != core.KComputeCollision {

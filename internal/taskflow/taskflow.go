@@ -42,27 +42,21 @@ import (
 
 	"lbmib/internal/core"
 	"lbmib/internal/cube"
-	"lbmib/internal/cubesolver"
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
 )
 
-// PhaseObserver is the uniform per-thread phase-duration callback shared
-// with the cube solver: the taskflow engine reports each executed task
-// as one PhaseDone with the task's step, the executing worker as tid,
-// and the task kind mapped onto the corresponding Algorithm-4 phase. A
-// worker here is a dynamic scheduler, so unlike the cube engine a phase
-// may be reported many times per (step, tid) — once per task — and
-// consumers aggregate.
-type PhaseObserver = cubesolver.PhaseObserver
-
-// phaseOf maps a task kind to the Algorithm-4 phase it implements.
-var phaseOf = [...]cubesolver.Phase{
-	phFiberForce: cubesolver.PhaseFibersForce,
-	phCS:         cubesolver.PhaseCollideStream,
-	phUV:         cubesolver.PhaseUpdateVelocity,
-	phMove:       cubesolver.PhaseMoveFibers,
-	phCopy:       cubesolver.PhaseCopy,
+// phaseOf maps a task kind to the Algorithm-4 phase it implements: each
+// executed task is reported as one phase event with the task's step and
+// the executing worker as tid. A worker here is a dynamic scheduler, so
+// unlike the cube engine a phase may be reported many times per
+// (step, tid) — once per task — and consumers aggregate.
+var phaseOf = [...]core.Phase{
+	phFiberForce: core.PhaseFibersForce,
+	phCS:         core.PhaseCollideStream,
+	phUV:         core.PhaseUpdateVelocity,
+	phMove:       core.PhaseMoveFibers,
+	phCopy:       core.PhaseCopy,
 }
 
 // Config assembles a task-scheduled cube LBM-IB problem; there is no
@@ -95,11 +89,6 @@ type task struct {
 type Solver struct {
 	core.Problem
 	Fluid *cube.Layout
-
-	// Observer, when non-nil, receives one PhaseDone per executed task
-	// (worker id as tid). Nil by default: the uninstrumented scheduler
-	// executes tasks with no timing calls.
-	Observer PhaseObserver
 
 	stream  *core.Streamer
 	workers int
@@ -372,10 +361,10 @@ func (s *Solver) workerLoop(w int) {
 		s.ready = s.ready[:len(s.ready)-1]
 		s.mu.Unlock()
 
-		if obs := s.Observer; obs != nil {
+		if probe := s.Probe; probe != nil {
 			t0 := time.Now()
 			s.execute(t)
-			obs.PhaseDone(t.step, w, phaseOf[t.ph], time.Since(t0))
+			probe.Emit(core.Event{Kind: core.PhaseDone, Step: t.step, Tid: w, Phase: phaseOf[t.ph], D: time.Since(t0)})
 		} else {
 			s.execute(t)
 		}

@@ -6,9 +6,10 @@
 //   - Registry — a dependency-free metrics store (counters, gauges,
 //     histograms with exponential buckets) with snapshot, Prometheus
 //     text, and JSON encodings;
-//   - Tracer — turns the solvers' observer callbacks (core.Observer,
-//     cubesolver.PhaseObserver) into Chrome trace-event JSON loadable
-//     in chrome://tracing or Perfetto, one track per worker thread;
+//   - Tracer — turns the engines' kernel and phase events (core.Probe)
+//     into Chrome trace-event JSON loadable in chrome://tracing or
+//     Perfetto, one track per worker thread; Latencies feeds the same
+//     events into the registry's per-kernel or per-phase histograms;
 //   - Watchdog — samples per-step physics health (total mass drift, max
 //     velocity, NaN/Inf in ρ and u) and flags a run the step it goes
 //     unstable;

@@ -2,13 +2,12 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"time"
 
 	"lbmib/internal/core"
-	"lbmib/internal/cubesolver"
 )
 
 // traceEvent is one entry of the Chrome trace-event format
@@ -26,6 +25,12 @@ type traceEvent struct {
 	ID    uint64         `json:"id,omitempty"` // flow-event binding ("s"/"f" pairs)
 	BP    string         `json:"bp,omitempty"` // "e": bind flow end to enclosing slice
 	Args  map[string]any `json:"args,omitempty"`
+
+	// step, for slices, is rendered as args.step by Write: building the
+	// map when the slice is recorded would allocate once per event on the
+	// worker threads.
+	step    int
+	hasStep bool
 }
 
 // traceFile is the top-level JSON object chrome://tracing and Perfetto
@@ -35,18 +40,18 @@ type traceFile struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-// Tracer accumulates a Chrome trace-event timeline from solver observer
-// callbacks and writes it as one JSON document on Flush. It implements
-// core.Observer (sequential and OpenMP-style solvers report on track 0)
-// and cubesolver.PhaseObserver (one track per worker thread of the P×Q×R
+// Tracer accumulates a Chrome trace-event timeline from the engines'
+// events and writes it as one JSON document on Write. It is a core.Probe
+// consuming kernel events (sequential and OpenMP-style solvers report on
+// track 0) and phase events (one track per worker thread of the P×Q×R
 // mesh, so barrier waits show as gaps between a thread's phase slices).
 // Safe for concurrent use — the cube solver's workers all report into
 // the same Tracer.
 //
-// The observer callbacks deliver durations at completion time, so each
-// slice's start is reconstructed as (now − duration) relative to the
-// Tracer's creation; slices on one track never overlap because each
-// worker executes its phases serially.
+// The events deliver durations at completion time, so each slice's
+// start is reconstructed as (now − duration) relative to the Tracer's
+// creation; slices on one track never overlap because each worker
+// executes its phases serially.
 type Tracer struct {
 	mu     sync.Mutex
 	start  time.Time
@@ -59,11 +64,22 @@ func NewTracer() *Tracer {
 	return &Tracer{start: time.Now(), named: map[int]bool{}}
 }
 
-// Slice appends a completed span of the given duration ending now on
-// track tid. Args may be nil.
-func (t *Tracer) Slice(tid int, name, cat string, d time.Duration, args map[string]any) {
+// slice appends a completed span of the given duration ending now on
+// track tid, naming the track when this is its first slice.
+func (t *Tracer) slice(tid int, name, cat string, d time.Duration, step int) {
 	now := time.Now()
 	t.mu.Lock()
+	if !t.named[tid] {
+		t.named[tid] = true
+		track := "solver"
+		if cat == "phase" {
+			track = "worker " + strconv.Itoa(tid)
+		}
+		t.events = append(t.events, traceEvent{
+			Name: "thread_name", Phase: "M", PID: 1, TID: tid,
+			Args: map[string]any{"name": track},
+		})
+	}
 	ts := float64(now.Sub(t.start).Microseconds()) - float64(d.Microseconds())
 	if ts < 0 {
 		ts = 0
@@ -71,7 +87,7 @@ func (t *Tracer) Slice(tid int, name, cat string, d time.Duration, args map[stri
 	t.events = append(t.events, traceEvent{
 		Name: name, Cat: cat, Phase: "X",
 		TS: ts, Dur: float64(d.Microseconds()),
-		PID: 1, TID: tid, Args: args,
+		PID: 1, TID: tid, step: step, hasStep: true,
 	})
 	t.mu.Unlock()
 }
@@ -122,39 +138,18 @@ func (t *Tracer) FlowEnd(id uint64, tid int, name string) {
 	t.mu.Unlock()
 }
 
-// NameTrack attaches a human-readable name to track tid (rendered as the
-// thread name in the trace viewer). The first name wins.
-func (t *Tracer) NameTrack(tid int, name string) {
-	t.mu.Lock()
-	t.nameTrackLocked(tid, name)
-	t.mu.Unlock()
-}
-
-func (t *Tracer) nameTrackLocked(tid int, name string) {
-	if t.named[tid] {
-		return
+// Emit implements core.Probe. Sequential and OpenMP-style solvers run
+// Algorithm 1's kernels on the coordinating goroutine, so every kernel
+// slice lands on track 0; each worker thread of the P×Q×R mesh gets its
+// own track, making Algorithm 4's phase overlap and barrier waits
+// visible.
+func (t *Tracer) Emit(e core.Event) {
+	switch e.Kind {
+	case core.KernelDone:
+		t.slice(0, e.Kernel.String(), "kernel", e.D, e.Step)
+	case core.PhaseDone:
+		t.slice(e.Tid, e.Phase.String(), "phase", e.D, e.Step)
 	}
-	t.named[tid] = true
-	t.events = append(t.events, traceEvent{
-		Name: "thread_name", Phase: "M", PID: 1, TID: tid,
-		Args: map[string]any{"name": name},
-	})
-}
-
-// KernelDone implements core.Observer: sequential and OpenMP-style
-// solvers run Algorithm 1's kernels on the coordinating goroutine, so
-// every kernel slice lands on track 0.
-func (t *Tracer) KernelDone(step int, k core.Kernel, d time.Duration) {
-	t.NameTrack(0, "solver")
-	t.Slice(0, k.String(), "kernel", d, map[string]any{"step": step})
-}
-
-// PhaseDone implements cubesolver.PhaseObserver: each worker thread of
-// the P×Q×R mesh gets its own track, making Algorithm 4's phase overlap
-// and barrier waits visible.
-func (t *Tracer) PhaseDone(step, tid int, p cubesolver.Phase, d time.Duration) {
-	t.NameTrack(tid, fmt.Sprintf("worker %d", tid))
-	t.Slice(tid, p.String(), "phase", d, map[string]any{"step": step})
 }
 
 // Len returns how many events have been recorded (metadata included).
@@ -168,10 +163,12 @@ func (t *Tracer) Len() int {
 // The Tracer remains usable; later writes include the earlier events.
 func (t *Tracer) Write(w io.Writer) error {
 	t.mu.Lock()
-	doc := traceFile{TraceEvents: append([]traceEvent(nil), t.events...), DisplayTimeUnit: "ms"}
+	doc := traceFile{TraceEvents: append([]traceEvent{}, t.events...), DisplayTimeUnit: "ms"}
 	t.mu.Unlock()
-	if doc.TraceEvents == nil {
-		doc.TraceEvents = []traceEvent{}
+	for i := range doc.TraceEvents {
+		if ev := &doc.TraceEvents[i]; ev.hasStep {
+			ev.Args = map[string]any{"step": ev.step}
+		}
 	}
 	return json.NewEncoder(w).Encode(doc)
 }

@@ -25,8 +25,8 @@ func decodeTrace(t *testing.T, data []byte) traceFile {
 
 func TestTracerKernelObserver(t *testing.T) {
 	tr := NewTracer()
-	tr.KernelDone(0, core.KComputeCollision, 3*time.Millisecond)
-	tr.KernelDone(0, core.KStreamDistribution, time.Millisecond)
+	tr.Emit(core.Event{Kind: core.KernelDone, Kernel: core.KComputeCollision, D: 3 * time.Millisecond})
+	tr.Emit(core.Event{Kind: core.KernelDone, Kernel: core.KStreamDistribution, D: time.Millisecond})
 
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
@@ -61,7 +61,7 @@ func TestTracerKernelObserver(t *testing.T) {
 }
 
 // TestTracerCubeSolverRun is the acceptance check: a real cube-solver
-// run traced through the PhaseObserver hook yields valid Chrome
+// run traced through its Probe yields valid Chrome
 // trace-event JSON with one named track per thread of the P×Q×R mesh and
 // slices named after the Algorithm-4 phases.
 func TestTracerCubeSolverRun(t *testing.T) {
@@ -83,7 +83,7 @@ func TestTracerCubeSolverRun(t *testing.T) {
 	defer s.Close()
 
 	tr := NewTracer()
-	s.Observer = tr
+	s.Probe = tr
 	s.Run(3)
 
 	var buf bytes.Buffer
@@ -106,13 +106,13 @@ func TestTracerCubeSolverRun(t *testing.T) {
 	if len(tracks) < threads {
 		t.Fatalf("trace has %d thread tracks, want ≥ %d", len(tracks), threads)
 	}
-	for p := cubesolver.Phase(1); p <= cubesolver.NumPhases; p++ {
+	for p := core.Phase(1); p <= core.NumPhases; p++ {
 		if !phaseSeen[p.String()] {
 			t.Errorf("phase %q missing from trace", p)
 		}
 	}
 	// 3 steps × 5 phases × threads workers.
-	wantSlices := 3 * cubesolver.NumPhases * threads
+	wantSlices := 3 * core.NumPhases * threads
 	slices := 0
 	for _, ev := range doc.TraceEvents {
 		if ev.Phase == "X" {
@@ -132,7 +132,7 @@ func TestTracerConcurrentSafe(t *testing.T) {
 		go func(tid int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tr.PhaseDone(i, tid, cubesolver.PhaseCollideStream, time.Microsecond)
+				tr.Emit(core.Event{Kind: core.PhaseDone, Step: i, Tid: tid, Phase: core.PhaseCollideStream, D: time.Microsecond})
 			}
 		}(w)
 	}
@@ -155,5 +155,33 @@ func TestTracerEmptyWriteIsValid(t *testing.T) {
 	doc := decodeTrace(t, buf.Bytes())
 	if doc.TraceEvents == nil || len(doc.TraceEvents) != 0 {
 		t.Fatalf("empty trace encoded as %q", buf.String())
+	}
+}
+
+// TestTracerSlicesAllocateNothingButEvents pins the tracer's hot path:
+// with room in the event buffer, a cube step observed by a Tracer alone
+// allocates exactly what the detached step does — no per-event args map,
+// no per-event track name.
+func TestTracerSlicesAllocateNothingButEvents(t *testing.T) {
+	s, err := cubesolver.NewSolver(cubesolver.Config{
+		Config:   core.Config{NX: 16, NY: 16, NZ: 16, Tau: 0.7, BodyForce: [3]float64{1e-5, 0, 0}},
+		CubeSize: 4, Threads: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	detached := testing.AllocsPerRun(5, s.Step)
+
+	tr := NewTracer()
+	tr.events = make([]traceEvent, 0, 1<<12)
+	s.Probe = tr
+	s.Step() // names the two worker tracks
+	observed := testing.AllocsPerRun(5, s.Step)
+	if observed != detached {
+		t.Errorf("observed step allocates %v, detached %v", observed, detached)
+	}
+	if tr.Len() != 2+7*2*core.NumPhases {
+		t.Errorf("%d trace events, want 2 track names and 7 steps × 2 threads × %d phases", tr.Len(), core.NumPhases)
 	}
 }

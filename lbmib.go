@@ -247,15 +247,15 @@ type Config struct {
 // engine is what each solver implementation provides to the facade. The
 // stepping methods are the solver's own (each adapter embeds its solver)
 // and the live-state accessors come from its fluid layout (onLayout), so
-// an adapter states only what differs per engine: snapshot, load,
-// observe and close.
+// an adapter states only what differs per engine: snapshot, load and
+// close. Instrumentation is not the adapters' business: every solver
+// embeds the core.Problem whose Probe field New attaches the sinks to.
 type engine interface {
 	Step()
 	Run(n int)
 	StepCount() int
 	snapshot() *grid.Grid
 	load(g *grid.Grid) error
-	observe(si *stepInstr) // attach timing callbacks where the engine supports them
 	close()
 
 	velocityAt(x, y, z int) [3]float64
@@ -265,78 +265,26 @@ type engine interface {
 	digest(d *grid.DigestGrid) error // per-tile physics digest of the live state
 }
 
-// stepInstr fans the engines' timing callbacks out to the configured
-// telemetry sinks. It implements core.Observer (sequential and
-// OpenMP-style engines) and cubesolver.PhaseObserver (cube engine); only
-// the histograms matching the selected engine are registered.
-type stepInstr struct {
-	tracer     *telemetry.Tracer
-	rec        *flightrec.Recorder
-	kernelHist [core.NumKernels + 1]*telemetry.Histogram
-	phaseHist  [cubesolver.NumPhases + 1]*telemetry.Histogram
-
-	// Contention attribution (Config.Contention); engines attach what
-	// they support in their observe adapters.
-	threads    int
-	phaseProf  *perfmon.PhaseProfile      // per-thread phase times (CubeBased/TaskScheduled)
-	regionProf *perfmon.RegionProfile     // OmpP-style per-region accounting (OpenMP)
-	cont       *perfmon.ContentionProfile // per-site barrier waits
-	heatmap    *perfmon.CubeHeatmap       // per-cube work samples (CubeBased)
-
-	// Critical-path attribution (Config.CritPath); receives phase/region
-	// completions through the fan-outs below and barrier arrivals directly
-	// (engines attach it as their BarrierArrivalObserver).
-	crit *critpath.Profiler
+// runProbe is what the facade attaches to its engine: it renumbers every
+// event from the engine's step index (0-based, counted from the engine's
+// construction) to the run's, so every sink labels a step as the step
+// log and the watchdog do — with the value Simulation.StepCount() has
+// once it completes, which continues a restored checkpoint's count.
+type runProbe struct {
+	sim   *Simulation
+	sinks core.Probes
 }
 
-// KernelDone implements core.Observer.
-func (si *stepInstr) KernelDone(step int, k core.Kernel, d time.Duration) {
-	if si.tracer != nil {
-		si.tracer.KernelDone(step, k, d)
-	}
-	if si.rec != nil {
-		si.rec.KernelObserved(step, k, d)
-	}
-	if k >= 1 && k <= core.NumKernels && si.kernelHist[k] != nil {
-		si.kernelHist[k].Observe(d.Seconds())
-	}
-}
-
-// PhaseDone implements cubesolver.PhaseObserver.
-func (si *stepInstr) PhaseDone(step, tid int, p cubesolver.Phase, d time.Duration) {
-	if si.tracer != nil {
-		si.tracer.PhaseDone(step, tid, p, d)
-	}
-	if si.rec != nil {
-		si.rec.PhaseObserved(step, tid, p, d)
-	}
-	if p >= 1 && p <= cubesolver.NumPhases && si.phaseHist[p] != nil {
-		si.phaseHist[p].Observe(d.Seconds())
-	}
-	if si.phaseProf != nil {
-		si.phaseProf.PhaseDone(step, tid, p, d)
-	}
-	if si.crit != nil {
-		si.crit.PhaseDone(step, tid, p, d)
-	}
-}
-
-// RegionDone implements omp.RegionObserver, fanning each parallel
-// region's per-thread busy times out to the OmpP-style profile and the
-// critical-path profiler.
-func (si *stepInstr) RegionDone(step int, k core.Kernel, busy []time.Duration) {
-	if si.regionProf != nil {
-		si.regionProf.RegionDone(step, k, busy)
-	}
-	if si.crit != nil {
-		si.crit.RegionDone(step, k, busy)
-	}
+func (p runProbe) Emit(e core.Event) {
+	e.Step += p.sim.stepOffset + 1
+	p.sinks.Emit(e)
 }
 
 // Simulation is a configured LBM-IB problem with a selected engine.
 type Simulation struct {
 	cfg        Config
 	eng        engine
+	problem    *core.Problem // the engine's state besides its fluid: the probe's attach point
 	sheets     []*fiber.Sheet
 	stepOffset int // steps completed before a Restore
 
@@ -350,9 +298,12 @@ type Simulation struct {
 	mMLUPS    *telemetry.Gauge
 	mStepSec  *telemetry.Histogram
 
-	// Contention attribution (Config.Contention; nil when disabled).
-	instr   *stepInstr
-	wallSec float64 // accumulated measured wall-clock seconds
+	// Attribution sinks (nil when not configured): Config.Contention's
+	// profile and per-cube heatmap (CubeBased only), Config.CritPath's.
+	prof    *perfmon.Profile
+	heatmap *perfmon.CubeHeatmap
+	crit    *critpath.Profiler
+	wall    time.Duration // accumulated measured wall-clock time
 }
 
 func buildSheet(sc *SheetConfig) (*fiber.Sheet, error) {
@@ -447,28 +398,28 @@ func New(cfg Config) (*Simulation, error) {
 		if err != nil {
 			return nil, err
 		}
-		sim.eng = &seqEngine{cs, onLayout{cs.Fluid}}
+		sim.eng, sim.problem = &seqEngine{cs, onLayout{cs.Fluid}}, &cs.Problem
 	case OpenMP:
 		os, err := omp.NewSolver(omp.Config{Config: coreCfg, Threads: cfg.Threads})
 		if err != nil {
 			return nil, err
 		}
 		sim.cfg.Threads = os.Threads
-		sim.eng = &ompEngine{os, onLayout{os.Fluid}}
+		sim.eng, sim.problem = &ompEngine{os, onLayout{os.Fluid}}, &os.Problem
 	case CubeBased:
 		cs, err := cubesolver.NewSolver(cubesolver.Config{Config: coreCfg, CubeSize: cfg.CubeSize, Threads: cfg.Threads})
 		if err != nil {
 			return nil, err
 		}
 		sim.cfg.Threads, sim.cfg.CubeSize = cs.Threads(), cs.Fluid.K
-		sim.eng = &cubeEngine{cs, onLayout{cs.Fluid}}
+		sim.eng, sim.problem = &cubeEngine{cs, onLayout{cs.Fluid}}, &cs.Problem
 	case TaskScheduled:
 		ts, err := taskflow.NewSolver(taskflow.Config{Config: coreCfg, CubeSize: cfg.CubeSize, Workers: cfg.Threads})
 		if err != nil {
 			return nil, err
 		}
 		sim.cfg.CubeSize = ts.Fluid.K
-		sim.eng = &taskflowEngine{ts, onLayout{ts.Fluid}}
+		sim.eng, sim.problem = &taskflowEngine{ts, onLayout{ts.Fluid}}, &ts.Problem
 	case Fused:
 		fs, err := fused.NewSolver(fused.Config{Config: coreCfg, Threads: cfg.Threads,
 			Float32: cfg.Float32})
@@ -476,22 +427,29 @@ func New(cfg Config) (*Simulation, error) {
 			return nil, err
 		}
 		sim.cfg.Threads = fs.Threads
-		sim.eng = &fusedEngine{fs, onLayout{fs.Fluid}}
+		sim.eng, sim.problem = &fusedEngine{fs, onLayout{fs.Fluid}}, &fs.Problem
 	default:
 		return nil, fmt.Errorf("lbmib: unknown solver kind %d", cfg.Solver)
 	}
-	if err := sim.initTelemetry(); err != nil {
+	sinks, err := sim.initTelemetry()
+	if err != nil {
 		sim.eng.close()
 		return nil, err
+	}
+	if len(sinks) > 0 {
+		sim.problem.Probe = runProbe{sim, sinks}
 	}
 	return sim, nil
 }
 
-// initTelemetry sets up the optional observability sinks and attaches
-// the engine's timing callbacks. Without any telemetry configuration the
-// simulation runs exactly as before (no observer, no per-step scans).
-func (s *Simulation) initTelemetry() error {
+// initTelemetry sets up the optional observability sinks and returns
+// those that consume engine events, for New to attach as one fan-out:
+// the Config fields decide which sinks exist (README "Observability"
+// has the table) and no engine knows. Without any of them the simulation
+// runs uninstrumented (no probe, no per-step scans).
+func (s *Simulation) initTelemetry() (core.Probes, error) {
 	cfg := s.cfg
+	var sinks core.Probes
 	s.watchdog = cfg.Watchdog
 	if cfg.LogWriter != nil {
 		s.logger = telemetry.NewStepLogger(cfg.LogWriter)
@@ -499,17 +457,11 @@ func (s *Simulation) initTelemetry() error {
 	if cfg.TraceFile != "" {
 		f, err := os.Create(cfg.TraceFile)
 		if err != nil {
-			return fmt.Errorf("lbmib: trace file: %w", err)
+			return nil, fmt.Errorf("lbmib: trace file: %w", err)
 		}
 		s.traceFile = f
 		s.tracer = telemetry.NewTracer()
-	}
-	if r := cfg.Telemetry; r != nil {
-		telemetry.RegisterBuildInfo(r)
-		s.mSteps = r.Counter("lbmib_steps_total", "Completed time steps.")
-		s.mMLUPS = r.Gauge("lbmib_mlups", "Million lattice-node updates per second over the last Run batch.")
-		s.mStepSec = r.Histogram("lbmib_step_seconds", "Wall-clock time per time step.",
-			telemetry.ExpBuckets(1e-4, 2, 18))
+		sinks = append(sinks, s.tracer)
 	}
 	if fc := cfg.FlightRec; fc != nil {
 		c := *fc
@@ -520,72 +472,42 @@ func (s *Simulation) initTelemetry() error {
 		}
 		s.rec = flightrec.New(c)
 		s.rec.SetRunSpec(s.runSpec())
+		sinks = append(sinks, s.rec)
 	}
-	if s.tracer == nil && cfg.Telemetry == nil && !cfg.Contention && !cfg.CritPath && s.rec == nil {
-		return nil
-	}
-	si := &stepInstr{tracer: s.tracer, rec: s.rec, threads: cfg.Threads}
 	if r := cfg.Telemetry; r != nil {
-		buckets := telemetry.ExpBuckets(1e-5, 2, 18)
-		switch cfg.Solver {
-		case Sequential, OpenMP:
-			for k := core.Kernel(1); k <= core.NumKernels; k++ {
-				si.kernelHist[k] = r.Histogram("lbmib_kernel_seconds",
-					"Wall-clock time per kernel execution (Algorithm 1).",
-					buckets, telemetry.L("kernel", k.String()))
-			}
-		case CubeBased, TaskScheduled, Fused:
-			for p := cubesolver.Phase(1); p <= cubesolver.NumPhases; p++ {
-				si.phaseHist[p] = r.Histogram("lbmib_phase_seconds",
-					"Wall-clock time per worker per loop nest (Algorithm 4).",
-					buckets, telemetry.L("phase", p.String()))
-			}
+		telemetry.RegisterBuildInfo(r)
+		s.mSteps = r.Counter("lbmib_steps_total", "Completed time steps.")
+		s.mMLUPS = r.Gauge("lbmib_mlups", "Million lattice-node updates per second over the last Run batch.")
+		s.mStepSec = r.Histogram("lbmib_step_seconds", "Wall-clock time per time step.",
+			telemetry.ExpBuckets(1e-4, 2, 18))
+		sinks = append(sinks, telemetry.NewLatencies(r, cfg.Solver == Sequential || cfg.Solver == OpenMP))
+	}
+	// The attribution sinks profile threads; Sequential has none.
+	if cfg.Contention && cfg.Solver != Sequential {
+		s.prof = perfmon.NewProfile(nil, cfg.Threads)
+		sinks = append(sinks, s.prof)
+		if k := cfg.CubeSize; cfg.Solver == CubeBased {
+			s.heatmap = perfmon.NewCubeHeatmap(cfg.NX/k, cfg.NY/k, cfg.NZ/k, k, cfg.Threads)
+			sinks = append(sinks, s.heatmap)
 		}
 	}
-	if cfg.Contention {
-		switch cfg.Solver {
-		case OpenMP:
-			si.regionProf = perfmon.NewRegionProfile(cfg.Threads)
-		case CubeBased:
-			si.phaseProf = perfmon.NewPhaseProfile(cfg.Threads)
-			si.cont = perfmon.NewContentionProfile(cfg.Threads)
-		case Fused:
-			// The fused sweep has two instrumentable barrier sites (the
-			// mid-sweep wavefront join and the end-of-sweep join), so it
-			// gets the same wait attribution as the cube engine.
-			si.phaseProf = perfmon.NewPhaseProfile(cfg.Threads)
-			si.cont = perfmon.NewContentionProfile(cfg.Threads)
-		case TaskScheduled:
-			// No timed barrier sites; only per-thread phase times apply.
-			si.phaseProf = perfmon.NewPhaseProfile(cfg.Threads)
+	if cfg.CritPath && cfg.Solver != Sequential {
+		eng := cfg.Solver.String()
+		if cfg.Solver == Fused && cfg.Float32 {
+			eng = "fused-f32"
 		}
-	}
-	if cfg.CritPath {
-		switch cfg.Solver {
-		case OpenMP, CubeBased, TaskScheduled, Fused:
-			eng := cfg.Solver.String()
-			if cfg.Solver == Fused && cfg.Float32 {
-				eng = "fused-f32"
-			}
-			si.crit = critpath.New(critpath.Config{
-				Engine:  eng,
-				Threads: cfg.Threads,
-				Tracer:  s.tracer,
+		s.crit = critpath.New(critpath.Config{Engine: eng, Threads: cfg.Threads, Tracer: s.tracer})
+		sinks = append(sinks, s.crit)
+		if s.rec != nil {
+			nodes := float64(cfg.NX) * float64(cfg.NY) * float64(cfg.NZ)
+			s.rec.SetAux(flightrec.CritPathFile, func() ([]byte, error) {
+				r := s.crit.Report()
+				critpath.AddWhatIf(&r, nodes)
+				return json.MarshalIndent(r, "", "  ")
 			})
 		}
 	}
-	if s.rec != nil && si.crit != nil {
-		crit := si.crit
-		nodes := float64(cfg.NX) * float64(cfg.NY) * float64(cfg.NZ)
-		s.rec.SetAux(flightrec.CritPathFile, func() ([]byte, error) {
-			r := crit.Report()
-			critpath.AddWhatIf(&r, nodes)
-			return json.MarshalIndent(r, "", "  ")
-		})
-	}
-	s.instr = si
-	s.eng.observe(si)
-	return nil
+	return sinks, nil
 }
 
 // instrumented reports whether any telemetry sink needs Step/Run
@@ -794,11 +716,8 @@ func (s *Simulation) runSteps(n int) {
 				rec.Imbalance = st.ImbalanceRatio
 				rec.BarrierWaitShare = st.BarrierWaitShare
 			}
-			// The profiler is keyed by the engine's internal step index
-			// (what the observer callbacks carry), which lags StepCount by
-			// one and excludes any restore offset.
-			if si := s.instr; si != nil && si.crit != nil {
-				if cp, ok := si.crit.StepRecord(s.eng.StepCount() - 1); ok {
+			if s.crit != nil {
+				if cp, ok := s.crit.StepRecord(step); ok {
 					rec.CritPath = &cp
 				}
 			}
@@ -828,7 +747,7 @@ func (s *Simulation) WritePostMortem(reason string) (string, error) {
 // recordBatch updates the registry metrics for n steps that took
 // elapsed.
 func (s *Simulation) recordBatch(n int, nodes float64, elapsed time.Duration) {
-	s.wallSec += elapsed.Seconds()
+	s.wall += elapsed
 	if s.mSteps != nil {
 		s.mSteps.Add(int64(n))
 		if elapsed > 0 {
@@ -839,43 +758,11 @@ func (s *Simulation) recordBatch(n int, nodes float64, elapsed time.Duration) {
 			s.mStepSec.Observe(perStep)
 		}
 	}
-	s.publishContention()
-	if si := s.instr; si != nil && si.crit != nil {
-		si.crit.Publish(s.cfg.Telemetry) // nil registry is a no-op
+	if s.prof != nil {
+		s.prof.Publish(s.cfg.Telemetry, s.cfg.Solver.String()) // nil registry is a no-op
 	}
-}
-
-// publishContention rolls the contention profiles up into the registry:
-// the Table II imbalance ratio as lbmib_load_imbalance_ratio{engine,
-// phase} and the wait attribution as lbmib_barrier_wait_seconds.
-func (s *Simulation) publishContention() {
-	r := s.cfg.Telemetry
-	if r == nil || !s.cfg.Contention {
-		return
-	}
-	const help = "max/mean per-thread phase time (Table II load-imbalance metric)"
-	eng := telemetry.L("engine", s.cfg.Solver.String())
-	si := s.instr
-	switch {
-	case si.phaseProf != nil:
-		r.Gauge("lbmib_load_imbalance_ratio", help, eng, telemetry.L("phase", "total")).
-			Set(si.phaseProf.ImbalanceRatio())
-		for p := cubesolver.Phase(1); p <= cubesolver.NumPhases; p++ {
-			if ratio := si.phaseProf.PhaseImbalanceRatio(p); ratio > 0 {
-				r.Gauge("lbmib_load_imbalance_ratio", help, eng, telemetry.L("phase", p.String())).Set(ratio)
-			}
-		}
-	case si.regionProf != nil:
-		r.Gauge("lbmib_load_imbalance_ratio", help, eng, telemetry.L("phase", "total")).
-			Set(si.regionProf.ImbalanceRatio())
-		for k := core.Kernel(1); k <= core.NumKernels; k++ {
-			if ratio := si.regionProf.KernelImbalanceRatio(k); ratio > 0 {
-				r.Gauge("lbmib_load_imbalance_ratio", help, eng, telemetry.L("phase", k.String())).Set(ratio)
-			}
-		}
-	}
-	if si.cont != nil {
-		si.cont.Publish(r, s.cfg.Solver.String())
+	if s.crit != nil {
+		s.crit.Publish(s.cfg.Telemetry)
 	}
 }
 
@@ -894,34 +781,23 @@ type ContentionStats struct {
 // unless Config.Contention was set. Shares are measured against the
 // wall-clock time of instrumented Step/Run calls.
 func (s *Simulation) ContentionStats() (ContentionStats, bool) {
-	if !s.cfg.Contention || s.instr == nil {
-		return ContentionStats{}, false
+	if s.prof == nil {
+		return ContentionStats{}, s.cfg.Contention
 	}
-	si := s.instr
-	var st ContentionStats
-	threadSec := float64(s.cfg.Threads) * s.wallSec
-	switch {
-	case si.phaseProf != nil:
-		st.ImbalanceRatio = si.phaseProf.ImbalanceRatio()
-	case si.regionProf != nil:
-		st.ImbalanceRatio = si.regionProf.ImbalanceRatio()
-	}
-	if si.regionProf != nil {
-		st.BarrierWaitShare = si.regionProf.BarrierWaitShare()
-	} else if si.cont != nil && threadSec > 0 {
-		st.BarrierWaitShare = si.cont.BarrierWaitTotal().Seconds() / threadSec
-	}
-	return st, true
+	return ContentionStats{
+		ImbalanceRatio:   s.prof.ImbalanceRatio(),
+		BarrierWaitShare: s.prof.BarrierWaitShare(s.wall),
+	}, true
 }
 
 // WriteCubeHeatmap writes the per-cube work heatmap accumulated so far
 // as schema-versioned JSON. It requires Config.Contention with the
 // CubeBased engine.
 func (s *Simulation) WriteCubeHeatmap(w io.Writer) error {
-	if s.instr == nil || s.instr.heatmap == nil {
+	if s.heatmap == nil {
 		return fmt.Errorf("lbmib: heatmap requires Config.Contention with the CubeBased engine")
 	}
-	return s.instr.heatmap.WriteJSON(w)
+	return s.heatmap.WriteJSON(w)
 }
 
 // CritPathReport returns the critical-path profiler's accumulated
@@ -930,10 +806,10 @@ func (s *Simulation) WriteCubeHeatmap(w io.Writer) error {
 // perfsim what-if table of predicted MLUPS gains. ok is false unless
 // Config.CritPath was set on a supported engine.
 func (s *Simulation) CritPathReport() (critpath.Report, bool) {
-	if s.instr == nil || s.instr.crit == nil {
+	if s.crit == nil {
 		return critpath.Report{}, false
 	}
-	r := s.instr.crit.Report()
+	r := s.crit.Report()
 	critpath.AddWhatIf(&r, float64(s.cfg.NX)*float64(s.cfg.NY)*float64(s.cfg.NZ))
 	return r, true
 }
@@ -1136,9 +1012,8 @@ type seqEngine struct {
 	onLayout
 }
 
-func (e *seqEngine) snapshot() *grid.Grid  { return e.Fluid }
-func (e *seqEngine) close()                {}
-func (e *seqEngine) observe(si *stepInstr) { e.Observer = si }
+func (e *seqEngine) snapshot() *grid.Grid { return e.Fluid }
+func (e *seqEngine) close()               {}
 func (e *seqEngine) load(g *grid.Grid) error {
 	copy(e.Fluid.Nodes, g.Nodes)
 	return nil
@@ -1154,14 +1029,6 @@ type ompEngine struct {
 // consumers (checkpointing, VTK output) read raw fields.
 func (e *ompEngine) snapshot() *grid.Grid { e.Fluid.Normalize(); return e.Fluid }
 func (e *ompEngine) close()               { e.Close() }
-func (e *ompEngine) observe(si *stepInstr) {
-	e.Observer = si
-	if si.regionProf != nil || si.crit != nil {
-		// stepInstr fans RegionDone out to whichever of the OmpP-style
-		// profile and the critical-path profiler are configured.
-		e.Regions = si
-	}
-}
 func (e *ompEngine) load(g *grid.Grid) error {
 	e.Fluid.Normalize() // align parity with the (normalized) snapshot
 	copy(e.Fluid.Nodes, g.Nodes)
@@ -1187,19 +1054,8 @@ type cubeEngine struct {
 	onLayout
 }
 
-func (e *cubeEngine) snapshot() *grid.Grid { return e.Fluid.ToGrid() }
-func (e *cubeEngine) close()               { e.Close() }
-func (e *cubeEngine) observe(si *stepInstr) {
-	e.Observer = si
-	if si.cont != nil {
-		e.Contention = si.cont
-		si.heatmap = perfmon.NewCubeHeatmap(e.Fluid.CX, e.Fluid.CY, e.Fluid.CZ, e.Fluid.K, si.threads)
-		e.CubeWork = si.heatmap
-	}
-	if si.crit != nil {
-		e.Arrivals = si.crit
-	}
-}
+func (e *cubeEngine) snapshot() *grid.Grid    { return e.Fluid.ToGrid() }
+func (e *cubeEngine) close()                  { e.Close() }
 func (e *cubeEngine) load(g *grid.Grid) error { return loadCubes(e.Fluid, g, e.BodyForce) }
 
 type fusedEngine struct {
@@ -1215,32 +1071,13 @@ func (e *fusedEngine) snapshot() *grid.Grid            { return e.Snapshot() }
 func (e *fusedEngine) totalMass() float64              { return e.Snapshot().TotalMass() }
 func (e *fusedEngine) digest(d *grid.DigestGrid) error { return e.Digest(d) }
 func (e *fusedEngine) close()                          { e.Close() }
-func (e *fusedEngine) observe(si *stepInstr) {
-	e.Solver.Observer = si
-	// The fiber kernels inherited from the OpenMP-style solver support
-	// region accounting, but the fused step reports through the phase
-	// vocabulary instead; the phase profile and the sweep's two timed
-	// barrier sites (mid-sweep and end-of-sweep joins) apply here.
-	if si.cont != nil {
-		e.Contention = si.cont
-	}
-	if si.crit != nil {
-		e.Arrivals = si.crit
-	}
-}
-func (e *fusedEngine) load(g *grid.Grid) error { return e.Load(g) }
+func (e *fusedEngine) load(g *grid.Grid) error         { return e.Load(g) }
 
 type taskflowEngine struct {
 	*taskflow.Solver
 	onLayout
 }
 
-func (e *taskflowEngine) snapshot() *grid.Grid { return e.Fluid.ToGrid() }
-func (e *taskflowEngine) close()               {}
-
-// observe attaches the per-phase observer: each worker reports every
-// task body it executes (phases interleave across steps, so the step
-// index in each callback — not arrival order — says which step the
-// sample belongs to).
-func (e *taskflowEngine) observe(si *stepInstr)   { e.Observer = si }
+func (e *taskflowEngine) snapshot() *grid.Grid    { return e.Fluid.ToGrid() }
+func (e *taskflowEngine) close()                  {}
 func (e *taskflowEngine) load(g *grid.Grid) error { return loadCubes(e.Fluid, g, e.BodyForce) }

@@ -23,12 +23,14 @@ go vet -stdmethods=false ./...
 
 # Domain-aware static analysis: lbmib-lint proves the lock discipline,
 # barrier choreography, buffer-parity contract, float-comparison policy,
-# and observer nil-guards the race detector can only sample. The repo
-# must be finding-free (reviewed exemptions carry //lint:allow), and the
+# and probe nil-guards the race detector can only sample. The repo
+# must be finding-free (reviewed exemptions carry //lint:allow), the
 # analyzers themselves must still catch every seeded defect in the
-# golden-bad corpus.
+# golden-bad corpus, and the event contract must keep pointing one way:
+# no sink package depends on an engine, and fused/taskflow take no names
+# from cubesolver.
 scripts/lint ./...
-go test -run 'TestAnalyzersGoldenCorpus|TestLintSelfHost' ./internal/analysis/
+go test -run 'TestAnalyzersGoldenCorpus|TestLintSelfHost|TestImportDirection' ./internal/analysis/
 
 # Barrier fusibility coverage gate: the phase-effect engine must classify
 # every barrier site of all three engines as required or fusible (exit 1

@@ -236,7 +236,7 @@ func errorsAs(err error, target **telemetry.HealthError) bool {
 }
 
 // TestNoTelemetryNoObserver guards the zero-overhead default: without
-// telemetry configuration the engines keep a nil observer.
+// telemetry configuration the engines keep a nil probe.
 func TestNoTelemetryNoObserver(t *testing.T) {
 	sim, err := New(Config{NX: 8, NY: 8, NZ: 8, Tau: 0.7})
 	if err != nil {
@@ -246,8 +246,8 @@ func TestNoTelemetryNoObserver(t *testing.T) {
 	if sim.instrumented() {
 		t.Fatal("plain config reports instrumented")
 	}
-	if sim.eng.(*seqEngine).Observer != nil {
-		t.Fatal("plain config attached an observer")
+	if sim.eng.(*seqEngine).Probe != nil {
+		t.Fatal("plain config attached a probe")
 	}
 }
 
