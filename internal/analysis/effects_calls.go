@@ -310,11 +310,12 @@ func (w *effectWalker) call(call *ast.CallExpr, info *types.Info, ctx *effectCtx
 		w.emit(out, ctx, "sheet.X", true, SlotNone, call.Pos())
 		w.emit(out, ctx, "sheet.Vel", true, SlotNone, call.Pos())
 		return
-	case "Moments", "Equilibrium", "GuoForce", "AreaElement", "Locate",
+	case "Moments", "Collide", "Equilibrium", "GuoForce", "AreaElement", "Locate",
 		"TotalFibers", "FiberToThread", "CubeToThread", "Size", "Now", "Since",
 		"len", "cap", "make", "append", "float64", "float32", "int", "panic":
 		// Address-of arguments are out-parameters (Moments writes the
-		// velocity through &n.Vel); everything else is a read.
+		// velocity through &n.Vel, Collide the distribution array it is
+		// handed); everything else is a read.
 		for _, a := range call.Args {
 			un, addr := a.(*ast.UnaryExpr)
 			w.expr(a, info, ctx, addr && un.Op == token.AND, out)

@@ -64,16 +64,9 @@ func SeedForce(nodes []grid.Node, body [3]float64) {
 // CollideRange is kernel 5 over nodes: the BGK collision with Guo
 // forcing, in place on distribution buffer cur.
 func CollideRange(nodes []grid.Node, tau float64, cur int) {
-	inv := 1 / tau
 	for i := range nodes {
 		n := &nodes[i]
-		var geq, F [lattice.Q]float64
-		lattice.Equilibrium(n.Rho, n.Vel, &geq)
-		lattice.GuoForce(tau, n.Vel, n.Force, &F)
-		df := n.Buf(cur)
-		for q := 0; q < lattice.Q; q++ {
-			df[q] -= inv*(df[q]-geq[q]) - F[q]
-		}
+		lattice.Collide(n.Buf(cur), n.Rho, n.Vel, n.Force, tau)
 	}
 }
 

@@ -8,7 +8,12 @@
 // internal/taskflow, internal/fused — is a schedule: it decides which
 // thread runs which body over which blocks and where the barriers stand,
 // and restates none of the arithmetic, which is what keeps the engines
-// bitwise comparable.
+// bitwise comparable. The arithmetic of a fluid node itself — collision
+// with forcing, and the moments — is one level further down, in
+// lattice.Collide and lattice.Moments; CollideRange and UpdateRange are
+// loops over them, and the fused engine's float32 storage path, the one
+// place that cannot hand CollideRange a node's distribution array, widens
+// the 19 values and calls the same two functions.
 //
 // The sequential Solver keeps the kernel decomposition exactly as
 // published — Algorithm 1, including kernel 9's explicit buffer copy,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lbmib/internal/fiber"
+	"lbmib/internal/grid"
 	"lbmib/internal/lattice"
 )
 
@@ -326,6 +327,20 @@ func TestCopyDistribution(t *testing.T) {
 
 // Streaming must be a pure permutation of distribution values under
 // periodic boundaries: the multiset of values per direction is preserved.
+// Kernels 5 and 7 run once per node per step in every engine; a heap
+// allocation in either body (an escaping scratch array, say) would be paid
+// there.
+func TestCollideAndUpdateRangeDoNotAllocate(t *testing.T) {
+	g := grid.New(16, 16, 16)
+	reset := [3]float64{1e-5, 0, 0}
+	if n := testing.AllocsPerRun(10, func() { CollideRange(g.Nodes, 0.7, 0) }); n != 0 {
+		t.Errorf("CollideRange over %d nodes: %v allocations per run, want 0", len(g.Nodes), n)
+	}
+	if n := testing.AllocsPerRun(10, func() { UpdateRange(g.Nodes, 1, &reset) }); n != 0 {
+		t.Errorf("UpdateRange over %d nodes: %v allocations per run, want 0", len(g.Nodes), n)
+	}
+}
+
 func TestStreamingIsPermutation(t *testing.T) {
 	s := MustNewSolver(Config{NX: 4, NY: 3, NZ: 5, Tau: 0.7})
 	// Give every node a unique distribution signature.

@@ -95,9 +95,10 @@
 // goes).
 //
 // Fiber kernels 1–4 and 8 are inherited unchanged from the OpenMP-style
-// solver (same team, same lock-free spreading), and the float64 collision
-// is core.CollideRange, so only the pull sweep and the float32 storage
-// path are this package's own code.
+// solver (same team, same lock-free spreading), and the collision is
+// core.CollideRange on float64 storage and the node kernel it calls,
+// lattice.Collide, on float32 storage, so only the pull sweep and the
+// float32 load/store path are this package's own code.
 package fused
 
 import (
@@ -274,22 +275,24 @@ func (s *Solver) waitBarrier(site core.BarrierSite, tid, step int) {
 }
 
 // collidePlane applies the BGK+Guo collision in place to every node of
-// x-plane x on the present buffer.
+// x-plane x on the present buffer. On float32 storage a node's 19 values
+// widen into a float64 scratch array, go through the same kernel
+// core.CollideRange calls, and round once on store.
 func (s *Solver) collidePlane(x, cur int, tau float64) {
 	g := s.Fluid
 	nyz := g.NY * g.NZ
 	if s.d32 != nil {
 		buf := s.d32.Buf(cur)
-		inv := 1 / tau
+		var tmp [lattice.Q]float64
 		for i := x * nyz; i < (x+1)*nyz; i++ {
 			n := &g.Nodes[i]
-			var geq, force [lattice.Q]float64
-			lattice.Equilibrium(n.Rho, n.Vel, &geq)
-			lattice.GuoForce(tau, n.Vel, n.Force, &force)
-			base := i * lattice.Q
-			for q := 0; q < lattice.Q; q++ {
-				v := float64(buf[base+q])
-				buf[base+q] = float32(v - inv*(v-geq[q]) + force[q])
+			df := (*[lattice.Q]float32)(buf[i*lattice.Q:])
+			for q, v := range df {
+				tmp[q] = float64(v)
+			}
+			lattice.Collide(&tmp, n.Rho, n.Vel, n.Force, tau)
+			for q := range df {
+				df[q] = float32(tmp[q])
 			}
 		}
 		return
@@ -334,10 +337,16 @@ func (s *Solver) finalizePlane(x, cur, next int, body [3]float64) {
 					}
 				}
 			}
-			n.Rho = lattice.Moments(nb, n.Force, &n.Vel)
-			n.Force = body
+			closeNode(n, nb, body)
 		}
 	}
+}
+
+// closeNode is the tail both finalizers share once a node's 19 values are
+// gathered: kernel 7 on exactly those values, then the folded force reset.
+func closeNode(n *grid.Node, gathered *[lattice.Q]float64, body [3]float64) {
+	n.Rho = lattice.Moments(gathered, n.Force, &n.Vel)
+	n.Force = body
 }
 
 // finalizePlane32 is finalizePlane on the float32 storage. Pulled values
@@ -378,8 +387,7 @@ func (s *Solver) finalizePlane32(x, cur, next int, body [3]float64) {
 					}
 				}
 			}
-			n.Rho = lattice.Moments(&tmp, n.Force, &n.Vel)
-			n.Force = body
+			closeNode(n, &tmp, body)
 		}
 	}
 }

@@ -225,14 +225,6 @@ func (g *Grid) StreamDeltas() [lattice.Q]int {
 	return d
 }
 
-// ClearForces zeroes the elastic force on every node. Solvers call it at
-// the start of each time step before kernel 4 re-spreads fiber forces.
-func (g *Grid) ClearForces() {
-	for i := range g.Nodes {
-		g.Nodes[i].Force = [3]float64{}
-	}
-}
-
 // Clone returns a deep copy of the grid, used by the validation harness to
 // snapshot states for cross-solver comparison.
 func (g *Grid) Clone() *Grid {

@@ -129,15 +129,6 @@ func TestResetWithVelocity(t *testing.T) {
 	}
 }
 
-func TestClearForces(t *testing.T) {
-	g := New(3, 3, 3)
-	g.At(1, 2, 0).Force = [3]float64{1, 2, 3}
-	g.ClearForces()
-	if g.At(1, 2, 0).Force != ([3]float64{}) {
-		t.Fatal("ClearForces left a nonzero force")
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	g := New(3, 3, 3)
 	c := g.Clone()

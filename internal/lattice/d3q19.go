@@ -9,6 +9,18 @@
 // lattice node may stay at rest or move along 18 directions (Figure 2 of
 // the paper). Lattice units are used throughout: dx = dt = 1, the lattice
 // speed of sound satisfies cs² = 1/3.
+//
+// The model is written down twice. This file states it direction by
+// direction: Equilibrium and GuoForce loop over E and fill a 19-array,
+// which is what initialisation wants and what the formulas look like on
+// paper. kernel.go is what the solvers execute per node per step: Collide
+// relaxes a distribution array in place towards the same equilibrium with
+// the same forcing, and Moments takes its density and velocity, both
+// unrolled over the nine opposite pairs (e, −e) of the velocity set, whose
+// equilibrium and forcing share a symmetric part and differ in the sign
+// of an antisymmetric one. The loop forms are the oracle the unrolled
+// forms are tested against (kernel_test.go); no solver composes a
+// collision out of them.
 package lattice
 
 // Q is the number of discrete velocities in the D3Q19 model (1 rest + 18
@@ -32,15 +44,23 @@ var E = [Q][3]int{
 	{0, 1, 1}, {0, -1, -1}, {0, 1, -1}, {0, -1, 1},
 }
 
+// The three distinct quadrature weights of the D3Q19 model: rest particle,
+// face directions, edge directions.
+const (
+	w0 = 1.0 / 3.0
+	w1 = 1.0 / 18.0
+	w2 = 1.0 / 36.0
+)
+
 // W holds the quadrature weights w_i of the D3Q19 model: 1/3 for the rest
 // particle, 1/18 for the six face directions, and 1/36 for the twelve edge
 // directions. They sum to exactly 1.
 var W = [Q]float64{
-	1.0 / 3.0,
-	1.0 / 18.0, 1.0 / 18.0, 1.0 / 18.0, 1.0 / 18.0, 1.0 / 18.0, 1.0 / 18.0,
-	1.0 / 36.0, 1.0 / 36.0, 1.0 / 36.0, 1.0 / 36.0,
-	1.0 / 36.0, 1.0 / 36.0, 1.0 / 36.0, 1.0 / 36.0,
-	1.0 / 36.0, 1.0 / 36.0, 1.0 / 36.0, 1.0 / 36.0,
+	w0,
+	w1, w1, w1, w1, w1, w1,
+	w2, w2, w2, w2,
+	w2, w2, w2, w2,
+	w2, w2, w2, w2,
 }
 
 // Opposite maps each direction i to the direction j with e_j = -e_i. It is
@@ -62,14 +82,6 @@ func Equilibrium(rho float64, u [3]float64, geq *[Q]float64) {
 	}
 }
 
-// EquilibriumDir computes a single component g_i^eq; it is the scalar form
-// of Equilibrium used where only a few directions are needed.
-func EquilibriumDir(i int, rho float64, u [3]float64) float64 {
-	usq := u[0]*u[0] + u[1]*u[1] + u[2]*u[2]
-	eu := float64(E[i][0])*u[0] + float64(E[i][1])*u[1] + float64(E[i][2])*u[2]
-	return W[i] * rho * (1 + 3*eu + 4.5*eu*eu - 1.5*usq)
-}
-
 // GuoForce computes the Guo et al. discrete forcing term F_i for body-force
 // density f at a node moving with velocity u:
 //
@@ -88,34 +100,6 @@ func GuoForce(tau float64, u, f [3]float64, out *[Q]float64) {
 		fz := 3*(ez-u[2]) + 9*eu*ez
 		out[i] = pre * W[i] * (fx*f[0] + fy*f[1] + fz*f[2])
 	}
-}
-
-// Moments computes the macroscopic density and velocity from a distribution
-// g, including the half-step Guo force correction:
-//
-//	rho = Σ g_i
-//	rho·u = Σ e_i g_i + f/2
-//
-// It returns rho and writes the velocity into u. A zero-density node (which
-// cannot occur in a well-posed simulation) yields zero velocity rather than
-// NaN so that diagnostics stay finite.
-func Moments(g *[Q]float64, f [3]float64, u *[3]float64) (rho float64) {
-	var mx, my, mz float64
-	for i := 0; i < Q; i++ {
-		gi := g[i]
-		rho += gi
-		mx += gi * float64(E[i][0])
-		my += gi * float64(E[i][1])
-		mz += gi * float64(E[i][2])
-	}
-	if rho == 0 { //lint:allow floatcheck -- only exact zero density divides by zero below; the guard is not a tolerance check
-		*u = [3]float64{}
-		return 0
-	}
-	u[0] = (mx + 0.5*f[0]) / rho
-	u[1] = (my + 0.5*f[1]) / rho
-	u[2] = (mz + 0.5*f[2]) / rho
-	return rho
 }
 
 // TauFromViscosity converts a kinematic viscosity ν (lattice units) to the

@@ -157,18 +157,6 @@ func TestEquilibriumAtRestIsWeights(t *testing.T) {
 	}
 }
 
-func TestEquilibriumDirMatchesVector(t *testing.T) {
-	rho := 1.05
-	u := [3]float64{-0.02, 0.01, 0.06}
-	var geq [Q]float64
-	Equilibrium(rho, u, &geq)
-	for i := 0; i < Q; i++ {
-		if got := EquilibriumDir(i, rho, u); !almostEqual(got, geq[i], eps) {
-			t.Fatalf("EquilibriumDir(%d) = %g, Equilibrium gives %g", i, got, geq[i])
-		}
-	}
-}
-
 // Property: for any admissible (rho, u) the equilibrium reproduces its own
 // zeroth and first moments. This is the fundamental consistency requirement
 // of the BGK collision.
@@ -345,6 +333,17 @@ func BenchmarkGuoForce(b *testing.B) {
 		GuoForce(0.8, u, fv, &F)
 	}
 	_ = F
+}
+
+func BenchmarkCollide(b *testing.B) {
+	var g [Q]float64
+	u := [3]float64{0.05, -0.02, 0.01}
+	fv := [3]float64{1e-4, 2e-4, -1e-4}
+	Equilibrium(1.0, u, &g)
+	for i := 0; i < b.N; i++ {
+		Collide(&g, 1.0, u, fv, 0.8)
+	}
+	_ = g
 }
 
 // Opposite directions carry equal weights — required for bounce-back to

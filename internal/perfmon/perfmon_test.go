@@ -171,8 +171,12 @@ func TestProfileRealSolverRanksFluidKernelsFirst(t *testing.T) {
 	s.Probe = prof
 	s.Run(5)
 	rows := prof.Ranked()
-	if rows[0].Kernel != core.KComputeCollision {
-		t.Fatalf("top kernel = %v, want compute_fluid_collision", rows[0].Kernel)
+	// Which of the full-grid fluid kernels leads depends on the collision
+	// code (DESIGN §8); that one of them does is the headline.
+	switch rows[0].Kernel {
+	case core.KComputeCollision, core.KStreamDistribution, core.KUpdateVelocity, core.KCopyDistribution:
+	default:
+		t.Fatalf("top kernel = %v, want a full-grid fluid kernel (5, 6, 7 or 9)", rows[0].Kernel)
 	}
 	// The three fiber-only force kernels must be in the bottom half.
 	rank := map[core.Kernel]int{}

@@ -32,6 +32,23 @@ go vet -stdmethods=false ./...
 scripts/lint ./...
 go test -run 'TestAnalyzersGoldenCorpus|TestLintSelfHost|TestImportDirection' ./internal/analysis/
 
+# One collision arithmetic, and it stays lean. (1) The unrolled node
+# kernel indexes a *[19]float64 with constants only; a bounds check the
+# compiler could not remove there is a silent 2x on every engine, so the
+# compiler's own report must name no line of kernel.go. (2) No engine
+# composes a collision out of the oracle functions: outside tests, only
+# initialisation (grid, cube) names them.
+if go build -gcflags='-d=ssa/check_bce/debug=1' ./internal/lattice/ 2>&1 | grep 'kernel\.go'; then
+	echo "bounds check in the unrolled node kernel (internal/lattice/kernel.go)" >&2
+	exit 1
+fi
+if grep -rn 'lattice\.\(Equilibrium\|GuoForce\)' --include='*.go' \
+	internal/core internal/fused internal/omp internal/cubesolver internal/taskflow |
+	grep -v '_test\.go:'; then
+	echo "an engine package restates the collision arithmetic; call lattice.Collide" >&2
+	exit 1
+fi
+
 # Barrier fusibility coverage gate: the phase-effect engine must classify
 # every barrier site of all three engines as required or fusible (exit 1
 # on any unclassified site or fold-legality diagnostic), and the freshly
