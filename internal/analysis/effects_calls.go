@@ -189,14 +189,18 @@ func (w *effectWalker) call(call *ast.CallExpr, info *types.Info, ctx *effectCtx
 		}
 		return
 	case "Spread", "SpreadStencil":
-		// IB force scatter: inline the accumulator's AddForce under a
-		// gather ambient; reads of the fiber args are recorded normally.
+		// IB force scatter of one stencil: the fiber arguments are read,
+		// and the accumulator — ibm.Spread's first argument, the receiver
+		// of an accumulator's own SpreadStencil — is written over the
+		// delta support.
 		for _, a := range call.Args {
 			w.expr(a, info, ctx, false, out)
 		}
-		if len(call.Args) > 0 {
-			w.inlineAddForce(call.Args[0], info, ctx, call.Pos(), out)
+		acc := firstArg(call)
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && name == "SpreadStencil" {
+			acc = sel.X
 		}
+		w.scatter(acc, info, ctx, call.Pos(), out)
 		return
 	case "SpreadSheetNodes":
 		// Kernel 4's shared body: reads own fiber nodes' position and
@@ -204,9 +208,7 @@ func (w *effectWalker) call(call *ast.CallExpr, info *types.Info, ctx *effectCtx
 		// site (inside the body it is only an interface value).
 		w.emit(out, ctx, "sheet.X", false, SlotNone, call.Pos())
 		w.emit(out, ctx, "sheet.Force", false, SlotNone, call.Pos())
-		if len(call.Args) > 0 {
-			w.inlineAddForce(call.Args[0], info, ctx, call.Pos(), out)
-		}
+		w.scatter(firstArg(call), info, ctx, call.Pos(), out)
 		return
 	case "ReduceSpread":
 		// The owner-ordered reduction: sweeps every thread's buffers for
@@ -247,19 +249,6 @@ func (w *effectWalker) call(call *ast.CallExpr, info *types.Info, ctx *effectCtx
 			w.emit(out, own, "node.Rho", false, SlotNone, call.Pos())
 			return
 		}
-	case "AddForce":
-		g := ctx.clone()
-		g.ambient = ExtGather
-		if fn := w.resolveCallee(call, info); fn != nil {
-			g.depth++
-			*out = append(*out, w.funcEffects(fn, g)...)
-		} else {
-			w.emit(out, g, "node.Force", true, SlotNone, call.Pos())
-		}
-		for _, a := range call.Args {
-			w.expr(a, info, ctx, false, out)
-		}
-		return
 	case "CollideRange":
 		ext := ctx.ambient
 		if len(call.Args) > 0 {
@@ -422,49 +411,29 @@ func (w *effectWalker) call(call *ast.CallExpr, info *types.Info, ctx *effectCtx
 	}
 }
 
-// inlineAddForce resolves the concrete accumulator behind an
-// ibm.ForceAccumulator argument and inlines its AddForce under a gather
-// ambient.
-func (w *effectWalker) inlineAddForce(accArg ast.Expr, info *types.Info, ctx *effectCtx, pos token.Pos, out *[]Effect) {
-	g := ctx.clone()
-	g.ambient = ExtGather
-	g.depth++
-	t := info.TypeOf(accArg)
-	if namedTypeName(t) == "SpreadAccum" {
-		// core.SpreadAccum.AddForce stores through a pointer chosen
-		// between the worker's private buffer and — for blocks the worker
-		// owns — the grid itself; the walker cannot follow the pointer, so
-		// both destinations are stated here.
-		w.emit(out, g, "accum", false, SlotNone, pos)
-		w.emit(out, g, "accum", true, SlotNone, pos)
-		w.emit(out, g, "node.Force", true, SlotNone, pos)
-		return
+// firstArg returns the call's first argument, nil without one.
+func firstArg(call *ast.CallExpr) ast.Expr {
+	if len(call.Args) == 0 {
+		return nil
 	}
-	if t != nil {
-		if fn := w.methodOn(t, "AddForce"); fn != nil {
-			*out = append(*out, w.funcEffects(fn, g)...)
-			return
-		}
-	}
-	// Unknown accumulator: conservative direct grid write.
-	w.emit(out, g, "node.Force", true, SlotNone, pos)
+	return call.Args[0]
 }
 
-// methodOn finds the AddForce-style method declared on t (or *t).
-func (w *effectWalker) methodOn(t types.Type, name string) *ast.FuncDecl {
-	for p := 0; p < 2; p++ {
-		ms := types.NewMethodSet(t)
-		for i := 0; i < ms.Len(); i++ {
-			m := ms.At(i).Obj()
-			if m.Name() == name {
-				if fn, ok := w.idx[m]; ok {
-					return fn
-				}
-			}
-		}
-		t = types.NewPointer(t)
+// scatter records a spread through the ibm.ForceAccumulator acc: a
+// write of node.Force over the delta support (grid.Coupling behind a
+// slab grid or cube layout, and the conservative model of any other
+// accumulator), plus the worker's private buffers for core.SpreadAccum.
+func (w *effectWalker) scatter(acc ast.Expr, info *types.Info, ctx *effectCtx, pos token.Pos, out *[]Effect) {
+	g := ctx.clone()
+	g.ambient = ExtGather
+	if acc != nil && namedTypeName(info.TypeOf(acc)) == "SpreadAccum" {
+		// SpreadStencil stores through a pointer chosen between the
+		// worker's private buffer and — for blocks the worker owns — the
+		// grid itself; both destinations are stated.
+		w.emit(out, g, "accum", false, SlotNone, pos)
+		w.emit(out, g, "accum", true, SlotNone, pos)
 	}
-	return nil
+	w.emit(out, g, "node.Force", true, SlotNone, pos)
 }
 
 // resolveCallee maps a call to its module-internal declaration, or nil.

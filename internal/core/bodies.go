@@ -17,7 +17,7 @@ import (
 //
 //	Idx(x, y, z) = Idx(x, 0, 0) + Idx(0, y, 0) + Idx(0, 0, z),
 //
-// which lets the bodies tabulate it once (axisIndex) and index the node
+// which lets the bodies tabulate it once (grid.AxisIndex) and index the node
 // slice directly in their inner loops instead of calling through the
 // interface. The distributions are double-buffered: node n's present
 // buffer is n.Buf(Cur()).
@@ -29,25 +29,6 @@ type Layout interface {
 	Wrap(x, y, z int) (int, int, int)
 	Cur() int
 	Digest(d *grid.DigestGrid) error
-}
-
-// axisIndex tabulates a layout's separable Idx: the flat index of node
-// (x, y, z) is a[0][x] + a[1][y] + a[2][z].
-type axisIndex [3][]int
-
-func newAxisIndex(l Layout) axisIndex {
-	nx, ny, nz := l.Dims()
-	a := axisIndex{make([]int, nx), make([]int, ny), make([]int, nz)}
-	for x := range a[0] {
-		a[0][x] = l.Idx(x, 0, 0)
-	}
-	for y := range a[1] {
-		a[1][y] = l.Idx(0, y, 0)
-	}
-	for z := range a[2] {
-		a[2][z] = l.Idx(0, 0, z)
-	}
-	return a
 }
 
 // SeedForce sets every node's force to the uniform body force: kernel
@@ -160,7 +141,7 @@ func (bc *StreamBC) Resolve(q, x, y, z int, gi, rho float64) (tx, ty, tz int, re
 type Streamer struct {
 	l  Layout
 	bc StreamBC
-	at axisIndex
+	at [3][]int
 	// fixed[a][c] reports that both axis-a neighbours of coordinate c are
 	// inside the domain and sit at the layout's constant axis stride from
 	// it; where that holds on all three axes, the e_i neighbour of a node
@@ -173,7 +154,7 @@ type Streamer struct {
 
 // NewStreamer tabulates l's index geometry for streaming under bc.
 func NewStreamer(l Layout, bc StreamBC) *Streamer {
-	s := &Streamer{l: l, bc: bc, at: newAxisIndex(l)}
+	s := &Streamer{l: l, bc: bc, at: grid.AxisIndex(l)}
 	var stride [3]int
 	for a, t := range s.at {
 		s.fixed[a] = make([]bool, len(t))

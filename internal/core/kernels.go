@@ -13,7 +13,10 @@
 // lattice.Collide and lattice.Moments; CollideRange and UpdateRange are
 // loops over them, and the fused engine's float32 storage path, the one
 // place that cannot hand CollideRange a node's distribution array, widens
-// the 19 values and calls the same two functions.
+// the 19 values and calls the same two functions. Likewise a fiber node's
+// 64 stencil points: SpreadSheetNodes and MoveSheetNodes make one call per
+// fiber node, and the point loops, with the periodic wrap, are
+// grid.Coupling's and, for private buffers, SpreadAccum.SpreadStencil's.
 //
 // The sequential Solver keeps the kernel decomposition exactly as
 // published — Algorithm 1, including kernel 9's explicit buffer copy,

@@ -1,6 +1,9 @@
 package core
 
-import "lbmib/internal/grid"
+import (
+	"lbmib/internal/grid"
+	"lbmib/internal/ibm"
+)
 
 // SpreadAccum is one worker's private force-accumulation store for
 // lock-free parallel spreading (DESIGN.md §13), keyed by layout block.
@@ -25,11 +28,10 @@ type SpreadAccum struct {
 	nodes []grid.Node
 	// blk and off split the layout's separable index per axis into block
 	// and in-block parts: node (x, y, z) is slot off[0][x]+off[1][y]+off[2][z]
-	// of block blk[0][x]+blk[1][y]+blk[2][z]. (The in-block parts are the
-	// node's z-fastest position inside its box, so they sum below
-	// blockLen.) Tabulated so AddForce, which runs 64 times per fiber
-	// node, neither divides nor calls through the Layout interface.
-	blk, off axisIndex
+	// (below blockLen: its z-fastest position inside the box) of block
+	// blk[0][x]+blk[1][y]+blk[2][z]. SpreadStencil looks a stencil's twelve
+	// coordinates up in them once, so its 64-point loop only adds.
+	blk, off [3][]int
 	blockLen int
 	owner    []int // owner[b] is block b's owning worker; nil when no block is worker-owned
 	tid      int
@@ -39,15 +41,14 @@ type SpreadAccum struct {
 }
 
 // NewSpreadAccums builds one accumulator per worker over l's blocks.
-// owner maps each block to the worker that
-// alone writes it during spreading (the cube engine's cube2thread); nil
-// means spreading workers own no fluid (the loop-parallel engine assigns
-// fibers, not planes, to its spreading threads), so every contribution is
-// buffered.
+// owner maps each block to the worker that alone writes it during
+// spreading (the cube engine's cube2thread); nil means spreading workers
+// own no fluid (the loop-parallel engine assigns fibers, not planes, to
+// its spreading threads), so every contribution is buffered.
 func NewSpreadAccums(l Layout, workers int, owner []int) []*SpreadAccum {
 	_, e := l.BlockBox(0)
 	blockLen := e[0] * e[1] * e[2]
-	nodes, blk, off := l.Storage(), newAxisIndex(l), newAxisIndex(l)
+	nodes, blk, off := l.Storage(), grid.AxisIndex(l), grid.AxisIndex(l)
 	for a := range blk {
 		for c, idx := range blk[a] {
 			blk[a][c], off[a][c] = idx/blockLen, idx%blockLen
@@ -82,21 +83,48 @@ func (a *SpreadAccum) block(b int) [][3]float64 {
 	return a.blocks[b]
 }
 
-// AddForce implements ibm.ForceAccumulator; coordinates may be
-// unwrapped, exactly as ibm.Spread produces them.
-func (a *SpreadAccum) AddForce(x, y, z int, f [3]float64) {
-	x = grid.WrapIndex(x, len(a.blk[0]))
-	y = grid.WrapIndex(y, len(a.blk[1]))
-	z = grid.WrapIndex(z, len(a.blk[2]))
-	b := a.blk[0][x] + a.blk[1][y] + a.blk[2][z]
-	i := a.off[0][x] + a.off[1][y] + a.off[2][z]
-	p := &a.nodes[b*a.blockLen+i].Force
-	if a.owner == nil || a.owner[b] != a.tid {
-		p = &a.block(b)[i]
+// SpreadStencil implements ibm.ForceAccumulator: grid.Coupling's scatter
+// with the destination chosen per point.
+//
+//lint:allow floatcheck -- exact-zero delta-function weights skip whole stencil planes; the product they'd contribute is exactly 0
+func (a *SpreadAccum) SpreadStencil(st ibm.Stencil, F [3]float64, area float64) {
+	blk, off := grid.ResolveStencil(&st, &a.blk), grid.ResolveStencil(&st, &a.off)
+	f0, f1, f2 := F[0], F[1], F[2]
+	cur, buf := -1, [][3]float64(nil) // the last point's block, and its buffer unless this worker owns it
+	for i, wx := range &st.Wx {
+		if wx == 0 {
+			continue
+		}
+		for j := range st.Wy {
+			wxy := wx * st.Wy[j]
+			if wxy == 0 {
+				continue
+			}
+			bij, oij := blk[0][i]+blk[1][j], off[0][i]+off[1][j]
+			for k := range st.Wz {
+				w := wxy * st.Wz[k] * area
+				if w == 0 {
+					continue
+				}
+				b, o := bij+blk[2][k], oij+off[2][k]
+				if b != cur {
+					cur, buf = b, nil
+					if a.owner == nil || a.owner[b] != a.tid {
+						buf = a.block(b)
+					}
+				}
+				var p *[3]float64
+				if buf != nil {
+					p = &buf[o]
+				} else {
+					p = &a.nodes[b*a.blockLen+o].Force
+				}
+				p[0] += float64(f0 * w)
+				p[1] += float64(f1 * w)
+				p[2] += float64(f2 * w)
+			}
+		}
 	}
-	p[0] += f[0]
-	p[1] += f[1]
-	p[2] += f[2]
 }
 
 // ReduceSpread folds every worker's generation-gen contributions for

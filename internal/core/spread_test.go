@@ -5,7 +5,16 @@ import (
 
 	"lbmib/internal/cube"
 	"lbmib/internal/grid"
+	"lbmib/internal/ibm"
 )
+
+// pointStencil is the degenerate stencil whose only non-zero weight, 1,
+// sits on its base node (x, y, z): spreading f through it with unit area
+// adds exactly f there.
+func pointStencil(x, y, z int) ibm.Stencil {
+	e0 := [ibm.SupportWidth]float64{1}
+	return ibm.Stencil{Base: [3]int{x, y, z}, Wx: e0, Wy: e0, Wz: e0}
+}
 
 // The accumulator-level invariants of lock-free spreading (DESIGN.md
 // §13), over both block shapes the engines use: x-planes of the slab grid
@@ -42,8 +51,8 @@ func TestSpreadAccumInvariants(t *testing.T) {
 			nx, ny, nz := tc.l.Dims()
 			f := [3]float64{1, 2, 3}
 			a.Begin(1)
-			a.AddForce(3+nx, 1-ny, 1+2*nz, f)
-			a.AddForce(3, 1, 1, f)
+			a.SpreadStencil(pointStencil(3+nx, 1-ny, 1+2*nz), f, 1)
+			a.SpreadStencil(pointStencil(3, 1, 1), f, 1)
 			target := blockOf(3, 1, 1)
 			for b, buf := range a.blocks {
 				if (buf != nil) != (b == target) {
@@ -78,7 +87,7 @@ func TestSpreadAccumInvariants(t *testing.T) {
 			if nodes[at].Force != [3]float64{2, 4, 6} {
 				t.Fatal("a stale-generation buffer was folded again")
 			}
-			a.AddForce(3, 1, 1, f)
+			a.SpreadStencil(pointStencil(3, 1, 1), f, 1)
 			if a.stamp[target] != 2 || a.blocks[target][at-target*tc.blockLen] != f {
 				t.Fatal("re-stamped buffer did not start from zero")
 			}
@@ -87,13 +96,13 @@ func TestSpreadAccumInvariants(t *testing.T) {
 			// grid and allocate nothing.
 			if tc.owner != nil {
 				own := tc.l.Idx(0, 0, 0)
-				a.AddForce(0, 0, 0, f)
+				a.SpreadStencil(pointStencil(0, 0, 0), f, 1)
 				if nodes[own].Force != f || a.blocks[blockOf(0, 0, 0)] != nil {
 					t.Fatal("owner-direct contribution was buffered")
 				}
 				// The same node through the non-owning worker is buffered.
 				accums[1].Begin(2)
-				accums[1].AddForce(0, 0, 0, f)
+				accums[1].SpreadStencil(pointStencil(0, 0, 0), f, 1)
 				if nodes[own].Force != f || accums[1].blocks[blockOf(0, 0, 0)] == nil {
 					t.Fatal("non-owner contribution bypassed the buffer")
 				}

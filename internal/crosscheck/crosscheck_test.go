@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"lbmib"
+	"lbmib/internal/fiber"
+	"lbmib/internal/ibm"
 )
 
 // numSeeds is the size of the seeded sweep: at least 25 cases per the
@@ -47,6 +49,71 @@ func caseName(seed int64) string {
 		seed /= 10
 	}
 	return string(name)
+}
+
+// TestGenDenseCases pins what every fifth seed promises: at least four
+// sheets, one worker / two / more than any ordinary case in turn, an
+// x-plane that every stencil of every sheet touches and — on each cube
+// size the generator draws — a cube that every sheet spreads into, so
+// whichever way an engine splits the fibers between two workers, both
+// accumulate into the same blocks.
+func TestGenDenseCases(t *testing.T) {
+	threads := map[int]bool{}
+	for seed := int64(4); seed < 60; seed += 5 {
+		c := Gen(seed)
+		cfg := c.Config
+		threads[cfg.Threads] = true
+		if len(cfg.Sheets) < 4 {
+			t.Fatalf("seed %d: %d sheets, want a dense case of at least 4", seed, len(cfg.Sheets))
+		}
+		k := cfg.CubeSize
+		planes, cubes := map[int]int{}, map[[3]int]int{}
+		stencils := 0
+		for _, sc := range cfg.Sheets {
+			sh := fiber.NewSheet(fiber.Params{NumFibers: sc.NumFibers, NodesPerFiber: sc.NodesPerFiber,
+				Width: sc.Width, Height: sc.Height, Origin: sc.Origin})
+			sheetCubes := map[[3]int]bool{}
+			for _, x := range sh.X {
+				var st ibm.Stencil
+				st.Compute(x)
+				stencils++
+				if st.Base[0] < 0 || st.Base[1] < 0 || st.Base[2] < 0 ||
+					st.Base[0]+3 >= cfg.NX || st.Base[1]+3 >= cfg.NY || st.Base[2]+3 >= cfg.NZ {
+					t.Fatalf("seed %d: stencil at %v leaves the %dx%dx%d box", seed, x, cfg.NX, cfg.NY, cfg.NZ)
+				}
+				for i := 0; i < ibm.SupportWidth; i++ {
+					planes[st.Base[0]+i]++
+					for j := 0; j < ibm.SupportWidth; j++ {
+						for l := 0; l < ibm.SupportWidth; l++ {
+							sheetCubes[[3]int{(st.Base[0] + i) / k, (st.Base[1] + j) / k, (st.Base[2] + l) / k}] = true
+						}
+					}
+				}
+			}
+			for cb := range sheetCubes {
+				cubes[cb]++
+			}
+		}
+		if !someCount(planes, stencils) {
+			t.Errorf("seed %d: no x-plane is touched by all %d stencils", seed, stencils)
+		}
+		if !someCount(cubes, len(cfg.Sheets)) {
+			t.Errorf("seed %d: no cube (k=%d) is touched by all %d sheets", seed, k, len(cfg.Sheets))
+		}
+	}
+	if !threads[1] || !threads[2] || !threads[9] {
+		t.Errorf("dense cases ran at threads %v, want 1, 2 and 9", threads)
+	}
+}
+
+// someCount reports whether some key of m was counted exactly want times.
+func someCount[K comparable](m map[K]int, want int) bool {
+	for _, n := range m {
+		if n == want {
+			return true
+		}
+	}
+	return false
 }
 
 // TestEnginesPinned fixes the engine set: one mode per facade engine

@@ -8,7 +8,8 @@
 // simulation configuration from a seed — grid shapes including
 // non-cube-divisible edges, cube sizes, thread counts, relaxation times,
 // boundary combinations, moving lids, and zero-, one- and multi-sheet
-// immersed structures. A Runner executes the same configuration on every
+// immersed structures, every fifth seed a dense pile of overlapping
+// sheets. A Runner executes the same configuration on every
 // applicable engine — including the fused single-sweep engine in both
 // its float64 and float32 storage modes — and holds the results to the
 // per-engine equivalence contract (bitwise where the engine is
@@ -56,12 +57,15 @@ func Gen(seed int64) Case {
 		nSheets = 2
 	}
 
+	// Every fifth seed is a dense case (genDense), whatever it drew above.
+	dense := seed%5 == 4
+
 	// Grid: edges are multiples of the cube size so the cube engines are
 	// exercised by default; with immersed sheets the box keeps room for
 	// the 4×4×4 delta support.
 	k := []int{2, 3, 4}[r.Intn(3)]
 	minMult := 2
-	if nSheets > 0 {
+	if nSheets > 0 || dense {
 		minMult = (8 + k - 1) / k
 	}
 	dim := func() int { return k * (minMult + r.Intn(4)) }
@@ -118,8 +122,15 @@ func Gen(seed int64) Case {
 		}
 	}
 
-	for i := 0; i < nSheets; i++ {
-		cfg.Sheets = append(cfg.Sheets, genSheet(r, nx, ny, nz))
+	if dense {
+		cfg.Sheets = genDense(r, nx, ny, nz)
+		// One worker, two, and more than the ordinary cases' 1–6 (and
+		// than the cores of a small host), in turn.
+		cfg.Threads = []int{1, 2, 9}[seed/5%3]
+	} else {
+		for i := 0; i < nSheets; i++ {
+			cfg.Sheets = append(cfg.Sheets, genSheet(r, nx, ny, nz))
+		}
 	}
 
 	return Case{
@@ -160,6 +171,38 @@ func genSheet(r *rand.Rand, nx, ny, nz int) *lbmib.SheetConfig {
 		sc.FixedRadius = math.Min(w, h) / 3
 	}
 	return sc
+}
+
+// genDense piles four to six small sheets onto one spot, in the spirit
+// of Beny & Latt's dense moving objects: every origin lies within half a
+// node of a common corner and every sheet is at least one node wide, so
+// all of them pass through the same x-plane and the same cube, and the
+// fibers of different workers — the engines split the concatenated
+// fibers between them — spread into the same blocks. The margins are
+// genSheet's.
+func genDense(r *rand.Rand, nx, ny, nz int) []*lbmib.SheetConfig {
+	corner := [3]float64{
+		1.5 + r.Float64()*(float64(nx)-4.5),
+		1.5 + r.Float64()*(float64(ny)-7),
+		1.5 + r.Float64()*(float64(nz)-7),
+	}
+	sheets := make([]*lbmib.SheetConfig, 4+r.Intn(3))
+	for i := range sheets {
+		sheets[i] = &lbmib.SheetConfig{
+			NumFibers:     3 + r.Intn(3),
+			NodesPerFiber: 3 + r.Intn(3),
+			Width:         1 + r.Float64()*1.5,
+			Height:        1 + r.Float64()*1.5,
+			Origin: [3]float64{
+				corner[0] + r.Float64()*0.5,
+				corner[1] + r.Float64()*0.5,
+				corner[2] + r.Float64()*0.5,
+			},
+			Ks: 0.01 + r.Float64()*0.05,
+			Kb: 0.0005 + r.Float64()*0.0015,
+		}
+	}
+	return sheets
 }
 
 // CubeDivisible reports whether the case's grid is divisible by its cube

@@ -22,6 +22,8 @@ type Layout struct {
 	NX, NY, NZ int // fluid grid dimensions
 	CX, CY, CZ int // cube-grid dimensions (NX/K, NY/K, NZ/K)
 	Nodes      []grid.Node
+	// Coupling makes the layout an ibm.ForceAccumulator and VelocitySampler.
+	*grid.Coupling
 
 	// cur is the distribution-buffer parity (see grid.Grid): node i's
 	// present buffer is Nodes[i].Buf(cur). The swap-based cube solver
@@ -46,6 +48,7 @@ func NewLayout(nx, ny, nz, k int) (*Layout, error) {
 		CX: nx / k, CY: ny / k, CZ: nz / k,
 		Nodes: make([]grid.Node, nx*ny*nz),
 	}
+	l.Coupling = grid.NewCoupling(l.Nodes, l)
 	l.Reset(1, [3]float64{})
 	return l, nil
 }
@@ -132,26 +135,6 @@ func (l *Layout) CubeNodes(c int) []grid.Node {
 // Wrap maps possibly out-of-range coordinates onto the periodic domain.
 func (l *Layout) Wrap(x, y, z int) (int, int, int) {
 	return grid.WrapIndex(x, l.NX), grid.WrapIndex(y, l.NY), grid.WrapIndex(z, l.NZ)
-}
-
-// VelocityAt returns the macroscopic velocity at the periodic image of
-// (x, y, z); it satisfies ibm.VelocitySampler.
-func (l *Layout) VelocityAt(x, y, z int) [3]float64 {
-	x, y, z = l.Wrap(x, y, z)
-	return l.Nodes[l.Idx(x, y, z)].Vel
-}
-
-// AddForce accumulates force at the periodic image of (x, y, z); it
-// satisfies ibm.ForceAccumulator. It is not synchronized: only the
-// single-writer paths (the task-scheduled engine's serial fiber task)
-// spread through it; the cube solver's workers go through their
-// per-thread core.SpreadAccum instead.
-func (l *Layout) AddForce(x, y, z int, f [3]float64) {
-	x, y, z = l.Wrap(x, y, z)
-	n := &l.Nodes[l.Idx(x, y, z)]
-	n.Force[0] += f[0]
-	n.Force[1] += f[1]
-	n.Force[2] += f[2]
 }
 
 // FromGrid copies the full state of a slab-layout grid (same dimensions)

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"lbmib/internal/grid"
+	"lbmib/internal/ibm"
 	"lbmib/internal/lattice"
 )
 
@@ -161,21 +162,28 @@ func TestFromGridShapeMismatch(t *testing.T) {
 	}
 }
 
-func TestAddForceWrapsAndAccumulates(t *testing.T) {
+// pointStencil is the degenerate stencil whose only non-zero weight, 1,
+// sits on its base node (x, y, z).
+func pointStencil(x, y, z int) ibm.Stencil {
+	e0 := [ibm.SupportWidth]float64{1}
+	return ibm.Stencil{Base: [3]int{x, y, z}, Wx: e0, Wy: e0, Wz: e0}
+}
+
+func TestSpreadStencilWrapsAndAccumulates(t *testing.T) {
 	l := mustLayout(t, 4, 4, 4, 2)
-	l.AddForce(-1, 4, 2, [3]float64{1, 2, 3})
-	l.AddForce(3, 0, 2, [3]float64{1, 0, 0})
+	l.SpreadStencil(pointStencil(-1, 4, 2), [3]float64{1, 2, 3}, 1)
+	l.SpreadStencil(pointStencil(3, 0, 2), [3]float64{1, 0, 0}, 1)
 	f := l.At(3, 0, 2).Force
 	if f != ([3]float64{2, 2, 3}) {
 		t.Fatalf("force = %v, want {2 2 3}", f)
 	}
 }
 
-func TestVelocityAtWraps(t *testing.T) {
+func TestInterpolateStencilWraps(t *testing.T) {
 	l := mustLayout(t, 4, 4, 4, 2)
 	l.At(0, 1, 3).Vel = [3]float64{0.5, 0, 0}
-	if got := l.VelocityAt(4, 1, -1); got != ([3]float64{0.5, 0, 0}) {
-		t.Fatalf("VelocityAt wrapped = %v", got)
+	if got := l.InterpolateStencil(pointStencil(4, 1, -1)); got != ([3]float64{0.5, 0, 0}) {
+		t.Fatalf("InterpolateStencil wrapped = %v", got)
 	}
 }
 

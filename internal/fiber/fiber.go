@@ -182,10 +182,33 @@ func (s *Sheet) StretchingForceAt(f, k int) Vec3 {
 // ComputeBendingForce runs kernel 1 over nodes [lo, hi) in flat order,
 // writing BendForce. The half-open range lets parallel solvers partition
 // the sheet; pass (0, s.NumNodes()) for the whole structure.
+//
+// Two or more nodes from every edge BendingForceAt's stencil stays on
+// the sheet, and the node takes the same differences in the same order
+// along the flat strides 1 (its fiber) and NodesPerFiber (across fibers)
+// with no bounds to test — bitwise BendingForceAt.
 func (s *Sheet) ComputeBendingForce(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		f, k := i/s.NodesPerFiber, i%s.NodesPerFiber
-		s.BendForce[i] = s.BendingForceAt(f, k)
+	n := s.NodesPerFiber
+	f, k := lo/n, lo%n
+	for i := lo; i < hi; i, k = i+1, k+1 {
+		if k == n {
+			f, k = f+1, 0
+		}
+		if f < 2 || f >= s.NumFibers-2 || k < 2 || k >= n-2 {
+			s.BendForce[i] = s.BendingForceAt(f, k)
+			continue
+		}
+		var out Vec3
+		for _, d := range [2]int{1, n} {
+			x := [5]*Vec3{&s.X[i-2*d], &s.X[i-d], &s.X[i], &s.X[i+d], &s.X[i+2*d]}
+			for c := 0; c < 3; c++ {
+				cm := x[0][c] - 2*x[1][c] + x[2][c]
+				c0 := x[1][c] - 2*x[2][c] + x[3][c]
+				cp := x[2][c] - 2*x[3][c] + x[4][c]
+				out[c] -= s.Kb * (cm - 2*c0 + cp)
+			}
+		}
+		s.BendForce[i] = out
 	}
 }
 

@@ -3,6 +3,7 @@ package fiber
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -275,6 +276,54 @@ func TestRangedKernelsMatchFull(t *testing.T) {
 	for i := 0; i < n; i++ {
 		if a.Force[i] != b.Force[i] {
 			t.Fatalf("ranged kernels diverge at node %d: %v vs %v", i, a.Force[i], b.Force[i])
+		}
+	}
+}
+
+// ComputeBendingForce's interior path (flat five-point differences, no
+// bounds tests) equals BendingForceAt bit for bit — on sheets with a
+// large interior, a single interior node (5×5), none (4×7, 1×9) — over
+// arbitrary splits of the node range.
+func TestComputeBendingForceMatchesBendingForceAtBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, shape := range [][2]int{{52, 52}, {51, 9}, {5, 5}, {4, 7}, {1, 9}, {7, 6}, {6, 5}} {
+		s := testSheet(shape[0], shape[1])
+		perturb(s, 3, 0.4)
+		for i := range s.X {
+			// Bent, so no difference vanishes — and on every other shape
+			// scattered over six decades, so each difference rounds and
+			// the order of the sums shows in the last bit.
+			dy, dz := s.X[i][1]-9, s.X[i][2]-7
+			s.X[i][0] += 0.002 * (dy*dy + dz*dz)
+			if shape[0]%2 == 1 {
+				for d := range s.X[i] {
+					s.X[i][d] *= math.Exp(3 * rng.NormFloat64())
+				}
+			}
+		}
+		n := s.NumNodes()
+		for trial := 0; trial < 20; trial++ {
+			for i := range s.BendForce {
+				s.BendForce[i] = Vec3{math.NaN(), math.NaN(), math.NaN()}
+			}
+			cuts := []int{0, n}
+			if trial > 0 {
+				for c := rng.Intn(6); c > 0; c-- {
+					cuts = append(cuts, rng.Intn(n+1))
+				}
+				sort.Ints(cuts)
+			}
+			for c := 1; c < len(cuts); c++ {
+				s.ComputeBendingForce(cuts[c-1], cuts[c])
+			}
+			for i := 0; i < n; i++ {
+				want := s.BendingForceAt(i/s.NodesPerFiber, i%s.NodesPerFiber)
+				for d := 0; d < 3; d++ {
+					if math.Float64bits(s.BendForce[i][d]) != math.Float64bits(want[d]) {
+						t.Fatalf("%dx%d sheet, cuts %v, node %d: %v, BendingForceAt %v", shape[0], shape[1], cuts, i, s.BendForce[i], want)
+					}
+				}
+			}
 		}
 	}
 }

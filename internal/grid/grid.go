@@ -47,7 +47,7 @@ func (n *Node) Buf(b int) *[lattice.Q]float64 {
 
 // Grid is a structured Nx×Ny×Nz fluid mesh with all nodes stored in a
 // single x-major slice: index = (x*Ny + y)*Nz + z. The container itself
-// is boundary-agnostic — Wrap and the IB coupling accessors treat every
+// is boundary-agnostic — Wrap and the embedded IB coupling treat every
 // axis as periodic, and the solvers' streaming step applies the
 // configured per-axis conditions (core.StreamBC). In the block-layout
 // contract the solvers share (core.Layout) its blocks are the NX
@@ -55,6 +55,9 @@ func (n *Node) Buf(b int) *[lattice.Q]float64 {
 type Grid struct {
 	NX, NY, NZ int
 	Nodes      []Node
+	// Coupling spreads into and interpolates from Nodes. New and Clone
+	// bind it; a Grid assembled as a literal only carries state.
+	*Coupling
 
 	// cur is the distribution-buffer parity: Nodes[i].Buf(cur) is the
 	// present buffer, Nodes[i].Buf(1-cur) the post-streaming one. The
@@ -72,6 +75,7 @@ func New(nx, ny, nz int) *Grid {
 		panic(fmt.Sprintf("grid: non-positive dimensions %d×%d×%d", nx, ny, nz))
 	}
 	g := &Grid{NX: nx, NY: ny, NZ: nz, Nodes: make([]Node, nx*ny*nz)}
+	g.Coupling = NewCoupling(g.Nodes, g)
 	g.Reset(1, [3]float64{})
 	return g
 }
@@ -230,5 +234,6 @@ func (g *Grid) StreamDeltas() [lattice.Q]int {
 func (g *Grid) Clone() *Grid {
 	c := &Grid{NX: g.NX, NY: g.NY, NZ: g.NZ, Nodes: make([]Node, len(g.Nodes)), cur: g.cur}
 	copy(c.Nodes, g.Nodes)
+	c.Coupling = NewCoupling(c.Nodes, c)
 	return c
 }

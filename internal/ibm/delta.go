@@ -1,9 +1,11 @@
 // Package ibm implements the fluid–structure coupling of the immersed
 // boundary method: the smoothed 4-point Peskin Dirac delta, the 4×4×4
 // "influential domain" stencil around a fiber node (Section III-B of the
-// paper), elastic-force spreading from fiber nodes to fluid nodes
-// (kernel 4), and velocity interpolation from fluid nodes to fiber nodes
-// (the gather half of kernel 8, move_fibers).
+// paper), and the per-stencil contract through which elastic force is
+// spread from fiber nodes to fluid nodes (kernel 4) and velocity
+// interpolated back (the gather half of kernel 8, move_fibers). The
+// 64-point loops over fluid storage, and the periodic wrap, live with the
+// storage in grid.Coupling.
 //
 // The delta kernel is separable: δ_h(x) = φ(x)φ(y)φ(z) with h = 1 in
 // lattice units, where φ is Peskin's standard 4-point function. Its support
@@ -43,8 +45,10 @@ func Phi4(r float64) float64 {
 // the separable one-dimensional delta weights along each axis. The weight
 // of fluid node (Base[0]+i, Base[1]+j, Base[2]+k) is Wx[i]·Wy[j]·Wz[k].
 //
-// Base coordinates are *unwrapped*: callers apply their domain's periodic
-// wrap (grid.Wrap or the cube layout's equivalent) when indexing.
+// Base coordinates are *unwrapped* and may be anything an int holds (a
+// non-finite position saturates the conversion): grid.ResolveStencil maps
+// them onto the periodic domain, once per stencil, for every
+// implementation of the interfaces below.
 type Stencil struct {
 	Base       [3]int
 	Wx, Wy, Wz [SupportWidth]float64
@@ -76,19 +80,20 @@ func (s *Stencil) WeightSum() float64 {
 	return sx * sy * sz
 }
 
-// ForceAccumulator receives spread elastic force at wrapped lattice
-// coordinates. The slab grid, the cube layout, and the parallel engines'
-// per-thread accumulators each implement it with their own storage.
+// ForceAccumulator receives a fiber node's elastic force one stencil at
+// a time — one dynamic call per fiber node; the 64-point loop is the
+// implementation's own: grid.Coupling for the slab grid and the cube
+// layout, core.SpreadAccum for the parallel engines' workers.
 type ForceAccumulator interface {
-	// AddForce adds f to the elastic force of fluid node (x, y, z), which
-	// may be outside [0, N): implementations wrap periodically.
-	AddForce(x, y, z int, f [3]float64)
+	// SpreadStencil adds F·w·area to the elastic force of every fluid
+	// node of st, w being the node's delta weight.
+	SpreadStencil(st Stencil, F [3]float64, area float64)
 }
 
-// VelocitySampler provides fluid velocities for interpolation, with
-// periodic wrapping handled by the implementation.
+// VelocitySampler interpolates the fluid velocity over one stencil.
 type VelocitySampler interface {
-	VelocityAt(x, y, z int) [3]float64
+	// InterpolateStencil returns Σ w·u over the fluid nodes of st.
+	InterpolateStencil(st Stencil) [3]float64
 }
 
 // Spread distributes the elastic force F of a fiber node at position x
@@ -98,33 +103,7 @@ type VelocitySampler interface {
 func Spread(acc ForceAccumulator, x [3]float64, F [3]float64, area float64) {
 	var st Stencil
 	st.Compute(x)
-	SpreadStencil(acc, &st, F, area)
-}
-
-// SpreadStencil is Spread with a caller-computed stencil, so solvers that
-// also need the stencil for ownership/locking decisions compute it once.
-//
-//lint:allow floatcheck -- exact-zero delta-function weights skip whole stencil planes; the product they'd contribute is exactly 0
-func SpreadStencil(acc ForceAccumulator, st *Stencil, F [3]float64, area float64) {
-	for i := 0; i < SupportWidth; i++ {
-		if st.Wx[i] == 0 {
-			continue
-		}
-		for j := 0; j < SupportWidth; j++ {
-			wxy := st.Wx[i] * st.Wy[j]
-			if wxy == 0 {
-				continue
-			}
-			for k := 0; k < SupportWidth; k++ {
-				w := wxy * st.Wz[k] * area
-				if w == 0 {
-					continue
-				}
-				acc.AddForce(st.Base[0]+i, st.Base[1]+j, st.Base[2]+k,
-					[3]float64{F[0] * w, F[1] * w, F[2] * w})
-			}
-		}
-	}
+	acc.SpreadStencil(st, F, area)
 }
 
 // Interpolate returns the fluid velocity at fiber-node position x:
@@ -133,34 +112,5 @@ func SpreadStencil(acc ForceAccumulator, st *Stencil, F [3]float64, area float64
 func Interpolate(v VelocitySampler, x [3]float64) [3]float64 {
 	var st Stencil
 	st.Compute(x)
-	return InterpolateStencil(v, &st)
-}
-
-// InterpolateStencil is Interpolate with a caller-computed stencil.
-//
-//lint:allow floatcheck -- exact-zero delta-function weights skip whole stencil planes; the product they'd contribute is exactly 0
-func InterpolateStencil(v VelocitySampler, st *Stencil) [3]float64 {
-	var u [3]float64
-	for i := 0; i < SupportWidth; i++ {
-		if st.Wx[i] == 0 {
-			continue
-		}
-		for j := 0; j < SupportWidth; j++ {
-			wxy := st.Wx[i] * st.Wy[j]
-			if wxy == 0 {
-				continue
-			}
-			for k := 0; k < SupportWidth; k++ {
-				w := wxy * st.Wz[k]
-				if w == 0 {
-					continue
-				}
-				uv := v.VelocityAt(st.Base[0]+i, st.Base[1]+j, st.Base[2]+k)
-				u[0] += w * uv[0]
-				u[1] += w * uv[1]
-				u[2] += w * uv[2]
-			}
-		}
-	}
-	return u
+	return v.InterpolateStencil(st)
 }

@@ -116,199 +116,3 @@ func norm(v float64) float64 {
 	}
 	return 20 + 10*math.Tanh(v)
 }
-
-// mockField implements ForceAccumulator and VelocitySampler over a small
-// periodic box.
-type mockField struct {
-	n     int
-	force map[[3]int][3]float64
-	vel   func(x, y, z int) [3]float64
-}
-
-func newMockField(n int) *mockField {
-	return &mockField{n: n, force: map[[3]int][3]float64{}}
-}
-
-func (m *mockField) wrap(i int) int {
-	i %= m.n
-	if i < 0 {
-		i += m.n
-	}
-	return i
-}
-
-func (m *mockField) AddForce(x, y, z int, f [3]float64) {
-	k := [3]int{m.wrap(x), m.wrap(y), m.wrap(z)}
-	cur := m.force[k]
-	m.force[k] = [3]float64{cur[0] + f[0], cur[1] + f[1], cur[2] + f[2]}
-}
-
-func (m *mockField) VelocityAt(x, y, z int) [3]float64 {
-	if m.vel == nil {
-		return [3]float64{}
-	}
-	return m.vel(m.wrap(x), m.wrap(y), m.wrap(z))
-}
-
-// Spreading conserves total force: Σ_fluid f = F · area.
-func TestSpreadConservesForce(t *testing.T) {
-	m := newMockField(32)
-	F := [3]float64{0.3, -0.7, 0.2}
-	area := 0.25
-	Spread(m, [3]float64{10.37, 11.91, 12.5}, F, area)
-	var tot [3]float64
-	for _, f := range m.force {
-		tot[0] += f[0]
-		tot[1] += f[1]
-		tot[2] += f[2]
-	}
-	for d := 0; d < 3; d++ {
-		if math.Abs(tot[d]-F[d]*area) > 1e-12 {
-			t.Fatalf("spread total[%d] = %g, want %g", d, tot[d], F[d]*area)
-		}
-	}
-}
-
-func TestSpreadTouchesAtMost64Nodes(t *testing.T) {
-	m := newMockField(64)
-	Spread(m, [3]float64{20.5, 20.5, 20.5}, [3]float64{1, 0, 0}, 1)
-	if len(m.force) > 64 {
-		t.Fatalf("spread touched %d nodes, influential domain is 64", len(m.force))
-	}
-	if len(m.force) == 0 {
-		t.Fatal("spread touched no nodes")
-	}
-}
-
-func TestSpreadOnLatticePointTouches27(t *testing.T) {
-	// Exactly on a lattice point, the outermost stencil layer has zero
-	// weight (φ(2)=0, φ(-1 offset edge)=0), so only 3³ nodes receive force.
-	m := newMockField(64)
-	Spread(m, [3]float64{20, 21, 22}, [3]float64{1, 1, 1}, 1)
-	if len(m.force) != 27 {
-		t.Fatalf("spread on lattice point touched %d nodes, want 27", len(m.force))
-	}
-}
-
-func TestSpreadWrapsPeriodically(t *testing.T) {
-	m := newMockField(8)
-	Spread(m, [3]float64{0.1, 0.1, 0.1}, [3]float64{1, 0, 0}, 1)
-	var tot float64
-	for _, f := range m.force {
-		tot += f[0]
-	}
-	if math.Abs(tot-1) > 1e-12 {
-		t.Fatalf("periodic spread lost force: total = %g, want 1", tot)
-	}
-	// Some weight must have landed on the high-index side of the box.
-	found := false
-	for k := range m.force {
-		if k[0] == 7 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no force wrapped around to x = n-1")
-	}
-}
-
-func TestInterpolateConstantField(t *testing.T) {
-	m := newMockField(32)
-	m.vel = func(x, y, z int) [3]float64 { return [3]float64{0.4, -0.1, 0.9} }
-	u := Interpolate(m, [3]float64{9.73, 14.21, 11.08})
-	want := [3]float64{0.4, -0.1, 0.9}
-	for d := 0; d < 3; d++ {
-		if math.Abs(u[d]-want[d]) > 1e-12 {
-			t.Fatalf("constant field interpolation u[%d] = %g, want %g", d, u[d], want[d])
-		}
-	}
-}
-
-// The 4-point kernel reproduces linear velocity fields exactly (first
-// moment condition).
-func TestInterpolateLinearFieldExactly(t *testing.T) {
-	m := newMockField(64)
-	m.vel = func(x, y, z int) [3]float64 {
-		return [3]float64{0.01 * float64(x), 0.02 * float64(y), -0.005 * float64(z)}
-	}
-	pos := [3]float64{20.37, 25.64, 30.11}
-	u := Interpolate(m, pos)
-	want := [3]float64{0.01 * pos[0], 0.02 * pos[1], -0.005 * pos[2]}
-	for d := 0; d < 3; d++ {
-		if math.Abs(u[d]-want[d]) > 1e-12 {
-			t.Fatalf("linear field u[%d] = %g, want %g", d, u[d], want[d])
-		}
-	}
-}
-
-// Spread and Interpolate are adjoint: for any fluid field u and fiber force
-// F, ⟨spread(F), u⟩_fluid = ⟨F, interp(u)⟩_fiber · area. This is the
-// discrete statement that the coupling conserves energy transfer.
-func TestSpreadInterpolateAdjoint(t *testing.T) {
-	n := 32
-	m := newMockField(n)
-	vel := map[[3]int][3]float64{}
-	m.vel = func(x, y, z int) [3]float64 { return vel[[3]int{x, y, z}] }
-	// A deterministic pseudo-random velocity field on the stencil support.
-	for x := 8; x < 16; x++ {
-		for y := 8; y < 16; y++ {
-			for z := 8; z < 16; z++ {
-				vel[[3]int{x, y, z}] = [3]float64{
-					math.Sin(float64(x*7 + y)),
-					math.Cos(float64(y*3 + z)),
-					math.Sin(float64(z*5 + x)),
-				}
-			}
-		}
-	}
-	pos := [3]float64{11.3, 12.7, 10.9}
-	F := [3]float64{0.2, -0.4, 0.6}
-	area := 0.5
-
-	Spread(m, pos, F, area)
-	lhs := 0.0
-	for k, f := range m.force {
-		u := vel[k]
-		lhs += f[0]*u[0] + f[1]*u[1] + f[2]*u[2]
-	}
-	u := Interpolate(m, pos)
-	rhs := area * (F[0]*u[0] + F[1]*u[1] + F[2]*u[2])
-	if math.Abs(lhs-rhs) > 1e-12*(1+math.Abs(lhs)) {
-		t.Fatalf("adjointness violated: %g vs %g", lhs, rhs)
-	}
-}
-
-func TestSpreadStencilMatchesSpread(t *testing.T) {
-	a, b := newMockField(32), newMockField(32)
-	pos := [3]float64{5.21, 6.78, 7.99}
-	F := [3]float64{1, 2, 3}
-	Spread(a, pos, F, 0.7)
-	var st Stencil
-	st.Compute(pos)
-	SpreadStencil(b, &st, F, 0.7)
-	if len(a.force) != len(b.force) {
-		t.Fatalf("node counts differ: %d vs %d", len(a.force), len(b.force))
-	}
-	for k, v := range a.force {
-		if b.force[k] != v {
-			t.Fatalf("force differs at %v", k)
-		}
-	}
-}
-
-func BenchmarkSpread(b *testing.B) {
-	m := newMockField(64)
-	for i := 0; i < b.N; i++ {
-		Spread(m, [3]float64{20.3, 21.7, 22.1}, [3]float64{1, 2, 3}, 1)
-	}
-}
-
-func BenchmarkInterpolate(b *testing.B) {
-	m := newMockField(64)
-	m.vel = func(x, y, z int) [3]float64 { return [3]float64{0.1, 0.2, 0.3} }
-	var u [3]float64
-	for i := 0; i < b.N; i++ {
-		u = Interpolate(m, [3]float64{20.3, 21.7, 22.1})
-	}
-	_ = u
-}

@@ -4,8 +4,9 @@
 # sinks are called from every worker thread; the cube solver owns the
 # P×Q×R barrier choreography; the omp and cube engines flip the shared
 # double-buffer parity bit from worker threads and reduce per-thread
-# spread buffers; the taskflow engine schedules cubes over a dependency
-# graph; the fused engine's wavefront sweep overlaps collide and finalize
+# spread buffers, and the spread bodies they share live in core; the
+# taskflow engine schedules cubes over a dependency graph; the fused
+# engine's wavefront sweep overlaps collide and finalize
 # planes across one parallel region; perfmon profiles accumulate from
 # all workers; par's timed barrier wraps the team barrier), the
 # barrier-fusibility proof gate, a seeded cross-engine differential
@@ -49,6 +50,17 @@ if grep -rn 'lattice\.\(Equilibrium\|GuoForce\)' --include='*.go' \
 	exit 1
 fi
 
+# One coupling body, per stencil. The 64-calls-per-fiber-node API
+# (AddForce / VelocityAt, one interface call per stencil point) is gone
+# and must not creep back: no non-test file under internal/ declares or
+# calls a method of either name. Spreading and interpolation go through
+# ibm.ForceAccumulator.SpreadStencil / ibm.VelocitySampler.InterpolateStencil.
+if grep -rn '\.AddForce(\|\.VelocityAt(\|) AddForce(\|) VelocityAt(' --include='*.go' internal |
+	grep -v '_test\.go:'; then
+	echo "a per-point coupling method is back; spread and interpolate per stencil (internal/grid/coupling.go)" >&2
+	exit 1
+fi
+
 # Barrier fusibility coverage gate: the phase-effect engine must classify
 # every barrier site of all three engines as required or fusible (exit 1
 # on any unclassified site or fold-legality diagnostic), and the freshly
@@ -59,7 +71,7 @@ go run ./cmd/lbmib-lint -fusibility -o "$FUSEOUT"
 cmp FUSE_report.json "$FUSEOUT"
 rm -f "$FUSEOUT"
 
-go test -race ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/taskflow/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/critpath/... ./internal/perfsim/...
+go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/taskflow/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/critpath/... ./internal/perfsim/...
 
 # Cross-engine differential smoke: 10 seeded cases on every engine,
 # including the fused engine in both storage modes (float64 on the

@@ -226,6 +226,32 @@ func TestWatchdogStopsRun(t *testing.T) {
 	}
 }
 
+// TestNaNSheetPositionEndsInWatchdogError: a non-finite fiber-node
+// position saturates the stencil's integer base, which the coupling's
+// per-stencil wrap must still map into the box — the run ends in the
+// watchdog's error on every engine, never in an out-of-range index.
+func TestNaNSheetPositionEndsInWatchdogError(t *testing.T) {
+	for _, kind := range []SolverKind{Sequential, OpenMP, CubeBased, Fused, TaskScheduled} {
+		sim, err := New(Config{
+			NX: 8, NY: 8, NZ: 8, Tau: 0.7, Solver: kind, Threads: 2, CubeSize: 4,
+			Sheet:    &SheetConfig{NumFibers: 6, NodesPerFiber: 6, Width: 3, Height: 3, Origin: [3]float64{4, 2.5, 2.5}, Ks: 0.05, Kb: 0.001},
+			Watchdog: telemetry.NewWatchdog(telemetry.WatchdogConfig{}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.sheets[0].X[14][1] = math.NaN()
+		sim.Run(10)
+		if err := sim.Health(); err == nil {
+			t.Errorf("%v: ten steps on a NaN fiber node left the watchdog healthy", kind)
+		}
+		if got := sim.StepCount(); got >= 10 {
+			t.Errorf("%v: run advanced %d steps past the NaN", kind, got)
+		}
+		sim.Close()
+	}
+}
+
 // errorsAs is a tiny local wrapper to keep the test dependency-light.
 func errorsAs(err error, target **telemetry.HealthError) bool {
 	he, ok := err.(*telemetry.HealthError)
