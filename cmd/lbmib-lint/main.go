@@ -2,31 +2,25 @@
 // proves the concurrency and numerics invariants the race detector can
 // only sample (see internal/analysis). It loads the module with a
 // stdlib-only go/parser + go/types pipeline — no external tooling — and
-// runs five project-specific checks:
+// runs seven project-specific checks:
 //
 //	lockcheck     mutexes released on all paths; acyclic lock order
 //	barriercheck  Algorithm-4 barrier choreography is thread-uniform
 //	paritycheck   DF/DFNew only via the grid/cube accessor layer
 //	floatcheck    no ==/!= on floats in physics packages
-//	observercheck observer interfaces nil-guarded on hot paths
+//	observercheck core.Probe calls nil-guarded on hot paths
+//	atomiccheck   no mixed atomic/plain access to one field
+//	hotalloc      no allocation in loops reachable from a step
 //
 // Usage:
 //
 //	lbmib-lint [-json] [-fix=false] [-checks lockcheck,...] [packages]
-//	lbmib-lint -fusibility [-o FILE]
 //
 // The package argument accepts ./... (the default: the whole module) or
 // one or more directories. Exit status: 0 clean, 1 findings, 2 usage or
 // load error. -fix defaults to false so verification pipelines stay
 // read-only; with -fix=true the machine-applicable remediations (nil
 // guards for observercheck) are written back.
-//
-// -fusibility switches to report mode: the phase-effect engine analyzes
-// the three solvers' barrier sites and emits the machine-readable
-// fusibility report (schema "lbmib-fuse/v1") to stdout or -o FILE. The
-// run fails (exit 1) if any barrier site ends up classified neither
-// required nor fusible — the coverage gate verification pipelines hang
-// off — or if any fold-legality diagnostic fires.
 package main
 
 import (
@@ -73,8 +67,6 @@ func run() int {
 	fix := flag.Bool("fix", false, "apply machine-applicable fixes (default false: read-only)")
 	checks := flag.String("checks", "", "comma-separated subset of checks (default: all)")
 	tests := flag.Bool("tests", false, "also analyze in-package _test.go files")
-	fusibility := flag.Bool("fusibility", false, "emit the barrier fusibility report (schema lbmib-fuse/v1) instead of lint findings")
-	out := flag.String("o", "", "with -fusibility: write the report to this file instead of stdout")
 	flag.Parse()
 
 	analyzers, err := analysis.AnalyzersByName(*checks)
@@ -124,10 +116,6 @@ func run() int {
 	}
 	loadMS := float64(time.Since(loadStart).Microseconds()) / 1000
 
-	if *fusibility {
-		return runFusibility(prog, pkgs, *out)
-	}
-
 	analyzeStart := time.Now()
 	res := analysis.Run(prog.Fset, pkgs, analyzers)
 	analyzeMS := float64(time.Since(analyzeStart).Microseconds()) / 1000
@@ -174,43 +162,6 @@ func run() int {
 		}
 	}
 	if len(res.Diagnostics) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runFusibility is the -fusibility mode: build the phase-effect
-// fusibility report over the loaded packages, write it out, and gate on
-// coverage — every barrier site must be classified required or fusible,
-// and no fold-legality diagnostic may fire.
-func runFusibility(prog *analysis.Program, pkgs []*analysis.Package, out string) int {
-	rep, diags := analysis.BuildFuseReport(pkgs)
-	bad := false
-	for _, d := range diags {
-		p := prog.Fset.Position(d.Pos)
-		fmt.Fprintf(os.Stderr, "lbmib-lint: %s:%d: %s: %s\n", p.Filename, p.Line, d.Check, d.Message)
-		bad = true
-	}
-	if err := rep.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "lbmib-lint: fusibility report invalid:", err)
-		bad = true
-	}
-	if u := rep.Unclassified(); len(u) > 0 {
-		fmt.Fprintln(os.Stderr, "lbmib-lint: coverage gate: sites classified neither required nor fusible:", u)
-		bad = true
-	}
-	data, err := rep.Marshal()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lbmib-lint:", err)
-		return 2
-	}
-	if out == "" {
-		os.Stdout.Write(data)
-	} else if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "lbmib-lint:", err)
-		return 2
-	}
-	if bad {
 		return 1
 	}
 	return 0

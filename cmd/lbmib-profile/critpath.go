@@ -16,7 +16,6 @@ import (
 	"lbmib/internal/cubesolver"
 	"lbmib/internal/fiber"
 	"lbmib/internal/fused"
-	"lbmib/internal/fusereport"
 	"lbmib/internal/omp"
 	"lbmib/internal/telemetry"
 )
@@ -27,7 +26,6 @@ type critPathOpts struct {
 	threads int
 	cube    int
 	out     string // JSON report path ("" = none)
-	fuse    string // fusibility report path ("" = untagged what-ifs)
 	slowTid int    // artificial straggler thread (-1 = none)
 	slowMS  float64
 }
@@ -122,19 +120,7 @@ func runCritPath(o critPathOpts, nx, ny, nz, steps int, tau float64, sheet *fibe
 		wall.Round(time.Millisecond), nodes*float64(steps)/wall.Seconds()/1e6)
 
 	r := prof.Report()
-	if o.fuse != "" {
-		rep, err := fusereport.Load(o.fuse)
-		if err != nil {
-			log.Fatal(err)
-		}
-		engine := o.solver
-		if engine == "fused-f32" {
-			engine = "fused"
-		}
-		critpath.AddWhatIfWithProofs(&r, nodes, rep.FindEngine(engine))
-	} else {
-		critpath.AddWhatIf(&r, nodes)
-	}
+	critpath.AddWhatIf(&r, nodes)
 	critpath.Render(os.Stdout, r)
 
 	if o.out != "" {

@@ -64,7 +64,6 @@ func main() {
 		threads  = flag.Int("threads", 4, "critpath worker threads")
 		cubeSize = flag.Int("cube", 4, "critpath cube edge length (cube engine)")
 		critOut  = flag.String("critpath-out", "", "write the critpath report as JSON to this file")
-		fuseRep  = flag.String("fuse", "", "fusibility report (lbmib-lint -fusibility) to tag barrier-merge what-ifs proven-safe/unsafe")
 		slowTid  = flag.Int("slow-tid", -1, "pin this thread as an artificial straggler (cube/fused; -1 = none)")
 		slowMS   = flag.Float64("slow-ms", 5, "per-step delay of the -slow-tid straggler, milliseconds")
 	)
@@ -75,7 +74,7 @@ func main() {
 	if *critMode {
 		runCritPath(critPathOpts{
 			solver: *solver, threads: *threads, cube: *cubeSize,
-			out: *critOut, fuse: *fuseRep, slowTid: *slowTid, slowMS: *slowMS,
+			out: *critOut, slowTid: *slowTid, slowMS: *slowMS,
 		}, *nx, *ny, *nz, *steps, *tau, sheet, *traceOut)
 		return
 	}

@@ -1,12 +1,13 @@
 // Package analysis is lbmib-lint's engine: a stdlib-only static
 // analyzer (go/ast + go/parser + go/types, no external loader) that
 // proves the project-specific concurrency and numerics invariants the
-// race detector can only sample. Eight analyzers encode the contracts
-// the paper's cube algorithm rests on:
+// race detector can only sample. Seven analyzers encode the contracts
+// the engines rest on:
 //
 //   - lockcheck — every Lock/TryLock-success path releases its mutex on
 //     all control-flow paths, and nested acquisitions form no ordering
-//     cycle (the per-owner spreading locks of Algorithm 4);
+//     cycle (taskflow's hand-over-hand worker loop, par.Barrier's
+//     crossings, and the sinks' mutexes);
 //   - barriercheck — barrier waits in the worker loops must not be
 //     control-dependent on thread-varying conditions, and barrier site
 //     counts must match across divergent branches (Algorithm 4's
@@ -18,18 +19,14 @@
 //   - floatcheck — ==/!= on floating-point operands is forbidden in
 //     the physics packages (bitwise-equality test files are exempt by
 //     construction: test files are not loaded);
-//   - observercheck — telemetry/contention observer interfaces must be
-//     nil-guarded before invocation on hot paths;
+//   - observercheck — the nil-defaulting event contract, core.Probe,
+//     must be nil-guarded before invocation on hot paths;
 //   - atomiccheck — a word accessed through sync/atomic anywhere must
 //     be accessed through sync/atomic everywhere (no mixed plain
 //     loads/stores);
 //   - hotalloc — no heap allocation, fmt formatting, or closure
 //     construction inside loops reachable from a Step/timeStep/sweep
-//     hot root;
-//   - phasecheck — the phase-effect engine (see phasecheck.go and
-//     phasereport.go): abstractly interprets the kernel phases between
-//     barrier sites and proves every conditionally-folded barrier
-//     conflict-free in the scenarios that fold it.
+//     hot root.
 //
 // Findings a human has reviewed are silenced with //lint:allow
 // comments (see suppress.go) that carry the reason for the exemption.
@@ -89,8 +86,8 @@ type Analyzer struct {
 	Scope func(pkgPath string) bool
 	Run   func(pass *Pass) []Diagnostic
 	// RunModule, when set instead of Run, receives every loaded package
-	// at once — for whole-program analyses (cross-package call graphs,
-	// the phase-effect engine) that cannot work one package at a time.
+	// at once — for whole-program analyses (hotalloc's cross-package call
+	// graph) that cannot work one package at a time.
 	RunModule func(mp *ModulePass) []Diagnostic
 }
 
@@ -98,10 +95,6 @@ type Analyzer struct {
 type ModulePass struct {
 	Fset *token.FileSet
 	Pkgs []*Package
-	// Single marks the fuzzer's one-file mode: type information may be
-	// partial and engine packages absent, so module analyzers fall back
-	// to their generic (fixture) behavior.
-	Single bool
 }
 
 // Analyzers returns the full analyzer set in stable order.
@@ -114,7 +107,6 @@ func Analyzers() []*Analyzer {
 		ObserverCheck,
 		AtomicCheck,
 		HotAlloc,
-		PhaseCheck,
 	}
 }
 
@@ -259,9 +251,8 @@ func hasSuffixPath(p, suffix string) bool {
 }
 
 // exprKey renders a canonical, index-insensitive name for a lock or
-// receiver expression: s.ownerLocks[owner] and s.ownerLocks[held] both
-// become "s.ownerLocks[_]", so path analyses unify over lock arrays the
-// way the per-owner locking scheme does.
+// receiver expression: s.locks[i] and s.locks[j] both become
+// "s.locks[_]", so path analyses unify over lock arrays.
 func exprKey(e ast.Expr) string {
 	switch v := e.(type) {
 	case *ast.Ident:

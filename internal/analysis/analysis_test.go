@@ -69,7 +69,6 @@ func TestAnalyzersGoldenCorpus(t *testing.T) {
 		{"observerbad", ObserverCheck, 0},
 		{"atomicbad", AtomicCheck, 1},
 		{"allocbad", HotAlloc, 1},
-		{"phasebad", PhaseCheck, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {
@@ -119,16 +118,9 @@ func TestAnalyzersGoldenCorpus(t *testing.T) {
 // regression corpus, and every reviewed exemption must stay visible in
 // the suppressed counter.
 func TestLintSelfHost(t *testing.T) {
-	p := sharedProgram(t)
-	pkgs, err := p.LoadAll()
-	if err != nil {
-		t.Fatalf("LoadAll: %v", err)
-	}
+	p, pkgs := loadModule(t)
 	if len(pkgs) < 10 {
 		t.Fatalf("LoadAll found only %d packages; loader is missing the module", len(pkgs))
-	}
-	if errs := p.TypeErrors(); len(errs) > 0 {
-		t.Fatalf("module must type-check under the stdlib-only loader; got %v", errs)
 	}
 	res := RunAll(p.Fset, pkgs)
 	for _, d := range res.Diagnostics {
@@ -137,6 +129,83 @@ func TestLintSelfHost(t *testing.T) {
 	}
 	if res.Suppressed == 0 {
 		t.Error("self-host run saw no suppressions: //lint:allow indexing is broken (the repo documents several)")
+	}
+}
+
+// loadModule loads every package of the module through the shared
+// Program, failing the test on a load or type error.
+func loadModule(t *testing.T) (*Program, []*Package) {
+	t.Helper()
+	p := sharedProgram(t)
+	pkgs, err := p.LoadAll()
+	if err != nil {
+		t.Fatalf("LoadAll: %v", err)
+	}
+	if errs := p.TypeErrors(); len(errs) > 0 {
+		t.Fatalf("module must type-check under the stdlib-only loader; got %v", errs)
+	}
+	return p, pkgs
+}
+
+// TestBarrierCheckCoversEveryBarrierOwner: a package that names
+// par.Barrier or par.TimedBarrier in its non-test files owns barrier
+// sites, so barriercheck must look at it — a scope list that silently
+// omits an engine lets a thread-guarded barrier through.
+func TestBarrierCheckCoversEveryBarrierOwner(t *testing.T) {
+	p, pkgs := loadModule(t)
+	parPath := p.ModulePath + "/internal/par"
+	owners := 0
+	for _, pkg := range pkgs {
+		uses := false
+		for _, obj := range pkg.Info.Uses {
+			if tn, ok := obj.(*types.TypeName); ok && tn.Pkg() != nil && tn.Pkg().Path() == parPath &&
+				(tn.Name() == "Barrier" || tn.Name() == "TimedBarrier") {
+				uses = true
+				break
+			}
+		}
+		if !uses {
+			continue
+		}
+		owners++
+		if !BarrierCheck.Scope(pkg.Path) {
+			t.Errorf("%s uses par's barriers but is not in barriercheck's scope", pkg.Path)
+		}
+	}
+	if owners < 3 {
+		t.Fatalf("found %d barrier-owning packages; want at least par, cubesolver and fused", owners)
+	}
+}
+
+// TestHotAllocReach pins what hotalloc's call graph reaches from the
+// per-step roots over the real module: the shared loop bodies, the
+// engines' own loops, and — through interface dispatch — the coupling
+// bodies behind ibm's interfaces and the probe sinks behind core.Probe.
+// A resolver case lost in a refactor fails here instead of silently
+// shrinking the check.
+func TestHotAllocReach(t *testing.T) {
+	p, pkgs := loadModule(t)
+	g := newCallGraph(pkgs)
+	prefix := p.ModulePath + "/internal/"
+	got := map[string]bool{}
+	for fd := range hotReachable(g) {
+		if fn, ok := g.infos[fd].Defs[fd.Name].(*types.Func); ok {
+			got[strings.ReplaceAll(fn.FullName(), prefix, "")] = true
+		}
+	}
+	for _, name := range []string{
+		// shared bodies
+		"core.CollideRange", "(*core.Streamer).Block", "core.UpdateRange",
+		"core.SpreadSheetNodes", "core.MoveSheetNodes", "(*core.SpreadAccum).SpreadStencil",
+		"lattice.Collide", "(*grid.Coupling).SpreadStencil", "(*grid.Coupling).InterpolateStencil",
+		// engine loops
+		"(*fused.Solver).collidePlane", "(*taskflow.Solver).execute", "(*omp.Solver).parallelFor",
+		// probe sinks, reached by interface dispatch
+		"(*telemetry.Tracer).Emit", "(*flightrec.Recorder).Emit",
+	} {
+		if !got[name] {
+			t.Errorf("%s is not reachable from the per-step roots", name)
+		}
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 
 // BarrierCheck proves the barrier choreography of Algorithm 4: a global
 // barrier only works if every thread reaches it, so inside the worker
-// loops of the parallel engines (cubesolver, omp, taskflow, par) a
-// barrier Wait/Arrive must never be control-dependent on a
+// loops of the parallel engines (cubesolver, fused, omp, taskflow, par)
+// a barrier Wait/Arrive must never be control-dependent on a
 // thread-varying condition, divergent branches must contain the same
 // number of barrier sites, and no thread-dependent early exit may skip
 // a barrier site. Uniform conditions (schedule flags, config fields)
@@ -25,7 +25,7 @@ var BarrierCheck = &Analyzer{
 	Doc:  "barrier waits must be unconditional per thread and match across branches",
 	Scope: func(pkgPath string) bool {
 		for _, p := range []string{
-			"internal/cubesolver", "internal/omp", "internal/taskflow", "internal/par",
+			"internal/cubesolver", "internal/fused", "internal/omp", "internal/taskflow", "internal/par",
 		} {
 			if hasSuffixPath(pkgPath, p) {
 				return true

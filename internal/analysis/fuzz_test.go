@@ -20,6 +20,7 @@ func FuzzLintParse(f *testing.F) {
 	f.Add([]byte("package p\n"))
 	f.Add([]byte("package p\nimport \"sync\"\nvar mu sync.Mutex\nfunc f() { mu.Lock() }\n"))
 	f.Add([]byte("package p\nfunc f(tid int) { if tid == 0 { barrier.Wait() } }\n"))
+	f.Add([]byte("package p\nfunc (s *S) sweep(tid int) { if tid == 0 { s.waitBarrier(1, tid, 0) } }\n"))
 	f.Add([]byte("package p\n//lint:allow floatcheck\nvar x = 1.0 == 2.0\n"))
 	f.Add([]byte("package p\nfunc f() { return return }\n"))
 	f.Add([]byte("\x00\xff garbage"))
@@ -30,7 +31,7 @@ func FuzzLintParse(f *testing.F) {
 			return // unparseable input is rejected, not analyzed
 		}
 		pass := &Pass{Fset: fset, Pkg: pkg}
-		mp := &ModulePass{Fset: fset, Pkgs: []*Package{pkg}, Single: true}
+		mp := &ModulePass{Fset: fset, Pkgs: []*Package{pkg}}
 		run := func(a *Analyzer) []Diagnostic {
 			if a.Run != nil {
 				return a.Run(pass)

@@ -3,8 +3,8 @@
 // loop that runs once per step (or worse, once per node) turns the
 // memory-bandwidth-bound kernels the paper measures into GC benchmarks.
 // Reachability is computed from the per-step roots (Step, timeStep,
-// sweep) over static calls plus module-interface dispatch (an Observer
-// implementation invoked from a kernel loop is on the hot path too).
+// sweep) over static calls plus module-interface dispatch (a core.Probe
+// sink invoked from a kernel loop is on the hot path too).
 package analysis
 
 import (
@@ -24,17 +24,71 @@ var HotAlloc = &Analyzer{
 }
 
 func runHotAlloc(mp *ModulePass) []Diagnostic {
-	w := newEffectWalker(mp.Pkgs)
+	g := newCallGraph(mp.Pkgs)
+	var diags []Diagnostic
+	for fd := range hotReachable(g) {
+		collectHotAllocs(fd, g.infos[fd], &diags)
+	}
+	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
+	return diags
+}
 
-	// Interface-method implementations: method name → candidate decls.
+// callGraph indexes every function declaration of the loaded packages by
+// its types object, with the type information of the declaring package.
+type callGraph struct {
+	decls map[types.Object]*ast.FuncDecl
+	infos map[*ast.FuncDecl]*types.Info
+}
+
+func newCallGraph(pkgs []*Package) *callGraph {
+	g := &callGraph{decls: map[types.Object]*ast.FuncDecl{}, infos: map[*ast.FuncDecl]*types.Info{}}
+	for _, pkg := range pkgs {
+		if pkg.Info == nil {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					g.infos[fd] = pkg.Info
+					if obj := pkg.Info.Defs[fd.Name]; obj != nil {
+						g.decls[obj] = fd
+					}
+				}
+			}
+		}
+	}
+	return g
+}
+
+// resolveCallee maps a static call to its module-internal declaration,
+// or nil (interface dispatch, closures, the standard library).
+func (g *callGraph) resolveCallee(call *ast.CallExpr, info *types.Info) *ast.FuncDecl {
+	var id *ast.Ident
+	switch f := call.Fun.(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	default:
+		return nil
+	}
+	if obj := info.Uses[id]; obj != nil {
+		return g.decls[obj]
+	}
+	return nil
+}
+
+// hotReachable is the set of declarations with a body reachable from the
+// per-step roots (every function or method named Step, timeStep or sweep)
+// over static calls and interface dispatch: a call through an interface
+// reaches every module method of that name whose receiver implements it.
+func hotReachable(g *callGraph) map[*ast.FuncDecl]bool {
 	implsByName := map[string][]*ast.FuncDecl{}
-	for obj, fd := range w.idx {
+	for obj, fd := range g.decls {
 		if fd.Recv != nil {
 			implsByName[obj.Name()] = append(implsByName[obj.Name()], fd)
 		}
 	}
-
-	// BFS from the per-step roots.
 	reachable := map[*ast.FuncDecl]bool{}
 	var queue []*ast.FuncDecl
 	push := func(fd *ast.FuncDecl) {
@@ -43,7 +97,7 @@ func runHotAlloc(mp *ModulePass) []Diagnostic {
 			queue = append(queue, fd)
 		}
 	}
-	for obj, fd := range w.idx {
+	for obj, fd := range g.decls {
 		switch obj.Name() {
 		case "Step", "timeStep", "sweep":
 			push(fd)
@@ -52,25 +106,20 @@ func runHotAlloc(mp *ModulePass) []Diagnostic {
 	for len(queue) > 0 {
 		fd := queue[0]
 		queue = queue[1:]
-		info := w.infos[fd]
-		if info == nil {
-			continue
-		}
+		info := g.infos[fd]
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			if callee := w.resolveCallee(call, info); callee != nil {
+			if callee := g.resolveCallee(call, info); callee != nil {
 				push(callee)
 				return true
 			}
-			// Interface dispatch: include every module implementation of
-			// the method whose receiver type satisfies the interface.
 			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 				if iface := interfaceOf(info.TypeOf(sel.X)); iface != nil {
 					for _, impl := range implsByName[sel.Sel.Name] {
-						if implementsIface(w, impl, iface) {
+						if g.implements(impl, iface) {
 							push(impl)
 						}
 					}
@@ -79,17 +128,7 @@ func runHotAlloc(mp *ModulePass) []Diagnostic {
 			return true
 		})
 	}
-
-	var diags []Diagnostic
-	for fd := range reachable {
-		info := w.infos[fd]
-		if info == nil {
-			continue
-		}
-		collectHotAllocs(fd, info, &diags)
-	}
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-	return diags
+	return reachable
 }
 
 func interfaceOf(t types.Type) *types.Interface {
@@ -102,13 +141,22 @@ func interfaceOf(t types.Type) *types.Interface {
 	return nil
 }
 
-func implementsIface(w *effectWalker, impl *ast.FuncDecl, iface *types.Interface) bool {
-	info := w.infos[impl]
-	if info == nil || len(impl.Recv.List) == 0 {
+func (g *callGraph) implements(impl *ast.FuncDecl, iface *types.Interface) bool {
+	if len(impl.Recv.List) == 0 {
 		return false
 	}
-	rt := info.TypeOf(impl.Recv.List[0].Type)
+	rt := g.infos[impl].TypeOf(impl.Recv.List[0].Type)
 	return rt != nil && types.Implements(rt, iface)
+}
+
+func calleeName(call *ast.CallExpr) string {
+	switch f := call.Fun.(type) {
+	case *ast.Ident:
+		return f.Name
+	case *ast.SelectorExpr:
+		return f.Sel.Name
+	}
+	return ""
 }
 
 // collectHotAllocs flags allocating expressions inside fd's loops.

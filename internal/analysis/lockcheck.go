@@ -13,15 +13,20 @@ import (
 // sync.Mutex/RWMutex acquisition (including a successful TryLock) must
 // be released on every control-flow path out of the acquiring function,
 // and nested acquisitions across the package must not form an ordering
-// cycle. It guards the mutexes of the profiles, recorder rings and
-// registries; the engines' step paths hold none.
+// cycle. On the engines' step paths it guards taskflow's
+// (*Solver).workerLoop, which takes the scheduler mutex hand over hand
+// around every task of every step, and par.Barrier's Wait/WaitRank,
+// which lock on every crossing; off them, the mutexes of the profiles,
+// recorder rings and registries.
 //
 // The path model is intentionally simple: lock identity is the
 // canonical spelling of the receiver with indices wildcarded
 // (s.locks[_]), and held-sets are propagated through if/else, loops,
-// switch and select with a merge that requires agreement. Hand-over-hand
-// schemes whose release is data-dependent are outside the model and
-// carry a reviewed //lint:allow lockcheck with the manual proof.
+// switch and select with a merge that requires agreement. workerLoop's
+// hand-over-hand locking is inside the model (the held-set agrees at
+// every merge); a scheme whose release is data-dependent is not, and
+// would carry a reviewed //lint:allow lockcheck with the manual proof —
+// the module has none.
 var LockCheck = &Analyzer{
 	Name: "lockcheck",
 	Doc:  "mutexes must be released on all paths; lock acquisition order must be acyclic",

@@ -56,7 +56,6 @@ import (
 	"time"
 
 	"lbmib/internal/core"
-	"lbmib/internal/fusereport"
 	"lbmib/internal/perfsim"
 	"lbmib/internal/telemetry"
 )
@@ -733,16 +732,6 @@ func measuredProfile(r *Report) ([]perfsim.MeasuredPhase, float64) {
 	return phases, syncSec
 }
 
-// AddWhatIfWithProofs is AddWhatIf plus static backing: the barrier-merge
-// scenarios are tagged with the phase-effect analyzer's verdict from the
-// engine's fusibility report (proven-safe vs unsafe-with-conflict), so
-// the ranked table distinguishes merges the compiler of record has
-// cleared from merges that would break the bitwise contract.
-func AddWhatIfWithProofs(r *Report, nodes float64, eng *fusereport.Engine) {
-	AddWhatIf(r, nodes)
-	perfsim.TagProofs(r.WhatIf, eng)
-}
-
 // WriteJSON writes the report as indented JSON.
 func WriteJSON(w io.Writer, r Report) error {
 	enc := json.NewEncoder(w)
@@ -807,10 +796,10 @@ func Render(w io.Writer, r Report) {
 
 	if len(r.WhatIf) > 0 {
 		fmt.Fprintf(w, "\nwhat-if (predicted, ranked):\n")
-		fmt.Fprintf(w, "  %-34s %12s %10s %9s  %s\n", "scenario", "step(ms)", "MLUPS", "speedup", "proof")
+		fmt.Fprintf(w, "  %-34s %12s %10s %9s\n", "scenario", "step(ms)", "MLUPS", "speedup")
 		for _, sc := range r.WhatIf {
-			fmt.Fprintf(w, "  %-34s %12.3f %10.2f %8.1f%%  %s\n",
-				sc.Name, 1e3*sc.StepSeconds, sc.MLUPS, sc.SpeedupPct, sc.Proof)
+			fmt.Fprintf(w, "  %-34s %12.3f %10.2f %8.1f%%\n",
+				sc.Name, 1e3*sc.StepSeconds, sc.MLUPS, sc.SpeedupPct)
 		}
 	}
 }

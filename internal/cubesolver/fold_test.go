@@ -9,7 +9,7 @@ import (
 
 // fluidOnlyRefConfig is a structure-free moving-lid cavity: nontrivial
 // dynamics (boundary bounce-back plus a body force) with no fibers, the
-// regime in which the end-of-step barrier is proven fusible.
+// regime in which the end-of-step barrier folds.
 func fluidOnlyRefConfig() core.Config {
 	return core.Config{
 		NX: 16, NY: 16, NZ: 16, Tau: 0.7,

@@ -223,15 +223,18 @@ func (s *Solver) timeStep(step, tid, cur int) {
 	// workers derive their own parity from the step index, so the flip
 	// itself is unread until the run joins.
 	phase(core.PhaseCopy, func() { s.copyLoop(tid) })
-	// End-of-step barrier (paper's 3rd). The phase-effect analysis
-	// (lbmib-lint -fusibility, DESIGN.md §16) proves it orders nothing in
-	// a fluid-only run: the move-fibers and copy phases between the
+	// End-of-step barrier (paper's 3rd). It orders nothing in a
+	// fluid-only run: the move-fibers and copy phases between the
 	// after-velocity barrier and the next step's collide are then empty
 	// of cross-thread effects — fibers' X writes are absent, parity is
 	// derived per worker, and thread 0's Swap is unread until the team
-	// joins. With fibers it is required (move writes sheet X that the
-	// next step's bending stencil reads across fibers). The condition is
-	// thread-invariant, so every worker takes the same branch.
+	// joins. TestFoldedEndBarrierBitwiseEqualsSequential holds that fold
+	// bitwise against the sequential reference at 1–8 threads under
+	// -race (DESIGN.md §16). With fibers it is required (move writes
+	// sheet X that the next step's bending stencil reads across fibers):
+	// without it TestMatchesSequential and three more tests here fail.
+	// The condition is thread-invariant, so every worker takes the same
+	// branch.
 	if s.spreadBarrierNeeded() {
 		s.waitBarrier(core.SiteEndOfStep, tid, step)
 	}

@@ -3,9 +3,6 @@ package perfsim
 import (
 	"fmt"
 	"sort"
-	"strings"
-
-	"lbmib/internal/fusereport"
 )
 
 // MeasuredPhase is one step phase with measured per-thread busy seconds
@@ -24,12 +21,6 @@ type WhatIfScenario struct {
 	StepSeconds float64 `json:"stepSeconds"`
 	MLUPS       float64 `json:"mlups"`
 	SpeedupPct  float64 `json:"speedupPct"`
-	// Proof carries the phase-effect analyzer's verdict for scenarios it
-	// can rule on (the barrier merges): "proven-safe" when the static
-	// analysis found no cross-thread conflict spanning the barrier,
-	// "unsafe: …" naming the conflict otherwise. Empty when no
-	// fusibility report was supplied or the scenario is not a merge.
-	Proof string `json:"proof,omitempty"`
 }
 
 // WhatIf predicts step times for a family of fixes from a measured
@@ -145,37 +136,4 @@ func WhatIf(nodes float64, threads int, phases []MeasuredPhase, sync float64) []
 
 	sort.SliceStable(alts, func(i, j int) bool { return alts[i].SpeedupPct > alts[j].SpeedupPct })
 	return append(out, alts...)
-}
-
-// TagProofs annotates the "merge barrier after <phase>" scenarios with
-// the phase-effect analyzer's verdict from the engine's fusibility
-// report: a merge the analyzer proved conflict-free is "proven-safe", a
-// merge spanning a cross-thread conflict is "unsafe" with the conflict
-// named. Scenarios the analyzer cannot rule on (rebalancing, scaling)
-// and phases the report does not know are left untagged.
-func TagProofs(ws []WhatIfScenario, eng *fusereport.Engine) {
-	if eng == nil {
-		return
-	}
-	for i := range ws {
-		phase, ok := strings.CutPrefix(ws[i].Name, "merge barrier after ")
-		if !ok {
-			continue
-		}
-		b := eng.SiteAfterPhase(phase)
-		if b == nil {
-			continue
-		}
-		switch b.Classification {
-		case fusereport.VerdictFusible:
-			ws[i].Proof = "proven-safe"
-		case fusereport.VerdictRequired:
-			if len(b.Conflicts) > 0 {
-				c := b.Conflicts[0]
-				ws[i].Proof = fmt.Sprintf("unsafe: %s %s (%s)", c.Field, c.Kind, c.Stencil)
-			} else {
-				ws[i].Proof = "unsafe"
-			}
-		}
-	}
 }

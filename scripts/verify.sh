@@ -8,11 +8,18 @@
 # taskflow engine schedules cubes over a dependency graph; the fused
 # engine's wavefront sweep overlaps collide and finalize
 # planes across one parallel region; perfmon profiles accumulate from
-# all workers; par's timed barrier wraps the team barrier), the
-# barrier-fusibility proof gate, a seeded cross-engine differential
-# sweep, four native-fuzz smokes, the flight-recorder and critical-path
-# report smokes, and the repo benchmark's verification pass on every
-# workload.
+# all workers; par's timed barrier wraps the team barrier), a seeded
+# cross-engine differential sweep, three native-fuzz smokes, the
+# flight-recorder and critical-path report smokes, and the repo
+# benchmark's verification pass on every workload.
+#
+# The barrier choreography is held twice: barriercheck (in the lint pass)
+# proves every thread of the cube and fused engines reaches every
+# barrier site, and the engines' bitwise-vs-Sequential tests under the
+# race detector below fail when a barrier that orders something is
+# removed or folded — which is what makes a fold (cube's after_spread
+# and end_of_step in fluid-only runs, fused's probe-only end-of-sweep
+# barrier) legal.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -61,16 +68,6 @@ if grep -rn '\.AddForce(\|\.VelocityAt(\|) AddForce(\|) VelocityAt(' --include='
 	exit 1
 fi
 
-# Barrier fusibility coverage gate: the phase-effect engine must classify
-# every barrier site of all three engines as required or fusible (exit 1
-# on any unclassified site or fold-legality diagnostic), and the freshly
-# derived report must match the committed one byte for byte — a fold or
-# kernel change that shifts a verdict must re-commit its proof.
-FUSEOUT=$(mktemp)
-go run ./cmd/lbmib-lint -fusibility -o "$FUSEOUT"
-cmp FUSE_report.json "$FUSEOUT"
-rm -f "$FUSEOUT"
-
 go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/taskflow/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/critpath/... ./internal/perfsim/...
 
 # Cross-engine differential smoke: 10 seeded cases on every engine,
@@ -88,10 +85,6 @@ go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 10s .
 # Lint loader fuzz smoke: arbitrary bytes through the single-file
 # analysis pipeline must never panic either.
 go test -run '^$' -fuzz '^FuzzLintParse$' -fuzztime 5s ./internal/analysis/
-
-# Fusibility report fuzz smoke: arbitrary bytes through the report
-# decoder must never panic and must round-trip when they validate.
-go test -run '^$' -fuzz '^FuzzFusibilityReport$' -fuzztime 5s ./internal/fusereport/
 
 # Flight-recorder forensics smoke: a run driven far past the lattice's
 # stability envelope must trip the watchdog, leave a post-mortem bundle,
