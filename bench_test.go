@@ -35,7 +35,7 @@ func BenchmarkTable1SequentialKernels(b *testing.B) {
 		NX: 32, NY: 32, NZ: 32, Tau: 0.7,
 		BodyForce: [3]float64{2e-5, 0, 0}, Sheet: benchSheet(),
 	})
-	prof := perfmon.NewProfile(nil, 0)
+	prof := perfmon.NewProfile(perfmon.Config{})
 	s.Probe = prof
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -19,8 +19,8 @@ import (
 	"time"
 
 	"lbmib"
-	"lbmib/internal/critpath"
 	"lbmib/internal/flightrec"
+	"lbmib/internal/perfmon"
 	"lbmib/internal/telemetry"
 )
 
@@ -53,7 +53,7 @@ func main() {
 		jsonlOut     = flag.String("jsonl", "", "append one JSON line per step (step, mass, maxVel, kernelMillis, mlups)")
 		watch        = flag.Bool("watchdog", false, "check physics health every step; stop at the first unstable step")
 		flightrecDir = flag.String("flightrec", "", "keep an always-on flight recorder; write a post-mortem bundle to this directory if the run goes bad (implies -watchdog)")
-		critPath     = flag.Bool("critpath", false, "attribute each step's critical path (parallel engines): last arriver per barrier site, wait causes and a what-if table printed at exit; gauges appear under -metrics-addr")
+		critPath     = flag.Bool("critpath", false, "profile the run and print at exit: Table I kernel shares (seq, omp), load imbalance and barrier-wait share, last arriver per barrier site, wait causes and a what-if table; gauges appear under -metrics-addr")
 	)
 	flag.Parse()
 
@@ -141,8 +141,9 @@ func main() {
 		fmt.Printf("metrics on http://%s/metrics (pprof under /debug/pprof/)\n", exp.Addr())
 	}
 
+	run := sim.Config()
 	fmt.Printf("engine=%s grid=%d×%d×%d tau=%.3g threads=%d steps=%d\n",
-		kind, *nx, *ny, *nz, sim.Config().Tau, *threads, *steps)
+		run.Solver, run.NX, run.NY, run.NZ, run.Tau, run.Threads, *steps)
 	if sim.HasSheet() {
 		c, _ := sim.SheetCentroid()
 		fmt.Printf("sheet=%s nodes, centroid=%.2f %.2f %.2f\n", *sheetDims, c[0], c[1], c[2])
@@ -179,19 +180,13 @@ func main() {
 	}
 	elapsed := time.Since(start)
 	mlups := float64(*nx) * float64(*ny) * float64(*nz) * float64(*steps) / elapsed.Seconds() / 1e6
-	if reg != nil {
-		reg.Gauge("lbmib_mlups", "Million lattice-node updates per second over the last Run batch.").Set(mlups)
-	}
 	fmt.Printf("completed %d steps in %v (%.3f ms/step, %.2f MLUPS)\n",
 		*steps, elapsed.Round(time.Millisecond),
 		float64(elapsed.Milliseconds())/float64(*steps), mlups)
 
-	if *critPath {
-		if r, ok := sim.CritPathReport(); ok {
-			critpath.Render(os.Stdout, r)
-		} else {
-			log.Printf("-critpath has no effect on the %s engine", kind)
-		}
+	if r, ok := sim.CritPathReport(); ok {
+		fmt.Println()
+		perfmon.Render(os.Stdout, r)
 	}
 
 	if *outDir != "" {

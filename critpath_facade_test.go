@@ -1,7 +1,7 @@
-// Integration tests for the Config.CritPath critical-path profiler: the
-// facade-level wiring of last-arriver attribution, the published gauges,
-// the step-log critpath field, the fused engine's barrier wait coverage,
-// and the flight-recorder bundle section.
+// Integration tests for the Config.CritPath attribution profile: the
+// facade-level wiring of last-arriver attribution, the Table I and
+// Table II rollups, the published gauges, the step-log fields, every
+// engine's coverage, and the flight-recorder bundle section.
 package lbmib
 
 import (
@@ -13,8 +13,8 @@ import (
 	"strings"
 	"testing"
 
-	"lbmib/internal/critpath"
 	"lbmib/internal/flightrec"
+	"lbmib/internal/perfmon"
 	"lbmib/internal/telemetry"
 )
 
@@ -45,7 +45,7 @@ func TestCritPathCubeEngine(t *testing.T) {
 	if !ok {
 		t.Fatal("CritPathReport not available with CritPath enabled")
 	}
-	if err := critpath.Validate(r); err != nil {
+	if err := perfmon.Validate(r); err != nil {
 		t.Fatalf("report invalid: %v", err)
 	}
 	if r.Engine != "cube" || r.Threads != 4 {
@@ -54,7 +54,7 @@ func TestCritPathCubeEngine(t *testing.T) {
 	if r.Steps != steps {
 		t.Errorf("report covers %d steps, want %d", r.Steps, steps)
 	}
-	sites := map[string]critpath.SiteReport{}
+	sites := map[string]perfmon.SiteReport{}
 	for _, sr := range r.Sites {
 		sites[sr.Site] = sr
 	}
@@ -123,11 +123,10 @@ func TestCritPathCubeEngine(t *testing.T) {
 	}
 }
 
-// TestCritPathFusedContention pins the fused-engine observability
-// satellite: with Contention on, the fused sweep's two barrier sites
-// feed the wait rollup, so BarrierWaitShare is live and the imbalance
-// gauges carry the fused engine label. Float32 mode gets the
-// fused-f32 critpath engine label.
+// TestCritPathFusedContention pins the fused engine's coverage: the
+// sweep's two barrier sites feed the wait rollup, so BarrierWaitShare is
+// live, and the gauges carry the engine label — fused-f32 in float32
+// mode.
 func TestCritPathFusedContention(t *testing.T) {
 	for _, f32 := range []bool{false, true} {
 		name := "float64"
@@ -143,9 +142,8 @@ func TestCritPathFusedContention(t *testing.T) {
 				BodyForce: [3]float64{1e-5, 0, 0},
 				Sheet:     telemetrySheet(),
 				Solver:    Fused, Threads: 4, Float32: f32,
-				Telemetry:  reg,
-				Contention: true,
-				CritPath:   true,
+				Telemetry: reg,
+				CritPath:  true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -153,20 +151,15 @@ func TestCritPathFusedContention(t *testing.T) {
 			defer sim.Close()
 			sim.Run(3)
 
-			st, ok := sim.ContentionStats()
-			if !ok {
-				t.Fatal("ContentionStats not available")
-			}
-			if st.BarrierWaitShare <= 0 || st.BarrierWaitShare >= 1 {
-				t.Errorf("fused barrier-wait share = %v, want in (0, 1)", st.BarrierWaitShare)
-			}
-			if st.ImbalanceRatio < 1 {
-				t.Errorf("fused imbalance ratio = %v, want ≥ 1", st.ImbalanceRatio)
-			}
-
 			r, ok := sim.CritPathReport()
 			if !ok || r.Engine != wantEng {
 				t.Fatalf("critpath report ok=%v engine=%q, want %q", ok, r.Engine, wantEng)
+			}
+			if r.BarrierWaitShare <= 0 || r.BarrierWaitShare >= 1 {
+				t.Errorf("fused barrier-wait share = %v, want in (0, 1)", r.BarrierWaitShare)
+			}
+			if r.ImbalanceRatio < 1 {
+				t.Errorf("fused imbalance ratio = %v, want ≥ 1", r.ImbalanceRatio)
 			}
 			crossed := 0
 			for _, sr := range r.Sites {
@@ -187,8 +180,8 @@ func TestCritPathFusedContention(t *testing.T) {
 			}
 			text := buf.String()
 			for _, want := range []string{
-				`lbmib_load_imbalance_ratio{engine="fused",phase="total"}`,
-				`lbmib_barrier_wait_seconds{engine="fused",site="after_stream",thread="0"}`,
+				`lbmib_load_imbalance_ratio{engine="` + wantEng + `",phase="total"}`,
+				`lbmib_barrier_wait_seconds{engine="` + wantEng + `",site="after_stream",thread="0"}`,
 			} {
 				if !strings.Contains(text, want) {
 					t.Errorf("exposition missing %s", want)
@@ -200,15 +193,14 @@ func TestCritPathFusedContention(t *testing.T) {
 
 // TestCritPathOmpRegions checks the loop-parallel engine reports its
 // parallel regions as critpath sites while keeping the OmpP-style
-// rollup intact (both observers share the region fan-out).
+// rollup intact (one profile answers both from the region events).
 func TestCritPathOmpRegions(t *testing.T) {
 	sim, err := New(Config{
 		NX: 16, NY: 16, NZ: 16, Tau: 0.7,
 		BodyForce: [3]float64{1e-5, 0, 0},
 		Sheet:     telemetrySheet(),
 		Solver:    OpenMP, Threads: 4,
-		Contention: true,
-		CritPath:   true,
+		CritPath: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,13 +208,12 @@ func TestCritPathOmpRegions(t *testing.T) {
 	defer sim.Close()
 	sim.Run(3)
 
-	st, ok := sim.ContentionStats()
-	if !ok || st.ImbalanceRatio < 1 {
-		t.Fatalf("omp contention rollup broken alongside critpath: ok=%v %+v", ok, st)
-	}
 	r, ok := sim.CritPathReport()
 	if !ok || r.Engine != "omp" {
 		t.Fatalf("critpath report ok=%v engine=%q", ok, r.Engine)
+	}
+	if r.ImbalanceRatio < 1 {
+		t.Fatalf("omp contention rollup broken alongside critpath: %+v", r)
 	}
 	crossed := 0
 	for _, sr := range r.Sites {
@@ -264,11 +255,11 @@ func TestCritPathBundleSection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bundle missing critpath section: %v", err)
 	}
-	var r critpath.Report
+	var r perfmon.Report
 	if err := json.Unmarshal(raw, &r); err != nil {
 		t.Fatalf("critpath.json invalid: %v", err)
 	}
-	if err := critpath.Validate(r); err != nil {
+	if err := perfmon.Validate(r); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.WhatIf) == 0 {
@@ -301,5 +292,235 @@ func TestCritPathDisabledUntouched(t *testing.T) {
 	sim.Run(2)
 	if _, ok := sim.CritPathReport(); ok {
 		t.Error("CritPathReport available without Config.CritPath")
+	}
+}
+
+// TestContentionCubeEngine runs the cube engine with the profile on and
+// checks the Table II rollup, the imbalance gauges and the barrier wait
+// series. (The per-cube heatmap export is perfmon's TestCubeHeatmapExports
+// and the experiments' TestLoadImbalanceCapsTeamAtCores.)
+func TestContentionCubeEngine(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	sim, err := New(Config{
+		NX: 16, NY: 16, NZ: 16, Tau: 0.7,
+		BodyForce: [3]float64{1e-5, 0, 0},
+		Sheet:     telemetrySheet(),
+		Solver:    CubeBased, Threads: 4, CubeSize: 4,
+		Telemetry: reg,
+		CritPath:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	sim.Run(3)
+
+	r, ok := sim.CritPathReport()
+	if !ok {
+		t.Fatal("CritPathReport not available with CritPath enabled")
+	}
+	if r.ImbalanceRatio < 1 {
+		t.Errorf("imbalance ratio = %v, want ≥ 1 with phase samples", r.ImbalanceRatio)
+	}
+	if r.BarrierWaitShare <= 0 || r.BarrierWaitShare >= 1 {
+		t.Errorf("barrier-wait share = %v, want in (0, 1)", r.BarrierWaitShare)
+	}
+
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	for _, want := range []string{
+		`lbmib_load_imbalance_ratio{engine="cube",phase="total"}`,
+		`lbmib_load_imbalance_ratio{engine="cube",phase="collide_stream"}`,
+		`lbmib_barrier_wait_seconds{engine="cube",site="end_of_step",thread="0"}`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition missing %s", want)
+		}
+	}
+}
+
+// TestContentionOmpStepLog runs the loop-parallel engine with the
+// profile and a step log, checking the OmpP-style region accounting
+// reaches both the report and the JSONL share fields.
+func TestContentionOmpStepLog(t *testing.T) {
+	var buf bytes.Buffer
+	sim, err := New(Config{
+		NX: 16, NY: 16, NZ: 16, Tau: 0.7,
+		BodyForce: [3]float64{1e-5, 0, 0},
+		Sheet:     telemetrySheet(),
+		Solver:    OpenMP, Threads: 4,
+		LogWriter: &buf,
+		CritPath:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	sim.Run(3)
+
+	r, ok := sim.CritPathReport()
+	if !ok {
+		t.Fatal("CritPathReport not available")
+	}
+	if r.ImbalanceRatio < 1 {
+		t.Errorf("imbalance ratio = %v, want ≥ 1", r.ImbalanceRatio)
+	}
+
+	sc := bufio.NewScanner(&buf)
+	n := 0
+	for sc.Scan() {
+		n++
+		var rec telemetry.StepRecord
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("line %d: %v", n, err)
+		}
+		if rec.Imbalance < 1 {
+			t.Errorf("step %d: imbalance %v, want ≥ 1", rec.Step, rec.Imbalance)
+		}
+		if rec.BarrierWaitShare <= 0 || rec.BarrierWaitShare >= 1 {
+			t.Errorf("step %d: barrier-wait share %v, want in (0, 1)", rec.Step, rec.BarrierWaitShare)
+		}
+	}
+	if n != 3 {
+		t.Fatalf("got %d log lines, want 3", n)
+	}
+}
+
+// TestContentionTaskflowPhases checks the task-scheduled engine reports
+// per-phase worker times through the facade and that the imbalance
+// rollup covers it.
+func TestContentionTaskflowPhases(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	sim, err := New(Config{
+		NX: 16, NY: 16, NZ: 16, Tau: 0.7,
+		BodyForce: [3]float64{1e-5, 0, 0},
+		Sheet:     telemetrySheet(),
+		Solver:    TaskScheduled, Threads: 4, CubeSize: 4,
+		Telemetry: reg,
+		CritPath:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	sim.Run(3)
+
+	// Every cube task body lands in the phase histograms: 3 steps × 64
+	// cubes of collide_stream.
+	h := reg.Histogram("lbmib_phase_seconds", "", telemetry.ExpBuckets(1e-5, 2, 18),
+		telemetry.L("phase", "collide_stream"))
+	if got, want := h.Count(), uint64(3*64); got != want {
+		t.Fatalf("collide_stream observations = %d, want %d (steps × cubes)", got, want)
+	}
+	r, ok := sim.CritPathReport()
+	if !ok || r.ImbalanceRatio < 1 {
+		t.Fatalf("taskflow imbalance rollup: ok=%v report=%+v", ok, r)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `lbmib_load_imbalance_ratio{engine="taskflow",phase="total"}`) {
+		t.Error("exposition missing taskflow imbalance gauge")
+	}
+}
+
+// TestContentionDisabledUntouched pins the zero-overhead contract: with
+// CritPath off the report is unavailable and the step log carries no
+// attribution fields.
+func TestContentionDisabledUntouched(t *testing.T) {
+	var buf bytes.Buffer
+	sim, err := New(Config{
+		NX: 8, NY: 8, NZ: 8, Tau: 0.7,
+		Solver: CubeBased, Threads: 2, CubeSize: 4,
+		LogWriter: &buf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	sim.Run(2)
+	if _, ok := sim.CritPathReport(); ok {
+		t.Error("CritPathReport available without Config.CritPath")
+	}
+	for _, field := range []string{`"imbalance"`, `"barrierWaitShare"`, `"critpath"`} {
+		if strings.Contains(buf.String(), field) {
+			t.Errorf("step log carries %s without Config.CritPath:\n%s", field, buf.String())
+		}
+	}
+}
+
+// TestCritPathSequential: the sequential engine times its nine kernels,
+// so its report is Table I with shares summing to 100 %, and nothing
+// else.
+func TestCritPathSequential(t *testing.T) {
+	sim, err := New(Config{
+		NX: 16, NY: 16, NZ: 16, Tau: 0.7,
+		BodyForce: [3]float64{1e-5, 0, 0},
+		Sheet:     telemetrySheet(),
+		Solver:    Sequential, Threads: 4,
+		CritPath: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	sim.Run(2)
+	r, ok := sim.CritPathReport()
+	if !ok {
+		t.Fatal("CritPathReport not available on the sequential engine")
+	}
+	if err := perfmon.Validate(r); err != nil {
+		t.Fatal(err)
+	}
+	if r.Engine != "sequential" || r.Threads != 1 || r.Steps != 2 {
+		t.Errorf("report header engine=%q threads=%d steps=%d", r.Engine, r.Threads, r.Steps)
+	}
+	var pct float64
+	for _, k := range r.Kernels {
+		pct += k.Percent
+	}
+	if len(r.Kernels) != 9 || pct < 99.999 || pct > 100.001 {
+		t.Errorf("%d kernel rows summing to %v%%, want 9 summing to 100%%", len(r.Kernels), pct)
+	}
+	if len(r.Sites)+len(r.Phases)+len(r.Chains)+len(r.WhatIf) > 0 {
+		t.Errorf("sequential report has thread rows: %+v", r)
+	}
+}
+
+// TestConfigSequentialThreads: the sequential engine runs one thread
+// whatever was asked, and says so.
+func TestConfigSequentialThreads(t *testing.T) {
+	sim, err := New(Config{NX: 8, NY: 8, NZ: 8, Solver: Sequential, Threads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	if got := sim.Config().Threads; got != 1 {
+		t.Errorf("Config().Threads = %d, want 1", got)
+	}
+}
+
+// TestCritPathParentBundleDecodes: a critpath.json written into a bundle
+// by the separate critical-path profiler this profile replaced (commit
+// 299e5be, TestCritPathBundleSection) still decodes and validates.
+func TestCritPathParentBundleDecodes(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "critpath-parent.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r perfmon.Report
+	if err := json.Unmarshal(raw, &r); err != nil {
+		t.Fatal(err)
+	}
+	if err := perfmon.Validate(r); err != nil {
+		t.Fatal(err)
+	}
+	if r.Engine != "cube" || r.Steps != 2 || len(r.Sites) == 0 || len(r.Phases) != 5 || len(r.WhatIf) == 0 {
+		t.Errorf("decoded report engine=%q steps=%d, %d sites, %d phases, %d what-if rows",
+			r.Engine, r.Steps, len(r.Sites), len(r.Phases), len(r.WhatIf))
 	}
 }

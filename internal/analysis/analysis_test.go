@@ -201,7 +201,7 @@ func TestHotAllocReach(t *testing.T) {
 		// engine loops
 		"(*fused.Solver).collidePlane", "(*taskflow.Solver).execute", "(*omp.Solver).parallelFor",
 		// probe sinks, reached by interface dispatch
-		"(*telemetry.Tracer).Emit", "(*flightrec.Recorder).Emit",
+		"(*telemetry.Tracer).Emit", "(*flightrec.Recorder).Emit", "(*perfmon.Profile).Emit",
 	} {
 		if !got[name] {
 			t.Errorf("%s is not reachable from the per-step roots", name)
@@ -217,7 +217,7 @@ func TestImportDirection(t *testing.T) {
 	p := sharedProgram(t)
 	engines := []string{"cubesolver", "omp", "fused", "taskflow"}
 	for from, banned := range map[string][]string{
-		"telemetry": engines, "flightrec": engines, "perfmon": engines, "critpath": engines,
+		"telemetry": engines, "flightrec": engines, "perfmon": engines,
 		"fused": {"cubesolver"}, "taskflow": {"cubesolver"},
 	} {
 		pkg, err := p.LoadDir(filepath.Join("..", from))

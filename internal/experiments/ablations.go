@@ -110,7 +110,7 @@ func AblationCopyVsSwap(opt Options) (CopySwapResult, error) {
 	if err != nil {
 		return CopySwapResult{}, err
 	}
-	prof := perfmon.NewProfile(nil, 0)
+	prof := perfmon.NewProfile(perfmon.Config{})
 	s.Probe = prof
 	s.Run(steps)
 	copyTime := prof.KernelTime(core.KCopyDistribution)

@@ -155,7 +155,7 @@ func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error
 		if err != nil {
 			return res, fmt.Errorf("%s: %w", name, err)
 		}
-		prof := perfmon.NewProfile(nil, threads)
+		prof := perfmon.NewProfile(perfmon.Config{Engine: name, Threads: threads})
 		probes := core.Probes{prof}
 		if k := res.CubeSize; name == "cube" {
 			res.Heatmap = perfmon.NewCubeHeatmap(nx/k, ny/k, nz/k, k, threads)
@@ -188,7 +188,7 @@ func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error
 		if reg != nil {
 			reg.Gauge("lbmib_bench_mlups", "Throughput per engine (million lattice updates per second).",
 				telemetry.L("engine", name)).Set(row.MLUPS)
-			prof.Publish(reg, name)
+			prof.Publish(reg)
 		}
 	}
 

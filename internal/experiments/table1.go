@@ -46,7 +46,7 @@ func Table1(opt Options) (Table1Result, error) {
 	if err != nil {
 		return Table1Result{}, err
 	}
-	prof := perfmon.NewProfile(nil, 0)
+	prof := perfmon.NewProfile(perfmon.Config{})
 	s.Probe = prof
 	s.Run(steps)
 	return Table1Result{

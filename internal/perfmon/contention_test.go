@@ -28,7 +28,7 @@ func wait(p *Profile, site core.BarrierSite, tid int, w time.Duration) {
 }
 
 func TestContentionProfileAccumulates(t *testing.T) {
-	p := NewProfile(nil, 2)
+	p := NewProfile(Config{Engine: "cube", Threads: 2})
 	wait(p, core.SiteAfterStream, 0, 10*time.Millisecond)
 	wait(p, core.SiteAfterStream, 0, 5*time.Millisecond)
 	wait(p, core.SiteEndOfStep, 1, 3*time.Millisecond)
@@ -54,7 +54,7 @@ func TestContentionProfileAccumulates(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	p.Publish(reg, "cube")
+	p.Publish(reg)
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -66,13 +66,32 @@ func TestContentionProfileAccumulates(t *testing.T) {
 	}
 }
 
+// regions counts the parallel regions a region-vocabulary profile has
+// recorded: each is one crossing of its kernel's join site.
+func regions(r Report) int64 {
+	var n int64
+	for _, sr := range r.Sites {
+		n += sr.Crossings
+	}
+	return n
+}
+
+// criticalSeconds sums the report's per-segment critical time.
+func criticalSeconds(r Report) float64 {
+	var s float64
+	for _, pr := range r.Phases {
+		s += pr.CriticalSeconds
+	}
+	return s
+}
+
 func TestRegionProfileImbalance(t *testing.T) {
-	p := NewProfile(nil, 2)
+	p := NewProfile(Config{Engine: "omp", Threads: 2})
 	// Two regions of kernel 5: thread 0 busy 30ms total, thread 1 10ms.
 	p.Emit(core.Event{Kind: core.RegionDone, Kernel: core.KComputeCollision, Busy: []time.Duration{20 * time.Millisecond, 5 * time.Millisecond}})
 	p.Emit(core.Event{Kind: core.RegionDone, Step: 1, Kernel: core.KComputeCollision, Busy: []time.Duration{10 * time.Millisecond, 5 * time.Millisecond}})
-	if p.Regions() != 2 {
-		t.Fatalf("regions = %d", p.Regions())
+	if n := regions(p.Report(0)); n != 2 {
+		t.Fatalf("regions = %d", n)
 	}
 	if got := p.ThreadTime(0); got != 30*time.Millisecond {
 		t.Fatalf("thread 0 busy = %v", got)
@@ -85,8 +104,8 @@ func TestRegionProfileImbalance(t *testing.T) {
 	if got := p.BarrierWaitShare(0); got < 0.33 || got > 0.34 {
 		t.Fatalf("barrier wait share = %g, want ≈1/3", got)
 	}
-	if p.CriticalPath() != 30*time.Millisecond {
-		t.Fatalf("critical path = %v", p.CriticalPath())
+	if c := criticalSeconds(p.Report(0)); c != 0.03 {
+		t.Fatalf("critical path = %vs", c)
 	}
 }
 
@@ -187,14 +206,14 @@ func TestSkewSelfTest(t *testing.T) {
 	}
 	defer s.Close()
 
-	prof := NewProfile(nil, threads)
+	prof := NewProfile(Config{Engine: "cube", Threads: threads})
 	phases, cont := prof, prof
 	heat := NewCubeHeatmap(s.Fluid.CX, s.Fluid.CY, s.Fluid.CZ, s.Fluid.K, threads)
 	s.Probe = skewCubeWork{Probes: core.Probes{prof, heat}, slow: slow, delay: delay}
 	s.Run(steps)
 
 	// Load attribution: the slow thread dominates collide+stream.
-	pt := phases.PhaseTime(core.PhaseCollideStream)
+	pt := phases.Report(0).Phases[core.PhaseCollideStream-1].BusySeconds
 	argmax := 0
 	for tid := range pt {
 		if pt[tid] > pt[argmax] {
@@ -253,14 +272,14 @@ func TestRegionProfileRealSolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	reg := NewProfile(nil, threads)
+	reg := NewProfile(Config{Engine: "omp", Threads: threads})
 	s.Probe = reg
 	const steps = 3
 	s.Run(steps)
 
 	// 9 parallel regions per step: 8 kernel regions (kernel 9 is an O(1)
 	// swap — no region) plus lock-free spreading's reduction region.
-	if got := reg.Regions(); got != 9*steps {
+	if got := regions(reg.Report(0)); got != 9*steps {
 		t.Fatalf("regions = %d, want %d", got, 9*steps)
 	}
 	if reg.ImbalanceRatio() < 1 {
@@ -269,7 +288,7 @@ func TestRegionProfileRealSolver(t *testing.T) {
 	if share := reg.BarrierWaitShare(0); share < 0 || share >= 1 {
 		t.Fatalf("barrier wait share = %g, want in [0,1)", share)
 	}
-	if reg.KernelBusy(core.KComputeCollision)[0] == 0 {
+	if reg.Report(0).Phases[core.KComputeCollision-1].BusySeconds[0] == 0 {
 		t.Fatal("no busy time recorded for the collision kernel on thread 0")
 	}
 }
@@ -278,7 +297,7 @@ func TestRegionProfileRealSolver(t *testing.T) {
 // registry-backed profiles stay safe when hammered concurrently (the
 // -race companion to the unit tests above).
 func TestProfilesConcurrentUse(t *testing.T) {
-	prof := NewProfile(nil, 8)
+	prof := NewProfile(Config{Engine: "cube", Threads: 8})
 	kp, pp, cp := prof, prof, prof
 	var wg sync.WaitGroup
 	for tid := 0; tid < 8; tid++ {

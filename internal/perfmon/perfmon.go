@@ -1,27 +1,24 @@
 // Package perfmon is the library's performance-measurement substrate: the
-// substitute for the gprof and OmpP profilers the paper uses.
+// substitute for the gprof and OmpP profilers the paper uses, and the
+// critical-path profiler built on the same events.
 //
 //   - Profile is the one accumulator of the engines' timing events
-//     (core.Probe): wall time per kernel, rendered as the paper's Table I;
-//     per-thread time per segment — an Algorithm-4 loop nest or a kernel's
-//     parallel regions — with the load-imbalance ratios of Table II; and
-//     per-thread waits per barrier site.
+//     (core.Probe). It answers the paper's Table I (wall time per kernel),
+//     Table II (per-thread busy time per segment, the load-imbalance
+//     ratios over it and the share of thread-time spent waiting at
+//     barriers) and the critical-path report (report.go): who released
+//     each barrier crossing, why the others waited, and what fixing it
+//     would buy.
 //   - CubeHeatmap samples per-cube work (heatmap.go).
 //   - ScheduleImbalance computes the deterministic component of load
 //     imbalance implied by a static schedule, independent of timers.
-//
-// A Profile keeps its kernel and phase times in telemetry.Counter series
-// (exact integer nanoseconds) registered in a telemetry.Registry. Built
-// on the caller's registry, the text reports here and the /metrics
-// exposition render the same counters and cannot disagree; a nil
-// registry binds a private one.
 package perfmon
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,107 +27,314 @@ import (
 	"lbmib/internal/telemetry"
 )
 
-// Profile accumulates every event kind of core.Probe but block events.
-// An engine emits either kernel and region events (sequential,
-// loop-parallel) or phase and barrier events (the others), so one
-// profile answers for whichever engine it is attached to; all methods
-// are safe for concurrent use from every worker thread.
-type Profile struct {
-	threads int
+// Config configures a Profile.
+type Config struct {
+	// Engine names the engine for metric labels and selects the segment
+	// and site vocabulary: "omp" profiles the parallel regions of the nine
+	// kernels (each region's implicit join is its site); "" and
+	// "sequential" profile kernel events only; every other engine the
+	// Algorithm-4 phases and barrier sites ("fused"/"fused-f32" remap
+	// end_of_step to the sweep's region B).
+	Engine string
+	// Threads is the worker count; events from other tids are dropped.
+	Threads int
+	// Tracer, when non-nil, receives Chrome-trace flow events linking
+	// each barrier release's last arriver to the threads it kept waiting.
+	Tracer *telemetry.Tracer
+}
 
-	// Kernel events: coordinator wall time and executions per kernel,
-	// series lbmib_kernel_nanos_total / lbmib_kernel_calls_total.
-	kernelNanos [core.NumKernels + 1]*telemetry.Counter
-	kernelCalls [core.NumKernels + 1]*telemetry.Counter
-	// Phase events: phaseNanos[phase][tid], series
-	// lbmib_phase_thread_nanos_total.
-	phaseNanos [core.NumPhases + 1][]*telemetry.Counter
-	// Region events: busy[kernel*threads+tid], and over all regions the
-	// time threads idled at the implicit barrier (Σ max−busy), the
-	// critical path (Σ max) and the region count.
-	busy                       []atomic.Int64
-	waiting, critical, regions atomic.Int64
-	// Barrier events: per (site*threads+tid) summed wait and arrivals.
-	wait, arrivals []atomic.Int64
+// Profile accumulates every event kind of core.Probe but block events.
+// An engine emits kernel events (sequential, loop-parallel), region
+// events (loop-parallel) or phase and barrier events (the others); the
+// vocabulary Config.Engine selects decides which of the last three a
+// profile keeps. All methods are safe for concurrent use from every
+// worker thread.
+type Profile struct {
+	engine  string
+	threads int
+	tracer  *telemetry.Tracer
+	regions bool // omp vocabulary: kernels are the segments, their regions the sites
+
+	segNames  []string // segment vocabulary; index 0 unused
+	siteNames []string
+	siteSeg   []int // site → segment whose completion the site orders
+
+	// Kernel events: coordinator wall time and executions per kernel.
+	kernelNanos, kernelCalls [core.NumKernels + 1]atomic.Int64
+
+	// Per-(segment, thread) busy time, index seg*threads+tid.
+	busy []atomic.Int64
+	// Per-(site, thread) waits, arrivals and last arrivals, index
+	// site*threads+tid; per site, crossings and the longest single wait.
+	wait, arrivals, lastTotal []atomic.Int64
+	crossings, maxWait        []atomic.Int64
+
+	// Step ring: each step's per-segment critical, summed and per-thread
+	// busy time, folded into the cumulative totals below when a slot
+	// recycles.
+	slots []stepSlot
+	// Crossing ring: who released each recent barrier crossing.
+	chain []chainSlot
+
+	foldMu                sync.Mutex
+	foldedSteps           int64
+	foldedCrit, foldedSum []int64 // per segment, nanos
+	// critical is the run's critical time: Σ over steps and segments.
+	critical atomic.Int64
+
+	synthCrossing atomic.Uint64 // crossing ids of the region sites
 
 	pub publication
 }
 
-// NewProfile creates a profile for an engine of the given team width;
-// events from threads beyond it are dropped, so threads = 0 profiles
-// kernels only (the sequential engine's Table I). Its counter series
-// live in reg; a nil reg binds a private registry.
-func NewProfile(reg *telemetry.Registry, threads int) *Profile {
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	p := &Profile{
-		threads:  threads,
-		busy:     make([]atomic.Int64, (core.NumKernels+1)*threads),
-		wait:     make([]atomic.Int64, int(core.NumBarrierSites)*threads),
-		arrivals: make([]atomic.Int64, int(core.NumBarrierSites)*threads),
-	}
-	for k := core.Kernel(1); k <= core.NumKernels; k++ {
-		lbl := telemetry.L("kernel", k.String())
-		p.kernelNanos[k] = reg.Counter("lbmib_kernel_nanos_total",
-			"accumulated wall-clock nanoseconds per LBM-IB kernel", lbl)
-		p.kernelCalls[k] = reg.Counter("lbmib_kernel_calls_total",
-			"kernel executions recorded", lbl)
-	}
-	for ph := core.Phase(1); ph <= core.NumPhases; ph++ {
-		p.phaseNanos[ph] = make([]*telemetry.Counter, threads)
-		for tid := range p.phaseNanos[ph] {
-			p.phaseNanos[ph][tid] = reg.Counter("lbmib_phase_thread_nanos_total",
-				"accumulated per-thread wall-clock nanoseconds per Algorithm-4 loop nest",
-				telemetry.L("phase", ph.String()), telemetry.L("thread", strconv.Itoa(tid)))
+type stepSlot struct {
+	mu     sync.Mutex
+	step   int     // -1 = empty
+	crit   []int64 // per segment: the step's critical time
+	sum    []int64 // per segment: busy time summed over threads
+	tid    []int32 // per segment: the slowest thread
+	thread []int64 // per (segment, thread): the thread's busy time
+}
+
+type chainSlot struct {
+	mu       sync.Mutex
+	crossing uint64 // +1; 0 = empty
+	site     int32
+	step     int32
+	lastTid  int32 // -1 until the last arriver stamps it
+	maxWait  int64
+}
+
+// window is the depth of the step ring, and per site of the crossing
+// ring: the steps a StepRecord or a chain can still see.
+const window = 64
+
+// NewProfile creates a profile for the given engine.
+func NewProfile(cfg Config) *Profile {
+	threads := max(cfg.Threads, 1)
+	p := &Profile{engine: cfg.Engine, threads: threads, tracer: cfg.Tracer}
+	switch cfg.Engine {
+	case "", "sequential":
+		p.segNames = []string{""}
+	case "omp":
+		p.regions = true
+		p.segNames = make([]string, core.NumKernels+1)
+		for k := core.Kernel(1); k <= core.NumKernels; k++ {
+			p.segNames[k] = k.String()
+			p.siteNames = append(p.siteNames, "region_"+k.String())
+			p.siteSeg = append(p.siteSeg, int(k))
+		}
+	default:
+		p.segNames = make([]string, core.NumPhases+1)
+		for ph := core.Phase(1); ph <= core.NumPhases; ph++ {
+			p.segNames[ph] = ph.String()
+		}
+		for si := core.BarrierSite(0); si < core.NumBarrierSites; si++ {
+			p.siteNames = append(p.siteNames, si.String())
+			p.siteSeg = append(p.siteSeg, int(precedingPhase(si)))
+		}
+		if strings.HasPrefix(cfg.Engine, "fused") {
+			// The fused sweep's end-of-step barrier follows region B
+			// (reported as PhaseUpdateVelocity), not a copy loop.
+			p.siteSeg[core.SiteEndOfStep] = int(core.PhaseUpdateVelocity)
 		}
 	}
+	nsites, nsegs := len(p.siteNames), len(p.segNames)
+	p.busy = make([]atomic.Int64, nsegs*threads)
+	p.wait = make([]atomic.Int64, nsites*threads)
+	p.arrivals = make([]atomic.Int64, nsites*threads)
+	p.lastTotal = make([]atomic.Int64, nsites*threads)
+	p.crossings = make([]atomic.Int64, nsites)
+	p.maxWait = make([]atomic.Int64, nsites)
+	p.slots = make([]stepSlot, window)
+	for i := range p.slots {
+		p.slots[i] = stepSlot{
+			step:   -1,
+			crit:   make([]int64, nsegs),
+			sum:    make([]int64, nsegs),
+			tid:    make([]int32, nsegs),
+			thread: make([]int64, nsegs*threads),
+		}
+	}
+	p.chain = make([]chainSlot, window*max(nsites, 1))
+	p.foldedCrit = make([]int64, nsegs)
+	p.foldedSum = make([]int64, nsegs)
 	return p
 }
 
-// Emit implements core.Probe; events naming a kernel, phase, site or
-// thread out of range are dropped.
+// precedingPhase maps a barrier site to the phase whose completion the
+// site orders — the phase whose slow thread is the site's last arriver.
+func precedingPhase(site core.BarrierSite) core.Phase {
+	switch site {
+	case core.SiteAfterSpread:
+		return core.PhaseFibersForce
+	case core.SiteAfterStream:
+		return core.PhaseCollideStream
+	case core.SiteAfterVelocity:
+		return core.PhaseUpdateVelocity
+	default:
+		return core.PhaseCopy
+	}
+}
+
+// Emit implements core.Probe; events naming a kernel, segment, site or
+// thread outside the profile's vocabulary are dropped.
 func (p *Profile) Emit(e core.Event) {
-	switch e.Kind {
-	case core.KernelDone:
-		if e.Kernel >= 1 && e.Kernel <= core.NumKernels {
-			p.kernelNanos[e.Kernel].Add(int64(e.D))
-			p.kernelCalls[e.Kernel].Inc()
+	inRange := e.Tid >= 0 && e.Tid < p.threads
+	switch {
+	case e.Kind == core.KernelDone && e.Kernel >= 1 && e.Kernel <= core.NumKernels:
+		p.kernelNanos[e.Kernel].Add(int64(e.D))
+		p.kernelCalls[e.Kernel].Add(1)
+	case e.Kind == core.RegionDone && p.regions && e.Kernel >= 1 && e.Kernel <= core.NumKernels:
+		p.regionDone(e.Step, int(e.Kernel), e.Busy)
+	case e.Kind == core.PhaseDone && !p.regions && inRange && e.Phase >= 1 && int(e.Phase) < len(p.segNames):
+		p.phaseDone(e.Step, int(e.Phase), e.Tid, e.D)
+	case e.Kind == core.BarrierArrive && !p.regions && inRange && e.Site >= 0 && int(e.Site) < len(p.siteNames):
+		p.siteArrive(e.Step, int(e.Site), e.Tid, e.Crossing, e.D, e.Last)
+	}
+}
+
+// claim makes s, locked by the caller, hold step, first retiring the
+// older step it held into the cumulative totals.
+func (p *Profile) claim(s *stepSlot, step int) {
+	if s.step == step {
+		return
+	}
+	if s.step >= 0 {
+		p.foldMu.Lock()
+		p.foldedSteps++
+		for seg := range s.crit {
+			p.foldedCrit[seg] += s.crit[seg]
+			p.foldedSum[seg] += s.sum[seg] / int64(p.threads)
 		}
-	case core.RegionDone:
-		if e.Kernel >= 1 && e.Kernel <= core.NumKernels {
-			p.regionDone(e.Kernel, e.Busy)
+		p.foldMu.Unlock()
+	}
+	s.step = step
+	clear(s.crit)
+	clear(s.sum)
+	clear(s.tid)
+	clear(s.thread)
+}
+
+// phaseDone books one thread's slice of a phase. A phase's critical time
+// in a step is its slowest thread's summed slices: the task-scheduled
+// engine reports one slice per task, many per thread and step.
+func (p *Profile) phaseDone(step, seg, tid int, d time.Duration) {
+	i := seg*p.threads + tid
+	p.busy[i].Add(int64(d))
+	s := &p.slots[step%window]
+	s.mu.Lock()
+	p.claim(s, step)
+	s.thread[i] += int64(d)
+	s.sum[seg] += int64(d)
+	if s.thread[i] > s.crit[seg] {
+		p.critical.Add(s.thread[i] - s.crit[seg])
+		s.crit[seg], s.tid[seg] = s.thread[i], int32(tid)
+	}
+	s.mu.Unlock()
+}
+
+// regionDone books one parallel region of kernel seg. Its critical time
+// is its slowest thread's busy time, added to the kernel's other regions
+// in the step (spreading runs two). The region's implicit join is a
+// barrier in all but name, so the busy vector also yields a synthesized
+// crossing: the busiest thread is the last arriver, and each thread's
+// wait is the gap to it.
+func (p *Profile) regionDone(step, seg int, busy []time.Duration) {
+	if len(busy) > p.threads {
+		busy = busy[:p.threads]
+	}
+	row := seg * p.threads
+	var max time.Duration
+	arg := 0
+	s := &p.slots[step%window]
+	s.mu.Lock()
+	p.claim(s, step)
+	for tid, d := range busy {
+		p.busy[row+tid].Add(int64(d))
+		s.thread[row+tid] += int64(d)
+		s.sum[seg] += int64(d)
+		if d > max {
+			max, arg = d, tid
 		}
-	case core.PhaseDone:
-		if e.Phase >= 1 && e.Phase <= core.NumPhases && e.Tid >= 0 && e.Tid < p.threads {
-			p.phaseNanos[e.Phase][e.Tid].Add(int64(e.D))
+	}
+	s.crit[seg] += int64(max)
+	p.critical.Add(int64(max))
+	slowest := 0
+	for tid := 1; tid < p.threads; tid++ {
+		if s.thread[row+tid] > s.thread[row+slowest] {
+			slowest = tid
 		}
-	case core.BarrierArrive:
-		if e.Site >= 0 && e.Site < core.NumBarrierSites && e.Tid >= 0 && e.Tid < p.threads {
-			p.wait[int(e.Site)*p.threads+e.Tid].Add(int64(e.D))
-			p.arrivals[int(e.Site)*p.threads+e.Tid].Add(1)
+	}
+	s.tid[seg] = int32(slowest)
+	s.mu.Unlock()
+	crossing := p.synthCrossing.Add(1) - 1
+	for tid, d := range busy {
+		p.siteArrive(step, seg-1, tid, crossing, max-d, tid == arg)
+	}
+}
+
+func (p *Profile) siteArrive(step, site, tid int, crossing uint64, wait time.Duration, last bool) {
+	i := site*p.threads + tid
+	p.wait[i].Add(int64(wait))
+	p.arrivals[i].Add(1)
+	if last {
+		p.lastTotal[i].Add(1)
+		p.crossings[site].Add(1)
+	}
+	for {
+		cur := p.maxWait[site].Load()
+		if int64(wait) <= cur || p.maxWait[site].CompareAndSwap(cur, int64(wait)) {
+			break
+		}
+	}
+	c := &p.chain[crossing%uint64(len(p.chain))]
+	c.mu.Lock()
+	if c.crossing != crossing+1 {
+		c.crossing = crossing + 1
+		c.site = int32(site)
+		c.step = int32(step)
+		c.lastTid = -1
+		c.maxWait = 0
+	}
+	if int64(wait) > c.maxWait {
+		c.maxWait = int64(wait)
+	}
+	if last {
+		c.lastTid = int32(tid)
+	}
+	c.mu.Unlock()
+	if p.tracer != nil {
+		if last {
+			p.tracer.FlowStart(crossing, tid, "last:"+p.siteNames[site])
+		} else if wait >= flowCutoff {
+			p.tracer.FlowEnd(crossing, tid, "last:"+p.siteNames[site])
 		}
 	}
 }
 
-// regionDone books one parallel region: besides each thread's busy time,
-// the wait its implicit barrier implies, max(busy) − busy[tid] — the
-// OmpP-style accounting for the loop-parallel engine.
-func (p *Profile) regionDone(k core.Kernel, busy []time.Duration) {
-	if len(busy) > p.threads {
-		busy = busy[:p.threads]
-	}
-	var max, sum time.Duration
-	for tid, d := range busy {
-		p.busy[int(k)*p.threads+tid].Add(int64(d))
-		sum += d
-		if d > max {
-			max = d
+// segmentTotals returns how many steps have samples and, per segment,
+// the cumulative critical and mean-thread nanoseconds: the folded totals
+// plus the live ring slots.
+func (p *Profile) segmentTotals() (steps int64, crit, sum []int64) {
+	p.foldMu.Lock()
+	steps = p.foldedSteps
+	crit = append([]int64(nil), p.foldedCrit...)
+	sum = append([]int64(nil), p.foldedSum...)
+	p.foldMu.Unlock()
+	for i := range p.slots {
+		s := &p.slots[i]
+		s.mu.Lock()
+		if s.step >= 0 {
+			steps++
+			for seg := range s.crit {
+				crit[seg] += s.crit[seg]
+				sum[seg] += s.sum[seg] / int64(p.threads)
+			}
 		}
+		s.mu.Unlock()
 	}
-	p.waiting.Add(int64(max)*int64(len(busy)) - int64(sum))
-	p.critical.Add(int64(max))
-	p.regions.Add(1)
+	return steps, crit, sum
 }
 
 // Total returns the summed wall time across all kernels.
@@ -147,7 +351,7 @@ func (p *Profile) KernelTime(k core.Kernel) time.Duration {
 	if k < 1 || k > core.NumKernels {
 		return 0
 	}
-	return time.Duration(p.kernelNanos[k].Value())
+	return time.Duration(p.kernelNanos[k].Load())
 }
 
 // Calls returns how many times kernel k was recorded.
@@ -155,7 +359,7 @@ func (p *Profile) Calls(k core.Kernel) int {
 	if k < 1 || k > core.NumKernels {
 		return 0
 	}
-	return int(p.kernelCalls[k].Value())
+	return int(p.kernelCalls[k].Load())
 }
 
 // Row is one line of the Table-I-style report.
@@ -182,111 +386,74 @@ func (p *Profile) Ranked() []Row {
 	return rows
 }
 
-// Report renders the ranked profile as a text table.
-func (p *Profile) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %-36s %10s %8s\n", "Kernel", "Kernel Name", "Time", "% Total")
-	for _, r := range p.Ranked() {
-		fmt.Fprintf(&b, "%-6d %-36s %10s %7.2f%%\n", int(r.Kernel), r.Kernel.String(), r.Time.Round(time.Microsecond), r.Percent)
-	}
-	fmt.Fprintf(&b, "%-6s %-36s %10s\n", "", "total", p.Total().Round(time.Microsecond))
-	return b.String()
-}
-
-// PhaseTime returns the per-thread times of one loop nest.
-func (p *Profile) PhaseTime(ph core.Phase) []time.Duration {
-	out := make([]time.Duration, p.threads)
-	if ph < 1 || ph > core.NumPhases {
-		return out
-	}
-	for tid := range out {
-		out[tid] = time.Duration(p.phaseNanos[ph][tid].Value())
-	}
-	return out
-}
-
-// KernelBusy returns the per-thread busy times of one kernel's regions.
-func (p *Profile) KernelBusy(k core.Kernel) []time.Duration {
-	out := make([]time.Duration, p.threads)
-	if k < 1 || k > core.NumKernels {
-		return out
-	}
-	for tid := range out {
-		out[tid] = time.Duration(p.busy[int(k)*p.threads+tid].Load())
-	}
-	return out
-}
-
-// ThreadTime returns thread tid's computing time over all segments:
-// loop nests and parallel regions.
+// ThreadTime returns thread tid's busy time over every segment.
 func (p *Profile) ThreadTime(tid int) time.Duration {
 	if tid < 0 || tid >= p.threads {
 		return 0
 	}
 	var t int64
-	for ph := core.Phase(1); ph <= core.NumPhases; ph++ {
-		t += p.phaseNanos[ph][tid].Value()
-	}
-	for k := 1; k <= core.NumKernels; k++ {
-		t += p.busy[k*p.threads+tid].Load()
+	for seg := range p.segNames {
+		t += p.busy[seg*p.threads+tid].Load()
 	}
 	return time.Duration(t)
 }
 
-// ImbalanceRatio returns max/mean of the per-thread computing times —
-// the Table II metric for the whole run (0 with no data, 1 when
-// perfectly balanced).
+// ImbalanceRatio returns max/mean of the per-thread busy times — the
+// Table II metric for the whole run (0 with no data, 1 when perfectly
+// balanced).
 func (p *Profile) ImbalanceRatio() float64 {
-	totals := make([]time.Duration, p.threads)
-	for tid := range totals {
-		totals[tid] = p.ThreadTime(tid)
+	var hi, sum time.Duration
+	for tid := 0; tid < p.threads; tid++ {
+		d := p.ThreadTime(tid)
+		hi, sum = max(hi, d), sum+d
 	}
-	return maxOverMean(totals)
+	return maxOverMean(hi, sum, p.threads)
 }
 
 // PhaseImbalanceRatio returns max/mean of the per-thread times of one
-// loop nest — the paper's Table II load-imbalance metric for a single
-// phase. A phase nobody has reported yet returns 0; a perfectly balanced
-// phase returns 1.
+// loop nest — the paper's Table II metric for a single phase (0 for a
+// phase nobody has reported, 1 when perfectly balanced).
 func (p *Profile) PhaseImbalanceRatio(ph core.Phase) float64 {
-	return maxOverMean(p.PhaseTime(ph))
+	if p.regions {
+		return 0
+	}
+	return p.segmentRatio(int(ph))
 }
 
 // KernelImbalanceRatio returns max/mean of one kernel's per-thread busy
-// time.
+// time over its parallel regions.
 func (p *Profile) KernelImbalanceRatio(k core.Kernel) float64 {
-	return maxOverMean(p.KernelBusy(k))
-}
-
-// maxOverMean is the Table II ratio over a per-thread time vector.
-func maxOverMean(ds []time.Duration) float64 {
-	if len(ds) == 0 {
+	if !p.regions {
 		return 0
 	}
-	var max, sum time.Duration
-	for _, d := range ds {
-		if d > max {
-			max = d
-		}
-		sum += d
+	return p.segmentRatio(int(k))
+}
+
+func (p *Profile) segmentRatio(seg int) float64 {
+	if seg < 1 || seg >= len(p.segNames) {
+		return 0
 	}
+	var hi, sum time.Duration
+	for i := seg * p.threads; i < (seg+1)*p.threads; i++ {
+		d := time.Duration(p.busy[i].Load())
+		hi, sum = max(hi, d), sum+d
+	}
+	return maxOverMean(hi, sum, p.threads)
+}
+
+// maxOverMean is the Table II ratio of a per-thread time vector given
+// its maximum, sum and length.
+func maxOverMean(hi, sum time.Duration, n int) float64 {
 	if sum == 0 {
 		return 0
 	}
-	mean := float64(sum) / float64(len(ds))
-	return float64(max) / mean
+	return float64(hi) / (float64(sum) / float64(n))
 }
 
-// Regions returns how many parallel regions were recorded.
-func (p *Profile) Regions() int { return int(p.regions.Load()) }
-
-// CriticalPath returns the summed per-region max busy time — the
-// parallel wall-clock lower bound of the recorded regions.
-func (p *Profile) CriticalPath() time.Duration { return time.Duration(p.critical.Load()) }
-
-// BarrierWaitAt returns thread tid's accumulated wait at one site.
+// BarrierWaitAt returns thread tid's accumulated wait at one site of the
+// profile's vocabulary (for omp, site k−1 is kernel k's regions).
 func (p *Profile) BarrierWaitAt(site core.BarrierSite, tid int) time.Duration {
-	if site < 0 || site >= core.NumBarrierSites || tid < 0 || tid >= p.threads {
+	if site < 0 || int(site) >= len(p.siteNames) || tid < 0 || tid >= p.threads {
 		return 0
 	}
 	return time.Duration(p.wait[int(site)*p.threads+tid].Load())
@@ -302,77 +469,92 @@ func (p *Profile) BarrierWaitTotal() time.Duration {
 }
 
 // BarrierWaitShare returns the fraction of total thread-time spent
-// waiting at barriers. With parallel regions recorded it is their
-// implicit barriers' share of threads × critical path, which needs no
-// outside clock; otherwise it is the explicit barrier sites' waits over
-// threads × wall, the wall-clock time of the profiled steps.
+// waiting at barriers. For parallel regions it is their implicit
+// barriers' share of threads × critical time, which needs no outside
+// clock; otherwise it is the barrier sites' waits over threads × wall,
+// the wall-clock time of the profiled steps.
 func (p *Profile) BarrierWaitShare(wall time.Duration) float64 {
-	if crit := p.critical.Load(); crit > 0 {
-		return float64(p.waiting.Load()) / (float64(crit) * float64(p.threads))
+	if p.regions {
+		if crit := p.critical.Load(); crit > 0 {
+			return float64(p.BarrierWaitTotal()) / (float64(crit) * float64(p.threads))
+		}
+		return 0
 	}
-	if wall <= 0 || p.threads == 0 {
+	if wall <= 0 {
 		return 0
 	}
 	return p.BarrierWaitTotal().Seconds() / (float64(p.threads) * wall.Seconds())
 }
 
 // publication caches the gauges Publish writes. A series is resolved the
-// first time it has a value, so a segment the engine never reports never
-// shows in an exposition, and later publishes skip the registry's
-// lookup by name and labels.
+// first time it has a value, so a segment or site the engine never
+// reports never shows in an exposition, and later publishes skip the
+// registry's lookup by name and labels.
 type publication struct {
-	reg    *telemetry.Registry
-	engine string
-	total  *telemetry.Gauge
-	phase  [core.NumPhases + 1]*telemetry.Gauge
-	kernel [core.NumKernels + 1]*telemetry.Gauge
-	wait   []*telemetry.Gauge // site*threads+tid
+	reg         *telemetry.Registry
+	ratio, crit []*telemetry.Gauge // per segment; ratio[0] is "total"
+	wait, last  []*telemetry.Gauge // per site*threads+tid
 }
 
-// Publish writes the profile into reg as gauges: the Table II ratio as
-// lbmib_load_imbalance_ratio{engine,phase} — phase "total" for the whole
-// step, plus every loop nest or kernel with samples — and
-// lbmib_barrier_wait_seconds{engine,site,thread} for every (site,
-// thread) with at least one arrival. A nil reg is a no-op. Publish is
-// for the driver goroutine: it must not run concurrently with itself.
-func (p *Profile) Publish(reg *telemetry.Registry, engine string) {
+// Publish writes the profile into reg as gauges, labelled with the
+// engine:
+//
+//   - lbmib_load_imbalance_ratio{phase} — the Table II ratio, phase
+//     "total" for the whole step plus every segment with samples;
+//   - lbmib_critical_path_seconds{phase} — cumulative critical time per
+//     segment;
+//   - lbmib_barrier_wait_seconds{site,thread} — accumulated wait of every
+//     (site, thread) with an arrival;
+//   - lbmib_last_arriver_total{site,tid} — how often each thread released
+//     each site.
+//
+// A nil reg is a no-op. Publish is for the driver goroutine: it must not
+// run concurrently with itself.
+func (p *Profile) Publish(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
 	pub := &p.pub
-	if pub.reg != reg || pub.engine != engine {
-		*pub = publication{reg: reg, engine: engine, wait: make([]*telemetry.Gauge, len(p.wait))}
+	if pub.reg != reg {
+		nsegs, n := len(p.segNames), len(p.wait)
+		*pub = publication{reg: reg,
+			ratio: make([]*telemetry.Gauge, nsegs), crit: make([]*telemetry.Gauge, nsegs),
+			wait: make([]*telemetry.Gauge, n), last: make([]*telemetry.Gauge, n)}
 	}
-	eng := telemetry.L("engine", engine)
-	ratio := func(slot **telemetry.Gauge, segment string, v float64) {
+	eng := telemetry.L("engine", p.engine)
+	set := func(slot **telemetry.Gauge, v float64, name, help string, lbl ...telemetry.Label) {
 		if *slot == nil {
 			if v == 0 {
 				return
 			}
-			*slot = reg.Gauge("lbmib_load_imbalance_ratio",
-				"max/mean per-thread phase time (Table II load-imbalance metric)",
-				eng, telemetry.L("phase", segment))
+			*slot = reg.Gauge(name, help, append([]telemetry.Label{eng}, lbl...)...)
 		}
 		(*slot).Set(v)
 	}
-	ratio(&pub.total, "total", p.ImbalanceRatio())
-	for ph := core.Phase(1); ph <= core.NumPhases; ph++ {
-		ratio(&pub.phase[ph], ph.String(), p.PhaseImbalanceRatio(ph))
-	}
-	for k := core.Kernel(1); k <= core.NumKernels; k++ {
-		ratio(&pub.kernel[k], k.String(), p.KernelImbalanceRatio(k))
+	const (
+		ratioHelp = "max/mean per-thread phase time (Table II load-imbalance metric)"
+		critHelp  = "Cumulative critical-path seconds per kernel phase (per step, the slowest thread's time)."
+	)
+	set(&pub.ratio[0], p.ImbalanceRatio(), "lbmib_load_imbalance_ratio", ratioHelp, telemetry.L("phase", "total"))
+	_, crit, _ := p.segmentTotals()
+	for seg := 1; seg < len(p.segNames); seg++ {
+		phase := telemetry.L("phase", p.segNames[seg])
+		set(&pub.ratio[seg], p.segmentRatio(seg), "lbmib_load_imbalance_ratio", ratioHelp, phase)
+		set(&pub.crit[seg], float64(crit[seg])/1e9, "lbmib_critical_path_seconds", critHelp, phase)
 	}
 	for i := range p.wait {
-		if p.arrivals[i].Load() == 0 {
+		if pub.wait[i] == nil && p.arrivals[i].Load() == 0 {
 			continue
 		}
+		site, tid := p.siteNames[i/p.threads], strconv.Itoa(i%p.threads)
 		if pub.wait[i] == nil {
-			site, tid := core.BarrierSite(i/p.threads), i%p.threads
-			pub.wait[i] = reg.Gauge("lbmib_barrier_wait_seconds",
-				"accumulated per-thread barrier wait by call site",
-				eng, telemetry.L("site", site.String()), telemetry.L("thread", strconv.Itoa(tid)))
+			pub.wait[i] = reg.Gauge("lbmib_barrier_wait_seconds", "accumulated per-thread barrier wait by call site",
+				eng, telemetry.L("site", site), telemetry.L("thread", tid))
 		}
 		pub.wait[i].Set(time.Duration(p.wait[i].Load()).Seconds())
+		set(&pub.last[i], float64(p.lastTotal[i].Load()), "lbmib_last_arriver_total",
+			"How often each thread was the last arriver (releaser) at each barrier site.",
+			telemetry.L("site", site), telemetry.L("tid", tid))
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 func TestKernelProfileAccumulates(t *testing.T) {
-	p := NewProfile(nil, 0)
+	p := NewProfile(Config{})
 	p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.KComputeCollision, D: 30 * time.Millisecond})
 	p.Emit(core.Event{Kind: core.KernelDone, Step: 1, Kernel: core.KComputeCollision, D: 50 * time.Millisecond})
 	p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.KStreamDistribution, D: 20 * time.Millisecond})
@@ -27,7 +27,7 @@ func TestKernelProfileAccumulates(t *testing.T) {
 }
 
 func TestKernelProfileIgnoresBogusKernels(t *testing.T) {
-	p := NewProfile(nil, 0)
+	p := NewProfile(Config{})
 	p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.Kernel(0), D: time.Second})
 	p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.Kernel(99), D: time.Second})
 	if p.Total() != 0 {
@@ -36,7 +36,7 @@ func TestKernelProfileIgnoresBogusKernels(t *testing.T) {
 }
 
 func TestRankedOrderAndPercent(t *testing.T) {
-	p := NewProfile(nil, 0)
+	p := NewProfile(Config{})
 	p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.KComputeCollision, D: 730 * time.Millisecond})
 	p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.KUpdateVelocity, D: 126 * time.Millisecond})
 	p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.KCopyDistribution, D: 59 * time.Millisecond})
@@ -61,9 +61,11 @@ func TestRankedOrderAndPercent(t *testing.T) {
 }
 
 func TestReportContainsKernelNames(t *testing.T) {
-	p := NewProfile(nil, 0)
+	p := NewProfile(Config{})
 	p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.KComputeCollision, D: time.Second})
-	rep := p.Report()
+	var b strings.Builder
+	Render(&b, p.Report(0))
+	rep := b.String()
 	for _, want := range []string{"compute_fluid_collision", "% Total", "total"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
@@ -72,7 +74,7 @@ func TestReportContainsKernelNames(t *testing.T) {
 }
 
 func TestPhaseProfileImbalanceZeroWhenEqual(t *testing.T) {
-	p := NewProfile(nil, 4)
+	p := NewProfile(Config{Engine: "cube", Threads: 4})
 	for tid := 0; tid < 4; tid++ {
 		p.Emit(core.Event{Kind: core.PhaseDone, Tid: tid, Phase: core.PhaseCollideStream, D: 10 * time.Millisecond})
 	}
@@ -82,7 +84,7 @@ func TestPhaseProfileImbalanceZeroWhenEqual(t *testing.T) {
 }
 
 func TestPhaseProfileImbalanceDetectsSkew(t *testing.T) {
-	p := NewProfile(nil, 2)
+	p := NewProfile(Config{Engine: "cube", Threads: 2})
 	p.Emit(core.Event{Kind: core.PhaseDone, Phase: core.PhaseCollideStream, D: 20 * time.Millisecond})
 	p.Emit(core.Event{Kind: core.PhaseDone, Tid: 1, Phase: core.PhaseCollideStream, D: 10 * time.Millisecond})
 	// max = 20, mean = 15 → 4/3.
@@ -92,7 +94,7 @@ func TestPhaseProfileImbalanceDetectsSkew(t *testing.T) {
 }
 
 func TestPhaseProfileIgnoresOutOfRange(t *testing.T) {
-	p := NewProfile(nil, 2)
+	p := NewProfile(Config{Engine: "cube", Threads: 2})
 	p.Emit(core.Event{Kind: core.PhaseDone, Tid: 5, Phase: core.PhaseCopy, D: time.Second})           // bad tid
 	p.Emit(core.Event{Kind: core.PhaseDone, Phase: core.Phase(0), D: time.Second})                    // bad phase
 	p.Emit(core.Event{Kind: core.PhaseDone, Phase: core.Phase(99), D: time.Second})                   // bad phase
@@ -103,15 +105,15 @@ func TestPhaseProfileIgnoresOutOfRange(t *testing.T) {
 }
 
 func TestThreadTimeAndPhaseTime(t *testing.T) {
-	p := NewProfile(nil, 3)
+	p := NewProfile(Config{Engine: "cube", Threads: 3})
 	p.Emit(core.Event{Kind: core.PhaseDone, Tid: 1, Phase: core.PhaseFibersForce, D: 5 * time.Millisecond})
 	p.Emit(core.Event{Kind: core.PhaseDone, Tid: 1, Phase: core.PhaseCopy, D: 7 * time.Millisecond})
 	if got := p.ThreadTime(1); got != 12*time.Millisecond {
 		t.Fatalf("ThreadTime(1) = %v", got)
 	}
-	pt := p.PhaseTime(core.PhaseCopy)
-	if len(pt) != 3 || pt[1] != 7*time.Millisecond || pt[0] != 0 {
-		t.Fatalf("PhaseTime = %v", pt)
+	pt := p.Report(0).Phases[core.PhaseCopy-1].BusySeconds
+	if len(pt) != 3 || pt[1] != 0.007 || pt[0] != 0 {
+		t.Fatalf("copy busy seconds = %v", pt)
 	}
 }
 
@@ -164,7 +166,7 @@ func TestProfileRealSolverRanksFluidKernelsFirst(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real solver")
 	}
-	prof := NewProfile(nil, 0)
+	prof := NewProfile(Config{})
 	sh := fiber.NewSheet(fiber.Params{NumFibers: 8, NodesPerFiber: 8, Width: 7, Height: 7,
 		Origin: fiber.Vec3{6, 4, 4}, Ks: 0.05, Kb: 0.001})
 	s := core.MustNewSolver(core.Config{NX: 16, NY: 16, NZ: 16, Tau: 0.7, Sheet: sh})

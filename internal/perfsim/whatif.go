@@ -6,7 +6,7 @@ import (
 )
 
 // MeasuredPhase is one step phase with measured per-thread busy seconds
-// (per step), taken from the critical-path profiler's slice timelines.
+// (per step), taken from perfmon's critical-path report.
 // Unlike the first-principles predictor above, the what-if estimator
 // starts from what actually ran and perturbs it.
 type MeasuredPhase struct {

@@ -22,8 +22,8 @@ type StepRecord struct {
 	MLUPS float64 `json:"mlups"`
 	// Imbalance is the load-imbalance ratio (max/mean per-thread phase
 	// time, the paper's Table II metric) accumulated so far. Zero-valued
-	// fields below are omitted: they only appear when contention
-	// attribution is enabled.
+	// fields below are omitted: they only appear when attribution
+	// (lbmib.Config.CritPath) is enabled.
 	Imbalance float64 `json:"imbalance,omitempty"`
 	// BarrierWaitShare is the fraction of total thread-time spent waiting
 	// at barriers so far.

@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"lbmib/internal/core"
-	"lbmib/internal/critpath"
 	"lbmib/internal/cube"
 	"lbmib/internal/cubesolver"
 	"lbmib/internal/fiber"
@@ -212,35 +211,29 @@ type Config struct {
 	Watchdog *telemetry.Watchdog
 	// FlightRec, when non-nil, keeps an always-on flight recorder: a
 	// fixed-size ring of per-step records (kernel/phase timings, per-cube
-	// physics digests, contention shares) plus periodic in-memory
-	// checkpoints. When the Watchdog latches or a Step panics, a
+	// physics digests, CritPath's barrier-wait share) plus periodic
+	// in-memory checkpoints. When the Watchdog latches or a Step panics, a
 	// post-mortem bundle is written to FlightRec.Dir (see
 	// internal/flightrec); WritePostMortem writes one on demand. A zero
 	// flightrec.Config{} takes the documented default cadences. With a
 	// Watchdog configured alongside, the watchdog's per-step grid scan is
 	// replaced by the recorder's digest pass, not added to it.
 	FlightRec *flightrec.Config
-	// Contention, when true, attributes waiting time: per-site barrier
-	// waits (CubeBased and Fused engines; the OpenMP engine's implicit
-	// region barriers), per-thread phase times, and — for the CubeBased
-	// engine — a per-cube work heatmap (WriteCubeHeatmap).
-	// ContentionStats reports the rollup; with a Telemetry registry the
-	// profiles are also published as lbmib_load_imbalance_ratio /
-	// lbmib_barrier_wait_seconds gauges. Off by default: the
-	// uninstrumented engines take their exact pre-existing code paths.
-	Contention bool
-	// CritPath, when true, runs the critical-path profiler: per-step
-	// last-arriver attribution at every barrier site, a per-thread phase
-	// timeline, and wait-cause classification (persistent straggler, data
-	// imbalance, barrier-topology overhead). CritPathReport returns the
-	// rollup with a perfsim what-if table; with a Telemetry registry the
-	// per-phase critical path is published as
-	// lbmib_critical_path_seconds{engine,phase} and last-arriver counts as
-	// lbmib_last_arriver_total{engine,site,tid}; with a TraceFile, barrier
-	// releases become Chrome-trace flow events; with a flight recorder, a
-	// critpath.json section joins post-mortem bundles. Supported by the
-	// OpenMP, CubeBased, TaskScheduled and Fused engines; off by default
-	// (the uninstrumented engines take their exact pre-existing paths).
+	// CritPath, when true, attaches the attribution profile
+	// (perfmon.Profile) on any engine: per-kernel time (Table I) where the
+	// engine times its kernels; per-thread busy time, the load-imbalance
+	// ratio and the barrier-wait share (Table II); and per-step
+	// last-arriver attribution at every barrier site with wait-cause
+	// classification (persistent straggler, data imbalance,
+	// barrier-topology overhead). CritPathReport returns it all with a
+	// perfsim what-if table, and a LogWriter's lines carry the per-step
+	// rollup. With a Telemetry registry it is published as
+	// lbmib_load_imbalance_ratio, lbmib_barrier_wait_seconds,
+	// lbmib_critical_path_seconds and lbmib_last_arriver_total gauges;
+	// with a TraceFile, barrier releases become Chrome-trace flow events;
+	// with a flight recorder, a critpath.json section joins post-mortem
+	// bundles. Off by default (the uninstrumented engines take their exact
+	// pre-existing paths).
 	CritPath bool
 }
 
@@ -298,12 +291,8 @@ type Simulation struct {
 	mMLUPS    *telemetry.Gauge
 	mStepSec  *telemetry.Histogram
 
-	// Attribution sinks (nil when not configured): Config.Contention's
-	// profile and per-cube heatmap (CubeBased only), Config.CritPath's.
-	prof    *perfmon.Profile
-	heatmap *perfmon.CubeHeatmap
-	crit    *critpath.Profiler
-	wall    time.Duration // accumulated measured wall-clock time
+	prof *perfmon.Profile // Config.CritPath's attribution profile, or nil
+	wall time.Duration    // accumulated measured wall-clock time
 }
 
 func buildSheet(sc *SheetConfig) (*fiber.Sheet, error) {
@@ -398,6 +387,7 @@ func New(cfg Config) (*Simulation, error) {
 		if err != nil {
 			return nil, err
 		}
+		sim.cfg.Threads = 1
 		sim.eng, sim.problem = &seqEngine{cs, onLayout{cs.Fluid}}, &cs.Problem
 	case OpenMP:
 		os, err := omp.NewSolver(omp.Config{Config: coreCfg, Threads: cfg.Threads})
@@ -482,27 +472,16 @@ func (s *Simulation) initTelemetry() (core.Probes, error) {
 			telemetry.ExpBuckets(1e-4, 2, 18))
 		sinks = append(sinks, telemetry.NewLatencies(r, cfg.Solver == Sequential || cfg.Solver == OpenMP))
 	}
-	// The attribution sinks profile threads; Sequential has none.
-	if cfg.Contention && cfg.Solver != Sequential {
-		s.prof = perfmon.NewProfile(nil, cfg.Threads)
-		sinks = append(sinks, s.prof)
-		if k := cfg.CubeSize; cfg.Solver == CubeBased {
-			s.heatmap = perfmon.NewCubeHeatmap(cfg.NX/k, cfg.NY/k, cfg.NZ/k, k, cfg.Threads)
-			sinks = append(sinks, s.heatmap)
-		}
-	}
-	if cfg.CritPath && cfg.Solver != Sequential {
+	if cfg.CritPath {
 		eng := cfg.Solver.String()
-		if cfg.Solver == Fused && cfg.Float32 {
+		if cfg.Float32 {
 			eng = "fused-f32"
 		}
-		s.crit = critpath.New(critpath.Config{Engine: eng, Threads: cfg.Threads, Tracer: s.tracer})
-		sinks = append(sinks, s.crit)
+		s.prof = perfmon.NewProfile(perfmon.Config{Engine: eng, Threads: cfg.Threads, Tracer: s.tracer})
+		sinks = append(sinks, s.prof)
 		if s.rec != nil {
-			nodes := float64(cfg.NX) * float64(cfg.NY) * float64(cfg.NZ)
 			s.rec.SetAux(flightrec.CritPathFile, func() ([]byte, error) {
-				r := s.crit.Report()
-				critpath.AddWhatIf(&r, nodes)
+				r, _ := s.CritPathReport()
 				return json.MarshalIndent(r, "", "  ")
 			})
 		}
@@ -514,7 +493,7 @@ func (s *Simulation) initTelemetry() (core.Probes, error) {
 // bookkeeping.
 func (s *Simulation) instrumented() bool {
 	return s.mSteps != nil || s.tracer != nil || s.logger != nil || s.watchdog != nil ||
-		s.rec != nil || s.cfg.Contention || s.cfg.CritPath
+		s.rec != nil || s.prof != nil
 }
 
 // runSpec describes this run for post-mortem bundles: enough to rebuild
@@ -651,6 +630,12 @@ func (s *Simulation) runSteps(n int) {
 		if elapsed > 0 {
 			mlups = nodes / elapsed.Seconds() / 1e6
 		}
+		// The Table II rollup so far, read once for the recorder and the
+		// step log (zero without Config.CritPath).
+		var imbalance, waitShare float64
+		if s.prof != nil {
+			imbalance, waitShare = s.prof.ImbalanceRatio(), s.prof.BarrierWaitShare(s.wall)
+		}
 
 		// Physics sampling: with a recorder, one digest pass feeds the
 		// watchdog, the steplog and the ring together (the cube engines
@@ -682,8 +667,7 @@ func (s *Simulation) runSteps(n int) {
 					s.rec.RecordDigest(step, dig)
 				}
 			}
-			st, _ := s.ContentionStats() // zero without Config.Contention
-			s.rec.RecordStep(step, elapsed, mlups, st.BarrierWaitShare)
+			s.rec.RecordStep(step, elapsed, mlups, waitShare)
 			healthy := s.watchdog == nil || s.watchdog.Healthy()
 			if healthy && s.rec.WantSnapshot(step) {
 				s.rec.TakeSnapshot(step, s.Checkpoint) //nolint:errcheck // best-effort; last good snapshot is kept
@@ -705,19 +689,17 @@ func (s *Simulation) runSteps(n int) {
 
 		if s.logger != nil {
 			rec := telemetry.StepRecord{
-				Step:         step,
-				Mass:         mass,
-				MaxVel:       maxVel,
-				KernelMillis: float64(elapsed.Microseconds()) / 1e3,
-				MLUPS:        mlups,
-				Unhealthy:    telemetry.NewUnhealthyRecord(herr),
+				Step:             step,
+				Mass:             mass,
+				MaxVel:           maxVel,
+				KernelMillis:     float64(elapsed.Microseconds()) / 1e3,
+				MLUPS:            mlups,
+				Imbalance:        imbalance,
+				BarrierWaitShare: waitShare,
+				Unhealthy:        telemetry.NewUnhealthyRecord(herr),
 			}
-			if st, ok := s.ContentionStats(); ok {
-				rec.Imbalance = st.ImbalanceRatio
-				rec.BarrierWaitShare = st.BarrierWaitShare
-			}
-			if s.crit != nil {
-				if cp, ok := s.crit.StepRecord(step); ok {
+			if s.prof != nil {
+				if cp, ok := s.prof.StepRecord(step); ok {
 					rec.CritPath = &cp
 				}
 			}
@@ -759,58 +741,23 @@ func (s *Simulation) recordBatch(n int, nodes float64, elapsed time.Duration) {
 		}
 	}
 	if s.prof != nil {
-		s.prof.Publish(s.cfg.Telemetry, s.cfg.Solver.String()) // nil registry is a no-op
-	}
-	if s.crit != nil {
-		s.crit.Publish(s.cfg.Telemetry)
+		s.prof.Publish(s.cfg.Telemetry) // nil registry is a no-op
 	}
 }
 
-// ContentionStats is the rollup of the Config.Contention profiles.
-type ContentionStats struct {
-	// ImbalanceRatio is max/mean of per-thread busy time (Table II);
-	// 1 = perfectly balanced, 0 = no samples yet.
-	ImbalanceRatio float64
-	// BarrierWaitShare is the fraction of total thread-time spent waiting
-	// at barriers (CubeBased) or at the parallel regions' implicit
-	// barriers (OpenMP).
-	BarrierWaitShare float64
-}
-
-// ContentionStats reports the accumulated contention rollup; ok is false
-// unless Config.Contention was set. Shares are measured against the
-// wall-clock time of instrumented Step/Run calls.
-func (s *Simulation) ContentionStats() (ContentionStats, bool) {
-	if s.prof == nil {
-		return ContentionStats{}, s.cfg.Contention
-	}
-	return ContentionStats{
-		ImbalanceRatio:   s.prof.ImbalanceRatio(),
-		BarrierWaitShare: s.prof.BarrierWaitShare(s.wall),
-	}, true
-}
-
-// WriteCubeHeatmap writes the per-cube work heatmap accumulated so far
-// as schema-versioned JSON. It requires Config.Contention with the
-// CubeBased engine.
-func (s *Simulation) WriteCubeHeatmap(w io.Writer) error {
-	if s.heatmap == nil {
-		return fmt.Errorf("lbmib: heatmap requires Config.Contention with the CubeBased engine")
-	}
-	return s.heatmap.WriteJSON(w)
-}
-
-// CritPathReport returns the critical-path profiler's accumulated
-// report — per-site last-arriver attribution with wait-cause classes,
+// CritPathReport returns the attribution profile's accumulated report —
+// Table I where the engine times its kernels, the Table II rollup
+// (shares measured against the wall-clock time of instrumented Step/Run
+// calls), per-site last-arriver attribution with wait-cause classes,
 // per-phase critical-path seconds, recent last-arriver chains, and the
 // perfsim what-if table of predicted MLUPS gains. ok is false unless
-// Config.CritPath was set on a supported engine.
-func (s *Simulation) CritPathReport() (critpath.Report, bool) {
-	if s.crit == nil {
-		return critpath.Report{}, false
+// Config.CritPath was set.
+func (s *Simulation) CritPathReport() (perfmon.Report, bool) {
+	if s.prof == nil {
+		return perfmon.Report{}, false
 	}
-	r := s.crit.Report()
-	critpath.AddWhatIf(&r, float64(s.cfg.NX)*float64(s.cfg.NY)*float64(s.cfg.NZ))
+	r := s.prof.Report(s.wall)
+	perfmon.AddWhatIf(&r, float64(s.cfg.NX)*float64(s.cfg.NY)*float64(s.cfg.NZ))
 	return r, true
 }
 

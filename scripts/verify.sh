@@ -7,11 +7,13 @@
 # spread buffers, and the spread bodies they share live in core; the
 # taskflow engine schedules cubes over a dependency graph; the fused
 # engine's wavefront sweep overlaps collide and finalize
-# planes across one parallel region; perfmon profiles accumulate from
-# all workers; par's timed barrier wraps the team barrier), a seeded
-# cross-engine differential sweep, three native-fuzz smokes, the
-# flight-recorder and critical-path report smokes, and the repo
-# benchmark's verification pass on every workload.
+# planes across one parallel region; the perfmon profile — Table I/II
+# accumulators, step ring and crossing ring of the critical-path report
+# — is written from all workers; par's timed barrier wraps the team
+# barrier), a seeded cross-engine differential sweep, three native-fuzz
+# smokes, the flight-recorder smoke (whose bundle must carry the
+# critical-path report), and the repo benchmark's verification pass on
+# every workload.
 #
 # The barrier choreography is held twice: barriercheck (in the lint pass)
 # proves every thread of the cube and fused engines reaches every
@@ -68,7 +70,7 @@ if grep -rn '\.AddForce(\|\.VelocityAt(\|) AddForce(\|) VelocityAt(' --include='
 	exit 1
 fi
 
-go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/taskflow/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/critpath/... ./internal/perfsim/...
+go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/taskflow/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/perfsim/...
 
 # Cross-engine differential smoke: 10 seeded cases on every engine,
 # including the fused engine in both storage modes (float64 on the
@@ -88,26 +90,22 @@ go test -run '^$' -fuzz '^FuzzLintParse$' -fuzztime 5s ./internal/analysis/
 
 # Flight-recorder forensics smoke: a run driven far past the lattice's
 # stability envelope must trip the watchdog, leave a post-mortem bundle,
-# and lbmib-postmortem must decode it.
+# and lbmib-postmortem must decode it. The run is attributed, so the
+# bundle carries the schema-versioned critical-path report; the
+# fluid-only cube run crosses after_stream (its end_of_step barrier
+# folds away without fibers).
 FRDIR=$(mktemp -d)
 if go run ./cmd/lbmib-sim -solver cube -threads 2 -nx 16 -ny 16 -nz 16 \
-	-steps 60 -sheet "" -force 0.05 -flightrec "$FRDIR"; then
+	-steps 60 -sheet "" -force 0.05 -flightrec "$FRDIR" -critpath; then
 	echo "unstable run should have tripped the watchdog" >&2
 	rm -rf "$FRDIR"
 	exit 1
 fi
 test -f "$FRDIR/manifest.json"
+grep -q '"schema": "lbmib-critpath/v1"' "$FRDIR/critpath.json"
+grep -q '"site": "after_stream"' "$FRDIR/critpath.json"
 go run ./cmd/lbmib-postmortem -ring 5 "$FRDIR"
 rm -rf "$FRDIR"
-
-# Critical-path profiler smoke: a tiny attributed run must emit a valid
-# schema-versioned report naming at least one barrier site.
-CPOUT=$(mktemp)
-go run ./cmd/lbmib-profile -critpath -solver cube -threads 2 \
-	-nx 16 -ny 16 -nz 16 -steps 10 -sheet 8x8 -critpath-out "$CPOUT"
-grep -q '"schema": "lbmib-critpath/v1"' "$CPOUT"
-grep -q '"site": "end_of_step"' "$CPOUT"
-rm -f "$CPOUT"
 
 # Benchmark smoke: every workload of the repo benchmark (BENCHMARK.json)
 # at smoke length. Each run verifies its engine against Sequential under
