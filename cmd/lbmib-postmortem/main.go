@@ -103,7 +103,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("replay: %v", err)
 	}
-	wd := telemetry.NewWatchdog(telemetry.WatchdogConfig{CubeSize: m.TileSize})
+	wd := telemetry.NewWatchdog(telemetry.WatchdogConfig{})
 	cfg.Watchdog = wd
 	sim, err := lbmib.Restore(bytes.NewReader(b.Checkpoint), cfg)
 	if err != nil {

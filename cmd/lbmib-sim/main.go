@@ -85,7 +85,7 @@ func main() {
 	}
 	cfg.TraceFile = *traceOut
 	if *watch || *flightrecDir != "" {
-		wd = telemetry.NewWatchdog(telemetry.WatchdogConfig{Registry: reg, CubeSize: *cubeSize})
+		wd = telemetry.NewWatchdog(telemetry.WatchdogConfig{Registry: reg})
 		cfg.Watchdog = wd
 	}
 	if *flightrecDir != "" {

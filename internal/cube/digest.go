@@ -8,8 +8,8 @@ import (
 
 // Digest fills d from the layout in one cube-major pass over the nodes,
 // reading the present distribution buffer without materializing a slab
-// grid (unlike ToGrid, which copies every node). When d.K equals the
-// layout's cube size, the digest tiles are exactly the solver's cubes.
+// grid (unlike ToGrid, which copies every node). d's tiles must be the
+// layout's cubes (d.K == l.K); any other tile size is an error.
 func (l *Layout) Digest(d *grid.DigestGrid) error {
 	if d.NX != l.NX || d.NY != l.NY || d.NZ != l.NZ {
 		return fmt.Errorf("cube: digest shaped %d×%d×%d, layout %d×%d×%d",

@@ -70,30 +70,20 @@ func TestLayoutDigestMatchesSlabDigest(t *testing.T) {
 	}
 }
 
-func TestLayoutDigestWithFinerTiles(t *testing.T) {
+// TestLayoutDigestRejectsForeignTileSize: a layout digests only into
+// tiles that are its cubes, so a tile the engine does not own is never
+// named.
+func TestLayoutDigestRejectsForeignTileSize(t *testing.T) {
 	l, err := NewLayout(8, 8, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perturb(l)
-	dl, err := grid.NewDigestGrid(8, 8, 8, 2) // tile ≠ cube: generic path
+	d, err := grid.NewDigestGrid(8, 8, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Digest(dl); err != nil {
-		t.Fatal(err)
-	}
-	dg, err := grid.NewDigestGrid(8, 8, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.ToGrid().Digest(dg); err != nil {
-		t.Fatal(err)
-	}
-	for i := range dl.Tiles {
-		if math.Abs(dl.Tiles[i].Mass-dg.Tiles[i].Mass) > 1e-9 {
-			t.Fatalf("tile %d mass %g vs %g", i, dl.Tiles[i].Mass, dg.Tiles[i].Mass)
-		}
+	if err := l.Digest(d); err == nil {
+		t.Fatal("tile size 2 accepted over 4³ cubes")
 	}
 }
 

@@ -63,44 +63,20 @@ type RunSpec struct {
 	Sheets  []SheetSpec `json:"sheets,omitempty"`
 }
 
-// Health is the manifest form of the watchdog's latched HealthError.
-type Health struct {
-	Step   int    `json:"step"`
-	Reason string `json:"reason"`
-	Cell   []int  `json:"cell,omitempty"`
-	Cube   int    `json:"cube"` // −1 when not localized
-	Phase  string `json:"phase,omitempty"`
-}
-
-// healthFrom converts a latched HealthError, or nil.
-func healthFrom(he *telemetry.HealthError) *Health {
-	if he == nil {
-		return nil
-	}
-	h := &Health{Step: he.Step, Reason: he.Reason, Cube: he.Cube, Phase: he.Phase}
-	if !he.HasCell && he.CubeSize == 0 {
-		h.Cube = -1
-	}
-	if he.HasCell {
-		h.Cell = []int{he.Cell[0], he.Cell[1], he.Cell[2]}
-	}
-	return h
-}
-
 // Manifest is the bundle's index and provenance record.
 type Manifest struct {
-	Schema       string   `json:"schema"`
-	Reason       string   `json:"reason"` // watchdog | crosscheck | panic | manual
-	WrittenAt    string   `json:"writtenAt"`
-	Version      string   `json:"version"`
-	GoVersion    string   `json:"goVersion"`
-	LastStep     int      `json:"lastStep"`
-	SnapshotStep int      `json:"snapshotStep"` // −1 when no checkpoint retained
-	TileSize     int      `json:"tileSize,omitempty"`
-	TileGrid     [3]int   `json:"tileGrid"`
-	Health       *Health  `json:"health,omitempty"`
-	Run          *RunSpec `json:"run,omitempty"`
-	Files        []string `json:"files"`
+	Schema       string                  `json:"schema"`
+	Reason       string                  `json:"reason"` // watchdog | crosscheck | panic | manual
+	WrittenAt    string                  `json:"writtenAt"`
+	Version      string                  `json:"version"`
+	GoVersion    string                  `json:"goVersion"`
+	LastStep     int                     `json:"lastStep"`
+	SnapshotStep int                     `json:"snapshotStep"` // −1 when no checkpoint retained
+	TileSize     int                     `json:"tileSize,omitempty"`
+	TileGrid     [3]int                  `json:"tileGrid"`
+	Health       *telemetry.HealthRecord `json:"health,omitempty"`
+	Run          *RunSpec                `json:"run,omitempty"`
+	Files        []string                `json:"files"`
 }
 
 // ringDoc is the on-disk form of the ring.
@@ -220,7 +196,7 @@ func (r *Recorder) WriteBundle(reason string, herr *telemetry.HealthError) (stri
 		SnapshotStep: snapStep,
 		TileSize:     tileK,
 		TileGrid:     [3]int{tx, ty, tz},
-		Health:       healthFrom(herr),
+		Health:       herr.Record(),
 		Run:          run,
 		Files:        files,
 	}

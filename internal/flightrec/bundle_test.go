@@ -17,11 +17,11 @@ import (
 
 func buildFailedRun(t *testing.T, dir string) *Recorder {
 	t.Helper()
-	r := New(Config{RingSize: 16, DigestEvery: 1, TileSize: 4, Dir: dir})
+	r := New(Config{RingSize: 16, DigestEvery: 1, Dir: dir})
 	r.SetRunSpec(RunSpec{NX: 8, NY: 8, NZ: 8, Tau: 0.7, Solver: "cube", Threads: 2, CubeSize: 4,
 		BoundaryX: "periodic", BoundaryY: "periodic", BoundaryZ: "periodic"})
 	g := grid.New(8, 8, 8)
-	d, err := r.Scratch(8, 8, 8)
+	d, err := grid.NewDigestGrid(8, 8, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +182,28 @@ func TestBundleWithoutSnapshot(t *testing.T) {
 	}
 	if b.Localization.Found {
 		t.Fatalf("digest-free ring localized: %+v", b.Localization)
+	}
+}
+
+// TestParentManifestDecodes: a manifest written by lbmib-sim -flightrec
+// before the manifest and the step log shared one HealthError record
+// (a cube run that crossed the speed limit at step 12) decodes with
+// every health field intact.
+func TestParentManifestDecodes(t *testing.T) {
+	var m Manifest
+	if err := readJSONFile(filepath.Join("testdata", "parent-manifest.json"), &m); err != nil {
+		t.Fatal(err)
+	}
+	h := m.Health
+	if m.Schema != Schema || m.Reason != "watchdog" || h == nil {
+		t.Fatalf("manifest schema=%q reason=%q health=%+v", m.Schema, m.Reason, h)
+	}
+	if h.Step != 12 || h.Cube != 0 || h.Phase != "update_velocity" || len(h.Cell) != 3 ||
+		!strings.HasPrefix(h.Reason, "max speed") {
+		t.Fatalf("health = %+v", h)
+	}
+	if m.Run == nil || m.Run.Solver != "cube" || m.Run.CubeSize != 4 || m.TileSize != 4 {
+		t.Fatalf("run = %+v, tileSize %d", m.Run, m.TileSize)
 	}
 }
 

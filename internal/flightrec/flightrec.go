@@ -29,20 +29,17 @@ type Config struct {
 	// RingSize is how many most-recent steps the ring retains
 	// (default 256).
 	RingSize int
-	// DigestEvery is the per-cube digest cadence in steps (default 8;
-	// 1 digests every step). Digesting is the recorder's only
-	// full-grid pass, so this is the overhead knob. Drivers that run a
-	// watchdog digest every step regardless — the watchdog's own scan
-	// is replaced by the recorder's, not added to it.
+	// DigestEvery is the cadence in steps at which the ring keeps a
+	// per-cube digest (default 8; 1 keeps every step). Digesting is the
+	// only full-grid pass, so this is the overhead knob when the recorder
+	// runs alone; a driver with a watchdog or step log digests every step
+	// anyway, and the ring copies the same digest on its cadence.
 	DigestEvery int
 	// SnapshotEvery is the in-memory checkpoint cadence in steps
 	// (default 64). Snapshots are only retained while the run is
 	// healthy, so the bundle's checkpoint reproduces the failure from
 	// at most SnapshotEvery steps before it.
 	SnapshotEvery int
-	// TileSize is the digest tile edge (default 4). Set it to the cube
-	// engine's cube size so localization names real cubes.
-	TileSize int
 	// Dir is where WriteBundle materializes the post-mortem bundle.
 	// Empty disables bundle writing (the ring still records).
 	Dir string
@@ -57,9 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SnapshotEvery < 1 {
 		c.SnapshotEvery = 64
-	}
-	if c.TileSize < 1 {
-		c.TileSize = 4
 	}
 	return c
 }
@@ -101,11 +95,6 @@ type Recorder struct {
 	lastStep int
 	// tile-grid shape of the digests in the ring (set on first digest)
 	tileK, tx, ty, tz int
-
-	// scratch is the driver-owned digest buffer: engines scan into it
-	// outside the ring lock, then RecordDigest copies it in. Guarded by
-	// the driver loop being single-threaded, not by mu.
-	scratch *grid.DigestGrid
 
 	snapMu   sync.Mutex
 	snapBufs [2]bytes.Buffer
@@ -241,25 +230,9 @@ func (r *Recorder) WantSnapshot(step int) bool {
 	return step%r.cfg.SnapshotEvery == 0
 }
 
-// Scratch returns the driver-owned digest buffer for an nx×ny×nz grid,
-// (re)allocating it when the shape changes. The driver has an engine
-// fill it (outside any recorder lock), hands it to the watchdog, then
-// calls RecordDigest. Not safe for concurrent use — it is the single
-// driver goroutine's working buffer.
-func (r *Recorder) Scratch(nx, ny, nz int) (*grid.DigestGrid, error) {
-	if r.scratch == nil || r.scratch.NX != nx || r.scratch.NY != ny || r.scratch.NZ != nz {
-		d, err := grid.NewDigestGrid(nx, ny, nz, r.cfg.TileSize)
-		if err != nil {
-			return nil, err
-		}
-		r.scratch = d
-	}
-	return r.scratch, nil
-}
-
-// RecordDigest copies a filled digest into step's ring entry. The
-// per-slot tile buffer is reused, so the steady state allocates
-// nothing.
+// RecordDigest copies a filled digest into step's ring entry, taking
+// its tile size from d. The per-slot tile buffer is reused, so the
+// steady state allocates nothing.
 func (r *Recorder) RecordDigest(step int, d *grid.DigestGrid) {
 	r.mu.Lock()
 	s := r.slotFor(step)

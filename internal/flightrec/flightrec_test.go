@@ -83,9 +83,9 @@ func TestObserversAggregate(t *testing.T) {
 }
 
 func TestRecordDigestCopiesTiles(t *testing.T) {
-	r := New(Config{RingSize: 4, TileSize: 2})
+	r := New(Config{RingSize: 4})
 	g := grid.New(4, 4, 4)
-	d, err := r.Scratch(4, 4, 4)
+	d, err := grid.NewDigestGrid(4, 4, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +93,14 @@ func TestRecordDigestCopiesTiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.RecordDigest(1, d)
-	// Mutating the scratch afterwards must not reach the ring.
+	// Mutating the digest afterwards must not reach the ring.
 	d.Tiles[0].Mass = -1
 	recs := r.Records()
 	if len(recs) != 1 || !recs[0].HasDigest {
 		t.Fatalf("digest record missing: %+v", recs)
 	}
 	if recs[0].Digests[0].Mass < 0 {
-		t.Fatal("ring aliases the scratch digest")
+		t.Fatal("ring aliases the driver's digest")
 	}
 	if recs[0].Mass != d.Mass || len(recs[0].Digests) != d.NumTiles() {
 		t.Fatalf("digest aggregates lost: %+v", recs[0])
@@ -111,34 +111,12 @@ func TestRecordDigestCopiesTiles(t *testing.T) {
 	}
 }
 
-func TestScratchReallocatesOnShapeChange(t *testing.T) {
-	r := New(Config{})
-	d1, err := r.Scratch(8, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := r.Scratch(8, 8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 {
-		t.Fatal("same shape must reuse the scratch")
-	}
-	d3, err := r.Scratch(4, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d3 == d1 || d3.NX != 4 {
-		t.Fatal("shape change must reallocate")
-	}
-}
-
 func TestCadencePredicates(t *testing.T) {
 	r := New(Config{DigestEvery: 4, SnapshotEvery: 8})
 	if !r.WantDigest(8) || r.WantDigest(3) || !r.WantSnapshot(16) || r.WantSnapshot(4) {
 		t.Fatal("cadence predicates wrong")
 	}
-	if c := r.Config(); c.RingSize != 256 || c.TileSize != 4 {
+	if c := r.Config(); c.RingSize != 256 {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 }
@@ -222,13 +200,13 @@ func TestConcurrentWritersAndReader(t *testing.T) {
 }
 
 // TestSteadyStateRecordingAllocatesNothing pins the bounded-overhead
-// claim: once the ring's slots and the digest scratch are warm, a full
+// claim: once the ring's slots and their tile buffers are warm, a full
 // step of recording — nine kernel callbacks, five phase callbacks, the
 // step aggregate, and a digest copy — performs zero allocations.
 func TestSteadyStateRecordingAllocatesNothing(t *testing.T) {
-	r := New(Config{RingSize: 16, DigestEvery: 1, TileSize: 4})
+	r := New(Config{RingSize: 16, DigestEvery: 1})
 	g := grid.New(16, 16, 16)
-	d, err := r.Scratch(16, 16, 16)
+	d, err := grid.NewDigestGrid(16, 16, 16, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,9 +242,9 @@ func recordOneStep(r *Recorder, g *grid.Grid, d *grid.DigestGrid, step int) {
 }
 
 func BenchmarkRecordStep(b *testing.B) {
-	r := New(Config{RingSize: 256, DigestEvery: 1, TileSize: 4})
+	r := New(Config{RingSize: 256, DigestEvery: 1})
 	g := grid.New(32, 32, 32)
-	d, err := r.Scratch(32, 32, 32)
+	d, err := grid.NewDigestGrid(32, 32, 32, 4)
 	if err != nil {
 		b.Fatal(err)
 	}

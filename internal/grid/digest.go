@@ -34,10 +34,14 @@ type DigestGrid struct {
 	NonFinite int
 
 	// MaxVelCell is the coordinate of the fastest node, and BadCell the
-	// first node with a non-finite ρ or u (or {-1,-1,-1} when all nodes
-	// are finite) — the evidence HealthError reports.
+	// first node with a non-finite ρ, u or distribution mass (or
+	// {-1,-1,-1} when all nodes are finite); BadRho and BadVel are that
+	// node's ρ and u, so a report can name the field that broke — the
+	// evidence HealthError reports.
 	MaxVelCell [3]int
 	BadCell    [3]int
+	BadRho     float64
+	BadVel     [3]float64
 }
 
 // NewDigestGrid allocates a digest for an nx×ny×nz grid at tile size k.
@@ -82,6 +86,7 @@ func (d *DigestGrid) reset() {
 	d.NonFinite = 0
 	d.MaxVelCell = [3]int{}
 	d.BadCell = [3]int{-1, -1, -1}
+	d.BadRho, d.BadVel = 0, [3]float64{}
 }
 
 // finish derives the whole-grid aggregates from the filled tiles.
@@ -129,6 +134,7 @@ func (d *DigestGrid) digestNode(n *Node, cur, t, x, y, z int) {
 		td.NonFinite++
 		if d.BadCell[0] < 0 {
 			d.BadCell = [3]int{x, y, z}
+			d.BadRho, d.BadVel = n.Rho, v
 		}
 	}
 }
@@ -137,14 +143,17 @@ func (d *DigestGrid) digestNode(n *Node, cur, t, x, y, z int) {
 // cubeK³ blocks in (cx*CY+cy)*CZ+cz order, z-fastest within a block —
 // the cube engine's layout). It digests the blocks in storage order, so
 // the cube engine avoids the strided walk a slab-order pass would make
-// over its memory. When cubeK equals d.K the tiles coincide with the
-// cubes and the tile index is hoisted out of the inner loops.
+// over its memory. The tiles must be the cubes (cubeK == d.K), so each
+// cube is one tile and the tile index is hoisted out of the inner loops.
 func (d *DigestGrid) DigestCubeMajor(nodes []Node, cubeK, cur int) error {
 	if len(nodes) != d.NX*d.NY*d.NZ {
 		return fmt.Errorf("grid: digest over %d cube-major nodes, want %d", len(nodes), d.NX*d.NY*d.NZ)
 	}
 	if cubeK < 1 || d.NX%cubeK != 0 || d.NY%cubeK != 0 || d.NZ%cubeK != 0 {
 		return fmt.Errorf("grid: cube size %d does not tile %d×%d×%d", cubeK, d.NX, d.NY, d.NZ)
+	}
+	if cubeK != d.K {
+		return fmt.Errorf("grid: cube size %d is not the digest tile size %d", cubeK, d.K)
 	}
 	d.reset()
 	k := cubeK
@@ -154,24 +163,12 @@ func (d *DigestGrid) DigestCubeMajor(nodes []Node, cubeK, cur int) error {
 		for cyi := 0; cyi < cy; cyi++ {
 			for czi := 0; czi < cz; czi++ {
 				x0, y0, z0 := cx*k, cyi*k, czi*k
-				if k == d.K {
-					t := d.TileIndex(cx, cyi, czi)
-					for lx := 0; lx < k; lx++ {
-						for ly := 0; ly < k; ly++ {
-							for lz := 0; lz < k; lz++ {
-								d.digestNode(&nodes[i], cur, t, x0+lx, y0+ly, z0+lz)
-								i++
-							}
-						}
-					}
-				} else {
-					for lx := 0; lx < k; lx++ {
-						for ly := 0; ly < k; ly++ {
-							for lz := 0; lz < k; lz++ {
-								x, y, z := x0+lx, y0+ly, z0+lz
-								d.digestNode(&nodes[i], cur, d.TileOf(x, y, z), x, y, z)
-								i++
-							}
+				t := d.TileIndex(cx, cyi, czi)
+				for lx := 0; lx < k; lx++ {
+					for ly := 0; ly < k; ly++ {
+						for lz := 0; lz < k; lz++ {
+							d.digestNode(&nodes[i], cur, t, x0+lx, y0+ly, z0+lz)
+							i++
 						}
 					}
 				}

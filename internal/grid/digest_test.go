@@ -85,6 +85,9 @@ func TestDigestLocalizesAnomalies(t *testing.T) {
 	if d.NonFinite != 1 || d.BadCell != ([3]int{2, 1, 3}) {
 		t.Fatalf("NonFinite=%d BadCell=%v, want 1 at {2,1,3}", d.NonFinite, d.BadCell)
 	}
+	if !math.IsNaN(d.BadRho) || d.BadVel != ([3]float64{}) {
+		t.Fatalf("bad node kept rho=%g u=%v, want NaN and zero", d.BadRho, d.BadVel)
+	}
 	fast := d.TileOf(5, 6, 7)
 	if math.Abs(math.Sqrt(d.Tiles[fast].MaxVel2)-0.5) > 1e-12 {
 		t.Fatalf("fast tile MaxVel2 = %g, want 0.25", d.Tiles[fast].MaxVel2)
@@ -174,8 +177,8 @@ func TestDigestReuseResetsState(t *testing.T) {
 	if err := g.Digest(d); err != nil {
 		t.Fatal(err)
 	}
-	if d.NonFinite != 0 || d.BadCell != ([3]int{-1, -1, -1}) {
-		t.Fatalf("reused digest kept stale anomaly: NonFinite=%d BadCell=%v", d.NonFinite, d.BadCell)
+	if d.NonFinite != 0 || d.BadCell != ([3]int{-1, -1, -1}) || d.BadRho != 0 {
+		t.Fatalf("reused digest kept stale anomaly: NonFinite=%d BadCell=%v BadRho=%g", d.NonFinite, d.BadCell, d.BadRho)
 	}
 }
 
@@ -189,5 +192,8 @@ func TestDigestCubeMajorRejectsBadShape(t *testing.T) {
 	}
 	if err := d.DigestCubeMajor(make([]Node, 512), 3, 0); err == nil {
 		t.Fatal("non-dividing cube size accepted")
+	}
+	if err := d.DigestCubeMajor(make([]Node, 512), 2, 0); err == nil {
+		t.Fatal("cube size other than the tile size accepted")
 	}
 }

@@ -68,7 +68,14 @@ func TestExporterEndpoints(t *testing.T) {
 	// Flag the watchdog; /healthz must flip to 503 with the reason.
 	g := grid.New(2, 2, 2)
 	g.Nodes[0].Rho = math.NaN()
-	wd.Check(9, g) //nolint:errcheck // the flip is asserted below
+	d, err := grid.NewDigestGrid(2, 2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Digest(d); err != nil {
+		t.Fatal(err)
+	}
+	wd.Check(9, d) //nolint:errcheck // the flip is asserted below
 	code, body = get(t, base+"/healthz")
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, "step 9") {
 		t.Fatalf("/healthz unhealthy: code=%d body=%q", code, body)

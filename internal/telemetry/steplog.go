@@ -33,7 +33,7 @@ type StepRecord struct {
 	CritPath *CritPathStep `json:"critpath,omitempty"`
 	// Unhealthy carries the watchdog's latched violation on the step it
 	// fires (absent on healthy steps).
-	Unhealthy *UnhealthyRecord `json:"unhealthy,omitempty"`
+	Unhealthy *HealthRecord `json:"unhealthy,omitempty"`
 }
 
 // CritPathStep is the steplog form of one step's critical path: the
@@ -44,30 +44,6 @@ type CritPathStep struct {
 	Phase   string  `json:"phase"`
 	Tid     int     `json:"tid"`
 	Seconds float64 `json:"seconds"`
-}
-
-// UnhealthyRecord is the steplog form of a HealthError: what broke and,
-// when the watchdog could localize it, where.
-type UnhealthyRecord struct {
-	Reason string `json:"reason"`
-	Cell   []int  `json:"cell,omitempty"`
-	Cube   int    `json:"cube"` // flat cube index, −1 when not localized
-	Phase  string `json:"phase,omitempty"`
-}
-
-// NewUnhealthyRecord converts a HealthError for the steplog, or nil.
-func NewUnhealthyRecord(he *HealthError) *UnhealthyRecord {
-	if he == nil {
-		return nil
-	}
-	u := &UnhealthyRecord{Reason: he.Reason, Cube: he.Cube, Phase: he.Phase}
-	if he.HasCell {
-		u.Cell = []int{he.Cell[0], he.Cell[1], he.Cell[2]}
-	}
-	if u.Cube == 0 && he.CubeSize == 0 { // zero-valued HealthError
-		u.Cube = -1
-	}
-	return u
 }
 
 // StepLogger writes StepRecords as JSON Lines. Safe for concurrent use.

@@ -63,7 +63,7 @@ func TestStepRecordUnhealthyRoundTrip(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	l := NewStepLogger(&buf)
-	if err := l.Log(StepRecord{Step: 7, Mass: 1, MaxVel: 2, Unhealthy: NewUnhealthyRecord(he)}); err != nil {
+	if err := l.Log(StepRecord{Step: 7, Mass: 1, MaxVel: 2, Unhealthy: he.Record()}); err != nil {
 		t.Fatal(err)
 	}
 	var rec StepRecord
@@ -71,11 +71,15 @@ func TestStepRecordUnhealthyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := rec.Unhealthy
-	if u == nil || u.Cube != 5 || u.Phase != "update_velocity" || len(u.Cell) != 3 || u.Cell[2] != 3 {
+	if u == nil || u.Step != 7 || u.Cube != 5 || u.Phase != "update_velocity" || len(u.Cell) != 3 || u.Cell[2] != 3 {
 		t.Fatalf("unhealthy record lost fields: %+v", u)
 	}
-	if NewUnhealthyRecord(nil) != nil {
+	if (*HealthError)(nil).Record() != nil {
 		t.Fatal("nil HealthError must map to nil record")
+	}
+	// One rule for "not localized": no tile size, no cube.
+	if r := (&HealthError{Step: 2, Reason: "x", Cube: 3}).Record(); r.Cube != -1 {
+		t.Fatalf("tile-less HealthError names cube %d, want -1", r.Cube)
 	}
 	// Healthy records must not grow an unhealthy key.
 	buf.Reset()

@@ -31,6 +31,33 @@ func (e *HealthError) Error() string {
 	return fmt.Sprintf("telemetry: simulation unhealthy at step %d: %s", e.Step, e.Reason)
 }
 
+// HealthRecord is the JSON form of a HealthError, the same object under
+// a post-mortem manifest's "health" key and a step-log line's
+// "unhealthy" key: what broke and, when it could be localized, where.
+type HealthRecord struct {
+	Step   int    `json:"step"`
+	Reason string `json:"reason"`
+	Cell   []int  `json:"cell,omitempty"`
+	Cube   int    `json:"cube"` // flat cube index, −1 when not localized
+	Phase  string `json:"phase,omitempty"`
+}
+
+// Record converts e to its JSON form, or nil for a nil e. An error that
+// names no tile size (one not built from a digest) names no cube either.
+func (e *HealthError) Record() *HealthRecord {
+	if e == nil {
+		return nil
+	}
+	h := &HealthRecord{Step: e.Step, Reason: e.Reason, Cube: e.Cube, Phase: e.Phase}
+	if e.CubeSize == 0 {
+		h.Cube = -1
+	}
+	if e.HasCell {
+		h.Cell = []int{e.Cell[0], e.Cell[1], e.Cell[2]}
+	}
+	return h
+}
+
 // WatchdogConfig tunes the physics watchdog.
 type WatchdogConfig struct {
 	// MassDriftTol is the allowed relative drift of total distribution
@@ -43,9 +70,11 @@ type WatchdogConfig struct {
 	// the lattice sound speed 1/√3 ≈ 0.577: beyond it the D3Q19 model is
 	// meaningless. Tighter values (≈0.1) catch marginal runs earlier.
 	MaxVelocity float64
-	// CubeSize is the edge of the digest tiles violations are localized
-	// to (default 4, the cube solver's usual cube size, so the named
-	// tile is the named cube).
+	// CubeSize is ignored: violations are localized to the tiles of the
+	// digest Check is handed, which the simulation facade cuts at the
+	// engine's cube size.
+	//
+	// Deprecated: the digest carries the tile size.
 	CubeSize int
 	// Registry, when non-nil, receives lbmib_mass, lbmib_mass_drift,
 	// lbmib_max_velocity and lbmib_unhealthy gauges updated on every
@@ -63,18 +92,17 @@ const (
 	phaseUpdateVelocity = "update_velocity"
 )
 
-// Watchdog samples per-step physics health: total mass drift, maximum
-// velocity, and NaN/Inf contamination of ρ and u. The first violation is
-// latched — Healthy() turns false, Err() returns a *HealthError naming
-// the exact step, and later Checks return the same error without
-// rescanning, so a driver can abort or merely flag the run. Checks run
-// through a per-tile digest (grid.DigestGrid), so a latched failure also
-// names the first offending cell and cube.
+// Watchdog checks per-step physics health: total mass drift, maximum
+// velocity, and NaN/Inf contamination of ρ, u and the distributions. The
+// first violation is latched — Healthy() turns false, Err() returns a
+// *HealthError naming the exact step, and later Checks return the same
+// error without re-evaluating, so a driver can abort or merely flag the
+// run. Checks read a per-tile digest (grid.DigestGrid), so a latched
+// failure also names the first offending cell and cube.
 type Watchdog struct {
 	cfg WatchdogConfig
 
 	mu       sync.Mutex
-	dig      *grid.DigestGrid
 	refMass  float64
 	refTiles []float64
 	haveRef  bool
@@ -95,9 +123,6 @@ func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	if cfg.MaxVelocity == 0 {
 		cfg.MaxVelocity = 1 / math.Sqrt(3)
 	}
-	if cfg.CubeSize < 1 {
-		cfg.CubeSize = 4
-	}
 	w := &Watchdog{cfg: cfg}
 	if r := cfg.Registry; r != nil {
 		w.gMass = r.Gauge("lbmib_mass", "Total distribution mass of the fluid grid.")
@@ -108,64 +133,17 @@ func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	return w
 }
 
-// CubeSize returns the digest tile edge violations are localized to.
-func (w *Watchdog) CubeSize() int { return w.cfg.CubeSize }
-
-// Check scans the grid after the given step. It returns nil while the
-// run is healthy and the latched *HealthError once it is not. One
-// digest pass over the nodes computes total and per-tile mass, the
-// maximum speed, and NaN/Inf detection on ρ, u and the distributions.
-func (w *Watchdog) Check(step int, g *grid.Grid) error {
+// Check evaluates the digest of the state after the given step. It
+// returns nil while the run is healthy and the latched *HealthError once
+// it is not. The digest's one pass over the nodes already holds total
+// and per-tile mass, the maximum speed and the first non-finite node, so
+// a check reads no fluid state; violations are localized to d's tiles.
+func (w *Watchdog) Check(step int, d *grid.DigestGrid) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.failErr != nil {
 		return w.failErr
 	}
-	if w.dig == nil || w.dig.NX != g.NX || w.dig.NY != g.NY || w.dig.NZ != g.NZ {
-		d, err := grid.NewDigestGrid(g.NX, g.NY, g.NZ, w.cfg.CubeSize)
-		if err != nil {
-			return err
-		}
-		w.dig = d
-	}
-	if err := g.Digest(w.dig); err != nil {
-		return err
-	}
-	return w.evaluate(step, w.dig, g)
-}
-
-// CheckDigest evaluates a digest some other pass already computed (the
-// flight recorder digests every sampled step; re-scanning the grid here
-// would double that cost). The same latching semantics as Check apply.
-func (w *Watchdog) CheckDigest(step int, d *grid.DigestGrid) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.failErr != nil {
-		return w.failErr
-	}
-	return w.evaluate(step, d, nil)
-}
-
-// describeBadNode classifies which field of the node at the digest's
-// BadCell is non-finite, and the phase that produces it. g may be nil
-// (digest-only checks), in which case the classification is generic.
-func describeBadNode(d *grid.DigestGrid, g *grid.Grid) (what, phase string) {
-	if g != nil {
-		n := g.At(d.BadCell[0], d.BadCell[1], d.BadCell[2])
-		if math.IsNaN(n.Rho) || math.IsInf(n.Rho, 0) {
-			return fmt.Sprintf("rho=%g", n.Rho), phaseUpdateVelocity
-		}
-		if math.IsNaN(n.Vel[0]) || math.IsNaN(n.Vel[1]) || math.IsNaN(n.Vel[2]) ||
-			math.IsInf(n.Vel[0], 0) || math.IsInf(n.Vel[1], 0) || math.IsInf(n.Vel[2], 0) {
-			return fmt.Sprintf("u=(%g,%g,%g)", n.Vel[0], n.Vel[1], n.Vel[2]), phaseUpdateVelocity
-		}
-	}
-	return "non-finite distribution mass", phaseCollideStream
-}
-
-// evaluate applies the invariants to a filled digest (w.mu held). g, when
-// non-nil, is only consulted to describe the offending node's fields.
-func (w *Watchdog) evaluate(step int, d *grid.DigestGrid, g *grid.Grid) error {
 	w.checks++
 	mass, maxV := d.Mass, d.MaxVel
 
@@ -210,7 +188,7 @@ func (w *Watchdog) evaluate(step int, d *grid.DigestGrid, g *grid.Grid) error {
 	}
 
 	if d.BadCell[0] >= 0 {
-		what, phase := describeBadNode(d, g)
+		what, phase := describeBadNode(d)
 		c := d.BadCell
 		return fail(fmt.Sprintf("non-finite state at node (%d,%d,%d): %s", c[0], c[1], c[2], what),
 			phase, c, true, d.TileOf(c[0], c[1], c[2]))
@@ -232,6 +210,21 @@ func (w *Watchdog) evaluate(step int, d *grid.DigestGrid, g *grid.Grid) error {
 			phaseUpdateVelocity, c, true, d.TileOf(c[0], c[1], c[2]))
 	}
 	return nil
+}
+
+// describeBadNode classifies which field of the digest's first bad node
+// is non-finite, and the phase that produces it: ρ and u come from the
+// moment update, the distributions from collide/stream.
+func describeBadNode(d *grid.DigestGrid) (what, phase string) {
+	rho, u := d.BadRho, d.BadVel
+	if math.IsNaN(rho) || math.IsInf(rho, 0) {
+		return fmt.Sprintf("rho=%g", rho), phaseUpdateVelocity
+	}
+	if math.IsNaN(u[0]) || math.IsNaN(u[1]) || math.IsNaN(u[2]) ||
+		math.IsInf(u[0], 0) || math.IsInf(u[1], 0) || math.IsInf(u[2], 0) {
+		return fmt.Sprintf("u=(%g,%g,%g)", u[0], u[1], u[2]), phaseUpdateVelocity
+	}
+	return "non-finite distribution mass", phaseCollideStream
 }
 
 // worstDriftTile names the tile whose mass moved furthest from its
@@ -277,7 +270,7 @@ func (w *Watchdog) FailStep() int {
 	return w.failErr.Step
 }
 
-// Checks returns how many grids have been scanned (latched failures
+// Checks returns how many digests have been evaluated (latched failures
 // excluded).
 func (w *Watchdog) Checks() int {
 	w.mu.Lock()

@@ -11,6 +11,20 @@ import (
 	"lbmib/internal/grid"
 )
 
+// digestOf digests g into 4³ tiles, the tiling the facade gives the slab
+// engines, for a watchdog check.
+func digestOf(t *testing.T, g *grid.Grid) *grid.DigestGrid {
+	t.Helper()
+	d, err := grid.NewDigestGrid(g.NX, g.NY, g.NZ, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Digest(d); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // TestWatchdogFlagsNaNAtExactStep seeds a NaN into one node's
 // distribution mid-run and asserts the watchdog latches the failure at
 // exactly the step the contamination appears, not before and not after.
@@ -21,7 +35,7 @@ func TestWatchdogFlagsNaNAtExactStep(t *testing.T) {
 
 	for step := 1; step <= 4; step++ {
 		s.Step()
-		if err := wd.Check(step, s.Fluid); err != nil {
+		if err := wd.Check(step, digestOf(t, s.Fluid)); err != nil {
 			t.Fatalf("healthy run flagged at step %d: %v", step, err)
 		}
 	}
@@ -31,7 +45,7 @@ func TestWatchdogFlagsNaNAtExactStep(t *testing.T) {
 	s.Fluid.Nodes[123].DF[5] = math.NaN()
 	s.Fluid.Nodes[200].Vel[1] = math.NaN()
 
-	err := wd.Check(5, s.Fluid)
+	err := wd.Check(5, digestOf(t, s.Fluid))
 	if err == nil {
 		t.Fatal("watchdog missed the injected NaN")
 	}
@@ -47,7 +61,7 @@ func TestWatchdogFlagsNaNAtExactStep(t *testing.T) {
 	}
 	// The failure stays latched with the original step even if the state
 	// is checked again later.
-	if err2 := wd.Check(6, s.Fluid); !errors.Is(err2, err) || wd.FailStep() != 5 {
+	if err2 := wd.Check(6, digestOf(t, s.Fluid)); !errors.Is(err2, err) || wd.FailStep() != 5 {
 		t.Fatalf("latched error changed on re-check: %v (failStep=%d)", err2, wd.FailStep())
 	}
 }
@@ -64,7 +78,7 @@ func TestWatchdogHealthy16Cubed(t *testing.T) {
 	wd := NewWatchdog(WatchdogConfig{})
 	for step := 1; step <= 20; step++ {
 		s.Step()
-		if err := wd.Check(step, s.Fluid); err != nil {
+		if err := wd.Check(step, digestOf(t, s.Fluid)); err != nil {
 			t.Fatalf("healthy 16³ run flagged at step %d: %v", step, err)
 		}
 	}
@@ -76,12 +90,12 @@ func TestWatchdogHealthy16Cubed(t *testing.T) {
 func TestWatchdogMassDrift(t *testing.T) {
 	g := grid.New(4, 4, 4)
 	wd := NewWatchdog(WatchdogConfig{MassDriftTol: 1e-6})
-	if err := wd.Check(0, g); err != nil {
+	if err := wd.Check(0, digestOf(t, g)); err != nil {
 		t.Fatal(err)
 	}
 	// Inject 1% extra mass into one node.
 	g.Nodes[0].DF[0] += 0.01 * g.TotalMass()
-	err := wd.Check(1, g)
+	err := wd.Check(1, digestOf(t, g))
 	if err == nil || !strings.Contains(err.Error(), "mass drifted") {
 		t.Fatalf("drift not flagged: %v", err)
 	}
@@ -94,7 +108,7 @@ func TestWatchdogVelocityLimit(t *testing.T) {
 	g := grid.New(4, 4, 4)
 	wd := NewWatchdog(WatchdogConfig{MaxVelocity: 0.1})
 	g.Nodes[7].Vel = [3]float64{0.2, 0, 0}
-	err := wd.Check(3, g)
+	err := wd.Check(3, digestOf(t, g))
 	if err == nil || !strings.Contains(err.Error(), "max speed") {
 		t.Fatalf("speed not flagged: %v", err)
 	}
@@ -104,7 +118,7 @@ func TestWatchdogGauges(t *testing.T) {
 	r := NewRegistry()
 	g := grid.New(4, 4, 4)
 	wd := NewWatchdog(WatchdogConfig{Registry: r})
-	if err := wd.Check(0, g); err != nil {
+	if err := wd.Check(0, digestOf(t, g)); err != nil {
 		t.Fatal(err)
 	}
 	if mass := r.Gauge("lbmib_mass", "").Value(); math.Abs(mass-g.TotalMass()) > 1e-12 {
@@ -114,7 +128,7 @@ func TestWatchdogGauges(t *testing.T) {
 		t.Fatal("healthy run has unhealthy gauge set")
 	}
 	g.Nodes[0].Rho = math.Inf(1)
-	wd.Check(1, g) //nolint:errcheck // latched below
+	wd.Check(1, digestOf(t, g)) //nolint:errcheck // latched below
 	if r.Gauge("lbmib_unhealthy", "").Value() != 1 {
 		t.Fatal("unhealthy gauge not raised")
 	}
@@ -126,9 +140,9 @@ func TestWatchdogGauges(t *testing.T) {
 func TestWatchdogLocalizesViolation(t *testing.T) {
 	r := NewRegistry()
 	g := grid.New(8, 8, 8)
-	wd := NewWatchdog(WatchdogConfig{Registry: r, CubeSize: 4})
+	wd := NewWatchdog(WatchdogConfig{Registry: r})
 	g.At(5, 6, 7).Rho = math.NaN()
-	err := wd.Check(2, g)
+	err := wd.Check(2, digestOf(t, g))
 	var he *HealthError
 	if !errors.As(err, &he) {
 		t.Fatalf("got %T (%v), want *HealthError", err, err)
@@ -157,9 +171,9 @@ func TestWatchdogLocalizesViolation(t *testing.T) {
 // is attached to speed-limit violations.
 func TestWatchdogSpeedViolationNamesCell(t *testing.T) {
 	g := grid.New(8, 8, 8)
-	wd := NewWatchdog(WatchdogConfig{MaxVelocity: 0.1, CubeSize: 4})
+	wd := NewWatchdog(WatchdogConfig{MaxVelocity: 0.1})
 	g.At(1, 2, 3).Vel = [3]float64{0.2, 0, 0}
-	err := wd.Check(1, g)
+	err := wd.Check(1, digestOf(t, g))
 	var he *HealthError
 	if !errors.As(err, &he) {
 		t.Fatalf("got %T, want *HealthError", err)
@@ -176,12 +190,12 @@ func TestWatchdogSpeedViolationNamesCell(t *testing.T) {
 // cube whose mass moved furthest from the reference.
 func TestWatchdogDriftNamesWorstCube(t *testing.T) {
 	g := grid.New(8, 8, 8)
-	wd := NewWatchdog(WatchdogConfig{MassDriftTol: 1e-6, CubeSize: 4})
-	if err := wd.Check(0, g); err != nil {
+	wd := NewWatchdog(WatchdogConfig{MassDriftTol: 1e-6})
+	if err := wd.Check(0, digestOf(t, g)); err != nil {
 		t.Fatal(err)
 	}
 	g.At(6, 6, 6).DF[0] += 1.0 // inject mass into tile (1,1,1)
-	err := wd.Check(1, g)
+	err := wd.Check(1, digestOf(t, g))
 	var he *HealthError
 	if !errors.As(err, &he) {
 		t.Fatalf("got %T, want *HealthError", err)
@@ -191,8 +205,8 @@ func TestWatchdogDriftNamesWorstCube(t *testing.T) {
 	}
 }
 
-// TestWatchdogCheckDigest exercises the digest-only entry point used by
-// the flight recorder.
+// TestWatchdogCheckDigest checks a digest filled by another pass, as the
+// facade hands the watchdog the step's one sample.
 func TestWatchdogCheckDigest(t *testing.T) {
 	g := grid.New(8, 8, 8)
 	g.At(0, 0, 1).DF[3] = math.NaN()
@@ -204,7 +218,7 @@ func TestWatchdogCheckDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	wd := NewWatchdog(WatchdogConfig{})
-	herr := wd.CheckDigest(3, d)
+	herr := wd.Check(3, d)
 	var he *HealthError
 	if !errors.As(herr, &he) {
 		t.Fatalf("got %T, want *HealthError", herr)
@@ -213,6 +227,34 @@ func TestWatchdogCheckDigest(t *testing.T) {
 		t.Fatalf("digest check mislocalized: %+v", he)
 	}
 	if wd.Healthy() {
-		t.Fatal("CheckDigest did not latch")
+		t.Fatal("Check did not latch")
+	}
+}
+
+// TestWatchdogDigestNamesField: a digest keeps its first bad node's ρ and
+// u, so the watchdog names the field that broke and the phase computing
+// it — the same Reason and Phase whichever sink the run feeds.
+func TestWatchdogDigestNamesField(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		poison      func(n *grid.Node)
+		what, phase string
+	}{
+		{"rho", func(n *grid.Node) { n.Rho = math.NaN() }, "rho=NaN", "update_velocity"},
+		{"u", func(n *grid.Node) { n.Vel[2] = math.Inf(-1) }, "u=(0,0,-Inf)", "update_velocity"},
+		{"distributions", func(n *grid.Node) { n.DF[7] = math.NaN() }, "non-finite distribution mass", "collide_stream"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := grid.New(8, 8, 8)
+			tc.poison(g.At(3, 4, 5))
+			wd := NewWatchdog(WatchdogConfig{})
+			var he *HealthError
+			if err := wd.Check(1, digestOf(t, g)); !errors.As(err, &he) {
+				t.Fatalf("got %T (%v), want *HealthError", err, err)
+			}
+			if want := "at node (3,4,5): " + tc.what; !strings.HasSuffix(he.Reason, want) || he.Phase != tc.phase {
+				t.Fatalf("Reason %q, Phase %q; want ...%q in %s", he.Reason, he.Phase, want, tc.phase)
+			}
+		})
 	}
 }

@@ -202,12 +202,16 @@ type Config struct {
 	// on Close and loadable in chrome://tracing or Perfetto.
 	TraceFile string
 	// LogWriter, when non-nil, receives one JSON line per completed step
-	// (step, mass, maxVel, kernelMillis, mlups). Per-step sampling costs
-	// one grid scan per step.
+	// (step, mass, maxVel, kernelMillis, mlups). Mass and maxVel come from
+	// the step's digest: one pass over the engine's live layout per step,
+	// shared with the Watchdog and the FlightRec.
 	LogWriter io.Writer
 	// Watchdog, when non-nil, checks physics health after every step;
 	// once it flags the run, Run stops early and Health reports the
-	// violation. Per-step sampling costs one grid scan per step.
+	// violation. It reads the step's digest (one pass over the engine's
+	// live layout, shared with the LogWriter and the FlightRec), whose
+	// tiles are the engine's cubes on CubeBased and TaskScheduled and 4³
+	// blocks otherwise; a violation names its cell and tile.
 	Watchdog *telemetry.Watchdog
 	// FlightRec, when non-nil, keeps an always-on flight recorder: a
 	// fixed-size ring of per-step records (kernel/phase timings, per-cube
@@ -215,9 +219,11 @@ type Config struct {
 	// in-memory checkpoints. When the Watchdog latches or a Step panics, a
 	// post-mortem bundle is written to FlightRec.Dir (see
 	// internal/flightrec); WritePostMortem writes one on demand. A zero
-	// flightrec.Config{} takes the documented default cadences. With a
-	// Watchdog configured alongside, the watchdog's per-step grid scan is
-	// replaced by the recorder's digest pass, not added to it.
+	// flightrec.Config{} takes the documented default cadences. The ring
+	// keeps the same per-step digest the Watchdog and the LogWriter read:
+	// alone, the recorder digests every DigestEvery-th step; with either
+	// of them, every step is digested once and the ring copies it on its
+	// cadence.
 	FlightRec *flightrec.Config
 	// CritPath, when true, attaches the attribution profile
 	// (perfmon.Profile) on any engine: per-kernel time (Table I) where the
@@ -287,6 +293,7 @@ type Simulation struct {
 	logger    *telemetry.StepLogger
 	watchdog  *telemetry.Watchdog
 	rec       *flightrec.Recorder
+	dig       *grid.DigestGrid // the per-step sample watchdog, step log and recorder read
 	mSteps    *telemetry.Counter
 	mMLUPS    *telemetry.Gauge
 	mStepSec  *telemetry.Histogram
@@ -440,6 +447,19 @@ func New(cfg Config) (*Simulation, error) {
 func (s *Simulation) initTelemetry() (core.Probes, error) {
 	cfg := s.cfg
 	var sinks core.Probes
+	if cfg.Watchdog != nil || cfg.LogWriter != nil || cfg.FlightRec != nil {
+		// Digest tiles are the engine's cubes where it has them, so a
+		// localized violation names a cube the engine owns.
+		k := 4
+		if cfg.Solver == CubeBased || cfg.Solver == TaskScheduled {
+			k = cfg.CubeSize
+		}
+		d, err := grid.NewDigestGrid(cfg.NX, cfg.NY, cfg.NZ, k)
+		if err != nil {
+			return nil, fmt.Errorf("lbmib: %w", err)
+		}
+		s.dig = d
+	}
 	s.watchdog = cfg.Watchdog
 	if cfg.LogWriter != nil {
 		s.logger = telemetry.NewStepLogger(cfg.LogWriter)
@@ -454,13 +474,7 @@ func (s *Simulation) initTelemetry() (core.Probes, error) {
 		sinks = append(sinks, s.tracer)
 	}
 	if fc := cfg.FlightRec; fc != nil {
-		c := *fc
-		if c.TileSize == 0 && (cfg.Solver == CubeBased || cfg.Solver == TaskScheduled) {
-			// Make digest tiles coincide with the engine's cubes so
-			// localization names real cubes.
-			c.TileSize = cfg.CubeSize
-		}
-		s.rec = flightrec.New(c)
+		s.rec = flightrec.New(*fc)
 		s.rec.SetRunSpec(s.runSpec())
 		sinks = append(sinks, s.rec)
 	}
@@ -586,9 +600,9 @@ func (s *Simulation) Run(n int) { s.runSteps(n) }
 
 // runSteps drives the engine with whatever bookkeeping the configured
 // telemetry requires: nothing extra without telemetry, batch timing with
-// a Registry alone, and a per-step pass when a LogWriter, Watchdog or
-// flight recorder needs per-step physics. With a recorder configured, a
-// panicking step still leaves a post-mortem bundle behind.
+// a Registry alone, and step-by-step driving when a LogWriter, Watchdog
+// or flight recorder reads the per-step digest. With a recorder
+// configured, a panicking step still leaves a post-mortem bundle behind.
 func (s *Simulation) runSteps(n int) {
 	if n <= 0 {
 		return
@@ -610,7 +624,7 @@ func (s *Simulation) runSteps(n int) {
 		}()
 	}
 	nodes := float64(s.cfg.NX) * float64(s.cfg.NY) * float64(s.cfg.NZ)
-	if s.logger == nil && s.watchdog == nil && s.rec == nil {
+	if s.dig == nil {
 		t0 := time.Now()
 		s.eng.Run(n)
 		s.recordBatch(n, nodes, time.Since(t0))
@@ -637,66 +651,42 @@ func (s *Simulation) runSteps(n int) {
 			imbalance, waitShare = s.prof.ImbalanceRatio(), s.prof.BarrierWaitShare(s.wall)
 		}
 
-		// Physics sampling: with a recorder, one digest pass feeds the
-		// watchdog, the steplog and the ring together (the cube engines
-		// digest their layout in place, skipping the slab materialization
-		// a snapshot would cost); without one, the original snapshot path
-		// runs unchanged.
+		// One digest of the live layout per sampled step feeds the
+		// watchdog, the step log and the ring: every step with a watchdog
+		// or step log, the recorder's cadence with the recorder alone.
+		keep := s.rec != nil && s.rec.WantDigest(step)
+		sampled := (s.watchdog != nil || s.logger != nil || keep) &&
+			s.eng.digest(s.dig) == nil // a failed digest must not kill the run
 		var herr *telemetry.HealthError
-		var mass, maxVel float64
+		if sampled && s.watchdog != nil {
+			// A type assertion, not errors.As: &herr would escape and
+			// cost an allocation on every step.
+			herr, _ = s.watchdog.Check(step, s.dig).(*telemetry.HealthError)
+		}
 		if s.rec != nil {
-			needDigest := s.watchdog != nil || s.logger != nil || s.rec.WantDigest(step)
-			var dig *grid.DigestGrid
-			if needDigest {
-				var err error
-				if dig, err = s.rec.Scratch(s.cfg.NX, s.cfg.NY, s.cfg.NZ); err == nil {
-					err = s.eng.digest(dig)
-				}
-				if err != nil {
-					dig = nil // digest failure must not kill the run
-				}
-			}
-			if dig != nil {
-				mass, maxVel = dig.Mass, dig.MaxVel
-				if s.watchdog != nil {
-					if err := s.watchdog.CheckDigest(step, dig); err != nil {
-						errors.As(err, &herr)
-					}
-				}
-				if s.rec.WantDigest(step) {
-					s.rec.RecordDigest(step, dig)
-				}
+			if sampled && keep {
+				s.rec.RecordDigest(step, s.dig)
 			}
 			s.rec.RecordStep(step, elapsed, mlups, waitShare)
-			healthy := s.watchdog == nil || s.watchdog.Healthy()
-			if healthy && s.rec.WantSnapshot(step) {
+			if herr == nil && s.rec.WantSnapshot(step) {
 				s.rec.TakeSnapshot(step, s.Checkpoint) //nolint:errcheck // best-effort; last good snapshot is kept
 			}
 			if herr != nil {
 				s.rec.WriteBundle("watchdog", herr) //nolint:errcheck // latched error is still exposed via Health
-			}
-		} else {
-			g := s.eng.snapshot()
-			if s.watchdog != nil {
-				if err := s.watchdog.Check(step, g); err != nil {
-					errors.As(err, &herr)
-				}
-			}
-			if s.logger != nil {
-				mass, maxVel = g.TotalMass(), g.MaxVelocity()
 			}
 		}
 
 		if s.logger != nil {
 			rec := telemetry.StepRecord{
 				Step:             step,
-				Mass:             mass,
-				MaxVel:           maxVel,
 				KernelMillis:     float64(elapsed.Microseconds()) / 1e3,
 				MLUPS:            mlups,
 				Imbalance:        imbalance,
 				BarrierWaitShare: waitShare,
-				Unhealthy:        telemetry.NewUnhealthyRecord(herr),
+				Unhealthy:        herr.Record(),
+			}
+			if sampled {
+				rec.Mass, rec.MaxVel = s.dig.Mass, s.dig.MaxVel
 			}
 			if s.prof != nil {
 				if cp, ok := s.prof.StepRecord(step); ok {

@@ -12,8 +12,8 @@
 # — is written from all workers; par's timed barrier wraps the team
 # barrier), a seeded cross-engine differential sweep, three native-fuzz
 # smokes, the flight-recorder smoke (whose bundle must carry the
-# critical-path report), and the repo benchmark's verification pass on
-# every workload.
+# critical-path report), a recorder-free watchdog smoke, and the repo
+# benchmark's verification pass on every workload.
 #
 # The barrier choreography is held twice: barriercheck (in the lint pass)
 # proves every thread of the cube and fused engines reaches every
@@ -106,6 +106,20 @@ grep -q '"schema": "lbmib-critpath/v1"' "$FRDIR/critpath.json"
 grep -q '"site": "after_stream"' "$FRDIR/critpath.json"
 go run ./cmd/lbmib-postmortem -ring 5 "$FRDIR"
 rm -rf "$FRDIR"
+
+# Recorder-free watchdog smoke: the same unstable run with only the
+# watchdog and the step log, which sample the live layout's digest
+# without a flight recorder. It must stop non-zero, and the step log's
+# last line must carry the violation localized to a cube.
+WDLOG=$(mktemp)
+if go run ./cmd/lbmib-sim -solver cube -threads 2 -nx 16 -ny 16 -nz 16 \
+	-sheet "" -force 0.05 -watchdog -jsonl "$WDLOG"; then
+	echo "unstable run should have tripped the watchdog" >&2
+	rm -f "$WDLOG"
+	exit 1
+fi
+tail -n 1 "$WDLOG" | grep -q '"unhealthy":{.*"cube":[0-9]'
+rm -f "$WDLOG"
 
 # Benchmark smoke: every workload of the repo benchmark (BENCHMARK.json)
 # at smoke length. Each run verifies its engine against Sequential under
