@@ -2,7 +2,6 @@ package lbmib
 
 import (
 	"bytes"
-	"encoding/gob"
 	"math"
 	"strings"
 	"testing"
@@ -145,18 +144,12 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 }
 
 // Restore decodes external input, so every malformed stream must come
-// back as an error — never a panic or an unbounded allocation.
+// back as an error — never a panic or an unbounded allocation. The
+// unprefixed rows are version-1 gob streams (the truncated ones cut from
+// the committed fixture); the "v2" rows are block-format streams.
 func TestRestoreRejectsMalformedStreams(t *testing.T) {
 	cfg := fuzzRestoreCfg()
-	valid := validCheckpoint(t)
-
-	encode := func(st checkpointState) []byte {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
+	v1 := v1Fixture(t)
 
 	cases := []struct {
 		name string
@@ -164,13 +157,20 @@ func TestRestoreRejectsMalformedStreams(t *testing.T) {
 		want string // substring the error must mention
 	}{
 		{"empty", nil, "decoding"},
-		{"truncated header", valid[:1], "decoding"},
-		{"truncated body", valid[:len(valid)/2], "decoding"},
-		{"wrong version", encode(checkpointState{Version: 99, NX: 4, NY: 4, NZ: 4}), "version"},
-		{"node count mismatch", encode(checkpointState{
-			Version: checkpointVersion, NX: 4, NY: 4, NZ: 4,
+		{"truncated header", v1[:1], "decoding"},
+		{"truncated body", v1[:len(v1)/2], "decoding"},
+		{"wrong version", gobCheckpoint(t, checkpointState{Version: 99, NX: 4, NY: 4, NZ: 4}), "version"},
+		{"node count mismatch", gobCheckpoint(t, checkpointState{
+			Version: gobCheckpointVersion, NX: 4, NY: 4, NZ: 4,
 			Nodes: make([]grid.Node, 3),
 		}), "nodes"},
+	}
+	for _, m := range malformedBlockStreams(validCheckpoint(t)) {
+		cases = append(cases, struct {
+			name string
+			data []byte
+			want string
+		}{"v2 " + m.name, m.data, m.want})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -187,25 +187,46 @@ func TestRestoreRejectsMalformedStreams(t *testing.T) {
 }
 
 // A stream that declares far more state than the target configuration
-// can hold must hit the size cap and fail, instead of allocating the
-// declared amount.
+// can hold must fail instead of allocating the declared amount. A
+// version-1 gob stream is decoded whole before anything is checked, so it
+// must hit the size cap; a block-format stream is rejected from its
+// header before its body is read.
 func TestRestoreRejectsOversizedStream(t *testing.T) {
 	big, err := New(Config{NX: 24, NY: 24, NZ: 24, Tau: 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer big.Close()
-	var buf bytes.Buffer
-	if err := big.Checkpoint(&buf); err != nil {
+	var v2 bytes.Buffer
+	if err := big.Checkpoint(&v2); err != nil {
 		t.Fatal(err)
 	}
+	v1 := gobCheckpoint(t, checkpointState{
+		Version: gobCheckpointVersion, NX: 24, NY: 24, NZ: 24,
+		Nodes: big.FluidSnapshot().Nodes,
+	})
 	small := fuzzRestoreCfg()
-	if int64(buf.Len()) <= restoreSizeLimit(small) {
-		t.Fatalf("test premise broken: %d-byte stream under the %d-byte cap", buf.Len(), restoreSizeLimit(small))
-	}
-	if sim, err := Restore(&buf, small); err == nil {
-		sim.Close()
-		t.Fatal("oversized stream accepted")
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string // substring the error must mention
+	}{
+		{"v1", v1, "decoding"},
+		{"v2", v2.Bytes(), "grid"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if int64(len(tc.data)) <= restoreSizeLimit(small) {
+				t.Fatalf("test premise broken: %d-byte stream under the %d-byte cap", len(tc.data), restoreSizeLimit(small))
+			}
+			sim, err := Restore(bytes.NewReader(tc.data), small)
+			if err == nil {
+				sim.Close()
+				t.Fatal("oversized stream accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -182,12 +182,13 @@ func TestLayoutConformance(t *testing.T) {
 							if g.Cur() != l.Cur() {
 								t.Fatalf("step %d: parities diverge", s)
 							}
-							want := g.Clone()
-							want.Normalize()
-							got := l.ToGrid()
-							for i := range want.Nodes {
-								if want.Nodes[i] != got.Nodes[i] {
-									t.Fatalf("step %d: node %d differs between the layouts:\nslab %+v\ncube %+v", s, i, want.Nodes[i], got.Nodes[i])
+							for x := 0; x < dims[0]; x++ {
+								for y := 0; y < dims[1]; y++ {
+									for z := 0; z < dims[2]; z++ {
+										if a, b := g.At(x, y, z), l.At(x, y, z); *a != *b {
+											t.Fatalf("step %d: node (%d,%d,%d) differs between the layouts:\nslab %+v\ncube %+v", s, x, y, z, *a, *b)
+										}
+									}
 								}
 							}
 						}

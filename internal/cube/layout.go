@@ -161,10 +161,9 @@ func (l *Layout) FromGrid(g *grid.Grid) error {
 }
 
 // ToGrid copies the cube layout's state into a freshly allocated
-// slab-layout grid, used by the validation harness to compare solvers and
-// by the checkpoint machinery. The result is always normalized (present
-// buffer in the DF field) regardless of the layout's parity, so snapshots
-// stay engine-independent.
+// slab-layout grid, for tests that compare the cube engines with the slab
+// ones and for the benchmark's layout probe. The result always has the
+// present buffer in the DF field, regardless of the layout's parity.
 func (l *Layout) ToGrid() *grid.Grid {
 	g := grid.New(l.NX, l.NY, l.NZ)
 	swapped := l.cur == 1

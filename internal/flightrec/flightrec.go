@@ -252,12 +252,17 @@ func (r *Recorder) RecordDigest(step int, d *grid.DigestGrid) {
 // (the facade passes Simulation.Checkpoint). Two buffers alternate so a
 // snapshot that fails midway never destroys the previous good one. Call
 // only while the run is healthy: the retained snapshot is the bundle's
-// "last healthy checkpoint".
+// "last healthy checkpoint". A buffer is grown to the previous snapshot's
+// length before it is written, so a snapshot of a run whose state size
+// does not change reallocates at most once, never by repeated doubling.
 func (r *Recorder) TakeSnapshot(step int, write func(io.Writer) error) error {
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
 	next := (r.snapCur + 1) & 1
 	r.snapBufs[next].Reset()
+	if r.snapCur >= 0 {
+		r.snapBufs[next].Grow(r.snapBufs[r.snapCur].Len())
+	}
 	if err := write(&r.snapBufs[next]); err != nil {
 		return fmt.Errorf("flightrec: snapshot at step %d: %w", step, err)
 	}

@@ -1,6 +1,7 @@
 package flightrec
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -149,6 +150,28 @@ func TestTakeSnapshotKeepsLastGood(t *testing.T) {
 	}
 	if r.SnapshotStep() != 30 {
 		t.Fatalf("SnapshotStep = %d", r.SnapshotStep())
+	}
+}
+
+// Each snapshot buffer has room for the previous snapshot before the
+// writer runs, so an in-run snapshot of unchanged size never grows its
+// buffer by doubling.
+func TestSnapshotBufferGrowsToPreviousLength(t *testing.T) {
+	r := New(Config{})
+	const size = 1 << 16
+	chunk := make([]byte, 1024)
+	for i := 0; i < 3; i++ {
+		if err := r.TakeSnapshot(i, func(w io.Writer) error {
+			if room := w.(*bytes.Buffer).Available(); i > 0 && room < size {
+				t.Errorf("snapshot %d: %d bytes of room before writing, want ≥ %d", i, room, size)
+			}
+			for n := 0; n < size; n += len(chunk) {
+				w.Write(chunk) //nolint:errcheck // bytes.Buffer
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

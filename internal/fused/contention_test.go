@@ -73,7 +73,7 @@ func TestFusedInstrumentationBitwiseNeutral(t *testing.T) {
 	if want := 2 * threads * steps; rec.total != want {
 		t.Errorf("%d arrivals recorded, want %d (two sites per thread and step)", rec.total, want)
 	}
-	a, b := plain.Snapshot(), inst.Snapshot()
+	a, b := plain.Live(), inst.Live()
 	for i := range a.Nodes {
 		if a.Nodes[i].Rho != b.Nodes[i].Rho || a.Nodes[i].Vel != b.Nodes[i].Vel { //lint:allow floatcheck -- bitwise-equality contract, not a tolerance check
 			t.Fatalf("node %d diverged with instrumentation attached", i)

@@ -48,7 +48,7 @@ func FuzzFusedStep(f *testing.F) {
 			t.Fatalf("valid config rejected: %v", err)
 		}
 		s.Run(5)
-		g := s.Snapshot()
+		g := s.Live()
 		cur := g.Cur()
 		for i := range g.Nodes {
 			n := &g.Nodes[i]

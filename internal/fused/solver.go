@@ -392,47 +392,31 @@ func (s *Solver) finalizePlane32(x, cur, next int, body [3]float64) {
 	}
 }
 
-// Snapshot normalizes the solver's state into the paper's grid layout
-// (present buffer in DF) and returns the grid. In float32 mode the
-// stored distributions are widened — exactly — into the grid first.
-func (s *Solver) Snapshot() *grid.Grid {
+// Live returns the fluid grid at its current parity with the present
+// distributions readable at Buf(Cur()). In float32 mode the stored values
+// are widened — exactly — into the grid first.
+func (s *Solver) Live() *grid.Grid {
 	if s.d32 != nil {
 		// Shapes match by construction; the error path is unreachable.
 		if err := s.d32.Materialize(s.Fluid); err != nil {
 			panic(err)
 		}
-		return s.Fluid
 	}
-	s.Fluid.Normalize()
 	return s.Fluid
 }
 
-// Load replaces the fluid state with g (a normalized snapshot, e.g. a
-// restored checkpoint) and re-establishes the engine's invariants: the
-// float32 shadow storage is refreshed and the force field is re-seeded
-// with the body force.
-func (s *Solver) Load(g *grid.Grid) error {
-	s.Fluid.Normalize()
-	copy(s.Fluid.Nodes, g.Nodes)
+// Loaded re-establishes the engine's invariants after the grid's present
+// buffer and macroscopic fields were overwritten from outside (a restored
+// checkpoint): the float32 storage is refreshed from the present buffer
+// and the force field is re-seeded with the body force.
+func (s *Solver) Loaded() {
 	if s.d32 != nil {
+		// Shapes match by construction; the error path is unreachable.
 		if err := s.d32.FromGrid(s.Fluid); err != nil {
-			return err
+			panic(err)
 		}
 	}
 	core.SeedForce(s.Fluid.Nodes, s.BodyForce)
-	return nil
-}
-
-// Digest folds the live fluid state into d for the flight recorder. The
-// float64 path digests in place at the current parity; float32 state is
-// materialized into the grid first.
-func (s *Solver) Digest(d *grid.DigestGrid) error {
-	if s.d32 != nil {
-		if err := s.d32.Materialize(s.Fluid); err != nil {
-			return err
-		}
-	}
-	return s.Fluid.Digest(d)
 }
 
 // CopyNodeDist overwrites node dst's present distribution with node

@@ -30,7 +30,7 @@ func baseConfig(sheet *fiber.Sheet) core.Config {
 // present distributions and macroscopic fields (parities may differ).
 func requireBitwiseFluid(t *testing.T, ref *core.Solver, s *Solver, label string) {
 	t.Helper()
-	a, b := ref.Fluid, s.Snapshot()
+	a, b := ref.Fluid, s.Live()
 	ca, cb := a.Cur(), b.Cur()
 	for i := range a.Nodes {
 		na, nb := &a.Nodes[i], &b.Nodes[i]
@@ -129,7 +129,7 @@ func TestMatchesSequentialWithSheets(t *testing.T) {
 	for _, threads := range []int{2, 4, 8} {
 		s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: threads})
 		s.Run(steps)
-		gd, err := validate.Grids(ref.Fluid, s.Snapshot())
+		gd, err := validate.Grids(ref.Fluid, s.Live())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,16 +166,15 @@ func TestPeriodicWrapStreaming(t *testing.T) {
 	s := MustNewSolver(Config{Config: cfg, Threads: 3})
 	defer s.Close()
 	perturb(s.Solver.Solver)
-	if err := s.Load(s.Fluid); err != nil { // re-sync engine invariants after direct grid edits
-		t.Fatal(err)
-	}
+	s.Loaded() // re-sync engine invariants after direct grid edits
 	s.Run(1)
 	requireBitwiseFluid(t, ref, s, "wrap")
 
 	// The pin itself: the wrapped node received the pulse (differs from
 	// an unperturbed run), so the bitwise match above proves wrap-around,
 	// not just untouched interior agreement.
-	got := s.Snapshot().At(0, 2, 2).DF[1]
+	g := s.Live()
+	got := g.At(0, 2, 2).Buf(g.Cur())[1]
 	base := clean.Fluid.At(0, 2, 2).DF[1]
 	if got == base {
 		t.Fatalf("perturbation did not wrap: plane-0 node unchanged (%g)", got)
@@ -197,7 +196,7 @@ func TestMovingLidCornerEquality(t *testing.T) {
 	s := MustNewSolver(Config{Config: cfg, Threads: 4})
 	defer s.Close()
 	s.Run(steps)
-	g := s.Snapshot()
+	g := s.Live()
 	ca := ref.Fluid.Cur()
 	for _, x := range []int{0, cfg.NX - 1} {
 		for _, y := range []int{0, cfg.NY - 1} {
@@ -221,7 +220,7 @@ func TestFloat32MatchesFloat64(t *testing.T) {
 	s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: 3, Float32: true})
 	defer s.Close()
 	s.Run(steps)
-	gd, err := validate.Grids(ref.Fluid, s.Snapshot())
+	gd, err := validate.Grids(ref.Fluid, s.Live())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,9 +248,9 @@ func TestFloat32RunToRunDeterministic(t *testing.T) {
 	a, b := run(), run()
 	defer a.Close()
 	defer b.Close()
-	ga, gb := a.Snapshot(), b.Snapshot()
+	ga, gb := a.Live(), b.Live()
 	for i := range ga.Nodes {
-		if ga.Nodes[i].DF != gb.Nodes[i].DF || ga.Nodes[i].Vel != gb.Nodes[i].Vel {
+		if *ga.Nodes[i].Buf(ga.Cur()) != *gb.Nodes[i].Buf(gb.Cur()) || ga.Nodes[i].Vel != gb.Nodes[i].Vel {
 			t.Fatalf("node %d differs between identical float32 runs", i)
 		}
 	}
@@ -261,16 +260,16 @@ func TestFloat32RunToRunDeterministic(t *testing.T) {
 func TestFloat32MassConserved(t *testing.T) {
 	s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: 4, Float32: true})
 	defer s.Close()
-	m0 := s.Snapshot().TotalMass()
+	m0 := s.Live().TotalMass()
 	s.Run(20)
-	if m1 := s.Snapshot().TotalMass(); math.Abs(m1-m0) > 1e-5*m0 {
+	if m1 := s.Live().TotalMass(); math.Abs(m1-m0) > 1e-5*m0 {
 		t.Fatalf("float32 mass drifted beyond rounding: %g -> %g", m0, m1)
 	}
 }
 
-// Load must re-establish every engine invariant (float32 shadow state
-// included): loading a mid-run snapshot and continuing must reproduce
-// the uninterrupted run bitwise.
+// Loaded must re-establish every engine invariant (float32 shadow state
+// included): copying a mid-run state into a fresh engine and continuing
+// must reproduce the uninterrupted run bitwise.
 func TestLoadRoundTrip(t *testing.T) {
 	for _, f32 := range []bool{false, true} {
 		mk := func() *Solver {
@@ -281,13 +280,17 @@ func TestLoadRoundTrip(t *testing.T) {
 		half := mk()
 		half.Run(5)
 		resumed := mk()
-		if err := resumed.Load(half.Snapshot().Clone()); err != nil {
-			t.Fatal(err)
+		src, dst := half.Live(), resumed.Live()
+		for i := range src.Nodes {
+			s, d := &src.Nodes[i], &dst.Nodes[i]
+			*d.Buf(dst.Cur()) = *s.Buf(src.Cur())
+			d.Rho, d.Vel = s.Rho, s.Vel
 		}
+		resumed.Loaded()
 		resumed.Run(4)
-		ga, gb := full.Snapshot(), resumed.Snapshot()
+		ga, gb := full.Live(), resumed.Live()
 		for i := range ga.Nodes {
-			if ga.Nodes[i].DF != gb.Nodes[i].DF {
+			if *ga.Nodes[i].Buf(ga.Cur()) != *gb.Nodes[i].Buf(gb.Cur()) {
 				t.Fatalf("float32=%v: node %d differs after load round trip", f32, i)
 			}
 		}

@@ -66,16 +66,15 @@ func (d *Dist32) FromGrid(g *Grid) error {
 	return nil
 }
 
-// Materialize widens the present float32 buffer into the grid's DF field
-// (and DFNew, so both float64 buffers agree) after normalizing the grid's
-// own parity, re-establishing the paper's layout for snapshots,
-// serialization, and digesting. The widening is exact, so state that
-// originated in float32 survives a checkpoint round trip bitwise.
+// Materialize widens the present float32 buffer into both of the grid's
+// float64 buffers, so the grid's present buffer holds it at whichever
+// parity the grid has — the live state snapshots, serialization and
+// digesting read. The widening is exact, so state that originated in
+// float32 survives a checkpoint round trip bitwise.
 func (d *Dist32) Materialize(g *Grid) error {
 	if err := d.checkShape(g); err != nil {
 		return err
 	}
-	g.Normalize()
 	src := d.bufs[d.cur]
 	for i := range g.Nodes {
 		n := &g.Nodes[i]

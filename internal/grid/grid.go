@@ -143,24 +143,8 @@ func (g *Grid) Cur() int { return g.cur }
 // Swap retires kernel 9 in O(1): it flips the buffer parity so the
 // post-streaming buffer becomes the present one. Engines that call Swap
 // instead of copying must read distributions through Buf(Cur()); raw DF
-// field reads are only valid on a normalized grid (Cur() == 0).
+// field reads are only valid at parity 0.
 func (g *Grid) Swap() { g.cur ^= 1 }
-
-// Normalize materializes the present buffer back into the DF field (and
-// the post-streaming buffer into DFNew) so that raw field reads and
-// serialization see the paper's layout; it is a no-op on an unswapped
-// grid. Engines call it before exposing the grid as a snapshot, which
-// keeps Checkpoint/Restore engine-independent.
-func (g *Grid) Normalize() {
-	if g.cur == 0 {
-		return
-	}
-	for i := range g.Nodes {
-		n := &g.Nodes[i]
-		n.DF, n.DFNew = n.DFNew, n.DF
-	}
-	g.cur = 0
-}
 
 // TotalMass returns Σ_nodes Σ_i g_i over the present distribution buffer.
 // The BGK collision and periodic streaming conserve it exactly (up to

@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
@@ -34,26 +35,42 @@ func WriteSheetCSV(w io.Writer, s *fiber.Sheet) error {
 	return bw.Flush()
 }
 
+// Fluid is the fluid state the fluid writers read: node (x, y, z) is
+// Storage()[Idx(x, y, z)], whose Vel and Rho they print. A *grid.Grid and
+// every engine's live layout are one; the writers read no distributions,
+// so the layout's buffer parity does not matter.
+type Fluid interface {
+	grid.Indexed
+	Storage() []grid.Node
+}
+
+// appendG appends v as fmt's %g verb prints a float64.
+func appendG(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
+
 // WriteFluidSliceCSV writes the velocity field of the x = plane slice as
 // CSV rows: y, z, ux, uy, uz, rho.
-func WriteFluidSliceCSV(w io.Writer, g *grid.Grid, plane int) error {
-	if plane < 0 || plane >= g.NX {
-		return fmt.Errorf("output: plane %d outside grid of %d x-planes", plane, g.NX)
+func WriteFluidSliceCSV(w io.Writer, f Fluid, plane int) error {
+	nx, ny, nz := f.Dims()
+	if plane < 0 || plane >= nx {
+		return fmt.Errorf("output: plane %d outside grid of %d x-planes", plane, nx)
 	}
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "y,z,ux,uy,uz,rho"); err != nil {
-		return err
-	}
-	for y := 0; y < g.NY; y++ {
-		for z := 0; z < g.NZ; z++ {
-			n := g.At(plane, y, z)
-			if _, err := fmt.Fprintf(bw, "%d,%d,%g,%g,%g,%g\n",
-				y, z, n.Vel[0], n.Vel[1], n.Vel[2], n.Rho); err != nil {
-				return err
+	bw.WriteString("y,z,ux,uy,uz,rho\n")
+	nodes, at := f.Storage(), grid.AxisIndex(f)
+	var line []byte
+	for y := 0; y < ny; y++ {
+		for z := 0; z < nz; z++ {
+			n := &nodes[at[0][plane]+at[1][y]+at[2][z]]
+			line = strconv.AppendInt(line[:0], int64(y), 10)
+			line = append(line, ',')
+			line = strconv.AppendInt(line, int64(z), 10)
+			for _, v := range [4]float64{n.Vel[0], n.Vel[1], n.Vel[2], n.Rho} {
+				line = appendG(append(line, ','), v)
 			}
+			bw.Write(append(line, '\n'))
 		}
 	}
-	return bw.Flush()
+	return bw.Flush() // a bufio.Writer keeps its first write error
 }
 
 // WriteSheetVTK writes the sheet as legacy-VTK polydata: points plus a
@@ -88,35 +105,42 @@ func WriteSheetVTK(w io.Writer, s *fiber.Sheet) error {
 }
 
 // WriteFluidVTK writes the full fluid velocity/density fields as a legacy
-// VTK structured-points dataset.
-func WriteFluidVTK(w io.Writer, g *grid.Grid) error {
+// VTK structured-points dataset. Numbers print as fmt's %g does.
+func WriteFluidVTK(w io.Writer, f Fluid) error {
+	nx, ny, nz := f.Dims()
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "# vtk DataFile Version 3.0")
 	fmt.Fprintln(bw, "LBM-IB fluid grid")
 	fmt.Fprintln(bw, "ASCII")
 	fmt.Fprintln(bw, "DATASET STRUCTURED_POINTS")
-	fmt.Fprintf(bw, "DIMENSIONS %d %d %d\n", g.NX, g.NY, g.NZ)
+	fmt.Fprintf(bw, "DIMENSIONS %d %d %d\n", nx, ny, nz)
 	fmt.Fprintln(bw, "ORIGIN 0 0 0")
 	fmt.Fprintln(bw, "SPACING 1 1 1")
-	fmt.Fprintf(bw, "POINT_DATA %d\n", g.NumNodes())
+	fmt.Fprintf(bw, "POINT_DATA %d\n", nx*ny*nz)
 	fmt.Fprintln(bw, "VECTORS velocity double")
+	nodes, at := f.Storage(), grid.AxisIndex(f)
+	var line []byte
 	// VTK structured points expect x varying fastest.
-	for z := 0; z < g.NZ; z++ {
-		for y := 0; y < g.NY; y++ {
-			for x := 0; x < g.NX; x++ {
-				v := g.At(x, y, z).Vel
-				fmt.Fprintf(bw, "%g %g %g\n", v[0], v[1], v[2])
+	each := func(row func(n *grid.Node)) {
+		for z := 0; z < nz; z++ {
+			for y := 0; y < ny; y++ {
+				yz := at[1][y] + at[2][z]
+				for x := 0; x < nx; x++ {
+					row(&nodes[at[0][x]+yz])
+				}
 			}
 		}
 	}
+	each(func(n *grid.Node) {
+		line = appendG(line[:0], n.Vel[0])
+		line = appendG(append(line, ' '), n.Vel[1])
+		line = appendG(append(line, ' '), n.Vel[2])
+		bw.Write(append(line, '\n'))
+	})
 	fmt.Fprintln(bw, "SCALARS rho double 1")
 	fmt.Fprintln(bw, "LOOKUP_TABLE default")
-	for z := 0; z < g.NZ; z++ {
-		for y := 0; y < g.NY; y++ {
-			for x := 0; x < g.NX; x++ {
-				fmt.Fprintf(bw, "%g\n", g.At(x, y, z).Rho)
-			}
-		}
-	}
-	return bw.Flush()
+	each(func(n *grid.Node) {
+		bw.Write(append(appendG(line[:0], n.Rho), '\n'))
+	})
+	return bw.Flush() // a bufio.Writer keeps its first write error
 }

@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"lbmib/internal/core"
-	"lbmib/internal/cube"
 	"lbmib/internal/cubesolver"
 	"lbmib/internal/fiber"
 	"lbmib/internal/flightrec"
@@ -246,15 +245,21 @@ type Config struct {
 // engine is what each solver implementation provides to the facade. The
 // stepping methods are the solver's own (each adapter embeds its solver)
 // and the live-state accessors come from its fluid layout (onLayout), so
-// an adapter states only what differs per engine: snapshot, load and
-// close. Instrumentation is not the adapters' business: every solver
-// embeds the core.Problem whose Probe field New attaches the sinks to.
+// an adapter states only what differs per engine: its live layout, what
+// loading state into it must re-establish, and close. Instrumentation is
+// not the adapters' business: every solver embeds the core.Problem whose
+// Probe field New attaches the sinks to.
 type engine interface {
 	Step()
 	Run(n int)
 	StepCount() int
-	snapshot() *grid.Grid
-	load(g *grid.Grid) error
+	// live returns the fluid layout the engine steps, its present
+	// distributions readable at Buf(Cur()) — the one source of every
+	// snapshot, checkpoint and fluid output, and the one target of Restore.
+	live() core.Layout
+	// loaded re-establishes the engine's invariants after Restore has
+	// overwritten the live layout's present buffer, ρ, u and force.
+	loaded()
 	close()
 
 	velocityAt(x, y, z int) [3]float64
@@ -840,14 +845,23 @@ func (s *Simulation) SheetVelocitiesAt(i int) ([][3]float64, error) {
 	return append([][3]float64(nil), sh.Vel...), nil
 }
 
-// FluidSnapshot returns the complete fluid state as a slab grid with
-// normalized buffer parity, the representation the validation and
-// checkpointing layers consume. For the slab engines the returned grid
-// aliases live solver storage: treat it as read-only and re-request it
-// after stepping.
+// FluidSnapshot returns a copy of the complete fluid state as a slab grid
+// at parity 0: each node's present distributions in DF, with ρ, u and the
+// force field. It is gathered from the engine's live layout and owns its
+// memory, so later steps do not change it; DFNew is left zero.
 func (s *Simulation) FluidSnapshot() *grid.Grid {
-	g := s.eng.snapshot()
-	g.Normalize()
+	l := s.eng.live()
+	nx, ny, nz := l.Dims()
+	g := &grid.Grid{NX: nx, NY: ny, NZ: nz, Nodes: make([]grid.Node, nx*ny*nz)}
+	cur, dst := l.Cur(), g.Nodes
+	_ = eachPlane(l, func(_ int, plane []*grid.Node) error {
+		for i, src := range plane {
+			*dst[i].Buf(0) = *src.Buf(cur)
+			dst[i].Rho, dst[i].Vel, dst[i].Force = src.Rho, src.Vel, src.Force
+		}
+		dst = dst[len(plane):]
+		return nil
+	})
 	return g
 }
 
@@ -918,14 +932,16 @@ func (s *Simulation) WriteSheetVTK(w io.Writer) error {
 	return output.WriteSheetVTK(w, s.firstSheet())
 }
 
-// WriteFluidVTK writes the fluid velocity/density fields as legacy VTK.
+// WriteFluidVTK writes the fluid velocity/density fields as legacy VTK,
+// read from the engine's live layout.
 func (s *Simulation) WriteFluidVTK(w io.Writer) error {
-	return output.WriteFluidVTK(w, s.eng.snapshot())
+	return output.WriteFluidVTK(w, s.eng.live())
 }
 
-// WriteFluidSliceCSV writes the x = plane velocity slice as CSV.
+// WriteFluidSliceCSV writes the x = plane velocity slice as CSV, read from
+// the engine's live layout.
 func (s *Simulation) WriteFluidSliceCSV(w io.Writer, plane int) error {
-	return output.WriteFluidSliceCSV(w, s.eng.snapshot(), plane)
+	return output.WriteFluidSliceCSV(w, s.eng.live(), plane)
 }
 
 // --- engine adapters ---
@@ -938,6 +954,7 @@ func (o onLayout) node(x, y, z int) *grid.Node {
 	x, y, z = o.l.Wrap(x, y, z)
 	return &o.l.Storage()[o.l.Idx(x, y, z)]
 }
+func (o onLayout) live() core.Layout                 { return o.l }
 func (o onLayout) velocityAt(x, y, z int) [3]float64 { return o.node(x, y, z).Vel }
 func (o onLayout) densityAt(x, y, z int) float64     { return o.node(x, y, z).Rho }
 func (o onLayout) maxVelocity() float64              { return grid.MaxVelocity(o.l.Storage()) }
@@ -949,72 +966,50 @@ type seqEngine struct {
 	onLayout
 }
 
-func (e *seqEngine) snapshot() *grid.Grid { return e.Fluid }
-func (e *seqEngine) close()               {}
-func (e *seqEngine) load(g *grid.Grid) error {
-	copy(e.Fluid.Nodes, g.Nodes)
-	return nil
-}
+func (e *seqEngine) close() {}
+
+// loaded has nothing to re-establish: kernel 4 resets the force itself.
+func (e *seqEngine) loaded() {}
 
 type ompEngine struct {
 	*omp.Solver
 	onLayout
 }
 
-// snapshot materializes the present buffer into the DF field first: the
-// swap-based engine's live grid may have odd parity, and snapshot
-// consumers (checkpointing, VTK output) read raw fields.
-func (e *ompEngine) snapshot() *grid.Grid { e.Fluid.Normalize(); return e.Fluid }
-func (e *ompEngine) close()               { e.Close() }
-func (e *ompEngine) load(g *grid.Grid) error {
-	e.Fluid.Normalize() // align parity with the (normalized) snapshot
-	copy(e.Fluid.Nodes, g.Nodes)
-	// Re-establish the between-steps invariant Force == BodyForce that
-	// SpreadForce relies on; the snapshot may carry another engine's
-	// end-of-step force state, which is dead state for every engine.
-	core.SeedForce(e.Fluid.Nodes, e.BodyForce)
-	return nil
-}
+func (e *ompEngine) close() { e.Close() }
 
-// loadCubes loads a snapshot into a cube layout and re-establishes the
-// between-steps invariant Force == BodyForce (see ompEngine.load).
-func loadCubes(l *cube.Layout, g *grid.Grid, body [3]float64) error {
-	if err := l.FromGrid(g); err != nil {
-		return err
-	}
-	core.SeedForce(l.Nodes, body)
-	return nil
-}
+// loaded re-establishes the between-steps invariant Force == BodyForce
+// that SpreadForce relies on; a checkpoint may carry another engine's
+// end-of-step force state, which is dead state for every engine.
+func (e *ompEngine) loaded() { core.SeedForce(e.Fluid.Nodes, e.BodyForce) }
 
 type cubeEngine struct {
 	*cubesolver.Solver
 	onLayout
 }
 
-func (e *cubeEngine) snapshot() *grid.Grid    { return e.Fluid.ToGrid() }
-func (e *cubeEngine) close()                  { e.Close() }
-func (e *cubeEngine) load(g *grid.Grid) error { return loadCubes(e.Fluid, g, e.BodyForce) }
+func (e *cubeEngine) close()  { e.Close() }
+func (e *cubeEngine) loaded() { core.SeedForce(e.Fluid.Nodes, e.BodyForce) } // see ompEngine.loaded
 
+// fusedEngine reads its layout through fused.Solver.Live, which in float32
+// mode widens the stored distributions into the grid first; that is why
+// the two distribution-reading accessors go through live() instead of the
+// bare layout.
 type fusedEngine struct {
 	*fused.Solver
 	onLayout
 }
 
-// snapshot normalizes like the OpenMP engine's; in float32 mode it also
-// materializes the reduced-precision storage into the grid's DF fields,
-// which is why the two distribution-reading accessors go through it (or
-// the solver's own Digest) instead of the bare layout.
-func (e *fusedEngine) snapshot() *grid.Grid            { return e.Snapshot() }
-func (e *fusedEngine) totalMass() float64              { return e.Snapshot().TotalMass() }
-func (e *fusedEngine) digest(d *grid.DigestGrid) error { return e.Digest(d) }
+func (e *fusedEngine) live() core.Layout               { return e.Live() }
+func (e *fusedEngine) totalMass() float64              { return e.Live().TotalMass() }
+func (e *fusedEngine) digest(d *grid.DigestGrid) error { return e.Live().Digest(d) }
 func (e *fusedEngine) close()                          { e.Close() }
-func (e *fusedEngine) load(g *grid.Grid) error         { return e.Load(g) }
+func (e *fusedEngine) loaded()                         { e.Loaded() }
 
 type taskflowEngine struct {
 	*taskflow.Solver
 	onLayout
 }
 
-func (e *taskflowEngine) snapshot() *grid.Grid    { return e.Fluid.ToGrid() }
-func (e *taskflowEngine) close()                  {}
-func (e *taskflowEngine) load(g *grid.Grid) error { return loadCubes(e.Fluid, g, e.BodyForce) }
+func (e *taskflowEngine) close()  {}
+func (e *taskflowEngine) loaded() { core.SeedForce(e.Fluid.Nodes, e.BodyForce) } // see ompEngine.loaded

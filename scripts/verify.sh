@@ -12,8 +12,8 @@
 # — is written from all workers; par's timed barrier wraps the team
 # barrier), a seeded cross-engine differential sweep, three native-fuzz
 # smokes, the flight-recorder smoke (whose bundle must carry the
-# critical-path report), a recorder-free watchdog smoke, and the repo
-# benchmark's verification pass on every workload.
+# critical-path report), a bundle-replay smoke, a recorder-free watchdog
+# smoke, and the repo benchmark's verification pass on every workload.
 #
 # The barrier choreography is held twice: barriercheck (in the lint pass)
 # proves every thread of the cube and fused engines reaches every
@@ -105,6 +105,21 @@ test -f "$FRDIR/manifest.json"
 grep -q '"schema": "lbmib-critpath/v1"' "$FRDIR/critpath.json"
 grep -q '"site": "after_stream"' "$FRDIR/critpath.json"
 go run ./cmd/lbmib-postmortem -ring 5 "$FRDIR"
+rm -rf "$FRDIR"
+
+# Replay smoke: a milder blow-up that outlives the recorder's step-64
+# snapshot, so the bundle carries a real checkpoint. It must be a
+# block-format checkpoint, and replaying it must reproduce the failure at
+# the step the live run tripped.
+FRDIR=$(mktemp -d)
+if go run ./cmd/lbmib-sim -solver cube -threads 2 -nx 16 -ny 16 -nz 16 \
+	-steps 300 -sheet "" -force 0.008 -flightrec "$FRDIR"; then
+	echo "unstable run should have tripped the watchdog" >&2
+	rm -rf "$FRDIR"
+	exit 1
+fi
+test "$(head -c 8 "$FRDIR/checkpoint.bin")" = LBMIBCKP
+go run ./cmd/lbmib-postmortem -replay "$FRDIR" | grep -q 'failure reproduced at step 73'
 rm -rf "$FRDIR"
 
 # Recorder-free watchdog smoke: the same unstable run with only the
