@@ -84,18 +84,18 @@ func (h *checkpointHeader) check(cfg Config) error {
 }
 
 // eachPlane visits l's nodes in the checkpoint's canonical order — x-major:
-// x, then y, then z — one x-plane at a time: fn gets plane x's NY·NZ nodes
-// in (y, z) order, in a slice reused across planes. It stops at fn's first
-// error and returns it.
-func eachPlane(l core.Layout, fn func(x int, plane []*grid.Node) error) error {
+// x, then y, then z — one x-plane at a time: fn gets the layout indices of
+// plane x's NY·NZ nodes in (y, z) order, in a slice reused across planes.
+// It stops at fn's first error and returns it.
+func eachPlane(l core.Layout, fn func(x int, plane []int) error) error {
 	nx, ny, nz := l.Dims()
-	nodes, at := l.Storage(), grid.AxisIndex(l)
-	plane := make([]*grid.Node, ny*nz)
+	at := grid.AxisIndex(l)
+	plane := make([]int, ny*nz)
 	for x := 0; x < nx; x++ {
 		i := 0
 		for y := 0; y < ny; y++ {
 			for z := 0; z < nz; z++ {
-				plane[i] = &nodes[at[0][x]+at[1][y]+at[2][z]]
+				plane[i] = at[0][x] + at[1][y] + at[2][z]
 				i++
 			}
 		}
@@ -130,10 +130,10 @@ func (s *Simulation) Checkpoint(w io.Writer) error {
 	}
 
 	// The fluid, one x-plane at a time through one reused buffer.
-	cur, buf := l.Cur(), make([]byte, ny*nz*recordBytes)
-	if err := eachPlane(l, func(_ int, plane []*grid.Node) error {
-		for i, n := range plane {
-			putRecord(buf[i*recordBytes:], n, cur)
+	df, macro, buf := l.Dist(l.Cur()), l.Macros(), make([]byte, ny*nz*recordBytes)
+	if err := eachPlane(l, func(_ int, plane []int) error {
+		for i, j := range plane {
+			putRecord(buf[i*recordBytes:], &df[j], &macro[j])
 		}
 		_, err := w.Write(buf)
 		return err
@@ -176,28 +176,27 @@ func appendFloats(b []byte, vs ...float64) []byte {
 
 func getFloat(b []byte, i int) float64 { return math.Float64frombits(le.Uint64(b[8*i:])) }
 
-// putRecord encodes node n's record — the distributions of buffer cur, ρ,
-// u and F — into b.
-func putRecord(b []byte, n *grid.Node, cur int) {
+// putRecord encodes one node — its present distributions df, then ρ, u
+// and F from its record m — into b.
+func putRecord(b []byte, df *[lattice.Q]float64, m *grid.Macro) {
 	_ = b[recordBytes-1]
-	for q, v := range n.Buf(cur) {
+	for q, v := range df {
 		le.PutUint64(b[8*q:], math.Float64bits(v))
 	}
-	for i, v := range [7]float64{n.Rho, n.Vel[0], n.Vel[1], n.Vel[2], n.Force[0], n.Force[1], n.Force[2]} {
+	for i, v := range [7]float64{m.Rho, m.Vel[0], m.Vel[1], m.Vel[2], m.Force[0], m.Force[1], m.Force[2]} {
 		le.PutUint64(b[8*(lattice.Q+i):], math.Float64bits(v))
 	}
 }
 
 // getRecord is putRecord's inverse.
-func getRecord(b []byte, n *grid.Node, cur int) {
+func getRecord(b []byte, df *[lattice.Q]float64, m *grid.Macro) {
 	_ = b[recordBytes-1]
-	df := n.Buf(cur)
 	for q := range df {
 		df[q] = getFloat(b, q)
 	}
-	n.Rho = getFloat(b, lattice.Q)
-	n.Vel = [3]float64{getFloat(b, lattice.Q+1), getFloat(b, lattice.Q+2), getFloat(b, lattice.Q+3)}
-	n.Force = [3]float64{getFloat(b, lattice.Q+4), getFloat(b, lattice.Q+5), getFloat(b, lattice.Q+6)}
+	m.Rho = getFloat(b, lattice.Q)
+	m.Vel = [3]float64{getFloat(b, lattice.Q+1), getFloat(b, lattice.Q+2), getFloat(b, lattice.Q+3)}
+	m.Force = [3]float64{getFloat(b, lattice.Q+4), getFloat(b, lattice.Q+5), getFloat(b, lattice.Q+6)}
 }
 
 // restoreSizeLimit bounds how many bytes Restore will read for cfg: a
@@ -275,13 +274,13 @@ func restoreBlocks(r io.Reader, cfg Config) (*Simulation, error) {
 	}
 	return restoreChecked(cfg, h, func(sim *Simulation) error {
 		l := sim.eng.live()
-		cur, buf := l.Cur(), make([]byte, h.ny*h.nz*recordBytes)
-		if err := eachPlane(l, func(x int, plane []*grid.Node) error {
+		df, macro, buf := l.Dist(l.Cur()), l.Macros(), make([]byte, h.ny*h.nz*recordBytes)
+		if err := eachPlane(l, func(x int, plane []int) error {
 			if _, err := io.ReadFull(r, buf); err != nil {
 				return fmt.Errorf("lbmib: decoding checkpoint: fluid plane %d: %w", x, err)
 			}
-			for i, n := range plane {
-				getRecord(buf[i*recordBytes:], n, cur)
+			for i, j := range plane {
+				getRecord(buf[i*recordBytes:], &df[j], &macro[j])
 			}
 			return nil
 		}); err != nil {
@@ -398,11 +397,11 @@ func restoreGob(r io.Reader, cfg Config) (*Simulation, error) {
 		// The stream's nodes are a normalized slab grid in canonical order:
 		// present distributions in DF.
 		l := sim.eng.live()
-		cur, src := l.Cur(), st.Nodes
-		return eachPlane(l, func(_ int, plane []*grid.Node) error {
-			for i, dst := range plane {
-				*dst.Buf(cur) = *src[i].Buf(0)
-				dst.Rho, dst.Vel, dst.Force = src[i].Rho, src[i].Vel, src[i].Force
+		df, macro, src := l.Dist(l.Cur()), l.Macros(), st.Nodes
+		return eachPlane(l, func(_ int, plane []int) error {
+			for i, j := range plane {
+				n := &src[i]
+				df[j], macro[j] = n.DF, grid.Macro{Vel: n.Vel, Rho: n.Rho, Force: n.Force}
 			}
 			src = src[len(plane):]
 			return nil

@@ -6,7 +6,7 @@
 //
 //	lockcheck     mutexes released on all paths; acyclic lock order
 //	barriercheck  Algorithm-4 barrier choreography is thread-uniform
-//	paritycheck   DF/DFNew only via the grid/cube accessor layer
+//	paritycheck   no literal buffer parity outside the grid/cube layer
 //	floatcheck    no ==/!= on floats in physics packages
 //	observercheck core.Probe calls nil-guarded on hot paths
 //	atomiccheck   no mixed atomic/plain access to one field

@@ -33,9 +33,8 @@ func injectDepositFault(t *testing.T, fromStep int) {
 			return
 		}
 		g := s.Fluid
-		cur := g.Cur()
-		dst := g.At(6, 2, 5).Buf(cur)
-		src := g.At(6, 2, 6).Buf(cur)
+		df := g.Dist(g.Cur())
+		dst, src := &df[g.Idx(6, 2, 5)], &df[g.Idx(6, 2, 6)]
 		for i := range dst {
 			dst[i] += 0.01 * src[i]
 		}

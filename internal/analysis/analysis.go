@@ -12,10 +12,10 @@
 //     control-dependent on thread-varying conditions, and barrier site
 //     counts must match across divergent branches (Algorithm 4's
 //     "every thread reaches every barrier" choreography);
-//   - paritycheck — the double-buffered distribution fields (grid.Node
-//     DF/DFNew) may only be touched through the grid/cube accessor
-//     layer; everywhere else, Buf(Cur()) is the contract (PR 2's
-//     swap-based kernel-9 retirement);
+//   - paritycheck — a layout's double-buffered distribution arrays may
+//     be picked by a literal parity only inside the grid/cube accessor
+//     layer; everywhere else, Dist(Cur()) is the contract (the swap-based
+//     kernel-9 retirement);
 //   - floatcheck — ==/!= on floating-point operands is forbidden in
 //     the physics packages (bitwise-equality test files are exempt by
 //     construction: test files are not loaded);

@@ -11,7 +11,7 @@ import (
 //
 //   - file scope: a //lint:allow line above the package clause silences
 //     the listed checks for the whole file (e.g. an engine that is
-//     kernel-9 faithful and may touch DF/DFNew directly);
+//     kernel-9 faithful and may name a buffer parity directly);
 //   - declaration scope: a //lint:allow line inside a top-level
 //     declaration's doc comment silences the checks for that whole
 //     declaration (e.g. a hand-over-hand locking helper lockcheck's

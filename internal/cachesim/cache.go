@@ -4,9 +4,13 @@
 // the package simulates a set-associative LRU cache hierarchy configured
 // from the machine model (Table III) and replays the *actual address
 // streams* the LBM-IB kernels generate over the slab and cube data
-// layouts. Miss rates therefore reflect the real data structures and loop
-// orders of the solvers, which is the property the paper's locality
-// argument depends on.
+// layouts, in the solvers' loop orders — the property the paper's
+// locality argument depends on.
+//
+// The streams address the paper's node record, grid.Node (Figure 3: both
+// distribution buffers and u, ρ, F in one 360-byte struct), not the split
+// arrays the engines now store: the model reproduces Table II, which the
+// paper measured on that record, so it keeps the record on purpose.
 package cachesim
 
 import "fmt"

@@ -10,12 +10,12 @@ import (
 	"lbmib/internal/par"
 )
 
-// Exact byte layout of the fluid node struct, taken from the real type so
-// the simulated address streams match what the solvers touch.
+// Exact byte layout of the paper's fluid node record (see the package
+// doc), taken from the real type.
 var (
 	nodeSize = uint64(unsafe.Sizeof(grid.Node{}))
-	offDF    = uint64(unsafe.Offsetof(grid.Node{}.DF))    //lint:allow paritycheck -- compile-time field offset for address simulation; no distribution data is read
-	offDFNew = uint64(unsafe.Offsetof(grid.Node{}.DFNew)) //lint:allow paritycheck -- compile-time field offset for address simulation; no distribution data is read
+	offDF    = uint64(unsafe.Offsetof(grid.Node{}.DF))
+	offDFNew = uint64(unsafe.Offsetof(grid.Node{}.DFNew))
 	offVel   = uint64(unsafe.Offsetof(grid.Node{}.Vel))
 	offRho   = uint64(unsafe.Offsetof(grid.Node{}.Rho))
 	offForce = uint64(unsafe.Offsetof(grid.Node{}.Force))

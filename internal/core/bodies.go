@@ -9,21 +9,25 @@ import (
 
 // Layout is the block-layout contract the loop bodies are written
 // against; *grid.Grid and *cube.Layout are its two implementations. A
-// layout stores the NX×NY×NZ fluid nodes as equal-sized contiguous
-// blocks — an x-plane of NY·NZ nodes in the slab grid, a cube of K³ in
-// the cube layout: block b is the box BlockBox(b) of the domain and
-// occupies Storage()[b·n : (b+1)·n], n the box's node count, ordered
-// z-fastest inside the box. Idx is separable per axis,
+// layout stores the NX×NY×NZ fluid nodes split: one distribution array
+// per buffer parity, Dist(0) and Dist(1), and one array of the 56 B
+// grid.Macro record (u, ρ, F), Macros(), all in the same node order. The
+// nodes form equal-sized contiguous blocks — an x-plane of NY·NZ nodes in
+// the slab grid, a cube of K³ in the cube layout: block b is the box
+// BlockBox(b) of the domain and occupies entries [b·n, (b+1)·n) of every
+// array, n the box's node count, ordered z-fastest inside the box. Idx is
+// separable per axis,
 //
 //	Idx(x, y, z) = Idx(x, 0, 0) + Idx(0, y, 0) + Idx(0, 0, z),
 //
-// which lets the bodies tabulate it once (grid.AxisIndex) and index the node
-// slice directly in their inner loops instead of calling through the
-// interface. The distributions are double-buffered: node n's present
-// buffer is n.Buf(Cur()).
+// which lets the bodies tabulate it once (grid.AxisIndex) and index the
+// arrays directly in their inner loops instead of calling through the
+// interface. The present distributions are Dist(Cur()), the
+// post-streaming ones Dist(1-Cur()).
 type Layout interface {
 	Dims() (nx, ny, nz int)
-	Storage() []grid.Node
+	Dist(b int) [][lattice.Q]float64
+	Macros() []grid.Macro
 	BlockBox(b int) (origin, extent [3]int)
 	Idx(x, y, z int) int
 	Wrap(x, y, z int) (int, int, int)
@@ -31,53 +35,48 @@ type Layout interface {
 	Digest(d *grid.DigestGrid) error
 }
 
-// SeedForce sets every node's force to the uniform body force: kernel
+// SeedForce sets every record's force to the uniform body force: kernel
 // 4's reset in the sequential solver, and in the engines that fold that
 // reset into their update or copy pass the between-steps invariant
 // spreading accumulates on top of — they seed at construction and after
 // loading external state (a checkpoint) into the fluid container.
-func SeedForce(nodes []grid.Node, body [3]float64) {
-	for i := range nodes {
-		nodes[i].Force = body
+func SeedForce(m []grid.Macro, body [3]float64) {
+	for i := range m {
+		m[i].Force = body
 	}
 }
 
-// CollideRange is kernel 5 over nodes: the BGK collision with Guo
-// forcing, in place on distribution buffer cur.
-func CollideRange(nodes []grid.Node, tau float64, cur int) {
-	for i := range nodes {
-		n := &nodes[i]
-		lattice.Collide(n.Buf(cur), n.Rho, n.Vel, n.Force, tau)
+// CollideRange is kernel 5 over a node range: the BGK collision with Guo
+// forcing, in place on the present distributions df, reading the records
+// m of the same nodes.
+func CollideRange(df [][lattice.Q]float64, m []grid.Macro, tau float64) {
+	df = df[:len(m)]
+	for i := range m {
+		n := &m[i]
+		lattice.Collide(&df[i], n.Rho, n.Vel, n.Force, tau)
 	}
 }
 
-// UpdateRange is kernel 7 over nodes: density and velocity from
-// post-streaming buffer next and the elastic force (half-force Guo
-// correction). A non-nil reset is then stored as the node's force in the
-// same pass — the fold that lets the engines which retire kernel 4's
-// full-grid reset keep spreading on top of the body force.
-func UpdateRange(nodes []grid.Node, next int, reset *[3]float64) {
-	for i := range nodes {
-		n := &nodes[i]
-		n.Rho = lattice.Moments(n.Buf(next), n.Force, &n.Vel)
+// UpdateRange is kernel 7 over a node range: density and velocity from
+// the post-streaming distributions df and the elastic force (half-force
+// Guo correction), into the records m. A non-nil reset is then stored as
+// the node's force in the same pass — the fold that lets the engines which
+// retire kernel 4's full-grid reset keep spreading on top of the body
+// force.
+func UpdateRange(df [][lattice.Q]float64, m []grid.Macro, reset *[3]float64) {
+	df = df[:len(m)]
+	for i := range m {
+		n := &m[i]
+		n.Rho = lattice.Moments(&df[i], n.Force, &n.Vel)
 		if reset != nil {
 			n.Force = *reset
 		}
 	}
 }
 
-// CopyRange is kernel 9 over nodes as published: the post-streaming
-// buffer is copied into present buffer cur. A non-nil reset rides along
-// as in UpdateRange, for the schedule that resets forces here.
-func CopyRange(nodes []grid.Node, cur int, reset *[3]float64) {
-	for i := range nodes {
-		n := &nodes[i]
-		*n.Buf(cur) = *n.Buf(1 - cur)
-		if reset != nil {
-			n.Force = *reset
-		}
-	}
-}
+// CopyRange is kernel 9 over a node range as published: the
+// post-streaming distributions src are copied into the present ones dst.
+func CopyRange(dst, src [][lattice.Q]float64) { copy(dst, src) }
 
 // StreamBC resolves the boundary streaming of one (node, direction) pair:
 // the periodic wrap, the halfway bounce-back walls, and the moving-lid
@@ -145,7 +144,7 @@ type Streamer struct {
 	// fixed[a][c] reports that both axis-a neighbours of coordinate c are
 	// inside the domain and sit at the layout's constant axis stride from
 	// it; where that holds on all three axes, the e_i neighbour of a node
-	// is streamDelta[i] away in Storage — strictly inside a cube, and
+	// is streamDelta[i] entries away — strictly inside a cube, and
 	// everywhere off the domain faces in the slab grid, whose x-planes
 	// abut in memory.
 	fixed       [3][]bool
@@ -178,28 +177,27 @@ func NewStreamer(l Layout, bc StreamBC) *Streamer {
 // writer, so concurrent calls on different blocks need no
 // synchronization.
 func (s *Streamer) Block(b, cur int) {
-	nodes := s.l.Storage()
+	src, dst, m := s.l.Dist(cur), s.l.Dist(1-cur), s.l.Macros()
 	o, e := s.l.BlockBox(b)
-	next := 1 - cur
 	idx := b * e[0] * e[1] * e[2]
 	for x := o[0]; x < o[0]+e[0]; x++ {
 		for y := o[1]; y < o[1]+e[1]; y++ {
 			fixedXY := s.fixed[0][x] && s.fixed[1][y]
 			for z := o[2]; z < o[2]+e[2]; z++ {
-				src := &nodes[idx]
-				srcBuf := src.Buf(cur)
+				f := &src[idx]
 				if fixedXY && s.fixed[2][z] {
 					for i := 0; i < lattice.Q; i++ {
-						nodes[idx+s.streamDelta[i]].Buf(next)[i] = srcBuf[i]
+						dst[idx+s.streamDelta[i]][i] = f[i]
 					}
 				} else {
+					rho := m[idx].Rho
 					for i := 0; i < lattice.Q; i++ {
-						tx, ty, tz, refl, bounce := s.bc.Resolve(i, x, y, z, srcBuf[i], src.Rho)
+						tx, ty, tz, refl, bounce := s.bc.Resolve(i, x, y, z, f[i], rho)
 						if bounce {
-							src.Buf(next)[lattice.Opposite[i]] = refl
+							dst[idx][lattice.Opposite[i]] = refl
 							continue
 						}
-						nodes[s.at[0][tx]+s.at[1][ty]+s.at[2][tz]].Buf(next)[i] = srcBuf[i]
+						dst[s.at[0][tx]+s.at[1][ty]+s.at[2][tz]][i] = f[i]
 					}
 				}
 				idx++

@@ -29,7 +29,7 @@ type layoutPoints struct{ l Layout }
 
 func (p layoutPoints) addForce(x, y, z int, f [3]float64) {
 	x, y, z = p.l.Wrap(x, y, z)
-	n := &p.l.Storage()[p.l.Idx(x, y, z)]
+	n := &p.l.Macros()[p.l.Idx(x, y, z)]
 	n.Force[0] += f[0]
 	n.Force[1] += f[1]
 	n.Force[2] += f[2]
@@ -37,7 +37,7 @@ func (p layoutPoints) addForce(x, y, z int, f [3]float64) {
 
 func (p layoutPoints) velocityAt(x, y, z int) [3]float64 {
 	x, y, z = p.l.Wrap(x, y, z)
-	return p.l.Storage()[p.l.Idx(x, y, z)].Vel
+	return p.l.Macros()[p.l.Idx(x, y, z)].Vel
 }
 
 // accumPoints is SpreadAccum.AddForce.
@@ -50,7 +50,7 @@ func (p accumPoints) addForce(x, y, z int, f [3]float64) {
 	z = grid.WrapIndex(z, len(a.blk[2]))
 	b := a.blk[0][x] + a.blk[1][y] + a.blk[2][z]
 	i := a.off[0][x] + a.off[1][y] + a.off[2][z]
-	q := &a.nodes[b*a.blockLen+i].Force
+	q := &a.macro[b*a.blockLen+i].Force
 	if a.owner == nil || a.owner[b] != a.tid {
 		q = &a.block(b)[i]
 	}
@@ -160,7 +160,7 @@ func couplingPositions(r *rand.Rand, n int, dims [3]int, k int) [][3]float64 {
 // randomize fills the force and velocity fields of a and b identically;
 // a share of the force components are −0, which an unskipped zero-weight
 // point (adding +0) would flip.
-func randomize(r *rand.Rand, a, b []grid.Node) {
+func randomize(r *rand.Rand, a, b []grid.Macro) {
 	for i := range a {
 		for d := 0; d < 3; d++ {
 			a[i].Force[d] = r.NormFloat64()
@@ -213,7 +213,7 @@ func dimsOf(l Layout) [3]int {
 	return [3]int{nx, ny, nz}
 }
 
-func compareForces(t *testing.T, got, want []grid.Node) {
+func compareForces(t *testing.T, got, want []grid.Macro) {
 	t.Helper()
 	for i := range got {
 		if !sameBits(got[i].Force, want[i].Force) {
@@ -230,7 +230,7 @@ func TestCouplingMatchesPerPointOracle(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(21))
 			l, ref := tc.make(), tc.make()
-			randomize(r, l.Storage(), ref.Storage())
+			randomize(r, l.Macros(), ref.Macros())
 			oracle := layoutPoints{ref}
 			for n, x := range couplingPositions(r, stencils, dimsOf(l), tc.k) {
 				var st ibm.Stencil
@@ -245,7 +245,7 @@ func TestCouplingMatchesPerPointOracle(t *testing.T) {
 				ibm.Spread(l, x, F, area)
 				oracleSpread(oracle, &st, F, area)
 			}
-			compareForces(t, l.Storage(), ref.Storage())
+			compareForces(t, l.Macros(), ref.Macros())
 		})
 	}
 }
@@ -265,12 +265,12 @@ func TestSpreadAccumMatchesPerPointOracle(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				r := rand.New(rand.NewSource(22))
 				l, ref := tc.make(), tc.make()
-				randomize(r, l.Storage(), ref.Storage())
+				randomize(r, l.Macros(), ref.Macros())
 				_, e := l.BlockBox(0)
 				blockLen := e[0] * e[1] * e[2]
 				var owner []int
 				if owned {
-					owner = make([]int, len(l.Storage())/blockLen)
+					owner = make([]int, len(l.Macros())/blockLen)
 					for b := range owner {
 						owner[b] = r.Intn(3) // worker 2 does not exist: some blocks are nobody's
 					}
@@ -301,12 +301,91 @@ func TestSpreadAccumMatchesPerPointOracle(t *testing.T) {
 							}
 						}
 					}
-					compareForces(t, l.Storage(), ref.Storage())
-					for b := 0; b < len(l.Storage())/blockLen; b++ {
-						ReduceSpread(accs, l.Storage()[b*blockLen:(b+1)*blockLen], b, gen)
-						ReduceSpread(refs, ref.Storage()[b*blockLen:(b+1)*blockLen], b, gen)
+					compareForces(t, l.Macros(), ref.Macros())
+					for b := 0; b < len(l.Macros())/blockLen; b++ {
+						ReduceSpread(accs, l.Macros()[b*blockLen:(b+1)*blockLen], b, gen)
+						ReduceSpread(refs, ref.Macros()[b*blockLen:(b+1)*blockLen], b, gen)
 					}
-					compareForces(t, l.Storage(), ref.Storage())
+					compareForces(t, l.Macros(), ref.Macros())
+				}
+			})
+		}
+	}
+}
+
+// Spreading conserves force and is the adjoint of interpolation on every
+// layout — slab grids and cube layouts with k = 1, 4 and 8, through the
+// layout contract — and through every accumulator: the layout's own
+// coupling, and two workers' SpreadAccums with no block owned and with
+// owned blocks, reduced. Σ_nodes f = Σ_j A·F_j, and ⟨S F, u⟩ = Σ_nodes f·u
+// equals ⟨F, I u⟩ = Σ_j A·F_j·I(u)(X_j), both to round-off.
+func TestCouplingConservesForceAndIsAdjoint(t *testing.T) {
+	const fibers, area = 600, 0.37
+	for _, tc := range couplingLayouts {
+		for _, via := range []string{"layout", "unowned", "owned"} {
+			t.Run(tc.name+"/"+via, func(t *testing.T) {
+				r := rand.New(rand.NewSource(24))
+				l := tc.make()
+				m := l.Macros()
+				for i := range m {
+					m[i].Vel = [3]float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
+				}
+				_, e := l.BlockBox(0)
+				blockLen := e[0] * e[1] * e[2]
+				var accs []*SpreadAccum
+				if via != "layout" {
+					var owner []int
+					if via == "owned" {
+						owner = make([]int, len(m)/blockLen)
+						for b := range owner {
+							owner[b] = r.Intn(3) // worker 2 does not exist: some blocks are nobody's
+						}
+					}
+					accs = NewSpreadAccums(l, 2, owner)
+					for _, a := range accs {
+						a.Begin(1)
+					}
+				}
+				dims := dimsOf(l)
+				var want [3]float64
+				var rhs, scale float64
+				for j := 0; j < fibers; j++ {
+					var x [3]float64
+					for a := range x {
+						x[a] = (r.Float64()*3 - 1) * float64(dims[a]) // seams and periodic images included
+					}
+					F := randomForce(r)
+					var acc ibm.ForceAccumulator = l
+					if accs != nil {
+						acc = accs[j%2]
+					}
+					ibm.Spread(acc, x, F, area)
+					u := ibm.Interpolate(l, x)
+					for d := 0; d < 3; d++ {
+						want[d] += area * F[d]
+						rhs += area * F[d] * u[d]
+						scale += area * math.Abs(F[d]) * (math.Abs(u[d]) + 1)
+					}
+				}
+				for b := 0; accs != nil && b < len(m)/blockLen; b++ {
+					ReduceSpread(accs, m[b*blockLen:(b+1)*blockLen], b, 1)
+				}
+				var got [3]float64
+				var lhs float64
+				for i := range m {
+					for d := 0; d < 3; d++ {
+						got[d] += m[i].Force[d]
+						lhs += m[i].Force[d] * m[i].Vel[d]
+					}
+				}
+				tol := 1e-12 * scale
+				for d := 0; d < 3; d++ {
+					if math.Abs(got[d]-want[d]) > tol {
+						t.Errorf("Σ spread force[%d] = %.17g, Σ Lagrangian force %.17g", d, got[d], want[d])
+					}
+				}
+				if math.Abs(lhs-rhs) > tol {
+					t.Errorf("⟨S F, u⟩ = %.17g, ⟨F, I u⟩ = %.17g (tolerance %.3g)", lhs, rhs, tol)
 				}
 			})
 		}
@@ -323,10 +402,10 @@ func TestSpreadAccumConcurrentWorkers(t *testing.T) {
 	for _, tc := range couplingLayouts[3:5] {
 		r := rand.New(rand.NewSource(23))
 		l, ref := tc.make(), tc.make()
-		randomize(r, l.Storage(), ref.Storage())
+		randomize(r, l.Macros(), ref.Macros())
 		_, e := l.BlockBox(0)
 		blockLen := e[0] * e[1] * e[2]
-		owner := make([]int, len(l.Storage())/blockLen)
+		owner := make([]int, len(l.Macros())/blockLen)
 		for b := range owner {
 			owner[b] = b % 2
 		}
@@ -341,7 +420,7 @@ func TestSpreadAccumConcurrentWorkers(t *testing.T) {
 				return
 			}
 			for b := tid; b < len(owner); b += 2 {
-				ReduceSpread(accs, l.Storage()[b*blockLen:(b+1)*blockLen], b, 1)
+				ReduceSpread(accs, l.Macros()[b*blockLen:(b+1)*blockLen], b, 1)
 			}
 		}
 		accs, refs := NewSpreadAccums(l, 2, owner), NewSpreadAccums(ref, 2, owner)
@@ -357,7 +436,7 @@ func TestSpreadAccumConcurrentWorkers(t *testing.T) {
 			}
 			wg.Wait()
 		}
-		compareForces(t, l.Storage(), ref.Storage())
+		compareForces(t, l.Macros(), ref.Macros())
 	}
 }
 
@@ -365,7 +444,7 @@ func TestSpreadAccumConcurrentWorkers(t *testing.T) {
 // weight and are skipped, through every accumulator: 27 nodes receive
 // force, not 64.
 func TestLatticeAlignedSpreadTouches27(t *testing.T) {
-	count := func(nodes []grid.Node) (n int) {
+	count := func(nodes []grid.Macro) (n int) {
 		for i := range nodes {
 			if nodes[i].Force != ([3]float64{}) {
 				n++
@@ -380,7 +459,7 @@ func TestLatticeAlignedSpreadTouches27(t *testing.T) {
 		}
 		l := tc.make()
 		ibm.Spread(l, x, F, 1)
-		if n := count(l.Storage()); n != 27 {
+		if n := count(l.Macros()); n != 27 {
 			t.Errorf("%s: %d nodes touched, want 27", tc.name, n)
 		}
 		l = tc.make()

@@ -12,8 +12,8 @@
 // with forcing, and the moments — is one level further down, in
 // lattice.Collide and lattice.Moments; CollideRange and UpdateRange are
 // loops over them, and the fused engine's float32 storage path, the one
-// place that cannot hand CollideRange a node's distribution array, widens
-// the 19 values and calls the same two functions. Likewise a fiber node's
+// place that cannot hand CollideRange a float64 distribution array,
+// widens a node's 19 values and calls the same two functions. Likewise a fiber node's
 // 64 stencil points: SpreadSheetNodes and MoveSheetNodes make one call per
 // fiber node, and the point loops, with the periodic wrap, are
 // grid.Coupling's and, for private buffers, SpreadAccum.SpreadStencil's.
@@ -275,7 +275,7 @@ func (s *Solver) ComputeElasticForce() {
 // body force and spreads every fiber node's elastic force onto the fluid
 // nodes of its 4×4×4 influential domain through the smoothed Dirac delta.
 func (s *Solver) SpreadForce() {
-	SeedForce(s.Fluid.Nodes, s.BodyForce)
+	SeedForce(s.Fluid.Macros(), s.BodyForce)
 	for _, sh := range s.Sheets {
 		SpreadSheetNodes(s.Fluid, sh, 0, sh.NumNodes())
 	}
@@ -284,7 +284,8 @@ func (s *Solver) SpreadForce() {
 // ComputeCollision is kernel 5: the D3Q19 BGK collision with the elastic
 // body force applied at every fluid node, in the 19 directions of the model.
 func (s *Solver) ComputeCollision() {
-	CollideRange(s.Fluid.Nodes, s.Tau, s.Fluid.Cur())
+	g := s.Fluid
+	CollideRange(g.Dist(g.Cur()), g.Macros(), s.Tau)
 }
 
 // StreamDistribution is kernel 6: it pushes each node's post-collision
@@ -305,7 +306,8 @@ func (s *Solver) StreamPlane(x, cur int) { s.stream.Block(x, cur) }
 // velocity from the post-streaming distribution and the elastic force
 // (half-force Guo correction).
 func (s *Solver) UpdateVelocity() {
-	UpdateRange(s.Fluid.Nodes, 1-s.Fluid.Cur(), nil)
+	g := s.Fluid
+	UpdateRange(g.Dist(1-g.Cur()), g.Macros(), nil)
 }
 
 // MoveFibers is kernel 8: each fiber node's velocity is interpolated from
@@ -325,5 +327,6 @@ func (s *Solver) MoveFibers() {
 // parallel engines retire it with an O(1) buffer swap instead (see
 // internal/cubesolver and internal/omp).
 func (s *Solver) CopyDistribution() {
-	CopyRange(s.Fluid.Nodes, s.Fluid.Cur(), nil)
+	g := s.Fluid
+	CopyRange(g.Dist(g.Cur()), g.Dist(1-g.Cur()))
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"lbmib/internal/core"
 	"lbmib/internal/cube"
@@ -16,11 +17,11 @@ import (
 // node to node, so a misrouted or dropped value cannot go unnoticed.
 func randomState(g *grid.Grid, seed int64) {
 	r := rand.New(rand.NewSource(seed))
-	for i := range g.Nodes {
-		n := &g.Nodes[i]
+	for i := range g.Macros() {
+		n := &g.Macros()[i]
 		for q := 0; q < lattice.Q; q++ {
-			n.DF[q] = lattice.W[q] * (0.8 + 0.4*r.Float64())
-			n.DFNew[q] = r.Float64()
+			g.Dist(0)[i][q] = lattice.W[q] * (0.8 + 0.4*r.Float64())
+			g.Dist(1)[i][q] = r.Float64()
 		}
 		n.Rho = 0.9 + 0.2*r.Float64()
 		for d := 0; d < 3; d++ {
@@ -31,24 +32,30 @@ func randomState(g *grid.Grid, seed int64) {
 }
 
 // checkContract verifies the storage half of the block-layout contract:
-// blocks are contiguous, equal-sized, ordered z-fastest inside BlockBox,
-// tile the domain exactly once, and Idx is separable per axis.
+// the storage is split — a distribution array of N entries per parity
+// and N records of 56 B — and blocks are contiguous, equal-sized, ordered
+// z-fastest inside BlockBox, tile the domain exactly once, and Idx is
+// separable per axis.
 func checkContract(t *testing.T, l core.Layout) {
 	t.Helper()
 	nx, ny, nz := l.Dims()
-	nodes := l.Storage()
-	if len(nodes) != nx*ny*nz {
-		t.Fatalf("Storage holds %d nodes, want %d", len(nodes), nx*ny*nz)
+	n := nx * ny * nz
+	if size := unsafe.Sizeof(grid.Macro{}); size != 56 {
+		t.Fatalf("the per-node record is %d B, want 56 (u, ρ, F)", size)
 	}
-	seen := make([]bool, len(nodes))
+	if len(l.Dist(0)) != n || len(l.Dist(1)) != n || len(l.Macros()) != n {
+		t.Fatalf("storage holds %d and %d distributions and %d records, want %d each",
+			len(l.Dist(0)), len(l.Dist(1)), len(l.Macros()), n)
+	}
+	seen := make([]bool, n)
 	_, e0 := l.BlockBox(0)
-	n := e0[0] * e0[1] * e0[2]
-	for b := 0; b*n < len(nodes); b++ {
+	bn := e0[0] * e0[1] * e0[2]
+	for b := 0; b*bn < n; b++ {
 		o, e := l.BlockBox(b)
 		if e != e0 {
 			t.Fatalf("block %d extent %v differs from block 0's %v", b, e, e0)
 		}
-		i := b * n
+		i := b * bn
 		for x := o[0]; x < o[0]+e[0]; x++ {
 			for y := o[1]; y < o[1]+e[1]; y++ {
 				for z := o[2]; z < o[2]+e[2]; z++ {
@@ -107,15 +114,16 @@ func crossings(l core.Layout) (blockEdge, domainEdge [lattice.Q]int) {
 // step runs one shared collide → stream → update over every block of l at
 // parity cur, the way every push engine composes the bodies.
 func step(l core.Layout, st *core.Streamer, tau float64, cur int, reset *[3]float64) {
-	nodes := l.Storage()
+	m := l.Macros()
 	_, e := l.BlockBox(0)
 	n := e[0] * e[1] * e[2]
-	core.CollideRange(nodes, tau, cur)
-	for b := 0; b*n < len(nodes); b++ {
+	core.CollideRange(l.Dist(cur), m, tau)
+	for b := 0; b*n < len(m); b++ {
 		st.Block(b, cur)
 	}
-	for b := 0; b*n < len(nodes); b++ {
-		core.UpdateRange(nodes[b*n:(b+1)*n], 1-cur, reset)
+	next := l.Dist(1 - cur)
+	for b := 0; b*n < len(m); b++ {
+		core.UpdateRange(next[b*n:(b+1)*n], m[b*n:(b+1)*n], reset)
 	}
 }
 
@@ -173,8 +181,8 @@ func TestLayoutConformance(t *testing.T) {
 							step(g, sg, p.Tau, g.Cur(), reset)
 							step(l, sl, p.Tau, l.Cur(), reset)
 							if end == "copy" {
-								core.CopyRange(g.Nodes, g.Cur(), nil)
-								core.CopyRange(l.Nodes, l.Cur(), nil)
+								core.CopyRange(g.Dist(g.Cur()), g.Dist(1-g.Cur()))
+								core.CopyRange(l.Dist(l.Cur()), l.Dist(1-l.Cur()))
 							} else {
 								g.Swap()
 								l.Swap()
@@ -185,8 +193,14 @@ func TestLayoutConformance(t *testing.T) {
 							for x := 0; x < dims[0]; x++ {
 								for y := 0; y < dims[1]; y++ {
 									for z := 0; z < dims[2]; z++ {
+										gi, li := g.Idx(x, y, z), l.Idx(x, y, z)
 										if a, b := g.At(x, y, z), l.At(x, y, z); *a != *b {
 											t.Fatalf("step %d: node (%d,%d,%d) differs between the layouts:\nslab %+v\ncube %+v", s, x, y, z, *a, *b)
+										}
+										for p := 0; p < 2; p++ {
+											if g.Dist(p)[gi] != l.Dist(p)[li] {
+												t.Fatalf("step %d: node (%d,%d,%d) buffer %d differs between the layouts", s, x, y, z, p)
+											}
 										}
 									}
 								}

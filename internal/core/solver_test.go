@@ -25,8 +25,8 @@ func smallSheet() *fiber.Sheet {
 func TestRestStateIsFixedPoint(t *testing.T) {
 	s := MustNewSolver(Config{NX: 6, NY: 6, NZ: 6, Tau: 0.7})
 	s.Run(3)
-	for i := range s.Fluid.Nodes {
-		n := &s.Fluid.Nodes[i]
+	for i := range s.Fluid.Macros() {
+		n := &s.Fluid.Macros()[i]
 		if math.Abs(n.Rho-1) > 1e-14 {
 			t.Fatalf("node %d rho drifted to %g", i, n.Rho)
 		}
@@ -43,8 +43,8 @@ func TestUniformFlowIsFixedPointPeriodic(t *testing.T) {
 	u0 := [3]float64{0.04, -0.02, 0.01}
 	s.Fluid.Reset(1, u0)
 	s.Run(4)
-	for i := range s.Fluid.Nodes {
-		n := &s.Fluid.Nodes[i]
+	for i := range s.Fluid.Macros() {
+		n := &s.Fluid.Macros()[i]
 		for d := 0; d < 3; d++ {
 			if math.Abs(n.Vel[d]-u0[d]) > 1e-13 {
 				t.Fatalf("uniform flow not preserved: node %d vel %v, want %v", i, n.Vel, u0)
@@ -101,8 +101,8 @@ func TestForcedVelocityAfterOneStep(t *testing.T) {
 	s := MustNewSolver(Config{NX: 4, NY: 4, NZ: 4, Tau: tau, BodyForce: [3]float64{fx, 0, 0}})
 	s.Step()
 	want := (1 - 1/(2*tau) + 0.5) * fx // per unit density
-	for i := range s.Fluid.Nodes {
-		got := s.Fluid.Nodes[i].Vel[0]
+	for i := range s.Fluid.Macros() {
+		got := s.Fluid.Macros()[i].Vel[0]
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("node %d u_x = %g, want %g", i, got, want)
 		}
@@ -152,8 +152,8 @@ func TestShearWaveDecayRate(t *testing.T) {
 				u := [3]float64{0, amp * math.Sin(k*float64(x)), 0}
 				var geq [lattice.Q]float64
 				lattice.Equilibrium(1, u, &geq)
-				nd.DF = geq
-				nd.DFNew = geq
+				i := s.Fluid.Idx(x, y, z)
+				s.Fluid.Dist(0)[i], s.Fluid.Dist(1)[i] = geq, geq
 				nd.Vel = u
 				nd.Rho = 1
 			}
@@ -310,7 +310,7 @@ func TestDefaultTau(t *testing.T) {
 	}
 }
 
-// Kernel 9 must make DF equal DFNew exactly.
+// Kernel 9 must make the two distribution buffers equal exactly.
 func TestCopyDistribution(t *testing.T) {
 	s := MustNewSolver(Config{NX: 4, NY: 4, NZ: 4, Tau: 0.7, BodyForce: [3]float64{1e-4, 0, 0}})
 	s.SpreadForce()
@@ -318,9 +318,9 @@ func TestCopyDistribution(t *testing.T) {
 	s.StreamDistribution()
 	s.UpdateVelocity()
 	s.CopyDistribution()
-	for i := range s.Fluid.Nodes {
-		if s.Fluid.Nodes[i].DF != s.Fluid.Nodes[i].DFNew {
-			t.Fatalf("node %d DF != DFNew after copy", i)
+	for i := range s.Fluid.Dist(0) {
+		if s.Fluid.Dist(0)[i] != s.Fluid.Dist(1)[i] {
+			t.Fatalf("node %d: buffers differ after copy", i)
 		}
 	}
 }
@@ -333,36 +333,37 @@ func TestCopyDistribution(t *testing.T) {
 func TestCollideAndUpdateRangeDoNotAllocate(t *testing.T) {
 	g := grid.New(16, 16, 16)
 	reset := [3]float64{1e-5, 0, 0}
-	if n := testing.AllocsPerRun(10, func() { CollideRange(g.Nodes, 0.7, 0) }); n != 0 {
-		t.Errorf("CollideRange over %d nodes: %v allocations per run, want 0", len(g.Nodes), n)
+	if n := testing.AllocsPerRun(10, func() { CollideRange(g.Dist(0), g.Macros(), 0.7) }); n != 0 {
+		t.Errorf("CollideRange over %d nodes: %v allocations per run, want 0", g.NumNodes(), n)
 	}
-	if n := testing.AllocsPerRun(10, func() { UpdateRange(g.Nodes, 1, &reset) }); n != 0 {
-		t.Errorf("UpdateRange over %d nodes: %v allocations per run, want 0", len(g.Nodes), n)
+	if n := testing.AllocsPerRun(10, func() { UpdateRange(g.Dist(1), g.Macros(), &reset) }); n != 0 {
+		t.Errorf("UpdateRange over %d nodes: %v allocations per run, want 0", g.NumNodes(), n)
 	}
 }
 
 func TestStreamingIsPermutation(t *testing.T) {
 	s := MustNewSolver(Config{NX: 4, NY: 3, NZ: 5, Tau: 0.7})
 	// Give every node a unique distribution signature.
-	for i := range s.Fluid.Nodes {
+	cur, next := s.Fluid.Dist(0), s.Fluid.Dist(1)
+	for i := range cur {
 		for q := 0; q < lattice.Q; q++ {
-			s.Fluid.Nodes[i].DF[q] = float64(i*lattice.Q + q)
+			cur[i][q] = float64(i*lattice.Q + q)
 		}
 	}
 	s.StreamDistribution()
 	for q := 0; q < lattice.Q; q++ {
 		var sumOld, sumNew float64
-		for i := range s.Fluid.Nodes {
-			sumOld += s.Fluid.Nodes[i].DF[q]
-			sumNew += s.Fluid.Nodes[i].DFNew[q]
+		for i := range cur {
+			sumOld += cur[i][q]
+			sumNew += next[i][q]
 		}
 		if math.Abs(sumOld-sumNew) > 1e-9 {
 			t.Fatalf("direction %d not conserved by streaming: %g vs %g", q, sumOld, sumNew)
 		}
 	}
 	// Spot check one displacement: direction 1 = (+1,0,0).
-	got := s.Fluid.At(1, 0, 0).DFNew[1]
-	want := s.Fluid.At(0, 0, 0).DF[1]
+	got := next[s.Fluid.Idx(1, 0, 0)][1]
+	want := cur[s.Fluid.Idx(0, 0, 0)][1]
 	if got != want {
 		t.Fatalf("streaming displaced wrong value: got %g want %g", got, want)
 	}

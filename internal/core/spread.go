@@ -25,7 +25,7 @@ import (
 // fixed fiber order, which is half of the determinism guarantee
 // (ReduceSpread's sweep order is the other half).
 type SpreadAccum struct {
-	nodes []grid.Node
+	macro []grid.Macro
 	// blk and off split the layout's separable index per axis into block
 	// and in-block parts: node (x, y, z) is slot off[0][x]+off[1][y]+off[2][z]
 	// (below blockLen: its z-fastest position inside the box) of block
@@ -48,17 +48,17 @@ type SpreadAccum struct {
 func NewSpreadAccums(l Layout, workers int, owner []int) []*SpreadAccum {
 	_, e := l.BlockBox(0)
 	blockLen := e[0] * e[1] * e[2]
-	nodes, blk, off := l.Storage(), grid.AxisIndex(l), grid.AxisIndex(l)
+	macro, blk, off := l.Macros(), grid.AxisIndex(l), grid.AxisIndex(l)
 	for a := range blk {
 		for c, idx := range blk[a] {
 			blk[a][c], off[a][c] = idx/blockLen, idx%blockLen
 		}
 	}
-	numBlocks := len(nodes) / blockLen
+	numBlocks := len(macro) / blockLen
 	accums := make([]*SpreadAccum, workers)
 	for tid := range accums {
 		accums[tid] = &SpreadAccum{
-			nodes: nodes, blk: blk, off: off, blockLen: blockLen, owner: owner, tid: tid,
+			macro: macro, blk: blk, off: off, blockLen: blockLen, owner: owner, tid: tid,
 			blocks: make([][][3]float64, numBlocks),
 			stamp:  make([]int, numBlocks),
 		}
@@ -117,7 +117,7 @@ func (a *SpreadAccum) SpreadStencil(st ibm.Stencil, F [3]float64, area float64) 
 				if buf != nil {
 					p = &buf[o]
 				} else {
-					p = &a.nodes[b*a.blockLen+o].Force
+					p = &a.macro[b*a.blockLen+o].Force
 				}
 				p[0] += float64(f0 * w)
 				p[1] += float64(f1 * w)
@@ -128,23 +128,23 @@ func (a *SpreadAccum) SpreadStencil(st ibm.Stencil, F [3]float64, area float64) 
 }
 
 // ReduceSpread folds every worker's generation-gen contributions for
-// block b into nodes, the block's node slice, and zeroes the consumed
+// block b into m, the block's records, and zeroes the consumed
 // buffers. The sweep visits workers in ascending index, so at a fixed
 // worker count the floating-point accumulation order — owner-direct
 // writes in fiber order, then worker 0's buffer, then worker 1's, … —
 // is identical from run to run. The caller must be the only thread
 // touching block b, after a barrier that orders every worker's
 // accumulation before it.
-func ReduceSpread(accums []*SpreadAccum, nodes []grid.Node, b, gen int) {
+func ReduceSpread(accums []*SpreadAccum, m []grid.Macro, b, gen int) {
 	for _, a := range accums {
 		if a.stamp[b] != gen {
 			continue
 		}
 		buf := a.blocks[b]
-		for i := range nodes {
-			nodes[i].Force[0] += buf[i][0]
-			nodes[i].Force[1] += buf[i][1]
-			nodes[i].Force[2] += buf[i][2]
+		for i := range m {
+			m[i].Force[0] += buf[i][0]
+			m[i].Force[1] += buf[i][1]
+			m[i].Force[2] += buf[i][2]
 			buf[i] = [3]float64{}
 		}
 	}

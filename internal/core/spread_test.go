@@ -35,7 +35,7 @@ func TestSpreadAccumInvariants(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			nodes := tc.l.Storage()
+			nodes := tc.l.Macros()
 			accums := NewSpreadAccums(tc.l, 2, tc.owner)
 			a := accums[0]
 			for b, buf := range a.blocks {
@@ -44,7 +44,7 @@ func TestSpreadAccumInvariants(t *testing.T) {
 				}
 			}
 			blockOf := func(x, y, z int) int { return tc.l.Idx(x, y, z) / tc.blockLen }
-			block := func(b int) []grid.Node { return nodes[b*tc.blockLen : (b+1)*tc.blockLen] }
+			block := func(b int) []grid.Macro { return nodes[b*tc.blockLen : (b+1)*tc.blockLen] }
 
 			// First touch allocates exactly the touched block; unwrapped
 			// coordinates land on their periodic image.

@@ -148,10 +148,10 @@ func NewRunner() *Runner {
 	return &Runner{Tol: validate.DefaultTol, Tol32: 1e-5, MetaTol: 1e-11}
 }
 
-// state is a captured engine state: a parity-normalized fluid grid plus
+// state is a captured engine state: a fluid snapshot plus
 // per-sheet node positions and velocities.
 type state struct {
-	grid   *grid.Grid
+	grid   *grid.Snapshot
 	sheetX [][][3]float64
 	sheetV [][][3]float64
 }

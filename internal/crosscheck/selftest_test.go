@@ -19,9 +19,8 @@ import (
 func injectFault(t *testing.T) {
 	t.Helper()
 	omp.FaultHook = func(s *omp.Solver) {
-		g := s.Fluid
-		cur := g.Cur()
-		*g.Nodes[0].Buf(cur) = *g.Nodes[1].Buf(cur)
+		df := s.Fluid.Dist(s.Fluid.Cur())
+		df[0] = df[1]
 	}
 	t.Cleanup(func() { omp.FaultHook = nil })
 }

@@ -15,10 +15,10 @@ func perturb(l *Layout) {
 	for x := 0; x < l.NX; x++ {
 		for y := 0; y < l.NY; y++ {
 			for z := 0; z < l.NZ; z++ {
-				n := l.At(x, y, z)
-				for q := range n.DF {
-					n.DF[q] = rng.Float64()
-					n.DFNew[q] = rng.Float64()
+				i, n := l.Idx(x, y, z), l.At(x, y, z)
+				for q := range l.dist[0][i] {
+					l.dist[0][i][q] = rng.Float64()
+					l.dist[1][i][q] = rng.Float64()
 				}
 				n.Vel = [3]float64{rng.NormFloat64() * 0.1, rng.NormFloat64() * 0.1, rng.NormFloat64() * 0.1}
 				n.Rho = 1 + rng.Float64()*0.1

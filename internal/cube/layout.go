@@ -13,22 +13,25 @@ import (
 	"lbmib/internal/lattice"
 )
 
-// Layout is the cube-tiled fluid grid. Nodes are stored cube-major: cube
-// (cx, cy, cz) occupies the K³ nodes starting at CubeIndex(cx,cy,cz)*K³,
-// ordered z-fastest within the cube. In the block-layout contract the
-// solvers share (core.Layout) its blocks are the cubes.
+// Layout is the cube-tiled fluid grid, stored split like grid.Grid: one
+// distribution array per buffer parity and one array of grid.Macro
+// records, every one cube-major — cube (cx, cy, cz) occupies the K³
+// entries starting at CubeIndex(cx,cy,cz)*K³, ordered z-fastest within
+// the cube. In the block-layout contract the solvers share (core.Layout)
+// its blocks are the cubes.
 type Layout struct {
 	K          int // cube edge length (nodes)
 	NX, NY, NZ int // fluid grid dimensions
 	CX, CY, CZ int // cube-grid dimensions (NX/K, NY/K, NZ/K)
-	Nodes      []grid.Node
 	// Coupling makes the layout an ibm.ForceAccumulator and VelocitySampler.
 	*grid.Coupling
 
-	// cur is the distribution-buffer parity (see grid.Grid): node i's
-	// present buffer is Nodes[i].Buf(cur). The swap-based cube solver
-	// flips it once per step instead of running kernel 9's copy loop.
-	cur int
+	// dist[b] is distribution buffer b and cur the parity, as in
+	// grid.Grid. The swap-based cube solver flips it once per step
+	// instead of running kernel 9's copy loop.
+	dist  [2][][lattice.Q]float64
+	macro []grid.Macro
+	cur   int
 }
 
 // NewLayout tiles an nx×ny×nz grid into cubes of edge k. Every dimension
@@ -43,12 +46,14 @@ func NewLayout(nx, ny, nz, k int) (*Layout, error) {
 	if nx%k != 0 || ny%k != 0 || nz%k != 0 {
 		return nil, fmt.Errorf("cube: dimensions %d×%d×%d not divisible by cube size %d", nx, ny, nz, k)
 	}
+	n := nx * ny * nz
 	l := &Layout{
 		K: k, NX: nx, NY: ny, NZ: nz,
 		CX: nx / k, CY: ny / k, CZ: nz / k,
-		Nodes: make([]grid.Node, nx*ny*nz),
+		dist:  [2][][lattice.Q]float64{make([][lattice.Q]float64, n), make([][lattice.Q]float64, n)},
+		macro: make([]grid.Macro, n),
 	}
-	l.Coupling = grid.NewCoupling(l.Nodes, l)
+	l.Coupling = grid.NewCoupling(l.macro, l)
 	l.Reset(1, [3]float64{})
 	return l, nil
 }
@@ -56,21 +61,12 @@ func NewLayout(nx, ny, nz, k int) (*Layout, error) {
 // Reset reinitializes every node to density rho and velocity u at
 // equilibrium, with zero force.
 func (l *Layout) Reset(rho float64, u [3]float64) {
-	var geq [lattice.Q]float64
-	lattice.Equilibrium(rho, u, &geq)
-	for i := range l.Nodes {
-		n := &l.Nodes[i]
-		n.DF = geq
-		n.DFNew = geq
-		n.Rho = rho
-		n.Vel = u
-		n.Force = [3]float64{}
-	}
+	grid.Reset(l.dist, l.macro, rho, u)
 	l.cur = 0
 }
 
-// Cur returns the distribution-buffer parity: node i's present buffer is
-// Nodes[i].Buf(Cur()).
+// Cur returns the distribution-buffer parity: the present buffer is
+// Dist(Cur()).
 func (l *Layout) Cur() int { return l.cur }
 
 // Swap flips the buffer parity so the post-streaming buffer becomes the
@@ -81,14 +77,17 @@ func (l *Layout) Swap() { l.cur ^= 1 }
 func (l *Layout) NumCubes() int { return l.CX * l.CY * l.CZ }
 
 // NumNodes returns the number of fluid nodes.
-func (l *Layout) NumNodes() int { return len(l.Nodes) }
+func (l *Layout) NumNodes() int { return len(l.macro) }
 
 // Dims returns the fluid grid dimensions.
 func (l *Layout) Dims() (nx, ny, nz int) { return l.NX, l.NY, l.NZ }
 
-// Storage returns every node in layout order: block c (cube c) occupies
-// Storage()[c·K³ : (c+1)·K³].
-func (l *Layout) Storage() []grid.Node { return l.Nodes }
+// Dist returns distribution buffer b (0 or 1) in layout order; the
+// present buffer is Dist(Cur()). Cube c occupies entries CubeRange(c).
+func (l *Layout) Dist(b int) [][lattice.Q]float64 { return l.dist[b] }
+
+// Macros returns every node's record in layout order.
+func (l *Layout) Macros() []grid.Macro { return l.macro }
 
 // BlockBox returns the fluid coordinates of cube c's first node and the
 // cube's extent.
@@ -123,13 +122,14 @@ func (l *Layout) Idx(x, y, z int) int {
 	return l.CubeIndex(cx, cy, cz)*k*k*k + (lx*k+ly)*k + lz
 }
 
-// At returns the node at fluid coordinate (x, y, z).
-func (l *Layout) At(x, y, z int) *grid.Node { return &l.Nodes[l.Idx(x, y, z)] }
+// At returns the record of fluid node (x, y, z).
+func (l *Layout) At(x, y, z int) *grid.Macro { return &l.macro[l.Idx(x, y, z)] }
 
-// CubeNodes returns the contiguous node slice of cube c.
-func (l *Layout) CubeNodes(c int) []grid.Node {
+// CubeRange returns the half-open index range [lo, hi) cube c occupies in
+// every per-node array.
+func (l *Layout) CubeRange(c int) (lo, hi int) {
 	k3 := l.K * l.K * l.K
-	return l.Nodes[c*k3 : (c+1)*k3]
+	return c * k3, (c + 1) * k3
 }
 
 // Wrap maps possibly out-of-range coordinates onto the periodic domain.
@@ -138,24 +138,16 @@ func (l *Layout) Wrap(x, y, z int) (int, int, int) {
 }
 
 // FromGrid copies the full state of a slab-layout grid (same dimensions)
-// into the cube layout.
+// into the cube layout, the grid's present buffer into buffer 0.
 func (l *Layout) FromGrid(g *grid.Grid) error {
 	if g.NX != l.NX || g.NY != l.NY || g.NZ != l.NZ {
 		return fmt.Errorf("cube: dimension mismatch %d×%d×%d vs %d×%d×%d",
 			g.NX, g.NY, g.NZ, l.NX, l.NY, l.NZ)
 	}
-	swapped := g.Cur() == 1
-	for x := 0; x < l.NX; x++ {
-		for y := 0; y < l.NY; y++ {
-			for z := 0; z < l.NZ; z++ {
-				n := g.Nodes[g.Idx(x, y, z)]
-				if swapped {
-					n.DF, n.DFNew = n.DFNew, n.DF
-				}
-				l.Nodes[l.Idx(x, y, z)] = n
-			}
-		}
-	}
+	cur, next, m := g.Dist(g.Cur()), g.Dist(1-g.Cur()), g.Macros()
+	l.eachNode(g, func(gi, li int) {
+		l.dist[0][li], l.dist[1][li], l.macro[li] = cur[gi], next[gi], m[gi]
+	})
 	l.cur = 0
 	return nil
 }
@@ -163,25 +155,28 @@ func (l *Layout) FromGrid(g *grid.Grid) error {
 // ToGrid copies the cube layout's state into a freshly allocated
 // slab-layout grid, for tests that compare the cube engines with the slab
 // ones and for the benchmark's layout probe. The result always has the
-// present buffer in the DF field, regardless of the layout's parity.
+// present buffer at parity 0, regardless of the layout's parity.
 func (l *Layout) ToGrid() *grid.Grid {
 	g := grid.New(l.NX, l.NY, l.NZ)
-	swapped := l.cur == 1
+	cur, next, m := g.Dist(0), g.Dist(1), g.Macros()
+	l.eachNode(g, func(gi, li int) {
+		cur[gi], next[gi], m[gi] = l.dist[l.cur][li], l.dist[1-l.cur][li], l.macro[li]
+	})
+	return g
+}
+
+// eachNode calls fn with every fluid node's index in g and in the layout.
+func (l *Layout) eachNode(g *grid.Grid, fn func(gi, li int)) {
 	for x := 0; x < l.NX; x++ {
 		for y := 0; y < l.NY; y++ {
 			for z := 0; z < l.NZ; z++ {
-				n := l.Nodes[l.Idx(x, y, z)]
-				if swapped {
-					n.DF, n.DFNew = n.DFNew, n.DF
-				}
-				g.Nodes[g.Idx(x, y, z)] = n
+				fn(g.Idx(x, y, z), l.Idx(x, y, z))
 			}
 		}
 	}
-	return g
 }
 
 // TotalMass returns the summed present-buffer distribution mass. The sum
 // runs in cube order, so it can differ from ToGrid().TotalMass() in the
 // last bits.
-func (l *Layout) TotalMass() float64 { return grid.TotalMass(l.Nodes, l.cur) }
+func (l *Layout) TotalMass() float64 { return grid.TotalMass(l.dist[l.cur]) }

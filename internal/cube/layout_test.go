@@ -122,7 +122,7 @@ func TestResetToEquilibrium(t *testing.T) {
 	n := l.At(3, 2, 1)
 	var geq [lattice.Q]float64
 	lattice.Equilibrium(1.1, u, &geq)
-	if n.DF != geq || n.Rho != 1.1 || n.Vel != u {
+	if l.dist[0][l.Idx(3, 2, 1)] != geq || l.dist[1][l.Idx(3, 2, 1)] != geq || n.Rho != 1.1 || n.Vel != u {
 		t.Fatal("Reset did not set equilibrium state")
 	}
 }
@@ -130,11 +130,11 @@ func TestResetToEquilibrium(t *testing.T) {
 func TestGridRoundTrip(t *testing.T) {
 	// FromGrid then ToGrid must be the identity on all node fields.
 	g := grid.New(8, 8, 8)
-	for i := range g.Nodes {
-		g.Nodes[i].Rho = float64(i)
-		g.Nodes[i].Vel = [3]float64{float64(i), float64(2 * i), float64(3 * i)}
+	for i := range g.Macros() {
+		g.Macros()[i].Rho = float64(i)
+		g.Macros()[i].Vel = [3]float64{float64(i), float64(2 * i), float64(3 * i)}
 		for q := 0; q < lattice.Q; q++ {
-			g.Nodes[i].DF[q] = float64(i*lattice.Q + q)
+			g.Dist(0)[i][q] = float64(i*lattice.Q + q)
 		}
 	}
 	l := mustLayout(t, 8, 8, 8, 4)
@@ -145,9 +145,9 @@ func TestGridRoundTrip(t *testing.T) {
 	for x := 0; x < 8; x++ {
 		for y := 0; y < 8; y++ {
 			for z := 0; z < 8; z++ {
-				a := g.At(x, y, z)
-				b := back.At(x, y, z)
-				if a.Rho != b.Rho || a.Vel != b.Vel || a.DF != b.DF {
+				a, b := g.At(x, y, z), back.At(x, y, z)
+				i := g.Idx(x, y, z)
+				if a.Rho != b.Rho || a.Vel != b.Vel || g.Dist(0)[i] != back.Dist(0)[i] {
 					t.Fatalf("round trip differs at (%d,%d,%d)", x, y, z)
 				}
 			}

@@ -49,11 +49,11 @@ func TestFoldedEndBarrierBitwiseEqualsSequential(t *testing.T) {
 				t.Fatalf("steps=%d: buffer parity = %d, want %d", steps, got, steps%2)
 			}
 			g := s.Fluid.ToGrid()
-			for i := range ref.Fluid.Nodes {
-				if ref.Fluid.Nodes[i].DF != g.Nodes[i].DF {
+			for i := range ref.Fluid.Macros() {
+				if ref.Fluid.Dist(ref.Fluid.Cur())[i] != g.Dist(g.Cur())[i] {
 					t.Fatalf("steps=%d threads=%d: node %d DF differs bitwise with the folded barrier", steps, threads, i)
 				}
-				if ref.Fluid.Nodes[i].Vel != g.Nodes[i].Vel {
+				if ref.Fluid.Macros()[i].Vel != g.Macros()[i].Vel {
 					t.Fatalf("steps=%d threads=%d: node %d velocity differs bitwise with the folded barrier", steps, threads, i)
 				}
 			}

@@ -114,7 +114,7 @@ func NewSolver(cfg Config) (*Solver, error) {
 	// Kernel 4 accumulates on top of the previous step's reset; seed the
 	// initial body force the same way the update-velocity loop will
 	// maintain it.
-	core.SeedForce(layout.Nodes, s.BodyForce)
+	core.SeedForce(layout.Macros(), s.BodyForce)
 	return s, nil
 }
 
@@ -297,12 +297,13 @@ func (s *Solver) fiberForceLoop(tid, gen int) {
 // in cache for the collision that follows.
 func (s *Solver) collideStreamLoop(tid, step, gen, cur int) {
 	reduce := fiber.TotalFibers(s.Sheets) > 0
+	df, macro := s.Fluid.Dist(cur), s.Fluid.Macros()
 	s.forOwnedCubes(tid, step, core.PhaseCollideStream, func(c int) {
-		nodes := s.Fluid.CubeNodes(c)
+		lo, hi := s.Fluid.CubeRange(c)
 		if reduce {
-			core.ReduceSpread(s.accums, nodes, c, gen)
+			core.ReduceSpread(s.accums, macro[lo:hi], c, gen)
 		}
-		core.CollideRange(nodes, s.Tau, cur)
+		core.CollideRange(df[lo:hi], macro[lo:hi], s.Tau)
 		s.stream.Block(c, cur)
 	})
 }
@@ -312,8 +313,10 @@ func (s *Solver) collideStreamLoop(tid, step, gen, cur int) {
 // the paper's loop 5 performed, folded here so the retired copy loop
 // leaves nothing behind.
 func (s *Solver) updateVelocityLoop(tid, step, cur int) {
+	df, macro := s.Fluid.Dist(1-cur), s.Fluid.Macros()
 	s.forOwnedCubes(tid, step, core.PhaseUpdateVelocity, func(c int) {
-		core.UpdateRange(s.Fluid.CubeNodes(c), 1-cur, &s.BodyForce)
+		lo, hi := s.Fluid.CubeRange(c)
+		core.UpdateRange(df[lo:hi], macro[lo:hi], &s.BodyForce)
 	})
 }
 
@@ -348,7 +351,8 @@ func (s *Solver) spreadOnly() {
 		}
 		if fiber.TotalFibers(s.Sheets) > 0 {
 			for _, c := range s.owned[tid] {
-				core.ReduceSpread(s.accums, s.Fluid.CubeNodes(c), c, gen)
+				lo, hi := s.Fluid.CubeRange(c)
+				core.ReduceSpread(s.accums, s.Fluid.Macros()[lo:hi], c, gen)
 			}
 		}
 	})

@@ -72,8 +72,8 @@ func TestSingleThreadBitwiseEqualsSequential(t *testing.T) {
 	defer s.Close()
 	s.Run(steps)
 	g := s.Fluid.ToGrid()
-	for i := range ref.Fluid.Nodes {
-		if ref.Fluid.Nodes[i].DF != g.Nodes[i].DF {
+	for i := range ref.Fluid.Macros() {
+		if ref.Fluid.Dist(ref.Fluid.Cur())[i] != g.Dist(g.Cur())[i] {
 			t.Fatalf("node %d DF differs bitwise at 1 thread", i)
 		}
 	}
@@ -223,8 +223,8 @@ func TestMovingLidFSIBitwiseSequential(t *testing.T) {
 	defer s.Close()
 	s.Run(steps)
 	g := s.Fluid.ToGrid()
-	for i := range ref.Fluid.Nodes {
-		if *ref.Fluid.Nodes[i].Buf(ref.Fluid.Cur()) != g.Nodes[i].DF {
+	for i := range ref.Fluid.Macros() {
+		if ref.Fluid.Dist(ref.Fluid.Cur())[i] != g.Dist(g.Cur())[i] {
 			t.Fatalf("node %d DF differs bitwise under the moving lid", i)
 		}
 	}
@@ -256,16 +256,16 @@ func TestMovingLidCornerNodeBitwise(t *testing.T) {
 	s.Run(steps)
 	g := s.Fluid.ToGrid()
 	corner := ref.Fluid.Idx(0, 0, 7) // touches the lid, wraps in x and y
-	if *ref.Fluid.Nodes[corner].Buf(ref.Fluid.Cur()) != g.Nodes[corner].DF {
+	if ref.Fluid.Dist(ref.Fluid.Cur())[corner] != g.Dist(g.Cur())[corner] {
 		t.Fatalf("corner node under the lid differs bitwise:\nseq  %v\ncube %v",
-			ref.Fluid.Nodes[corner].DF, g.Nodes[corner].DF)
+			ref.Fluid.Dist(ref.Fluid.Cur())[corner], g.Dist(g.Cur())[corner])
 	}
-	if ref.Fluid.Nodes[corner].Vel != g.Nodes[corner].Vel {
+	if ref.Fluid.Macros()[corner].Vel != g.Macros()[corner].Vel {
 		t.Fatal("corner node velocity differs under the lid")
 	}
 	// And the full grid, while we are here.
-	for i := range ref.Fluid.Nodes {
-		if *ref.Fluid.Nodes[i].Buf(ref.Fluid.Cur()) != g.Nodes[i].DF {
+	for i := range ref.Fluid.Macros() {
+		if ref.Fluid.Dist(ref.Fluid.Cur())[i] != g.Dist(g.Cur())[i] {
 			t.Fatalf("node %d DF differs bitwise", i)
 		}
 	}

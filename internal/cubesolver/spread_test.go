@@ -32,8 +32,8 @@ func spreadMatchesSequential(t *testing.T, mkSheet func() *fiber.Sheet, threads 
 	defer s.Close()
 	s.spreadOnly()
 	g := s.Fluid.ToGrid()
-	for i := range ref.Fluid.Nodes {
-		want, got := ref.Fluid.Nodes[i].Force, g.Nodes[i].Force
+	for i := range ref.Fluid.Macros() {
+		want, got := ref.Fluid.Macros()[i].Force, g.Macros()[i].Force
 		for d := 0; d < 3; d++ {
 			if math.Abs(want[d]-got[d]) > tol {
 				t.Fatalf("threads=%d: node %d force[%d] = %g, want %g (Δ=%g)",
@@ -73,8 +73,8 @@ func TestLockFreeDeterministicRunToRun(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	ga, gb := a.Fluid.ToGrid(), b.Fluid.ToGrid()
-	for i := range ga.Nodes {
-		if ga.Nodes[i].DF != gb.Nodes[i].DF {
+	for i := range ga.Macros() {
+		if ga.Dist(ga.Cur())[i] != gb.Dist(gb.Cur())[i] {
 			t.Fatalf("node %d DF differs between identical 4-thread lock-free runs", i)
 		}
 	}
@@ -118,7 +118,7 @@ func TestSpreadWrapEquivalence(t *testing.T) {
 		found := false
 		for y := 0; y < 16 && !found; y++ {
 			for z := 0; z < 16 && !found; z++ {
-				f := g.Nodes[g.Idx(x, y, z)].Force
+				f := g.Macros()[g.Idx(x, y, z)].Force
 				if math.Abs(f[0]-body[0])+math.Abs(f[1]-body[1])+math.Abs(f[2]-body[2]) > 1e-9 {
 					found = true
 				}

@@ -74,8 +74,8 @@ func TestFusedInstrumentationBitwiseNeutral(t *testing.T) {
 		t.Errorf("%d arrivals recorded, want %d (two sites per thread and step)", rec.total, want)
 	}
 	a, b := plain.Live(), inst.Live()
-	for i := range a.Nodes {
-		if a.Nodes[i].Rho != b.Nodes[i].Rho || a.Nodes[i].Vel != b.Nodes[i].Vel { //lint:allow floatcheck -- bitwise-equality contract, not a tolerance check
+	for i := range a.Macros() {
+		if a.Macros()[i].Rho != b.Macros()[i].Rho || a.Macros()[i].Vel != b.Macros()[i].Vel { //lint:allow floatcheck -- bitwise-equality contract, not a tolerance check
 			t.Fatalf("node %d diverged with instrumentation attached", i)
 		}
 	}

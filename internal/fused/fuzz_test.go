@@ -49,11 +49,11 @@ func FuzzFusedStep(f *testing.F) {
 		}
 		s.Run(5)
 		g := s.Live()
-		cur := g.Cur()
-		for i := range g.Nodes {
-			n := &g.Nodes[i]
+		df := g.Dist(g.Cur())
+		for i := range g.Macros() {
+			n := &g.Macros()[i]
 			for q := 0; q < lattice.Q; q++ {
-				if v := n.Buf(cur)[q]; math.IsNaN(v) || math.IsInf(v, 0) {
+				if v := df[i][q]; math.IsNaN(v) || math.IsInf(v, 0) {
 					t.Fatalf("node %d slot %d non-finite: %g", i, q, v)
 				}
 			}

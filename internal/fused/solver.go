@@ -81,8 +81,9 @@
 // # Float32 storage
 //
 // With Config.Float32 the distributions live in a grid.Dist32 — two
-// float32 buffers replacing the node structs' float64 pair on the hot
-// path, halving the distribution traffic that dominates the sweep.
+// float32 buffers replacing the grid's two float64 distribution arrays
+// on the hot path, halving the distribution traffic that dominates the
+// sweep.
 // Arithmetic stays float64: values widen on load, round once on store,
 // and the moments are computed from the rounded stored values so the
 // macroscopic state remains a pure function of the stored distributions.
@@ -90,9 +91,9 @@
 // (~1e-5 vs the float64 reference; see internal/crosscheck), but it is
 // still run-to-run deterministic and its checkpoints round-trip bitwise,
 // because widening float32 to float64 is exact. The embedded grid keeps
-// carrying macroscopic fields; its own float64 distribution buffers go
-// stale between Materialize calls (the footprint stays, the traffic
-// goes).
+// carrying the records; its own float64 distribution arrays go stale
+// between Materialize calls, which widen into the present one only (the
+// footprint stays, the traffic goes).
 //
 // Fiber kernels 1–4 and 8 are inherited unchanged from the OpenMP-style
 // solver (same team, same lock-free spreading), and the collision is
@@ -280,24 +281,25 @@ func (s *Solver) waitBarrier(site core.BarrierSite, tid, step int) {
 // core.CollideRange calls, and round once on store.
 func (s *Solver) collidePlane(x, cur int, tau float64) {
 	g := s.Fluid
-	nyz := g.NY * g.NZ
-	if s.d32 != nil {
-		buf := s.d32.Buf(cur)
-		var tmp [lattice.Q]float64
-		for i := x * nyz; i < (x+1)*nyz; i++ {
-			n := &g.Nodes[i]
-			df := (*[lattice.Q]float32)(buf[i*lattice.Q:])
-			for q, v := range df {
-				tmp[q] = float64(v)
-			}
-			lattice.Collide(&tmp, n.Rho, n.Vel, n.Force, tau)
-			for q := range df {
-				df[q] = float32(tmp[q])
-			}
-		}
+	lo, hi := x*g.NY*g.NZ, (x+1)*g.NY*g.NZ
+	m := g.Macros()[lo:hi]
+	if s.d32 == nil {
+		core.CollideRange(g.Dist(cur)[lo:hi], m, tau)
 		return
 	}
-	core.CollideRange(g.Nodes[x*nyz:(x+1)*nyz], tau, cur)
+	buf := s.d32.Buf(cur)[lo*lattice.Q : hi*lattice.Q]
+	var tmp [lattice.Q]float64
+	for i := range m {
+		n := &m[i]
+		df := (*[lattice.Q]float32)(buf[i*lattice.Q:])
+		for q, v := range df {
+			tmp[q] = float64(v)
+		}
+		lattice.Collide(&tmp, n.Rho, n.Vel, n.Force, tau)
+		for q := range df {
+			df[q] = float32(tmp[q])
+		}
+	}
 }
 
 // finalizePlane completes every node of x-plane x: it gathers the 19
@@ -313,40 +315,40 @@ func (s *Solver) finalizePlane(x, cur, next int, body [3]float64) {
 		return
 	}
 	g := s.Fluid
+	src, dst, macro := g.Dist(cur), g.Dist(next), g.Macros()
 	interiorX := x > 0 && x < g.NX-1
 	for y := 0; y < g.NY; y++ {
 		interiorY := interiorX && y > 0 && y < g.NY-1
 		base := (x*g.NY + y) * g.NZ
 		for z := 0; z < g.NZ; z++ {
 			idx := base + z
-			n := &g.Nodes[idx]
-			nb := n.Buf(next)
+			m, nb := &macro[idx], &dst[idx]
 			if interiorY && z > 0 && z < g.NZ-1 {
 				for q := 0; q < lattice.Q; q++ {
-					nb[q] = g.Nodes[idx-s.streamDelta[q]].Buf(cur)[q]
+					nb[q] = src[idx-s.streamDelta[q]][q]
 				}
 			} else {
-				cb := n.Buf(cur)
+				cb := &src[idx]
 				for q := 0; q < lattice.Q; q++ {
 					oq := lattice.Opposite[q]
-					tx, ty, tz, refl, bounce := s.bc.Resolve(oq, x, y, z, cb[oq], n.Rho)
+					tx, ty, tz, refl, bounce := s.bc.Resolve(oq, x, y, z, cb[oq], m.Rho)
 					if bounce {
 						nb[q] = refl
 					} else {
-						nb[q] = g.Nodes[g.Idx(tx, ty, tz)].Buf(cur)[q]
+						nb[q] = src[g.Idx(tx, ty, tz)][q]
 					}
 				}
 			}
-			closeNode(n, nb, body)
+			closeNode(m, nb, body)
 		}
 	}
 }
 
 // closeNode is the tail both finalizers share once a node's 19 values are
 // gathered: kernel 7 on exactly those values, then the folded force reset.
-func closeNode(n *grid.Node, gathered *[lattice.Q]float64, body [3]float64) {
-	n.Rho = lattice.Moments(gathered, n.Force, &n.Vel)
-	n.Force = body
+func closeNode(m *grid.Macro, gathered *[lattice.Q]float64, body [3]float64) {
+	m.Rho = lattice.Moments(gathered, m.Force, &m.Vel)
+	m.Force = body
 }
 
 // finalizePlane32 is finalizePlane on the float32 storage. Pulled values
@@ -356,7 +358,7 @@ func closeNode(n *grid.Node, gathered *[lattice.Q]float64, body [3]float64) {
 // function of the float32 state.
 func (s *Solver) finalizePlane32(x, cur, next int, body [3]float64) {
 	g := s.Fluid
-	cb, nb := s.d32.Buf(cur), s.d32.Buf(next)
+	cb, nb, macro := s.d32.Buf(cur), s.d32.Buf(next), g.Macros()
 	interiorX := x > 0 && x < g.NX-1
 	var tmp [lattice.Q]float64
 	for y := 0; y < g.NY; y++ {
@@ -364,7 +366,7 @@ func (s *Solver) finalizePlane32(x, cur, next int, body [3]float64) {
 		planeBase := (x*g.NY + y) * g.NZ
 		for z := 0; z < g.NZ; z++ {
 			idx := planeBase + z
-			n := &g.Nodes[idx]
+			m := &macro[idx]
 			base := idx * lattice.Q
 			if interiorY && z > 0 && z < g.NZ-1 {
 				for q := 0; q < lattice.Q; q++ {
@@ -375,7 +377,7 @@ func (s *Solver) finalizePlane32(x, cur, next int, body [3]float64) {
 			} else {
 				for q := 0; q < lattice.Q; q++ {
 					oq := lattice.Opposite[q]
-					tx, ty, tz, refl, bounce := s.bc.Resolve(oq, x, y, z, float64(cb[base+oq]), n.Rho)
+					tx, ty, tz, refl, bounce := s.bc.Resolve(oq, x, y, z, float64(cb[base+oq]), m.Rho)
 					if bounce {
 						r := float32(refl)
 						nb[base+q] = r
@@ -387,14 +389,14 @@ func (s *Solver) finalizePlane32(x, cur, next int, body [3]float64) {
 					}
 				}
 			}
-			closeNode(n, &tmp, body)
+			closeNode(m, &tmp, body)
 		}
 	}
 }
 
 // Live returns the fluid grid at its current parity with the present
-// distributions readable at Buf(Cur()). In float32 mode the stored values
-// are widened — exactly — into the grid first.
+// distributions readable at Dist(Cur()). In float32 mode the stored
+// values are widened — exactly — into the grid's present buffer first.
 func (s *Solver) Live() *grid.Grid {
 	if s.d32 != nil {
 		// Shapes match by construction; the error path is unreachable.
@@ -405,8 +407,18 @@ func (s *Solver) Live() *grid.Grid {
 	return s.Fluid
 }
 
+// TotalMass returns the summed present-buffer distribution mass. On
+// float32 storage it sums the stored values, widened, in node order — the
+// bits Live().TotalMass() would return, without widening the grid.
+func (s *Solver) TotalMass() float64 {
+	if s.d32 != nil {
+		return s.d32.TotalMass()
+	}
+	return s.Fluid.TotalMass()
+}
+
 // Loaded re-establishes the engine's invariants after the grid's present
-// buffer and macroscopic fields were overwritten from outside (a restored
+// buffer and records were overwritten from outside (a restored
 // checkpoint): the float32 storage is refreshed from the present buffer
 // and the force field is re-seeded with the body force.
 func (s *Solver) Loaded() {
@@ -416,7 +428,7 @@ func (s *Solver) Loaded() {
 			panic(err)
 		}
 	}
-	core.SeedForce(s.Fluid.Nodes, s.BodyForce)
+	core.SeedForce(s.Fluid.Macros(), s.BodyForce)
 }
 
 // CopyNodeDist overwrites node dst's present distribution with node
@@ -428,6 +440,6 @@ func (s *Solver) CopyNodeDist(dst, src int) {
 		copy(cb[dst*lattice.Q:(dst+1)*lattice.Q], cb[src*lattice.Q:(src+1)*lattice.Q])
 		return
 	}
-	cur := s.Fluid.Cur()
-	*s.Fluid.Nodes[dst].Buf(cur) = *s.Fluid.Nodes[src].Buf(cur)
+	df := s.Fluid.Dist(s.Fluid.Cur())
+	df[dst] = df[src]
 }

@@ -32,9 +32,9 @@ func requireBitwiseFluid(t *testing.T, ref *core.Solver, s *Solver, label string
 	t.Helper()
 	a, b := ref.Fluid, s.Live()
 	ca, cb := a.Cur(), b.Cur()
-	for i := range a.Nodes {
-		na, nb := &a.Nodes[i], &b.Nodes[i]
-		if *na.Buf(ca) != *nb.Buf(cb) {
+	for i := range a.Macros() {
+		na, nb := &a.Macros()[i], &b.Macros()[i]
+		if a.Dist(ca)[i] != b.Dist(cb)[i] {
 			t.Fatalf("%s: node %d distributions differ bitwise", label, i)
 		}
 		if na.Vel != nb.Vel || na.Rho != nb.Rho {
@@ -88,8 +88,8 @@ func TestBitwiseEqualsOMPWithSheets(t *testing.T) {
 		s.Run(steps)
 		a, b := ref.Fluid, s.Fluid
 		ca, cb := a.Cur(), b.Cur()
-		for i := range a.Nodes {
-			if *a.Nodes[i].Buf(ca) != *b.Nodes[i].Buf(cb) {
+		for i := range a.Macros() {
+			if a.Dist(ca)[i] != b.Dist(cb)[i] {
 				t.Fatalf("threads=%d: node %d distributions differ from omp", threads, i)
 			}
 		}
@@ -155,7 +155,7 @@ func TestPeriodicWrapStreaming(t *testing.T) {
 	perturb := func(s *core.Solver) {
 		// Direction 1 is +x in the D3Q19 table; bump its population on a
 		// node of the last x-plane so the pulse must wrap.
-		s.Fluid.At(cfg.NX-1, 2, 2).DF[1] += 1e-3
+		s.Fluid.Dist(s.Fluid.Cur())[s.Fluid.Idx(cfg.NX-1, 2, 2)][1] += 1e-3
 	}
 	ref := core.MustNewSolver(cfg)
 	perturb(ref)
@@ -174,8 +174,8 @@ func TestPeriodicWrapStreaming(t *testing.T) {
 	// an unperturbed run), so the bitwise match above proves wrap-around,
 	// not just untouched interior agreement.
 	g := s.Live()
-	got := g.At(0, 2, 2).Buf(g.Cur())[1]
-	base := clean.Fluid.At(0, 2, 2).DF[1]
+	got := g.Dist(g.Cur())[g.Idx(0, 2, 2)][1]
+	base := clean.Fluid.Dist(clean.Fluid.Cur())[clean.Fluid.Idx(0, 2, 2)][1]
 	if got == base {
 		t.Fatalf("perturbation did not wrap: plane-0 node unchanged (%g)", got)
 	}
@@ -201,7 +201,8 @@ func TestMovingLidCornerEquality(t *testing.T) {
 	for _, x := range []int{0, cfg.NX - 1} {
 		for _, y := range []int{0, cfg.NY - 1} {
 			na, nb := ref.Fluid.At(x, y, cfg.NZ-1), g.At(x, y, cfg.NZ-1)
-			if *na.Buf(ca) != *nb.Buf(g.Cur()) || na.Vel != nb.Vel || na.Rho != nb.Rho {
+			i := g.Idx(x, y, cfg.NZ-1)
+			if ref.Fluid.Dist(ca)[i] != g.Dist(g.Cur())[i] || na.Vel != nb.Vel || na.Rho != nb.Rho {
 				t.Fatalf("lid corner (%d,%d,%d) differs from sequential", x, y, cfg.NZ-1)
 			}
 		}
@@ -249,9 +250,24 @@ func TestFloat32RunToRunDeterministic(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	ga, gb := a.Live(), b.Live()
-	for i := range ga.Nodes {
-		if *ga.Nodes[i].Buf(ga.Cur()) != *gb.Nodes[i].Buf(gb.Cur()) || ga.Nodes[i].Vel != gb.Nodes[i].Vel {
+	for i := range ga.Macros() {
+		if ga.Dist(ga.Cur())[i] != gb.Dist(gb.Cur())[i] || ga.Macros()[i].Vel != gb.Macros()[i].Vel {
 			t.Fatalf("node %d differs between identical float32 runs", i)
+		}
+	}
+}
+
+// The float32 engine's mass sums its own storage, without widening the
+// grid: bit for bit the sum over the materialized grid, since widening is
+// exact and the order is the same.
+func TestFloat32TotalMassMatchesMaterialized(t *testing.T) {
+	s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: 2, Float32: true})
+	defer s.Close()
+	for step := 0; step < 3; step++ {
+		s.Run(1)
+		got := s.TotalMass()
+		if want := s.Live().TotalMass(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: float32 storage sums to %v, the materialized grid to %v", step+1, got, want)
 		}
 	}
 }
@@ -281,16 +297,16 @@ func TestLoadRoundTrip(t *testing.T) {
 		half.Run(5)
 		resumed := mk()
 		src, dst := half.Live(), resumed.Live()
-		for i := range src.Nodes {
-			s, d := &src.Nodes[i], &dst.Nodes[i]
-			*d.Buf(dst.Cur()) = *s.Buf(src.Cur())
+		for i := range src.Macros() {
+			s, d := &src.Macros()[i], &dst.Macros()[i]
+			dst.Dist(dst.Cur())[i] = src.Dist(src.Cur())[i]
 			d.Rho, d.Vel = s.Rho, s.Vel
 		}
 		resumed.Loaded()
 		resumed.Run(4)
 		ga, gb := full.Live(), resumed.Live()
-		for i := range ga.Nodes {
-			if *ga.Nodes[i].Buf(ga.Cur()) != *gb.Nodes[i].Buf(gb.Cur()) {
+		for i := range ga.Macros() {
+			if ga.Dist(ga.Cur())[i] != gb.Dist(gb.Cur())[i] {
 				t.Fatalf("float32=%v: node %d differs after load round trip", f32, i)
 			}
 		}

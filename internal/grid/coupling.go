@@ -3,27 +3,29 @@ package grid
 import "lbmib/internal/ibm"
 
 // Coupling is the fluid side of the immersed-boundary coupling — kernel
-// 4's scatter and kernel 8's gather — bound to one node array through its
-// separable index: node (x, y, z) is nodes[at[0][x]+at[1][y]+at[2][z]].
-// *Grid and cube.Layout embed the one over their storage, which makes
+// 4's scatter and kernel 8's gather — bound to one record array through
+// its separable index: node (x, y, z) is macro[at[0][x]+at[1][y]+at[2][z]].
+// *Grid and cube.Layout embed the one over their records, which makes
 // both an ibm.ForceAccumulator and ibm.VelocitySampler; its two methods
-// are the only 64-point loops over []Node. Concurrent spreads go through
+// are the only 64-point loops over a layout, and they touch the 56 B
+// records alone, never the distributions. Concurrent spreads go through
 // core.SpreadAccum instead.
 type Coupling struct {
-	nodes []Node
+	macro []Macro
 	at    [3][]int
 }
 
-// Indexed is a node array's shape and separable flat index: Idx(x, y, z)
+// Indexed is a layout's shape and separable flat index: Idx(x, y, z)
 // = Idx(x, 0, 0) + Idx(0, y, 0) + Idx(0, 0, z). Both containers are.
 type Indexed interface {
 	Dims() (nx, ny, nz int)
 	Idx(x, y, z int) int
 }
 
-// NewCoupling binds nodes, indexed by l, for spreading and interpolation.
-func NewCoupling(nodes []Node, l Indexed) *Coupling {
-	return &Coupling{nodes: nodes, at: AxisIndex(l)}
+// NewCoupling binds the records macro, indexed by l, for spreading and
+// interpolation.
+func NewCoupling(macro []Macro, l Indexed) *Coupling {
+	return &Coupling{macro: macro, at: AxisIndex(l)}
 }
 
 // AxisIndex tabulates l's Idx: Idx(x, y, z) = at[0][x] + at[1][y] + at[2][z].
@@ -67,7 +69,7 @@ func ResolveStencil(st *ibm.Stencil, t *[3][]int) (o [3][ibm.SupportWidth]int) {
 //lint:allow floatcheck -- exact-zero delta-function weights skip whole stencil planes; the product they'd contribute is exactly 0
 func (c *Coupling) SpreadStencil(st ibm.Stencil, F [3]float64, area float64) {
 	o := ResolveStencil(&st, &c.at)
-	nodes, f0, f1, f2 := c.nodes, F[0], F[1], F[2]
+	macro, f0, f1, f2 := c.macro, F[0], F[1], F[2]
 	for i, wx := range &st.Wx {
 		if wx == 0 {
 			continue
@@ -83,7 +85,7 @@ func (c *Coupling) SpreadStencil(st ibm.Stencil, F [3]float64, area float64) {
 				if w == 0 {
 					continue
 				}
-				f := &nodes[ij+o[2][k]].Force
+				f := &macro[ij+o[2][k]].Force
 				f[0] += float64(f0 * w)
 				f[1] += float64(f1 * w)
 				f[2] += float64(f2 * w)
@@ -98,7 +100,7 @@ func (c *Coupling) SpreadStencil(st ibm.Stencil, F [3]float64, area float64) {
 //lint:allow floatcheck -- exact-zero delta-function weights skip whole stencil planes; the product they'd contribute is exactly 0
 func (c *Coupling) InterpolateStencil(st ibm.Stencil) [3]float64 {
 	o := ResolveStencil(&st, &c.at)
-	nodes := c.nodes
+	macro := c.macro
 	var u0, u1, u2 float64
 	for i, wx := range &st.Wx {
 		if wx == 0 {
@@ -115,7 +117,7 @@ func (c *Coupling) InterpolateStencil(st ibm.Stencil) [3]float64 {
 				if w == 0 {
 					continue
 				}
-				v := &nodes[ij+o[2][k]].Vel
+				v := &macro[ij+o[2][k]].Vel
 				u0 += w * v[0]
 				u1 += w * v[1]
 				u2 += w * v[2]

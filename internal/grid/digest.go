@@ -3,6 +3,8 @@ package grid
 import (
 	"fmt"
 	"math"
+
+	"lbmib/internal/lattice"
 )
 
 // TileDigest is the per-tile health summary of one k×k×k block of fluid
@@ -106,19 +108,17 @@ func (d *DigestGrid) finish() {
 	d.NonFinite = nonFinite
 }
 
-// digestNode folds one node into tile t, tracking the argmax-velocity
-// and first-bad cells. It reads the present distribution buffer (buf
-// parity cur), so callers may digest a live swapped grid without
-// normalizing it first.
-func (d *DigestGrid) digestNode(n *Node, cur, t, x, y, z int) {
+// digestNode folds one node — its present distributions df, density rho
+// and velocity v — into tile t, tracking the argmax-velocity and
+// first-bad cells.
+func (d *DigestGrid) digestNode(df *[lattice.Q]float64, rho float64, v [3]float64, t, x, y, z int) {
 	td := &d.Tiles[t]
 	mass := 0.0
-	for _, v := range n.Buf(cur) {
-		mass += v
+	for _, g := range df {
+		mass += g
 	}
 	td.Mass += mass
-	v := n.Vel
-	v2 := v[0]*v[0] + v[1]*v[1] + v[2]*v[2]
+	v2 := speed2(v)
 	if v2 > td.MaxVel2 {
 		td.MaxVel2 = v2
 		if v2 > d.MaxVel {
@@ -126,7 +126,7 @@ func (d *DigestGrid) digestNode(n *Node, cur, t, x, y, z int) {
 			d.MaxVelCell = [3]int{x, y, z}
 		}
 	}
-	if math.IsNaN(n.Rho) || math.IsInf(n.Rho, 0) ||
+	if math.IsNaN(rho) || math.IsInf(rho, 0) ||
 		math.IsNaN(v[0]) || math.IsInf(v[0], 0) ||
 		math.IsNaN(v[1]) || math.IsInf(v[1], 0) ||
 		math.IsNaN(v[2]) || math.IsInf(v[2], 0) ||
@@ -134,20 +134,21 @@ func (d *DigestGrid) digestNode(n *Node, cur, t, x, y, z int) {
 		td.NonFinite++
 		if d.BadCell[0] < 0 {
 			d.BadCell = [3]int{x, y, z}
-			d.BadRho, d.BadVel = n.Rho, v
+			d.BadRho, d.BadVel = rho, v
 		}
 	}
 }
 
-// DigestCubeMajor fills d from nodes stored cube-major (contiguous
-// cubeK³ blocks in (cx*CY+cy)*CZ+cz order, z-fastest within a block —
-// the cube engine's layout). It digests the blocks in storage order, so
+// DigestCubeMajor fills d from a state stored cube-major — present
+// distributions dist and records macro in contiguous cubeK³ blocks in
+// (cx*CY+cy)*CZ+cz order, z-fastest within a block, the cube engine's
+// layout. It digests the blocks in storage order, so
 // the cube engine avoids the strided walk a slab-order pass would make
 // over its memory. The tiles must be the cubes (cubeK == d.K), so each
 // cube is one tile and the tile index is hoisted out of the inner loops.
-func (d *DigestGrid) DigestCubeMajor(nodes []Node, cubeK, cur int) error {
-	if len(nodes) != d.NX*d.NY*d.NZ {
-		return fmt.Errorf("grid: digest over %d cube-major nodes, want %d", len(nodes), d.NX*d.NY*d.NZ)
+func (d *DigestGrid) DigestCubeMajor(dist [][lattice.Q]float64, macro []Macro, cubeK int) error {
+	if n := d.NX * d.NY * d.NZ; len(dist) != n || len(macro) != n {
+		return fmt.Errorf("grid: digest over %d cube-major nodes, want %d", len(macro), n)
 	}
 	if cubeK < 1 || d.NX%cubeK != 0 || d.NY%cubeK != 0 || d.NZ%cubeK != 0 {
 		return fmt.Errorf("grid: cube size %d does not tile %d×%d×%d", cubeK, d.NX, d.NY, d.NZ)
@@ -167,7 +168,8 @@ func (d *DigestGrid) DigestCubeMajor(nodes []Node, cubeK, cur int) error {
 				for lx := 0; lx < k; lx++ {
 					for ly := 0; ly < k; ly++ {
 						for lz := 0; lz < k; lz++ {
-							d.digestNode(&nodes[i], cur, t, x0+lx, y0+ly, z0+lz)
+							m := &macro[i]
+							d.digestNode(&dist[i], m.Rho, m.Vel, t, x0+lx, y0+ly, z0+lz)
 							i++
 						}
 					}
@@ -179,26 +181,55 @@ func (d *DigestGrid) DigestCubeMajor(nodes []Node, cubeK, cur int) error {
 	return nil
 }
 
-// Digest fills d from the grid in one pass over the nodes. d's
-// dimensions must match the grid; the tile size is d.K.
+// Digest fills d from the grid's present buffer and records in one pass.
+// d's dimensions must match the grid; the tile size is d.K.
 func (g *Grid) Digest(d *DigestGrid) error {
-	if d.NX != g.NX || d.NY != g.NY || d.NZ != g.NZ {
-		return fmt.Errorf("grid: digest shaped %d×%d×%d, grid %d×%d×%d",
-			d.NX, d.NY, d.NZ, g.NX, g.NY, g.NZ)
+	if err := d.checkShape(g.NX, g.NY, g.NZ); err != nil {
+		return err
 	}
 	d.reset()
-	cur := g.cur
-	i := 0
+	dist, i := g.dist[g.cur], 0
 	for x := 0; x < g.NX; x++ {
 		tx := (x / d.K) * d.TY * d.TZ
 		for y := 0; y < g.NY; y++ {
 			txy := tx + (y/d.K)*d.TZ
 			for z := 0; z < g.NZ; z++ {
-				d.digestNode(&g.Nodes[i], cur, txy+z/d.K, x, y, z)
+				m := &g.macro[i]
+				d.digestNode(&dist[i], m.Rho, m.Vel, txy+z/d.K, x, y, z)
 				i++
 			}
 		}
 	}
 	d.finish()
+	return nil
+}
+
+// Digest fills d from the snapshot in one pass, as Grid.Digest does from
+// a grid.
+func (s *Snapshot) Digest(d *DigestGrid) error {
+	if err := d.checkShape(s.NX, s.NY, s.NZ); err != nil {
+		return err
+	}
+	d.reset()
+	i := 0
+	for x := 0; x < s.NX; x++ {
+		tx := (x / d.K) * d.TY * d.TZ
+		for y := 0; y < s.NY; y++ {
+			txy := tx + (y/d.K)*d.TZ
+			for z := 0; z < s.NZ; z++ {
+				n := &s.Nodes[i]
+				d.digestNode(&n.DF, n.Rho, n.Vel, txy+z/d.K, x, y, z)
+				i++
+			}
+		}
+	}
+	d.finish()
+	return nil
+}
+
+func (d *DigestGrid) checkShape(nx, ny, nz int) error {
+	if d.NX != nx || d.NY != ny || d.NZ != nz {
+		return fmt.Errorf("grid: digest shaped %d×%d×%d, grid %d×%d×%d", d.NX, d.NY, d.NZ, nx, ny, nz)
+	}
 	return nil
 }

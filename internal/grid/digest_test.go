@@ -3,6 +3,8 @@ package grid
 import (
 	"math"
 	"testing"
+
+	"lbmib/internal/lattice"
 )
 
 func TestNewDigestGridCeilDivision(t *testing.T) {
@@ -137,10 +139,10 @@ func TestDigestDimensionMismatch(t *testing.T) {
 
 func TestDigestReadsPresentBufferAfterSwap(t *testing.T) {
 	g := New(4, 4, 4)
-	// Make the two parity buffers differ: double every DFNew entry.
-	for i := range g.Nodes {
-		for q := range g.Nodes[i].DFNew {
-			g.Nodes[i].DFNew[q] *= 2
+	// Make the two parity buffers differ: double every entry of buffer 1.
+	for i := range g.dist[1] {
+		for q := range g.dist[1][i] {
+			g.dist[1][i][q] *= 2
 		}
 	}
 	d, err := NewDigestGrid(4, 4, 4, 2)
@@ -187,13 +189,17 @@ func TestDigestCubeMajorRejectsBadShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.DigestCubeMajor(make([]Node, 100), 4, 0); err == nil {
+	dist := func(n int) [][lattice.Q]float64 { return make([][lattice.Q]float64, n) }
+	if err := d.DigestCubeMajor(dist(100), make([]Macro, 100), 4); err == nil {
 		t.Fatal("wrong node count accepted")
 	}
-	if err := d.DigestCubeMajor(make([]Node, 512), 3, 0); err == nil {
+	if err := d.DigestCubeMajor(dist(512), make([]Macro, 100), 4); err == nil {
+		t.Fatal("record count other than the distribution count accepted")
+	}
+	if err := d.DigestCubeMajor(dist(512), make([]Macro, 512), 3); err == nil {
 		t.Fatal("non-dividing cube size accepted")
 	}
-	if err := d.DigestCubeMajor(make([]Node, 512), 2, 0); err == nil {
+	if err := d.DigestCubeMajor(dist(512), make([]Macro, 512), 2); err == nil {
 		t.Fatal("cube size other than the tile size accepted")
 	}
 }

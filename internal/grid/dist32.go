@@ -16,9 +16,9 @@ import (
 // The buffers mirror Grid's parity convention: Buf(Cur()) is the present
 // buffer and Buf(1-Cur()) the post-streaming one, with Swap flipping the
 // parity in O(1). A Dist32 always shadows a full-precision Grid that keeps
-// carrying the macroscopic fields (and whose own float64 distribution
-// buffers simply go stale); FromGrid and Materialize move distributions
-// across that boundary. Because every float32 widens to float64 exactly,
+// carrying the records (and whose own float64 distribution buffers simply
+// go stale); FromGrid and Materialize move distributions across that
+// boundary. Because every float32 widens to float64 exactly,
 // a Materialize→checkpoint→restore→FromGrid round trip is bitwise.
 type Dist32 struct {
 	NX, NY, NZ int
@@ -55,8 +55,7 @@ func (d *Dist32) FromGrid(g *Grid) error {
 		return err
 	}
 	dst := d.bufs[0]
-	for i := range g.Nodes {
-		buf := g.Nodes[i].Buf(g.cur)
+	for i, buf := range g.dist[g.cur] {
 		base := i * lattice.Q
 		for q := 0; q < lattice.Q; q++ {
 			dst[base+q] = float32(buf[q])
@@ -66,25 +65,36 @@ func (d *Dist32) FromGrid(g *Grid) error {
 	return nil
 }
 
-// Materialize widens the present float32 buffer into both of the grid's
-// float64 buffers, so the grid's present buffer holds it at whichever
-// parity the grid has — the live state snapshots, serialization and
-// digesting read. The widening is exact, so state that originated in
-// float32 survives a checkpoint round trip bitwise.
+// Materialize widens the present float32 buffer into the grid's present
+// float64 buffer — the live state snapshots, serialization and digesting
+// read; the grid's other buffer is left alone. The widening is exact, so
+// state that originated in float32 survives a checkpoint round trip
+// bitwise.
 func (d *Dist32) Materialize(g *Grid) error {
 	if err := d.checkShape(g); err != nil {
 		return err
 	}
 	src := d.bufs[d.cur]
-	for i := range g.Nodes {
-		n := &g.Nodes[i]
+	dst := g.dist[g.cur]
+	for i := range dst {
 		base := i * lattice.Q
 		for q := 0; q < lattice.Q; q++ {
-			n.DF[q] = float64(src[base+q])
+			dst[i][q] = float64(src[base+q])
 		}
-		n.DFNew = n.DF
 	}
 	return nil
+}
+
+// TotalMass sums the present buffer, widened, node by node in index
+// order: bit for bit what Materialize followed by Grid.TotalMass returns,
+// since widening is exact and the order is the same, without writing the
+// grid.
+func (d *Dist32) TotalMass() float64 {
+	sum := 0.0
+	for _, v := range d.bufs[d.cur] {
+		sum += float64(v)
+	}
+	return sum
 }
 
 func (d *Dist32) checkShape(g *Grid) error {

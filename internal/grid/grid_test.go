@@ -17,9 +17,12 @@ func TestNewInitializesRestState(t *testing.T) {
 	if n.Rho != 1 {
 		t.Fatalf("Rho = %g, want 1", n.Rho)
 	}
-	for i := 0; i < lattice.Q; i++ {
-		if math.Abs(n.DF[i]-lattice.W[i]) > 1e-15 {
-			t.Fatalf("DF[%d] = %g, want weight %g", i, n.DF[i], lattice.W[i])
+	for b := 0; b < 2; b++ {
+		df := &g.Dist(b)[g.Idx(2, 1, 3)]
+		for i := 0; i < lattice.Q; i++ {
+			if math.Abs(df[i]-lattice.W[i]) > 1e-15 {
+				t.Fatalf("buffer %d [%d] = %g, want weight %g", b, i, df[i], lattice.W[i])
+			}
 		}
 	}
 }

@@ -29,7 +29,6 @@ import (
 
 	"lbmib/internal/core"
 	"lbmib/internal/fiber"
-	"lbmib/internal/grid"
 	"lbmib/internal/par"
 )
 
@@ -93,7 +92,7 @@ func NewSolver(cfg Config) (*Solver, error) {
 	// Kernel 4 accumulates on top of the reset that UpdateVelocity leaves
 	// behind (the force-reset sweep is folded into kernel 7 here); seed
 	// the initial body force the same way.
-	core.SeedForce(s.Fluid.Nodes, s.BodyForce)
+	core.SeedForce(s.Fluid.Macros(), s.BodyForce)
 	return s, nil
 }
 
@@ -192,11 +191,11 @@ func (s *Solver) forFibers(body func(tid int, sh *fiber.Sheet, nodeLo, nodeHi in
 }
 
 // forSlabs is a parallel region over x-slabs (Algorithm 2): each thread's
-// chunk of planes [lo, hi) reaches body with the chunk's node slice.
-func (s *Solver) forSlabs(body func(lo, hi int, nodes []grid.Node)) {
-	g := s.Fluid
-	nyz := g.NY * g.NZ
-	s.parallelFor(g.NX, func(_, lo, hi int) { body(lo, hi, g.Nodes[lo*nyz:hi*nyz]) })
+// chunk of planes [lo, hi) reaches body with the chunk's node range
+// [i, j).
+func (s *Solver) forSlabs(body func(lo, hi, i, j int)) {
+	nyz := s.Fluid.NY * s.Fluid.NZ
+	s.parallelFor(s.Fluid.NX, func(_, lo, hi int) { body(lo, hi, lo*nyz, hi*nyz) })
 }
 
 // ComputeBendingForce is kernel 1 parallelized over fibers.
@@ -243,18 +242,18 @@ func (s *Solver) SpreadForce() {
 		acc.Begin(gen)
 		core.SpreadSheetNodes(acc, sh, a, b)
 	})
-	g, nyz := s.Fluid, s.Fluid.NY*s.Fluid.NZ
-	s.forSlabs(func(lo, hi int, _ []grid.Node) {
+	m, nyz := s.Fluid.Macros(), s.Fluid.NY*s.Fluid.NZ
+	s.forSlabs(func(lo, hi, _, _ int) {
 		for x := lo; x < hi; x++ {
-			core.ReduceSpread(s.accums, g.Nodes[x*nyz:(x+1)*nyz], x, gen)
+			core.ReduceSpread(s.accums, m[x*nyz:(x+1)*nyz], x, gen)
 		}
 	})
 }
 
 // ComputeCollision is kernel 5 parallelized over x-slabs (Algorithm 2).
 func (s *Solver) ComputeCollision() {
-	tau, cur := s.Tau, s.Fluid.Cur()
-	s.forSlabs(func(_, _ int, nodes []grid.Node) { core.CollideRange(nodes, tau, cur) })
+	tau, df, m := s.Tau, s.Fluid.Dist(s.Fluid.Cur()), s.Fluid.Macros()
+	s.forSlabs(func(_, _, i, j int) { core.CollideRange(df[i:j], m[i:j], tau) })
 }
 
 // StreamDistribution is kernel 6 parallelized over x-slabs. Writes into
@@ -262,7 +261,7 @@ func (s *Solver) ComputeCollision() {
 // (node, direction) pair has exactly one writer.
 func (s *Solver) StreamDistribution() {
 	cur := s.Fluid.Cur()
-	s.forSlabs(func(lo, hi int, _ []grid.Node) {
+	s.forSlabs(func(lo, hi, _, _ int) {
 		for x := lo; x < hi; x++ {
 			s.StreamPlane(x, cur)
 		}
@@ -274,8 +273,8 @@ func (s *Solver) StreamDistribution() {
 // correction) the pass resets the node's force to the uniform body force —
 // the fold that lets SpreadForce skip its own full-grid reset sweep.
 func (s *Solver) UpdateVelocity() {
-	next, body := 1-s.Fluid.Cur(), s.BodyForce
-	s.forSlabs(func(_, _ int, nodes []grid.Node) { core.UpdateRange(nodes, next, &body) })
+	df, m, body := s.Fluid.Dist(1-s.Fluid.Cur()), s.Fluid.Macros(), s.BodyForce
+	s.forSlabs(func(_, _, i, j int) { core.UpdateRange(df[i:j], m[i:j], &body) })
 }
 
 // MoveFibers is kernel 8 parallelized over fibers. Fluid velocities are

@@ -61,8 +61,8 @@ func TestSingleThreadBitwiseEqualsSequential(t *testing.T) {
 	s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: 1})
 	defer s.Close()
 	s.Run(steps)
-	for i := range ref.Fluid.Nodes {
-		if ref.Fluid.Nodes[i].DF != s.Fluid.Nodes[i].DF {
+	for i := range ref.Fluid.Macros() {
+		if ref.Fluid.Dist(ref.Fluid.Cur())[i] != s.Fluid.Dist(s.Fluid.Cur())[i] {
 			t.Fatalf("node %d DF differs bitwise at 1 thread", i)
 		}
 	}
@@ -118,9 +118,9 @@ func TestBounceBackMatchesSequential(t *testing.T) {
 		if want := steps % 2; cb != want {
 			t.Fatalf("steps=%d: swap parity = %d, want %d", steps, cb, want)
 		}
-		for i := range ref.Fluid.Nodes {
-			na, nb := &ref.Fluid.Nodes[i], &s.Fluid.Nodes[i]
-			if *na.Buf(ca) != *nb.Buf(cb) {
+		for i := range ref.Fluid.Macros() {
+			na, nb := &ref.Fluid.Macros()[i], &s.Fluid.Macros()[i]
+			if ref.Fluid.Dist(ca)[i] != s.Fluid.Dist(cb)[i] {
 				t.Fatalf("steps=%d: node %d DF differs bitwise from sequential", steps, i)
 			}
 			if na.Vel != nb.Vel || na.Rho != nb.Rho {
@@ -159,9 +159,9 @@ func TestMovingLidFSIMatchesSequential(t *testing.T) {
 	// the sequential reference leaves last step's spread forces in place.
 	const tol = 1e-9
 	ca, cb := ref.Fluid.Cur(), s.Fluid.Cur()
-	for i := range ref.Fluid.Nodes {
-		na, nb := &ref.Fluid.Nodes[i], &s.Fluid.Nodes[i]
-		dfa, dfb := na.Buf(ca), nb.Buf(cb)
+	for i := range ref.Fluid.Macros() {
+		na, nb := &ref.Fluid.Macros()[i], &s.Fluid.Macros()[i]
+		dfa, dfb := &ref.Fluid.Dist(ca)[i], &s.Fluid.Dist(cb)[i]
 		for q := range dfa {
 			if math.Abs(dfa[q]-dfb[q]) > tol {
 				t.Fatalf("node %d df[%d] diverges: %g vs %g", i, q, dfa[q], dfb[q])

@@ -28,8 +28,8 @@ func TestLockFreeSpreadMatchesSequential(t *testing.T) {
 		s.ComputeElasticForce()
 		s.SpreadForce()
 		spread := 0
-		for i := range ref.Fluid.Nodes {
-			want, got := ref.Fluid.Nodes[i].Force, s.Fluid.Nodes[i].Force
+		for i := range ref.Fluid.Macros() {
+			want, got := ref.Fluid.Macros()[i].Force, s.Fluid.Macros()[i].Force
 			if want != ref.BodyForce {
 				spread++
 			}
@@ -59,8 +59,8 @@ func TestLockFreeDeterministicRunToRun(t *testing.T) {
 	a, b := run(), run()
 	defer a.Close()
 	defer b.Close()
-	for i := range a.Fluid.Nodes {
-		if a.Fluid.Nodes[i].DF != b.Fluid.Nodes[i].DF {
+	for i := range a.Fluid.Macros() {
+		if a.Fluid.Dist(a.Fluid.Cur())[i] != b.Fluid.Dist(b.Fluid.Cur())[i] {
 			t.Fatalf("node %d DF differs between identical 4-thread lock-free runs", i)
 		}
 	}

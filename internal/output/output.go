@@ -35,13 +35,13 @@ func WriteSheetCSV(w io.Writer, s *fiber.Sheet) error {
 	return bw.Flush()
 }
 
-// Fluid is the fluid state the fluid writers read: node (x, y, z) is
-// Storage()[Idx(x, y, z)], whose Vel and Rho they print. A *grid.Grid and
-// every engine's live layout are one; the writers read no distributions,
-// so the layout's buffer parity does not matter.
+// Fluid is the fluid state the fluid writers read: node (x, y, z)'s
+// record is Macros()[Idx(x, y, z)], whose Vel and Rho they print. A
+// *grid.Grid and every engine's live layout are one; the writers read no
+// distributions, so the layout's buffer parity does not matter.
 type Fluid interface {
 	grid.Indexed
-	Storage() []grid.Node
+	Macros() []grid.Macro
 }
 
 // appendG appends v as fmt's %g verb prints a float64.
@@ -56,11 +56,11 @@ func WriteFluidSliceCSV(w io.Writer, f Fluid, plane int) error {
 	}
 	bw := bufio.NewWriter(w)
 	bw.WriteString("y,z,ux,uy,uz,rho\n")
-	nodes, at := f.Storage(), grid.AxisIndex(f)
+	macro, at := f.Macros(), grid.AxisIndex(f)
 	var line []byte
 	for y := 0; y < ny; y++ {
 		for z := 0; z < nz; z++ {
-			n := &nodes[at[0][plane]+at[1][y]+at[2][z]]
+			n := &macro[at[0][plane]+at[1][y]+at[2][z]]
 			line = strconv.AppendInt(line[:0], int64(y), 10)
 			line = append(line, ',')
 			line = strconv.AppendInt(line, int64(z), 10)
@@ -118,20 +118,20 @@ func WriteFluidVTK(w io.Writer, f Fluid) error {
 	fmt.Fprintln(bw, "SPACING 1 1 1")
 	fmt.Fprintf(bw, "POINT_DATA %d\n", nx*ny*nz)
 	fmt.Fprintln(bw, "VECTORS velocity double")
-	nodes, at := f.Storage(), grid.AxisIndex(f)
+	macro, at := f.Macros(), grid.AxisIndex(f)
 	var line []byte
 	// VTK structured points expect x varying fastest.
-	each := func(row func(n *grid.Node)) {
+	each := func(row func(n *grid.Macro)) {
 		for z := 0; z < nz; z++ {
 			for y := 0; y < ny; y++ {
 				yz := at[1][y] + at[2][z]
 				for x := 0; x < nx; x++ {
-					row(&nodes[at[0][x]+yz])
+					row(&macro[at[0][x]+yz])
 				}
 			}
 		}
 	}
-	each(func(n *grid.Node) {
+	each(func(n *grid.Macro) {
 		line = appendG(line[:0], n.Vel[0])
 		line = appendG(append(line, ' '), n.Vel[1])
 		line = appendG(append(line, ' '), n.Vel[2])
@@ -139,7 +139,7 @@ func WriteFluidVTK(w io.Writer, f Fluid) error {
 	})
 	fmt.Fprintln(bw, "SCALARS rho double 1")
 	fmt.Fprintln(bw, "LOOKUP_TABLE default")
-	each(func(n *grid.Node) {
+	each(func(n *grid.Macro) {
 		bw.Write(append(appendG(line[:0], n.Rho), '\n'))
 	})
 	return bw.Flush() // a bufio.Writer keeps its first write error

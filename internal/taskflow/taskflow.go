@@ -13,8 +13,9 @@
 //	                for every c ∈ I(t) (the copy task resets the force
 //	                field the spreading accumulates into).
 //	CS(c, t)        kernels 5–6 fused over cube c. Needs Copy(n, t−1) for
-//	                n ∈ N(c) (streaming writes n.DFNew, which Copy(n, t−1)
-//	                must have drained), and FiberForce(t) when c ∈ I(t).
+//	                n ∈ N(c) (streaming writes n's post-streaming buffer,
+//	                which Copy(n, t−1) must have drained), and
+//	                FiberForce(t) when c ∈ I(t).
 //	UV(c, t)        kernel 7. Needs CS(n, t) for n ∈ N(c) (the velocity
 //	                update reads distributions streamed in from neighbors).
 //	MoveFibers(t)   kernel 8. Needs UV(c, t) for every c ∈ I(t).
@@ -153,8 +154,8 @@ func NewSolver(cfg Config) (*Solver, error) {
 	for c := range s.csDone {
 		s.csDone[c] = -1
 		s.uvDone[c] = -1
-		// The initial state plays the role of Copy(·, −1): DF == DFNew
-		// and the force field freshly reset.
+		// The initial state plays the role of Copy(·, −1): both buffers
+		// equal and the force field freshly reset.
 		s.copyDone[c] = -1
 		s.csQ[c] = -1
 		s.uvQ[c] = -1
@@ -167,7 +168,7 @@ func NewSolver(cfg Config) (*Solver, error) {
 	s.inflStep[0] = -1
 	s.inflStep[1] = -1
 	s.buildNeighbors()
-	core.SeedForce(layout.Nodes, s.BodyForce)
+	core.SeedForce(layout.Macros(), s.BodyForce)
 	return s, nil
 }
 
@@ -375,22 +376,26 @@ func (s *Solver) workerLoop(w int) {
 }
 
 // execute runs the task body without holding the scheduler lock. The
-// layout's parity is 0 throughout: present buffer 0, post-streaming 1.
+// layout is never swapped, so its parity is the one it was built with
+// throughout.
 func (s *Solver) execute(t task) {
+	l, cur := s.Fluid, s.Fluid.Cur()
+	lo, hi := l.CubeRange(t.cube) // unread by the fiber tasks, whose cube is −1
 	switch t.ph {
 	case phFiberForce:
 		s.runFiberForce(t.step)
 	case phCS:
-		core.CollideRange(s.Fluid.CubeNodes(t.cube), s.Tau, 0)
-		s.stream.Block(t.cube, 0)
+		core.CollideRange(l.Dist(cur)[lo:hi], l.Macros()[lo:hi], s.Tau)
+		s.stream.Block(t.cube, cur)
 	case phUV:
-		core.UpdateRange(s.Fluid.CubeNodes(t.cube), 1, nil)
+		core.UpdateRange(l.Dist(1 - cur)[lo:hi], l.Macros()[lo:hi], nil)
 	case phMove:
 		for _, sh := range s.Sheets {
-			core.MoveSheetNodes(s.Fluid, sh, 0, sh.NumNodes())
+			core.MoveSheetNodes(l, sh, 0, sh.NumNodes())
 		}
 	case phCopy:
-		core.CopyRange(s.Fluid.CubeNodes(t.cube), 0, &s.BodyForce)
+		core.CopyRange(l.Dist(cur)[lo:hi], l.Dist(1 - cur)[lo:hi])
+		core.SeedForce(l.Macros()[lo:hi], s.BodyForce)
 	}
 }
 

@@ -42,11 +42,11 @@ func TestBitwiseEqualsSequential(t *testing.T) {
 		}
 		s.Run(steps)
 		g := s.Fluid.ToGrid()
-		for i := range ref.Fluid.Nodes {
-			if ref.Fluid.Nodes[i].DF != g.Nodes[i].DF {
+		for i := range ref.Fluid.Macros() {
+			if ref.Fluid.Dist(ref.Fluid.Cur())[i] != g.Dist(g.Cur())[i] {
 				t.Fatalf("workers=%d: node %d DF differs bitwise", workers, i)
 			}
-			if ref.Fluid.Nodes[i].Vel != g.Nodes[i].Vel {
+			if ref.Fluid.Macros()[i].Vel != g.Macros()[i].Vel {
 				t.Fatalf("workers=%d: node %d Vel differs bitwise", workers, i)
 			}
 		}
@@ -116,8 +116,8 @@ func TestRunBatchesEquivalent(t *testing.T) {
 		t.Fatalf("step counts %d, %d", a.StepCount(), b.StepCount())
 	}
 	ga, gb := a.Fluid.ToGrid(), b.Fluid.ToGrid()
-	for i := range ga.Nodes {
-		if ga.Nodes[i].DF != gb.Nodes[i].DF {
+	for i := range ga.Macros() {
+		if ga.Dist(ga.Cur())[i] != gb.Dist(gb.Cur())[i] {
 			t.Fatalf("batched run differs at node %d", i)
 		}
 	}

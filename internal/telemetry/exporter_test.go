@@ -67,7 +67,7 @@ func TestExporterEndpoints(t *testing.T) {
 
 	// Flag the watchdog; /healthz must flip to 503 with the reason.
 	g := grid.New(2, 2, 2)
-	g.Nodes[0].Rho = math.NaN()
+	g.Macros()[0].Rho = math.NaN()
 	d, err := grid.NewDigestGrid(2, 2, 2, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"lbmib/internal/core"
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
+	"lbmib/internal/lattice"
 )
 
 // digestOf digests g into 4³ tiles, the tiling the facade gives the slab
@@ -42,8 +43,8 @@ func TestWatchdogFlagsNaNAtExactStep(t *testing.T) {
 	// Poison one distribution entry; the next collision/moment update
 	// would spread it, but the watchdog must already see the mass sum go
 	// non-finite on the very step it appears.
-	s.Fluid.Nodes[123].DF[5] = math.NaN()
-	s.Fluid.Nodes[200].Vel[1] = math.NaN()
+	s.Fluid.Dist(s.Fluid.Cur())[123][5] = math.NaN()
+	s.Fluid.Macros()[200].Vel[1] = math.NaN()
 
 	err := wd.Check(5, digestOf(t, s.Fluid))
 	if err == nil {
@@ -94,7 +95,7 @@ func TestWatchdogMassDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inject 1% extra mass into one node.
-	g.Nodes[0].DF[0] += 0.01 * g.TotalMass()
+	g.Dist(g.Cur())[0][0] += 0.01 * g.TotalMass()
 	err := wd.Check(1, digestOf(t, g))
 	if err == nil || !strings.Contains(err.Error(), "mass drifted") {
 		t.Fatalf("drift not flagged: %v", err)
@@ -107,7 +108,7 @@ func TestWatchdogMassDrift(t *testing.T) {
 func TestWatchdogVelocityLimit(t *testing.T) {
 	g := grid.New(4, 4, 4)
 	wd := NewWatchdog(WatchdogConfig{MaxVelocity: 0.1})
-	g.Nodes[7].Vel = [3]float64{0.2, 0, 0}
+	g.Macros()[7].Vel = [3]float64{0.2, 0, 0}
 	err := wd.Check(3, digestOf(t, g))
 	if err == nil || !strings.Contains(err.Error(), "max speed") {
 		t.Fatalf("speed not flagged: %v", err)
@@ -127,7 +128,7 @@ func TestWatchdogGauges(t *testing.T) {
 	if r.Gauge("lbmib_unhealthy", "").Value() != 0 {
 		t.Fatal("healthy run has unhealthy gauge set")
 	}
-	g.Nodes[0].Rho = math.Inf(1)
+	g.Macros()[0].Rho = math.Inf(1)
 	wd.Check(1, digestOf(t, g)) //nolint:errcheck // latched below
 	if r.Gauge("lbmib_unhealthy", "").Value() != 1 {
 		t.Fatal("unhealthy gauge not raised")
@@ -194,7 +195,7 @@ func TestWatchdogDriftNamesWorstCube(t *testing.T) {
 	if err := wd.Check(0, digestOf(t, g)); err != nil {
 		t.Fatal(err)
 	}
-	g.At(6, 6, 6).DF[0] += 1.0 // inject mass into tile (1,1,1)
+	g.Dist(g.Cur())[g.Idx(6, 6, 6)][0] += 1.0 // inject mass into tile (1,1,1)
 	err := wd.Check(1, digestOf(t, g))
 	var he *HealthError
 	if !errors.As(err, &he) {
@@ -209,7 +210,7 @@ func TestWatchdogDriftNamesWorstCube(t *testing.T) {
 // facade hands the watchdog the step's one sample.
 func TestWatchdogCheckDigest(t *testing.T) {
 	g := grid.New(8, 8, 8)
-	g.At(0, 0, 1).DF[3] = math.NaN()
+	g.Dist(g.Cur())[g.Idx(0, 0, 1)][3] = math.NaN()
 	d, err := grid.NewDigestGrid(8, 8, 8, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -237,16 +238,16 @@ func TestWatchdogCheckDigest(t *testing.T) {
 func TestWatchdogDigestNamesField(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
-		poison      func(n *grid.Node)
+		poison      func(df *[lattice.Q]float64, m *grid.Macro)
 		what, phase string
 	}{
-		{"rho", func(n *grid.Node) { n.Rho = math.NaN() }, "rho=NaN", "update_velocity"},
-		{"u", func(n *grid.Node) { n.Vel[2] = math.Inf(-1) }, "u=(0,0,-Inf)", "update_velocity"},
-		{"distributions", func(n *grid.Node) { n.DF[7] = math.NaN() }, "non-finite distribution mass", "collide_stream"},
+		{"rho", func(_ *[lattice.Q]float64, m *grid.Macro) { m.Rho = math.NaN() }, "rho=NaN", "update_velocity"},
+		{"u", func(_ *[lattice.Q]float64, m *grid.Macro) { m.Vel[2] = math.Inf(-1) }, "u=(0,0,-Inf)", "update_velocity"},
+		{"distributions", func(df *[lattice.Q]float64, _ *grid.Macro) { df[7] = math.NaN() }, "non-finite distribution mass", "collide_stream"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := grid.New(8, 8, 8)
-			tc.poison(g.At(3, 4, 5))
+			tc.poison(&g.Dist(g.Cur())[g.Idx(3, 4, 5)], g.At(3, 4, 5))
 			wd := NewWatchdog(WatchdogConfig{})
 			var he *HealthError
 			if err := wd.Check(1, digestOf(t, g)); !errors.As(err, &he) {

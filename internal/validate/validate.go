@@ -16,6 +16,7 @@ import (
 
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
+	"lbmib/internal/lattice"
 )
 
 // DefaultTol is the acceptance threshold used by the test suites and the
@@ -67,34 +68,40 @@ func (a *accum) diff() Diff {
 	}
 }
 
+// Fluid is a fluid state validate reads node by node in x-major order:
+// node i's present distributions and its record. A *grid.Grid (read at
+// its buffer parity, so live grids from swap-based engines compare
+// without normalizing first) and a *grid.Snapshot are both one.
+type Fluid interface {
+	Dims() (nx, ny, nz int)
+	Record(i int) (*[lattice.Q]float64, grid.Macro)
+}
+
 // Grids compares the full state (distributions, velocity, density, force)
-// of two same-shaped slab grids. It returns an error on shape mismatch.
-// Distributions are read through each grid's buffer parity (grid.Cur), so
-// live grids from swap-based engines compare correctly against the
-// sequential reference without normalizing first.
-func Grids(a, b *grid.Grid) (Diff, error) { return grids(a, b, true) }
+// of two same-shaped fluid states. It returns an error on shape mismatch.
+func Grids(a, b Fluid) (Diff, error) { return grids(a, b, true) }
 
 // GridsPhysics compares distributions, velocities and densities but not
 // the force field. Between steps the force array is engine-defined scratch
 // state — the sequential reference leaves kernel 4's spread forces in
 // place while the swap engines fold the reset into the velocity update —
 // so cross-engine equivalence is asserted on the physical fields only.
-func GridsPhysics(a, b *grid.Grid) (Diff, error) { return grids(a, b, false) }
+func GridsPhysics(a, b Fluid) (Diff, error) { return grids(a, b, false) }
 
-func grids(a, b *grid.Grid, includeForce bool) (Diff, error) {
-	if a.NX != b.NX || a.NY != b.NY || a.NZ != b.NZ {
-		return Diff{}, fmt.Errorf("validate: grid shapes differ: %d×%d×%d vs %d×%d×%d",
-			a.NX, a.NY, a.NZ, b.NX, b.NY, b.NZ)
+func grids(a, b Fluid, includeForce bool) (Diff, error) {
+	ax, ay, az := a.Dims()
+	bx, by, bz := b.Dims()
+	if ax != bx || ay != by || az != bz {
+		return Diff{}, fmt.Errorf("validate: grid shapes differ: %d×%d×%d vs %d×%d×%d", ax, ay, az, bx, by, bz)
 	}
-	curA, curB := a.Cur(), b.Cur()
 	var ac accum
-	for i := range a.Nodes {
-		na, nb := &a.Nodes[i], &b.Nodes[i]
+	for i := 0; i < ax*ay*az; i++ {
+		dfa, na := a.Record(i)
+		dfb, nb := b.Record(i)
 		idx := i
 		loc := func(field string) func() string {
 			return func() string { return fmt.Sprintf("node %d %s", idx, field) }
 		}
-		dfa, dfb := na.Buf(curA), nb.Buf(curB)
 		for q := range dfa {
 			ac.add(dfa[q], dfb[q], loc("DF"))
 		}

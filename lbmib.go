@@ -254,7 +254,7 @@ type engine interface {
 	Run(n int)
 	StepCount() int
 	// live returns the fluid layout the engine steps, its present
-	// distributions readable at Buf(Cur()) — the one source of every
+	// distributions readable at Dist(Cur()) — the one source of every
 	// snapshot, checkpoint and fluid output, and the one target of Restore.
 	live() core.Layout
 	// loaded re-establishes the engine's invariants after Restore has
@@ -845,24 +845,24 @@ func (s *Simulation) SheetVelocitiesAt(i int) ([][3]float64, error) {
 	return append([][3]float64(nil), sh.Vel...), nil
 }
 
-// FluidSnapshot returns a copy of the complete fluid state as a slab grid
-// at parity 0: each node's present distributions in DF, with ρ, u and the
-// force field. It is gathered from the engine's live layout and owns its
-// memory, so later steps do not change it; DFNew is left zero.
-func (s *Simulation) FluidSnapshot() *grid.Grid {
+// FluidSnapshot returns a copy of the complete fluid state, one
+// grid.Node per fluid node in x-major order: each node's present
+// distributions in DF, with ρ, u and the force field. It is gathered from
+// the engine's live layout and owns its memory, so later steps do not
+// change it; DFNew is left zero.
+func (s *Simulation) FluidSnapshot() *grid.Snapshot {
 	l := s.eng.live()
-	nx, ny, nz := l.Dims()
-	g := &grid.Grid{NX: nx, NY: ny, NZ: nz, Nodes: make([]grid.Node, nx*ny*nz)}
-	cur, dst := l.Cur(), g.Nodes
-	_ = eachPlane(l, func(_ int, plane []*grid.Node) error {
-		for i, src := range plane {
-			*dst[i].Buf(0) = *src.Buf(cur)
-			dst[i].Rho, dst[i].Vel, dst[i].Force = src.Rho, src.Vel, src.Force
+	snap := grid.NewSnapshot(l.Dims())
+	df, macro, dst := l.Dist(l.Cur()), l.Macros(), snap.Nodes
+	_ = eachPlane(l, func(_ int, plane []int) error {
+		for i, j := range plane {
+			n, m := &dst[i], &macro[j]
+			n.DF, n.Vel, n.Rho, n.Force = df[j], m.Vel, m.Rho, m.Force
 		}
 		dst = dst[len(plane):]
 		return nil
 	})
-	return g
+	return snap
 }
 
 // SheetCentroidAt returns sheet i's mean node position.
@@ -950,15 +950,15 @@ func (s *Simulation) WriteFluidSliceCSV(w io.Writer, plane int) error {
 // container through the block-layout contract, in place.
 type onLayout struct{ l core.Layout }
 
-func (o onLayout) node(x, y, z int) *grid.Node {
+func (o onLayout) macro(x, y, z int) *grid.Macro {
 	x, y, z = o.l.Wrap(x, y, z)
-	return &o.l.Storage()[o.l.Idx(x, y, z)]
+	return &o.l.Macros()[o.l.Idx(x, y, z)]
 }
 func (o onLayout) live() core.Layout                 { return o.l }
-func (o onLayout) velocityAt(x, y, z int) [3]float64 { return o.node(x, y, z).Vel }
-func (o onLayout) densityAt(x, y, z int) float64     { return o.node(x, y, z).Rho }
-func (o onLayout) maxVelocity() float64              { return grid.MaxVelocity(o.l.Storage()) }
-func (o onLayout) totalMass() float64                { return grid.TotalMass(o.l.Storage(), o.l.Cur()) }
+func (o onLayout) velocityAt(x, y, z int) [3]float64 { return o.macro(x, y, z).Vel }
+func (o onLayout) densityAt(x, y, z int) float64     { return o.macro(x, y, z).Rho }
+func (o onLayout) maxVelocity() float64              { return grid.MaxVelocity(o.l.Macros()) }
+func (o onLayout) totalMass() float64                { return grid.TotalMass(o.l.Dist(o.l.Cur())) }
 func (o onLayout) digest(d *grid.DigestGrid) error   { return o.l.Digest(d) }
 
 type seqEngine struct {
@@ -981,7 +981,7 @@ func (e *ompEngine) close() { e.Close() }
 // loaded re-establishes the between-steps invariant Force == BodyForce
 // that SpreadForce relies on; a checkpoint may carry another engine's
 // end-of-step force state, which is dead state for every engine.
-func (e *ompEngine) loaded() { core.SeedForce(e.Fluid.Nodes, e.BodyForce) }
+func (e *ompEngine) loaded() { core.SeedForce(e.Fluid.Macros(), e.BodyForce) }
 
 type cubeEngine struct {
 	*cubesolver.Solver
@@ -989,19 +989,19 @@ type cubeEngine struct {
 }
 
 func (e *cubeEngine) close()  { e.Close() }
-func (e *cubeEngine) loaded() { core.SeedForce(e.Fluid.Nodes, e.BodyForce) } // see ompEngine.loaded
+func (e *cubeEngine) loaded() { core.SeedForce(e.Fluid.Macros(), e.BodyForce) } // see ompEngine.loaded
 
 // fusedEngine reads its layout through fused.Solver.Live, which in float32
 // mode widens the stored distributions into the grid first; that is why
-// the two distribution-reading accessors go through live() instead of the
-// bare layout.
+// the digest goes through live() instead of the bare layout, while the
+// mass sums the float32 storage directly (fused.Solver.TotalMass).
 type fusedEngine struct {
 	*fused.Solver
 	onLayout
 }
 
 func (e *fusedEngine) live() core.Layout               { return e.Live() }
-func (e *fusedEngine) totalMass() float64              { return e.Live().TotalMass() }
+func (e *fusedEngine) totalMass() float64              { return e.TotalMass() }
 func (e *fusedEngine) digest(d *grid.DigestGrid) error { return e.Live().Digest(d) }
 func (e *fusedEngine) close()                          { e.Close() }
 func (e *fusedEngine) loaded()                         { e.Loaded() }
@@ -1012,4 +1012,4 @@ type taskflowEngine struct {
 }
 
 func (e *taskflowEngine) close()  {}
-func (e *taskflowEngine) loaded() { core.SeedForce(e.Fluid.Nodes, e.BodyForce) } // see ompEngine.loaded
+func (e *taskflowEngine) loaded() { core.SeedForce(e.Fluid.Macros(), e.BodyForce) } // see ompEngine.loaded

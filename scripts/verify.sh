@@ -70,6 +70,18 @@ if grep -rn '\.AddForce(\|\.VelocityAt(\|) AddForce(\|) VelocityAt(' --include='
 	exit 1
 fi
 
+# One storage, split. Every engine steps a layout's per-parity
+# distribution arrays and its 56 B ρ/u/F records (core.Layout); the
+# paper's 360 B node record, grid.Node, is the snapshot type only and must
+# not creep back onto a step path: no non-test file of core or of an
+# engine names it.
+if grep -rn 'grid\.Node\b' --include='*.go' \
+	internal/core internal/omp internal/cubesolver internal/taskflow internal/fused |
+	grep -v '_test\.go:'; then
+	echo "an engine names grid.Node; step the layout's split arrays (core.Layout)" >&2
+	exit 1
+fi
+
 go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/taskflow/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/perfsim/...
 
 # Cross-engine differential smoke: 10 seeded cases on every engine,

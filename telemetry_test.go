@@ -210,7 +210,7 @@ func TestWatchdogStopsRun(t *testing.T) {
 	// Poison the engine state directly (the sequential engine exposes
 	// its grid through the snapshot).
 	seq := sim.eng.(*seqEngine)
-	seq.Fluid.Nodes[42].DF[3] = math.NaN()
+	seq.Fluid.Dist(seq.Fluid.Cur())[42][3] = math.NaN()
 
 	sim.Run(10)
 	he := new(telemetry.HealthError)

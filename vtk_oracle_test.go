@@ -13,7 +13,7 @@ import (
 
 // oracleFluidVTK is the fmt-based fluid VTK writer the strconv writer in
 // internal/output replaced, kept as the byte-for-byte oracle.
-func oracleFluidVTK(w io.Writer, g *grid.Grid) error {
+func oracleFluidVTK(w io.Writer, g *grid.Snapshot) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "# vtk DataFile Version 3.0")
 	fmt.Fprintln(bw, "LBM-IB fluid grid")
@@ -22,7 +22,7 @@ func oracleFluidVTK(w io.Writer, g *grid.Grid) error {
 	fmt.Fprintf(bw, "DIMENSIONS %d %d %d\n", g.NX, g.NY, g.NZ)
 	fmt.Fprintln(bw, "ORIGIN 0 0 0")
 	fmt.Fprintln(bw, "SPACING 1 1 1")
-	fmt.Fprintf(bw, "POINT_DATA %d\n", g.NumNodes())
+	fmt.Fprintf(bw, "POINT_DATA %d\n", len(g.Nodes))
 	fmt.Fprintln(bw, "VECTORS velocity double")
 	for z := 0; z < g.NZ; z++ {
 		for y := 0; y < g.NY; y++ {
@@ -46,7 +46,7 @@ func oracleFluidVTK(w io.Writer, g *grid.Grid) error {
 
 // oracleFluidSliceCSV is the fmt-based slice writer, the oracle of
 // WriteFluidSliceCSV.
-func oracleFluidSliceCSV(w io.Writer, g *grid.Grid, plane int) error {
+func oracleFluidSliceCSV(w io.Writer, g *grid.Snapshot, plane int) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "y,z,ux,uy,uz,rho")
 	for y := 0; y < g.NY; y++ {
@@ -73,7 +73,7 @@ func TestFluidWritersMatchFmtOracle(t *testing.T) {
 			s.Run(steps)
 			l := s.eng.live()
 			for i, v := range special {
-				n := &l.Storage()[l.Idx(plane, i, 5)]
+				n := &l.Macros()[l.Idx(plane, i, 5)]
 				n.Vel[i%3], n.Rho = v, special[len(special)-1-i]
 			}
 			snap := s.FluidSnapshot()
