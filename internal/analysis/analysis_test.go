@@ -198,8 +198,8 @@ func TestHotAllocReach(t *testing.T) {
 		"core.CollideRange", "(*core.Streamer).Block", "core.UpdateRange",
 		"core.SpreadSheetNodes", "core.MoveSheetNodes", "(*core.SpreadAccum).SpreadStencil",
 		"lattice.Collide", "(*grid.Coupling).SpreadStencil", "(*grid.Coupling).InterpolateStencil",
-		// engine loops
-		"(*fused.Solver).collidePlane", "(*taskflow.Solver).execute", "(*omp.Solver).parallelFor",
+		// engine loops; the fused sweep and finaliser are generic
+		"fused.sweepOn", "fused.finalizePlane", "(*taskflow.Solver).execute", "(*omp.Solver).parallelFor",
 		// probe sinks, reached by interface dispatch
 		"(*telemetry.Tracer).Emit", "(*flightrec.Recorder).Emit", "(*perfmon.Profile).Emit",
 	} {

@@ -48,8 +48,9 @@ func SeedForce(m []grid.Macro, body [3]float64) {
 
 // CollideRange is kernel 5 over a node range: the BGK collision with Guo
 // forcing, in place on the present distributions df, reading the records
-// m of the same nodes.
-func CollideRange(df [][lattice.Q]float64, m []grid.Macro, tau float64) {
+// m of the same nodes. df may be stored in either element type
+// (lattice.Collide's rule).
+func CollideRange[T lattice.Float](df [][lattice.Q]T, m []grid.Macro, tau float64) {
 	df = df[:len(m)]
 	for i := range m {
 		n := &m[i]
@@ -63,7 +64,7 @@ func CollideRange(df [][lattice.Q]float64, m []grid.Macro, tau float64) {
 // the node's force in the same pass — the fold that lets the engines which
 // retire kernel 4's full-grid reset keep spreading on top of the body
 // force.
-func UpdateRange(df [][lattice.Q]float64, m []grid.Macro, reset *[3]float64) {
+func UpdateRange[T lattice.Float](df [][lattice.Q]T, m []grid.Macro, reset *[3]float64) {
 	df = df[:len(m)]
 	for i := range m {
 		n := &m[i]

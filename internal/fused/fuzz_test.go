@@ -31,7 +31,7 @@ func FuzzFusedStep(f *testing.F) {
 		cfg := fused.Config{
 			Config: core.Config{
 				NX: dim(bx), NY: dim(by), NZ: dim(bz),
-				Tau:       0.55 + float64(tau100%100)*0.01, // 0.55..1.54
+				Tau: 0.55 + float64(tau100%100)*0.01, // 0.55..1.54
 				BCX: bc(1), BCY: bc(2), BCZ: bc(4),
 			},
 			Threads: 1 + int(threads)%8,

@@ -80,26 +80,25 @@
 //
 // # Float32 storage
 //
-// With Config.Float32 the distributions live in a grid.Dist32 — two
-// float32 buffers replacing the grid's two float64 distribution arrays
-// on the hot path, halving the distribution traffic that dominates the
-// sweep.
-// Arithmetic stays float64: values widen on load, round once on store,
-// and the moments are computed from the rounded stored values so the
-// macroscopic state remains a pure function of the stored distributions.
-// Storage rounding puts this mode on a relaxed differential contract
-// (~1e-5 vs the float64 reference; see internal/crosscheck), but it is
-// still run-to-run deterministic and its checkpoints round-trip bitwise,
-// because widening float32 to float64 is exact. The embedded grid keeps
-// carrying the records; its own float64 distribution arrays go stale
-// between Materialize calls, which widen into the present one only (the
-// footprint stays, the traffic goes).
+// With Config.Float32 the distributions are stored as float32, in two
+// [][19]float32 arrays the solver holds beside the grid's float64 ones:
+// array b stands for the grid's Dist(b), so the grid's parity is the
+// only one. The sweep is one generic body over [][19]T, picked once per
+// step, and so are the kernels it calls (core.CollideRange over
+// lattice.Collide, and lattice.Moments). Arithmetic stays float64: values
+// widen on load and round once on store, and the moments are computed
+// from the rounded stored values, so the macroscopic state remains a pure
+// function of the stored distributions. Storage rounding puts this mode
+// on a relaxed differential contract (~1e-5 vs the float64 reference; see
+// internal/crosscheck), but it is still run-to-run deterministic and its
+// checkpoints round-trip bitwise, because widening float32 to float64 is
+// exact. The grid keeps its records and both float64 arrays, and Live
+// widens the present float32 array into the grid's present one, so the
+// mode holds 2·152 + 56 + 2·76 = 512 B per node against 360.
 //
 // Fiber kernels 1–4 and 8 are inherited unchanged from the OpenMP-style
 // solver (same team, same lock-free spreading), and the collision is
-// core.CollideRange on float64 storage and the node kernel it calls,
-// lattice.Collide, on float32 storage, so only the pull sweep and the
-// float32 load/store path are this package's own code.
+// core.CollideRange, so only the pull sweep is this package's own code.
 package fused
 
 import (
@@ -117,9 +116,9 @@ type Config struct {
 	core.Config
 	Threads int // parallel region width; 0 means 1, clamped to NX
 	// Float32 stores the velocity distributions as float32 (arithmetic
-	// stays float64), halving the memory traffic of the fused sweep at
-	// the cost of a relaxed (~1e-5) differential contract vs the float64
-	// engines.
+	// stays float64) at the cost of a relaxed (~1e-5) differential
+	// contract vs the float64 engines. The float32 arrays come on top of
+	// the grid's float64 ones: 512 instead of 360 B per node.
 	Float32 bool
 }
 
@@ -129,12 +128,11 @@ type Config struct {
 type Solver struct {
 	*omp.Solver
 
-	// Float32 reports whether distributions are stored in float32.
-	Float32 bool
-
-	bc           core.StreamBC
-	streamDelta  [lattice.Q]int
-	d32          *grid.Dist32 // non-nil iff Float32
+	bc          core.StreamBC
+	streamDelta [lattice.Q]int
+	// f32[b] holds the distributions of the grid's Dist(b) in float32
+	// storage; both are nil in float64 mode.
+	f32          [2][][lattice.Q]float32
 	barrier      *par.Barrier
 	timedBarrier par.TimedBarrier
 }
@@ -151,17 +149,17 @@ func NewSolver(cfg Config) (*Solver, error) {
 	}
 	s := &Solver{
 		Solver:      base,
-		Float32:     cfg.Float32,
 		bc:          base.StreamBC(cfg.NX, cfg.NY, cfg.NZ),
 		streamDelta: base.Fluid.StreamDeltas(),
 		barrier:     par.NewBarrier(base.Threads),
 	}
 	s.timedBarrier = par.TimedBarrier{B: s.barrier, Arrive: s.BarrierArrived}
 	if cfg.Float32 {
-		s.d32 = grid.NewDist32(cfg.NX, cfg.NY, cfg.NZ)
-		if err := s.d32.FromGrid(s.Fluid); err != nil {
-			return nil, err
+		g := base.Fluid
+		for b := range s.f32 {
+			s.f32[b] = make([][lattice.Q]float32, g.NumNodes())
 		}
+		convert(s.f32[g.Cur()], g.Dist(g.Cur()))
 	}
 	return s, nil
 }
@@ -212,22 +210,28 @@ func (s *Solver) Run(n int) {
 	}
 }
 
-// sweep is the fused collide+stream+update+swap pass (see package doc).
-// It is one parallel region: region A (collide + interior finalize),
-// the explicit wavefront barrier, region B (chunk-edge finalize), and —
-// only with a probe attached — an end-of-sweep barrier measuring the
-// wait the region's implicit join would otherwise hide. The probe is
-// read once, before the region forks, so every worker executes the same
-// barrier sequence.
+// sweep is the fused collide+stream+update+swap pass (see package doc)
+// on whichever arrays hold the distributions.
 func (s *Solver) sweep() {
 	g := s.Fluid
-	var cur int
-	if s.Float32 {
-		cur = s.d32.Cur()
+	if s.f32[0] != nil {
+		sweepOn(s, s.f32[g.Cur()], s.f32[1-g.Cur()])
 	} else {
-		cur = g.Cur()
+		sweepOn(s, g.Dist(g.Cur()), g.Dist(1-g.Cur()))
 	}
-	next := 1 - cur
+	g.Swap()
+}
+
+// sweepOn runs the sweep from the present distributions src into the
+// post-streaming ones dst as one parallel region: region A (collide +
+// interior finalize), the explicit wavefront barrier, region B
+// (chunk-edge finalize), and — only with a probe attached — an
+// end-of-sweep barrier measuring the wait the region's implicit join
+// would otherwise hide. The probe is read once, before the region forks,
+// so every worker executes the same barrier sequence.
+func sweepOn[T lattice.Float](s *Solver, src, dst [][lattice.Q]T) {
+	g := s.Fluid
+	plane, macro := g.NY*g.NZ, g.Macros()
 	tau, body := s.Tau, s.BodyForce
 	probe, step := s.Probe, s.StepCount()
 	s.ParallelFor(g.NX, func(tid, lo, hi int) {
@@ -236,9 +240,9 @@ func (s *Solver) sweep() {
 			t0 = time.Now()
 		}
 		for x := lo; x < hi; x++ {
-			s.collidePlane(x, cur, tau)
+			core.CollideRange(src[x*plane:(x+1)*plane], macro[x*plane:(x+1)*plane], tau)
 			if x >= lo+2 {
-				s.finalizePlane(x-1, cur, next, body)
+				finalizePlane(s, src, dst, x-1, body)
 			}
 		}
 		if probe != nil {
@@ -248,20 +252,15 @@ func (s *Solver) sweep() {
 		if probe != nil {
 			t0 = time.Now()
 		}
-		s.finalizePlane(lo, cur, next, body)
+		finalizePlane(s, src, dst, lo, body)
 		if hi-1 != lo {
-			s.finalizePlane(hi-1, cur, next, body)
+			finalizePlane(s, src, dst, hi-1, body)
 		}
 		if probe != nil {
 			probe.Emit(core.Event{Kind: core.PhaseDone, Step: step, Tid: tid, Phase: core.PhaseUpdateVelocity, D: time.Since(t0)})
 			s.waitBarrier(core.SiteEndOfStep, tid, step)
 		}
 	})
-	if s.Float32 {
-		s.d32.Swap()
-	} else {
-		g.Swap()
-	}
 }
 
 // waitBarrier is the sweep's instrumented barrier: a plain Barrier.Wait
@@ -275,47 +274,18 @@ func (s *Solver) waitBarrier(site core.BarrierSite, tid, step int) {
 	s.timedBarrier.Wait(step, int(site), tid)
 }
 
-// collidePlane applies the BGK+Guo collision in place to every node of
-// x-plane x on the present buffer. On float32 storage a node's 19 values
-// widen into a float64 scratch array, go through the same kernel
-// core.CollideRange calls, and round once on store.
-func (s *Solver) collidePlane(x, cur int, tau float64) {
-	g := s.Fluid
-	lo, hi := x*g.NY*g.NZ, (x+1)*g.NY*g.NZ
-	m := g.Macros()[lo:hi]
-	if s.d32 == nil {
-		core.CollideRange(g.Dist(cur)[lo:hi], m, tau)
-		return
-	}
-	buf := s.d32.Buf(cur)[lo*lattice.Q : hi*lattice.Q]
-	var tmp [lattice.Q]float64
-	for i := range m {
-		n := &m[i]
-		df := (*[lattice.Q]float32)(buf[i*lattice.Q:])
-		for q, v := range df {
-			tmp[q] = float64(v)
-		}
-		lattice.Collide(&tmp, n.Rho, n.Vel, n.Force, tau)
-		for q := range df {
-			df[q] = float32(tmp[q])
-		}
-	}
-}
-
 // finalizePlane completes every node of x-plane x: it gathers the 19
-// post-collision values from the upwind neighbors (pull streaming with
-// boundary resolution) into the post-streaming buffer, recomputes the
-// node's density and velocity from exactly those values, and resets its
-// force to the uniform body force. Every collided value it reads is
-// stable by construction of the wavefront (see package doc), and every
-// write lands in the finalized node itself.
-func (s *Solver) finalizePlane(x, cur, next int, body [3]float64) {
-	if s.d32 != nil {
-		s.finalizePlane32(x, cur, next, body)
-		return
-	}
+// post-collision values from the upwind neighbors in src (pull streaming
+// with boundary resolution) into the post-streaming array dst, recomputes
+// the node's density and velocity from exactly those stored values, and
+// resets its force to the uniform body force. Pulled values move without
+// re-rounding; a reflected bounce-back value is computed in float64 and
+// rounded once on store. Every collided value it reads is stable by
+// construction of the wavefront (see package doc), and every write lands
+// in the finalized node itself.
+func finalizePlane[T lattice.Float](s *Solver, src, dst [][lattice.Q]T, x int, body [3]float64) {
 	g := s.Fluid
-	src, dst, macro := g.Dist(cur), g.Dist(next), g.Macros()
+	macro := g.Macros()
 	interiorX := x > 0 && x < g.NX-1
 	for y := 0; y < g.NY; y++ {
 		interiorY := interiorX && y > 0 && y < g.NY-1
@@ -331,115 +301,73 @@ func (s *Solver) finalizePlane(x, cur, next int, body [3]float64) {
 				cb := &src[idx]
 				for q := 0; q < lattice.Q; q++ {
 					oq := lattice.Opposite[q]
-					tx, ty, tz, refl, bounce := s.bc.Resolve(oq, x, y, z, cb[oq], m.Rho)
+					tx, ty, tz, refl, bounce := s.bc.Resolve(oq, x, y, z, float64(cb[oq]), m.Rho)
 					if bounce {
-						nb[q] = refl
+						nb[q] = T(refl)
 					} else {
 						nb[q] = src[g.Idx(tx, ty, tz)][q]
 					}
 				}
 			}
-			closeNode(m, nb, body)
-		}
-	}
-}
-
-// closeNode is the tail both finalizers share once a node's 19 values are
-// gathered: kernel 7 on exactly those values, then the folded force reset.
-func closeNode(m *grid.Macro, gathered *[lattice.Q]float64, body [3]float64) {
-	m.Rho = lattice.Moments(gathered, m.Force, &m.Vel)
-	m.Force = body
-}
-
-// finalizePlane32 is finalizePlane on the float32 storage. Pulled values
-// move between the buffers without re-rounding; the reflected bounce-back
-// value is computed in float64 and rounded once on store. The moments
-// read the rounded stored values, keeping the macroscopic state a pure
-// function of the float32 state.
-func (s *Solver) finalizePlane32(x, cur, next int, body [3]float64) {
-	g := s.Fluid
-	cb, nb, macro := s.d32.Buf(cur), s.d32.Buf(next), g.Macros()
-	interiorX := x > 0 && x < g.NX-1
-	var tmp [lattice.Q]float64
-	for y := 0; y < g.NY; y++ {
-		interiorY := interiorX && y > 0 && y < g.NY-1
-		planeBase := (x*g.NY + y) * g.NZ
-		for z := 0; z < g.NZ; z++ {
-			idx := planeBase + z
-			m := &macro[idx]
-			base := idx * lattice.Q
-			if interiorY && z > 0 && z < g.NZ-1 {
-				for q := 0; q < lattice.Q; q++ {
-					v := cb[(idx-s.streamDelta[q])*lattice.Q+q]
-					nb[base+q] = v
-					tmp[q] = float64(v)
-				}
-			} else {
-				for q := 0; q < lattice.Q; q++ {
-					oq := lattice.Opposite[q]
-					tx, ty, tz, refl, bounce := s.bc.Resolve(oq, x, y, z, float64(cb[base+oq]), m.Rho)
-					if bounce {
-						r := float32(refl)
-						nb[base+q] = r
-						tmp[q] = float64(r)
-					} else {
-						v := cb[g.Idx(tx, ty, tz)*lattice.Q+q]
-						nb[base+q] = v
-						tmp[q] = float64(v)
-					}
-				}
-			}
-			closeNode(m, &tmp, body)
+			m.Rho = lattice.Moments(nb, m.Force, &m.Vel)
+			m.Force = body
 		}
 	}
 }
 
 // Live returns the fluid grid at its current parity with the present
 // distributions readable at Dist(Cur()). In float32 mode the stored
-// values are widened — exactly — into the grid's present buffer first.
+// values are widened — exactly — into the grid's present array first.
 func (s *Solver) Live() *grid.Grid {
-	if s.d32 != nil {
-		// Shapes match by construction; the error path is unreachable.
-		if err := s.d32.Materialize(s.Fluid); err != nil {
-			panic(err)
-		}
+	g := s.Fluid
+	if f := s.f32[g.Cur()]; f != nil {
+		convert(g.Dist(g.Cur()), f)
 	}
-	return s.Fluid
+	return g
 }
 
-// TotalMass returns the summed present-buffer distribution mass. On
-// float32 storage it sums the stored values, widened, in node order — the
-// bits Live().TotalMass() would return, without widening the grid.
+// TotalMass returns the summed present distribution mass. On float32
+// storage it sums the stored values, widened, in node order — the bits
+// Live().TotalMass() would return, without widening the grid.
 func (s *Solver) TotalMass() float64 {
-	if s.d32 != nil {
-		return s.d32.TotalMass()
+	g := s.Fluid
+	if f := s.f32[g.Cur()]; f != nil {
+		return grid.TotalMass(f)
 	}
-	return s.Fluid.TotalMass()
+	return g.TotalMass()
 }
 
 // Loaded re-establishes the engine's invariants after the grid's present
-// buffer and records were overwritten from outside (a restored
-// checkpoint): the float32 storage is refreshed from the present buffer
+// array and records were overwritten from outside (a restored
+// checkpoint): the float32 storage is refreshed from the present array
 // and the force field is re-seeded with the body force.
 func (s *Solver) Loaded() {
-	if s.d32 != nil {
-		// Shapes match by construction; the error path is unreachable.
-		if err := s.d32.FromGrid(s.Fluid); err != nil {
-			panic(err)
-		}
+	g := s.Fluid
+	if f := s.f32[g.Cur()]; f != nil {
+		convert(f, g.Dist(g.Cur()))
 	}
-	core.SeedForce(s.Fluid.Macros(), s.BodyForce)
+	core.SeedForce(g.Macros(), s.BodyForce)
 }
 
 // CopyNodeDist overwrites node dst's present distribution with node
 // src's, in whichever storage mode is active — the perturbation seam the
 // crosscheck fault-injection selftest drives through FaultHook.
 func (s *Solver) CopyNodeDist(dst, src int) {
-	if s.d32 != nil {
-		cb := s.d32.Buf(s.d32.Cur())
-		copy(cb[dst*lattice.Q:(dst+1)*lattice.Q], cb[src*lattice.Q:(src+1)*lattice.Q])
+	g := s.Fluid
+	if f := s.f32[g.Cur()]; f != nil {
+		f[dst] = f[src]
 		return
 	}
-	df := s.Fluid.Dist(s.Fluid.Cur())
+	df := g.Dist(g.Cur())
 	df[dst] = df[src]
+}
+
+// convert stores src into dst value by value: a widening copy out of
+// float32 storage, which is exact, or a rounding one into it.
+func convert[D, S lattice.Float](dst [][lattice.Q]D, src [][lattice.Q]S) {
+	for i := range dst {
+		for q, v := range &src[i] {
+			dst[i][q] = D(v)
+		}
+	}
 }

@@ -158,14 +158,15 @@ func (g *Grid) Swap() { g.cur ^= 1 }
 // floating-point rounding), which the test suite exploits as an invariant.
 func (g *Grid) TotalMass() float64 { return TotalMass(g.dist[g.cur]) }
 
-// TotalMass sums dist node by node in slice order — the body behind
-// Grid.TotalMass and cube.Layout.TotalMass, whose results can differ in
-// the last bits because the two layouts order their nodes differently.
-func TotalMass(dist [][lattice.Q]float64) float64 {
+// TotalMass sums dist node by node in slice order, widened to float64 —
+// the body behind Grid.TotalMass, cube.Layout.TotalMass and the fused
+// engine's float32 storage. Grid and cube results can differ in the last
+// bits because the two layouts order their nodes differently.
+func TotalMass[T lattice.Float](dist [][lattice.Q]T) float64 {
 	sum := 0.0
 	for i := range dist {
 		for _, v := range &dist[i] {
-			sum += v
+			sum += float64(v)
 		}
 	}
 	return sum

@@ -202,6 +202,7 @@ func (s *Solver) Step() { s.Run(1) }
 
 // Run executes n time steps with the dynamic scheduler. Tasks from
 // adjacent steps overlap freely within the dependency constraints.
+//
 //lint:allow hotalloc -- worker goroutines spawn once per Run call and amortize over all n steps
 func (s *Solver) Run(n int) {
 	if n <= 0 {

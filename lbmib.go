@@ -26,8 +26,8 @@
 //   - Fused — the memory-aware engine: collide, stream, boundary
 //     handling, macroscopic update and the buffer swap fused into one
 //     pull-streaming sweep so each node is touched once per step, with
-//     an optional float32 distribution mode (Config.Float32) halving
-//     memory traffic (internal/fused).
+//     an optional float32 distribution mode (Config.Float32) under a
+//     relaxed differential contract (internal/fused).
 //
 // The engines produce numerically identical results (to floating-point
 // accumulation order); the parallel ones differ only in speed and memory
@@ -183,10 +183,12 @@ type Config struct {
 	// dimensions must be divisible by it.
 	CubeSize int
 	// Float32 stores the velocity distributions as float32 with the
-	// Fused engine (arithmetic stays float64), halving the sweep's
-	// memory traffic at the cost of a relaxed (~1e-5) differential
-	// contract vs the float64 engines; macroscopic fields, checkpoints
-	// and snapshots stay float64. Rejected with any other Solver.
+	// Fused engine (arithmetic stays float64) at the cost of a relaxed
+	// (~1e-5) differential contract vs the float64 engines; macroscopic
+	// fields, checkpoints and snapshots stay float64. The float32 arrays
+	// come on top of the grid's float64 ones (512 instead of 360 B per
+	// node), and the step shows no consistent gain over float64 on the
+	// host EXPERIMENTS.md measures. Rejected with any other Solver.
 	Float32 bool
 
 	// Telemetry, when non-nil, receives runtime metrics from the
