@@ -195,11 +195,11 @@ func TestHotAllocReach(t *testing.T) {
 	}
 	for _, name := range []string{
 		// shared bodies
-		"core.CollideRange", "(*core.Streamer).Block", "core.UpdateRange",
+		"core.CollideRange", "(*core.Streamer).Block", "core.FinalizeBlock", "core.UpdateRange",
 		"core.SpreadSheetNodes", "core.MoveSheetNodes", "(*core.SpreadAccum).SpreadStencil",
 		"lattice.Collide", "(*grid.Coupling).SpreadStencil", "(*grid.Coupling).InterpolateStencil",
-		// engine loops; the fused sweep and finaliser are generic
-		"fused.sweepOn", "fused.finalizePlane", "(*taskflow.Solver).execute", "(*omp.Solver).parallelFor",
+		// engine loops; the fused sweep is generic
+		"fused.sweepOn", "(*taskflow.Solver).execute", "(*omp.Solver).parallelFor",
 		// probe sinks, reached by interface dispatch
 		"(*telemetry.Tracer).Emit", "(*flightrec.Recorder).Emit", "(*perfmon.Profile).Emit",
 	} {

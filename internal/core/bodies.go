@@ -82,8 +82,8 @@ func CopyRange(dst, src [][lattice.Q]float64) { copy(dst, src) }
 // StreamBC resolves the boundary streaming of one (node, direction) pair:
 // the periodic wrap, the halfway bounce-back walls, and the moving-lid
 // momentum-exchange term (Ladd). Every engine streams boundary nodes
-// through the same Resolve body — the push engines via Streamer, the
-// fused pull sweep from its finalizers — so they cannot drift apart.
+// through the same Resolve body — the push engines via Streamer.Block,
+// the fused engine via FinalizeBlock — so they cannot drift apart.
 // Lattice velocities have components in {−1, 0, 1}, so wrapping needs
 // only a compare-and-add, not a modulo.
 type StreamBC struct {
@@ -136,8 +136,30 @@ func (bc *StreamBC) Resolve(q, x, y, z int, gi, rho float64) (tx, ty, tz int, re
 	return tx, ty, tz, 0, false
 }
 
-// Streamer is kernel 6's push-stream body bound to one layout and one set
-// of boundary conditions.
+// Streamer is kernel 6's stream geometry bound to one layout and one set
+// of boundary conditions: the per-axis index tables, where the fixed
+// stride holds, and the boundary resolution. Two bodies read it, one per
+// direction of data flow:
+//
+//   - Block pushes: node n writes its post-collision g_i into slot i of
+//     its downstream neighbour n+e_i. The sequential, omp, cube and
+//     taskflow engines run it between collide and update.
+//   - FinalizeBlock pulls: node n gathers slot q from its upwind
+//     neighbour n−e_q, then updates its own moments. The fused engine
+//     runs it inside its collide-then-finalise wavefront.
+//
+// The two are value-wise identical, slot by slot. Each post-streaming
+// slot (n, q) has exactly one push writer: either the upwind neighbour
+// n−e_q, periodic wrap included, or n itself reflecting direction
+// Opposite[q] off a bounce-back wall. StreamBC.Resolve(Opposite[q], n)
+// classifies exactly that dichotomy from the pull side. It reports a
+// bounce, with the Ladd lid term computed from n's own pre-update
+// density just as the push side computes it from the same node, or else
+// the wrapped coordinates of n+e_{Opposite[q]} = n−e_q, the upwind
+// source. The rest slot q = 0 is its own source. No arithmetic differs,
+// so an engine may stream in either direction and stay bitwise equal to
+// the others; both directions stay because each is the faster one in the
+// schedule that runs it (DESIGN.md §14).
 type Streamer struct {
 	l  Layout
 	bc StreamBC
@@ -201,6 +223,51 @@ func (s *Streamer) Block(b, cur int) {
 						dst[s.at[0][tx]+s.at[1][ty]+s.at[2][tz]][i] = f[i]
 					}
 				}
+				idx++
+			}
+		}
+	}
+}
+
+// FinalizeBlock completes every node of block b from the upwind side:
+// kernel 6 by pull, kernel 7, and the folded force reset. Each node
+// gathers its 19 post-streaming values from the post-collision values of
+// its upwind neighbours in src (see Streamer for why this equals Block's
+// push) into dst, then recomputes its density and velocity from exactly
+// those stored values and resets its force to body. src and dst may be
+// stored in either element type: pulled values move without re-rounding,
+// and a reflected bounce-back value is computed in float64 and rounded
+// once on store. The node's own src values and those of all its upwind
+// neighbours must be collided and stable; every write lands in the
+// finalized node itself, so concurrent calls on different blocks need no
+// synchronization.
+func FinalizeBlock[T lattice.Float](s *Streamer, src, dst [][lattice.Q]T, b int, body [3]float64) {
+	m := s.l.Macros()
+	o, e := s.l.BlockBox(b)
+	idx := b * e[0] * e[1] * e[2]
+	for x := o[0]; x < o[0]+e[0]; x++ {
+		for y := o[1]; y < o[1]+e[1]; y++ {
+			fixedXY := s.fixed[0][x] && s.fixed[1][y]
+			for z := o[2]; z < o[2]+e[2]; z++ {
+				n, g := &m[idx], &dst[idx]
+				if fixedXY && s.fixed[2][z] {
+					for q := 0; q < lattice.Q; q++ {
+						g[q] = src[idx-s.streamDelta[q]][q]
+					}
+				} else {
+					f := &src[idx]
+					for q := 0; q < lattice.Q; q++ {
+						oq := lattice.Opposite[q]
+						tx, ty, tz, refl, bounce := s.bc.Resolve(oq, x, y, z, float64(f[oq]), n.Rho)
+						if bounce {
+							g[q] = T(refl)
+						} else {
+							g[q] = src[s.at[0][tx]+s.at[1][ty]+s.at[2][tz]][q]
+						}
+					}
+				}
+				n.Rho = lattice.Moments(g, n.Force, &n.Vel)
+				n.Force = body
 				idx++
 			}
 		}

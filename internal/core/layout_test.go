@@ -127,26 +127,28 @@ func step(l core.Layout, st *core.Streamer, tau float64, cur int, reset *[3]floa
 	}
 }
 
+// conformanceBCs are the boundary cases the conformance test runs.
+var conformanceBCs = []struct {
+	name          string
+	bcx, bcy, bcz core.BC
+	lid           [3]float64
+}{
+	{name: "periodic"},
+	{name: "bounceback", bcx: core.BounceBack, bcz: core.BounceBack},
+	{name: "lid", bcy: core.BounceBack, bcz: core.BounceBack, lid: [3]float64{0.05, 0.01, 0}},
+}
+
 // TestLayoutConformance is the contract's executable statement: the same
 // state loaded into the slab grid and into cube layouts, advanced by the
 // same shared bodies — once ending in kernel 9's copy, once in the O(1)
 // swap, then again at the flipped parity — must stay bitwise equal, under
 // periodic, bounce-back and moving-lid boundaries, on cubic and non-cubic
 // grids, with every lattice direction crossing block and domain edges.
+// Its pull case holds the other direction of the same stream geometry.
 func TestLayoutConformance(t *testing.T) {
-	type bcCase struct {
-		name          string
-		bcx, bcy, bcz core.BC
-		lid           [3]float64
-	}
-	bcs := []bcCase{
-		{name: "periodic"},
-		{name: "bounceback", bcx: core.BounceBack, bcz: core.BounceBack},
-		{name: "lid", bcy: core.BounceBack, bcz: core.BounceBack, lid: [3]float64{0.05, 0.01, 0}},
-	}
 	for _, dims := range [][3]int{{8, 8, 8}, {8, 4, 12}} {
 		for _, k := range []int{2, 4} {
-			for _, bc := range bcs {
+			for _, bc := range conformanceBCs {
 				for _, end := range []string{"copy", "swap"} {
 					name := fmt.Sprintf("%dx%dx%d/k%d/%s/%s", dims[0], dims[1], dims[2], k, bc.name, end)
 					t.Run(name, func(t *testing.T) {
@@ -211,4 +213,69 @@ func TestLayoutConformance(t *testing.T) {
 			}
 		}
 	}
+	t.Run("pull", pullConformance)
+}
+
+// pullConformance states the pull half of the stream geometry: on the
+// slab grid and on cube layouts, collide followed by core.FinalizeBlock
+// over every block must leave every array bitwise equal to collide →
+// Streamer.Block → UpdateRange with the force reset, under every
+// conformance boundary case, at both buffer parities.
+func pullConformance(t *testing.T) {
+	body := [3]float64{2e-5, -1e-5, 3e-5}
+	dims := [3]int{8, 4, 12}
+	for _, k := range []int{0, 2, 4} { // 0 is the slab grid
+		for _, bc := range conformanceBCs {
+			t.Run(fmt.Sprintf("k%d/%s", k, bc.name), func(t *testing.T) {
+				p := core.Problem{Tau: 0.8, BCX: bc.bcx, BCY: bc.bcy, BCZ: bc.bcz, LidVelocity: bc.lid}
+				push, pull := twinLayout(t, dims, k), twinLayout(t, dims, k)
+				sbc := p.StreamBC(dims[0], dims[1], dims[2])
+				sPush, sPull := core.NewStreamer(push, sbc), core.NewStreamer(pull, sbc)
+				_, e := pull.BlockBox(0)
+				n := e[0] * e[1] * e[2]
+				for s := 0; s < 2; s++ {
+					cur := push.Cur()
+					if pull.Cur() != cur {
+						t.Fatalf("step %d: parities diverge", s)
+					}
+					step(push, sPush, p.Tau, cur, &body)
+					m := pull.Macros()
+					core.CollideRange(pull.Dist(cur), m, p.Tau)
+					for b := 0; b*n < len(m); b++ {
+						core.FinalizeBlock(sPull, pull.Dist(cur), pull.Dist(1-cur), b, body)
+					}
+					for j := range m {
+						if push.Macros()[j] != m[j] {
+							t.Fatalf("parity %d: node %d record: push %+v, pull %+v", cur, j, push.Macros()[j], m[j])
+						}
+						for b := 0; b < 2; b++ {
+							if push.Dist(b)[j] != pull.Dist(b)[j] {
+								t.Fatalf("parity %d: node %d buffer %d differs between push and pull", cur, j, b)
+							}
+						}
+					}
+					push.(interface{ Swap() }).Swap()
+					pull.(interface{ Swap() }).Swap()
+				}
+			})
+		}
+	}
+}
+
+// twinLayout loads randomState's seed-42 state into a slab grid (k = 0)
+// or a cube layout of edge k.
+func twinLayout(t *testing.T, dims [3]int, k int) core.Layout {
+	g := grid.New(dims[0], dims[1], dims[2])
+	randomState(g, 42)
+	if k == 0 {
+		return g
+	}
+	l, err := cube.NewLayout(dims[0], dims[1], dims[2], k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.FromGrid(g); err != nil {
+		t.Fatal(err)
+	}
+	return l
 }

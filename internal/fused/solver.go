@@ -10,27 +10,18 @@
 //
 // # Pull streaming
 //
-// The sequential reference and the OpenMP-style solver stream by pushing:
-// node s writes its post-collision value g_q into neighbor (s+e_q)'s
-// post-streaming buffer. The fused sweep inverts the data flow: node n
-// gathers slot q from its upwind neighbor n−e_q. The two are value-wise
-// identical, slot by slot:
-//
-//   - each post-streaming slot (n, q) has exactly one push writer — either
-//     the upwind neighbor n−e_q (periodic wrap included), or n itself
-//     reflecting direction opposite[q] off a bounce-back wall;
-//   - core.StreamBC.Resolve(opposite[q], n) classifies exactly that
-//     dichotomy from the pull side: it reports bounce (with the Ladd
-//     moving-lid term computed from n's own pre-update density, just as
-//     the push side computes it from the same node) or else returns the
-//     wrapped coordinates of n+e_{opposite[q]} = n−e_q, the upwind source;
-//   - the rest slot q = 0 is its own source.
-//
-// No arithmetic differs — the float64 fused engine is therefore bitwise
-// identical to the OpenMP-style engine at any thread count, and matches
-// the sequential reference under the same conditions that engine does
-// (exactly, except for the parallel force-spreading accumulation order
-// when multiple threads spread fiber forces).
+// The sequential reference and the other parallel engines stream by
+// pushing (core.Streamer.Block): node s writes its post-collision value
+// g_q into neighbor (s+e_q)'s post-streaming buffer. The fused sweep
+// pulls instead: core.FinalizeBlock has node n gather slot q from its
+// upwind neighbor n−e_q over the same stream geometry and the same
+// boundary body. Why the two directions are value-wise identical, slot by
+// slot, is argued once, on core.Streamer. No arithmetic differs — the
+// float64 fused engine is therefore bitwise identical to the OpenMP-style
+// engine at any thread count, and matches the sequential reference under
+// the same conditions that engine does (exactly, except for the parallel
+// force-spreading accumulation order when multiple threads spread fiber
+// forces).
 //
 // # The wavefront sweep
 //
@@ -49,7 +40,8 @@
 //	        finalize planes lo and hi−1          // need neighbor chunks' planes
 //	swap buffer parity
 //
-// Finalizing plane x−1 reads collided planes x−2..x, all inside the
+// Finalizing plane x−1 (block x−1 of the slab grid, by
+// core.FinalizeBlock) reads collided planes x−2..x, all inside the
 // thread's own chunk and still warm in cache; only the two chunk-edge
 // planes wait for the barrier because they read a neighboring thread's
 // planes. Region B is race-free: it reads only present-buffer values
@@ -97,8 +89,9 @@
 // mode holds 2·152 + 56 + 2·76 = 512 B per node against 360.
 //
 // Fiber kernels 1–4 and 8 are inherited unchanged from the OpenMP-style
-// solver (same team, same lock-free spreading), and the collision is
-// core.CollideRange, so only the pull sweep is this package's own code.
+// solver (same team, same lock-free spreading), the collision is
+// core.CollideRange and the finaliser core.FinalizeBlock, so only the
+// wavefront schedule is this package's own code.
 package fused
 
 import (
@@ -128,8 +121,7 @@ type Config struct {
 type Solver struct {
 	*omp.Solver
 
-	bc          core.StreamBC
-	streamDelta [lattice.Q]int
+	stream *core.Streamer
 	// f32[b] holds the distributions of the grid's Dist(b) in float32
 	// storage; both are nil in float64 mode.
 	f32          [2][][lattice.Q]float32
@@ -148,10 +140,9 @@ func NewSolver(cfg Config) (*Solver, error) {
 		return nil, err
 	}
 	s := &Solver{
-		Solver:      base,
-		bc:          base.StreamBC(cfg.NX, cfg.NY, cfg.NZ),
-		streamDelta: base.Fluid.StreamDeltas(),
-		barrier:     par.NewBarrier(base.Threads),
+		Solver:  base,
+		stream:  core.NewStreamer(base.Fluid, base.StreamBC(cfg.NX, cfg.NY, cfg.NZ)),
+		barrier: par.NewBarrier(base.Threads),
 	}
 	s.timedBarrier = par.TimedBarrier{B: s.barrier, Arrive: s.BarrierArrived}
 	if cfg.Float32 {
@@ -242,7 +233,7 @@ func sweepOn[T lattice.Float](s *Solver, src, dst [][lattice.Q]T) {
 		for x := lo; x < hi; x++ {
 			core.CollideRange(src[x*plane:(x+1)*plane], macro[x*plane:(x+1)*plane], tau)
 			if x >= lo+2 {
-				finalizePlane(s, src, dst, x-1, body)
+				core.FinalizeBlock(s.stream, src, dst, x-1, body)
 			}
 		}
 		if probe != nil {
@@ -252,9 +243,9 @@ func sweepOn[T lattice.Float](s *Solver, src, dst [][lattice.Q]T) {
 		if probe != nil {
 			t0 = time.Now()
 		}
-		finalizePlane(s, src, dst, lo, body)
+		core.FinalizeBlock(s.stream, src, dst, lo, body)
 		if hi-1 != lo {
-			finalizePlane(s, src, dst, hi-1, body)
+			core.FinalizeBlock(s.stream, src, dst, hi-1, body)
 		}
 		if probe != nil {
 			probe.Emit(core.Event{Kind: core.PhaseDone, Step: step, Tid: tid, Phase: core.PhaseUpdateVelocity, D: time.Since(t0)})
@@ -272,47 +263,6 @@ func (s *Solver) waitBarrier(site core.BarrierSite, tid, step int) {
 		return
 	}
 	s.timedBarrier.Wait(step, int(site), tid)
-}
-
-// finalizePlane completes every node of x-plane x: it gathers the 19
-// post-collision values from the upwind neighbors in src (pull streaming
-// with boundary resolution) into the post-streaming array dst, recomputes
-// the node's density and velocity from exactly those stored values, and
-// resets its force to the uniform body force. Pulled values move without
-// re-rounding; a reflected bounce-back value is computed in float64 and
-// rounded once on store. Every collided value it reads is stable by
-// construction of the wavefront (see package doc), and every write lands
-// in the finalized node itself.
-func finalizePlane[T lattice.Float](s *Solver, src, dst [][lattice.Q]T, x int, body [3]float64) {
-	g := s.Fluid
-	macro := g.Macros()
-	interiorX := x > 0 && x < g.NX-1
-	for y := 0; y < g.NY; y++ {
-		interiorY := interiorX && y > 0 && y < g.NY-1
-		base := (x*g.NY + y) * g.NZ
-		for z := 0; z < g.NZ; z++ {
-			idx := base + z
-			m, nb := &macro[idx], &dst[idx]
-			if interiorY && z > 0 && z < g.NZ-1 {
-				for q := 0; q < lattice.Q; q++ {
-					nb[q] = src[idx-s.streamDelta[q]][q]
-				}
-			} else {
-				cb := &src[idx]
-				for q := 0; q < lattice.Q; q++ {
-					oq := lattice.Opposite[q]
-					tx, ty, tz, refl, bounce := s.bc.Resolve(oq, x, y, z, float64(cb[oq]), m.Rho)
-					if bounce {
-						nb[q] = T(refl)
-					} else {
-						nb[q] = src[g.Idx(tx, ty, tz)][q]
-					}
-				}
-			}
-			m.Rho = lattice.Moments(nb, m.Force, &m.Vel)
-			m.Force = body
-		}
-	}
 }
 
 // Live returns the fluid grid at its current parity with the present

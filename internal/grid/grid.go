@@ -206,20 +206,6 @@ func MaxVelocity(macro []Macro) float64 {
 
 func speed2(v [3]float64) float64 { return v[0]*v[0] + v[1]*v[1] + v[2]*v[2] }
 
-// StreamDeltas returns, for each lattice direction, the flat-index offset
-// of the e_i neighbor of an interior node — the table the fused
-// pull-streaming sweep negates to find the node it gathers from (source
-// of direction q is the node at index − StreamDeltas()[q]). The
-// push-streaming engines derive the same offsets for any layout in
-// core.NewStreamer.
-func (g *Grid) StreamDeltas() [lattice.Q]int {
-	var d [lattice.Q]int
-	for i := 0; i < lattice.Q; i++ {
-		d[i] = (lattice.E[i][0]*g.NY+lattice.E[i][1])*g.NZ + lattice.E[i][2]
-	}
-	return d
-}
-
 // Clone returns a deep copy of the grid, used by the validation harness to
 // snapshot states for cross-solver comparison.
 func (g *Grid) Clone() *Grid {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"lbmib/internal/core"
-	"lbmib/internal/telemetry"
 )
 
 // CubeHeatmap accumulates the cube engine's block events — per-cube
@@ -22,8 +21,6 @@ type CubeHeatmap struct {
 	nanos   []atomic.Int64
 	counts  []atomic.Int64
 	lastTid []atomic.Int64
-	// threadNanos[tid*(NumPhases+1)+phase] backs the trace counter tracks.
-	threadNanos []atomic.Int64
 }
 
 // NewCubeHeatmap sizes a heatmap for a CX×CY×CZ cube mesh of k-sized
@@ -32,10 +29,9 @@ func NewCubeHeatmap(cx, cy, cz, k, threads int) *CubeHeatmap {
 	n := cx * cy * cz
 	return &CubeHeatmap{
 		cx: cx, cy: cy, cz: cz, k: k, threads: threads,
-		nanos:       make([]atomic.Int64, n*(core.NumPhases+1)),
-		counts:      make([]atomic.Int64, n*(core.NumPhases+1)),
-		lastTid:     make([]atomic.Int64, n),
-		threadNanos: make([]atomic.Int64, threads*(core.NumPhases+1)),
+		nanos:   make([]atomic.Int64, n*(core.NumPhases+1)),
+		counts:  make([]atomic.Int64, n*(core.NumPhases+1)),
+		lastTid: make([]atomic.Int64, n),
 	}
 }
 
@@ -52,7 +48,6 @@ func (h *CubeHeatmap) Emit(e core.Event) {
 	h.counts[c*(core.NumPhases+1)+int(p)].Add(1)
 	if tid >= 0 && tid < h.threads {
 		h.lastTid[c].Store(int64(tid) + 1)
-		h.threadNanos[tid*(core.NumPhases+1)+int(p)].Add(int64(d))
 	}
 }
 
@@ -172,21 +167,4 @@ func (h *CubeHeatmap) WriteTSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// EmitCounters writes one Chrome-trace counter sample per worker thread
-// into tr: a stacked per-phase breakdown of the nanoseconds the thread
-// spent on cube work, rendered by the trace viewer as counter tracks
-// alongside the phase slices.
-func (h *CubeHeatmap) EmitCounters(tr *telemetry.Tracer) {
-	if tr == nil {
-		return
-	}
-	for tid := 0; tid < h.threads; tid++ {
-		vals := make(map[string]any, core.NumPhases)
-		for p := core.Phase(1); p <= core.NumPhases; p++ {
-			vals[p.String()] = h.threadNanos[tid*(core.NumPhases+1)+int(p)].Load()
-		}
-		tr.Counter(tid, "cube_work_nanos", vals)
-	}
 }

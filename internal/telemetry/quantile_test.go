@@ -104,25 +104,3 @@ func TestQuantileExposition(t *testing.T) {
 		t.Fatal("lat_seconds series missing from JSON snapshot")
 	}
 }
-
-func TestTracerCounterEvents(t *testing.T) {
-	tr := NewTracer()
-	tr.Counter(2, "cube load (ns)", map[string]any{"thread 2": 1234})
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.TraceEvents) != 1 {
-		t.Fatalf("got %d events, want 1", len(doc.TraceEvents))
-	}
-	ev := doc.TraceEvents[0]
-	if ev["ph"] != "C" || ev["name"] != "cube load (ns)" {
-		t.Errorf("unexpected counter event %v", ev)
-	}
-}

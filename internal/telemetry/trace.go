@@ -92,21 +92,6 @@ func (t *Tracer) slice(tid int, name, cat string, d time.Duration, step int) {
 	t.mu.Unlock()
 }
 
-// Counter appends a Chrome trace "C" counter sample on track tid at the
-// current time. Each key of values becomes one stacked series in the
-// viewer — the per-cube heatmap uses this to render per-thread load as
-// counter tracks alongside the phase slices.
-func (t *Tracer) Counter(tid int, name string, values map[string]any) {
-	now := time.Now()
-	t.mu.Lock()
-	t.events = append(t.events, traceEvent{
-		Name: name, Phase: "C",
-		TS:  float64(now.Sub(t.start).Microseconds()),
-		PID: 1, TID: tid, Args: values,
-	})
-	t.mu.Unlock()
-}
-
 // FlowStart appends a Chrome trace flow-start ("s") event on track tid
 // at the current time. Flow events with the same id are drawn as an
 // arrow from the start to the end — the critical-path profiler emits a

@@ -10,7 +10,10 @@
 # planes across one parallel region; the perfmon profile — Table I/II
 # accumulators, step ring and crossing ring of the critical-path report
 # — is written from all workers; par's timed barrier wraps the team
-# barrier), a seeded cross-engine differential sweep, three native-fuzz
+# barrier; perfsim, cachesim and machine are left out: they start no
+# goroutine and use no channel or atomic, so racing them checks nothing,
+# and perfsim's cache replays were most of the race step's wall time),
+# a seeded cross-engine differential sweep, three native-fuzz
 # smokes, the flight-recorder smoke (whose bundle must carry the
 # critical-path report), a bundle-replay smoke, a recorder-free watchdog
 # smoke, and the repo benchmark's verification pass on every workload.
@@ -85,7 +88,18 @@ if grep -rn 'grid\.Node\b' --include='*.go' \
 	exit 1
 fi
 
-go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/taskflow/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/perfsim/...
+# One boundary body. Both stream directions resolve walls, wrap and the
+# moving lid through core.StreamBC.Resolve, called only from the shared
+# bodies (core.Streamer.Block pushes, core.FinalizeBlock pulls); an engine
+# that resolves a boundary itself can drift from the others: no non-test
+# file outside internal/core calls it.
+if grep -rn '\.Resolve(' --include='*.go' . | grep -v '^\./internal/core/' |
+	grep -v '_test\.go:'; then
+	echo "a boundary is resolved outside the shared bodies; stream through core.Streamer" >&2
+	exit 1
+fi
+
+go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/taskflow/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/...
 
 # Cross-engine differential smoke: 10 seeded cases on every engine,
 # including the fused engine in both storage modes (float64 on the
