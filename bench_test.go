@@ -17,7 +17,6 @@ import (
 	"lbmib/internal/machine"
 	"lbmib/internal/omp"
 	"lbmib/internal/perfmon"
-	"lbmib/internal/taskflow"
 )
 
 func benchSheet() *fiber.Sheet {
@@ -139,45 +138,6 @@ func BenchmarkSolverStep(b *testing.B) {
 			s.Step()
 		}
 		reportMLUPS(b)
-	})
-	b.Run("taskflow-4wrk-k8", func(b *testing.B) {
-		s, err := taskflow.NewSolver(taskflow.Config{Config: benchConfig(), CubeSize: 8, Workers: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Step()
-		}
-		reportMLUPS(b)
-	})
-}
-
-// BenchmarkExtensionTaskflowVsBarriers contrasts the barrier-synchronized
-// cube solver against the task-scheduled extension on identical inputs —
-// the paper's future-work claim that dynamic task scheduling can remove
-// global synchronizations.
-func BenchmarkExtensionTaskflowVsBarriers(b *testing.B) {
-	b.Run("barriers", func(b *testing.B) {
-		s, err := cubesolver.NewSolver(cubesolver.Config{Config: benchConfig(), CubeSize: 8, Threads: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Step()
-		}
-	})
-	b.Run("taskflow", func(b *testing.B) {
-		s, err := taskflow.NewSolver(taskflow.Config{Config: benchConfig(), CubeSize: 8, Workers: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Step()
-		}
 	})
 }
 

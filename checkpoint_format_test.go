@@ -32,14 +32,14 @@ func formatConfig(e sampledEngine, threads int) Config {
 
 // bitwiseGroup names the trajectory engine e follows from a given state
 // at a thread count, with a sheet: engines in one group step bit for bit
-// alike. One thread, sequential and taskflow replay the sequential
-// reference (crosscheck.Deterministic); the float64 fused sweep equals
+// alike. One thread and sequential replay the sequential reference
+// (crosscheck.Deterministic); the float64 fused sweep equals
 // omp at any thread count; float32 storage rounds differently from all.
 func bitwiseGroup(e sampledEngine, threads int) string {
 	switch {
 	case e.float32:
 		return "f32"
-	case threads == 1 || e.kind == Sequential || e.kind == TaskScheduled:
+	case threads == 1 || e.kind == Sequential:
 		return "sequential"
 	case e.kind == Fused:
 		return "omp"
@@ -140,7 +140,6 @@ func TestCheckpointV1Fixture(t *testing.T) {
 		"sequential": {seqHash, seqHash},
 		"omp":        {seqHash, "f5d75c5392093889836c2c4a4ee303e0f7e966a9e22870b8a3178d727295b294"},
 		"cube":       {seqHash, "31eb3a74b969e5b786b8ef9f03526efdfc8f7cddaf166c724873bab686eb1538"},
-		"taskflow":   {seqHash, seqHash},
 		"fused":      {seqHash, "f5d75c5392093889836c2c4a4ee303e0f7e966a9e22870b8a3178d727295b294"},
 		"fused-f32": {"a09ab5d7b95f7757ffe1fa52bba055bc9f0719b87eb221a3d95f1b49bf445fb6",
 			"97aac3c0d98080da90085f76d6698bd0ec2c34df850cc408688cdf2e352739e0"},

@@ -2,7 +2,7 @@
 // differential checker (internal/crosscheck). It generates seeded
 // randomized configurations, executes each on every applicable engine
 // (sequential, omp, the fused single-sweep engine in float64 and
-// float32 storage, and — on cube-divisible grids — cube and taskflow),
+// float32 storage, and — on cube-divisible grids — cube),
 // holds the results to the per-engine equivalence contract, and applies
 // the physics, metamorphic and checkpoint round-trip oracles.
 //

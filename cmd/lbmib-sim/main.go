@@ -29,7 +29,7 @@ func main() {
 	log.SetPrefix("lbmib-sim: ")
 
 	var (
-		solverName  = flag.String("solver", "seq", "engine: seq, omp, cube, taskflow or fused")
+		solverName  = flag.String("solver", "seq", "engine: seq, omp, cube or fused")
 		float32Dist = flag.Bool("float32", false, "store distributions in float32 (fused engine only; ~1e-5 contract, 512 instead of 360 B/node)")
 		nx          = flag.Int("nx", 32, "fluid nodes along x")
 		ny          = flag.Int("ny", 32, "fluid nodes along y")

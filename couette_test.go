@@ -30,7 +30,6 @@ func TestCouetteLinearProfile(t *testing.T) {
 		{Sequential, false, 1e-12, 1e-9},
 		{OpenMP, false, 1e-12, 1e-9},
 		{CubeBased, false, 1e-12, 1e-9},
-		{TaskScheduled, false, 1e-12, 1e-9},
 		{Fused, false, 1e-12, 1e-9},
 		{Fused, true, 2e-6, 2e-6},
 	}

@@ -389,45 +389,6 @@ func TestContentionOmpStepLog(t *testing.T) {
 	}
 }
 
-// TestContentionTaskflowPhases checks the task-scheduled engine reports
-// per-phase worker times through the facade and that the imbalance
-// rollup covers it.
-func TestContentionTaskflowPhases(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	sim, err := New(Config{
-		NX: 16, NY: 16, NZ: 16, Tau: 0.7,
-		BodyForce: [3]float64{1e-5, 0, 0},
-		Sheet:     telemetrySheet(),
-		Solver:    TaskScheduled, Threads: 4, CubeSize: 4,
-		Telemetry: reg,
-		CritPath:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-	sim.Run(3)
-
-	// Every cube task body lands in the phase histograms: 3 steps × 64
-	// cubes of collide_stream.
-	h := reg.Histogram("lbmib_phase_seconds", "", telemetry.ExpBuckets(1e-5, 2, 18),
-		telemetry.L("phase", "collide_stream"))
-	if got, want := h.Count(), uint64(3*64); got != want {
-		t.Fatalf("collide_stream observations = %d, want %d (steps × cubes)", got, want)
-	}
-	r, ok := sim.CritPathReport()
-	if !ok || r.ImbalanceRatio < 1 {
-		t.Fatalf("taskflow imbalance rollup: ok=%v report=%+v", ok, r)
-	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `lbmib_load_imbalance_ratio{engine="taskflow",phase="total"}`) {
-		t.Error("exposition missing taskflow imbalance gauge")
-	}
-}
-
 // TestContentionDisabledUntouched pins the zero-overhead contract: with
 // CritPath off the report is unavailable and the step log carries no
 // attribution fields.

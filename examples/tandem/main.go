@@ -34,7 +34,7 @@ func main() {
 		BodyForce: [3]float64{4e-5, 0, 0},
 		BoundaryZ: lbmib.NoSlip,
 		Sheets:    []*lbmib.SheetConfig{mkSheet(10), mkSheet(10 + gap)},
-		Solver:    lbmib.TaskScheduled,
+		Solver:    lbmib.CubeBased,
 		Threads:   4,
 		CubeSize:  8,
 	})
@@ -43,7 +43,7 @@ func main() {
 	}
 	defer sim.Close()
 
-	fmt.Printf("two %d-node sheets in tandem, %d steps (task-scheduled engine)\n",
+	fmt.Printf("two %d-node sheets in tandem, %d steps (cube engine)\n",
 		12*12, steps)
 	fmt.Println("step   upstream-x   downstream-x   separation")
 	for done := 0; done < steps; {

@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lbmib/internal/flightrec"
@@ -273,6 +274,17 @@ func TestPostMortemReplay(t *testing.T) {
 	}
 }
 
+// A bundle written while the task-scheduled engine existed names it in
+// run.solver. It still decodes, but rebuilding its Config (what
+// lbmib-postmortem -replay does) reports the retired name as an unknown
+// solver instead of replaying on some other engine, or panicking.
+func TestConfigFromRunSpecRejectsRetiredSolver(t *testing.T) {
+	spec := flightrec.RunSpec{NX: 8, NY: 8, NZ: 8, Tau: 0.7, Solver: "taskflow", Threads: 2, CubeSize: 4}
+	if _, err := ConfigFromRunSpec(spec); err == nil || !strings.Contains(err.Error(), `unknown solver "taskflow"`) {
+		t.Fatalf("ConfigFromRunSpec(solver taskflow) error = %v, want unknown solver", err)
+	}
+}
+
 // TestFlightRecorderRingSpeaksStepCount pins the step numbering every
 // sink shares: an engine stamps events with its own 0-based step index,
 // the driver records aggregates under Simulation.StepCount(), and the
@@ -280,7 +292,7 @@ func TestPostMortemReplay(t *testing.T) {
 // Restore. At the parent of this test the ring paired step n's wall time
 // with step n+1's timings: a phantom step-0 record, and an empty last one.
 func TestFlightRecorderRingSpeaksStepCount(t *testing.T) {
-	for _, kind := range []SolverKind{Sequential, OpenMP, CubeBased, TaskScheduled, Fused} {
+	for _, kind := range []SolverKind{Sequential, OpenMP, CubeBased, Fused} {
 		for _, restoredAt := range []int{0, 3} {
 			t.Run(fmt.Sprintf("%v/from%d", kind, restoredAt), func(t *testing.T) {
 				const threads, steps = 2, 3

@@ -8,15 +8,13 @@ import (
 
 // Running the same configuration twice must reproduce — and the
 // strength of "reproduce" is the documented per-engine contract. The
-// sequential engine runs in program order and the task-scheduled engine
-// spreads fiber forces as a single task, so both are bitwise
-// reproducible at any thread count. The omp and cube engines accumulate
-// spread forces from concurrent threads under locks (baseCfg has a
-// sheet and Threads > 1), so their reruns agree only to
-// accumulation-order noise.
+// sequential engine runs in program order, so it is bitwise
+// reproducible. The omp and cube engines accumulate spread forces from
+// concurrent threads under locks (baseCfg has a sheet and Threads > 1),
+// so their reruns agree only to accumulation-order noise.
 func TestDeterministicReruns(t *testing.T) {
-	bitwise := map[SolverKind]bool{Sequential: true, TaskScheduled: true}
-	for _, kind := range []SolverKind{Sequential, OpenMP, CubeBased, TaskScheduled} {
+	bitwise := map[SolverKind]bool{Sequential: true}
+	for _, kind := range []SolverKind{Sequential, OpenMP, CubeBased} {
 		run := func() ([3]float64, [][3]float64) {
 			s, err := New(baseCfg(kind))
 			if err != nil {

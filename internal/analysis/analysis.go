@@ -6,8 +6,7 @@
 //
 //   - lockcheck — every Lock/TryLock-success path releases its mutex on
 //     all control-flow paths, and nested acquisitions form no ordering
-//     cycle (taskflow's hand-over-hand worker loop, par.Barrier's
-//     crossings, and the sinks' mutexes);
+//     cycle (par.Barrier's crossings and the sinks' mutexes);
 //   - barriercheck — barrier waits in the worker loops must not be
 //     control-dependent on thread-varying conditions, and barrier site
 //     counts must match across divergent branches (Algorithm 4's

@@ -199,7 +199,7 @@ func TestHotAllocReach(t *testing.T) {
 		"core.SpreadSheetNodes", "core.MoveSheetNodes", "(*core.SpreadAccum).SpreadStencil",
 		"lattice.Collide", "(*grid.Coupling).SpreadStencil", "(*grid.Coupling).InterpolateStencil",
 		// engine loops; the fused sweep is generic
-		"fused.sweepOn", "(*taskflow.Solver).execute", "(*omp.Solver).parallelFor",
+		"fused.sweepOn", "(*omp.Solver).parallelFor",
 		// probe sinks, reached by interface dispatch
 		"(*telemetry.Tracer).Emit", "(*flightrec.Recorder).Emit", "(*perfmon.Profile).Emit",
 	} {
@@ -212,13 +212,13 @@ func TestHotAllocReach(t *testing.T) {
 // TestImportDirection pins which way the event contract points: the
 // sinks depend (transitively) on the vocabulary in internal/core and on
 // no engine, and fused — which may build on omp, whose solver it embeds
-// — and taskflow take no names from cubesolver.
+// — takes no names from cubesolver.
 func TestImportDirection(t *testing.T) {
 	p := sharedProgram(t)
-	engines := []string{"cubesolver", "omp", "fused", "taskflow"}
+	engines := []string{"cubesolver", "omp", "fused"}
 	for from, banned := range map[string][]string{
 		"telemetry": engines, "flightrec": engines, "perfmon": engines,
-		"fused": {"cubesolver"}, "taskflow": {"cubesolver"},
+		"fused": {"cubesolver"},
 	} {
 		pkg, err := p.LoadDir(filepath.Join("..", from))
 		if err != nil {

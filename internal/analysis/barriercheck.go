@@ -9,7 +9,7 @@ import (
 
 // BarrierCheck proves the barrier choreography of Algorithm 4: a global
 // barrier only works if every thread reaches it, so inside the worker
-// loops of the parallel engines (cubesolver, fused, omp, taskflow, par)
+// loops of the parallel engines (cubesolver, fused, omp, par)
 // a barrier Wait/Arrive must never be control-dependent on a
 // thread-varying condition, divergent branches must contain the same
 // number of barrier sites, and no thread-dependent early exit may skip
@@ -25,7 +25,7 @@ var BarrierCheck = &Analyzer{
 	Doc:  "barrier waits must be unconditional per thread and match across branches",
 	Scope: func(pkgPath string) bool {
 		for _, p := range []string{
-			"internal/cubesolver", "internal/fused", "internal/omp", "internal/taskflow", "internal/par",
+			"internal/cubesolver", "internal/fused", "internal/omp", "internal/par",
 		} {
 			if hasSuffixPath(pkgPath, p) {
 				return true

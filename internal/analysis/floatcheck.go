@@ -21,7 +21,7 @@ var FloatCheck = &Analyzer{
 		for _, p := range []string{
 			"internal/core", "internal/grid", "internal/cube", "internal/lattice",
 			"internal/ibm", "internal/fiber", "internal/cubesolver", "internal/omp",
-			"internal/taskflow", "internal/validate",
+			"internal/validate",
 		} {
 			if hasSuffixPath(pkgPath, p) {
 				return true

@@ -142,8 +142,8 @@ func (bc *StreamBC) Resolve(q, x, y, z int, gi, rho float64) (tx, ty, tz int, re
 // direction of data flow:
 //
 //   - Block pushes: node n writes its post-collision g_i into slot i of
-//     its downstream neighbour n+e_i. The sequential, omp, cube and
-//     taskflow engines run it between collide and update.
+//     its downstream neighbour n+e_i. The sequential, omp and cube
+//     engines run it between collide and update.
 //   - FinalizeBlock pulls: node n gathers slot q from its upwind
 //     neighbour n−e_q, then updates its own moments. The fused engine
 //     runs it inside its collide-then-finalise wavefront.

@@ -4,19 +4,19 @@
 // The loop bodies of the nine kernels exist once, here (bodies.go,
 // spread.go), written against the block-layout contract Layout that the
 // slab grid and the cube layout both satisfy. An engine — this package's
-// sequential Solver, internal/omp, internal/cubesolver,
-// internal/taskflow, internal/fused — is a schedule: it decides which
-// thread runs which body over which blocks and where the barriers stand,
-// and restates none of the arithmetic, which is what keeps the engines
-// bitwise comparable. The arithmetic of a fluid node itself — collision
-// with forcing, and the moments — is one level further down, in
-// lattice.Collide and lattice.Moments; CollideRange and UpdateRange are
-// loops over them, and the fused engine's float32 storage path, the one
-// place that cannot hand CollideRange a float64 distribution array,
-// widens a node's 19 values and calls the same two functions. Likewise a fiber node's
-// 64 stencil points: SpreadSheetNodes and MoveSheetNodes make one call per
-// fiber node, and the point loops, with the periodic wrap, are
-// grid.Coupling's and, for private buffers, SpreadAccum.SpreadStencil's.
+// sequential Solver, internal/omp, internal/cubesolver, internal/fused —
+// is a schedule: it decides which thread runs which body over which
+// blocks and where the barriers stand, and restates none of the
+// arithmetic, which is what keeps the engines bitwise comparable. The
+// arithmetic of a fluid node itself — collision with forcing, and the
+// moments — is one level further down, in lattice.Collide and
+// lattice.Moments; CollideRange and UpdateRange are loops over them, and
+// the fused engine's float32 storage path, the one place that cannot hand
+// CollideRange a float64 distribution array, widens a node's 19 values
+// and calls the same two functions. Likewise a fiber node's 64 stencil
+// points: SpreadSheetNodes and MoveSheetNodes make one call per fiber
+// node, and the point loops, with the periodic wrap, are grid.Coupling's
+// and, for private buffers, SpreadAccum.SpreadStencil's.
 //
 // The sequential Solver keeps the kernel decomposition exactly as
 // published — Algorithm 1, including kernel 9's explicit buffer copy,

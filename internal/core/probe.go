@@ -4,8 +4,8 @@ package core
 import "time"
 
 // Phase identifies one of the five loop nests of Algorithm 4 — the
-// per-thread segment vocabulary of the cube, task-scheduled and fused
-// engines (the sequential and loop-parallel engines report Kernels).
+// per-thread segment vocabulary of the cube and fused engines (the
+// sequential and loop-parallel engines report Kernels).
 type Phase int
 
 // The five loop nests of Algorithm 4.
@@ -94,8 +94,9 @@ const (
 	// reused by the next region: read it, do not keep it.
 	RegionDone
 	// PhaseDone: thread Tid spent D in loop nest Phase (cube and fused
-	// engines: once per thread that ran the phase) or in one task of it
-	// (task-scheduled engine: many per step and thread).
+	// engines: once per thread that ran the phase). A schedule may
+	// report a phase in several slices per step and thread; consumers
+	// sum them.
 	PhaseDone
 	// BarrierArrive: thread Tid passed crossing Crossing of barrier Site
 	// (the number is unique per release of the engine's barrier) as the

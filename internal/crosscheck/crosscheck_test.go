@@ -117,11 +117,11 @@ func someCount[K comparable](m map[K]int, want int) bool {
 }
 
 // TestEnginesPinned fixes the engine set: one mode per facade engine
-// (two for fused's storage modes), the cube-layout pair only on shapes
-// they accept, and the same set with or without an immersed structure.
+// (two for fused's storage modes), the cube engine only on shapes it
+// accepts, and the same set with or without an immersed structure.
 func TestEnginesPinned(t *testing.T) {
 	slab := []Engine{EngineSequential, EngineOMP, EngineFused, EngineFusedF32}
-	cubes := append(append([]Engine(nil), slab...), EngineCube, EngineTaskflow)
+	cubes := append(append([]Engine(nil), slab...), EngineCube)
 	sheet := []*lbmib.SheetConfig{{NumFibers: 4, NodesPerFiber: 4, Width: 3, Height: 3}}
 	for _, tc := range []struct {
 		name       string

@@ -40,7 +40,7 @@ func FuzzGen(f *testing.F) {
 		}
 		// Engine admission must match divisibility.
 		for _, e := range Engines(c) {
-			if (e == EngineCube || e == EngineTaskflow) && !CubeDivisible(c) {
+			if e == EngineCube && !CubeDivisible(c) {
 				t.Fatalf("seed %d: cube engine admitted on indivisible grid", seed)
 			}
 		}

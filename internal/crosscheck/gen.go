@@ -206,7 +206,7 @@ func genDense(r *rand.Rand, nx, ny, nz int) []*lbmib.SheetConfig {
 }
 
 // CubeDivisible reports whether the case's grid is divisible by its cube
-// size on every axis — the cube-layout engines' admission condition.
+// size on every axis — the cube engine's admission condition.
 func CubeDivisible(c Case) bool {
 	k := c.Config.CubeSize
 	return k > 0 && c.Config.NX%k == 0 && c.Config.NY%k == 0 && c.Config.NZ%k == 0

@@ -24,33 +24,30 @@ const (
 	EngineSequential Engine = "sequential"
 	EngineOMP        Engine = "omp"
 	EngineCube       Engine = "cube"
-	EngineTaskflow   Engine = "taskflow"
 	EngineFused      Engine = "fused"
 	EngineFusedF32   Engine = "fused-f32"
 )
 
-// Engines returns the engines applicable to the case. The cube-layout
-// engines require every grid edge to be divisible by the cube size; for
-// indivisible shapes the Runner instead asserts that they reject the
+// Engines returns the engines applicable to the case. The cube engine
+// requires every grid edge to be divisible by the cube size; for
+// indivisible shapes the Runner instead asserts that it rejects the
 // configuration.
 func Engines(c Case) []Engine {
 	es := []Engine{EngineSequential, EngineOMP, EngineFused, EngineFusedF32}
 	if CubeDivisible(c) {
-		es = append(es, EngineCube, EngineTaskflow)
+		es = append(es, EngineCube)
 	}
 	return es
 }
 
 // Deterministic reports whether engine e replays the exact same
 // floating-point trajectory for this case — the bitwise half of the
-// equivalence contract. Sequential executes one thread in program order;
-// taskflow spreads fiber forces as a single task and all cube tasks
-// write disjoint data, so it is bitwise at any worker count. The omp,
-// fused and cube engines group multi-threaded spread sums per thread —
-// reproducible run to run at a fixed thread count, but a different
-// floating-point order from the sequential reference's fiber order — so
-// with an immersed structure and more than one thread their low-order
-// bits differ from the reference.
+// equivalence contract. Sequential executes one thread in program order.
+// The omp, fused and cube engines group multi-threaded spread sums per
+// thread — reproducible run to run at a fixed thread count, but a
+// different floating-point order from the sequential reference's fiber
+// order — so with an immersed structure and more than one thread their
+// low-order bits differ from the reference.
 //
 // Note this is about trajectory reproducibility, which the float32 fused
 // mode has too (its rounding is deterministic): it governs round-trip
@@ -58,12 +55,7 @@ func Engines(c Case) []Engine {
 // a separate question — see contractFor, which keeps fused-f32 on the
 // relaxed Tol32 contract regardless.
 func Deterministic(e Engine, c Case) bool {
-	switch e {
-	case EngineOMP, EngineCube, EngineFused, EngineFusedF32:
-		return c.Config.Threads == 1 || len(c.Config.Sheets) == 0
-	default:
-		return true
-	}
+	return e == EngineSequential || c.Config.Threads == 1 || len(c.Config.Sheets) == 0
 }
 
 // contractFor resolves the differential contract engine e owes the
@@ -175,8 +167,6 @@ func solverKind(e Engine) lbmib.SolverKind {
 		return lbmib.OpenMP
 	case EngineCube:
 		return lbmib.CubeBased
-	case EngineTaskflow:
-		return lbmib.TaskScheduled
 	case EngineFused, EngineFusedF32:
 		return lbmib.Fused
 	default:
@@ -229,15 +219,13 @@ func (r *Runner) Run(c Case) Result {
 		res.Failures = append(res.Failures, "sequential: "+f)
 	}
 
-	// Cube-layout engines must reject indivisible shapes.
+	// The cube engine must reject indivisible shapes.
 	if !CubeDivisible(c) {
-		for _, e := range []Engine{EngineCube, EngineTaskflow} {
-			if eng, err := r.newEngine(c, e); err == nil {
-				eng.Close()
-				res.Failures = append(res.Failures,
-					fmt.Sprintf("%s accepted indivisible grid %d×%d×%d with cube size %d",
-						e, c.Config.NX, c.Config.NY, c.Config.NZ, c.Config.CubeSize))
-			}
+		if eng, err := r.newEngine(c, EngineCube); err == nil {
+			eng.Close()
+			res.Failures = append(res.Failures,
+				fmt.Sprintf("%s accepted indivisible grid %d×%d×%d with cube size %d",
+					EngineCube, c.Config.NX, c.Config.NY, c.Config.NZ, c.Config.CubeSize))
 		}
 	}
 
@@ -354,8 +342,8 @@ func compareStates(a, b state, tol float64) (float64, []string) {
 // roundTrips checkpoints a fresh run of the case mid-way, restores it,
 // finishes the run and demands the restored trajectory land on the
 // uninterrupted one — bitwise for deterministic engines, within Tol
-// otherwise. It exercises the sequential engine, the first applicable
-// cube-layout engine (or omp when the shape is indivisible), and both
+// otherwise. It exercises the sequential engine, the cube engine (or
+// omp when the shape is indivisible), and both
 // fused modes — fused-f32 crossing the float32↔float64 checkpoint
 // boundary, which must be exact because widening is.
 func (r *Runner) roundTrips(c Case) []string {

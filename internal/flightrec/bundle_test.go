@@ -240,3 +240,36 @@ func TestReadBundleIgnoresRetiredClusterField(t *testing.T) {
 		t.Fatalf("kernelSeconds lost beside the retired field: %g", ks)
 	}
 }
+
+// Bundles written while the task-scheduled engine existed name it in
+// run.solver. The engine is retired, but such a bundle must still decode
+// with its run spec as written: replaying it is the caller's decision.
+func TestReadBundleKeepsRetiredSolverName(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "bundle")
+	r := buildFailedRun(t, dir)
+	if _, err := r.WriteBundle("watchdog", nil); err != nil {
+		t.Fatal(err)
+	}
+	manPath := filepath.Join(dir, ManifestFile)
+	raw, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(raw), `"solver": "cube"`, `"solver": "taskflow"`, 1)
+	if old == string(raw) {
+		t.Fatal("manifest.json has no cube solver to rename")
+	}
+	if err := os.WriteFile(manPath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReadBundle(dir)
+	if err != nil {
+		t.Fatalf("bundle naming the retired engine rejected: %v", err)
+	}
+	if m := b.Manifest; m.Run == nil || m.Run.Solver != "taskflow" || m.Run.CubeSize != 4 || m.LastStep != 10 {
+		t.Fatalf("manifest = %+v, run %+v", m, m.Run)
+	}
+	if len(b.Records) != 10 {
+		t.Fatalf("decoded %d records, want 10", len(b.Records))
+	}
+}

@@ -427,8 +427,9 @@ func TestCriticalTimeSumsSpreadRegions(t *testing.T) {
 	}
 }
 
-// TestCriticalTimeTaskflowTasks pins the phase rule for the task-scheduled
-// engine, which reports one slice per task: a step's critical time is the
+// TestCriticalTimeTaskflowTasks pins the phase rule for a schedule that
+// reports a phase in several slices per thread, one per task (as the
+// retired task-scheduled engine did): a step's critical time is the
 // largest per-thread sum of slices, and that thread is the step's slowest.
 func TestCriticalTimeTaskflowTasks(t *testing.T) {
 	tasks := [][]time.Duration{{100 * us, 200 * us, 300 * us}, {400 * us, 150 * us, 100 * us}}

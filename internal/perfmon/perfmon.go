@@ -217,8 +217,8 @@ func (p *Profile) claim(s *stepSlot, step int) {
 }
 
 // phaseDone books one thread's slice of a phase. A phase's critical time
-// in a step is its slowest thread's summed slices: the task-scheduled
-// engine reports one slice per task, many per thread and step.
+// in a step is its slowest thread's summed slices, so a schedule may
+// report a phase in several slices per thread and step.
 func (p *Profile) phaseDone(step, seg, tid int, d time.Duration) {
 	i := seg*p.threads + tid
 	p.busy[i].Add(int64(d))

@@ -12,7 +12,7 @@
 // interpolated fluid velocity (the nine kernels of the paper's
 // Algorithm 1).
 //
-// Five interchangeable engines implement the same physics:
+// Four interchangeable engines implement the same physics:
 //
 //   - Sequential — the reference implementation (paper Section III);
 //   - OpenMP — loop-level parallelism with a worker team and an implicit
@@ -20,14 +20,16 @@
 //   - CubeBased — the paper's data-centric contribution: the fluid lives
 //     in contiguous k×k×k cubes owned by threads of a P×Q×R mesh, with a
 //     minimal number of global barriers per step (Section V);
-//   - TaskScheduled — the paper's future work, implemented: the cube
-//     solver with global barriers replaced by dynamic task scheduling
-//     (Section VIII);
 //   - Fused — the memory-aware engine: collide, stream, boundary
 //     handling, macroscopic update and the buffer swap fused into one
 //     pull-streaming sweep so each node is touched once per step, with
 //     an optional float32 distribution mode (Config.Float32) under a
 //     relaxed differential contract (internal/fused).
+//
+// The three parallel engines run their workers on one team type
+// (internal/par). The paper's future work, a task-scheduled cube engine
+// (Section VIII), is not among them: it was built, was fastest on no
+// problem this library measures, and was retired (DESIGN.md §17).
 //
 // The engines produce numerically identical results (to floating-point
 // accumulation order); the parallel ones differ only in speed and memory
@@ -54,7 +56,6 @@ import (
 	"lbmib/internal/omp"
 	"lbmib/internal/output"
 	"lbmib/internal/perfmon"
-	"lbmib/internal/taskflow"
 	"lbmib/internal/telemetry"
 )
 
@@ -69,12 +70,6 @@ const (
 	OpenMP
 	// CubeBased is the cube-centric solver (Algorithm 4).
 	CubeBased
-	// TaskScheduled is the paper's future-work design (Section VIII),
-	// implemented here: the cube-centric solver with every global barrier
-	// replaced by dynamic task scheduling over a per-cube dependency
-	// graph, allowing adjacent time steps to overlap. Results are bitwise
-	// identical to Sequential.
-	TaskScheduled
 	// Fused is the memory-aware engine: the four fluid kernels run as a
 	// single pull-streaming sweep over the slab grid (internal/fused).
 	// Float64 results are bitwise identical to OpenMP at any thread
@@ -82,6 +77,14 @@ const (
 	// storage with its relaxed (~1e-5) differential contract.
 	Fused
 )
+
+// TaskScheduled is a deprecated alias of CubeBased. The task-scheduled
+// engine is retired (DESIGN §17); the name exists only because the
+// repo benchmark (bench/) still compiles against it, and ROADMAP item
+// 1(g) drops it together with the benchmark's taskflow.step_ms_p50.
+//
+// Deprecated: use CubeBased.
+const TaskScheduled = CubeBased
 
 // String names the engine.
 func (k SolverKind) String() string {
@@ -92,8 +95,6 @@ func (k SolverKind) String() string {
 		return "omp"
 	case CubeBased:
 		return "cube"
-	case TaskScheduled:
-		return "taskflow"
 	case Fused:
 		return "fused"
 	default:
@@ -110,12 +111,10 @@ func ParseSolverKind(s string) (SolverKind, error) {
 		return OpenMP, nil
 	case "cube", "cubes", "cube-based":
 		return CubeBased, nil
-	case "taskflow", "tasks", "task-scheduled":
-		return TaskScheduled, nil
 	case "fused":
 		return Fused, nil
 	default:
-		return 0, fmt.Errorf("lbmib: unknown solver %q (want seq, omp, cube, taskflow or fused)", s)
+		return 0, fmt.Errorf("lbmib: unknown solver %q (want seq, omp, cube or fused)", s)
 	}
 }
 
@@ -178,8 +177,7 @@ type Config struct {
 	// than cubes (CubeBased) or x-planes (OpenMP) — are clamped at
 	// construction; Config() reports the effective count.
 	Threads int
-	// CubeSize is the cube edge k for the CubeBased and TaskScheduled
-	// engines (default 4; Config() reports the effective value); the grid
+	// CubeSize is the cube edge k for the CubeBased engine (default 4; Config() reports the effective value); the grid
 	// dimensions must be divisible by it.
 	CubeSize int
 	// Float32 stores the velocity distributions as float32 with the
@@ -211,7 +209,7 @@ type Config struct {
 	// once it flags the run, Run stops early and Health reports the
 	// violation. It reads the step's digest (one pass over the engine's
 	// live layout, shared with the LogWriter and the FlightRec), whose
-	// tiles are the engine's cubes on CubeBased and TaskScheduled and 4³
+	// tiles are the engine's cubes on CubeBased and 4³
 	// blocks otherwise; a violation names its cell and tile.
 	Watchdog *telemetry.Watchdog
 	// FlightRec, when non-nil, keeps an always-on flight recorder: a
@@ -417,13 +415,6 @@ func New(cfg Config) (*Simulation, error) {
 		}
 		sim.cfg.Threads, sim.cfg.CubeSize = cs.Threads(), cs.Fluid.K
 		sim.eng, sim.problem = &cubeEngine{cs, onLayout{cs.Fluid}}, &cs.Problem
-	case TaskScheduled:
-		ts, err := taskflow.NewSolver(taskflow.Config{Config: coreCfg, CubeSize: cfg.CubeSize, Workers: cfg.Threads})
-		if err != nil {
-			return nil, err
-		}
-		sim.cfg.CubeSize = ts.Fluid.K
-		sim.eng, sim.problem = &taskflowEngine{ts, onLayout{ts.Fluid}}, &ts.Problem
 	case Fused:
 		fs, err := fused.NewSolver(fused.Config{Config: coreCfg, Threads: cfg.Threads,
 			Float32: cfg.Float32})
@@ -458,7 +449,7 @@ func (s *Simulation) initTelemetry() (core.Probes, error) {
 		// Digest tiles are the engine's cubes where it has them, so a
 		// localized violation names a cube the engine owns.
 		k := 4
-		if cfg.Solver == CubeBased || cfg.Solver == TaskScheduled {
+		if cfg.Solver == CubeBased {
 			k = cfg.CubeSize
 		}
 		d, err := grid.NewDigestGrid(cfg.NX, cfg.NY, cfg.NZ, k)
@@ -1007,11 +998,3 @@ func (e *fusedEngine) totalMass() float64              { return e.TotalMass() }
 func (e *fusedEngine) digest(d *grid.DigestGrid) error { return e.Live().Digest(d) }
 func (e *fusedEngine) close()                          { e.Close() }
 func (e *fusedEngine) loaded()                         { e.Loaded() }
-
-type taskflowEngine struct {
-	*taskflow.Solver
-	onLayout
-}
-
-func (e *taskflowEngine) close()  {}
-func (e *taskflowEngine) loaded() { core.SeedForce(e.Fluid.Macros(), e.BodyForce) } // see ompEngine.loaded

@@ -50,7 +50,7 @@ func TestNewValidation(t *testing.T) {
 // Every engine name round-trips through its parser, and unknown names
 // are rejected with a hint.
 func TestSolverKindRoundTrip(t *testing.T) {
-	for _, k := range []SolverKind{Sequential, OpenMP, CubeBased, TaskScheduled, Fused} {
+	for _, k := range []SolverKind{Sequential, OpenMP, CubeBased, Fused} {
 		got, err := ParseSolverKind(k.String())
 		if err != nil {
 			t.Fatalf("ParseSolverKind(%q): %v", k.String(), err)
@@ -101,7 +101,7 @@ func TestEnginesAgree(t *testing.T) {
 	ref.Run(steps)
 	refC, _ := ref.SheetCentroid()
 
-	for _, kind := range []SolverKind{OpenMP, CubeBased, TaskScheduled, Fused} {
+	for _, kind := range []SolverKind{OpenMP, CubeBased, Fused} {
 		s, err := New(baseCfg(kind))
 		if err != nil {
 			t.Fatal(err)
@@ -244,20 +244,24 @@ func TestParseSolverKind(t *testing.T) {
 		in   string
 		want SolverKind
 	}{{"seq", Sequential}, {"sequential", Sequential}, {"omp", OpenMP}, {"openmp", OpenMP},
-		{"cube", CubeBased}, {"cube-based", CubeBased}, {"taskflow", TaskScheduled}} {
+		{"cube", CubeBased}, {"cube-based", CubeBased}, {"fused", Fused}} {
 		got, err := ParseSolverKind(c.in)
 		if err != nil || got != c.want {
 			t.Fatalf("ParseSolverKind(%q) = %v, %v", c.in, got, err)
 		}
 	}
-	if _, err := ParseSolverKind("mpi"); err == nil {
-		t.Fatal("unknown solver accepted")
+	// The retired task-scheduled engine's names are unknown, not a
+	// silent fallback to another engine.
+	for _, name := range []string{"mpi", "taskflow", "tasks", "task-scheduled"} {
+		if _, err := ParseSolverKind(name); err == nil || !strings.Contains(err.Error(), "unknown solver") {
+			t.Fatalf("ParseSolverKind(%q) error = %v, want unknown solver", name, err)
+		}
 	}
 }
 
 func TestSolverKindString(t *testing.T) {
 	if Sequential.String() != "sequential" || OpenMP.String() != "omp" ||
-		CubeBased.String() != "cube" || TaskScheduled.String() != "taskflow" {
+		CubeBased.String() != "cube" || Fused.String() != "fused" {
 		t.Fatal("SolverKind names wrong")
 	}
 	if SolverKind(7).String() == "" {
@@ -280,7 +284,7 @@ func TestMaxVelocityStability(t *testing.T) {
 	}
 }
 
-// TotalMass and MaxVelocity are computed on the cube engines' layout in
+// TotalMass and MaxVelocity are computed on the cube engine's layout in
 // place: no slab grid is materialized per call (they used to cost a full
 // ToGrid each — and lbmib-sim calls both for every progress line). The
 // run is left at odd buffer parity so the in-place sum must read the
@@ -288,26 +292,24 @@ func TestMaxVelocityStability(t *testing.T) {
 // snapshot path bitwise; the mass sums the same terms cube by cube, so
 // only its last bits may differ.
 func TestMassAndMaxVelocityInPlaceOnCubeEngines(t *testing.T) {
-	for _, kind := range []SolverKind{CubeBased, TaskScheduled} {
-		cfg := baseCfg(kind)
-		cfg.Threads = 2
-		sim, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim.Run(7) // odd: the cube engine's layout is left swapped
-		snap := sim.FluidSnapshot()
-		if got, want := sim.MaxVelocity(), snap.MaxVelocity(); got != want {
-			t.Errorf("%v: in-place MaxVelocity %.17g != snapshot %.17g", kind, got, want)
-		}
-		got, want := sim.TotalMass(), snap.TotalMass()
-		if math.Abs(got-want) > 1e-12*want {
-			t.Errorf("%v: in-place TotalMass %.17g vs snapshot %.17g", kind, got, want)
-		}
-		if n := testing.AllocsPerRun(5, func() { _ = sim.TotalMass() + sim.MaxVelocity() }); n != 0 {
-			t.Errorf("%v: TotalMass+MaxVelocity allocate %v times per call, want 0 (no materialized grid)", kind, n)
-		}
-		sim.Close()
+	cfg := baseCfg(CubeBased)
+	cfg.Threads = 2
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	sim.Run(7) // odd: the cube engine's layout is left swapped
+	snap := sim.FluidSnapshot()
+	if got, want := sim.MaxVelocity(), snap.MaxVelocity(); got != want {
+		t.Errorf("in-place MaxVelocity %.17g != snapshot %.17g", got, want)
+	}
+	got, want := sim.TotalMass(), snap.TotalMass()
+	if math.Abs(got-want) > 1e-12*want {
+		t.Errorf("in-place TotalMass %.17g vs snapshot %.17g", got, want)
+	}
+	if n := testing.AllocsPerRun(5, func() { _ = sim.TotalMass() + sim.MaxVelocity() }); n != 0 {
+		t.Errorf("TotalMass+MaxVelocity allocate %v times per call, want 0 (no materialized grid)", n)
 	}
 }
 
@@ -315,36 +317,34 @@ func TestMassAndMaxVelocityInPlaceOnCubeEngines(t *testing.T) {
 // configuration once, like the clamped thread count: Config() reports it,
 // a bundle's run-spec carries it, and ConfigFromRunSpec round-trips it.
 func TestDefaultCubeSizeIsReported(t *testing.T) {
-	for _, kind := range []SolverKind{CubeBased, TaskScheduled} {
-		dir := filepath.Join(t.TempDir(), "bundle")
-		cfg := baseCfg(kind)
-		cfg.CubeSize = 0
-		cfg.FlightRec = &flightrec.Config{Dir: dir}
-		sim, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k := sim.Config().CubeSize; k != 4 {
-			t.Errorf("%v: Config().CubeSize = %d, want the effective default 4", kind, k)
-		}
-		sim.Run(2)
-		if _, err := sim.WritePostMortem("manual"); err != nil {
-			t.Fatal(err)
-		}
-		sim.Close()
-		b, err := flightrec.ReadBundle(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.Manifest.Run == nil || b.Manifest.Run.CubeSize != 4 {
-			t.Fatalf("%v: bundle run-spec = %+v, want CubeSize 4", kind, b.Manifest.Run)
-		}
-		back, err := ConfigFromRunSpec(*b.Manifest.Run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.CubeSize != 4 || back.Solver != kind {
-			t.Errorf("%v: ConfigFromRunSpec gave solver %v, CubeSize %d", kind, back.Solver, back.CubeSize)
-		}
+	dir := filepath.Join(t.TempDir(), "bundle")
+	cfg := baseCfg(CubeBased)
+	cfg.CubeSize = 0
+	cfg.FlightRec = &flightrec.Config{Dir: dir}
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := sim.Config().CubeSize; k != 4 {
+		t.Errorf("Config().CubeSize = %d, want the effective default 4", k)
+	}
+	sim.Run(2)
+	if _, err := sim.WritePostMortem("manual"); err != nil {
+		t.Fatal(err)
+	}
+	sim.Close()
+	b, err := flightrec.ReadBundle(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Manifest.Run == nil || b.Manifest.Run.CubeSize != 4 {
+		t.Fatalf("bundle run-spec = %+v, want CubeSize 4", b.Manifest.Run)
+	}
+	back, err := ConfigFromRunSpec(*b.Manifest.Run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.CubeSize != 4 || back.Solver != CubeBased {
+		t.Errorf("ConfigFromRunSpec gave solver %v, CubeSize %d", back.Solver, back.CubeSize)
 	}
 }

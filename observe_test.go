@@ -29,7 +29,6 @@ var sampledEngines = []sampledEngine{
 	{"sequential", Sequential, false},
 	{"omp", OpenMP, false},
 	{"cube", CubeBased, false},
-	{"taskflow", TaskScheduled, false},
 	{"fused", Fused, false},
 	{"fused-f32", Fused, true},
 }
@@ -127,10 +126,6 @@ var parentStateHashes = map[string]string{
 	"cube/1t/21":       "29421b7945dcedc0be7fe39b23bdf1e6118c71b2bc86c48961e05d082cdd4e0f",
 	"cube/2t/20":       "2cfe45688c629e69590a8a0e427278083006a646032b9f5dd9d9a6b944e50037",
 	"cube/2t/21":       "a571931575026e7d4e922a20981c1fd46eb2d30279ced12aba2d16712efb8817",
-	"taskflow/1t/20":   "011120852c058eade09b6c28ba22829284957be5e05f58ccd74807ee74794339",
-	"taskflow/1t/21":   "29421b7945dcedc0be7fe39b23bdf1e6118c71b2bc86c48961e05d082cdd4e0f",
-	"taskflow/2t/20":   "011120852c058eade09b6c28ba22829284957be5e05f58ccd74807ee74794339",
-	"taskflow/2t/21":   "29421b7945dcedc0be7fe39b23bdf1e6118c71b2bc86c48961e05d082cdd4e0f",
 	"fused/1t/20":      "011120852c058eade09b6c28ba22829284957be5e05f58ccd74807ee74794339",
 	"fused/1t/21":      "29421b7945dcedc0be7fe39b23bdf1e6118c71b2bc86c48961e05d082cdd4e0f",
 	"fused/2t/20":      "2cfe45688c629e69590a8a0e427278083006a646032b9f5dd9d9a6b944e50037",

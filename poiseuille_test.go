@@ -50,6 +50,13 @@ func poiseuilleError(t *testing.T, cfg Config, nz int) float64 {
 // derived to deliver, and float32 storage adds a rounding term that does
 // not shrink with the width.
 func TestPoiseuilleConvergenceOrder(t *testing.T) {
+	orderTable(t, poiseuilleError)
+}
+
+// orderTable runs oracle at NZ 8 and 16 on every engine at one and two
+// threads and fails a row whose observed order of convergence is below
+// 1.8, or 1.7 for float32 storage.
+func orderTable(t *testing.T, oracle func(*testing.T, Config, int) float64) {
 	widths := []int{8, 16}
 	for _, e := range sampledEngines {
 		floor := 1.8
@@ -61,7 +68,7 @@ func TestPoiseuilleConvergenceOrder(t *testing.T) {
 				cfg := Config{Solver: e.kind, Threads: threads, Float32: e.float32}
 				errs := make([]float64, len(widths))
 				for i, nz := range widths {
-					errs[i] = poiseuilleError(t, cfg, nz)
+					errs[i] = oracle(t, cfg, nz)
 				}
 				for i := 1; i < len(widths); i++ {
 					order := math.Log(errs[i-1]/errs[i]) / math.Log(float64(widths[i])/float64(widths[i-1]))
@@ -75,4 +82,52 @@ func TestPoiseuilleConvergenceOrder(t *testing.T) {
 			})
 		}
 	}
+}
+
+// couetteError starts a 2×2×nz box at rest between no-slip walls in z
+// (nz wide wall to wall) whose top wall slides at (U, U/2, 0), runs it
+// to νt/H² = 0.1 — mid-transient, where the slowest mode has decayed
+// to a third and the second to 2 % — and returns the relative L2 error of the velocity
+// against the start-up series
+// u(ζ, t) = U[ζ − Σₙ 2(−1)ⁿ⁺¹/(nπ) sin(nπζ) e^(−νn²π²t/H²)], ζ = (z+½)/H,
+// along the lid. The lid has two components so that the moving-wall
+// term of every lid-facing direction carries a velocity.
+func couetteError(t *testing.T, cfg Config, nz int) float64 {
+	t.Helper()
+	const tau, U = 1.0, 0.01
+	nu := lattice.ViscosityFromTau(tau)
+	h := float64(nz)
+	cfg.NX, cfg.NY, cfg.NZ, cfg.Tau, cfg.CubeSize = 2, 2, nz, tau, 2
+	cfg.BoundaryZ, cfg.LidVelocity = NoSlip, [3]float64{U, U / 2, 0}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	steps := int(math.Round(0.1 * h * h / nu))
+	s.Run(steps)
+	decay := nu * math.Pi * math.Pi * float64(steps) / (h * h)
+	var num, den float64
+	for z := 0; z < nz; z++ {
+		zeta := (float64(z) + 0.5) / h
+		want := zeta
+		for n := 1; n <= 40; n++ {
+			fn := float64(n)
+			want -= 2 * math.Pow(-1, fn+1) / (fn * math.Pi) * math.Sin(fn*math.Pi*zeta) * math.Exp(-decay*fn*fn)
+		}
+		want *= U
+		got := s.FluidVelocity(1, 1, z)
+		ex, ey := got[0]-want, got[1]-want/2
+		num += ex*ex + ey*ey
+		den += 1.25 * want * want
+	}
+	return math.Sqrt(num / den)
+}
+
+// Poiseuille flow is driven by the body force and never moves a wall, so
+// it cannot see an error in the moving-lid term of the boundary body.
+// Start-up Couette flow can: its order of convergence is pinned on every
+// engine at one and two threads, with the Poiseuille floors.
+func TestCouetteConvergenceOrder(t *testing.T) {
+	orderTable(t, couetteError)
 }

@@ -35,14 +35,6 @@ func TestProbeConformance(t *testing.T) {
 		{"sheet", Config{NX: 16, NY: 16, NZ: 16, Tau: 0.7, BodyForce: [3]float64{1e-5, 0, 0}, Sheet: telemetrySheet()}},
 		{"lid", Config{NX: 16, NY: 16, NZ: 16, Tau: 0.7, BoundaryZ: NoSlip, LidVelocity: [3]float64{0.03, 0, 0}}},
 	}
-	engines := []struct {
-		name    string
-		kind    SolverKind
-		float32 bool
-	}{
-		{"sequential", Sequential, false}, {"omp", OpenMP, false}, {"cube", CubeBased, false},
-		{"taskflow", TaskScheduled, false}, {"fused", Fused, false}, {"fused-f32", Fused, true},
-	}
 	// Engines are built without any observability field, so the probe
 	// attached below sees the engine's own step numbering. A checkpoint
 	// is the whole state — every node, every sheet — bit for bit.
@@ -53,7 +45,7 @@ func TestProbeConformance(t *testing.T) {
 		}
 		return b.String()
 	}
-	for _, e := range engines {
+	for _, e := range sampledEngines {
 		for _, threads := range []int{1, 2} {
 			for _, p := range problems {
 				t.Run(fmt.Sprintf("%s/%dt/%s", e.name, threads, p.name), func(t *testing.T) {
@@ -100,9 +92,8 @@ func TestProbeConformance(t *testing.T) {
 }
 
 // eventRow is what the table counts events by: kind, step, thread (0
-// where the schedule does not fix which thread runs what: taskflow tasks;
-// barrier arrivals and blocks are counted per site and block instead),
-// segment (kernel, phase or site) and block.
+// for barrier arrivals and blocks, which are counted per site and block
+// instead), segment (kernel, phase or site) and block.
 type eventRow struct {
 	kind                  core.EventKind
 	step, tid, seg, block int
@@ -129,9 +120,7 @@ func checkProbeEvents(t *testing.T, engine string, events []core.Event, steps, t
 				t.Errorf("region of kernel %v reports %d threads, want %d", ev.Kernel, len(ev.Busy), threads)
 			}
 		case core.PhaseDone:
-			if row.seg = int(ev.Phase); engine != "taskflow" {
-				row.tid = ev.Tid
-			}
+			row.seg, row.tid = int(ev.Phase), ev.Tid
 		case core.BarrierArrive:
 			row.seg = int(ev.Site)
 			crossings[ev.Crossing] = append(crossings[ev.Crossing], ev)
@@ -186,14 +175,6 @@ func checkProbeEvents(t *testing.T, engine string, events []core.Event, steps, t
 			for c := 0; c < cubes; c++ {
 				want[eventRow{core.BlockDone, st, 0, int(core.PhaseCollideStream), c}] = 1
 				want[eventRow{core.BlockDone, st, 0, int(core.PhaseUpdateVelocity), c}] = 1
-			}
-		case "taskflow":
-			for _, p := range []core.Phase{core.PhaseCollideStream, core.PhaseUpdateVelocity, core.PhaseCopy} {
-				phase(0, p, cubes) // one task per cube
-			}
-			if fibers { // and one task each for the structure
-				phase(0, core.PhaseFibersForce, 1)
-				phase(0, core.PhaseMoveFibers, 1)
 			}
 		case "fused", "fused-f32":
 			phase(0, core.PhaseFibersForce, 1) // the coordinator, as thread 0

@@ -5,9 +5,9 @@
 # P×Q×R barrier choreography; the omp and cube engines flip the shared
 # double-buffer parity bit from worker threads and reduce per-thread
 # spread buffers, and the spread bodies they share live in core; the
-# taskflow engine schedules cubes over a dependency graph; the fused
-# engine's wavefront sweep overlaps collide and finalize
-# planes across one parallel region; the perfmon profile — Table I/II
+# fused engine's wavefront sweep overlaps collide and finalize
+# planes across one parallel region; all three parallel engines run
+# their workers on par's team; the perfmon profile — Table I/II
 # accumulators, step ring and crossing ring of the critical-path report
 # — is written from all workers; par's timed barrier wraps the team
 # barrier; perfsim, cachesim and machine are left out: they start no
@@ -41,8 +41,8 @@ test -z "$(gofmt -l .)"
 # must be finding-free (reviewed exemptions carry //lint:allow), the
 # analyzers themselves must still catch every seeded defect in the
 # golden-bad corpus, and the event contract must keep pointing one way:
-# no sink package depends on an engine, and fused/taskflow take no names
-# from cubesolver.
+# no sink package depends on an engine, and fused takes no names from
+# cubesolver.
 scripts/lint ./...
 go test -run 'TestAnalyzersGoldenCorpus|TestLintSelfHost|TestImportDirection' ./internal/analysis/
 
@@ -59,7 +59,7 @@ if go build -gcflags='-d=ssa/check_bce/debug=1' ./internal/lattice/ ./internal/c
 	exit 1
 fi
 if grep -rn 'lattice\.\(Equilibrium\|GuoForce\)' --include='*.go' \
-	internal/core internal/fused internal/omp internal/cubesolver internal/taskflow |
+	internal/core internal/fused internal/omp internal/cubesolver |
 	grep -v '_test\.go:'; then
 	echo "an engine package restates the collision arithmetic; call lattice.Collide" >&2
 	exit 1
@@ -82,7 +82,7 @@ fi
 # not creep back onto a step path: no non-test file of core or of an
 # engine names it.
 if grep -rn 'grid\.Node\b' --include='*.go' \
-	internal/core internal/omp internal/cubesolver internal/taskflow internal/fused |
+	internal/core internal/omp internal/cubesolver internal/fused |
 	grep -v '_test\.go:'; then
 	echo "an engine names grid.Node; step the layout's split arrays (core.Layout)" >&2
 	exit 1
@@ -99,7 +99,7 @@ if grep -rn '\.Resolve(' --include='*.go' . | grep -v '^\./internal/core/' |
 	exit 1
 fi
 
-go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/taskflow/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/...
+go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/...
 
 # Cross-engine differential smoke: 10 seeded cases on every engine,
 # including the fused engine in both storage modes (float64 on the
