@@ -27,9 +27,11 @@ import (
 //	        each), then Fixed (one byte per node, 0 or 1)
 //
 // The format is defined by content, not by any engine's storage, so a
-// checkpoint restores onto any engine, thread count and cube size. The
-// post-streaming buffer is not written: every engine's stream writes each
-// of its slots before the next step reads one.
+// checkpoint restores onto any engine, thread count and cube size. It
+// holds the present distributions in the natural phase, which the engine
+// presents (live) whatever phase its in-place stream left them in; the
+// sequential engine's post-streaming array is not written, since its
+// stream writes each slot before the next step reads one.
 const checkpointVersion = 2
 
 var checkpointMagic = [8]byte{'L', 'B', 'M', 'I', 'B', 'C', 'K', 'P'}
@@ -130,7 +132,7 @@ func (s *Simulation) Checkpoint(w io.Writer) error {
 	}
 
 	// The fluid, one x-plane at a time through one reused buffer.
-	df, macro, buf := l.Dist(l.Cur()), l.Macros(), make([]byte, ny*nz*recordBytes)
+	df, macro, buf := l.Dist(), l.Macros(), make([]byte, ny*nz*recordBytes)
 	if err := eachPlane(l, func(_ int, plane []int) error {
 		for i, j := range plane {
 			putRecord(buf[i*recordBytes:], &df[j], &macro[j])
@@ -274,7 +276,7 @@ func restoreBlocks(r io.Reader, cfg Config) (*Simulation, error) {
 	}
 	return restoreChecked(cfg, h, func(sim *Simulation) error {
 		l := sim.eng.live()
-		df, macro, buf := l.Dist(l.Cur()), l.Macros(), make([]byte, h.ny*h.nz*recordBytes)
+		df, macro, buf := l.Dist(), l.Macros(), make([]byte, h.ny*h.nz*recordBytes)
 		if err := eachPlane(l, func(x int, plane []int) error {
 			if _, err := io.ReadFull(r, buf); err != nil {
 				return fmt.Errorf("lbmib: decoding checkpoint: fluid plane %d: %w", x, err)
@@ -397,7 +399,7 @@ func restoreGob(r io.Reader, cfg Config) (*Simulation, error) {
 		// The stream's nodes are a normalized slab grid in canonical order:
 		// present distributions in DF.
 		l := sim.eng.live()
-		df, macro, src := l.Dist(l.Cur()), l.Macros(), st.Nodes
+		df, macro, src := l.Dist(), l.Macros(), st.Nodes
 		return eachPlane(l, func(_ int, plane []int) error {
 			for i, j := range plane {
 				n := &src[i]

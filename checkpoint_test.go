@@ -276,18 +276,17 @@ func TestCheckpointPreservesFixedNodes(t *testing.T) {
 	}
 }
 
-// Checkpoint taken mid-run from the swap-based cube engine after an odd
-// number of steps — the live layout holds its present distributions in
-// the alternate buffer — restored onto the sequential engine. The
-// snapshot normalization must hide the parity entirely: both runs
-// continue on the same trajectory.
+// Checkpoint taken mid-run from the in-place cube engine after an odd
+// number of steps — the layout's array is in the swapped phase —
+// restored onto the sequential engine. Presenting the natural phase must
+// hide the swap entirely: both runs continue on the same trajectory.
 func TestCheckpointAcrossSwapBoundaryCubeToSequential(t *testing.T) {
 	a, err := New(baseCfg(CubeBased))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.Run(7) // odd: the cube layout's parity bit is flipped here
+	a.Run(7) // odd: the cube layout's array is left swapped here
 	var buf bytes.Buffer
 	if err := a.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
@@ -317,9 +316,9 @@ func TestCheckpointAcrossSwapBoundaryCubeToSequential(t *testing.T) {
 	}
 }
 
-// The reverse crossing: sequential checkpoint restored onto the two
-// swap-based engines, resumed across another odd step count so the
-// restored runs end mid-parity.
+// The reverse crossing: sequential checkpoint restored onto two in-place
+// engines, resumed across another odd step count so the restored runs
+// end in the swapped phase.
 func TestCheckpointAcrossSwapBoundarySequentialToSwapEngines(t *testing.T) {
 	a, err := New(baseCfg(Sequential))
 	if err != nil {

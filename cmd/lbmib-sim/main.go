@@ -30,7 +30,7 @@ func main() {
 
 	var (
 		solverName  = flag.String("solver", "seq", "engine: seq, omp, cube or fused")
-		float32Dist = flag.Bool("float32", false, "store distributions in float32 (fused engine only; ~1e-5 contract, 512 instead of 360 B/node)")
+		float32Dist = flag.Bool("float32", false, "store distributions in float32 (fused engine only; ~1e-5 contract, 284 instead of 208 B/node)")
 		nx          = flag.Int("nx", 32, "fluid nodes along x")
 		ny          = flag.Int("ny", 32, "fluid nodes along y")
 		nz          = flag.Int("nz", 32, "fluid nodes along z")

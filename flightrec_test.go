@@ -33,8 +33,8 @@ func injectDepositFault(t *testing.T, fromStep int) {
 		if s.StepCount() < fromStep-1 { // hook runs before the counter advances
 			return
 		}
-		g := s.Fluid
-		df := g.Dist(g.Cur())
+		g := s.Live()
+		df := g.Dist()
 		dst, src := &df[g.Idx(6, 2, 5)], &df[g.Idx(6, 2, 6)]
 		for i := range dst {
 			dst[i] += 0.01 * src[i]

@@ -11,10 +11,10 @@
 //     control-dependent on thread-varying conditions, and barrier site
 //     counts must match across divergent branches (Algorithm 4's
 //     "every thread reaches every barrier" choreography);
-//   - paritycheck — a layout's double-buffered distribution arrays may
-//     be picked by a literal parity only inside the grid/cube accessor
-//     layer; everywhere else, Dist(Cur()) is the contract (the swap-based
-//     kernel-9 retirement);
+//   - paritycheck — a layout's distribution array, which the in-place
+//     engines may leave in the swapped phase between steps, is read raw
+//     only by the layouts, core and those engines; everywhere else it is
+//     read through an engine's canonicalizing accessor (Live / live);
 //   - floatcheck — ==/!= on floating-point operands is forbidden in
 //     the physics packages (bitwise-equality test files are exempt by
 //     construction: test files are not loaded);

@@ -10,8 +10,8 @@ import (
 // chosen by where the comment sits:
 //
 //   - file scope: a //lint:allow line above the package clause silences
-//     the listed checks for the whole file (e.g. an engine that is
-//     kernel-9 faithful and may name a buffer parity directly);
+//     the listed checks for the whole file (e.g. a harness that reads
+//     only layouts it built itself, which no engine streams);
 //   - declaration scope: a //lint:allow line inside a top-level
 //     declaration's doc comment silences the checks for that whole
 //     declaration (e.g. a hand-over-hand locking helper lockcheck's

@@ -1,7 +1,7 @@
 // Package paritybad is lbmib-lint's golden-bad corpus for paritycheck:
-// a layout's distribution arrays indexed by a literal parity outside the
-// grid/cube accessor layer, which reads the wrong time step's
-// distributions once an engine has swapped.
+// a layout's distribution array read raw, outside the layouts and the
+// in-place engines, where an engine may have left it in the swapped
+// phase.
 package paritybad
 
 import (
@@ -10,55 +10,66 @@ import (
 	"lbmib/internal/grid"
 )
 
-// present names parity 0 as a constant; it is still a literal parity.
-const present = 0
+// engine stands for an in-place engine: it steps g and knows its phase.
+type engine struct {
+	g       *grid.Grid
+	swapped bool
+}
 
-// rawRead bypasses Dist(Cur()) on both buffers.
-func rawRead(g *grid.Grid) float64 {
+// Live is the canonicalizing accessor: g, natural.
+func (e *engine) Live() *grid.Grid {
+	e.swapped = false
+	return e.g
+}
+
+// rawRead sums the engine's array without canonicalizing it.
+func rawRead(e *engine) float64 {
 	t := 0.0
-	for i := range g.Macros() {
-		t += g.Dist(0)[i][0] //want:paritycheck
-		t += g.Dist(1)[i][0] //want:paritycheck
+	for i := range e.g.Macros() {
+		t += e.g.Dist()[i][0] //want:paritycheck
 	}
 	return t
 }
 
-// rawWrite scribbles into the "new" buffer of a cube layout directly.
+// rawWrite scribbles into a cube layout's array directly.
 func rawWrite(l *cube.Layout, q int, v float64) {
-	l.Dist(1)[0][q] = v //want:paritycheck
+	l.Dist()[0][q] = v //want:paritycheck
 }
 
-// accessorOK is clean: the parity-aware accessor is the contract.
-func accessorOK(g *grid.Grid) float64 {
-	return g.Dist(g.Cur())[0][0] + g.Dist(1 - g.Cur())[0][0]
+// accessorOK is clean: the canonicalizing accessor is the contract.
+func accessorOK(e *engine) float64 {
+	return e.Live().Dist()[0][0]
 }
 
-// snapshotOK is clean: a snapshot is not double-buffered storage.
+// accessorVarOK is clean: g holds only the accessor's result.
+func accessorVarOK(e *engine) float64 {
+	g := e.Live()
+	return g.Dist()[0][0]
+}
+
+// snapshotOK is clean: a snapshot is not an engine's storage.
 func snapshotOK(s *grid.Snapshot) float64 {
 	return s.Nodes[0].Buf(s.Cur())[0] + s.Nodes[0].DF[0]
 }
 
-// fusedSweepRaw is the seeded defect, written against the contract: a
-// fused collide+stream pull sweep that assumes buffer 0 is present and
-// buffer 1 next. On the double-buffered engines that holds only while
-// the parity bit is 0, so after the first swap this sweep collides the
-// previous step's populations and pulls into the buffer it just read —
-// exactly the silent corruption paritycheck exists to catch, even when
-// the whole update is a single loop nest with no separate stream pass.
-func fusedSweepRaw(l core.Layout, delta [19]int, tau float64) {
-	inv := 1 / tau
-	cur := l.Dist(present) //want:paritycheck
-	for i := range cur {
-		for q := range cur[i] {
-			cur[i][q] -= inv * cur[i][q]
-		}
+// reassigned held the accessor's result once, then the raw grid.
+func reassigned(e *engine) float64 {
+	g := e.Live()
+	t := g.Macros()[0].Rho
+	g = e.g
+	return t + g.Dist()[0][0] //want:paritycheck
+}
+
+// checkpointRaw is the seeded defect, written against the contract: a
+// checkpoint writer handed an engine's layout that streams it out slot
+// by slot as if every node's slots held its own distributions. On an
+// in-place engine that holds only in the natural phase, so after an odd
+// step count the checkpoint stores each value in its neighbour's slot —
+// the silent corruption paritycheck exists to catch, even though every
+// value written is a real distribution and the mass sums right.
+func checkpointRaw(l core.Layout, out []float64) []float64 {
+	for _, f := range l.Dist() { //want:paritycheck
+		out = append(out, f[:]...)
 	}
-	next := l.Dist(1) //want:paritycheck
-	for i := range next {
-		for q, d := range delta {
-			if src := i - d; src >= 0 && src < len(cur) {
-				next[i][q] = cur[src][q]
-			}
-		}
-	}
+	return out
 }

@@ -11,18 +11,18 @@
 // arithmetic of a fluid node itself — collision with forcing, and the
 // moments — is one level further down, in lattice.Collide and
 // lattice.Moments; CollideRange and UpdateRange are loops over them, and
-// the fused engine's float32 storage path, the one place that cannot hand
-// CollideRange a float64 distribution array, widens a node's 19 values
-// and calls the same two functions. Likewise a fiber node's 64 stencil
+// so are the in-place bodies AABlock and AAMomentsBlock, generic over the
+// storage element type like the two functions. Likewise a fiber node's 64 stencil
 // points: SpreadSheetNodes and MoveSheetNodes make one call per fiber
 // node, and the point loops, with the periodic wrap, are grid.Coupling's
 // and, for private buffers, SpreadAccum.SpreadStencil's.
 //
 // The sequential Solver keeps the kernel decomposition exactly as
-// published — Algorithm 1, including kernel 9's explicit buffer copy,
-// which a pointer swap would eliminate — because the paper's Table I
-// profiles these nine functions. Each kernel is an exported method so
-// a harness can time it alone.
+// published — Algorithm 1, including kernel 6's second distribution array
+// and kernel 9's explicit copy back, which streaming in place eliminates —
+// because the paper's Table I profiles these nine functions. Each kernel
+// is an exported method so a harness can time it alone. The parallel
+// engines hold one distribution array and stream in place (AABlock).
 //
 // probe.go declares the event contract (Probe) through which every
 // schedule reports its timings, next to the Kernel, Phase and BarrierSite
@@ -35,6 +35,7 @@ import (
 
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
+	"lbmib/internal/lattice"
 )
 
 // Kernel identifies one of the nine LBM-IB computational kernels, numbered
@@ -186,26 +187,47 @@ func ValidateTau(tau float64) error {
 
 // Solver is the sequential reference LBM-IB solver (Algorithm 1): the
 // shared loop bodies run over the whole slab grid on the calling
-// goroutine, one kernel after another.
+// goroutine, one kernel after another. It is also the state container
+// the slab-parallel engines embed (NewState), which stream in place and
+// never run its fluid kernels.
 type Solver struct {
 	Problem
 	Fluid *grid.Grid
+	// Stream is the grid's stream geometry under the problem's boundary
+	// conditions.
+	Stream *Streamer
 
-	step   int
-	stream *Streamer
+	step int
+	// next is kernel 6's post-streaming array, which kernel 9 copies
+	// back into Fluid's; only the sequential engine has it.
+	next [][lattice.Q]float64
 }
 
-// NewSolver builds a solver with the fluid at rest. An empty structure is
-// allowed and yields a pure-LBM simulation (useful for fluid-only
-// validation such as Poiseuille flow). A zero Tau defaults to 0.6; any
-// other Tau at or below 0.5 is rejected as NaN-unstable.
+// NewSolver builds the sequential solver with the fluid at rest. An empty
+// structure is allowed and yields a pure-LBM simulation (useful for
+// fluid-only validation such as Poiseuille flow). A zero Tau defaults to
+// 0.6; any other Tau at or below 0.5 is rejected as NaN-unstable.
 func NewSolver(cfg Config) (*Solver, error) {
+	s, err := NewState(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.next = make([][lattice.Q]float64, s.Fluid.NumNodes())
+	return s, nil
+}
+
+// NewState builds the state a slab-parallel engine embeds: the problem,
+// the grid at rest and its stream geometry, without the sequential
+// engine's post-streaming array, which an engine streaming in place has
+// no use for. Its fluid kernels must not be called; the embedding engine
+// overrides them.
+func NewState(cfg Config) (*Solver, error) {
 	p, err := NewProblem(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	s := &Solver{Problem: p, Fluid: grid.New(cfg.NX, cfg.NY, cfg.NZ)}
-	s.stream = NewStreamer(s.Fluid, p.StreamBC(cfg.NX, cfg.NY, cfg.NZ))
+	s.Stream = NewStreamer(s.Fluid, p.StreamBC(cfg.NX, cfg.NY, cfg.NZ))
 	return s, nil
 }
 
@@ -283,32 +305,21 @@ func (s *Solver) SpreadForce() {
 
 // ComputeCollision is kernel 5: the D3Q19 BGK collision with the elastic
 // body force applied at every fluid node, in the 19 directions of the model.
-func (s *Solver) ComputeCollision() {
-	g := s.Fluid
-	CollideRange(g.Dist(g.Cur()), g.Macros(), s.Tau)
-}
+func (s *Solver) ComputeCollision() { CollideRange(s.Fluid.Dist(), s.Fluid.Macros(), s.Tau) }
 
 // StreamDistribution is kernel 6: it pushes each node's post-collision
-// distribution to its 18 immediate neighbors' post-streaming buffers,
-// applying periodic wrap or halfway bounce-back per axis.
+// distribution to its 18 immediate neighbors' slots in the post-streaming
+// array, applying periodic wrap or halfway bounce-back per axis.
 func (s *Solver) StreamDistribution() {
-	cur := s.Fluid.Cur()
 	for x := 0; x < s.Fluid.NX; x++ {
-		s.StreamPlane(x, cur)
+		s.Stream.Block(x, s.next)
 	}
 }
-
-// StreamPlane is kernel 6 over x-plane x, reading buffer cur; the unit
-// the slab-parallel schedules distribute.
-func (s *Solver) StreamPlane(x, cur int) { s.stream.Block(x, cur) }
 
 // UpdateVelocity is kernel 7: it recomputes each fluid node's density and
 // velocity from the post-streaming distribution and the elastic force
 // (half-force Guo correction).
-func (s *Solver) UpdateVelocity() {
-	g := s.Fluid
-	UpdateRange(g.Dist(1-g.Cur()), g.Macros(), nil)
-}
+func (s *Solver) UpdateVelocity() { UpdateRange(s.next, s.Fluid.Macros(), nil) }
 
 // MoveFibers is kernel 8: each fiber node's velocity is interpolated from
 // the surrounding fluid nodes of its influential domain, and the node is
@@ -320,13 +331,9 @@ func (s *Solver) MoveFibers() {
 	}
 }
 
-// CopyDistribution is kernel 9: it copies the new velocity distribution
-// buffer into the present buffer so the post-streaming buffer can be
-// reused next step. The sequential reference keeps this copy exactly as
-// the paper publishes it (Table I prices it at ~6% of a step); the
-// parallel engines retire it with an O(1) buffer swap instead (see
-// internal/cubesolver and internal/omp).
-func (s *Solver) CopyDistribution() {
-	g := s.Fluid
-	CopyRange(g.Dist(g.Cur()), g.Dist(1-g.Cur()))
-}
+// CopyDistribution is kernel 9: it copies the post-streaming array into
+// the present one so the former can be reused next step. The sequential
+// reference keeps this copy exactly as the paper publishes it (Table I
+// prices it at ~6% of a step); the parallel engines stream in place and
+// have no second array to copy (AABlock).
+func (s *Solver) CopyDistribution() { CopyRange(s.Fluid.Dist(), s.next) }

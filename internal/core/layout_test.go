@@ -20,8 +20,7 @@ func randomState(g *grid.Grid, seed int64) {
 	for i := range g.Macros() {
 		n := &g.Macros()[i]
 		for q := 0; q < lattice.Q; q++ {
-			g.Dist(0)[i][q] = lattice.W[q] * (0.8 + 0.4*r.Float64())
-			g.Dist(1)[i][q] = r.Float64()
+			g.Dist()[i][q] = lattice.W[q] * (0.8 + 0.4*r.Float64())
 		}
 		n.Rho = 0.9 + 0.2*r.Float64()
 		for d := 0; d < 3; d++ {
@@ -32,8 +31,8 @@ func randomState(g *grid.Grid, seed int64) {
 }
 
 // checkContract verifies the storage half of the block-layout contract:
-// the storage is split — a distribution array of N entries per parity
-// and N records of 56 B — and blocks are contiguous, equal-sized, ordered
+// the storage is split — one distribution array of N entries and N
+// records of 56 B — and blocks are contiguous, equal-sized, ordered
 // z-fastest inside BlockBox, tile the domain exactly once, and Idx is
 // separable per axis.
 func checkContract(t *testing.T, l core.Layout) {
@@ -43,9 +42,9 @@ func checkContract(t *testing.T, l core.Layout) {
 	if size := unsafe.Sizeof(grid.Macro{}); size != 56 {
 		t.Fatalf("the per-node record is %d B, want 56 (u, ρ, F)", size)
 	}
-	if len(l.Dist(0)) != n || len(l.Dist(1)) != n || len(l.Macros()) != n {
-		t.Fatalf("storage holds %d and %d distributions and %d records, want %d each",
-			len(l.Dist(0)), len(l.Dist(1)), len(l.Macros()), n)
+	if len(l.Dist()) != n || len(l.Macros()) != n {
+		t.Fatalf("storage holds %d distributions and %d records, want %d each",
+			len(l.Dist()), len(l.Macros()), n)
 	}
 	seen := make([]bool, n)
 	_, e0 := l.BlockBox(0)
@@ -111,19 +110,39 @@ func crossings(l core.Layout) (blockEdge, domainEdge [lattice.Q]int) {
 	return
 }
 
-// step runs one shared collide → stream → update over every block of l at
-// parity cur, the way every push engine composes the bodies.
-func step(l core.Layout, st *core.Streamer, tau float64, cur int, reset *[3]float64) {
-	m := l.Macros()
+// blocks returns l's block count and nodes per block.
+func blocks(l core.Layout) (nb, n int) {
 	_, e := l.BlockBox(0)
-	n := e[0] * e[1] * e[2]
-	core.CollideRange(l.Dist(cur), m, tau)
-	for b := 0; b*n < len(m); b++ {
-		st.Block(b, cur)
+	n = e[0] * e[1] * e[2]
+	return len(l.Macros()) / n, n
+}
+
+// refStep runs one step the way the sequential engine composes the
+// bodies: collide → Streamer.Block into the second array next → update
+// from next → kernel 9's copy back.
+func refStep(l core.Layout, st *core.Streamer, next [][lattice.Q]float64, tau float64, reset *[3]float64) {
+	m := l.Macros()
+	nb, n := blocks(l)
+	core.CollideRange(l.Dist(), m, tau)
+	for b := 0; b < nb; b++ {
+		st.Block(b, next)
 	}
-	next := l.Dist(1 - cur)
-	for b := 0; b*n < len(m); b++ {
+	for b := 0; b < nb; b++ {
 		core.UpdateRange(next[b*n:(b+1)*n], m[b*n:(b+1)*n], reset)
+	}
+	core.CopyRange(l.Dist(), next)
+}
+
+// aaStep runs one in-place step from phase swapped the way the parallel
+// engines compose the bodies: AABlock over every block, then
+// AAMomentsBlock over every block at the phase AABlock left.
+func aaStep(l core.Layout, st *core.Streamer, tau float64, swapped bool, reset *[3]float64) {
+	nb, _ := blocks(l)
+	for b := 0; b < nb; b++ {
+		core.AABlock(st, l.Dist(), b, tau, swapped)
+	}
+	for b := 0; b < nb; b++ {
+		core.AAMomentsBlock(st, l.Dist(), b, !swapped, reset)
 	}
 }
 
@@ -140,11 +159,12 @@ var conformanceBCs = []struct {
 
 // TestLayoutConformance is the contract's executable statement: the same
 // state loaded into the slab grid and into cube layouts, advanced by the
-// same shared bodies — once ending in kernel 9's copy, once in the O(1)
-// swap, then again at the flipped parity — must stay bitwise equal, under
-// periodic, bounce-back and moving-lid boundaries, on cubic and non-cubic
-// grids, with every lattice direction crossing block and domain edges.
-// Its pull case holds the other direction of the same stream geometry.
+// same shared bodies — once as the sequential engine composes them,
+// ending in kernel 9's copy, once streaming in place through the swapped
+// phase and back — must stay bitwise equal, under periodic, bounce-back
+// and moving-lid boundaries, on cubic and non-cubic grids, with every
+// lattice direction crossing block and domain edges. Its aa case holds
+// the in-place bodies against the two-array reference.
 func TestLayoutConformance(t *testing.T) {
 	for _, dims := range [][3]int{{8, 8, 8}, {8, 4, 12}} {
 		for _, k := range []int{2, 4} {
@@ -174,23 +194,20 @@ func TestLayoutConformance(t *testing.T) {
 						p := core.Problem{Tau: 0.8, BCX: bc.bcx, BCY: bc.bcy, BCZ: bc.bcz, LidVelocity: bc.lid}
 						sbc := p.StreamBC(dims[0], dims[1], dims[2])
 						sg, sl := core.NewStreamer(g, sbc), core.NewStreamer(l, sbc)
+						nextG := make([][lattice.Q]float64, g.NumNodes())
+						nextL := make([][lattice.Q]float64, l.NumNodes())
 						body := [3]float64{2e-5, -1e-5, 3e-5}
 						for s := 0; s < 2; s++ {
 							var reset *[3]float64
 							if s == 1 {
 								reset = &body // the folded force reset rides along on one of the steps
 							}
-							step(g, sg, p.Tau, g.Cur(), reset)
-							step(l, sl, p.Tau, l.Cur(), reset)
 							if end == "copy" {
-								core.CopyRange(g.Dist(g.Cur()), g.Dist(1-g.Cur()))
-								core.CopyRange(l.Dist(l.Cur()), l.Dist(1-l.Cur()))
+								refStep(g, sg, nextG, p.Tau, reset)
+								refStep(l, sl, nextL, p.Tau, reset)
 							} else {
-								g.Swap()
-								l.Swap()
-							}
-							if g.Cur() != l.Cur() {
-								t.Fatalf("step %d: parities diverge", s)
+								aaStep(g, sg, p.Tau, s == 1, reset)
+								aaStep(l, sl, p.Tau, s == 1, reset)
 							}
 							for x := 0; x < dims[0]; x++ {
 								for y := 0; y < dims[1]; y++ {
@@ -199,10 +216,8 @@ func TestLayoutConformance(t *testing.T) {
 										if a, b := g.At(x, y, z), l.At(x, y, z); *a != *b {
 											t.Fatalf("step %d: node (%d,%d,%d) differs between the layouts:\nslab %+v\ncube %+v", s, x, y, z, *a, *b)
 										}
-										for p := 0; p < 2; p++ {
-											if g.Dist(p)[gi] != l.Dist(p)[li] {
-												t.Fatalf("step %d: node (%d,%d,%d) buffer %d differs between the layouts", s, x, y, z, p)
-											}
+										if g.Dist()[gi] != l.Dist()[li] {
+											t.Fatalf("step %d: node (%d,%d,%d) distributions differ between the layouts", s, x, y, z)
 										}
 									}
 								}
@@ -213,49 +228,49 @@ func TestLayoutConformance(t *testing.T) {
 			}
 		}
 	}
-	t.Run("pull", pullConformance)
+	t.Run("aa", aaConformance)
 }
 
-// pullConformance states the pull half of the stream geometry: on the
-// slab grid and on cube layouts, collide followed by core.FinalizeBlock
-// over every block must leave every array bitwise equal to collide →
-// Streamer.Block → UpdateRange with the force reset, under every
-// conformance boundary case, at both buffer parities.
-func pullConformance(t *testing.T) {
+// aaConformance states the in-place stream: on the slab grid and on cube
+// layouts, a natural → swapped step and a swapped → natural step, each
+// followed by its moments body, must leave every array bitwise equal to
+// two steps of collide → Streamer.Block → UpdateRange → copy on a
+// two-array clone, under every conformance boundary case, with the force
+// reset on one of the steps. At the swapped phase, where the array is
+// not comparable slot by slot, Canonicalize must turn a copy of it into
+// the reference's post-streaming array.
+func aaConformance(t *testing.T) {
 	body := [3]float64{2e-5, -1e-5, 3e-5}
 	dims := [3]int{8, 4, 12}
 	for _, k := range []int{0, 2, 4} { // 0 is the slab grid
 		for _, bc := range conformanceBCs {
 			t.Run(fmt.Sprintf("k%d/%s", k, bc.name), func(t *testing.T) {
 				p := core.Problem{Tau: 0.8, BCX: bc.bcx, BCY: bc.bcy, BCZ: bc.bcz, LidVelocity: bc.lid}
-				push, pull := twinLayout(t, dims, k), twinLayout(t, dims, k)
+				ref, aa := twinLayout(t, dims, k), twinLayout(t, dims, k)
 				sbc := p.StreamBC(dims[0], dims[1], dims[2])
-				sPush, sPull := core.NewStreamer(push, sbc), core.NewStreamer(pull, sbc)
-				_, e := pull.BlockBox(0)
-				n := e[0] * e[1] * e[2]
+				sRef, sAA := core.NewStreamer(ref, sbc), core.NewStreamer(aa, sbc)
+				next := make([][lattice.Q]float64, len(ref.Macros()))
 				for s := 0; s < 2; s++ {
-					cur := push.Cur()
-					if pull.Cur() != cur {
-						t.Fatalf("step %d: parities diverge", s)
+					swapped := s == 1
+					reset := &body
+					if !swapped {
+						reset = nil
 					}
-					step(push, sPush, p.Tau, cur, &body)
-					m := pull.Macros()
-					core.CollideRange(pull.Dist(cur), m, p.Tau)
-					for b := 0; b*n < len(m); b++ {
-						core.FinalizeBlock(sPull, pull.Dist(cur), pull.Dist(1-cur), b, body)
+					refStep(ref, sRef, next, p.Tau, reset)
+					aaStep(aa, sAA, p.Tau, swapped, reset)
+					got := aa.Dist()
+					if !swapped {
+						got = append([][lattice.Q]float64(nil), got...)
+						core.Canonicalize(sAA, got)
 					}
-					for j := range m {
-						if push.Macros()[j] != m[j] {
-							t.Fatalf("parity %d: node %d record: push %+v, pull %+v", cur, j, push.Macros()[j], m[j])
+					for j := range next {
+						if ref.Macros()[j] != aa.Macros()[j] {
+							t.Fatalf("step %d: node %d record: reference %+v, in place %+v", s, j, ref.Macros()[j], aa.Macros()[j])
 						}
-						for b := 0; b < 2; b++ {
-							if push.Dist(b)[j] != pull.Dist(b)[j] {
-								t.Fatalf("parity %d: node %d buffer %d differs between push and pull", cur, j, b)
-							}
+						if got[j] != next[j] || ref.Dist()[j] != next[j] {
+							t.Fatalf("step %d: node %d distributions differ from the reference's post-streaming array", s, j)
 						}
 					}
-					push.(interface{ Swap() }).Swap()
-					pull.(interface{ Swap() }).Swap()
 				}
 			})
 		}

@@ -153,7 +153,7 @@ func TestShearWaveDecayRate(t *testing.T) {
 				var geq [lattice.Q]float64
 				lattice.Equilibrium(1, u, &geq)
 				i := s.Fluid.Idx(x, y, z)
-				s.Fluid.Dist(0)[i], s.Fluid.Dist(1)[i] = geq, geq
+				s.Fluid.Dist()[i] = geq
 				nd.Vel = u
 				nd.Rho = 1
 			}
@@ -310,7 +310,7 @@ func TestDefaultTau(t *testing.T) {
 	}
 }
 
-// Kernel 9 must make the two distribution buffers equal exactly.
+// Kernel 9 must make the two distribution arrays equal exactly.
 func TestCopyDistribution(t *testing.T) {
 	s := MustNewSolver(Config{NX: 4, NY: 4, NZ: 4, Tau: 0.7, BodyForce: [3]float64{1e-4, 0, 0}})
 	s.SpreadForce()
@@ -318,9 +318,9 @@ func TestCopyDistribution(t *testing.T) {
 	s.StreamDistribution()
 	s.UpdateVelocity()
 	s.CopyDistribution()
-	for i := range s.Fluid.Dist(0) {
-		if s.Fluid.Dist(0)[i] != s.Fluid.Dist(1)[i] {
-			t.Fatalf("node %d: buffers differ after copy", i)
+	for i := range s.Fluid.Dist() {
+		if s.Fluid.Dist()[i] != s.next[i] {
+			t.Fatalf("node %d: arrays differ after copy", i)
 		}
 	}
 }
@@ -328,23 +328,48 @@ func TestCopyDistribution(t *testing.T) {
 // Streaming must be a pure permutation of distribution values under
 // periodic boundaries: the multiset of values per direction is preserved.
 // Kernels 5 and 7 run once per node per step in every engine; a heap
-// allocation in either body (an escaping scratch array, say) would be paid
-// there.
+// allocation in any of their bodies (an escaping scratch array, say)
+// would be paid there. The in-place bodies run on a walled grid so their
+// boundary paths count too.
 func TestCollideAndUpdateRangeDoNotAllocate(t *testing.T) {
 	g := grid.New(16, 16, 16)
 	reset := [3]float64{1e-5, 0, 0}
-	if n := testing.AllocsPerRun(10, func() { CollideRange(g.Dist(0), g.Macros(), 0.7) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { CollideRange(g.Dist(), g.Macros(), 0.7) }); n != 0 {
 		t.Errorf("CollideRange over %d nodes: %v allocations per run, want 0", g.NumNodes(), n)
 	}
-	if n := testing.AllocsPerRun(10, func() { UpdateRange(g.Dist(1), g.Macros(), &reset) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { UpdateRange(g.Dist(), g.Macros(), &reset) }); n != 0 {
 		t.Errorf("UpdateRange over %d nodes: %v allocations per run, want 0", g.NumNodes(), n)
+	}
+	p := Problem{BCZ: BounceBack, LidVelocity: [3]float64{0.01, 0, 0}}
+	st := NewStreamer(g, p.StreamBC(16, 16, 16))
+	for _, swapped := range []bool{false, true} {
+		if n := testing.AllocsPerRun(10, func() {
+			AABlock(st, g.Dist(), 0, 0.7, swapped)
+			AAMomentsBlock(st, g.Dist(), 0, !swapped, &reset)
+		}); n != 0 {
+			t.Errorf("AABlock and AAMomentsBlock from swapped=%v: %v allocations per run, want 0", swapped, n)
+		}
+	}
+}
+
+// The in-place bodies trade and gather a node's values pair by pair,
+// (q, q+1) for odd q, and leave the rest value alone: that must be
+// lattice.Opposite's pairing.
+func TestOppositePairsAreAdjacent(t *testing.T) {
+	if lattice.Opposite[0] != 0 {
+		t.Fatalf("Opposite[0] = %d, want 0", lattice.Opposite[0])
+	}
+	for q := 1; q < lattice.Q-1; q += 2 {
+		if lattice.Opposite[q] != q+1 {
+			t.Fatalf("Opposite[%d] = %d, want %d", q, lattice.Opposite[q], q+1)
+		}
 	}
 }
 
 func TestStreamingIsPermutation(t *testing.T) {
 	s := MustNewSolver(Config{NX: 4, NY: 3, NZ: 5, Tau: 0.7})
 	// Give every node a unique distribution signature.
-	cur, next := s.Fluid.Dist(0), s.Fluid.Dist(1)
+	cur, next := s.Fluid.Dist(), s.next
 	for i := range cur {
 		for q := 0; q < lattice.Q; q++ {
 			cur[i][q] = float64(i*lattice.Q + q)

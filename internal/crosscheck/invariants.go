@@ -46,10 +46,9 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 func checkInvariants(c Case, st state, m0, massRel float64) []string {
 	var fails []string
 	g := st.grid
-	cur := g.Cur()
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
-		for _, v := range n.Buf(cur) {
+		for _, v := range n.DF {
 			if !finite(v) {
 				return append(fails, fmt.Sprintf("node %d: non-finite distribution %g", i, v))
 			}

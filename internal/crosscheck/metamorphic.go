@@ -85,12 +85,11 @@ func (r *Runner) checkPermuteXY(c Case, ref state) string {
 	}
 	a, b := ref.grid, got.grid
 	maxAbs := 0.0
-	curA, curB := a.Cur(), b.Cur()
 	for x := 0; x < a.NX; x++ {
 		for y := 0; y < a.NY; y++ {
 			for z := 0; z < a.NZ; z++ {
 				na, nb := a.At(x, y, z), b.At(y, x, z)
-				dfa, dfb := na.Buf(curA), nb.Buf(curB)
+				dfa, dfb := &na.DF, &nb.DF
 				for q := 0; q < lattice.Q; q++ {
 					maxAbs = math.Max(maxAbs, math.Abs(dfa[q]-dfb[permXYDirs[q]]))
 				}
@@ -124,12 +123,11 @@ func (r *Runner) checkMirrorX(c Case, ref state) string {
 	}
 	a, b := ref.grid, got.grid
 	maxAbs := 0.0
-	curA, curB := a.Cur(), b.Cur()
 	for x := 0; x < a.NX; x++ {
 		for y := 0; y < a.NY; y++ {
 			for z := 0; z < a.NZ; z++ {
 				na, nb := a.At(x, y, z), b.At(a.NX-1-x, y, z)
-				dfa, dfb := na.Buf(curA), nb.Buf(curB)
+				dfa, dfb := &na.DF, &nb.DF
 				for q := 0; q < lattice.Q; q++ {
 					maxAbs = math.Max(maxAbs, math.Abs(dfa[q]-dfb[mirrorXDir[q]]))
 				}

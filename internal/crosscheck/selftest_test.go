@@ -19,7 +19,7 @@ import (
 func injectFault(t *testing.T) {
 	t.Helper()
 	omp.FaultHook = func(s *omp.Solver) {
-		df := s.Fluid.Dist(s.Fluid.Cur())
+		df := s.Live().Dist()
 		df[0] = df[1]
 	}
 	t.Cleanup(func() { omp.FaultHook = nil })

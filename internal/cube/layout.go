@@ -14,8 +14,8 @@ import (
 )
 
 // Layout is the cube-tiled fluid grid, stored split like grid.Grid: one
-// distribution array per buffer parity and one array of grid.Macro
-// records, every one cube-major — cube (cx, cy, cz) occupies the K³
+// distribution array and one array of grid.Macro records, 208 B per
+// node, both cube-major — cube (cx, cy, cz) occupies the K³
 // entries starting at CubeIndex(cx,cy,cz)*K³, ordered z-fastest within
 // the cube. In the block-layout contract the solvers share (core.Layout)
 // its blocks are the cubes.
@@ -26,12 +26,10 @@ type Layout struct {
 	// Coupling makes the layout an ibm.ForceAccumulator and VelocitySampler.
 	*grid.Coupling
 
-	// dist[b] is distribution buffer b and cur the parity, as in
-	// grid.Grid. The swap-based cube solver flips it once per step
-	// instead of running kernel 9's copy loop.
-	dist  [2][][lattice.Q]float64
+	// dist holds each node's 19 distribution values, streamed in place
+	// by the cube solver (core.AABlock), as in grid.Grid.
+	dist  [][lattice.Q]float64
 	macro []grid.Macro
-	cur   int
 }
 
 // NewLayout tiles an nx×ny×nz grid into cubes of edge k. Every dimension
@@ -50,7 +48,7 @@ func NewLayout(nx, ny, nz, k int) (*Layout, error) {
 	l := &Layout{
 		K: k, NX: nx, NY: ny, NZ: nz,
 		CX: nx / k, CY: ny / k, CZ: nz / k,
-		dist:  [2][][lattice.Q]float64{make([][lattice.Q]float64, n), make([][lattice.Q]float64, n)},
+		dist:  make([][lattice.Q]float64, n),
 		macro: make([]grid.Macro, n),
 	}
 	l.Coupling = grid.NewCoupling(l.macro, l)
@@ -60,18 +58,7 @@ func NewLayout(nx, ny, nz, k int) (*Layout, error) {
 
 // Reset reinitializes every node to density rho and velocity u at
 // equilibrium, with zero force.
-func (l *Layout) Reset(rho float64, u [3]float64) {
-	grid.Reset(l.dist, l.macro, rho, u)
-	l.cur = 0
-}
-
-// Cur returns the distribution-buffer parity: the present buffer is
-// Dist(Cur()).
-func (l *Layout) Cur() int { return l.cur }
-
-// Swap flips the buffer parity so the post-streaming buffer becomes the
-// present one — the O(1) replacement for kernel 9's per-node copy.
-func (l *Layout) Swap() { l.cur ^= 1 }
+func (l *Layout) Reset(rho float64, u [3]float64) { grid.Reset(l.dist, l.macro, rho, u) }
 
 // NumCubes returns the number of cubes.
 func (l *Layout) NumCubes() int { return l.CX * l.CY * l.CZ }
@@ -82,9 +69,9 @@ func (l *Layout) NumNodes() int { return len(l.macro) }
 // Dims returns the fluid grid dimensions.
 func (l *Layout) Dims() (nx, ny, nz int) { return l.NX, l.NY, l.NZ }
 
-// Dist returns distribution buffer b (0 or 1) in layout order; the
-// present buffer is Dist(Cur()). Cube c occupies entries CubeRange(c).
-func (l *Layout) Dist(b int) [][lattice.Q]float64 { return l.dist[b] }
+// Dist returns the distribution array in layout order. Cube c occupies
+// entries CubeRange(c).
+func (l *Layout) Dist() [][lattice.Q]float64 { return l.dist }
 
 // Macros returns every node's record in layout order.
 func (l *Layout) Macros() []grid.Macro { return l.macro }
@@ -138,30 +125,25 @@ func (l *Layout) Wrap(x, y, z int) (int, int, int) {
 }
 
 // FromGrid copies the full state of a slab-layout grid (same dimensions)
-// into the cube layout, the grid's present buffer into buffer 0.
+// into the cube layout.
 func (l *Layout) FromGrid(g *grid.Grid) error {
 	if g.NX != l.NX || g.NY != l.NY || g.NZ != l.NZ {
 		return fmt.Errorf("cube: dimension mismatch %d×%d×%d vs %d×%d×%d",
 			g.NX, g.NY, g.NZ, l.NX, l.NY, l.NZ)
 	}
-	cur, next, m := g.Dist(g.Cur()), g.Dist(1-g.Cur()), g.Macros()
-	l.eachNode(g, func(gi, li int) {
-		l.dist[0][li], l.dist[1][li], l.macro[li] = cur[gi], next[gi], m[gi]
-	})
-	l.cur = 0
+	df, m := g.Dist(), g.Macros()
+	l.eachNode(g, func(gi, li int) { l.dist[li], l.macro[li] = df[gi], m[gi] })
 	return nil
 }
 
 // ToGrid copies the cube layout's state into a freshly allocated
 // slab-layout grid, for tests that compare the cube engines with the slab
-// ones and for the benchmark's layout probe. The result always has the
-// present buffer at parity 0, regardless of the layout's parity.
+// ones and for the benchmark's layout probe. It copies the array as it
+// is; a solver presents its natural phase first (cubesolver.Solver.Live).
 func (l *Layout) ToGrid() *grid.Grid {
 	g := grid.New(l.NX, l.NY, l.NZ)
-	cur, next, m := g.Dist(0), g.Dist(1), g.Macros()
-	l.eachNode(g, func(gi, li int) {
-		cur[gi], next[gi], m[gi] = l.dist[l.cur][li], l.dist[1-l.cur][li], l.macro[li]
-	})
+	df, m := g.Dist(), g.Macros()
+	l.eachNode(g, func(gi, li int) { df[gi], m[gi] = l.dist[li], l.macro[li] })
 	return g
 }
 
@@ -176,7 +158,6 @@ func (l *Layout) eachNode(g *grid.Grid, fn func(gi, li int)) {
 	}
 }
 
-// TotalMass returns the summed present-buffer distribution mass. The sum
-// runs in cube order, so it can differ from ToGrid().TotalMass() in the
-// last bits.
-func (l *Layout) TotalMass() float64 { return grid.TotalMass(l.dist[l.cur]) }
+// TotalMass returns the summed distribution mass. The sum runs in cube
+// order, so it can differ from ToGrid().TotalMass() in the last bits.
+func (l *Layout) TotalMass() float64 { return grid.TotalMass(l.dist) }

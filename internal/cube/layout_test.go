@@ -122,7 +122,7 @@ func TestResetToEquilibrium(t *testing.T) {
 	n := l.At(3, 2, 1)
 	var geq [lattice.Q]float64
 	lattice.Equilibrium(1.1, u, &geq)
-	if l.dist[0][l.Idx(3, 2, 1)] != geq || l.dist[1][l.Idx(3, 2, 1)] != geq || n.Rho != 1.1 || n.Vel != u {
+	if l.dist[l.Idx(3, 2, 1)] != geq || n.Rho != 1.1 || n.Vel != u {
 		t.Fatal("Reset did not set equilibrium state")
 	}
 }
@@ -134,7 +134,7 @@ func TestGridRoundTrip(t *testing.T) {
 		g.Macros()[i].Rho = float64(i)
 		g.Macros()[i].Vel = [3]float64{float64(i), float64(2 * i), float64(3 * i)}
 		for q := 0; q < lattice.Q; q++ {
-			g.Dist(0)[i][q] = float64(i*lattice.Q + q)
+			g.Dist()[i][q] = float64(i*lattice.Q + q)
 		}
 	}
 	l := mustLayout(t, 8, 8, 8, 4)
@@ -147,7 +147,7 @@ func TestGridRoundTrip(t *testing.T) {
 			for z := 0; z < 8; z++ {
 				a, b := g.At(x, y, z), back.At(x, y, z)
 				i := g.Idx(x, y, z)
-				if a.Rho != b.Rho || a.Vel != b.Vel || g.Dist(0)[i] != back.Dist(0)[i] {
+				if a.Rho != b.Rho || a.Vel != b.Vel || g.Dist()[i] != back.Dist()[i] {
 					t.Fatalf("round trip differs at (%d,%d,%d)", x, y, z)
 				}
 			}

@@ -8,7 +8,8 @@
 // once at construction — and synchronizes with a small number of global
 // barriers. The kernels' loop bodies are internal/core's; this package
 // is the schedule: ownership, loop fusion per cube, and the barrier
-// sites.
+// sites. The layout holds one distribution array, streamed in place by
+// the AA pattern (core.AABlock), so kernel 9 has nothing left to copy.
 //
 // Cross-thread force spreading is lock-free: each worker accumulates
 // contributions to cubes it does not own into a private, sparse per-cube
@@ -58,6 +59,9 @@ type Solver struct {
 	timedBarrier par.TimedBarrier    // wraps barrier; used only with a Probe attached
 	accums       []*core.SpreadAccum // per-thread spread buffers, one block per cube
 	step         int
+	// swapped is the phase of the layout's distribution array between
+	// steps (core.AABlock): false means natural. Every step flips it.
+	swapped bool
 
 	// Ownership, resolved once from the block distribution: owned[tid]
 	// lists thread tid's cubes in cube-index order, and fibers[tid] is
@@ -162,30 +166,41 @@ func (s *Solver) Step() { s.Run(1) }
 // runs the whole loop structure of Algorithm 4, including the global
 // barriers, until all n steps are done.
 //
-// Buffer parity is captured once here, before the team forks, and each
-// worker derives its step's parity from the step index alone (the swap
-// flips it exactly once per step). No worker reads the layout's shared
-// parity bit mid-run, which is what makes thread 0's Swap in the 5th
-// loop conflict-free and lets the end-of-step barrier fold away when
-// nothing else spans it (see timeStep).
+// The array's phase is captured once here, before the team forks, and
+// each worker derives its step's phase from the step index alone (every
+// step flips it); the solver's phase bit is written only after the team
+// joins. So no worker shares a phase variable mid-run, which lets the
+// end-of-step barrier fold away when nothing else spans it (see
+// timeStep).
 func (s *Solver) Run(n int) {
 	if n <= 0 {
 		return
 	}
-	first := s.step
-	p0 := s.Fluid.Cur()
+	first, p0 := s.step, s.swapped
 	s.team.Run(func(tid int) {
 		for st := first; st < first+n; st++ {
-			s.timeStep(st, tid, p0^((st-first)&1))
+			s.timeStep(st, tid, p0 != ((st-first)&1 == 1))
 		}
 	})
 	s.step += n
+	s.swapped = p0 != (n&1 == 1)
 }
 
-// timeStep is Thread_entry_fn's per-step body (Algorithm 4). cur is the
-// step's distribution-buffer parity, derived from the step index by Run
-// so that workers never load the shared parity bit between barriers.
-func (s *Solver) timeStep(step, tid, cur int) {
+// Live returns the layout with its distributions in the natural phase,
+// canonicalizing the array in place if the last step left it swapped.
+// Call it between steps only.
+func (s *Solver) Live() *cube.Layout {
+	if s.swapped {
+		core.Canonicalize(s.stream, s.Fluid.Dist())
+		s.swapped = false
+	}
+	return s.Fluid
+}
+
+// timeStep is Thread_entry_fn's per-step body (Algorithm 4). swapped is
+// the array's phase at the start of the step, derived from the step
+// index by Run.
+func (s *Solver) timeStep(step, tid int, swapped bool) {
 	phase := func(p core.Phase, fn func()) {
 		s.Timed(core.Event{Kind: core.PhaseDone, Step: step, Tid: tid, Phase: p}, fn)
 	}
@@ -205,30 +220,30 @@ func (s *Solver) timeStep(step, tid, cur int) {
 	}
 
 	// 2nd loop: kernels 5–6 on owned cubes (each first folds the workers'
-	// spread buffers into the cube).
-	phase(core.PhaseCollideStream, func() { s.collideStreamLoop(tid, step, gen, cur) })
+	// spread buffers into the cube), streaming in place.
+	phase(core.PhaseCollideStream, func() { s.collideStreamLoop(tid, step, gen, swapped) })
 	s.waitBarrier(core.SiteAfterStream, tid, step) // streaming → velocity-update dependency (paper's 1st barrier)
 
-	// 3rd loop: kernel 7 on owned cubes.
-	phase(core.PhaseUpdateVelocity, func() { s.updateVelocityLoop(tid, step, cur) })
+	// 3rd loop: kernel 7 on owned cubes, reading neighbour cubes' slots
+	// at the phase the 2nd loop left.
+	phase(core.PhaseUpdateVelocity, func() { s.updateVelocityLoop(tid, step, !swapped) })
 	s.waitBarrier(core.SiteAfterVelocity, tid, step) // velocity → move-fibers dependency (paper's 2nd barrier)
 
 	// 4th loop: kernel 8 on owned fibers.
 	phase(core.PhaseMoveFibers, func() { s.moveFibersLoop(tid) })
 
-	// 5th loop: kernel 9, retired: thread 0 flips the layout's buffer
-	// parity in O(1) and everyone else's loop body is empty (each thread
-	// still reports the phase to the probe). The after-velocity
-	// barrier orders the flip after every thread's kernel-7 reads;
-	// workers derive their own parity from the step index, so the flip
-	// itself is unread until the run joins.
-	phase(core.PhaseCopy, func() { s.copyLoop(tid) })
+	// 5th loop: kernel 9, retired: streaming in place leaves no second
+	// array to copy back, so every thread's loop body is empty (each
+	// thread still reports the phase to the probe).
+	phase(core.PhaseCopy, func() {})
 	// End-of-step barrier (paper's 3rd). It orders nothing in a
 	// fluid-only run: the move-fibers and copy phases between the
 	// after-velocity barrier and the next step's collide are then empty
-	// of cross-thread effects — fibers' X writes are absent, parity is
-	// derived per worker, and thread 0's Swap is unread until the team
-	// joins. TestFoldedEndBarrierBitwiseEqualsSequential holds that fold
+	// of cross-thread effects — fibers' X writes are absent and the phase
+	// is derived per worker — and the after-velocity barrier already
+	// orders the 3rd loop's reads of neighbour cubes' slots before the
+	// next step's 2nd loop writes them.
+	// TestFoldedEndBarrierBitwiseEqualsSequential holds that fold
 	// bitwise against the sequential reference at 1–8 threads under
 	// -race (DESIGN.md §16). With fibers it is required (move writes
 	// sheet X that the next step's bending stencil reads across fibers):
@@ -295,28 +310,26 @@ func (s *Solver) fiberForceLoop(tid, gen int) {
 // touching the cube here, so the reduction needs no synchronization
 // beyond the spread barrier already passed, and the cube's nodes are hot
 // in cache for the collision that follows.
-func (s *Solver) collideStreamLoop(tid, step, gen, cur int) {
+func (s *Solver) collideStreamLoop(tid, step, gen int, swapped bool) {
 	reduce := fiber.TotalFibers(s.Sheets) > 0
-	df, macro := s.Fluid.Dist(cur), s.Fluid.Macros()
+	df, macro := s.Fluid.Dist(), s.Fluid.Macros()
 	s.forOwnedCubes(tid, step, core.PhaseCollideStream, func(c int) {
-		lo, hi := s.Fluid.CubeRange(c)
 		if reduce {
+			lo, hi := s.Fluid.CubeRange(c)
 			core.ReduceSpread(s.accums, macro[lo:hi], c, gen)
 		}
-		core.CollideRange(df[lo:hi], macro[lo:hi], s.Tau)
-		s.stream.Block(c, cur)
+		core.AABlock(s.stream, df, c, s.Tau, swapped)
 	})
 }
 
-// updateVelocityLoop runs kernel 7 over owned cubes, resetting each
-// node's force to the uniform body force in the same pass — the reset
-// the paper's loop 5 performed, folded here so the retired copy loop
-// leaves nothing behind.
-func (s *Solver) updateVelocityLoop(tid, step, cur int) {
-	df, macro := s.Fluid.Dist(1-cur), s.Fluid.Macros()
+// updateVelocityLoop runs kernel 7 over owned cubes at the array's phase
+// swapped, resetting each node's force to the uniform body force in the
+// same pass — the reset the paper's loop 5 performed, folded here so the
+// retired copy loop leaves nothing behind.
+func (s *Solver) updateVelocityLoop(tid, step int, swapped bool) {
+	df := s.Fluid.Dist()
 	s.forOwnedCubes(tid, step, core.PhaseUpdateVelocity, func(c int) {
-		lo, hi := s.Fluid.CubeRange(c)
-		core.UpdateRange(df[lo:hi], macro[lo:hi], &s.BodyForce)
+		core.AAMomentsBlock(s.stream, df, c, swapped, &s.BodyForce)
 	})
 }
 
@@ -326,15 +339,6 @@ func (s *Solver) moveFibersLoop(tid int) {
 	s.forOwnedFibers(tid, func(sh *fiber.Sheet, lo, hi int) {
 		core.MoveSheetNodes(s.Fluid, sh, lo, hi)
 	})
-}
-
-// copyLoop is the 5th loop. Kernel 9 is retired: only thread 0 does
-// anything, flipping the layout's buffer parity in O(1); the force reset
-// that used to ride along lives in updateVelocityLoop.
-func (s *Solver) copyLoop(tid int) {
-	if tid == 0 {
-		s.Fluid.Swap()
-	}
 }
 
 // spreadOnly runs the fiber-force loop (kernels 1–4) once on the worker

@@ -42,7 +42,7 @@ func TestMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.Run(steps)
-			gd, err := validate.Grids(ref.Fluid, s.Fluid.ToGrid())
+			gd, err := validate.Grids(ref.Fluid, s.Live().ToGrid())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,9 +71,9 @@ func TestSingleThreadBitwiseEqualsSequential(t *testing.T) {
 	}
 	defer s.Close()
 	s.Run(steps)
-	g := s.Fluid.ToGrid()
+	g := s.Live().ToGrid()
 	for i := range ref.Fluid.Macros() {
-		if ref.Fluid.Dist(ref.Fluid.Cur())[i] != g.Dist(g.Cur())[i] {
+		if ref.Fluid.Dist()[i] != g.Dist()[i] {
 			t.Fatalf("node %d DF differs bitwise at 1 thread", i)
 		}
 	}
@@ -95,7 +95,7 @@ func TestBounceBackMatchesSequential(t *testing.T) {
 	}
 	defer s.Close()
 	s.Run(15)
-	d, err := validate.Grids(ref.Fluid, s.Fluid.ToGrid())
+	d, err := validate.Grids(ref.Fluid, s.Live().ToGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func BenchmarkCubeStep16k4(b *testing.B) {
 }
 
 // A moving-lid cavity with an immersed sheet exercises the Ladd
-// bounce-back correction through the swap-based streaming path. One
+// bounce-back correction through the in-place streaming path. One
 // thread keeps the force accumulation order sequential, so the match
 // must be bitwise on the distributions.
 func TestMovingLidFSIBitwiseSequential(t *testing.T) {
@@ -222,9 +222,9 @@ func TestMovingLidFSIBitwiseSequential(t *testing.T) {
 	}
 	defer s.Close()
 	s.Run(steps)
-	g := s.Fluid.ToGrid()
+	g := s.Live().ToGrid()
 	for i := range ref.Fluid.Macros() {
-		if ref.Fluid.Dist(ref.Fluid.Cur())[i] != g.Dist(g.Cur())[i] {
+		if ref.Fluid.Dist()[i] != g.Dist()[i] {
 			t.Fatalf("node %d DF differs bitwise under the moving lid", i)
 		}
 	}
@@ -254,18 +254,18 @@ func TestMovingLidCornerNodeBitwise(t *testing.T) {
 	}
 	defer s.Close()
 	s.Run(steps)
-	g := s.Fluid.ToGrid()
+	g := s.Live().ToGrid()
 	corner := ref.Fluid.Idx(0, 0, 7) // touches the lid, wraps in x and y
-	if ref.Fluid.Dist(ref.Fluid.Cur())[corner] != g.Dist(g.Cur())[corner] {
+	if ref.Fluid.Dist()[corner] != g.Dist()[corner] {
 		t.Fatalf("corner node under the lid differs bitwise:\nseq  %v\ncube %v",
-			ref.Fluid.Dist(ref.Fluid.Cur())[corner], g.Dist(g.Cur())[corner])
+			ref.Fluid.Dist()[corner], g.Dist()[corner])
 	}
 	if ref.Fluid.Macros()[corner].Vel != g.Macros()[corner].Vel {
 		t.Fatal("corner node velocity differs under the lid")
 	}
 	// And the full grid, while we are here.
 	for i := range ref.Fluid.Macros() {
-		if ref.Fluid.Dist(ref.Fluid.Cur())[i] != g.Dist(g.Cur())[i] {
+		if ref.Fluid.Dist()[i] != g.Dist()[i] {
 			t.Fatalf("node %d DF differs bitwise", i)
 		}
 	}

@@ -31,7 +31,7 @@ func spreadMatchesSequential(t *testing.T, mkSheet func() *fiber.Sheet, threads 
 	}
 	defer s.Close()
 	s.spreadOnly()
-	g := s.Fluid.ToGrid()
+	g := s.Live().ToGrid()
 	for i := range ref.Fluid.Macros() {
 		want, got := ref.Fluid.Macros()[i].Force, g.Macros()[i].Force
 		for d := 0; d < 3; d++ {
@@ -72,9 +72,9 @@ func TestLockFreeDeterministicRunToRun(t *testing.T) {
 	a, b := run(), run()
 	defer a.Close()
 	defer b.Close()
-	ga, gb := a.Fluid.ToGrid(), b.Fluid.ToGrid()
+	ga, gb := a.Live().ToGrid(), b.Live().ToGrid()
 	for i := range ga.Macros() {
-		if ga.Dist(ga.Cur())[i] != gb.Dist(gb.Cur())[i] {
+		if ga.Dist()[i] != gb.Dist()[i] {
 			t.Fatalf("node %d DF differs between identical 4-thread lock-free runs", i)
 		}
 	}

@@ -49,7 +49,7 @@ func FuzzFusedStep(f *testing.F) {
 		}
 		s.Run(5)
 		g := s.Live()
-		df := g.Dist(g.Cur())
+		df := g.Dist()
 		for i := range g.Macros() {
 			n := &g.Macros()[i]
 			for q := 0; q < lattice.Q; q++ {

@@ -1,55 +1,51 @@
 // Package fused implements the memory-aware fused engine: collide,
-// stream, boundary handling, macroscopic update, and the buffer swap —
-// kernels 5, 6, 7, and 9 of Algorithm 1 — executed as a single
-// pull-streaming sweep over the double-buffered slab grid, so each fluid
-// node's distributions are read once and written once per time step
-// instead of once per kernel. This follows the memory-aware single-node
-// optimization of Fu & Song's 3D LBM work (PAPERS.md #1): on a
-// memory-bound stencil, fusing passes is worth more than any further
-// intra-kernel tuning.
+// stream, boundary handling and the macroscopic update — kernels 5, 6
+// and 7 of Algorithm 1 — executed as a single sweep over the slab grid's
+// one distribution array, so each fluid node's distributions are read
+// once and written once per time step instead of once per kernel. This
+// follows the memory-aware single-node optimization of Fu & Song's 3D
+// LBM work (PAPERS.md #1): on a memory-bound stencil, fusing passes is
+// worth more than any further intra-kernel tuning.
 //
-// # Pull streaming
+// # Streaming in place
 //
-// The sequential reference and the other parallel engines stream by
-// pushing (core.Streamer.Block): node s writes its post-collision value
-// g_q into neighbor (s+e_q)'s post-streaming buffer. The fused sweep
-// pulls instead: core.FinalizeBlock has node n gather slot q from its
-// upwind neighbor n−e_q over the same stream geometry and the same
-// boundary body. Why the two directions are value-wise identical, slot by
-// slot, is argued once, on core.Streamer. No arithmetic differs — the
-// float64 fused engine is therefore bitwise identical to the OpenMP-style
-// engine at any thread count, and matches the sequential reference under
-// the same conditions that engine does (exactly, except for the parallel
-// force-spreading accumulation order when multiple threads spread fiber
-// forces).
+// The array is streamed in place by the AA pattern, through the bodies
+// every in-place engine shares: core.AABlock collides a node and stores
+// its values where the next step's reads expect them, and
+// core.AAMomentsBlock then computes the node's moments from its
+// post-streaming values and resets its force to the uniform body force,
+// the same fold of kernel 7 the OpenMP-style solver uses. Why the
+// in-place stream equals the sequential engine's push into a second
+// array, slot by slot, is argued once, on core.AABlock. No arithmetic
+// differs — the float64 fused engine is therefore bitwise identical to
+// the OpenMP-style engine at any thread count, and matches the
+// sequential reference under the same conditions that engine does
+// (exactly, except for the parallel force-spreading accumulation order
+// when multiple threads spread fiber forces).
 //
 // # The wavefront sweep
 //
-// Pulling requires every upwind neighbor's post-collision value, so
-// collision and gathering cannot naively fuse. The sweep runs as one
-// parallel region over x-slabs (one contiguous chunk per thread — the
-// wavefront depends on it) with an explicit mid-sweep barrier:
+// A node's moments read its neighbors' slots, so they wait until every
+// neighbor has collided. The sweep runs as one parallel region over
+// x-slabs (one contiguous chunk per thread — the wavefront depends on it)
+// with an explicit mid-sweep barrier:
 //
 //	one region (per thread, chunk [lo, hi)):
 //	    region A:
 //	        for x = lo .. hi−1:
-//	            collide plane x in place on the present buffer
-//	            if x ≥ lo+2: finalize plane x−1  // pull + moments, cache-hot
-//	    barrier                                  // all chunks collided
+//	            collide and stream plane x in place  // core.AABlock
+//	            if x ≥ lo+2: moments of plane x−1    // cache-hot
+//	    barrier                                      // all chunks streamed
 //	    region B:
-//	        finalize planes lo and hi−1          // need neighbor chunks' planes
-//	swap buffer parity
+//	        moments of planes lo and hi−1            // need neighbor chunks' planes
+//	flip the array's phase
 //
-// Finalizing plane x−1 (block x−1 of the slab grid, by
-// core.FinalizeBlock) reads collided planes x−2..x, all inside the
-// thread's own chunk and still warm in cache; only the two chunk-edge
-// planes wait for the barrier because they read a neighboring thread's
-// planes. Region B is race-free: it reads only present-buffer values
-// (which no longer change) and writes only the finalized node's own
-// post-streaming slots and macroscopic fields. Finalization computes the
-// node's moments from exactly the values it stored (the half-force Guo
-// correction included) and resets the node's force to the uniform body
-// force, the same fold of kernel 7 the OpenMP-style solver uses.
+// The moments of plane x−1 read planes x−2..x, all inside the thread's
+// own chunk and still warm in cache; only the two chunk-edge planes wait
+// for the barrier because they read a neighboring thread's planes.
+// Region A is race-free because no two nodes share a slot (core.AABlock),
+// and region B reads only slots no thread writes any more and writes only
+// its own nodes' records.
 //
 // The mid-sweep barrier is the engine's own par.Barrier (the team's
 // implicit region join used to separate A and B when they were two
@@ -72,26 +68,24 @@
 //
 // # Float32 storage
 //
-// With Config.Float32 the distributions are stored as float32, in two
-// [][19]float32 arrays the solver holds beside the grid's float64 ones:
-// array b stands for the grid's Dist(b), so the grid's parity is the
-// only one. The sweep is one generic body over [][19]T, picked once per
-// step, and so are the kernels it calls (core.CollideRange over
-// lattice.Collide, and lattice.Moments). Arithmetic stays float64: values
-// widen on load and round once on store, and the moments are computed
-// from the rounded stored values, so the macroscopic state remains a pure
-// function of the stored distributions. Storage rounding puts this mode
-// on a relaxed differential contract (~1e-5 vs the float64 reference; see
-// internal/crosscheck), but it is still run-to-run deterministic and its
-// checkpoints round-trip bitwise, because widening float32 to float64 is
-// exact. The grid keeps its records and both float64 arrays, and Live
-// widens the present float32 array into the grid's present one, so the
-// mode holds 2·152 + 56 + 2·76 = 512 B per node against 360.
+// With Config.Float32 the distributions are stored as one [][19]float32
+// array the solver holds beside the grid's float64 one, which is then
+// only Live's target. The sweep is one generic body over [][19]T, picked
+// once per step, and so are the bodies it calls (core.AABlock over
+// lattice.Collide, core.AAMomentsBlock over lattice.Moments). Arithmetic
+// stays float64: values widen on load and round once on store, and the
+// moments are computed from the rounded stored values, so the
+// macroscopic state remains a pure function of the stored distributions.
+// Storage rounding puts this mode on a relaxed differential contract
+// (~1e-5 vs the float64 reference; see internal/crosscheck), but it is
+// still run-to-run deterministic and its checkpoints round-trip bitwise,
+// because widening float32 to float64 is exact. The grid keeps its
+// records and its float64 array, and Live widens the float32 array into
+// it, so the mode holds 152 + 56 + 76 = 284 B per node against 208.
 //
 // Fiber kernels 1–4 and 8 are inherited unchanged from the OpenMP-style
-// solver (same team, same lock-free spreading), the collision is
-// core.CollideRange and the finaliser core.FinalizeBlock, so only the
-// wavefront schedule is this package's own code.
+// solver (same team, same lock-free spreading) and the fluid bodies are
+// core's, so only the wavefront schedule is this package's own code.
 package fused
 
 import (
@@ -110,8 +104,8 @@ type Config struct {
 	Threads int // parallel region width; 0 means 1, clamped to NX
 	// Float32 stores the velocity distributions as float32 (arithmetic
 	// stays float64) at the cost of a relaxed (~1e-5) differential
-	// contract vs the float64 engines. The float32 arrays come on top of
-	// the grid's float64 ones: 512 instead of 360 B per node.
+	// contract vs the float64 engines. The float32 array comes on top of
+	// the grid's float64 one: 284 instead of 208 B per node.
 	Float32 bool
 }
 
@@ -121,10 +115,13 @@ type Config struct {
 type Solver struct {
 	*omp.Solver
 
-	stream *core.Streamer
-	// f32[b] holds the distributions of the grid's Dist(b) in float32
-	// storage; both are nil in float64 mode.
-	f32          [2][][lattice.Q]float32
+	// f32 holds the distributions in float32 storage; nil in float64
+	// mode, where the grid's array holds them.
+	f32 [][lattice.Q]float32
+	// swapped is the phase of whichever array holds the distributions
+	// (core.AABlock): false between steps means natural. It replaces the
+	// embedded omp solver's, whose fluid kernels this engine never runs.
+	swapped      bool
 	barrier      *par.Barrier
 	timedBarrier par.TimedBarrier
 }
@@ -139,18 +136,11 @@ func NewSolver(cfg Config) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Solver{
-		Solver:  base,
-		stream:  core.NewStreamer(base.Fluid, base.StreamBC(cfg.NX, cfg.NY, cfg.NZ)),
-		barrier: par.NewBarrier(base.Threads),
-	}
+	s := &Solver{Solver: base, barrier: par.NewBarrier(base.Threads)}
 	s.timedBarrier = par.TimedBarrier{B: s.barrier, Arrive: s.BarrierArrived}
 	if cfg.Float32 {
-		g := base.Fluid
-		for b := range s.f32 {
-			s.f32[b] = make([][lattice.Q]float32, g.NumNodes())
-		}
-		convert(s.f32[g.Cur()], g.Dist(g.Cur()))
+		s.f32 = make([][lattice.Q]float32, base.Fluid.NumNodes())
+		convert(s.f32, base.Fluid.Dist())
 	}
 	return s, nil
 }
@@ -174,7 +164,7 @@ func MustNewSolver(cfg Config) *Solver {
 var FaultHook func(*Solver)
 
 // Step advances one time step: fiber kernels 1–4, the fused fluid sweep
-// (kernels 5+6+7+9 in one pass), then kernel 8.
+// (kernels 5+6+7 in one pass), then kernel 8.
 func (s *Solver) Step() {
 	run := func(p core.Phase, fn func()) {
 		s.Timed(core.Event{Kind: core.PhaseDone, Step: s.StepCount(), Phase: p}, fn)
@@ -201,39 +191,36 @@ func (s *Solver) Run(n int) {
 	}
 }
 
-// sweep is the fused collide+stream+update+swap pass (see package doc)
-// on whichever arrays hold the distributions.
+// sweep is the fused collide+stream+update pass (see package doc) on
+// whichever array holds the distributions.
 func (s *Solver) sweep() {
-	g := s.Fluid
-	if s.f32[0] != nil {
-		sweepOn(s, s.f32[g.Cur()], s.f32[1-g.Cur()])
+	if s.f32 != nil {
+		sweepOn(s, s.f32)
 	} else {
-		sweepOn(s, g.Dist(g.Cur()), g.Dist(1-g.Cur()))
+		sweepOn(s, s.Fluid.Dist())
 	}
-	g.Swap()
+	s.swapped = !s.swapped
 }
 
-// sweepOn runs the sweep from the present distributions src into the
-// post-streaming ones dst as one parallel region: region A (collide +
-// interior finalize), the explicit wavefront barrier, region B
-// (chunk-edge finalize), and — only with a probe attached — an
-// end-of-sweep barrier measuring the wait the region's implicit join
-// would otherwise hide. The probe is read once, before the region forks,
-// so every worker executes the same barrier sequence.
-func sweepOn[T lattice.Float](s *Solver, src, dst [][lattice.Q]T) {
-	g := s.Fluid
-	plane, macro := g.NY*g.NZ, g.Macros()
-	tau, body := s.Tau, s.BodyForce
+// sweepOn runs the sweep over the distributions df as one parallel
+// region: region A (collide and stream + interior moments), the explicit
+// wavefront barrier, region B (chunk-edge moments), and — only with a
+// probe attached — an end-of-sweep barrier measuring the wait the
+// region's implicit join would otherwise hide. The probe is read once,
+// before the region forks, so every worker executes the same barrier
+// sequence.
+func sweepOn[T lattice.Float](s *Solver, df [][lattice.Q]T) {
+	st, tau, body, swapped := s.Stream, s.Tau, s.BodyForce, s.swapped
 	probe, step := s.Probe, s.StepCount()
-	s.ParallelFor(g.NX, func(tid, lo, hi int) {
+	s.ParallelFor(s.Fluid.NX, func(tid, lo, hi int) {
 		var t0 time.Time
 		if probe != nil {
 			t0 = time.Now()
 		}
 		for x := lo; x < hi; x++ {
-			core.CollideRange(src[x*plane:(x+1)*plane], macro[x*plane:(x+1)*plane], tau)
+			core.AABlock(st, df, x, tau, swapped)
 			if x >= lo+2 {
-				core.FinalizeBlock(s.stream, src, dst, x-1, body)
+				core.AAMomentsBlock(st, df, x-1, !swapped, &body)
 			}
 		}
 		if probe != nil {
@@ -243,9 +230,9 @@ func sweepOn[T lattice.Float](s *Solver, src, dst [][lattice.Q]T) {
 		if probe != nil {
 			t0 = time.Now()
 		}
-		core.FinalizeBlock(s.stream, src, dst, lo, body)
+		core.AAMomentsBlock(st, df, lo, !swapped, &body)
 		if hi-1 != lo {
-			core.FinalizeBlock(s.stream, src, dst, hi-1, body)
+			core.AAMomentsBlock(st, df, hi-1, !swapped, &body)
 		}
 		if probe != nil {
 			probe.Emit(core.Event{Kind: core.PhaseDone, Step: step, Tid: tid, Phase: core.PhaseUpdateVelocity, D: time.Since(t0)})
@@ -265,50 +252,74 @@ func (s *Solver) waitBarrier(site core.BarrierSite, tid, step int) {
 	s.timedBarrier.Wait(step, int(site), tid)
 }
 
-// Live returns the fluid grid at its current parity with the present
-// distributions readable at Dist(Cur()). In float32 mode the stored
-// values are widened — exactly — into the grid's present array first.
+// Live returns the fluid grid with its distributions in the natural
+// phase, canonicalizing the array in place if a step left it swapped. In
+// float32 mode the stored values are then widened — exactly — into the
+// grid's array. Call it between steps only.
 func (s *Solver) Live() *grid.Grid {
 	g := s.Fluid
-	if f := s.f32[g.Cur()]; f != nil {
-		convert(g.Dist(g.Cur()), f)
+	if s.f32 == nil {
+		if s.swapped {
+			core.Canonicalize(s.Stream, g.Dist())
+		}
+	} else {
+		if s.swapped {
+			core.Canonicalize(s.Stream, s.f32)
+		}
+		convert(g.Dist(), s.f32)
 	}
+	s.swapped = false
 	return g
 }
 
-// TotalMass returns the summed present distribution mass. On float32
-// storage it sums the stored values, widened, in node order — the bits
-// Live().TotalMass() would return, without widening the grid.
+// TotalMass returns the summed distribution mass of Live's grid. On
+// float32 storage it canonicalizes and sums the stored values, widened,
+// in node order — the bits Live().TotalMass() would return, without
+// widening the grid.
 func (s *Solver) TotalMass() float64 {
-	g := s.Fluid
-	if f := s.f32[g.Cur()]; f != nil {
-		return grid.TotalMass(f)
+	if s.f32 == nil {
+		return s.Live().TotalMass()
 	}
-	return g.TotalMass()
+	if s.swapped {
+		core.Canonicalize(s.Stream, s.f32)
+		s.swapped = false
+	}
+	return grid.TotalMass(s.f32)
 }
 
-// Loaded re-establishes the engine's invariants after the grid's present
-// array and records were overwritten from outside (a restored
-// checkpoint): the float32 storage is refreshed from the present array
-// and the force field is re-seeded with the body force.
+// Digest fills d from the distributions in place, in whichever phase the
+// last step left them; in float32 mode they are widened into the grid's
+// array first, without canonicalizing.
+func (s *Solver) Digest(d *grid.DigestGrid) error {
+	g := s.Fluid
+	if s.f32 != nil {
+		convert(g.Dist(), s.f32)
+	}
+	return g.Digest(d)
+}
+
+// Loaded re-establishes the engine's invariants after the grid's array
+// and records were overwritten from outside (a restored checkpoint, in
+// the natural phase Live left): the float32 storage is refreshed from
+// the grid and the force field is re-seeded with the body force.
 func (s *Solver) Loaded() {
 	g := s.Fluid
-	if f := s.f32[g.Cur()]; f != nil {
-		convert(f, g.Dist(g.Cur()))
+	if s.f32 != nil {
+		convert(s.f32, g.Dist())
 	}
 	core.SeedForce(g.Macros(), s.BodyForce)
 }
 
-// CopyNodeDist overwrites node dst's present distribution with node
-// src's, in whichever storage mode is active — the perturbation seam the
-// crosscheck fault-injection selftest drives through FaultHook.
+// CopyNodeDist overwrites node dst's 19 distribution slots with node
+// src's, in whichever storage mode and phase is active — the
+// perturbation seam the crosscheck fault-injection selftest drives
+// through FaultHook.
 func (s *Solver) CopyNodeDist(dst, src int) {
-	g := s.Fluid
-	if f := s.f32[g.Cur()]; f != nil {
-		f[dst] = f[src]
+	if s.f32 != nil {
+		s.f32[dst] = s.f32[src]
 		return
 	}
-	df := g.Dist(g.Cur())
+	df := s.Fluid.Dist()
 	df[dst] = df[src]
 }
 

@@ -27,14 +27,13 @@ func baseConfig(sheet *fiber.Sheet) core.Config {
 }
 
 // requireBitwiseFluid asserts the two grids carry bitwise-identical
-// present distributions and macroscopic fields (parities may differ).
+// present distributions and macroscopic fields.
 func requireBitwiseFluid(t *testing.T, ref *core.Solver, s *Solver, label string) {
 	t.Helper()
 	a, b := ref.Fluid, s.Live()
-	ca, cb := a.Cur(), b.Cur()
 	for i := range a.Macros() {
 		na, nb := &a.Macros()[i], &b.Macros()[i]
-		if a.Dist(ca)[i] != b.Dist(cb)[i] {
+		if a.Dist()[i] != b.Dist()[i] {
 			t.Fatalf("%s: node %d distributions differ bitwise", label, i)
 		}
 		if na.Vel != nb.Vel || na.Rho != nb.Rho {
@@ -86,10 +85,9 @@ func TestBitwiseEqualsOMPWithSheets(t *testing.T) {
 		ref.Run(steps)
 		s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: threads})
 		s.Run(steps)
-		a, b := ref.Fluid, s.Fluid
-		ca, cb := a.Cur(), b.Cur()
+		a, b := ref.Live(), s.Live()
 		for i := range a.Macros() {
-			if a.Dist(ca)[i] != b.Dist(cb)[i] {
+			if a.Dist()[i] != b.Dist()[i] {
 				t.Fatalf("threads=%d: node %d distributions differ from omp", threads, i)
 			}
 		}
@@ -147,15 +145,15 @@ func TestMatchesSequentialWithSheets(t *testing.T) {
 	}
 }
 
-// Periodic-wrap pin for the pull side of streaming: a perturbation
-// planted on the x-max plane must cross the periodic seam into plane 0
-// in one step, exactly as the push-streaming reference moves it.
+// Periodic-wrap pin for in-place streaming: a perturbation planted on the
+// x-max plane must cross the periodic seam into plane 0 in one step,
+// exactly as the push-streaming reference moves it.
 func TestPeriodicWrapStreaming(t *testing.T) {
 	cfg := core.Config{NX: 5, NY: 4, NZ: 4, Tau: 0.8}
 	perturb := func(s *core.Solver) {
 		// Direction 1 is +x in the D3Q19 table; bump its population on a
 		// node of the last x-plane so the pulse must wrap.
-		s.Fluid.Dist(s.Fluid.Cur())[s.Fluid.Idx(cfg.NX-1, 2, 2)][1] += 1e-3
+		s.Fluid.Dist()[s.Fluid.Idx(cfg.NX-1, 2, 2)][1] += 1e-3
 	}
 	ref := core.MustNewSolver(cfg)
 	perturb(ref)
@@ -174,8 +172,8 @@ func TestPeriodicWrapStreaming(t *testing.T) {
 	// an unperturbed run), so the bitwise match above proves wrap-around,
 	// not just untouched interior agreement.
 	g := s.Live()
-	got := g.Dist(g.Cur())[g.Idx(0, 2, 2)][1]
-	base := clean.Fluid.Dist(clean.Fluid.Cur())[clean.Fluid.Idx(0, 2, 2)][1]
+	got := g.Dist()[g.Idx(0, 2, 2)][1]
+	base := clean.Fluid.Dist()[clean.Fluid.Idx(0, 2, 2)][1]
 	if got == base {
 		t.Fatalf("perturbation did not wrap: plane-0 node unchanged (%g)", got)
 	}
@@ -197,12 +195,11 @@ func TestMovingLidCornerEquality(t *testing.T) {
 	defer s.Close()
 	s.Run(steps)
 	g := s.Live()
-	ca := ref.Fluid.Cur()
 	for _, x := range []int{0, cfg.NX - 1} {
 		for _, y := range []int{0, cfg.NY - 1} {
 			na, nb := ref.Fluid.At(x, y, cfg.NZ-1), g.At(x, y, cfg.NZ-1)
 			i := g.Idx(x, y, cfg.NZ-1)
-			if ref.Fluid.Dist(ca)[i] != g.Dist(g.Cur())[i] || na.Vel != nb.Vel || na.Rho != nb.Rho {
+			if ref.Fluid.Dist()[i] != g.Dist()[i] || na.Vel != nb.Vel || na.Rho != nb.Rho {
 				t.Fatalf("lid corner (%d,%d,%d) differs from sequential", x, y, cfg.NZ-1)
 			}
 		}
@@ -251,7 +248,7 @@ func TestFloat32RunToRunDeterministic(t *testing.T) {
 	defer b.Close()
 	ga, gb := a.Live(), b.Live()
 	for i := range ga.Macros() {
-		if ga.Dist(ga.Cur())[i] != gb.Dist(gb.Cur())[i] || ga.Macros()[i].Vel != gb.Macros()[i].Vel {
+		if ga.Dist()[i] != gb.Dist()[i] || ga.Macros()[i].Vel != gb.Macros()[i].Vel {
 			t.Fatalf("node %d differs between identical float32 runs", i)
 		}
 	}
@@ -259,7 +256,8 @@ func TestFloat32RunToRunDeterministic(t *testing.T) {
 
 // The float32 engine's mass sums its own storage, without widening the
 // grid: bit for bit the sum over the materialized grid, since widening is
-// exact and the order is the same.
+// exact and the order is the same. Every step here leaves the array
+// swapped, so the sum canonicalizes it first.
 func TestFloat32TotalMassMatchesMaterialized(t *testing.T) {
 	s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: 2, Float32: true})
 	defer s.Close()
@@ -299,14 +297,14 @@ func TestLoadRoundTrip(t *testing.T) {
 		src, dst := half.Live(), resumed.Live()
 		for i := range src.Macros() {
 			s, d := &src.Macros()[i], &dst.Macros()[i]
-			dst.Dist(dst.Cur())[i] = src.Dist(src.Cur())[i]
+			dst.Dist()[i] = src.Dist()[i]
 			d.Rho, d.Vel = s.Rho, s.Vel
 		}
 		resumed.Loaded()
 		resumed.Run(4)
 		ga, gb := full.Live(), resumed.Live()
 		for i := range ga.Macros() {
-			if ga.Dist(ga.Cur())[i] != gb.Dist(gb.Cur())[i] {
+			if ga.Dist()[i] != gb.Dist()[i] {
 				t.Fatalf("float32=%v: node %d differs after load round trip", f32, i)
 			}
 		}

@@ -13,6 +13,17 @@ import (
 // cube engine's cubes when the tile size equals the cube size, which is
 // what lets the flight recorder's fault localization name the cube a
 // blow-up started in.
+//
+// A digest reads the distribution array in place, in whichever phase an
+// in-place engine left it between steps (core.AABlock), and never
+// reorders it. In the natural phase a tile's mass is the mass of its
+// nodes' present distributions. In the swapped phase each node's 19
+// slots hold that node's own post-collision values, its wall
+// reflections included, before they stream out, so a tile's mass is its
+// mass after the step's collision: it differs from the natural-phase
+// figure by the step's net flux across the tile's faces. Summed over
+// all tiles the two phases hold the same values, so the whole-grid mass
+// agrees to rounding.
 type TileDigest struct {
 	Mass      float64 `json:"mass"`
 	MaxVel2   float64 `json:"maxVel2"`
@@ -181,14 +192,15 @@ func (d *DigestGrid) DigestCubeMajor(dist [][lattice.Q]float64, macro []Macro, c
 	return nil
 }
 
-// Digest fills d from the grid's present buffer and records in one pass.
+// Digest fills d from the grid's distributions, read in place, and its
+// records in one pass.
 // d's dimensions must match the grid; the tile size is d.K.
 func (g *Grid) Digest(d *DigestGrid) error {
 	if err := d.checkShape(g.NX, g.NY, g.NZ); err != nil {
 		return err
 	}
 	d.reset()
-	dist, i := g.dist[g.cur], 0
+	dist, i := g.dist, 0
 	for x := 0; x < g.NX; x++ {
 		tx := (x / d.K) * d.TY * d.TZ
 		for y := 0; y < g.NY; y++ {

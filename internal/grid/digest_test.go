@@ -139,12 +139,6 @@ func TestDigestDimensionMismatch(t *testing.T) {
 
 func TestDigestReadsPresentBufferAfterSwap(t *testing.T) {
 	g := New(4, 4, 4)
-	// Make the two parity buffers differ: double every entry of buffer 1.
-	for i := range g.dist[1] {
-		for q := range g.dist[1][i] {
-			g.dist[1][i][q] *= 2
-		}
-	}
 	d, err := NewDigestGrid(4, 4, 4, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -152,13 +146,25 @@ func TestDigestReadsPresentBufferAfterSwap(t *testing.T) {
 	if err := g.Digest(d); err != nil {
 		t.Fatal(err)
 	}
-	before := d.Mass
-	g.Swap()
+	before := d.Tiles
+	d.Tiles = append([]TileDigest(nil), before...)
+	// The swapped phase of an in-place step stores each node's value q at
+	// slot Opposite[q]; double the values too, so a digest that read a
+	// stale copy would show it. The digest must read the array as it is.
+	for i := range g.dist {
+		var sw [lattice.Q]float64
+		for q, v := range g.dist[i] {
+			sw[lattice.Opposite[q]] = 2 * v
+		}
+		g.dist[i] = sw
+	}
 	if err := g.Digest(d); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(d.Mass-2*before) > 1e-9 {
-		t.Fatalf("post-swap mass = %g, want %g", d.Mass, 2*before)
+	for i := range d.Tiles {
+		if math.Abs(d.Tiles[i].Mass-2*before[i].Mass) > 1e-12 {
+			t.Fatalf("tile %d: mass after the swap %g, want %g", i, d.Tiles[i].Mass, 2*before[i].Mass)
+		}
 	}
 }
 

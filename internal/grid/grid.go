@@ -1,18 +1,19 @@
 // Package grid provides the slab fluid storage of the sequential,
 // OpenMP-style and fused engines: a structured Nx×Ny×Nz mesh in x-major
-// order, stored split. Each distribution-buffer parity is one array of
-// the 19 values per node (152 B), and everything else a node carries —
-// the macroscopic velocity and density and the elastic force spread from
-// the immersed structure — is one array of the 56 B Macro record. A
-// kernel then streams only the arrays it needs: collision reads one
-// parity and the records, the update the other parity and the records,
-// the force reset the records alone.
+// order, stored split: one array of the 19 distribution values per node
+// (152 B), and everything else a node carries — the macroscopic velocity
+// and density and the elastic force spread from the immersed structure —
+// in one array of the 56 B Macro record, 208 B per node in all. A kernel
+// then streams only the arrays it needs: collision reads the
+// distributions and the records, the force reset the records alone.
 //
-// The paper's Figure 3 stores a fluid node as one struct holding both
-// buffers and the record. That struct is Node, which survives as the
-// per-node record of Snapshot — the engine-independent copy of a fluid
-// state — and of the version-1 checkpoint stream, not as the storage of
-// any engine.
+// There is one distribution array, not two. The parallel engines stream
+// in place through it (the AA pattern, internal/core), and the sequential
+// engine holds kernel 6's post-streaming array itself. The paper's
+// Figure 3 stores a fluid node as one struct holding both buffers and
+// the record. That struct is Node, which survives as the per-node record
+// of Snapshot — the engine-independent copy of a fluid state — and of
+// the version-1 checkpoint stream, not as the storage of any engine.
 //
 // The cube-centric layout that the paper's contribution replaces the slab
 // with lives in internal/cube.
@@ -48,13 +49,11 @@ type Grid struct {
 	// Clone bind it.
 	*Coupling
 
-	// dist[b] is distribution buffer b; cur is the parity: dist[cur] is
-	// the present buffer, dist[1-cur] the post-streaming one. The zero
-	// parity is the paper's convention; only the swap-based engines ever
-	// flip it, via Swap.
-	dist  [2][][lattice.Q]float64
+	// dist holds each node's 19 distribution values: the present ones,
+	// or between the two halves of an in-place step whatever phase the
+	// engine streaming it has left them in (core.AABlock).
+	dist  [][lattice.Q]float64
 	macro []Macro
-	cur   int
 }
 
 // New allocates an Nx×Ny×Nz grid with every node at rest: ρ = 1, u = 0,
@@ -67,7 +66,7 @@ func New(nx, ny, nz int) *Grid {
 	}
 	n := nx * ny * nz
 	g := &Grid{NX: nx, NY: ny, NZ: nz,
-		dist:  [2][][lattice.Q]float64{make([][lattice.Q]float64, n), make([][lattice.Q]float64, n)},
+		dist:  make([][lattice.Q]float64, n),
 		macro: make([]Macro, n),
 	}
 	g.Coupling = NewCoupling(g.macro, g)
@@ -75,24 +74,19 @@ func New(nx, ny, nz int) *Grid {
 	return g
 }
 
-// Reset reinitializes every node to density rho and velocity u, with both
-// distribution buffers set to the corresponding equilibrium and zero
-// elastic force.
-func (g *Grid) Reset(rho float64, u [3]float64) {
-	Reset(g.dist, g.macro, rho, u)
-	g.cur = 0
-}
+// Reset reinitializes every node to density rho and velocity u, with the
+// distributions set to the corresponding equilibrium and zero elastic
+// force.
+func (g *Grid) Reset(rho float64, u [3]float64) { Reset(g.dist, g.macro, rho, u) }
 
-// Reset fills both distribution buffers with the equilibrium of (rho, u)
-// and every record with (u, rho, zero force): the body behind Grid.Reset
-// and cube.Layout.Reset.
-func Reset(dist [2][][lattice.Q]float64, macro []Macro, rho float64, u [3]float64) {
+// Reset fills the distributions with the equilibrium of (rho, u) and
+// every record with (u, rho, zero force): the body behind Grid.Reset and
+// cube.Layout.Reset.
+func Reset(dist [][lattice.Q]float64, macro []Macro, rho float64, u [3]float64) {
 	var geq [lattice.Q]float64
 	lattice.Equilibrium(rho, u, &geq)
-	for b := range dist {
-		for i := range dist[b] {
-			dist[b][i] = geq
-		}
+	for i := range dist {
+		dist[i] = geq
 	}
 	for i := range macro {
 		macro[i] = Macro{Vel: u, Rho: rho}
@@ -128,16 +122,15 @@ func (g *Grid) NumNodes() int { return len(g.macro) }
 // Dims returns the fluid grid dimensions.
 func (g *Grid) Dims() (nx, ny, nz int) { return g.NX, g.NY, g.NZ }
 
-// Dist returns distribution buffer b (0 or 1) in layout order; the
-// present buffer is Dist(Cur()). Block b (x-plane b) occupies entries
-// [b·NY·NZ, (b+1)·NY·NZ).
-func (g *Grid) Dist(b int) [][lattice.Q]float64 { return g.dist[b] }
+// Dist returns the distribution array in layout order. Block b (x-plane
+// b) occupies entries [b·NY·NZ, (b+1)·NY·NZ).
+func (g *Grid) Dist() [][lattice.Q]float64 { return g.dist }
 
 // Macros returns every node's record in layout order.
 func (g *Grid) Macros() []Macro { return g.macro }
 
 // Record returns node i's present distributions and its record.
-func (g *Grid) Record(i int) (*[lattice.Q]float64, Macro) { return &g.dist[g.cur][i], g.macro[i] }
+func (g *Grid) Record(i int) (*[lattice.Q]float64, Macro) { return &g.dist[i], g.macro[i] }
 
 // BlockBox returns the fluid coordinates of block b's first node and the
 // block's extent: x-plane b is the 1×NY×NZ box at (b, 0, 0).
@@ -145,18 +138,10 @@ func (g *Grid) BlockBox(b int) (origin, extent [3]int) {
 	return [3]int{b, 0, 0}, [3]int{1, g.NY, g.NZ}
 }
 
-// Cur returns the distribution-buffer parity: the present buffer is
-// Dist(Cur()).
-func (g *Grid) Cur() int { return g.cur }
-
-// Swap retires kernel 9 in O(1): it flips the buffer parity so the
-// post-streaming buffer becomes the present one.
-func (g *Grid) Swap() { g.cur ^= 1 }
-
-// TotalMass returns Σ_nodes Σ_i g_i over the present distribution buffer.
+// TotalMass returns Σ_nodes Σ_i g_i over the distributions.
 // The BGK collision and periodic streaming conserve it exactly (up to
 // floating-point rounding), which the test suite exploits as an invariant.
-func (g *Grid) TotalMass() float64 { return TotalMass(g.dist[g.cur]) }
+func (g *Grid) TotalMass() float64 { return TotalMass(g.dist) }
 
 // TotalMass sums dist node by node in slice order, widened to float64 —
 // the body behind Grid.TotalMass, cube.Layout.TotalMass and the fused
@@ -172,11 +157,11 @@ func TotalMass[T lattice.Float](dist [][lattice.Q]T) float64 {
 	return sum
 }
 
-// TotalMomentum returns Σ_nodes Σ_i e_i g_i over the present buffer.
+// TotalMomentum returns Σ_nodes Σ_i e_i g_i over the distributions.
 func (g *Grid) TotalMomentum() [3]float64 {
 	var m [3]float64
-	for i := range g.dist[g.cur] {
-		buf := &g.dist[g.cur][i]
+	for i := range g.dist {
+		buf := &g.dist[i]
 		for q := 0; q < lattice.Q; q++ {
 			v := buf[q]
 			m[0] += v * float64(lattice.E[q][0])
@@ -209,8 +194,8 @@ func speed2(v [3]float64) float64 { return v[0]*v[0] + v[1]*v[1] + v[2]*v[2] }
 // Clone returns a deep copy of the grid, used by the validation harness to
 // snapshot states for cross-solver comparison.
 func (g *Grid) Clone() *Grid {
-	c := &Grid{NX: g.NX, NY: g.NY, NZ: g.NZ, cur: g.cur,
-		dist:  [2][][lattice.Q]float64{append([][lattice.Q]float64(nil), g.dist[0]...), append([][lattice.Q]float64(nil), g.dist[1]...)},
+	c := &Grid{NX: g.NX, NY: g.NY, NZ: g.NZ,
+		dist:  append([][lattice.Q]float64(nil), g.dist...),
 		macro: append([]Macro(nil), g.macro...),
 	}
 	c.Coupling = NewCoupling(c.macro, c)

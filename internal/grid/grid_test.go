@@ -17,12 +17,10 @@ func TestNewInitializesRestState(t *testing.T) {
 	if n.Rho != 1 {
 		t.Fatalf("Rho = %g, want 1", n.Rho)
 	}
-	for b := 0; b < 2; b++ {
-		df := &g.Dist(b)[g.Idx(2, 1, 3)]
-		for i := 0; i < lattice.Q; i++ {
-			if math.Abs(df[i]-lattice.W[i]) > 1e-15 {
-				t.Fatalf("buffer %d [%d] = %g, want weight %g", b, i, df[i], lattice.W[i])
-			}
+	df := &g.Dist()[g.Idx(2, 1, 3)]
+	for i := 0; i < lattice.Q; i++ {
+		if math.Abs(df[i]-lattice.W[i]) > 1e-15 {
+			t.Fatalf("g[%d] = %g, want weight %g", i, df[i], lattice.W[i])
 		}
 	}
 }

@@ -9,19 +9,20 @@ import (
 // Node is one fluid node as the paper's Figure 3 stores it: both
 // distribution buffers and the record in one struct, 360 bytes. It is the
 // per-node record of Snapshot and of the version-1 checkpoint stream (an
-// encoding/gob stream of []Node, which is why its fields stay flat); no
-// engine steps it.
+// encoding/gob stream of []Node, which is why its fields stay flat and
+// DFNew stays); no engine steps it.
 type Node struct {
 	DF    [lattice.Q]float64 // present velocity distribution g_i
-	DFNew [lattice.Q]float64 // post-streaming distribution
+	DFNew [lattice.Q]float64 // post-streaming distribution; zero in a Snapshot
 	Vel   [3]float64         // macroscopic velocity u
 	Rho   float64            // macroscopic density ρ
 	Force [3]float64         // elastic force density from the structure
 }
 
 // Buf returns distribution buffer b of the node: 0 is the DF field, 1 the
-// DFNew field. A Snapshot is at parity 0, so its present buffer is
-// n.Buf(s.Cur()) = DF.
+// DFNew field. A Snapshot's present distributions are always in DF, so
+// n.Buf(s.Cur()) is DF; the pair survives for the benchmark harness,
+// which reads a snapshot through it.
 func (n *Node) Buf(b int) *[lattice.Q]float64 {
 	if b == 0 {
 		return &n.DF
@@ -53,8 +54,8 @@ func (s *Snapshot) Idx(x, y, z int) int { return (x*s.NY+y)*s.NZ + z }
 // At returns node (x, y, z).
 func (s *Snapshot) At(x, y, z int) *Node { return &s.Nodes[s.Idx(x, y, z)] }
 
-// Cur returns the snapshot's parity, always 0: the present
-// distributions are in DF.
+// Cur returns the snapshot's buffer index for Node.Buf, always 0: the
+// present distributions are in DF.
 func (s *Snapshot) Cur() int { return 0 }
 
 // Record returns node i's present distributions and its record.

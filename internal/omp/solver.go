@@ -3,11 +3,18 @@
 // implementation. Every kernel of Algorithm 1 becomes a parallel-for
 // region with an implicit barrier at its end:
 //
-//   - fluid kernels (5, 6, 7, 9) are parallelized over the x axis, i.e. the
-//     grid is divided into contiguous segments of y–z surfaces with a
+//   - fluid kernels (5, 6 and 7) are parallelized over the x axis, i.e.
+//     the grid is divided into contiguous segments of y–z surfaces with a
 //     static schedule (Algorithm 2);
 //   - fiber kernels (1, 2, 3, 4, 8) are parallelized over fibers
 //     (Algorithm 3).
+//
+// The grid holds one distribution array, streamed in place by the AA
+// pattern (core.AABlock): kernels 5 and 6 run as one region, which
+// collides each node and streams it by where it stores the values, and
+// kernel 7's region reads the phase that region left. Kernel 6 and
+// kernel 9 — which a second array would need for its copy or its swap —
+// have no region of their own.
 //
 // Force spreading (kernel 4) lets different fibers write the same fluid
 // node. Each spreading thread accumulates its contributions into a
@@ -29,6 +36,7 @@ import (
 
 	"lbmib/internal/core"
 	"lbmib/internal/fiber"
+	"lbmib/internal/grid"
 	"lbmib/internal/par"
 )
 
@@ -50,6 +58,9 @@ type Solver struct {
 	team      *par.Team
 	accums    []*core.SpreadAccum // per-thread spreading buffers, one block per x-plane
 	spreadGen int                 // current spread generation, stamps accum planes
+	// swapped is the phase of the grid's distribution array (core.AABlock):
+	// false between steps means natural; kernel 5's region flips it.
+	swapped bool
 
 	// Region timing, used only with a Probe attached. curKernel is the
 	// kernel Step is running (0 outside Step: an engine layered on this
@@ -75,7 +86,7 @@ func NewSolver(cfg Config) (*Solver, error) {
 	if cfg.Threads > cfg.NX {
 		cfg.Threads = cfg.NX
 	}
-	cs, err := core.NewSolver(cfg.Config)
+	cs, err := core.NewState(cfg.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -250,31 +261,36 @@ func (s *Solver) SpreadForce() {
 	})
 }
 
-// ComputeCollision is kernel 5 parallelized over x-slabs (Algorithm 2).
+// ComputeCollision is kernels 5 and 6 as one region over x-slabs
+// (Algorithm 2): each plane collides and streams in place
+// (core.AABlock), which flips the array's phase. Writes into neighbor
+// slabs are race-free because no two nodes share a slot.
 func (s *Solver) ComputeCollision() {
-	tau, df, m := s.Tau, s.Fluid.Dist(s.Fluid.Cur()), s.Fluid.Macros()
-	s.forSlabs(func(_, _, i, j int) { core.CollideRange(df[i:j], m[i:j], tau) })
-}
-
-// StreamDistribution is kernel 6 parallelized over x-slabs. Writes into
-// neighbor slabs' post-streaming buffers are race-free because each
-// (node, direction) pair has exactly one writer.
-func (s *Solver) StreamDistribution() {
-	cur := s.Fluid.Cur()
+	st, df, tau, swapped := s.Stream, s.Fluid.Dist(), s.Tau, s.swapped
 	s.forSlabs(func(lo, hi, _, _ int) {
 		for x := lo; x < hi; x++ {
-			s.StreamPlane(x, cur)
+			core.AABlock(st, df, x, tau, swapped)
 		}
 	})
+	s.swapped = !swapped
 }
 
-// UpdateVelocity is kernel 7 parallelized over x-slabs. After computing a
-// node's moments (which read the elastic force for the half-force
-// correction) the pass resets the node's force to the uniform body force —
-// the fold that lets SpreadForce skip its own full-grid reset sweep.
+// StreamDistribution is kernel 6, which ComputeCollision's region ran:
+// streaming in place is where the collided values are stored.
+func (s *Solver) StreamDistribution() {}
+
+// UpdateVelocity is kernel 7 parallelized over x-slabs, at the phase
+// kernel 5's region left (core.AAMomentsBlock). After computing a node's
+// moments (which read the elastic force for the half-force correction)
+// the pass resets the node's force to the uniform body force — the fold
+// that lets SpreadForce skip its own full-grid reset sweep.
 func (s *Solver) UpdateVelocity() {
-	df, m, body := s.Fluid.Dist(1-s.Fluid.Cur()), s.Fluid.Macros(), s.BodyForce
-	s.forSlabs(func(_, _, i, j int) { core.UpdateRange(df[i:j], m[i:j], &body) })
+	st, df, swapped, body := s.Stream, s.Fluid.Dist(), s.swapped, s.BodyForce
+	s.forSlabs(func(lo, hi, _, _ int) {
+		for x := lo; x < hi; x++ {
+			core.AAMomentsBlock(st, df, x, swapped, &body)
+		}
+	})
 }
 
 // MoveFibers is kernel 8 parallelized over fibers. Fluid velocities are
@@ -283,8 +299,18 @@ func (s *Solver) MoveFibers() {
 	s.forFibers(func(_ int, sh *fiber.Sheet, a, b int) { core.MoveSheetNodes(s.Fluid, sh, a, b) })
 }
 
-// CopyDistribution is kernel 9, retired to an O(1) buffer swap that
-// makes the post-streaming buffer the present one. The paper's per-node
-// copy survives on the sequential reference (core.Solver), where Table I
-// prices it.
-func (s *Solver) CopyDistribution() { s.Fluid.Swap() }
+// CopyDistribution is kernel 9, retired: streaming in place leaves no
+// second array to copy back. The paper's per-node copy survives on the
+// sequential reference (core.Solver), where Table I prices it.
+func (s *Solver) CopyDistribution() {}
+
+// Live returns the grid with its distributions in the natural phase,
+// canonicalizing the array in place if a step left it swapped. Call it
+// between steps only.
+func (s *Solver) Live() *grid.Grid {
+	if s.swapped {
+		core.Canonicalize(s.Stream, s.Fluid.Dist())
+		s.swapped = false
+	}
+	return s.Fluid
+}

@@ -60,7 +60,7 @@ func TestLockFreeDeterministicRunToRun(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	for i := range a.Fluid.Macros() {
-		if a.Fluid.Dist(a.Fluid.Cur())[i] != b.Fluid.Dist(b.Fluid.Cur())[i] {
+		if a.Live().Dist()[i] != b.Live().Dist()[i] {
 			t.Fatalf("node %d DF differs between identical 4-thread lock-free runs", i)
 		}
 	}

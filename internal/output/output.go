@@ -38,7 +38,8 @@ func WriteSheetCSV(w io.Writer, s *fiber.Sheet) error {
 // Fluid is the fluid state the fluid writers read: node (x, y, z)'s
 // record is Macros()[Idx(x, y, z)], whose Vel and Rho they print. A
 // *grid.Grid and every engine's live layout are one; the writers read no
-// distributions, so the layout's buffer parity does not matter.
+// distributions, so the phase an in-place engine left its array in does
+// not matter.
 type Fluid interface {
 	grid.Indexed
 	Macros() []grid.Macro

@@ -271,10 +271,11 @@ func TestRegionProfileRealSolver(t *testing.T) {
 	const steps = 3
 	s.Run(steps)
 
-	// 9 parallel regions per step: 8 kernel regions (kernel 9 is an O(1)
-	// swap — no region) plus lock-free spreading's reduction region.
-	if got := regions(reg.Report(0)); got != 9*steps {
-		t.Fatalf("regions = %d, want %d", got, 9*steps)
+	// 8 parallel regions per step: 7 kernel regions (kernels 5 and 6 are
+	// one in-place region, and kernel 9 has nothing to copy — neither 6
+	// nor 9 has a region) plus lock-free spreading's reduction region.
+	if got := regions(reg.Report(0)); got != 8*steps {
+		t.Fatalf("regions = %d, want %d", got, 8*steps)
 	}
 	if reg.ImbalanceRatio() < 1 {
 		t.Fatalf("imbalance ratio = %g, want ≥ 1", reg.ImbalanceRatio())

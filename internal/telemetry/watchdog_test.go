@@ -43,7 +43,7 @@ func TestWatchdogFlagsNaNAtExactStep(t *testing.T) {
 	// Poison one distribution entry; the next collision/moment update
 	// would spread it, but the watchdog must already see the mass sum go
 	// non-finite on the very step it appears.
-	s.Fluid.Dist(s.Fluid.Cur())[123][5] = math.NaN()
+	s.Fluid.Dist()[123][5] = math.NaN()
 	s.Fluid.Macros()[200].Vel[1] = math.NaN()
 
 	err := wd.Check(5, digestOf(t, s.Fluid))
@@ -95,7 +95,7 @@ func TestWatchdogMassDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inject 1% extra mass into one node.
-	g.Dist(g.Cur())[0][0] += 0.01 * g.TotalMass()
+	g.Dist()[0][0] += 0.01 * g.TotalMass()
 	err := wd.Check(1, digestOf(t, g))
 	if err == nil || !strings.Contains(err.Error(), "mass drifted") {
 		t.Fatalf("drift not flagged: %v", err)
@@ -195,7 +195,7 @@ func TestWatchdogDriftNamesWorstCube(t *testing.T) {
 	if err := wd.Check(0, digestOf(t, g)); err != nil {
 		t.Fatal(err)
 	}
-	g.Dist(g.Cur())[g.Idx(6, 6, 6)][0] += 1.0 // inject mass into tile (1,1,1)
+	g.Dist()[g.Idx(6, 6, 6)][0] += 1.0 // inject mass into tile (1,1,1)
 	err := wd.Check(1, digestOf(t, g))
 	var he *HealthError
 	if !errors.As(err, &he) {
@@ -210,7 +210,7 @@ func TestWatchdogDriftNamesWorstCube(t *testing.T) {
 // facade hands the watchdog the step's one sample.
 func TestWatchdogCheckDigest(t *testing.T) {
 	g := grid.New(8, 8, 8)
-	g.Dist(g.Cur())[g.Idx(0, 0, 1)][3] = math.NaN()
+	g.Dist()[g.Idx(0, 0, 1)][3] = math.NaN()
 	d, err := grid.NewDigestGrid(8, 8, 8, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestWatchdogDigestNamesField(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := grid.New(8, 8, 8)
-			tc.poison(&g.Dist(g.Cur())[g.Idx(3, 4, 5)], g.At(3, 4, 5))
+			tc.poison(&g.Dist()[g.Idx(3, 4, 5)], g.At(3, 4, 5))
 			wd := NewWatchdog(WatchdogConfig{})
 			var he *HealthError
 			if err := wd.Check(1, digestOf(t, g)); !errors.As(err, &he) {

@@ -69,9 +69,9 @@ func (a *accum) diff() Diff {
 }
 
 // Fluid is a fluid state validate reads node by node in x-major order:
-// node i's present distributions and its record. A *grid.Grid (read at
-// its buffer parity, so live grids from swap-based engines compare
-// without normalizing first) and a *grid.Snapshot are both one.
+// node i's present distributions and its record. A *grid.Grid (an
+// engine's Live grid, in the natural phase) and a *grid.Snapshot are
+// both one.
 type Fluid interface {
 	Dims() (nx, ny, nz int)
 	Record(i int) (*[lattice.Q]float64, grid.Macro)

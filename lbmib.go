@@ -21,8 +21,9 @@
 //     in contiguous k×k×k cubes owned by threads of a P×Q×R mesh, with a
 //     minimal number of global barriers per step (Section V);
 //   - Fused — the memory-aware engine: collide, stream, boundary
-//     handling, macroscopic update and the buffer swap fused into one
-//     pull-streaming sweep so each node is touched once per step, with
+//     handling and macroscopic update fused into one sweep that streams
+//     one distribution array in place, so each node is touched twice per
+//     step, with
 //     an optional float32 distribution mode (Config.Float32) under a
 //     relaxed differential contract (internal/fused).
 //
@@ -183,10 +184,10 @@ type Config struct {
 	// Float32 stores the velocity distributions as float32 with the
 	// Fused engine (arithmetic stays float64) at the cost of a relaxed
 	// (~1e-5) differential contract vs the float64 engines; macroscopic
-	// fields, checkpoints and snapshots stay float64. The float32 arrays
-	// come on top of the grid's float64 ones (512 instead of 360 B per
-	// node), and the step shows no consistent gain over float64 on the
-	// host EXPERIMENTS.md measures. Rejected with any other Solver.
+	// fields, checkpoints and snapshots stay float64. The float32 array
+	// comes on top of the grid's float64 one (284 instead of 208 B per
+	// node), and the step has shown no consistent gain over float64 on
+	// the host EXPERIMENTS.md measures. Rejected with any other Solver.
 	Float32 bool
 
 	// Telemetry, when non-nil, receives runtime metrics from the
@@ -244,29 +245,35 @@ type Config struct {
 
 // engine is what each solver implementation provides to the facade. The
 // stepping methods are the solver's own (each adapter embeds its solver)
-// and the live-state accessors come from its fluid layout (onLayout), so
-// an adapter states only what differs per engine: its live layout, what
-// loading state into it must re-establish, and close. Instrumentation is
+// and the in-place accessors come from its fluid layout (onLayout), so
+// an adapter states only what differs per engine: how it presents its
+// live layout, what loading state into it must re-establish, and close. Instrumentation is
 // not the adapters' business: every solver embeds the core.Problem whose
 // Probe field New attaches the sinks to.
 type engine interface {
 	Step()
 	Run(n int)
 	StepCount() int
-	// live returns the fluid layout the engine steps, its present
-	// distributions readable at Dist(Cur()) — the one source of every
-	// snapshot, checkpoint and fluid output, and the one target of Restore.
+	// live returns the fluid layout the engine steps with its
+	// distributions in the natural phase, canonicalizing them in place
+	// if the engine streams in place and the last step left them swapped
+	// (core.AABlock) — the one source of every snapshot, checkpoint,
+	// fluid output and mass sum, and the one target of Restore. Between
+	// steps only.
 	live() core.Layout
 	// loaded re-establishes the engine's invariants after Restore has
-	// overwritten the live layout's present buffer, ρ, u and force.
+	// overwritten the live layout's distributions, ρ, u and force.
 	loaded()
 	close()
 
 	velocityAt(x, y, z int) [3]float64
 	densityAt(x, y, z int) float64
 	maxVelocity() float64
-	totalMass() float64
-	digest(d *grid.DigestGrid) error // per-tile physics digest of the live state
+	// digest fills the per-tile physics digest from the state in place,
+	// in whichever phase the last step left it: the per-step sample must
+	// not reorder the array (grid.TileDigest says what a tile's mass
+	// means in the swapped phase).
+	digest(d *grid.DigestGrid) error
 }
 
 // runProbe is what the facade attaches to its engine: it renumbers every
@@ -800,7 +807,12 @@ func (s *Simulation) FluidDensity(x, y, z int) float64 { return s.eng.densityAt(
 // live layout in storage order — no snapshot is materialized — so on the
 // cube engines it can differ from FluidSnapshot().TotalMass() in the
 // last bits (the same terms, added cube by cube).
-func (s *Simulation) TotalMass() float64 { return s.eng.totalMass() }
+func (s *Simulation) TotalMass() float64 {
+	if e, ok := s.eng.(*fusedEngine); ok {
+		return e.TotalMass() // sums float32 storage without widening it
+	}
+	return grid.TotalMass(s.eng.live().Dist())
+}
 
 // MaxVelocity returns the largest fluid speed; it must remain well below
 // the lattice sound speed (≈0.577) for the simulation to stay valid.
@@ -846,7 +858,7 @@ func (s *Simulation) SheetVelocitiesAt(i int) ([][3]float64, error) {
 func (s *Simulation) FluidSnapshot() *grid.Snapshot {
 	l := s.eng.live()
 	snap := grid.NewSnapshot(l.Dims())
-	df, macro, dst := l.Dist(l.Cur()), l.Macros(), snap.Nodes
+	df, macro, dst := l.Dist(), l.Macros(), snap.Nodes
 	_ = eachPlane(l, func(_ int, plane []int) error {
 		for i, j := range plane {
 			n, m := &dst[i], &macro[j]
@@ -939,27 +951,29 @@ func (s *Simulation) WriteFluidSliceCSV(w io.Writer, plane int) error {
 
 // --- engine adapters ---
 
-// onLayout answers the live-state accessors from the engine's fluid
-// container through the block-layout contract, in place.
+// onLayout answers the in-place accessors from the engine's fluid
+// container through the block-layout contract: the records, which no
+// phase reorders, and the digest.
 type onLayout struct{ l core.Layout }
 
 func (o onLayout) macro(x, y, z int) *grid.Macro {
 	x, y, z = o.l.Wrap(x, y, z)
 	return &o.l.Macros()[o.l.Idx(x, y, z)]
 }
-func (o onLayout) live() core.Layout                 { return o.l }
 func (o onLayout) velocityAt(x, y, z int) [3]float64 { return o.macro(x, y, z).Vel }
 func (o onLayout) densityAt(x, y, z int) float64     { return o.macro(x, y, z).Rho }
 func (o onLayout) maxVelocity() float64              { return grid.MaxVelocity(o.l.Macros()) }
-func (o onLayout) totalMass() float64                { return grid.TotalMass(o.l.Dist(o.l.Cur())) }
 func (o onLayout) digest(d *grid.DigestGrid) error   { return o.l.Digest(d) }
 
+// seqEngine's grid is always natural: the sequential engine streams into
+// a second array and copies it back.
 type seqEngine struct {
 	*core.Solver
 	onLayout
 }
 
-func (e *seqEngine) close() {}
+func (e *seqEngine) live() core.Layout { return e.Fluid }
+func (e *seqEngine) close()            {}
 
 // loaded has nothing to re-establish: kernel 4 resets the force itself.
 func (e *seqEngine) loaded() {}
@@ -969,7 +983,8 @@ type ompEngine struct {
 	onLayout
 }
 
-func (e *ompEngine) close() { e.Close() }
+func (e *ompEngine) live() core.Layout { return e.Live() }
+func (e *ompEngine) close()            { e.Close() }
 
 // loaded re-establishes the between-steps invariant Force == BodyForce
 // that SpreadForce relies on; a checkpoint may carry another engine's
@@ -981,20 +996,18 @@ type cubeEngine struct {
 	onLayout
 }
 
-func (e *cubeEngine) close()  { e.Close() }
-func (e *cubeEngine) loaded() { core.SeedForce(e.Fluid.Macros(), e.BodyForce) } // see ompEngine.loaded
+func (e *cubeEngine) live() core.Layout { return e.Live() }
+func (e *cubeEngine) close()            { e.Close() }
+func (e *cubeEngine) loaded()           { core.SeedForce(e.Fluid.Macros(), e.BodyForce) } // see ompEngine.loaded
 
-// fusedEngine reads its layout through fused.Solver.Live, which in float32
-// mode widens the stored distributions into the grid first; that is why
-// the digest goes through live() instead of the bare layout, while the
-// mass sums the float32 storage directly (fused.Solver.TotalMass).
+// fusedEngine digests through fused.Solver.Digest, which in float32 mode
+// widens the stored distributions into the grid first.
 type fusedEngine struct {
 	*fused.Solver
 	onLayout
 }
 
 func (e *fusedEngine) live() core.Layout               { return e.Live() }
-func (e *fusedEngine) totalMass() float64              { return e.TotalMass() }
-func (e *fusedEngine) digest(d *grid.DigestGrid) error { return e.Live().Digest(d) }
+func (e *fusedEngine) digest(d *grid.DigestGrid) error { return e.Digest(d) }
 func (e *fusedEngine) close()                          { e.Close() }
 func (e *fusedEngine) loaded()                         { e.Loaded() }

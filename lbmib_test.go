@@ -287,8 +287,8 @@ func TestMaxVelocityStability(t *testing.T) {
 // TotalMass and MaxVelocity are computed on the cube engine's layout in
 // place: no slab grid is materialized per call (they used to cost a full
 // ToGrid each — and lbmib-sim calls both for every progress line). The
-// run is left at odd buffer parity so the in-place sum must read the
-// swapped buffer. MaxVelocity is order-independent and must match the
+// run is left after an odd step count, with the array in the swapped
+// phase, which the sum presents natural first. MaxVelocity is order-independent and must match the
 // snapshot path bitwise; the mass sums the same terms cube by cube, so
 // only its last bits may differ.
 func TestMassAndMaxVelocityInPlaceOnCubeEngines(t *testing.T) {

@@ -136,6 +136,61 @@ var parentStateHashes = map[string]string{
 	"fused-f32/2t/21":  "57cd0c1e9c52027297e11696f6f72a93a3f7653c59f18e2deadddb13a88b6e53",
 }
 
+// TestCanonicalizeIsRepresentationOnly: presenting the in-place engines'
+// arrays in the natural phase moves data, never bits. A run whose state
+// is snapshotted after every step only ever steps from the natural phase
+// (core.AABlock's natural → swapped body, then canonicalized); a run
+// snapshotted only at the end alternates both bodies. The two must hash
+// alike after 20 and 21 steps, on every engine and thread count, with a
+// sheet and in a lid-driven cavity — so the swapped → natural body equals
+// canonicalizing followed by the natural → swapped body.
+func TestCanonicalizeIsRepresentationOnly(t *testing.T) {
+	cavity := func(e sampledEngine, threads int) Config {
+		return Config{
+			NX: 16, NY: 16, NZ: 16, Tau: 0.7,
+			BoundaryX: NoSlip, BoundaryY: NoSlip, BoundaryZ: NoSlip,
+			LidVelocity: [3]float64{0.05, 0.02, 0},
+			Solver:      e.kind, Threads: threads, CubeSize: 4, Float32: e.float32,
+		}
+	}
+	problems := []struct {
+		name string
+		cfg  func(sampledEngine, int) Config
+	}{{"sheet", sampledConfig}, {"lid", cavity}}
+	for _, p := range problems {
+		for _, e := range sampledEngines {
+			for _, threads := range []int{1, 2} {
+				cfg := p.cfg(e, threads)
+				every, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var snapped [2]string
+				for step := 1; step <= 21; step++ {
+					every.Step()
+					h := stateHash(t, every)
+					if step >= 20 {
+						snapped[step-20] = h
+					}
+				}
+				every.Close()
+				for i, n := range []int{20, 21} {
+					end, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					end.Run(n)
+					if got := stateHash(t, end); got != snapped[i] {
+						t.Errorf("%s/%s/%dt: %d steps snapshotted only at the end hash %s, snapshotted every step %s",
+							p.name, e.name, threads, n, got, snapped[i])
+					}
+					end.Close()
+				}
+			}
+		}
+	}
+}
+
 // TestObservedRunsBitwise: on every engine, thread count and observer
 // set, the state after 20 and 21 steps equals the unobserved run's and,
 // on amd64, the recorded parent hashes.

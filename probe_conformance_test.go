@@ -74,7 +74,7 @@ func TestProbeConformance(t *testing.T) {
 
 					// Detached again, the schedule is silent and still on
 					// the same trajectory (odd step count: the other
-					// buffer parity).
+					// phase of the in-place array).
 					n := len(rec.events)
 					observed.problem.Probe = nil
 					detached.Run(1)
@@ -149,10 +149,11 @@ func checkProbeEvents(t *testing.T, engine string, events []core.Event, steps, t
 				want[eventRow{core.KernelDone, st, 0, int(k), 0}] = 1
 				// One region per kernel, but: spreading is two regions
 				// (accumulate, reduce) on a team, one on a single thread,
-				// none without fibers; kernel 9 is a buffer swap.
+				// none without fibers; kernel 6 streams in kernel 5's
+				// region, and kernel 9 has no second array to copy.
 				regions := 1
 				switch {
-				case engine == "sequential", k == core.KCopyDistribution, k == core.KSpreadForce && !fibers:
+				case engine == "sequential", k == core.KStreamDistribution, k == core.KCopyDistribution, k == core.KSpreadForce && !fibers:
 					regions = 0
 				case k == core.KSpreadForce && threads > 1:
 					regions = 2

@@ -2,11 +2,11 @@
 # Tier-1 verification: build + full test suite, static checks, the race
 # detector on the packages where concurrency bugs would hide (telemetry
 # sinks are called from every worker thread; the cube solver owns the
-# P×Q×R barrier choreography; the omp and cube engines flip the shared
-# double-buffer parity bit from worker threads and reduce per-thread
-# spread buffers, and the spread bodies they share live in core; the
-# fused engine's wavefront sweep overlaps collide and finalize
-# planes across one parallel region; all three parallel engines run
+# P×Q×R barrier choreography; the omp and cube engines stream one shared
+# distribution array in place from worker threads and reduce per-thread
+# spread buffers, and the in-place and spread bodies they share live in
+# core; the fused engine's wavefront sweep overlaps in-place streaming
+# and the moments of neighbouring planes across one parallel region; all three parallel engines run
 # their workers on par's team; the perfmon profile — Table I/II
 # accumulators, step ring and crossing ring of the critical-path report
 # — is written from all workers; par's timed barrier wraps the team
@@ -36,7 +36,7 @@ go vet -stdmethods=false ./...
 test -z "$(gofmt -l .)"
 
 # Domain-aware static analysis: lbmib-lint proves the lock discipline,
-# barrier choreography, buffer-parity contract, float-comparison policy,
+# barrier choreography, in-place phase contract, float-comparison policy,
 # and probe nil-guards the race detector can only sample. The repo
 # must be finding-free (reviewed exemptions carry //lint:allow), the
 # analyzers themselves must still catch every seeded defect in the
@@ -76,8 +76,8 @@ if grep -rn '\.AddForce(\|\.VelocityAt(\|) AddForce(\|) VelocityAt(' --include='
 	exit 1
 fi
 
-# One storage, split. Every engine steps a layout's per-parity
-# distribution arrays and its 56 B ρ/u/F records (core.Layout); the
+# One storage, split. Every engine steps a layout's distribution array
+# and its 56 B ρ/u/F records (core.Layout); the
 # paper's 360 B node record, grid.Node, is the snapshot type only and must
 # not creep back onto a step path: no non-test file of core or of an
 # engine names it.
@@ -88,11 +88,12 @@ if grep -rn 'grid\.Node\b' --include='*.go' \
 	exit 1
 fi
 
-# One boundary body. Both stream directions resolve walls, wrap and the
-# moving lid through core.StreamBC.Resolve, called only from the shared
-# bodies (core.Streamer.Block pushes, core.FinalizeBlock pulls); an engine
-# that resolves a boundary itself can drift from the others: no non-test
-# file outside internal/core calls it.
+# One boundary body. Every stream resolves walls, wrap and the moving lid
+# through core.StreamBC.Resolve, called only from the shared bodies
+# (core.Streamer.Block pushes into the sequential engine's second array;
+# core.AABlock, core.AAMomentsBlock and core.Canonicalize stream in place);
+# an engine that resolves a boundary itself can drift from the others: no
+# non-test file outside internal/core calls it.
 if grep -rn '\.Resolve(' --include='*.go' . | grep -v '^\./internal/core/' |
 	grep -v '_test\.go:'; then
 	echo "a boundary is resolved outside the shared bodies; stream through core.Streamer" >&2

@@ -41,7 +41,7 @@ func TestTaylorGreenVortexDecay(t *testing.T) {
 				var geq [lattice.Q]float64
 				lattice.Equilibrium(1, u, &geq)
 				i := s.Fluid.Idx(x, y, z)
-				s.Fluid.Dist(0)[i], s.Fluid.Dist(1)[i] = geq, geq
+				s.Fluid.Dist()[i] = geq
 				nd.Vel = u
 				nd.Rho = 1
 			}
@@ -130,7 +130,7 @@ func TestTaylorGreenVortexDecayFused(t *testing.T) {
 					var geq [lattice.Q]float64
 					lattice.Equilibrium(1, u, &geq)
 					i := s.Fluid.Idx(x, y, z)
-					s.Fluid.Dist(0)[i], s.Fluid.Dist(1)[i] = geq, geq
+					s.Fluid.Dist()[i] = geq
 					nd.Vel = u
 					nd.Rho = 1
 				}
@@ -209,7 +209,7 @@ func taylorGreenError(t *testing.T, cfg Config, n int) float64 {
 	}
 	defer s.Close()
 	l := s.eng.live()
-	df, macro := l.Dist(l.Cur()), l.Macros()
+	df, macro := l.Dist(), l.Macros()
 	for x := 0; x < n; x++ {
 		for y := 0; y < n; y++ {
 			ux, uy := exact(x, y, u0)
