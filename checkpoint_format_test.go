@@ -30,22 +30,15 @@ func formatConfig(e sampledEngine, threads int) Config {
 	}
 }
 
-// bitwiseGroup names the trajectory engine e follows from a given state
-// at a thread count, with a sheet: engines in one group step bit for bit
-// alike. One thread and sequential replay the sequential reference
-// (crosscheck.Deterministic); the float64 fused sweep equals
-// omp at any thread count; float32 storage rounds differently from all.
-func bitwiseGroup(e sampledEngine, threads int) string {
-	switch {
-	case e.float32:
+// bitwiseGroup names the trajectory engine e follows from a given state,
+// with or without a sheet: engines in one group step bit for bit alike
+// at every thread count. Every float64 engine replays the sequential
+// reference; float32 storage rounds differently.
+func bitwiseGroup(e sampledEngine) string {
+	if e.float32 {
 		return "f32"
-	case threads == 1 || e.kind == Sequential:
-		return "sequential"
-	case e.kind == Fused:
-		return "omp"
-	default:
-		return e.name
 	}
+	return "sequential"
 }
 
 func checkpointBytes(t *testing.T, s *Simulation) []byte {
@@ -106,7 +99,7 @@ func TestCheckpointCrossEngineMatrix(t *testing.T) {
 				}
 				s.Close()
 				for _, r := range sampledEngines {
-					if bitwiseGroup(r, threads) != bitwiseGroup(w, threads) {
+					if bitwiseGroup(r) != bitwiseGroup(w) {
 						continue
 					}
 					sim, err := Restore(bytes.NewReader(ckpt), formatConfig(r, threads))
@@ -132,24 +125,20 @@ func TestCheckpointCrossEngineMatrix(t *testing.T) {
 // testdata/checkpoint-v1.gob is a version-1 gob checkpoint written before
 // the block format existed: formatConfig's problem on the cube engine
 // (k = 4, 2 threads) after 7 steps. Restored on every engine mode and run
-// 3 more steps it must land on the state hashes (stateHash) that the
-// version-1 code recorded for the same restore.
+// 3 more steps it must land, at every thread count, on the state hashes
+// (stateHash) that the version-1 code recorded for the same restore on
+// one thread.
 func TestCheckpointV1Fixture(t *testing.T) {
 	data, err := os.ReadFile("testdata/checkpoint-v1.gob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const seqHash = "9d4f6f6cceeddf2f9f04a7a92c8e93665e8058d1ddb260c796cd801b6cc84c75"
-	want := map[string][2]string{ // engine → hash at 1 and 2 threads
-		"sequential": {seqHash, seqHash},
-		"omp":        {seqHash, "f5d75c5392093889836c2c4a4ee303e0f7e966a9e22870b8a3178d727295b294"},
-		"cube":       {seqHash, "31eb3a74b969e5b786b8ef9f03526efdfc8f7cddaf166c724873bab686eb1538"},
-		"fused":      {seqHash, "f5d75c5392093889836c2c4a4ee303e0f7e966a9e22870b8a3178d727295b294"},
-		"fused-f32": {"a09ab5d7b95f7757ffe1fa52bba055bc9f0719b87eb221a3d95f1b49bf445fb6",
-			"97aac3c0d98080da90085f76d6698bd0ec2c34df850cc408688cdf2e352739e0"},
+	want := map[string]string{ // bitwiseGroup → hash, at 1 and 2 threads alike
+		"sequential": "9d4f6f6cceeddf2f9f04a7a92c8e93665e8058d1ddb260c796cd801b6cc84c75",
+		"f32":        "a09ab5d7b95f7757ffe1fa52bba055bc9f0719b87eb221a3d95f1b49bf445fb6",
 	}
 	for _, e := range sampledEngines {
-		for i, threads := range []int{1, 2} {
+		for _, threads := range []int{1, 2} {
 			s, err := Restore(bytes.NewReader(data), formatConfig(e, threads))
 			if err != nil {
 				t.Fatalf("%s/%dt: %v", e.name, threads, err)
@@ -158,8 +147,8 @@ func TestCheckpointV1Fixture(t *testing.T) {
 				t.Errorf("%s/%dt: restored StepCount %d, want 7", e.name, threads, s.StepCount())
 			}
 			s.Run(3)
-			if got := stateHash(t, s); got != want[e.name][i] {
-				t.Errorf("%s/%dt: state after v1 restore + 3 steps is %s, want %s", e.name, threads, got, want[e.name][i])
+			if got, want := stateHash(t, s), want[bitwiseGroup(e)]; got != want {
+				t.Errorf("%s/%dt: state after v1 restore + 3 steps is %s, want %s", e.name, threads, got, want)
 			}
 			s.Close()
 		}

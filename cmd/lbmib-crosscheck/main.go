@@ -22,7 +22,6 @@ import (
 	"os"
 
 	"lbmib/internal/crosscheck"
-	"lbmib/internal/validate"
 )
 
 func main() {
@@ -30,14 +29,12 @@ func main() {
 		seeds     = flag.Int("seeds", 25, "number of consecutive seeds to run")
 		start     = flag.Int64("start", 0, "first seed")
 		oneSeed   = flag.Int64("seed", -1, "run exactly this seed (overrides -seeds/-start)")
-		tol       = flag.Float64("tol", validate.DefaultTol, "tolerance contract for nondeterministic engines")
 		keepOn    = flag.Bool("keep-going", false, "run every case even after a divergence")
 		flightrec = flag.String("flightrec", "", "write a flight-recorder post-mortem bundle under this directory for every diverging engine")
 	)
 	flag.Parse()
 
 	r := crosscheck.NewRunner()
-	r.Tol = *tol
 	r.FlightRecDir = *flightrec
 
 	lo, hi := *start, *start+int64(*seeds)

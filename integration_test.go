@@ -6,14 +6,10 @@ import (
 	"testing/quick"
 )
 
-// Running the same configuration twice must reproduce — and the
-// strength of "reproduce" is the documented per-engine contract. The
-// sequential engine runs in program order, so it is bitwise
-// reproducible. The omp and cube engines accumulate spread forces from
-// concurrent threads under locks (baseCfg has a sheet and Threads > 1),
-// so their reruns agree only to accumulation-order noise.
+// Running the same configuration twice reproduces it bit for bit on
+// every engine: none of them sums across threads in an order the
+// schedule could change (baseCfg has a sheet and Threads > 1).
 func TestDeterministicReruns(t *testing.T) {
-	bitwise := map[SolverKind]bool{Sequential: true}
 	for _, kind := range []SolverKind{Sequential, OpenMP, CubeBased} {
 		run := func() ([3]float64, [][3]float64) {
 			s, err := New(baseCfg(kind))
@@ -27,29 +23,12 @@ func TestDeterministicReruns(t *testing.T) {
 		}
 		v1, p1 := run()
 		v2, p2 := run()
-		if bitwise[kind] {
-			if v1 != v2 {
-				t.Fatalf("%v velocity not bitwise reproducible: %v vs %v", kind, v1, v2)
-			}
-			for i := range p1 {
-				if p1[i] != p2[i] {
-					t.Fatalf("%v sheet position %d not bitwise reproducible", kind, i)
-				}
-			}
-			continue
-		}
-		// Nondeterministic engines: reproducible to accumulation-order
-		// noise, on the fluid and the structure alike.
-		for d := 0; d < 3; d++ {
-			if math.Abs(v1[d]-v2[d]) > 1e-12 {
-				t.Fatalf("%v velocity rerun differs: %v vs %v", kind, v1, v2)
-			}
+		if v1 != v2 {
+			t.Fatalf("%v velocity not bitwise reproducible: %v vs %v", kind, v1, v2)
 		}
 		for i := range p1 {
-			for d := 0; d < 3; d++ {
-				if math.Abs(p1[i][d]-p2[i][d]) > 1e-12 {
-					t.Fatalf("%v sheet position %d rerun differs: %v vs %v", kind, i, p1[i], p2[i])
-				}
+			if p1[i] != p2[i] {
+				t.Fatalf("%v sheet position %d not bitwise reproducible", kind, i)
 			}
 		}
 	}

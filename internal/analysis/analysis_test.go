@@ -198,7 +198,7 @@ func TestHotAllocReach(t *testing.T) {
 		// only in the sequential engine, whose Step hands its kernels on
 		// as method values, which the call graph does not follow
 		"core.AABlock", "core.AAMomentsBlock", "core.UpdateRange",
-		"core.SpreadSheetNodes", "core.MoveSheetNodes", "(*core.SpreadAccum).SpreadStencil",
+		"core.SpreadBox", "core.MoveSheetNodes", "(*grid.Coupling).SpreadStencilBox",
 		"lattice.Collide", "(*grid.Coupling).SpreadStencil", "(*grid.Coupling).InterpolateStencil",
 		// engine loops; the fused sweep is generic
 		"fused.sweepOn", "(*omp.Solver).parallelFor",

@@ -493,13 +493,36 @@ func ForFibers(sheets []*fiber.Sheet, lo, hi int, body func(sh *fiber.Sheet, nod
 	}
 }
 
-// SpreadSheetNodes is kernel 4's body: the elastic force of fiber nodes
-// [lo, hi) of one sheet is spread into acc through the smoothed Dirac
-// delta, in ascending node order.
-func SpreadSheetNodes(acc ibm.ForceAccumulator, sh *fiber.Sheet, lo, hi int) {
-	area := sh.AreaElement()
-	for i := lo; i < hi; i++ {
-		ibm.Spread(acc, sh.X[i], sh.Force[i], area)
+// SpreadBox is kernel 4's body over the fluid box b of c: the elastic
+// force of every fiber node of every sheet, in global node order, is
+// spread through the smoothed Dirac delta onto the points of its stencil
+// that lie in b. Sequential runs it once with the whole-domain box; a
+// parallel engine runs it on every thread with the box the thread owns,
+// the boxes partitioning the domain.
+//
+// That is why every float64 engine's force field, and so its whole
+// trajectory, equals Sequential's bit for bit at any thread count. A
+// fluid node's force is the body force plus one rounded product
+// float64(F·w) per (fiber node, stencil point) pair that lands on it,
+// added in turn. The node's owner walks the fiber nodes in Sequential's
+// global order and each stencil in its (i, j, k) order, computes every
+// weight from the same stencil by the same arithmetic, and leaves out
+// only pairs whose point lies outside its box — none of which land on
+// the node. So the node receives the same additions in the same order,
+// and nobody else writes it: no private buffer, reduction or lock. A
+// fiber node whose stencil misses b altogether is skipped on one floor
+// per axis (grid.Coupling.Reaches), before any weight is computed.
+func SpreadBox(c *grid.Coupling, sheets []*fiber.Sheet, b grid.Box) {
+	for _, sh := range sheets {
+		area := sh.AreaElement()
+		for i, x := range sh.X {
+			if !c.Reaches(x, &b) {
+				continue
+			}
+			var st ibm.Stencil
+			st.Compute(x)
+			c.SpreadStencilBox(st, sh.Force[i], area, &b)
+		}
 	}
 }
 

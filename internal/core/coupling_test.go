@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"lbmib/internal/cube"
@@ -13,8 +12,8 @@ import (
 )
 
 // The per-stencil coupling bodies (grid.Coupling behind both layouts,
-// SpreadAccum.SpreadStencil) are pinned, bit for bit, to the per-point
-// API they replaced. The oracle below is that API as it stood: one
+// and SpreadBox over it) are pinned, bit for bit, to the per-point API
+// they replaced. The oracle below is that API as it stood: one
 // interface call per stencil point, three WrapIndex moduli and an Idx per
 // call.
 
@@ -39,27 +38,6 @@ func (p layoutPoints) velocityAt(x, y, z int) [3]float64 {
 	x, y, z = p.l.Wrap(x, y, z)
 	return p.l.Macros()[p.l.Idx(x, y, z)].Vel
 }
-
-// accumPoints is SpreadAccum.AddForce.
-type accumPoints struct{ a *SpreadAccum }
-
-func (p accumPoints) addForce(x, y, z int, f [3]float64) {
-	a := p.a
-	x = grid.WrapIndex(x, len(a.blk[0]))
-	y = grid.WrapIndex(y, len(a.blk[1]))
-	z = grid.WrapIndex(z, len(a.blk[2]))
-	b := a.blk[0][x] + a.blk[1][y] + a.blk[2][z]
-	i := a.off[0][x] + a.off[1][y] + a.off[2][z]
-	q := &a.macro[b*a.blockLen+i].Force
-	if a.owner == nil || a.owner[b] != a.tid {
-		q = &a.block(b)[i]
-	}
-	q[0] += f[0]
-	q[1] += f[1]
-	q[2] += f[2]
-}
-
-func (p accumPoints) velocityAt(x, y, z int) [3]float64 { panic("accumulators do not sample") }
 
 // oracleSpread is ibm.SpreadStencil.
 func oracleSpread(acc pointField, st *ibm.Stencil, F [3]float64, area float64) {
@@ -213,6 +191,76 @@ func dimsOf(l Layout) [3]int {
 	return [3]int{nx, ny, nz}
 }
 
+// couplingOf returns the coupling l embeds.
+func couplingOf(l couplingLayout) *grid.Coupling {
+	switch l := l.(type) {
+	case *grid.Grid:
+		return l.Coupling
+	case *cube.Layout:
+		return l.Coupling
+	}
+	panic("unknown layout")
+}
+
+// randomBoxes partitions a domain of the given dims into boxes, listed in
+// random order: each axis is cut into spans at random points, and the
+// boxes are the spans' products.
+func randomBoxes(r *rand.Rand, dims [3]int) []grid.Box {
+	var cuts [3][]int
+	for a, n := range dims {
+		cuts[a] = []int{0}
+		for c := 1; c < n; c++ {
+			if r.Intn(n) < 2 {
+				cuts[a] = append(cuts[a], c)
+			}
+		}
+		cuts[a] = append(cuts[a], n)
+	}
+	var boxes []grid.Box
+	for i := 1; i < len(cuts[0]); i++ {
+		for j := 1; j < len(cuts[1]); j++ {
+			for k := 1; k < len(cuts[2]); k++ {
+				boxes = append(boxes, grid.Box{
+					Lo: [3]int{cuts[0][i-1], cuts[1][j-1], cuts[2][k-1]},
+					Hi: [3]int{cuts[0][i], cuts[1][j], cuts[2][k]},
+				})
+			}
+		}
+	}
+	r.Shuffle(len(boxes), func(i, j int) { boxes[i], boxes[j] = boxes[j], boxes[i] })
+	return boxes
+}
+
+// sheetsAt returns fiber nodes at xs carrying forces fs, split in order
+// over three sheets of different area elements.
+func sheetsAt(xs, fs [][3]float64) []*fiber.Sheet {
+	var sheets []*fiber.Sheet
+	for part := 0; part < 3; part++ {
+		lo, hi := part*len(xs)/3, (part+1)*len(xs)/3
+		if lo == hi {
+			continue
+		}
+		sh := fiber.NewSheet(fiber.Params{NumFibers: hi - lo, NodesPerFiber: 1,
+			Width: 1.3 * float64(hi-lo), Height: 0.3 + 0.2*float64(part)})
+		copy(sh.X, xs[lo:hi])
+		copy(sh.Force, fs[lo:hi])
+		sheets = append(sheets, sh)
+	}
+	return sheets
+}
+
+// oracleSpreadSheets is kernel 4 through the per-point oracle: every
+// fiber node of every sheet in order.
+func oracleSpreadSheets(acc pointField, sheets []*fiber.Sheet) {
+	for _, sh := range sheets {
+		for i, x := range sh.X {
+			var st ibm.Stencil
+			st.Compute(x)
+			oracleSpread(acc, &st, sh.Force[i], sh.AreaElement())
+		}
+	}
+}
+
 func compareForces(t *testing.T, got, want []grid.Macro) {
 	t.Helper()
 	for i := range got {
@@ -223,7 +271,11 @@ func compareForces(t *testing.T, got, want []grid.Macro) {
 }
 
 // Spread into a random force field and gather from a random velocity
-// field through both layouts equal the per-point oracle bit for bit.
+// field through both layouts equal the per-point oracle bit for bit. So
+// does the box body: fiber nodes at the same kind of positions, spread
+// box by box over a random partition of the domain, leave the field the
+// oracle leaves spreading them node by node — each node receives its
+// contributions from its own box alone, in the oracle's order.
 func TestCouplingMatchesPerPointOracle(t *testing.T) {
 	const stencils = 12000
 	for _, tc := range couplingLayouts {
@@ -246,81 +298,32 @@ func TestCouplingMatchesPerPointOracle(t *testing.T) {
 				oracleSpread(oracle, &st, F, area)
 			}
 			compareForces(t, l.Macros(), ref.Macros())
-		})
-	}
-}
 
-// The same for the workers' accumulators, with no block owned (the slab
-// engines) and with an owner table (the cube engine): two workers
-// alternate over the stencils, so both land in the same blocks; private
-// buffers, stamps, owner-direct writes and the reduced field all match.
-func TestSpreadAccumMatchesPerPointOracle(t *testing.T) {
-	const stencils = 12000
-	for _, tc := range couplingLayouts {
-		for _, owned := range []bool{false, true} {
-			name := tc.name + "/unowned"
-			if owned {
-				name = tc.name + "/owned"
+			xs := couplingPositions(r, stencils/4, dimsOf(l), tc.k)
+			fs := make([][3]float64, len(xs))
+			for i := range fs {
+				fs[i] = randomForce(r)
 			}
-			t.Run(name, func(t *testing.T) {
-				r := rand.New(rand.NewSource(22))
-				l, ref := tc.make(), tc.make()
-				randomize(r, l.Macros(), ref.Macros())
-				_, e := l.BlockBox(0)
-				blockLen := e[0] * e[1] * e[2]
-				var owner []int
-				if owned {
-					owner = make([]int, len(l.Macros())/blockLen)
-					for b := range owner {
-						owner[b] = r.Intn(3) // worker 2 does not exist: some blocks are nobody's
-					}
-				}
-				accs, refs := NewSpreadAccums(l, 2, owner), NewSpreadAccums(ref, 2, owner)
-				for gen := 1; gen <= 2; gen++ {
-					for tid := range accs {
-						accs[tid].Begin(gen)
-						refs[tid].Begin(gen)
-					}
-					for n, x := range couplingPositions(r, stencils/2, dimsOf(l), tc.k) {
-						var st ibm.Stencil
-						st.Compute(x)
-						F, area := randomForce(r), r.Float64()
-						ibm.Spread(accs[n%2], x, F, area)
-						oracleSpread(accumPoints{refs[n%2]}, &st, F, area)
-					}
-					for tid := range accs {
-						for b := range accs[tid].blocks {
-							if accs[tid].stamp[b] != refs[tid].stamp[b] || len(accs[tid].blocks[b]) != len(refs[tid].blocks[b]) {
-								t.Fatalf("gen %d worker %d block %d: stamp %d, %d slots; oracle stamp %d, %d slots", gen, tid, b,
-									accs[tid].stamp[b], len(accs[tid].blocks[b]), refs[tid].stamp[b], len(refs[tid].blocks[b]))
-							}
-							for i, v := range accs[tid].blocks[b] {
-								if !sameBits(v, refs[tid].blocks[b][i]) {
-									t.Fatalf("gen %d worker %d block %d slot %d = %v, per-point oracle %v", gen, tid, b, i, v, refs[tid].blocks[b][i])
-								}
-							}
-						}
-					}
-					compareForces(t, l.Macros(), ref.Macros())
-					for b := 0; b < len(l.Macros())/blockLen; b++ {
-						ReduceSpread(accs, l.Macros()[b*blockLen:(b+1)*blockLen], b, gen)
-						ReduceSpread(refs, ref.Macros()[b*blockLen:(b+1)*blockLen], b, gen)
-					}
-					compareForces(t, l.Macros(), ref.Macros())
-				}
-			})
-		}
+			sheets := sheetsAt(xs, fs)
+			for _, b := range randomBoxes(r, dimsOf(l)) {
+				SpreadBox(couplingOf(l), sheets, b)
+			}
+			oracleSpreadSheets(oracle, sheets)
+			compareForces(t, l.Macros(), ref.Macros())
+		})
 	}
 }
 
 // Spreading conserves force and is the adjoint of interpolation on every
 // layout — slab grids and cube layouts with k = 1, 4 and 8, through the
-// layout contract — and through every accumulator: the layout's own
-// coupling, and two workers' SpreadAccums with no block owned and with
-// owned blocks, reduced. Σ_nodes f = Σ_j A·F_j, and ⟨S F, u⟩ = Σ_nodes f·u
-// equals ⟨F, I u⟩ = Σ_j A·F_j·I(u)(X_j), both to round-off.
+// layout contract — and through every spreading path: the layout's own
+// coupling per stencil ("layout"), the box body over the whole domain
+// ("unowned", Sequential's kernel 4), and the box body over the owned
+// boxes of a random partition ("owned", a parallel engine's).
+// Σ_nodes f = Σ_j A·F_j, and ⟨S F, u⟩ = Σ_nodes f·u equals
+// ⟨F, I u⟩ = Σ_j A·F_j·I(u)(X_j), both to round-off.
 func TestCouplingConservesForceAndIsAdjoint(t *testing.T) {
-	const fibers, area = 600, 0.37
+	const fibers = 600
 	for _, tc := range couplingLayouts {
 		for _, via := range []string{"layout", "unowned", "owned"} {
 			t.Run(tc.name+"/"+via, func(t *testing.T) {
@@ -330,45 +333,42 @@ func TestCouplingConservesForceAndIsAdjoint(t *testing.T) {
 				for i := range m {
 					m[i].Vel = [3]float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
 				}
-				_, e := l.BlockBox(0)
-				blockLen := e[0] * e[1] * e[2]
-				var accs []*SpreadAccum
-				if via != "layout" {
-					var owner []int
-					if via == "owned" {
-						owner = make([]int, len(m)/blockLen)
-						for b := range owner {
-							owner[b] = r.Intn(3) // worker 2 does not exist: some blocks are nobody's
-						}
-					}
-					accs = NewSpreadAccums(l, 2, owner)
-					for _, a := range accs {
-						a.Begin(1)
-					}
-				}
 				dims := dimsOf(l)
+				xs, fs := make([][3]float64, fibers), make([][3]float64, fibers)
+				for j := range xs {
+					for a := range xs[j] {
+						xs[j][a] = (r.Float64()*3 - 1) * float64(dims[a]) // seams and periodic images included
+					}
+					fs[j] = randomForce(r)
+				}
+				sheets := sheetsAt(xs, fs)
 				var want [3]float64
 				var rhs, scale float64
-				for j := 0; j < fibers; j++ {
-					var x [3]float64
-					for a := range x {
-						x[a] = (r.Float64()*3 - 1) * float64(dims[a]) // seams and periodic images included
-					}
-					F := randomForce(r)
-					var acc ibm.ForceAccumulator = l
-					if accs != nil {
-						acc = accs[j%2]
-					}
-					ibm.Spread(acc, x, F, area)
-					u := ibm.Interpolate(l, x)
-					for d := 0; d < 3; d++ {
-						want[d] += area * F[d]
-						rhs += area * F[d] * u[d]
-						scale += area * math.Abs(F[d]) * (math.Abs(u[d]) + 1)
+				for _, sh := range sheets {
+					area := sh.AreaElement()
+					for j, x := range sh.X {
+						F, u := sh.Force[j], ibm.Interpolate(l, x)
+						for d := 0; d < 3; d++ {
+							want[d] += area * F[d]
+							rhs += area * F[d] * u[d]
+							scale += area * math.Abs(F[d]) * (math.Abs(u[d]) + 1)
+						}
 					}
 				}
-				for b := 0; accs != nil && b < len(m)/blockLen; b++ {
-					ReduceSpread(accs, m[b*blockLen:(b+1)*blockLen], b, 1)
+				c := couplingOf(l)
+				switch via {
+				case "layout":
+					for _, sh := range sheets {
+						for j, x := range sh.X {
+							ibm.Spread(l, x, sh.Force[j], sh.AreaElement())
+						}
+					}
+				case "unowned":
+					SpreadBox(c, sheets, c.Whole())
+				case "owned":
+					for _, b := range randomBoxes(r, dims) {
+						SpreadBox(c, sheets, b)
+					}
 				}
 				var got [3]float64
 				var lhs float64
@@ -392,57 +392,9 @@ func TestCouplingConservesForceAndIsAdjoint(t *testing.T) {
 	}
 }
 
-// Two workers spreading at once — each through its own accumulator,
-// owner-direct into its own blocks — then reducing disjoint blocks at
-// once, leave bit for bit the field the same work leaves done serially:
-// every destination has one writer per phase. Under -race this is the
-// accumulate/reduce protocol's data-race check without an engine around
-// it.
-func TestSpreadAccumConcurrentWorkers(t *testing.T) {
-	for _, tc := range couplingLayouts[3:5] {
-		r := rand.New(rand.NewSource(23))
-		l, ref := tc.make(), tc.make()
-		randomize(r, l.Macros(), ref.Macros())
-		_, e := l.BlockBox(0)
-		blockLen := e[0] * e[1] * e[2]
-		owner := make([]int, len(l.Macros())/blockLen)
-		for b := range owner {
-			owner[b] = b % 2
-		}
-		xs := couplingPositions(r, 4000, dimsOf(l), tc.k)
-		F := randomForce(r)
-		work := func(l Layout, accs []*SpreadAccum, tid int, spread bool) {
-			if spread {
-				accs[tid].Begin(1)
-				for n := tid; n < len(xs); n += 2 {
-					ibm.Spread(accs[tid], xs[n], F, 0.3)
-				}
-				return
-			}
-			for b := tid; b < len(owner); b += 2 {
-				ReduceSpread(accs, l.Macros()[b*blockLen:(b+1)*blockLen], b, 1)
-			}
-		}
-		accs, refs := NewSpreadAccums(l, 2, owner), NewSpreadAccums(ref, 2, owner)
-		for _, spread := range []bool{true, false} {
-			var wg sync.WaitGroup
-			for tid := 0; tid < 2; tid++ {
-				wg.Add(1)
-				go func(tid int) {
-					defer wg.Done()
-					work(l, accs, tid, spread)
-				}(tid)
-				work(ref, refs, tid, spread)
-			}
-			wg.Wait()
-		}
-		compareForces(t, l.Macros(), ref.Macros())
-	}
-}
-
 // A lattice-aligned node's outer stencil layers carry exactly zero
-// weight and are skipped, through every accumulator: 27 nodes receive
-// force, not 64.
+// weight and are skipped, through the layout's coupling and the box body:
+// 27 nodes receive force, not 64.
 func TestLatticeAlignedSpreadTouches27(t *testing.T) {
 	count := func(nodes []grid.Macro) (n int) {
 		for i := range nodes {
@@ -463,19 +415,10 @@ func TestLatticeAlignedSpreadTouches27(t *testing.T) {
 			t.Errorf("%s: %d nodes touched, want 27", tc.name, n)
 		}
 		l = tc.make()
-		acc := NewSpreadAccums(l, 1, nil)[0]
-		acc.Begin(1)
-		ibm.Spread(acc, x, F, 1)
-		n := 0
-		for _, buf := range acc.blocks {
-			for _, v := range buf {
-				if v != ([3]float64{}) {
-					n++
-				}
-			}
-		}
-		if n != 27 {
-			t.Errorf("%s accumulator: %d slots touched, want 27", tc.name, n)
+		c := couplingOf(l)
+		SpreadBox(c, sheetsAt([][3]float64{x}, [][3]float64{F}), c.Whole())
+		if n := count(l.Macros()); n != 27 {
+			t.Errorf("%s box body: %d nodes touched, want 27", tc.name, n)
 		}
 	}
 }
@@ -492,22 +435,23 @@ func TestStepSurvivesNonFinitePosition(t *testing.T) {
 	}
 }
 
-// Kernels 4 and 8 over a whole sheet allocate nothing, through the
-// layouts' couplings and through a worker's accumulator once its blocks
-// exist.
+// Kernels 4 and 8 over a whole sheet allocate nothing: the box body over
+// the whole domain and over part of it, and the gather.
 func TestSpreadAndMoveSheetNodesDoNotAllocate(t *testing.T) {
 	sh := fiber.NewSheet(fiber.Params{NumFibers: 12, NodesPerFiber: 12, Width: 5, Height: 5,
 		Origin: [3]float64{6.3, 1.2, 9.7}, Ks: 0.05, Kb: 0.001})
 	for i := range sh.Force {
 		sh.Force[i] = [3]float64{1e-3, -2e-3, 5e-4}
 	}
+	sheets := []*fiber.Sheet{sh}
 	for _, tc := range couplingLayouts {
 		l := tc.make()
-		acc := NewSpreadAccums(l, 2, nil)[1]
-		acc.Begin(1)
+		c := couplingOf(l)
+		part := c.Whole()
+		part.Hi[0] = (part.Hi[0] + 1) / 2
 		if n := testing.AllocsPerRun(5, func() {
-			SpreadSheetNodes(l, sh, 0, sh.NumNodes())
-			SpreadSheetNodes(acc, sh, 0, sh.NumNodes())
+			SpreadBox(c, sheets, c.Whole())
+			SpreadBox(c, sheets, part)
 			MoveSheetNodes(l, sh, 0, sh.NumNodes())
 		}); n != 0 {
 			t.Errorf("%s: %v allocations per pass over the sheet, want 0", tc.name, n)

@@ -1,9 +1,9 @@
 // Package core holds the LBM-IB kernels every engine executes and the
 // sequential solver of Section III of the paper.
 //
-// The loop bodies of the nine kernels exist once, here (bodies.go,
-// spread.go), written against the block-layout contract Layout that the
-// slab grid and the cube layout both satisfy. An engine — this package's
+// The loop bodies of the nine kernels exist once, here (bodies.go),
+// written against the block-layout contract Layout that the slab grid
+// and the cube layout both satisfy. An engine — this package's
 // sequential Solver, internal/omp, internal/cubesolver, internal/fused —
 // is a schedule: it decides which thread runs which body over which
 // blocks and where the barriers stand, and restates none of the
@@ -13,9 +13,8 @@
 // lattice.Moments; CollideRange and UpdateRange are loops over them, and
 // so are the in-place bodies AABlock and AAMomentsBlock, generic over the
 // storage element type like the two functions. Likewise a fiber node's 64 stencil
-// points: SpreadSheetNodes and MoveSheetNodes make one call per fiber
-// node, and the point loops, with the periodic wrap, are grid.Coupling's
-// and, for private buffers, SpreadAccum.SpreadStencil's.
+// points: SpreadBox and MoveSheetNodes make one call per fiber node, and
+// the point loops, with the periodic wrap, are grid.Coupling's.
 //
 // The sequential Solver keeps the kernel decomposition exactly as
 // published — Algorithm 1, including kernel 6's second distribution array
@@ -298,9 +297,7 @@ func (s *Solver) ComputeElasticForce() {
 // nodes of its 4×4×4 influential domain through the smoothed Dirac delta.
 func (s *Solver) SpreadForce() {
 	SeedForce(s.Fluid.Macros(), s.BodyForce)
-	for _, sh := range s.Sheets {
-		SpreadSheetNodes(s.Fluid, sh, 0, sh.NumNodes())
-	}
+	SpreadBox(s.Fluid.Coupling, s.Sheets, s.Fluid.Whole())
 }
 
 // ComputeCollision is kernel 5: the D3Q19 BGK collision with the elastic

@@ -10,8 +10,8 @@ type Phase int
 
 // The five loop nests of Algorithm 4.
 const (
-	PhaseFibersForce    Phase = iota + 1 // 1st loop: kernels 1–4 on owned fibers
-	PhaseCollideStream                   // 2nd loop: kernels 5–6 on owned cubes
+	PhaseFibersForce    Phase = iota + 1 // 1st loop: fiber forces (kernels 1–3 on the cube engine, 1–4 on fused)
+	PhaseCollideStream                   // 2nd loop: kernels 5–6 on owned cubes (the cube engine spreads, kernel 4, first)
 	PhaseUpdateVelocity                  // 3rd loop: kernel 7 on owned cubes
 	PhaseMoveFibers                      // 4th loop: kernel 8 on owned fibers
 	PhaseCopy                            // 5th loop: kernel 9, retired to an O(1) buffer swap
@@ -39,8 +39,11 @@ func (p Phase) String() string {
 type BarrierSite int
 
 const (
-	// SiteAfterSpread orders force spreading before collision (the
-	// correctness barrier the cube engine adds to the paper's schedule).
+	// SiteAfterSpread orders every fiber's elastic force (kernels 1–3)
+	// before the owners spread it and collide: the correctness barrier
+	// the cube engine adds to the paper's schedule. Its name, like
+	// PhaseFibersForce's, dates from when spreading ran before it; both
+	// are kept so recorded bundles and profiles still read.
 	SiteAfterSpread BarrierSite = iota
 	// SiteAfterStream orders streaming before the velocity update (the
 	// paper's 1st barrier; the fused sweep's mid-sweep wavefront join).

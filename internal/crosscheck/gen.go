@@ -12,10 +12,9 @@
 // sheets. A Runner executes the same configuration on every
 // applicable engine — including the fused single-sweep engine in both
 // its float64 and float32 storage modes — and holds the results to the
-// per-engine equivalence contract (bitwise where the engine is
-// deterministic, tolerance where parallel force spreading reorders
-// floating-point accumulation, and the relaxed Tol32 contract where
-// float32 storage rounds every distribution once per step), checks
+// per-engine equivalence contract (bitwise for every float64 engine at
+// any thread count, and the relaxed Tol32 contract where float32 storage
+// rounds every distribution once per step), checks
 // physics invariants every few steps (finite fields, mass conservation,
 // fiber arclength bounds, driven-momentum sign), runs metamorphic
 // symmetry oracles (axis permutation, lid mirror) and a mid-run

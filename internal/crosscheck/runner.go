@@ -40,38 +40,24 @@ func Engines(c Case) []Engine {
 	return es
 }
 
-// Deterministic reports whether engine e replays the exact same
-// floating-point trajectory for this case — the bitwise half of the
-// equivalence contract. Sequential executes one thread in program order.
-// The omp, fused and cube engines group multi-threaded spread sums per
-// thread — reproducible run to run at a fixed thread count, but a
-// different floating-point order from the sequential reference's fiber
-// order — so with an immersed structure and more than one thread their
-// low-order bits differ from the reference.
-//
-// Note this is about trajectory reproducibility, which the float32 fused
-// mode has too (its rounding is deterministic): it governs round-trip
-// comparisons. Whether an engine owes the reference bitwise equality is
-// a separate question — see contractFor, which keeps fused-f32 on the
-// relaxed Tol32 contract regardless.
-func Deterministic(e Engine, c Case) bool {
-	return e == EngineSequential || c.Config.Threads == 1 || len(c.Config.Sheets) == 0
-}
+// Deterministic reports whether engine e owes the sequential reference
+// bitwise equality on case c: every float64 engine does, at any thread
+// count and with or without sheets, because the owners of the fluid
+// spread in the reference's order (core.SpreadBox). The float32 fused
+// mode's storage rounding keeps it on the relaxed Tol32 contract, though
+// its own trajectory is the same at any thread count and round-trips
+// bitwise. The benchmark's verification pass (bench/verify.go) applies
+// the same rule.
+func Deterministic(e Engine, c Case) bool { return e != EngineFusedF32 }
 
 // contractFor resolves the differential contract engine e owes the
-// float64 sequential reference for this case: bitwise when the engine
-// replays the reference's exact trajectory, Tol when parallel spreading
-// reorders accumulation, and Tol32 for the float32 fused mode — whose
-// per-step storage rounding keeps it off the bitwise contract even when
-// its own trajectory is perfectly reproducible.
+// float64 sequential reference for this case: bitwise, or Tol32 for the
+// float32 fused mode.
 func (r *Runner) contractFor(e Engine, c Case) (tol float64, bitwise bool) {
-	if e == EngineFusedF32 {
-		return r.Tol32, false
-	}
 	if Deterministic(e, c) {
 		return 0, true
 	}
-	return r.Tol, false
+	return r.Tol32, false
 }
 
 // massRelFor returns the mass-conservation tolerance for engine e:
@@ -118,13 +104,10 @@ func (res Result) FailureSummary() string {
 
 // Runner executes cases across engines and applies the oracles.
 type Runner struct {
-	// Tol is the tolerance contract for nondeterministic engines
-	// (default validate.DefaultTol).
-	Tol float64
 	// Tol32 is the relaxed contract for the float32 fused engine
 	// (default 1e-5): float32 stores ~7 decimal digits, and per-step
 	// rounding of every distribution value accumulates a relative error
-	// a few orders above the float64 engines' reordering noise.
+	// far above float64 round-off.
 	Tol32 float64
 	// MetaTol bounds the metamorphic symmetry comparisons, which reorder
 	// per-node reductions but nothing else (default 1e-11).
@@ -137,7 +120,7 @@ type Runner struct {
 
 // NewRunner returns a Runner with the default contracts.
 func NewRunner() *Runner {
-	return &Runner{Tol: validate.DefaultTol, Tol32: 1e-5, MetaTol: 1e-11}
+	return &Runner{Tol32: 1e-5, MetaTol: 1e-11}
 }
 
 // state is a captured engine state: a fluid snapshot plus
@@ -341,11 +324,11 @@ func compareStates(a, b state, tol float64) (float64, []string) {
 
 // roundTrips checkpoints a fresh run of the case mid-way, restores it,
 // finishes the run and demands the restored trajectory land on the
-// uninterrupted one — bitwise for deterministic engines, within Tol
-// otherwise. It exercises the sequential engine, the cube engine (or
-// omp when the shape is indivisible), and both
-// fused modes — fused-f32 crossing the float32↔float64 checkpoint
-// boundary, which must be exact because widening is.
+// uninterrupted one bit for bit, on every engine. It exercises the
+// sequential engine, the cube engine (or omp when the shape is
+// indivisible), and both fused modes — fused-f32 crossing the
+// float32↔float64 checkpoint boundary, which must be exact because
+// widening is.
 func (r *Runner) roundTrips(c Case) []string {
 	engines := []Engine{EngineSequential}
 	if CubeDivisible(c) {
@@ -407,11 +390,7 @@ func (r *Runner) roundTrip(c Case, e Engine) string {
 	got := capture(restored)
 	restored.Close()
 
-	tol := 0.0
-	if !Deterministic(e, c) {
-		tol = r.Tol
-	}
-	if maxAbs, cmpFails := compareStates(want, got, tol); len(cmpFails) > 0 {
+	if maxAbs, cmpFails := compareStates(want, got, 0); len(cmpFails) > 0 {
 		return fmt.Sprintf("round-trip %s: restored trajectory diverges (max|Δ|=%.3e): %s",
 			e, maxAbs, cmpFails[0])
 	}

@@ -70,7 +70,7 @@ func (l *Layout) NumNodes() int { return len(l.macro) }
 func (l *Layout) Dims() (nx, ny, nz int) { return l.NX, l.NY, l.NZ }
 
 // Dist returns the distribution array in layout order. Cube c occupies
-// entries CubeRange(c).
+// entries [c·K³, (c+1)·K³).
 func (l *Layout) Dist() [][lattice.Q]float64 { return l.dist }
 
 // Macros returns every node's record in layout order.
@@ -111,13 +111,6 @@ func (l *Layout) Idx(x, y, z int) int {
 
 // At returns the record of fluid node (x, y, z).
 func (l *Layout) At(x, y, z int) *grid.Macro { return &l.macro[l.Idx(x, y, z)] }
-
-// CubeRange returns the half-open index range [lo, hi) cube c occupies in
-// every per-node array.
-func (l *Layout) CubeRange(c int) (lo, hi int) {
-	k3 := l.K * l.K * l.K
-	return c * k3, (c + 1) * k3
-}
 
 // Wrap maps possibly out-of-range coordinates onto the periodic domain.
 func (l *Layout) Wrap(x, y, z int) (int, int, int) {

@@ -11,23 +11,25 @@
 // sites. The layout holds one distribution array, streamed in place by
 // the AA pattern (core.AABlock), so kernel 9 has nothing left to copy.
 //
-// Cross-thread force spreading is lock-free: each worker accumulates
-// contributions to cubes it does not own into a private, sparse per-cube
-// buffer (contributions to its own cubes go straight to the grid), and
-// after the spread barrier every owner folds the workers' buffers into
-// its own cubes in ascending thread order — a deterministic
-// owner-partitioned reduction, so results are reproducible run-to-run at
-// a fixed thread count (core.SpreadAccum; DESIGN.md §13). It replaces
-// the paper's scheme of one private lock per owner thread.
+// Force spreading is owner-computes: after kernels 1–3, each worker
+// walks every fiber node in global order and adds only into the box its
+// cubes form (core.SpreadBox; cube2thread gives each thread a contiguous
+// span per axis). No two workers write one node, no lock or private
+// buffer is on the path, and every node receives its contributions in
+// the sequential solver's order, so the engine is bitwise equal to the
+// sequential reference at any thread count (DESIGN.md §13). It replaces
+// the paper's scheme, in which each fiber's owner scatters its forces
+// under one private lock per owner thread.
 //
 // Deviation from the published pseudocode, documented in DESIGN.md: the
 // paper's Algorithm 4 shows three barriers per step (after loops 2, 3 and
 // 5) but no barrier between the fiber loop (kernels 1–4) and the fluid
-// loop (kernels 5–6). Kernel 5 reads the elastic force that loop 1 spreads
-// toward cubes owned by other threads, so a fourth barrier after loop 1 is
-// required for a correct execution; this implementation inserts it — but
-// only when it orders anything: fluid-only and single-thread runs skip it,
-// restoring the paper's three-barrier schedule.
+// loop (kernels 5–6). Here the fiber loop runs kernels 1–3 on owned
+// fibers and the owners' spread heads the fluid loop, reading every
+// fiber's elastic force, so a fourth barrier after loop 1 is required;
+// this implementation inserts it — but only when it orders anything:
+// fluid-only and single-thread runs skip it, restoring the paper's
+// three-barrier schedule.
 package cubesolver
 
 import (
@@ -37,6 +39,7 @@ import (
 	"lbmib/internal/core"
 	"lbmib/internal/cube"
 	"lbmib/internal/fiber"
+	"lbmib/internal/grid"
 	"lbmib/internal/par"
 )
 
@@ -56,18 +59,19 @@ type Solver struct {
 	stream       *core.Streamer
 	team         *par.Team
 	barrier      *par.Barrier
-	timedBarrier par.TimedBarrier    // wraps barrier; used only with a Probe attached
-	accums       []*core.SpreadAccum // per-thread spread buffers, one block per cube
+	timedBarrier par.TimedBarrier // wraps barrier; used only with a Probe attached
 	step         int
 	// swapped is the phase of the layout's distribution array between
 	// steps (core.AABlock): false means natural. Every step flips it.
 	swapped bool
 
 	// Ownership, resolved once from the block distribution: owned[tid]
-	// lists thread tid's cubes in cube-index order, and fibers[tid] is
-	// its half-open range of global fiber indices (fiber2thread maps
-	// contiguous spans, so a range says it all).
+	// lists thread tid's cubes in cube-index order, box[tid] is the
+	// lattice box they form, and fibers[tid] is its half-open range of
+	// global fiber indices (fiber2thread maps contiguous spans, so a
+	// range says it all).
 	owned  [][]int
+	box    []grid.Box
 	fibers [][2]int
 }
 
@@ -98,13 +102,19 @@ func NewSolver(cfg Config) (*Solver, error) {
 		team:    par.NewTeam(threads),
 		barrier: par.NewBarrier(threads),
 		owned:   make([][]int, threads),
+		box:     make([]grid.Box, threads),
 		fibers:  make([][2]int, threads),
 	}
 	s.timedBarrier = par.TimedBarrier{B: s.barrier, Arrive: s.BarrierArrived}
-	owner := make([]int, layout.NumCubes())
-	for c := range owner {
-		owner[c] = s.Map.CubeToThread(layout.CubeCoord(c))
-		s.owned[owner[c]] = append(s.owned[owner[c]], c)
+	for c := 0; c < layout.NumCubes(); c++ {
+		tid := s.Map.CubeToThread(layout.CubeCoord(c))
+		s.owned[tid] = append(s.owned[tid], c)
+	}
+	for tid := range s.box {
+		lo, hi := s.Map.Box(tid)
+		for a := range lo {
+			s.box[tid].Lo[a], s.box[tid].Hi[a] = lo[a]*layout.K, hi[a]*layout.K
+		}
 	}
 	total := fiber.TotalFibers(s.Sheets)
 	for g := 0; g < total; g++ {
@@ -114,7 +124,6 @@ func NewSolver(cfg Config) (*Solver, error) {
 		}
 		r[1] = g + 1
 	}
-	s.accums = core.NewSpreadAccums(layout, threads, owner)
 	// Kernel 4 accumulates on top of the previous step's reset; seed the
 	// initial body force the same way the update-velocity loop will
 	// maintain it.
@@ -204,24 +213,20 @@ func (s *Solver) timeStep(step, tid int, swapped bool) {
 	phase := func(p core.Phase, fn func()) {
 		s.Timed(core.Event{Kind: core.PhaseDone, Step: step, Tid: tid, Phase: p}, fn)
 	}
-	// gen stamps this step's spread accumulation; generations are never
-	// reused, which is what lets the lock-free buffers skip zeroing.
-	gen := step + 1
-
-	// 1st loop: kernels 1–4 on owned fibers.
-	phase(core.PhaseFibersForce, func() { s.fiberForceLoop(tid, gen) })
-	// Spread → collision dependency (see package comment). The barrier
-	// folds away when it orders nothing: without fibers no forces are
-	// spread, and a single worker spreads and collides in program order.
-	// The condition is thread-invariant, so every worker takes the same
-	// branch.
+	// 1st loop: kernels 1–3 on owned fibers.
+	phase(core.PhaseFibersForce, func() { s.fiberForceLoop(tid) })
+	// Elastic force → spread dependency (see package comment): every
+	// owner's spread reads every fiber's force. The barrier folds away
+	// when it orders nothing: without fibers nothing is spread, and a
+	// single worker computes and spreads in program order. The condition
+	// is thread-invariant, so every worker takes the same branch.
 	if s.spreadBarrierNeeded() {
 		s.waitBarrier(core.SiteAfterSpread, tid, step)
 	}
 
-	// 2nd loop: kernels 5–6 on owned cubes (each first folds the workers'
-	// spread buffers into the cube), streaming in place.
-	phase(core.PhaseCollideStream, func() { s.collideStreamLoop(tid, step, gen, swapped) })
+	// 2nd loop: kernel 4 into the owned box, then kernels 5–6 on owned
+	// cubes, streaming in place.
+	phase(core.PhaseCollideStream, func() { s.collideStreamLoop(tid, step, swapped) })
 	s.waitBarrier(core.SiteAfterStream, tid, step) // streaming → velocity-update dependency (paper's 1st barrier)
 
 	// 3rd loop: kernel 7 on owned cubes, reading neighbour cubes' slots
@@ -290,34 +295,22 @@ func (s *Solver) forOwnedCubes(tid, step int, p core.Phase, fn func(c int)) {
 	}
 }
 
-// fiberForceLoop runs kernels 1–4 for the fibers owned by tid. Spreading
-// goes through the worker's private accumulation buffer; gen stamps this
-// step's buffers.
-func (s *Solver) fiberForceLoop(tid, gen int) {
-	acc := s.accums[tid]
-	acc.Begin(gen)
+// fiberForceLoop runs kernels 1–3 for the fibers owned by tid.
+func (s *Solver) fiberForceLoop(tid int) {
 	s.forOwnedFibers(tid, func(sh *fiber.Sheet, lo, hi int) {
 		sh.ComputeBendingForce(lo, hi)
 		sh.ComputeStretchingForce(lo, hi)
 		sh.ComputeElasticForce(lo, hi)
-		core.SpreadSheetNodes(acc, sh, lo, hi)
 	})
 }
 
-// collideStreamLoop runs kernels 5 and 6 over the cubes owned by tid,
-// fused per cube as in Algorithm 4. Each owned cube's spread reduction
-// runs immediately before its collision — the owner is the only thread
-// touching the cube here, so the reduction needs no synchronization
-// beyond the spread barrier already passed, and the cube's nodes are hot
-// in cache for the collision that follows.
-func (s *Solver) collideStreamLoop(tid, step, gen int, swapped bool) {
-	reduce := fiber.TotalFibers(s.Sheets) > 0
-	df, macro := s.Fluid.Dist(), s.Fluid.Macros()
+// collideStreamLoop runs kernel 4 into the box of cubes owned by tid —
+// the owner is the only thread writing their forces — then kernels 5 and
+// 6 over those cubes, fused per cube as in Algorithm 4.
+func (s *Solver) collideStreamLoop(tid, step int, swapped bool) {
+	core.SpreadBox(s.Fluid.Coupling, s.Sheets, s.box[tid])
+	df := s.Fluid.Dist()
 	s.forOwnedCubes(tid, step, core.PhaseCollideStream, func(c int) {
-		if reduce {
-			lo, hi := s.Fluid.CubeRange(c)
-			core.ReduceSpread(s.accums, macro[lo:hi], c, gen)
-		}
 		core.AABlock(s.stream, df, c, s.Tau, swapped)
 	})
 }
@@ -341,24 +334,18 @@ func (s *Solver) moveFibersLoop(tid int) {
 	})
 }
 
-// spreadOnly runs the fiber-force loop (kernels 1–4) once on the worker
-// team — including the owner-partitioned reduction — and stops before
-// collision, leaving the accumulated force field in place. It is a test
-// seam: the spreading-equivalence tests compare this force field with
-// the sequential reference's.
+// spreadOnly runs kernels 1–4 once on the worker team, through the same
+// loops and barrier as a step, and stops before collision, leaving the
+// spread force field in place. It is a test seam: the
+// spreading-equivalence tests compare this force field with the
+// sequential reference's.
 func (s *Solver) spreadOnly() {
-	gen := s.step + 1
 	s.team.Run(func(tid int) {
-		s.fiberForceLoop(tid, gen)
+		s.fiberForceLoop(tid)
 		if s.spreadBarrierNeeded() {
 			s.waitBarrier(core.SiteAfterSpread, tid, s.step)
 		}
-		if fiber.TotalFibers(s.Sheets) > 0 {
-			for _, c := range s.owned[tid] {
-				lo, hi := s.Fluid.CubeRange(c)
-				core.ReduceSpread(s.accums, s.Fluid.Macros()[lo:hi], c, gen)
-			}
-		}
+		core.SpreadBox(s.Fluid.Coupling, s.Sheets, s.box[tid])
 	})
 }
 

@@ -28,8 +28,8 @@ func cubeConfig(sheet *fiber.Sheet, threads, k int) Config {
 	return Config{Config: refConfig(sheet), CubeSize: k, Threads: threads}
 }
 
-// The central correctness property: the cube solver must reproduce the
-// sequential solver for any thread count and cube size.
+// The central correctness property: the cube solver reproduces the
+// sequential solver bit for bit for any thread count and cube size.
 func TestMatchesSequential(t *testing.T) {
 	const steps = 12
 	ref := core.MustNewSolver(refConfig(testSheet()))
@@ -42,18 +42,18 @@ func TestMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.Run(steps)
-			gd, err := validate.Grids(ref.Fluid, s.Live().ToGrid())
+			gd, err := validate.GridsPhysics(ref.Fluid, s.Live().ToGrid())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !gd.Within(validate.DefaultTol) {
+			if !gd.Within(0) {
 				t.Fatalf("threads=%d k=%d fluid diverges: %v", threads, k, gd)
 			}
 			sd, err := validate.Sheets(ref.Sheet(), s.Sheet())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sd.Within(validate.DefaultTol) {
+			if !sd.Within(0) {
 				t.Fatalf("threads=%d k=%d sheet diverges: %v", threads, k, sd)
 			}
 			s.Close()
@@ -180,7 +180,7 @@ func TestFixedNodesMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sd.Within(validate.DefaultTol) {
+	if !sd.Within(0) {
 		t.Fatalf("fixed-region sheet diverges: %v", sd)
 	}
 }
@@ -198,9 +198,8 @@ func BenchmarkCubeStep16k4(b *testing.B) {
 }
 
 // A moving-lid cavity with an immersed sheet exercises the Ladd
-// bounce-back correction through the in-place streaming path. One
-// thread keeps the force accumulation order sequential, so the match
-// must be bitwise on the distributions.
+// bounce-back correction through the in-place streaming path; the match
+// is bitwise on the distributions.
 func TestMovingLidFSIBitwiseSequential(t *testing.T) {
 	mkRef := func() core.Config {
 		cfg := refConfig(testSheet())

@@ -1,6 +1,6 @@
-// Tests for the lock-free spreading path (per-thread accumulation +
-// owner-partitioned reduction), its equivalence to the sequential
-// reference, and the thread-count clamp.
+// Tests for owner-computes spreading (each thread into the box of cubes
+// it owns), its bitwise equivalence to the sequential reference, and the
+// thread-count clamp.
 package cubesolver
 
 import (
@@ -10,14 +10,13 @@ import (
 	"lbmib/internal/core"
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
-	"lbmib/internal/validate"
 )
 
 // spreadMatchesSequential runs kernels 1–4 once on the sequential
 // reference and on a cube solver of the given width, both built around a
-// fresh mkSheet(), and fails unless every node's force agrees within tol.
-// It returns the cube solver's force field on a slab grid.
-func spreadMatchesSequential(t *testing.T, mkSheet func() *fiber.Sheet, threads int, tol float64) *grid.Grid {
+// fresh mkSheet(), and fails unless every node's force is bit for bit the
+// reference's. It returns the cube solver's force field on a slab grid.
+func spreadMatchesSequential(t *testing.T, mkSheet func() *fiber.Sheet, threads int) *grid.Grid {
 	t.Helper()
 	ref := core.MustNewSolver(refConfig(mkSheet()))
 	ref.ComputeBendingForce()
@@ -34,54 +33,19 @@ func spreadMatchesSequential(t *testing.T, mkSheet func() *fiber.Sheet, threads 
 	g := s.Live().ToGrid()
 	for i := range ref.Fluid.Macros() {
 		want, got := ref.Fluid.Macros()[i].Force, g.Macros()[i].Force
-		for d := 0; d < 3; d++ {
-			if math.Abs(want[d]-got[d]) > tol {
-				t.Fatalf("threads=%d: node %d force[%d] = %g, want %g (Δ=%g)",
-					threads, i, d, got[d], want[d], got[d]-want[d])
-			}
+		if got != want {
+			t.Fatalf("threads=%d: node %d force = %v, want %v", threads, i, got, want)
 		}
 	}
 	return g
 }
 
-// The force field the lock-free spread leaves on the grid must match the
-// sequential reference's kernel 4 at every thread count (the per-thread
-// buffers and the owner reduction order the sums differently, so the
-// match is tolerance-based, not bitwise).
+// The force field the owners' spread leaves on the grid is bit for bit
+// the sequential reference's kernel 4 at every thread count: each node
+// receives its contributions in the reference's order (core.SpreadBox).
 func TestLockFreeSpreadMatchesSequential(t *testing.T) {
-	for _, threads := range []int{2, 4, 8} {
-		spreadMatchesSequential(t, testSheet, threads, validate.DefaultTol)
-	}
-}
-
-// The determinism guarantee of the reduction scheme: at a fixed thread
-// count, two identical multi-threaded lock-free runs are bitwise equal —
-// owner-direct writes happen in each worker's fixed fiber order and the
-// reduction folds buffers in ascending thread order, so the
-// floating-point accumulation order never depends on scheduling.
-func TestLockFreeDeterministicRunToRun(t *testing.T) {
-	const steps = 8
-	run := func() *Solver {
-		s, err := NewSolver(cubeConfig(testSheet(), 4, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Run(steps)
-		return s
-	}
-	a, b := run(), run()
-	defer a.Close()
-	defer b.Close()
-	ga, gb := a.Live().ToGrid(), b.Live().ToGrid()
-	for i := range ga.Macros() {
-		if ga.Dist()[i] != gb.Dist()[i] {
-			t.Fatalf("node %d DF differs between identical 4-thread lock-free runs", i)
-		}
-	}
-	for i := range a.Sheet().X {
-		if a.Sheet().X[i] != b.Sheet().X[i] {
-			t.Fatalf("fiber node %d position differs between identical runs", i)
-		}
+	for _, threads := range []int{2, 3, 4, 8} {
+		spreadMatchesSequential(t, testSheet, threads)
 	}
 }
 
@@ -102,13 +66,13 @@ func wrapSheet() *fiber.Sheet {
 	return sh
 }
 
-// Satellite coverage for periodic-wrap spreading: with the support window
-// wrapping the domain edge, the lock-free and sequential paths must
-// produce the same force field, and the wrapped planes must actually
-// receive spread force (so the cross-owner wrap case is exercised, not
-// vacuously passed).
+// Periodic-wrap spreading: with the support window wrapping the domain
+// edge, the owners' and the sequential spread produce the same force
+// field bit for bit, and the wrapped planes must actually receive spread
+// force (so the cross-owner wrap case is exercised, not vacuously
+// passed).
 func TestSpreadWrapEquivalence(t *testing.T) {
-	g := spreadMatchesSequential(t, wrapSheet, 4, 1e-13)
+	g := spreadMatchesSequential(t, wrapSheet, 4)
 
 	// The window must really have wrapped: the x=0 and x=1 planes sit on
 	// the far side of the periodic boundary from the sheet and still

@@ -18,10 +18,8 @@
 // in-place stream equals the sequential engine's push into a second
 // array, slot by slot, is argued once, on core.AABlock. No arithmetic
 // differs — the float64 fused engine is therefore bitwise identical to
-// the OpenMP-style engine at any thread count, and matches the
-// sequential reference under the same conditions that engine does
-// (exactly, except for the parallel force-spreading accumulation order
-// when multiple threads spread fiber forces).
+// the OpenMP-style engine and to the sequential reference at any thread
+// count.
 //
 // # The wavefront sweep
 //
@@ -77,15 +75,17 @@
 // moments are computed from the rounded stored values, so the
 // macroscopic state remains a pure function of the stored distributions.
 // Storage rounding puts this mode on a relaxed differential contract
-// (~1e-5 vs the float64 reference; see internal/crosscheck), but it is
-// still run-to-run deterministic and its checkpoints round-trip bitwise,
-// because widening float32 to float64 is exact. The grid keeps its
+// (~1e-5 vs the float64 reference; see internal/crosscheck), but its
+// trajectory is still the same bits at any thread count and its
+// checkpoints round-trip bitwise, because widening float32 to float64 is
+// exact. The grid keeps its
 // records and its float64 array, and Live widens the float32 array into
 // it, so the mode holds 152 + 56 + 76 = 284 B per node against 208.
 //
 // Fiber kernels 1–4 and 8 are inherited unchanged from the OpenMP-style
-// solver (same team, same lock-free spreading) and the fluid bodies are
-// core's, so only the wavefront schedule is this package's own code.
+// solver (same team; each thread spreads into the x-slab it owns) and
+// the fluid bodies are core's, so only the wavefront schedule is this
+// package's own code.
 package fused
 
 import (

@@ -42,9 +42,9 @@ func requireBitwiseFluid(t *testing.T, ref *core.Solver, s *Solver, label string
 	}
 }
 
-// The fused sweep reorganizes memory traffic, not arithmetic: fluid-only
-// (no spreading reorder), the result must be bitwise identical to the
-// sequential reference at every thread count — periodic, walled, and
+// The fused sweep reorganizes memory traffic, not arithmetic: fluid-only,
+// the result must be bitwise identical to the sequential reference at
+// every thread count — periodic, walled, and
 // moving-lid alike. Thread counts above NX exercise the clamp; tiny grids
 // exercise the degenerate chunk shapes of the wavefront (size-1 and
 // size-2 chunks finalize entirely in region B).
@@ -76,8 +76,7 @@ func TestFluidOnlyBitwiseEqualsSequential(t *testing.T) {
 
 // With an immersed sheet the fused engine shares the OpenMP-style
 // solver's spreading code on the same team, so the two engines must stay
-// bitwise identical at every thread count — including the thread counts
-// where both diverge from sequential only by accumulation order.
+// bitwise identical at every thread count.
 func TestBitwiseEqualsOMPWithSheets(t *testing.T) {
 	const steps = 10
 	for _, threads := range []int{1, 2, 3, 4} {
@@ -101,8 +100,8 @@ func TestBitwiseEqualsOMPWithSheets(t *testing.T) {
 	}
 }
 
-// Single-threaded there is no spreading reorder either, so a full FSI
-// run must be bitwise identical to the sequential reference.
+// A full single-threaded FSI run is bitwise identical to the sequential
+// reference.
 func TestSingleThreadBitwiseEqualsSequential(t *testing.T) {
 	const steps = 8
 	ref := core.MustNewSolver(baseConfig(testSheet()))
@@ -118,8 +117,8 @@ func TestSingleThreadBitwiseEqualsSequential(t *testing.T) {
 	}
 }
 
-// Multithreaded FSI matches the sequential reference to the crosscheck
-// tolerance (spread accumulation order is the only difference).
+// Multithreaded FSI is bitwise equal to the sequential reference too:
+// each thread spreads into the slab it owns, in the reference's order.
 func TestMatchesSequentialWithSheets(t *testing.T) {
 	const steps = 12
 	ref := core.MustNewSolver(baseConfig(testSheet()))
@@ -127,18 +126,18 @@ func TestMatchesSequentialWithSheets(t *testing.T) {
 	for _, threads := range []int{2, 4, 8} {
 		s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: threads})
 		s.Run(steps)
-		gd, err := validate.Grids(ref.Fluid, s.Live())
+		gd, err := validate.GridsPhysics(ref.Fluid, s.Live())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !gd.Within(validate.DefaultTol) {
+		if !gd.Within(0) {
 			t.Fatalf("threads=%d fluid diverges: %v", threads, gd)
 		}
 		sd, err := validate.Sheets(ref.Sheet(), s.Sheet())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sd.Within(validate.DefaultTol) {
+		if !sd.Within(0) {
 			t.Fatalf("threads=%d sheet diverges: %v", threads, sd)
 		}
 		s.Close()
@@ -235,8 +234,7 @@ func TestFloat32MatchesFloat64(t *testing.T) {
 }
 
 // Float32 storage must not cost determinism: two identical runs agree
-// bitwise (the lock-free spread is deterministic at a fixed thread
-// count, and the sweep itself has no cross-thread accumulation).
+// bitwise (neither the spread nor the sweep sums across threads).
 func TestFloat32RunToRunDeterministic(t *testing.T) {
 	run := func() *Solver {
 		s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: 4, Float32: true})

@@ -9,7 +9,7 @@ import "lbmib/internal/ibm"
 // both an ibm.ForceAccumulator and ibm.VelocitySampler; its two methods
 // are the only 64-point loops over a layout, and they touch the 56 B
 // records alone, never the distributions. Concurrent spreads go through
-// core.SpreadAccum instead.
+// SpreadStencilBox, each thread into the Box it owns.
 type Coupling struct {
 	macro []Macro
 	at    [3][]int
@@ -52,19 +52,70 @@ func ResolveStencil(st *ibm.Stencil, t *[3][]int) (o [3][ibm.SupportWidth]int) {
 	for a := range o {
 		n := len(t[a])
 		for i := range o[a] {
-			c := st.Base[a] + i
-			if uint(c) >= uint(n) {
-				c = WrapIndex(c, n)
-			}
-			o[a][i] = t[a][c]
+			o[a][i] = t[a][wrap(st.Base[a]+i, n)]
 		}
 	}
 	return o
 }
 
+// Box is the fluid one thread owns for kernel 4: the lattice coordinates
+// with Lo[a] ≤ c < Hi[a] on every axis a, inside the domain. A parallel
+// engine's owned boxes partition the domain — one x-slab per thread on
+// the slab engines, the span of a thread's cubes per axis on the cube
+// engine.
+type Box struct{ Lo, Hi [3]int }
+
+// Whole returns the box of the whole domain.
+func (c *Coupling) Whole() Box {
+	return Box{Hi: [3]int{len(c.at[0]), len(c.at[1]), len(c.at[2])}}
+}
+
+// wrap maps lattice coordinate x onto [0, n) as ResolveStencil does: a
+// compare when x is in range, WrapIndex's modulo otherwise.
+func wrap(x, n int) int {
+	if uint(x) >= uint(n) {
+		x = WrapIndex(x, n)
+	}
+	return x
+}
+
+// Reaches reports whether the stencil of a fiber node at x
+// (ibm.Stencil.Compute) has a point in b, from one floor per axis and
+// before any weight is computed. Along an axis the support window
+// s, s+1, …, s+3 (mod n) meets [Lo, Hi) exactly when it starts inside,
+// or enters it at Lo within its width.
+func (c *Coupling) Reaches(x [3]float64, b *Box) bool {
+	for a, xa := range x {
+		n := len(c.at[a])
+		s := wrap(ibm.StencilBase(xa), n)
+		if (s < b.Lo[a] || s >= b.Hi[a]) && WrapIndex(b.Lo[a]-s, n) >= ibm.SupportWidth {
+			return false
+		}
+	}
+	return true
+}
+
+// SpreadStencilBox is SpreadStencil restricted to the nodes in b. The
+// in-box mask is resolved once per stencil, per axis: the weight of a
+// coordinate outside b is zeroed, so the loop skips its points as it
+// skips any zero weight, and every node in b receives the very products,
+// in the very order, that SpreadStencil gives it.
+func (c *Coupling) SpreadStencilBox(st ibm.Stencil, F [3]float64, area float64, b *Box) {
+	for a, w := range [3]*[ibm.SupportWidth]float64{&st.Wx, &st.Wy, &st.Wz} {
+		n := len(c.at[a])
+		for i := range w {
+			if x := wrap(st.Base[a]+i, n); x < b.Lo[a] || x >= b.Hi[a] {
+				w[i] = 0
+			}
+		}
+	}
+	c.SpreadStencil(st, F, area)
+}
+
 // SpreadStencil adds F·w·area to the force of every node of the stencil,
-// w its delta weight (kernel 4 for one fiber node). float64(…) rounds the
-// product before the add on every architecture (the bitwise contract).
+// w its delta weight (kernel 4 for one fiber node): the whole-domain case
+// of SpreadStencilBox. float64(…) rounds the product before the add on
+// every architecture (the bitwise contract).
 //
 //lint:allow floatcheck -- exact-zero delta-function weights skip whole stencil planes; the product they'd contribute is exactly 0
 func (c *Coupling) SpreadStencil(st ibm.Stencil, F [3]float64, area float64) {

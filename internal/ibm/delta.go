@@ -54,12 +54,16 @@ type Stencil struct {
 	Wx, Wy, Wz [SupportWidth]float64
 }
 
+// StencilBase is the lowest lattice coordinate of the support of a fiber
+// node at coordinate x along one axis: the 4-point kernel centered at x
+// is supported on sites floor(x)−1 … floor(x)+2.
+func StencilBase(x float64) int { return int(math.Floor(x)) - 1 }
+
 // Compute fills the stencil for a fiber node at position x (lattice
-// units). The 4-point kernel centered at x is supported on lattice sites
-// floor(x)−1 … floor(x)+2 along each axis.
+// units).
 func (s *Stencil) Compute(x [3]float64) {
 	for d := 0; d < 3; d++ {
-		s.Base[d] = int(math.Floor(x[d])) - 1
+		s.Base[d] = StencilBase(x[d])
 	}
 	for i := 0; i < SupportWidth; i++ {
 		s.Wx[i] = Phi4(x[0] - float64(s.Base[0]+i))
@@ -82,8 +86,8 @@ func (s *Stencil) WeightSum() float64 {
 
 // ForceAccumulator receives a fiber node's elastic force one stencil at
 // a time — one dynamic call per fiber node; the 64-point loop is the
-// implementation's own: grid.Coupling for the slab grid and the cube
-// layout, core.SpreadAccum for the parallel engines' workers.
+// implementation's own: grid.Coupling, for the slab grid and the cube
+// layout alike.
 type ForceAccumulator interface {
 	// SpreadStencil adds F·w·area to the elastic force of every fluid
 	// node of st, w being the node's delta weight.

@@ -3,10 +3,11 @@
 // implementation. Every kernel of Algorithm 1 becomes a parallel-for
 // region with an implicit barrier at its end:
 //
-//   - fluid kernels (5, 6 and 7) are parallelized over the x axis, i.e.
-//     the grid is divided into contiguous segments of y–z surfaces with a
-//     static schedule (Algorithm 2);
-//   - fiber kernels (1, 2, 3, 4, 8) are parallelized over fibers
+//   - fluid kernels (5, 6 and 7) and force spreading (kernel 4) are
+//     parallelized over the x axis, i.e. the grid is divided into
+//     contiguous segments of y–z surfaces with a static schedule
+//     (Algorithm 2);
+//   - fiber kernels (1, 2, 3 and 8) are parallelized over fibers
 //     (Algorithm 3).
 //
 // The grid holds one distribution array, streamed in place by the AA
@@ -16,16 +17,14 @@
 // kernel 9 — which a second array would need for its copy or its swap —
 // have no region of their own.
 //
-// Force spreading (kernel 4) lets different fibers write the same fluid
-// node. Each spreading thread accumulates its contributions into a
-// private sparse per-x-plane buffer (core.SpreadAccum) and a second
-// parallel region reduces the touched planes into the grid in ascending
-// thread order — no locks are on the path, and because the schedule is
-// static the floating-point accumulation order is identical from run to
-// run at a fixed thread count (DESIGN.md §13). The parallel accumulation
-// order differs from the sequential solver's fiber order, so results
-// match it to floating-point tolerance rather than bitwise (the paper
-// likewise validates numerically against the sequential program).
+// Spreading over fibers, as the paper's Algorithm 3 does, would let two
+// threads write one fluid node. Instead each thread walks every fiber
+// node in global order and adds only into the planes it owns
+// (core.SpreadBox): no lock or private buffer is on the path, and every
+// node receives its contributions in the sequential solver's order. The
+// engine is therefore bitwise equal to the sequential reference at any
+// thread count (DESIGN.md §13), where the paper validates its OpenMP
+// program only numerically.
 //
 // The kernels' loop bodies are internal/core's; this package is the
 // schedule — which thread runs them over which slab or fiber range.
@@ -55,9 +54,7 @@ type Solver struct {
 	*core.Solver
 	Threads int
 
-	team      *par.Team
-	accums    []*core.SpreadAccum // per-thread spreading buffers, one block per x-plane
-	spreadGen int                 // current spread generation, stamps accum planes
+	team *par.Team
 	// swapped is the phase of the grid's distribution array (core.AABlock):
 	// false between steps means natural; kernel 5's region flips it.
 	swapped bool
@@ -97,9 +94,6 @@ func NewSolver(cfg Config) (*Solver, error) {
 		busy:    make([]time.Duration, cfg.Threads),
 	}
 	s.timed = s.timedChunk
-	if cfg.Threads > 1 {
-		s.accums = core.NewSpreadAccums(s.Fluid, cfg.Threads, nil)
-	}
 	// Kernel 4 accumulates on top of the reset that UpdateVelocity leaves
 	// behind (the force-reset sweep is folded into kernel 7 here); seed
 	// the initial body force the same way.
@@ -195,69 +189,46 @@ func (s *Solver) Run(n int) {
 // forFibers is a parallel region over the structure's fibers
 // (Algorithm 3): each thread's chunk of the global fiber range reaches
 // body as (sheet, node-range) pieces.
-func (s *Solver) forFibers(body func(tid int, sh *fiber.Sheet, nodeLo, nodeHi int)) {
-	s.parallelFor(fiber.TotalFibers(s.Sheets), func(tid, lo, hi int) {
-		core.ForFibers(s.Sheets, lo, hi, func(sh *fiber.Sheet, a, b int) { body(tid, sh, a, b) })
+func (s *Solver) forFibers(body func(sh *fiber.Sheet, nodeLo, nodeHi int)) {
+	s.parallelFor(fiber.TotalFibers(s.Sheets), func(_, lo, hi int) {
+		core.ForFibers(s.Sheets, lo, hi, body)
 	})
 }
 
 // forSlabs is a parallel region over x-slabs (Algorithm 2): each thread's
-// chunk of planes [lo, hi) reaches body with the chunk's node range
-// [i, j).
-func (s *Solver) forSlabs(body func(lo, hi, i, j int)) {
-	nyz := s.Fluid.NY * s.Fluid.NZ
-	s.parallelFor(s.Fluid.NX, func(_, lo, hi int) { body(lo, hi, lo*nyz, hi*nyz) })
+// chunk of planes [lo, hi) reaches body.
+func (s *Solver) forSlabs(body func(lo, hi int)) {
+	s.parallelFor(s.Fluid.NX, func(_, lo, hi int) { body(lo, hi) })
 }
 
 // ComputeBendingForce is kernel 1 parallelized over fibers.
 func (s *Solver) ComputeBendingForce() {
-	s.forFibers(func(_ int, sh *fiber.Sheet, a, b int) { sh.ComputeBendingForce(a, b) })
+	s.forFibers(func(sh *fiber.Sheet, a, b int) { sh.ComputeBendingForce(a, b) })
 }
 
 // ComputeStretchingForce is kernel 2 parallelized over fibers.
 func (s *Solver) ComputeStretchingForce() {
-	s.forFibers(func(_ int, sh *fiber.Sheet, a, b int) { sh.ComputeStretchingForce(a, b) })
+	s.forFibers(func(sh *fiber.Sheet, a, b int) { sh.ComputeStretchingForce(a, b) })
 }
 
 // ComputeElasticForce is kernel 3 parallelized over fibers.
 func (s *Solver) ComputeElasticForce() {
-	s.forFibers(func(_ int, sh *fiber.Sheet, a, b int) { sh.ComputeElasticForce(a, b) })
+	s.forFibers(func(sh *fiber.Sheet, a, b int) { sh.ComputeElasticForce(a, b) })
 }
 
-// SpreadForce is kernel 4, parallel over fibers. The force-field reset
-// the paper runs here is folded into the previous step's UpdateVelocity
-// sweep (and seeded at construction), saving one full-grid pass per
-// step; spreading accumulates on top of that reset.
-//
-// Each thread scatters into its private core.SpreadAccum and a second
-// parallel region over x-slabs — each plane has exactly one reducing
-// thread — folds the touched planes into the grid; the accumulate
-// region's closing barrier orders all writes to the accums before any
-// read there. A one-thread team writes the grid directly: spreading
-// cannot race there, and buffering would only change the floating-point
-// accumulation order away from the sequential solver's fiber order — the
-// crosscheck contract expects one-thread runs to be bitwise-equal to the
-// sequential reference.
+// SpreadForce is kernel 4 parallelized over x-slabs: each thread
+// spreads every fiber node into the planes [lo, hi) it owns
+// (core.SpreadBox). The force-field reset the paper runs here is folded
+// into the previous step's UpdateVelocity sweep (and seeded at
+// construction), saving one full-grid pass per step; spreading
+// accumulates on top of that reset.
 func (s *Solver) SpreadForce() {
 	if len(s.Sheets) == 0 {
 		return
 	}
-	if s.Threads == 1 {
-		s.forFibers(func(_ int, sh *fiber.Sheet, a, b int) { core.SpreadSheetNodes(s.Fluid, sh, a, b) })
-		return
-	}
-	s.spreadGen++
-	gen := s.spreadGen
-	s.forFibers(func(tid int, sh *fiber.Sheet, a, b int) {
-		acc := s.accums[tid]
-		acc.Begin(gen)
-		core.SpreadSheetNodes(acc, sh, a, b)
-	})
-	m, nyz := s.Fluid.Macros(), s.Fluid.NY*s.Fluid.NZ
-	s.forSlabs(func(lo, hi, _, _ int) {
-		for x := lo; x < hi; x++ {
-			core.ReduceSpread(s.accums, m[x*nyz:(x+1)*nyz], x, gen)
-		}
+	c, ny, nz := s.Fluid.Coupling, s.Fluid.NY, s.Fluid.NZ
+	s.forSlabs(func(lo, hi int) {
+		core.SpreadBox(c, s.Sheets, grid.Box{Lo: [3]int{lo, 0, 0}, Hi: [3]int{hi, ny, nz}})
 	})
 }
 
@@ -267,7 +238,7 @@ func (s *Solver) SpreadForce() {
 // slabs are race-free because no two nodes share a slot.
 func (s *Solver) ComputeCollision() {
 	st, df, tau, swapped := s.Stream, s.Fluid.Dist(), s.Tau, s.swapped
-	s.forSlabs(func(lo, hi, _, _ int) {
+	s.forSlabs(func(lo, hi int) {
 		for x := lo; x < hi; x++ {
 			core.AABlock(st, df, x, tau, swapped)
 		}
@@ -286,7 +257,7 @@ func (s *Solver) StreamDistribution() {}
 // that lets SpreadForce skip its own full-grid reset sweep.
 func (s *Solver) UpdateVelocity() {
 	st, df, swapped, body := s.Stream, s.Fluid.Dist(), s.swapped, s.BodyForce
-	s.forSlabs(func(lo, hi, _, _ int) {
+	s.forSlabs(func(lo, hi int) {
 		for x := lo; x < hi; x++ {
 			core.AAMomentsBlock(st, df, x, swapped, &body)
 		}
@@ -296,7 +267,7 @@ func (s *Solver) UpdateVelocity() {
 // MoveFibers is kernel 8 parallelized over fibers. Fluid velocities are
 // read-only here, so no locking is needed.
 func (s *Solver) MoveFibers() {
-	s.forFibers(func(_ int, sh *fiber.Sheet, a, b int) { core.MoveSheetNodes(s.Fluid, sh, a, b) })
+	s.forFibers(func(sh *fiber.Sheet, a, b int) { core.MoveSheetNodes(s.Fluid, sh, a, b) })
 }
 
 // CopyDistribution is kernel 9, retired: streaming in place leaves no

@@ -24,8 +24,8 @@ func baseConfig(sheet *fiber.Sheet) core.Config {
 	}
 }
 
-// The central correctness property: the OpenMP-style solver must reproduce
-// the sequential solver's state for any thread count.
+// The central correctness property: the OpenMP-style solver reproduces
+// the sequential solver's state bit for bit at any thread count.
 func TestMatchesSequential(t *testing.T) {
 	const steps = 12
 	ref := core.MustNewSolver(baseConfig(testSheet()))
@@ -34,18 +34,18 @@ func TestMatchesSequential(t *testing.T) {
 	for _, threads := range []int{1, 2, 3, 4, 8} {
 		s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: threads})
 		s.Run(steps)
-		gd, err := validate.Grids(ref.Fluid, s.Fluid)
+		gd, err := validate.GridsPhysics(ref.Fluid, s.Live())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !gd.Within(validate.DefaultTol) {
+		if !gd.Within(0) {
 			t.Fatalf("threads=%d fluid diverges: %v", threads, gd)
 		}
 		sd, err := validate.Sheets(ref.Sheet(), s.Sheet())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sd.Within(validate.DefaultTol) {
+		if !sd.Within(0) {
 			t.Fatalf("threads=%d sheet diverges: %v", threads, sd)
 		}
 		s.Close()
@@ -53,8 +53,6 @@ func TestMatchesSequential(t *testing.T) {
 }
 
 func TestSingleThreadBitwiseEqualsSequential(t *testing.T) {
-	// With one thread there is no accumulation reordering, so the result
-	// must be bitwise identical to the sequential solver.
 	const steps = 8
 	ref := core.MustNewSolver(baseConfig(testSheet()))
 	ref.Run(steps)
@@ -190,7 +188,7 @@ func TestMovingLidFSIMatchesSequential(t *testing.T) {
 // the busy vector and the timed loop body live on the solver, so a step
 // with a probe attached allocates exactly what the same step allocates
 // detached — whatever the number of parallel regions (a sheet adds
-// spreading's two) and whatever the team width.
+// spreading's) and whatever the team width.
 func TestObservedStepAllocatesNothingExtra(t *testing.T) {
 	for _, sheet := range []bool{false, true} {
 		for _, threads := range []int{1, 2, 4} {
@@ -199,7 +197,7 @@ func TestObservedStepAllocatesNothingExtra(t *testing.T) {
 				sh = testSheet()
 			}
 			s := MustNewSolver(Config{Config: baseConfig(sh), Threads: threads})
-			s.Step() // past first-step growth of the spread buffers
+			s.Step()
 			detached := testing.AllocsPerRun(5, s.Step)
 			s.Probe = core.Probes{}
 			observed := testing.AllocsPerRun(5, s.Step)

@@ -64,6 +64,12 @@ func axisMap(c, nc, np int) int {
 	return c * np / nc
 }
 
+// axisSpan inverts axisMap: the cells c of nc with axisMap(c, nc, np) = p
+// are lo ≤ c < hi.
+func axisSpan(p, nc, np int) (lo, hi int) {
+	return (p*nc + np - 1) / np, ((p+1)*nc + np - 1) / np
+}
+
 // CubeMap is the user-defined data-distribution function of Section V-A:
 // it maps cube coordinates to owner thread ids over a thread mesh. CX, CY,
 // CZ are the cube-grid dimensions (fluid dims divided by cube size k).
@@ -79,6 +85,18 @@ func (m CubeMap) CubeToThread(cx, cy, cz int) int {
 	j := axisMap(cy, m.CY, m.Mesh.Q)
 	k := axisMap(cz, m.CZ, m.Mesh.R)
 	return m.Mesh.ID(i, j, k)
+}
+
+// Box returns the cubes thread tid owns as one box of cube coordinates,
+// lo ≤ c < hi per axis: cube2thread gives each mesh coordinate a
+// contiguous span of every axis, so the threads' boxes partition the
+// cube grid.
+func (m CubeMap) Box(tid int) (lo, hi [3]int) {
+	i, j, k := m.Mesh.Coord(tid)
+	for a, s := range [3][3]int{{i, m.CX, m.Mesh.P}, {j, m.CY, m.Mesh.Q}, {k, m.CZ, m.Mesh.R}} {
+		lo[a], hi[a] = axisSpan(s[0], s[1], s[2])
+	}
+	return lo, hi
 }
 
 // NumCubes returns the total cube count.

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -187,5 +188,58 @@ func TestFiberToThreadImbalanceBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The boxes kernel 4's owners spread into partition the lattice exactly:
+// every node lies in one thread's box. On the slab engines a box is the
+// thread's static chunk of x-planes, at 1–8 threads (the engines clamp
+// the team to NX). On the cube engine it is Box scaled by the cube edge,
+// at 1–8 threads and k ∈ {2, 4, 8}, and it holds exactly the nodes of the
+// cubes cube2thread gives the thread.
+func TestOwnedBoxesPartitionLattice(t *testing.T) {
+	type box struct{ lo, hi [3]int }
+	check := func(name string, n [3]int, boxes []box, owner func(x, y, z int) int) {
+		t.Helper()
+		for x := 0; x < n[0]; x++ {
+			for y := 0; y < n[1]; y++ {
+				for z := 0; z < n[2]; z++ {
+					in := []int{}
+					for tid, b := range boxes {
+						if b.lo[0] <= x && x < b.hi[0] && b.lo[1] <= y && y < b.hi[1] && b.lo[2] <= z && z < b.hi[2] {
+							in = append(in, tid)
+						}
+					}
+					if len(in) != 1 || (owner != nil && in[0] != owner(x, y, z)) {
+						t.Fatalf("%s: node (%d, %d, %d) is in the boxes of threads %v", name, x, y, z, in)
+					}
+				}
+			}
+		}
+	}
+	for _, n := range [][3]int{{16, 8, 24}, {5, 3, 2}} {
+		for threads := 1; threads <= min(8, n[0]); threads++ {
+			boxes := make([]box, threads)
+			for tid := range boxes {
+				lo, hi := StaticRange(n[0], threads, tid)
+				boxes[tid] = box{[3]int{lo, 0, 0}, [3]int{hi, n[1], n[2]}}
+			}
+			check(fmt.Sprintf("slabs %v/%dt", n, threads), n, boxes, nil)
+		}
+	}
+	n := [3]int{16, 24, 8}
+	for _, k := range []int{2, 4, 8} {
+		for threads := 1; threads <= 8; threads++ {
+			m := CubeMap{CX: n[0] / k, CY: n[1] / k, CZ: n[2] / k, Mesh: NewMesh(threads)}
+			boxes := make([]box, threads)
+			for tid := range boxes {
+				lo, hi := m.Box(tid)
+				for a := range lo {
+					boxes[tid].lo[a], boxes[tid].hi[a] = lo[a]*k, hi[a]*k
+				}
+			}
+			owner := func(x, y, z int) int { return m.CubeToThread(x/k, y/k, z/k) }
+			check(fmt.Sprintf("cubes %v k=%d/%dt", n, k, threads), n, boxes, owner)
+		}
 	}
 }

@@ -271,11 +271,11 @@ func TestRegionProfileRealSolver(t *testing.T) {
 	const steps = 3
 	s.Run(steps)
 
-	// 8 parallel regions per step: 7 kernel regions (kernels 5 and 6 are
+	// 7 parallel regions per step, one per kernel: kernels 5 and 6 are
 	// one in-place region, and kernel 9 has nothing to copy — neither 6
-	// nor 9 has a region) plus lock-free spreading's reduction region.
-	if got := regions(reg.Report(0)); got != 8*steps {
-		t.Fatalf("regions = %d, want %d", got, 8*steps)
+	// nor 9 has a region.
+	if got := regions(reg.Report(0)); got != 7*steps {
+		t.Fatalf("regions = %d, want %d", got, 7*steps)
 	}
 	if reg.ImbalanceRatio() < 1 {
 		t.Fatalf("imbalance ratio = %g, want ≥ 1", reg.ImbalanceRatio())

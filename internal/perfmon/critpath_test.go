@@ -400,10 +400,10 @@ func (a *atomic64) next() uint64 {
 	return v
 }
 
-// TestCriticalTimeSumsSpreadRegions pins the region rule: the omp engine
-// runs spreading as two regions per step (scatter, then the reduction),
-// and the kernel's critical time is the sum of each region's slowest
-// thread — not the longest single region.
+// TestCriticalTimeSumsSpreadRegions pins the region rule: when a kernel
+// runs as several regions per step — ompStream's spreading runs as two —
+// its critical time is the sum of each region's slowest thread, not the
+// longest single region.
 func TestCriticalTimeSumsSpreadRegions(t *testing.T) {
 	p := NewProfile(Config{Engine: "omp", Threads: 4})
 	var want, longest time.Duration

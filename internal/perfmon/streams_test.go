@@ -70,9 +70,10 @@ func cubeStream() []core.Event {
 
 // ompStream is the loop-parallel engine's schedule: 4 threads, 3 steps,
 // a coordinator KernelDone per kernel and a RegionDone per parallel
-// region. Spreading (kernel 4) runs as two regions per step, a scatter
-// whose slowest thread is 1 and a reduction whose slowest thread is 0;
-// kernel 9 is a swap with no region.
+// region. Spreading (kernel 4) runs as two regions per step here, one
+// whose slowest thread is 1 and one whose slowest thread is 0, so the
+// stream exercises the rule for a kernel of several regions (the real
+// engine spreads in one); kernel 9 is a swap with no region.
 func ompStream() []core.Event {
 	const threads, steps = 4, 3
 	base := [core.NumKernels + 1]time.Duration{0, 50, 40, 30, 0, 3000, 800, 700, 400, 0}

@@ -5,9 +5,10 @@
 // and relative L2 distance over fluid distributions, velocities, densities
 // and fiber positions.
 //
-// Parallel force spreading accumulates floating-point terms in a
-// nondeterministic order, so cross-solver agreement is expected to
-// tolerance (DefaultTol), not bitwise.
+// Every float64 engine equals the sequential reference bit for bit at any
+// thread count (the owners of the fluid spread in the reference's order),
+// so an engine comparison demands a zero difference; DefaultTol is for
+// comparisons whose arithmetic differs.
 package validate
 
 import (
@@ -19,9 +20,9 @@ import (
 	"lbmib/internal/lattice"
 )
 
-// DefaultTol is the acceptance threshold used by the test suites and the
-// cmd tools when comparing solver outputs: generous enough for reordering
-// of O(10⁴) floating-point accumulations, far below any physical signal.
+// DefaultTol is an acceptance threshold for states computed by different
+// arithmetic: generous enough for reordering O(10⁴) floating-point
+// accumulations, far below any physical signal.
 const DefaultTol = 1e-9
 
 // Diff summarizes the difference between two states.

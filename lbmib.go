@@ -32,9 +32,9 @@
 // (Section VIII), is not among them: it was built, was fastest on no
 // problem this library measures, and was retired (DESIGN.md §17).
 //
-// The engines produce numerically identical results (to floating-point
-// accumulation order); the parallel ones differ only in speed and memory
-// behavior. The structure may consist of several sheets (Sheets), walls
+// Every float64 engine produces the sequential reference's results bit
+// for bit at any thread count; the parallel ones differ only in speed and
+// memory behavior. The structure may consist of several sheets (Sheets), walls
 // may move (LidVelocity), and runs can be checkpointed and resumed on a
 // different engine (Checkpoint/Restore).
 package lbmib

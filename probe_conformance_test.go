@@ -147,16 +147,13 @@ func checkProbeEvents(t *testing.T, engine string, events []core.Event, steps, t
 			}
 			for _, k := range core.Kernels() {
 				want[eventRow{core.KernelDone, st, 0, int(k), 0}] = 1
-				// One region per kernel, but: spreading is two regions
-				// (accumulate, reduce) on a team, one on a single thread,
-				// none without fibers; kernel 6 streams in kernel 5's
-				// region, and kernel 9 has no second array to copy.
+				// One region per kernel at any thread count, but none
+				// for spreading without fibers; kernel 6 streams in
+				// kernel 5's region, and kernel 9 has no second array to
+				// copy.
 				regions := 1
-				switch {
-				case engine == "sequential", k == core.KStreamDistribution, k == core.KCopyDistribution, k == core.KSpreadForce && !fibers:
+				if engine == "sequential" || k == core.KStreamDistribution || k == core.KCopyDistribution || k == core.KSpreadForce && !fibers {
 					regions = 0
-				case k == core.KSpreadForce && threads > 1:
-					regions = 2
 				}
 				want[eventRow{core.RegionDone, st, 0, int(k), 0}] = regions
 			}

@@ -3,9 +3,10 @@
 # detector on the packages where concurrency bugs would hide (telemetry
 # sinks are called from every worker thread; the cube solver owns the
 # P×Q×R barrier choreography; the omp and cube engines stream one shared
-# distribution array in place from worker threads and reduce per-thread
-# spread buffers, and the in-place and spread bodies they share live in
-# core; the fused engine's wavefront sweep overlaps in-place streaming
+# distribution array in place from worker threads, and every worker
+# spreads fiber forces into the box of fluid it owns (a race here means
+# two owned boxes overlap); the in-place and spread bodies they share
+# live in core; the fused engine's wavefront sweep overlaps in-place streaming
 # and the moments of neighbouring planes across one parallel region; all three parallel engines run
 # their workers on par's team; the perfmon profile — Table I/II
 # accumulators, step ring and crossing ring of the critical-path report
@@ -103,8 +104,9 @@ fi
 go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/...
 
 # Cross-engine differential smoke: 10 seeded cases on every engine,
-# including the fused engine in both storage modes (float64 on the
-# bitwise/Tol contract, float32 on the relaxed Tol32 contract).
+# including the fused engine in both storage modes (every float64 engine
+# bitwise equal to the sequential reference, float32 on the relaxed Tol32
+# contract).
 go run ./cmd/lbmib-crosscheck -seeds 10
 
 # Fused-sweep fuzz smoke: arbitrary tiny configurations through five
