@@ -271,11 +271,7 @@ func compareForces(t *testing.T, got, want []grid.Macro) {
 }
 
 // Spread into a random force field and gather from a random velocity
-// field through both layouts equal the per-point oracle bit for bit. So
-// does the box body: fiber nodes at the same kind of positions, spread
-// box by box over a random partition of the domain, leave the field the
-// oracle leaves spreading them node by node — each node receives its
-// contributions from its own box alone, in the oracle's order.
+// field through both layouts equal the per-point oracle bit for bit.
 func TestCouplingMatchesPerPointOracle(t *testing.T) {
 	const stencils = 12000
 	for _, tc := range couplingLayouts {
@@ -298,19 +294,50 @@ func TestCouplingMatchesPerPointOracle(t *testing.T) {
 				oracleSpread(oracle, &st, F, area)
 			}
 			compareForces(t, l.Macros(), ref.Macros())
-
-			xs := couplingPositions(r, stencils/4, dimsOf(l), tc.k)
-			fs := make([][3]float64, len(xs))
-			for i := range fs {
-				fs[i] = randomForce(r)
-			}
-			sheets := sheetsAt(xs, fs)
-			for _, b := range randomBoxes(r, dimsOf(l)) {
-				SpreadBox(couplingOf(l), sheets, b)
-			}
-			oracleSpreadSheets(oracle, sheets)
-			compareForces(t, l.Macros(), ref.Macros())
 		})
+	}
+}
+
+// Spread accumulation through the box body equals the per-point oracle
+// bit for bit: fiber nodes at the same kind of positions, spread into a
+// random force field over the whole domain ("unowned", Sequential's
+// kernel 4) or box by box over a random partition of it ("owned", a
+// parallel engine's), leave the field the oracle leaves spreading them
+// node by node — each node receives its contributions from its own box
+// alone, in the oracle's order. Two rounds into the same field check
+// that the body adds to what is there.
+func TestSpreadAccumMatchesPerPointOracle(t *testing.T) {
+	const stencils = 3000
+	for _, tc := range couplingLayouts {
+		for _, owned := range []bool{false, true} {
+			name := tc.name + "/unowned"
+			if owned {
+				name = tc.name + "/owned"
+			}
+			t.Run(name, func(t *testing.T) {
+				r := rand.New(rand.NewSource(22))
+				l, ref := tc.make(), tc.make()
+				randomize(r, l.Macros(), ref.Macros())
+				c := couplingOf(l)
+				for round := 0; round < 2; round++ {
+					xs := couplingPositions(r, stencils, dimsOf(l), tc.k)
+					fs := make([][3]float64, len(xs))
+					for i := range fs {
+						fs[i] = randomForce(r)
+					}
+					sheets := sheetsAt(xs, fs)
+					if owned {
+						for _, b := range randomBoxes(r, dimsOf(l)) {
+							SpreadBox(c, sheets, b)
+						}
+					} else {
+						SpreadBox(c, sheets, c.Whole())
+					}
+					oracleSpreadSheets(layoutPoints{ref}, sheets)
+					compareForces(t, l.Macros(), ref.Macros())
+				}
+			})
+		}
 	}
 }
 
