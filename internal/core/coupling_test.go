@@ -307,7 +307,7 @@ func TestCouplingMatchesPerPointOracle(t *testing.T) {
 // alone, in the oracle's order. Two rounds into the same field check
 // that the body adds to what is there.
 func TestSpreadAccumMatchesPerPointOracle(t *testing.T) {
-	const stencils = 3000
+	const stencils = 6000
 	for _, tc := range couplingLayouts {
 		for _, owned := range []bool{false, true} {
 			name := tc.name + "/unowned"

@@ -81,38 +81,21 @@ func wrap(x, n int) int {
 
 // Reaches reports whether the stencil of a fiber node at x
 // (ibm.Stencil.Compute) has a point in b, from one floor per axis and
-// before any weight is computed. Along an axis the support window
-// s, s+1, …, s+3 (mod n) meets [Lo, Hi) exactly when it starts inside,
-// or enters it at Lo within its width. A window whose coordinates
-// overflow int — the saturated floor of a huge or non-finite position —
-// is not consecutive mod n, so its points are tested one by one, as
-// SpreadStencilBox masks them.
+// before any weight is computed: along every axis one of the window's
+// coordinates base, base+1, …, base+3, wrapped as ResolveStencil wraps
+// them, lies in [Lo, Hi).
 func (c *Coupling) Reaches(x [3]float64, b *Box) bool {
+axes:
 	for a, xa := range x {
 		n, base := len(c.at[a]), ibm.StencilBase(xa)
-		if base+ibm.SupportWidth-1 < base {
-			if !b.meets(a, base, n) {
-				return false
+		for i := 0; i < ibm.SupportWidth; i++ {
+			if p := wrap(base+i, n); p >= b.Lo[a] && p < b.Hi[a] {
+				continue axes
 			}
-			continue
 		}
-		s := wrap(base, n)
-		if (s < b.Lo[a] || s >= b.Hi[a]) && WrapIndex(b.Lo[a]-s, n) >= ibm.SupportWidth {
-			return false
-		}
+		return false
 	}
 	return true
-}
-
-// meets reports whether one of the coordinates base, base+1, …, base+3
-// (int arithmetic, wrapped onto [0, n)) lies in b along axis a.
-func (b *Box) meets(a, base, n int) bool {
-	for i := 0; i < ibm.SupportWidth; i++ {
-		if x := wrap(base+i, n); x >= b.Lo[a] && x < b.Hi[a] {
-			return true
-		}
-	}
-	return false
 }
 
 // SpreadStencilBox is SpreadStencil restricted to the nodes in b. The

@@ -7,13 +7,13 @@ import (
 	"lbmib/internal/ibm"
 )
 
-// Reaches agrees with the stencil's own points along every axis of
-// lengths 24, 12 and 3, for every box on the axis: the window meets the
-// box exactly when one of its wrapped coordinates lies inside. The
-// positions include windows that straddle the periodic seam, span the
-// whole of a short axis, and — from the saturated floor of a huge or
-// non-finite position — overflow int, which leaves their coordinates
-// non-consecutive mod 24 and mod 12.
+// Reaches agrees with the points of the stencil ibm.Stencil.Compute
+// builds, along every axis of lengths 24, 12 and 3, for every box on the
+// axis: the window meets the box exactly when one of its wrapped
+// coordinates lies inside. The positions include windows that straddle
+// the periodic seam, span the whole of a short axis, and — from the
+// saturated floor of a huge or non-finite position — overflow int, which
+// leaves their coordinates non-consecutive mod 24 and mod 12.
 func TestReachesMatchesStencilPoints(t *testing.T) {
 	c := New(24, 12, 3).Coupling
 	xs := []float64{math.MinInt64, math.MaxInt64, math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300, 2e6 + 0.5, -2e6 - 0.25}
