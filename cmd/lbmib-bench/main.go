@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strings"
 	"time"
 
@@ -26,7 +25,6 @@ func main() {
 		paper       = flag.Bool("paper", false, "use the paper's full problem sizes (slow)")
 		steps       = flag.Int("steps", 0, "override time steps for measured experiments")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and pprof on this address while benchmarks run")
-		heatmap     = flag.String("heatmap", "", "write the cube engine's per-cube work heatmap to this path (.tsv for TSV, else JSON)")
 	)
 	flag.Parse()
 	opt := experiments.Options{Paper: *paper, Steps: *steps}
@@ -67,30 +65,7 @@ func main() {
 		}},
 		{"imbalance", func() (string, error) {
 			r, err := experiments.LoadImbalance(opt, reg)
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			b.WriteString(r.Render())
-			if *heatmap != "" && r.Heatmap != nil {
-				f, err := os.Create(*heatmap)
-				if err != nil {
-					return "", err
-				}
-				write := r.Heatmap.WriteJSON
-				if strings.HasSuffix(*heatmap, ".tsv") {
-					write = r.Heatmap.WriteTSV
-				}
-				werr := write(f)
-				if cerr := f.Close(); werr == nil {
-					werr = cerr
-				}
-				if werr != nil {
-					return "", werr
-				}
-				fmt.Fprintf(&b, "heatmap written to %s\n", *heatmap)
-			}
-			return b.String(), nil
+			return r.Render(), err
 		}},
 		{"ablations", func() (string, error) {
 			var b strings.Builder

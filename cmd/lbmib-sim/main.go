@@ -7,6 +7,9 @@
 //
 //	lbmib-sim -solver cube -threads 4 -nx 64 -ny 32 -nz 32 -k 8 \
 //	          -steps 200 -sheet 26x26 -out /tmp/run -snap-every 50
+//
+// "lbmib-sim postmortem [-ring N] [-replay] [-steps N] BUNDLE_DIR"
+// inspects and replays the bundle a -flightrec run leaves behind.
 package main
 
 import (
@@ -27,6 +30,10 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lbmib-sim: ")
+	if len(os.Args) > 1 && os.Args[1] == "postmortem" {
+		postmortem(os.Args[2:])
+		return
+	}
 
 	var (
 		solverName  = flag.String("solver", "seq", "engine: seq, omp, cube or fused")
@@ -159,7 +166,7 @@ func main() {
 		if err := sim.Health(); err != nil {
 			if rec := sim.FlightRecorder(); rec != nil {
 				if dir, ok := rec.BundleDir(); ok {
-					log.Printf("post-mortem bundle written to %s (inspect with lbmib-postmortem)", dir)
+					log.Printf("post-mortem bundle written to %s (inspect with lbmib-sim postmortem)", dir)
 				}
 			}
 			log.Fatalf("watchdog: %v", err)

@@ -297,8 +297,7 @@ func TestCritPathDisabledUntouched(t *testing.T) {
 
 // TestContentionCubeEngine runs the cube engine with the profile on and
 // checks the Table II rollup, the imbalance gauges and the barrier wait
-// series. (The per-cube heatmap export is perfmon's TestCubeHeatmapExports
-// and the experiments' TestLoadImbalanceCapsTeamAtCores.)
+// series.
 func TestContentionCubeEngine(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sim, err := New(Config{

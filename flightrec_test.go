@@ -276,7 +276,7 @@ func TestPostMortemReplay(t *testing.T) {
 
 // A bundle written while the task-scheduled engine existed names it in
 // run.solver. It still decodes, but rebuilding its Config (what
-// lbmib-postmortem -replay does) reports the retired name as an unknown
+// lbmib-sim postmortem -replay does) reports the retired name as an unknown
 // solver instead of replaying on some other engine, or panicking.
 func TestConfigFromRunSpecRejectsRetiredSolver(t *testing.T) {
 	spec := flightrec.RunSpec{NX: 8, NY: 8, NZ: 8, Tau: 0.7, Solver: "taskflow", Threads: 2, CubeSize: 4}

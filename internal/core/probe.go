@@ -14,7 +14,7 @@ const (
 	PhaseCollideStream                   // 2nd loop: kernels 5–6 on owned cubes (the cube engine spreads, kernel 4, first)
 	PhaseUpdateVelocity                  // 3rd loop: kernel 7 on owned cubes
 	PhaseMoveFibers                      // 4th loop: kernel 8 on owned fibers
-	PhaseCopy                            // 5th loop: kernel 9, retired to an O(1) buffer swap
+	PhaseCopy                            // 5th loop: kernel 9, empty — streaming in place leaves no second array to copy
 )
 
 // NumPhases is the number of loop nests per time step.
@@ -106,9 +106,6 @@ const (
 	// Rank-th arriver (0 = first) after waiting D. Exactly one arrival
 	// per crossing is Last, and its D is exactly 0.
 	BarrierArrive
-	// BlockDone: thread Tid spent D on block (cube) Block of the
-	// per-block loop nest Phase (cube engine).
-	BlockDone
 )
 
 // Event is one timing a schedule reports about itself.
@@ -122,7 +119,6 @@ type Event struct {
 	Kernel   Kernel
 	Phase    Phase
 	Site     BarrierSite
-	Block    int
 	D        time.Duration
 	Busy     []time.Duration
 	Rank     int

@@ -34,7 +34,6 @@ package cubesolver
 
 import (
 	"fmt"
-	"time"
 
 	"lbmib/internal/core"
 	"lbmib/internal/cube"
@@ -66,7 +65,8 @@ type Solver struct {
 	swapped bool
 
 	// Ownership, resolved once from the block distribution: owned[tid]
-	// lists thread tid's cubes in cube-index order, box[tid] is the
+	// lists thread tid's cubes in cube-index order (Algorithm 4's "for
+	// each cube ... if cube2thread(I,J,K) == tid"), box[tid] is the
 	// lattice box they form, and fibers[tid] is its half-open range of
 	// global fiber indices (fiber2thread maps contiguous spans, so a
 	// range says it all).
@@ -226,12 +226,12 @@ func (s *Solver) timeStep(step, tid int, swapped bool) {
 
 	// 2nd loop: kernel 4 into the owned box, then kernels 5–6 on owned
 	// cubes, streaming in place.
-	phase(core.PhaseCollideStream, func() { s.collideStreamLoop(tid, step, swapped) })
+	phase(core.PhaseCollideStream, func() { s.collideStreamLoop(tid, swapped) })
 	s.waitBarrier(core.SiteAfterStream, tid, step) // streaming → velocity-update dependency (paper's 1st barrier)
 
 	// 3rd loop: kernel 7 on owned cubes, reading neighbour cubes' slots
 	// at the phase the 2nd loop left.
-	phase(core.PhaseUpdateVelocity, func() { s.updateVelocityLoop(tid, step, !swapped) })
+	phase(core.PhaseUpdateVelocity, func() { s.updateVelocityLoop(tid, !swapped) })
 	s.waitBarrier(core.SiteAfterVelocity, tid, step) // velocity → move-fibers dependency (paper's 2nd barrier)
 
 	// 4th loop: kernel 8 on owned fibers.
@@ -276,25 +276,6 @@ func (s *Solver) forOwnedFibers(tid int, body func(sh *fiber.Sheet, nodeLo, node
 	core.ForFibers(s.Sheets, s.fibers[tid][0], s.fibers[tid][1], body)
 }
 
-// forOwnedCubes visits every cube owned by tid, in cube-index order —
-// Algorithm 4's "for each cube ... if cube2thread(I,J,K) == tid" — as
-// loop nest p of the given step. With a probe attached each cube's visit
-// is timed and reported as a block event.
-func (s *Solver) forOwnedCubes(tid, step int, p core.Phase, fn func(c int)) {
-	probe := s.Probe
-	if probe == nil {
-		for _, c := range s.owned[tid] {
-			fn(c)
-		}
-		return
-	}
-	for _, c := range s.owned[tid] {
-		t0 := time.Now()
-		fn(c)
-		probe.Emit(core.Event{Kind: core.BlockDone, Step: step, Tid: tid, Block: c, Phase: p, D: time.Since(t0)})
-	}
-}
-
 // fiberForceLoop runs kernels 1–3 for the fibers owned by tid.
 func (s *Solver) fiberForceLoop(tid int) {
 	s.forOwnedFibers(tid, func(sh *fiber.Sheet, lo, hi int) {
@@ -307,23 +288,23 @@ func (s *Solver) fiberForceLoop(tid int) {
 // collideStreamLoop runs kernel 4 into the box of cubes owned by tid —
 // the owner is the only thread writing their forces — then kernels 5 and
 // 6 over those cubes, fused per cube as in Algorithm 4.
-func (s *Solver) collideStreamLoop(tid, step int, swapped bool) {
+func (s *Solver) collideStreamLoop(tid int, swapped bool) {
 	core.SpreadBox(s.Fluid.Coupling, s.Sheets, s.box[tid])
 	df := s.Fluid.Dist()
-	s.forOwnedCubes(tid, step, core.PhaseCollideStream, func(c int) {
+	for _, c := range s.owned[tid] {
 		core.AABlock(s.stream, df, c, s.Tau, swapped)
-	})
+	}
 }
 
 // updateVelocityLoop runs kernel 7 over owned cubes at the array's phase
 // swapped, resetting each node's force to the uniform body force in the
 // same pass — the reset the paper's loop 5 performed, folded here so the
 // retired copy loop leaves nothing behind.
-func (s *Solver) updateVelocityLoop(tid, step int, swapped bool) {
+func (s *Solver) updateVelocityLoop(tid int, swapped bool) {
 	df := s.Fluid.Dist()
-	s.forOwnedCubes(tid, step, core.PhaseUpdateVelocity, func(c int) {
+	for _, c := range s.owned[tid] {
 		core.AAMomentsBlock(s.stream, df, c, swapped, &s.BodyForce)
-	})
+	}
 }
 
 // moveFibersLoop runs kernel 8 over owned fibers. Fluid velocities are

@@ -47,9 +47,6 @@ type ImbalanceResult struct {
 	Steps      int
 	FiberNodes int
 	Rows       []ImbalanceRow
-	// Heatmap holds the cube engine's per-cube work samples, exportable
-	// via its WriteJSON/WriteTSV.
-	Heatmap *perfmon.CubeHeatmap
 }
 
 // imbalanceGrid returns the contention-comparison problem size: a
@@ -156,12 +153,7 @@ func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error
 			return res, fmt.Errorf("%s: %w", name, err)
 		}
 		prof := perfmon.NewProfile(perfmon.Config{Engine: name, Threads: threads})
-		probes := core.Probes{prof}
-		if k := res.CubeSize; name == "cube" {
-			res.Heatmap = perfmon.NewCubeHeatmap(nx/k, ny/k, nz/k, k, threads)
-			probes = append(probes, res.Heatmap)
-		}
-		problem.Probe = probes
+		problem.Probe = prof
 		t0 := time.Now()
 		run(steps)
 		wall := time.Since(t0)

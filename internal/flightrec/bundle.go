@@ -42,7 +42,7 @@ type SheetSpec struct {
 }
 
 // RunSpec is the run description embedded in bundles: everything
-// lbmib-postmortem needs to rebuild an equivalent lbmib.Config and
+// lbmib-sim postmortem needs to rebuild an equivalent lbmib.Config and
 // Restore the bundled checkpoint into it.
 type RunSpec struct {
 	NX          int        `json:"nx"`
@@ -216,7 +216,7 @@ func (r *Recorder) BundleDir() (string, bool) {
 }
 
 // maxBundleFileSize caps how much ReadBundle will load per file: bundles
-// are external input to lbmib-postmortem, and a corrupt ring should
+// are external input to lbmib-sim postmortem, and a corrupt ring should
 // produce a decode error, not an unbounded allocation.
 const maxBundleFileSize = 1 << 30
 

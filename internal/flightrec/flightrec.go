@@ -172,7 +172,7 @@ func New(cfg Config) *Recorder {
 func (r *Recorder) Config() Config { return r.cfg }
 
 // SetRunSpec attaches the run description embedded in bundles so
-// lbmib-postmortem can rebuild the configuration for replay.
+// lbmib-sim postmortem can rebuild the configuration for replay.
 func (r *Recorder) SetRunSpec(spec RunSpec) {
 	r.mu.Lock()
 	r.spec = spec

@@ -2,7 +2,6 @@ package perfmon
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -13,14 +12,12 @@ import (
 	"lbmib/internal/cubesolver"
 	"lbmib/internal/fiber"
 	"lbmib/internal/omp"
+	"lbmib/internal/par"
 	"lbmib/internal/telemetry"
 )
 
-// Compile-time checks that the sinks satisfy the event contract.
-var (
-	_ core.Probe = (*Profile)(nil)
-	_ core.Probe = (*CubeHeatmap)(nil)
-)
+// Compile-time check that the sink satisfies the event contract.
+var _ core.Probe = (*Profile)(nil)
 
 // wait feeds p one barrier arrival carrying only what a Profile keeps.
 func wait(p *Profile, site core.BarrierSite, tid int, w time.Duration) {
@@ -109,101 +106,54 @@ func TestRegionProfileImbalance(t *testing.T) {
 	}
 }
 
-func TestCubeHeatmapExports(t *testing.T) {
-	h := NewCubeHeatmap(2, 1, 1, 4, 2)
-	h.Emit(core.Event{Kind: core.BlockDone, Phase: core.PhaseCollideStream, D: 5 * time.Millisecond})
-	h.Emit(core.Event{Kind: core.BlockDone, Tid: 1, Block: 1, Phase: core.PhaseCollideStream, D: 3 * time.Millisecond})
-	h.Emit(core.Event{Kind: core.BlockDone, Tid: 1, Block: 1, Phase: core.PhaseUpdateVelocity, D: 2 * time.Millisecond})
-	h.Emit(core.Event{Kind: core.BlockDone, Block: 99, Phase: core.PhaseCopy, D: time.Second}) // dropped
-	if h.CubeTotal(1) != 5*time.Millisecond || h.Owner(1) != 1 || h.Owner(0) != 0 {
-		t.Fatalf("accumulation wrong: total=%v owners=%d,%d", h.CubeTotal(1), h.Owner(0), h.Owner(1))
-	}
-
-	var buf bytes.Buffer
-	if err := h.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Schema string   `json:"schema"`
-		Phases []string `json:"phases"`
-		Cubes  []struct {
-			Cube       int     `json:"cube"`
-			Owner      int     `json:"owner"`
-			TotalNanos int64   `json:"totalNanos"`
-			PhaseNanos []int64 `json:"phaseNanos"`
-		} `json:"cubes"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Schema != HeatmapSchema {
-		t.Fatalf("schema = %q", doc.Schema)
-	}
-	if len(doc.Cubes) != 2 || len(doc.Phases) != core.NumPhases {
-		t.Fatalf("dims: %d cubes, %d phases", len(doc.Cubes), len(doc.Phases))
-	}
-	if doc.Cubes[1].TotalNanos != int64(5*time.Millisecond) {
-		t.Fatalf("cube 1 total = %d", doc.Cubes[1].TotalNanos)
-	}
-
-	buf.Reset()
-	if err := h.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 { // header + 2 cubes
-		t.Fatalf("TSV has %d lines:\n%s", len(lines), buf.String())
-	}
-	if !strings.HasPrefix(lines[0], "cube\tcx\tcy\tcz\towner\t") {
-		t.Fatalf("TSV header = %q", lines[0])
-	}
-}
-
-// skewCubeWork delays one pinned thread's collide+stream work per cube,
-// then forwards to the sinks — the controlled load skew of the self-test
-// below.
-type skewCubeWork struct {
-	core.Probes
-	slow  int
-	delay time.Duration
-}
-
-func (s skewCubeWork) Emit(e core.Event) {
-	if e.Kind == core.BlockDone && e.Tid == s.slow && e.Phase == core.PhaseCollideStream {
-		time.Sleep(s.delay)
-	}
-	s.Probes.Emit(e)
-}
-
-// TestSkewSelfTest pins an artificially slow thread in a real 8-thread
-// cube solver and asserts the attribution flags the right thread: the
-// slow thread has the largest collide+stream phase time (imbalance ratio
-// well above 1) and the *smallest* barrier wait at the following barrier
-// site — everyone else accumulated wait waiting for it. Run under -race
-// this also exercises the instrumented barrier path from 8 threads.
+// TestSkewSelfTest gives one thread of a real 8-thread cube solver real
+// extra work and asserts the attribution flags the right thread. A dense
+// sheet lies wholly inside the box of fluid the slow thread owns, so
+// every stencil of kernel 4 lands in that box alone: every thread walks
+// the fiber nodes, but only the slow thread's owner-computes spread — the
+// head of its collide+stream phase — spreads any of them. The slow
+// thread has the largest collide+stream phase time (imbalance ratio well
+// above 1) and the *smallest* barrier wait at the following barrier site
+// — everyone else accumulated wait waiting for it. Run under -race this
+// also exercises the instrumented barrier path from 8 threads.
 func TestSkewSelfTest(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a real solver with injected delays")
+		t.Skip("runs a real solver")
 	}
 	const (
 		threads = 8
 		slow    = 3
 		steps   = 3
-		delay   = 2 * time.Millisecond // per owned cube, ≈16ms skew per step
+		n, k    = 16, 4
+		side    = 128 // fiber nodes per sheet side, all spread by the slow thread
 	)
+	// The slow thread's box, in lattice nodes. A stencil based at b
+	// covers b…b+3 with b = ⌊x⌋−1 (ibm.StencilBase), so a node at
+	// x ∈ [lo+1, hi−2) on every axis spreads into the box alone.
+	m := par.CubeMap{CX: n / k, CY: n / k, CZ: n / k, Mesh: par.NewMesh(threads)}
+	clo, chi := m.Box(slow)
+	var origin fiber.Vec3
+	for a := range origin {
+		origin[a] = float64(clo[a]*k) + 1.5
+	}
+	w := float64((chi[0]-clo[0])*k) - 4 // origin+w < hi−2 on every axis of the cubic box
+	sh := fiber.NewSheet(fiber.Params{NumFibers: side, NodesPerFiber: side, Width: w, Height: w,
+		Origin: origin, Ks: 0.05, Kb: 0.001})
 	s, err := cubesolver.NewSolver(cubesolver.Config{
-		Config:   core.Config{NX: 16, NY: 16, NZ: 16, Tau: 0.7},
-		CubeSize: 4, Threads: threads,
+		Config:   core.Config{NX: n, NY: n, NZ: n, Tau: 0.7, Sheet: sh},
+		CubeSize: k, Threads: threads,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	if lo, hi := s.Map.Box(slow); lo != clo || hi != chi {
+		t.Fatalf("slow thread's cubes %v–%v, the sheet was placed in %v–%v", lo, hi, clo, chi)
+	}
 
 	prof := NewProfile(Config{Engine: "cube", Threads: threads})
 	phases, cont := prof, prof
-	heat := NewCubeHeatmap(s.Fluid.CX, s.Fluid.CY, s.Fluid.CZ, s.Fluid.K, threads)
-	s.Probe = skewCubeWork{Probes: core.Probes{prof, heat}, slow: slow, delay: delay}
+	s.Probe = prof
 	s.Run(steps)
 
 	// Load attribution: the slow thread dominates collide+stream.
@@ -238,13 +188,6 @@ func TestSkewSelfTest(t *testing.T) {
 	}
 	if cont.BarrierWaitTotal() == 0 {
 		t.Error("no barrier waits recorded")
-	}
-
-	// The heatmap saw every cube in the collide+stream phase.
-	for c := 0; c < heat.NumCubes(); c++ {
-		if heat.CubeTime(c, core.PhaseCollideStream) == 0 {
-			t.Fatalf("cube %d has no collide_stream samples", c)
-		}
 	}
 }
 

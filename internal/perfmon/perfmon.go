@@ -9,7 +9,6 @@
 //     barriers) and the critical-path report (report.go): who released
 //     each barrier crossing, why the others waited, and what fixing it
 //     would buy.
-//   - CubeHeatmap samples per-cube work (heatmap.go).
 //   - ScheduleImbalance computes the deterministic component of load
 //     imbalance implied by a static schedule, independent of timers.
 package perfmon
@@ -371,16 +370,29 @@ type Row struct {
 
 // Ranked returns the kernels ordered by descending total time with their
 // share of the summed kernel time — exactly the columns of Table I.
-func (p *Profile) Ranked() []Row {
-	total := p.Total()
+func (p *Profile) Ranked() []Row { return BestRanked(p) }
+
+// BestRanked is Ranked over profiles of equal runs — one per batch of
+// steps — by each kernel's minimum time across them. The minimum filters
+// scheduler noise on a shared host: a kernel descheduled in one batch
+// does not move in the ranking.
+func BestRanked(ps ...*Profile) []Row {
 	rows := make([]Row, 0, core.NumKernels)
+	var total time.Duration
 	for k := core.Kernel(1); k <= core.NumKernels; k++ {
-		d := p.KernelTime(k)
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(d) / float64(total)
+		row := Row{Kernel: k}
+		for i, p := range ps {
+			if d := p.KernelTime(k); i == 0 || d < row.Time {
+				row.Time = d
+			}
 		}
-		rows = append(rows, Row{Kernel: k, Time: d, Percent: pct})
+		rows = append(rows, row)
+		total += row.Time
+	}
+	if total > 0 {
+		for i := range rows {
+			rows[i].Percent = 100 * float64(rows[i].Time) / float64(total)
+		}
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].Time > rows[j].Time })
 	return rows

@@ -60,6 +60,31 @@ func TestRankedOrderAndPercent(t *testing.T) {
 	}
 }
 
+// BestRanked ranks by each kernel's minimum over the profiles: a kernel
+// inflated in one batch keeps the rank its other batches give it.
+func TestBestRankedTakesPerKernelMinimum(t *testing.T) {
+	kernels := func(collide, copy time.Duration) *Profile {
+		p := NewProfile(Config{})
+		p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.KComputeCollision, D: collide})
+		p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.KCopyDistribution, D: copy})
+		return p
+	}
+	rows := BestRanked(
+		kernels(30*time.Millisecond, 90*time.Millisecond), // copy descheduled
+		kernels(40*time.Millisecond, 10*time.Millisecond),
+		kernels(50*time.Millisecond, 20*time.Millisecond), // collide descheduled
+	)
+	if rows[0].Kernel != core.KComputeCollision || rows[0].Time != 30*time.Millisecond {
+		t.Fatalf("top row %v %v, want collision at its 30ms minimum", rows[0].Kernel, rows[0].Time)
+	}
+	if rows[1].Kernel != core.KCopyDistribution || rows[1].Time != 10*time.Millisecond {
+		t.Fatalf("second row %v %v, want copy at its 10ms minimum", rows[1].Kernel, rows[1].Time)
+	}
+	if rows[0].Percent != 75 || rows[1].Percent != 25 {
+		t.Fatalf("shares %g%%, %g%%, want 75%%, 25%% of the minima's sum", rows[0].Percent, rows[1].Percent)
+	}
+}
+
 func TestReportContainsKernelNames(t *testing.T) {
 	p := NewProfile(Config{})
 	p.Emit(core.Event{Kind: core.KernelDone, Kernel: core.KComputeCollision, D: time.Second})
@@ -166,13 +191,18 @@ func TestProfileRealSolverRanksFluidKernelsFirst(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real solver")
 	}
-	prof := NewProfile(Config{})
 	sh := fiber.NewSheet(fiber.Params{NumFibers: 8, NodesPerFiber: 8, Width: 7, Height: 7,
 		Origin: fiber.Vec3{6, 4, 4}, Ks: 0.05, Kb: 0.001})
 	s := core.MustNewSolver(core.Config{NX: 16, NY: 16, NZ: 16, Tau: 0.7, Sheet: sh})
-	s.Probe = prof
-	s.Run(5)
-	rows := prof.Ranked()
+	// One profile per step, ranked by each kernel's best step: under
+	// load a descheduling can land in any kernel of a short timed run.
+	profs := make([]*Profile, 15)
+	for i := range profs {
+		profs[i] = NewProfile(Config{})
+		s.Probe = profs[i]
+		s.Step()
+	}
+	rows := BestRanked(profs...)
 	// Which of the full-grid fluid kernels leads depends on the collision
 	// code (DESIGN §8); that one of them does is the headline.
 	switch rows[0].Kernel {

@@ -58,20 +58,3 @@ func bucketQuantile(q float64, buckets []Bucket) float64 {
 	}
 	return buckets[len(buckets)-1].UpperBound
 }
-
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the observed values
-// from the bucket counts — an interpolated estimate, not an exact order
-// statistic. Returns NaN when nothing has been observed.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	buckets := make([]Bucket, 0, len(h.upper)+1)
-	cum := uint64(0)
-	for i, ub := range h.upper {
-		cum += h.counts[i]
-		buckets = append(buckets, Bucket{UpperBound: ub, CumulativeCount: cum})
-	}
-	cum += h.counts[len(h.upper)]
-	buckets = append(buckets, Bucket{UpperBound: math.Inf(1), CumulativeCount: cum})
-	return bucketQuantile(q, buckets)
-}

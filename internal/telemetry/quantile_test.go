@@ -8,11 +8,23 @@ import (
 	"testing"
 )
 
+// TestHistogramQuantile pins the estimator behind every snapshot's
+// quantiles (bucketQuantile) on the cumulative buckets Snapshot builds.
 func TestHistogramQuantile(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("q_test_seconds", "", []float64{1, 2, 4, 8})
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Fatalf("empty histogram p50 = %g, want NaN", h.Quantile(0.5))
+	// quantile estimates the q-quantile of the named series' snapshot.
+	quantile := func(name string, q float64) float64 {
+		for _, s := range r.Snapshot() {
+			if s.Name == name {
+				return bucketQuantile(q, s.Buckets)
+			}
+		}
+		t.Fatalf("no series %s", name)
+		return 0
+	}
+	if got := quantile("q_test_seconds", 0.5); !math.IsNaN(got) {
+		t.Fatalf("empty histogram p50 = %g, want NaN", got)
 	}
 	// 100 observations uniform in (0,1]: every bucket boundary estimate
 	// is exact under linear interpolation within the first bucket.
@@ -22,14 +34,14 @@ func TestHistogramQuantile(t *testing.T) {
 	for _, tc := range []struct{ q, want float64 }{
 		{0.5, 0.5}, {0.95, 0.95}, {0.99, 0.99}, {1.0, 1.0},
 	} {
-		if got := h.Quantile(tc.q); math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("Quantile(%g) = %g, want %g", tc.q, got, tc.want)
+		if got := quantile("q_test_seconds", tc.q); math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("quantile(%g) = %g, want %g", tc.q, got, tc.want)
 		}
 	}
 	// Observations beyond the last finite bound saturate there.
 	h2 := r.Histogram("q_test_tail_seconds", "", []float64{1, 2})
 	h2.Observe(100)
-	if got := h2.Quantile(0.99); got != 2 {
+	if got := quantile("q_test_tail_seconds", 0.99); got != 2 {
 		t.Errorf("overflow-bucket p99 = %g, want saturation at 2", got)
 	}
 }

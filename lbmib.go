@@ -23,9 +23,8 @@
 //   - Fused — the memory-aware engine: collide, stream, boundary
 //     handling and macroscopic update fused into one sweep that streams
 //     one distribution array in place, so each node is touched twice per
-//     step, with
-//     an optional float32 distribution mode (Config.Float32) under a
-//     relaxed differential contract (internal/fused).
+//     step, with an optional float32 distribution mode (Config.Float32)
+//     under a relaxed differential contract (internal/fused).
 //
 // The three parallel engines run their workers on one team type
 // (internal/par). The paper's future work, a task-scheduled cube engine
@@ -71,8 +70,9 @@ const (
 	OpenMP
 	// CubeBased is the cube-centric solver (Algorithm 4).
 	CubeBased
-	// Fused is the memory-aware engine: the four fluid kernels run as a
-	// single pull-streaming sweep over the slab grid (internal/fused).
+	// Fused is the memory-aware engine: the four fluid kernels run as
+	// one sweep over the slab grid that streams one distribution array
+	// in place (the AA pattern, core.AABlock; internal/fused).
 	// Float64 results are bitwise identical to OpenMP at any thread
 	// count; Config.Float32 selects the reduced-precision distribution
 	// storage with its relaxed (~1e-5) differential contract.

@@ -69,8 +69,7 @@ func TestProbeConformance(t *testing.T) {
 					if state(detached) != state(observed) {
 						t.Error("attaching a probe changed the result")
 					}
-					cubes := (cfg.NX / k) * (cfg.NY / k) * (cfg.NZ / k)
-					checkProbeEvents(t, e.name, rec.events, steps, threads, cfg.Sheet != nil, cubes)
+					checkProbeEvents(t, e.name, rec.events, steps, threads, cfg.Sheet != nil)
 
 					// Detached again, the schedule is silent and still on
 					// the same trajectory (odd step count: the other
@@ -92,16 +91,16 @@ func TestProbeConformance(t *testing.T) {
 }
 
 // eventRow is what the table counts events by: kind, step, thread (0
-// for barrier arrivals and blocks, which are counted per site and block
-// instead), segment (kernel, phase or site) and block.
+// for barrier arrivals, which are counted per site instead) and segment
+// (kernel, phase or site).
 type eventRow struct {
-	kind                  core.EventKind
-	step, tid, seg, block int
+	kind           core.EventKind
+	step, tid, seg int
 }
 
 // checkProbeEvents asserts one row of the table: the events an engine
 // emitted over the given steps are exactly the ones its schedule has.
-func checkProbeEvents(t *testing.T, engine string, events []core.Event, steps, threads int, fibers bool, cubes int) {
+func checkProbeEvents(t *testing.T, engine string, events []core.Event, steps, threads int, fibers bool) {
 	t.Helper()
 	got := map[eventRow]int{}
 	kernels := map[int][]core.Kernel{}     // step → kernel events in order
@@ -124,8 +123,6 @@ func checkProbeEvents(t *testing.T, engine string, events []core.Event, steps, t
 		case core.BarrierArrive:
 			row.seg = int(ev.Site)
 			crossings[ev.Crossing] = append(crossings[ev.Crossing], ev)
-		case core.BlockDone:
-			row.seg, row.block = int(ev.Phase), ev.Block
 		}
 		got[row]++
 	}
@@ -134,10 +131,10 @@ func checkProbeEvents(t *testing.T, engine string, events []core.Event, steps, t
 	// 1–5, sites below NumBarrierSites; anything else is a surplus row.
 	want := map[eventRow]int{}
 	for st := 0; st < steps; st++ {
-		phase := func(tid int, p core.Phase, n int) { want[eventRow{core.PhaseDone, st, tid, int(p), 0}] = n }
+		phase := func(tid int, p core.Phase, n int) { want[eventRow{core.PhaseDone, st, tid, int(p)}] = n }
 		sites := func(ss ...core.BarrierSite) {
 			for _, site := range ss { // one crossing per step: an arrival per thread
-				want[eventRow{core.BarrierArrive, st, 0, int(site), 0}] = threads
+				want[eventRow{core.BarrierArrive, st, 0, int(site)}] = threads
 			}
 		}
 		switch engine {
@@ -146,7 +143,7 @@ func checkProbeEvents(t *testing.T, engine string, events []core.Event, steps, t
 				t.Errorf("step %d kernel events %v, want Algorithm 1 order", st, kernels[st])
 			}
 			for _, k := range core.Kernels() {
-				want[eventRow{core.KernelDone, st, 0, int(k), 0}] = 1
+				want[eventRow{core.KernelDone, st, 0, int(k)}] = 1
 				// One region per kernel at any thread count, but none
 				// for spreading without fibers; kernel 6 streams in
 				// kernel 5's region, and kernel 9 has no second array to
@@ -155,7 +152,7 @@ func checkProbeEvents(t *testing.T, engine string, events []core.Event, steps, t
 				if engine == "sequential" || k == core.KStreamDistribution || k == core.KCopyDistribution || k == core.KSpreadForce && !fibers {
 					regions = 0
 				}
-				want[eventRow{core.RegionDone, st, 0, int(k), 0}] = regions
+				want[eventRow{core.RegionDone, st, 0, int(k)}] = regions
 			}
 		case "cube":
 			for tid := 0; tid < threads; tid++ {
@@ -168,11 +165,6 @@ func checkProbeEvents(t *testing.T, engine string, events []core.Event, steps, t
 			sites(core.SiteAfterStream, core.SiteAfterVelocity)
 			if threads > 1 && fibers {
 				sites(core.SiteAfterSpread, core.SiteEndOfStep)
-			}
-			// Each per-cube loop visits every cube exactly once.
-			for c := 0; c < cubes; c++ {
-				want[eventRow{core.BlockDone, st, 0, int(core.PhaseCollideStream), c}] = 1
-				want[eventRow{core.BlockDone, st, 0, int(core.PhaseUpdateVelocity), c}] = 1
 			}
 		case "fused", "fused-f32":
 			phase(0, core.PhaseFibersForce, 1) // the coordinator, as thread 0

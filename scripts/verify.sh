@@ -122,7 +122,7 @@ go test -run '^$' -fuzz '^FuzzLintParse$' -fuzztime 5s ./internal/analysis/
 
 # Flight-recorder forensics smoke: a run driven far past the lattice's
 # stability envelope must trip the watchdog, leave a post-mortem bundle,
-# and lbmib-postmortem must decode it. The run is attributed, so the
+# and lbmib-sim postmortem must decode it. The run is attributed, so the
 # bundle carries the schema-versioned critical-path report; the
 # fluid-only cube run crosses after_stream (its end_of_step barrier
 # folds away without fibers).
@@ -136,7 +136,7 @@ fi
 test -f "$FRDIR/manifest.json"
 grep -q '"schema": "lbmib-critpath/v1"' "$FRDIR/critpath.json"
 grep -q '"site": "after_stream"' "$FRDIR/critpath.json"
-go run ./cmd/lbmib-postmortem -ring 5 "$FRDIR"
+go run ./cmd/lbmib-sim postmortem -ring 5 "$FRDIR"
 rm -rf "$FRDIR"
 
 # Replay smoke: a milder blow-up that outlives the recorder's step-64
@@ -151,7 +151,7 @@ if go run ./cmd/lbmib-sim -solver cube -threads 2 -nx 16 -ny 16 -nz 16 \
 	exit 1
 fi
 test "$(head -c 8 "$FRDIR/checkpoint.bin")" = LBMIBCKP
-go run ./cmd/lbmib-postmortem -replay "$FRDIR" | grep -q 'failure reproduced at step 73'
+go run ./cmd/lbmib-sim postmortem -replay "$FRDIR" | grep -q 'failure reproduced at step 73'
 rm -rf "$FRDIR"
 
 # Recorder-free watchdog smoke: the same unstable run with only the
