@@ -264,7 +264,7 @@ func TestPostMortemReplay(t *testing.T) {
 	defer ref.Close()
 	ref.Run(8)
 	for _, p := range [][3]int{{0, 0, 0}, {5, 4, 4}, {11, 7, 7}} {
-		if got, want := replay.FluidDensity(p[0], p[1], p[2]), ref.FluidDensity(p[0], p[1], p[2]); got != want { //lint:allow floatcheck -- replay must be bitwise
+		if got, want := replay.FluidDensity(p[0], p[1], p[2]), ref.FluidDensity(p[0], p[1], p[2]); got != want {
 			t.Fatalf("density at %v: replay %g, fresh run %g", p, got, want)
 		}
 	}

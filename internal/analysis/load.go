@@ -10,14 +10,12 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 )
 
 // Package is one type-checked package of the module under analysis.
 type Package struct {
 	Path      string // import path ("lbmib/internal/grid")
-	Dir       string // absolute directory
 	Name      string // package name
 	Files     []*ast.File
 	Filenames []string
@@ -36,10 +34,6 @@ type Program struct {
 	Fset       *token.FileSet
 	ModulePath string
 	Root       string // absolute module root (directory of go.mod)
-
-	// IncludeTests controls whether in-package _test.go files are loaded.
-	// External test packages (package foo_test) are never loaded.
-	IncludeTests bool
 
 	byPath map[string]*Package
 	std    types.Importer
@@ -113,9 +107,7 @@ func (p *Program) LoadAll() ([]*Package, error) {
 		if err != nil {
 			return err
 		}
-		if pkg != nil {
-			pkgs = append(pkgs, pkg)
-		}
+		pkgs = append(pkgs, pkg)
 		return nil
 	})
 	if err != nil {
@@ -138,9 +130,8 @@ func hasGoFiles(dir string) bool {
 	return false
 }
 
-// LoadDir parses and type-checks the package in dir (which must be under
-// the module root). It returns nil with no error for directories that
-// hold only test files excluded by configuration.
+// LoadDir parses and type-checks the non-test files of the package in
+// dir (which must be under the module root).
 func (p *Program) LoadDir(dir string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -197,19 +188,14 @@ func (p *Program) check(path string) (*Package, error) {
 	var names []string
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		if strings.HasSuffix(name, "_test.go") && !p.IncludeTests {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") ||
+			strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		full := filepath.Join(dir, name)
 		f, err := parser.ParseFile(p.Fset, full, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %w", err)
-		}
-		if strings.HasSuffix(f.Name.Name, "_test") {
-			continue // external test package; never analyzed
 		}
 		files = append(files, f)
 		names = append(names, full)
@@ -228,7 +214,6 @@ func (p *Program) check(path string) (*Package, error) {
 	tpkg, _ := conf.Check(path, p.Fset, files, info)
 	return &Package{
 		Path:      path,
-		Dir:       dir,
 		Name:      files[0].Name.Name,
 		Files:     files,
 		Filenames: names,
@@ -262,48 +247,4 @@ func (pi *progImporter) Import(path string) (*types.Package, error) {
 		return pkg.Types, nil
 	}
 	return p.std.Import(path)
-}
-
-// ParseSingle type-checks one in-memory file as its own package with
-// best-effort type information: imports that cannot be resolved and
-// type errors are tolerated, so analyzers see partial Info maps. It is
-// the entry point the fuzzer drives — it must never panic, whatever the
-// bytes are.
-func ParseSingle(filename string, src []byte) (*Package, *token.FileSet, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments|parser.SkipObjectResolution)
-	if err != nil {
-		return nil, nil, err
-	}
-	info := newInfo()
-	conf := types.Config{
-		Importer: lenientImporter{},
-		Error:    func(error) {}, // collect nothing; partial info is fine
-	}
-	tpkg, _ := conf.Check(f.Name.Name, fset, []*ast.File{f}, info)
-	return &Package{
-		Path:      f.Name.Name,
-		Name:      f.Name.Name,
-		Files:     []*ast.File{f},
-		Filenames: []string{filename},
-		Types:     tpkg,
-		Info:      info,
-	}, fset, nil
-}
-
-// lenientImporter satisfies every import with an empty placeholder
-// package so single-file analysis never fails on unresolved imports.
-type lenientImporter struct{}
-
-func (lenientImporter) Import(path string) (*types.Package, error) {
-	name := path
-	if i := strings.LastIndex(path, "/"); i >= 0 {
-		name = path[i+1:]
-	}
-	if q, err := strconv.Unquote(`"` + name + `"`); err == nil {
-		name = q
-	}
-	pkg := types.NewPackage(path, name)
-	pkg.MarkComplete()
-	return pkg, nil
 }

@@ -9,27 +9,21 @@ import (
 	"strings"
 )
 
-// LockCheck proves the mutex discipline of the module: every
+// lockcheck proves the mutex discipline of the module: every
 // sync.Mutex/RWMutex acquisition (including a successful TryLock) must
 // be released on every control-flow path out of the acquiring function,
 // and nested acquisitions across the package must not form an ordering
-// cycle. On the engines' step paths it guards par.Barrier's
-// Wait/WaitRank, which lock on every crossing; off them, the mutexes of
-// the profiles, recorder rings and registries.
+// cycle. Its targets are par.Barrier's mutex, which Wait/WaitRank lock
+// on every crossing, and the sinks' mutexes: the telemetry registry,
+// tracer, step log and watchdog, the perfmon profile's ring slots, and
+// the flight recorder's four (mu, snapMu, bundleMu, auxMu).
 //
 // The path model is intentionally simple: lock identity is the
 // canonical spelling of the receiver with indices wildcarded
 // (s.locks[_]), and held-sets are propagated through if/else, loops,
 // switch and select with a merge that requires agreement. Hand-over-hand
 // locking is inside the model (the held-set agrees at every merge); a
-// scheme whose release is data-dependent is not, and would carry a
-// reviewed //lint:allow lockcheck with the manual proof — the module has
-// none.
-var LockCheck = &Analyzer{
-	Name: "lockcheck",
-	Doc:  "mutexes must be released on all paths; lock acquisition order must be acyclic",
-	Run:  runLockCheck,
-}
+// scheme whose release is data-dependent is not.
 
 type lockOp int
 
@@ -42,7 +36,7 @@ const (
 
 // classifyLockCall inspects a call expression and returns the operation
 // and canonical lock key, or opNone.
-func classifyLockCall(pass *Pass, call *ast.CallExpr) (lockOp, string) {
+func classifyLockCall(info *types.Info, call *ast.CallExpr) (lockOp, string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return opNone, ""
@@ -65,7 +59,7 @@ func classifyLockCall(pass *Pass, call *ast.CallExpr) (lockOp, string) {
 	default:
 		return opNone, ""
 	}
-	if !isSyncLockRecv(pass, sel) {
+	if !isSyncLockRecv(info, sel) {
 		return opNone, ""
 	}
 	key := exprKey(sel.X)
@@ -76,30 +70,23 @@ func classifyLockCall(pass *Pass, call *ast.CallExpr) (lockOp, string) {
 }
 
 // isSyncLockRecv reports whether the selector resolves to a method of
-// sync.Mutex or sync.RWMutex (including promoted embeddings). Without
-// type information (fuzz mode) it accepts the call by name.
-func isSyncLockRecv(pass *Pass, sel *ast.SelectorExpr) bool {
-	if pass.Pkg != nil && pass.Pkg.Info != nil {
-		if s, ok := pass.Pkg.Info.Selections[sel]; ok {
-			fn, ok := s.Obj().(*types.Func)
-			if !ok {
-				return false
-			}
-			recv := fn.Type().(*types.Signature).Recv()
-			if recv == nil {
-				return false
-			}
-			name := namedTypeName(recv.Type())
-			pkg := fn.Pkg()
-			return pkg != nil && pkg.Path() == "sync" && (name == "Mutex" || name == "RWMutex")
-		}
-		// A resolved selection that is not in Selections (e.g. a
-		// package-qualified function) is not a method call.
-		if t := pass.TypeOf(sel.X); t != nil && t != types.Typ[types.Invalid] {
-			return false
-		}
+// sync.Mutex or sync.RWMutex (including promoted embeddings).
+func isSyncLockRecv(info *types.Info, sel *ast.SelectorExpr) bool {
+	s, ok := info.Selections[sel]
+	if !ok {
+		return false // a package-qualified function, not a method
 	}
-	return true // no type info: judge by name
+	fn, ok := s.Obj().(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	name := namedTypeName(recv.Type())
+	pkg := fn.Pkg()
+	return pkg != nil && pkg.Path() == "sync" && (name == "Mutex" || name == "RWMutex")
 }
 
 // lockState maps held lock keys to their acquisition position.
@@ -158,7 +145,7 @@ type lockEdge struct {
 }
 
 type lockWalker struct {
-	pass     *Pass
+	info     *types.Info
 	diags    []Diagnostic
 	deferred map[string]bool
 	edges    *[]lockEdge
@@ -175,16 +162,16 @@ type loopCtx struct {
 	infinite bool
 }
 
-func runLockCheck(pass *Pass) []Diagnostic {
+func runLockCheck(pkg *Package) []Diagnostic {
 	var diags []Diagnostic
 	var edges []lockEdge
-	for _, f := range pass.Pkg.Files {
+	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			diags = append(diags, analyzeLockFunc(pass, fd.Body, &edges)...)
+			diags = append(diags, analyzeLockFunc(pkg.Info, fd.Body, &edges)...)
 		}
 	}
 	diags = append(diags, lockOrderCycles(edges)...)
@@ -193,9 +180,9 @@ func runLockCheck(pass *Pass) []Diagnostic {
 
 // analyzeLockFunc runs the held-set interpretation over one function
 // body (and, recursively, every function literal it contains).
-func analyzeLockFunc(pass *Pass, body *ast.BlockStmt, edges *[]lockEdge) []Diagnostic {
+func analyzeLockFunc(info *types.Info, body *ast.BlockStmt, edges *[]lockEdge) []Diagnostic {
 	w := &lockWalker{
-		pass:     pass,
+		info:     info,
 		deferred: make(map[string]bool),
 		edges:    edges,
 		reported: make(map[string]bool),
@@ -229,14 +216,14 @@ func analyzeLockFunc(pass *Pass, body *ast.BlockStmt, edges *[]lockEdge) []Diagn
 // recordDeferred registers defer targets: a direct Unlock call or any
 // Unlock calls inside a deferred closure.
 func (w *lockWalker) recordDeferred(call *ast.CallExpr) {
-	if op, key := classifyLockCall(w.pass, call); op == opRelease {
+	if op, key := classifyLockCall(w.info, call); op == opRelease {
 		w.deferred[key] = true
 		return
 	}
 	if lit, ok := call.Fun.(*ast.FuncLit); ok {
 		ast.Inspect(lit.Body, func(n ast.Node) bool {
 			if c, ok := n.(*ast.CallExpr); ok {
-				if op, key := classifyLockCall(w.pass, c); op == opRelease {
+				if op, key := classifyLockCall(w.info, c); op == opRelease {
 					w.deferred[key] = true
 				}
 			}
@@ -250,7 +237,7 @@ func (w *lockWalker) report(pos token.Pos, dedupKey, msg string) {
 		return
 	}
 	w.reported[dedupKey] = true
-	w.diags = append(w.diags, Diagnostic{Check: "lockcheck", Pos: pos, Message: msg})
+	w.diags = append(w.diags, Diagnostic{Pos: pos, Message: msg})
 }
 
 // acquire applies a lock acquisition to the state, recording ordering
@@ -295,7 +282,7 @@ func (w *lockWalker) stmt(st ast.Stmt, state lockState) (lockState, bool) {
 	case *ast.DeclStmt:
 		ast.Inspect(s, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
-				w.diags = append(w.diags, analyzeLockFunc(w.pass, lit.Body, w.edges)...)
+				w.diags = append(w.diags, analyzeLockFunc(w.info, lit.Body, w.edges)...)
 				return false
 			}
 			return true
@@ -305,12 +292,12 @@ func (w *lockWalker) stmt(st ast.Stmt, state lockState) (lockState, bool) {
 		// Deferred releases were pre-registered; a deferred closure is
 		// analyzed as its own function for its internal discipline.
 		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.diags = append(w.diags, analyzeLockFunc(w.pass, lit.Body, w.edges)...)
+			w.diags = append(w.diags, analyzeLockFunc(w.info, lit.Body, w.edges)...)
 		}
 		return state, false
 	case *ast.GoStmt:
 		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.diags = append(w.diags, analyzeLockFunc(w.pass, lit.Body, w.edges)...)
+			w.diags = append(w.diags, analyzeLockFunc(w.info, lit.Body, w.edges)...)
 		}
 		return state, false
 	case *ast.ReturnStmt:
@@ -381,7 +368,7 @@ func (w *lockWalker) stmt(st ast.Stmt, state lockState) (lockState, bool) {
 func (w *lockWalker) exprEffects(e ast.Expr, state lockState) {
 	switch v := e.(type) {
 	case *ast.CallExpr:
-		switch op, key := classifyLockCall(w.pass, v); op {
+		switch op, key := classifyLockCall(w.info, v); op {
 		case opAcquire, opTryAcquire:
 			// A TryLock whose result is discarded or assigned is treated
 			// as an acquisition (the success path owns the lock).
@@ -396,7 +383,7 @@ func (w *lockWalker) exprEffects(e ast.Expr, state lockState) {
 		}
 		w.exprEffects(v.Fun, state)
 	case *ast.FuncLit:
-		w.diags = append(w.diags, analyzeLockFunc(w.pass, v.Body, w.edges)...)
+		w.diags = append(w.diags, analyzeLockFunc(w.info, v.Body, w.edges)...)
 	case *ast.ParenExpr:
 		w.exprEffects(v.X, state)
 	case *ast.UnaryExpr:
@@ -433,7 +420,7 @@ func (w *lockWalker) ifStmt(s *ast.IfStmt, state lockState) (lockState, bool) {
 		cond, negated = u.X, true
 	}
 	if call, ok := cond.(*ast.CallExpr); ok {
-		if op, key := classifyLockCall(w.pass, call); op == opTryAcquire {
+		if op, key := classifyLockCall(w.info, call); op == opTryAcquire {
 			if negated {
 				w.acquire(elseState, key, call.Pos())
 			} else {
@@ -692,8 +679,7 @@ func lockOrderCycles(edges []lockEdge) []Diagnostic {
 			}
 		}
 		diags = append(diags, Diagnostic{
-			Check: "lockcheck",
-			Pos:   pos,
+			Pos: pos,
 			Message: fmt.Sprintf("lock acquisition order cycle between %s: nested acquisitions must follow one global owner order",
 				strings.Join(scc, " and ")),
 		})

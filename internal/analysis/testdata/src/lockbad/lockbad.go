@@ -1,4 +1,4 @@
-// Package lockbad is lbmib-lint's golden-bad corpus for lockcheck: each
+// Package lockbad is the golden-bad corpus for lockcheck: each
 // seeded defect carries a want marker on the line where the diagnostic
 // must be reported. The file must type-check — the defects are
 // semantic, not syntactic.

@@ -136,7 +136,7 @@ type Problem struct {
 // Tau defaults to 0.6; any other Tau that ValidateTau rejects is an
 // error.
 func NewProblem(cfg Config) (Problem, error) {
-	if cfg.Tau == 0 { //lint:allow floatcheck -- Tau==0 is the documented "unset" sentinel; real values are vetted by ValidateTau
+	if cfg.Tau == 0 { // the documented "unset" sentinel; real values are vetted by ValidateTau
 		cfg.Tau = 0.6
 	}
 	if err := ValidateTau(cfg.Tau); err != nil {

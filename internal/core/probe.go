@@ -1,4 +1,3 @@
-//lint:allow observercheck -- the nil default lives at Problem.Probe; the elements of a Probes fan-out are sinks its builder chose, never nil
 package core
 
 import "time"

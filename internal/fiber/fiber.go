@@ -164,7 +164,7 @@ func (s *Sheet) StretchingForceAt(f, k int) Vec3 {
 		xj := s.X[s.Idx(fj, kj)]
 		dx := Vec3{xj[0] - xi[0], xj[1] - xi[1], xj[2] - xi[2]}
 		dist := math.Sqrt(dx[0]*dx[0] + dx[1]*dx[1] + dx[2]*dx[2])
-		if dist == 0 { //lint:allow floatcheck -- only exact coincidence divides by zero below; near-zero distances are fine
+		if dist == 0 { // only exact coincidence divides by zero below; near-zero distances are fine
 			return // coincident nodes exert no well-defined spring force
 		}
 		coeff := s.Ks * (dist - rest) / dist

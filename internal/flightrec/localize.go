@@ -64,8 +64,6 @@ const massAbsFloor = 1e-9
 // Localize bisects the ring's digested records for the earliest
 // invariant violation. maxVel is the admissible speed (the watchdog's
 // limit); tile shape comes from the recorder.
-//
-//lint:allow hotalloc -- post-mortem path: runs once after a fault, never inside the step loop
 func Localize(records []Record, tileK, tx, ty, tz int, maxVel float64) Localization {
 	digested := make([]Record, 0, len(records))
 	for _, r := range records {

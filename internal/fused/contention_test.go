@@ -75,7 +75,7 @@ func TestFusedInstrumentationBitwiseNeutral(t *testing.T) {
 	}
 	a, b := plain.Live(), inst.Live()
 	for i := range a.Macros() {
-		if a.Macros()[i].Rho != b.Macros()[i].Rho || a.Macros()[i].Vel != b.Macros()[i].Vel { //lint:allow floatcheck -- bitwise-equality contract, not a tolerance check
+		if a.Macros()[i].Rho != b.Macros()[i].Rho || a.Macros()[i].Vel != b.Macros()[i].Vel {
 			t.Fatalf("node %d diverged with instrumentation attached", i)
 		}
 	}

@@ -118,9 +118,8 @@ func (c *Coupling) SpreadStencilBox(st ibm.Stencil, F [3]float64, area float64, 
 // SpreadStencil adds F·w·area to the force of every node of the stencil,
 // w its delta weight (kernel 4 for one fiber node): the whole-domain case
 // of SpreadStencilBox. float64(…) rounds the product before the add on
-// every architecture (the bitwise contract).
-//
-//lint:allow floatcheck -- exact-zero delta-function weights skip whole stencil planes; the product they'd contribute is exactly 0
+// every architecture (the bitwise contract). An exactly zero weight
+// skips its plane or node: the products it would add are exactly 0.
 func (c *Coupling) SpreadStencil(st ibm.Stencil, F [3]float64, area float64) {
 	o := ResolveStencil(&st, &c.at)
 	macro, f0, f1, f2 := c.macro, F[0], F[1], F[2]
@@ -149,9 +148,8 @@ func (c *Coupling) SpreadStencil(st ibm.Stencil, F [3]float64, area float64) {
 }
 
 // InterpolateStencil returns Σ w·u over the stencil's nodes (the gather
-// of kernel 8 for one fiber node).
-//
-//lint:allow floatcheck -- exact-zero delta-function weights skip whole stencil planes; the product they'd contribute is exactly 0
+// of kernel 8 for one fiber node), skipping exactly zero weights as
+// SpreadStencil does.
 func (c *Coupling) InterpolateStencil(st ibm.Stencil) [3]float64 {
 	o := ResolveStencil(&st, &c.at)
 	macro := c.macro

@@ -112,7 +112,7 @@ func Moments[T Float](g *[Q]T, f [3]float64, u *[3]float64) (rho float64) {
 	syz, dyz := sumDiff(g[15], g[16])
 	synz, dynz := sumDiff(g[17], g[18])
 	rho = float64(g[0]) + (sx + sy + sz) + (sxy + sxny) + (sxz + sxnz) + (syz + synz)
-	if rho == 0 { //lint:allow floatcheck -- only exact zero density divides by zero below; the guard is not a tolerance check
+	if rho == 0 { // only exact zero density divides by zero below
 		*u = [3]float64{}
 		return 0
 	}

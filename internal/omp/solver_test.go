@@ -6,6 +6,7 @@ import (
 
 	"lbmib/internal/core"
 	"lbmib/internal/fiber"
+	"lbmib/internal/perfmon"
 	"lbmib/internal/validate"
 )
 
@@ -188,7 +189,9 @@ func TestMovingLidFSIMatchesSequential(t *testing.T) {
 // the busy vector and the timed loop body live on the solver, so a step
 // with a probe attached allocates exactly what the same step allocates
 // detached — whatever the number of parallel regions (a sheet adds
-// spreading's) and whatever the team width.
+// spreading's) and whatever the team width. The probe is an empty
+// fan-out, then a profile, whose region and step-ring bookkeeping must
+// allocate nothing either.
 func TestObservedStepAllocatesNothingExtra(t *testing.T) {
 	for _, sheet := range []bool{false, true} {
 		for _, threads := range []int{1, 2, 4} {
@@ -199,12 +202,13 @@ func TestObservedStepAllocatesNothingExtra(t *testing.T) {
 			s := MustNewSolver(Config{Config: baseConfig(sh), Threads: threads})
 			s.Step()
 			detached := testing.AllocsPerRun(5, s.Step)
-			s.Probe = core.Probes{}
-			observed := testing.AllocsPerRun(5, s.Step)
-			s.Close()
-			if observed != detached {
-				t.Errorf("sheet=%v threads=%d: observed step allocates %v, detached %v", sheet, threads, observed, detached)
+			for _, probe := range []core.Probe{core.Probes{}, perfmon.NewProfile(perfmon.Config{Engine: "omp", Threads: threads})} {
+				s.Probe = probe
+				if observed := testing.AllocsPerRun(5, s.Step); observed != detached {
+					t.Errorf("sheet=%v threads=%d probe=%T: observed step allocates %v, detached %v", sheet, threads, probe, observed, detached)
+				}
 			}
+			s.Close()
 		}
 	}
 }

@@ -146,8 +146,6 @@ type Report struct {
 // Report assembles the current state; wall is the wall-clock time of the
 // profiled steps, for BarrierWaitShare. Safe to call concurrently with
 // recording; it reads a consistent-enough snapshot for profiling.
-//
-//lint:allow hotalloc -- report assembly runs once per run, not per step; reachable from Step only through observer registration
 func (p *Profile) Report(wall time.Duration) Report {
 	steps, crit, sum := p.segmentTotals()
 	if steps == 0 { // kernel events only
@@ -229,8 +227,6 @@ func (p *Profile) classify(sr SiteReport) string {
 
 // chains reconstructs the most recent steps' last-arriver chains from
 // the crossing ring, oldest step first, sites in release order.
-//
-//lint:allow hotalloc -- chain reconstruction runs once per report, not per step
 func (p *Profile) chains() []StepChain {
 	type link struct {
 		crossing uint64

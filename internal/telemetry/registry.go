@@ -166,8 +166,6 @@ type metric struct {
 }
 
 // key renders the series identity (name plus sorted labels).
-//
-//lint:allow hotalloc -- runs once per series creation (get-or-create), not per sample
 func seriesKey(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name

@@ -288,19 +288,28 @@ func TestMaxVelocityStability(t *testing.T) {
 // place: no slab grid is materialized per call (they used to cost a full
 // ToGrid each — and lbmib-sim calls both for every progress line). The
 // run is left after an odd step count, with the array in the swapped
-// phase, which the sum presents natural first. MaxVelocity is order-independent and must match the
-// snapshot path bitwise; the mass sums the same terms cube by cube, so
-// only its last bits may differ.
+// phase, which the sum presents natural first: summed again once the
+// snapshot has canonicalized the array, the mass keeps every bit. A raw
+// read of the swapped array adds the same terms in another order, which
+// the walls in z make visible in the last bits.
+// MaxVelocity is order-independent and must match the snapshot path
+// bitwise; the mass sums the same terms cube by cube, so only its last
+// bits may differ from the snapshot's.
 func TestMassAndMaxVelocityInPlaceOnCubeEngines(t *testing.T) {
 	cfg := baseCfg(CubeBased)
 	cfg.Threads = 2
+	cfg.BoundaryZ = NoSlip
 	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sim.Close()
 	sim.Run(7) // odd: the cube engine's layout is left swapped
+	swappedMass := sim.TotalMass()
 	snap := sim.FluidSnapshot()
+	if m := sim.TotalMass(); m != swappedMass {
+		t.Errorf("TotalMass %.17g after canonicalizing, %.17g before", m, swappedMass)
+	}
 	if got, want := sim.MaxVelocity(), snap.MaxVelocity(); got != want {
 		t.Errorf("in-place MaxVelocity %.17g != snapshot %.17g", got, want)
 	}

@@ -17,19 +17,22 @@ import (
 	"lbmib/internal/telemetry"
 )
 
-// sampledEngine is one engine row of the sampling tests.
+// sampledEngine is one engine row of the sampling tests. allocs bounds
+// the objects a plain steady-state Step allocates on sampledConfig at 2
+// threads, as measured: an allocation per cube, plane or node exceeds it.
 type sampledEngine struct {
 	name    string
 	kind    SolverKind
 	float32 bool
+	allocs  float64
 }
 
 var sampledEngines = []sampledEngine{
-	{"sequential", Sequential, false},
-	{"omp", OpenMP, false},
-	{"cube", CubeBased, false},
-	{"fused", Fused, false},
-	{"fused-f32", Fused, true},
+	{"sequential", Sequential, false, 0},
+	{"omp", OpenMP, false, 19},
+	{"cube", CubeBased, false, 1},
+	{"fused", Fused, false, 15},
+	{"fused-f32", Fused, true, 15},
 }
 
 func sampledConfig(e sampledEngine, threads int) Config {
@@ -42,8 +45,10 @@ func sampledConfig(e sampledEngine, threads int) Config {
 }
 
 // TestObservedStepSamplesLiveLayout: a Watchdog-only Step allocates
-// exactly what a plain Step does, on every engine. Sampling by
-// snapshot allocated a fresh slab grid per step on the cube engines.
+// exactly what a plain Step does, on every engine, and a plain Step no
+// more than the engine's bound. Sampling by snapshot allocated a fresh
+// slab grid per step on the cube engines; an allocation inside an
+// engine's per-cube or per-plane loop costs one object per block.
 func TestObservedStepSamplesLiveLayout(t *testing.T) {
 	for _, e := range sampledEngines {
 		t.Run(e.name, func(t *testing.T) {
@@ -62,6 +67,9 @@ func TestObservedStepSamplesLiveLayout(t *testing.T) {
 			plain.Run(2)
 			watched.Run(2) // the watchdog's first check allocates its reference tiles
 			want := testing.AllocsPerRun(5, plain.Step)
+			if want > e.allocs {
+				t.Errorf("plain Step allocates %v objects, want at most %v", want, e.allocs)
+			}
 			if got := testing.AllocsPerRun(5, watched.Step); got != want {
 				t.Errorf("Watchdog-only Step allocates %v objects, plain Step %v", got, want)
 			}
