@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
@@ -84,8 +85,9 @@ func CopyRange(dst, src [][lattice.Q]float64) { copy(dst, src) }
 
 // StreamBC resolves the boundary streaming of one (node, direction) pair:
 // the periodic wrap, the halfway bounce-back walls, and the moving-lid
-// momentum-exchange term (Ladd). Every engine streams boundary nodes
-// through the same Resolve body — the sequential engine via
+// momentum-exchange term (Ladd). Every engine reflects its wall links
+// through the same Resolve body, and streams every other link by offsets
+// NewStreamer tabulates from it — the sequential engine via
 // Streamer.Block, the in-place engines via AABlock and AAMomentsBlock —
 // so they cannot drift apart.
 // Lattice velocities have components in {−1, 0, 1}, so wrapping needs
@@ -140,65 +142,82 @@ func (bc *StreamBC) Resolve(q, x, y, z int, gi, rho float64) (tx, ty, tz int, re
 }
 
 // Streamer is kernel 6's stream geometry bound to one layout and one set
-// of boundary conditions: the per-axis index tables, where the fixed
-// stride holds, and the boundary resolution. Block pushes through it
-// into a second array (the sequential engine); AABlock, AAMomentsBlock
+// of boundary conditions: one neighbour-offset table per axis class, the
+// per-axis wall sets, and the boundary resolution. Block pushes through
+// it into a second array (the sequential engine); AABlock, AAMomentsBlock
 // and Canonicalize stream in place through it (the parallel engines).
+// Every node of every layout finds its neighbours the same way: one
+// lookup of its class triple, then its own entry plus the offset.
 type Streamer struct {
 	l  Layout
 	bc StreamBC
-	at [3][]int
-	// fixed[a][c] reports that both axis-a neighbours of coordinate c are
-	// inside the domain and sit at the layout's constant axis stride from
-	// it; where that holds on all three axes, the neighbour of a node at
-	// −e_i is delta[0][i] entries away and the one at +e_i delta[1][i] —
-	// strictly inside a cube, and everywhere off the domain faces in the
-	// slab grid, whose x-planes abut in memory.
-	fixed [3][]bool
-	delta [2][lattice.Q]int
-	// nb[a][3c+1+e] is the index term (grid.AxisIndex) of the axis-a
-	// neighbour of coordinate c at offset e ∈ {−1, 0, 1}, and walls[a][c]
-	// the set of directions q (bit q) whose move from c along axis a
-	// crosses a bounce-back wall: StreamBC.Resolve's answer along one
-	// axis, tabulated. Resolve treats the axes independently, so the
-	// three terms of a node's e_q neighbour sum to its index unless q is
-	// in the union of the node's three wall sets — a wall link.
-	nb    [3][]int
+	// cls[a][c] is the class of coordinate c on axis a, scaled so that a
+	// node's three terms sum to its row of tab. Coordinates whose axis-a
+	// neighbours at −1 and +1 lie at the same entry offsets share a class;
+	// the offset of a move that crosses a wall counts as 0. So an axis has
+	// at most five: the domain's low end, a block's low face, the block
+	// interior, a block's high face and the domain's high end — three on
+	// the slab grid, whose x-planes abut in memory.
+	cls [3][]int
+	// tab[(sign+1)/2][row][q] is the entry offset of the neighbour at
+	// sign·e_q from a node of class triple row; it means nothing for a q
+	// whose move crosses a wall.
+	tab [2][][lattice.Q]int
+	// walls[a][c] is the set of directions q (bit q) whose move from c
+	// along axis a crosses a bounce-back wall: StreamBC.Resolve's answer
+	// along one axis, tabulated. Resolve treats the axes independently,
+	// so a node's e_q neighbour sits at its offset unless q is in the
+	// union of the node's three wall sets — a wall link.
 	walls [3][]uint32
 }
 
 // NewStreamer tabulates l's index geometry for streaming under bc.
 func NewStreamer(l Layout, bc StreamBC) *Streamer {
-	s := &Streamer{l: l, bc: bc, at: grid.AxisIndex(l)}
-	var stride [3]int
-	for a, t := range s.at {
-		s.fixed[a] = make([]bool, len(t))
-		if len(t) > 1 {
-			stride[a] = t[1] - t[0]
-		}
-		for c := 1; c < len(t)-1; c++ {
-			s.fixed[a][c] = t[c]-t[c-1] == stride[a] && t[c+1]-t[c] == stride[a]
-		}
-	}
-	for i, e := range lattice.E {
-		s.delta[1][i] = e[0]*stride[0] + e[1]*stride[1] + e[2]*stride[2]
-		s.delta[0][i] = -s.delta[1][i]
-	}
-	for a, t := range s.at {
-		s.nb[a] = make([]int, 3*len(t))
+	s := &Streamer{l: l, bc: bc}
+	// off[a][k][1+e] is the axis-a offset at e ∈ {−1, 0, 1} of class k.
+	var off [3][][3]int
+	for a, t := range grid.AxisIndex(l) {
+		s.cls[a] = make([]int, len(t))
 		s.walls[a] = make([]uint32, len(t))
 		for c := range t {
-			for e := -1; e <= 1; e++ {
+			var o [3]int
+			for _, e := range [2]int{-1, 1} {
 				var p, d [3]int
 				p[a], d[a] = c, e
 				tx, ty, tz, _, bounce := bc.Resolve(direction(d), p[0], p[1], p[2], 0, 0)
 				if !bounce {
-					s.nb[a][3*c+1+e] = t[[3]int{tx, ty, tz}[a]]
+					o[1+e] = t[[3]int{tx, ty, tz}[a]] - t[c]
 					continue
 				}
 				for q, eq := range lattice.E {
 					if eq[a] == e {
 						s.walls[a][c] |= 1 << q
+					}
+				}
+			}
+			k := slices.Index(off[a], o)
+			if k < 0 {
+				k = len(off[a])
+				off[a] = append(off[a], o)
+			}
+			s.cls[a][c] = k
+		}
+	}
+	ny, nz := len(off[1]), len(off[2])
+	for c := range s.cls[0] {
+		s.cls[0][c] *= ny * nz
+	}
+	for c := range s.cls[1] {
+		s.cls[1][c] *= nz
+	}
+	for i, sign := range [2]int{-1, 1} {
+		s.tab[i] = make([][lattice.Q]int, len(off[0])*ny*nz)
+		for cx, ox := range off[0] {
+			for cy, oy := range off[1] {
+				for cz, oz := range off[2] {
+					d := &s.tab[i][(cx*ny+cy)*nz+cz]
+					for q, e := range lattice.E {
+						d[q] = ox[1+sign*e[0]] + oy[1+sign*e[1]] + oz[1+sign*e[2]]
 					}
 				}
 			}
@@ -219,8 +238,9 @@ func direction(d [3]int) int {
 
 // Block pushes the post-collision distributions of every node of block b
 // from the layout's array to its 18 neighbours' slots in the
-// post-streaming array dst, which may lie in other blocks. Each (node,
-// direction) slot has exactly one writer, so concurrent calls on
+// post-streaming array dst, which may lie in other blocks; a wall link
+// takes StreamBC.Resolve's reflection into the node's own slot. Each
+// (node, direction) slot has exactly one writer, so concurrent calls on
 // different blocks need no synchronization.
 func (s *Streamer) Block(b int, dst [][lattice.Q]float64) {
 	src, m := s.l.Dist(), s.l.Macros()
@@ -228,23 +248,17 @@ func (s *Streamer) Block(b int, dst [][lattice.Q]float64) {
 	idx := b * e[0] * e[1] * e[2]
 	for x := o[0]; x < o[0]+e[0]; x++ {
 		for y := o[1]; y < o[1]+e[1]; y++ {
-			fixedXY := s.fixed[0][x] && s.fixed[1][y]
+			row := s.row(x, y, +1)
 			for z := o[2]; z < o[2]+e[2]; z++ {
-				f := &src[idx]
-				if fixedXY && s.fixed[2][z] {
-					for i := 0; i < lattice.Q; i++ {
-						dst[idx+s.delta[1][i]][i] = f[i]
+				f, d := &src[idx], s.links(&row, z)
+				walls := row.walls | s.walls[2][z]
+				for q := 0; q < lattice.Q; q++ {
+					if walls&(1<<q) != 0 {
+						_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, f[q], m[idx].Rho)
+						dst[idx][lattice.Opposite[q]] = refl
+						continue
 					}
-				} else {
-					rho := m[idx].Rho
-					for i := 0; i < lattice.Q; i++ {
-						tx, ty, tz, refl, bounce := s.bc.Resolve(i, x, y, z, f[i], rho)
-						if bounce {
-							dst[idx][lattice.Opposite[i]] = refl
-							continue
-						}
-						dst[s.at[0][tx]+s.at[1][ty]+s.at[2][tz]][i] = f[i]
-					}
+					dst[idx+d[q]][q] = f[q]
 				}
 				idx++
 			}
@@ -302,7 +316,6 @@ func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64
 	idx := b * e[0] * e[1] * e[2]
 	// Scratch for one node, declared once so no node pays to zero it.
 	var g [lattice.Q]T
-	var j [lattice.Q]int
 	for x := o[0]; x < o[0]+e[0]; x++ {
 		for y := o[1]; y < o[1]+e[1]; y++ {
 			row := s.row(x, y, +1)
@@ -327,23 +340,23 @@ func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64
 					idx++
 					continue
 				}
-				at, d := s.links(&j, &row, z, idx, +1)
+				d := s.links(&row, z)
 				if walls == 0 {
-					g[0] = df[at+d[0]][0]
+					g[0] = df[idx][0]
 					for q := 1; q < lattice.Q-1; q += 2 {
-						g[q+1], g[q] = df[at+d[q]][q], df[at+d[q+1]][q+1]
+						g[q+1], g[q] = df[idx+d[q]][q], df[idx+d[q+1]][q+1]
 					}
 					lattice.Collide(&g, r.Rho, r.Vel, r.Force, tau)
-					df[at+d[0]][0] = g[0]
+					df[idx][0] = g[0]
 					for q := 1; q < lattice.Q-1; q += 2 {
-						df[at+d[q]][q], df[at+d[q+1]][q+1] = g[q], g[q+1]
+						df[idx+d[q]][q], df[idx+d[q+1]][q+1] = g[q], g[q+1]
 					}
 				} else {
 					for q := 0; q < lattice.Q; q++ {
 						if oq := lattice.Opposite[q]; walls&(1<<q) != 0 {
 							g[oq] = df[idx][oq]
 						} else {
-							g[oq] = df[at+d[q]][q]
+							g[oq] = df[idx+d[q]][q]
 						}
 					}
 					lattice.Collide(&g, r.Rho, r.Vel, r.Force, tau)
@@ -352,7 +365,7 @@ func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64
 							_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, float64(g[q]), r.Rho)
 							df[idx][lattice.Opposite[q]] = T(refl)
 						} else {
-							df[at+d[q]][q] = g[q]
+							df[idx+d[q]][q] = g[q]
 						}
 					}
 				}
@@ -363,38 +376,22 @@ func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64
 }
 
 // rowLinks is the part of a row's links that x and y decide: their wall
-// sets, whether both have their neighbours at the fixed stride, and
-// base[q], the x and y index terms of the neighbour at sign·e_q, which
-// means nothing for a q in walls.
+// sets, and the rows of the sign table their class pair selects, of which
+// z's class picks one.
 type rowLinks struct {
 	walls uint32
-	fixed bool
-	base  [lattice.Q]int
+	tab   [][lattice.Q]int
 }
 
 // row tabulates the links of row (x, y) towards sign·e_q.
 func (s *Streamer) row(x, y, sign int) rowLinks {
-	r := rowLinks{walls: s.walls[0][x] | s.walls[1][y], fixed: s.fixed[0][x] && s.fixed[1][y]}
-	for q, e := range lattice.E {
-		r.base[q] = s.nb[0][3*x+1+sign*e[0]] + s.nb[1][3*y+1+sign*e[1]]
-	}
-	return r
+	return rowLinks{walls: s.walls[0][x] | s.walls[1][y], tab: s.tab[(sign+1)/2][s.cls[0][x]+s.cls[1][y]:]}
 }
 
-// links returns the entries of the neighbours at sign·e_q of the node at
-// z and entry idx of row r as base + d[q]: d is a fixed stride table
-// where the layout has one, and otherwise j, filled from the tables with
-// base 0. An entry means nothing for a q whose move crosses a wall.
-func (s *Streamer) links(j *[lattice.Q]int, r *rowLinks, z, idx, sign int) (base int, d *[lattice.Q]int) {
-	if r.fixed && s.fixed[2][z] {
-		return idx, &s.delta[(sign+1)/2]
-	}
-	zt := s.nb[2][3*z : 3*z+3]
-	for q, e := range lattice.E {
-		j[q] = r.base[q] + zt[1+sign*e[2]]
-	}
-	return 0, j
-}
+// links returns the entry offsets of the neighbours at sign·e_q of the
+// node at z in row r, from the node's own entry. An offset means nothing
+// for a q whose move crosses a wall.
+func (s *Streamer) links(r *rowLinks, z int) *[lattice.Q]int { return &r.tab[s.cls[2][z]] }
 
 // AAMomentsBlock is kernel 7 of every node of block b after AABlock:
 // each node's density and velocity from its post-streaming values, then,
@@ -414,16 +411,15 @@ func AAMomentsBlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, swap
 		return
 	}
 	var g [lattice.Q]T
-	var j [lattice.Q]int
 	for x := o[0]; x < o[0]+e[0]; x++ {
 		for y := o[1]; y < o[1]+e[1]; y++ {
 			row := s.row(x, y, -1)
 			for z := o[2]; z < o[2]+e[2]; z++ {
-				at, d := s.links(&j, &row, z, idx, -1)
+				d := s.links(&row, z)
 				if walls := row.walls | s.walls[2][z]; walls == 0 {
-					g[0] = df[at+d[0]][0]
+					g[0] = df[idx][0]
 					for q := 1; q < lattice.Q-1; q += 2 {
-						g[q], g[q+1] = df[at+d[q]][q+1], df[at+d[q+1]][q]
+						g[q], g[q+1] = df[idx+d[q]][q+1], df[idx+d[q+1]][q]
 					}
 				} else {
 					// The source n−e_q lies beyond a wall exactly when
@@ -432,7 +428,7 @@ func AAMomentsBlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, swap
 						if oq := lattice.Opposite[q]; walls&(1<<oq) != 0 {
 							g[q] = df[idx][q]
 						} else {
-							g[q] = df[at+d[q]][oq]
+							g[q] = df[idx+d[q]][oq]
 						}
 					}
 				}
@@ -452,24 +448,28 @@ func AAMomentsBlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, swap
 // (n−e_q, Opposite[q]), trades places with f'_{Opposite[q]}(n−e_q), which
 // sits at (n, q). The trade is an involution, so each pair is swapped
 // once, from its member with q < Opposite[q]; a wall slot is its own
-// pair and stays where it is. The rest value never moves.
+// pair and stays where it is. The rest value never moves. The pairs are
+// disjoint, so the nodes are visited block by block, in memory order.
 func Canonicalize[T lattice.Float](s *Streamer, df [][lattice.Q]T) {
-	nx, ny, nz := s.l.Dims()
-	var j [lattice.Q]int
-	for x := 0; x < nx; x++ {
-		for y := 0; y < ny; y++ {
-			row := s.row(x, y, -1)
-			for z := 0; z < nz; z++ {
-				i := s.at[0][x] + s.at[1][y] + s.at[2][z]
-				at, d := s.links(&j, &row, z, i, -1)
-				walls := row.walls | s.walls[2][z]
-				for q := 1; q < lattice.Q-1; q += 2 {
-					// The pair of (n, q) is (n−e_q, Opposite[q]), a wall
-					// slot when n−e_q lies beyond a wall.
-					if walls&(1<<(q+1)) == 0 {
-						k := at + d[q]
-						df[i][q], df[k][q+1] = df[k][q+1], df[i][q]
+	_, e := s.l.BlockBox(0)
+	n := e[0] * e[1] * e[2]
+	for b := 0; b*n < len(df); b++ {
+		o, _ := s.l.BlockBox(b)
+		i := b * n
+		for x := o[0]; x < o[0]+e[0]; x++ {
+			for y := o[1]; y < o[1]+e[1]; y++ {
+				row := s.row(x, y, -1)
+				for z := o[2]; z < o[2]+e[2]; z++ {
+					d, walls := s.links(&row, z), row.walls|s.walls[2][z]
+					for q := 1; q < lattice.Q-1; q += 2 {
+						// The pair of (n, q) is (n−e_q, Opposite[q]), a wall
+						// slot when n−e_q lies beyond a wall.
+						if walls&(1<<(q+1)) == 0 {
+							k := i + d[q]
+							df[i][q], df[k][q+1] = df[k][q+1], df[i][q]
+						}
 					}
+					i++
 				}
 			}
 		}

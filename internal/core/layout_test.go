@@ -277,6 +277,67 @@ func aaConformance(t *testing.T) {
 	}
 }
 
+// TestStreamerOffsetsMatchResolve holds the Streamer's tables against
+// StreamBC.Resolve, node by node: on the slab grid and on cube layouts of
+// edge 2, 4 and 8, with one cube along one axis, under every conformance
+// boundary case, each neighbour at sign·e_q must be a wall link exactly
+// when Resolve bounces the move, and otherwise sit at the node's entry
+// plus the table's offset. Every axis must fit in five classes (three on
+// the slab grid): a class per coordinate would multiply the tables by the
+// domain's size.
+func TestStreamerOffsetsMatchResolve(t *testing.T) {
+	for _, k := range []int{0, 2, 4, 8} { // 0 is the slab grid
+		e := k // one cube along y, then along x
+		if k == 0 {
+			e = 4
+		}
+		for _, dims := range [][3]int{{2 * e, e, 3 * e}, {e, 2 * e, 2 * e}} {
+			for _, bc := range conformanceBCs {
+				t.Run(fmt.Sprintf("k%d/%dx%dx%d/%s", k, dims[0], dims[1], dims[2], bc.name), func(t *testing.T) {
+					l := twinLayout(t, dims, k)
+					p := core.Problem{BCX: bc.bcx, BCY: bc.bcy, BCZ: bc.bcz, LidVelocity: bc.lid}
+					sbc := p.StreamBC(dims[0], dims[1], dims[2])
+					s := core.NewStreamer(l, sbc)
+					limit := 5
+					if k == 0 {
+						limit = 3
+					}
+					for a, n := range s.Classes() {
+						if n > limit {
+							t.Fatalf("axis %d has %d classes, want at most %d", a, n, limit)
+						}
+					}
+					for x := 0; x < dims[0]; x++ {
+						for y := 0; y < dims[1]; y++ {
+							for z := 0; z < dims[2]; z++ {
+								i := l.Idx(x, y, z)
+								for _, sign := range []int{-1, 1} {
+									walls, d := s.Links(x, y, z, sign)
+									for q := 0; q < lattice.Q; q++ {
+										// The move towards sign·e_q is direction qs.
+										qs := q
+										if sign < 0 {
+											qs = lattice.Opposite[q]
+										}
+										tx, ty, tz, _, bounce := sbc.Resolve(qs, x, y, z, 0, 0)
+										if wall := walls&(1<<qs) != 0; wall != bounce {
+											t.Fatalf("node (%d,%d,%d) direction %d: wall link %v, Resolve bounces %v", x, y, z, qs, wall, bounce)
+										}
+										if !bounce && l.Idx(tx, ty, tz) != i+d[q] {
+											t.Fatalf("node (%d,%d,%d) sign %d q %d: neighbour (%d,%d,%d) at entry %d, table says %d",
+												x, y, z, sign, q, tx, ty, tz, l.Idx(tx, ty, tz), i+d[q])
+										}
+									}
+								}
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // twinLayout loads randomState's seed-42 state into a slab grid (k = 0)
 // or a cube layout of edge k.
 func twinLayout(t *testing.T, dims [3]int, k int) core.Layout {

@@ -17,7 +17,8 @@
 # a seeded cross-engine differential sweep, two native-fuzz
 # smokes, the flight-recorder smoke (whose bundle must carry the
 # critical-path report), a bundle-replay smoke, a recorder-free watchdog
-# smoke, and the repo benchmark's verification pass on every workload.
+# smoke, the three cube-engine examples, and the repo benchmark's
+# verification pass on every workload.
 #
 # The barrier choreography is held once, by the tests. A thread that
 # skips a barrier site (a tid-guarded wait, a thread-dependent return or
@@ -97,6 +98,13 @@ go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... 
 # bitwise equal to the sequential reference, float32 on the relaxed Tol32
 # contract).
 go run ./cmd/lbmib-crosscheck -seeds 10
+
+# Example smoke: the three examples on the cube engine — quickstart,
+# tandem (two sheets) and cavity (walls on six faces and a moving lid) —
+# each exit non-zero when their own physics check fails.
+for ex in quickstart tandem cavity; do
+	go run ./examples/$ex >/dev/null
+done
 
 # Fused-sweep fuzz smoke: arbitrary tiny configurations through five
 # fused steps must never panic or produce a non-finite field.
