@@ -5,7 +5,11 @@
 // flow, then bends and advects with it.
 //
 // The program writes VTK snapshots (ParaView-loadable) and sheet CSVs into
-// ./movingsheet-out, plus a trajectory summary on stdout.
+// a fresh temporary directory, whose path it prints with a trajectory
+// summary on stdout. It exits non-zero unless the sheet's centroid
+// advanced downstream and the fluid's maximum speed is finite and
+// non-zero — a free sheet that neither spread force nor moved with the
+// flow would fail.
 //
 //	go run ./examples/movingsheet
 package main
@@ -13,6 +17,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -24,7 +29,6 @@ func main() {
 		nx, ny, nz = 48, 24, 24
 		steps      = 300
 		snapEvery  = 75
-		outDir     = "movingsheet-out"
 	)
 	sim, err := lbmib.New(lbmib.Config{
 		NX: nx, NY: ny, NZ: nz,
@@ -49,9 +53,11 @@ func main() {
 	}
 	defer sim.Close()
 
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
+	outDir, err := os.MkdirTemp("", "movingsheet-")
+	if err != nil {
 		log.Fatal(err)
 	}
+	start, _ := sim.SheetCentroid()
 	fmt.Printf("moving elastic sheet in a %d×%d×%d tunnel, %d steps\n", nx, ny, nz, steps)
 	fmt.Println("step   centroid-x   centroid-z   stretch-energy   max-speed")
 	for done := 0; done < steps; {
@@ -66,6 +72,12 @@ func main() {
 		}
 	}
 	fmt.Printf("snapshots in %s/ (open the .vtk files in ParaView)\n", outDir)
+	if c, _ := sim.SheetCentroid(); !(c[0] > start[0]) {
+		log.Fatalf("the sheet did not advance downstream: centroid x %g → %g", start[0], c[0])
+	}
+	if v := sim.MaxVelocity(); !(v > 0) || math.IsInf(v, 0) {
+		log.Fatalf("maximum speed %g is not finite and non-zero", v)
+	}
 }
 
 func snapshot(sim *lbmib.Simulation, dir string, step int) error {

@@ -7,7 +7,6 @@ import (
 
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
-	"lbmib/internal/ibm"
 	"lbmib/internal/lattice"
 )
 
@@ -511,30 +510,26 @@ func ForFibers(sheets []*fiber.Sheet, lo, hi int, body func(sh *fiber.Sheet, nod
 // the node. So the node receives the same additions in the same order,
 // and nobody else writes it: no private buffer, reduction or lock. A
 // fiber node whose stencil misses b altogether is skipped on one floor
-// per axis (grid.Coupling.Reaches), before any weight is computed.
+// per axis and a test of its window against b (grid.Coupling.SpreadNode),
+// before any weight is computed.
 func SpreadBox(c *grid.Coupling, sheets []*fiber.Sheet, b grid.Box) {
 	for _, sh := range sheets {
 		area := sh.AreaElement()
-		for i, x := range sh.X {
-			if !c.Reaches(x, &b) {
-				continue
-			}
-			var st ibm.Stencil
-			st.Compute(x)
-			c.SpreadStencilBox(st, sh.Force[i], area, &b)
+		for i := range sh.X {
+			c.SpreadNode(sh.X[i], sh.Force[i], area, &b)
 		}
 	}
 }
 
 // MoveSheetNodes is kernel 8's body: fiber nodes [lo, hi) of one sheet
-// are advected with the interpolated fluid velocity (explicit Euler).
-func MoveSheetNodes(v ibm.VelocitySampler, sh *fiber.Sheet, lo, hi int) {
+// are advected with the fluid velocity c interpolates (explicit Euler).
+func MoveSheetNodes(c *grid.Coupling, sh *fiber.Sheet, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		if sh.Fixed[i] {
 			sh.Vel[i] = fiber.Vec3{}
 			continue
 		}
-		u := ibm.Interpolate(v, sh.X[i])
+		u := c.Interpolate(sh.X[i])
 		sh.Vel[i] = u
 		sh.X[i][0] += u[0]
 		sh.X[i][1] += u[1]

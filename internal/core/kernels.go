@@ -324,7 +324,7 @@ func (s *Solver) UpdateVelocity() { UpdateRange(s.next, s.Fluid.Macros(), nil) }
 // and report zero velocity.
 func (s *Solver) MoveFibers() {
 	for _, sh := range s.Sheets {
-		MoveSheetNodes(s.Fluid, sh, 0, sh.NumNodes())
+		MoveSheetNodes(s.Fluid.Coupling, sh, 0, sh.NumNodes())
 	}
 }
 

@@ -311,7 +311,7 @@ func (s *Solver) updateVelocityLoop(tid int, swapped bool) {
 // read-only in this phase.
 func (s *Solver) moveFibersLoop(tid int) {
 	s.forOwnedFibers(tid, func(sh *fiber.Sheet, lo, hi int) {
-		core.MoveSheetNodes(s.Fluid, sh, lo, hi)
+		core.MoveSheetNodes(s.Fluid.Coupling, sh, lo, hi)
 	})
 }
 

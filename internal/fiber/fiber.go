@@ -214,10 +214,41 @@ func (s *Sheet) ComputeBendingForce(lo, hi int) {
 
 // ComputeStretchingForce runs kernel 2 over nodes [lo, hi), writing
 // StretchForce.
+//
+// One or more nodes from every edge all four of StretchingForceAt's
+// springs stay on the sheet, and the node adds them in the same order
+// and by the same arithmetic at the flat strides 1 (its fiber) and
+// NodesPerFiber (across fibers) with no bounds to test — bitwise
+// StretchingForceAt.
 func (s *Sheet) ComputeStretchingForce(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		f, k := i/s.NodesPerFiber, i%s.NodesPerFiber
-		s.StretchForce[i] = s.StretchingForceAt(f, k)
+	n := s.NodesPerFiber
+	f, k := lo/n, lo%n
+	for i := lo; i < hi; i, k = i+1, k+1 {
+		if k == n {
+			f, k = f+1, 0
+		}
+		if f < 1 || f >= s.NumFibers-1 || k < 1 || k >= n-1 {
+			s.StretchForce[i] = s.StretchingForceAt(f, k)
+			continue
+		}
+		var out Vec3
+		xi := &s.X[i]
+		for _, sp := range [4]struct {
+			d    int
+			rest float64
+		}{{-1, s.RestAlong}, {1, s.RestAlong}, {-n, s.RestAcross}, {n, s.RestAcross}} {
+			xj := &s.X[i+sp.d]
+			dx := Vec3{xj[0] - xi[0], xj[1] - xi[1], xj[2] - xi[2]}
+			dist := math.Sqrt(dx[0]*dx[0] + dx[1]*dx[1] + dx[2]*dx[2])
+			if dist == 0 {
+				continue
+			}
+			coeff := s.Ks * (dist - sp.rest) / dist
+			out[0] += coeff * dx[0]
+			out[1] += coeff * dx[1]
+			out[2] += coeff * dx[2]
+		}
+		s.StretchForce[i] = out
 	}
 }
 

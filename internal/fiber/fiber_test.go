@@ -328,6 +328,65 @@ func TestComputeBendingForceMatchesBendingForceAtBitwise(t *testing.T) {
 	}
 }
 
+// ComputeStretchingForce's interior path (the four springs at flat
+// strides, no bounds tests) equals StretchingForceAt bit for bit — on
+// sheets with a large interior (8×8), a single interior node (3×3), none
+// (2×2, 1×9, 9×1) — with coincident neighbours (a spring of length
+// exactly 0, which both skip) and over ranges that start and end
+// mid-fiber.
+func TestComputeStretchingForceMatchesStretchingForceAtBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, shape := range [][2]int{{1, 9}, {9, 1}, {2, 2}, {3, 3}, {8, 8}} {
+		s := testSheet(shape[0], shape[1])
+		perturb(s, 4, 0.4)
+		for i := range s.X {
+			// Spread over six decades, so each spring's terms round and the
+			// order of the sums shows in the last bit.
+			for d := range s.X[i] {
+				s.X[i][d] *= math.Exp(3 * rng.NormFloat64())
+			}
+		}
+		n := s.NumNodes()
+		// Coincident neighbours: a node on its right-hand neighbour, and —
+		// where there is a next fiber — another on the node across.
+		if n > 1 {
+			c := n / 2
+			if c+1 < n {
+				s.X[c+1] = s.X[c]
+			}
+			if m := c + s.NodesPerFiber + 1; m < n {
+				s.X[m] = s.X[c+1]
+			}
+		}
+		for trial := 0; trial < 20; trial++ {
+			for i := range s.StretchForce {
+				s.StretchForce[i] = Vec3{math.NaN(), math.NaN(), math.NaN()}
+			}
+			cuts := []int{0, n}
+			switch {
+			case trial == 1 && n > 3: // one range inside the sheet, both ends mid-fiber
+				cuts = []int{0, 1, n - 1, n}
+			case trial > 1:
+				for c := rng.Intn(6); c > 0; c-- {
+					cuts = append(cuts, rng.Intn(n+1))
+				}
+				sort.Ints(cuts)
+			}
+			for c := 1; c < len(cuts); c++ {
+				s.ComputeStretchingForce(cuts[c-1], cuts[c])
+			}
+			for i := 0; i < n; i++ {
+				want := s.StretchingForceAt(i/s.NodesPerFiber, i%s.NodesPerFiber)
+				for d := 0; d < 3; d++ {
+					if math.Float64bits(s.StretchForce[i][d]) != math.Float64bits(want[d]) {
+						t.Fatalf("%dx%d sheet, cuts %v, node %d: %v, StretchingForceAt %v", shape[0], shape[1], cuts, i, s.StretchForce[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestFixRegionMarksCenter(t *testing.T) {
 	s := testSheet(9, 9)
 	s.FixRegion(1.5)

@@ -5,7 +5,12 @@
 // spread from fiber nodes to fluid nodes (kernel 4) and velocity
 // interpolated back (the gather half of kernel 8, move_fibers). The
 // 64-point loops over fluid storage, and the periodic wrap, live with the
-// storage in grid.Coupling.
+// storage in grid.Coupling; the engines call it directly, and the
+// interfaces below are the per-stencil contract for everything else.
+//
+// Stencil.Compute evaluates Phi4's body without its absolute value,
+// inlined twelve times per stencil; Phi4 itself stays the reference the
+// weights equal bit for bit.
 //
 // The delta kernel is separable: δ_h(x) = φ(x)φ(y)φ(z) with h = 1 in
 // lattice units, where φ is Peskin's standard 4-point function. Its support
@@ -28,8 +33,12 @@ const SupportWidth = 4
 // It is continuous, non-negative, has unit integral, and satisfies the
 // discrete partition-of-unity and first-moment identities
 // Σ_j φ(r − j) = 1 and Σ_j (r − j) φ(r − j) = 0 for every real r.
-func Phi4(r float64) float64 {
-	a := math.Abs(r)
+func Phi4(r float64) float64 { return phi4(math.Abs(r)) }
+
+// phi4 is Phi4 at a = |r|. Split from the absolute value, it fits the
+// compiler's inlining budget, which Phi4 as a whole does not, so
+// Compute's twelve calls per stencil are inlined.
+func phi4(a float64) float64 {
 	switch {
 	case a <= 1:
 		return (3 - 2*a + math.Sqrt(1+4*a-4*a*a)) / 8
@@ -46,8 +55,8 @@ func Phi4(r float64) float64 {
 // of fluid node (Base[0]+i, Base[1]+j, Base[2]+k) is Wx[i]·Wy[j]·Wz[k].
 //
 // Base coordinates are *unwrapped* and may be anything an int holds (a
-// non-finite position saturates the conversion): grid.ResolveStencil maps
-// them onto the periodic domain, once per stencil, for every
+// non-finite position saturates the conversion): grid.Coupling maps
+// them onto the periodic domain, once per coordinate, for every
 // implementation of the interfaces below.
 type Stencil struct {
 	Base       [3]int
@@ -60,15 +69,16 @@ type Stencil struct {
 func StencilBase(x float64) int { return int(math.Floor(x)) - 1 }
 
 // Compute fills the stencil for a fiber node at position x (lattice
-// units).
+// units). Each weight is Phi4(x − (Base+i)) bit for bit, through Phi4's
+// inlined body.
 func (s *Stencil) Compute(x [3]float64) {
 	for d := 0; d < 3; d++ {
 		s.Base[d] = StencilBase(x[d])
 	}
 	for i := 0; i < SupportWidth; i++ {
-		s.Wx[i] = Phi4(x[0] - float64(s.Base[0]+i))
-		s.Wy[i] = Phi4(x[1] - float64(s.Base[1]+i))
-		s.Wz[i] = Phi4(x[2] - float64(s.Base[2]+i))
+		s.Wx[i] = phi4(math.Abs(x[0] - float64(s.Base[0]+i)))
+		s.Wy[i] = phi4(math.Abs(x[1] - float64(s.Base[1]+i)))
+		s.Wz[i] = phi4(math.Abs(x[2] - float64(s.Base[2]+i)))
 	}
 }
 
@@ -85,7 +95,8 @@ func (s *Stencil) WeightSum() float64 {
 }
 
 // ForceAccumulator receives a fiber node's elastic force one stencil at
-// a time — one dynamic call per fiber node; the 64-point loop is the
+// a time — one dynamic call per fiber node, the stencil by value (a
+// pointer through the interface would escape); the 64-point loop is the
 // implementation's own: grid.Coupling, for the slab grid and the cube
 // layout alike.
 type ForceAccumulator interface {

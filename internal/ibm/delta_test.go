@@ -2,6 +2,7 @@ package ibm
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -94,6 +95,46 @@ func TestStencilCoversSupport(t *testing.T) {
 	for _, off := range []int{-1, SupportWidth} {
 		if Phi4(10.3-float64(st.Base[0]+off)) != 0 {
 			t.Fatalf("kernel nonzero outside stencil at offset %d", off)
+		}
+	}
+}
+
+// Compute's weights, through Phi4's inlined body, are Phi4 bit for bit:
+// every weight equals Phi4(x − (Base+i)) on every axis, at random
+// positions, at integers and a few ulps either side of them, at
+// ±2⁻⁵² and ±1e-20, where |r| is exactly 1 or 2 (integers), and at
+// ±1e300, NaN, ±Inf and the positions whose floor saturates or
+// overflows the int conversion.
+func TestStencilComputeMatchesPhi4Bitwise(t *testing.T) {
+	xs := []float64{0, 0x1p-52, -0x1p-52, 1e-20, -1e-20, 1e300, -1e300,
+		math.NaN(), math.Inf(1), math.Inf(-1), 0x1p63, -0x1p63, 0x1p64, -0x1p64,
+		math.Nextafter(0x1p63, 0), math.Nextafter(-0x1p63, 0), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+	for k := -5.0; k <= 5; k++ {
+		xs = append(xs, k, k+0x1p-52, k-0x1p-52, math.Nextafter(k, math.Inf(1)), math.Nextafter(k, math.Inf(-1)), k+0.5, k+1e-20)
+	}
+	for _, k := range []float64{31, 64, 1e6, 0x1p52 - 1} {
+		xs = append(xs, k, -k, math.Nextafter(k, 0), math.Nextafter(k, math.Inf(1)))
+	}
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 5000; i++ {
+		xs = append(xs, (r.Float64()*2-1)*math.Pow(10, float64(r.Intn(8))))
+	}
+	for n, xa := range xs {
+		x := [3]float64{xa, xs[(n+1)%len(xs)], xs[(n+7)%len(xs)]}
+		var st Stencil
+		st.Compute(x)
+		for a, w := range [3]*[SupportWidth]float64{&st.Wx, &st.Wy, &st.Wz} {
+			if st.Base[a] != StencilBase(x[a]) {
+				t.Fatalf("x[%d] = %v: Base %d, StencilBase %d", a, x[a], st.Base[a], StencilBase(x[a]))
+			}
+			for i := range w {
+				want := Phi4(x[a] - float64(st.Base[a]+i))
+				if math.Float64bits(w[i]) != math.Float64bits(want) {
+					t.Fatalf("x[%d] = %v, i = %d: weight %v (%#x), Phi4 %v (%#x)",
+						a, x[a], i, w[i], math.Float64bits(w[i]), want, math.Float64bits(want))
+				}
+			}
 		}
 	}
 }

@@ -267,7 +267,7 @@ func (s *Solver) UpdateVelocity() {
 // MoveFibers is kernel 8 parallelized over fibers. Fluid velocities are
 // read-only here, so no locking is needed.
 func (s *Solver) MoveFibers() {
-	s.forFibers(func(sh *fiber.Sheet, a, b int) { core.MoveSheetNodes(s.Fluid, sh, a, b) })
+	s.forFibers(func(sh *fiber.Sheet, a, b int) { core.MoveSheetNodes(s.Fluid.Coupling, sh, a, b) })
 }
 
 // CopyDistribution is kernel 9, retired: streaming in place leaves no

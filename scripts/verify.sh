@@ -17,7 +17,8 @@
 # a seeded cross-engine differential sweep, two native-fuzz
 # smokes, the flight-recorder smoke (whose bundle must carry the
 # critical-path report), a bundle-replay smoke, a recorder-free watchdog
-# smoke, the three cube-engine examples, and the repo benchmark's
+# smoke, five examples (three on the cube engine, poiseuille on every
+# engine, movingsheet with its free sheet), and the repo benchmark's
 # verification pass on every workload.
 #
 # The barrier choreography is held once, by the tests. A thread that
@@ -60,7 +61,9 @@ fi
 # (AddForce / VelocityAt, one interface call per stencil point) is gone
 # and must not creep back: no non-test file under internal/ declares or
 # calls a method of either name. Spreading and interpolation go through
-# ibm.ForceAccumulator.SpreadStencil / ibm.VelocitySampler.InterpolateStencil.
+# grid.Coupling, one call per fiber node: SpreadNode and Interpolate on
+# the engines' kernels 4 and 8, SpreadStencil / InterpolateStencil behind
+# ibm.ForceAccumulator / ibm.VelocitySampler.
 if grep -rn '\.AddForce(\|\.VelocityAt(\|) AddForce(\|) VelocityAt(' --include='*.go' internal |
 	grep -v '_test\.go:'; then
 	echo "a per-point coupling method is back; spread and interpolate per stencil (internal/grid/coupling.go)" >&2
@@ -101,10 +104,18 @@ go run ./cmd/lbmib-crosscheck -seeds 10
 
 # Example smoke: the three examples on the cube engine — quickstart,
 # tandem (two sheets) and cavity (walls on six faces and a moving lid) —
-# each exit non-zero when their own physics check fails.
-for ex in quickstart tandem cavity; do
+# poiseuille on every engine (above 2 % error against the analytic
+# profile it fails), and movingsheet, the one example whose sheet moves
+# freely, so kernels 4 and 8 run end to end (it fails unless the sheet's
+# centroid advances and the maximum speed is finite and non-zero). Each
+# exits non-zero when its own physics check fails. movingsheet writes its
+# snapshots under TMPDIR, here a directory removed afterwards.
+for ex in quickstart tandem cavity poiseuille; do
 	go run ./examples/$ex >/dev/null
 done
+EXDIR=$(mktemp -d)
+TMPDIR="$EXDIR" go run ./examples/movingsheet >/dev/null
+rm -rf "$EXDIR"
 
 # Fused-sweep fuzz smoke: arbitrary tiny configurations through five
 # fused steps must never panic or produce a non-finite field.
