@@ -35,6 +35,9 @@ type Layout interface {
 	BlockBox(b int) (origin, extent [3]int)
 	Idx(x, y, z int) int
 	Wrap(x, y, z int) (int, int, int)
+	// Digest fills d from the layout in place on the calling goroutine
+	// (grid.DigestGrid.Fill); a parallel engine splits the same pass
+	// over its worker team with d.Begin.
 	Digest(d *grid.DigestGrid) error
 }
 

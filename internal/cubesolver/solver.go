@@ -206,6 +206,20 @@ func (s *Solver) Live() *cube.Layout {
 	return s.Fluid
 }
 
+// Digest fills d from the layout in place, in whichever phase the last
+// step left it, on the worker team: each worker digests one contiguous
+// range of cubes (grid.DigestGrid.Begin), bitwise as the layout's own
+// one-goroutine Digest. Call it between steps only.
+func (s *Solver) Digest(d *grid.DigestGrid) error {
+	part, err := d.Begin(s.Fluid, s.team.Size())
+	if err != nil {
+		return err
+	}
+	s.team.Run(part)
+	d.End()
+	return nil
+}
+
 // timeStep is Thread_entry_fn's per-step body (Algorithm 4). swapped is
 // the array's phase at the start of the step, derived from the step
 // index by Run.

@@ -288,14 +288,14 @@ func (s *Solver) TotalMass() float64 {
 }
 
 // Digest fills d from the distributions in place, in whichever phase the
-// last step left them; in float32 mode they are widened into the grid's
-// array first, without canonicalizing.
+// last step left them, on the worker team (omp.Solver.Digest); in
+// float32 mode they are widened into the grid's array first, without
+// canonicalizing.
 func (s *Solver) Digest(d *grid.DigestGrid) error {
-	g := s.Fluid
 	if s.f32 != nil {
-		convert(g.Dist(), s.f32)
+		convert(s.Fluid.Dist(), s.f32)
 	}
-	return g.Digest(d)
+	return s.Solver.Digest(d)
 }
 
 // Loaded re-establishes the engine's invariants after the grid's array

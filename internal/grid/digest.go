@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"lbmib/internal/lattice"
+	"lbmib/internal/par"
 )
 
 // TileDigest is the per-tile health summary of one k×k×k block of fluid
@@ -23,7 +24,9 @@ import (
 // mass after the step's collision: it differs from the natural-phase
 // figure by the step's net flux across the tile's faces. Summed over
 // all tiles the two phases hold the same values, so the whole-grid mass
-// agrees to rounding.
+// agrees to rounding. Whichever worker digests a tile digests all of it,
+// so its mass is its nodes' masses summed in storage order at any team
+// width.
 type TileDigest struct {
 	Mass      float64 `json:"mass"`
 	MaxVel2   float64 `json:"maxVel2"`
@@ -34,7 +37,10 @@ type TileDigest struct {
 // whole-grid aggregates the physics watchdog checks. The tile grid is a
 // ceil-division of the fluid grid: edge tiles are smaller when K does
 // not divide a dimension, so every fluid shape (not just cube-divisible
-// ones) can be digested.
+// ones) can be digested. One body fills it from either layout: Fill on
+// the calling goroutine, or Begin and End around a pass split over a
+// worker team; every field is the same bits either way, and the same as a
+// per-node walk of the layout in storage order.
 type DigestGrid struct {
 	K          int // tile edge (nodes)
 	NX, NY, NZ int // fluid grid dimensions
@@ -55,6 +61,14 @@ type DigestGrid struct {
 	BadCell    [3]int
 	BadRho     float64
 	BadVel     [3]float64
+
+	// The pass in progress, from Begin to End: the layout's arrays and
+	// block extent, one merge slot per piece, and part bound once.
+	dist  [][lattice.Q]float64
+	macro []Macro
+	block [3]int
+	parts []digestPart
+	run   func(p int)
 }
 
 // NewDigestGrid allocates a digest for an nx×ny×nz grid at tile size k.
@@ -119,9 +133,192 @@ func (d *DigestGrid) finish() {
 	d.NonFinite = nonFinite
 }
 
+// DigestSource is what a digest reads of a fluid layout: the
+// block-layout contract both layouts implement (core.Layout has it in
+// full). The nodes form equal blocks stored one after another in x-major
+// block order, z-fastest inside a block; a digest reads them in place.
+type DigestSource interface {
+	Dims() (nx, ny, nz int)
+	Dist() [][lattice.Q]float64
+	Macros() []Macro
+	BlockBox(b int) (origin, extent [3]int)
+}
+
+// digestPart is what one piece of a split pass found beyond its tiles:
+// the first node of its range with the range's largest squared speed
+// (maxV2 > 0 only) and its first non-finite node, as indices into the
+// layout's arrays, or -1.
+type digestPart struct {
+	maxV2        float64
+	maxAt, badAt int
+}
+
+// Begin starts a digest of src in parts pieces and returns the piece
+// body: call it once with each p in [0, parts), concurrently if wanted,
+// then End. src's blocks must be x-planes (the slab grid) or d's tiles
+// (the cube layout with cube size d.K). A piece digests one contiguous
+// range of whole tiles — a range of cubes, or of tile rows of K planes
+// (the last row may be ragged) — so no tile is written by two pieces and
+// each tile sums its nodes in traversal order. The body is d.part bound
+// once, so dispatching it on a worker team allocates nothing.
+func (d *DigestGrid) Begin(src DigestSource, parts int) (func(p int), error) {
+	if err := d.checkShape(src.Dims()); err != nil {
+		return nil, err
+	}
+	dist, macro := src.Dist(), src.Macros()
+	if n := d.NX * d.NY * d.NZ; len(dist) != n || len(macro) != n {
+		return nil, fmt.Errorf("grid: digest over %d distributions and %d records, want %d", len(dist), len(macro), n)
+	}
+	_, ext := src.BlockBox(0)
+	if ext != [3]int{d.K, d.K, d.K} && ext != [3]int{1, d.NY, d.NZ} {
+		return nil, fmt.Errorf("grid: %v blocks are neither x-planes nor %d³ digest tiles", ext, d.K)
+	}
+	if parts < 1 {
+		return nil, fmt.Errorf("grid: digest in %d pieces", parts)
+	}
+	if cap(d.parts) < parts {
+		d.parts = make([]digestPart, parts)
+	}
+	if d.run == nil {
+		d.run = d.part
+	}
+	d.dist, d.macro, d.block, d.parts = dist, macro, ext, d.parts[:parts]
+	return d.run, nil
+}
+
+// part digests piece p of the pass Begin started: its range of whole
+// tiles, which it clears first, and its slot of the merge.
+func (d *DigestGrid) part(p int) {
+	units, blocks, tiles := d.NumTiles(), 1, 1 // a block is one tile
+	if d.block != [3]int{d.K, d.K, d.K} {
+		units, blocks, tiles = d.TX, d.K, d.TY*d.TZ // a block is one plane of a tile row
+	}
+	u0, u1 := par.StaticRange(units, len(d.parts), p)
+	clear(d.Tiles[u0*tiles : u1*tiles])
+	nb := d.NX / d.block[0] * (d.NY / d.block[1]) * (d.NZ / d.block[2])
+	part := digestPart{maxAt: -1, badAt: -1}
+	for b := u0 * blocks; b < min(u1*blocks, nb); b++ {
+		d.foldBlock(b, &part)
+	}
+	d.parts[p] = part
+}
+
+// End merges the pieces in range order — traversal order — keeping the
+// first strictly fastest node and the first non-finite one, and derives
+// the whole-grid aggregates.
+func (d *DigestGrid) End() {
+	maxV2, maxAt, badAt := 0.0, -1, -1
+	for _, p := range d.parts {
+		if p.maxV2 > maxV2 {
+			maxV2, maxAt = p.maxV2, p.maxAt
+		}
+		if badAt < 0 {
+			badAt = p.badAt
+		}
+	}
+	d.MaxVelCell = [3]int{}
+	if maxAt >= 0 {
+		d.MaxVelCell = d.nodeCoord(maxAt)
+	}
+	d.BadCell, d.BadRho, d.BadVel = [3]int{-1, -1, -1}, 0, [3]float64{}
+	if badAt >= 0 {
+		n := &d.macro[badAt]
+		d.BadCell, d.BadRho, d.BadVel = d.nodeCoord(badAt), n.Rho, n.Vel
+	}
+	d.dist, d.macro = nil, nil
+	d.finish()
+}
+
+// Fill digests src in one piece on the calling goroutine.
+func (d *DigestGrid) Fill(src DigestSource) error {
+	part, err := d.Begin(src, 1)
+	if err != nil {
+		return err
+	}
+	part(0)
+	d.End()
+	return nil
+}
+
+// blockOrigin returns the first node of block b in the pass's layout.
+func (d *DigestGrid) blockOrigin(b int) [3]int {
+	e := d.block
+	by, bz := d.NY/e[1], d.NZ/e[2]
+	return [3]int{b / (by * bz) * e[0], b / bz % by * e[1], b % bz * e[2]}
+}
+
+// nodeCoord returns the coordinate of the node at index i of the pass's
+// arrays.
+func (d *DigestGrid) nodeCoord(i int) [3]int {
+	e := d.block
+	n := e[0] * e[1] * e[2]
+	o, l := d.blockOrigin(i/n), i%n
+	return [3]int{o[0] + l/(e[1]*e[2]), o[1] + l/e[2]%e[1], o[2] + l%e[2]}
+}
+
+// foldBlock folds block b's nodes into their tiles: a cube in one run, a
+// plane in one run per tile-wide stretch of each z-row.
+func (d *DigestGrid) foldBlock(b int, p *digestPart) {
+	e, o := d.block, d.blockOrigin(b)
+	i := b * e[0] * e[1] * e[2]
+	if e == [3]int{d.K, d.K, d.K} {
+		n := d.K * d.K * d.K
+		foldRun(d.dist[i:i+n], d.macro[i:i+n], &d.Tiles[d.TileOf(o[0], o[1], o[2])], i, p)
+		return
+	}
+	for y := 0; y < d.NY; y++ {
+		t := d.TileOf(o[0], y, 0)
+		for z := 0; z < d.NZ; z, t = z+d.K, t+1 {
+			n := min(d.K, d.NZ-z)
+			foldRun(d.dist[i:i+n], d.macro[i:i+n], &d.Tiles[t], i, p)
+			i += n
+		}
+	}
+}
+
+// foldRun folds a run of consecutive nodes of one tile — distributions
+// df and records m, the run's first node at index base — into the tile
+// td and the piece's slot p. It is the per-node walk of the reference
+// digest with the node work inlined: each node's mass is 0.0 + g[0] +
+// … + g[18] left to right and added to the tile's in node order, the
+// tile's maximum stays in a local, and the finiteness test is one
+// branch-free sum.
+func foldRun(df [][lattice.Q]float64, m []Macro, td *TileDigest, base int, p *digestPart) {
+	m = m[:len(df)]
+	mass, maxV2, bad, at := td.Mass, td.MaxVel2, td.NonFinite, -1
+	for j := range df {
+		g := &df[j]
+		nm := 0.0 + g[0] + g[1] + g[2] + g[3] + g[4] + g[5] + g[6] + g[7] + g[8] + g[9] +
+			g[10] + g[11] + g[12] + g[13] + g[14] + g[15] + g[16] + g[17] + g[18]
+		mass += nm
+		n := &m[j]
+		if v2 := speed2(n.Vel); v2 > maxV2 {
+			maxV2, at = v2, j
+		}
+		// x−x is 0 for a finite x and NaN for NaN or ±Inf, so the sum is
+		// non-zero exactly when one of the five is NaN or infinite.
+		if (n.Rho-n.Rho)+(n.Vel[0]-n.Vel[0])+(n.Vel[1]-n.Vel[1])+(n.Vel[2]-n.Vel[2])+(nm-nm) != 0 {
+			bad++
+			if p.badAt < 0 {
+				p.badAt = base + j
+			}
+		}
+	}
+	td.Mass, td.MaxVel2, td.NonFinite = mass, maxV2, bad
+	if at >= 0 && maxV2 > p.maxV2 {
+		p.maxV2, p.maxAt = maxV2, base+at
+	}
+}
+
+// Digest fills d from the grid's distributions, read in place, and its
+// records in one pass on the calling goroutine (DigestGrid.Fill).
+// d's dimensions must match the grid; the tile size is d.K.
+func (g *Grid) Digest(d *DigestGrid) error { return d.Fill(g) }
+
 // digestNode folds one node — its present distributions df, density rho
 // and velocity v — into tile t, tracking the argmax-velocity and
-// first-bad cells.
+// first-bad cells. It is the per-node walk Snapshot.Digest makes; Fill's
+// body is held bitwise equal to it.
 func (d *DigestGrid) digestNode(df *[lattice.Q]float64, rho float64, v [3]float64, t, x, y, z int) {
 	td := &d.Tiles[t]
 	mass := 0.0
@@ -148,72 +345,6 @@ func (d *DigestGrid) digestNode(df *[lattice.Q]float64, rho float64, v [3]float6
 			d.BadRho, d.BadVel = rho, v
 		}
 	}
-}
-
-// DigestCubeMajor fills d from a state stored cube-major — present
-// distributions dist and records macro in contiguous cubeK³ blocks in
-// (cx*CY+cy)*CZ+cz order, z-fastest within a block, the cube engine's
-// layout. It digests the blocks in storage order, so
-// the cube engine avoids the strided walk a slab-order pass would make
-// over its memory. The tiles must be the cubes (cubeK == d.K), so each
-// cube is one tile and the tile index is hoisted out of the inner loops.
-func (d *DigestGrid) DigestCubeMajor(dist [][lattice.Q]float64, macro []Macro, cubeK int) error {
-	if n := d.NX * d.NY * d.NZ; len(dist) != n || len(macro) != n {
-		return fmt.Errorf("grid: digest over %d cube-major nodes, want %d", len(macro), n)
-	}
-	if cubeK < 1 || d.NX%cubeK != 0 || d.NY%cubeK != 0 || d.NZ%cubeK != 0 {
-		return fmt.Errorf("grid: cube size %d does not tile %d×%d×%d", cubeK, d.NX, d.NY, d.NZ)
-	}
-	if cubeK != d.K {
-		return fmt.Errorf("grid: cube size %d is not the digest tile size %d", cubeK, d.K)
-	}
-	d.reset()
-	k := cubeK
-	cy, cz := d.NY/k, d.NZ/k
-	i := 0
-	for cx := 0; cx < d.NX/k; cx++ {
-		for cyi := 0; cyi < cy; cyi++ {
-			for czi := 0; czi < cz; czi++ {
-				x0, y0, z0 := cx*k, cyi*k, czi*k
-				t := d.TileIndex(cx, cyi, czi)
-				for lx := 0; lx < k; lx++ {
-					for ly := 0; ly < k; ly++ {
-						for lz := 0; lz < k; lz++ {
-							m := &macro[i]
-							d.digestNode(&dist[i], m.Rho, m.Vel, t, x0+lx, y0+ly, z0+lz)
-							i++
-						}
-					}
-				}
-			}
-		}
-	}
-	d.finish()
-	return nil
-}
-
-// Digest fills d from the grid's distributions, read in place, and its
-// records in one pass.
-// d's dimensions must match the grid; the tile size is d.K.
-func (g *Grid) Digest(d *DigestGrid) error {
-	if err := d.checkShape(g.NX, g.NY, g.NZ); err != nil {
-		return err
-	}
-	d.reset()
-	dist, i := g.dist, 0
-	for x := 0; x < g.NX; x++ {
-		tx := (x / d.K) * d.TY * d.TZ
-		for y := 0; y < g.NY; y++ {
-			txy := tx + (y/d.K)*d.TZ
-			for z := 0; z < g.NZ; z++ {
-				m := &g.macro[i]
-				d.digestNode(&dist[i], m.Rho, m.Vel, txy+z/d.K, x, y, z)
-				i++
-			}
-		}
-	}
-	d.finish()
-	return nil
 }
 
 // Digest fills d from the snapshot in one pass, as Grid.Digest does from

@@ -1,7 +1,10 @@
 package grid
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"lbmib/internal/lattice"
@@ -190,22 +193,345 @@ func TestDigestReuseResetsState(t *testing.T) {
 	}
 }
 
-func TestDigestCubeMajorRejectsBadShape(t *testing.T) {
+func TestDigestBeginRejectsBadShape(t *testing.T) {
 	d, err := NewDigestGrid(8, 8, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := func(n int) [][lattice.Q]float64 { return make([][lattice.Q]float64, n) }
-	if err := d.DigestCubeMajor(dist(100), make([]Macro, 100), 4); err == nil {
-		t.Fatal("wrong node count accepted")
+	bad := []struct {
+		name string
+		src  DigestSource
+	}{
+		{"wrong node count", &cubeSource{8, 8, 8, 4, make([][lattice.Q]float64, 100), make([]Macro, 100)}},
+		{"record count other than the distribution count", &cubeSource{8, 8, 8, 4, make([][lattice.Q]float64, 512), make([]Macro, 100)}},
+		{"cube size other than the tile size", newCubeSource(8, 8, 8, 2)},
+		{"dimensions other than the digest's", newCubeSource(4, 8, 16, 4)},
+		{"slab grid of other dimensions", New(8, 4, 16)},
 	}
-	if err := d.DigestCubeMajor(dist(512), make([]Macro, 100), 4); err == nil {
-		t.Fatal("record count other than the distribution count accepted")
+	for _, c := range bad {
+		if _, err := d.Begin(c.src, 1); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
-	if err := d.DigestCubeMajor(dist(512), make([]Macro, 512), 3); err == nil {
-		t.Fatal("non-dividing cube size accepted")
+	if _, err := d.Begin(New(8, 8, 8), 0); err == nil {
+		t.Error("zero pieces accepted")
 	}
-	if err := d.DigestCubeMajor(dist(512), make([]Macro, 512), 2); err == nil {
-		t.Fatal("cube size other than the tile size accepted")
+}
+
+// cubeSource is a cube-major layout (the cube engine's: k³ blocks in
+// cube-index order, z-fastest inside a cube) for the digest tests; the
+// cube package's own layout cannot be imported here.
+type cubeSource struct {
+	nx, ny, nz, k int
+	dist          [][lattice.Q]float64
+	macro         []Macro
+}
+
+func newCubeSource(nx, ny, nz, k int) *cubeSource {
+	n := nx * ny * nz
+	return &cubeSource{nx, ny, nz, k, make([][lattice.Q]float64, n), make([]Macro, n)}
+}
+
+func (c *cubeSource) Dims() (int, int, int)      { return c.nx, c.ny, c.nz }
+func (c *cubeSource) Dist() [][lattice.Q]float64 { return c.dist }
+func (c *cubeSource) Macros() []Macro            { return c.macro }
+func (c *cubeSource) BlockBox(b int) (origin, extent [3]int) {
+	cy, cz := c.ny/c.k, c.nz/c.k
+	return [3]int{b / (cy * cz) * c.k, b / cz % cy * c.k, b % cz * c.k}, [3]int{c.k, c.k, c.k}
+}
+func (c *cubeSource) Idx(x, y, z int) int {
+	k := c.k
+	o := ((x/k*(c.ny/k)+y/k)*(c.nz/k) + z/k) * k * k * k
+	return o + (x%k*k+y%k)*k + z%k
+}
+
+// referenceDigest is the per-node walk the digest body replaced, kept
+// as its oracle: every node of src in storage order — plane by plane on
+// the slab grid, cube by cube on a cube layout, z-fastest inside a
+// block — folded into its tile by digestNode.
+func referenceDigest(src DigestSource, d *DigestGrid) {
+	d.reset()
+	dist, macro := src.Dist(), src.Macros()
+	_, ext := src.BlockBox(0)
+	i := 0
+	for b := 0; i < len(macro); b++ {
+		o, _ := src.BlockBox(b)
+		for x := o[0]; x < o[0]+ext[0]; x++ {
+			for y := o[1]; y < o[1]+ext[1]; y++ {
+				for z := o[2]; z < o[2]+ext[2]; z++ {
+					m := &macro[i]
+					d.digestNode(&dist[i], m.Rho, m.Vel, d.TileOf(x, y, z), x, y, z)
+					i++
+				}
+			}
+		}
+	}
+	d.finish()
+}
+
+// digestSplit digests src in the given number of pieces, each on its own
+// goroutine, as an engine's worker team does.
+func digestSplit(t *testing.T, src DigestSource, d *DigestGrid, parts int) {
+	t.Helper()
+	part, err := d.Begin(src, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < parts; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			part(p)
+		}()
+	}
+	wg.Wait()
+	d.End()
+}
+
+// sameDigest reports the first field in which got and want differ, with
+// every float compared by its bits (NaN payloads and −0 included), or "".
+func sameDigest(got, want *DigestGrid) string {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if len(got.Tiles) != len(want.Tiles) {
+		return fmt.Sprintf("%d tiles, want %d", len(got.Tiles), len(want.Tiles))
+	}
+	for i, w := range want.Tiles {
+		g := got.Tiles[i]
+		if !same(g.Mass, w.Mass) || !same(g.MaxVel2, w.MaxVel2) || g.NonFinite != w.NonFinite {
+			return fmt.Sprintf("tile %d = %+v, want %+v", i, g, w)
+		}
+	}
+	switch {
+	case !same(got.Mass, want.Mass):
+		return fmt.Sprintf("Mass = %v, want %v", got.Mass, want.Mass)
+	case !same(got.MaxVel, want.MaxVel):
+		return fmt.Sprintf("MaxVel = %v, want %v", got.MaxVel, want.MaxVel)
+	case got.MaxVelCell != want.MaxVelCell:
+		return fmt.Sprintf("MaxVelCell = %v, want %v", got.MaxVelCell, want.MaxVelCell)
+	case got.NonFinite != want.NonFinite:
+		return fmt.Sprintf("NonFinite = %d, want %d", got.NonFinite, want.NonFinite)
+	case got.BadCell != want.BadCell:
+		return fmt.Sprintf("BadCell = %v, want %v", got.BadCell, want.BadCell)
+	case !same(got.BadRho, want.BadRho):
+		return fmt.Sprintf("BadRho = %v, want %v", got.BadRho, want.BadRho)
+	}
+	for a := range want.BadVel {
+		if !same(got.BadVel[a], want.BadVel[a]) {
+			return fmt.Sprintf("BadVel = %v, want %v", got.BadVel, want.BadVel)
+		}
+	}
+	return ""
+}
+
+// nodeAt returns the distributions and record of node (x, y, z) of a
+// layout under test.
+type nodeAt = func(x, y, z int) (*[lattice.Q]float64, *Macro)
+
+// digestField is a state the oracle test digests, written into an
+// nx×ny×nz layout of tile size k through node.
+type digestField struct {
+	name string
+	fill func(rng *rand.Rand, nx, ny, nz, k int, node nodeAt)
+}
+
+var digestFields = []digestField{
+	{"random", fillRandom},
+	{"zero", func(rng *rand.Rand, nx, ny, nz, k int, node nodeAt) {
+		eachNode(nx, ny, nz, func(x, y, z int) {
+			df, m := node(x, y, z)
+			*df, *m = [lattice.Q]float64{}, Macro{}
+		})
+	}},
+	{"negative zero", func(rng *rand.Rand, nx, ny, nz, k int, node nodeAt) {
+		nz0 := math.Copysign(0, -1)
+		eachNode(nx, ny, nz, func(x, y, z int) {
+			df, m := node(x, y, z)
+			for q := range df {
+				df[q] = nz0
+			}
+			m.Rho, m.Vel = nz0, [3]float64{nz0, nz0, nz0}
+		})
+	}},
+	{"tied maximum speeds", func(rng *rand.Rand, nx, ny, nz, k int, node nodeAt) {
+		fillRandom(rng, nx, ny, nz, k, node)
+		// The same fastest speed in the first and last node, in tiles
+		// of every piece in between, and twice in one tile.
+		for _, c := range [][3]int{
+			{nx - 1, ny - 1, nz - 1}, {nx / 2, ny - 1, 0}, {nx / 2, 0, nz - 1},
+			{nx - 2, 1, 1}, {nx - 2, 0, 0}, {0, 0, 0}, {1, ny / 2, nz / 2},
+		} {
+			_, m := node(c[0], c[1], c[2])
+			m.Vel = [3]float64{0.3, 0, -0.4}
+		}
+	}},
+	// Non-finite values in ρ, one velocity component or one
+	// distribution, in one tile or in two.
+	faultField("NaN rho in one tile", func(df *[lattice.Q]float64, m *Macro) { m.Rho = math.NaN() }, oneTile),
+	faultField("+Inf u in one tile", func(df *[lattice.Q]float64, m *Macro) { m.Vel[1] = math.Inf(1) }, oneTile),
+	faultField("-Inf distribution in one tile", func(df *[lattice.Q]float64, m *Macro) { df[7] = math.Inf(-1) }, oneTile),
+	faultField("NaN u in two tiles", func(df *[lattice.Q]float64, m *Macro) { m.Vel[2] = math.NaN() }, twoTiles),
+	faultField("NaN distribution in two tiles", func(df *[lattice.Q]float64, m *Macro) { df[18] = math.NaN() }, twoTiles),
+	faultField("+Inf rho in two tiles", func(df *[lattice.Q]float64, m *Macro) { m.Rho = math.Inf(1) }, twoTiles),
+}
+
+func fillRandom(rng *rand.Rand, nx, ny, nz, k int, node nodeAt) {
+	eachNode(nx, ny, nz, func(x, y, z int) {
+		df, m := node(x, y, z)
+		randomNode(rng, df, m)
+	})
+}
+
+// faultField is a random field with seed applied to the nodes cells
+// picks.
+func faultField(name string, seed func(df *[lattice.Q]float64, m *Macro), cells func(nx, ny, nz, k int) [][3]int) digestField {
+	return digestField{name, func(rng *rand.Rand, nx, ny, nz, k int, node nodeAt) {
+		fillRandom(rng, nx, ny, nz, k, node)
+		for _, c := range cells(nx, ny, nz, k) {
+			seed(node(c[0], c[1], c[2]))
+		}
+	}}
+}
+
+// oneTile is three nodes of one tile in the middle of the grid.
+func oneTile(nx, ny, nz, k int) [][3]int {
+	x, y, z := nx/2/k*k, ny/2/k*k, nz/2/k*k
+	return [][3]int{{x + 1, y, z + 1}, {x, y, z}, {x + 1, y + 1, z}}
+}
+
+// twoTiles is three nodes of two tiles, at the grid's far corners.
+func twoTiles(nx, ny, nz, k int) [][3]int {
+	return [][3]int{{nx - 1, ny - 1, nz - 1}, {0, 0, 1}, {nx - 1, ny - 2, nz - 1}}
+}
+
+func eachNode(nx, ny, nz int, fn func(x, y, z int)) {
+	for x := 0; x < nx; x++ {
+		for y := 0; y < ny; y++ {
+			for z := 0; z < nz; z++ {
+				fn(x, y, z)
+			}
+		}
+	}
+}
+
+func randomNode(rng *rand.Rand, df *[lattice.Q]float64, m *Macro) {
+	for q := range df {
+		df[q] = rng.Float64() - 0.25
+	}
+	m.Rho = 1 + rng.NormFloat64()*0.01
+	m.Vel = [3]float64{rng.NormFloat64() * 0.05, rng.NormFloat64() * 0.05, rng.NormFloat64() * 0.05}
+}
+
+// TestDigestMatchesPerNodeReference: the digest body, whole or split
+// into any number of pieces on the slab grid and on cube layouts, fills
+// every field bit for bit as the per-node walk does — tiles, aggregates,
+// the fastest cell (first in traversal order on ties) and the first bad
+// cell with its ρ and u.
+func TestDigestMatchesPerNodeReference(t *testing.T) {
+	type layout struct {
+		name string
+		k    int
+		src  func() (DigestSource, nodeAt)
+	}
+	slab := func(nx, ny, nz int) func() (DigestSource, nodeAt) {
+		return func() (DigestSource, nodeAt) {
+			g := New(nx, ny, nz)
+			return g, func(x, y, z int) (*[lattice.Q]float64, *Macro) {
+				i := g.Idx(x, y, z)
+				return &g.dist[i], &g.macro[i]
+			}
+		}
+	}
+	cubes := func(nx, ny, nz, k int) func() (DigestSource, nodeAt) {
+		return func() (DigestSource, nodeAt) {
+			c := newCubeSource(nx, ny, nz, k)
+			return c, func(x, y, z int) (*[lattice.Q]float64, *Macro) {
+				i := c.Idx(x, y, z)
+				return &c.dist[i], &c.macro[i]
+			}
+		}
+	}
+	layouts := []layout{
+		{"slab 10x7x9 K=4", 4, slab(10, 7, 9)},
+		{"slab 8x6x8 K=2", 2, slab(8, 6, 8)},
+		{"cubes 8x6x10 k=2", 2, cubes(8, 6, 10, 2)},
+		{"cubes 12x8x4 k=4", 4, cubes(12, 8, 4, 4)},
+		{"cubes 16x8x8 k=8", 8, cubes(16, 8, 8, 8)},
+	}
+	for _, l := range layouts {
+		for _, f := range digestFields {
+			src, node := l.src()
+			nx, ny, nz := src.Dims()
+			f.fill(rand.New(rand.NewSource(7)), nx, ny, nz, l.k, node)
+			want, err := NewDigestGrid(nx, ny, nz, l.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			referenceDigest(src, want)
+			got, err := NewDigestGrid(nx, ny, nz, l.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Fill(src); err != nil {
+				t.Fatal(err)
+			}
+			if diff := sameDigest(got, want); diff != "" {
+				t.Errorf("%s, %s, Fill: %s", l.name, f.name, diff)
+			}
+			for _, parts := range []int{1, 2, 3, 5, 9} {
+				digestSplit(t, src, got, parts)
+				if diff := sameDigest(got, want); diff != "" {
+					t.Errorf("%s, %s, %d pieces: %s", l.name, f.name, parts, diff)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDigest times one digest of a 64×64×32 fluid (the sheet_cube
+// problem's) as a cube layout at k = 8 and as the slab grid at K = 4:
+// the per-node reference walk, the body on one goroutine, and the body
+// split in two pieces on two goroutines.
+func BenchmarkDigest(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, l := range []struct {
+		name string
+		k    int
+		src  DigestSource
+	}{
+		{"cubes-k8", 8, newCubeSource(64, 64, 32, 8)},
+		{"slab-K4", 4, New(64, 64, 32)},
+	} {
+		dist, macro := l.src.Dist(), l.src.Macros()
+		for i := range dist {
+			randomNode(rng, &dist[i], &macro[i])
+		}
+		d, err := NewDigestGrid(64, 64, 32, l.k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(l.name+"/reference", func(b *testing.B) {
+			for range b.N {
+				referenceDigest(l.src, d)
+			}
+		})
+		for _, parts := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/pieces=%d", l.name, parts), func(b *testing.B) {
+				for range b.N {
+					part, _ := d.Begin(l.src, parts)
+					var wg sync.WaitGroup
+					for p := 1; p < parts; p++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							part(p)
+						}()
+					}
+					part(0)
+					wg.Wait()
+					d.End()
+				}
+			})
+		}
 	}
 }

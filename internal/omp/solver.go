@@ -148,6 +148,22 @@ func (s *Solver) timedChunk(tid, lo, hi int) {
 // the fused sweep's wavefront relies on.
 func (s *Solver) ParallelFor(n int, body func(tid, lo, hi int)) { s.parallelFor(n, body) }
 
+// Digest fills d from the grid in place, in whichever phase the last
+// step left it, on the worker team: each worker digests one contiguous
+// range of tile rows (grid.DigestGrid.Begin), bitwise as the grid's own
+// one-goroutine Digest. The team runs the digest's body directly, not
+// through ParallelFor, whose per-call closure would allocate. Call it
+// between steps only.
+func (s *Solver) Digest(d *grid.DigestGrid) error {
+	part, err := d.Begin(s.Fluid, s.Threads)
+	if err != nil {
+		return err
+	}
+	s.team.Run(part)
+	d.End()
+	return nil
+}
+
 // Step advances one time step by running the nine kernels as parallel
 // regions in Algorithm 1 order.
 func (s *Solver) Step() {

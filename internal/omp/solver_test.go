@@ -2,10 +2,12 @@ package omp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"lbmib/internal/core"
 	"lbmib/internal/fiber"
+	"lbmib/internal/grid"
 	"lbmib/internal/perfmon"
 	"lbmib/internal/validate"
 )
@@ -211,4 +213,64 @@ func TestObservedStepAllocatesNothingExtra(t *testing.T) {
 			s.Close()
 		}
 	}
+}
+
+// TestDigestOnTeamMatchesSerial: the digest split over the worker team
+// (one contiguous range of tile rows per worker) is the grid's
+// one-goroutine digest bit for bit, at 1–4 workers and at 5 and 6, more
+// than the 16³ grid's four tile rows, in both phases (after an odd and
+// an even number of steps), and with a NaN seeded between steps, before
+// and after a step spreads it.
+func TestDigestOnTeamMatchesSerial(t *testing.T) {
+	for _, threads := range []int{1, 2, 3, 4, 5, 6} {
+		s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: threads})
+		team, serial := newDigest(t), newDigest(t)
+		check := func(when string) {
+			t.Helper()
+			if err := s.Digest(team); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Fluid.Digest(serial); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(digestBits(team), digestBits(serial)) {
+				t.Errorf("threads=%d %s: team digest %+v differs from the serial one %+v", threads, when, team, serial)
+			}
+		}
+		s.Run(3)
+		check("after 3 steps")
+		s.Step()
+		check("after 4 steps")
+		s.Fluid.At(9, 3, 14).Vel[1] = math.NaN()
+		s.Fluid.Dist()[s.Fluid.Idx(2, 15, 7)][5] = math.Inf(-1)
+		check("with a NaN seeded")
+		if serial.NonFinite != 2 {
+			t.Fatalf("threads=%d: seeded digest counts %d non-finite nodes, want 2", threads, serial.NonFinite)
+		}
+		s.Step()
+		check("a step after the NaN")
+		s.Close()
+	}
+}
+
+func newDigest(t *testing.T) *grid.DigestGrid {
+	t.Helper()
+	d, err := grid.NewDigestGrid(16, 16, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// digestBits is every field of a digest, floats by their bits.
+func digestBits(d *grid.DigestGrid) []uint64 {
+	var b []uint64
+	for _, td := range d.Tiles {
+		b = append(b, math.Float64bits(td.Mass), math.Float64bits(td.MaxVel2), uint64(td.NonFinite))
+	}
+	b = append(b, math.Float64bits(d.Mass), math.Float64bits(d.MaxVel), uint64(d.NonFinite), math.Float64bits(d.BadRho))
+	for a := 0; a < 3; a++ {
+		b = append(b, uint64(d.MaxVelCell[a]), uint64(d.BadCell[a]), math.Float64bits(d.BadVel[a]))
+	}
+	return b
 }

@@ -269,11 +269,13 @@ type engine interface {
 	velocityAt(x, y, z int) [3]float64
 	densityAt(x, y, z int) float64
 	maxVelocity() float64
-	// digest fills the per-tile physics digest from the state in place,
+	// Digest fills the per-tile physics digest from the state in place,
 	// in whichever phase the last step left it: the per-step sample must
 	// not reorder the array (grid.TileDigest says what a tile's mass
-	// means in the swapped phase).
-	digest(d *grid.DigestGrid) error
+	// means in the swapped phase). The parallel engines' own Digest
+	// splits it over their worker team (grid.DigestGrid.Begin); the
+	// values are the same bits at any thread count.
+	Digest(d *grid.DigestGrid) error
 }
 
 // runProbe is what the facade attaches to its engine: it renumbers every
@@ -661,7 +663,7 @@ func (s *Simulation) runSteps(n int) {
 		// or step log, the recorder's cadence with the recorder alone.
 		keep := s.rec != nil && s.rec.WantDigest(step)
 		sampled := (s.watchdog != nil || s.logger != nil || keep) &&
-			s.eng.digest(s.dig) == nil // a failed digest must not kill the run
+			s.eng.Digest(s.dig) == nil // a failed digest must not kill the run
 		var herr *telemetry.HealthError
 		if sampled && s.watchdog != nil {
 			// A type assertion, not errors.As: &herr would escape and
@@ -953,7 +955,7 @@ func (s *Simulation) WriteFluidSliceCSV(w io.Writer, plane int) error {
 
 // onLayout answers the in-place accessors from the engine's fluid
 // container through the block-layout contract: the records, which no
-// phase reorders, and the digest.
+// phase reorders.
 type onLayout struct{ l core.Layout }
 
 func (o onLayout) macro(x, y, z int) *grid.Macro {
@@ -963,7 +965,6 @@ func (o onLayout) macro(x, y, z int) *grid.Macro {
 func (o onLayout) velocityAt(x, y, z int) [3]float64 { return o.macro(x, y, z).Vel }
 func (o onLayout) densityAt(x, y, z int) float64     { return o.macro(x, y, z).Rho }
 func (o onLayout) maxVelocity() float64              { return grid.MaxVelocity(o.l.Macros()) }
-func (o onLayout) digest(d *grid.DigestGrid) error   { return o.l.Digest(d) }
 
 // seqEngine's grid is always natural: the sequential engine streams into
 // a second array and copies it back.
@@ -972,8 +973,9 @@ type seqEngine struct {
 	onLayout
 }
 
-func (e *seqEngine) live() core.Layout { return e.Fluid }
-func (e *seqEngine) close()            {}
+func (e *seqEngine) live() core.Layout               { return e.Fluid }
+func (e *seqEngine) Digest(d *grid.DigestGrid) error { return e.Fluid.Digest(d) }
+func (e *seqEngine) close()                          {}
 
 // loaded has nothing to re-establish: kernel 4 resets the force itself.
 func (e *seqEngine) loaded() {}
@@ -1000,14 +1002,14 @@ func (e *cubeEngine) live() core.Layout { return e.Live() }
 func (e *cubeEngine) close()            { e.Close() }
 func (e *cubeEngine) loaded()           { core.SeedForce(e.Fluid.Macros(), e.BodyForce) } // see ompEngine.loaded
 
-// fusedEngine digests through fused.Solver.Digest, which in float32 mode
-// widens the stored distributions into the grid first.
+// fusedEngine digests through fused.Solver.Digest, which shadows the
+// embedded omp.Solver.Digest: in float32 mode it widens the stored
+// distributions into the grid first.
 type fusedEngine struct {
 	*fused.Solver
 	onLayout
 }
 
-func (e *fusedEngine) live() core.Layout               { return e.Live() }
-func (e *fusedEngine) digest(d *grid.DigestGrid) error { return e.Digest(d) }
-func (e *fusedEngine) close()                          { e.Close() }
-func (e *fusedEngine) loaded()                         { e.Loaded() }
+func (e *fusedEngine) live() core.Layout { return e.Live() }
+func (e *fusedEngine) close()            { e.Close() }
+func (e *fusedEngine) loaded()           { e.Loaded() }

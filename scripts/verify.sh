@@ -11,7 +11,9 @@
 # their workers on par's team; the perfmon profile — Table I/II
 # accumulators, step ring and crossing ring of the critical-path report
 # — is written from all workers; par's timed barrier wraps the team
-# barrier; perfsim, cachesim and machine are left out: they start no
+# barrier; the digest's pieces, which the engines' teams run
+# concurrently, each write their own tiles and merge slot (grid);
+# perfsim, cachesim and machine are left out: they start no
 # goroutine and use no channel or atomic, so racing them checks nothing,
 # and perfsim's cache replays were most of the race step's wall time),
 # a seeded cross-engine differential sweep, two native-fuzz
@@ -94,7 +96,7 @@ if grep -rn '\.Resolve(' --include='*.go' . | grep -v '^\./internal/core/' |
 	exit 1
 fi
 
-go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/...
+go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/grid/...
 
 # Cross-engine differential smoke: 10 seeded cases on every engine,
 # including the fused engine in both storage modes (every float64 engine
