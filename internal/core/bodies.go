@@ -253,14 +253,26 @@ func (s *Streamer) Block(b int, dst [][lattice.Q]float64) {
 			row := s.row(x, y, +1)
 			for z := o[2]; z < o[2]+e[2]; z++ {
 				f, d := &src[idx], s.links(&row, z)
-				walls := row.walls | s.walls[2][z]
-				for q := 0; q < lattice.Q; q++ {
-					if walls&(1<<q) != 0 {
-						_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, f[q], m[idx].Rho)
-						dst[idx][lattice.Opposite[q]] = refl
-						continue
+				if walls := row.walls | s.walls[2][z]; walls == 0 {
+					dst[idx][0] = f[0]
+					dst[idx+d[1]][1], dst[idx+d[2]][2] = f[1], f[2]
+					dst[idx+d[3]][3], dst[idx+d[4]][4] = f[3], f[4]
+					dst[idx+d[5]][5], dst[idx+d[6]][6] = f[5], f[6]
+					dst[idx+d[7]][7], dst[idx+d[8]][8] = f[7], f[8]
+					dst[idx+d[9]][9], dst[idx+d[10]][10] = f[9], f[10]
+					dst[idx+d[11]][11], dst[idx+d[12]][12] = f[11], f[12]
+					dst[idx+d[13]][13], dst[idx+d[14]][14] = f[13], f[14]
+					dst[idx+d[15]][15], dst[idx+d[16]][16] = f[15], f[16]
+					dst[idx+d[17]][17], dst[idx+d[18]][18] = f[17], f[18]
+				} else {
+					for q := 0; q < lattice.Q; q++ {
+						if walls&(1<<q) != 0 {
+							_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, f[q], m[idx].Rho)
+							dst[idx][lattice.Opposite[q]] = refl
+							continue
+						}
+						dst[idx+d[q]][q] = f[q]
 					}
-					dst[idx+d[q]][q] = f[q]
 				}
 				idx++
 			}
@@ -309,9 +321,15 @@ func (s *Streamer) Block(b int, dst [][lattice.Q]float64) {
 // float64 from the stored post-collision value and rounded once on
 // store, as the fused engine's float32 storage always did.
 //
-// The loops walk a node's values pair by pair, (q, q+1) for odd q,
-// which is lattice.Opposite's pairing, so a node without a wall link
-// never indexes Opposite, and Resolve runs for wall links only.
+// A node without a wall link — nearly every node — moves its values in
+// straight-line code, pair by pair, (q, q+1) for odd q, which is
+// lattice.Opposite's pairing: every slot index is a constant, so the only
+// per-value work is the neighbour's offset and its bounds check, not a
+// loop counter, an Opposite lookup or a variable slot. It moves the same
+// values to the same slots in the same order as the per-link loop a wall
+// node keeps, so no bit depends on which path a node took; Resolve runs
+// for wall links only. Streamer.Block, AAMomentsBlock and Canonicalize
+// are written the same way.
 func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64, swapped bool) {
 	m := s.l.Macros()
 	o, e := s.l.BlockBox(b)
@@ -330,9 +348,15 @@ func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64
 					// slot takes the reflection of the value it holds.
 					f := &df[idx]
 					lattice.Collide(f, r.Rho, r.Vel, r.Force, tau)
-					for q := 1; q < lattice.Q-1; q += 2 {
-						f[q], f[q+1] = f[q+1], f[q]
-					}
+					f[1], f[2] = f[2], f[1]
+					f[3], f[4] = f[4], f[3]
+					f[5], f[6] = f[6], f[5]
+					f[7], f[8] = f[8], f[7]
+					f[9], f[10] = f[10], f[9]
+					f[11], f[12] = f[12], f[11]
+					f[13], f[14] = f[14], f[13]
+					f[15], f[16] = f[16], f[15]
+					f[17], f[18] = f[18], f[17]
 					for w := walls; w != 0; w &= w - 1 {
 						q := bits.TrailingZeros32(w)
 						oq := lattice.Opposite[q]
@@ -345,14 +369,26 @@ func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64
 				d := s.links(&row, z)
 				if walls == 0 {
 					g[0] = df[idx][0]
-					for q := 1; q < lattice.Q-1; q += 2 {
-						g[q+1], g[q] = df[idx+d[q]][q], df[idx+d[q+1]][q+1]
-					}
+					g[2], g[1] = df[idx+d[1]][1], df[idx+d[2]][2]
+					g[4], g[3] = df[idx+d[3]][3], df[idx+d[4]][4]
+					g[6], g[5] = df[idx+d[5]][5], df[idx+d[6]][6]
+					g[8], g[7] = df[idx+d[7]][7], df[idx+d[8]][8]
+					g[10], g[9] = df[idx+d[9]][9], df[idx+d[10]][10]
+					g[12], g[11] = df[idx+d[11]][11], df[idx+d[12]][12]
+					g[14], g[13] = df[idx+d[13]][13], df[idx+d[14]][14]
+					g[16], g[15] = df[idx+d[15]][15], df[idx+d[16]][16]
+					g[18], g[17] = df[idx+d[17]][17], df[idx+d[18]][18]
 					lattice.Collide(&g, r.Rho, r.Vel, r.Force, tau)
 					df[idx][0] = g[0]
-					for q := 1; q < lattice.Q-1; q += 2 {
-						df[idx+d[q]][q], df[idx+d[q+1]][q+1] = g[q], g[q+1]
-					}
+					df[idx+d[1]][1], df[idx+d[2]][2] = g[1], g[2]
+					df[idx+d[3]][3], df[idx+d[4]][4] = g[3], g[4]
+					df[idx+d[5]][5], df[idx+d[6]][6] = g[5], g[6]
+					df[idx+d[7]][7], df[idx+d[8]][8] = g[7], g[8]
+					df[idx+d[9]][9], df[idx+d[10]][10] = g[9], g[10]
+					df[idx+d[11]][11], df[idx+d[12]][12] = g[11], g[12]
+					df[idx+d[13]][13], df[idx+d[14]][14] = g[13], g[14]
+					df[idx+d[15]][15], df[idx+d[16]][16] = g[15], g[16]
+					df[idx+d[17]][17], df[idx+d[18]][18] = g[17], g[18]
 				} else {
 					for q := 0; q < lattice.Q; q++ {
 						if oq := lattice.Opposite[q]; walls&(1<<q) != 0 {
@@ -420,9 +456,15 @@ func AAMomentsBlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, swap
 				d := s.links(&row, z)
 				if walls := row.walls | s.walls[2][z]; walls == 0 {
 					g[0] = df[idx][0]
-					for q := 1; q < lattice.Q-1; q += 2 {
-						g[q], g[q+1] = df[idx+d[q]][q+1], df[idx+d[q+1]][q]
-					}
+					g[1], g[2] = df[idx+d[1]][2], df[idx+d[2]][1]
+					g[3], g[4] = df[idx+d[3]][4], df[idx+d[4]][3]
+					g[5], g[6] = df[idx+d[5]][6], df[idx+d[6]][5]
+					g[7], g[8] = df[idx+d[7]][8], df[idx+d[8]][7]
+					g[9], g[10] = df[idx+d[9]][10], df[idx+d[10]][9]
+					g[11], g[12] = df[idx+d[11]][12], df[idx+d[12]][11]
+					g[13], g[14] = df[idx+d[13]][14], df[idx+d[14]][13]
+					g[15], g[16] = df[idx+d[15]][16], df[idx+d[16]][15]
+					g[17], g[18] = df[idx+d[17]][18], df[idx+d[18]][17]
 				} else {
 					// The source n−e_q lies beyond a wall exactly when
 					// Opposite[q] is a wall link of n.
@@ -462,13 +504,25 @@ func Canonicalize[T lattice.Float](s *Streamer, df [][lattice.Q]T) {
 			for y := o[1]; y < o[1]+e[1]; y++ {
 				row := s.row(x, y, -1)
 				for z := o[2]; z < o[2]+e[2]; z++ {
-					d, walls := s.links(&row, z), row.walls|s.walls[2][z]
-					for q := 1; q < lattice.Q-1; q += 2 {
-						// The pair of (n, q) is (n−e_q, Opposite[q]), a wall
-						// slot when n−e_q lies beyond a wall.
-						if walls&(1<<(q+1)) == 0 {
-							k := i + d[q]
-							df[i][q], df[k][q+1] = df[k][q+1], df[i][q]
+					d := s.links(&row, z)
+					if walls := row.walls | s.walls[2][z]; walls == 0 {
+						df[i][1], df[i+d[1]][2] = df[i+d[1]][2], df[i][1]
+						df[i][3], df[i+d[3]][4] = df[i+d[3]][4], df[i][3]
+						df[i][5], df[i+d[5]][6] = df[i+d[5]][6], df[i][5]
+						df[i][7], df[i+d[7]][8] = df[i+d[7]][8], df[i][7]
+						df[i][9], df[i+d[9]][10] = df[i+d[9]][10], df[i][9]
+						df[i][11], df[i+d[11]][12] = df[i+d[11]][12], df[i][11]
+						df[i][13], df[i+d[13]][14] = df[i+d[13]][14], df[i][13]
+						df[i][15], df[i+d[15]][16] = df[i+d[15]][16], df[i][15]
+						df[i][17], df[i+d[17]][18] = df[i+d[17]][18], df[i][17]
+					} else {
+						for q := 1; q < lattice.Q-1; q += 2 {
+							// The pair of (n, q) is (n−e_q, Opposite[q]), a
+							// wall slot when n−e_q lies beyond a wall.
+							if walls&(1<<(q+1)) == 0 {
+								k := i + d[q]
+								df[i][q], df[k][q+1] = df[k][q+1], df[i][q]
+							}
 						}
 					}
 					i++

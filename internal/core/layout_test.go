@@ -163,11 +163,21 @@ var conformanceBCs = []struct {
 // ending in kernel 9's copy, once streaming in place through the swapped
 // phase and back — must stay bitwise equal, under periodic, bounce-back
 // and moving-lid boundaries, on cubic and non-cubic grids, with every
-// lattice direction crossing block and domain edges. Its aa case holds
-// the in-place bodies against the two-array reference.
+// lattice direction crossing block and domain edges. The 16×8×16 grid at
+// k = 8 is the benchmark's cube edge, where most nodes have no wall link
+// and stream by the bodies' straight-line path. Its aa case holds the
+// in-place bodies against the two-array reference.
 func TestLayoutConformance(t *testing.T) {
-	for _, dims := range [][3]int{{8, 8, 8}, {8, 4, 12}} {
-		for _, k := range []int{2, 4} {
+	for _, c := range []struct {
+		dims [3]int
+		ks   []int
+	}{
+		{[3]int{8, 8, 8}, []int{2, 4}},
+		{[3]int{8, 4, 12}, []int{2, 4}},
+		{[3]int{16, 8, 16}, []int{8}},
+	} {
+		dims := c.dims
+		for _, k := range c.ks {
 			for _, bc := range conformanceBCs {
 				for _, end := range []string{"copy", "swap"} {
 					name := fmt.Sprintf("%dx%dx%d/k%d/%s/%s", dims[0], dims[1], dims[2], k, bc.name, end)
@@ -238,11 +248,15 @@ func TestLayoutConformance(t *testing.T) {
 // two-array clone, under every conformance boundary case, with the force
 // reset on one of the steps. At the swapped phase, where the array is
 // not comparable slot by slot, Canonicalize must turn a copy of it into
-// the reference's post-streaming array.
+// the reference's post-streaming array. The slab grid and k = 2, 4 run on
+// 8×4×12, k = 8 on 16×8×16, the benchmark's cube edge.
 func aaConformance(t *testing.T) {
 	body := [3]float64{2e-5, -1e-5, 3e-5}
-	dims := [3]int{8, 4, 12}
-	for _, k := range []int{0, 2, 4} { // 0 is the slab grid
+	for _, k := range []int{0, 2, 4, 8} { // 0 is the slab grid
+		dims := [3]int{8, 4, 12}
+		if k == 8 {
+			dims = [3]int{16, 8, 16}
+		}
 		for _, bc := range conformanceBCs {
 			t.Run(fmt.Sprintf("k%d/%s", k, bc.name), func(t *testing.T) {
 				p := core.Problem{Tau: 0.8, BCX: bc.bcx, BCY: bc.bcy, BCZ: bc.bcz, LidVelocity: bc.lid}
@@ -340,7 +354,7 @@ func TestStreamerOffsetsMatchResolve(t *testing.T) {
 
 // twinLayout loads randomState's seed-42 state into a slab grid (k = 0)
 // or a cube layout of edge k.
-func twinLayout(t *testing.T, dims [3]int, k int) core.Layout {
+func twinLayout(t testing.TB, dims [3]int, k int) core.Layout {
 	g := grid.New(dims[0], dims[1], dims[2])
 	randomState(g, 42)
 	if k == 0 {

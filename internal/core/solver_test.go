@@ -325,12 +325,11 @@ func TestCopyDistribution(t *testing.T) {
 	}
 }
 
-// Streaming must be a pure permutation of distribution values under
-// periodic boundaries: the multiset of values per direction is preserved.
 // Kernels 5 and 7 run once per node per step in every engine; a heap
 // allocation in any of their bodies (an escaping scratch array, say)
-// would be paid there. The in-place bodies run on a walled grid so their
-// boundary paths count too.
+// would be paid there. The stream bodies — the in-place ones, the
+// between-steps Canonicalize and the sequential push — run on a walled,
+// lid-driven grid so their boundary paths count too.
 func TestCollideAndUpdateRangeDoNotAllocate(t *testing.T) {
 	g := grid.New(16, 16, 16)
 	reset := [3]float64{1e-5, 0, 0}
@@ -350,6 +349,13 @@ func TestCollideAndUpdateRangeDoNotAllocate(t *testing.T) {
 			t.Errorf("AABlock and AAMomentsBlock from swapped=%v: %v allocations per run, want 0", swapped, n)
 		}
 	}
+	if n := testing.AllocsPerRun(10, func() { Canonicalize(st, g.Dist()) }); n != 0 {
+		t.Errorf("Canonicalize over %d nodes: %v allocations per run, want 0", g.NumNodes(), n)
+	}
+	next := make([][lattice.Q]float64, g.NumNodes())
+	if n := testing.AllocsPerRun(10, func() { st.Block(0, next) }); n != 0 {
+		t.Errorf("Streamer.Block: %v allocations per run, want 0", n)
+	}
 }
 
 // The in-place bodies trade and gather a node's values pair by pair,
@@ -366,6 +372,8 @@ func TestOppositePairsAreAdjacent(t *testing.T) {
 	}
 }
 
+// Streaming must be a pure permutation of distribution values under
+// periodic boundaries: the multiset of values per direction is preserved.
 func TestStreamingIsPermutation(t *testing.T) {
 	s := MustNewSolver(Config{NX: 4, NY: 3, NZ: 5, Tau: 0.7})
 	// Give every node a unique distribution signature.

@@ -20,8 +20,9 @@
 # smokes, the flight-recorder smoke (whose bundle must carry the
 # critical-path report), a bundle-replay smoke, a recorder-free watchdog
 # smoke, five examples (three on the cube engine, poiseuille on every
-# engine, movingsheet with its free sheet), and the repo benchmark's
-# verification pass on every workload.
+# engine, movingsheet with its free sheet), one pass of every case of the
+# per-body stream benchmark (so it keeps compiling and running), and the
+# repo benchmark's verification pass on every workload.
 #
 # The barrier choreography is held once, by the tests. A thread that
 # skips a barrier site (a tid-guarded wait, a thread-dependent return or
@@ -173,6 +174,13 @@ if go run ./cmd/lbmib-sim -solver cube -threads 2 -nx 16 -ny 16 -nz 16 \
 fi
 tail -n 1 "$WDLOG" | grep -q '"unhealthy":{.*"cube":[0-9]'
 rm -f "$WDLOG"
+
+# Per-body benchmark smoke: BenchmarkInPlaceBodies times each stream body
+# of internal/core by itself (in-place bodies in each phase,
+# Canonicalize, the sequential push) on the slab grid and on k = 8 cubes.
+# One pass per case keeps it compiling and executing; its figures are
+# not judged here.
+go test -run '^$' -bench InPlaceBodies -benchtime 1x ./internal/core
 
 # Benchmark smoke: every workload of the repo benchmark (BENCHMARK.json)
 # at smoke length. Each run verifies its engine against Sequential under
