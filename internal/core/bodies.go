@@ -306,6 +306,16 @@ func (s *Streamer) Block(b int, dst [][lattice.Q]float64) {
 // Block computes it, so no arithmetic differs and every engine stays
 // bitwise equal to the sequential one.
 //
+// The density and velocity a node collides with come from its record,
+// or, with a non-nil fold, from the 19 values the body has just loaded:
+// lattice.Moments of them under the force *fold, which must be the
+// force the step that produced them ran with. That is kernel 7 of the
+// previous step folded into this collide — the same function of the
+// same values in the same order, so the same bits as the record the
+// moments pass would have written (the fold; DESIGN.md §5). The force a
+// node collides with is its record's, or *force if force is non-nil.
+// With both non-nil the body never reads or writes a record.
+//
 // Why the blocks may run in any order, concurrently, with no barrier
 // between them: in either phase the slots a node reads are exactly the
 // slots it writes — its own 19 when natural, its 19 L_q when swapped —
@@ -330,24 +340,32 @@ func (s *Streamer) Block(b int, dst [][lattice.Q]float64) {
 // node keeps, so no bit depends on which path a node took; Resolve runs
 // for wall links only. Streamer.Block, AAMomentsBlock and Canonicalize
 // are written the same way.
-func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64, swapped bool) {
+func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64, swapped bool, fold, force *[3]float64) {
 	m := s.l.Macros()
 	o, e := s.l.BlockBox(b)
 	idx := b * e[0] * e[1] * e[2]
+	// plain is the record path: the record's fields go to Collide
+	// directly; a fold or a given force goes through collideWith.
+	plain := fold == nil && force == nil
 	// Scratch for one node, declared once so no node pays to zero it.
 	var g [lattice.Q]T
+	var rho float64
 	for x := o[0]; x < o[0]+e[0]; x++ {
 		for y := o[1]; y < o[1]+e[1]; y++ {
 			row := s.row(x, y, +1)
 			for z := o[2]; z < o[2]+e[2]; z++ {
-				r := &m[idx]
 				walls := row.walls | s.walls[2][z]
 				if !swapped {
 					// Collide in place and trade each pair's values, which
 					// stores value q at Opposite[q]; then a wall link's
 					// slot takes the reflection of the value it holds.
 					f := &df[idx]
-					lattice.Collide(f, r.Rho, r.Vel, r.Force, tau)
+					if r := &m[idx]; plain {
+						rho = r.Rho
+						lattice.Collide(f, rho, r.Vel, r.Force, tau)
+					} else {
+						rho = collideWith(f, r, fold, force, tau)
+					}
 					f[1], f[2] = f[2], f[1]
 					f[3], f[4] = f[4], f[3]
 					f[5], f[6] = f[6], f[5]
@@ -360,7 +378,7 @@ func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64
 					for w := walls; w != 0; w &= w - 1 {
 						q := bits.TrailingZeros32(w)
 						oq := lattice.Opposite[q]
-						_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, float64(f[oq]), r.Rho)
+						_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, float64(f[oq]), rho)
 						f[oq] = T(refl)
 					}
 					idx++
@@ -378,7 +396,22 @@ func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64
 					g[14], g[13] = df[idx+d[13]][13], df[idx+d[14]][14]
 					g[16], g[15] = df[idx+d[15]][15], df[idx+d[16]][16]
 					g[18], g[17] = df[idx+d[17]][17], df[idx+d[18]][18]
-					lattice.Collide(&g, r.Rho, r.Vel, r.Force, tau)
+				} else {
+					for q := 0; q < lattice.Q; q++ {
+						if oq := lattice.Opposite[q]; walls&(1<<q) != 0 {
+							g[oq] = df[idx][oq]
+						} else {
+							g[oq] = df[idx+d[q]][q]
+						}
+					}
+				}
+				if r := &m[idx]; plain {
+					rho = r.Rho
+					lattice.Collide(&g, rho, r.Vel, r.Force, tau)
+				} else {
+					rho = collideWith(&g, r, fold, force, tau)
+				}
+				if walls == 0 {
 					df[idx][0] = g[0]
 					df[idx+d[1]][1], df[idx+d[2]][2] = g[1], g[2]
 					df[idx+d[3]][3], df[idx+d[4]][4] = g[3], g[4]
@@ -391,16 +424,8 @@ func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64
 					df[idx+d[17]][17], df[idx+d[18]][18] = g[17], g[18]
 				} else {
 					for q := 0; q < lattice.Q; q++ {
-						if oq := lattice.Opposite[q]; walls&(1<<q) != 0 {
-							g[oq] = df[idx][oq]
-						} else {
-							g[oq] = df[idx+d[q]][q]
-						}
-					}
-					lattice.Collide(&g, r.Rho, r.Vel, r.Force, tau)
-					for q := 0; q < lattice.Q; q++ {
 						if walls&(1<<q) != 0 {
-							_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, float64(g[q]), r.Rho)
+							_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, float64(g[q]), rho)
 							df[idx][lattice.Opposite[q]] = T(refl)
 						} else {
 							df[idx+d[q]][q] = g[q]
@@ -411,6 +436,25 @@ func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64
 			}
 		}
 	}
+}
+
+// collideWith is AABlock's collision of one node's values g when a fold
+// or a force is given: the density and velocity are lattice.Moments of g
+// under *fold, or the record r's; the force is *force, or r's. It
+// returns the density, which the node's reflections take. With both
+// given it does not read r.
+func collideWith[T lattice.Float](g *[lattice.Q]T, r *grid.Macro, fold, force *[3]float64, tau float64) (rho float64) {
+	var u [3]float64
+	if fold != nil {
+		rho = lattice.Moments(g, *fold, &u)
+	} else {
+		rho, u = r.Rho, r.Vel
+	}
+	if force == nil {
+		force = &r.Force
+	}
+	lattice.Collide(g, rho, u, *force, tau)
+	return rho
 }
 
 // rowLinks is the part of a row's links that x and y decide: their wall
@@ -569,11 +613,19 @@ func ForFibers(sheets []*fiber.Sheet, lo, hi int, body func(sh *fiber.Sheet, nod
 // fiber node whose stencil misses b altogether is skipped on one floor
 // per axis and a test of its window against b (grid.Coupling.SpreadNode),
 // before any weight is computed.
-func SpreadBox(c *grid.Coupling, sheets []*fiber.Sheet, b grid.Box) {
+//
+// A non-nil reach is the step's support in an in-place engine (Support):
+// every block of b that a stencil reaches is marked in it, by b's owner
+// alone (grid.Marker).
+func SpreadBox(c *grid.Coupling, sheets []*fiber.Sheet, b grid.Box, reach []bool) {
+	var m *grid.Marker
+	if reach != nil {
+		m = &grid.Marker{Reach: reach}
+	}
 	for _, sh := range sheets {
 		area := sh.AreaElement()
 		for i := range sh.X {
-			c.SpreadNode(sh.X[i], sh.Force[i], area, &b)
+			c.SpreadNode(sh.X[i], sh.Force[i], area, &b, m)
 		}
 	}
 }

@@ -9,8 +9,10 @@ import (
 )
 
 // BenchmarkInPlaceBodies times each stream body by itself, on one
-// thread: AABlock and AAMomentsBlock from each phase, Canonicalize, and
-// the sequential engine's push, Streamer.Block. It runs on the 64×64×32
+// thread: AABlock from each phase, with the moments from the records and
+// with the moments folded in (a block outside both support sets,
+// core.Support), AAMomentsBlock from each phase, Canonicalize, and the
+// sequential engine's push, Streamer.Block. It runs on the 64×64×32
 // slab grid and on k = 8 cubes of the same domain, with bounce-back walls
 // at both z ends (sheet_cube's fluid). One iteration is one pass of the
 // body over every node, after one untimed pass; the ns/node metric is
@@ -21,6 +23,7 @@ func BenchmarkInPlaceBodies(b *testing.B) {
 	dims := [3]int{64, 64, 32}
 	p := core.Problem{Tau: 0.8, BCZ: core.BounceBack}
 	sbc := p.StreamBC(dims[0], dims[1], dims[2])
+	body := [3]float64{1e-6, 0, 0}
 	for _, k := range []int{0, 8} { // 0 is the slab grid
 		l := twinLayout(b, dims, k)
 		st := core.NewStreamer(l, sbc)
@@ -42,8 +45,10 @@ func BenchmarkInPlaceBodies(b *testing.B) {
 			name string
 			pass func()
 		}{
-			{"AABlock/natural", each(func(blk int) { core.AABlock(st, df, blk, p.Tau, false) })},
-			{"AABlock/swapped", each(func(blk int) { core.AABlock(st, df, blk, p.Tau, true) })},
+			{"AABlock/natural", each(func(blk int) { core.AABlock(st, df, blk, p.Tau, false, nil, nil) })},
+			{"AABlock/swapped", each(func(blk int) { core.AABlock(st, df, blk, p.Tau, true, nil, nil) })},
+			{"AABlock/natural/fold", each(func(blk int) { core.AABlock(st, df, blk, p.Tau, false, &body, &body) })},
+			{"AABlock/swapped/fold", each(func(blk int) { core.AABlock(st, df, blk, p.Tau, true, &body, &body) })},
 			{"AAMomentsBlock/natural", each(func(blk int) { core.AAMomentsBlock(st, df, blk, false, nil) })},
 			{"AAMomentsBlock/swapped", each(func(blk int) { core.AAMomentsBlock(st, df, blk, true, nil) })},
 			{"Canonicalize", func() { core.Canonicalize(st, df) }},

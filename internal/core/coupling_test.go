@@ -348,10 +348,10 @@ func TestSpreadAccumMatchesPerPointOracle(t *testing.T) {
 					sheets := sheetsAt(xs[lo:lo+chunk], fs)
 					if owned {
 						for _, b := range randomBoxes(r, dimsOf(l)) {
-							SpreadBox(c, sheets, b)
+							SpreadBox(c, sheets, b, nil)
 						}
 					} else {
-						SpreadBox(c, sheets, c.Whole())
+						SpreadBox(c, sheets, c.Whole(), nil)
 					}
 					oracleSpreadSheets(layoutPoints{ref}, sheets)
 					compareForces(t, l.Macros(), ref.Macros())
@@ -411,10 +411,10 @@ func TestCouplingConservesForceAndIsAdjoint(t *testing.T) {
 						}
 					}
 				case "unowned":
-					SpreadBox(c, sheets, c.Whole())
+					SpreadBox(c, sheets, c.Whole(), nil)
 				case "owned":
 					for _, b := range randomBoxes(r, dims) {
-						SpreadBox(c, sheets, b)
+						SpreadBox(c, sheets, b, nil)
 					}
 				}
 				var got [3]float64
@@ -463,7 +463,7 @@ func TestLatticeAlignedSpreadTouches27(t *testing.T) {
 		}
 		l = tc.make()
 		c := couplingOf(l)
-		SpreadBox(c, sheetsAt([][3]float64{x}, [][3]float64{F}), c.Whole())
+		SpreadBox(c, sheetsAt([][3]float64{x}, [][3]float64{F}), c.Whole(), nil)
 		if n := count(l.Macros()); n != 27 {
 			t.Errorf("%s box body: %d nodes touched, want 27", tc.name, n)
 		}
@@ -497,11 +497,71 @@ func TestSpreadAndMoveSheetNodesDoNotAllocate(t *testing.T) {
 		part := c.Whole()
 		part.Hi[0] = (part.Hi[0] + 1) / 2
 		if n := testing.AllocsPerRun(5, func() {
-			SpreadBox(c, sheets, c.Whole())
-			SpreadBox(c, sheets, part)
+			SpreadBox(c, sheets, c.Whole(), nil)
+			SpreadBox(c, sheets, part, nil)
 			MoveSheetNodes(c, sh, 0, sh.NumNodes())
 		}); n != 0 {
 			t.Errorf("%s: %v allocations per pass over the sheet, want 0", tc.name, n)
 		}
 	}
+}
+
+// SpreadBox with a support set marks exactly the blocks that hold a point
+// of some fiber node's stencil inside the box (grid.Marker), on every
+// layout and box of a random partition, whatever the stencil's weights:
+// kernel 8 gathers from those points, so a block missed here would be
+// read stale, and one marked needlessly costs a moments pass. The
+// positions include seams, block faces, far images and non-finite
+// coordinates (couplingPositions).
+func TestSpreadBoxMarksStencilBlocks(t *testing.T) {
+	const stencils, chunk = 2400, 40
+	for _, tc := range couplingLayouts {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(23))
+			l := tc.make()
+			c, dims := couplingOf(l), dimsOf(l)
+			_, e := l.BlockBox(0)
+			n := e[0] * e[1] * e[2]
+			nb := len(l.Macros()) / n
+			xs := couplingPositions(r, stencils, dims, tc.k)
+			for lo := 0; lo < len(xs); lo += chunk {
+				sheets := sheetsAt(xs[lo:lo+chunk], make([][3]float64, chunk))
+				for _, b := range randomBoxes(r, dims) {
+					got, want := make([]bool, nb), make([]bool, nb)
+					SpreadBox(c, sheets, b, got)
+					for _, x := range xs[lo : lo+chunk] {
+						var p [3][ibm.SupportWidth]int
+						for a := range p {
+							for i := range p[a] {
+								p[a][i] = grid.WrapIndex(ibm.StencilBase(x[a])+i, dims[a])
+							}
+						}
+						for _, px := range p[0] {
+							for _, py := range p[1] {
+								for _, pz := range p[2] {
+									if q := [3]int{px, py, pz}; inBox(q, b) {
+										want[l.Idx(px, py, pz)/n] = true
+									}
+								}
+							}
+						}
+					}
+					for blk := range want {
+						if got[blk] != want[blk] {
+							t.Fatalf("box %+v, fiber nodes %d..%d: block %d marked %v, its stencil points say %v", b, lo, lo+chunk, blk, got[blk], want[blk])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+func inBox(p [3]int, b grid.Box) bool {
+	for a := range p {
+		if p[a] < b.Lo[a] || p[a] >= b.Hi[a] {
+			return false
+		}
+	}
+	return true
 }

@@ -1,0 +1,118 @@
+package core_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"lbmib/internal/core"
+	"lbmib/internal/grid"
+	"lbmib/internal/lattice"
+)
+
+// foldState returns a natural-phase array over l's nodes: every node's
+// values random around the lattice weights, except that every 11th node
+// holds −0 in all 19 slots and every 13th node 0 (zero density, where
+// lattice.Moments returns a zero velocity).
+func foldState(l core.Layout, seed int64) [][lattice.Q]float64 {
+	r := rand.New(rand.NewSource(seed))
+	df := make([][lattice.Q]float64, len(l.Macros()))
+	for i := range df {
+		for q := range df[i] {
+			switch {
+			case i%11 == 5:
+				df[i][q] = math.Copysign(0, -1)
+			case i%13 == 6:
+				df[i][q] = 0
+			default:
+				df[i][q] = lattice.W[q] * (0.8 + 0.4*r.Float64())
+			}
+		}
+	}
+	return df
+}
+
+// TestAABlockFoldMatchesMomentsThenCollide pins AABlock's fold: with a
+// non-nil fold, every node collides with lattice.Moments of the very
+// values it holds under the fold force, then lattice.Collide — bit for
+// bit what the record path does once the record holds those moments. On
+// the slab grid and k = 8 cubes, under periodic, bounce-back and
+// moving-lid boundaries, from either phase, for a block outside the
+// step's support (force = body, the records poisoned with NaN: the body
+// must not read them) and inside it (the record's spread force, with ρ
+// and u poisoned).
+func TestAABlockFoldMatchesMomentsThenCollide(t *testing.T) {
+	body := [3]float64{2e-5, -1e-5, 3e-5}
+	nan := math.NaN()
+	for _, k := range []int{0, 8} { // 0 is the slab grid
+		dims := [3]int{8, 4, 12}
+		if k == 8 {
+			dims = [3]int{16, 8, 16}
+		}
+		for _, bc := range conformanceBCs {
+			for _, swapped := range []bool{false, true} {
+				for _, support := range []bool{false, true} {
+					name := fmt.Sprintf("k%d/%s/swapped=%v/support=%v", k, bc.name, swapped, support)
+					t.Run(name, func(t *testing.T) {
+						p := core.Problem{Tau: 0.8, BCX: bc.bcx, BCY: bc.bcy, BCZ: bc.bcz, LidVelocity: bc.lid}
+						sbc := p.StreamBC(dims[0], dims[1], dims[2])
+						ref, fold := twinLayout(t, dims, k), twinLayout(t, dims, k)
+						sRef, sFold := core.NewStreamer(ref, sbc), core.NewStreamer(fold, sbc)
+						natural := foldState(ref, 7)
+						// The reference's records: Moments of each node's
+						// present values, read in the natural phase.
+						for i := range natural {
+							m := &ref.Macros()[i]
+							m.Rho = lattice.Moments(&natural[i], body, &m.Vel)
+							if !support {
+								m.Force = body
+							}
+							fold.Macros()[i] = grid.Macro{Vel: [3]float64{nan, nan, nan}, Rho: nan, Force: [3]float64{nan, nan, nan}}
+							if support {
+								fold.Macros()[i].Force = m.Force // the step's spread force
+							}
+						}
+						for _, l := range []core.Layout{ref, fold} {
+							copy(l.Dist(), natural)
+							if swapped { // Canonicalize is an involution
+								core.Canonicalize(core.NewStreamer(l, sbc), l.Dist())
+							}
+						}
+						force := &body
+						if support {
+							force = nil
+						}
+						nb, _ := blocks(ref)
+						for b := 0; b < nb; b++ {
+							core.AABlock(sRef, ref.Dist(), b, p.Tau, swapped, nil, force)
+							core.AABlock(sFold, fold.Dist(), b, p.Tau, swapped, &body, force)
+						}
+						for i := range ref.Dist() {
+							for q := range ref.Dist()[i] {
+								a, b := ref.Dist()[i][q], fold.Dist()[i][q]
+								if math.Float64bits(a) != math.Float64bits(b) {
+									t.Fatalf("node %d slot %d: folded %v (%#x), Moments then Collide %v (%#x)", i, q, b, math.Float64bits(b), a, math.Float64bits(a))
+								}
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// The fold must cost no allocation either (TestCollideAndUpdateRange-
+// DoNotAllocate holds the record path).
+func TestAABlockFoldDoesNotAllocate(t *testing.T) {
+	g := grid.New(16, 16, 16)
+	body := [3]float64{1e-5, 0, 0}
+	p := core.Problem{BCZ: core.BounceBack, LidVelocity: [3]float64{0.01, 0, 0}}
+	st := core.NewStreamer(g, p.StreamBC(16, 16, 16))
+	for _, swapped := range []bool{false, true} {
+		if n := testing.AllocsPerRun(10, func() { core.AABlock(st, g.Dist(), 0, 0.7, swapped, &body, &body) }); n != 0 {
+			t.Errorf("folded AABlock from swapped=%v: %v allocations per run, want 0", swapped, n)
+		}
+	}
+}

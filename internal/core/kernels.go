@@ -297,7 +297,7 @@ func (s *Solver) ComputeElasticForce() {
 // nodes of its 4×4×4 influential domain through the smoothed Dirac delta.
 func (s *Solver) SpreadForce() {
 	SeedForce(s.Fluid.Macros(), s.BodyForce)
-	SpreadBox(s.Fluid.Coupling, s.Sheets, s.Fluid.Whole())
+	SpreadBox(s.Fluid.Coupling, s.Sheets, s.Fluid.Whole(), nil)
 }
 
 // ComputeCollision is kernel 5: the D3Q19 BGK collision with the elastic

@@ -139,7 +139,7 @@ func refStep(l core.Layout, st *core.Streamer, next [][lattice.Q]float64, tau fl
 func aaStep(l core.Layout, st *core.Streamer, tau float64, swapped bool, reset *[3]float64) {
 	nb, _ := blocks(l)
 	for b := 0; b < nb; b++ {
-		core.AABlock(st, l.Dist(), b, tau, swapped)
+		core.AABlock(st, l.Dist(), b, tau, swapped, nil, nil)
 	}
 	for b := 0; b < nb; b++ {
 		core.AAMomentsBlock(st, l.Dist(), b, !swapped, reset)
@@ -239,6 +239,7 @@ func TestLayoutConformance(t *testing.T) {
 		}
 	}
 	t.Run("aa", aaConformance)
+	t.Run("fold", foldConformance)
 }
 
 // aaConformance states the in-place stream: on the slab grid and on cube
@@ -282,6 +283,67 @@ func aaConformance(t *testing.T) {
 							t.Fatalf("step %d: node %d record: reference %+v, in place %+v", s, j, ref.Macros()[j], aa.Macros()[j])
 						}
 						if got[j] != next[j] || ref.Dist()[j] != next[j] {
+							t.Fatalf("step %d: node %d distributions differ from the reference's post-streaming array", s, j)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// foldConformance states the fold: a block outside the structure's
+// support skips its moments body, leaving its records stale, and its
+// next AABlock folds the moments in (core.Support). On the slab grid and
+// on cube layouts, under every conformance boundary case, three in-place
+// steps — the first with its moments body and the random state's
+// forces, the second without a moments body, the third folding — must
+// leave the arrays bitwise equal to three steps of the two-array
+// reference after every step, and the records equal once the third
+// step's moments body has run.
+func foldConformance(t *testing.T) {
+	body := [3]float64{2e-5, -1e-5, 3e-5}
+	for _, k := range []int{0, 2, 4, 8} { // 0 is the slab grid
+		dims := [3]int{8, 4, 12}
+		if k == 8 {
+			dims = [3]int{16, 8, 16}
+		}
+		for _, bc := range conformanceBCs {
+			t.Run(fmt.Sprintf("k%d/%s", k, bc.name), func(t *testing.T) {
+				p := core.Problem{Tau: 0.8, BCX: bc.bcx, BCY: bc.bcy, BCZ: bc.bcz, LidVelocity: bc.lid}
+				ref, aa := twinLayout(t, dims, k), twinLayout(t, dims, k)
+				sbc := p.StreamBC(dims[0], dims[1], dims[2])
+				sRef, sAA := core.NewStreamer(ref, sbc), core.NewStreamer(aa, sbc)
+				next := make([][lattice.Q]float64, len(ref.Macros()))
+				nb, _ := blocks(aa)
+				for s := 0; s < 3; s++ {
+					refStep(ref, sRef, next, p.Tau, &body)
+					swapped := s == 1
+					switch s {
+					case 0:
+						aaStep(aa, sAA, p.Tau, swapped, &body)
+					case 1: // outside the support: no moments body
+						for b := 0; b < nb; b++ {
+							core.AABlock(sAA, aa.Dist(), b, p.Tau, swapped, nil, &body)
+						}
+					case 2: // the stale records' moments folded in
+						for b := 0; b < nb; b++ {
+							core.AABlock(sAA, aa.Dist(), b, p.Tau, swapped, &body, &body)
+						}
+						for b := 0; b < nb; b++ {
+							core.AAMomentsBlock(sAA, aa.Dist(), b, !swapped, &body)
+						}
+					}
+					got := aa.Dist()
+					if !swapped {
+						got = append([][lattice.Q]float64(nil), got...)
+						core.Canonicalize(sAA, got)
+					}
+					for j := range next {
+						if s != 1 && ref.Macros()[j] != aa.Macros()[j] {
+							t.Fatalf("step %d: node %d record: reference %+v, folded %+v", s, j, ref.Macros()[j], aa.Macros()[j])
+						}
+						if got[j] != next[j] {
 							t.Fatalf("step %d: node %d distributions differ from the reference's post-streaming array", s, j)
 						}
 					}

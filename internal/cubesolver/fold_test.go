@@ -108,10 +108,12 @@ func (c *countingContention) Emit(e core.Event) {
 	c.mu.Unlock()
 }
 
-// TestFoldedEndBarrierEmitsNoCrossings proves the fold is real: with the
-// probe attached, a fluid-only run records zero end-of-step
-// crossings (and zero after-spread crossings — that site folded in PR 7)
-// while the two required sites fire once per step per thread.
+// TestFoldedEndBarrierEmitsNoCrossings proves the folds are real: with
+// the probe attached, a fluid-only run records zero end-of-step,
+// after-spread and after-velocity crossings — its support is empty, so
+// the moments loop between after_stream and after_velocity does nothing
+// (core.Support) — while the one required site, after_stream, fires once
+// per step per thread.
 func TestFoldedEndBarrierEmitsNoCrossings(t *testing.T) {
 	const steps, threads = 5, 4
 	cfg := fluidOnlyCubeConfig(threads)
@@ -130,9 +132,10 @@ func TestFoldedEndBarrierEmitsNoCrossings(t *testing.T) {
 	if n := obs.waits[core.SiteAfterSpread]; n != 0 {
 		t.Errorf("after_spread crossings = %d on a fluid-only run, want 0 (folded)", n)
 	}
-	for _, site := range []core.BarrierSite{core.SiteAfterStream, core.SiteAfterVelocity} {
-		if n := obs.waits[site]; n != steps*threads {
-			t.Errorf("%v crossings = %d, want %d", site, n, steps*threads)
-		}
+	if n := obs.waits[core.SiteAfterVelocity]; n != 0 {
+		t.Errorf("after_velocity crossings = %d on a fluid-only run, want 0 (folded)", n)
+	}
+	if n := obs.waits[core.SiteAfterStream]; n != steps*threads {
+		t.Errorf("after_stream crossings = %d, want %d", n, steps*threads)
 	}
 }

@@ -10,6 +10,12 @@
 // is the schedule: ownership, loop fusion per cube, and the barrier
 // sites. The layout holds one distribution array, streamed in place by
 // the AA pattern (core.AABlock), so kernel 9 has nothing left to copy.
+// Kernel 7 runs only on the cubes the structure's stencils reach
+// (core.Support); every other cube's moments are folded into its next
+// collide. A fluid-only step is therefore one pass over the fluid and
+// one barrier crossing (after_stream), and a step with a structure
+// crosses four (after_spread, after_stream, after_velocity,
+// end_of_step) on more than one worker.
 //
 // Force spreading is owner-computes: after kernels 1–3, each worker
 // walks every fiber node in global order and adds only into the box its
@@ -63,6 +69,14 @@ type Solver struct {
 	// swapped is the phase of the layout's distribution array between
 	// steps (core.AABlock): false means natural. Every step flips it.
 	swapped bool
+	// Support says which cubes' records are fresh and which the step's
+	// stencils reach.
+	Support *core.Support
+
+	// The digest in progress (Digest), and digestPiece bound once.
+	dig       *grid.DigestGrid
+	digPart   func(p int)
+	digestRun func(p int)
 
 	// Ownership, resolved once from the block distribution: owned[tid]
 	// lists thread tid's cubes in cube-index order (Algorithm 4's "for
@@ -104,7 +118,9 @@ func NewSolver(cfg Config) (*Solver, error) {
 		owned:   make([][]int, threads),
 		box:     make([]grid.Box, threads),
 		fibers:  make([][2]int, threads),
+		Support: core.NewSupport(layout.NumCubes()),
 	}
+	s.digestRun = s.digestPiece
 	s.timedBarrier = par.TimedBarrier{B: s.barrier, Arrive: s.BarrierArrived}
 	for c := 0; c < layout.NumCubes(); c++ {
 		tid := s.Map.CubeToThread(layout.CubeCoord(c))
@@ -188,17 +204,23 @@ func (s *Solver) Run(n int) {
 	first, p0 := s.step, s.swapped
 	s.team.Run(func(tid int) {
 		for st := first; st < first+n; st++ {
-			s.timeStep(st, tid, p0 != ((st-first)&1 == 1))
+			s.timeStep(st, st-first, tid, p0 != ((st-first)&1 == 1))
 		}
 	})
 	s.step += n
 	s.swapped = p0 != (n&1 == 1)
+	s.Support.Advance(n)
 }
 
-// Live returns the layout with its distributions in the natural phase,
-// canonicalizing the array in place if the last step left it swapped.
-// Call it between steps only.
+// Refresh brings every stale record up to date (core.RefreshAll). Call
+// it between steps only.
+func (s *Solver) Refresh() { core.RefreshAll(s.stream, s.Fluid.Dist(), s.Support, s.swapped) }
+
+// Live returns the layout with its distributions in the natural phase
+// and every record fresh, canonicalizing the array in place if the last
+// step left it swapped. Call it between steps only.
 func (s *Solver) Live() *cube.Layout {
+	s.Refresh()
 	if s.swapped {
 		core.Canonicalize(s.stream, s.Fluid.Dist())
 		s.swapped = false
@@ -207,23 +229,35 @@ func (s *Solver) Live() *cube.Layout {
 }
 
 // Digest fills d from the layout in place, in whichever phase the last
-// step left it, on the worker team: each worker digests one contiguous
-// range of cubes (grid.DigestGrid.Begin), bitwise as the layout's own
-// one-goroutine Digest. Call it between steps only.
+// step left it, on the worker team: each worker refreshes the stale
+// records of one contiguous range of cubes (core.Refresh) and then
+// digests it (grid.DigestGrid.Begin), bitwise as the layout's own
+// one-goroutine Digest after a refresh. Call it between steps only.
 func (s *Solver) Digest(d *grid.DigestGrid) error {
 	part, err := d.Begin(s.Fluid, s.team.Size())
 	if err != nil {
 		return err
 	}
-	s.team.Run(part)
+	s.dig, s.digPart = d, part
+	s.team.Run(s.digestRun)
+	s.dig, s.digPart = nil, nil
+	s.Support.Refreshed()
 	d.End()
 	return nil
 }
 
-// timeStep is Thread_entry_fn's per-step body (Algorithm 4). swapped is
-// the array's phase at the start of the step, derived from the step
-// index by Run.
-func (s *Solver) timeStep(step, tid int, swapped bool) {
+// digestPiece refreshes and digests piece p of the digest in progress.
+func (s *Solver) digestPiece(p int) {
+	lo, hi := s.dig.Blocks(p)
+	core.Refresh(s.stream, s.Fluid.Dist(), s.Support, s.swapped, lo, hi)
+	s.digPart(p)
+}
+
+// timeStep is Thread_entry_fn's per-step body (Algorithm 4). k counts
+// the step from the start of the Run, which selects its support sets
+// (core.Support.Sets); swapped is the array's phase at the start of the
+// step, derived from the step index by Run.
+func (s *Solver) timeStep(step, k, tid int, swapped bool) {
 	phase := func(p core.Phase, fn func()) {
 		s.Timed(core.Event{Kind: core.PhaseDone, Step: step, Tid: tid, Phase: p}, fn)
 	}
@@ -240,13 +274,20 @@ func (s *Solver) timeStep(step, tid int, swapped bool) {
 
 	// 2nd loop: kernel 4 into the owned box, then kernels 5–6 on owned
 	// cubes, streaming in place.
-	phase(core.PhaseCollideStream, func() { s.collideStreamLoop(tid, swapped) })
+	phase(core.PhaseCollideStream, func() { s.collideStreamLoop(tid, k, swapped) })
 	s.waitBarrier(core.SiteAfterStream, tid, step) // streaming → velocity-update dependency (paper's 1st barrier)
 
-	// 3rd loop: kernel 7 on owned cubes, reading neighbour cubes' slots
-	// at the phase the 2nd loop left.
-	phase(core.PhaseUpdateVelocity, func() { s.updateVelocityLoop(tid, !swapped) })
-	s.waitBarrier(core.SiteAfterVelocity, tid, step) // velocity → move-fibers dependency (paper's 2nd barrier)
+	// 3rd loop: kernel 7 on the owned cubes of the step's support,
+	// reading neighbour cubes' slots at the phase the 2nd loop left.
+	phase(core.PhaseUpdateVelocity, func() { s.updateVelocityLoop(tid, k, !swapped) })
+	// Velocity → move-fibers dependency (paper's 2nd barrier). It orders
+	// nothing in a fluid-only run, whose support is empty: the 3rd loop
+	// then reads and writes nothing, and after_stream already orders this
+	// step's collide before the next one's. The condition is
+	// thread-invariant.
+	if s.hasFibers() {
+		s.waitBarrier(core.SiteAfterVelocity, tid, step)
+	}
 
 	// 4th loop: kernel 8 on owned fibers.
 	phase(core.PhaseMoveFibers, func() { s.moveFibersLoop(tid) })
@@ -280,8 +321,12 @@ func (s *Solver) timeStep(step, tid int, swapped bool) {
 // predicate (see timeStep). The result depends on no per-thread state,
 // so every worker takes the same branch at the call sites.
 func (s *Solver) spreadBarrierNeeded() bool {
-	return s.team.Size() > 1 && fiber.TotalFibers(s.Sheets) > 0
+	return s.team.Size() > 1 && s.hasFibers()
 }
+
+// hasFibers reports whether a structure with at least one fiber node is
+// immersed: only then do kernels 4 and 8 touch the fluid.
+func (s *Solver) hasFibers() bool { return fiber.TotalFibers(s.Sheets) > 0 }
 
 // forOwnedFibers visits thread tid's fibers as (sheet, node-range)
 // pieces in global fiber order — Algorithm 4's "for each fiber ... if
@@ -299,25 +344,33 @@ func (s *Solver) fiberForceLoop(tid int) {
 	})
 }
 
-// collideStreamLoop runs kernel 4 into the box of cubes owned by tid —
-// the owner is the only thread writing their forces — then kernels 5 and
-// 6 over those cubes, fused per cube as in Algorithm 4.
-func (s *Solver) collideStreamLoop(tid int, swapped bool) {
-	core.SpreadBox(s.Fluid.Coupling, s.Sheets, s.box[tid])
+// collideStreamLoop runs kernel 4 of the k-th step of the Run into the
+// box of cubes owned by tid — the owner is the only thread writing their
+// forces and marking them in the step's support — then kernels 5 and 6
+// over those cubes, fused per cube as in Algorithm 4, a cube with a stale
+// record folding its moments in (core.Support.Take).
+func (s *Solver) collideStreamLoop(tid, k int, swapped bool) {
+	_, reach := s.Support.Sets(k)
+	core.SpreadBox(s.Fluid.Coupling, s.Sheets, s.box[tid], reach)
 	df := s.Fluid.Dist()
 	for _, c := range s.owned[tid] {
-		core.AABlock(s.stream, df, c, s.Tau, swapped)
+		fold, force := s.Support.Take(k, c, &s.BodyForce)
+		core.AABlock(s.stream, df, c, s.Tau, swapped, fold, force)
 	}
 }
 
-// updateVelocityLoop runs kernel 7 over owned cubes at the array's phase
-// swapped, resetting each node's force to the uniform body force in the
-// same pass — the reset the paper's loop 5 performed, folded here so the
-// retired copy loop leaves nothing behind.
-func (s *Solver) updateVelocityLoop(tid int, swapped bool) {
+// updateVelocityLoop runs kernel 7 of the k-th step of the Run over the
+// owned cubes of its support at the array's phase swapped, resetting each
+// node's force to the uniform body force in the same pass — the reset
+// the paper's loop 5 performed, folded here so the retired copy loop
+// leaves nothing behind. Every other owned cube's record is left stale.
+func (s *Solver) updateVelocityLoop(tid, k int, swapped bool) {
+	_, reach := s.Support.Sets(k)
 	df := s.Fluid.Dist()
 	for _, c := range s.owned[tid] {
-		core.AAMomentsBlock(s.stream, df, c, swapped, &s.BodyForce)
+		if reach[c] {
+			core.AAMomentsBlock(s.stream, df, c, swapped, &s.BodyForce)
+		}
 	}
 }
 
@@ -340,7 +393,8 @@ func (s *Solver) spreadOnly() {
 		if s.spreadBarrierNeeded() {
 			s.waitBarrier(core.SiteAfterSpread, tid, s.step)
 		}
-		core.SpreadBox(s.Fluid.Coupling, s.Sheets, s.box[tid])
+		_, reach := s.Support.Sets(0)
+		core.SpreadBox(s.Fluid.Coupling, s.Sheets, s.box[tid], reach)
 	})
 }
 

@@ -11,31 +11,36 @@
 //
 // The array is streamed in place by the AA pattern, through the bodies
 // every in-place engine shares: core.AABlock collides a node and stores
-// its values where the next step's reads expect them, and
-// core.AAMomentsBlock then computes the node's moments from its
-// post-streaming values and resets its force to the uniform body force,
-// the same fold of kernel 7 the OpenMP-style solver uses. Why the
-// in-place stream equals the sequential engine's push into a second
-// array, slot by slot, is argued once, on core.AABlock. No arithmetic
-// differs — the float64 fused engine is therefore bitwise identical to
-// the OpenMP-style engine and to the sequential reference at any thread
-// count.
+// its values where the next step's reads expect them. On the planes the
+// structure's stencils reach (core.Support), core.AAMomentsBlock then
+// computes each node's moments from its post-streaming values and resets
+// its force to the uniform body force, the same fold of kernel 7 the
+// OpenMP-style solver uses; every other plane's moments are folded into
+// its next collide. Why the in-place stream equals the sequential
+// engine's push into a second array, slot by slot, is argued once, on
+// core.AABlock, and why the folded moments are the moments pass's bits,
+// on core.Support. No arithmetic differs — the float64 fused engine is
+// therefore bitwise identical to the OpenMP-style engine and to the
+// sequential reference at any thread count.
 //
 // # The wavefront sweep
 //
 // A node's moments read its neighbors' slots, so they wait until every
 // neighbor has collided. The sweep runs as one parallel region over
-// x-slabs (one contiguous chunk per thread — the wavefront depends on it)
-// with an explicit mid-sweep barrier:
+// x-slabs (one contiguous chunk per thread — the wavefront depends on it),
+// with an explicit mid-sweep barrier when a structure is immersed:
 //
 //	one region (per thread, chunk [lo, hi)):
 //	    region A:
 //	        for x = lo .. hi−1:
 //	            collide and stream plane x in place  // core.AABlock
-//	            if x ≥ lo+2: moments of plane x−1    // cache-hot
-//	    barrier                                      // all chunks streamed
-//	    region B:
-//	        moments of planes lo and hi−1            // need neighbor chunks' planes
+//	            if x ≥ lo+2 and x−1 in the support:
+//	                moments of plane x−1             // cache-hot
+//	    if a structure is immersed:
+//	        barrier                                  // all chunks streamed
+//	        region B:
+//	            moments of planes lo and hi−1        // need neighbor chunks' planes
+//	              that are in the support
 //	flip the array's phase
 //
 // The moments of plane x−1 read planes x−2..x, all inside the thread's
@@ -43,7 +48,9 @@
 // for the barrier because they read a neighboring thread's planes.
 // Region A is race-free because no two nodes share a slot (core.AABlock),
 // and region B reads only slots no thread writes any more and writes only
-// its own nodes' records.
+// its own nodes' records. A fluid-only sweep has an empty support: it is
+// region A's collide and stream alone, one pass over the fluid, and the
+// region's join is its only barrier.
 //
 // The mid-sweep barrier is the engine's own par.Barrier (the team's
 // implicit region join used to separate A and B when they were two
@@ -200,39 +207,58 @@ func (s *Solver) sweep() {
 		sweepOn(s, s.Fluid.Dist())
 	}
 	s.swapped = !s.swapped
+	s.Support.Advance(1)
+}
+
+// Refresh brings every stale record up to date from whichever array
+// holds the distributions (core.RefreshAll). Call it between steps only.
+func (s *Solver) Refresh() {
+	if s.f32 != nil {
+		core.RefreshAll(s.Stream, s.f32, s.Support, s.swapped)
+	} else {
+		core.RefreshAll(s.Stream, s.Fluid.Dist(), s.Support, s.swapped)
+	}
 }
 
 // sweepOn runs the sweep over the distributions df as one parallel
-// region: region A (collide and stream + interior moments), the explicit
-// wavefront barrier, region B (chunk-edge moments), and — only with a
-// probe attached — an end-of-sweep barrier measuring the wait the
-// region's implicit join would otherwise hide. The probe is read once,
+// region: region A (collide and stream + interior moments), and, with a
+// structure immersed, the explicit wavefront barrier and region B
+// (chunk-edge moments); then — only with a probe attached — an
+// end-of-sweep barrier measuring the wait the region's implicit join
+// would otherwise hide. The probe and the structure are read once,
 // before the region forks, so every worker executes the same barrier
 // sequence.
 func sweepOn[T lattice.Float](s *Solver, df [][lattice.Q]T) {
-	st, tau, body, swapped := s.Stream, s.Tau, s.BodyForce, s.swapped
+	st, tau, body, swapped, sup := s.Stream, s.Tau, &s.BodyForce, s.swapped, s.Support
 	probe, step := s.Probe, s.StepCount()
+	_, reach := sup.Sets(0)
+	sheets := len(s.Sheets) > 0
 	s.ParallelFor(s.Fluid.NX, func(tid, lo, hi int) {
 		var t0 time.Time
 		if probe != nil {
 			t0 = time.Now()
 		}
 		for x := lo; x < hi; x++ {
-			core.AABlock(st, df, x, tau, swapped)
-			if x >= lo+2 {
-				core.AAMomentsBlock(st, df, x-1, !swapped, &body)
+			fold, force := sup.Take(0, x, body)
+			core.AABlock(st, df, x, tau, swapped, fold, force)
+			if x >= lo+2 && reach[x-1] {
+				core.AAMomentsBlock(st, df, x-1, !swapped, body)
 			}
 		}
 		if probe != nil {
 			probe.Emit(core.Event{Kind: core.PhaseDone, Step: step, Tid: tid, Phase: core.PhaseCollideStream, D: time.Since(t0)})
 		}
-		s.waitBarrier(core.SiteAfterStream, tid, step)
+		if sheets {
+			s.waitBarrier(core.SiteAfterStream, tid, step)
+		}
 		if probe != nil {
 			t0 = time.Now()
 		}
-		core.AAMomentsBlock(st, df, lo, !swapped, &body)
-		if hi-1 != lo {
-			core.AAMomentsBlock(st, df, hi-1, !swapped, &body)
+		if reach[lo] {
+			core.AAMomentsBlock(st, df, lo, !swapped, body)
+		}
+		if hi-1 != lo && reach[hi-1] {
+			core.AAMomentsBlock(st, df, hi-1, !swapped, body)
 		}
 		if probe != nil {
 			probe.Emit(core.Event{Kind: core.PhaseDone, Step: step, Tid: tid, Phase: core.PhaseUpdateVelocity, D: time.Since(t0)})
@@ -253,10 +279,11 @@ func (s *Solver) waitBarrier(site core.BarrierSite, tid, step int) {
 }
 
 // Live returns the fluid grid with its distributions in the natural
-// phase, canonicalizing the array in place if a step left it swapped. In
-// float32 mode the stored values are then widened — exactly — into the
-// grid's array. Call it between steps only.
+// phase and every record fresh, canonicalizing the array in place if a
+// step left it swapped. In float32 mode the stored values are then
+// widened — exactly — into the grid's array. Call it between steps only.
 func (s *Solver) Live() *grid.Grid {
+	s.Refresh()
 	g := s.Fluid
 	if s.f32 == nil {
 		if s.swapped {
@@ -288,33 +315,38 @@ func (s *Solver) TotalMass() float64 {
 }
 
 // Digest fills d from the distributions in place, in whichever phase the
-// last step left them, on the worker team (omp.Solver.Digest); in
-// float32 mode they are widened into the grid's array first, without
-// canonicalizing.
+// last step left them, on the worker team, stale records refreshed first
+// (omp.Solver.DigestPhase); in float32 mode they are widened into the
+// grid's array first, without canonicalizing. Widening is exact, so the
+// refresh computes the moments of the stored values.
 func (s *Solver) Digest(d *grid.DigestGrid) error {
 	if s.f32 != nil {
 		convert(s.Fluid.Dist(), s.f32)
 	}
-	return s.Solver.Digest(d)
+	return s.DigestPhase(d, s.swapped)
 }
 
 // Loaded re-establishes the engine's invariants after the grid's array
 // and records were overwritten from outside (a restored checkpoint, in
 // the natural phase Live left): the float32 storage is refreshed from
-// the grid and the force field is re-seeded with the body force.
+// the grid, the force field is re-seeded with the body force, and every
+// record counts as fresh.
 func (s *Solver) Loaded() {
 	g := s.Fluid
 	if s.f32 != nil {
 		convert(s.f32, g.Dist())
 	}
 	core.SeedForce(g.Macros(), s.BodyForce)
+	s.Support.Loaded()
 }
 
 // CopyNodeDist overwrites node dst's 19 distribution slots with node
 // src's, in whichever storage mode and phase is active — the
 // perturbation seam the crosscheck fault-injection selftest drives
-// through FaultHook.
+// through FaultHook. Stale records are refreshed first, so the records
+// still hold the moments of the values before the overwrite.
 func (s *Solver) CopyNodeDist(dst, src int) {
+	s.Refresh()
 	if s.f32 != nil {
 		s.f32[dst] = s.f32[src]
 		return

@@ -15,6 +15,12 @@ import "lbmib/internal/ibm"
 type Coupling struct {
 	macro []Macro
 	at    [3][]int
+	// blk[a][c] is coordinate c's share of its node's block index along
+	// axis a: node (x, y, z) lies in block blk[0][x]+blk[1][y]+blk[2][z].
+	// whole[a] says that a block spans axis a whole, every share 0, and
+	// wide[a] that it spans at least a stencil's width along it.
+	blk         [3][]int
+	whole, wide [3]bool
 }
 
 // Indexed is a layout's shape and separable flat index: Idx(x, y, z)
@@ -24,10 +30,32 @@ type Indexed interface {
 	Idx(x, y, z int) int
 }
 
+// Blocked is Indexed with the block partition of a layout: block b is
+// the box BlockBox(b) and occupies entries [b·n, (b+1)·n) of the
+// layout's arrays, n the box's node count, z-fastest inside it.
+type Blocked interface {
+	Indexed
+	BlockBox(b int) (origin, extent [3]int)
+}
+
 // NewCoupling binds the records macro, indexed by l, for spreading and
 // interpolation.
-func NewCoupling(macro []Macro, l Indexed) *Coupling {
-	return &Coupling{macro: macro, at: AxisIndex(l)}
+func NewCoupling(macro []Macro, l Blocked) *Coupling {
+	c := &Coupling{macro: macro, at: AxisIndex(l)}
+	// A node's entry is its block's first entry plus its offset inside
+	// the block, which is below n and separable like Idx; so each axis
+	// term of the entry, divided by n, is that axis's share of the block
+	// index.
+	_, e := l.BlockBox(0)
+	n := e[0] * e[1] * e[2]
+	for a, t := range c.at {
+		c.blk[a] = make([]int, len(t))
+		for i, v := range t {
+			c.blk[a][i] = v / n
+		}
+		c.whole[a], c.wide[a] = e[a] == len(t), e[a] >= ibm.SupportWidth
+	}
+	return c
 }
 
 // AxisIndex tabulates l's Idx: Idx(x, y, z) = at[0][x] + at[1][y] + at[2][z].
@@ -98,12 +126,33 @@ func wrap(x, n int) int {
 // out-of-box coordinates zeroed. The loop skips a zeroed weight as it
 // skips any zero weight, so every node in b receives the very products,
 // in the very order, that SpreadStencil gives it.
-func (c *Coupling) SpreadNode(x, F [3]float64, area float64, b *Box) {
+//
+// With a non-nil m, the node also marks in m.Reach every block holding
+// an in-box point of its window, whether or not a weight there is zero
+// (Marker).
+func (c *Coupling) SpreadNode(x, F [3]float64, area float64, b *Box, m *Marker) {
 	var o [3][ibm.SupportWidth]int
 	var out [3][ibm.SupportWidth]bool
+	var base [3]int
 	for a := range o {
-		if !c.boxWindow(a, ibm.StencilBase(x[a]), b, &o[a], &out[a]) {
+		base[a] = ibm.StencilBase(x[a])
+		if !c.boxWindow(a, base[a], b, &o[a], &out[a]) {
 			return
+		}
+	}
+	if m != nil {
+		// The window's blocks depend on its bases along the axes a block
+		// does not span whole; a node whose bases there are those marked
+		// last marks nothing.
+		var key [3]int
+		for a := range key {
+			if !c.whole[a] {
+				key[a] = base[a]
+			}
+		}
+		if !m.marked || m.last != key {
+			c.mark(&base, &out, m.Reach)
+			m.last, m.marked = key, true
 		}
 	}
 	var st ibm.Stencil
@@ -116,6 +165,20 @@ func (c *Coupling) SpreadNode(x, F [3]float64, area float64, b *Box) {
 		}
 	}
 	c.spread(&st, &o, F, area)
+}
+
+// Marker collects, for one owner's spread into its box, the blocks the
+// fiber nodes' windows reach: Reach is indexed like the layout's blocks,
+// and a node sets the entry of every block that holds an in-box point of
+// its window. Kernel 8 gathers from the same windows, so the marked
+// blocks are those whose records kernels 4 and 8 of the step touch, and a
+// block's owner is the only one to mark it. Neighbouring fiber nodes
+// often share their window's blocks; a node whose window falls in the
+// blocks marked last marks nothing. One Marker serves one box.
+type Marker struct {
+	Reach  []bool
+	last   [3]int // the window bases marked last, along the axes that decide its blocks
+	marked bool
 }
 
 // boxWindow resolves the window base, base+1, …, base+3 on axis a for a
@@ -142,6 +205,57 @@ func (c *Coupling) boxWindow(a, base int, b *Box, o *[ibm.SupportWidth]int, out 
 		reach = reach || !out[i]
 	}
 	return reach
+}
+
+// mark sets reach for every block that holds an in-box point of the
+// window at base (out marks the points outside the box, as boxWindow
+// resolved them; a coordinate wraps as there): the product, over the
+// axes, of the blocks (axis shares) the in-box coordinates fall in. An
+// axis a block spans whole (y and z on the slab grid) contributes share
+// 0 without a look. Where a block spans at least the window's four
+// coordinates, those fall in at most two runs of one block each, one
+// holding the first in-box coordinate and one the last, so those two
+// stand for all; a narrower block (x on the slab grid) lists every
+// in-box coordinate's. A block listed twice is marked twice.
+func (c *Coupling) mark(base *[3]int, out *[3][ibm.SupportWidth]bool, reach []bool) {
+	var sh [3][ibm.SupportWidth]int
+	var n [3]int
+	for a := range sh {
+		t, o := c.blk[a], &out[a]
+		switch {
+		case c.whole[a]:
+			n[a] = 1
+		case c.wide[a]:
+			i, j := 0, ibm.SupportWidth-1
+			for o[i] {
+				i++
+			}
+			for o[j] {
+				j--
+			}
+			sh[a][0], sh[a][1] = t[wrap(base[a]+i, len(t))], t[wrap(base[a]+j, len(t))]
+			n[a] = 2
+			if sh[a][0] == sh[a][1] {
+				n[a] = 1
+			}
+		default:
+			k := 0
+			for i := range o {
+				if !o[i] {
+					sh[a][k] = t[wrap(base[a]+i, len(t))]
+					k++
+				}
+			}
+			n[a] = k
+		}
+	}
+	for _, bx := range sh[0][:n[0]] {
+		for _, by := range sh[1][:n[1]] {
+			for _, bz := range sh[2][:n[2]] {
+				reach[bx+by+bz] = true
+			}
+		}
+	}
 }
 
 // SpreadStencil adds F·w·area to the force of every node of the stencil,

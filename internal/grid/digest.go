@@ -189,18 +189,43 @@ func (d *DigestGrid) Begin(src DigestSource, parts int) (func(p int), error) {
 // part digests piece p of the pass Begin started: its range of whole
 // tiles, which it clears first, and its slot of the merge.
 func (d *DigestGrid) part(p int) {
-	units, blocks, tiles := d.NumTiles(), 1, 1 // a block is one tile
+	tiles := 1 // a block is one tile
 	if d.block != [3]int{d.K, d.K, d.K} {
-		units, blocks, tiles = d.TX, d.K, d.TY*d.TZ // a block is one plane of a tile row
+		tiles = d.TY * d.TZ // a block is one plane of a tile row
 	}
-	u0, u1 := par.StaticRange(units, len(d.parts), p)
+	u0, u1 := d.units(p)
 	clear(d.Tiles[u0*tiles : u1*tiles])
-	nb := d.NX / d.block[0] * (d.NY / d.block[1]) * (d.NZ / d.block[2])
+	lo, hi := d.Blocks(p)
 	part := digestPart{maxAt: -1, badAt: -1}
-	for b := u0 * blocks; b < min(u1*blocks, nb); b++ {
+	for b := lo; b < hi; b++ {
 		d.foldBlock(b, &part)
 	}
 	d.parts[p] = part
+}
+
+// units returns piece p's range of whole tiles (cubes) or tile rows
+// (slab grid) in the pass Begin started.
+func (d *DigestGrid) units(p int) (u0, u1 int) {
+	units := d.NumTiles()
+	if d.block != [3]int{d.K, d.K, d.K} {
+		units = d.TX
+	}
+	return par.StaticRange(units, len(d.parts), p)
+}
+
+// Blocks returns the range [lo, hi) of the layout's blocks that piece p
+// of the pass Begin started digests: the pieces' ranges partition the
+// blocks in order. An engine whose records may lag its distributions
+// brings a piece's blocks up to date on the worker that then digests
+// them.
+func (d *DigestGrid) Blocks(p int) (lo, hi int) {
+	blocks := 1
+	if d.block != [3]int{d.K, d.K, d.K} {
+		blocks = d.K
+	}
+	u0, u1 := d.units(p)
+	nb := d.NX / d.block[0] * (d.NY / d.block[1]) * (d.NZ / d.block[2])
+	return min(u0*blocks, nb), min(u1*blocks, nb)
 }
 
 // End merges the pieces in range order — traversal order — keeping the

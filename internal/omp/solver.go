@@ -15,7 +15,10 @@
 // collides each node and streams it by where it stores the values, and
 // kernel 7's region reads the phase that region left. Kernel 6 and
 // kernel 9 — which a second array would need for its copy or its swap —
-// have no region of their own.
+// have no region of their own. Kernel 7 runs only on the planes the
+// structure's stencils reach (core.Support); every other plane's moments
+// are folded into its next collide, so a fluid-only step makes one pass
+// over the fluid, in one region.
 //
 // Spreading over fibers, as the paper's Algorithm 3 does, would let two
 // threads write one fluid node. Instead each thread walks every fiber
@@ -58,6 +61,18 @@ type Solver struct {
 	// swapped is the phase of the grid's distribution array (core.AABlock):
 	// false between steps means natural; kernel 5's region flips it.
 	swapped bool
+	// Support says which planes' records are fresh and which the step's
+	// stencils reach. An engine layered on this solver (internal/fused)
+	// keeps it through the same SpreadForce.
+	Support *core.Support
+
+	// The digest in progress (DigestPhase): its pass, piece body and
+	// phase, and digestPiece bound once so the team's run allocates
+	// nothing.
+	dig        *grid.DigestGrid
+	digPart    func(p int)
+	digSwapped bool
+	digestRun  func(p int)
 
 	// Region timing, used only with a Probe attached. curKernel is the
 	// kernel Step is running (0 outside Step: an engine layered on this
@@ -92,8 +107,10 @@ func NewSolver(cfg Config) (*Solver, error) {
 		Threads: cfg.Threads,
 		team:    par.NewTeam(cfg.Threads),
 		busy:    make([]time.Duration, cfg.Threads),
+		Support: core.NewSupport(cfg.NX),
 	}
 	s.timed = s.timedChunk
+	s.digestRun = s.digestPiece
 	// Kernel 4 accumulates on top of the reset that UpdateVelocity leaves
 	// behind (the force-reset sweep is folded into kernel 7 here); seed
 	// the initial body force the same way.
@@ -149,19 +166,35 @@ func (s *Solver) timedChunk(tid, lo, hi int) {
 func (s *Solver) ParallelFor(n int, body func(tid, lo, hi int)) { s.parallelFor(n, body) }
 
 // Digest fills d from the grid in place, in whichever phase the last
-// step left it, on the worker team: each worker digests one contiguous
-// range of tile rows (grid.DigestGrid.Begin), bitwise as the grid's own
-// one-goroutine Digest. The team runs the digest's body directly, not
-// through ParallelFor, whose per-call closure would allocate. Call it
-// between steps only.
-func (s *Solver) Digest(d *grid.DigestGrid) error {
+// step left it, on the worker team: each worker refreshes the stale
+// records of one contiguous range of tile rows (core.Refresh) and then
+// digests it (grid.DigestGrid.Begin), bitwise as the grid's own
+// one-goroutine Digest after a refresh. The team runs a body bound once,
+// not a ParallelFor closure, which would allocate. Call it between steps
+// only.
+func (s *Solver) Digest(d *grid.DigestGrid) error { return s.DigestPhase(d, s.swapped) }
+
+// DigestPhase is Digest of the grid's array read in phase swapped: the
+// seam for an engine layered on this solver that keeps the phase itself
+// (internal/fused).
+func (s *Solver) DigestPhase(d *grid.DigestGrid, swapped bool) error {
 	part, err := d.Begin(s.Fluid, s.Threads)
 	if err != nil {
 		return err
 	}
-	s.team.Run(part)
+	s.dig, s.digPart, s.digSwapped = d, part, swapped
+	s.team.Run(s.digestRun)
+	s.dig, s.digPart = nil, nil
+	s.Support.Refreshed()
 	d.End()
 	return nil
+}
+
+// digestPiece refreshes and digests piece p of the digest in progress.
+func (s *Solver) digestPiece(p int) {
+	lo, hi := s.dig.Blocks(p)
+	core.Refresh(s.Stream, s.Fluid.Dist(), s.Support, s.digSwapped, lo, hi)
+	s.digPart(p)
 }
 
 // Step advances one time step by running the nine kernels as parallel
@@ -243,20 +276,23 @@ func (s *Solver) SpreadForce() {
 		return
 	}
 	c, ny, nz := s.Fluid.Coupling, s.Fluid.NY, s.Fluid.NZ
+	_, reach := s.Support.Sets(0)
 	s.forSlabs(func(lo, hi int) {
-		core.SpreadBox(c, s.Sheets, grid.Box{Lo: [3]int{lo, 0, 0}, Hi: [3]int{hi, ny, nz}})
+		core.SpreadBox(c, s.Sheets, grid.Box{Lo: [3]int{lo, 0, 0}, Hi: [3]int{hi, ny, nz}}, reach)
 	})
 }
 
 // ComputeCollision is kernels 5 and 6 as one region over x-slabs
 // (Algorithm 2): each plane collides and streams in place
-// (core.AABlock), which flips the array's phase. Writes into neighbor
+// (core.AABlock), which flips the array's phase; a plane whose record is
+// stale folds its moments in (core.Support.Take). Writes into neighbor
 // slabs are race-free because no two nodes share a slot.
 func (s *Solver) ComputeCollision() {
-	st, df, tau, swapped := s.Stream, s.Fluid.Dist(), s.Tau, s.swapped
+	st, df, tau, swapped, sup := s.Stream, s.Fluid.Dist(), s.Tau, s.swapped, s.Support
 	s.forSlabs(func(lo, hi int) {
 		for x := lo; x < hi; x++ {
-			core.AABlock(st, df, x, tau, swapped)
+			fold, force := sup.Take(0, x, &s.BodyForce)
+			core.AABlock(st, df, x, tau, swapped, fold, force)
 		}
 	})
 	s.swapped = !swapped
@@ -267,17 +303,26 @@ func (s *Solver) ComputeCollision() {
 func (s *Solver) StreamDistribution() {}
 
 // UpdateVelocity is kernel 7 parallelized over x-slabs, at the phase
-// kernel 5's region left (core.AAMomentsBlock). After computing a node's
+// kernel 5's region left (core.AAMomentsBlock), on the planes of the
+// step's support: those kernels 4 and 8 touch. After computing a node's
 // moments (which read the elastic force for the half-force correction)
 // the pass resets the node's force to the uniform body force — the fold
-// that lets SpreadForce skip its own full-grid reset sweep.
+// that lets SpreadForce skip its own full-grid reset sweep. Every other
+// plane's record is left stale for its next collide to fold in; without
+// a structure that is every plane, and the region is not entered.
 func (s *Solver) UpdateVelocity() {
-	st, df, swapped, body := s.Stream, s.Fluid.Dist(), s.swapped, s.BodyForce
-	s.forSlabs(func(lo, hi int) {
-		for x := lo; x < hi; x++ {
-			core.AAMomentsBlock(st, df, x, swapped, &body)
-		}
-	})
+	if len(s.Sheets) > 0 {
+		st, df, swapped := s.Stream, s.Fluid.Dist(), s.swapped
+		_, reach := s.Support.Sets(0)
+		s.forSlabs(func(lo, hi int) {
+			for x := lo; x < hi; x++ {
+				if reach[x] {
+					core.AAMomentsBlock(st, df, x, swapped, &s.BodyForce)
+				}
+			}
+		})
+	}
+	s.Support.Advance(1)
 }
 
 // MoveFibers is kernel 8 parallelized over fibers. Fluid velocities are
@@ -291,10 +336,15 @@ func (s *Solver) MoveFibers() {
 // sequential reference (core.Solver), where Table I prices it.
 func (s *Solver) CopyDistribution() {}
 
-// Live returns the grid with its distributions in the natural phase,
-// canonicalizing the array in place if a step left it swapped. Call it
-// between steps only.
+// Refresh brings every stale record up to date (core.RefreshAll). Call
+// it between steps only.
+func (s *Solver) Refresh() { core.RefreshAll(s.Stream, s.Fluid.Dist(), s.Support, s.swapped) }
+
+// Live returns the grid with its distributions in the natural phase and
+// every record fresh, canonicalizing the array in place if a step left it
+// swapped. Call it between steps only.
 func (s *Solver) Live() *grid.Grid {
+	s.Refresh()
 	if s.swapped {
 		core.Canonicalize(s.Stream, s.Fluid.Dist())
 		s.swapped = false

@@ -93,7 +93,7 @@ func TestFluidOnlyRun(t *testing.T) {
 		t.Fatalf("StepCount = %d", s.StepCount())
 	}
 	// Uniform body force on periodic box accelerates uniformly.
-	v := s.Fluid.At(3, 3, 3).Vel[0]
+	v := s.Live().At(3, 3, 3).Vel[0]
 	if v <= 0 {
 		t.Fatalf("body force produced no flow: u_x = %g", v)
 	}

@@ -409,21 +409,21 @@ func New(cfg Config) (*Simulation, error) {
 			return nil, err
 		}
 		sim.cfg.Threads = 1
-		sim.eng, sim.problem = &seqEngine{cs, onLayout{cs.Fluid}}, &cs.Problem
+		sim.eng, sim.problem = &seqEngine{cs, onLayout{cs.Fluid, nil}}, &cs.Problem
 	case OpenMP:
 		os, err := omp.NewSolver(omp.Config{Config: coreCfg, Threads: cfg.Threads})
 		if err != nil {
 			return nil, err
 		}
 		sim.cfg.Threads = os.Threads
-		sim.eng, sim.problem = &ompEngine{os, onLayout{os.Fluid}}, &os.Problem
+		sim.eng, sim.problem = &ompEngine{os, onLayout{os.Fluid, os.Refresh}}, &os.Problem
 	case CubeBased:
 		cs, err := cubesolver.NewSolver(cubesolver.Config{Config: coreCfg, CubeSize: cfg.CubeSize, Threads: cfg.Threads})
 		if err != nil {
 			return nil, err
 		}
 		sim.cfg.Threads, sim.cfg.CubeSize = cs.Threads(), cs.Fluid.K
-		sim.eng, sim.problem = &cubeEngine{cs, onLayout{cs.Fluid}}, &cs.Problem
+		sim.eng, sim.problem = &cubeEngine{cs, onLayout{cs.Fluid, cs.Refresh}}, &cs.Problem
 	case Fused:
 		fs, err := fused.NewSolver(fused.Config{Config: coreCfg, Threads: cfg.Threads,
 			Float32: cfg.Float32})
@@ -431,7 +431,7 @@ func New(cfg Config) (*Simulation, error) {
 			return nil, err
 		}
 		sim.cfg.Threads = fs.Threads
-		sim.eng, sim.problem = &fusedEngine{fs, onLayout{fs.Fluid}}, &fs.Problem
+		sim.eng, sim.problem = &fusedEngine{fs, onLayout{fs.Fluid, fs.Refresh}}, &fs.Problem
 	default:
 		return nil, fmt.Errorf("lbmib: unknown solver kind %d", cfg.Solver)
 	}
@@ -955,16 +955,28 @@ func (s *Simulation) WriteFluidSliceCSV(w io.Writer, plane int) error {
 
 // onLayout answers the in-place accessors from the engine's fluid
 // container through the block-layout contract: the records, which no
-// phase reorders.
-type onLayout struct{ l core.Layout }
+// phase reorders. An in-place engine may leave records stale between
+// steps (core.Support); refresh, nil on the sequential engine, brings
+// them up to date first.
+type onLayout struct {
+	l       core.Layout
+	refresh func()
+}
+
+func (o onLayout) records() []grid.Macro {
+	if o.refresh != nil {
+		o.refresh()
+	}
+	return o.l.Macros()
+}
 
 func (o onLayout) macro(x, y, z int) *grid.Macro {
 	x, y, z = o.l.Wrap(x, y, z)
-	return &o.l.Macros()[o.l.Idx(x, y, z)]
+	return &o.records()[o.l.Idx(x, y, z)]
 }
 func (o onLayout) velocityAt(x, y, z int) [3]float64 { return o.macro(x, y, z).Vel }
 func (o onLayout) densityAt(x, y, z int) float64     { return o.macro(x, y, z).Rho }
-func (o onLayout) maxVelocity() float64              { return grid.MaxVelocity(o.l.Macros()) }
+func (o onLayout) maxVelocity() float64              { return grid.MaxVelocity(o.records()) }
 
 // seqEngine's grid is always natural: the sequential engine streams into
 // a second array and copies it back.
@@ -989,9 +1001,13 @@ func (e *ompEngine) live() core.Layout { return e.Live() }
 func (e *ompEngine) close()            { e.Close() }
 
 // loaded re-establishes the between-steps invariant Force == BodyForce
-// that SpreadForce relies on; a checkpoint may carry another engine's
-// end-of-step force state, which is dead state for every engine.
-func (e *ompEngine) loaded() { core.SeedForce(e.Fluid.Macros(), e.BodyForce) }
+// that SpreadForce relies on — a checkpoint may carry another engine's
+// end-of-step force state, which is dead state for every engine — and
+// counts every loaded record as fresh.
+func (e *ompEngine) loaded() {
+	core.SeedForce(e.Fluid.Macros(), e.BodyForce)
+	e.Support.Loaded()
+}
 
 type cubeEngine struct {
 	*cubesolver.Solver
@@ -1000,7 +1016,12 @@ type cubeEngine struct {
 
 func (e *cubeEngine) live() core.Layout { return e.Live() }
 func (e *cubeEngine) close()            { e.Close() }
-func (e *cubeEngine) loaded()           { core.SeedForce(e.Fluid.Macros(), e.BodyForce) } // see ompEngine.loaded
+
+// loaded: see ompEngine.loaded.
+func (e *cubeEngine) loaded() {
+	core.SeedForce(e.Fluid.Macros(), e.BodyForce)
+	e.Support.Loaded()
+}
 
 // fusedEngine digests through fused.Solver.Digest, which shadows the
 // embedded omp.Solver.Digest: in float32 mode it widens the stored

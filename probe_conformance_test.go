@@ -145,11 +145,13 @@ func checkProbeEvents(t *testing.T, engine string, events []core.Event, steps, t
 			for _, k := range core.Kernels() {
 				want[eventRow{core.KernelDone, st, 0, int(k)}] = 1
 				// One region per kernel at any thread count, but none
-				// for spreading without fibers; kernel 6 streams in
+				// for spreading or the moments pass without fibers (the
+				// support is empty, core.Support); kernel 6 streams in
 				// kernel 5's region, and kernel 9 has no second array to
 				// copy.
 				regions := 1
-				if engine == "sequential" || k == core.KStreamDistribution || k == core.KCopyDistribution || k == core.KSpreadForce && !fibers {
+				if engine == "sequential" || k == core.KStreamDistribution || k == core.KCopyDistribution ||
+					(k == core.KSpreadForce || k == core.KUpdateVelocity) && !fibers {
 					regions = 0
 				}
 				want[eventRow{core.RegionDone, st, 0, int(k)}] = regions
@@ -161,8 +163,13 @@ func checkProbeEvents(t *testing.T, engine string, events []core.Event, steps, t
 				}
 			}
 			// The after-spread and end-of-step barriers fold away when
-			// they order nothing: one worker, or no fibers.
-			sites(core.SiteAfterStream, core.SiteAfterVelocity)
+			// they order nothing: one worker, or no fibers; the
+			// after-velocity barrier without fibers, whose support is
+			// empty.
+			sites(core.SiteAfterStream)
+			if fibers {
+				sites(core.SiteAfterVelocity)
+			}
 			if threads > 1 && fibers {
 				sites(core.SiteAfterSpread, core.SiteEndOfStep)
 			}
@@ -173,7 +180,11 @@ func checkProbeEvents(t *testing.T, engine string, events []core.Event, steps, t
 				phase(tid, core.PhaseCollideStream, 1)
 				phase(tid, core.PhaseUpdateVelocity, 1)
 			}
-			sites(core.SiteAfterStream, core.SiteEndOfStep)
+			// No mid-sweep barrier without fibers: the support is empty.
+			sites(core.SiteEndOfStep)
+			if fibers {
+				sites(core.SiteAfterStream)
+			}
 		default:
 			t.Fatalf("no row for engine %q", engine)
 		}

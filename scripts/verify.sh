@@ -60,6 +60,20 @@ if grep -rn 'lattice\.\(Equilibrium\|GuoForce\)' --include='*.go' \
 	exit 1
 fi
 
+# One fold, in core's bodies. An in-place engine's collide may fold the
+# previous step's moments in (core.AABlock with a fold force,
+# core.Support): lattice.Moments on the values it has just loaded, then
+# lattice.Collide, in the same order as the moments pass, which is what
+# keeps the engines bitwise equal to Sequential. An engine that composed
+# the two itself could drift from that order: outside tests, no file of
+# omp, cubesolver or fused calls either.
+if grep -rn 'lattice\.\(Moments\|Collide\)(' --include='*.go' \
+	internal/omp internal/cubesolver internal/fused |
+	grep -v '_test\.go:'; then
+	echo "an engine calls the node kernel itself; fold through core.AABlock" >&2
+	exit 1
+fi
+
 # One coupling body, per stencil. The 64-calls-per-fiber-node API
 # (AddForce / VelocityAt, one interface call per stencil point) is gone
 # and must not creep back: no non-test file under internal/ declares or

@@ -140,12 +140,13 @@ func TestTaylorGreenVortexDecayFused(t *testing.T) {
 
 		const steps = 300
 		s.Run(steps)
+		fluid := s.Live() // records refreshed, natural phase
 
 		decay := math.Exp(-2 * nu * k * k * float64(steps))
 		worst := 0.0
 		for x := 0; x < n; x++ {
 			for y := 0; y < n; y++ {
-				got := s.Fluid.At(x, y, 1).Vel
+				got := fluid.At(x, y, 1).Vel
 				wantX := U * math.Sin(k*float64(x)) * math.Cos(k*float64(y)) * decay
 				wantY := -U * math.Cos(k*float64(x)) * math.Sin(k*float64(y)) * decay
 				if e := math.Abs(got[0] - wantX); e > worst {
@@ -166,7 +167,7 @@ func TestTaylorGreenVortexDecayFused(t *testing.T) {
 		energy, initial := 0.0, 0.0
 		for x := 0; x < n; x++ {
 			for y := 0; y < n; y++ {
-				v := s.Fluid.At(x, y, 0).Vel
+				v := fluid.At(x, y, 0).Vel
 				energy += v[0]*v[0] + v[1]*v[1]
 				ux := U * math.Sin(k*float64(x)) * math.Cos(k*float64(y))
 				uy := -U * math.Cos(k*float64(x)) * math.Sin(k*float64(y))
