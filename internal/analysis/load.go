@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -190,6 +191,14 @@ func (p *Program) check(path string) (*Package, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") ||
 			strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// The files the go tool builds for this platform: a file's
+		// GOOS/GOARCH suffix and its //go:build line decide, as they do
+		// for an assembly body and its portable twin.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, fmt.Errorf("analysis: %w", err)
+		} else if !ok {
 			continue
 		}
 		full := filepath.Join(dir, name)

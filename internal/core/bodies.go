@@ -440,21 +440,18 @@ func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64
 
 // collideWith is AABlock's collision of one node's values g when a fold
 // or a force is given: the density and velocity are lattice.Moments of g
-// under *fold, or the record r's; the force is *force, or r's. It
-// returns the density, which the node's reflections take. With both
-// given it does not read r.
+// under *fold (lattice.FoldCollide), or the record r's; the force is
+// *force, or r's. It returns the density, which the node's reflections
+// take. With both given it does not read r.
 func collideWith[T lattice.Float](g *[lattice.Q]T, r *grid.Macro, fold, force *[3]float64, tau float64) (rho float64) {
-	var u [3]float64
-	if fold != nil {
-		rho = lattice.Moments(g, *fold, &u)
-	} else {
-		rho, u = r.Rho, r.Vel
-	}
 	if force == nil {
 		force = &r.Force
 	}
-	lattice.Collide(g, rho, u, *force, tau)
-	return rho
+	if fold != nil {
+		return lattice.FoldCollide(g, *fold, *force, tau)
+	}
+	lattice.Collide(g, r.Rho, r.Vel, *force, tau)
+	return r.Rho
 }
 
 // rowLinks is the part of a row's links that x and y decide: their wall

@@ -217,10 +217,19 @@ func (s *Solver) Run(n int) {
 func (s *Solver) Refresh() { core.RefreshAll(s.stream, s.Fluid.Dist(), s.Support, s.swapped) }
 
 // Live returns the layout with its distributions in the natural phase
-// and every record fresh, canonicalizing the array in place if the last
-// step left it swapped. Call it between steps only.
+// and every record fresh: Refresh, then Canonical. Call it between steps
+// only.
 func (s *Solver) Live() *cube.Layout {
 	s.Refresh()
+	return s.Canonical()
+}
+
+// Canonical returns the layout with its distributions in the natural
+// phase, canonicalizing the array in place if the last step left it
+// swapped, and its records as the last step left them, stale ones
+// included: what a reader of the distributions alone needs. Call it
+// between steps only.
+func (s *Solver) Canonical() *cube.Layout {
 	if s.swapped {
 		core.Canonicalize(s.stream, s.Fluid.Dist())
 		s.swapped = false

@@ -279,37 +279,50 @@ func (s *Solver) waitBarrier(site core.BarrierSite, tid, step int) {
 }
 
 // Live returns the fluid grid with its distributions in the natural
-// phase and every record fresh, canonicalizing the array in place if a
-// step left it swapped. In float32 mode the stored values are then
-// widened — exactly — into the grid's array. Call it between steps only.
+// phase and every record fresh: Refresh, then Canonical. Call it between
+// steps only.
 func (s *Solver) Live() *grid.Grid {
 	s.Refresh()
-	g := s.Fluid
-	if s.f32 == nil {
-		if s.swapped {
-			core.Canonicalize(s.Stream, g.Dist())
-		}
-	} else {
-		if s.swapped {
-			core.Canonicalize(s.Stream, s.f32)
-		}
-		convert(g.Dist(), s.f32)
-	}
-	s.swapped = false
-	return g
+	return s.Canonical()
 }
 
-// TotalMass returns the summed distribution mass of Live's grid. On
-// float32 storage it canonicalizes and sums the stored values, widened,
-// in node order — the bits Live().TotalMass() would return, without
-// widening the grid.
-func (s *Solver) TotalMass() float64 {
-	if s.f32 == nil {
-		return s.Live().TotalMass()
+// Canonical returns the fluid grid with its distributions in the natural
+// phase, canonicalizing whichever array holds them in place if a step
+// left it swapped, and its records as the last step left them, stale
+// ones included. In float32 mode the stored values are then widened —
+// exactly — into the grid's array. It shadows the embedded solver's,
+// which knows neither this engine's phase nor its float32 array. Call it
+// between steps only.
+func (s *Solver) Canonical() *grid.Grid {
+	s.canonicalize()
+	if s.f32 != nil {
+		convert(s.Fluid.Dist(), s.f32)
 	}
-	if s.swapped {
+	return s.Fluid
+}
+
+// canonicalize brings whichever array holds the distributions into the
+// natural phase.
+func (s *Solver) canonicalize() {
+	if !s.swapped {
+		return
+	}
+	if s.f32 == nil {
+		core.Canonicalize(s.Stream, s.Fluid.Dist())
+	} else {
 		core.Canonicalize(s.Stream, s.f32)
-		s.swapped = false
+	}
+	s.swapped = false
+}
+
+// TotalMass returns the summed distribution mass of Live's grid, in node
+// order, without refreshing a record: a mass sum reads the distributions
+// alone. On float32 storage it sums the stored values, widened — the
+// bits Live().TotalMass() would return, without widening the grid.
+func (s *Solver) TotalMass() float64 {
+	s.canonicalize()
+	if s.f32 == nil {
+		return grid.TotalMass(s.Fluid.Dist())
 	}
 	return grid.TotalMass(s.f32)
 }

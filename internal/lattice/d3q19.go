@@ -10,17 +10,22 @@
 // the paper). Lattice units are used throughout: dx = dt = 1, the lattice
 // speed of sound satisfies cs² = 1/3.
 //
-// The model is written down twice. This file states it direction by
-// direction: Equilibrium and GuoForce loop over E and fill a 19-array,
+// The model is written down three times. This file states it direction
+// by direction: Equilibrium and GuoForce loop over E and fill a 19-array,
 // which is what initialisation wants and what the formulas look like on
 // paper. kernel.go is what the solvers execute per node per step: Collide
 // relaxes a distribution array in place towards the same equilibrium with
-// the same forcing, and Moments takes its density and velocity, both
-// unrolled over the nine opposite pairs (e, −e) of the velocity set, whose
-// equilibrium and forcing share a symmetric part and differ in the sign
-// of an antisymmetric one. The loop forms are the oracle the unrolled
-// forms are tested against (kernel_test.go); no solver composes a
-// collision out of them.
+// the same forcing, Moments takes its density and velocity, and
+// FoldCollide is the two in one call, all unrolled over the nine opposite
+// pairs (e, −e) of the velocity set, whose equilibrium and forcing share
+// a symmetric part and differ in the sign of an antisymmetric one.
+// kernel_amd64.s is the same unrolled kernel in AVX2, the nine pairs in
+// vector lanes, which Collide and FoldCollide run on float64 storage when
+// the host has AVX2. The loop forms are the oracle the unrolled Go forms
+// are tested against, and the unrolled Go forms — the path for float32
+// storage and for every other host — are the oracle the vector bodies
+// must match bit for bit (kernel_test.go); no solver composes a collision
+// out of the loop forms.
 package lattice
 
 // Q is the number of discrete velocities in the D3Q19 model (1 rest + 18

@@ -335,17 +335,6 @@ func BenchmarkGuoForce(b *testing.B) {
 	_ = F
 }
 
-func BenchmarkCollide(b *testing.B) {
-	var g [Q]float64
-	u := [3]float64{0.05, -0.02, 0.01}
-	fv := [3]float64{1e-4, 2e-4, -1e-4}
-	Equilibrium(1.0, u, &g)
-	for i := 0; i < b.N; i++ {
-		Collide(&g, 1.0, u, fv, 0.8)
-	}
-	_ = g
-}
-
 // Opposite directions carry equal weights — required for bounce-back to
 // conserve mass.
 func TestOppositeWeightsEqual(t *testing.T) {

@@ -6,6 +6,10 @@ package lattice
 // over E and no index the compiler has to bounds-check (scripts/verify.sh
 // gates that). Equilibrium and GuoForce in d3q19.go are the same formulas
 // written down direction by direction; the tests hold this file to them.
+// On float64 storage and an AVX2 host, Collide and FoldCollide run the
+// vector bodies of kernel_amd64.s instead, which compute this file's
+// expression trees lane by lane; the tests hold them to collide and
+// foldCollide bit for bit.
 //
 // Both functions take the storage type of the distributions as a type
 // parameter. The arithmetic is float64 whatever it is: a value widens on
@@ -41,7 +45,51 @@ func pairTerms(eu, ef, c, uf3, r, p float64) (se, ae, sf, af float64) {
 // of two; the relaxation stays in the form g + (g^eq − g)/τ so that 1/τ
 // scales the small non-equilibrium part, not two large terms that then
 // cancel, and so that the rest state is a fixed point bit for bit.
+//
+// On float64 storage and a host with AVX2 the vector body runs
+// (kernel_amd64.s); it computes the same expression tree lane by lane,
+// so the result does not depend on which body ran — save which NaN a
+// NaN result is, which x86 takes from the order of a commutative
+// operation's operands, and the Go compiler leaves that order to
+// register allocation.
 func Collide[T Float](g *[Q]T, rho float64, u, f [3]float64, tau float64) {
+	if haveAVX2 {
+		if g64, ok := any(g).(*[Q]float64); ok {
+			collideAVX2(g64, rho, u[0], u[1], u[2], f[0], f[1], f[2], tau)
+			return
+		}
+	}
+	collide(g, rho, u, f, tau)
+}
+
+// FoldCollide is Moments of g under the force fold followed by Collide
+// with that density and velocity and the force f, in one call: the
+// moments of the previous step folded into this step's collision
+// (core.AABlock). It returns the density. On float64 storage and a host
+// with AVX2 the vector body forms the moments from the pair sums and
+// differences of the values it loaded for the collision; the bits are
+// those of the two calls, as Collide's are.
+func FoldCollide[T Float](g *[Q]T, fold, f [3]float64, tau float64) (rho float64) {
+	if haveAVX2 {
+		if g64, ok := any(g).(*[Q]float64); ok {
+			return foldCollideAVX2(g64, fold[0], fold[1], fold[2], f[0], f[1], f[2], tau)
+		}
+	}
+	return foldCollide(g, fold, f, tau)
+}
+
+// foldCollide is FoldCollide in Go, the portable path and the vector
+// body's oracle.
+func foldCollide[T Float](g *[Q]T, fold, f [3]float64, tau float64) (rho float64) {
+	var u [3]float64
+	rho = Moments(g, fold, &u)
+	collide(g, rho, u, f, tau)
+	return rho
+}
+
+// collide is Collide in Go: the portable path and the vector body's
+// oracle.
+func collide[T Float](g *[Q]T, rho float64, u, f [3]float64, tau float64) {
 	inv := 1 / tau
 	pre := 1 - 0.5*inv
 	ux, uy, uz := u[0], u[1], u[2]

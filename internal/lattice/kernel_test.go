@@ -3,6 +3,10 @@ package lattice
 import (
 	"math"
 	"math/rand"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -343,4 +347,223 @@ func TestCollideCommutesWithLatticeSymmetries(t *testing.T) {
 		t.Fatalf("%d symmetries enumerated, want 48", count)
 	}
 	t.Logf("16 symmetries bitwise; the other 32 within %.3g·w_i", worst)
+}
+
+// The vector bodies (kernel_amd64.s) are held to the Go kernel bit for
+// bit: every lane runs the Go expression tree operation for operation,
+// so no input, however degenerate, may tell the two apart. The one
+// exception is which NaN a NaN result is. Where two different NaNs meet
+// (an input NaN and the NaN an invalid operation such as ∞ − ∞ makes),
+// x86 returns the first operand's, and the Go compiler orders the
+// operands of a commutative product or sum as register allocation
+// suits it, differently from pair to pair and from one compiler release
+// to the next; so a NaN is matched by a NaN, and every other value by
+// its bits. The Go kernel is itself held to the formulas by the tests
+// above.
+
+// TestVectorKernelSelected fails where the CPU offers AVX2 but the
+// package does not select the vector bodies, so that a broken feature
+// check cannot turn them off unnoticed.
+func TestVectorKernelSelected(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skipf("no vector body on %s/%s", runtime.GOOS, runtime.GOARCH)
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no CPU flags to check against: %v", err)
+	}
+	listed := false
+	for _, line := range strings.Split(string(info), "\n") {
+		if strings.HasPrefix(line, "flags") && slices.Contains(strings.Fields(line), "avx2") {
+			listed = true
+			break
+		}
+	}
+	if listed != haveAVX2 {
+		t.Fatalf("/proc/cpuinfo lists avx2: %v; vector bodies selected: %v", listed, haveAVX2)
+	}
+}
+
+// vectorStates is the number of random nodes each vector body is
+// compared on.
+const vectorStates = 1_000_000
+
+func requireVector(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("no vector body on this host")
+	}
+}
+
+// sameBits reports whether a and b have the same bits or are both NaN.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
+}
+
+// firstDiff returns the first direction at which a and b differ by
+// sameBits, or -1.
+func firstDiff(a, b *[Q]float64) int {
+	for i := range a {
+		if !sameBits(a[i], b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkVector runs both bodies of Collide and of FoldCollide on s and
+// fails at the first bit that differs. The fold uses s.f as the fold
+// force and fold as the collision's.
+func checkVector(t *testing.T, n int, s nodeState, fold [3]float64) {
+	t.Helper()
+	want, got := s.g, s.g
+	collide(&want, s.rho, s.u, s.f, s.tau)
+	collideAVX2(&got, s.rho, s.u[0], s.u[1], s.u[2], s.f[0], s.f[1], s.f[2], s.tau)
+	if i := firstDiff(&got, &want); i >= 0 {
+		t.Fatalf("Collide, node %d, direction %d: vector %#016x (%g), Go %#016x (%g)\n%+v",
+			n, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i], s)
+	}
+	want, got = s.g, s.g
+	wantRho := foldCollide(&want, s.f, fold, s.tau)
+	gotRho := foldCollideAVX2(&got, s.f[0], s.f[1], s.f[2], fold[0], fold[1], fold[2], s.tau)
+	if !sameBits(gotRho, wantRho) {
+		t.Fatalf("FoldCollide, node %d: density %#016x (%g), Go %#016x (%g)\n%+v",
+			n, math.Float64bits(gotRho), gotRho, math.Float64bits(wantRho), wantRho, s)
+	}
+	if i := firstDiff(&got, &want); i >= 0 {
+		t.Fatalf("FoldCollide, node %d, direction %d: vector %#016x (%g), Go %#016x (%g)\n%+v",
+			n, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i], s)
+	}
+}
+
+// On the kernel's operating range — randomState's nodes — both vector
+// bodies give the Go kernel's bits.
+func TestVectorKernelMatchesGoBitwise(t *testing.T) {
+	requireVector(t)
+	r := rand.New(rand.NewSource(24))
+	for n := 0; n < vectorStates; n++ {
+		s := randomState(r)
+		fold := [3]float64{1e-2 * (2*r.Float64() - 1), 0, 1e-3 * r.NormFloat64()}
+		checkVector(t, n, s, fold)
+	}
+}
+
+// special holds the values whose arithmetic differs from that of an
+// ordinary number: signed zeros, subnormals, the largest and smallest
+// normals, infinities and NaN.
+var special = []float64{
+	0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, -2.5e-320,
+	0x1p-1022, -0x1p-1022, math.MaxFloat64, -math.MaxFloat64,
+	math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(), 1, -1, 0.5,
+}
+
+// specialState draws every population, density, velocity and force
+// component from special with probability p, and from randomState's
+// node otherwise; tau comes from a set that reaches towards 1/2 and far
+// above 1.
+func specialState(r *rand.Rand, p float64) nodeState {
+	s := randomState(r)
+	pick := func(v *float64) {
+		if r.Float64() < p {
+			*v = special[r.Intn(len(special))]
+		}
+	}
+	for i := range s.g {
+		pick(&s.g[i])
+	}
+	pick(&s.rho)
+	for d := 0; d < 3; d++ {
+		pick(&s.u[d])
+		pick(&s.f[d])
+	}
+	taus := [...]float64{0.5 + 0x1p-52, 0.5 + 1e-9, 0.500001, 0.51, 1, 64, 1e6, 1e300}
+	s.tau = taus[r.Intn(len(taus))]
+	return s
+}
+
+// Off the operating range the bodies still agree bit for bit: special
+// values in the populations, the density, the velocity and the forces,
+// relaxation times close to 1/2 and very large ones, exactly zero forces,
+// and populations that sum to a zero density of either sign, which takes
+// Moments' zero-density branch in the fold.
+func TestVectorKernelMatchesGoOnSpecialValues(t *testing.T) {
+	requireVector(t)
+	r := rand.New(rand.NewSource(25))
+	n := 0
+	for _, p := range []float64{0.02, 0.1, 0.5, 1} {
+		for k := 0; k < vectorStates/4; k++ {
+			s := specialState(r, p)
+			fold := [3]float64{}
+			if k%3 != 0 {
+				fold = s.u // any three values will do as a force
+			}
+			if k%4 == 0 {
+				s.f = [3]float64{}
+			}
+			checkVector(t, n, s, fold)
+			n++
+		}
+	}
+	// Zero density: every population zero, or each pair's members of
+	// opposite sign and equal size, so the sums cancel exactly.
+	for k := 0; k < 1000; k++ {
+		s := randomState(r)
+		s.tau = 0.5 + 0x1p-52
+		if k%2 == 0 {
+			s.g = [Q]float64{}
+			if k%4 == 0 {
+				for i := range s.g {
+					s.g[i] = math.Copysign(0, -1)
+				}
+			}
+		} else {
+			s.g[0] = 0
+			for i := 1; i < Q; i += 2 {
+				s.g[i+1] = -s.g[i]
+			}
+		}
+		var u [3]float64
+		if rho := Moments(&s.g, s.f, &u); rho != 0 {
+			t.Fatalf("zero-density node %d has density %g", k, rho)
+		}
+		checkVector(t, n, s, s.f)
+		n++
+	}
+}
+
+// BenchmarkCollide times the node kernel on a ring of nodes larger than
+// L1 (1024 nodes, 152 KiB of populations), one node per iteration, so
+// consecutive calls are independent, as they are in a pass over a block:
+// the vector body and the Go kernel of Collide, and of FoldCollide.
+//
+//	go test -run '^$' -bench Collide ./internal/lattice
+func BenchmarkCollide(b *testing.B) {
+	const ring = 1024 // a power of two
+	r := rand.New(rand.NewSource(26))
+	states := make([]nodeState, ring)
+	for i := range states {
+		states[i] = randomState(r)
+	}
+	for _, c := range []struct {
+		name   string
+		vector bool
+		node   func(s *nodeState)
+	}{
+		{"vector", true, func(s *nodeState) { collideAVX2(&s.g, s.rho, s.u[0], s.u[1], s.u[2], s.f[0], s.f[1], s.f[2], s.tau) }},
+		{"portable", false, func(s *nodeState) { collide(&s.g, s.rho, s.u, s.f, s.tau) }},
+		{"fold/vector", true, func(s *nodeState) {
+			s.rho = foldCollideAVX2(&s.g, s.f[0], s.f[1], s.f[2], s.f[0], s.f[1], s.f[2], s.tau)
+		}},
+		{"fold/portable", false, func(s *nodeState) { s.rho = foldCollide(&s.g, s.f, s.f, s.tau) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			if c.vector && !haveAVX2 {
+				b.Skip("no vector body on this host")
+			}
+			ring := append([]nodeState(nil), states...)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.node(&ring[i%len(ring)])
+			}
+		})
+	}
 }

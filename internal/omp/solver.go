@@ -341,10 +341,18 @@ func (s *Solver) CopyDistribution() {}
 func (s *Solver) Refresh() { core.RefreshAll(s.Stream, s.Fluid.Dist(), s.Support, s.swapped) }
 
 // Live returns the grid with its distributions in the natural phase and
-// every record fresh, canonicalizing the array in place if a step left it
-// swapped. Call it between steps only.
+// every record fresh: Refresh, then Canonical. Call it between steps
+// only.
 func (s *Solver) Live() *grid.Grid {
 	s.Refresh()
+	return s.Canonical()
+}
+
+// Canonical returns the grid with its distributions in the natural
+// phase, canonicalizing the array in place if a step left it swapped,
+// and its records as the last step left them, stale ones included: what
+// a reader of the distributions alone needs. Call it between steps only.
+func (s *Solver) Canonical() *grid.Grid {
 	if s.swapped {
 		core.Canonicalize(s.Stream, s.Fluid.Dist())
 		s.swapped = false

@@ -257,10 +257,14 @@ type engine interface {
 	// live returns the fluid layout the engine steps with its
 	// distributions in the natural phase, canonicalizing them in place
 	// if the engine streams in place and the last step left them swapped
-	// (core.AABlock) — the one source of every snapshot, checkpoint,
-	// fluid output and mass sum, and the one target of Restore. Between
-	// steps only.
+	// (core.AABlock), and every record fresh — the one source of every
+	// snapshot, checkpoint and fluid output, and the one target of
+	// Restore. Between steps only.
 	live() core.Layout
+	// mass returns the summed distribution mass of live's layout, in
+	// storage order, without refreshing a record: it canonicalizes only.
+	// Between steps only.
+	mass() float64
 	// loaded re-establishes the engine's invariants after Restore has
 	// overwritten the live layout's distributions, ρ, u and force.
 	loaded()
@@ -808,13 +812,10 @@ func (s *Simulation) FluidDensity(x, y, z int) float64 { return s.eng.densityAt(
 // invariant useful for sanity checks. It is summed over the engine's
 // live layout in storage order — no snapshot is materialized — so on the
 // cube engines it can differ from FluidSnapshot().TotalMass() in the
-// last bits (the same terms, added cube by cube).
-func (s *Simulation) TotalMass() float64 {
-	if e, ok := s.eng.(*fusedEngine); ok {
-		return e.TotalMass() // sums float32 storage without widening it
-	}
-	return grid.TotalMass(s.eng.live().Dist())
-}
+// last bits (the same terms, added cube by cube). It reads the
+// distributions alone: an in-place engine's array is canonicalized, and
+// records the last step left stale stay stale.
+func (s *Simulation) TotalMass() float64 { return s.eng.mass() }
 
 // MaxVelocity returns the largest fluid speed; it must remain well below
 // the lattice sound speed (≈0.577) for the simulation to stay valid.
@@ -986,6 +987,7 @@ type seqEngine struct {
 }
 
 func (e *seqEngine) live() core.Layout               { return e.Fluid }
+func (e *seqEngine) mass() float64                   { return e.Fluid.TotalMass() }
 func (e *seqEngine) Digest(d *grid.DigestGrid) error { return e.Fluid.Digest(d) }
 func (e *seqEngine) close()                          {}
 
@@ -998,6 +1000,7 @@ type ompEngine struct {
 }
 
 func (e *ompEngine) live() core.Layout { return e.Live() }
+func (e *ompEngine) mass() float64     { return e.Canonical().TotalMass() }
 func (e *ompEngine) close()            { e.Close() }
 
 // loaded re-establishes the between-steps invariant Force == BodyForce
@@ -1015,6 +1018,7 @@ type cubeEngine struct {
 }
 
 func (e *cubeEngine) live() core.Layout { return e.Live() }
+func (e *cubeEngine) mass() float64     { return e.Canonical().TotalMass() }
 func (e *cubeEngine) close()            { e.Close() }
 
 // loaded: see ompEngine.loaded.
@@ -1032,5 +1036,6 @@ type fusedEngine struct {
 }
 
 func (e *fusedEngine) live() core.Layout { return e.Live() }
+func (e *fusedEngine) mass() float64     { return e.TotalMass() } // sums float32 storage without widening it
 func (e *fusedEngine) close()            { e.Close() }
 func (e *fusedEngine) loaded()           { e.Loaded() }

@@ -21,8 +21,9 @@
 # critical-path report), a bundle-replay smoke, a recorder-free watchdog
 # smoke, five examples (three on the cube engine, poiseuille on every
 # engine, movingsheet with its free sheet), one pass of every case of the
-# per-body stream benchmark (so it keeps compiling and running), and the
-# repo benchmark's verification pass on every workload.
+# per-body stream benchmark and of the node-kernel benchmark (so they
+# keep compiling and running), and the repo benchmark's verification
+# pass on every workload.
 #
 # The barrier choreography is held once, by the tests. A thread that
 # skips a barrier site (a tid-guarded wait, a thread-dependent return or
@@ -59,6 +60,18 @@ if grep -rn 'lattice\.\(Equilibrium\|GuoForce\)' --include='*.go' \
 	echo "an engine package restates the collision arithmetic; call lattice.Collide" >&2
 	exit 1
 fi
+
+# The vector bodies of the node kernel (internal/lattice/kernel_amd64.s)
+# are the Go kernel's bits (kernel_test.go), which holds only while they
+# round where the Go expression tree rounds: a fused multiply-add rounds
+# a product and a sum once, not twice, so no assembly file of the
+# package may name one. Every assembly declaration keeps a portable twin
+# (kernel_noasm.go), which vet on a platform without the assembly checks.
+if grep -n 'VFMADD\|VFMSUB\|VFNMADD\|VFNMSUB' internal/lattice/*.s; then
+	echo "a fused multiply-add in the node kernel's assembly moves bits" >&2
+	exit 1
+fi
+GOARCH=arm64 go vet ./internal/lattice/
 
 # One fold, in core's bodies. An in-place engine's collide may fold the
 # previous step's moments in (core.AABlock with a fold force,
@@ -195,6 +208,10 @@ rm -f "$WDLOG"
 # One pass per case keeps it compiling and executing; its figures are
 # not judged here.
 go test -run '^$' -bench InPlaceBodies -benchtime 1x ./internal/core
+
+# Node-kernel benchmark smoke: BenchmarkCollide times the vector body, the
+# Go kernel and the fold entry on a ring of nodes; one pass of each row.
+go test -run '^$' -bench Collide -benchtime 1x ./internal/lattice
 
 # Benchmark smoke: every workload of the repo benchmark (BENCHMARK.json)
 # at smoke length. Each run verifies its engine against Sequential under

@@ -220,3 +220,96 @@ func TestDigestRefreshesStaleRecords(t *testing.T) {
 		}
 	}
 }
+
+// stale counts the blocks whose records the engine's next collide would
+// fold: the blocks outside its fresh set.
+func stale(t *testing.T, s *Simulation) int {
+	var sup *core.Support
+	switch e := s.eng.(type) {
+	case *ompEngine:
+		sup = e.Support
+	case *cubeEngine:
+		sup = e.Support
+	case *fusedEngine:
+		sup = e.Support
+	default:
+		t.Fatalf("engine %T streams in place? no record can go stale", e)
+	}
+	fresh, _ := sup.Sets(0)
+	n := 0
+	for _, f := range fresh {
+		if !f {
+			n++
+		}
+	}
+	return n
+}
+
+// TestTotalMassLeavesRecordsStale holds TotalMass on a stale state — omp,
+// cube and fused (both storage types) at one to three threads, after odd
+// and even step counts, fluid-only and with a sheet — to the sum over
+// Live's layout, bit for bit, which is what it returned when it
+// refreshed every record first; and it must refresh none: a mass sum
+// reads the distributions alone. Reading the records afterwards must
+// still give Sequential's bits, from the canonicalized array.
+func TestTotalMassLeavesRecordsStale(t *testing.T) {
+	snapshot := func(s *Simulation) string {
+		var b bytes.Buffer
+		for _, n := range s.FluidSnapshot().Nodes {
+			fmt.Fprint(&b, n.DF, n.Vel, n.Rho, n.Force)
+		}
+		return b.String()
+	}
+	engines := []struct {
+		name    string
+		kind    SolverKind
+		float32 bool
+	}{{"omp", OpenMP, false}, {"cube", CubeBased, false}, {"fused", Fused, false}, {"fused-f32", Fused, true}}
+	for _, p := range staleProblems {
+		for _, n := range []int{3, 4} {
+			ref := p.cfg
+			ref.Solver, ref.Threads = Sequential, 1
+			seq, err := New(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq.Run(n)
+			core.SeedForce(seq.eng.live().Macros(), ref.BodyForce)
+			want := snapshot(seq)
+			seq.Close()
+			for _, e := range engines {
+				for threads := 1; threads <= 3; threads++ {
+					cfg := p.cfg
+					cfg.Solver, cfg.Float32, cfg.Threads, cfg.CubeSize = e.kind, e.float32, threads, 4
+					t.Run(fmt.Sprintf("%s/%s/%dt/%d", p.name, e.name, threads, n), func(t *testing.T) {
+						var sims [2]*Simulation
+						for i := range sims {
+							s, err := New(cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							defer s.Close()
+							s.Run(n)
+							sims[i] = s
+						}
+						before := stale(t, sims[0])
+						if before == 0 {
+							t.Fatal("no stale record to leave stale")
+						}
+						got := sims[0].TotalMass()
+						if after := stale(t, sims[0]); after != before {
+							t.Errorf("TotalMass refreshed records: %d stale before, %d after", before, after)
+						}
+						if live := grid.TotalMass(sims[1].eng.live().Dist()); math.Float64bits(got) != math.Float64bits(live) {
+							t.Errorf("TotalMass %#x (%.17g), the sum over Live's layout %#x (%.17g)",
+								math.Float64bits(got), got, math.Float64bits(live), live)
+						}
+						if !cfg.Float32 && snapshot(sims[0]) != want {
+							t.Error("FluidSnapshot after TotalMass differs from Sequential's")
+						}
+					})
+				}
+			}
+		}
+	}
+}
