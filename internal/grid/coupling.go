@@ -1,6 +1,9 @@
 package grid
 
-import "lbmib/internal/ibm"
+import (
+	"lbmib/internal/cpu"
+	"lbmib/internal/ibm"
+)
 
 // Coupling is the fluid side of the immersed-boundary coupling — kernel
 // 4's scatter and kernel 8's gather — bound to one record array through
@@ -11,7 +14,10 @@ import "lbmib/internal/ibm"
 // once per fiber node, with the stencil on their own frame: kernel 4
 // through SpreadNode, each thread into the Box it owns, and kernel 8
 // through Interpolate. SpreadStencil and InterpolateStencil make the
-// layouts an ibm.ForceAccumulator and ibm.VelocitySampler.
+// layouts an ibm.ForceAccumulator and ibm.VelocitySampler. On an AVX2
+// host (cpu.Vector) the two loops run coupling_amd64.s, a row of four
+// weights per vector, with the Go loops' bits; the Go loops are the
+// portable path, the race detector's and the vector bodies' oracle.
 type Coupling struct {
 	macro []Macro
 	at    [3][]int
@@ -283,14 +289,25 @@ func (c *Coupling) Interpolate(x [3]float64) [3]float64 {
 	return c.gather(&st, &o)
 }
 
-// spread is the 64-point scatter over resolved offsets o. float64(…)
-// rounds the product before the add on every architecture (the bitwise
-// contract). An exactly zero weight skips its plane, row or node: the
-// products it would add are exactly 0. The z row is unrolled over its
-// four offsets and weights, held in locals; the product order is
-// (wx·wy)·wz·area.
+// spread is the 64-point scatter over resolved offsets o: the AVX2 body
+// (coupling_amd64.s) where cpu.Vector reports one, spreadGo otherwise,
+// with the same bits.
 func (c *Coupling) spread(st *ibm.Stencil, o *[3][ibm.SupportWidth]int, F [3]float64, area float64) {
-	macro, f0, f1, f2 := c.macro, F[0], F[1], F[2]
+	if cpu.Vector() {
+		spreadAVX2(c.macro, st, o, F[0], F[1], F[2], area)
+		return
+	}
+	spreadGo(c.macro, st, o, F, area)
+}
+
+// spreadGo is spread's Go loop over the records macro, the portable body
+// and the oracle of the vector one. float64(…) rounds the product before
+// the add on every architecture (the bitwise contract). An exactly zero
+// weight skips its plane, row or node: the products it would add are
+// exactly 0. The z row is unrolled over its four offsets and weights,
+// held in locals; the product order is (wx·wy)·wz·area.
+func spreadGo(macro []Macro, st *ibm.Stencil, o *[3][ibm.SupportWidth]int, F [3]float64, area float64) {
+	f0, f1, f2 := F[0], F[1], F[2]
 	z0, z1, z2, z3 := o[2][0], o[2][1], o[2][2], o[2][3]
 	wz0, wz1, wz2, wz3 := st.Wz[0], st.Wz[1], st.Wz[2], st.Wz[3]
 	for i, wx := range &st.Wx {
@@ -325,11 +342,21 @@ func addForce(m *Macro, f0, f1, f2, w float64) {
 	m.Force[2] += float64(f2 * w)
 }
 
-// gather is the 64-point gather over resolved offsets o, skipping exactly
-// zero weights as spread does and unrolled the same way: u accumulates
-// the nodes in (i, j, k) order.
+// gather is the 64-point gather over resolved offsets o: the AVX2 body
+// where cpu.Vector reports one, gatherGo otherwise, with the same bits.
 func (c *Coupling) gather(st *ibm.Stencil, o *[3][ibm.SupportWidth]int) [3]float64 {
-	macro := c.macro
+	if cpu.Vector() {
+		u0, u1, u2 := gatherAVX2(c.macro, st, o)
+		return [3]float64{u0, u1, u2}
+	}
+	return gatherGo(c.macro, st, o)
+}
+
+// gatherGo is gather's Go loop over the records macro, the portable body
+// and the oracle of the vector one: it skips exactly zero weights as
+// spreadGo does and is unrolled the same way; u accumulates the nodes in
+// (i, j, k) order.
+func gatherGo(macro []Macro, st *ibm.Stencil, o *[3][ibm.SupportWidth]int) [3]float64 {
 	z0, z1, z2, z3 := o[2][0], o[2][1], o[2][2], o[2][3]
 	wz0, wz1, wz2, wz3 := st.Wz[0], st.Wz[1], st.Wz[2], st.Wz[3]
 	var u0, u1, u2 float64

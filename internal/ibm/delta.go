@@ -8,9 +8,12 @@
 // storage in grid.Coupling; the engines call it directly, and the
 // interfaces below are the per-stencil contract for everything else.
 //
-// Stencil.Compute evaluates Phi4's body without its absolute value,
-// inlined twelve times per stencil; Phi4 itself stays the reference the
-// weights equal bit for bit.
+// Stencil.Compute evaluates phi4, Phi4's body without its absolute
+// value. On an AVX2 host (cpu.Vector) it runs delta_amd64.s, which takes
+// an axis's four weights as the lanes of one vector and its four square
+// roots in one instruction; elsewhere, and under the race detector, it
+// runs the Go body, phi4 inlined twelve times. Both give Phi4's bits,
+// which stays the reference the weights are tested against.
 //
 // The delta kernel is separable: δ_h(x) = φ(x)φ(y)φ(z) with h = 1 in
 // lattice units, where φ is Peskin's standard 4-point function. Its support
@@ -18,7 +21,11 @@
 // influential domain the paper describes.
 package ibm
 
-import "math"
+import (
+	"math"
+
+	"lbmib/internal/cpu"
+)
 
 // SupportWidth is the number of fluid nodes the delta kernel touches along
 // each axis (the influential domain is SupportWidth³ = 64 nodes).
@@ -69,9 +76,20 @@ type Stencil struct {
 func StencilBase(x float64) int { return int(math.Floor(x)) - 1 }
 
 // Compute fills the stencil for a fiber node at position x (lattice
-// units). Each weight is Phi4(x − (Base+i)) bit for bit, through Phi4's
-// inlined body.
+// units). Each weight is Phi4(x − (Base+i)) bit for bit, through the
+// vector body where cpu.Vector reports one and Phi4's inlined body
+// otherwise.
 func (s *Stencil) Compute(x [3]float64) {
+	if cpu.Vector() {
+		computeAVX2(s, x[0], x[1], x[2])
+		return
+	}
+	s.compute(x)
+}
+
+// compute is Compute's Go body: the portable path and the oracle of the
+// vector one.
+func (s *Stencil) compute(x [3]float64) {
 	for d := 0; d < 3; d++ {
 		s.Base[d] = StencilBase(x[d])
 	}

@@ -17,6 +17,8 @@ package lattice
 // instantiation is the plain float64 kernel and the float32 one is that
 // kernel on the widened values, rounded once.
 
+import "lbmib/internal/cpu"
+
 // Float is the element type a distribution array may be stored in.
 type Float interface{ ~float32 | ~float64 }
 
@@ -53,7 +55,7 @@ func pairTerms(eu, ef, c, uf3, r, p float64) (se, ae, sf, af float64) {
 // operation's operands, and the Go compiler leaves that order to
 // register allocation.
 func Collide[T Float](g *[Q]T, rho float64, u, f [3]float64, tau float64) {
-	if haveAVX2 {
+	if cpu.Vector() {
 		if g64, ok := any(g).(*[Q]float64); ok {
 			collideAVX2(g64, rho, u[0], u[1], u[2], f[0], f[1], f[2], tau)
 			return
@@ -70,7 +72,7 @@ func Collide[T Float](g *[Q]T, rho float64, u, f [3]float64, tau float64) {
 // differences of the values it loaded for the collision; the bits are
 // those of the two calls, as Collide's are.
 func FoldCollide[T Float](g *[Q]T, fold, f [3]float64, tau float64) (rho float64) {
-	if haveAVX2 {
+	if cpu.Vector() {
 		if g64, ok := any(g).(*[Q]float64); ok {
 			return foldCollideAVX2(g64, fold[0], fold[1], fold[2], f[0], f[1], f[2], tau)
 		}

@@ -3,10 +3,8 @@
 package lattice
 
 // Without a vector body the Go kernel is the only path. The twins below
-// keep kernel.go's calls to the amd64 bodies compiling; haveAVX2 is
+// keep kernel.go's calls to the amd64 bodies compiling; cpu.Vector is
 // false, so they never run.
-
-const haveAVX2 = false
 
 func collideAVX2(g *[Q]float64, rho, ux, uy, uz, fx, fy, fz, tau float64) {
 	collide(g, rho, [3]float64{ux, uy, uz}, [3]float64{fx, fy, fz}, tau)

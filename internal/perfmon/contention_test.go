@@ -125,7 +125,11 @@ func TestSkewSelfTest(t *testing.T) {
 		slow    = 3
 		steps   = 3
 		n, k    = 16, 4
-		side    = 128 // fiber nodes per sheet side, all spread by the slow thread
+		// fiber nodes per sheet side, all spread by the slow thread:
+		// 181² ≈ 2¹⁵ nodes, so that with the vector spread its extra work
+		// still outweighs the scheduling noise of 8 threads on a host
+		// with fewer cores (at 128² it failed about 3 runs in 100 there)
+		side = 181
 	)
 	// The slow thread's box, in lattice nodes. A stencil based at b
 	// covers b…b+3 with b = ⌊x⌋−1 (ibm.StencilBase), so a node at

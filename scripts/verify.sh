@@ -6,8 +6,12 @@
 # distribution array in place from worker threads, and every worker
 # spreads fiber forces into the box of fluid it owns (a race here means
 # two owned boxes overlap); the in-place and spread bodies they share
-# live in core; the fused engine's wavefront sweep overlaps in-place streaming
-# and the moments of neighbouring planes across one parallel region; all three parallel engines run
+# live in core; the race detector does not instrument assembly, so a
+# race build selects the Go bodies of the node kernel, the stencil, the
+# spread and the gather (internal/cpu), and every record and
+# distribution access kernels 4, 5 and 8 make is one it sees; the
+# fused engine's wavefront sweep overlaps in-place streaming and the
+# moments of neighbouring planes across one parallel region; all three parallel engines run
 # their workers on par's team; the perfmon profile — Table I/II
 # accumulators, step ring and crossing ring of the critical-path report
 # — is written from all workers; par's timed barrier wraps the team
@@ -21,9 +25,9 @@
 # critical-path report), a bundle-replay smoke, a recorder-free watchdog
 # smoke, five examples (three on the cube engine, poiseuille on every
 # engine, movingsheet with its free sheet), one pass of every case of the
-# per-body stream benchmark and of the node-kernel benchmark (so they
-# keep compiling and running), and the repo benchmark's verification
-# pass on every workload.
+# per-body stream benchmark, of the node-kernel benchmark and of the
+# coupling benchmark (so they keep compiling and running), and the repo
+# benchmark's verification pass on every workload.
 #
 # The barrier choreography is held once, by the tests. A thread that
 # skips a barrier site (a tid-guarded wait, a thread-dependent return or
@@ -61,17 +65,28 @@ if grep -rn 'lattice\.\(Equilibrium\|GuoForce\)' --include='*.go' \
 	exit 1
 fi
 
-# The vector bodies of the node kernel (internal/lattice/kernel_amd64.s)
-# are the Go kernel's bits (kernel_test.go), which holds only while they
-# round where the Go expression tree rounds: a fused multiply-add rounds
-# a product and a sum once, not twice, so no assembly file of the
-# package may name one. Every assembly declaration keeps a portable twin
-# (kernel_noasm.go), which vet on a platform without the assembly checks.
-if grep -n 'VFMADD\|VFMSUB\|VFNMADD\|VFNMSUB' internal/lattice/*.s; then
-	echo "a fused multiply-add in the node kernel's assembly moves bits" >&2
+# The vector bodies — the node kernel (internal/lattice/kernel_amd64.s),
+# the Peskin stencil (internal/ibm/delta_amd64.s), the spread and the
+# gather (internal/grid/coupling_amd64.s) — are their Go twins' bits
+# (the packages' Vector tests), which holds only while they round where
+# the Go expression trees round: a fused multiply-add rounds a product
+# and a sum once, not twice, so no assembly file under internal/ may
+# name one. Every assembly declaration keeps a portable twin (the
+# *_noasm.go files; internal/cpu's probe reports no vector body there),
+# which vet on a platform without the assembly checks. The body is
+# chosen by the CPU probe (internal/cpu) alone; cpu.PortableForTest,
+# which switches to the Go bodies, is for the tests and benchmarks that
+# compare the two, and no non-test file may call it.
+if grep -n 'VFMADD\|VFMSUB\|VFNMADD\|VFNMSUB' internal/*/*.s; then
+	echo "a fused multiply-add in a vector body's assembly moves bits" >&2
 	exit 1
 fi
-GOARCH=arm64 go vet ./internal/lattice/
+GOARCH=arm64 go vet ./internal/cpu/ ./internal/lattice/ ./internal/ibm/ ./internal/grid/
+if grep -rn 'PortableForTest(' --include='*.go' . | grep -v '_test\.go:' |
+	grep -v '^\./internal/cpu/cpu\.go:'; then
+	echo "a non-test file switches the vector bodies off; only the CPU probe chooses them" >&2
+	exit 1
+fi
 
 # One fold, in core's bodies. An in-place engine's collide may fold the
 # previous step's moments in (core.AABlock with a fold force,
@@ -212,6 +227,12 @@ go test -run '^$' -bench InPlaceBodies -benchtime 1x ./internal/core
 # Node-kernel benchmark smoke: BenchmarkCollide times the vector body, the
 # Go kernel and the fold entry on a ring of nodes; one pass of each row.
 go test -run '^$' -bench Collide -benchtime 1x ./internal/lattice
+
+# Coupling benchmark smoke: BenchmarkCoupling times the stencil, the
+# spread, the gather, kernel 4 (SpreadBox) and kernel 8
+# (MoveSheetNodes), vector and portable, on dense_ib's sheets; one pass
+# of each row.
+go test -run '^$' -bench Coupling -benchtime 1x ./internal/core
 
 # Benchmark smoke: every workload of the repo benchmark (BENCHMARK.json)
 # at smoke length. Each run verifies its engine against Sequential under
