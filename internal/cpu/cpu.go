@@ -14,15 +14,3 @@ package cpu
 // reports AVX2, the operating system saves the YMM registers across
 // context switches, and the race detector is off.
 func Vector() bool { return vector }
-
-// PortableForTest selects the Go bodies until the returned function
-// restores the probe's choice. It serves the tests and benchmarks that
-// hold the two bodies of a piece against each other through a caller in
-// another package (core.SpreadBox over the stencil, the spread and the
-// gather); scripts/verify.sh fails if a non-test file calls it. It
-// changes which body runs, never a bit, and is not safe to call while
-// another goroutine steps.
-func PortableForTest() (restore func()) {
-	vector = false
-	return func() { vector = detected }
-}

@@ -7,6 +7,19 @@ var (
 	vector   = detected
 )
 
+// PortableForTest selects the Go bodies until the returned function
+// restores the probe's choice. It serves the tests and benchmarks that
+// hold the two bodies of a piece against each other through a caller in
+// another package (core.SpreadBox over the stencil, the spread and the
+// gather); scripts/verify.sh fails if a non-test file outside this
+// package names it. It
+// changes which body runs, never a bit, and is not safe to call while
+// another goroutine steps.
+func PortableForTest() (restore func()) {
+	vector = false
+	return func() { vector = detected }
+}
+
 func detectAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {

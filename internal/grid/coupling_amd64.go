@@ -4,7 +4,8 @@ import "lbmib/internal/ibm"
 
 // spreadAVX2 and gatherAVX2 are spreadGo and gatherGo on the host's
 // vector unit (coupling_amd64.s), which addresses a record's fields and
-// the stencil's weights at the byte offsets its header lists. They index
+// the stencil's weights at the byte offsets its header lists and
+// TestMacroLayout and ibm's TestStencilLayout pin. They index
 // m without a bounds check: o holds indices the layout's axis tables
 // produced.
 //

@@ -25,9 +25,10 @@
 // record, and adds w·(Vel, ρ) to a 4-lane sum in (i, j, k) order; the ρ
 // lane is dropped at the end.
 //
-// A record (Macro) is 56 bytes: Vel at 0, Force at 32. The stencil's
-// weights are at 24 (Wx), 56 (Wy) and 88 (Wz) of ibm.Stencil, and o is
-// the [3][4]int of record indices, x at 0, y at 32, z at 64.
+// A record (Macro) is 56 bytes: Vel at 0, Rho at 24, Force at 32
+// (TestMacroLayout). The stencil's weights are at 24 (Wx), 56 (Wy) and
+// 88 (Wz) of ibm.Stencil (ibm's TestStencilLayout), and o is the
+// [3][4]int of record indices, x at 0, y at 32, z at 64.
 
 // ROW runs the points of row j of the current plane through the point
 // body POINT(k, zk): Y7 holds the plane's four wxy and R14 the bits of

@@ -3,9 +3,22 @@ package grid
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"lbmib/internal/ibm"
 )
+
+// TestMacroLayout pins the record layout coupling_amd64.s addresses, on
+// every host: 56-byte records with Vel at 0, Rho at 24 and Force at 32
+// (the gather loads Vel and Rho as one 32-byte vector). The stencil's
+// offsets are pinned by ibm's TestStencilLayout.
+func TestMacroLayout(t *testing.T) {
+	var m Macro
+	got := [4]uintptr{unsafe.Sizeof(m), unsafe.Offsetof(m.Vel), unsafe.Offsetof(m.Rho), unsafe.Offsetof(m.Force)}
+	if want := [4]uintptr{56, 0, 24, 32}; got != want {
+		t.Fatalf("Macro's size and Vel, Rho, Force offsets are %v, want %v: the assembly bodies address the old layout", got, want)
+	}
+}
 
 // SpreadNode's reach test, and for a window that reaches its
 // out-of-box mask and offsets, and ResolveStencil's offsets, agree with

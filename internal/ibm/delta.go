@@ -11,9 +11,11 @@
 // Stencil.Compute evaluates phi4, Phi4's body without its absolute
 // value. On an AVX2 host (cpu.Vector) it runs delta_amd64.s, which takes
 // an axis's four weights as the lanes of one vector and its four square
-// roots in one instruction; elsewhere, and under the race detector, it
-// runs the Go body, phi4 inlined twelve times. Both give Phi4's bits,
-// which stays the reference the weights are tested against.
+// roots in one instruction, for every position whose coordinates are
+// below 2⁵² in magnitude; elsewhere (NaN, ±∞, huge coordinates, other
+// hosts, the race detector) it runs the Go body, phi4 inlined twelve
+// times. Both give Phi4's bits, which stays the reference the weights
+// are tested against.
 //
 // The delta kernel is separable: δ_h(x) = φ(x)φ(y)φ(z) with h = 1 in
 // lattice units, where φ is Peskin's standard 4-point function. Its support
@@ -77,11 +79,10 @@ func StencilBase(x float64) int { return int(math.Floor(x)) - 1 }
 
 // Compute fills the stencil for a fiber node at position x (lattice
 // units). Each weight is Phi4(x − (Base+i)) bit for bit, through the
-// vector body where cpu.Vector reports one and Phi4's inlined body
-// otherwise.
+// vector body where cpu.Vector reports one and every coordinate is below
+// 2⁵² in magnitude, and through Phi4's inlined body otherwise.
 func (s *Stencil) Compute(x [3]float64) {
-	if cpu.Vector() {
-		computeAVX2(s, x[0], x[1], x[2])
+	if cpu.Vector() && computeAVX2(s, x[0], x[1], x[2]) {
 		return
 	}
 	s.compute(x)

@@ -12,149 +12,62 @@
 // One VSQRTPD serves the four lanes of an axis. 2a is a + a and /8 is
 // ·0.125, both exact, as the Go compiler emits them.
 //
-// Where every coordinate is below 2⁵² in magnitude (FASTAXIS) no lane
-// needs a conversion or a compare; any other position — NaN, ±∞, huge,
-// a saturated or wrapping base — runs AXIS, which converts every base+i
-// as the Go body does and lets an ordered compare pick each lane's
-// branch.
+// It serves positions whose three coordinates are below 2⁵² in
+// magnitude and reports false for any other (NaN, ±∞, huge, where a base
+// may saturate or wrap), having written part of the stencil; Compute
+// then runs the Go body, which writes all of it.
 
 DATA kd<>+0(SB)/8, $0x7fffffffffffffff // |·| mask
 DATA kd<>+8(SB)/8, $0x7fffffffffffffff
 DATA kd<>+16(SB)/8, $0x7fffffffffffffff
 DATA kd<>+24(SB)/8, $0x7fffffffffffffff
-DATA kd<>+32(SB)/8, $0x3ff0000000000000 // 1
-DATA kd<>+40(SB)/8, $0x3ff0000000000000
-DATA kd<>+48(SB)/8, $0x3ff0000000000000
-DATA kd<>+56(SB)/8, $0x3ff0000000000000
-DATA kd<>+64(SB)/8, $0x4000000000000000 // 2
-DATA kd<>+72(SB)/8, $0x4000000000000000
-DATA kd<>+80(SB)/8, $0x4000000000000000
-DATA kd<>+88(SB)/8, $0x4000000000000000
-DATA kd<>+96(SB)/8, $0x4008000000000000 // 3
-DATA kd<>+104(SB)/8, $0x4008000000000000
-DATA kd<>+112(SB)/8, $0x4008000000000000
-DATA kd<>+120(SB)/8, $0x4008000000000000
-DATA kd<>+128(SB)/8, $0x4010000000000000 // 4
-DATA kd<>+136(SB)/8, $0x4010000000000000
-DATA kd<>+144(SB)/8, $0x4010000000000000
-DATA kd<>+152(SB)/8, $0x4010000000000000
-DATA kd<>+160(SB)/8, $0x4014000000000000 // 5
-DATA kd<>+168(SB)/8, $0x4014000000000000
-DATA kd<>+176(SB)/8, $0x4014000000000000
-DATA kd<>+184(SB)/8, $0x4014000000000000
-DATA kd<>+192(SB)/8, $0xc01c000000000000 // −7
-DATA kd<>+200(SB)/8, $0xc01c000000000000
-DATA kd<>+208(SB)/8, $0xc01c000000000000
-DATA kd<>+216(SB)/8, $0xc01c000000000000
-DATA kd<>+224(SB)/8, $0x4028000000000000 // 12
-DATA kd<>+232(SB)/8, $0x4028000000000000
-DATA kd<>+240(SB)/8, $0x4028000000000000
-DATA kd<>+248(SB)/8, $0x4028000000000000
-DATA kd<>+256(SB)/8, $0x3fc0000000000000 // 0.125
-DATA kd<>+264(SB)/8, $0x3fc0000000000000
-DATA kd<>+272(SB)/8, $0x3fc0000000000000
-DATA kd<>+280(SB)/8, $0x3fc0000000000000
-DATA kd<>+288(SB)/8, $0xbff0000000000000 // −1, 0, 1, 2
-DATA kd<>+296(SB)/8, $0x0000000000000000
-DATA kd<>+304(SB)/8, $0x3ff0000000000000
-DATA kd<>+312(SB)/8, $0x4000000000000000
-DATA kd<>+320(SB)/8, $0xc01c000000000000 // −7, 1, 1, −7
-DATA kd<>+328(SB)/8, $0x3ff0000000000000
-DATA kd<>+336(SB)/8, $0x3ff0000000000000
-DATA kd<>+344(SB)/8, $0xc01c000000000000
-DATA kd<>+352(SB)/8, $0x4028000000000000 // 12, 4, 4, 12
-DATA kd<>+360(SB)/8, $0x4010000000000000
-DATA kd<>+368(SB)/8, $0x4010000000000000
-DATA kd<>+376(SB)/8, $0x4028000000000000
-DATA kd<>+384(SB)/8, $0x4014000000000000 // 5, 3, 3, 5
-DATA kd<>+392(SB)/8, $0x4008000000000000
-DATA kd<>+400(SB)/8, $0x4008000000000000
-DATA kd<>+408(SB)/8, $0x4014000000000000
-DATA kd<>+416(SB)/8, $0x8000000000000000 // −, +, +, − (sign bits)
-DATA kd<>+424(SB)/8, $0x0000000000000000
-DATA kd<>+432(SB)/8, $0x0000000000000000
-DATA kd<>+440(SB)/8, $0x8000000000000000
-DATA kd<>+448(SB)/8, $0x4330000000000000 // 2⁵² (one lane)
-GLOBL kd<>(SB), RODATA|NOPTR, $456
+DATA kd<>+32(SB)/8, $0x4010000000000000 // 4
+DATA kd<>+40(SB)/8, $0x4010000000000000
+DATA kd<>+48(SB)/8, $0x4010000000000000
+DATA kd<>+56(SB)/8, $0x4010000000000000
+DATA kd<>+64(SB)/8, $0x3fc0000000000000 // 0.125
+DATA kd<>+72(SB)/8, $0x3fc0000000000000
+DATA kd<>+80(SB)/8, $0x3fc0000000000000
+DATA kd<>+88(SB)/8, $0x3fc0000000000000
+DATA kd<>+96(SB)/8, $0xbff0000000000000 // −1, 0, 1, 2
+DATA kd<>+104(SB)/8, $0x0000000000000000
+DATA kd<>+112(SB)/8, $0x3ff0000000000000
+DATA kd<>+120(SB)/8, $0x4000000000000000
+DATA kd<>+128(SB)/8, $0xc01c000000000000 // −7, 1, 1, −7
+DATA kd<>+136(SB)/8, $0x3ff0000000000000
+DATA kd<>+144(SB)/8, $0x3ff0000000000000
+DATA kd<>+152(SB)/8, $0xc01c000000000000
+DATA kd<>+160(SB)/8, $0x4028000000000000 // 12, 4, 4, 12
+DATA kd<>+168(SB)/8, $0x4010000000000000
+DATA kd<>+176(SB)/8, $0x4010000000000000
+DATA kd<>+184(SB)/8, $0x4028000000000000
+DATA kd<>+192(SB)/8, $0x4014000000000000 // 5, 3, 3, 5
+DATA kd<>+200(SB)/8, $0x4008000000000000
+DATA kd<>+208(SB)/8, $0x4008000000000000
+DATA kd<>+216(SB)/8, $0x4014000000000000
+DATA kd<>+224(SB)/8, $0x8000000000000000 // −, +, +, − (sign bits)
+DATA kd<>+232(SB)/8, $0x0000000000000000
+DATA kd<>+240(SB)/8, $0x0000000000000000
+DATA kd<>+248(SB)/8, $0x8000000000000000
+DATA kd<>+256(SB)/8, $0x4330000000000000 // 2⁵² (one lane)
+GLOBL kd<>(SB), RODATA|NOPTR, $264
 
 #define ABSMASK kd<>+0(SB)
-#define ONE kd<>+32(SB)
-#define TWO kd<>+64(SB)
-#define THREE kd<>+96(SB)
-#define FOUR kd<>+128(SB)
-#define FIVE kd<>+160(SB)
-#define MSEVEN kd<>+192(SB)
-#define TWELVE kd<>+224(SB)
-#define EIGHTH kd<>+256(SB)
-#define OFFSETS kd<>+288(SB)
-#define LANEC0 kd<>+320(SB)
-#define LANEC1 kd<>+352(SB)
-#define LANEC2 kd<>+384(SB)
-#define LANESIGN kd<>+416(SB)
-#define TWO52 kd<>+448(SB)
+#define FOUR kd<>+32(SB)
+#define EIGHTH kd<>+64(SB)
+#define OFFSETS kd<>+96(SB)
+#define LANEC0 kd<>+128(SB)
+#define LANEC1 kd<>+160(SB)
+#define LANEC2 kd<>+192(SB)
+#define LANESIGN kd<>+224(SB)
+#define TWO52 kd<>+256(SB)
 
-// PHI is phi4 of the four lanes of Y0, a = |x − float64(base+i)| on
-// entry, both branches evaluated in every lane, stored as four weights
-// at w(DI): an ordered a ≤ 1 picks the inner branch's square-root
-// argument and then its sum, and an ordered a ≤ 2 keeps the lane. It
-// clobbers Y1-Y10.
-#define PHI(w) \
-	VMULPD FOUR, Y0, Y1; \
-	VMULPD Y0, Y1, Y2; \
-	VADDPD ONE, Y1, Y3; \
-	VSUBPD Y2, Y3, Y3; \
-	VMULPD TWELVE, Y0, Y4; \
-	VADDPD MSEVEN, Y4, Y4; \
-	VSUBPD Y2, Y4, Y4; \
-	VCMPPD $2, ONE, Y0, Y5; \
-	VBLENDVPD Y5, Y3, Y4, Y6; \
-	VSQRTPD Y6, Y6; \
-	VADDPD Y0, Y0, Y7; \
-	VMOVUPD THREE, Y8; \
-	VSUBPD Y7, Y8, Y8; \
-	VADDPD Y6, Y8, Y8; \
-	VMOVUPD FIVE, Y9; \
-	VSUBPD Y7, Y9, Y9; \
-	VSUBPD Y6, Y9, Y9; \
-	VBLENDVPD Y5, Y8, Y9, Y8; \
-	VMULPD EIGHTH, Y8, Y8; \
-	VCMPPD $2, TWO, Y0, Y10; \
-	VANDPD Y10, Y8, Y8; \
-	VMOVUPD Y8, w(DI)
-
-// AXIS computes one axis of the stencil for the coordinate at memory
-// operand x, base and weights at base(DI) and w(DI): the base by
-// CVTTSD2SQ of the floor, each base+i by a wrapping add and CVTSQ2SD, as
-// the Go body converts them, and the weights by PHI, where an ordered
-// a ≤ 1 picks each lane's branch and an ordered a ≤ 2 keeps the lane,
-// else it is +0, so a NaN a gives 0 as phi4's default case does. It
-// clobbers AX, BX and Y0-Y10.
-#define AXIS(x, base, w) \
-	VMOVSD x, X0; \
-	VROUNDSD $1, X0, X0, X1; \
-	VCVTTSD2SIQ X1, AX; \
-	DECQ AX; \
-	MOVQ AX, base(DI); \
-	VCVTSI2SDQ AX, X1, X2; \
-	LEAQ 1(AX), BX; \
-	VCVTSI2SDQ BX, X1, X3; \
-	LEAQ 2(AX), BX; \
-	VCVTSI2SDQ BX, X1, X4; \
-	LEAQ 3(AX), BX; \
-	VCVTSI2SDQ BX, X1, X5; \
-	VUNPCKLPD X3, X2, X2; \
-	VUNPCKLPD X5, X4, X4; \
-	VINSERTF128 $1, X4, Y2, Y2; \
-	VBROADCASTSD X0, Y0; \
-	VSUBPD Y2, Y0, Y0; \
-	VANDPD ABSMASK, Y0, Y0; \
-	PHI(w)
-
-// FASTAXIS is AXIS for |x| < 2⁵², and jumps to slow for any other x
-// (an ordered compare: a NaN jumps), where AXIS redoes every axis from
-// the start. Below 2⁵² floor(x) and every base+i are
-// integers a float64 holds exactly, so float64(base+i) is
-// floor(x) + (i − 1), computed exactly in the lanes, with no conversion.
+// FASTAXIS computes one axis of the stencil for the coordinate at memory
+// operand x, base and weights at base(DI) and w(DI), where |x| < 2⁵²,
+// and jumps to outside for any other x (an ordered compare: a NaN
+// jumps). Below 2⁵² floor(x) and every base+i are integers a float64
+// holds exactly, so float64(base+i) is floor(x) + (i − 1), computed
+// exactly in the lanes, with no conversion.
 // And there the branch of each lane is fixed: lanes 1 and 2 hold
 // a = f and (1 − f) rounded, f = x − floor(x) in [0, 1), so a ≤ 1 and
 // phi4 takes the inner branch; lanes 0 and 3 hold 1 + f and 2 − f
@@ -169,8 +82,8 @@ GLOBL kd<>(SB), RODATA|NOPTR, $456
 	VBROADCASTSD x, Y0; \
 	VANDPD ABSMASK, X0, X1; \
 	VUCOMISD TWO52, X1; \
-	JPS slow; \
-	JCC slow; \
+	JPS outside; \
+	JCC outside; \
 	VROUNDPD $1, Y0, Y2; \
 	VCVTTSD2SIQ X2, AX; \
 	DECQ AX; \
@@ -192,18 +105,17 @@ GLOBL kd<>(SB), RODATA|NOPTR, $456
 	VMULPD EIGHTH, Y3, Y3; \
 	VMOVUPD Y3, w(DI)
 
-// func computeAVX2(s *Stencil, x0, x1, x2 float64)
-TEXT ·computeAVX2(SB), NOSPLIT, $0-32
+// func computeAVX2(s *Stencil, x0, x1, x2 float64) (ok bool)
+TEXT ·computeAVX2(SB), NOSPLIT, $0-33
 	MOVQ s+0(FP), DI
 	FASTAXIS(x0+8(FP), 0, 24)
 	FASTAXIS(x1+16(FP), 8, 56)
 	FASTAXIS(x2+24(FP), 16, 88)
 	VZEROUPPER
+	MOVB $1, ok+32(FP)
 	RET
 
-slow:
-	AXIS(x0+8(FP), 0, 24)
-	AXIS(x1+16(FP), 8, 56)
-	AXIS(x2+24(FP), 16, 88)
+outside:
 	VZEROUPPER
+	MOVB $0, ok+32(FP)
 	RET

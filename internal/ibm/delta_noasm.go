@@ -6,4 +6,4 @@ package ibm
 // keeps Compute's call to the amd64 body compiling; cpu.Vector is false,
 // so it never runs.
 
-func computeAVX2(s *Stencil, x0, x1, x2 float64) { s.compute([3]float64{x0, x1, x2}) }
+func computeAVX2(s *Stencil, x0, x1, x2 float64) bool { return false }

@@ -4,15 +4,31 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"lbmib/internal/cpu"
 )
+
+// TestStencilLayout pins the byte offsets at which delta_amd64.s and
+// grid's coupling_amd64.s address a Stencil's fields, on every host, so
+// a reordered or resized field fails here rather than corrupting memory
+// on an AVX2 host.
+func TestStencilLayout(t *testing.T) {
+	var s Stencil
+	got := [4]uintptr{unsafe.Offsetof(s.Base), unsafe.Offsetof(s.Wx), unsafe.Offsetof(s.Wy), unsafe.Offsetof(s.Wz)}
+	if want := [4]uintptr{0, 24, 56, 88}; got != want || unsafe.Sizeof(s.Base[0]) != 8 {
+		t.Fatalf("Stencil's Base, Wx, Wy and Wz lie at %v with %d-byte bases, want %v and 8: the assembly bodies address the old layout",
+			got, unsafe.Sizeof(s.Base[0]), want)
+	}
+}
 
 // The vector body of Compute (delta_amd64.s) is held to the Go body bit
 // for bit: the same bases and the same weights, compared by their bits,
 // on 10⁶ random positions and 10⁶ positions built from special values.
 // A weight is never NaN (phi4 maps a NaN argument to 0), so no NaN
-// needs matching.
+// needs matching. The vector body declines exactly the positions with
+// a coordinate at or above 2⁵² in magnitude, or NaN, which Compute
+// hands to the Go body.
 
 const vectorStencils = 1_000_000
 
@@ -22,12 +38,22 @@ func requireVector(t *testing.T) {
 	}
 }
 
-// checkStencil fails t unless the vector and the Go body give the
-// stencil of x the same base and the same weight bits.
+// checkStencil fails t unless the vector body serves x exactly when
+// every coordinate is below 2⁵² in magnitude, and then gives the Go
+// body's base and weight bits.
 func checkStencil(t *testing.T, n int, x [3]float64) {
 	t.Helper()
 	var got, want Stencil
-	computeAVX2(&got, x[0], x[1], x[2])
+	inRange := true
+	for _, c := range x {
+		inRange = inRange && math.Abs(c) < 0x1p52
+	}
+	if ok := computeAVX2(&got, x[0], x[1], x[2]); ok != inRange {
+		t.Fatalf("position %d at %v: vector body served it: %v, want %v", n, x, ok, inRange)
+	}
+	if !inRange {
+		return
+	}
 	want.compute(x)
 	same := got.Base == want.Base
 	for a, w := range [3]*[SupportWidth]float64{&got.Wx, &got.Wy, &got.Wz} {
