@@ -7,6 +7,7 @@ import (
 
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
+	"lbmib/internal/ibm"
 	"lbmib/internal/lattice"
 )
 
@@ -537,8 +538,18 @@ func AAMomentsBlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, swap
 // disjoint, so the nodes are visited block by block, in memory order.
 func Canonicalize[T lattice.Float](s *Streamer, df [][lattice.Q]T) {
 	_, e := s.l.BlockBox(0)
+	CanonicalizeBlocks(s, df, 0, len(df)/(e[0]*e[1]*e[2]))
+}
+
+// CanonicalizeBlocks is Canonicalize of the nodes of blocks [lo, hi).
+// Each node swaps the pairs whose member with q < Opposite[q] it holds,
+// and every slot belongs to exactly one pair, so ranges that partition
+// the blocks may run concurrently, between steps, and leave the whole
+// array natural once all have run.
+func CanonicalizeBlocks[T lattice.Float](s *Streamer, df [][lattice.Q]T, lo, hi int) {
+	_, e := s.l.BlockBox(0)
 	n := e[0] * e[1] * e[2]
-	for b := 0; b*n < len(df); b++ {
+	for b := lo; b < hi; b++ {
 		o, _ := s.l.BlockBox(b)
 		i := b * n
 		for x := o[0]; x < o[0]+e[0]; x++ {
@@ -619,10 +630,11 @@ func SpreadBox(c *grid.Coupling, sheets []*fiber.Sheet, b grid.Box, reach []bool
 	if reach != nil {
 		m = &grid.Marker{Reach: reach}
 	}
+	var st ibm.Stencil
 	for _, sh := range sheets {
 		area := sh.AreaElement()
 		for i := range sh.X {
-			c.SpreadNode(sh.X[i], sh.Force[i], area, &b, m)
+			c.SpreadNode(sh.X[i], sh.Force[i], area, &b, m, &st)
 		}
 	}
 }

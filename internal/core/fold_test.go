@@ -116,3 +116,53 @@ func TestAABlockFoldDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestShareDealsTheSupportEvenly: for every split of a few support sets
+// — empty, one block, a dense band, scattered blocks, every block — the
+// shares cover the set blocks exactly once, in index order, each a
+// contiguous run of set blocks whose counts differ by at most one.
+func TestShareDealsTheSupportEvenly(t *testing.T) {
+	sets := map[string][]bool{}
+	for name, idx := range map[string][]int{
+		"empty": {}, "one": {9}, "band": {4, 5, 6, 7, 8, 9, 10}, "scattered": {0, 3, 4, 11, 15},
+		"all": {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+	} {
+		reach := make([]bool, 16)
+		for _, b := range idx {
+			reach[b] = true
+		}
+		sets[name] = reach
+	}
+	for name, reach := range sets {
+		n := 0
+		for _, r := range reach {
+			if r {
+				n++
+			}
+		}
+		for parts := 1; parts <= 5; parts++ {
+			var got []int
+			prev := 0
+			for i := 0; i < parts; i++ {
+				lo, hi := core.Share(reach, parts, i)
+				if lo < prev || hi < lo || hi > len(reach) {
+					t.Fatalf("%s/%d parts: share %d is [%d, %d) after %d", name, parts, i, lo, hi, prev)
+				}
+				prev = hi
+				c := 0
+				for b := lo; b < hi; b++ {
+					if reach[b] {
+						got = append(got, b)
+						c++
+					}
+				}
+				if c != n/parts && c != (n+parts-1)/parts {
+					t.Errorf("%s/%d parts: share %d holds %d of %d blocks", name, parts, i, c, n)
+				}
+			}
+			if len(got) != n {
+				t.Errorf("%s/%d parts: the shares hold %v, %d blocks in all, want %d", name, parts, got, len(got), n)
+			}
+		}
+	}
+}

@@ -88,8 +88,41 @@ func (p *Support) Advance(n int) {
 }
 
 // Refreshed records that every block has just been refreshed (Refresh
-// over ranges that cover the layout, on a worker team).
+// over ranges that cover the layout on a worker team, or the per-step
+// digest, which refreshes each stale block as it digests it).
 func (p *Support) Refreshed() { p.dirt = false }
+
+// Share returns the range [lo, hi) of blocks that holds worker i's share
+// of the step's support reach when parts workers split it: the set
+// blocks in index order, dealt out in contiguous runs whose counts
+// differ by at most one. Kernel 7 runs on the support alone, which a
+// structure confines to a few neighbouring blocks; dealt by ownership
+// instead, it falls on the one or two workers that own them.
+func Share(reach []bool, parts, i int) (lo, hi int) {
+	n := 0
+	for _, r := range reach {
+		if r {
+			n++
+		}
+	}
+	a, b := n*i/parts, n*(i+1)/parts
+	lo, hi = len(reach), len(reach)
+	k := 0
+	for j, r := range reach {
+		if !r {
+			continue
+		}
+		if k == a {
+			lo = j
+		}
+		if k == b {
+			hi = j
+			break
+		}
+		k++
+	}
+	return lo, hi
+}
 
 // Refresh brings the stale records among blocks [lo, hi) up to date from
 // the array df, in phase swapped: AAMomentsBlock with no force reset.

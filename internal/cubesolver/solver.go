@@ -73,10 +73,8 @@ type Solver struct {
 	// stencils reach.
 	Support *core.Support
 
-	// The digest in progress (Digest), and digestPiece bound once.
-	dig       *grid.DigestGrid
-	digPart   func(p int)
-	digestRun func(p int)
+	// canonicalizePiece bound once, for Digest.
+	canonRun func(p int)
 
 	// Ownership, resolved once from the block distribution: owned[tid]
 	// lists thread tid's cubes in cube-index order (Algorithm 4's "for
@@ -120,7 +118,7 @@ func NewSolver(cfg Config) (*Solver, error) {
 		fibers:  make([][2]int, threads),
 		Support: core.NewSupport(layout.NumCubes()),
 	}
-	s.digestRun = s.digestPiece
+	s.canonRun = s.canonicalizePiece
 	s.timedBarrier = par.TimedBarrier{B: s.barrier, Arrive: s.BarrierArrived}
 	for c := 0; c < layout.NumCubes(); c++ {
 		tid := s.Map.CubeToThread(layout.CubeCoord(c))
@@ -217,11 +215,12 @@ func (s *Solver) Run(n int) {
 func (s *Solver) Refresh() { core.RefreshAll(s.stream, s.Fluid.Dist(), s.Support, s.swapped) }
 
 // Live returns the layout with its distributions in the natural phase
-// and every record fresh: Refresh, then Canonical. Call it between steps
-// only.
+// and every record fresh: Canonical, then Refresh, which then reads each
+// node's own slots. Call it between steps only.
 func (s *Solver) Live() *cube.Layout {
+	s.Canonical()
 	s.Refresh()
-	return s.Canonical()
+	return s.Fluid
 }
 
 // Canonical returns the layout with its distributions in the natural
@@ -237,29 +236,35 @@ func (s *Solver) Canonical() *cube.Layout {
 	return s.Fluid
 }
 
-// Digest fills d from the layout in place, in whichever phase the last
-// step left it, on the worker team: each worker refreshes the stale
-// records of one contiguous range of cubes (core.Refresh) and then
-// digests it (grid.DigestGrid.Begin), bitwise as the layout's own
-// one-goroutine Digest after a refresh. Call it between steps only.
+// Digest fills d from the layout on the worker team, leaving the layout
+// as Live leaves it, bitwise as the layout's own one-goroutine Digest of
+// Live's layout. If the last step left the array swapped, the team first
+// canonicalizes it, one contiguous range of cubes per worker
+// (core.CanonicalizeBlocks), and joins; then each worker digests one
+// contiguous range of cubes, refreshing each stale cube's records in the
+// same loop (grid.DigestGrid.Begin). Every step after a digest therefore
+// starts from the natural phase. Call it between steps only.
 func (s *Solver) Digest(d *grid.DigestGrid) error {
-	part, err := d.Begin(s.Fluid, s.team.Size())
+	fresh, _ := s.Support.Sets(0)
+	part, err := d.Begin(s.Fluid, s.team.Size(), fresh)
 	if err != nil {
 		return err
 	}
-	s.dig, s.digPart = d, part
-	s.team.Run(s.digestRun)
-	s.dig, s.digPart = nil, nil
+	if s.swapped {
+		s.team.Run(s.canonRun)
+		s.swapped = false
+	}
+	s.team.Run(part)
 	s.Support.Refreshed()
 	d.End()
 	return nil
 }
 
-// digestPiece refreshes and digests piece p of the digest in progress.
-func (s *Solver) digestPiece(p int) {
-	lo, hi := s.dig.Blocks(p)
-	core.Refresh(s.stream, s.Fluid.Dist(), s.Support, s.swapped, lo, hi)
-	s.digPart(p)
+// canonicalizePiece canonicalizes worker p's static share of the cubes,
+// the range its digest piece then reads.
+func (s *Solver) canonicalizePiece(p int) {
+	lo, hi := par.StaticRange(s.Fluid.NumCubes(), s.team.Size(), p)
+	core.CanonicalizeBlocks(s.stream, s.Fluid.Dist(), lo, hi)
 }
 
 // timeStep is Thread_entry_fn's per-step body (Algorithm 4). k counts
@@ -368,15 +373,28 @@ func (s *Solver) collideStreamLoop(tid, k int, swapped bool) {
 	}
 }
 
-// updateVelocityLoop runs kernel 7 of the k-th step of the Run over the
-// owned cubes of its support at the array's phase swapped, resetting each
-// node's force to the uniform body force in the same pass — the reset
-// the paper's loop 5 performed, folded here so the retired copy loop
-// leaves nothing behind. Every other owned cube's record is left stale.
+// updateVelocityLoop runs kernel 7 of the k-th step of the Run over
+// thread tid's share of the step's support (core.Share) at the array's
+// phase swapped, resetting each node's force to the uniform body force
+// in the same pass — the reset the paper's loop 5 performed, folded here
+// so the retired copy loop leaves nothing behind. Every other cube's
+// record is left stale. The support is dealt evenly over the team, not
+// by ownership: a structure's stencils reach a few neighbouring cubes,
+// which one thread's box would hold. That is safe because the loop sits
+// between the after-stream and after-velocity barriers: the cubes it
+// reads were all streamed, and no thread writes a record until the next
+// step's spread. A fluid-only step has an empty support and skips the
+// loop, and must: its end-of-step barrier folds away, so another thread
+// may already be clearing this step's reach set (core.Support.Take)
+// while the scan would read it.
 func (s *Solver) updateVelocityLoop(tid, k int, swapped bool) {
+	if !s.hasFibers() {
+		return
+	}
 	_, reach := s.Support.Sets(k)
 	df := s.Fluid.Dist()
-	for _, c := range s.owned[tid] {
+	lo, hi := core.Share(reach, s.team.Size(), tid)
+	for c := lo; c < hi; c++ {
 		if reach[c] {
 			core.AAMomentsBlock(s.stream, df, c, swapped, &s.BodyForce)
 		}

@@ -131,6 +131,10 @@ type Solver struct {
 	swapped      bool
 	barrier      *par.Barrier
 	timedBarrier par.TimedBarrier
+	// canonicalizePiece and, in float32 mode, widen bound once, for
+	// Digest.
+	canonRun func(p int)
+	widenRun func(lo, hi int)
 }
 
 // NewSolver builds the fused engine and starts its worker team. Threads
@@ -145,9 +149,11 @@ func NewSolver(cfg Config) (*Solver, error) {
 	}
 	s := &Solver{Solver: base, barrier: par.NewBarrier(base.Threads)}
 	s.timedBarrier = par.TimedBarrier{B: s.barrier, Arrive: s.BarrierArrived}
+	s.canonRun = s.canonicalizePiece
 	if cfg.Float32 {
 		s.f32 = make([][lattice.Q]float32, base.Fluid.NumNodes())
 		convert(s.f32, base.Fluid.Dist())
+		s.widenRun = s.widen
 	}
 	return s, nil
 }
@@ -279,9 +285,11 @@ func (s *Solver) waitBarrier(site core.BarrierSite, tid, step int) {
 }
 
 // Live returns the fluid grid with its distributions in the natural
-// phase and every record fresh: Refresh, then Canonical. Call it between
-// steps only.
+// phase and every record fresh: the array canonicalized, then Refresh,
+// which then reads each node's own slots, then Canonical's widening.
+// Call it between steps only.
 func (s *Solver) Live() *grid.Grid {
+	s.canonicalize()
 	s.Refresh()
 	return s.Canonical()
 }
@@ -327,16 +335,40 @@ func (s *Solver) TotalMass() float64 {
 	return grid.TotalMass(s.f32)
 }
 
-// Digest fills d from the distributions in place, in whichever phase the
-// last step left them, on the worker team, stale records refreshed first
-// (omp.Solver.DigestPhase); in float32 mode they are widened into the
-// grid's array first, without canonicalizing. Widening is exact, so the
-// refresh computes the moments of the stored values.
+// Digest fills d from the distributions on the worker team, leaving the
+// grid as Live leaves it, bitwise as the grid's own one-goroutine Digest
+// of Live's grid. If the last step left whichever array holds the
+// distributions swapped, the team first canonicalizes it, one contiguous
+// range of planes per worker, and joins; then each worker digests its
+// piece, refreshing stale records in the same loop
+// (omp.Solver.DigestNatural). In float32 mode each worker first widens
+// its piece's planes into the grid's array; widening is exact, so the
+// refresh computes the moments of the stored values. Call it between
+// steps only.
 func (s *Solver) Digest(d *grid.DigestGrid) error {
-	if s.f32 != nil {
-		convert(s.Fluid.Dist(), s.f32)
+	if s.swapped {
+		s.RunTeam(s.canonRun)
+		s.swapped = false
 	}
-	return s.DigestPhase(d, s.swapped)
+	return s.DigestNatural(d, s.widenRun)
+}
+
+// canonicalizePiece canonicalizes worker p's static share of the planes
+// of whichever array holds the distributions.
+func (s *Solver) canonicalizePiece(p int) {
+	lo, hi := par.StaticRange(s.Fluid.NX, s.Threads, p)
+	if s.f32 == nil {
+		core.CanonicalizeBlocks(s.Stream, s.Fluid.Dist(), lo, hi)
+	} else {
+		core.CanonicalizeBlocks(s.Stream, s.f32, lo, hi)
+	}
+}
+
+// widen stores the float32 values of planes [lo, hi) into the grid's
+// array.
+func (s *Solver) widen(lo, hi int) {
+	n := s.Fluid.NY * s.Fluid.NZ
+	convert(s.Fluid.Dist()[lo*n:hi*n], s.f32[lo*n:hi*n])
 }
 
 // Loaded re-establishes the engine's invariants after the grid's array

@@ -136,13 +136,17 @@ func wrap(x, n int) int {
 // With a non-nil m, the node also marks in m.Reach every block holding
 // an in-box point of its window, whether or not a weight there is zero
 // (Marker).
-func (c *Coupling) SpreadNode(x, F [3]float64, area float64, b *Box, m *Marker) {
+//
+// st is the caller's scratch, reused from node to node: SpreadNode
+// writes its bases (ibm.StencilBase, once per axis), and then, for a
+// node it does not skip, its weights from those bases (ibm.Stencil.Weights).
+// A stencil declared per node would be zeroed per node first.
+func (c *Coupling) SpreadNode(x, F [3]float64, area float64, b *Box, m *Marker, st *ibm.Stencil) {
 	var o [3][ibm.SupportWidth]int
 	var out [3][ibm.SupportWidth]bool
-	var base [3]int
 	for a := range o {
-		base[a] = ibm.StencilBase(x[a])
-		if !c.boxWindow(a, base[a], b, &o[a], &out[a]) {
+		st.Base[a] = ibm.StencilBase(x[a])
+		if !c.boxWindow(a, st.Base[a], b, &o[a], &out[a]) {
 			return
 		}
 	}
@@ -153,16 +157,15 @@ func (c *Coupling) SpreadNode(x, F [3]float64, area float64, b *Box, m *Marker) 
 		var key [3]int
 		for a := range key {
 			if !c.whole[a] {
-				key[a] = base[a]
+				key[a] = st.Base[a]
 			}
 		}
 		if !m.marked || m.last != key {
-			c.mark(&base, &out, m.Reach)
+			c.mark(&st.Base, &out, m.Reach)
 			m.last, m.marked = key, true
 		}
 	}
-	var st ibm.Stencil
-	st.Compute(x)
+	st.Weights(x)
 	for a, w := range [3]*[ibm.SupportWidth]float64{&st.Wx, &st.Wy, &st.Wz} {
 		for i := range w {
 			if out[a][i] {
@@ -170,7 +173,7 @@ func (c *Coupling) SpreadNode(x, F [3]float64, area float64, b *Box, m *Marker) 
 			}
 		}
 	}
-	c.spread(&st, &o, F, area)
+	c.spread(st, &o, F, area)
 }
 
 // Marker collects, for one owner's spread into its box, the blocks the
@@ -198,8 +201,11 @@ func (c *Coupling) boxWindow(a, base int, b *Box, o *[ibm.SupportWidth]int, out 
 		if base+ibm.SupportWidth <= lo || base >= hi {
 			return false
 		}
-		*o = [ibm.SupportWidth]int(t[base:])
+		// Element by element: the array conversion of the slice is a
+		// runtime memmove call, 7 % of a spread into a box.
+		w := t[base : base+ibm.SupportWidth]
 		for i := range out {
+			o[i] = w[i]
 			out[i] = base+i < lo || base+i >= hi
 		}
 		return true

@@ -15,18 +15,12 @@ import (
 // what lets the flight recorder's fault localization name the cube a
 // blow-up started in.
 //
-// A digest reads the distribution array in place, in whichever phase an
-// in-place engine left it between steps (core.AABlock), and never
-// reorders it. In the natural phase a tile's mass is the mass of its
-// nodes' present distributions. In the swapped phase each node's 19
-// slots hold that node's own post-collision values, its wall
-// reflections included, before they stream out, so a tile's mass is its
-// mass after the step's collision: it differs from the natural-phase
-// figure by the step's net flux across the tile's faces. Summed over
-// all tiles the two phases hold the same values, so the whole-grid mass
-// agrees to rounding. Whichever worker digests a tile digests all of it,
-// so its mass is its nodes' masses summed in storage order at any team
-// width.
+// A digest reads the distribution array in place, in the natural phase:
+// an in-place engine canonicalizes its array before it digests
+// (core.CanonicalizeBlocks), so a tile's mass is the mass of its nodes'
+// present distributions whichever phase the last step left. Whichever
+// worker digests a tile digests all of it, so its mass is its nodes'
+// masses summed in storage order at any team width.
 type TileDigest struct {
 	Mass      float64 `json:"mass"`
 	MaxVel2   float64 `json:"maxVel2"`
@@ -62,10 +56,12 @@ type DigestGrid struct {
 	BadRho     float64
 	BadVel     [3]float64
 
-	// The pass in progress, from Begin to End: the layout's arrays and
-	// block extent, one merge slot per piece, and part bound once.
+	// The pass in progress, from Begin to End: the layout's arrays, its
+	// record state and block extent, one merge slot per piece, and part
+	// bound once.
 	dist  [][lattice.Q]float64
 	macro []Macro
+	fresh []bool
 	block [3]int
 	parts []digestPart
 	run   func(p int)
@@ -161,7 +157,16 @@ type digestPart struct {
 // (the last row may be ragged) — so no tile is written by two pieces and
 // each tile sums its nodes in traversal order. The body is d.part bound
 // once, so dispatching it on a worker team allocates nothing.
-func (d *DigestGrid) Begin(src DigestSource, parts int) (func(p int), error) {
+//
+// A non-nil fresh is the state of src's records block by block, as an
+// in-place engine keeps it (core.Support): a block whose entry is false
+// has stale records, which the piece that digests it brings up to date
+// in the same loop, node by node, right before folding the node in —
+// kernel 7 without its force reset, on the natural-phase array
+// (core.UpdateRange with a nil reset) — and then marks fresh. So an
+// observed step reads each node's values once, not once to refresh and
+// once to digest.
+func (d *DigestGrid) Begin(src DigestSource, parts int, fresh []bool) (func(p int), error) {
 	if err := d.checkShape(src.Dims()); err != nil {
 		return nil, err
 	}
@@ -182,12 +187,13 @@ func (d *DigestGrid) Begin(src DigestSource, parts int) (func(p int), error) {
 	if d.run == nil {
 		d.run = d.part
 	}
-	d.dist, d.macro, d.block, d.parts = dist, macro, ext, d.parts[:parts]
+	d.dist, d.macro, d.fresh, d.block, d.parts = dist, macro, fresh, ext, d.parts[:parts]
 	return d.run, nil
 }
 
 // part digests piece p of the pass Begin started: its range of whole
-// tiles, which it clears first, and its slot of the merge.
+// tiles, which it clears first, its blocks' stale records, and its slot
+// of the merge.
 func (d *DigestGrid) part(p int) {
 	tiles := 1 // a block is one tile
 	if d.block != [3]int{d.K, d.K, d.K} {
@@ -198,7 +204,11 @@ func (d *DigestGrid) part(p int) {
 	lo, hi := d.Blocks(p)
 	part := digestPart{maxAt: -1, badAt: -1}
 	for b := lo; b < hi; b++ {
-		d.foldBlock(b, &part)
+		stale := d.fresh != nil && !d.fresh[b]
+		d.foldBlock(b, stale, &part)
+		if stale {
+			d.fresh[b] = true
+		}
 	}
 	d.parts[p] = part
 }
@@ -215,9 +225,7 @@ func (d *DigestGrid) units(p int) (u0, u1 int) {
 
 // Blocks returns the range [lo, hi) of the layout's blocks that piece p
 // of the pass Begin started digests: the pieces' ranges partition the
-// blocks in order. An engine whose records may lag its distributions
-// brings a piece's blocks up to date on the worker that then digests
-// them.
+// blocks in order.
 func (d *DigestGrid) Blocks(p int) (lo, hi int) {
 	blocks := 1
 	if d.block != [3]int{d.K, d.K, d.K} {
@@ -250,13 +258,13 @@ func (d *DigestGrid) End() {
 		n := &d.macro[badAt]
 		d.BadCell, d.BadRho, d.BadVel = d.nodeCoord(badAt), n.Rho, n.Vel
 	}
-	d.dist, d.macro = nil, nil
+	d.dist, d.macro, d.fresh = nil, nil, nil
 	d.finish()
 }
 
 // Fill digests src in one piece on the calling goroutine.
 func (d *DigestGrid) Fill(src DigestSource) error {
-	part, err := d.Begin(src, 1)
+	part, err := d.Begin(src, 1, nil)
 	if err != nil {
 		return err
 	}
@@ -281,21 +289,22 @@ func (d *DigestGrid) nodeCoord(i int) [3]int {
 	return [3]int{o[0] + l/(e[1]*e[2]), o[1] + l/e[2]%e[1], o[2] + l%e[2]}
 }
 
-// foldBlock folds block b's nodes into their tiles: a cube in one run, a
-// plane in one run per tile-wide stretch of each z-row.
-func (d *DigestGrid) foldBlock(b int, p *digestPart) {
+// foldBlock folds block b's nodes into their tiles — a cube in one run, a
+// plane in one run per tile-wide stretch of each z-row — refreshing each
+// node's record first if the block is stale.
+func (d *DigestGrid) foldBlock(b int, stale bool, p *digestPart) {
 	e, o := d.block, d.blockOrigin(b)
 	i := b * e[0] * e[1] * e[2]
 	if e == [3]int{d.K, d.K, d.K} {
 		n := d.K * d.K * d.K
-		foldRun(d.dist[i:i+n], d.macro[i:i+n], &d.Tiles[d.TileOf(o[0], o[1], o[2])], i, p)
+		foldRun(d.dist[i:i+n], d.macro[i:i+n], &d.Tiles[d.TileOf(o[0], o[1], o[2])], i, stale, p)
 		return
 	}
 	for y := 0; y < d.NY; y++ {
 		t := d.TileOf(o[0], y, 0)
 		for z := 0; z < d.NZ; z, t = z+d.K, t+1 {
 			n := min(d.K, d.NZ-z)
-			foldRun(d.dist[i:i+n], d.macro[i:i+n], &d.Tiles[t], i, p)
+			foldRun(d.dist[i:i+n], d.macro[i:i+n], &d.Tiles[t], i, stale, p)
 			i += n
 		}
 	}
@@ -307,16 +316,20 @@ func (d *DigestGrid) foldBlock(b int, p *digestPart) {
 // digest with the node work inlined: each node's mass is 0.0 + g[0] +
 // … + g[18] left to right and added to the tile's in node order, the
 // tile's maximum stays in a local, and the finiteness test is one
-// branch-free sum.
-func foldRun(df [][lattice.Q]float64, m []Macro, td *TileDigest, base int, p *digestPart) {
+// branch-free sum. With refresh, each node's density and velocity are
+// first recomputed from its values under its force (lattice.Moments,
+// kernel 7's body), while the values are in cache for the fold.
+func foldRun(df [][lattice.Q]float64, m []Macro, td *TileDigest, base int, refresh bool, p *digestPart) {
 	m = m[:len(df)]
 	mass, maxV2, bad, at := td.Mass, td.MaxVel2, td.NonFinite, -1
 	for j := range df {
-		g := &df[j]
+		g, n := &df[j], &m[j]
+		if refresh {
+			n.Rho = lattice.Moments(g, n.Force, &n.Vel)
+		}
 		nm := 0.0 + g[0] + g[1] + g[2] + g[3] + g[4] + g[5] + g[6] + g[7] + g[8] + g[9] +
 			g[10] + g[11] + g[12] + g[13] + g[14] + g[15] + g[16] + g[17] + g[18]
 		mass += nm
-		n := &m[j]
 		if v2 := speed2(n.Vel); v2 > maxV2 {
 			maxV2, at = v2, j
 		}

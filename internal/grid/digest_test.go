@@ -209,11 +209,11 @@ func TestDigestBeginRejectsBadShape(t *testing.T) {
 		{"slab grid of other dimensions", New(8, 4, 16)},
 	}
 	for _, c := range bad {
-		if _, err := d.Begin(c.src, 1); err == nil {
+		if _, err := d.Begin(c.src, 1, nil); err == nil {
 			t.Errorf("%s accepted", c.name)
 		}
 	}
-	if _, err := d.Begin(New(8, 8, 8), 0); err == nil {
+	if _, err := d.Begin(New(8, 8, 8), 0, nil); err == nil {
 		t.Error("zero pieces accepted")
 	}
 }
@@ -270,10 +270,11 @@ func referenceDigest(src DigestSource, d *DigestGrid) {
 }
 
 // digestSplit digests src in the given number of pieces, each on its own
-// goroutine, as an engine's worker team does.
-func digestSplit(t *testing.T, src DigestSource, d *DigestGrid, parts int) {
+// goroutine, as an engine's worker team does, refreshing the blocks fresh
+// marks stale (Begin).
+func digestSplit(t *testing.T, src DigestSource, d *DigestGrid, parts int, fresh []bool) {
 	t.Helper()
-	part, err := d.Begin(src, parts)
+	part, err := d.Begin(src, parts, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +480,7 @@ func TestDigestMatchesPerNodeReference(t *testing.T) {
 				t.Errorf("%s, %s, Fill: %s", l.name, f.name, diff)
 			}
 			for _, parts := range []int{1, 2, 3, 5, 9} {
-				digestSplit(t, src, got, parts)
+				digestSplit(t, src, got, parts, nil)
 				if diff := sameDigest(got, want); diff != "" {
 					t.Errorf("%s, %s, %d pieces: %s", l.name, f.name, parts, diff)
 				}
@@ -488,10 +489,93 @@ func TestDigestMatchesPerNodeReference(t *testing.T) {
 	}
 }
 
+// TestDigestRefreshesStaleBlocks: a digest whose record state marks
+// blocks stale recomputes their records — lattice.Moments of each node's
+// values under its force, as kernel 7 without a reset writes them — and
+// digests the refreshed records, whole or split into pieces, on the slab
+// grid and on cube layouts, with every fault field: the records and the
+// digest are the bits of a refresh of those blocks followed by the
+// per-node walk. Fresh blocks' records are read as they are, and every
+// block is fresh afterwards.
+func TestDigestRefreshesStaleBlocks(t *testing.T) {
+	layouts := []struct {
+		name string
+		k    int
+		src  func() DigestSource
+	}{
+		{"slab 10x7x9 K=4", 4, func() DigestSource { return New(10, 7, 9) }},
+		{"cubes 12x8x4 k=4", 4, func() DigestSource { return newCubeSource(12, 8, 4, 4) }},
+	}
+	for _, l := range layouts {
+		for _, f := range digestFields {
+			for _, parts := range []int{1, 2, 3, 5} {
+				src, want := l.src(), l.src()
+				nx, ny, nz := src.Dims()
+				_, ext := src.BlockBox(0)
+				n := ext[0] * ext[1] * ext[2]
+				for _, s := range []DigestSource{src, want} {
+					dist, macro := s.Dist(), s.Macros()
+					f.fill(rand.New(rand.NewSource(7)), nx, ny, nz, l.k, func(x, y, z int) (*[lattice.Q]float64, *Macro) {
+						i := s.(interface{ Idx(x, y, z int) int }).Idx(x, y, z)
+						return &dist[i], &macro[i]
+					})
+				}
+				fresh := make([]bool, len(src.Macros())/n)
+				for b := range fresh {
+					fresh[b] = b%3 == 1
+					if fresh[b] {
+						continue
+					}
+					dist, macro := want.Dist()[b*n:(b+1)*n], want.Macros()[b*n:(b+1)*n]
+					for i := range macro {
+						macro[i].Rho = lattice.Moments(&dist[i], macro[i].Force, &macro[i].Vel)
+					}
+				}
+				wantD, err := NewDigestGrid(nx, ny, nz, l.k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				referenceDigest(want, wantD)
+				got, err := NewDigestGrid(nx, ny, nz, l.k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				digestSplit(t, src, got, parts, fresh)
+				if diff := sameDigest(got, wantD); diff != "" {
+					t.Errorf("%s, %s, %d pieces: %s", l.name, f.name, parts, diff)
+				}
+				for i, m := range src.Macros() {
+					w := want.Macros()[i]
+					if math.Float64bits(m.Rho) != math.Float64bits(w.Rho) || !sameBits(m.Vel, w.Vel) {
+						t.Fatalf("%s, %s, %d pieces: node %d record %+v, want %+v", l.name, f.name, parts, i, m, w)
+					}
+				}
+				for b, ok := range fresh {
+					if !ok {
+						t.Fatalf("%s, %s, %d pieces: block %d still stale", l.name, f.name, parts, b)
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b [3]float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // BenchmarkDigest times one digest of a 64×64×32 fluid (the sheet_cube
 // problem's) as a cube layout at k = 8 and as the slab grid at K = 4:
 // the per-node reference walk, the body on one goroutine, and the body
-// split in two pieces on two goroutines.
+// split in two pieces on two goroutines; then, on one goroutine, a
+// digest of a layout whose every record is stale, refreshed block by
+// block as the body digests it ("stale"), against a refresh pass over
+// the whole layout followed by the digest ("refresh-then-digest").
 func BenchmarkDigest(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, l := range []struct {
@@ -518,7 +602,7 @@ func BenchmarkDigest(b *testing.B) {
 		for _, parts := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/pieces=%d", l.name, parts), func(b *testing.B) {
 				for range b.N {
-					part, _ := d.Begin(l.src, parts)
+					part, _ := d.Begin(l.src, parts, nil)
 					var wg sync.WaitGroup
 					for p := 1; p < parts; p++ {
 						wg.Add(1)
@@ -533,5 +617,36 @@ func BenchmarkDigest(b *testing.B) {
 				}
 			})
 		}
+		_, ext := l.src.BlockBox(0)
+		stale := make([]bool, len(macro)/(ext[0]*ext[1]*ext[2]))
+		b.Run(l.name+"/stale", func(b *testing.B) {
+			for range b.N {
+				clear(stale)
+				if err := fillStale(d, l.src, stale); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(l.name+"/refresh-then-digest", func(b *testing.B) {
+			for range b.N {
+				for i := range macro {
+					macro[i].Rho = lattice.Moments(&dist[i], macro[i].Force, &macro[i].Vel)
+				}
+				if err := d.Fill(l.src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
+}
+
+// fillStale is Fill with the record state fresh.
+func fillStale(d *DigestGrid, src DigestSource, fresh []bool) error {
+	part, err := d.Begin(src, 1, fresh)
+	if err != nil {
+		return err
+	}
+	part(0)
+	d.End()
+	return nil
 }

@@ -66,13 +66,14 @@ type Solver struct {
 	// keeps it through the same SpreadForce.
 	Support *core.Support
 
-	// The digest in progress (DigestPhase): its pass, piece body and
-	// phase, and digestPiece bound once so the team's run allocates
-	// nothing.
-	dig        *grid.DigestGrid
-	digPart    func(p int)
-	digSwapped bool
-	digestRun  func(p int)
+	// The digest in progress (DigestNatural): its pass, piece body and
+	// per-piece preparation; digestPiece and canonicalizePiece bound once
+	// so the team's runs allocate nothing.
+	dig       *grid.DigestGrid
+	digPart   func(p int)
+	digPrep   func(lo, hi int)
+	digestRun func(p int)
+	canonRun  func(p int)
 
 	// Region timing, used only with a Probe attached. curKernel is the
 	// kernel Step is running (0 outside Step: an engine layered on this
@@ -111,6 +112,7 @@ func NewSolver(cfg Config) (*Solver, error) {
 	}
 	s.timed = s.timedChunk
 	s.digestRun = s.digestPiece
+	s.canonRun = s.canonicalizePiece
 	// Kernel 4 accumulates on top of the reset that UpdateVelocity leaves
 	// behind (the force-reset sweep is folded into kernel 7 here); seed
 	// the initial body force the same way.
@@ -158,6 +160,12 @@ func (s *Solver) timedChunk(tid, lo, hi int) {
 	s.busy[tid] = time.Since(t0)
 }
 
+// RunTeam runs fn(tid) on every worker of the solver's team and returns
+// when all have: the seam for an engine layered on this solver to run a
+// body it bound once, which, unlike a ParallelFor closure, allocates
+// nothing.
+func (s *Solver) RunTeam(fn func(tid int)) { s.team.Run(fn) }
+
 // ParallelFor dispatches a loop of n iterations on the solver's worker
 // team — the seam for engines layered on this solver (internal/fused)
 // to run their own parallel regions on the same team the fiber kernels
@@ -165,35 +173,56 @@ func (s *Solver) timedChunk(tid, lo, hi int) {
 // the fused sweep's wavefront relies on.
 func (s *Solver) ParallelFor(n int, body func(tid, lo, hi int)) { s.parallelFor(n, body) }
 
-// Digest fills d from the grid in place, in whichever phase the last
-// step left it, on the worker team: each worker refreshes the stale
-// records of one contiguous range of tile rows (core.Refresh) and then
-// digests it (grid.DigestGrid.Begin), bitwise as the grid's own
-// one-goroutine Digest after a refresh. The team runs a body bound once,
-// not a ParallelFor closure, which would allocate. Call it between steps
-// only.
-func (s *Solver) Digest(d *grid.DigestGrid) error { return s.DigestPhase(d, s.swapped) }
+// Digest fills d from the grid on the worker team, leaving the grid as
+// Live leaves it, bitwise as the grid's own one-goroutine Digest of
+// Live's grid. If the last step left the array swapped, the team first
+// canonicalizes it, one contiguous range of planes per worker
+// (core.CanonicalizeBlocks), and joins; then each worker digests one
+// contiguous range of tile rows, refreshing each stale plane's records
+// in the same loop (grid.DigestGrid.Begin). Every step after a digest
+// therefore starts from the natural phase. The team runs bodies bound
+// once, not ParallelFor closures, which would allocate. Call it between
+// steps only.
+func (s *Solver) Digest(d *grid.DigestGrid) error {
+	if s.swapped {
+		s.team.Run(s.canonRun)
+		s.swapped = false
+	}
+	return s.DigestNatural(d, nil)
+}
 
-// DigestPhase is Digest of the grid's array read in phase swapped: the
-// seam for an engine layered on this solver that keeps the phase itself
-// (internal/fused).
-func (s *Solver) DigestPhase(d *grid.DigestGrid, swapped bool) error {
-	part, err := d.Begin(s.Fluid, s.Threads)
+// canonicalizePiece canonicalizes worker p's static share of the planes.
+func (s *Solver) canonicalizePiece(p int) {
+	lo, hi := par.StaticRange(s.Fluid.NX, s.Threads, p)
+	core.CanonicalizeBlocks(s.Stream, s.Fluid.Dist(), lo, hi)
+}
+
+// DigestNatural is Digest of a grid whose array the caller has brought
+// into the natural phase: the seam for an engine layered on this solver
+// that keeps the phase and the storage itself (internal/fused). A
+// non-nil prep runs on each worker over the planes [lo, hi) of its piece
+// right before they are digested.
+func (s *Solver) DigestNatural(d *grid.DigestGrid, prep func(lo, hi int)) error {
+	fresh, _ := s.Support.Sets(0)
+	part, err := d.Begin(s.Fluid, s.Threads, fresh)
 	if err != nil {
 		return err
 	}
-	s.dig, s.digPart, s.digSwapped = d, part, swapped
-	s.team.Run(s.digestRun)
-	s.dig, s.digPart = nil, nil
+	if prep == nil {
+		s.team.Run(part)
+	} else {
+		s.dig, s.digPart, s.digPrep = d, part, prep
+		s.team.Run(s.digestRun)
+		s.dig, s.digPart, s.digPrep = nil, nil, nil
+	}
 	s.Support.Refreshed()
 	d.End()
 	return nil
 }
 
-// digestPiece refreshes and digests piece p of the digest in progress.
+// digestPiece prepares and digests piece p of the digest in progress.
 func (s *Solver) digestPiece(p int) {
-	lo, hi := s.dig.Blocks(p)
-	core.Refresh(s.Stream, s.Fluid.Dist(), s.Support, s.digSwapped, lo, hi)
+	s.digPrep(s.dig.Blocks(p))
 	s.digPart(p)
 }
 
@@ -302,19 +331,23 @@ func (s *Solver) ComputeCollision() {
 // streaming in place is where the collided values are stored.
 func (s *Solver) StreamDistribution() {}
 
-// UpdateVelocity is kernel 7 parallelized over x-slabs, at the phase
-// kernel 5's region left (core.AAMomentsBlock), on the planes of the
-// step's support: those kernels 4 and 8 touch. After computing a node's
-// moments (which read the elastic force for the half-force correction)
-// the pass resets the node's force to the uniform body force — the fold
-// that lets SpreadForce skip its own full-grid reset sweep. Every other
-// plane's record is left stale for its next collide to fold in; without
-// a structure that is every plane, and the region is not entered.
+// UpdateVelocity is kernel 7 at the phase kernel 5's region left
+// (core.AAMomentsBlock), on the planes of the step's support: those
+// kernels 4 and 8 touch. The support is dealt evenly over the team
+// (core.Share), not by slab: a structure's stencils reach a few
+// neighbouring planes, which one slab would hold. After computing a
+// node's moments (which read the elastic force for the half-force
+// correction) the pass resets the node's force to the uniform body force
+// — the fold that lets SpreadForce skip its own full-grid reset sweep.
+// Every other plane's record is left stale for its next collide to fold
+// in; without a structure that is every plane, and the region is not
+// entered.
 func (s *Solver) UpdateVelocity() {
 	if len(s.Sheets) > 0 {
 		st, df, swapped := s.Stream, s.Fluid.Dist(), s.swapped
 		_, reach := s.Support.Sets(0)
-		s.forSlabs(func(lo, hi int) {
+		s.parallelFor(s.Fluid.NX, func(tid, _, _ int) {
+			lo, hi := core.Share(reach, s.Threads, tid)
 			for x := lo; x < hi; x++ {
 				if reach[x] {
 					core.AAMomentsBlock(st, df, x, swapped, &s.BodyForce)
@@ -341,11 +374,12 @@ func (s *Solver) CopyDistribution() {}
 func (s *Solver) Refresh() { core.RefreshAll(s.Stream, s.Fluid.Dist(), s.Support, s.swapped) }
 
 // Live returns the grid with its distributions in the natural phase and
-// every record fresh: Refresh, then Canonical. Call it between steps
-// only.
+// every record fresh: Canonical, then Refresh, which then reads each
+// node's own slots. Call it between steps only.
 func (s *Solver) Live() *grid.Grid {
+	s.Canonical()
 	s.Refresh()
-	return s.Canonical()
+	return s.Fluid
 }
 
 // Canonical returns the grid with its distributions in the natural

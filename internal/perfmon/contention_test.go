@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"lbmib/internal/core"
+	"lbmib/internal/cube"
 	"lbmib/internal/cubesolver"
 	"lbmib/internal/fiber"
+	"lbmib/internal/grid"
 	"lbmib/internal/omp"
 	"lbmib/internal/par"
 	"lbmib/internal/telemetry"
@@ -116,6 +118,12 @@ func TestRegionProfileImbalance(t *testing.T) {
 // above 1) and the *smallest* barrier wait at the following barrier site
 // — everyone else accumulated wait waiting for it. Run under -race this
 // also exercises the instrumented barrier path from 8 threads.
+//
+// The sheet is sized by the time its spread adds to the slow thread's
+// step (skewExtra), measured here on this build and host, not by a node
+// count: a faster spread then buys a denser sheet, and the skew keeps
+// outweighing the scheduling noise of 8 threads on a host with fewer
+// cores.
 func TestSkewSelfTest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real solver")
@@ -125,24 +133,58 @@ func TestSkewSelfTest(t *testing.T) {
 		slow    = 3
 		steps   = 3
 		n, k    = 16, 4
-		// fiber nodes per sheet side, all spread by the slow thread:
-		// 181² ≈ 2¹⁵ nodes, so that with the vector spread its extra work
-		// still outweighs the scheduling noise of 8 threads on a host
-		// with fewer cores (at 128² it failed about 3 runs in 100 there)
-		side = 181
+		// skewExtra is what the slow thread's spread adds to its step.
+		// A fixed 181² sheet, about 3.5 ms of it with the vector spread on
+		// a 2-core host, failed about 2 runs in 300 there.
+		skewExtra = 12 * time.Millisecond
 	)
 	// The slow thread's box, in lattice nodes. A stencil based at b
 	// covers b…b+3 with b = ⌊x⌋−1 (ibm.StencilBase), so a node at
 	// x ∈ [lo+1, hi−2) on every axis spreads into the box alone.
 	m := par.CubeMap{CX: n / k, CY: n / k, CZ: n / k, Mesh: par.NewMesh(threads)}
-	clo, chi := m.Box(slow)
+	box := func(tid int) grid.Box {
+		lo, hi := m.Box(tid)
+		var b grid.Box
+		for a := range lo {
+			b.Lo[a], b.Hi[a] = lo[a]*k, hi[a]*k
+		}
+		return b
+	}
+	slowBox := box(slow)
 	var origin fiber.Vec3
 	for a := range origin {
-		origin[a] = float64(clo[a]*k) + 1.5
+		origin[a] = float64(slowBox.Lo[a]) + 1.5
 	}
-	w := float64((chi[0]-clo[0])*k) - 4 // origin+w < hi−2 on every axis of the cubic box
-	sh := fiber.NewSheet(fiber.Params{NumFibers: side, NodesPerFiber: side, Width: w, Height: w,
-		Origin: origin, Ks: 0.05, Kb: 0.001})
+	w := float64(slowBox.Hi[0]-slowBox.Lo[0]) - 4 // origin+w < hi−2 on every axis of the cubic box
+	sheet := func(side int) *fiber.Sheet {
+		return fiber.NewSheet(fiber.Params{NumFibers: side, NodesPerFiber: side, Width: w, Height: w,
+			Origin: origin, Ks: 0.05, Kb: 0.001})
+	}
+	// Calibrate: what spreading a node into the slow thread's box costs
+	// over skipping it, as every other thread does, the least of a few
+	// passes of a probe sheet over a layout of the solver's shape.
+	l, err := cube.NewLayout(n, n, n, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const probeSide = 64
+	probe := []*fiber.Sheet{sheet(probeSide)}
+	pass := func(b grid.Box) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for range 5 {
+			t0 := time.Now()
+			core.SpreadBox(l.Coupling, probe, b, nil)
+			best = min(best, time.Since(t0))
+		}
+		return best
+	}
+	perNode := (pass(slowBox) - pass(box((slow+1)%threads))) / (probeSide * probeSide)
+	side := 512
+	if perNode > 0 {
+		side = min(side, max(probeSide, int(math.Ceil(math.Sqrt(float64(skewExtra/perNode))))))
+	}
+	t.Logf("spreading a node adds %v to the slow thread: a %d² sheet", perNode, side)
+	sh := sheet(side)
 	s, err := cubesolver.NewSolver(cubesolver.Config{
 		Config:   core.Config{NX: n, NY: n, NZ: n, Tau: 0.7, Sheet: sh},
 		CubeSize: k, Threads: threads,
@@ -151,8 +193,8 @@ func TestSkewSelfTest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if lo, hi := s.Map.Box(slow); lo != clo || hi != chi {
-		t.Fatalf("slow thread's cubes %v–%v, the sheet was placed in %v–%v", lo, hi, clo, chi)
+	if lo, hi := s.Map.Box(slow); box(slow) != (grid.Box{Lo: [3]int{lo[0] * k, lo[1] * k, lo[2] * k}, Hi: [3]int{hi[0] * k, hi[1] * k, hi[2] * k}}) {
+		t.Fatalf("slow thread's cubes %v–%v, the sheet was placed in %v", lo, hi, slowBox)
 	}
 
 	prof := NewProfile(Config{Engine: "cube", Threads: threads})

@@ -273,12 +273,12 @@ type engine interface {
 	velocityAt(x, y, z int) [3]float64
 	densityAt(x, y, z int) float64
 	maxVelocity() float64
-	// Digest fills the per-tile physics digest from the state in place,
-	// in whichever phase the last step left it: the per-step sample must
-	// not reorder the array (grid.TileDigest says what a tile's mass
-	// means in the swapped phase). The parallel engines' own Digest
-	// splits it over their worker team (grid.DigestGrid.Begin); the
-	// values are the same bits at any thread count.
+	// Digest fills the per-tile physics digest of live's layout and
+	// leaves the engine as live leaves it: an in-place engine
+	// canonicalizes its array and refreshes its stale records as it
+	// digests, both on its worker team (grid.DigestGrid.Begin), so every
+	// step after a sampled one starts from the natural phase. The values
+	// are the same bits at any thread count.
 	Digest(d *grid.DigestGrid) error
 }
 
@@ -1028,8 +1028,9 @@ func (e *cubeEngine) loaded() {
 }
 
 // fusedEngine digests through fused.Solver.Digest, which shadows the
-// embedded omp.Solver.Digest: in float32 mode it widens the stored
-// distributions into the grid first.
+// embedded omp.Solver.Digest: it canonicalizes the engine's own array,
+// and in float32 mode widens the stored distributions into the grid as
+// it digests them.
 type fusedEngine struct {
 	*fused.Solver
 	onLayout

@@ -25,8 +25,9 @@
 # critical-path report), a bundle-replay smoke, a recorder-free watchdog
 # smoke, five examples (three on the cube engine, poiseuille on every
 # engine, movingsheet with its free sheet), one pass of every case of the
-# per-body stream benchmark, of the node-kernel benchmark and of the
-# coupling benchmark (so they keep compiling and running), and the repo
+# per-body stream benchmark, of the node-kernel benchmark, of the
+# coupling benchmark and of the observed-step benchmark (so they keep
+# compiling and running), and the repo
 # benchmark's verification pass on every workload.
 #
 # The barrier choreography is held once, by the tests. A thread that
@@ -234,6 +235,11 @@ go test -run '^$' -bench Collide -benchtime 1x ./internal/lattice
 # (MoveSheetNodes), vector and portable, on dense_ib's sheets; one pass
 # of each row.
 go test -run '^$' -bench Coupling -benchtime 1x ./internal/core
+
+# Observed-step benchmark smoke: BenchmarkObservedStep times a step of
+# sheet_cube's problem with and without the per-step digest, on the cube
+# and omp engines; one step of each row.
+go test -run '^$' -bench ObservedStep -benchtime 1x .
 
 # Benchmark smoke: every workload of the repo benchmark (BENCHMARK.json)
 # at smoke length. Each run verifies its engine against Sequential under

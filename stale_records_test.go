@@ -52,10 +52,9 @@ var staleConsumers = []struct {
 		}
 		return b.String()
 	}},
-	// The digest's record-derived fields: a tile's mass is read in place,
-	// in the phase the engine left (grid.TileDigest), so it is held
-	// against the engine's own serial digest instead (TestDigestRefreshes-
-	// StaleRecords).
+	// The digest's record-derived fields; the tile masses, which are
+	// sums of distributions, are held against the serial digest of the
+	// engine's Live layout instead (TestDigestRefreshesStaleRecords).
 	{"Digest", func(t *testing.T, s *Simulation) string {
 		d, err := grid.NewDigestGrid(16, 16, 16, 4)
 		if err != nil {
@@ -155,11 +154,13 @@ func TestStaleRecordConsumers(t *testing.T) {
 }
 
 // TestDigestRefreshesStaleRecords holds the per-step digest on the
-// engines' teams, which refreshes each piece's stale records right before
-// digesting them, against the layout's serial digest, in place, after a
-// refresh of every record — every field, the phase-dependent tile masses
-// included — on omp, cube and fused at one to three threads, after odd
-// and even step counts, fluid-only and with a sheet.
+// engines' teams, which canonicalizes a swapped array first and then
+// refreshes each piece's stale records in the loop that digests them,
+// against the serial digest (grid.DigestGrid.Fill) of the layout Live
+// returns — every field, tile masses included — on omp, cube and fused
+// (both storage types) at one to three threads, after odd and even step
+// counts, fluid-only and with a sheet, and with a NaN seeded into a
+// record and a distribution between steps.
 func TestDigestRefreshesStaleRecords(t *testing.T) {
 	fields := func(d *grid.DigestGrid) string {
 		var b bytes.Buffer
@@ -172,53 +173,78 @@ func TestDigestRefreshesStaleRecords(t *testing.T) {
 		}
 		return b.String()
 	}
+	engines := []struct {
+		name    string
+		kind    SolverKind
+		float32 bool
+	}{{"omp", OpenMP, false}, {"cube", CubeBased, false}, {"fused", Fused, false}, {"fused-f32", Fused, true}}
 	for _, p := range staleProblems {
-		for _, kind := range []SolverKind{OpenMP, CubeBased, Fused} {
+		for _, e := range engines {
 			for threads := 1; threads <= 3; threads++ {
+				nans := []bool{false, true}
+				if e.float32 {
+					nans = nans[:1]
+				}
 				for _, n := range []int{3, 4} {
-					cfg := p.cfg
-					cfg.Solver, cfg.Threads, cfg.CubeSize = kind, threads, 4
-					var got [2]string
-					for i := range got {
-						s, err := New(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						s.Run(n)
-						d, err := grid.NewDigestGrid(16, 16, 16, 4)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if i == 0 {
-							err = s.eng.Digest(d)
-						} else {
-							var l core.Layout
-							switch e := s.eng.(type) {
-							case *ompEngine:
-								e.Refresh()
-								l = e.Fluid
-							case *cubeEngine:
-								e.Refresh()
-								l = e.Fluid
-							case *fusedEngine:
-								e.Refresh()
-								l = e.Fluid
+					for _, nan := range nans {
+						cfg := p.cfg
+						cfg.Solver, cfg.Float32, cfg.Threads, cfg.CubeSize = e.kind, e.float32, threads, 4
+						var got [2]string
+						for i := range got {
+							s, err := New(cfg)
+							if err != nil {
+								t.Fatal(err)
 							}
-							err = l.Digest(d) // in place, in the phase the step left
+							s.Run(n)
+							if nan {
+								seedNaN(s)
+								s.Run(1)
+								seedNaN(s)
+							}
+							d, err := grid.NewDigestGrid(16, 16, 16, 4)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if i == 0 {
+								err = s.eng.Digest(d)
+							} else {
+								err = d.Fill(s.eng.live())
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
+							if nan && d.NonFinite == 0 {
+								t.Fatalf("%s/%s/%dt/%d steps: the seeded NaN went uncounted", p.name, e.name, threads, n)
+							}
+							got[i] = fields(d)
+							s.Close()
 						}
-						if err != nil {
-							t.Fatal(err)
+						if got[0] != got[1] {
+							t.Errorf("%s/%s/%dt/%d steps/NaN %v: the team's digest differs from the serial digest of Live's layout", p.name, e.name, threads, n, nan)
 						}
-						got[i] = fields(d)
-						s.Close()
-					}
-					if got[0] != got[1] {
-						t.Errorf("%s/%v/%dt/%d steps: the team's digest differs from the serial one after a refresh", p.name, kind, threads, n)
 					}
 				}
 			}
 		}
 	}
+}
+
+// seedNaN writes a NaN into one record's velocity and one distribution
+// value of the engine's float64 array as the last step left it, in its
+// phase, without refreshing or canonicalizing anything. (Float32 storage
+// is seeded by internal/fused's TestDigestOnTeamMatchesSerial.)
+func seedNaN(s *Simulation) {
+	var l core.Layout
+	switch e := s.eng.(type) {
+	case *ompEngine:
+		l = e.Fluid
+	case *cubeEngine:
+		l = e.Fluid
+	case *fusedEngine:
+		l = e.Fluid
+	}
+	l.Dist()[200][5] = math.NaN()
+	l.Macros()[3000].Vel[1] = math.NaN()
 }
 
 // stale counts the blocks whose records the engine's next collide would
