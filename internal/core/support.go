@@ -26,9 +26,10 @@ import "lbmib/internal/lattice"
 // synchronization beyond what its bodies already have.
 //
 // Between steps, a reader of whole records — Live and everything built
-// on it, the per-step digest, the facade's point accessors — refreshes
-// the stale ones first (Refresh): the moments body without the force
-// reset, whose force is then the body force.
+// on it, the facade's point accessors — refreshes the stale ones first
+// (RefreshAll): the moments body without the force reset, whose force is
+// then the body force. The per-step digest refreshes each stale block in
+// the loop that digests it (grid.DigestGrid.Begin).
 type Support struct {
 	sets [2][]bool
 	cur  int  // sets[cur] is the fresh set of the next step
@@ -87,9 +88,9 @@ func (p *Support) Advance(n int) {
 	p.dirt = p.dirt || n > 0
 }
 
-// Refreshed records that every block has just been refreshed (Refresh
-// over ranges that cover the layout on a worker team, or the per-step
-// digest, which refreshes each stale block as it digests it).
+// Refreshed records that every block has just been refreshed: the
+// per-step digest refreshes each stale block as it digests it
+// (grid.DigestGrid.Begin).
 func (p *Support) Refreshed() { p.dirt = false }
 
 // Share returns the range [lo, hi) of blocks that holds worker i's share
@@ -124,25 +125,19 @@ func Share(reach []bool, parts, i int) (lo, hi int) {
 	return lo, hi
 }
 
-// Refresh brings the stale records among blocks [lo, hi) up to date from
-// the array df, in phase swapped: AAMomentsBlock with no force reset.
-// Between steps only; different ranges may be refreshed concurrently.
-func Refresh[T lattice.Float](s *Streamer, df [][lattice.Q]T, p *Support, swapped bool, lo, hi int) {
+// RefreshAll brings every stale record up to date from the array df, in
+// phase swapped: AAMomentsBlock with no force reset. It does nothing once
+// no step has run since every block was last fresh. Between steps only.
+func RefreshAll[T lattice.Float](s *Streamer, df [][lattice.Q]T, p *Support, swapped bool) {
+	if !p.dirt {
+		return
+	}
 	fresh := p.sets[p.cur]
-	for b := lo; b < hi; b++ {
+	for b := range fresh {
 		if !fresh[b] {
 			AAMomentsBlock(s, df, b, swapped, nil)
 			fresh[b] = true
 		}
 	}
-}
-
-// RefreshAll is Refresh over every block, and nothing once no step has
-// run since every block was last fresh.
-func RefreshAll[T lattice.Float](s *Streamer, df [][lattice.Q]T, p *Support, swapped bool) {
-	if !p.dirt {
-		return
-	}
-	Refresh(s, df, p, swapped, 0, len(p.sets[0]))
 	p.dirt = false
 }

@@ -131,10 +131,9 @@ type Solver struct {
 	swapped      bool
 	barrier      *par.Barrier
 	timedBarrier par.TimedBarrier
-	// canonicalizePiece and, in float32 mode, widen bound once, for
-	// Digest.
+	// canonicalizePiece bound once, so Digest's team run allocates
+	// nothing.
 	canonRun func(p int)
-	widenRun func(lo, hi int)
 }
 
 // NewSolver builds the fused engine and starts its worker team. Threads
@@ -153,7 +152,6 @@ func NewSolver(cfg Config) (*Solver, error) {
 	if cfg.Float32 {
 		s.f32 = make([][lattice.Q]float32, base.Fluid.NumNodes())
 		convert(s.f32, base.Fluid.Dist())
-		s.widenRun = s.widen
 	}
 	return s, nil
 }
@@ -341,16 +339,18 @@ func (s *Solver) TotalMass() float64 {
 // distributions swapped, the team first canonicalizes it, one contiguous
 // range of planes per worker, and joins; then each worker digests its
 // piece, refreshing stale records in the same loop
-// (omp.Solver.DigestNatural). In float32 mode each worker first widens
-// its piece's planes into the grid's array; widening is exact, so the
-// refresh computes the moments of the stored values. Call it between
-// steps only.
+// (omp.Solver.DigestNatural). In float32 mode the stored values are
+// widened into the grid's array first; widening is exact, so the refresh
+// computes the moments of the stored values. Call it between steps only.
 func (s *Solver) Digest(d *grid.DigestGrid) error {
 	if s.swapped {
 		s.RunTeam(s.canonRun)
 		s.swapped = false
 	}
-	return s.DigestNatural(d, s.widenRun)
+	if s.f32 != nil {
+		convert(s.Fluid.Dist(), s.f32)
+	}
+	return s.DigestNatural(d)
 }
 
 // canonicalizePiece canonicalizes worker p's static share of the planes
@@ -362,13 +362,6 @@ func (s *Solver) canonicalizePiece(p int) {
 	} else {
 		core.CanonicalizeBlocks(s.Stream, s.f32, lo, hi)
 	}
-}
-
-// widen stores the float32 values of planes [lo, hi) into the grid's
-// array.
-func (s *Solver) widen(lo, hi int) {
-	n := s.Fluid.NY * s.Fluid.NZ
-	convert(s.Fluid.Dist()[lo*n:hi*n], s.f32[lo*n:hi*n])
 }
 
 // Loaded re-establishes the engine's invariants after the grid's array

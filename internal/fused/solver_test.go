@@ -348,7 +348,7 @@ func TestRejectsBadTau(t *testing.T) {
 // TestDigestOnTeamMatchesSerial: the digest on the worker team — the
 // array canonicalized on the team if the step left it swapped, stale
 // records refreshed as each piece is digested, float32 storage widened
-// piece by piece — is the serial digest of Live's grid bit for bit, in
+// first — is the serial digest of Live's grid bit for bit, in
 // both storage types at 1–3 workers, after an odd and an even number of
 // steps, and with a NaN seeded into the stored distributions and a
 // record between steps, in the phase the step left.

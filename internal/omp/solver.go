@@ -66,14 +66,9 @@ type Solver struct {
 	// keeps it through the same SpreadForce.
 	Support *core.Support
 
-	// The digest in progress (DigestNatural): its pass, piece body and
-	// per-piece preparation; digestPiece and canonicalizePiece bound once
-	// so the team's runs allocate nothing.
-	dig       *grid.DigestGrid
-	digPart   func(p int)
-	digPrep   func(lo, hi int)
-	digestRun func(p int)
-	canonRun  func(p int)
+	// canonicalizePiece bound once, so Digest's team run allocates
+	// nothing.
+	canonRun func(p int)
 
 	// Region timing, used only with a Probe attached. curKernel is the
 	// kernel Step is running (0 outside Step: an engine layered on this
@@ -111,7 +106,6 @@ func NewSolver(cfg Config) (*Solver, error) {
 		Support: core.NewSupport(cfg.NX),
 	}
 	s.timed = s.timedChunk
-	s.digestRun = s.digestPiece
 	s.canonRun = s.canonicalizePiece
 	// Kernel 4 accumulates on top of the reset that UpdateVelocity leaves
 	// behind (the force-reset sweep is folded into kernel 7 here); seed
@@ -188,7 +182,7 @@ func (s *Solver) Digest(d *grid.DigestGrid) error {
 		s.team.Run(s.canonRun)
 		s.swapped = false
 	}
-	return s.DigestNatural(d, nil)
+	return s.DigestNatural(d)
 }
 
 // canonicalizePiece canonicalizes worker p's static share of the planes.
@@ -199,31 +193,17 @@ func (s *Solver) canonicalizePiece(p int) {
 
 // DigestNatural is Digest of a grid whose array the caller has brought
 // into the natural phase: the seam for an engine layered on this solver
-// that keeps the phase and the storage itself (internal/fused). A
-// non-nil prep runs on each worker over the planes [lo, hi) of its piece
-// right before they are digested.
-func (s *Solver) DigestNatural(d *grid.DigestGrid, prep func(lo, hi int)) error {
+// that keeps the phase and the storage itself (internal/fused).
+func (s *Solver) DigestNatural(d *grid.DigestGrid) error {
 	fresh, _ := s.Support.Sets(0)
 	part, err := d.Begin(s.Fluid, s.Threads, fresh)
 	if err != nil {
 		return err
 	}
-	if prep == nil {
-		s.team.Run(part)
-	} else {
-		s.dig, s.digPart, s.digPrep = d, part, prep
-		s.team.Run(s.digestRun)
-		s.dig, s.digPart, s.digPrep = nil, nil, nil
-	}
+	s.team.Run(part)
 	s.Support.Refreshed()
 	d.End()
 	return nil
-}
-
-// digestPiece prepares and digests piece p of the digest in progress.
-func (s *Solver) digestPiece(p int) {
-	s.digPrep(s.dig.Blocks(p))
-	s.digPart(p)
 }
 
 // Step advances one time step by running the nine kernels as parallel
