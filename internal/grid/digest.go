@@ -201,7 +201,7 @@ func (d *DigestGrid) part(p int) {
 	}
 	u0, u1 := d.units(p)
 	clear(d.Tiles[u0*tiles : u1*tiles])
-	lo, hi := d.Blocks(p)
+	lo, hi := d.blocks(p)
 	part := digestPart{maxAt: -1, badAt: -1}
 	for b := lo; b < hi; b++ {
 		stale := d.fresh != nil && !d.fresh[b]
@@ -223,10 +223,10 @@ func (d *DigestGrid) units(p int) (u0, u1 int) {
 	return par.StaticRange(units, len(d.parts), p)
 }
 
-// Blocks returns the range [lo, hi) of the layout's blocks that piece p
+// blocks returns the range [lo, hi) of the layout's blocks that piece p
 // of the pass Begin started digests: the pieces' ranges partition the
 // blocks in order.
-func (d *DigestGrid) Blocks(p int) (lo, hi int) {
+func (d *DigestGrid) blocks(p int) (lo, hi int) {
 	blocks := 1
 	if d.block != [3]int{d.K, d.K, d.K} {
 		blocks = d.K
