@@ -138,9 +138,10 @@ func wrap(x, n int) int {
 // (Marker).
 //
 // st is the caller's scratch, reused from node to node: SpreadNode
-// writes its bases (ibm.StencilBase, once per axis), and then, for a
-// node it does not skip, its weights from those bases (ibm.Stencil.Weights).
-// A stencil declared per node would be zeroed per node first.
+// writes its bases (ibm.StencilBase) to place the window, and then, for
+// a node it does not skip, fills it whole (ibm.Stencil.Compute, which
+// writes the same bases again). A stencil declared per node would be
+// zeroed per node first.
 func (c *Coupling) SpreadNode(x, F [3]float64, area float64, b *Box, m *Marker, st *ibm.Stencil) {
 	var o [3][ibm.SupportWidth]int
 	var out [3][ibm.SupportWidth]bool
@@ -165,7 +166,7 @@ func (c *Coupling) SpreadNode(x, F [3]float64, area float64, b *Box, m *Marker, 
 			m.last, m.marked = key, true
 		}
 	}
-	st.Weights(x)
+	st.Compute(x)
 	for a, w := range [3]*[ibm.SupportWidth]float64{&st.Wx, &st.Wy, &st.Wz} {
 		for i := range w {
 			if out[a][i] {

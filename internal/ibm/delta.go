@@ -78,8 +78,9 @@ type Stencil struct {
 func StencilBase(x float64) int { return int(math.Floor(x)) - 1 }
 
 // Compute fills the stencil for a fiber node at position x (lattice
-// units): its bases (StencilBase) and its weights (Weights), through the
-// vector body where Weights would take it.
+// units). Each weight is Phi4(x − (Base+i)) bit for bit, through the
+// vector body where cpu.Vector reports one and every coordinate is below
+// 2⁵² in magnitude, and through Phi4's inlined body otherwise.
 func (s *Stencil) Compute(x [3]float64) {
 	if cpu.Vector() && computeAVX2(s, x[0], x[1], x[2]) {
 		return
@@ -90,29 +91,9 @@ func (s *Stencil) Compute(x [3]float64) {
 // compute is Compute's Go body: the portable path and the oracle of the
 // vector one.
 func (s *Stencil) compute(x [3]float64) {
-	for d := range s.Base {
+	for d := 0; d < 3; d++ {
 		s.Base[d] = StencilBase(x[d])
 	}
-	s.weights(x)
-}
-
-// Weights fills the weights of the stencil of a fiber node at position
-// x whose bases s.Base already holds: Compute without its floors, for a
-// caller that needs the bases before the weights (grid.Coupling's
-// spread tests the window against a box first). Each weight is
-// Phi4(x − (Base+i)) bit for bit, through the vector body where
-// cpu.Vector reports one and every coordinate is below 2⁵² in
-// magnitude, and through Phi4's inlined body otherwise.
-func (s *Stencil) Weights(x [3]float64) {
-	if cpu.Vector() && weightsAVX2(s, x[0], x[1], x[2]) {
-		return
-	}
-	s.weights(x)
-}
-
-// weights is Weights' Go body: the portable path and the oracle of the
-// vector one.
-func (s *Stencil) weights(x [3]float64) {
 	for i := 0; i < SupportWidth; i++ {
 		s.Wx[i] = phi4(math.Abs(x[0] - float64(s.Base[0]+i)))
 		s.Wy[i] = phi4(math.Abs(x[1] - float64(s.Base[1]+i)))

@@ -8,10 +8,3 @@ package ibm
 //
 //go:noescape
 func computeAVX2(s *Stencil, x0, x1, x2 float64) (ok bool)
-
-// weightsAVX2 is weights on the host's vector unit: computeAVX2 without
-// storing the bases, which the caller has stored. It writes Wx, Wy and
-// Wz only.
-//
-//go:noescape
-func weightsAVX2(s *Stencil, x0, x1, x2 float64) (ok bool)

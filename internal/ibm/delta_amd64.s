@@ -1,9 +1,8 @@
 #include "textflag.h"
 
-// The AVX2 bodies of Stencil.Compute and Stencil.Weights (delta.go). The
-// four weights of an axis are the lanes of one vector. Lane i holds
-// a = |x − float64(base+i)|, with base = int(floor(x)) − 1 as StencilBase
-// forms it, and evaluates
+// The AVX2 body of Stencil.Compute (delta.go). The four weights of an
+// axis are the lanes of one vector. Lane i holds a = |x − float64(base+i)|,
+// with base = int(floor(x)) − 1 as the Go body forms it, and evaluates
 // phi4 operation for operation as phi4 writes it, with no fused
 // multiply-add, so each lane rounds where the Go body rounds:
 //
@@ -15,8 +14,8 @@
 //
 // It serves positions whose three coordinates are below 2⁵² in
 // magnitude and reports false for any other (NaN, ±∞, huge, where a base
-// may saturate or wrap), having written part of the stencil; Compute or
-// Weights then runs its Go body, which writes all of it.
+// may saturate or wrap), having written part of the stencil; Compute
+// then runs the Go body, which writes all of it.
 
 DATA kd<>+0(SB)/8, $0x7fffffffffffffff // |·| mask
 DATA kd<>+8(SB)/8, $0x7fffffffffffffff
@@ -63,31 +62,12 @@ GLOBL kd<>(SB), RODATA|NOPTR, $264
 #define LANESIGN kd<>+224(SB)
 #define TWO52 kd<>+256(SB)
 
-// FLOOR broadcasts the coordinate at memory operand x into the lanes of
-// Y0 and floor(x) into those of Y2, where |x| < 2⁵², and jumps to
-// outside for any other x (an ordered compare: a NaN jumps).
-#define FLOOR(x) \
-	VBROADCASTSD x, Y0; \
-	VANDPD ABSMASK, X0, X1; \
-	VUCOMISD TWO52, X1; \
-	JPS outside; \
-	JCC outside; \
-	VROUNDPD $1, Y0, Y2
-
-// BASE stores the base int(floor(x)) − 1 at base(DI), after FLOOR.
-#define BASE(base) \
-	VCVTTSD2SIQ X2, AX; \
-	DECQ AX; \
-	MOVQ AX, base(DI)
-
-// WEIGHTS computes one axis's weights into w(DI), after FLOOR. Below 2⁵²
-// floor(x) and every base+i are integers a float64 holds exactly, so
-// float64(base+i) is floor(x) + (i − 1), computed exactly in the lanes,
-// with no conversion. (Weights, whose caller stored the bases already,
-// still takes floor(x) from the vector unit: converting the stored base
-// back would put an integer-to-float conversion and a store-to-load
-// forward on each axis's dependency chain, and took the stencil from
-// 12.7 to 21 ns in BenchmarkCoupling.)
+// FASTAXIS computes one axis of the stencil for the coordinate at memory
+// operand x, base and weights at base(DI) and w(DI), where |x| < 2⁵²,
+// and jumps to outside for any other x (an ordered compare: a NaN
+// jumps). Below 2⁵² floor(x) and every base+i are integers a float64
+// holds exactly, so float64(base+i) is floor(x) + (i − 1), computed
+// exactly in the lanes, with no conversion.
 // And there the branch of each lane is fixed: lanes 1 and 2 hold
 // a = f and (1 − f) rounded, f = x − floor(x) in [0, 1), so a ≤ 1 and
 // phi4 takes the inner branch; lanes 0 and 3 hold 1 + f and 2 − f
@@ -98,7 +78,16 @@ GLOBL kd<>(SB), RODATA|NOPTR, $264
 // sign flip of the root in lanes 0 and 3 make each lane its branch's
 // expression, (c0 + c1·a) − (4a)a under the root and (c2 − 2a) ± root
 // outside it.
-#define WEIGHTS(w) \
+#define FASTAXIS(x, base, w) \
+	VBROADCASTSD x, Y0; \
+	VANDPD ABSMASK, X0, X1; \
+	VUCOMISD TWO52, X1; \
+	JPS outside; \
+	JCC outside; \
+	VROUNDPD $1, Y0, Y2; \
+	VCVTTSD2SIQ X2, AX; \
+	DECQ AX; \
+	MOVQ AX, base(DI); \
 	VADDPD OFFSETS, Y2, Y2; \
 	VSUBPD Y2, Y0, Y0; \
 	VANDPD ABSMASK, Y0, Y0; \
@@ -119,33 +108,9 @@ GLOBL kd<>(SB), RODATA|NOPTR, $264
 // func computeAVX2(s *Stencil, x0, x1, x2 float64) (ok bool)
 TEXT ·computeAVX2(SB), NOSPLIT, $0-33
 	MOVQ s+0(FP), DI
-	FLOOR(x0+8(FP))
-	BASE(0)
-	WEIGHTS(24)
-	FLOOR(x1+16(FP))
-	BASE(8)
-	WEIGHTS(56)
-	FLOOR(x2+24(FP))
-	BASE(16)
-	WEIGHTS(88)
-	VZEROUPPER
-	MOVB $1, ok+32(FP)
-	RET
-
-outside:
-	VZEROUPPER
-	MOVB $0, ok+32(FP)
-	RET
-
-// func weightsAVX2(s *Stencil, x0, x1, x2 float64) (ok bool)
-TEXT ·weightsAVX2(SB), NOSPLIT, $0-33
-	MOVQ s+0(FP), DI
-	FLOOR(x0+8(FP))
-	WEIGHTS(24)
-	FLOOR(x1+16(FP))
-	WEIGHTS(56)
-	FLOOR(x2+24(FP))
-	WEIGHTS(88)
+	FASTAXIS(x0+8(FP), 0, 24)
+	FASTAXIS(x1+16(FP), 8, 56)
+	FASTAXIS(x2+24(FP), 16, 88)
 	VZEROUPPER
 	MOVB $1, ok+32(FP)
 	RET

@@ -2,9 +2,8 @@
 
 package ibm
 
-// Without a vector body the Go body is the only path. The twins below
-// keep Compute's and Weights' calls to the amd64 bodies compiling;
-// cpu.Vector is false, so they never run.
+// Without a vector body the Go body is the only path. The twin below
+// keeps Compute's call to the amd64 body compiling; cpu.Vector is false,
+// so it never runs.
 
 func computeAVX2(s *Stencil, x0, x1, x2 float64) bool { return false }
-func weightsAVX2(s *Stencil, x0, x1, x2 float64) bool { return false }

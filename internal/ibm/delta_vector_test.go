@@ -22,14 +22,13 @@ func TestStencilLayout(t *testing.T) {
 	}
 }
 
-// The vector bodies of Compute and Weights (delta_amd64.s) are held to
-// the Go bodies bit for bit: the same bases and the same weights,
-// compared by their bits, Weights from the bases StencilBase gives, on
-// 10⁶ random positions and 10⁶ positions built from special values. A
-// weight is never NaN (phi4 maps a NaN argument to 0), so no NaN needs
-// matching. The vector bodies decline exactly the positions with a
-// coordinate at or above 2⁵² in magnitude, or NaN, which Compute and
-// Weights hand to the Go bodies.
+// The vector body of Compute (delta_amd64.s) is held to the Go body bit
+// for bit: the same bases and the same weights, compared by their bits,
+// on 10⁶ random positions and 10⁶ positions built from special values.
+// A weight is never NaN (phi4 maps a NaN argument to 0), so no NaN
+// needs matching. The vector body declines exactly the positions with
+// a coordinate at or above 2⁵² in magnitude, or NaN, which Compute
+// hands to the Go body.
 
 const vectorStencils = 1_000_000
 
@@ -39,49 +38,33 @@ func requireVector(t *testing.T) {
 	}
 }
 
-// checkStencil fails t unless each vector body serves x exactly when
-// every coordinate is below 2⁵² in magnitude, and then gives its Go
+// checkStencil fails t unless the vector body serves x exactly when
+// every coordinate is below 2⁵² in magnitude, and then gives the Go
 // body's base and weight bits.
 func checkStencil(t *testing.T, n int, x [3]float64) {
 	t.Helper()
+	var got, want Stencil
 	inRange := true
 	for _, c := range x {
 		inRange = inRange && math.Abs(c) < 0x1p52
 	}
-	var base [3]int
-	for a := range base {
-		base[a] = StencilBase(x[a])
+	if ok := computeAVX2(&got, x[0], x[1], x[2]); ok != inRange {
+		t.Fatalf("position %d at %v: vector body served it: %v, want %v", n, x, ok, inRange)
 	}
-	for _, body := range []struct {
-		name   string
-		vector func(s *Stencil) bool
-		gobody func(s *Stencil)
-	}{
-		{"computeAVX2", func(s *Stencil) bool { return computeAVX2(s, x[0], x[1], x[2]) }, func(s *Stencil) { s.compute(x) }},
-		{"weightsAVX2", func(s *Stencil) bool { return weightsAVX2(s, x[0], x[1], x[2]) }, func(s *Stencil) { s.weights(x) }},
-	} {
-		var got, want Stencil
-		if body.name == "weightsAVX2" {
-			got.Base, want.Base = base, base
+	if !inRange {
+		return
+	}
+	want.compute(x)
+	same := got.Base == want.Base
+	for a, w := range [3]*[SupportWidth]float64{&got.Wx, &got.Wy, &got.Wz} {
+		ww := [3]*[SupportWidth]float64{&want.Wx, &want.Wy, &want.Wz}[a]
+		for i := range w {
+			same = same && math.Float64bits(w[i]) == math.Float64bits(ww[i])
 		}
-		if ok := body.vector(&got); ok != inRange {
-			t.Fatalf("position %d at %v: %s served it: %v, want %v", n, x, body.name, ok, inRange)
-		}
-		if !inRange {
-			continue
-		}
-		body.gobody(&want)
-		same := got.Base == want.Base
-		for a, w := range [3]*[SupportWidth]float64{&got.Wx, &got.Wy, &got.Wz} {
-			ww := [3]*[SupportWidth]float64{&want.Wx, &want.Wy, &want.Wz}[a]
-			for i := range w {
-				same = same && math.Float64bits(w[i]) == math.Float64bits(ww[i])
-			}
-		}
-		if !same {
-			t.Fatalf("position %d at %v (bits %#x %#x %#x), %s:\nvector %+v\nGo     %+v",
-				n, x, math.Float64bits(x[0]), math.Float64bits(x[1]), math.Float64bits(x[2]), body.name, got, want)
-		}
+	}
+	if !same {
+		t.Fatalf("position %d at %v (bits %#x %#x %#x):\nvector %+v\nGo     %+v",
+			n, x, math.Float64bits(x[0]), math.Float64bits(x[1]), math.Float64bits(x[2]), got, want)
 	}
 }
 

@@ -326,6 +326,10 @@ func (s *Solver) UpdateVelocity() {
 	if len(s.Sheets) > 0 {
 		st, df, swapped := s.Stream, s.Fluid.Dist(), s.swapped
 		_, reach := s.Support.Sets(0)
+		// The chunk's bounds are ignored; the region only gives every
+		// worker one call under the clock. ForStatic skips a worker whose
+		// chunk is empty, so this covers the whole support only because
+		// NewSolver clamps Threads to NX: no chunk of NX planes is empty.
 		s.parallelFor(s.Fluid.NX, func(tid, _, _ int) {
 			lo, hi := core.Share(reach, s.Threads, tid)
 			for x := lo; x < hi; x++ {
