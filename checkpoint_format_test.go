@@ -26,19 +26,8 @@ func formatConfig(e sampledEngine, threads int) Config {
 			NumFibers: 4, NodesPerFiber: 4, Width: 3, Height: 3,
 			Origin: [3]float64{3.5, 2.3, 2.6}, Ks: 0.05, Kb: 0.001, FixedRadius: 0.8,
 		}},
-		Solver: e.kind, Threads: threads, CubeSize: 4, Float32: e.float32,
+		Solver: e.kind, Threads: threads, CubeSize: 4,
 	}
-}
-
-// bitwiseGroup names the trajectory engine e follows from a given state,
-// with or without a sheet: engines in one group step bit for bit alike
-// at every thread count. Every float64 engine replays the sequential
-// reference; float32 storage rounds differently.
-func bitwiseGroup(e sampledEngine) string {
-	if e.float32 {
-		return "f32"
-	}
-	return "sequential"
 }
 
 func checkpointBytes(t *testing.T, s *Simulation) []byte {
@@ -78,8 +67,8 @@ func TestCheckpointRewriteIsByteIdentical(t *testing.T) {
 
 // A checkpoint written on any engine and restored on any other continues
 // the writer's trajectory: one and two steps after Restore are bit for bit
-// the writer's next two steps whenever both engines follow the same
-// trajectory (bitwiseGroup). The writer checkpoints after 5 steps, where
+// the writer's next two steps: every engine follows the sequential
+// reference's trajectory. The writer checkpoints after 5 steps, where
 // the in-place engines' arrays are swapped and Checkpoint canonicalizes
 // them, and after 6, where they are natural.
 func TestCheckpointCrossEngineMatrix(t *testing.T) {
@@ -99,9 +88,6 @@ func TestCheckpointCrossEngineMatrix(t *testing.T) {
 				}
 				s.Close()
 				for _, r := range sampledEngines {
-					if bitwiseGroup(r) != bitwiseGroup(w) {
-						continue
-					}
 					sim, err := Restore(bytes.NewReader(ckpt), formatConfig(r, threads))
 					if err != nil {
 						t.Fatal(err)
@@ -133,10 +119,8 @@ func TestCheckpointV1Fixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]string{ // bitwiseGroup → hash, at 1 and 2 threads alike
-		"sequential": "9d4f6f6cceeddf2f9f04a7a92c8e93665e8058d1ddb260c796cd801b6cc84c75",
-		"f32":        "a09ab5d7b95f7757ffe1fa52bba055bc9f0719b87eb221a3d95f1b49bf445fb6",
-	}
+	// Every engine, at 1 and 2 threads alike.
+	const want = "9d4f6f6cceeddf2f9f04a7a92c8e93665e8058d1ddb260c796cd801b6cc84c75"
 	for _, e := range sampledEngines {
 		for _, threads := range []int{1, 2} {
 			s, err := Restore(bytes.NewReader(data), formatConfig(e, threads))
@@ -147,7 +131,7 @@ func TestCheckpointV1Fixture(t *testing.T) {
 				t.Errorf("%s/%dt: restored StepCount %d, want 7", e.name, threads, s.StepCount())
 			}
 			s.Run(3)
-			if got, want := stateHash(t, s), want[bitwiseGroup(e)]; got != want {
+			if got := stateHash(t, s); got != want {
 				t.Errorf("%s/%dt: state after v1 restore + 3 steps is %s, want %s", e.name, threads, got, want)
 			}
 			s.Close()

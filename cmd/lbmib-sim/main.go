@@ -36,24 +36,23 @@ func main() {
 	}
 
 	var (
-		solverName  = flag.String("solver", "seq", "engine: seq, omp, cube or fused")
-		float32Dist = flag.Bool("float32", false, "store distributions in float32 (fused engine only; ~1e-5 contract, 284 instead of 208 B/node)")
-		nx          = flag.Int("nx", 32, "fluid nodes along x")
-		ny          = flag.Int("ny", 32, "fluid nodes along y")
-		nz          = flag.Int("nz", 32, "fluid nodes along z")
-		steps       = flag.Int("steps", 100, "time steps to simulate")
-		threads     = flag.Int("threads", 1, "worker threads for parallel engines")
-		cubeSize    = flag.Int("k", 4, "cube edge size for the cube engine")
-		tau         = flag.Float64("tau", 0.7, "BGK relaxation time (> 0.5)")
-		force       = flag.Float64("force", 2e-5, "uniform driving force along x")
-		sheetDims   = flag.String("sheet", "16x16", "fiber sheet as FIBERSxNODES; empty for fluid-only")
-		ks          = flag.Float64("ks", 0.05, "sheet stretching stiffness")
-		kb          = flag.Float64("kb", 0.001, "sheet bending stiffness")
-		fixRadius   = flag.Float64("fix", 0, "fasten sheet nodes within this radius of its center")
-		noSlipZ     = flag.Bool("walls", false, "no-slip walls on the z boundaries")
-		outDir      = flag.String("out", "", "directory for CSV/VTK snapshots")
-		snapEvery   = flag.Int("snap-every", 0, "write snapshots every N steps (0: only final)")
-		report      = flag.Int("report-every", 20, "print diagnostics every N steps")
+		solverName = flag.String("solver", "seq", "engine: seq, omp, cube or fused")
+		nx         = flag.Int("nx", 32, "fluid nodes along x")
+		ny         = flag.Int("ny", 32, "fluid nodes along y")
+		nz         = flag.Int("nz", 32, "fluid nodes along z")
+		steps      = flag.Int("steps", 100, "time steps to simulate")
+		threads    = flag.Int("threads", 1, "worker threads for parallel engines")
+		cubeSize   = flag.Int("k", 4, "cube edge size for the cube engine")
+		tau        = flag.Float64("tau", 0.7, "BGK relaxation time (> 0.5)")
+		force      = flag.Float64("force", 2e-5, "uniform driving force along x")
+		sheetDims  = flag.String("sheet", "16x16", "fiber sheet as FIBERSxNODES; empty for fluid-only")
+		ks         = flag.Float64("ks", 0.05, "sheet stretching stiffness")
+		kb         = flag.Float64("kb", 0.001, "sheet bending stiffness")
+		fixRadius  = flag.Float64("fix", 0, "fasten sheet nodes within this radius of its center")
+		noSlipZ    = flag.Bool("walls", false, "no-slip walls on the z boundaries")
+		outDir     = flag.String("out", "", "directory for CSV/VTK snapshots")
+		snapEvery  = flag.Int("snap-every", 0, "write snapshots every N steps (0: only final)")
+		report     = flag.Int("report-every", 20, "print diagnostics every N steps")
 
 		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /healthz and pprof on this address (e.g. :9100)")
 		traceOut     = flag.String("trace", "", "write a Chrome trace-event timeline to this file (open in Perfetto)")
@@ -75,7 +74,6 @@ func main() {
 		Solver:    kind,
 		Threads:   *threads,
 		CubeSize:  *cubeSize,
-		Float32:   *float32Dist,
 		CritPath:  *critPath,
 	}
 	if *noSlipZ {

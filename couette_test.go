@@ -20,18 +20,15 @@ func TestCouetteLinearProfile(t *testing.T) {
 	nu := (tau - 0.5) / 3
 	steps := int(12 * float64(nz*nz) / nu)
 	cases := []struct {
-		kind    SolverKind
-		float32 bool
-		// Transverse-flow bounds: float64 engines keep the symmetry to
-		// accumulation rounding; float32 storage adds a ~1e-7 rounding
-		// noise floor that the thousands of relaxation steps random-walk.
+		kind SolverKind
+		// Transverse-flow bounds: the engines keep the symmetry to
+		// accumulation rounding.
 		tolY, tolZ float64
 	}{
-		{Sequential, false, 1e-12, 1e-9},
-		{OpenMP, false, 1e-12, 1e-9},
-		{CubeBased, false, 1e-12, 1e-9},
-		{Fused, false, 1e-12, 1e-9},
-		{Fused, true, 2e-6, 2e-6},
+		{Sequential, 1e-12, 1e-9},
+		{OpenMP, 1e-12, 1e-9},
+		{CubeBased, 1e-12, 1e-9},
+		{Fused, 1e-12, 1e-9},
 	}
 	for _, tc := range cases {
 		sim, err := New(Config{
@@ -42,7 +39,6 @@ func TestCouetteLinearProfile(t *testing.T) {
 			Solver:      tc.kind,
 			Threads:     2,
 			CubeSize:    4,
-			Float32:     tc.float32,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -52,12 +48,12 @@ func TestCouetteLinearProfile(t *testing.T) {
 			got := sim.FluidVelocity(2, 2, z)[0]
 			want := U * (float64(z) + 0.5) / float64(nz)
 			if math.Abs(got-want) > 0.02*U {
-				t.Fatalf("%v(f32=%v): Couette u(z=%d) = %g, want %g", tc.kind, tc.float32, z, got, want)
+				t.Fatalf("%v: Couette u(z=%d) = %g, want %g", tc.kind, z, got, want)
 			}
 		}
 		// No spurious transverse flow.
 		if v := sim.FluidVelocity(2, 2, nz/2); math.Abs(v[1]) > tc.tolY || math.Abs(v[2]) > tc.tolZ {
-			t.Fatalf("%v(f32=%v): transverse velocity %v in Couette flow", tc.kind, tc.float32, v)
+			t.Fatalf("%v: transverse velocity %v in Couette flow", tc.kind, v)
 		}
 		sim.Close()
 	}

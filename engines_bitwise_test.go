@@ -23,14 +23,13 @@ func denseConfig(e sampledEngine, threads int) Config {
 			sheet(7.6, 1.2, 6.9), sheet(8.3, 5.5, 10.4), // across x = 8: halves, quarters, cubes
 			sheet(5.7, 13.8, 14.2), // across x = 6: thirds
 		},
-		Solver: e.kind, Threads: threads, CubeSize: 4, Float32: e.float32,
+		Solver: e.kind, Threads: threads, CubeSize: 4,
 	}
 }
 
 // Every engine is one trajectory at every thread count: with sheets,
-// each float64 engine's state after 20 and 21 steps is bit for bit
-// Sequential's at 1, 2, 3 and 8 threads, and fused-f32's at 2, 3 and 8
-// threads is its own at one. Spreading is where threads could reorder
+// each engine's state after 20 and 21 steps is bit for bit Sequential's
+// at 1, 2, 3 and 8 threads. Spreading is where threads could reorder
 // floating-point sums; its owners add in the reference's order
 // (core.SpreadBox).
 func TestEnginesBitwiseAtAnyThreadCount(t *testing.T) {
@@ -51,18 +50,15 @@ func TestEnginesBitwiseAtAnyThreadCount(t *testing.T) {
 		return h
 	}
 	for _, p := range problems {
-		want := map[string][2]string{
-			"sequential": hashes(p.cfg(sampledEngines[0], 1)),
-			"f32":        hashes(p.cfg(sampledEngines[4], 1)),
-		}
+		want := hashes(p.cfg(sampledEngines[0], 1))
 		for _, e := range sampledEngines {
 			for _, threads := range []int{1, 2, 3, 8} {
-				if e.kind == Sequential || (e.float32 && threads == 1) {
-					continue // the references themselves
+				if e.kind == Sequential {
+					continue // the reference itself
 				}
-				if got := hashes(p.cfg(e, threads)); got != want[bitwiseGroup(e)] {
-					t.Errorf("%s/%s/%dt: %q after 20 and 21 steps, want %s's %q",
-						p.name, e.name, threads, got, bitwiseGroup(e), want[bitwiseGroup(e)])
+				if got := hashes(p.cfg(e, threads)); got != want {
+					t.Errorf("%s/%s/%dt: %q after 20 and 21 steps, want sequential's %q",
+						p.name, e.name, threads, got, want)
 				}
 			}
 		}

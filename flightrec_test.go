@@ -285,6 +285,21 @@ func TestConfigFromRunSpecRejectsRetiredSolver(t *testing.T) {
 	}
 }
 
+// A bundle written while the fused engine could store its distributions
+// in float32 records that in run.float32. It still decodes, but
+// rebuilding its Config refuses it: a float64 replay would not reproduce
+// the recorded trajectory.
+func TestConfigFromRunSpecRejectsFloat32(t *testing.T) {
+	spec := flightrec.RunSpec{NX: 8, NY: 8, NZ: 8, Tau: 0.7, Solver: "fused", Threads: 2, Float32: true}
+	if _, err := ConfigFromRunSpec(spec); err == nil || !strings.Contains(err.Error(), "float32") {
+		t.Fatalf("ConfigFromRunSpec(float32) error = %v, want the retired float32 storage named", err)
+	}
+	spec.Float32 = false
+	if _, err := ConfigFromRunSpec(spec); err != nil {
+		t.Fatalf("ConfigFromRunSpec(float64 fused) = %v", err)
+	}
+}
+
 // TestFlightRecorderRingSpeaksStepCount pins the step numbering every
 // sink shares: an engine stamps events with its own 0-based step index,
 // the driver records aggregates under Simulation.StepCount(), and the

@@ -55,9 +55,8 @@ func SeedForce(m []grid.Macro, body [3]float64) {
 
 // CollideRange is kernel 5 over a node range: the BGK collision with Guo
 // forcing, in place on the present distributions df, reading the records
-// m of the same nodes. df may be stored in either element type
-// (lattice.Collide's rule).
-func CollideRange[T lattice.Float](df [][lattice.Q]T, m []grid.Macro, tau float64) {
+// m of the same nodes.
+func CollideRange(df [][lattice.Q]float64, m []grid.Macro, tau float64) {
 	df = df[:len(m)]
 	for i := range m {
 		n := &m[i]
@@ -71,7 +70,7 @@ func CollideRange[T lattice.Float](df [][lattice.Q]T, m []grid.Macro, tau float6
 // the node's force in the same pass — the fold that lets the engines which
 // retire kernel 4's full-grid reset keep spreading on top of the body
 // force.
-func UpdateRange[T lattice.Float](df [][lattice.Q]T, m []grid.Macro, reset *[3]float64) {
+func UpdateRange(df [][lattice.Q]float64, m []grid.Macro, reset *[3]float64) {
 	df = df[:len(m)]
 	for i := range m {
 		n := &m[i]
@@ -327,11 +326,6 @@ func (s *Streamer) Block(b int, dst [][lattice.Q]float64) {
 // ordering is the moments body: it reads neighbours' slots, so it waits
 // until every block around its own has run.
 //
-// df may be stored in either element type (lattice.Collide's rule): a
-// moved value is not re-rounded, and a reflected one is computed in
-// float64 from the stored post-collision value and rounded once on
-// store, as the fused engine's float32 storage always did.
-//
 // A node without a wall link — nearly every node — moves its values in
 // straight-line code, pair by pair, (q, q+1) for odd q, which is
 // lattice.Opposite's pairing: every slot index is a constant, so the only
@@ -341,7 +335,7 @@ func (s *Streamer) Block(b int, dst [][lattice.Q]float64) {
 // node keeps, so no bit depends on which path a node took; Resolve runs
 // for wall links only. Streamer.Block, AAMomentsBlock and Canonicalize
 // are written the same way.
-func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64, swapped bool, fold, force *[3]float64) {
+func AABlock(s *Streamer, df [][lattice.Q]float64, b int, tau float64, swapped bool, fold, force *[3]float64) {
 	m := s.l.Macros()
 	o, e := s.l.BlockBox(b)
 	idx := b * e[0] * e[1] * e[2]
@@ -349,7 +343,7 @@ func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64
 	// directly; a fold or a given force goes through collideWith.
 	plain := fold == nil && force == nil
 	// Scratch for one node, declared once so no node pays to zero it.
-	var g [lattice.Q]T
+	var g [lattice.Q]float64
 	var rho float64
 	for x := o[0]; x < o[0]+e[0]; x++ {
 		for y := o[1]; y < o[1]+e[1]; y++ {
@@ -379,8 +373,8 @@ func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64
 					for w := walls; w != 0; w &= w - 1 {
 						q := bits.TrailingZeros32(w)
 						oq := lattice.Opposite[q]
-						_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, float64(f[oq]), rho)
-						f[oq] = T(refl)
+						_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, f[oq], rho)
+						f[oq] = refl
 					}
 					idx++
 					continue
@@ -426,8 +420,8 @@ func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64
 				} else {
 					for q := 0; q < lattice.Q; q++ {
 						if walls&(1<<q) != 0 {
-							_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, float64(g[q]), rho)
-							df[idx][lattice.Opposite[q]] = T(refl)
+							_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, g[q], rho)
+							df[idx][lattice.Opposite[q]] = refl
 						} else {
 							df[idx+d[q]][q] = g[q]
 						}
@@ -444,7 +438,7 @@ func AABlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, tau float64
 // under *fold (lattice.FoldCollide), or the record r's; the force is
 // *force, or r's. It returns the density, which the node's reflections
 // take. With both given it does not read r.
-func collideWith[T lattice.Float](g *[lattice.Q]T, r *grid.Macro, fold, force *[3]float64, tau float64) (rho float64) {
+func collideWith(g *[lattice.Q]float64, r *grid.Macro, fold, force *[3]float64, tau float64) (rho float64) {
 	if force == nil {
 		force = &r.Force
 	}
@@ -481,7 +475,7 @@ func (s *Streamer) links(r *rowLinks, z int) *[lattice.Q]int { return &r.tab[s.c
 // (n, q) on a wall link; natural, it reads its own slots, which is
 // UpdateRange. Either way every block around b must have run AABlock
 // first, and the body writes only its own records.
-func AAMomentsBlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, swapped bool, reset *[3]float64) {
+func AAMomentsBlock(s *Streamer, df [][lattice.Q]float64, b int, swapped bool, reset *[3]float64) {
 	m := s.l.Macros()
 	o, e := s.l.BlockBox(b)
 	n := e[0] * e[1] * e[2]
@@ -490,7 +484,7 @@ func AAMomentsBlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, swap
 		UpdateRange(df[idx:idx+n], m[idx:idx+n], reset)
 		return
 	}
-	var g [lattice.Q]T
+	var g [lattice.Q]float64
 	for x := o[0]; x < o[0]+e[0]; x++ {
 		for y := o[1]; y < o[1]+e[1]; y++ {
 			row := s.row(x, y, -1)
@@ -536,7 +530,7 @@ func AAMomentsBlock[T lattice.Float](s *Streamer, df [][lattice.Q]T, b int, swap
 // once, from its member with q < Opposite[q]; a wall slot is its own
 // pair and stays where it is. The rest value never moves. The pairs are
 // disjoint, so the nodes are visited block by block, in memory order.
-func Canonicalize[T lattice.Float](s *Streamer, df [][lattice.Q]T) {
+func Canonicalize(s *Streamer, df [][lattice.Q]float64) {
 	_, e := s.l.BlockBox(0)
 	CanonicalizeBlocks(s, df, 0, len(df)/(e[0]*e[1]*e[2]))
 }
@@ -546,7 +540,7 @@ func Canonicalize[T lattice.Float](s *Streamer, df [][lattice.Q]T) {
 // and every slot belongs to exactly one pair, so ranges that partition
 // the blocks may run concurrently, between steps, and leave the whole
 // array natural once all have run.
-func CanonicalizeBlocks[T lattice.Float](s *Streamer, df [][lattice.Q]T, lo, hi int) {
+func CanonicalizeBlocks(s *Streamer, df [][lattice.Q]float64, lo, hi int) {
 	_, e := s.l.BlockBox(0)
 	n := e[0] * e[1] * e[2]
 	for b := lo; b < hi; b++ {

@@ -11,9 +11,8 @@
 // arithmetic of a fluid node itself — collision with forcing, and the
 // moments — is one level further down, in lattice.Collide and
 // lattice.Moments; CollideRange and UpdateRange are loops over them, and
-// so are the in-place bodies AABlock and AAMomentsBlock, generic over the
-// storage element type like the two functions. Likewise a fiber node's 64 stencil
-// points: SpreadBox and MoveSheetNodes make one call per fiber node, and
+// so are the in-place bodies AABlock and AAMomentsBlock. Likewise a
+// fiber node's 64 stencil points: SpreadBox and MoveSheetNodes make one call per fiber node, and
 // the point loops, with the periodic wrap, are grid.Coupling's.
 //
 // The sequential Solver keeps the kernel decomposition exactly as

@@ -128,7 +128,7 @@ func Share(reach []bool, parts, i int) (lo, hi int) {
 // RefreshAll brings every stale record up to date from the array df, in
 // phase swapped: AAMomentsBlock with no force reset. It does nothing once
 // no step has run since every block was last fresh. Between steps only.
-func RefreshAll[T lattice.Float](s *Streamer, df [][lattice.Q]T, p *Support, swapped bool) {
+func RefreshAll(s *Streamer, df [][lattice.Q]float64, p *Support, swapped bool) {
 	if !p.dirt {
 		return
 	}

@@ -116,11 +116,11 @@ func someCount[K comparable](m map[K]int, want int) bool {
 	return false
 }
 
-// TestEnginesPinned fixes the engine set: one mode per facade engine
-// (two for fused's storage modes), the cube engine only on shapes it
-// accepts, and the same set with or without an immersed structure.
+// TestEnginesPinned fixes the engine set: one mode per facade engine,
+// the cube engine only on shapes it accepts, and the same set with or
+// without an immersed structure.
 func TestEnginesPinned(t *testing.T) {
-	slab := []Engine{EngineSequential, EngineOMP, EngineFused, EngineFusedF32}
+	slab := []Engine{EngineSequential, EngineOMP, EngineFused}
 	cubes := append(append([]Engine(nil), slab...), EngineCube)
 	sheet := []*lbmib.SheetConfig{{NumFibers: 4, NodesPerFiber: 4, Width: 3, Height: 3}}
 	for _, tc := range []struct {

@@ -10,11 +10,9 @@
 // boundary combinations, moving lids, and zero-, one- and multi-sheet
 // immersed structures, every fifth seed a dense pile of overlapping
 // sheets. A Runner executes the same configuration on every
-// applicable engine — including the fused single-sweep engine in both
-// its float64 and float32 storage modes — and holds the results to the
-// per-engine equivalence contract (bitwise for every float64 engine at
-// any thread count, and the relaxed Tol32 contract where float32 storage
-// rounds every distribution once per step), checks
+// applicable engine — sequential, omp, the fused single-sweep engine
+// and, on cube-divisible grids, cube — and holds every one to the
+// sequential reference bit for bit, at any thread count; it checks
 // physics invariants every few steps (finite fields, mass conservation,
 // fiber arclength bounds, driven-momentum sign), runs metamorphic
 // symmetry oracles (axis permutation, lid mirror) and a mid-run

@@ -16,12 +16,6 @@ const (
 	// lid, whose correction terms cancel pairwise at each source node)
 	// conserve mass exactly, so any drift is floating-point accumulation.
 	massRelTol = 1e-8
-	// massRelTol32 is the float32 fused engine's mass bound: storing every
-	// distribution value in float32 rounds it once per step (relative
-	// 2⁻²⁴ ≈ 6e-8 each), so total mass drifts at the rounding floor —
-	// still far below what any real defect (a dropped slot moves mass by
-	// ~1e-3 relative) would produce.
-	massRelTol32 = 1e-5
 	// maxSpeed is the unphysical-velocity guard; valid lattice flows stay
 	// well below the speed of sound cₛ ≈ 0.577.
 	maxSpeed = 0.5
@@ -40,10 +34,9 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // checkInvariants applies the always-on physics oracles to a captured
 // state: finite fields, subsonic velocities, mass conservation relative
-// to the initial mass m0 within relative tolerance massRel (massRelTol
-// for the float64 engines, massRelTol32 for float32 storage), and
+// to the initial mass m0 within relative tolerance massRelTol, and
 // per-fiber arclength bounds.
-func checkInvariants(c Case, st state, m0, massRel float64) []string {
+func checkInvariants(c Case, st state, m0 float64) []string {
 	var fails []string
 	g := st.grid
 	for i := range g.Nodes {
@@ -60,7 +53,7 @@ func checkInvariants(c Case, st state, m0, massRel float64) []string {
 	if v := g.MaxVelocity(); v > maxSpeed {
 		fails = append(fails, fmt.Sprintf("max |u| = %.3g exceeds %.2g (unstable flow)", v, maxSpeed))
 	}
-	if m := g.TotalMass(); math.Abs(m-m0) > massRel*math.Abs(m0) {
+	if m := g.TotalMass(); math.Abs(m-m0) > massRelTol*math.Abs(m0) {
 		fails = append(fails, fmt.Sprintf("total mass drifted: %.17g → %.17g (rel %.3e)",
 			m0, m, math.Abs(m-m0)/math.Abs(m0)))
 	}

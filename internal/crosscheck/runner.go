@@ -16,16 +16,12 @@ import (
 // is a facade engine addressed through lbmib.SolverKind.
 type Engine string
 
-// The engines the Runner exercises. The fused pair runs the single-sweep
-// engine in both storage modes: fused under the standard float64
-// contract, fused-f32 with float32 distribution storage under the
-// Runner's relaxed Tol32 contract.
+// The engines the Runner exercises, one mode per facade engine.
 const (
 	EngineSequential Engine = "sequential"
 	EngineOMP        Engine = "omp"
 	EngineCube       Engine = "cube"
 	EngineFused      Engine = "fused"
-	EngineFusedF32   Engine = "fused-f32"
 )
 
 // Engines returns the engines applicable to the case. The cube engine
@@ -33,7 +29,7 @@ const (
 // indivisible shapes the Runner instead asserts that it rejects the
 // configuration.
 func Engines(c Case) []Engine {
-	es := []Engine{EngineSequential, EngineOMP, EngineFused, EngineFusedF32}
+	es := []Engine{EngineSequential, EngineOMP, EngineFused}
 	if CubeDivisible(c) {
 		es = append(es, EngineCube)
 	}
@@ -41,40 +37,18 @@ func Engines(c Case) []Engine {
 }
 
 // Deterministic reports whether engine e owes the sequential reference
-// bitwise equality on case c: every float64 engine does, at any thread
-// count and with or without sheets, because the owners of the fluid
-// spread in the reference's order (core.SpreadBox). The float32 fused
-// mode's storage rounding keeps it on the relaxed Tol32 contract, though
-// its own trajectory is the same at any thread count and round-trips
-// bitwise. The benchmark's verification pass (bench/verify.go) applies
-// the same rule.
-func Deterministic(e Engine, c Case) bool { return e != EngineFusedF32 }
-
-// contractFor resolves the differential contract engine e owes the
-// float64 sequential reference for this case: bitwise, or Tol32 for the
-// float32 fused mode.
-func (r *Runner) contractFor(e Engine, c Case) (tol float64, bitwise bool) {
-	if Deterministic(e, c) {
-		return 0, true
-	}
-	return r.Tol32, false
-}
-
-// massRelFor returns the mass-conservation tolerance for engine e:
-// float32 storage rounds every distribution value once per step, so its
-// total mass drifts at the rounding floor instead of being conserved to
-// float64 accumulation error.
-func massRelFor(e Engine) float64 {
-	if e == EngineFusedF32 {
-		return massRelTol32
-	}
-	return massRelTol
-}
+// bitwise equality on case c. Every engine does, at any thread count and
+// with or without sheets, because the owners of the fluid spread in the
+// reference's order (core.SpreadBox), so it reports true.
+//
+// Deprecated: every engine is held bitwise; the benchmark's verification
+// pass (bench/verify.go) still calls it.
+func Deterministic(e Engine, c Case) bool { return true }
 
 // EngineReport is the per-engine verdict of one case.
 type EngineReport struct {
 	Engine   string   `json:"engine"`
-	Bitwise  bool     `json:"bitwise"`            // contract applied (vs tolerance)
+	Bitwise  bool     `json:"bitwise"`            // contract applied: always bitwise
 	MaxAbs   float64  `json:"max_abs_diff"`       // vs the sequential reference
 	Failures []string `json:"failures,omitempty"` // empty means the engine passed
 	Bundle   string   `json:"bundle,omitempty"`   // post-mortem bundle dir, when recorded
@@ -104,11 +78,6 @@ func (res Result) FailureSummary() string {
 
 // Runner executes cases across engines and applies the oracles.
 type Runner struct {
-	// Tol32 is the relaxed contract for the float32 fused engine
-	// (default 1e-5): float32 stores ~7 decimal digits, and per-step
-	// rounding of every distribution value accumulates a relative error
-	// far above float64 round-off.
-	Tol32 float64
 	// MetaTol bounds the metamorphic symmetry comparisons, which reorder
 	// per-node reductions but nothing else (default 1e-11).
 	MetaTol float64
@@ -120,7 +89,7 @@ type Runner struct {
 
 // NewRunner returns a Runner with the default contracts.
 func NewRunner() *Runner {
-	return &Runner{Tol32: 1e-5, MetaTol: 1e-11}
+	return &Runner{MetaTol: 1e-11}
 }
 
 // state is a captured engine state: a fluid snapshot plus
@@ -150,7 +119,7 @@ func solverKind(e Engine) lbmib.SolverKind {
 		return lbmib.OpenMP
 	case EngineCube:
 		return lbmib.CubeBased
-	case EngineFused, EngineFusedF32:
+	case EngineFused:
 		return lbmib.Fused
 	default:
 		return lbmib.Sequential
@@ -161,7 +130,6 @@ func solverKind(e Engine) lbmib.SolverKind {
 func configFor(c Case, e Engine) lbmib.Config {
 	cfg := c.Config
 	cfg.Solver = solverKind(e)
-	cfg.Float32 = e == EngineFusedF32
 	return cfg
 }
 
@@ -196,7 +164,7 @@ func (r *Runner) Run(c Case) Result {
 		res.OK = false
 		return res
 	}
-	refFinal, refFails := r.drive(ref, c, massRelTol)
+	refFinal, refFails := r.drive(ref, c)
 	ref.Close()
 	for _, f := range refFails {
 		res.Failures = append(res.Failures, "sequential: "+f)
@@ -217,17 +185,16 @@ func (r *Runner) Run(c Case) Result {
 		if e == EngineSequential {
 			continue
 		}
-		tol, bitwise := r.contractFor(e, c)
-		er := EngineReport{Engine: string(e), Bitwise: bitwise}
+		er := EngineReport{Engine: string(e), Bitwise: true}
 		eng, err := r.newEngine(c, e)
 		if err != nil {
 			er.Failures = append(er.Failures, fmt.Sprintf("constructor rejected valid config: %v", err))
 			res.Engines = append(res.Engines, er)
 			continue
 		}
-		final, fails := r.drive(eng, c, massRelFor(e))
+		final, fails := r.drive(eng, c)
 		er.Failures = append(er.Failures, fails...)
-		maxAbs, cmpFails := compareStates(refFinal, final, tol)
+		maxAbs, cmpFails := compareStates(refFinal, final)
 		er.MaxAbs = maxAbs
 		er.Failures = append(er.Failures, cmpFails...)
 		// A diverged engine dumps its flight-recorder bundle before
@@ -259,9 +226,8 @@ func (r *Runner) Run(c Case) Result {
 }
 
 // drive advances the engine to c.Steps, applying the invariant oracles
-// every c.CheckEvery steps with mass tolerance massRel, and returns the
-// final state.
-func (r *Runner) drive(e *lbmib.Simulation, c Case, massRel float64) (state, []string) {
+// every c.CheckEvery steps, and returns the final state.
+func (r *Runner) drive(e *lbmib.Simulation, c Case) (state, []string) {
 	var fails []string
 	m0 := capture(e).grid.TotalMass()
 	for done := 0; done < c.Steps; {
@@ -271,7 +237,7 @@ func (r *Runner) drive(e *lbmib.Simulation, c Case, massRel float64) (state, []s
 		}
 		e.Run(n)
 		done += n
-		if msgs := checkInvariants(c, capture(e), m0, massRel); len(msgs) > 0 {
+		if msgs := checkInvariants(c, capture(e), m0); len(msgs) > 0 {
 			for _, m := range msgs {
 				fails = append(fails, fmt.Sprintf("step %d: %s", done, m))
 			}
@@ -284,17 +250,17 @@ func (r *Runner) drive(e *lbmib.Simulation, c Case, massRel float64) (state, []s
 }
 
 // compareStates diffs two engine states over the physical fields
-// (distributions, velocity, density, sheet positions and velocities).
-// tol == 0 demands bitwise equality.
-func compareStates(a, b state, tol float64) (float64, []string) {
+// (distributions, velocity, density, sheet positions and velocities) and
+// demands bitwise equality.
+func compareStates(a, b state) (float64, []string) {
 	var fails []string
 	d, err := validate.GridsPhysics(a.grid, b.grid)
 	if err != nil {
 		return math.Inf(1), []string{err.Error()}
 	}
 	maxAbs := d.MaxAbs
-	if !d.Within(tol) {
-		fails = append(fails, fmt.Sprintf("fluid state diverges (tol %.1e): %v", tol, d))
+	if !d.Within(0) {
+		fails = append(fails, fmt.Sprintf("fluid state diverges: %v", d))
 	}
 	if len(a.sheetX) != len(b.sheetX) {
 		return maxAbs, append(fails, fmt.Sprintf("sheet count %d vs %d", len(a.sheetX), len(b.sheetX)))
@@ -310,10 +276,10 @@ func compareStates(a, b state, tol float64) (float64, []string) {
 				if dv > maxAbs {
 					maxAbs = dv
 				}
-				if dx > tol || dv > tol {
+				if dx > 0 || dv > 0 {
 					fails = append(fails, fmt.Sprintf(
-						"sheet %d node %d diverges (tol %.1e): |Δx|=%.3e |Δv|=%.3e",
-						i, j, tol, dx, dv))
+						"sheet %d node %d diverges: |Δx|=%.3e |Δv|=%.3e",
+						i, j, dx, dv))
 					return maxAbs, fails
 				}
 			}
@@ -326,9 +292,7 @@ func compareStates(a, b state, tol float64) (float64, []string) {
 // finishes the run and demands the restored trajectory land on the
 // uninterrupted one bit for bit, on every engine. It exercises the
 // sequential engine, the cube engine (or omp when the shape is
-// indivisible), and both fused modes — fused-f32 crossing the
-// float32↔float64 checkpoint boundary, which must be exact because
-// widening is.
+// indivisible), and the fused engine.
 func (r *Runner) roundTrips(c Case) []string {
 	engines := []Engine{EngineSequential}
 	if CubeDivisible(c) {
@@ -336,7 +300,7 @@ func (r *Runner) roundTrips(c Case) []string {
 	} else {
 		engines = append(engines, EngineOMP)
 	}
-	engines = append(engines, EngineFused, EngineFusedF32)
+	engines = append(engines, EngineFused)
 	var fails []string
 	for _, e := range engines {
 		if msg := r.roundTrip(c, e); msg != "" {
@@ -390,7 +354,7 @@ func (r *Runner) roundTrip(c Case, e Engine) string {
 	got := capture(restored)
 	restored.Close()
 
-	if maxAbs, cmpFails := compareStates(want, got, 0); len(cmpFails) > 0 {
+	if maxAbs, cmpFails := compareStates(want, got); len(cmpFails) > 0 {
 		return fmt.Sprintf("round-trip %s: restored trajectory diverges (max|Δ|=%.3e): %s",
 			e, maxAbs, cmpFails[0])
 	}

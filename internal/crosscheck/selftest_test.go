@@ -80,10 +80,12 @@ func TestInjectedFaultDetected(t *testing.T) {
 }
 
 // TestInjectedFusedFaultDetected repeats the sensitivity proof for the
-// fused engine: a streaming-off-by-one stand-in (node 0's live
-// distributions replaced by node 1's after every fused step, in whichever
-// storage mode is active) must be flagged on the fused engines and only
-// there — the float64 engines keep agreeing with the reference.
+// fused engine: a streaming-off-by-one stand-in (node 0's 19 slots
+// replaced by node 1's after every fused step, in whichever phase the
+// step left, stale records refreshed first so they still hold the
+// moments of the values before the overwrite) must be flagged on the
+// fused engine and only there — the other engines keep agreeing with
+// the reference.
 func TestInjectedFusedFaultDetected(t *testing.T) {
 	seed := faultSensitiveSeed(t)
 	r := NewRunner()
@@ -92,7 +94,11 @@ func TestInjectedFusedFaultDetected(t *testing.T) {
 		t.Fatalf("seed %d must pass without the fault, got:\n%s", seed, res.FailureSummary())
 	}
 
-	fused.FaultHook = func(s *fused.Solver) { s.CopyNodeDist(0, 1) }
+	fused.FaultHook = func(s *fused.Solver) {
+		s.Refresh()
+		df := s.Fluid.Dist()
+		df[0] = df[1]
+	}
 	t.Cleanup(func() { fused.FaultHook = nil })
 
 	res := r.Run(Gen(seed))
@@ -102,7 +108,7 @@ func TestInjectedFusedFaultDetected(t *testing.T) {
 	flagged := false
 	for _, er := range res.Engines {
 		switch er.Engine {
-		case string(EngineFused), string(EngineFusedF32):
+		case string(EngineFused):
 			if len(er.Failures) > 0 {
 				flagged = true
 			}

@@ -120,7 +120,7 @@ func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error
 	// (cube, fused) — is the engine's business. The fused sweep's two
 	// barrier sites feed the same wait attribution as the cube engine's
 	// four, so the comparison covers the memory-aware engine too.
-	for _, name := range []string{"omp", "cube", "fused", "fused-f32"} {
+	for _, name := range []string{"omp", "cube", "fused"} {
 		cfg := core.Config{
 			NX: nx, NY: ny, NZ: nz, Tau: 0.7,
 			BodyForce: [3]float64{2e-5, 0, 0},
@@ -145,7 +145,7 @@ func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error
 			}
 		default:
 			var s *fused.Solver
-			if s, err = fused.NewSolver(fused.Config{Config: cfg, Threads: threads, Float32: name == "fused-f32"}); err == nil {
+			if s, err = fused.NewSolver(fused.Config{Config: cfg, Threads: threads}); err == nil {
 				problem, run, done = &s.Problem, s.Run, s.Close
 			}
 		}

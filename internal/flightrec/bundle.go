@@ -57,8 +57,9 @@ type RunSpec struct {
 	Solver      string     `json:"solver"`
 	Threads     int        `json:"threads"`
 	CubeSize    int        `json:"cubeSize,omitempty"`
-	// Float32 records the fused engine's reduced-precision distribution
-	// storage so a replay uses the same arithmetic contract.
+	// Float32 is decoded only: a bundle of the retired float32
+	// distribution storage sets it, which lbmib.ConfigFromRunSpec
+	// refuses to replay. Nothing writes it.
 	Float32 bool        `json:"float32,omitempty"`
 	Sheets  []SheetSpec `json:"sheets,omitempty"`
 }

@@ -273,3 +273,39 @@ func TestReadBundleKeepsRetiredSolverName(t *testing.T) {
 		t.Fatalf("decoded %d records, want 10", len(b.Records))
 	}
 }
+
+// A bundle written while the fused engine could store its distributions
+// in float32 carries "float32": true in its run spec. It still decodes,
+// the flag intact, so a reader can print it and a replay can refuse it.
+func TestReadBundleKeepsFloat32RunSpec(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "bundle")
+	r := buildFailedRun(t, dir)
+	if _, err := r.WriteBundle("watchdog", nil); err != nil {
+		t.Fatal(err)
+	}
+	manPath := filepath.Join(dir, ManifestFile)
+	raw, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), `"float32"`) {
+		t.Fatal("a bundle written today records float32 storage")
+	}
+	old := strings.Replace(string(raw), `"solver": "cube"`, `"solver": "fused", "float32": true`, 1)
+	if old == string(raw) {
+		t.Fatal("manifest.json has no solver to rewrite")
+	}
+	if err := os.WriteFile(manPath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := ReadBundle(dir)
+	if err != nil {
+		t.Fatalf("bundle recording float32 storage rejected: %v", err)
+	}
+	if m := b.Manifest; m.Run == nil || !m.Run.Float32 || m.Run.Solver != "fused" || m.LastStep != 10 {
+		t.Fatalf("manifest = %+v, run %+v", m, m.Run)
+	}
+	if len(b.Records) != 10 {
+		t.Fatalf("decoded %d records, want 10", len(b.Records))
+	}
+}

@@ -37,7 +37,7 @@ func (r *recordingArrivals) Emit(e core.Event) {
 	}
 }
 
-func fusedTestConfig(threads int, f32 bool) Config {
+func fusedTestConfig(threads int) Config {
 	return Config{
 		Config: core.Config{
 			NX: 16, NY: 12, NZ: 12,
@@ -45,7 +45,6 @@ func fusedTestConfig(threads int, f32 bool) Config {
 			BodyForce: [3]float64{1e-6, 0, 0},
 		},
 		Threads: threads,
-		Float32: f32,
 	}
 }
 
@@ -60,11 +59,11 @@ func TestFusedInstrumentationBitwiseNeutral(t *testing.T) {
 		threads = 3
 		steps   = 8
 	)
-	plain := MustNewSolver(fusedTestConfig(threads, false))
+	plain := MustNewSolver(fusedTestConfig(threads))
 	plain.Run(steps)
 	defer plain.Close()
 
-	inst := MustNewSolver(fusedTestConfig(threads, false))
+	inst := MustNewSolver(fusedTestConfig(threads))
 	rec := &recordingArrivals{t: t, nthr: threads}
 	inst.Probe = rec
 	inst.Run(steps)

@@ -11,16 +11,16 @@ import (
 
 // FuzzFusedStep drives the fused engine with arbitrary tiny
 // configurations — degenerate grid shapes, any boundary combination,
-// lid and body-force drivers, both storage modes, thread counts beyond
+// lid and body-force drivers, thread counts beyond
 // NX — and asserts five steps never panic and never produce a
 // non-finite field. Small boxes are where the wavefront's edge cases
 // live: single-plane chunks, chunks smaller than the two-plane lag,
 // wrap-around neighbors that are also the node itself.
 func FuzzFusedStep(f *testing.F) {
-	f.Add(uint8(2), uint8(2), uint8(2), uint8(0), false, uint8(1), uint8(70))
-	f.Add(uint8(3), uint8(5), uint8(2), uint8(7), true, uint8(4), uint8(120))
-	f.Add(uint8(8), uint8(4), uint8(6), uint8(5), false, uint8(9), uint8(55))
-	f.Fuzz(func(t *testing.T, bx, by, bz, bits uint8, f32 bool, threads, tau100 uint8) {
+	f.Add(uint8(2), uint8(2), uint8(2), uint8(0), uint8(1), uint8(70))
+	f.Add(uint8(3), uint8(5), uint8(2), uint8(7), uint8(4), uint8(120))
+	f.Add(uint8(8), uint8(4), uint8(6), uint8(5), uint8(9), uint8(55))
+	f.Fuzz(func(t *testing.T, bx, by, bz, bits, threads, tau100 uint8) {
 		dim := func(b uint8) int { return 2 + int(b)%7 } // 2..8
 		bc := func(bit uint8) core.BC {
 			if bits&bit != 0 {
@@ -35,7 +35,6 @@ func FuzzFusedStep(f *testing.F) {
 				BCX: bc(1), BCY: bc(2), BCZ: bc(4),
 			},
 			Threads: 1 + int(threads)%8,
-			Float32: f32,
 		}
 		if bits&8 != 0 {
 			cfg.BodyForce = [3]float64{2e-5, -1e-5, 1e-5}

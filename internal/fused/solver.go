@@ -19,8 +19,8 @@
 // its next collide. Why the in-place stream equals the sequential
 // engine's push into a second array, slot by slot, is argued once, on
 // core.AABlock, and why the folded moments are the moments pass's bits,
-// on core.Support. No arithmetic differs — the float64 fused engine is
-// therefore bitwise identical to the OpenMP-style engine and to the
+// on core.Support. No arithmetic differs — the fused engine is therefore
+// bitwise identical to the OpenMP-style engine and to the
 // sequential reference at any thread count.
 //
 // # The wavefront sweep
@@ -71,36 +71,19 @@
 // kernel or region events: the embedded loop-parallel solver times
 // regions only inside its own Step, which this engine never runs.
 //
-// # Float32 storage
-//
-// With Config.Float32 the distributions are stored as one [][19]float32
-// array the solver holds beside the grid's float64 one, which is then
-// only Live's target. The sweep is one generic body over [][19]T, picked
-// once per step, and so are the bodies it calls (core.AABlock over
-// lattice.Collide, core.AAMomentsBlock over lattice.Moments). Arithmetic
-// stays float64: values widen on load and round once on store, and the
-// moments are computed from the rounded stored values, so the
-// macroscopic state remains a pure function of the stored distributions.
-// Storage rounding puts this mode on a relaxed differential contract
-// (~1e-5 vs the float64 reference; see internal/crosscheck), but its
-// trajectory is still the same bits at any thread count and its
-// checkpoints round-trip bitwise, because widening float32 to float64 is
-// exact. The grid keeps its
-// records and its float64 array, and Live widens the float32 array into
-// it, so the mode holds 152 + 56 + 76 = 284 B per node against 208.
-//
 // Fiber kernels 1–4 and 8 are inherited unchanged from the OpenMP-style
 // solver (same team; each thread spreads into the x-slab it owns) and
 // the fluid bodies are core's, so only the wavefront schedule is this
-// package's own code.
+// package's own code, and its only state is the sweep's barrier. The
+// array's phase is the embedded solver's one bit, which the sweep flips
+// (omp.Solver.FlipPhase), so the embedded solver's Live, Canonical,
+// Refresh and Digest serve this engine unchanged.
 package fused
 
 import (
 	"time"
 
 	"lbmib/internal/core"
-	"lbmib/internal/grid"
-	"lbmib/internal/lattice"
 	"lbmib/internal/omp"
 	"lbmib/internal/par"
 )
@@ -109,11 +92,6 @@ import (
 type Config struct {
 	core.Config
 	Threads int // parallel region width; 0 means 1, clamped to NX
-	// Float32 stores the velocity distributions as float32 (arithmetic
-	// stays float64) at the cost of a relaxed (~1e-5) differential
-	// contract vs the float64 engines. The float32 array comes on top of
-	// the grid's float64 one: 284 instead of 208 B per node.
-	Float32 bool
 }
 
 // Solver is the fused engine. It embeds the OpenMP-style solver as its
@@ -122,18 +100,8 @@ type Config struct {
 type Solver struct {
 	*omp.Solver
 
-	// f32 holds the distributions in float32 storage; nil in float64
-	// mode, where the grid's array holds them.
-	f32 [][lattice.Q]float32
-	// swapped is the phase of whichever array holds the distributions
-	// (core.AABlock): false between steps means natural. It replaces the
-	// embedded omp solver's, whose fluid kernels this engine never runs.
-	swapped      bool
 	barrier      *par.Barrier
 	timedBarrier par.TimedBarrier
-	// canonicalizePiece bound once, so Digest's team run allocates
-	// nothing.
-	canonRun func(p int)
 }
 
 // NewSolver builds the fused engine and starts its worker team. Threads
@@ -148,11 +116,6 @@ func NewSolver(cfg Config) (*Solver, error) {
 	}
 	s := &Solver{Solver: base, barrier: par.NewBarrier(base.Threads)}
 	s.timedBarrier = par.TimedBarrier{B: s.barrier, Arrive: s.BarrierArrived}
-	s.canonRun = s.canonicalizePiece
-	if cfg.Float32 {
-		s.f32 = make([][lattice.Q]float32, base.Fluid.NumNodes())
-		convert(s.f32, base.Fluid.Dist())
-	}
 	return s, nil
 }
 
@@ -202,38 +165,16 @@ func (s *Solver) Run(n int) {
 	}
 }
 
-// sweep is the fused collide+stream+update pass (see package doc) on
-// whichever array holds the distributions.
+// sweep is the fused collide+stream+update pass (see package doc), run
+// as one parallel region: region A (collide and stream + interior
+// moments), and, with a structure immersed, the explicit wavefront
+// barrier and region B (chunk-edge moments); then — only with a probe
+// attached — an end-of-sweep barrier measuring the wait the region's
+// implicit join would otherwise hide. The probe and the structure are
+// read once, before the region forks, so every worker executes the same
+// barrier sequence.
 func (s *Solver) sweep() {
-	if s.f32 != nil {
-		sweepOn(s, s.f32)
-	} else {
-		sweepOn(s, s.Fluid.Dist())
-	}
-	s.swapped = !s.swapped
-	s.Support.Advance(1)
-}
-
-// Refresh brings every stale record up to date from whichever array
-// holds the distributions (core.RefreshAll). Call it between steps only.
-func (s *Solver) Refresh() {
-	if s.f32 != nil {
-		core.RefreshAll(s.Stream, s.f32, s.Support, s.swapped)
-	} else {
-		core.RefreshAll(s.Stream, s.Fluid.Dist(), s.Support, s.swapped)
-	}
-}
-
-// sweepOn runs the sweep over the distributions df as one parallel
-// region: region A (collide and stream + interior moments), and, with a
-// structure immersed, the explicit wavefront barrier and region B
-// (chunk-edge moments); then — only with a probe attached — an
-// end-of-sweep barrier measuring the wait the region's implicit join
-// would otherwise hide. The probe and the structure are read once,
-// before the region forks, so every worker executes the same barrier
-// sequence.
-func sweepOn[T lattice.Float](s *Solver, df [][lattice.Q]T) {
-	st, tau, body, swapped, sup := s.Stream, s.Tau, &s.BodyForce, s.swapped, s.Support
+	st, df, tau, body, swapped, sup := s.Stream, s.Fluid.Dist(), s.Tau, &s.BodyForce, s.FlipPhase(), s.Support
 	probe, step := s.Probe, s.StepCount()
 	_, reach := sup.Sets(0)
 	sheets := len(s.Sheets) > 0
@@ -269,6 +210,7 @@ func sweepOn[T lattice.Float](s *Solver, df [][lattice.Q]T) {
 			s.waitBarrier(core.SiteEndOfStep, tid, step)
 		}
 	})
+	sup.Advance(1)
 }
 
 // waitBarrier is the sweep's instrumented barrier: a plain Barrier.Wait
@@ -280,125 +222,4 @@ func (s *Solver) waitBarrier(site core.BarrierSite, tid, step int) {
 		return
 	}
 	s.timedBarrier.Wait(step, int(site), tid)
-}
-
-// Live returns the fluid grid with its distributions in the natural
-// phase and every record fresh: the array canonicalized, then Refresh,
-// which then reads each node's own slots, then Canonical's widening.
-// Call it between steps only.
-func (s *Solver) Live() *grid.Grid {
-	s.canonicalize()
-	s.Refresh()
-	return s.Canonical()
-}
-
-// Canonical returns the fluid grid with its distributions in the natural
-// phase, canonicalizing whichever array holds them in place if a step
-// left it swapped, and its records as the last step left them, stale
-// ones included. In float32 mode the stored values are then widened —
-// exactly — into the grid's array. It shadows the embedded solver's,
-// which knows neither this engine's phase nor its float32 array. Call it
-// between steps only.
-func (s *Solver) Canonical() *grid.Grid {
-	s.canonicalize()
-	if s.f32 != nil {
-		convert(s.Fluid.Dist(), s.f32)
-	}
-	return s.Fluid
-}
-
-// canonicalize brings whichever array holds the distributions into the
-// natural phase.
-func (s *Solver) canonicalize() {
-	if !s.swapped {
-		return
-	}
-	if s.f32 == nil {
-		core.Canonicalize(s.Stream, s.Fluid.Dist())
-	} else {
-		core.Canonicalize(s.Stream, s.f32)
-	}
-	s.swapped = false
-}
-
-// TotalMass returns the summed distribution mass of Live's grid, in node
-// order, without refreshing a record: a mass sum reads the distributions
-// alone. On float32 storage it sums the stored values, widened — the
-// bits Live().TotalMass() would return, without widening the grid.
-func (s *Solver) TotalMass() float64 {
-	s.canonicalize()
-	if s.f32 == nil {
-		return grid.TotalMass(s.Fluid.Dist())
-	}
-	return grid.TotalMass(s.f32)
-}
-
-// Digest fills d from the distributions on the worker team, leaving the
-// grid as Live leaves it, bitwise as the grid's own one-goroutine Digest
-// of Live's grid. If the last step left whichever array holds the
-// distributions swapped, the team first canonicalizes it, one contiguous
-// range of planes per worker, and joins; then each worker digests its
-// piece, refreshing stale records in the same loop
-// (omp.Solver.DigestNatural). In float32 mode the stored values are
-// widened into the grid's array first; widening is exact, so the refresh
-// computes the moments of the stored values. Call it between steps only.
-func (s *Solver) Digest(d *grid.DigestGrid) error {
-	if s.swapped {
-		s.RunTeam(s.canonRun)
-		s.swapped = false
-	}
-	if s.f32 != nil {
-		convert(s.Fluid.Dist(), s.f32)
-	}
-	return s.DigestNatural(d)
-}
-
-// canonicalizePiece canonicalizes worker p's static share of the planes
-// of whichever array holds the distributions.
-func (s *Solver) canonicalizePiece(p int) {
-	lo, hi := par.StaticRange(s.Fluid.NX, s.Threads, p)
-	if s.f32 == nil {
-		core.CanonicalizeBlocks(s.Stream, s.Fluid.Dist(), lo, hi)
-	} else {
-		core.CanonicalizeBlocks(s.Stream, s.f32, lo, hi)
-	}
-}
-
-// Loaded re-establishes the engine's invariants after the grid's array
-// and records were overwritten from outside (a restored checkpoint, in
-// the natural phase Live left): the float32 storage is refreshed from
-// the grid, the force field is re-seeded with the body force, and every
-// record counts as fresh.
-func (s *Solver) Loaded() {
-	g := s.Fluid
-	if s.f32 != nil {
-		convert(s.f32, g.Dist())
-	}
-	core.SeedForce(g.Macros(), s.BodyForce)
-	s.Support.Loaded()
-}
-
-// CopyNodeDist overwrites node dst's 19 distribution slots with node
-// src's, in whichever storage mode and phase is active — the
-// perturbation seam the crosscheck fault-injection selftest drives
-// through FaultHook. Stale records are refreshed first, so the records
-// still hold the moments of the values before the overwrite.
-func (s *Solver) CopyNodeDist(dst, src int) {
-	s.Refresh()
-	if s.f32 != nil {
-		s.f32[dst] = s.f32[src]
-		return
-	}
-	df := s.Fluid.Dist()
-	df[dst] = df[src]
-}
-
-// convert stores src into dst value by value: a widening copy out of
-// float32 storage, which is exact, or a rounding one into it.
-func convert[D, S lattice.Float](dst [][lattice.Q]D, src [][lattice.Q]S) {
-	for i := range dst {
-		for q, v := range &src[i] {
-			dst[i][q] = D(v)
-		}
-	}
 }

@@ -165,7 +165,6 @@ func TestPeriodicWrapStreaming(t *testing.T) {
 	s := MustNewSolver(Config{Config: cfg, Threads: 3})
 	defer s.Close()
 	perturb(s.Solver.Solver)
-	s.Loaded() // re-sync engine invariants after direct grid edits
 	s.Run(1)
 	requireBitwiseFluid(t, ref, s, "wrap")
 
@@ -209,109 +208,37 @@ func TestMovingLidCornerEquality(t *testing.T) {
 	requireBitwiseFluid(t, ref, s, "moving lid")
 }
 
-// The float32 mode trades storage rounding for bandwidth; it must track
-// the float64 reference within the documented 1e-5 contract, FSI
-// included.
-func TestFloat32MatchesFloat64(t *testing.T) {
-	const steps, tol = 12, 1e-5
-	ref := core.MustNewSolver(baseConfig(testSheet()))
-	ref.Run(steps)
-	s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: 3, Float32: true})
-	defer s.Close()
-	s.Run(steps)
-	gd, err := validate.Grids(ref.Fluid, s.Live())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gd.Within(tol) {
-		t.Fatalf("float32 run exceeds the 1e-5 contract: %v", gd)
-	}
-	sd, err := validate.Sheets(ref.Sheet(), s.Sheet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sd.Within(tol) {
-		t.Fatalf("float32 sheet exceeds the 1e-5 contract: %v", sd)
-	}
-}
-
-// Float32 storage must not cost determinism: two identical runs agree
-// bitwise (neither the spread nor the sweep sums across threads).
-func TestFloat32RunToRunDeterministic(t *testing.T) {
-	run := func() *Solver {
-		s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: 4, Float32: true})
-		s.Run(10)
-		return s
-	}
-	a, b := run(), run()
-	defer a.Close()
-	defer b.Close()
-	ga, gb := a.Live(), b.Live()
-	for i := range ga.Macros() {
-		if ga.Dist()[i] != gb.Dist()[i] || ga.Macros()[i].Vel != gb.Macros()[i].Vel {
-			t.Fatalf("node %d differs between identical float32 runs", i)
-		}
-	}
-}
-
-// The float32 engine's mass sums its own storage, without widening the
-// grid: bit for bit the sum over the materialized grid, since widening is
-// exact and the order is the same. Every step here leaves the array
-// swapped, so the sum canonicalizes it first.
-func TestFloat32TotalMassMatchesMaterialized(t *testing.T) {
-	s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: 2, Float32: true})
-	defer s.Close()
-	for step := 0; step < 3; step++ {
-		s.Run(1)
-		got := s.TotalMass()
-		if want := s.Live().TotalMass(); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("step %d: float32 storage sums to %v, the materialized grid to %v", step+1, got, want)
-		}
-	}
-}
-
-// Mass stays conserved to float32 rounding even over a longer run.
-func TestFloat32MassConserved(t *testing.T) {
-	s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: 4, Float32: true})
-	defer s.Close()
-	m0 := s.Live().TotalMass()
-	s.Run(20)
-	if m1 := s.Live().TotalMass(); math.Abs(m1-m0) > 1e-5*m0 {
-		t.Fatalf("float32 mass drifted beyond rounding: %g -> %g", m0, m1)
-	}
-}
-
-// Loaded must re-establish every engine invariant (float32 shadow state
-// included): copying a mid-run state into a fresh engine and continuing
-// must reproduce the uninterrupted run bitwise.
+// Re-seeding the force and counting every record fresh re-establishes
+// every engine invariant — what the facade does after Restore: copying a
+// mid-run state into a fresh engine and continuing must reproduce the
+// uninterrupted run bitwise.
 func TestLoadRoundTrip(t *testing.T) {
-	for _, f32 := range []bool{false, true} {
-		mk := func() *Solver {
-			return MustNewSolver(Config{Config: baseConfig(nil), Threads: 3, Float32: f32})
-		}
-		full := mk()
-		full.Run(9)
-		half := mk()
-		half.Run(5)
-		resumed := mk()
-		src, dst := half.Live(), resumed.Live()
-		for i := range src.Macros() {
-			s, d := &src.Macros()[i], &dst.Macros()[i]
-			dst.Dist()[i] = src.Dist()[i]
-			d.Rho, d.Vel = s.Rho, s.Vel
-		}
-		resumed.Loaded()
-		resumed.Run(4)
-		ga, gb := full.Live(), resumed.Live()
-		for i := range ga.Macros() {
-			if ga.Dist()[i] != gb.Dist()[i] {
-				t.Fatalf("float32=%v: node %d differs after load round trip", f32, i)
-			}
-		}
-		full.Close()
-		half.Close()
-		resumed.Close()
+	mk := func() *Solver {
+		return MustNewSolver(Config{Config: baseConfig(nil), Threads: 3})
 	}
+	full := mk()
+	full.Run(9)
+	half := mk()
+	half.Run(5)
+	resumed := mk()
+	src, dst := half.Live(), resumed.Live()
+	for i := range src.Macros() {
+		s, d := &src.Macros()[i], &dst.Macros()[i]
+		dst.Dist()[i] = src.Dist()[i]
+		d.Rho, d.Vel = s.Rho, s.Vel
+	}
+	core.SeedForce(dst.Macros(), resumed.BodyForce)
+	resumed.Support.Loaded()
+	resumed.Run(4)
+	ga, gb := full.Live(), resumed.Live()
+	for i := range ga.Macros() {
+		if ga.Dist()[i] != gb.Dist()[i] {
+			t.Fatalf("node %d differs after load round trip", i)
+		}
+	}
+	full.Close()
+	half.Close()
+	resumed.Close()
 }
 
 // phaseCount counts callbacks; atomically, because the sweep's regions
@@ -347,54 +274,47 @@ func TestRejectsBadTau(t *testing.T) {
 
 // TestDigestOnTeamMatchesSerial: the digest on the worker team — the
 // array canonicalized on the team if the step left it swapped, stale
-// records refreshed as each piece is digested, float32 storage widened
-// first — is the serial digest of Live's grid bit for bit, in
-// both storage types at 1–3 workers, after an odd and an even number of
-// steps, and with a NaN seeded into the stored distributions and a
+// records refreshed as each piece is digested — is the serial digest of
+// Live's grid bit for bit, at 1–3 workers, after an odd and an even
+// number of steps, and with a NaN seeded into the distributions and a
 // record between steps, in the phase the step left.
 func TestDigestOnTeamMatchesSerial(t *testing.T) {
-	for _, f32 := range []bool{false, true} {
-		for threads := 1; threads <= 3; threads++ {
-			var got [2][]uint64
-			for i := range got {
-				s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: threads, Float32: f32})
-				d, err := grid.NewDigestGrid(16, 16, 16, 4)
+	for threads := 1; threads <= 3; threads++ {
+		var got [2][]uint64
+		for i := range got {
+			s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: threads})
+			d, err := grid.NewDigestGrid(16, 16, 16, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest := func() {
+				if i == 0 {
+					err = s.Digest(d)
+				} else {
+					err = d.Fill(s.Live())
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				digest := func() {
-					if i == 0 {
-						err = s.Digest(d)
-					} else {
-						err = d.Fill(s.Live())
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					got[i] = append(got[i], digestBits(d)...)
-				}
-				s.Run(3)
-				digest()
-				s.Step()
-				digest()
-				s.Step()
-				if f32 {
-					s.f32[700][9] = float32(math.NaN())
-				} else {
-					s.Fluid.Dist()[700][9] = math.NaN()
-				}
-				s.Fluid.Macros()[2100].Vel[2] = math.Inf(1)
-				digest()
-				if d.NonFinite == 0 {
-					t.Fatalf("float32=%v threads=%d: the seeded NaN went uncounted", f32, threads)
-				}
-				s.Step()
-				digest()
-				s.Close()
+				got[i] = append(got[i], digestBits(d)...)
 			}
-			if !slices.Equal(got[0], got[1]) {
-				t.Errorf("float32=%v threads=%d: the team's digest differs from the serial digest of Live's grid", f32, threads)
+			s.Run(3)
+			digest()
+			s.Step()
+			digest()
+			s.Step()
+			s.Fluid.Dist()[700][9] = math.NaN()
+			s.Fluid.Macros()[2100].Vel[2] = math.Inf(1)
+			digest()
+			if d.NonFinite == 0 {
+				t.Fatalf("threads=%d: the seeded NaN went uncounted", threads)
 			}
+			s.Step()
+			digest()
+			s.Close()
+		}
+		if !slices.Equal(got[0], got[1]) {
+			t.Errorf("threads=%d: the team's digest differs from the serial digest of Live's grid", threads)
 		}
 	}
 }

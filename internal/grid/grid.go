@@ -143,15 +143,14 @@ func (g *Grid) BlockBox(b int) (origin, extent [3]int) {
 // floating-point rounding), which the test suite exploits as an invariant.
 func (g *Grid) TotalMass() float64 { return TotalMass(g.dist) }
 
-// TotalMass sums dist node by node in slice order, widened to float64 —
-// the body behind Grid.TotalMass, cube.Layout.TotalMass and the fused
-// engine's float32 storage. Grid and cube results can differ in the last
+// TotalMass sums dist node by node in slice order — the body behind
+// Grid.TotalMass and cube.Layout.TotalMass. Grid and cube results can differ in the last
 // bits because the two layouts order their nodes differently.
-func TotalMass[T lattice.Float](dist [][lattice.Q]T) float64 {
+func TotalMass(dist [][lattice.Q]float64) float64 {
 	sum := 0.0
 	for i := range dist {
 		for _, v := range &dist[i] {
-			sum += float64(v)
+			sum += v
 		}
 	}
 	return sum

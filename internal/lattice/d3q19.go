@@ -20,11 +20,10 @@
 // pairs (e, −e) of the velocity set, whose equilibrium and forcing share
 // a symmetric part and differ in the sign of an antisymmetric one.
 // kernel_amd64.s is the same unrolled kernel in AVX2, the nine pairs in
-// vector lanes, which Collide and FoldCollide run on float64 storage when
-// the host has AVX2. The loop forms are the oracle the unrolled Go forms
-// are tested against, and the unrolled Go forms — the path for float32
-// storage and for every other host — are the oracle the vector bodies
-// must match bit for bit (kernel_test.go); no solver composes a collision
+// vector lanes, which Collide and FoldCollide run when the host has
+// AVX2. The loop forms are the oracle the unrolled Go forms are tested
+// against, and the unrolled Go forms — the path for every other host —
+// are the oracle the vector bodies must match bit for bit (kernel_test.go); no solver composes a collision
 // out of the loop forms.
 package lattice
 

@@ -6,21 +6,12 @@ package lattice
 // over E and no index the compiler has to bounds-check (scripts/verify.sh
 // gates that). Equilibrium and GuoForce in d3q19.go are the same formulas
 // written down direction by direction; the tests hold this file to them.
-// On float64 storage and an AVX2 host, Collide and FoldCollide run the
-// vector bodies of kernel_amd64.s instead, which compute this file's
-// expression trees lane by lane; the tests hold them to collide and
-// foldCollide bit for bit.
-//
-// Both functions take the storage type of the distributions as a type
-// parameter. The arithmetic is float64 whatever it is: a value widens on
-// load, which is exact, and a result rounds once on store, so the float64
-// instantiation is the plain float64 kernel and the float32 one is that
-// kernel on the widened values, rounded once.
+// On an AVX2 host, Collide and FoldCollide run the vector bodies of
+// kernel_amd64.s instead, which compute this file's expression trees
+// lane by lane; the tests hold them to collide and foldCollide bit for
+// bit.
 
 import "lbmib/internal/cpu"
-
-// Float is the element type a distribution array may be stored in.
-type Float interface{ ~float32 | ~float64 }
 
 // pairTerms splits the equilibrium and the Guo term of an opposite pair
 // (e, −e) into the parts the two directions share and the parts that
@@ -48,18 +39,15 @@ func pairTerms(eu, ef, c, uf3, r, p float64) (se, ae, sf, af float64) {
 // scales the small non-equilibrium part, not two large terms that then
 // cancel, and so that the rest state is a fixed point bit for bit.
 //
-// On float64 storage and a host with AVX2 the vector body runs
-// (kernel_amd64.s); it computes the same expression tree lane by lane,
+// On a host with AVX2 the vector body runs (kernel_amd64.s); it computes the same expression tree lane by lane,
 // so the result does not depend on which body ran — save which NaN a
 // NaN result is, which x86 takes from the order of a commutative
 // operation's operands, and the Go compiler leaves that order to
 // register allocation.
-func Collide[T Float](g *[Q]T, rho float64, u, f [3]float64, tau float64) {
+func Collide(g *[Q]float64, rho float64, u, f [3]float64, tau float64) {
 	if cpu.Vector() {
-		if g64, ok := any(g).(*[Q]float64); ok {
-			collideAVX2(g64, rho, u[0], u[1], u[2], f[0], f[1], f[2], tau)
-			return
-		}
+		collideAVX2(g, rho, u[0], u[1], u[2], f[0], f[1], f[2], tau)
+		return
 	}
 	collide(g, rho, u, f, tau)
 }
@@ -67,22 +55,20 @@ func Collide[T Float](g *[Q]T, rho float64, u, f [3]float64, tau float64) {
 // FoldCollide is Moments of g under the force fold followed by Collide
 // with that density and velocity and the force f, in one call: the
 // moments of the previous step folded into this step's collision
-// (core.AABlock). It returns the density. On float64 storage and a host
-// with AVX2 the vector body forms the moments from the pair sums and
+// (core.AABlock). It returns the density. On a host with AVX2 the
+// vector body forms the moments from the pair sums and
 // differences of the values it loaded for the collision; the bits are
 // those of the two calls, as Collide's are.
-func FoldCollide[T Float](g *[Q]T, fold, f [3]float64, tau float64) (rho float64) {
+func FoldCollide(g *[Q]float64, fold, f [3]float64, tau float64) (rho float64) {
 	if cpu.Vector() {
-		if g64, ok := any(g).(*[Q]float64); ok {
-			return foldCollideAVX2(g64, fold[0], fold[1], fold[2], f[0], f[1], f[2], tau)
-		}
+		return foldCollideAVX2(g, fold[0], fold[1], fold[2], f[0], f[1], f[2], tau)
 	}
 	return foldCollide(g, fold, f, tau)
 }
 
 // foldCollide is FoldCollide in Go, the portable path and the vector
 // body's oracle.
-func foldCollide[T Float](g *[Q]T, fold, f [3]float64, tau float64) (rho float64) {
+func foldCollide(g *[Q]float64, fold, f [3]float64, tau float64) (rho float64) {
 	var u [3]float64
 	rho = Moments(g, fold, &u)
 	collide(g, rho, u, f, tau)
@@ -91,7 +77,7 @@ func foldCollide[T Float](g *[Q]T, fold, f [3]float64, tau float64) (rho float64
 
 // collide is Collide in Go: the portable path and the vector body's
 // oracle.
-func collide[T Float](g *[Q]T, rho float64, u, f [3]float64, tau float64) {
+func collide(g *[Q]float64, rho float64, u, f [3]float64, tau float64) {
 	inv := 1 / tau
 	pre := 1 - 0.5*inv
 	ux, uy, uz := u[0], u[1], u[2]
@@ -134,10 +120,9 @@ func collide[T Float](g *[Q]T, rho float64, u, f [3]float64, tau float64) {
 }
 
 // relax is one direction of Collide, g + ((eq − g)·inv + src) with eq
-// the equilibrium, inv = 1/τ and src the Guo term, rounded once to T.
-func relax[T Float](g T, inv, eq, src float64) T {
-	v := float64(g)
-	return T(v + (inv*(eq-v) + src))
+// the equilibrium, inv = 1/τ and src the Guo term.
+func relax(g, inv, eq, src float64) float64 {
+	return g + (inv*(eq-g) + src)
 }
 
 // Moments computes the macroscopic density and velocity from a distribution
@@ -151,7 +136,7 @@ func relax[T Float](g T, inv, eq, src float64) T {
 // difference, signed by the pair's first direction, to the momentum. A
 // zero-density node (which cannot occur in a well-posed simulation) yields
 // zero velocity rather than NaN so that diagnostics stay finite.
-func Moments[T Float](g *[Q]T, f [3]float64, u *[3]float64) (rho float64) {
+func Moments(g *[Q]float64, f [3]float64, u *[3]float64) (rho float64) {
 	sx, dx := sumDiff(g[1], g[2])
 	sy, dy := sumDiff(g[3], g[4])
 	sz, dz := sumDiff(g[5], g[6])
@@ -161,7 +146,7 @@ func Moments[T Float](g *[Q]T, f [3]float64, u *[3]float64) (rho float64) {
 	sxnz, dxnz := sumDiff(g[13], g[14])
 	syz, dyz := sumDiff(g[15], g[16])
 	synz, dynz := sumDiff(g[17], g[18])
-	rho = float64(g[0]) + (sx + sy + sz) + (sxy + sxny) + (sxz + sxnz) + (syz + synz)
+	rho = g[0] + (sx + sy + sz) + (sxy + sxny) + (sxz + sxnz) + (syz + synz)
 	if rho == 0 { // only exact zero density divides by zero below
 		*u = [3]float64{}
 		return 0
@@ -173,9 +158,7 @@ func Moments[T Float](g *[Q]T, f [3]float64, u *[3]float64) (rho float64) {
 	return rho
 }
 
-// sumDiff returns a + b and a − b of an opposite pair's populations,
-// widened.
-func sumDiff[T Float](a, b T) (sum, diff float64) {
-	x, y := float64(a), float64(b)
-	return x + y, x - y
+// sumDiff returns a + b and a − b of an opposite pair's populations.
+func sumDiff(a, b float64) (sum, diff float64) {
+	return a + b, a - b
 }

@@ -63,48 +63,28 @@ func (s nodeState) collided() [Q]float64 {
 	return g
 }
 
-// stored returns s with its populations rounded to the storage type T —
-// the input the kernel's T instantiation sees — and those populations as
-// stored.
-func stored[T Float](s nodeState) (nodeState, [Q]T) {
-	var g [Q]T
-	for i, v := range s.g {
-		g[i] = T(v)
-		s.g[i] = float64(g[i])
-	}
-	return s, g
-}
-
 const kernelStates = 120000
 
 // Collide equals the textbook composition of the two oracle functions,
-// g − (g − g^eq)/τ + F, to 4·10⁻¹⁵·w_i in every direction. On float32
-// storage it is the float64 kernel on the widened populations rounded
-// once, bit for bit, and so equals the formula to that bound plus one
-// float32 rounding (2⁻²⁴ relative).
+// g − (g − g^eq)/τ + F, to 4·10⁻¹⁵·w_i in every direction.
 func TestCollideMatchesFormula(t *testing.T) {
-	t.Run("float64", func(t *testing.T) { collideMatchesFormula[float64](t, 0) })
-	t.Run("float32", func(t *testing.T) { collideMatchesFormula[float32](t, 0x1p-24) })
+	t.Run("float64", collideMatchesFormula)
 }
 
-func collideMatchesFormula[T Float](t *testing.T, rounding float64) {
+func collideMatchesFormula(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	worst := 0.0
 	for n := 0; n < kernelStates; n++ {
-		s, got := stored[T](randomState(r))
-		Collide(&got, s.rho, s.u, s.f, s.tau)
-		wide := s.collided()
+		s := randomState(r)
+		got := s.collided()
 		var geq, F [Q]float64
 		Equilibrium(s.rho, s.u, &geq)
 		GuoForce(s.tau, s.u, s.f, &F)
 		for i := 0; i < Q; i++ {
-			if got[i] != T(wide[i]) {
-				t.Fatalf("state %d direction %d: kernel %v, the float64 kernel rounded once %v", n, i, got[i], T(wide[i]))
-			}
 			want := s.g[i] - (s.g[i]-geq[i])/s.tau + F[i]
-			d := math.Abs(float64(got[i])-want) / W[i]
-			if bound := 4e-15 + rounding*math.Abs(want)/W[i]; d > bound {
-				t.Fatalf("state %d direction %d: kernel %.17g, formula %.17g (|Δ|/w = %.3g > %.3g)\n%+v", n, i, float64(got[i]), want, d, bound, s)
+			d := math.Abs(got[i]-want) / W[i]
+			if bound := 4e-15; d > bound {
+				t.Fatalf("state %d direction %d: kernel %.17g, formula %.17g (|Δ|/w = %.3g > %.3g)\n%+v", n, i, got[i], want, d, bound, s)
 			}
 			worst = math.Max(worst, d)
 		}
@@ -138,29 +118,22 @@ func momentsLoop(g *[Q]float64, f [3]float64, u *[3]float64) (rho float64) {
 // accumulate, not of the result: the loop form rounds eighteen times at
 // the size of its running sum whatever the sum comes to, so a density just
 // under 1, or a velocity that is the small difference of populations ten
-// times its size, is not the scale of either form's rounding. On float32
-// storage Moments is Moments on the widened populations, bit for bit.
+// times its size, is not the scale of either form's rounding.
 func TestMomentsMatchesLoopForm(t *testing.T) {
-	t.Run("float64", momentsMatchLoopForm[float64])
-	t.Run("float32", momentsMatchLoopForm[float32])
+	t.Run("float64", momentsMatchLoopForm)
 }
 
-func momentsMatchLoopForm[T Float](t *testing.T) {
+func momentsMatchLoopForm(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	ulp1 := math.Nextafter(1, 2) - 1
 	worst := 0.0
 	for n := 0; n < kernelStates; n++ {
-		s, g := stored[T](randomState(r))
-		var gotU, wideU, wantU [3]float64
-		got := [4]float64{0: Moments(&g, s.f, &gotU)}
-		wide := [4]float64{0: Moments(&s.g, s.f, &wideU)}
+		s := randomState(r)
+		var gotU, wantU [3]float64
+		got := [4]float64{0: Moments(&s.g, s.f, &gotU)}
 		want := [4]float64{0: momentsLoop(&s.g, s.f, &wantU)}
 		copy(got[1:], gotU[:])
-		copy(wide[1:], wideU[:])
 		copy(want[1:], wantU[:])
-		if got != wide {
-			t.Fatalf("state %d: moments %v, on the widened populations %v", n, got, wide)
-		}
 		for k, name := range [4]string{"rho", "u[0]", "u[1]", "u[2]"} {
 			d := math.Abs(got[k]-want[k]) / ulp1
 			if d > 4 {

@@ -31,6 +31,10 @@
 //
 // The kernels' loop bodies are internal/core's; this package is the
 // schedule — which thread runs them over which slab or fiber range.
+// The fused engine (internal/fused) is layered on this solver: it runs
+// its own sweep on the same team (ParallelFor) and flips this solver's
+// one phase bit (FlipPhase), so Live, Canonical, Refresh and Digest
+// serve it unchanged.
 package omp
 
 import (
@@ -59,7 +63,8 @@ type Solver struct {
 
 	team *par.Team
 	// swapped is the phase of the grid's distribution array (core.AABlock):
-	// false between steps means natural; kernel 5's region flips it.
+	// false between steps means natural; kernel 5's region, or the sweep
+	// of an engine layered on this solver, flips it (FlipPhase).
 	swapped bool
 	// Support says which planes' records are fresh and which the step's
 	// stencils reach. An engine layered on this solver (internal/fused)
@@ -154,18 +159,24 @@ func (s *Solver) timedChunk(tid, lo, hi int) {
 	s.busy[tid] = time.Since(t0)
 }
 
-// RunTeam runs fn(tid) on every worker of the solver's team and returns
-// when all have: the seam for an engine layered on this solver to run a
-// body it bound once, which, unlike a ParallelFor closure, allocates
-// nothing.
-func (s *Solver) RunTeam(fn func(tid int)) { s.team.Run(fn) }
-
 // ParallelFor dispatches a loop of n iterations on the solver's worker
 // team — the seam for engines layered on this solver (internal/fused)
 // to run their own parallel regions on the same team the fiber kernels
 // use. Each thread receives exactly one contiguous chunk, the property
 // the fused sweep's wavefront relies on.
 func (s *Solver) ParallelFor(n int, body func(tid, lo, hi int)) { s.parallelFor(n, body) }
+
+// FlipPhase flips the phase bit of the grid's array and returns the phase
+// it had, which the caller must then run core.AABlock over every plane
+// from before anything reads the array: kernel 5's region, and the seam
+// for an engine layered on this solver that streams the array in place
+// with its own sweep (internal/fused). Canonical, Live, Refresh and
+// Digest read the one bit either way.
+func (s *Solver) FlipPhase() (swapped bool) {
+	swapped = s.swapped
+	s.swapped = !swapped
+	return swapped
+}
 
 // Digest fills d from the grid on the worker team, leaving the grid as
 // Live leaves it, bitwise as the grid's own one-goroutine Digest of
@@ -182,19 +193,6 @@ func (s *Solver) Digest(d *grid.DigestGrid) error {
 		s.team.Run(s.canonRun)
 		s.swapped = false
 	}
-	return s.DigestNatural(d)
-}
-
-// canonicalizePiece canonicalizes worker p's static share of the planes.
-func (s *Solver) canonicalizePiece(p int) {
-	lo, hi := par.StaticRange(s.Fluid.NX, s.Threads, p)
-	core.CanonicalizeBlocks(s.Stream, s.Fluid.Dist(), lo, hi)
-}
-
-// DigestNatural is Digest of a grid whose array the caller has brought
-// into the natural phase: the seam for an engine layered on this solver
-// that keeps the phase and the storage itself (internal/fused).
-func (s *Solver) DigestNatural(d *grid.DigestGrid) error {
 	fresh, _ := s.Support.Sets(0)
 	part, err := d.Begin(s.Fluid, s.Threads, fresh)
 	if err != nil {
@@ -204,6 +202,12 @@ func (s *Solver) DigestNatural(d *grid.DigestGrid) error {
 	s.Support.Refreshed()
 	d.End()
 	return nil
+}
+
+// canonicalizePiece canonicalizes worker p's static share of the planes.
+func (s *Solver) canonicalizePiece(p int) {
+	lo, hi := par.StaticRange(s.Fluid.NX, s.Threads, p)
+	core.CanonicalizeBlocks(s.Stream, s.Fluid.Dist(), lo, hi)
 }
 
 // Step advances one time step by running the nine kernels as parallel
@@ -297,14 +301,13 @@ func (s *Solver) SpreadForce() {
 // stale folds its moments in (core.Support.Take). Writes into neighbor
 // slabs are race-free because no two nodes share a slot.
 func (s *Solver) ComputeCollision() {
-	st, df, tau, swapped, sup := s.Stream, s.Fluid.Dist(), s.Tau, s.swapped, s.Support
+	st, df, tau, swapped, sup := s.Stream, s.Fluid.Dist(), s.Tau, s.FlipPhase(), s.Support
 	s.forSlabs(func(lo, hi int) {
 		for x := lo; x < hi; x++ {
 			fold, force := sup.Take(0, x, &s.BodyForce)
 			core.AABlock(st, df, x, tau, swapped, fold, force)
 		}
 	})
-	s.swapped = !swapped
 }
 
 // StreamDistribution is kernel 6, which ComputeCollision's region ran:

@@ -16,7 +16,6 @@ package perfmon
 import (
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,8 +31,8 @@ type Config struct {
 	// and site vocabulary: "omp" profiles the parallel regions of the nine
 	// kernels (each region's implicit join is its site); "" and
 	// "sequential" profile kernel events only; every other engine the
-	// Algorithm-4 phases and barrier sites ("fused"/"fused-f32" remap
-	// end_of_step to the sweep's region B).
+	// Algorithm-4 phases and barrier sites ("fused" remaps end_of_step
+	// to the sweep's region B).
 	Engine string
 	// Threads is the worker count; events from other tids are dropped.
 	Threads int
@@ -132,7 +131,7 @@ func NewProfile(cfg Config) *Profile {
 			p.siteNames = append(p.siteNames, si.String())
 			p.siteSeg = append(p.siteSeg, int(precedingPhase(si)))
 		}
-		if strings.HasPrefix(cfg.Engine, "fused") {
+		if cfg.Engine == "fused" {
 			// The fused sweep's end-of-step barrier follows region B
 			// (reported as PhaseUpdateVelocity), not a copy loop.
 			p.siteSeg[core.SiteEndOfStep] = int(core.PhaseUpdateVelocity)

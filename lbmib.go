@@ -23,16 +23,15 @@
 //   - Fused — the memory-aware engine: collide, stream, boundary
 //     handling and macroscopic update fused into one sweep that streams
 //     one distribution array in place, so each node is touched twice per
-//     step, with an optional float32 distribution mode (Config.Float32)
-//     under a relaxed differential contract (internal/fused).
+//     step (internal/fused).
 //
 // The three parallel engines run their workers on one team type
 // (internal/par). The paper's future work, a task-scheduled cube engine
 // (Section VIII), is not among them: it was built, was fastest on no
 // problem this library measures, and was retired (DESIGN.md §17).
 //
-// Every float64 engine produces the sequential reference's results bit
-// for bit at any thread count; the parallel ones differ only in speed and
+// Every engine produces the sequential reference's results bit for bit
+// at any thread count; the parallel ones differ only in speed and
 // memory behavior. The structure may consist of several sheets (Sheets), walls
 // may move (LidVelocity), and runs can be checkpointed and resumed on a
 // different engine (Checkpoint/Restore).
@@ -72,10 +71,8 @@ const (
 	CubeBased
 	// Fused is the memory-aware engine: the four fluid kernels run as
 	// one sweep over the slab grid that streams one distribution array
-	// in place (the AA pattern, core.AABlock; internal/fused).
-	// Float64 results are bitwise identical to OpenMP at any thread
-	// count; Config.Float32 selects the reduced-precision distribution
-	// storage with its relaxed (~1e-5) differential contract.
+	// in place (the AA pattern, core.AABlock; internal/fused). Results
+	// are bitwise identical to OpenMP at any thread count.
 	Fused
 )
 
@@ -181,13 +178,12 @@ type Config struct {
 	// CubeSize is the cube edge k for the CubeBased engine (default 4; Config() reports the effective value); the grid
 	// dimensions must be divisible by it.
 	CubeSize int
-	// Float32 stores the velocity distributions as float32 with the
-	// Fused engine (arithmetic stays float64) at the cost of a relaxed
-	// (~1e-5) differential contract vs the float64 engines; macroscopic
-	// fields, checkpoints and snapshots stay float64. The float32 array
-	// comes on top of the grid's float64 one (284 instead of 208 B per
-	// node), and the step has shown no consistent gain over float64 on
-	// the host EXPERIMENTS.md measures. Rejected with any other Solver.
+	// Float32 is ignored: every engine stores its distributions in
+	// float64. The float32 storage of the Fused engine is retired
+	// (DESIGN §14); the field exists only because the repo benchmark
+	// (bench/) still sets it, and ROADMAP item 1(g) drops it.
+	//
+	// Deprecated: New ignores it.
 	Float32 bool
 
 	// Telemetry, when non-nil, receives runtime metrics from the
@@ -383,9 +379,6 @@ func New(cfg Config) (*Simulation, error) {
 	if cfg.Threads < 1 {
 		cfg.Threads = 1
 	}
-	if cfg.Float32 && cfg.Solver != Fused {
-		return nil, fmt.Errorf("lbmib: Float32 requires the Fused engine, not %v", cfg.Solver)
-	}
 	sheets, err := buildSheets(cfg)
 	if err != nil {
 		return nil, err
@@ -429,13 +422,12 @@ func New(cfg Config) (*Simulation, error) {
 		sim.cfg.Threads, sim.cfg.CubeSize = cs.Threads(), cs.Fluid.K
 		sim.eng, sim.problem = &cubeEngine{cs, onLayout{cs.Fluid, cs.Refresh}}, &cs.Problem
 	case Fused:
-		fs, err := fused.NewSolver(fused.Config{Config: coreCfg, Threads: cfg.Threads,
-			Float32: cfg.Float32})
+		fs, err := fused.NewSolver(fused.Config{Config: coreCfg, Threads: cfg.Threads})
 		if err != nil {
 			return nil, err
 		}
 		sim.cfg.Threads = fs.Threads
-		sim.eng, sim.problem = &fusedEngine{fs, onLayout{fs.Fluid, fs.Refresh}}, &fs.Problem
+		sim.eng, sim.problem = &fusedEngine{ompEngine{fs.Solver, onLayout{fs.Fluid, fs.Refresh}}, fs}, &fs.Problem
 	default:
 		return nil, fmt.Errorf("lbmib: unknown solver kind %d", cfg.Solver)
 	}
@@ -498,11 +490,7 @@ func (s *Simulation) initTelemetry() (core.Probes, error) {
 		sinks = append(sinks, telemetry.NewLatencies(r, cfg.Solver == Sequential || cfg.Solver == OpenMP))
 	}
 	if cfg.CritPath {
-		eng := cfg.Solver.String()
-		if cfg.Float32 {
-			eng = "fused-f32"
-		}
-		s.prof = perfmon.NewProfile(perfmon.Config{Engine: eng, Threads: cfg.Threads, Tracer: s.tracer})
+		s.prof = perfmon.NewProfile(perfmon.Config{Engine: cfg.Solver.String(), Threads: cfg.Threads, Tracer: s.tracer})
 		sinks = append(sinks, s.prof)
 		if s.rec != nil {
 			s.rec.SetAux(flightrec.CritPathFile, func() ([]byte, error) {
@@ -540,7 +528,6 @@ func (s *Simulation) runSpec() flightrec.RunSpec {
 		Solver:      cfg.Solver.String(),
 		Threads:     cfg.Threads,
 		CubeSize:    cfg.CubeSize,
-		Float32:     cfg.Float32,
 	}
 	for _, sc := range append(append([]*SheetConfig(nil), cfg.Sheets...), cfg.Sheet) {
 		if sc == nil {
@@ -557,8 +544,13 @@ func (s *Simulation) runSpec() flightrec.RunSpec {
 
 // ConfigFromRunSpec rebuilds a Config from a bundle's RunSpec, the
 // inverse of the description embedded by the flight recorder. The
-// returned Config has no telemetry attached; callers add their own.
+// returned Config has no telemetry attached; callers add their own. A
+// spec recorded with the retired float32 storage is an error: a float64
+// run would not reproduce its trajectory.
 func ConfigFromRunSpec(spec flightrec.RunSpec) (Config, error) {
+	if spec.Float32 {
+		return Config{}, errors.New("lbmib: the run used float32 distribution storage, which is retired; a float64 replay would not reproduce it")
+	}
 	solver, err := ParseSolverKind(spec.Solver)
 	if err != nil {
 		return Config{}, err
@@ -581,7 +573,6 @@ func ConfigFromRunSpec(spec flightrec.RunSpec) (Config, error) {
 		Solver:      solver,
 		Threads:     spec.Threads,
 		CubeSize:    spec.CubeSize,
-		Float32:     spec.Float32,
 	}
 	if cfg.BoundaryX, err = bparse(spec.BoundaryX); err != nil {
 		return Config{}, err
@@ -1027,16 +1018,13 @@ func (e *cubeEngine) loaded() {
 	e.Support.Loaded()
 }
 
-// fusedEngine digests through fused.Solver.Digest, which shadows the
-// embedded omp.Solver.Digest: it canonicalizes the engine's own array,
-// and in float32 mode widens the stored distributions into the grid as
-// it digests them.
+// fusedEngine is ompEngine stepping by the fused sweep: the sweep flips
+// the embedded omp solver's phase bit, so every other method reads the
+// same state omp's would.
 type fusedEngine struct {
-	*fused.Solver
-	onLayout
+	ompEngine
+	fs *fused.Solver
 }
 
-func (e *fusedEngine) live() core.Layout { return e.Live() }
-func (e *fusedEngine) mass() float64     { return e.TotalMass() } // sums float32 storage without widening it
-func (e *fusedEngine) close()            { e.Close() }
-func (e *fusedEngine) loaded()           { e.Loaded() }
+func (e *fusedEngine) Step()     { e.fs.Step() }
+func (e *fusedEngine) Run(n int) { e.fs.Run(n) }

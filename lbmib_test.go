@@ -38,7 +38,6 @@ func TestNewValidation(t *testing.T) {
 		{NX: 8, NY: 8, NZ: 8, Solver: SolverKind(9)},
 		{NX: 8, NY: 8, NZ: 8, Sheet: &SheetConfig{NumFibers: 0, NodesPerFiber: 3}},
 		{NX: 10, NY: 8, NZ: 8, Solver: CubeBased, CubeSize: 4}, // indivisible
-		{NX: 8, NY: 8, NZ: 8, Solver: OpenMP, Float32: true},   // Float32 requires Fused
 	}
 	for i, c := range cases {
 		if _, err := New(c); err == nil {

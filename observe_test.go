@@ -21,18 +21,16 @@ import (
 // the objects a plain steady-state Step allocates on sampledConfig at 2
 // threads, as measured: an allocation per cube, plane or node exceeds it.
 type sampledEngine struct {
-	name    string
-	kind    SolverKind
-	float32 bool
-	allocs  float64
+	name   string
+	kind   SolverKind
+	allocs float64
 }
 
 var sampledEngines = []sampledEngine{
-	{"sequential", Sequential, false, 0},
-	{"omp", OpenMP, false, 19},
-	{"cube", CubeBased, false, 1},
-	{"fused", Fused, false, 15},
-	{"fused-f32", Fused, true, 15},
+	{"sequential", Sequential, 0},
+	{"omp", OpenMP, 19},
+	{"cube", CubeBased, 1},
+	{"fused", Fused, 15},
 }
 
 func sampledConfig(e sampledEngine, threads int) Config {
@@ -40,7 +38,7 @@ func sampledConfig(e sampledEngine, threads int) Config {
 		NX: 16, NY: 16, NZ: 16, Tau: 0.7,
 		BodyForce: [3]float64{1e-5, 0, 0},
 		Sheet:     telemetrySheet(),
-		Solver:    e.kind, Threads: threads, CubeSize: 4, Float32: e.float32,
+		Solver:    e.kind, Threads: threads, CubeSize: 4,
 	}
 }
 
@@ -116,19 +114,15 @@ func stateHash(t *testing.T, s *Simulation) string {
 }
 
 // parentStateHashes are stateHash after 20 and 21 unobserved steps of
-// sampledConfig, per trajectory (bitwiseGroup), recorded on linux/amd64
-// at the commit before sampling moved onto the digest. Every engine and
-// thread count of a group must reproduce its group's pair, observed or
-// not; a change that moves bits on purpose re-records them from the
-// failure messages.
+// sampledConfig, per trajectory, recorded on linux/amd64 at the commit
+// before sampling moved onto the digest. Every engine follows the
+// sequential trajectory, and every engine and thread count must
+// reproduce its pair, observed or not; a change that moves bits on
+// purpose re-records them from the failure messages.
 var parentStateHashes = map[string][2]string{
 	"sequential": {
 		"011120852c058eade09b6c28ba22829284957be5e05f58ccd74807ee74794339",
 		"29421b7945dcedc0be7fe39b23bdf1e6118c71b2bc86c48961e05d082cdd4e0f",
-	},
-	"f32": {
-		"b0135dc2e7fffe7984927e4a6c49b262dd3d54fb4295abbad30ecc4be3c6ce66",
-		"07cb529e4b768c0cbd8373aa4cf915921452aafe1e98ab29f473db7dea36b1a2",
 	},
 }
 
@@ -146,7 +140,7 @@ func TestCanonicalizeIsRepresentationOnly(t *testing.T) {
 			NX: 16, NY: 16, NZ: 16, Tau: 0.7,
 			BoundaryX: NoSlip, BoundaryY: NoSlip, BoundaryZ: NoSlip,
 			LidVelocity: [3]float64{0.05, 0.02, 0},
-			Solver:      e.kind, Threads: threads, CubeSize: 4, Float32: e.float32,
+			Solver:      e.kind, Threads: threads, CubeSize: 4,
 		}
 	}
 	problems := []struct {
@@ -221,7 +215,7 @@ func TestObservedRunsBitwise(t *testing.T) {
 			plain.Step()
 			want[1] = stateHash(t, plain)
 			plain.Close()
-			if p := parentStateHashes[bitwiseGroup(e)]; runtime.GOARCH == "amd64" && p != want {
+			if p := parentStateHashes["sequential"]; runtime.GOARCH == "amd64" && p != want {
 				t.Errorf("%s/%dt: %q after 20 and 21 steps, want the recorded %q", e.name, threads, want, p)
 			}
 			for _, o := range observers {

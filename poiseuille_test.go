@@ -47,25 +47,21 @@ func poiseuilleError(t *testing.T, cfg Config, nz int) float64 {
 // convergence is pinned on every engine at one and two threads, with
 // TestTaylorGreenConvergenceOrder's floors and for the same reasons —
 // second order is what BGK with Guo forcing and halfway bounce-back is
-// derived to deliver, and float32 storage adds a rounding term that does
-// not shrink with the width.
+// derived to deliver.
 func TestPoiseuilleConvergenceOrder(t *testing.T) {
 	orderTable(t, poiseuilleError)
 }
 
 // orderTable runs oracle at NZ 8 and 16 on every engine at one and two
 // threads and fails a row whose observed order of convergence is below
-// 1.8, or 1.7 for float32 storage.
+// 1.8.
 func orderTable(t *testing.T, oracle func(*testing.T, Config, int) float64) {
+	const floor = 1.8
 	widths := []int{8, 16}
 	for _, e := range sampledEngines {
-		floor := 1.8
-		if e.float32 {
-			floor = 1.7
-		}
 		for _, threads := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/%dt", e.name, threads), func(t *testing.T) {
-				cfg := Config{Solver: e.kind, Threads: threads, Float32: e.float32}
+				cfg := Config{Solver: e.kind, Threads: threads}
 				errs := make([]float64, len(widths))
 				for i, nz := range widths {
 					errs[i] = oracle(t, cfg, nz)

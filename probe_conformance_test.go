@@ -50,7 +50,7 @@ func TestProbeConformance(t *testing.T) {
 			for _, p := range problems {
 				t.Run(fmt.Sprintf("%s/%dt/%s", e.name, threads, p.name), func(t *testing.T) {
 					cfg := p.cfg
-					cfg.Solver, cfg.Float32, cfg.Threads, cfg.CubeSize = e.kind, e.float32, threads, k
+					cfg.Solver, cfg.Threads, cfg.CubeSize = e.kind, threads, k
 					var sims [2]*Simulation // detached, observed
 					for i := range sims {
 						sim, err := New(cfg)
@@ -173,7 +173,7 @@ func checkProbeEvents(t *testing.T, engine string, events []core.Event, steps, t
 			if threads > 1 && fibers {
 				sites(core.SiteAfterSpread, core.SiteEndOfStep)
 			}
-		case "fused", "fused-f32":
+		case "fused":
 			phase(0, core.PhaseFibersForce, 1) // the coordinator, as thread 0
 			phase(0, core.PhaseMoveFibers, 1)
 			for tid := 0; tid < threads; tid++ {

@@ -48,11 +48,10 @@ go vet ./...
 test -z "$(gofmt -l .)"
 
 # One collision arithmetic, and it stays lean. (1) The unrolled node
-# kernel indexes a *[19]T with constants only; a bounds check the
+# kernel indexes a *[19]float64 with constants only; a bounds check the
 # compiler could not remove there is a silent 2x on every engine, so the
-# compiler's own report must name no line of kernel.go. Collide and
-# Moments are generic, and a generic function is compiled where it is
-# instantiated, so the report is taken over the instantiating packages.
+# compiler's own report must name no line of kernel.go, in lattice
+# itself or where core and fused inline its functions.
 # (2) No engine composes a collision out of the oracle functions:
 # outside tests, only initialisation (grid, cube) names them.
 if go build -gcflags='-d=ssa/check_bce/debug=1' ./internal/lattice/ ./internal/core/ ./internal/fused/ 2>&1 | grep 'kernel\.go'; then
@@ -143,10 +142,9 @@ fi
 
 go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/grid/...
 
-# Cross-engine differential smoke: 10 seeded cases on every engine,
-# including the fused engine in both storage modes (every float64 engine
-# bitwise equal to the sequential reference, float32 on the relaxed Tol32
-# contract).
+# Cross-engine differential smoke: 10 seeded cases on each of the four
+# engine modes (sequential, omp, fused and, on cube-divisible grids,
+# cube), every engine bitwise equal to the sequential reference.
 go run ./cmd/lbmib-crosscheck -seeds 10
 
 # Example smoke: the three examples on the cube engine — quickstart,

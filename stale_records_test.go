@@ -158,9 +158,9 @@ func TestStaleRecordConsumers(t *testing.T) {
 // refreshes each piece's stale records in the loop that digests them,
 // against the serial digest (grid.DigestGrid.Fill) of the layout Live
 // returns — every field, tile masses included — on omp, cube and fused
-// (both storage types) at one to three threads, after odd and even step
-// counts, fluid-only and with a sheet, and with a NaN seeded into a
-// record and a distribution between steps.
+// at one to three threads, after odd and even step counts, fluid-only
+// and with a sheet, and with a NaN seeded into a record and a
+// distribution between steps.
 func TestDigestRefreshesStaleRecords(t *testing.T) {
 	fields := func(d *grid.DigestGrid) string {
 		var b bytes.Buffer
@@ -174,21 +174,16 @@ func TestDigestRefreshesStaleRecords(t *testing.T) {
 		return b.String()
 	}
 	engines := []struct {
-		name    string
-		kind    SolverKind
-		float32 bool
-	}{{"omp", OpenMP, false}, {"cube", CubeBased, false}, {"fused", Fused, false}, {"fused-f32", Fused, true}}
+		name string
+		kind SolverKind
+	}{{"omp", OpenMP}, {"cube", CubeBased}, {"fused", Fused}}
 	for _, p := range staleProblems {
 		for _, e := range engines {
 			for threads := 1; threads <= 3; threads++ {
-				nans := []bool{false, true}
-				if e.float32 {
-					nans = nans[:1]
-				}
 				for _, n := range []int{3, 4} {
-					for _, nan := range nans {
+					for _, nan := range []bool{false, true} {
 						cfg := p.cfg
-						cfg.Solver, cfg.Float32, cfg.Threads, cfg.CubeSize = e.kind, e.float32, threads, 4
+						cfg.Solver, cfg.Threads, cfg.CubeSize = e.kind, threads, 4
 						var got [2]string
 						for i := range got {
 							s, err := New(cfg)
@@ -230,9 +225,8 @@ func TestDigestRefreshesStaleRecords(t *testing.T) {
 }
 
 // seedNaN writes a NaN into one record's velocity and one distribution
-// value of the engine's float64 array as the last step left it, in its
-// phase, without refreshing or canonicalizing anything. (Float32 storage
-// is seeded by internal/fused's TestDigestOnTeamMatchesSerial.)
+// value of the engine's array as the last step left it, in its phase,
+// without refreshing or canonicalizing anything.
 func seedNaN(s *Simulation) {
 	var l core.Layout
 	switch e := s.eng.(type) {
@@ -272,8 +266,8 @@ func stale(t *testing.T, s *Simulation) int {
 }
 
 // TestTotalMassLeavesRecordsStale holds TotalMass on a stale state — omp,
-// cube and fused (both storage types) at one to three threads, after odd
-// and even step counts, fluid-only and with a sheet — to the sum over
+// cube and fused at one to three threads, after odd and even step
+// counts, fluid-only and with a sheet — to the sum over
 // Live's layout, bit for bit, which is what it returned when it
 // refreshed every record first; and it must refresh none: a mass sum
 // reads the distributions alone. Reading the records afterwards must
@@ -287,10 +281,9 @@ func TestTotalMassLeavesRecordsStale(t *testing.T) {
 		return b.String()
 	}
 	engines := []struct {
-		name    string
-		kind    SolverKind
-		float32 bool
-	}{{"omp", OpenMP, false}, {"cube", CubeBased, false}, {"fused", Fused, false}, {"fused-f32", Fused, true}}
+		name string
+		kind SolverKind
+	}{{"omp", OpenMP}, {"cube", CubeBased}, {"fused", Fused}}
 	for _, p := range staleProblems {
 		for _, n := range []int{3, 4} {
 			ref := p.cfg
@@ -306,7 +299,7 @@ func TestTotalMassLeavesRecordsStale(t *testing.T) {
 			for _, e := range engines {
 				for threads := 1; threads <= 3; threads++ {
 					cfg := p.cfg
-					cfg.Solver, cfg.Float32, cfg.Threads, cfg.CubeSize = e.kind, e.float32, threads, 4
+					cfg.Solver, cfg.Threads, cfg.CubeSize = e.kind, threads, 4
 					t.Run(fmt.Sprintf("%s/%s/%dt/%d", p.name, e.name, threads, n), func(t *testing.T) {
 						var sims [2]*Simulation
 						for i := range sims {
@@ -330,7 +323,7 @@ func TestTotalMassLeavesRecordsStale(t *testing.T) {
 							t.Errorf("TotalMass %#x (%.17g), the sum over Live's layout %#x (%.17g)",
 								math.Float64bits(got), got, math.Float64bits(live), live)
 						}
-						if !cfg.Float32 && snapshot(sims[0]) != want {
+						if snapshot(sims[0]) != want {
 							t.Error("FluidSnapshot after TotalMass differs from Sequential's")
 						}
 					})

@@ -8,19 +8,18 @@ import (
 // TestStorageBytesPerNode pins what each engine's fluid storage costs: the
 // heap New retains per node on a 32³ fluid-only problem. The sequential
 // engine keeps the paper's two distribution arrays and the 56 B record
-// (2·152 + 56); the in-place engines hold one array (152 + 56); fused's
-// float32 storage adds a 76 B array to the grid's float64 one, which
-// stays as Live's target. Everything else New builds is a few kilobytes,
-// inside the 8 B per node of slack.
+// (2·152 + 56); the in-place engines hold one array (152 + 56).
+// Everything else New builds is a few kilobytes, inside the 8 B per node
+// of slack.
 func TestStorageBytesPerNode(t *testing.T) {
 	want := map[string]float64{
-		"sequential": 360, "omp": 208, "cube": 208, "fused": 208, "fused-f32": 284,
+		"sequential": 360, "omp": 208, "cube": 208, "fused": 208,
 	}
 	const n = 32
 	for _, e := range sampledEngines {
 		for _, threads := range []int{1, 2} {
 			cfg := Config{NX: n, NY: n, NZ: n, Tau: 0.7, Solver: e.kind, Threads: threads,
-				CubeSize: 8, Float32: e.float32}
+				CubeSize: 8}
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.GC() // a second cycle empties the sync.Pool victim caches

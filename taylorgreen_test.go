@@ -97,12 +97,8 @@ func TestTaylorGreenVortexDecay(t *testing.T) {
 	}
 }
 
-// The same closed-form oracle for the fused engine, in both storage
-// modes: the float64 sweep must hit the sequential tolerances (it is
-// bitwise equal to OpenMP), and the float32 mode must still resolve the
-// analytic decay — its ~1e-7 rounding floor sits two orders below the
-// 2%-of-U pointwise budget at U = 1e-3, so the physics check has real
-// teeth against precision loss too.
+// The same closed-form oracle for the fused engine: the sweep must hit
+// the sequential tolerances (it is bitwise equal to OpenMP).
 func TestTaylorGreenVortexDecayFused(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hundreds of steps")
@@ -115,72 +111,70 @@ func TestTaylorGreenVortexDecayFused(t *testing.T) {
 	nu := lattice.ViscosityFromTau(tau)
 	k := 2 * math.Pi / float64(n)
 
-	for _, f32 := range []bool{false, true} {
-		s := fused.MustNewSolver(fused.Config{
-			Config:  core.Config{NX: n, NY: n, NZ: 4, Tau: tau},
-			Threads: 4, Float32: f32,
-		})
-		for x := 0; x < n; x++ {
-			for y := 0; y < n; y++ {
-				ux := U * math.Sin(k*float64(x)) * math.Cos(k*float64(y))
-				uy := -U * math.Cos(k*float64(x)) * math.Sin(k*float64(y))
-				for z := 0; z < 4; z++ {
-					nd := s.Fluid.At(x, y, z)
-					u := [3]float64{ux, uy, 0}
-					var geq [lattice.Q]float64
-					lattice.Equilibrium(1, u, &geq)
-					i := s.Fluid.Idx(x, y, z)
-					s.Fluid.Dist()[i] = geq
-					nd.Vel = u
-					nd.Rho = 1
-				}
+	s := fused.MustNewSolver(fused.Config{
+		Config:  core.Config{NX: n, NY: n, NZ: 4, Tau: tau},
+		Threads: 4,
+	})
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			ux := U * math.Sin(k*float64(x)) * math.Cos(k*float64(y))
+			uy := -U * math.Cos(k*float64(x)) * math.Sin(k*float64(y))
+			for z := 0; z < 4; z++ {
+				nd := s.Fluid.At(x, y, z)
+				u := [3]float64{ux, uy, 0}
+				var geq [lattice.Q]float64
+				lattice.Equilibrium(1, u, &geq)
+				i := s.Fluid.Idx(x, y, z)
+				s.Fluid.Dist()[i] = geq
+				nd.Vel = u
+				nd.Rho = 1
 			}
 		}
-		s.Loaded() // sync engine invariants after direct grid init
-
-		const steps = 300
-		s.Run(steps)
-		fluid := s.Live() // records refreshed, natural phase
-
-		decay := math.Exp(-2 * nu * k * k * float64(steps))
-		worst := 0.0
-		for x := 0; x < n; x++ {
-			for y := 0; y < n; y++ {
-				got := fluid.At(x, y, 1).Vel
-				wantX := U * math.Sin(k*float64(x)) * math.Cos(k*float64(y)) * decay
-				wantY := -U * math.Cos(k*float64(x)) * math.Sin(k*float64(y)) * decay
-				if e := math.Abs(got[0] - wantX); e > worst {
-					worst = e
-				}
-				if e := math.Abs(got[1] - wantY); e > worst {
-					worst = e
-				}
-				if e := math.Abs(got[2]); e > worst {
-					worst = e
-				}
-			}
-		}
-		if worst > 0.02*U {
-			t.Fatalf("float32=%v: Taylor–Green worst pointwise error %.3e exceeds %.3e", f32, worst, 0.02*U)
-		}
-
-		energy, initial := 0.0, 0.0
-		for x := 0; x < n; x++ {
-			for y := 0; y < n; y++ {
-				v := fluid.At(x, y, 0).Vel
-				energy += v[0]*v[0] + v[1]*v[1]
-				ux := U * math.Sin(k*float64(x)) * math.Cos(k*float64(y))
-				uy := -U * math.Cos(k*float64(x)) * math.Sin(k*float64(y))
-				initial += ux*ux + uy*uy
-			}
-		}
-		gotRatio := energy / initial
-		wantRatio := decay * decay
-		if math.Abs(gotRatio-wantRatio) > 0.03*wantRatio {
-			t.Fatalf("float32=%v: energy decay ratio %.5f, analytic %.5f", f32, gotRatio, wantRatio)
-		}
-		s.Close()
 	}
+	s.Support.Loaded() // every record was just written
+
+	const steps = 300
+	s.Run(steps)
+	fluid := s.Live() // records refreshed, natural phase
+
+	decay := math.Exp(-2 * nu * k * k * float64(steps))
+	worst := 0.0
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			got := fluid.At(x, y, 1).Vel
+			wantX := U * math.Sin(k*float64(x)) * math.Cos(k*float64(y)) * decay
+			wantY := -U * math.Cos(k*float64(x)) * math.Sin(k*float64(y)) * decay
+			if e := math.Abs(got[0] - wantX); e > worst {
+				worst = e
+			}
+			if e := math.Abs(got[1] - wantY); e > worst {
+				worst = e
+			}
+			if e := math.Abs(got[2]); e > worst {
+				worst = e
+			}
+		}
+	}
+	if worst > 0.02*U {
+		t.Fatalf("Taylor–Green worst pointwise error %.3e exceeds %.3e", worst, 0.02*U)
+	}
+
+	energy, initial := 0.0, 0.0
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			v := fluid.At(x, y, 0).Vel
+			energy += v[0]*v[0] + v[1]*v[1]
+			ux := U * math.Sin(k*float64(x)) * math.Cos(k*float64(y))
+			uy := -U * math.Cos(k*float64(x)) * math.Sin(k*float64(y))
+			initial += ux*ux + uy*uy
+		}
+	}
+	gotRatio := energy / initial
+	wantRatio := decay * decay
+	if math.Abs(gotRatio-wantRatio) > 0.03*wantRatio {
+		t.Fatalf("energy decay ratio %.5f, analytic %.5f", gotRatio, wantRatio)
+	}
+	s.Close()
 }
 
 // taylorGreenError runs the decaying Taylor–Green vortex on cfg's engine
@@ -244,20 +238,13 @@ func taylorGreenError(t *testing.T, cfg Config, n int) float64 {
 // second order is what the scheme (BGK, Guo forcing with the half-force
 // velocity) is derived to deliver, and an arithmetic or storage slip shows
 // as an error that stops shrinking (a first-order slip reads about 1).
-// The float64 engines owe 1.8. The float32 fused storage rounds every
-// distribution once per step (relative 2⁻²⁴), an error that does not
-// shrink with N; it measured about 1e-6 relative at N = 32, three orders
-// below the discretization error there, and its stated floor, 1.7, leaves
-// that term room without losing the first-order catch.
+// Every engine owes 1.8.
 func TestTaylorGreenConvergenceOrder(t *testing.T) {
+	const floor = 1.8
 	for _, e := range sampledEngines {
-		floor := 1.8
-		if e.float32 {
-			floor = 1.7
-		}
 		for _, threads := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/%dt", e.name, threads), func(t *testing.T) {
-				cfg := Config{Solver: e.kind, Threads: threads, Float32: e.float32}
+				cfg := Config{Solver: e.kind, Threads: threads}
 				e16, e32 := taylorGreenError(t, cfg, 16), taylorGreenError(t, cfg, 32)
 				order := math.Log(e16/e32) / math.Log(2)
 				t.Logf("relative L2 error: N=16 %.3e, N=32 %.3e, observed order %.2f", e16, e32, order)
