@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 
-	"lbmib/internal/core"
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
 	"lbmib/internal/lattice"
@@ -89,7 +88,7 @@ func (h *checkpointHeader) check(cfg Config) error {
 // x, then y, then z — one x-plane at a time: fn gets the layout indices of
 // plane x's NY·NZ nodes in (y, z) order, in a slice reused across planes.
 // It stops at fn's first error and returns it.
-func eachPlane(l core.Layout, fn func(x int, plane []int) error) error {
+func eachPlane(l *grid.Grid, fn func(x int, plane []int) error) error {
 	nx, ny, nz := l.Dims()
 	at := grid.AxisIndex(l)
 	plane := make([]int, ny*nz)

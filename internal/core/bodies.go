@@ -11,37 +11,6 @@ import (
 	"lbmib/internal/lattice"
 )
 
-// Layout is the block-layout contract the loop bodies are written
-// against; *grid.Grid and *cube.Layout are its two implementations. A
-// layout stores the NX×NY×NZ fluid nodes split: one distribution array,
-// Dist(), and one array of the 56 B grid.Macro record (u, ρ, F),
-// Macros(), in the same node order — 208 B per node. The nodes form
-// equal-sized contiguous blocks — an x-plane of NY·NZ nodes in the slab
-// grid, a cube of K³ in the cube layout: block b is the box BlockBox(b)
-// of the domain and occupies entries [b·n, (b+1)·n) of both arrays, n
-// the box's node count, ordered z-fastest inside the box. Idx is
-// separable per axis,
-//
-//	Idx(x, y, z) = Idx(x, 0, 0) + Idx(0, y, 0) + Idx(0, 0, z),
-//
-// which lets the bodies tabulate it once (grid.AxisIndex) and index the
-// arrays directly in their inner loops instead of calling through the
-// interface. Between steps an engine that streams in place may leave
-// Dist() in the swapped phase (AABlock); the engine's Live method
-// presents the natural one.
-type Layout interface {
-	Dims() (nx, ny, nz int)
-	Dist() [][lattice.Q]float64
-	Macros() []grid.Macro
-	BlockBox(b int) (origin, extent [3]int)
-	Idx(x, y, z int) int
-	Wrap(x, y, z int) (int, int, int)
-	// Digest fills d from the layout in place on the calling goroutine
-	// (grid.DigestGrid.Fill); a parallel engine splits the same pass
-	// over its worker team with d.Begin.
-	Digest(d *grid.DigestGrid) error
-}
-
 // SeedForce sets every record's force to the uniform body force: kernel
 // 4's reset in the sequential solver, and in the engines that fold that
 // reset into their update or copy pass the between-steps invariant
@@ -143,15 +112,15 @@ func (bc *StreamBC) Resolve(q, x, y, z int, gi, rho float64) (tx, ty, tz int, re
 	return tx, ty, tz, 0, false
 }
 
-// Streamer is kernel 6's stream geometry bound to one layout and one set
+// Streamer is kernel 6's stream geometry bound to one grid and one set
 // of boundary conditions: one neighbour-offset table per axis class, the
 // per-axis wall sets, and the boundary resolution. Block pushes through
 // it into a second array (the sequential engine); AABlock, AAMomentsBlock
 // and Canonicalize stream in place through it (the parallel engines).
-// Every node of every layout finds its neighbours the same way: one
+// Every node of every block extent finds its neighbours the same way: one
 // lookup of its class triple, then its own entry plus the offset.
 type Streamer struct {
-	l  Layout
+	l  *grid.Grid
 	bc StreamBC
 	// cls[a][c] is the class of coordinate c on axis a, scaled so that a
 	// node's three terms sum to its row of tab. Coordinates whose axis-a
@@ -174,7 +143,7 @@ type Streamer struct {
 }
 
 // NewStreamer tabulates l's index geometry for streaming under bc.
-func NewStreamer(l Layout, bc StreamBC) *Streamer {
+func NewStreamer(l *grid.Grid, bc StreamBC) *Streamer {
 	s := &Streamer{l: l, bc: bc}
 	// off[a][k][1+e] is the axis-a offset at e ∈ {−1, 0, 1} of class k.
 	var off [3][][3]int
@@ -239,7 +208,7 @@ func direction(d [3]int) int {
 }
 
 // Block pushes the post-collision distributions of every node of block b
-// from the layout's array to its 18 neighbours' slots in the
+// from the grid's array to its 18 neighbours' slots in the
 // post-streaming array dst, which may lie in other blocks; a wall link
 // takes StreamBC.Resolve's reflection into the node's own slot. Each
 // (node, direction) slot has exactly one writer, so concurrent calls on
@@ -531,8 +500,7 @@ func AAMomentsBlock(s *Streamer, df [][lattice.Q]float64, b int, swapped bool, r
 // pair and stays where it is. The rest value never moves. The pairs are
 // disjoint, so the nodes are visited block by block, in memory order.
 func Canonicalize(s *Streamer, df [][lattice.Q]float64) {
-	_, e := s.l.BlockBox(0)
-	CanonicalizeBlocks(s, df, 0, len(df)/(e[0]*e[1]*e[2]))
+	CanonicalizeBlocks(s, df, 0, s.l.NumBlocks())
 }
 
 // CanonicalizeBlocks is Canonicalize of the nodes of blocks [lo, hi).

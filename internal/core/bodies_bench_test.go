@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"fmt"
 	"testing"
 
 	"lbmib/internal/core"
@@ -13,10 +12,11 @@ import (
 // with the moments folded in (a block outside both support sets,
 // core.Support), AAMomentsBlock from each phase, Canonicalize, and the
 // sequential engine's push, Streamer.Block. It runs on the 64×64×32
-// slab grid and on k = 8 cubes of the same domain, with bounce-back walls
-// at both z ends (sheet_cube's fluid). One iteration is one pass of the
-// body over every node, after one untimed pass; the ns/node metric is
-// the pass time per node.
+// domain with bounce-back walls at both z ends (sheet_cube's fluid),
+// stored in four block extents: the slab grid's x-planes, k = 8 cubes,
+// and the pencils 8×8×32 and 4×64×32, which keep z-rows whole. One
+// iteration is one pass of the body over every node, after one untimed
+// pass; the ns/node metric is the pass time per node.
 //
 //	go test -run '^$' -bench InPlaceBodies ./internal/core
 func BenchmarkInPlaceBodies(b *testing.B) {
@@ -24,8 +24,11 @@ func BenchmarkInPlaceBodies(b *testing.B) {
 	p := core.Problem{Tau: 0.8, BCZ: core.BounceBack}
 	sbc := p.StreamBC(dims[0], dims[1], dims[2])
 	body := [3]float64{1e-6, 0, 0}
-	for _, k := range []int{0, 8} { // 0 is the slab grid
-		l := twinLayout(b, dims, k)
+	for _, sh := range []shape{slab, cubes(8),
+		{"8x8x32", func([3]int) [3]int { return [3]int{8, 8, 32} }, 0},
+		{"4x64x32", func([3]int) [3]int { return [3]int{4, 64, 32} }, 0},
+	} {
+		l := twinLayout(b, dims, sh)
 		st := core.NewStreamer(l, sbc)
 		df := l.Dist()
 		nb, _ := blocks(l)
@@ -37,9 +40,9 @@ func BenchmarkInPlaceBodies(b *testing.B) {
 				}
 			}
 		}
-		layout := "slab"
-		if k > 0 {
-			layout = fmt.Sprintf("k%d", k)
+		layout := sh.name
+		if sh.name == slab.name {
+			layout = "slab"
 		}
 		for _, c := range []struct {
 			name string

@@ -5,13 +5,12 @@ import (
 	"math/rand"
 	"testing"
 
-	"lbmib/internal/cube"
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
 	"lbmib/internal/ibm"
 )
 
-// The per-stencil coupling bodies (grid.Coupling behind both layouts,
+// The per-stencil coupling bodies (grid.Coupling behind every grid,
 // and SpreadBox over it) are pinned, bit for bit, to the per-point API
 // they replaced. The oracle below is that API as it stood: one
 // interface call per stencil point, three WrapIndex moduli and an Idx per
@@ -24,7 +23,7 @@ type pointField interface {
 
 // layoutPoints is grid.(*Grid).AddForce/VelocityAt and
 // cube.(*Layout).AddForce/VelocityAt, which had one body.
-type layoutPoints struct{ l Layout }
+type layoutPoints struct{ l *grid.Grid }
 
 func (p layoutPoints) addForce(x, y, z int, f [3]float64) {
 	x, y, z = p.l.Wrap(x, y, z)
@@ -159,49 +158,34 @@ func randomForce(r *rand.Rand) [3]float64 {
 	return F
 }
 
-type couplingLayout interface {
-	Layout
-	ibm.ForceAccumulator
-	ibm.VelocitySampler
-}
-
 var couplingLayouts = []struct {
 	name string
 	k    int // block edge along the axes that have one, for seam placement
-	make func() couplingLayout
+	make func() *grid.Grid
 }{
-	{"slab-12x8x16", 4, func() couplingLayout { return grid.New(12, 8, 16) }},
-	{"slab-1x2x3", 1, func() couplingLayout { return grid.New(1, 2, 3) }},
-	{"slab-3x1x2", 1, func() couplingLayout { return grid.New(3, 1, 2) }},
-	{"cube4-12x8x16", 4, func() couplingLayout { return mustCubes(12, 8, 16, 4) }},
-	{"cube8-16x8x24", 8, func() couplingLayout { return mustCubes(16, 8, 24, 8) }},
-	{"cube1-2x3x1", 1, func() couplingLayout { return mustCubes(2, 3, 1, 1) }},
+	{"slab-12x8x16", 4, func() *grid.Grid { return grid.New(12, 8, 16) }},
+	{"slab-1x2x3", 1, func() *grid.Grid { return grid.New(1, 2, 3) }},
+	{"slab-3x1x2", 1, func() *grid.Grid { return grid.New(3, 1, 2) }},
+	{"cube4-12x8x16", 4, func() *grid.Grid { return mustBlocked(12, 8, 16, 4, 4, 4) }},
+	{"cube8-16x8x24", 8, func() *grid.Grid { return mustBlocked(16, 8, 24, 8, 8, 8) }},
+	{"cube1-2x3x1", 1, func() *grid.Grid { return mustBlocked(2, 3, 1, 1, 1, 1) }},
 	// Cubes of 2: most stencil windows cross a cube face on every axis.
-	{"cube2-8x6x10", 2, func() couplingLayout { return mustCubes(8, 6, 10, 2) }},
+	{"cube2-8x6x10", 2, func() *grid.Grid { return mustBlocked(8, 6, 10, 2, 2, 2) }},
+	// A pencil: blocks span z whole and cut x and y.
+	{"pencil4x4-12x8x16", 4, func() *grid.Grid { return mustBlocked(12, 8, 16, 4, 4, 16) }},
 }
 
-func mustCubes(nx, ny, nz, k int) *cube.Layout {
-	l, err := cube.NewLayout(nx, ny, nz, k)
+func mustBlocked(nx, ny, nz, bx, by, bz int) *grid.Grid {
+	g, err := grid.NewBlocked(nx, ny, nz, [3]int{bx, by, bz})
 	if err != nil {
 		panic(err)
 	}
-	return l
+	return g
 }
 
-func dimsOf(l Layout) [3]int {
+func dimsOf(l *grid.Grid) [3]int {
 	nx, ny, nz := l.Dims()
 	return [3]int{nx, ny, nz}
-}
-
-// couplingOf returns the coupling l embeds.
-func couplingOf(l couplingLayout) *grid.Coupling {
-	switch l := l.(type) {
-	case *grid.Grid:
-		return l.Coupling
-	case *cube.Layout:
-		return l.Coupling
-	}
-	panic("unknown layout")
 }
 
 // randomBoxes partitions a domain of the given dims into boxes, listed in
@@ -295,7 +279,7 @@ func TestCouplingMatchesPerPointOracle(t *testing.T) {
 				if got := ibm.Interpolate(l, x); !sameBits(got, want) {
 					t.Fatalf("stencil %d at %v: gathered %v, per-point oracle %v", n, x, got, want)
 				}
-				if got := couplingOf(l).Interpolate(x); !sameBits(got, want) {
+				if got := l.Coupling.Interpolate(x); !sameBits(got, want) {
 					t.Fatalf("stencil %d at %v: kernel 8 gathered %v, per-point oracle %v", n, x, got, want)
 				}
 				ibm.Spread(l, x, F, area)
@@ -335,7 +319,7 @@ func TestSpreadAccumMatchesPerPointOracle(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				r := rand.New(rand.NewSource(22))
 				l, ref := tc.make(), tc.make()
-				c := couplingOf(l)
+				c := l.Coupling
 				xs := couplingPositions(r, stencils, dimsOf(l), tc.k)
 				for lo := 0; lo < len(xs); lo += chunk {
 					if lo%(2*chunk) == 0 {
@@ -362,8 +346,8 @@ func TestSpreadAccumMatchesPerPointOracle(t *testing.T) {
 }
 
 // Spreading conserves force and is the adjoint of interpolation on every
-// layout — slab grids and cube layouts with k = 1, 4 and 8, through the
-// layout contract — and through every spreading path: the layout's own
+// block extent — slab grids, cubes with k = 1, 2, 4 and 8, and a pencil —
+// and through every spreading path: the layout's own
 // coupling per stencil ("layout"), the box body over the whole domain
 // ("unowned", Sequential's kernel 4), and the box body over the owned
 // boxes of a random partition ("owned", a parallel engine's).
@@ -402,7 +386,7 @@ func TestCouplingConservesForceAndIsAdjoint(t *testing.T) {
 						}
 					}
 				}
-				c := couplingOf(l)
+				c := l.Coupling
 				switch via {
 				case "layout":
 					for _, sh := range sheets {
@@ -462,7 +446,7 @@ func TestLatticeAlignedSpreadTouches27(t *testing.T) {
 			t.Errorf("%s: %d nodes touched, want 27", tc.name, n)
 		}
 		l = tc.make()
-		c := couplingOf(l)
+		c := l.Coupling
 		SpreadBox(c, sheetsAt([][3]float64{x}, [][3]float64{F}), c.Whole(), nil)
 		if n := count(l.Macros()); n != 27 {
 			t.Errorf("%s box body: %d nodes touched, want 27", tc.name, n)
@@ -493,7 +477,7 @@ func TestSpreadAndMoveSheetNodesDoNotAllocate(t *testing.T) {
 	sheets := []*fiber.Sheet{sh}
 	for _, tc := range couplingLayouts {
 		l := tc.make()
-		c := couplingOf(l)
+		c := l.Coupling
 		part := c.Whole()
 		part.Hi[0] = (part.Hi[0] + 1) / 2
 		if n := testing.AllocsPerRun(5, func() {
@@ -519,7 +503,7 @@ func TestSpreadBoxMarksStencilBlocks(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(23))
 			l := tc.make()
-			c, dims := couplingOf(l), dimsOf(l)
+			c, dims := l.Coupling, dimsOf(l)
 			_, e := l.BlockBox(0)
 			n := e[0] * e[1] * e[2]
 			nb := len(l.Macros()) / n

@@ -68,7 +68,7 @@ func TestVectorCouplingMatchesGo(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(43))
 			l, ref := tc.make(), tc.make()
-			c, cref := couplingOf(l), couplingOf(ref)
+			c, cref := l.Coupling, ref.Coupling
 			dims := dimsOf(l)
 			_, e := l.BlockBox(0)
 			nb := len(l.Macros()) / (e[0] * e[1] * e[2])

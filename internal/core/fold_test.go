@@ -15,7 +15,7 @@ import (
 // values random around the lattice weights, except that every 11th node
 // holds −0 in all 19 slots and every 13th node 0 (zero density, where
 // lattice.Moments returns a zero velocity).
-func foldState(l core.Layout, seed int64) [][lattice.Q]float64 {
+func foldState(l *grid.Grid, seed int64) [][lattice.Q]float64 {
 	r := rand.New(rand.NewSource(seed))
 	df := make([][lattice.Q]float64, len(l.Macros()))
 	for i := range df {
@@ -37,7 +37,7 @@ func foldState(l core.Layout, seed int64) [][lattice.Q]float64 {
 // non-nil fold, every node collides with lattice.Moments of the very
 // values it holds under the fold force, then lattice.Collide — bit for
 // bit what the record path does once the record holds those moments. On
-// the slab grid and k = 8 cubes, under periodic, bounce-back and
+// grids of every block extent, under periodic, bounce-back and
 // moving-lid boundaries, from either phase, for a block outside the
 // step's support (force = body, the records poisoned with NaN: the body
 // must not read them) and inside it (the record's spread force, with ρ
@@ -45,19 +45,16 @@ func foldState(l core.Layout, seed int64) [][lattice.Q]float64 {
 func TestAABlockFoldMatchesMomentsThenCollide(t *testing.T) {
 	body := [3]float64{2e-5, -1e-5, 3e-5}
 	nan := math.NaN()
-	for _, k := range []int{0, 8} { // 0 is the slab grid
-		dims := [3]int{8, 4, 12}
-		if k == 8 {
-			dims = [3]int{16, 8, 16}
-		}
+	for _, sh := range shapes {
+		dims := smallDims(sh)
 		for _, bc := range conformanceBCs {
 			for _, swapped := range []bool{false, true} {
 				for _, support := range []bool{false, true} {
-					name := fmt.Sprintf("k%d/%s/swapped=%v/support=%v", k, bc.name, swapped, support)
+					name := fmt.Sprintf("%s/%s/swapped=%v/support=%v", sh.name, bc.name, swapped, support)
 					t.Run(name, func(t *testing.T) {
 						p := core.Problem{Tau: 0.8, BCX: bc.bcx, BCY: bc.bcy, BCZ: bc.bcz, LidVelocity: bc.lid}
 						sbc := p.StreamBC(dims[0], dims[1], dims[2])
-						ref, fold := twinLayout(t, dims, k), twinLayout(t, dims, k)
+						ref, fold := twinLayout(t, dims, sh), twinLayout(t, dims, sh)
 						sRef, sFold := core.NewStreamer(ref, sbc), core.NewStreamer(fold, sbc)
 						natural := foldState(ref, 7)
 						// The reference's records: Moments of each node's
@@ -73,7 +70,7 @@ func TestAABlockFoldMatchesMomentsThenCollide(t *testing.T) {
 								fold.Macros()[i].Force = m.Force // the step's spread force
 							}
 						}
-						for _, l := range []core.Layout{ref, fold} {
+						for _, l := range []*grid.Grid{ref, fold} {
 							copy(l.Dist(), natural)
 							if swapped { // Canonicalize is an involution
 								core.Canonicalize(core.NewStreamer(l, sbc), l.Dist())

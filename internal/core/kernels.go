@@ -2,8 +2,8 @@
 // sequential solver of Section III of the paper.
 //
 // The loop bodies of the nine kernels exist once, here (bodies.go),
-// written against the block-layout contract Layout that the slab grid
-// and the cube layout both satisfy. An engine — this package's
+// written against the one fluid container, grid.Grid, whatever its block
+// extent: x-planes or k³ cubes. An engine — this package's
 // sequential Solver, internal/omp, internal/cubesolver, internal/fused —
 // is a schedule: it decides which thread runs which body over which
 // blocks and where the barriers stand, and restates none of the
@@ -185,9 +185,8 @@ func ValidateTau(tau float64) error {
 
 // Solver is the sequential reference LBM-IB solver (Algorithm 1): the
 // shared loop bodies run over the whole slab grid on the calling
-// goroutine, one kernel after another. It is also the state container
-// the slab-parallel engines embed (NewState), which stream in place and
-// never run its fluid kernels.
+// goroutine, one kernel after another. The parallel engines stream in
+// place and hold their state apart (InPlace).
 type Solver struct {
 	Problem
 	Fluid *grid.Grid
@@ -206,26 +205,13 @@ type Solver struct {
 // fluid-only validation such as Poiseuille flow). A zero Tau defaults to
 // 0.6; any other Tau at or below 0.5 is rejected as NaN-unstable.
 func NewSolver(cfg Config) (*Solver, error) {
-	s, err := NewState(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.next = make([][lattice.Q]float64, s.Fluid.NumNodes())
-	return s, nil
-}
-
-// NewState builds the state a slab-parallel engine embeds: the problem,
-// the grid at rest and its stream geometry, without the sequential
-// engine's post-streaming array, which an engine streaming in place has
-// no use for. Its fluid kernels must not be called; the embedding engine
-// overrides them.
-func NewState(cfg Config) (*Solver, error) {
 	p, err := NewProblem(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	s := &Solver{Problem: p, Fluid: grid.New(cfg.NX, cfg.NY, cfg.NZ)}
 	s.Stream = NewStreamer(s.Fluid, p.StreamBC(cfg.NX, cfg.NY, cfg.NZ))
+	s.next = make([][lattice.Q]float64, s.Fluid.NumNodes())
 	return s, nil
 }
 
@@ -242,9 +228,8 @@ func MustNewSolver(cfg Config) *Solver {
 // StepCount returns how many time steps have been executed.
 func (s *Solver) StepCount() int { return s.step }
 
-// AdvanceStep increments the step counter without running kernels. The
-// slab-parallel solvers embed *Solver as their state container, drive the
-// kernels themselves, and use this to keep the counter consistent.
+// AdvanceStep increments the step counter without running kernels, for
+// a harness that drives the kernel methods one by one.
 func (s *Solver) AdvanceStep() { s.step++ }
 
 // Step advances the simulation one time step by executing the nine kernels

@@ -7,7 +7,6 @@ import (
 	"unsafe"
 
 	"lbmib/internal/core"
-	"lbmib/internal/cube"
 	"lbmib/internal/grid"
 	"lbmib/internal/lattice"
 )
@@ -35,7 +34,7 @@ func randomState(g *grid.Grid, seed int64) {
 // records of 56 B — and blocks are contiguous, equal-sized, ordered
 // z-fastest inside BlockBox, tile the domain exactly once, and Idx is
 // separable per axis.
-func checkContract(t *testing.T, l core.Layout) {
+func checkContract(t *testing.T, l *grid.Grid) {
 	t.Helper()
 	nx, ny, nz := l.Dims()
 	n := nx * ny * nz
@@ -79,7 +78,7 @@ func checkContract(t *testing.T, l core.Layout) {
 
 // crossings counts, per lattice direction, how many (node, direction)
 // moves leave the node's block and how many leave the domain.
-func crossings(l core.Layout) (blockEdge, domainEdge [lattice.Q]int) {
+func crossings(l *grid.Grid) (blockEdge, domainEdge [lattice.Q]int) {
 	nx, ny, nz := l.Dims()
 	dims := [3]int{nx, ny, nz}
 	_, e := l.BlockBox(0)
@@ -111,7 +110,7 @@ func crossings(l core.Layout) (blockEdge, domainEdge [lattice.Q]int) {
 }
 
 // blocks returns l's block count and nodes per block.
-func blocks(l core.Layout) (nb, n int) {
+func blocks(l *grid.Grid) (nb, n int) {
 	_, e := l.BlockBox(0)
 	n = e[0] * e[1] * e[2]
 	return len(l.Macros()) / n, n
@@ -120,7 +119,7 @@ func blocks(l core.Layout) (nb, n int) {
 // refStep runs one step the way the sequential engine composes the
 // bodies: collide → Streamer.Block into the second array next → update
 // from next → kernel 9's copy back.
-func refStep(l core.Layout, st *core.Streamer, next [][lattice.Q]float64, tau float64, reset *[3]float64) {
+func refStep(l *grid.Grid, st *core.Streamer, next [][lattice.Q]float64, tau float64, reset *[3]float64) {
 	m := l.Macros()
 	nb, n := blocks(l)
 	core.CollideRange(l.Dist(), m, tau)
@@ -136,7 +135,7 @@ func refStep(l core.Layout, st *core.Streamer, next [][lattice.Q]float64, tau fl
 // aaStep runs one in-place step from phase swapped the way the parallel
 // engines compose the bodies: AABlock over every block, then
 // AAMomentsBlock over every block at the phase AABlock left.
-func aaStep(l core.Layout, st *core.Streamer, tau float64, swapped bool, reset *[3]float64) {
+func aaStep(l *grid.Grid, st *core.Streamer, tau float64, swapped bool, reset *[3]float64) {
 	nb, _ := blocks(l)
 	for b := 0; b < nb; b++ {
 		core.AABlock(st, l.Dist(), b, tau, swapped, nil, nil)
@@ -157,43 +156,68 @@ var conformanceBCs = []struct {
 	{name: "lid", bcy: core.BounceBack, bcz: core.BounceBack, lid: [3]float64{0.05, 0.01, 0}},
 }
 
+// shape is a block extent the tests run the shared bodies over, given
+// the domain's dimensions: the slab grid's x-planes (named k0), k³ cubes
+// (cube k) and two pencils, one keeping z-rows whole and one keeping y–z
+// planes whole.
+type shape struct {
+	name string
+	of   func(dims [3]int) [3]int
+	cube int
+}
+
+func cubes(k int) shape {
+	return shape{fmt.Sprintf("k%d", k), func([3]int) [3]int { return [3]int{k, k, k} }, k}
+}
+
+var (
+	slab   = shape{"k0", func(d [3]int) [3]int { return [3]int{1, d[1], d[2]} }, 0}
+	shapes = []shape{slab, cubes(2), cubes(4), cubes(8),
+		{"4x4xNZ", func(d [3]int) [3]int { return [3]int{4, 4, d[2]} }, 0},
+		{"2xNYxNZ", func(d [3]int) [3]int { return [3]int{2, d[1], d[2]} }, 0},
+	}
+)
+
+// divides reports whether sh's extent divides dims.
+func (sh shape) divides(dims [3]int) bool {
+	e := sh.of(dims)
+	return dims[0]%e[0] == 0 && dims[1]%e[1] == 0 && dims[2]%e[2] == 0
+}
+
+// smallDims returns the first of 8×4×12 and 16×8×16 (the benchmark's cube
+// edge, k = 8) that sh's extent divides.
+func smallDims(sh shape) [3]int {
+	if d := [3]int{8, 4, 12}; sh.divides(d) {
+		return d
+	}
+	return [3]int{16, 8, 16}
+}
+
 // TestLayoutConformance is the contract's executable statement: the same
-// state loaded into the slab grid and into cube layouts, advanced by the
-// same shared bodies — once as the sequential engine composes them,
-// ending in kernel 9's copy, once streaming in place through the swapped
-// phase and back — must stay bitwise equal, under periodic, bounce-back
-// and moving-lid boundaries, on cubic and non-cubic grids, with every
-// lattice direction crossing block and domain edges. The 16×8×16 grid at
-// k = 8 is the benchmark's cube edge, where most nodes have no wall link
-// and stream by the bodies' straight-line path. Its aa case holds the
-// in-place bodies against the two-array reference.
+// state loaded into the slab grid and into grids of every other block
+// extent that divides the domain — 2³, 4³ and 8³ cubes and two pencils —
+// advanced by the same shared bodies — once as the sequential engine
+// composes them, ending in kernel 9's copy, once streaming in place
+// through the swapped phase and back — must stay bitwise equal, under
+// periodic, bounce-back and moving-lid boundaries, on cubic and
+// non-cubic grids, with every lattice direction crossing block and
+// domain edges. On 16×8×16 at k = 8, the benchmark's cube edge, most
+// nodes have no wall link and stream by the bodies' straight-line path.
+// Its aa case holds the in-place bodies against the two-array reference.
 func TestLayoutConformance(t *testing.T) {
-	for _, c := range []struct {
-		dims [3]int
-		ks   []int
-	}{
-		{[3]int{8, 8, 8}, []int{2, 4}},
-		{[3]int{8, 4, 12}, []int{2, 4}},
-		{[3]int{16, 8, 16}, []int{8}},
-	} {
-		dims := c.dims
-		for _, k := range c.ks {
+	for _, dims := range [][3]int{{8, 8, 8}, {8, 4, 12}, {16, 8, 16}} {
+		for _, sh := range shapes[1:] {
+			if !sh.divides(dims) {
+				continue
+			}
 			for _, bc := range conformanceBCs {
 				for _, end := range []string{"copy", "swap"} {
-					name := fmt.Sprintf("%dx%dx%d/k%d/%s/%s", dims[0], dims[1], dims[2], k, bc.name, end)
+					name := fmt.Sprintf("%dx%dx%d/%s/%s/%s", dims[0], dims[1], dims[2], sh.name, bc.name, end)
 					t.Run(name, func(t *testing.T) {
-						g := grid.New(dims[0], dims[1], dims[2])
-						randomState(g, 42)
-						l, err := cube.NewLayout(dims[0], dims[1], dims[2], k)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := l.FromGrid(g); err != nil {
-							t.Fatal(err)
-						}
+						g, l := twinLayout(t, dims, slab), twinLayout(t, dims, sh)
 						checkContract(t, g)
 						checkContract(t, l)
-						for _, lay := range []core.Layout{g, l} {
+						for _, lay := range []*grid.Grid{g, l} {
 							be, de := crossings(lay)
 							for q := 1; q < lattice.Q; q++ {
 								if be[q] == 0 || de[q] == 0 {
@@ -224,7 +248,7 @@ func TestLayoutConformance(t *testing.T) {
 									for z := 0; z < dims[2]; z++ {
 										gi, li := g.Idx(x, y, z), l.Idx(x, y, z)
 										if a, b := g.At(x, y, z), l.At(x, y, z); *a != *b {
-											t.Fatalf("step %d: node (%d,%d,%d) differs between the layouts:\nslab %+v\ncube %+v", s, x, y, z, *a, *b)
+											t.Fatalf("step %d: node (%d,%d,%d) differs between the layouts:\nslab %+v\n%s %+v", s, x, y, z, *a, sh.name, *b)
 										}
 										if g.Dist()[gi] != l.Dist()[li] {
 											t.Fatalf("step %d: node (%d,%d,%d) distributions differ between the layouts", s, x, y, z)
@@ -242,26 +266,23 @@ func TestLayoutConformance(t *testing.T) {
 	t.Run("fold", foldConformance)
 }
 
-// aaConformance states the in-place stream: on the slab grid and on cube
-// layouts, a natural → swapped step and a swapped → natural step, each
+// aaConformance states the in-place stream: on grids of every block
+// extent, a natural → swapped step and a swapped → natural step, each
 // followed by its moments body, must leave every array bitwise equal to
 // two steps of collide → Streamer.Block → UpdateRange → copy on a
 // two-array clone, under every conformance boundary case, with the force
 // reset on one of the steps. At the swapped phase, where the array is
 // not comparable slot by slot, Canonicalize must turn a copy of it into
-// the reference's post-streaming array. The slab grid and k = 2, 4 run on
-// 8×4×12, k = 8 on 16×8×16, the benchmark's cube edge.
+// the reference's post-streaming array. Every extent runs on 8×4×12 but
+// k = 8, which runs on 16×8×16, the benchmark's cube edge.
 func aaConformance(t *testing.T) {
 	body := [3]float64{2e-5, -1e-5, 3e-5}
-	for _, k := range []int{0, 2, 4, 8} { // 0 is the slab grid
-		dims := [3]int{8, 4, 12}
-		if k == 8 {
-			dims = [3]int{16, 8, 16}
-		}
+	for _, sh := range shapes {
+		dims := smallDims(sh)
 		for _, bc := range conformanceBCs {
-			t.Run(fmt.Sprintf("k%d/%s", k, bc.name), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", sh.name, bc.name), func(t *testing.T) {
 				p := core.Problem{Tau: 0.8, BCX: bc.bcx, BCY: bc.bcy, BCZ: bc.bcz, LidVelocity: bc.lid}
-				ref, aa := twinLayout(t, dims, k), twinLayout(t, dims, k)
+				ref, aa := twinLayout(t, dims, sh), twinLayout(t, dims, sh)
 				sbc := p.StreamBC(dims[0], dims[1], dims[2])
 				sRef, sAA := core.NewStreamer(ref, sbc), core.NewStreamer(aa, sbc)
 				next := make([][lattice.Q]float64, len(ref.Macros()))
@@ -294,8 +315,8 @@ func aaConformance(t *testing.T) {
 
 // foldConformance states the fold: a block outside the structure's
 // support skips its moments body, leaving its records stale, and its
-// next AABlock folds the moments in (core.Support). On the slab grid and
-// on cube layouts, under every conformance boundary case, three in-place
+// next AABlock folds the moments in (core.Support). On grids of every
+// block extent, under every conformance boundary case, three in-place
 // steps — the first with its moments body and the random state's
 // forces, the second without a moments body, the third folding — must
 // leave the arrays bitwise equal to three steps of the two-array
@@ -303,15 +324,12 @@ func aaConformance(t *testing.T) {
 // step's moments body has run.
 func foldConformance(t *testing.T) {
 	body := [3]float64{2e-5, -1e-5, 3e-5}
-	for _, k := range []int{0, 2, 4, 8} { // 0 is the slab grid
-		dims := [3]int{8, 4, 12}
-		if k == 8 {
-			dims = [3]int{16, 8, 16}
-		}
+	for _, sh := range shapes {
+		dims := smallDims(sh)
 		for _, bc := range conformanceBCs {
-			t.Run(fmt.Sprintf("k%d/%s", k, bc.name), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", sh.name, bc.name), func(t *testing.T) {
 				p := core.Problem{Tau: 0.8, BCX: bc.bcx, BCY: bc.bcy, BCZ: bc.bcz, LidVelocity: bc.lid}
-				ref, aa := twinLayout(t, dims, k), twinLayout(t, dims, k)
+				ref, aa := twinLayout(t, dims, sh), twinLayout(t, dims, sh)
 				sbc := p.StreamBC(dims[0], dims[1], dims[2])
 				sRef, sAA := core.NewStreamer(ref, sbc), core.NewStreamer(aa, sbc)
 				next := make([][lattice.Q]float64, len(ref.Macros()))
@@ -354,31 +372,37 @@ func foldConformance(t *testing.T) {
 }
 
 // TestStreamerOffsetsMatchResolve holds the Streamer's tables against
-// StreamBC.Resolve, node by node: on the slab grid and on cube layouts of
-// edge 2, 4 and 8, with one cube along one axis, under every conformance
-// boundary case, each neighbour at sign·e_q must be a wall link exactly
-// when Resolve bounces the move, and otherwise sit at the node's entry
-// plus the table's offset. Every axis must fit in five classes (three on
-// the slab grid): a class per coordinate would multiply the tables by the
-// domain's size.
+// StreamBC.Resolve, node by node: on grids of every block extent, on two
+// domains each — for cubes of edge e (4 for the others) 2e×e×3e, with
+// one cube along y, and e×2e×2e, with one along x — under every
+// conformance boundary case, each neighbour at sign·e_q must be a wall
+// link exactly when Resolve bounces the move, and otherwise sit at the
+// node's entry plus the table's offset. An axis must fit in five classes,
+// and in three where a block spans it whole or one node wide, as the
+// slab grid's x-planes do: a class per coordinate would multiply the
+// tables by the domain's size.
 func TestStreamerOffsetsMatchResolve(t *testing.T) {
-	for _, k := range []int{0, 2, 4, 8} { // 0 is the slab grid
-		e := k // one cube along y, then along x
-		if k == 0 {
-			e = 4
+	for _, sh := range shapes {
+		e := 4
+		if sh.cube > 0 {
+			e = sh.cube
 		}
 		for _, dims := range [][3]int{{2 * e, e, 3 * e}, {e, 2 * e, 2 * e}} {
+			if !sh.divides(dims) {
+				continue
+			}
 			for _, bc := range conformanceBCs {
-				t.Run(fmt.Sprintf("k%d/%dx%dx%d/%s", k, dims[0], dims[1], dims[2], bc.name), func(t *testing.T) {
-					l := twinLayout(t, dims, k)
+				t.Run(fmt.Sprintf("%s/%dx%dx%d/%s", sh.name, dims[0], dims[1], dims[2], bc.name), func(t *testing.T) {
+					l := twinLayout(t, dims, sh)
 					p := core.Problem{BCX: bc.bcx, BCY: bc.bcy, BCZ: bc.bcz, LidVelocity: bc.lid}
 					sbc := p.StreamBC(dims[0], dims[1], dims[2])
 					s := core.NewStreamer(l, sbc)
-					limit := 5
-					if k == 0 {
-						limit = 3
-					}
+					ext := l.BlockExtent()
 					for a, n := range s.Classes() {
+						limit := 5
+						if ext[a] == 1 || ext[a] == dims[a] {
+							limit = 3
+						}
 						if n > limit {
 							t.Fatalf("axis %d has %d classes, want at most %d", a, n, limit)
 						}
@@ -414,19 +438,16 @@ func TestStreamerOffsetsMatchResolve(t *testing.T) {
 	}
 }
 
-// twinLayout loads randomState's seed-42 state into a slab grid (k = 0)
-// or a cube layout of edge k.
-func twinLayout(t testing.TB, dims [3]int, k int) core.Layout {
+// twinLayout loads randomState's seed-42 state into a grid of dims
+// stored in sh's blocks.
+func twinLayout(t testing.TB, dims [3]int, sh shape) *grid.Grid {
 	g := grid.New(dims[0], dims[1], dims[2])
 	randomState(g, 42)
-	if k == 0 {
-		return g
-	}
-	l, err := cube.NewLayout(dims[0], dims[1], dims[2], k)
+	l, err := grid.NewBlocked(dims[0], dims[1], dims[2], sh.of(dims))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.FromGrid(g); err != nil {
+	if err := l.CopyFrom(g); err != nil {
 		t.Fatal(err)
 	}
 	return l

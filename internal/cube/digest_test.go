@@ -17,8 +17,8 @@ func perturb(l *Layout) {
 		for y := 0; y < l.NY; y++ {
 			for z := 0; z < l.NZ; z++ {
 				i, n := l.Idx(x, y, z), l.At(x, y, z)
-				for q := range l.dist[i] {
-					l.dist[i][q] = rng.Float64()
+				for q := range l.Dist()[i] {
+					l.Dist()[i][q] = rng.Float64()
 				}
 				n.Vel = [3]float64{rng.NormFloat64() * 0.1, rng.NormFloat64() * 0.1, rng.NormFloat64() * 0.1}
 				n.Rho = 1 + rng.Float64()*0.1
@@ -37,12 +37,12 @@ func TestLayoutDigestMatchesSlabDigest(t *testing.T) {
 		if swap {
 			// The swapped phase of an in-place step: node values stored
 			// at the opposite slots. Both digests read the array as is.
-			for i := range l.dist {
+			for i := range l.Dist() {
 				var sw [lattice.Q]float64
-				for q, v := range l.dist[i] {
+				for q, v := range l.Dist()[i] {
 					sw[lattice.Opposite[q]] = v
 				}
-				l.dist[i] = sw
+				l.Dist()[i] = sw
 			}
 		}
 		dl, err := grid.NewDigestGrid(8, 12, 4, 4)
@@ -108,8 +108,7 @@ func TestLayoutDigestLocalizesToCube(t *testing.T) {
 	if err := l.Digest(d); err != nil {
 		t.Fatal(err)
 	}
-	cx, cy, cz := l.CubeOf(6, 2, 5)
-	want := l.CubeIndex(cx, cy, cz)
+	want := cubeIndex(l, 6/4, 2/4, 5/4)
 	if d.Tiles[want].NonFinite != 1 {
 		t.Fatalf("cube %d NonFinite = %d, want 1", want, d.Tiles[want].NonFinite)
 	}

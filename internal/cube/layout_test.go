@@ -37,11 +37,11 @@ func TestNewLayoutRejectsBadShapes(t *testing.T) {
 
 func TestLayoutCounts(t *testing.T) {
 	l := mustLayout(t, 8, 12, 4, 4)
-	if l.CX != 2 || l.CY != 3 || l.CZ != 1 {
-		t.Fatalf("cube grid = %d×%d×%d, want 2×3×1", l.CX, l.CY, l.CZ)
+	if n := l.Blocks(); n != [3]int{2, 3, 1} {
+		t.Fatalf("cube grid = %d×%d×%d, want 2×3×1", n[0], n[1], n[2])
 	}
-	if l.NumCubes() != 6 {
-		t.Fatalf("NumCubes = %d, want 6", l.NumCubes())
+	if l.NumBlocks() != 6 || l.BlockExtent() != [3]int{4, 4, 4} {
+		t.Fatalf("%d blocks of %v, want 6 of 4³", l.NumBlocks(), l.BlockExtent())
 	}
 	if l.NumNodes() != 8*12*4 {
 		t.Fatalf("NumNodes = %d", l.NumNodes())
@@ -67,14 +67,14 @@ func TestIdxBijective(t *testing.T) {
 func TestCubeNodesAreContiguousBlocks(t *testing.T) {
 	l := mustLayout(t, 8, 8, 8, 4)
 	k3 := 4 * 4 * 4
-	for c := 0; c < l.NumCubes(); c++ {
-		cx, cy, cz := l.CubeCoord(c)
+	for c := 0; c < l.NumBlocks(); c++ {
+		o, _ := l.BlockBox(c)
 		// Every node whose coordinates lie in the cube must index into
 		// [c*k3, (c+1)*k3).
 		for lx := 0; lx < 4; lx++ {
 			for ly := 0; ly < 4; ly++ {
 				for lz := 0; lz < 4; lz++ {
-					i := l.Idx(cx*4+lx, cy*4+ly, cz*4+lz)
+					i := l.Idx(o[0]+lx, o[1]+ly, o[2]+lz)
 					if i < c*k3 || i >= (c+1)*k3 {
 						t.Fatalf("node of cube %d stored at %d outside its block", c, i)
 					}
@@ -84,21 +84,27 @@ func TestCubeNodesAreContiguousBlocks(t *testing.T) {
 	}
 }
 
+// cubeIndex is the index of cube (cx, cy, cz) in the cube-major order
+// the cube engine and the digest tiles share.
+func cubeIndex(l *Layout, cx, cy, cz int) int {
+	n := l.Blocks()
+	return (cx*n[1]+cy)*n[2] + cz
+}
+
 func TestCubeIndexCoordRoundTrip(t *testing.T) {
 	l := mustLayout(t, 12, 8, 16, 4)
-	for c := 0; c < l.NumCubes(); c++ {
-		cx, cy, cz := l.CubeCoord(c)
-		if l.CubeIndex(cx, cy, cz) != c {
-			t.Fatalf("CubeIndex(CubeCoord(%d)) = %d", c, l.CubeIndex(cx, cy, cz))
+	for c := 0; c < l.NumBlocks(); c++ {
+		o, _ := l.BlockBox(c)
+		if got := cubeIndex(l, o[0]/4, o[1]/4, o[2]/4); got != c {
+			t.Fatalf("cube %d's origin %v is cube %d's", c, o, got)
 		}
 	}
 }
 
 func TestCubeOf(t *testing.T) {
 	l := mustLayout(t, 8, 8, 8, 4)
-	cx, cy, cz := l.CubeOf(5, 0, 7)
-	if cx != 1 || cy != 0 || cz != 1 {
-		t.Fatalf("CubeOf(5,0,7) = (%d,%d,%d), want (1,0,1)", cx, cy, cz)
+	if c := l.Idx(5, 0, 7) / 64; c != cubeIndex(l, 1, 0, 1) {
+		t.Fatalf("node (5,0,7) lies in cube %d, want (1,0,1), cube %d", c, cubeIndex(l, 1, 0, 1))
 	}
 }
 
@@ -122,7 +128,7 @@ func TestResetToEquilibrium(t *testing.T) {
 	n := l.At(3, 2, 1)
 	var geq [lattice.Q]float64
 	lattice.Equilibrium(1.1, u, &geq)
-	if l.dist[l.Idx(3, 2, 1)] != geq || n.Rho != 1.1 || n.Vel != u {
+	if l.Dist()[l.Idx(3, 2, 1)] != geq || n.Rho != 1.1 || n.Vel != u {
 		t.Fatal("Reset did not set equilibrium state")
 	}
 }

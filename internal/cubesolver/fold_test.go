@@ -45,10 +45,10 @@ func TestFoldedEndBarrierBitwiseEqualsSequential(t *testing.T) {
 				t.Fatalf("threads=%d: end barrier not folded on a fluid-only run", threads)
 			}
 			s.Run(steps)
-			if want := steps%2 == 1; s.swapped != want {
-				t.Fatalf("steps=%d: array swapped = %v, want %v", steps, s.swapped, want)
+			if want := steps%2 == 1; s.Swapped() != want {
+				t.Fatalf("steps=%d: array swapped = %v, want %v", steps, s.Swapped(), want)
 			}
-			g := s.Live().ToGrid()
+			g := toSlab(s.Live())
 			for i := range ref.Fluid.Macros() {
 				if ref.Fluid.Dist()[i] != g.Dist()[i] {
 					t.Fatalf("steps=%d threads=%d: node %d DF differs bitwise with the folded barrier", steps, threads, i)

@@ -1,15 +1,18 @@
 // Package cubesolver implements the paper's contribution: the cube-centric
 // multithreaded LBM-IB algorithm of Section V (Algorithm 4).
 //
-// The fluid grid is stored as contiguous k×k×k cubes (internal/cube) that
-// the data-distribution function cube2thread maps onto a P×Q×R logical
-// thread mesh; fibers are mapped with fiber2thread. Every worker executes
+// The fluid grid is stored as contiguous k×k×k cubes (a grid.Grid of
+// block extent (k, k, k)) that the data-distribution function
+// cube2thread maps onto a P×Q×R logical thread mesh; fibers are mapped
+// with fiber2thread. Every worker executes
 // the whole time-step loop over the cubes and fibers it owns — resolved
 // once at construction — and synchronizes with a small number of global
-// barriers. The kernels' loop bodies are internal/core's; this package
-// is the schedule: ownership, loop fusion per cube, and the barrier
-// sites. The layout holds one distribution array, streamed in place by
-// the AA pattern (core.AABlock), so kernel 9 has nothing left to copy.
+// barriers. The kernels' loop bodies are internal/core's, and so is the
+// state they run over (core.InPlace, the OpenMP-style engine's too);
+// this package is the schedule: ownership, loop fusion per cube, and the
+// barrier sites. The grid holds one distribution array, streamed in
+// place by the AA pattern (core.AABlock), so kernel 9 has nothing left
+// to copy.
 // Kernel 7 runs only on the cubes the structure's stencils reach
 // (core.Support); every other cube's moments are folded into its next
 // collide. A fluid-only step is therefore one pass over the fluid and
@@ -39,10 +42,7 @@
 package cubesolver
 
 import (
-	"fmt"
-
 	"lbmib/internal/core"
-	"lbmib/internal/cube"
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
 	"lbmib/internal/par"
@@ -55,26 +55,15 @@ type Config struct {
 	Threads  int
 }
 
-// Solver is the cube-centric parallel LBM-IB solver.
+// Solver is the cube-centric parallel LBM-IB solver. Its state is
+// core.InPlace's, over a grid of k³ cubes; the blocks of the Support are
+// the cubes.
 type Solver struct {
-	core.Problem
-	Fluid *cube.Layout
-	Map   par.CubeMap // cube2thread
+	*core.InPlace
+	Map par.CubeMap // cube2thread
 
-	stream       *core.Streamer
-	team         *par.Team
 	barrier      *par.Barrier
 	timedBarrier par.TimedBarrier // wraps barrier; used only with a Probe attached
-	step         int
-	// swapped is the phase of the layout's distribution array between
-	// steps (core.AABlock): false means natural. Every step flips it.
-	swapped bool
-	// Support says which cubes' records are fresh and which the step's
-	// stencils reach.
-	Support *core.Support
-
-	// canonicalizePiece bound once, for Digest.
-	canonRun func(p int)
 
 	// Ownership, resolved once from the block distribution: owned[tid]
 	// lists thread tid's cubes in cube-index order (Algorithm 4's "for
@@ -97,37 +86,35 @@ func NewSolver(cfg Config) (*Solver, error) {
 	if cfg.CubeSize == 0 {
 		cfg.CubeSize = 4
 	}
-	layout, err := cube.NewLayout(cfg.NX, cfg.NY, cfg.NZ, cfg.CubeSize)
+	k := cfg.CubeSize
+	fluid, err := grid.NewBlocked(cfg.NX, cfg.NY, cfg.NZ, [3]int{k, k, k})
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.NewProblem(cfg.Config)
+	nc := fluid.Blocks()
+	threads := effectiveThreads(cfg.Threads, nc)
+	st, err := core.NewInPlace(cfg.Config, fluid, threads)
 	if err != nil {
-		return nil, fmt.Errorf("cubesolver: %w", err)
+		return nil, err
 	}
-	threads := effectiveThreads(cfg.Threads, layout)
 	s := &Solver{
-		Problem: p,
-		Fluid:   layout,
-		Map:     par.CubeMap{CX: layout.CX, CY: layout.CY, CZ: layout.CZ, Mesh: par.NewMesh(threads)},
-		stream:  core.NewStreamer(layout, p.StreamBC(cfg.NX, cfg.NY, cfg.NZ)),
-		team:    par.NewTeam(threads),
+		InPlace: st,
+		Map:     par.CubeMap{CX: nc[0], CY: nc[1], CZ: nc[2], Mesh: par.NewMesh(threads)},
 		barrier: par.NewBarrier(threads),
 		owned:   make([][]int, threads),
 		box:     make([]grid.Box, threads),
 		fibers:  make([][2]int, threads),
-		Support: core.NewSupport(layout.NumCubes()),
 	}
-	s.canonRun = s.canonicalizePiece
 	s.timedBarrier = par.TimedBarrier{B: s.barrier, Arrive: s.BarrierArrived}
-	for c := 0; c < layout.NumCubes(); c++ {
-		tid := s.Map.CubeToThread(layout.CubeCoord(c))
+	for c := 0; c < fluid.NumBlocks(); c++ {
+		o, _ := fluid.BlockBox(c)
+		tid := s.Map.CubeToThread(o[0]/k, o[1]/k, o[2]/k)
 		s.owned[tid] = append(s.owned[tid], c)
 	}
 	for tid := range s.box {
 		lo, hi := s.Map.Box(tid)
 		for a := range lo {
-			s.box[tid].Lo[a], s.box[tid].Hi[a] = lo[a]*layout.K, hi[a]*layout.K
+			s.box[tid].Lo[a], s.box[tid].Hi[a] = lo[a]*k, hi[a]*k
 		}
 	}
 	total := fiber.TotalFibers(s.Sheets)
@@ -138,10 +125,6 @@ func NewSolver(cfg Config) (*Solver, error) {
 		}
 		r[1] = g + 1
 	}
-	// Kernel 4 accumulates on top of the previous step's reset; seed the
-	// initial body force the same way the update-velocity loop will
-	// maintain it.
-	core.SeedForce(layout.Macros(), s.BodyForce)
 	return s, nil
 }
 
@@ -152,13 +135,13 @@ func NewSolver(cfg Config) (*Solver, error) {
 // idle workers that still participated in every barrier, skewing the
 // imbalance attribution toward the phantom threads. The largest count
 // (≤ requested) whose distribution leaves no thread empty is used.
-func effectiveThreads(requested int, layout *cube.Layout) int {
+func effectiveThreads(requested int, cubes [3]int) int {
 	t := requested
-	if n := layout.NumCubes(); t > n {
+	if n := cubes[0] * cubes[1] * cubes[2]; t > n {
 		t = n
 	}
 	for ; t > 1; t-- {
-		m := par.CubeMap{CX: layout.CX, CY: layout.CY, CZ: layout.CZ, Mesh: par.NewMesh(t)}
+		m := par.CubeMap{CX: cubes[0], CY: cubes[1], CZ: cubes[2], Mesh: par.NewMesh(t)}
 		empty := false
 		for _, c := range m.Counts() {
 			if c == 0 {
@@ -172,15 +155,6 @@ func effectiveThreads(requested int, layout *cube.Layout) int {
 	}
 	return t
 }
-
-// Close releases the worker team.
-func (s *Solver) Close() { s.team.Close() }
-
-// Threads returns the team width.
-func (s *Solver) Threads() int { return s.team.Size() }
-
-// StepCount returns the number of completed time steps.
-func (s *Solver) StepCount() int { return s.step }
 
 // Step advances one time step.
 func (s *Solver) Step() { s.Run(1) }
@@ -199,72 +173,17 @@ func (s *Solver) Run(n int) {
 	if n <= 0 {
 		return
 	}
-	first, p0 := s.step, s.swapped
-	s.team.Run(func(tid int) {
+	first, p0 := s.StepCount(), s.Swapped()
+	s.Team.Run(func(tid int) {
 		for st := first; st < first+n; st++ {
 			s.timeStep(st, st-first, tid, p0 != ((st-first)&1 == 1))
 		}
 	})
-	s.step += n
-	s.swapped = p0 != (n&1 == 1)
+	s.AdvanceStep(n)
+	if n&1 == 1 {
+		s.FlipPhase()
+	}
 	s.Support.Advance(n)
-}
-
-// Refresh brings every stale record up to date (core.RefreshAll). Call
-// it between steps only.
-func (s *Solver) Refresh() { core.RefreshAll(s.stream, s.Fluid.Dist(), s.Support, s.swapped) }
-
-// Live returns the layout with its distributions in the natural phase
-// and every record fresh: Canonical, then Refresh, which then reads each
-// node's own slots. Call it between steps only.
-func (s *Solver) Live() *cube.Layout {
-	s.Canonical()
-	s.Refresh()
-	return s.Fluid
-}
-
-// Canonical returns the layout with its distributions in the natural
-// phase, canonicalizing the array in place if the last step left it
-// swapped, and its records as the last step left them, stale ones
-// included: what a reader of the distributions alone needs. Call it
-// between steps only.
-func (s *Solver) Canonical() *cube.Layout {
-	if s.swapped {
-		core.Canonicalize(s.stream, s.Fluid.Dist())
-		s.swapped = false
-	}
-	return s.Fluid
-}
-
-// Digest fills d from the layout on the worker team, leaving the layout
-// as Live leaves it, bitwise as the layout's own one-goroutine Digest of
-// Live's layout. If the last step left the array swapped, the team first
-// canonicalizes it, one contiguous range of cubes per worker
-// (core.CanonicalizeBlocks), and joins; then each worker digests one
-// contiguous range of cubes, refreshing each stale cube's records in the
-// same loop (grid.DigestGrid.Begin). Every step after a digest therefore
-// starts from the natural phase. Call it between steps only.
-func (s *Solver) Digest(d *grid.DigestGrid) error {
-	fresh, _ := s.Support.Sets(0)
-	part, err := d.Begin(s.Fluid, s.team.Size(), fresh)
-	if err != nil {
-		return err
-	}
-	if s.swapped {
-		s.team.Run(s.canonRun)
-		s.swapped = false
-	}
-	s.team.Run(part)
-	s.Support.Refreshed()
-	d.End()
-	return nil
-}
-
-// canonicalizePiece canonicalizes worker p's static share of the cubes,
-// the range its digest piece then reads.
-func (s *Solver) canonicalizePiece(p int) {
-	lo, hi := par.StaticRange(s.Fluid.NumCubes(), s.team.Size(), p)
-	core.CanonicalizeBlocks(s.stream, s.Fluid.Dist(), lo, hi)
 }
 
 // timeStep is Thread_entry_fn's per-step body (Algorithm 4). k counts
@@ -335,7 +254,7 @@ func (s *Solver) timeStep(step, k, tid int, swapped bool) {
 // predicate (see timeStep). The result depends on no per-thread state,
 // so every worker takes the same branch at the call sites.
 func (s *Solver) spreadBarrierNeeded() bool {
-	return s.team.Size() > 1 && s.hasFibers()
+	return s.Threads() > 1 && s.hasFibers()
 }
 
 // hasFibers reports whether a structure with at least one fiber node is
@@ -369,7 +288,7 @@ func (s *Solver) collideStreamLoop(tid, k int, swapped bool) {
 	df := s.Fluid.Dist()
 	for _, c := range s.owned[tid] {
 		fold, force := s.Support.Take(k, c, &s.BodyForce)
-		core.AABlock(s.stream, df, c, s.Tau, swapped, fold, force)
+		core.AABlock(s.Stream, df, c, s.Tau, swapped, fold, force)
 	}
 }
 
@@ -393,10 +312,10 @@ func (s *Solver) updateVelocityLoop(tid, k int, swapped bool) {
 	}
 	_, reach := s.Support.Sets(k)
 	df := s.Fluid.Dist()
-	lo, hi := core.Share(reach, s.team.Size(), tid)
+	lo, hi := core.Share(reach, s.Threads(), tid)
 	for c := lo; c < hi; c++ {
 		if reach[c] {
-			core.AAMomentsBlock(s.stream, df, c, swapped, &s.BodyForce)
+			core.AAMomentsBlock(s.Stream, df, c, swapped, &s.BodyForce)
 		}
 	}
 }
@@ -415,10 +334,10 @@ func (s *Solver) moveFibersLoop(tid int) {
 // spreading-equivalence tests compare this force field with the
 // sequential reference's.
 func (s *Solver) spreadOnly() {
-	s.team.Run(func(tid int) {
+	s.Team.Run(func(tid int) {
 		s.fiberForceLoop(tid)
 		if s.spreadBarrierNeeded() {
-			s.waitBarrier(core.SiteAfterSpread, tid, s.step)
+			s.waitBarrier(core.SiteAfterSpread, tid, s.StepCount())
 		}
 		_, reach := s.Support.Sets(0)
 		core.SpreadBox(s.Fluid.Coupling, s.Sheets, s.box[tid], reach)

@@ -30,7 +30,7 @@ func spreadMatchesSequential(t *testing.T, mkSheet func() *fiber.Sheet, threads 
 	}
 	defer s.Close()
 	s.spreadOnly()
-	g := s.Live().ToGrid()
+	g := toSlab(s.Live())
 	for i := range ref.Fluid.Macros() {
 		want, got := ref.Fluid.Macros()[i].Force, g.Macros()[i].Force
 		if got != want {

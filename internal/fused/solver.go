@@ -75,9 +75,9 @@
 // solver (same team; each thread spreads into the x-slab it owns) and
 // the fluid bodies are core's, so only the wavefront schedule is this
 // package's own code, and its only state is the sweep's barrier. The
-// array's phase is the embedded solver's one bit, which the sweep flips
-// (omp.Solver.FlipPhase), so the embedded solver's Live, Canonical,
-// Refresh and Digest serve this engine unchanged.
+// rest is the embedded solver's core.InPlace, whose phase bit the sweep
+// flips (core.InPlace.FlipPhase), so its Live, Canonical, Refresh and
+// Digest serve this engine unchanged.
 package fused
 
 import (
@@ -114,7 +114,7 @@ func NewSolver(cfg Config) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Solver{Solver: base, barrier: par.NewBarrier(base.Threads)}
+	s := &Solver{Solver: base, barrier: par.NewBarrier(base.Threads())}
 	s.timedBarrier = par.TimedBarrier{B: s.barrier, Arrive: s.BarrierArrived}
 	return s, nil
 }
@@ -154,7 +154,7 @@ func (s *Solver) Step() {
 	if FaultHook != nil {
 		FaultHook(s)
 	}
-	s.AdvanceStep()
+	s.AdvanceStep(1)
 }
 
 // Run executes n time steps. It must be (re)declared here: the promoted

@@ -1,8 +1,6 @@
 package fused
 
 import (
-	"math"
-	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -151,20 +149,20 @@ func TestMatchesSequentialWithSheets(t *testing.T) {
 // exactly as the push-streaming reference moves it.
 func TestPeriodicWrapStreaming(t *testing.T) {
 	cfg := core.Config{NX: 5, NY: 4, NZ: 4, Tau: 0.8}
-	perturb := func(s *core.Solver) {
+	perturb := func(g *grid.Grid) {
 		// Direction 1 is +x in the D3Q19 table; bump its population on a
 		// node of the last x-plane so the pulse must wrap.
-		s.Fluid.Dist()[s.Fluid.Idx(cfg.NX-1, 2, 2)][1] += 1e-3
+		g.Dist()[g.Idx(cfg.NX-1, 2, 2)][1] += 1e-3
 	}
 	ref := core.MustNewSolver(cfg)
-	perturb(ref)
+	perturb(ref.Fluid)
 	clean := core.MustNewSolver(cfg)
 	ref.Run(1)
 	clean.Run(1)
 
 	s := MustNewSolver(Config{Config: cfg, Threads: 3})
 	defer s.Close()
-	perturb(s.Solver.Solver)
+	perturb(s.Fluid)
 	s.Run(1)
 	requireBitwiseFluid(t, ref, s, "wrap")
 
@@ -260,7 +258,7 @@ func TestObserverCoverage(t *testing.T) {
 	s.Probe = obs
 	const steps = 4
 	s.Run(steps)
-	want := int64(steps * (2 + 2*s.Threads))
+	want := int64(steps * (2 + 2*s.Threads()))
 	if got := obs.calls.Load(); got != want {
 		t.Fatalf("observer calls = %d, want %d", got, want)
 	}
@@ -270,64 +268,4 @@ func TestRejectsBadTau(t *testing.T) {
 	if _, err := NewSolver(Config{Config: core.Config{NX: 8, NY: 8, NZ: 8, Tau: 0.4}, Threads: 2}); err == nil {
 		t.Fatal("accepted tau <= 0.5")
 	}
-}
-
-// TestDigestOnTeamMatchesSerial: the digest on the worker team — the
-// array canonicalized on the team if the step left it swapped, stale
-// records refreshed as each piece is digested — is the serial digest of
-// Live's grid bit for bit, at 1–3 workers, after an odd and an even
-// number of steps, and with a NaN seeded into the distributions and a
-// record between steps, in the phase the step left.
-func TestDigestOnTeamMatchesSerial(t *testing.T) {
-	for threads := 1; threads <= 3; threads++ {
-		var got [2][]uint64
-		for i := range got {
-			s := MustNewSolver(Config{Config: baseConfig(testSheet()), Threads: threads})
-			d, err := grid.NewDigestGrid(16, 16, 16, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			digest := func() {
-				if i == 0 {
-					err = s.Digest(d)
-				} else {
-					err = d.Fill(s.Live())
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				got[i] = append(got[i], digestBits(d)...)
-			}
-			s.Run(3)
-			digest()
-			s.Step()
-			digest()
-			s.Step()
-			s.Fluid.Dist()[700][9] = math.NaN()
-			s.Fluid.Macros()[2100].Vel[2] = math.Inf(1)
-			digest()
-			if d.NonFinite == 0 {
-				t.Fatalf("threads=%d: the seeded NaN went uncounted", threads)
-			}
-			s.Step()
-			digest()
-			s.Close()
-		}
-		if !slices.Equal(got[0], got[1]) {
-			t.Errorf("threads=%d: the team's digest differs from the serial digest of Live's grid", threads)
-		}
-	}
-}
-
-// digestBits is every field of a digest, floats by their bits.
-func digestBits(d *grid.DigestGrid) []uint64 {
-	var b []uint64
-	for _, td := range d.Tiles {
-		b = append(b, math.Float64bits(td.Mass), math.Float64bits(td.MaxVel2), uint64(td.NonFinite))
-	}
-	b = append(b, math.Float64bits(d.Mass), math.Float64bits(d.MaxVel), uint64(d.NonFinite), math.Float64bits(d.BadRho))
-	for a := 0; a < 3; a++ {
-		b = append(b, uint64(d.MaxVelCell[a]), uint64(d.BadCell[a]), math.Float64bits(d.BadVel[a]))
-	}
-	return b
 }

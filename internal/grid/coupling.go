@@ -8,13 +8,13 @@ import (
 // Coupling is the fluid side of the immersed-boundary coupling — kernel
 // 4's scatter and kernel 8's gather — bound to one record array through
 // its separable index: node (x, y, z) is macro[at[0][x]+at[1][y]+at[2][z]].
-// *Grid and cube.Layout embed the one over their records. Its spread and
-// gather are the only 64-point loops over a layout, and they touch the
+// Every Grid embeds the one over its records. Its spread and
+// gather are the only 64-point loops over a grid, and they touch the
 // 56 B records alone, never the distributions. The engines enter them
 // once per fiber node, with the stencil on their own frame: kernel 4
 // through SpreadNode, each thread into the Box it owns, and kernel 8
 // through Interpolate. SpreadStencil and InterpolateStencil make the
-// layouts an ibm.ForceAccumulator and ibm.VelocitySampler. On an AVX2
+// grid an ibm.ForceAccumulator and ibm.VelocitySampler. On an AVX2
 // host (cpu.Vector) the two loops run coupling_amd64.s, a row of four
 // weights per vector, with the Go loops' bits; the Go loops are the
 // portable path, the race detector's and the vector bodies' oracle.
@@ -29,30 +29,14 @@ type Coupling struct {
 	whole, wide [3]bool
 }
 
-// Indexed is a layout's shape and separable flat index: Idx(x, y, z)
-// = Idx(x, 0, 0) + Idx(0, y, 0) + Idx(0, 0, z). Both containers are.
-type Indexed interface {
-	Dims() (nx, ny, nz int)
-	Idx(x, y, z int) int
-}
-
-// Blocked is Indexed with the block partition of a layout: block b is
-// the box BlockBox(b) and occupies entries [b·n, (b+1)·n) of the
-// layout's arrays, n the box's node count, z-fastest inside it.
-type Blocked interface {
-	Indexed
-	BlockBox(b int) (origin, extent [3]int)
-}
-
-// NewCoupling binds the records macro, indexed by l, for spreading and
-// interpolation.
-func NewCoupling(macro []Macro, l Blocked) *Coupling {
-	c := &Coupling{macro: macro, at: AxisIndex(l)}
+// newCoupling binds g's records for spreading and interpolation.
+func newCoupling(g *Grid) *Coupling {
+	c := &Coupling{macro: g.macro, at: AxisIndex(g)}
 	// A node's entry is its block's first entry plus its offset inside
 	// the block, which is below n and separable like Idx; so each axis
 	// term of the entry, divided by n, is that axis's share of the block
 	// index.
-	_, e := l.BlockBox(0)
+	e := g.block
 	n := e[0] * e[1] * e[2]
 	for a, t := range c.at {
 		c.blk[a] = make([]int, len(t))
@@ -64,15 +48,14 @@ func NewCoupling(macro []Macro, l Blocked) *Coupling {
 	return c
 }
 
-// AxisIndex tabulates l's Idx: Idx(x, y, z) = at[0][x] + at[1][y] + at[2][z].
-func AxisIndex(l Indexed) (at [3][]int) {
-	nx, ny, nz := l.Dims()
-	at = [3][]int{make([]int, nx), make([]int, ny), make([]int, nz)}
+// AxisIndex tabulates g's Idx: Idx(x, y, z) = at[0][x] + at[1][y] + at[2][z].
+func AxisIndex(g *Grid) (at [3][]int) {
+	at = [3][]int{make([]int, g.NX), make([]int, g.NY), make([]int, g.NZ)}
 	for a := range at {
 		for c := range at[a] {
 			var x [3]int
 			x[a] = c
-			at[a][c] = l.Idx(x[0], x[1], x[2])
+			at[a][c] = g.index(x[0], x[1], x[2])
 		}
 	}
 	return at
@@ -178,7 +161,7 @@ func (c *Coupling) SpreadNode(x, F [3]float64, area float64, b *Box, m *Marker, 
 }
 
 // Marker collects, for one owner's spread into its box, the blocks the
-// fiber nodes' windows reach: Reach is indexed like the layout's blocks,
+// fiber nodes' windows reach: Reach is indexed like the grid's blocks,
 // and a node sets the entry of every block that holds an in-box point of
 // its window. Kernel 8 gathers from the same windows, so the marked
 // blocks are those whose records kernels 4 and 8 of the step touch, and a

@@ -31,10 +31,11 @@ type TileDigest struct {
 // whole-grid aggregates the physics watchdog checks. The tile grid is a
 // ceil-division of the fluid grid: edge tiles are smaller when K does
 // not divide a dimension, so every fluid shape (not just cube-divisible
-// ones) can be digested. One body fills it from either layout: Fill on
+// ones) can be digested. One body fills it from a grid of x-planes or of
+// K³ cubes: Fill on
 // the calling goroutine, or Begin and End around a pass split over a
 // worker team; every field is the same bits either way, and the same as a
-// per-node walk of the layout in storage order.
+// per-node walk of the grid in storage order.
 type DigestGrid struct {
 	K          int // tile edge (nodes)
 	NX, NY, NZ int // fluid grid dimensions
@@ -56,7 +57,7 @@ type DigestGrid struct {
 	BadRho     float64
 	BadVel     [3]float64
 
-	// The pass in progress, from Begin to End: the layout's arrays, its
+	// The pass in progress, from Begin to End: the grid's arrays, its
 	// record state and block extent, one merge slot per piece, and part
 	// bound once.
 	dist  [][lattice.Q]float64
@@ -129,21 +130,10 @@ func (d *DigestGrid) finish() {
 	d.NonFinite = nonFinite
 }
 
-// DigestSource is what a digest reads of a fluid layout: the
-// block-layout contract both layouts implement (core.Layout has it in
-// full). The nodes form equal blocks stored one after another in x-major
-// block order, z-fastest inside a block; a digest reads them in place.
-type DigestSource interface {
-	Dims() (nx, ny, nz int)
-	Dist() [][lattice.Q]float64
-	Macros() []Macro
-	BlockBox(b int) (origin, extent [3]int)
-}
-
 // digestPart is what one piece of a split pass found beyond its tiles:
 // the first node of its range with the range's largest squared speed
 // (maxV2 > 0 only) and its first non-finite node, as indices into the
-// layout's arrays, or -1.
+// grid's arrays, or -1.
 type digestPart struct {
 	maxV2        float64
 	maxAt, badAt int
@@ -152,7 +142,8 @@ type digestPart struct {
 // Begin starts a digest of src in parts pieces and returns the piece
 // body: call it once with each p in [0, parts), concurrently if wanted,
 // then End. src's blocks must be x-planes (the slab grid) or d's tiles
-// (the cube layout with cube size d.K). A piece digests one contiguous
+// (cubes of edge d.K); any other extent, a pencil say, is an error, not
+// a tiling whose tiles span blocks. A piece digests one contiguous
 // range of whole tiles — a range of cubes, or of tile rows of K planes
 // (the last row may be ragged) — so no tile is written by two pieces and
 // each tile sums its nodes in traversal order. The body is d.part bound
@@ -166,15 +157,11 @@ type digestPart struct {
 // (core.UpdateRange with a nil reset) — and then marks fresh. So an
 // observed step reads each node's values once, not once to refresh and
 // once to digest.
-func (d *DigestGrid) Begin(src DigestSource, parts int, fresh []bool) (func(p int), error) {
+func (d *DigestGrid) Begin(src *Grid, parts int, fresh []bool) (func(p int), error) {
 	if err := d.checkShape(src.Dims()); err != nil {
 		return nil, err
 	}
-	dist, macro := src.Dist(), src.Macros()
-	if n := d.NX * d.NY * d.NZ; len(dist) != n || len(macro) != n {
-		return nil, fmt.Errorf("grid: digest over %d distributions and %d records, want %d", len(dist), len(macro), n)
-	}
-	_, ext := src.BlockBox(0)
+	dist, macro, ext := src.dist, src.macro, src.block
 	if ext != [3]int{d.K, d.K, d.K} && ext != [3]int{1, d.NY, d.NZ} {
 		return nil, fmt.Errorf("grid: %v blocks are neither x-planes nor %d³ digest tiles", ext, d.K)
 	}
@@ -223,7 +210,7 @@ func (d *DigestGrid) units(p int) (u0, u1 int) {
 	return par.StaticRange(units, len(d.parts), p)
 }
 
-// blocks returns the range [lo, hi) of the layout's blocks that piece p
+// blocks returns the range [lo, hi) of the grid's blocks that piece p
 // of the pass Begin started digests: the pieces' ranges partition the
 // blocks in order.
 func (d *DigestGrid) blocks(p int) (lo, hi int) {
@@ -263,7 +250,7 @@ func (d *DigestGrid) End() {
 }
 
 // Fill digests src in one piece on the calling goroutine.
-func (d *DigestGrid) Fill(src DigestSource) error {
+func (d *DigestGrid) Fill(src *Grid) error {
 	part, err := d.Begin(src, 1, nil)
 	if err != nil {
 		return err
@@ -273,7 +260,7 @@ func (d *DigestGrid) Fill(src DigestSource) error {
 	return nil
 }
 
-// blockOrigin returns the first node of block b in the pass's layout.
+// blockOrigin returns the first node of block b in the pass's grid.
 func (d *DigestGrid) blockOrigin(b int) [3]int {
 	e := d.block
 	by, bz := d.NY/e[1], d.NZ/e[2]

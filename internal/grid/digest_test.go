@@ -200,13 +200,16 @@ func TestDigestBeginRejectsBadShape(t *testing.T) {
 	}
 	bad := []struct {
 		name string
-		src  DigestSource
+		src  *Grid
 	}{
-		{"wrong node count", &cubeSource{8, 8, 8, 4, make([][lattice.Q]float64, 100), make([]Macro, 100)}},
-		{"record count other than the distribution count", &cubeSource{8, 8, 8, 4, make([][lattice.Q]float64, 512), make([]Macro, 100)}},
-		{"cube size other than the tile size", newCubeSource(8, 8, 8, 2)},
-		{"dimensions other than the digest's", newCubeSource(4, 8, 16, 4)},
+		{"cube size other than the tile size", mustBlocked(8, 8, 8, [3]int{2, 2, 2})},
+		{"dimensions other than the digest's", mustBlocked(4, 8, 16, [3]int{4, 4, 4})},
 		{"slab grid of other dimensions", New(8, 4, 16)},
+		// A pencil's blocks are neither x-planes nor tiles: a tile would
+		// span several blocks, and a piece's range of blocks would not
+		// be a range of whole tiles.
+		{"4x4x8 pencils", mustBlocked(8, 8, 8, [3]int{4, 4, 8})},
+		{"2x8x8 slabs of two planes", mustBlocked(8, 8, 8, [3]int{2, 8, 8})},
 	}
 	for _, c := range bad {
 		if _, err := d.Begin(c.src, 1, nil); err == nil {
@@ -218,38 +221,20 @@ func TestDigestBeginRejectsBadShape(t *testing.T) {
 	}
 }
 
-// cubeSource is a cube-major layout (the cube engine's: k³ blocks in
-// cube-index order, z-fastest inside a cube) for the digest tests; the
-// cube package's own layout cannot be imported here.
-type cubeSource struct {
-	nx, ny, nz, k int
-	dist          [][lattice.Q]float64
-	macro         []Macro
-}
-
-func newCubeSource(nx, ny, nz, k int) *cubeSource {
-	n := nx * ny * nz
-	return &cubeSource{nx, ny, nz, k, make([][lattice.Q]float64, n), make([]Macro, n)}
-}
-
-func (c *cubeSource) Dims() (int, int, int)      { return c.nx, c.ny, c.nz }
-func (c *cubeSource) Dist() [][lattice.Q]float64 { return c.dist }
-func (c *cubeSource) Macros() []Macro            { return c.macro }
-func (c *cubeSource) BlockBox(b int) (origin, extent [3]int) {
-	cy, cz := c.ny/c.k, c.nz/c.k
-	return [3]int{b / (cy * cz) * c.k, b / cz % cy * c.k, b % cz * c.k}, [3]int{c.k, c.k, c.k}
-}
-func (c *cubeSource) Idx(x, y, z int) int {
-	k := c.k
-	o := ((x/k*(c.ny/k)+y/k)*(c.nz/k) + z/k) * k * k * k
-	return o + (x%k*k+y%k)*k + z%k
+// mustBlocked is NewBlocked for shapes known valid.
+func mustBlocked(nx, ny, nz int, block [3]int) *Grid {
+	g, err := NewBlocked(nx, ny, nz, block)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // referenceDigest is the per-node walk the digest body replaced, kept
 // as its oracle: every node of src in storage order — plane by plane on
-// the slab grid, cube by cube on a cube layout, z-fastest inside a
+// the slab grid, cube by cube on a grid of cubes, z-fastest inside a
 // block — folded into its tile by digestNode.
-func referenceDigest(src DigestSource, d *DigestGrid) {
+func referenceDigest(src *Grid, d *DigestGrid) {
 	d.reset()
 	dist, macro := src.Dist(), src.Macros()
 	_, ext := src.BlockBox(0)
@@ -272,7 +257,7 @@ func referenceDigest(src DigestSource, d *DigestGrid) {
 // digestSplit digests src in the given number of pieces, each on its own
 // goroutine, as an engine's worker team does, refreshing the blocks fresh
 // marks stale (Begin).
-func digestSplit(t *testing.T, src DigestSource, d *DigestGrid, parts int, fresh []bool) {
+func digestSplit(t *testing.T, src *Grid, d *DigestGrid, parts int, fresh []bool) {
 	t.Helper()
 	part, err := d.Begin(src, parts, fresh)
 	if err != nil {
@@ -424,7 +409,7 @@ func randomNode(rng *rand.Rand, df *[lattice.Q]float64, m *Macro) {
 }
 
 // TestDigestMatchesPerNodeReference: the digest body, whole or split
-// into any number of pieces on the slab grid and on cube layouts, fills
+// into any number of pieces on the slab grid and on grids of cubes, fills
 // every field bit for bit as the per-node walk does — tiles, aggregates,
 // the fastest cell (first in traversal order on ties) and the first bad
 // cell with its ρ and u.
@@ -432,25 +417,19 @@ func TestDigestMatchesPerNodeReference(t *testing.T) {
 	type layout struct {
 		name string
 		k    int
-		src  func() (DigestSource, nodeAt)
+		src  func() (*Grid, nodeAt)
 	}
-	slab := func(nx, ny, nz int) func() (DigestSource, nodeAt) {
-		return func() (DigestSource, nodeAt) {
-			g := New(nx, ny, nz)
-			return g, func(x, y, z int) (*[lattice.Q]float64, *Macro) {
-				i := g.Idx(x, y, z)
-				return &g.dist[i], &g.macro[i]
-			}
+	at := func(g *Grid) (*Grid, nodeAt) {
+		return g, func(x, y, z int) (*[lattice.Q]float64, *Macro) {
+			i := g.Idx(x, y, z)
+			return &g.dist[i], &g.macro[i]
 		}
 	}
-	cubes := func(nx, ny, nz, k int) func() (DigestSource, nodeAt) {
-		return func() (DigestSource, nodeAt) {
-			c := newCubeSource(nx, ny, nz, k)
-			return c, func(x, y, z int) (*[lattice.Q]float64, *Macro) {
-				i := c.Idx(x, y, z)
-				return &c.dist[i], &c.macro[i]
-			}
-		}
+	slab := func(nx, ny, nz int) func() (*Grid, nodeAt) {
+		return func() (*Grid, nodeAt) { return at(New(nx, ny, nz)) }
+	}
+	cubes := func(nx, ny, nz, k int) func() (*Grid, nodeAt) {
+		return func() (*Grid, nodeAt) { return at(mustBlocked(nx, ny, nz, [3]int{k, k, k})) }
 	}
 	layouts := []layout{
 		{"slab 10x7x9 K=4", 4, slab(10, 7, 9)},
@@ -493,7 +472,7 @@ func TestDigestMatchesPerNodeReference(t *testing.T) {
 // blocks stale recomputes their records — lattice.Moments of each node's
 // values under its force, as kernel 7 without a reset writes them — and
 // digests the refreshed records, whole or split into pieces, on the slab
-// grid and on cube layouts, with every fault field: the records and the
+// grid and on a grid of cubes, with every fault field: the records and the
 // digest are the bits of a refresh of those blocks followed by the
 // per-node walk. Fresh blocks' records are read as they are, and every
 // block is fresh afterwards.
@@ -501,10 +480,10 @@ func TestDigestRefreshesStaleBlocks(t *testing.T) {
 	layouts := []struct {
 		name string
 		k    int
-		src  func() DigestSource
+		src  func() *Grid
 	}{
-		{"slab 10x7x9 K=4", 4, func() DigestSource { return New(10, 7, 9) }},
-		{"cubes 12x8x4 k=4", 4, func() DigestSource { return newCubeSource(12, 8, 4, 4) }},
+		{"slab 10x7x9 K=4", 4, func() *Grid { return New(10, 7, 9) }},
+		{"cubes 12x8x4 k=4", 4, func() *Grid { return mustBlocked(12, 8, 4, [3]int{4, 4, 4}) }},
 	}
 	for _, l := range layouts {
 		for _, f := range digestFields {
@@ -513,10 +492,10 @@ func TestDigestRefreshesStaleBlocks(t *testing.T) {
 				nx, ny, nz := src.Dims()
 				_, ext := src.BlockBox(0)
 				n := ext[0] * ext[1] * ext[2]
-				for _, s := range []DigestSource{src, want} {
+				for _, s := range []*Grid{src, want} {
 					dist, macro := s.Dist(), s.Macros()
 					f.fill(rand.New(rand.NewSource(7)), nx, ny, nz, l.k, func(x, y, z int) (*[lattice.Q]float64, *Macro) {
-						i := s.(interface{ Idx(x, y, z int) int }).Idx(x, y, z)
+						i := s.Idx(x, y, z)
 						return &dist[i], &macro[i]
 					})
 				}
@@ -570,20 +549,20 @@ func sameBits(a, b [3]float64) bool {
 }
 
 // BenchmarkDigest times one digest of a 64×64×32 fluid (the sheet_cube
-// problem's) as a cube layout at k = 8 and as the slab grid at K = 4:
+// problem's) as a grid of k = 8 cubes and as the slab grid at K = 4:
 // the per-node reference walk, the body on one goroutine, and the body
 // split in two pieces on two goroutines; then, on one goroutine, a
-// digest of a layout whose every record is stale, refreshed block by
+// digest of a grid whose every record is stale, refreshed block by
 // block as the body digests it ("stale"), against a refresh pass over
-// the whole layout followed by the digest ("refresh-then-digest").
+// the whole grid followed by the digest ("refresh-then-digest").
 func BenchmarkDigest(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, l := range []struct {
 		name string
 		k    int
-		src  DigestSource
+		src  *Grid
 	}{
-		{"cubes-k8", 8, newCubeSource(64, 64, 32, 8)},
+		{"cubes-k8", 8, mustBlocked(64, 64, 32, [3]int{8, 8, 8})},
 		{"slab-K4", 4, New(64, 64, 32)},
 	} {
 		dist, macro := l.src.Dist(), l.src.Macros()
@@ -641,7 +620,7 @@ func BenchmarkDigest(b *testing.B) {
 }
 
 // fillStale is Fill with the record state fresh.
-func fillStale(d *DigestGrid, src DigestSource, fresh []bool) error {
+func fillStale(d *DigestGrid, src *Grid, fresh []bool) error {
 	part, err := d.Begin(src, 1, fresh)
 	if err != nil {
 		return err

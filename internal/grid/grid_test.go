@@ -52,18 +52,150 @@ func TestIdxIsXMajorContiguous(t *testing.T) {
 	}
 }
 
+// extents are the block extents the grid tests run over, on an 8×8×16
+// domain: the slab's x-planes, 2³, 4³ and 8³ cubes, and the pencils
+// 4×4×NZ and 2×NY×NZ.
+var extents = [][3]int{{1, 8, 16}, {2, 2, 2}, {4, 4, 4}, {8, 8, 8}, {4, 4, 16}, {2, 8, 16}}
+
+func blocked(t *testing.T, e [3]int) *Grid {
+	t.Helper()
+	g, err := NewBlocked(8, 8, 16, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestIdxBijective(t *testing.T) {
-	g := New(3, 4, 5)
-	seen := make([]bool, g.NumNodes())
-	for x := 0; x < 3; x++ {
-		for y := 0; y < 4; y++ {
-			for z := 0; z < 5; z++ {
-				i := g.Idx(x, y, z)
-				if i < 0 || i >= len(seen) || seen[i] {
-					t.Fatalf("Idx(%d,%d,%d) = %d not a fresh in-range index", x, y, z, i)
+	grids := []*Grid{New(3, 4, 5)}
+	for _, e := range extents {
+		grids = append(grids, blocked(t, e))
+	}
+	for _, g := range grids {
+		seen := make([]bool, g.NumNodes())
+		for x := 0; x < g.NX; x++ {
+			for y := 0; y < g.NY; y++ {
+				for z := 0; z < g.NZ; z++ {
+					i := g.Idx(x, y, z)
+					if i < 0 || i >= len(seen) || seen[i] {
+						t.Fatalf("%v blocks: Idx(%d,%d,%d) = %d not a fresh in-range index", g.BlockExtent(), x, y, z, i)
+					}
+					seen[i] = true
 				}
-				seen[i] = true
 			}
+		}
+	}
+}
+
+// TestBlocksAreContiguous: for every extent, block b is the box
+// BlockBox(b), its nodes occupy entries [b·n, (b+1)·n) z-fastest, and
+// the blocks run in x-major order of their origins.
+func TestBlocksAreContiguous(t *testing.T) {
+	for _, e := range extents {
+		g := blocked(t, e)
+		n, nb := e[0]*e[1]*e[2], g.Blocks()
+		if g.NumBlocks() != nb[0]*nb[1]*nb[2] || g.NumBlocks()*n != g.NumNodes() {
+			t.Fatalf("%v: %d blocks (%v) of %d nodes for %d nodes", e, g.NumBlocks(), nb, n, g.NumNodes())
+		}
+		for b := 0; b < g.NumBlocks(); b++ {
+			o, ext := g.BlockBox(b)
+			if ext != e {
+				t.Fatalf("%v: block %d has extent %v", e, b, ext)
+			}
+			if want := ((o[0]/e[0]*nb[1]+o[1]/e[1])*nb[2] + o[2]/e[2]); want != b {
+				t.Fatalf("%v: block %d's origin %v is block %d's in x-major order", e, b, o, want)
+			}
+			i := b * n
+			for x := o[0]; x < o[0]+e[0]; x++ {
+				for y := o[1]; y < o[1]+e[1]; y++ {
+					for z := o[2]; z < o[2]+e[2]; z++ {
+						if got := g.Idx(x, y, z); got != i {
+							t.Fatalf("%v: block %d node (%d,%d,%d) at %d, want %d", e, b, x, y, z, got, i)
+						}
+						i++
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestIdxMatchesStoredOrders pins the two orders the engines, the
+// checkpoint and the digest tiles were written against: New's x-major
+// (x*NY + y)*NZ + z, and on k³ cubes the cube-major order, cube
+// (cx, cy, cz) at ((cx*CY + cy)*CZ + cz)·k³, z-fastest inside it.
+func TestIdxMatchesStoredOrders(t *testing.T) {
+	s, c := New(8, 8, 16), blocked(t, [3]int{4, 4, 4})
+	for x := 0; x < 8; x++ {
+		for y := 0; y < 8; y++ {
+			for z := 0; z < 16; z++ {
+				if got, want := s.Idx(x, y, z), (x*8+y)*16+z; got != want {
+					t.Fatalf("slab Idx(%d,%d,%d) = %d, want %d", x, y, z, got, want)
+				}
+				cube := (x/4*2+y/4)*4 + z/4
+				if got, want := c.Idx(x, y, z), cube*64+(x%4*4+y%4)*4+z%4; got != want {
+					t.Fatalf("cube Idx(%d,%d,%d) = %d, want %d", x, y, z, got, want)
+				}
+			}
+		}
+	}
+	if b := blocked(t, [3]int{1, 8, 16}); b.Idx(5, 3, 9) != s.Idx(5, 3, 9) {
+		t.Fatal("NewBlocked with the slab's extent orders the nodes unlike New")
+	}
+}
+
+// TestCopyFromRoundTrip: a state copied from the slab grid into a grid
+// of every extent and back is the same state node for node, Record reads
+// the copy in x-major order, and a copy between grids of other
+// dimensions is an error.
+func TestCopyFromRoundTrip(t *testing.T) {
+	g := New(8, 8, 16)
+	for i := range g.macro {
+		g.macro[i] = Macro{Vel: [3]float64{float64(i), float64(2 * i), float64(3 * i)}, Rho: float64(i), Force: [3]float64{0, float64(-i), 0}}
+		for q := 0; q < lattice.Q; q++ {
+			g.dist[i][q] = float64(i*lattice.Q + q)
+		}
+	}
+	for _, e := range extents {
+		l, back := blocked(t, e), New(8, 8, 16)
+		if err := l.CopyFrom(g); err != nil {
+			t.Fatal(err)
+		}
+		if *l.At(5, 3, 9) != *g.At(5, 3, 9) || l.dist[l.Idx(5, 3, 9)] != g.dist[g.Idx(5, 3, 9)] {
+			t.Fatalf("%v: node (5,3,9) not copied to its place", e)
+		}
+		for i := range g.macro {
+			if df, m := l.Record(i); *df != g.dist[i] || m != g.macro[i] {
+				t.Fatalf("%v: Record(%d) is not node %d in x-major order", e, i, i)
+			}
+		}
+		if err := back.CopyFrom(l); err != nil {
+			t.Fatal(err)
+		}
+		for i := range g.macro {
+			if back.macro[i] != g.macro[i] || back.dist[i] != g.dist[i] {
+				t.Fatalf("%v: round trip differs at node %d", e, i)
+			}
+		}
+	}
+	if err := blocked(t, [3]int{4, 4, 4}).CopyFrom(New(4, 8, 16)); err == nil {
+		t.Fatal("CopyFrom accepted a grid of other dimensions")
+	}
+}
+
+func TestNewBlockedRejectsBadShapes(t *testing.T) {
+	for _, c := range []struct{ dims, block [3]int }{
+		{[3]int{0, 4, 4}, [3]int{2, 2, 2}},
+		{[3]int{4, 4, 4}, [3]int{0, 0, 0}},
+		{[3]int{4, 4, 4}, [3]int{-2, -2, -2}},
+		{[3]int{4, 4, 4}, [3]int{4, 4, 0}},
+		{[3]int{6, 4, 4}, [3]int{4, 4, 4}}, // 6 % 4 != 0
+		{[3]int{4, 6, 4}, [3]int{4, 4, 4}},
+		{[3]int{4, 4, 6}, [3]int{4, 4, 4}},
+		{[3]int{8, 8, 16}, [3]int{4, 4, 12}}, // a pencil that does not divide NZ
+	} {
+		if _, err := NewBlocked(c.dims[0], c.dims[1], c.dims[2], c.block); err == nil {
+			t.Errorf("NewBlocked(%v, %v) accepted an invalid shape", c.dims, c.block)
 		}
 	}
 }

@@ -29,12 +29,13 @@
 // thread count (DESIGN.md §13), where the paper validates its OpenMP
 // program only numerically.
 //
-// The kernels' loop bodies are internal/core's; this package is the
-// schedule — which thread runs them over which slab or fiber range.
-// The fused engine (internal/fused) is layered on this solver: it runs
-// its own sweep on the same team (ParallelFor) and flips this solver's
-// one phase bit (FlipPhase), so Live, Canonical, Refresh and Digest
-// serve it unchanged.
+// The kernels' loop bodies are internal/core's, and so is the state they
+// run over (core.InPlace: the grid, its phase bit, the records' support
+// and the team, with Live, Canonical, Refresh and Digest); this package
+// is the schedule — which thread runs the bodies over which slab or
+// fiber range. The fused engine (internal/fused) is layered on this
+// solver: it runs its own sweep on the same team (ParallelFor) and flips
+// the same phase bit (core.InPlace.FlipPhase).
 package omp
 
 import (
@@ -43,7 +44,6 @@ import (
 	"lbmib/internal/core"
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
-	"lbmib/internal/par"
 )
 
 // Config configures the OpenMP-style solver.
@@ -52,28 +52,15 @@ type Config struct {
 	Threads int // parallel region width; 0 means 1
 }
 
-// Solver runs LBM-IB time steps with loop-level parallelism. It embeds the
-// sequential solver as its state container and overrides each kernel's
-// whole-grid loop with a statically scheduled parallel region (one
-// contiguous chunk per thread — the paper's default, which it reports as
-// performing identically to dynamic).
+// Solver runs LBM-IB time steps with loop-level parallelism over the
+// slab grid: each kernel's whole-grid loop is a statically scheduled
+// parallel region (one contiguous chunk per thread — the paper's default,
+// which it reports as performing identically to dynamic). Its state is
+// core.InPlace's; kernel 5's region, or the sweep of an engine layered
+// on this solver, flips the phase bit. The blocks of the Support are
+// x-planes.
 type Solver struct {
-	*core.Solver
-	Threads int
-
-	team *par.Team
-	// swapped is the phase of the grid's distribution array (core.AABlock):
-	// false between steps means natural; kernel 5's region, or the sweep
-	// of an engine layered on this solver, flips it (FlipPhase).
-	swapped bool
-	// Support says which planes' records are fresh and which the step's
-	// stencils reach. An engine layered on this solver (internal/fused)
-	// keeps it through the same SpreadForce.
-	Support *core.Support
-
-	// canonicalizePiece bound once, so Digest's team run allocates
-	// nothing.
-	canonRun func(p int)
+	*core.InPlace
 
 	// Region timing, used only with a Probe attached. curKernel is the
 	// kernel Step is running (0 outside Step: an engine layered on this
@@ -99,23 +86,12 @@ func NewSolver(cfg Config) (*Solver, error) {
 	if cfg.Threads > cfg.NX {
 		cfg.Threads = cfg.NX
 	}
-	cs, err := core.NewState(cfg.Config)
+	st, err := core.NewInPlace(cfg.Config, grid.New(cfg.NX, cfg.NY, cfg.NZ), cfg.Threads)
 	if err != nil {
 		return nil, err
 	}
-	s := &Solver{
-		Solver:  cs,
-		Threads: cfg.Threads,
-		team:    par.NewTeam(cfg.Threads),
-		busy:    make([]time.Duration, cfg.Threads),
-		Support: core.NewSupport(cfg.NX),
-	}
+	s := &Solver{InPlace: st, busy: make([]time.Duration, cfg.Threads)}
 	s.timed = s.timedChunk
-	s.canonRun = s.canonicalizePiece
-	// Kernel 4 accumulates on top of the reset that UpdateVelocity leaves
-	// behind (the force-reset sweep is folded into kernel 7 here); seed
-	// the initial body force the same way.
-	core.SeedForce(s.Fluid.Macros(), s.BodyForce)
 	return s, nil
 }
 
@@ -129,9 +105,6 @@ func MustNewSolver(cfg Config) *Solver {
 	return s
 }
 
-// Close releases the worker team.
-func (s *Solver) Close() { s.team.Close() }
-
 // parallelFor dispatches a loop of n iterations as one contiguous chunk
 // per thread. With a probe attached, each thread's busy time inside a
 // kernel's region is taken (each thread writes only its own slot) and
@@ -141,12 +114,12 @@ func (s *Solver) Close() { s.team.Close() }
 func (s *Solver) parallelFor(n int, body func(tid, lo, hi int)) {
 	probe := s.Probe
 	if probe == nil || s.curKernel == 0 {
-		s.team.ForStatic(n, body)
+		s.Team.ForStatic(n, body)
 		return
 	}
 	clear(s.busy)
 	s.body = body
-	s.team.ForStatic(n, s.timed)
+	s.Team.ForStatic(n, s.timed)
 	s.body = nil
 	probe.Emit(core.Event{Kind: core.RegionDone, Step: s.StepCount(), Kernel: s.curKernel, Busy: s.busy})
 }
@@ -165,50 +138,6 @@ func (s *Solver) timedChunk(tid, lo, hi int) {
 // use. Each thread receives exactly one contiguous chunk, the property
 // the fused sweep's wavefront relies on.
 func (s *Solver) ParallelFor(n int, body func(tid, lo, hi int)) { s.parallelFor(n, body) }
-
-// FlipPhase flips the phase bit of the grid's array and returns the phase
-// it had, which the caller must then run core.AABlock over every plane
-// from before anything reads the array: kernel 5's region, and the seam
-// for an engine layered on this solver that streams the array in place
-// with its own sweep (internal/fused). Canonical, Live, Refresh and
-// Digest read the one bit either way.
-func (s *Solver) FlipPhase() (swapped bool) {
-	swapped = s.swapped
-	s.swapped = !swapped
-	return swapped
-}
-
-// Digest fills d from the grid on the worker team, leaving the grid as
-// Live leaves it, bitwise as the grid's own one-goroutine Digest of
-// Live's grid. If the last step left the array swapped, the team first
-// canonicalizes it, one contiguous range of planes per worker
-// (core.CanonicalizeBlocks), and joins; then each worker digests one
-// contiguous range of tile rows, refreshing each stale plane's records
-// in the same loop (grid.DigestGrid.Begin). Every step after a digest
-// therefore starts from the natural phase. The team runs bodies bound
-// once, not ParallelFor closures, which would allocate. Call it between
-// steps only.
-func (s *Solver) Digest(d *grid.DigestGrid) error {
-	if s.swapped {
-		s.team.Run(s.canonRun)
-		s.swapped = false
-	}
-	fresh, _ := s.Support.Sets(0)
-	part, err := d.Begin(s.Fluid, s.Threads, fresh)
-	if err != nil {
-		return err
-	}
-	s.team.Run(part)
-	s.Support.Refreshed()
-	d.End()
-	return nil
-}
-
-// canonicalizePiece canonicalizes worker p's static share of the planes.
-func (s *Solver) canonicalizePiece(p int) {
-	lo, hi := par.StaticRange(s.Fluid.NX, s.Threads, p)
-	core.CanonicalizeBlocks(s.Stream, s.Fluid.Dist(), lo, hi)
-}
 
 // Step advances one time step by running the nine kernels as parallel
 // regions in Algorithm 1 order.
@@ -230,7 +159,7 @@ func (s *Solver) Step() {
 	if FaultHook != nil {
 		FaultHook(s)
 	}
-	s.AdvanceStep()
+	s.AdvanceStep(1)
 }
 
 // FaultHook, when non-nil, is invoked with the live solver after every
@@ -327,14 +256,15 @@ func (s *Solver) StreamDistribution() {}
 // entered.
 func (s *Solver) UpdateVelocity() {
 	if len(s.Sheets) > 0 {
-		st, df, swapped := s.Stream, s.Fluid.Dist(), s.swapped
+		st, df, swapped := s.Stream, s.Fluid.Dist(), s.Swapped()
 		_, reach := s.Support.Sets(0)
 		// The chunk's bounds are ignored; the region only gives every
 		// worker one call under the clock. ForStatic skips a worker whose
 		// chunk is empty, so this covers the whole support only because
 		// NewSolver clamps Threads to NX: no chunk of NX planes is empty.
+		threads := s.Threads()
 		s.parallelFor(s.Fluid.NX, func(tid, _, _ int) {
-			lo, hi := core.Share(reach, s.Threads, tid)
+			lo, hi := core.Share(reach, threads, tid)
 			for x := lo; x < hi; x++ {
 				if reach[x] {
 					core.AAMomentsBlock(st, df, x, swapped, &s.BodyForce)
@@ -355,28 +285,3 @@ func (s *Solver) MoveFibers() {
 // second array to copy back. The paper's per-node copy survives on the
 // sequential reference (core.Solver), where Table I prices it.
 func (s *Solver) CopyDistribution() {}
-
-// Refresh brings every stale record up to date (core.RefreshAll). Call
-// it between steps only.
-func (s *Solver) Refresh() { core.RefreshAll(s.Stream, s.Fluid.Dist(), s.Support, s.swapped) }
-
-// Live returns the grid with its distributions in the natural phase and
-// every record fresh: Canonical, then Refresh, which then reads each
-// node's own slots. Call it between steps only.
-func (s *Solver) Live() *grid.Grid {
-	s.Canonical()
-	s.Refresh()
-	return s.Fluid
-}
-
-// Canonical returns the grid with its distributions in the natural
-// phase, canonicalizing the array in place if a step left it swapped,
-// and its records as the last step left them, stale ones included: what
-// a reader of the distributions alone needs. Call it between steps only.
-func (s *Solver) Canonical() *grid.Grid {
-	if s.swapped {
-		core.Canonicalize(s.Stream, s.Fluid.Dist())
-		s.swapped = false
-	}
-	return s.Fluid
-}

@@ -50,8 +50,8 @@ func TestThreadsClampedToPlanes(t *testing.T) {
 		Threads: 64, // NX is 16
 	})
 	defer s.Close()
-	if s.Threads != 16 {
-		t.Fatalf("Threads = %d, want 16 (clamped to the x-plane count)", s.Threads)
+	if s.Threads() != 16 {
+		t.Fatalf("Threads = %d, want 16 (clamped to the x-plane count)", s.Threads())
 	}
 	s.Run(2)
 }

@@ -35,22 +35,14 @@ func WriteSheetCSV(w io.Writer, s *fiber.Sheet) error {
 	return bw.Flush()
 }
 
-// Fluid is the fluid state the fluid writers read: node (x, y, z)'s
-// record is Macros()[Idx(x, y, z)], whose Vel and Rho they print. A
-// *grid.Grid and every engine's live layout are one; the writers read no
-// distributions, so the phase an in-place engine left its array in does
-// not matter.
-type Fluid interface {
-	grid.Indexed
-	Macros() []grid.Macro
-}
-
 // appendG appends v as fmt's %g verb prints a float64.
 func appendG(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
 
 // WriteFluidSliceCSV writes the velocity field of the x = plane slice as
-// CSV rows: y, z, ux, uy, uz, rho.
-func WriteFluidSliceCSV(w io.Writer, f Fluid, plane int) error {
+// CSV rows: y, z, ux, uy, uz, rho. The fluid writers read each node's
+// record, whatever f's block extent; they read no distributions, so the
+// phase an in-place engine left its array in does not matter.
+func WriteFluidSliceCSV(w io.Writer, f *grid.Grid, plane int) error {
 	nx, ny, nz := f.Dims()
 	if plane < 0 || plane >= nx {
 		return fmt.Errorf("output: plane %d outside grid of %d x-planes", plane, nx)
@@ -107,7 +99,7 @@ func WriteSheetVTK(w io.Writer, s *fiber.Sheet) error {
 
 // WriteFluidVTK writes the full fluid velocity/density fields as a legacy
 // VTK structured-points dataset. Numbers print as fmt's %g does.
-func WriteFluidVTK(w io.Writer, f Fluid) error {
+func WriteFluidVTK(w io.Writer, f *grid.Grid) error {
 	nx, ny, nz := f.Dims()
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, "# vtk DataFile Version 3.0")

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"lbmib/internal/core"
-	"lbmib/internal/cube"
 	"lbmib/internal/cubesolver"
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
@@ -163,7 +162,7 @@ func TestSkewSelfTest(t *testing.T) {
 	// Calibrate: what spreading a node into the slow thread's box costs
 	// over skipping it, as every other thread does, the least of a few
 	// passes of a probe sheet over a layout of the solver's shape.
-	l, err := cube.NewLayout(n, n, n, k)
+	l, err := grid.NewBlocked(n, n, n, [3]int{k, k, k})
 	if err != nil {
 		t.Fatal(err)
 	}

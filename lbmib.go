@@ -240,36 +240,38 @@ type Config struct {
 }
 
 // engine is what each solver implementation provides to the facade. The
-// stepping methods are the solver's own (each adapter embeds its solver)
-// and the in-place accessors come from its fluid layout (onLayout), so
-// an adapter states only what differs per engine: how it presents its
-// live layout, what loading state into it must re-establish, and close. Instrumentation is
-// not the adapters' business: every solver embeds the core.Problem whose
-// Probe field New attaches the sinks to.
+// stepping methods are the solver's own (each adapter embeds its solver
+// or its schedule) and the in-place accessors come from its grid
+// (onLayout), so an adapter states only what differs per engine: how it
+// presents its live grid, what loading state into it must re-establish,
+// and close. There are two: the sequential engine's and the one over
+// core.InPlace, which every parallel engine's state is. Instrumentation
+// is not the adapters' business: every solver embeds the core.Problem
+// whose Probe field New attaches the sinks to.
 type engine interface {
 	Step()
 	Run(n int)
 	StepCount() int
-	// live returns the fluid layout the engine steps with its
+	// live returns the fluid grid the engine steps with its
 	// distributions in the natural phase, canonicalizing them in place
 	// if the engine streams in place and the last step left them swapped
 	// (core.AABlock), and every record fresh — the one source of every
 	// snapshot, checkpoint and fluid output, and the one target of
 	// Restore. Between steps only.
-	live() core.Layout
-	// mass returns the summed distribution mass of live's layout, in
+	live() *grid.Grid
+	// mass returns the summed distribution mass of live's grid, in
 	// storage order, without refreshing a record: it canonicalizes only.
 	// Between steps only.
 	mass() float64
 	// loaded re-establishes the engine's invariants after Restore has
-	// overwritten the live layout's distributions, ρ, u and force.
+	// overwritten the live grid's distributions, ρ, u and force.
 	loaded()
 	close()
 
 	velocityAt(x, y, z int) [3]float64
 	densityAt(x, y, z int) float64
 	maxVelocity() float64
-	// Digest fills the per-tile physics digest of live's layout and
+	// Digest fills the per-tile physics digest of live's grid and
 	// leaves the engine as live leaves it: an in-place engine
 	// canonicalizes its array and refreshes its stale records as it
 	// digests, both on its worker team (grid.DigestGrid.Begin), so every
@@ -399,6 +401,8 @@ func New(cfg Config) (*Simulation, error) {
 	// cube size; the effective values are stored back so Config(), the
 	// run-spec and the telemetry profiles describe the team and layout
 	// that actually run.
+	var st *core.InPlace // the parallel engines' state
+	var sched schedule
 	switch cfg.Solver {
 	case Sequential:
 		cs, err := core.NewSolver(coreCfg)
@@ -412,24 +416,26 @@ func New(cfg Config) (*Simulation, error) {
 		if err != nil {
 			return nil, err
 		}
-		sim.cfg.Threads = os.Threads
-		sim.eng, sim.problem = &ompEngine{os, onLayout{os.Fluid, os.Refresh}}, &os.Problem
+		sched, st = os, os.InPlace
 	case CubeBased:
 		cs, err := cubesolver.NewSolver(cubesolver.Config{Config: coreCfg, CubeSize: cfg.CubeSize, Threads: cfg.Threads})
 		if err != nil {
 			return nil, err
 		}
-		sim.cfg.Threads, sim.cfg.CubeSize = cs.Threads(), cs.Fluid.K
-		sim.eng, sim.problem = &cubeEngine{cs, onLayout{cs.Fluid, cs.Refresh}}, &cs.Problem
+		sched, st = cs, cs.InPlace
+		sim.cfg.CubeSize = cs.Fluid.BlockExtent()[0]
 	case Fused:
 		fs, err := fused.NewSolver(fused.Config{Config: coreCfg, Threads: cfg.Threads})
 		if err != nil {
 			return nil, err
 		}
-		sim.cfg.Threads = fs.Threads
-		sim.eng, sim.problem = &fusedEngine{ompEngine{fs.Solver, onLayout{fs.Fluid, fs.Refresh}}, fs}, &fs.Problem
+		sched, st = fs, fs.InPlace
 	default:
 		return nil, fmt.Errorf("lbmib: unknown solver kind %d", cfg.Solver)
+	}
+	if st != nil {
+		sim.cfg.Threads = st.Threads()
+		sim.eng, sim.problem = &inPlaceEngine{sched, st, onLayout{st.Fluid, st.Refresh}}, &st.Problem
 	}
 	sinks, err := sim.initTelemetry()
 	if err != nil {
@@ -451,11 +457,12 @@ func (s *Simulation) initTelemetry() (core.Probes, error) {
 	cfg := s.cfg
 	var sinks core.Probes
 	if cfg.Watchdog != nil || cfg.LogWriter != nil || cfg.FlightRec != nil {
-		// Digest tiles are the engine's cubes where it has them, so a
-		// localized violation names a cube the engine owns.
+		// Digest tiles are the grid's blocks where they are cubes, so a
+		// localized violation names a cube the engine owns; x-planes are
+		// digested in 4³ tiles.
 		k := 4
-		if cfg.Solver == CubeBased {
-			k = cfg.CubeSize
+		if e := s.eng.live().BlockExtent(); e != [3]int{1, cfg.NY, cfg.NZ} {
+			k = e[0]
 		}
 		d, err := grid.NewDigestGrid(cfg.NX, cfg.NY, cfg.NZ, k)
 		if err != nil {
@@ -945,30 +952,29 @@ func (s *Simulation) WriteFluidSliceCSV(w io.Writer, plane int) error {
 
 // --- engine adapters ---
 
-// onLayout answers the in-place accessors from the engine's fluid
-// container through the block-layout contract: the records, which no
-// phase reorders. An in-place engine may leave records stale between
-// steps (core.Support); refresh, nil on the sequential engine, brings
-// them up to date first.
+// onLayout answers the in-place accessors from the engine's grid: the
+// records, which no phase reorders. An in-place engine may leave records
+// stale between steps (core.Support); refresh, nil on the sequential
+// engine, brings them up to date first.
 type onLayout struct {
-	l       core.Layout
+	l       *grid.Grid
 	refresh func()
 }
 
-func (o onLayout) records() []grid.Macro {
+func (o onLayout) fresh() *grid.Grid {
 	if o.refresh != nil {
 		o.refresh()
 	}
-	return o.l.Macros()
+	return o.l
 }
 
 func (o onLayout) macro(x, y, z int) *grid.Macro {
-	x, y, z = o.l.Wrap(x, y, z)
-	return &o.records()[o.l.Idx(x, y, z)]
+	g := o.fresh()
+	return g.At(g.Wrap(x, y, z))
 }
 func (o onLayout) velocityAt(x, y, z int) [3]float64 { return o.macro(x, y, z).Vel }
 func (o onLayout) densityAt(x, y, z int) float64     { return o.macro(x, y, z).Rho }
-func (o onLayout) maxVelocity() float64              { return grid.MaxVelocity(o.records()) }
+func (o onLayout) maxVelocity() float64              { return o.fresh().MaxVelocity() }
 
 // seqEngine's grid is always natural: the sequential engine streams into
 // a second array and copies it back.
@@ -977,7 +983,7 @@ type seqEngine struct {
 	onLayout
 }
 
-func (e *seqEngine) live() core.Layout               { return e.Fluid }
+func (e *seqEngine) live() *grid.Grid                { return e.Fluid }
 func (e *seqEngine) mass() float64                   { return e.Fluid.TotalMass() }
 func (e *seqEngine) Digest(d *grid.DigestGrid) error { return e.Fluid.Digest(d) }
 func (e *seqEngine) close()                          {}
@@ -985,46 +991,21 @@ func (e *seqEngine) close()                          {}
 // loaded has nothing to re-establish: kernel 4 resets the force itself.
 func (e *seqEngine) loaded() {}
 
-type ompEngine struct {
-	*omp.Solver
+// schedule is how a parallel engine steps its core.InPlace state.
+type schedule interface {
+	Step()
+	Run(n int)
+}
+
+// inPlaceEngine is every parallel engine — OpenMP, CubeBased and Fused:
+// the stepping is its schedule's, everything else its state's.
+type inPlaceEngine struct {
+	schedule
+	*core.InPlace
 	onLayout
 }
 
-func (e *ompEngine) live() core.Layout { return e.Live() }
-func (e *ompEngine) mass() float64     { return e.Canonical().TotalMass() }
-func (e *ompEngine) close()            { e.Close() }
-
-// loaded re-establishes the between-steps invariant Force == BodyForce
-// that SpreadForce relies on — a checkpoint may carry another engine's
-// end-of-step force state, which is dead state for every engine — and
-// counts every loaded record as fresh.
-func (e *ompEngine) loaded() {
-	core.SeedForce(e.Fluid.Macros(), e.BodyForce)
-	e.Support.Loaded()
-}
-
-type cubeEngine struct {
-	*cubesolver.Solver
-	onLayout
-}
-
-func (e *cubeEngine) live() core.Layout { return e.Live() }
-func (e *cubeEngine) mass() float64     { return e.Canonical().TotalMass() }
-func (e *cubeEngine) close()            { e.Close() }
-
-// loaded: see ompEngine.loaded.
-func (e *cubeEngine) loaded() {
-	core.SeedForce(e.Fluid.Macros(), e.BodyForce)
-	e.Support.Loaded()
-}
-
-// fusedEngine is ompEngine stepping by the fused sweep: the sweep flips
-// the embedded omp solver's phase bit, so every other method reads the
-// same state omp's would.
-type fusedEngine struct {
-	ompEngine
-	fs *fused.Solver
-}
-
-func (e *fusedEngine) Step()     { e.fs.Step() }
-func (e *fusedEngine) Run(n int) { e.fs.Run(n) }
+func (e *inPlaceEngine) live() *grid.Grid { return e.Live() }
+func (e *inPlaceEngine) mass() float64    { return e.Canonical().TotalMass() }
+func (e *inPlaceEngine) loaded()          { e.Loaded() }
+func (e *inPlaceEngine) close()           { e.Close() }

@@ -53,7 +53,7 @@ test -z "$(gofmt -l .)"
 # compiler's own report must name no line of kernel.go, in lattice
 # itself or where core and fused inline its functions.
 # (2) No engine composes a collision out of the oracle functions:
-# outside tests, only initialisation (grid, cube) names them.
+# outside tests, only initialisation (grid) names them.
 if go build -gcflags='-d=ssa/check_bce/debug=1' ./internal/lattice/ ./internal/core/ ./internal/fused/ 2>&1 | grep 'kernel\.go'; then
 	echo "bounds check in the unrolled node kernel (internal/lattice/kernel.go)" >&2
 	exit 1
@@ -116,15 +116,25 @@ if grep -rn '\.AddForce(\|\.VelocityAt(\|) AddForce(\|) VelocityAt(' --include='
 	exit 1
 fi
 
-# One storage, split. Every engine steps a layout's distribution array
-# and its 56 B ρ/u/F records (core.Layout); the
+# One storage, split. Every engine steps a grid's distribution array
+# and its 56 B ρ/u/F records (grid.Grid); the
 # paper's 360 B node record, grid.Node, is the snapshot type only and must
 # not creep back onto a step path: no non-test file of core or of an
 # engine names it.
 if grep -rn 'grid\.Node\b' --include='*.go' \
 	internal/core internal/omp internal/cubesolver internal/fused |
 	grep -v '_test\.go:'; then
-	echo "an engine names grid.Node; step the layout's split arrays (core.Layout)" >&2
+	echo "an engine names grid.Node; step the grid's split arrays (grid.Grid)" >&2
+	exit 1
+fi
+
+# One fluid container. The slab and the cube layout are one type,
+# grid.Grid, whose block extent is a parameter (grid.NewBlocked);
+# internal/cube only keeps the names the benchmark harness compiles
+# against, and no other non-test file may import it again.
+if grep -rln '"lbmib/internal/cube"' --include='*.go' . | grep -v '_test\.go$' |
+	grep -v '^\./bench/\|^\./internal/cube/'; then
+	echo "a non-test file outside bench/ imports internal/cube; use grid.NewBlocked" >&2
 	exit 1
 fi
 
@@ -219,7 +229,8 @@ rm -f "$WDLOG"
 
 # Per-body benchmark smoke: BenchmarkInPlaceBodies times each stream body
 # of internal/core by itself (in-place bodies in each phase,
-# Canonicalize, the sequential push) on the slab grid and on k = 8 cubes.
+# Canonicalize, the sequential push) on four block extents of one domain:
+# the slab grid, k = 8 cubes and the pencils 8×8×32 and 4×64×32.
 # One pass per case keeps it compiling and executing; its figures are
 # not judged here.
 go test -run '^$' -bench InPlaceBodies -benchtime 1x ./internal/core

@@ -93,7 +93,7 @@ var staleProblems = []struct {
 // checkpoint and stepped on, whose records the restore loaded fresh.
 // Sequential's force field after a step holds the step's spread force,
 // which the in-place engines reset to the body force; it is dead state
-// (ompEngine.loaded), so the reference's is reset too before reading.
+// (core.InPlace.Loaded), so the reference's is reset too before reading.
 func TestStaleRecordConsumers(t *testing.T) {
 	reference := func(cfg Config, steps []int) *Simulation {
 		cfg.Solver, cfg.Threads = Sequential, 1
@@ -228,15 +228,7 @@ func TestDigestRefreshesStaleRecords(t *testing.T) {
 // value of the engine's array as the last step left it, in its phase,
 // without refreshing or canonicalizing anything.
 func seedNaN(s *Simulation) {
-	var l core.Layout
-	switch e := s.eng.(type) {
-	case *ompEngine:
-		l = e.Fluid
-	case *cubeEngine:
-		l = e.Fluid
-	case *fusedEngine:
-		l = e.Fluid
-	}
+	l := s.eng.(*inPlaceEngine).Fluid
 	l.Dist()[200][5] = math.NaN()
 	l.Macros()[3000].Vel[1] = math.NaN()
 }
@@ -244,18 +236,11 @@ func seedNaN(s *Simulation) {
 // stale counts the blocks whose records the engine's next collide would
 // fold: the blocks outside its fresh set.
 func stale(t *testing.T, s *Simulation) int {
-	var sup *core.Support
-	switch e := s.eng.(type) {
-	case *ompEngine:
-		sup = e.Support
-	case *cubeEngine:
-		sup = e.Support
-	case *fusedEngine:
-		sup = e.Support
-	default:
-		t.Fatalf("engine %T streams in place? no record can go stale", e)
+	e, ok := s.eng.(*inPlaceEngine)
+	if !ok {
+		t.Fatalf("engine %T streams in place? no record can go stale", s.eng)
 	}
-	fresh, _ := sup.Sets(0)
+	fresh, _ := e.Support.Sets(0)
 	n := 0
 	for _, f := range fresh {
 		if !f {
@@ -319,7 +304,7 @@ func TestTotalMassLeavesRecordsStale(t *testing.T) {
 						if after := stale(t, sims[0]); after != before {
 							t.Errorf("TotalMass refreshed records: %d stale before, %d after", before, after)
 						}
-						if live := grid.TotalMass(sims[1].eng.live().Dist()); math.Float64bits(got) != math.Float64bits(live) {
+						if live := sims[1].eng.live().TotalMass(); math.Float64bits(got) != math.Float64bits(live) {
 							t.Errorf("TotalMass %#x (%.17g), the sum over Live's layout %#x (%.17g)",
 								math.Float64bits(got), got, math.Float64bits(live), live)
 						}
