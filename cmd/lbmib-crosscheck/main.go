@@ -1,10 +1,9 @@
 // Command lbmib-crosscheck is the CLI face of the cross-engine
 // differential checker (internal/crosscheck). It generates seeded
 // randomized configurations, executes each on every applicable engine
-// (sequential, omp, the fused single-sweep engine and — on
-// cube-divisible grids — cube), holds every engine to the sequential
-// reference bit for bit, and applies the physics, metamorphic and
-// checkpoint round-trip oracles.
+// (sequential, omp and — on cube-divisible grids — cube), holds every
+// engine to the sequential reference bit for bit, and applies the
+// physics, metamorphic and checkpoint round-trip oracles.
 //
 // One JSON verdict is printed per case. On the first divergence the
 // tool prints the failure, a greedily minimized reproducer, and exits

@@ -36,7 +36,7 @@ func main() {
 	}
 
 	var (
-		solverName = flag.String("solver", "seq", "engine: seq, omp, cube or fused")
+		solverName = flag.String("solver", "seq", "engine: seq, omp or cube")
 		nx         = flag.Int("nx", 32, "fluid nodes along x")
 		ny         = flag.Int("ny", 32, "fluid nodes along y")
 		nz         = flag.Int("nz", 32, "fluid nodes along z")

@@ -28,7 +28,6 @@ func TestCouetteLinearProfile(t *testing.T) {
 		{Sequential, 1e-12, 1e-9},
 		{OpenMP, 1e-12, 1e-9},
 		{CubeBased, 1e-12, 1e-9},
-		{Fused, 1e-12, 1e-9},
 	}
 	for _, tc := range cases {
 		sim, err := New(Config{

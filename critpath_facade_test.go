@@ -123,66 +123,6 @@ func TestCritPathCubeEngine(t *testing.T) {
 	}
 }
 
-// TestCritPathFusedContention pins the fused engine's coverage: the
-// sweep's two barrier sites feed the wait rollup, so BarrierWaitShare is
-// live, and the gauges carry the engine label.
-func TestCritPathFusedContention(t *testing.T) {
-	const wantEng = "fused"
-	t.Run("float64", func(t *testing.T) {
-		reg := telemetry.NewRegistry()
-		sim, err := New(Config{
-			NX: 16, NY: 16, NZ: 16, Tau: 0.7,
-			BodyForce: [3]float64{1e-5, 0, 0},
-			Sheet:     telemetrySheet(),
-			Solver:    Fused, Threads: 4,
-			Telemetry: reg,
-			CritPath:  true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sim.Close()
-		sim.Run(3)
-
-		r, ok := sim.CritPathReport()
-		if !ok || r.Engine != wantEng {
-			t.Fatalf("critpath report ok=%v engine=%q, want %q", ok, r.Engine, wantEng)
-		}
-		if r.BarrierWaitShare <= 0 || r.BarrierWaitShare >= 1 {
-			t.Errorf("fused barrier-wait share = %v, want in (0, 1)", r.BarrierWaitShare)
-		}
-		if r.ImbalanceRatio < 1 {
-			t.Errorf("fused imbalance ratio = %v, want ≥ 1", r.ImbalanceRatio)
-		}
-		crossed := 0
-		for _, sr := range r.Sites {
-			if sr.Crossings > 0 {
-				crossed++
-				if sr.Site != "after_stream" && sr.Site != "end_of_step" {
-					t.Errorf("unexpected fused site %q crossed %d times", sr.Site, sr.Crossings)
-				}
-			}
-		}
-		if crossed != 2 {
-			t.Errorf("%d fused sites crossed, want 2 (mid-sweep and end-of-sweep joins)", crossed)
-		}
-
-		var buf bytes.Buffer
-		if err := reg.WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		text := buf.String()
-		for _, want := range []string{
-			`lbmib_load_imbalance_ratio{engine="` + wantEng + `",phase="total"}`,
-			`lbmib_barrier_wait_seconds{engine="` + wantEng + `",site="after_stream",thread="0"}`,
-		} {
-			if !strings.Contains(text, want) {
-				t.Errorf("exposition missing %s", want)
-			}
-		}
-	})
-}
-
 // TestCritPathOmpRegions checks the loop-parallel engine reports its
 // parallel regions as critpath sites while keeping the OmpP-style
 // rollup intact (one profile answers both from the region events).

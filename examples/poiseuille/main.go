@@ -37,7 +37,6 @@ func main() {
 		{lbmib.Sequential, 9, 0},
 		{lbmib.OpenMP, 9, 0},
 		{lbmib.CubeBased, 8, 4},
-		{lbmib.Fused, 9, 0},
 	} {
 		worst, err := run(c)
 		if err != nil {

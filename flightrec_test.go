@@ -300,6 +300,39 @@ func TestConfigFromRunSpecRejectsFloat32(t *testing.T) {
 	}
 }
 
+// A bundle recorded on the retired fused engine names it in run.solver.
+// Rebuilding its Config replays it on OpenMP, whose one slab pass
+// computed the same bits: the rebuilt simulation follows OpenMP's
+// trajectory bit for bit.
+func TestConfigFromRunSpecReplaysFusedOnOpenMP(t *testing.T) {
+	ompSim, err := New(sampledConfig(sampledEngine{kind: OpenMP}, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ompSim.Close()
+	spec := ompSim.runSpec()
+	spec.Solver = "fused"
+	cfg, err := ConfigFromRunSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replay.Close()
+	if got := replay.Config().Solver; got != OpenMP {
+		t.Fatalf("solver %q rebuilt as %v, want %v", spec.Solver, got, OpenMP)
+	}
+	for _, steps := range []int{3, 1} { // 3 and 4 steps: both phases of the array
+		ompSim.Run(steps)
+		replay.Run(steps)
+		if got, want := stateHash(t, replay), stateHash(t, ompSim); got != want {
+			t.Fatalf("after %d steps: replay %s, OpenMP %s", replay.StepCount(), got, want)
+		}
+	}
+}
+
 // TestFlightRecorderRingSpeaksStepCount pins the step numbering every
 // sink shares: an engine stamps events with its own 0-based step index,
 // the driver records aggregates under Simulation.StepCount(), and the
@@ -307,7 +340,7 @@ func TestConfigFromRunSpecRejectsFloat32(t *testing.T) {
 // Restore. At the parent of this test the ring paired step n's wall time
 // with step n+1's timings: a phantom step-0 record, and an empty last one.
 func TestFlightRecorderRingSpeaksStepCount(t *testing.T) {
-	for _, kind := range []SolverKind{Sequential, OpenMP, CubeBased, Fused} {
+	for _, kind := range []SolverKind{Sequential, OpenMP, CubeBased} {
 		for _, restoredAt := range []int{0, 3} {
 			t.Run(fmt.Sprintf("%v/from%d", kind, restoredAt), func(t *testing.T) {
 				const threads, steps = 2, 3

@@ -115,14 +115,12 @@ func loadModule(t *testing.T) (*Program, []*Package) {
 
 // TestImportDirection pins which way the event contract points: the
 // sinks depend (transitively) on the vocabulary in internal/core and on
-// no engine, and fused — which may build on omp, whose solver it embeds
-// — takes no names from cubesolver.
+// no engine.
 func TestImportDirection(t *testing.T) {
 	p := sharedProgram(t)
-	engines := []string{"cubesolver", "omp", "fused"}
+	engines := []string{"cubesolver", "omp"}
 	for from, banned := range map[string][]string{
 		"telemetry": engines, "flightrec": engines, "perfmon": engines,
-		"fused": {"cubesolver"},
 	} {
 		pkg, err := p.LoadDir(filepath.Join("..", from))
 		if err != nil {

@@ -10,8 +10,7 @@ import (
 // InPlace is the state of an engine that streams one distribution array
 // in place (AABlock): the problem, the grid and its stream geometry, the
 // array's phase bit, the records' Support and the worker team. The
-// OpenMP-style engine (internal/omp, and internal/fused through it) and
-// the cube engine (internal/cubesolver) embed it; they differ only in
+// OpenMP-style engine (internal/omp) and the cube engine (internal/cubesolver) embed it; they differ only in
 // their schedules — which worker runs which body over which blocks — and
 // in the block extent of their grids, x-planes or k³ cubes. What reads
 // the state between steps is written once, here: Live, Canonical and

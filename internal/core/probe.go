@@ -3,13 +3,13 @@ package core
 import "time"
 
 // Phase identifies one of the five loop nests of Algorithm 4 — the
-// per-thread segment vocabulary of the cube and fused engines (the
-// sequential and loop-parallel engines report Kernels).
+// per-thread segment vocabulary of the cube engine (the sequential and
+// loop-parallel engines report Kernels).
 type Phase int
 
 // The five loop nests of Algorithm 4.
 const (
-	PhaseFibersForce    Phase = iota + 1 // 1st loop: fiber forces (kernels 1–3 on the cube engine, 1–4 on fused)
+	PhaseFibersForce    Phase = iota + 1 // 1st loop: fiber forces (kernels 1–3)
 	PhaseCollideStream                   // 2nd loop: kernels 5–6 on owned cubes (the cube engine spreads, kernel 4, first)
 	PhaseUpdateVelocity                  // 3rd loop: kernel 7 on owned cubes
 	PhaseMoveFibers                      // 4th loop: kernel 8 on owned fibers
@@ -33,8 +33,7 @@ func (p Phase) String() string {
 
 // BarrierSite identifies one of the global-barrier call sites of
 // Algorithm 4's time step, so barrier-wait attribution can say not just
-// *that* a thread waited but *which* dependency it waited on. The fused
-// engine reports its two sweep barriers under the same names.
+// *that* a thread waited but *which* dependency it waited on.
 type BarrierSite int
 
 const (
@@ -45,13 +44,12 @@ const (
 	// are kept so recorded bundles and profiles still read.
 	SiteAfterSpread BarrierSite = iota
 	// SiteAfterStream orders streaming before the velocity update (the
-	// paper's 1st barrier; the fused sweep's mid-sweep wavefront join).
+	// paper's 1st barrier).
 	SiteAfterStream
 	// SiteAfterVelocity orders the velocity update before fiber movement
 	// (the paper's 2nd barrier).
 	SiteAfterVelocity
-	// SiteEndOfStep is the end-of-step barrier (the paper's 3rd; the
-	// fused sweep's end-of-sweep join).
+	// SiteEndOfStep is the end-of-step barrier (the paper's 3rd).
 	SiteEndOfStep
 	// NumBarrierSites bounds the site space for fixed-size accumulators.
 	NumBarrierSites
@@ -95,8 +93,8 @@ const (
 	// kernel may have several regions). Busy is the engine's buffer,
 	// reused by the next region: read it, do not keep it.
 	RegionDone
-	// PhaseDone: thread Tid spent D in loop nest Phase (cube and fused
-	// engines: once per thread that ran the phase). A schedule may
+	// PhaseDone: thread Tid spent D in loop nest Phase (cube engine:
+	// once per thread that ran the phase). A schedule may
 	// report a phase in several slices per step and thread; consumers
 	// sum them.
 	PhaseDone

@@ -120,7 +120,7 @@ func someCount[K comparable](m map[K]int, want int) bool {
 // the cube engine only on shapes it accepts, and the same set with or
 // without an immersed structure.
 func TestEnginesPinned(t *testing.T) {
-	slab := []Engine{EngineSequential, EngineOMP, EngineFused}
+	slab := []Engine{EngineSequential, EngineOMP}
 	cubes := append(append([]Engine(nil), slab...), EngineCube)
 	sheet := []*lbmib.SheetConfig{{NumFibers: 4, NodesPerFiber: 4, Width: 3, Height: 3}}
 	for _, tc := range []struct {

@@ -10,8 +10,8 @@
 // boundary combinations, moving lids, and zero-, one- and multi-sheet
 // immersed structures, every fifth seed a dense pile of overlapping
 // sheets. A Runner executes the same configuration on every
-// applicable engine — sequential, omp, the fused single-sweep engine
-// and, on cube-divisible grids, cube — and holds every one to the
+// applicable engine — sequential, omp and, on cube-divisible grids,
+// cube — and holds every one to the
 // sequential reference bit for bit, at any thread count; it checks
 // physics invariants every few steps (finite fields, mass conservation,
 // fiber arclength bounds, driven-momentum sign), runs metamorphic

@@ -21,7 +21,6 @@ const (
 	EngineSequential Engine = "sequential"
 	EngineOMP        Engine = "omp"
 	EngineCube       Engine = "cube"
-	EngineFused      Engine = "fused"
 )
 
 // Engines returns the engines applicable to the case. The cube engine
@@ -29,7 +28,7 @@ const (
 // indivisible shapes the Runner instead asserts that it rejects the
 // configuration.
 func Engines(c Case) []Engine {
-	es := []Engine{EngineSequential, EngineOMP, EngineFused}
+	es := []Engine{EngineSequential, EngineOMP}
 	if CubeDivisible(c) {
 		es = append(es, EngineCube)
 	}
@@ -48,7 +47,6 @@ func Deterministic(e Engine, c Case) bool { return true }
 // EngineReport is the per-engine verdict of one case.
 type EngineReport struct {
 	Engine   string   `json:"engine"`
-	Bitwise  bool     `json:"bitwise"`            // contract applied: always bitwise
 	MaxAbs   float64  `json:"max_abs_diff"`       // vs the sequential reference
 	Failures []string `json:"failures,omitempty"` // empty means the engine passed
 	Bundle   string   `json:"bundle,omitempty"`   // post-mortem bundle dir, when recorded
@@ -119,8 +117,6 @@ func solverKind(e Engine) lbmib.SolverKind {
 		return lbmib.OpenMP
 	case EngineCube:
 		return lbmib.CubeBased
-	case EngineFused:
-		return lbmib.Fused
 	default:
 		return lbmib.Sequential
 	}
@@ -185,7 +181,7 @@ func (r *Runner) Run(c Case) Result {
 		if e == EngineSequential {
 			continue
 		}
-		er := EngineReport{Engine: string(e), Bitwise: true}
+		er := EngineReport{Engine: string(e)}
 		eng, err := r.newEngine(c, e)
 		if err != nil {
 			er.Failures = append(er.Failures, fmt.Sprintf("constructor rejected valid config: %v", err))
@@ -290,19 +286,10 @@ func compareStates(a, b state) (float64, []string) {
 
 // roundTrips checkpoints a fresh run of the case mid-way, restores it,
 // finishes the run and demands the restored trajectory land on the
-// uninterrupted one bit for bit, on every engine. It exercises the
-// sequential engine, the cube engine (or omp when the shape is
-// indivisible), and the fused engine.
+// uninterrupted one bit for bit, on every engine the case applies to.
 func (r *Runner) roundTrips(c Case) []string {
-	engines := []Engine{EngineSequential}
-	if CubeDivisible(c) {
-		engines = append(engines, EngineCube)
-	} else {
-		engines = append(engines, EngineOMP)
-	}
-	engines = append(engines, EngineFused)
 	var fails []string
-	for _, e := range engines {
+	for _, e := range Engines(c) {
 		if msg := r.roundTrip(c, e); msg != "" {
 			fails = append(fails, msg)
 		}

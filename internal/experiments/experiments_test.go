@@ -252,7 +252,7 @@ func TestLoadImbalanceCapsTeamAtCores(t *testing.T) {
 	if r.cores != runtime.NumCPU() || r.Threads > r.cores || r.Threads < 1 {
 		t.Fatalf("cores=%d threads=%d on a %d-CPU host", r.cores, r.Threads, runtime.NumCPU())
 	}
-	want := []string{"omp", "cube", "fused"}
+	want := []string{"omp", "cube"}
 	if len(r.Rows) != len(want) {
 		t.Fatalf("%d rows, want %v", len(r.Rows), want)
 	}

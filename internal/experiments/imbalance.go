@@ -9,7 +9,6 @@ import (
 	"lbmib/internal/core"
 	"lbmib/internal/cubesolver"
 	"lbmib/internal/fiber"
-	"lbmib/internal/fused"
 	"lbmib/internal/omp"
 	"lbmib/internal/perfmon"
 	"lbmib/internal/telemetry"
@@ -117,10 +116,8 @@ func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error
 
 	// Every engine runs the same problem under one profile; which events
 	// reach it — parallel regions (omp) or loop nests and barrier sites
-	// (cube, fused) — is the engine's business. The fused sweep's two
-	// barrier sites feed the same wait attribution as the cube engine's
-	// four, so the comparison covers the memory-aware engine too.
-	for _, name := range []string{"omp", "cube", "fused"} {
+	// (cube) — is the engine's business.
+	for _, name := range []string{"omp", "cube"} {
 		cfg := core.Config{
 			NX: nx, NY: ny, NZ: nz, Tau: 0.7,
 			BodyForce: [3]float64{2e-5, 0, 0},
@@ -138,14 +135,9 @@ func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error
 			if s, err = omp.NewSolver(omp.Config{Config: cfg, Threads: threads}); err == nil {
 				problem, run, done = &s.Problem, s.Run, s.Close
 			}
-		case "cube":
+		default:
 			var s *cubesolver.Solver
 			if s, err = cubesolver.NewSolver(cubesolver.Config{Config: cfg, CubeSize: res.CubeSize, Threads: threads}); err == nil {
-				problem, run, done = &s.Problem, s.Run, s.Close
-			}
-		default:
-			var s *fused.Solver
-			if s, err = fused.NewSolver(fused.Config{Config: cfg, Threads: threads}); err == nil {
 				problem, run, done = &s.Problem, s.Run, s.Close
 			}
 		}

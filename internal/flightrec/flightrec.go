@@ -67,9 +67,9 @@ type Record struct {
 	WallSeconds float64 `json:"wallSeconds"`
 	MLUPS       float64 `json:"mlups,omitempty"`
 	// KernelSeconds[k-1] is kernel k's time (sequential/omp engines);
-	// PhaseSeconds[p-1] sums phase p over worker threads (cube and fused
-	// engines). Bundles written while the cluster engine existed also
-	// carry a clusterPhaseSeconds array; decoding ignores it.
+	// PhaseSeconds[p-1] sums phase p over worker threads (cube engine).
+	// Bundles written while the cluster engine existed also carry a
+	// clusterPhaseSeconds array; decoding ignores it.
 	KernelSeconds    [core.NumKernels]float64 `json:"kernelSeconds"`
 	PhaseSeconds     [core.NumPhases]float64  `json:"phaseSeconds"`
 	BarrierWaitShare float64                  `json:"barrierWaitShare,omitempty"`

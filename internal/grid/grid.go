@@ -10,7 +10,7 @@
 // The nodes are stored in equal blocks of one extent (bx, by, bz), one
 // block after another in x-major block order, z-fastest inside a block.
 // The block is the unit of ownership and locality: the x-plane slab
-// (1, NY, NZ) of the sequential, OpenMP-style and fused engines (New),
+// (1, NY, NZ) of the sequential and OpenMP-style engines (New),
 // whose order is plain x-major, and the k×k×k cubes of the paper's
 // cube-based algorithm (Section V), each cube's nodes one contiguous
 // block (NewBlocked). Every body reaches the nodes through the one

@@ -1,22 +1,22 @@
-package fused_test
+package omp_test
 
 import (
 	"math"
 	"testing"
 
 	"lbmib/internal/core"
-	"lbmib/internal/fused"
 	"lbmib/internal/lattice"
+	"lbmib/internal/omp"
 )
 
-// FuzzFusedStep drives the fused engine with arbitrary tiny
-// configurations — degenerate grid shapes, any boundary combination,
-// lid and body-force drivers, thread counts beyond
-// NX — and asserts five steps never panic and never produce a
-// non-finite field. Small boxes are where the wavefront's edge cases
-// live: single-plane chunks, chunks smaller than the two-plane lag,
-// wrap-around neighbors that are also the node itself.
-func FuzzFusedStep(f *testing.F) {
+// FuzzStep drives the omp engine with arbitrary tiny configurations —
+// degenerate grid shapes, any boundary combination, lid and body-force
+// drivers, thread counts beyond NX — and asserts five steps never panic
+// and never produce a non-finite field. Small boxes are where the
+// in-place stream's edge cases live: single-plane chunks whose writes
+// land in both neighbours' chunks, wrap-around neighbours that are also
+// the node itself.
+func FuzzStep(f *testing.F) {
 	f.Add(uint8(2), uint8(2), uint8(2), uint8(0), uint8(1), uint8(70))
 	f.Add(uint8(3), uint8(5), uint8(2), uint8(7), uint8(4), uint8(120))
 	f.Add(uint8(8), uint8(4), uint8(6), uint8(5), uint8(9), uint8(55))
@@ -28,7 +28,7 @@ func FuzzFusedStep(f *testing.F) {
 			}
 			return core.Periodic
 		}
-		cfg := fused.Config{
+		cfg := omp.Config{
 			Config: core.Config{
 				NX: dim(bx), NY: dim(by), NZ: dim(bz),
 				Tau: 0.55 + float64(tau100%100)*0.01, // 0.55..1.54
@@ -42,10 +42,11 @@ func FuzzFusedStep(f *testing.F) {
 		if bits&16 != 0 && cfg.BCZ == core.BounceBack {
 			cfg.LidVelocity = [3]float64{0.03, -0.01, 0}
 		}
-		s, err := fused.NewSolver(cfg)
+		s, err := omp.NewSolver(cfg)
 		if err != nil {
 			t.Fatalf("valid config rejected: %v", err)
 		}
+		defer s.Close()
 		s.Run(5)
 		g := s.Live()
 		df := g.Dist()

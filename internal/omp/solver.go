@@ -33,9 +33,7 @@
 // run over (core.InPlace: the grid, its phase bit, the records' support
 // and the team, with Live, Canonical, Refresh and Digest); this package
 // is the schedule — which thread runs the bodies over which slab or
-// fiber range. The fused engine (internal/fused) is layered on this
-// solver: it runs its own sweep on the same team (ParallelFor) and flips
-// the same phase bit (core.InPlace.FlipPhase).
+// fiber range.
 package omp
 
 import (
@@ -56,17 +54,15 @@ type Config struct {
 // slab grid: each kernel's whole-grid loop is a statically scheduled
 // parallel region (one contiguous chunk per thread — the paper's default,
 // which it reports as performing identically to dynamic). Its state is
-// core.InPlace's; kernel 5's region, or the sweep of an engine layered
-// on this solver, flips the phase bit. The blocks of the Support are
-// x-planes.
+// core.InPlace's; kernel 5's region flips the phase bit. The blocks of
+// the Support are x-planes.
 type Solver struct {
 	*core.InPlace
 
 	// Region timing, used only with a Probe attached. curKernel is the
-	// kernel Step is running (0 outside Step: an engine layered on this
-	// solver reports in its own vocabulary). busy and body are the running
-	// region's per-thread times and loop body; timed is timedChunk bound
-	// once, so timing a region allocates nothing.
+	// kernel Step is running; busy and body are the running region's
+	// per-thread times and loop body; timed is timedChunk bound once, so
+	// timing a region allocates nothing.
 	curKernel core.Kernel
 	busy      []time.Duration
 	body      func(tid, lo, hi int)
@@ -113,7 +109,7 @@ func MustNewSolver(cfg Config) *Solver {
 // region's wall time a thread spent waiting at that barrier.
 func (s *Solver) parallelFor(n int, body func(tid, lo, hi int)) {
 	probe := s.Probe
-	if probe == nil || s.curKernel == 0 {
+	if probe == nil {
 		s.Team.ForStatic(n, body)
 		return
 	}
@@ -132,20 +128,12 @@ func (s *Solver) timedChunk(tid, lo, hi int) {
 	s.busy[tid] = time.Since(t0)
 }
 
-// ParallelFor dispatches a loop of n iterations on the solver's worker
-// team — the seam for engines layered on this solver (internal/fused)
-// to run their own parallel regions on the same team the fiber kernels
-// use. Each thread receives exactly one contiguous chunk, the property
-// the fused sweep's wavefront relies on.
-func (s *Solver) ParallelFor(n int, body func(tid, lo, hi int)) { s.parallelFor(n, body) }
-
 // Step advances one time step by running the nine kernels as parallel
 // regions in Algorithm 1 order.
 func (s *Solver) Step() {
 	run := func(k core.Kernel, fn func()) {
 		s.curKernel = k
 		s.Timed(core.Event{Kind: core.KernelDone, Step: s.StepCount(), Kernel: k}, fn)
-		s.curKernel = 0
 	}
 	run(core.KComputeBendingForce, s.ComputeBendingForce)
 	run(core.KComputeStretchingForce, s.ComputeStretchingForce)

@@ -31,8 +31,7 @@ type Config struct {
 	// and site vocabulary: "omp" profiles the parallel regions of the nine
 	// kernels (each region's implicit join is its site); "" and
 	// "sequential" profile kernel events only; every other engine the
-	// Algorithm-4 phases and barrier sites ("fused" remaps end_of_step
-	// to the sweep's region B).
+	// Algorithm-4 phases and barrier sites.
 	Engine string
 	// Threads is the worker count; events from other tids are dropped.
 	Threads int
@@ -130,11 +129,6 @@ func NewProfile(cfg Config) *Profile {
 		for si := core.BarrierSite(0); si < core.NumBarrierSites; si++ {
 			p.siteNames = append(p.siteNames, si.String())
 			p.siteSeg = append(p.siteSeg, int(precedingPhase(si)))
-		}
-		if cfg.Engine == "fused" {
-			// The fused sweep's end-of-step barrier follows region B
-			// (reported as PhaseUpdateVelocity), not a copy loop.
-			p.siteSeg[core.SiteEndOfStep] = int(core.PhaseUpdateVelocity)
 		}
 	}
 	nsites, nsegs := len(p.siteNames), len(p.segNames)

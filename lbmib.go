@@ -12,23 +12,22 @@
 // interpolated fluid velocity (the nine kernels of the paper's
 // Algorithm 1).
 //
-// Four interchangeable engines implement the same physics:
+// Three interchangeable engines implement the same physics:
 //
 //   - Sequential — the reference implementation (paper Section III);
 //   - OpenMP — loop-level parallelism with a worker team and an implicit
 //     barrier per kernel (Section IV);
 //   - CubeBased — the paper's data-centric contribution: the fluid lives
 //     in contiguous k×k×k cubes owned by threads of a P×Q×R mesh, with a
-//     minimal number of global barriers per step (Section V);
-//   - Fused — the memory-aware engine: collide, stream, boundary
-//     handling and macroscopic update fused into one sweep that streams
-//     one distribution array in place, so each node is touched twice per
-//     step (internal/fused).
+//     minimal number of global barriers per step (Section V).
 //
-// The three parallel engines run their workers on one team type
-// (internal/par). The paper's future work, a task-scheduled cube engine
-// (Section VIII), is not among them: it was built, was fastest on no
-// problem this library measures, and was retired (DESIGN.md §17).
+// The two parallel engines stream one distribution array in place and run
+// their workers on one team type (internal/par); a fluid-only OpenMP step
+// is a single collide-and-stream pass over the fluid. Two more engines
+// were built and retired (DESIGN.md §17): the paper's future work, a
+// task-scheduled cube engine (Section VIII), and a fused single-sweep
+// engine; neither measured faster than the engine it duplicated on any
+// problem this library measures.
 //
 // Every engine produces the sequential reference's results bit for bit
 // at any thread count; the parallel ones differ only in speed and
@@ -49,7 +48,6 @@ import (
 	"lbmib/internal/cubesolver"
 	"lbmib/internal/fiber"
 	"lbmib/internal/flightrec"
-	"lbmib/internal/fused"
 	"lbmib/internal/grid"
 	"lbmib/internal/lattice"
 	"lbmib/internal/omp"
@@ -69,12 +67,15 @@ const (
 	OpenMP
 	// CubeBased is the cube-centric solver (Algorithm 4).
 	CubeBased
-	// Fused is the memory-aware engine: the four fluid kernels run as
-	// one sweep over the slab grid that streams one distribution array
-	// in place (the AA pattern, core.AABlock; internal/fused). Results
-	// are bitwise identical to OpenMP at any thread count.
-	Fused
 )
+
+// Fused is a deprecated alias of OpenMP. The fused single-sweep engine is
+// retired (DESIGN §17): OpenMP's fluid-only step is the same one pass
+// over the same slabs. The name exists only because the repo benchmark
+// (bench/) still compiles against it, and ROADMAP item 1(g) drops it.
+//
+// Deprecated: use OpenMP.
+const Fused = OpenMP
 
 // TaskScheduled is a deprecated alias of CubeBased. The task-scheduled
 // engine is retired (DESIGN §17); the name exists only because the
@@ -93,8 +94,6 @@ func (k SolverKind) String() string {
 		return "omp"
 	case CubeBased:
 		return "cube"
-	case Fused:
-		return "fused"
 	default:
 		return fmt.Sprintf("solver(%d)", int(k))
 	}
@@ -110,9 +109,11 @@ func ParseSolverKind(s string) (SolverKind, error) {
 	case "cube", "cubes", "cube-based":
 		return CubeBased, nil
 	case "fused":
-		return Fused, nil
+		// The retired fused engine's name, kept so that flight-recorder
+		// bundles recorded on it still replay: it computed OpenMP's bits.
+		return OpenMP, nil
 	default:
-		return 0, fmt.Errorf("lbmib: unknown solver %q (want seq, omp, cube or fused)", s)
+		return 0, fmt.Errorf("lbmib: unknown solver %q (want seq, omp or cube)", s)
 	}
 }
 
@@ -179,7 +180,7 @@ type Config struct {
 	// dimensions must be divisible by it.
 	CubeSize int
 	// Float32 is ignored: every engine stores its distributions in
-	// float64. The float32 storage of the Fused engine is retired
+	// float64. The float32 storage of the fused engine is retired
 	// (DESIGN §14); the field exists only because the repo benchmark
 	// (bench/) still sets it, and ROADMAP item 1(g) drops it.
 	//
@@ -424,12 +425,6 @@ func New(cfg Config) (*Simulation, error) {
 		}
 		sched, st = cs, cs.InPlace
 		sim.cfg.CubeSize = cs.Fluid.BlockExtent()[0]
-	case Fused:
-		fs, err := fused.NewSolver(fused.Config{Config: coreCfg, Threads: cfg.Threads})
-		if err != nil {
-			return nil, err
-		}
-		sched, st = fs, fs.InPlace
 	default:
 		return nil, fmt.Errorf("lbmib: unknown solver kind %d", cfg.Solver)
 	}
@@ -997,7 +992,7 @@ type schedule interface {
 	Run(n int)
 }
 
-// inPlaceEngine is every parallel engine — OpenMP, CubeBased and Fused:
+// inPlaceEngine is every parallel engine — OpenMP and CubeBased:
 // the stepping is its schedule's, everything else its state's.
 type inPlaceEngine struct {
 	schedule

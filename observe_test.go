@@ -30,7 +30,6 @@ var sampledEngines = []sampledEngine{
 	{"sequential", Sequential, 0},
 	{"omp", OpenMP, 19},
 	{"cube", CubeBased, 1},
-	{"fused", Fused, 15},
 }
 
 func sampledConfig(e sampledEngine, threads int) Config {

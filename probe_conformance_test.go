@@ -173,18 +173,6 @@ func checkProbeEvents(t *testing.T, engine string, events []core.Event, steps, t
 			if threads > 1 && fibers {
 				sites(core.SiteAfterSpread, core.SiteEndOfStep)
 			}
-		case "fused":
-			phase(0, core.PhaseFibersForce, 1) // the coordinator, as thread 0
-			phase(0, core.PhaseMoveFibers, 1)
-			for tid := 0; tid < threads; tid++ {
-				phase(tid, core.PhaseCollideStream, 1)
-				phase(tid, core.PhaseUpdateVelocity, 1)
-			}
-			// No mid-sweep barrier without fibers: the support is empty.
-			sites(core.SiteEndOfStep)
-			if fibers {
-				sites(core.SiteAfterStream)
-			}
 		default:
 			t.Fatalf("no row for engine %q", engine)
 		}

@@ -9,10 +9,8 @@
 # live in core; the race detector does not instrument assembly, so a
 # race build selects the Go bodies of the node kernel, the stencil, the
 # spread and the gather (internal/cpu), and every record and
-# distribution access kernels 4, 5 and 8 make is one it sees; the
-# fused engine's wavefront sweep overlaps in-place streaming and the
-# moments of neighbouring planes across one parallel region; all three parallel engines run
-# their workers on par's team; the perfmon profile — Table I/II
+# distribution access kernels 4, 5 and 8 make is one it sees; both
+# parallel engines run their workers on par's team; the perfmon profile — Table I/II
 # accumulators, step ring and crossing ring of the critical-path report
 # — is written from all workers; par's timed barrier wraps the team
 # barrier; the digest's pieces, which the engines' teams run
@@ -36,7 +34,7 @@
 # the engines' bitwise-vs-Sequential tests under the race detector below
 # fail when a barrier that orders something is removed or folded, which
 # is what makes a fold (cube's after_spread and end_of_step in fluid-only
-# runs, fused's probe-only end-of-sweep barrier) legal. The one static
+# runs) legal. The one static
 # check left, lockcheck, runs inside go test ./... (TestLintSelfHost).
 set -eux
 
@@ -51,15 +49,15 @@ test -z "$(gofmt -l .)"
 # kernel indexes a *[19]float64 with constants only; a bounds check the
 # compiler could not remove there is a silent 2x on every engine, so the
 # compiler's own report must name no line of kernel.go, in lattice
-# itself or where core and fused inline its functions.
+# itself or where core inlines its functions.
 # (2) No engine composes a collision out of the oracle functions:
 # outside tests, only initialisation (grid) names them.
-if go build -gcflags='-d=ssa/check_bce/debug=1' ./internal/lattice/ ./internal/core/ ./internal/fused/ 2>&1 | grep 'kernel\.go'; then
+if go build -gcflags='-d=ssa/check_bce/debug=1' ./internal/lattice/ ./internal/core/ 2>&1 | grep 'kernel\.go'; then
 	echo "bounds check in the unrolled node kernel (internal/lattice/kernel.go)" >&2
 	exit 1
 fi
 if grep -rn 'lattice\.\(Equilibrium\|GuoForce\)' --include='*.go' \
-	internal/core internal/fused internal/omp internal/cubesolver |
+	internal/core internal/omp internal/cubesolver |
 	grep -v '_test\.go:'; then
 	echo "an engine package restates the collision arithmetic; call lattice.Collide" >&2
 	exit 1
@@ -95,9 +93,9 @@ fi
 # lattice.Collide, in the same order as the moments pass, which is what
 # keeps the engines bitwise equal to Sequential. An engine that composed
 # the two itself could drift from that order: outside tests, no file of
-# omp, cubesolver or fused calls either.
+# omp or cubesolver calls either.
 if grep -rn 'lattice\.\(Moments\|Collide\)(' --include='*.go' \
-	internal/omp internal/cubesolver internal/fused |
+	internal/omp internal/cubesolver |
 	grep -v '_test\.go:'; then
 	echo "an engine calls the node kernel itself; fold through core.AABlock" >&2
 	exit 1
@@ -122,7 +120,7 @@ fi
 # not creep back onto a step path: no non-test file of core or of an
 # engine names it.
 if grep -rn 'grid\.Node\b' --include='*.go' \
-	internal/core internal/omp internal/cubesolver internal/fused |
+	internal/core internal/omp internal/cubesolver |
 	grep -v '_test\.go:'; then
 	echo "an engine names grid.Node; step the grid's split arrays (grid.Grid)" >&2
 	exit 1
@@ -150,11 +148,11 @@ if grep -rn '\.Resolve(' --include='*.go' . | grep -v '^\./internal/core/' |
 	exit 1
 fi
 
-go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/fused/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/grid/...
+go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/grid/...
 
-# Cross-engine differential smoke: 10 seeded cases on each of the four
-# engine modes (sequential, omp, fused and, on cube-divisible grids,
-# cube), every engine bitwise equal to the sequential reference.
+# Cross-engine differential smoke: 10 seeded cases on each of the three
+# engine modes (sequential, omp and, on cube-divisible grids, cube),
+# every engine bitwise equal to the sequential reference.
 go run ./cmd/lbmib-crosscheck -seeds 10
 
 # Example smoke: the three examples on the cube engine — quickstart,
@@ -172,9 +170,9 @@ EXDIR=$(mktemp -d)
 TMPDIR="$EXDIR" go run ./examples/movingsheet >/dev/null
 rm -rf "$EXDIR"
 
-# Fused-sweep fuzz smoke: arbitrary tiny configurations through five
-# fused steps must never panic or produce a non-finite field.
-go test -run '^$' -fuzz '^FuzzFusedStep$' -fuzztime 5s ./internal/fused/
+# In-place step fuzz smoke: arbitrary tiny configurations through five
+# omp steps must never panic or produce a non-finite field.
+go test -run '^$' -fuzz '^FuzzStep$' -fuzztime 5s ./internal/omp/
 
 # Checkpoint decoder fuzz smoke: arbitrary bytes must never panic.
 go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 10s .

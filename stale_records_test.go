@@ -85,7 +85,7 @@ var staleProblems = []struct {
 		Sheet: &SheetConfig{NumFibers: 10, NodesPerFiber: 10, Width: 7, Height: 7, Origin: [3]float64{5.5, 4.3, 3.7}, Ks: 0.05, Kb: 0.001}}},
 }
 
-// TestStaleRecordConsumers runs omp, cube and fused at one to three
+// TestStaleRecordConsumers runs omp and cube at one to three
 // threads for odd and even step counts (both phases of the in-place
 // array), fluid-only and with a sheet, and has every consumer of whole
 // records read the stale state first: it must read Sequential's bits.
@@ -120,7 +120,7 @@ func TestStaleRecordConsumers(t *testing.T) {
 				want[i] = c.read(t, ref)
 			}
 			ref.Close()
-			for _, kind := range []SolverKind{OpenMP, CubeBased, Fused} {
+			for _, kind := range []SolverKind{OpenMP, CubeBased} {
 				for threads := 1; threads <= 3; threads++ {
 					name := fmt.Sprintf("%s/%v/%s/%dt", p.name, steps, kind, threads)
 					t.Run(name, func(t *testing.T) {
@@ -157,8 +157,8 @@ func TestStaleRecordConsumers(t *testing.T) {
 // engines' teams, which canonicalizes a swapped array first and then
 // refreshes each piece's stale records in the loop that digests them,
 // against the serial digest (grid.DigestGrid.Fill) of the layout Live
-// returns — every field, tile masses included — on omp, cube and fused
-// at one to three threads, after odd and even step counts, fluid-only
+// returns — every field, tile masses included — on omp and cube at one
+// to three threads, after odd and even step counts, fluid-only
 // and with a sheet, and with a NaN seeded into a record and a
 // distribution between steps.
 func TestDigestRefreshesStaleRecords(t *testing.T) {
@@ -176,7 +176,7 @@ func TestDigestRefreshesStaleRecords(t *testing.T) {
 	engines := []struct {
 		name string
 		kind SolverKind
-	}{{"omp", OpenMP}, {"cube", CubeBased}, {"fused", Fused}}
+	}{{"omp", OpenMP}, {"cube", CubeBased}}
 	for _, p := range staleProblems {
 		for _, e := range engines {
 			for threads := 1; threads <= 3; threads++ {
@@ -250,8 +250,8 @@ func stale(t *testing.T, s *Simulation) int {
 	return n
 }
 
-// TestTotalMassLeavesRecordsStale holds TotalMass on a stale state — omp,
-// cube and fused at one to three threads, after odd and even step
+// TestTotalMassLeavesRecordsStale holds TotalMass on a stale state — omp
+// and cube at one to three threads, after odd and even step
 // counts, fluid-only and with a sheet — to the sum over
 // Live's layout, bit for bit, which is what it returned when it
 // refreshed every record first; and it must refresh none: a mass sum
@@ -268,7 +268,7 @@ func TestTotalMassLeavesRecordsStale(t *testing.T) {
 	engines := []struct {
 		name string
 		kind SolverKind
-	}{{"omp", OpenMP}, {"cube", CubeBased}, {"fused", Fused}}
+	}{{"omp", OpenMP}, {"cube", CubeBased}}
 	for _, p := range staleProblems {
 		for _, n := range []int{3, 4} {
 			ref := p.cfg

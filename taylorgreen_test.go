@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"lbmib/internal/core"
-	"lbmib/internal/fused"
 	"lbmib/internal/lattice"
 )
 
@@ -95,86 +94,6 @@ func TestTaylorGreenVortexDecay(t *testing.T) {
 	if math.Abs(gotRatio-wantRatio) > 0.03*wantRatio {
 		t.Fatalf("energy decay ratio %.5f, analytic %.5f", gotRatio, wantRatio)
 	}
-}
-
-// The same closed-form oracle for the fused engine: the sweep must hit
-// the sequential tolerances (it is bitwise equal to OpenMP).
-func TestTaylorGreenVortexDecayFused(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hundreds of steps")
-	}
-	const (
-		n   = 32
-		tau = 0.8
-		U   = 1e-3
-	)
-	nu := lattice.ViscosityFromTau(tau)
-	k := 2 * math.Pi / float64(n)
-
-	s := fused.MustNewSolver(fused.Config{
-		Config:  core.Config{NX: n, NY: n, NZ: 4, Tau: tau},
-		Threads: 4,
-	})
-	for x := 0; x < n; x++ {
-		for y := 0; y < n; y++ {
-			ux := U * math.Sin(k*float64(x)) * math.Cos(k*float64(y))
-			uy := -U * math.Cos(k*float64(x)) * math.Sin(k*float64(y))
-			for z := 0; z < 4; z++ {
-				nd := s.Fluid.At(x, y, z)
-				u := [3]float64{ux, uy, 0}
-				var geq [lattice.Q]float64
-				lattice.Equilibrium(1, u, &geq)
-				i := s.Fluid.Idx(x, y, z)
-				s.Fluid.Dist()[i] = geq
-				nd.Vel = u
-				nd.Rho = 1
-			}
-		}
-	}
-	s.Support.Loaded() // every record was just written
-
-	const steps = 300
-	s.Run(steps)
-	fluid := s.Live() // records refreshed, natural phase
-
-	decay := math.Exp(-2 * nu * k * k * float64(steps))
-	worst := 0.0
-	for x := 0; x < n; x++ {
-		for y := 0; y < n; y++ {
-			got := fluid.At(x, y, 1).Vel
-			wantX := U * math.Sin(k*float64(x)) * math.Cos(k*float64(y)) * decay
-			wantY := -U * math.Cos(k*float64(x)) * math.Sin(k*float64(y)) * decay
-			if e := math.Abs(got[0] - wantX); e > worst {
-				worst = e
-			}
-			if e := math.Abs(got[1] - wantY); e > worst {
-				worst = e
-			}
-			if e := math.Abs(got[2]); e > worst {
-				worst = e
-			}
-		}
-	}
-	if worst > 0.02*U {
-		t.Fatalf("Taylor–Green worst pointwise error %.3e exceeds %.3e", worst, 0.02*U)
-	}
-
-	energy, initial := 0.0, 0.0
-	for x := 0; x < n; x++ {
-		for y := 0; y < n; y++ {
-			v := fluid.At(x, y, 0).Vel
-			energy += v[0]*v[0] + v[1]*v[1]
-			ux := U * math.Sin(k*float64(x)) * math.Cos(k*float64(y))
-			uy := -U * math.Cos(k*float64(x)) * math.Sin(k*float64(y))
-			initial += ux*ux + uy*uy
-		}
-	}
-	gotRatio := energy / initial
-	wantRatio := decay * decay
-	if math.Abs(gotRatio-wantRatio) > 0.03*wantRatio {
-		t.Fatalf("energy decay ratio %.5f, analytic %.5f", gotRatio, wantRatio)
-	}
-	s.Close()
 }
 
 // taylorGreenError runs the decaying Taylor–Green vortex on cfg's engine

@@ -231,7 +231,7 @@ func TestWatchdogStopsRun(t *testing.T) {
 // per-stencil wrap must still map into the box — the run ends in the
 // watchdog's error on every engine, never in an out-of-range index.
 func TestNaNSheetPositionEndsInWatchdogError(t *testing.T) {
-	for _, kind := range []SolverKind{Sequential, OpenMP, CubeBased, Fused} {
+	for _, kind := range []SolverKind{Sequential, OpenMP, CubeBased} {
 		sim, err := New(Config{
 			NX: 8, NY: 8, NZ: 8, Tau: 0.7, Solver: kind, Threads: 2, CubeSize: 4,
 			Sheet:    &SheetConfig{NumFibers: 6, NodesPerFiber: 6, Width: 3, Height: 3, Origin: [3]float64{4, 2.5, 2.5}, Ks: 0.05, Kb: 0.001},
