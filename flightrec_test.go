@@ -340,15 +340,15 @@ func TestConfigFromRunSpecReplaysFusedOnOpenMP(t *testing.T) {
 // Restore. At the parent of this test the ring paired step n's wall time
 // with step n+1's timings: a phantom step-0 record, and an empty last one.
 func TestFlightRecorderRingSpeaksStepCount(t *testing.T) {
-	for _, kind := range []SolverKind{Sequential, OpenMP, CubeBased} {
+	for _, e := range sampledEngines {
 		for _, restoredAt := range []int{0, 3} {
-			t.Run(fmt.Sprintf("%v/from%d", kind, restoredAt), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/from%d", e.name, restoredAt), func(t *testing.T) {
 				const threads, steps = 2, 3
 				plain := Config{
 					NX: 16, NY: 16, NZ: 16, Tau: 0.7,
 					BodyForce: [3]float64{1e-5, 0, 0},
 					Sheet:     telemetrySheet(),
-					Solver:    kind, Threads: threads, CubeSize: 4,
+					Solver:    e.kind, Threads: threads, CubeSize: 4,
 				}
 				var log, ck bytes.Buffer
 				cfg := plain

@@ -138,7 +138,7 @@ func checkProbeEvents(t *testing.T, engine string, events []core.Event, steps, t
 			}
 		}
 		switch engine {
-		case "sequential", "omp":
+		case "sequential", "omp", "fused": // fused: the omp engine, by alias
 			if fmt.Sprint(kernels[st]) != fmt.Sprint(core.Kernels()) {
 				t.Errorf("step %d kernel events %v, want Algorithm 1 order", st, kernels[st])
 			}

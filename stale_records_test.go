@@ -72,6 +72,14 @@ var staleConsumers = []struct {
 	}},
 }
 
+// staleEngines are the in-place engines the stale-record tests run. The
+// deprecated Fused kind builds the omp engine; its row holds the alias,
+// under its old name, to every check omp meets.
+var staleEngines = []struct {
+	name string
+	kind SolverKind
+}{{"omp", OpenMP}, {"cube", CubeBased}, {"fused", Fused}}
+
 // staleProblems are a structure-free lid-driven cavity, where every
 // block's record goes stale, and a driven channel with a sheet that
 // crosses x-plane and cube faces, where the blocks its stencils reach
@@ -85,7 +93,7 @@ var staleProblems = []struct {
 		Sheet: &SheetConfig{NumFibers: 10, NodesPerFiber: 10, Width: 7, Height: 7, Origin: [3]float64{5.5, 4.3, 3.7}, Ks: 0.05, Kb: 0.001}}},
 }
 
-// TestStaleRecordConsumers runs omp and cube at one to three
+// TestStaleRecordConsumers runs staleEngines at one to three
 // threads for odd and even step counts (both phases of the in-place
 // array), fluid-only and with a sheet, and has every consumer of whole
 // records read the stale state first: it must read Sequential's bits.
@@ -120,12 +128,12 @@ func TestStaleRecordConsumers(t *testing.T) {
 				want[i] = c.read(t, ref)
 			}
 			ref.Close()
-			for _, kind := range []SolverKind{OpenMP, CubeBased} {
+			for _, e := range staleEngines {
 				for threads := 1; threads <= 3; threads++ {
-					name := fmt.Sprintf("%s/%v/%s/%dt", p.name, steps, kind, threads)
+					name := fmt.Sprintf("%s/%v/%s/%dt", p.name, steps, e.name, threads)
 					t.Run(name, func(t *testing.T) {
 						cfg := p.cfg
-						cfg.Solver, cfg.Threads, cfg.CubeSize = kind, threads, 4
+						cfg.Solver, cfg.Threads, cfg.CubeSize = e.kind, threads, 4
 						for i, c := range staleConsumers {
 							s, err := New(cfg)
 							if err != nil {
@@ -157,7 +165,7 @@ func TestStaleRecordConsumers(t *testing.T) {
 // engines' teams, which canonicalizes a swapped array first and then
 // refreshes each piece's stale records in the loop that digests them,
 // against the serial digest (grid.DigestGrid.Fill) of the layout Live
-// returns — every field, tile masses included — on omp and cube at one
+// returns — every field, tile masses included — on staleEngines at one
 // to three threads, after odd and even step counts, fluid-only
 // and with a sheet, and with a NaN seeded into a record and a
 // distribution between steps.
@@ -173,12 +181,8 @@ func TestDigestRefreshesStaleRecords(t *testing.T) {
 		}
 		return b.String()
 	}
-	engines := []struct {
-		name string
-		kind SolverKind
-	}{{"omp", OpenMP}, {"cube", CubeBased}}
 	for _, p := range staleProblems {
-		for _, e := range engines {
+		for _, e := range staleEngines {
 			for threads := 1; threads <= 3; threads++ {
 				for _, n := range []int{3, 4} {
 					for _, nan := range []bool{false, true} {
@@ -250,8 +254,8 @@ func stale(t *testing.T, s *Simulation) int {
 	return n
 }
 
-// TestTotalMassLeavesRecordsStale holds TotalMass on a stale state — omp
-// and cube at one to three threads, after odd and even step
+// TestTotalMassLeavesRecordsStale holds TotalMass on a stale state —
+// staleEngines at one to three threads, after odd and even step
 // counts, fluid-only and with a sheet — to the sum over
 // Live's layout, bit for bit, which is what it returned when it
 // refreshed every record first; and it must refresh none: a mass sum
@@ -265,10 +269,6 @@ func TestTotalMassLeavesRecordsStale(t *testing.T) {
 		}
 		return b.String()
 	}
-	engines := []struct {
-		name string
-		kind SolverKind
-	}{{"omp", OpenMP}, {"cube", CubeBased}}
 	for _, p := range staleProblems {
 		for _, n := range []int{3, 4} {
 			ref := p.cfg
@@ -281,7 +281,7 @@ func TestTotalMassLeavesRecordsStale(t *testing.T) {
 			core.SeedForce(seq.eng.live().Macros(), ref.BodyForce)
 			want := snapshot(seq)
 			seq.Close()
-			for _, e := range engines {
+			for _, e := range staleEngines {
 				for threads := 1; threads <= 3; threads++ {
 					cfg := p.cfg
 					cfg.Solver, cfg.Threads, cfg.CubeSize = e.kind, threads, 4

@@ -13,7 +13,7 @@ import (
 // of slack.
 func TestStorageBytesPerNode(t *testing.T) {
 	want := map[string]float64{
-		"sequential": 360, "omp": 208, "cube": 208,
+		"sequential": 360, "omp": 208, "cube": 208, "fused": 208,
 	}
 	const n = 32
 	for _, e := range sampledEngines {
