@@ -11,11 +11,10 @@ import (
 
 	"lbmib/internal/cachesim"
 	"lbmib/internal/core"
-	"lbmib/internal/cubesolver"
+	"lbmib/internal/engine"
 	"lbmib/internal/experiments"
 	"lbmib/internal/fiber"
 	"lbmib/internal/machine"
-	"lbmib/internal/omp"
 	"lbmib/internal/perfmon"
 )
 
@@ -119,7 +118,10 @@ func BenchmarkSolverStep(b *testing.B) {
 		reportMLUPS(b)
 	})
 	b.Run("omp-4thr", func(b *testing.B) {
-		s := omp.MustNewSolver(omp.Config{Config: benchConfig(), Threads: 4})
+		s, err := engine.NewOpenMP(benchConfig(), 4)
+		if err != nil {
+			b.Fatal(err)
+		}
 		defer s.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -128,7 +130,7 @@ func BenchmarkSolverStep(b *testing.B) {
 		reportMLUPS(b)
 	})
 	b.Run("cube-4thr-k8", func(b *testing.B) {
-		s, err := cubesolver.NewSolver(cubesolver.Config{Config: benchConfig(), CubeSize: 8, Threads: 4})
+		s, err := engine.NewCube(benchConfig(), 8, 4)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,10 +148,7 @@ func BenchmarkSolverStep(b *testing.B) {
 func BenchmarkAblationCubeSize(b *testing.B) {
 	for _, k := range []int{4, 8, 16, 32} {
 		b.Run(benchName("k", k), func(b *testing.B) {
-			s, err := cubesolver.NewSolver(cubesolver.Config{
-				Config:   core.Config{NX: 32, NY: 32, NZ: 32, Tau: 0.7, BodyForce: [3]float64{1e-5, 0, 0}},
-				CubeSize: k, Threads: 1,
-			})
+			s, err := engine.NewCube(core.Config{NX: 32, NY: 32, NZ: 32, Tau: 0.7, BodyForce: [3]float64{1e-5, 0, 0}}, k, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

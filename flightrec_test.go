@@ -16,8 +16,8 @@ import (
 	"strings"
 	"testing"
 
+	"lbmib/internal/engine"
 	"lbmib/internal/flightrec"
-	"lbmib/internal/omp"
 	"lbmib/internal/telemetry"
 )
 
@@ -29,7 +29,7 @@ import (
 // recorder's per-tile localization both have something to find.
 func injectDepositFault(t *testing.T, fromStep int) {
 	t.Helper()
-	omp.FaultHook = func(s *omp.Solver) {
+	engine.FaultHook = func(s *engine.Solver) {
 		if s.StepCount() < fromStep-1 { // hook runs before the counter advances
 			return
 		}
@@ -40,7 +40,7 @@ func injectDepositFault(t *testing.T, fromStep int) {
 			dst[i] += 0.01 * src[i]
 		}
 	}
-	t.Cleanup(func() { omp.FaultHook = nil })
+	t.Cleanup(func() { engine.FaultHook = nil })
 }
 
 // TestFlightRecorderBundleOnInjectedFault is the forensics acceptance
@@ -166,12 +166,12 @@ func TestFlightRecorderBundleOnInjectedFault(t *testing.T) {
 // TestFlightRecorderPanicBundle checks the crash path: a panic inside a
 // step still leaves a bundle (reason "panic") before propagating.
 func TestFlightRecorderPanicBundle(t *testing.T) {
-	omp.FaultHook = func(s *omp.Solver) {
+	engine.FaultHook = func(s *engine.Solver) {
 		if s.StepCount() == 2 {
 			panic("kernel exploded")
 		}
 	}
-	t.Cleanup(func() { omp.FaultHook = nil })
+	t.Cleanup(func() { engine.FaultHook = nil })
 
 	dir := filepath.Join(t.TempDir(), "postmortem")
 	sim, err := New(Config{

@@ -115,10 +115,10 @@ func loadModule(t *testing.T) (*Program, []*Package) {
 
 // TestImportDirection pins which way the event contract points: the
 // sinks depend (transitively) on the vocabulary in internal/core and on
-// no engine.
+// no schedule.
 func TestImportDirection(t *testing.T) {
 	p := sharedProgram(t)
-	engines := []string{"cubesolver", "omp"}
+	engines := []string{"engine"}
 	for from, banned := range map[string][]string{
 		"telemetry": engines, "flightrec": engines, "perfmon": engines,
 	} {

@@ -3,9 +3,10 @@
 //
 // The loop bodies of the nine kernels exist once, here (bodies.go),
 // written against the one fluid container, grid.Grid, whatever its block
-// extent: x-planes or k³ cubes. An engine — this package's
-// sequential Solver, internal/omp, internal/cubesolver — is a schedule: it decides which thread runs which body over which
-// blocks and where the barriers stand, and restates none of the
+// extent: x-planes or k³ cubes. An engine — this package's sequential
+// Solver, internal/engine's OpenMP and cube schedules — is a schedule: it
+// decides which thread runs which body over which blocks and where the
+// barriers stand, and restates none of the
 // arithmetic, which is what keeps the engines bitwise comparable. The
 // arithmetic of a fluid node itself — collision with forcing, and the
 // moments — is one level further down, in lattice.Collide and

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"lbmib"
+	"lbmib/internal/engine"
 	"lbmib/internal/flightrec"
-	"lbmib/internal/omp"
 )
 
 // injectFault installs the canonical seeded bug: after every omp step,
@@ -17,11 +17,11 @@ import (
 // picks a case with a z-gradient.
 func injectFault(t *testing.T) {
 	t.Helper()
-	omp.FaultHook = func(s *omp.Solver) {
+	engine.FaultHook = func(s *engine.Solver) {
 		df := s.Live().Dist()
 		df[0] = df[1]
 	}
-	t.Cleanup(func() { omp.FaultHook = nil })
+	t.Cleanup(func() { engine.FaultHook = nil })
 }
 
 // faultSensitiveSeed returns a seed whose generated case develops a

@@ -1,10 +1,11 @@
-package cubesolver
+package engine
 
 import (
 	"sync"
 	"testing"
 
 	"lbmib/internal/core"
+	"lbmib/internal/fiber"
 )
 
 // fluidOnlyRefConfig is a structure-free moving-lid cavity: nontrivial
@@ -17,10 +18,6 @@ func fluidOnlyRefConfig() core.Config {
 		BCZ:         core.BounceBack,
 		LidVelocity: [3]float64{0.05, 0, 0},
 	}
-}
-
-func fluidOnlyCubeConfig(threads int) Config {
-	return Config{Config: fluidOnlyRefConfig(), CubeSize: 4, Threads: threads}
 }
 
 // TestFoldedEndBarrierBitwiseEqualsSequential is the fold's correctness
@@ -37,7 +34,7 @@ func TestFoldedEndBarrierBitwiseEqualsSequential(t *testing.T) {
 		ref.Run(steps)
 
 		for _, threads := range []int{1, 2, 4, 8} {
-			s, err := NewSolver(fluidOnlyCubeConfig(threads))
+			s, err := NewCube(fluidOnlyRefConfig(), 4, threads)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,25 +63,23 @@ func TestFoldedEndBarrierBitwiseEqualsSequential(t *testing.T) {
 // fluid-only multi-worker run folds it, fibers restore it, and a single
 // worker never needs it.
 func TestEndBarrierFoldConditions(t *testing.T) {
-	mk := func(mut func(*Config)) *Solver {
-		cfg := fluidOnlyCubeConfig(4)
-		if mut != nil {
-			mut(&cfg)
-		}
-		s, err := NewSolver(cfg)
+	mk := func(sheet *fiber.Sheet, threads int) *Solver {
+		cfg := fluidOnlyRefConfig()
+		cfg.Sheet = sheet
+		s, err := NewCube(cfg, 4, threads)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(s.Close)
 		return s
 	}
-	if s := mk(nil); s.spreadBarrierNeeded() {
+	if s := mk(nil, 4); s.spreadBarrierNeeded() {
 		t.Error("fluid-only run: end barrier should fold")
 	}
-	if s := mk(func(c *Config) { c.Sheet = testSheet() }); !s.spreadBarrierNeeded() {
+	if s := mk(testSheet(), 4); !s.spreadBarrierNeeded() {
 		t.Error("run with fibers: end barrier is required (sheet X write→read across fibers)")
 	}
-	if s := mk(func(c *Config) { c.Threads = 1 }); s.spreadBarrierNeeded() {
+	if s := mk(nil, 1); s.spreadBarrierNeeded() {
 		t.Error("single-worker run: barrier orders nothing")
 	}
 }
@@ -116,8 +111,7 @@ func (c *countingContention) Emit(e core.Event) {
 // per step per thread.
 func TestFoldedEndBarrierEmitsNoCrossings(t *testing.T) {
 	const steps, threads = 5, 4
-	cfg := fluidOnlyCubeConfig(threads)
-	s, err := NewSolver(cfg)
+	s, err := NewCube(fluidOnlyRefConfig(), 4, threads)
 	if err != nil {
 		t.Fatal(err)
 	}

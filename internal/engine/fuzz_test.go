@@ -1,15 +1,15 @@
-package omp_test
+package engine_test
 
 import (
 	"math"
 	"testing"
 
 	"lbmib/internal/core"
+	"lbmib/internal/engine"
 	"lbmib/internal/lattice"
-	"lbmib/internal/omp"
 )
 
-// FuzzStep drives the omp engine with arbitrary tiny configurations —
+// FuzzStep drives the OpenMP schedule with arbitrary tiny configurations —
 // degenerate grid shapes, any boundary combination, lid and body-force
 // drivers, thread counts beyond NX — and asserts five steps never panic
 // and never produce a non-finite field. Small boxes are where the
@@ -28,13 +28,10 @@ func FuzzStep(f *testing.F) {
 			}
 			return core.Periodic
 		}
-		cfg := omp.Config{
-			Config: core.Config{
-				NX: dim(bx), NY: dim(by), NZ: dim(bz),
-				Tau: 0.55 + float64(tau100%100)*0.01, // 0.55..1.54
-				BCX: bc(1), BCY: bc(2), BCZ: bc(4),
-			},
-			Threads: 1 + int(threads)%8,
+		cfg := core.Config{
+			NX: dim(bx), NY: dim(by), NZ: dim(bz),
+			Tau: 0.55 + float64(tau100%100)*0.01, // 0.55..1.54
+			BCX: bc(1), BCY: bc(2), BCZ: bc(4),
 		}
 		if bits&8 != 0 {
 			cfg.BodyForce = [3]float64{2e-5, -1e-5, 1e-5}
@@ -42,7 +39,7 @@ func FuzzStep(f *testing.F) {
 		if bits&16 != 0 && cfg.BCZ == core.BounceBack {
 			cfg.LidVelocity = [3]float64{0.03, -0.01, 0}
 		}
-		s, err := omp.NewSolver(cfg)
+		s, err := engine.NewOpenMP(cfg, 1+int(threads)%8)
 		if err != nil {
 			t.Fatalf("valid config rejected: %v", err)
 		}

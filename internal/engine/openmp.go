@@ -1,0 +1,95 @@
+package engine
+
+import (
+	"time"
+
+	"lbmib/internal/core"
+	"lbmib/internal/fiber"
+)
+
+// stepOpenMP advances one time step under the OpenMP schedule: the nine
+// kernels in Algorithm 1 order, each a parallel region of the per-worker
+// loops that the team joins before the next kernel starts. Kernel 5's
+// region flips the phase bit; kernels 6 and 9 have no region (the stream
+// is in place), and kernels 4 and 7 none without a structure.
+func (s *Solver) stepOpenMP() {
+	step := s.StepCount()
+	sheets := len(s.Sheets) > 0
+	kernel := func(k core.Kernel, fn func()) {
+		s.Timed(core.Event{Kind: core.KernelDone, Step: step, Kernel: k}, fn)
+	}
+	fibers := func(k core.Kernel, body func(*fiber.Sheet, int, int)) {
+		kernel(k, func() { s.region(step, k, func(tid int) { s.fiberLoop(tid, body) }) })
+	}
+	fibers(core.KComputeBendingForce, (*fiber.Sheet).ComputeBendingForce)
+	fibers(core.KComputeStretchingForce, (*fiber.Sheet).ComputeStretchingForce)
+	fibers(core.KComputeElasticForce, (*fiber.Sheet).ComputeElasticForce)
+	kernel(core.KSpreadForce, func() {
+		if sheets {
+			s.region(step, core.KSpreadForce, func(tid int) { s.spreadLoop(tid, 0) })
+		}
+	})
+	kernel(core.KComputeCollision, func() {
+		swapped := s.FlipPhase()
+		s.region(step, core.KComputeCollision, func(tid int) { s.collideLoop(tid, 0, swapped) })
+	})
+	kernel(core.KStreamDistribution, func() {})
+	kernel(core.KUpdateVelocity, func() {
+		if sheets {
+			swapped := s.Swapped()
+			s.region(step, core.KUpdateVelocity, func(tid int) { s.momentsLoop(tid, 0, swapped) })
+		}
+		s.Support.Advance(1)
+	})
+	fibers(core.KMoveFibers, s.moveNodes)
+	kernel(core.KCopyDistribution, func() {})
+	if FaultHook != nil {
+		FaultHook(s)
+	}
+	s.AdvanceStep(1)
+}
+
+// FaultHook, when non-nil, is invoked with the live solver after every
+// completed OpenMP-schedule step, before the step counter advances. It is
+// a test-only seam: the crosscheck harness (internal/crosscheck) installs
+// an off-by-one perturbation here to prove its differential oracles
+// detect an engine that drifts from the sequential reference. Production
+// code never sets it.
+var FaultHook func(*Solver)
+
+// region runs body on every worker as kernel k's parallel region and
+// joins. With a probe attached, each worker's busy time inside the region
+// is taken (each writes only its own slot) and reported once after the
+// join — the OmpP-style measurement behind the paper's Table II: the rest
+// of the region's wall time a worker spent waiting at its implicit
+// barrier.
+func (s *Solver) region(step int, k core.Kernel, body func(tid int)) {
+	probe := s.Probe
+	if probe == nil {
+		s.Team.Run(body)
+		return
+	}
+	clear(s.busy)
+	s.body, s.kernel = body, k
+	s.Team.Run(s.timed)
+	s.body = nil
+	probe.Emit(core.Event{Kind: core.RegionDone, Step: step, Kernel: k, Busy: s.busy})
+}
+
+// timedBody runs one worker's part of the current region under the clock.
+// A worker that owns no fibers has an empty chunk of a fiber kernel's
+// static schedule: it skips the body and reports no busy time.
+func (s *Solver) timedBody(tid int) {
+	if r := s.fibers[tid]; r[0] == r[1] && onFibers(s.kernel) {
+		return
+	}
+	t0 := time.Now()
+	s.body(tid)
+	s.busy[tid] = time.Since(t0)
+}
+
+// onFibers reports whether kernel k is parallelized over fibers
+// (Algorithm 3) rather than over planes.
+func onFibers(k core.Kernel) bool {
+	return k <= core.KComputeElasticForce || k == core.KMoveFibers
+}

@@ -7,7 +7,7 @@ import (
 
 	"lbmib/internal/cachesim"
 	"lbmib/internal/core"
-	"lbmib/internal/cubesolver"
+	"lbmib/internal/engine"
 	"lbmib/internal/machine"
 	"lbmib/internal/perfmon"
 	"lbmib/internal/perfsim"
@@ -50,10 +50,7 @@ func AblationCubeSize(opt Options) (CubeSizeResult, error) {
 			return res, err
 		}
 
-		s, err := cubesolver.NewSolver(cubesolver.Config{
-			Config:   core.Config{NX: 32, NY: 32, NZ: 32, Tau: 0.7, BodyForce: [3]float64{1e-5, 0, 0}},
-			CubeSize: k, Threads: 1,
-		})
+		s, err := engine.NewCube(core.Config{NX: 32, NY: 32, NZ: 32, Tau: 0.7, BodyForce: [3]float64{1e-5, 0, 0}}, k, 1)
 		if err != nil {
 			return res, err
 		}

@@ -7,9 +7,8 @@ import (
 	"time"
 
 	"lbmib/internal/core"
-	"lbmib/internal/cubesolver"
+	"lbmib/internal/engine"
 	"lbmib/internal/fiber"
-	"lbmib/internal/omp"
 	"lbmib/internal/perfmon"
 	"lbmib/internal/telemetry"
 )
@@ -123,33 +122,22 @@ func LoadImbalance(opt Options, reg *telemetry.Registry) (ImbalanceResult, error
 			BodyForce: [3]float64{2e-5, 0, 0},
 			Sheets:    opt.twoSheets(nx, ny, nz),
 		}
-		var (
-			problem *core.Problem
-			run     func(n int)
-			done    func()
-			err     error
-		)
-		switch name {
-		case "omp":
-			var s *omp.Solver
-			if s, err = omp.NewSolver(omp.Config{Config: cfg, Threads: threads}); err == nil {
-				problem, run, done = &s.Problem, s.Run, s.Close
-			}
-		default:
-			var s *cubesolver.Solver
-			if s, err = cubesolver.NewSolver(cubesolver.Config{Config: cfg, CubeSize: res.CubeSize, Threads: threads}); err == nil {
-				problem, run, done = &s.Problem, s.Run, s.Close
-			}
+		var s *engine.Solver
+		var err error
+		if name == "omp" {
+			s, err = engine.NewOpenMP(cfg, threads)
+		} else {
+			s, err = engine.NewCube(cfg, res.CubeSize, threads)
 		}
 		if err != nil {
 			return res, fmt.Errorf("%s: %w", name, err)
 		}
 		prof := perfmon.NewProfile(perfmon.Config{Engine: name, Threads: threads})
-		problem.Probe = prof
+		s.Probe = prof
 		t0 := time.Now()
-		run(steps)
+		s.Run(steps)
 		wall := time.Since(t0)
-		done()
+		s.Close()
 
 		row := ImbalanceRow{
 			Engine: name, Threads: threads,

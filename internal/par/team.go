@@ -1,13 +1,13 @@
 // Package par is the shared-memory parallel runtime underneath the two
-// parallel LBM-IB solvers. It provides the pieces the paper builds its
+// parallel LBM-IB schedules. It provides the pieces the paper builds its
 // implementations from:
 //
 //   - Team — a persistent group of worker goroutines, the analogue of an
 //     OpenMP thread team or a set of pthreads created once in main()
 //     (Algorithm 4's create_thread loop);
 //   - Barrier — a reusable global barrier (thread_barrier_wait);
-//   - a parallel-for helper with OpenMP's static schedule (Algorithm
-//     2/3's "#pragma omp parallel for");
+//   - StaticRange — OpenMP's static schedule (Algorithm 2/3's "#pragma
+//     omp parallel for"), the chunk of iterations each worker owns;
 //   - Mesh — the P×Q×R logical thread mesh of Section V-A;
 //   - the block data-distribution functions cube2thread and fiber2thread.
 package par
@@ -19,7 +19,7 @@ import (
 
 // Team is a persistent group of n worker goroutines addressed by thread id
 // 0..n−1. Work is issued with Run (every worker executes the function, like
-// an OpenMP parallel region) or the For* helpers. Workers live until Close.
+// an OpenMP parallel region). Workers live until Close.
 //
 // A Team with n == 1 executes work inline on the calling goroutine, so the
 // single-threaded configurations measure no scheduling overhead — matching
@@ -109,18 +109,6 @@ func StaticRange(n, nthreads, tid int) (lo, hi int) {
 	lo = rem*(base+1) + (tid-rem)*base
 	hi = lo + base
 	return
-}
-
-// ForStatic runs body over [0, n) split into one contiguous chunk per
-// worker (OpenMP "schedule(static)"), with an implicit barrier at the end:
-// it returns only when every chunk is done.
-func (t *Team) ForStatic(n int, body func(tid, lo, hi int)) {
-	t.Run(func(tid int) {
-		lo, hi := StaticRange(n, t.n, tid)
-		if lo < hi {
-			body(tid, lo, hi)
-		}
-	})
 }
 
 // Barrier is a reusable counting barrier for a fixed number of

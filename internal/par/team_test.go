@@ -111,38 +111,6 @@ func TestStaticRangeBalanced(t *testing.T) {
 	}
 }
 
-func TestForStaticVisitsEachIndexOnce(t *testing.T) {
-	team := NewTeam(4)
-	defer team.Close()
-	n := 103
-	hits := make([]int32, n)
-	team.ForStatic(n, func(tid, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&hits[i], 1)
-		}
-	})
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d visited %d times", i, h)
-		}
-	}
-}
-
-func TestForStaticEmptyRange(t *testing.T) {
-	team := NewTeam(8)
-	defer team.Close()
-	var calls int32
-	team.ForStatic(3, func(tid, lo, hi int) {
-		atomic.AddInt32(&calls, 1)
-		if lo >= hi {
-			t.Error("body called with empty range")
-		}
-	})
-	if calls != 3 {
-		t.Fatalf("body called %d times for n=3, want 3", calls)
-	}
-}
-
 func TestBarrierPhases(t *testing.T) {
 	const n = 4
 	const rounds = 25

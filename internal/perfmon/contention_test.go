@@ -9,10 +9,9 @@ import (
 	"time"
 
 	"lbmib/internal/core"
-	"lbmib/internal/cubesolver"
+	"lbmib/internal/engine"
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
-	"lbmib/internal/omp"
 	"lbmib/internal/par"
 	"lbmib/internal/telemetry"
 )
@@ -184,16 +183,13 @@ func TestSkewSelfTest(t *testing.T) {
 	}
 	t.Logf("spreading a node adds %v to the slow thread: a %d² sheet", perNode, side)
 	sh := sheet(side)
-	s, err := cubesolver.NewSolver(cubesolver.Config{
-		Config:   core.Config{NX: n, NY: n, NZ: n, Tau: 0.7, Sheet: sh},
-		CubeSize: k, Threads: threads,
-	})
+	s, err := engine.NewCube(core.Config{NX: n, NY: n, NZ: n, Tau: 0.7, Sheet: sh}, k, threads)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if lo, hi := s.Map.Box(slow); box(slow) != (grid.Box{Lo: [3]int{lo[0] * k, lo[1] * k, lo[2] * k}, Hi: [3]int{hi[0] * k, hi[1] * k, hi[2] * k}}) {
-		t.Fatalf("slow thread's cubes %v–%v, the sheet was placed in %v", lo, hi, slowBox)
+	if got := s.Box(slow); got != slowBox {
+		t.Fatalf("slow thread's box %v, the sheet was placed in %v", got, slowBox)
 	}
 
 	prof := NewProfile(Config{Engine: "cube", Threads: threads})
@@ -246,10 +242,7 @@ func TestRegionProfileRealSolver(t *testing.T) {
 	const threads = 4
 	sh := fiber.NewSheet(fiber.Params{NumFibers: 8, NodesPerFiber: 8, Width: 7, Height: 7,
 		Origin: fiber.Vec3{6, 4.3, 4.6}, Ks: 0.05, Kb: 0.001})
-	s, err := omp.NewSolver(omp.Config{
-		Config:  core.Config{NX: 16, NY: 16, NZ: 16, Tau: 0.7, Sheet: sh},
-		Threads: threads,
-	})
+	s, err := engine.NewOpenMP(core.Config{NX: 16, NY: 16, NZ: 16, Tau: 0.7, Sheet: sh}, threads)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"lbmib/internal/core"
-	"lbmib/internal/cubesolver"
+	"lbmib/internal/engine"
 	"lbmib/internal/telemetry"
 )
 
@@ -206,10 +206,7 @@ func TestStragglerEndToEnd(t *testing.T) {
 		steps   = 6
 	)
 	p := NewProfile(Config{Engine: "cube", Threads: threads})
-	s, err := cubesolver.NewSolver(cubesolver.Config{
-		Config:   core.Config{NX: 16, NY: 8, NZ: 8, Tau: 0.8, BodyForce: [3]float64{1e-6, 0, 0}},
-		CubeSize: 4, Threads: threads,
-	})
+	s, err := engine.NewCube(core.Config{NX: 16, NY: 8, NZ: 8, Tau: 0.8, BodyForce: [3]float64{1e-6, 0, 0}}, 4, threads)
 	if err != nil {
 		t.Fatal(err)
 	}

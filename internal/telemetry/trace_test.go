@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"lbmib/internal/core"
-	"lbmib/internal/cubesolver"
+	"lbmib/internal/engine"
 	"lbmib/internal/fiber"
 )
 
@@ -70,13 +70,10 @@ func TestTracerCubeSolverRun(t *testing.T) {
 		NumFibers: 8, NodesPerFiber: 8, Width: 3.2, Height: 3.2,
 		Origin: fiber.Vec3{4, 6, 6}, Ks: 0.05, Kb: 0.001,
 	})
-	s, err := cubesolver.NewSolver(cubesolver.Config{
-		Config: core.Config{
-			NX: 16, NY: 16, NZ: 16, Tau: 0.7,
-			BodyForce: [3]float64{1e-5, 0, 0}, Sheet: sheet,
-		},
-		CubeSize: 4, Threads: threads,
-	})
+	s, err := engine.NewCube(core.Config{
+		NX: 16, NY: 16, NZ: 16, Tau: 0.7,
+		BodyForce: [3]float64{1e-5, 0, 0}, Sheet: sheet,
+	}, 4, threads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +160,7 @@ func TestTracerEmptyWriteIsValid(t *testing.T) {
 // allocates exactly what the detached step does — no per-event args map,
 // no per-event track name.
 func TestTracerSlicesAllocateNothingButEvents(t *testing.T) {
-	s, err := cubesolver.NewSolver(cubesolver.Config{
-		Config:   core.Config{NX: 16, NY: 16, NZ: 16, Tau: 0.7, BodyForce: [3]float64{1e-5, 0, 0}},
-		CubeSize: 4, Threads: 2,
-	})
+	s, err := engine.NewCube(core.Config{NX: 16, NY: 16, NZ: 16, Tau: 0.7, BodyForce: [3]float64{1e-5, 0, 0}}, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ type WatchdogConfig struct {
 
 // Phase names used for violation attribution: the distributions are
 // produced by the collide/stream phase, ρ and u by the moment update.
-// They match cubesolver.Phase strings so localization reports read the
+// They match core.Phase strings so localization reports read the
 // same as phase profiles.
 const (
 	phaseCollideStream  = "collide_stream"

@@ -45,12 +45,11 @@ import (
 	"time"
 
 	"lbmib/internal/core"
-	"lbmib/internal/cubesolver"
+	"lbmib/internal/engine"
 	"lbmib/internal/fiber"
 	"lbmib/internal/flightrec"
 	"lbmib/internal/grid"
 	"lbmib/internal/lattice"
-	"lbmib/internal/omp"
 	"lbmib/internal/output"
 	"lbmib/internal/perfmon"
 	"lbmib/internal/telemetry"
@@ -240,16 +239,16 @@ type Config struct {
 	CritPath bool
 }
 
-// engine is what each solver implementation provides to the facade. The
-// stepping methods are the solver's own (each adapter embeds its solver
-// or its schedule) and the in-place accessors come from its grid
-// (onLayout), so an adapter states only what differs per engine: how it
-// presents its live grid, what loading state into it must re-establish,
-// and close. There are two: the sequential engine's and the one over
-// core.InPlace, which every parallel engine's state is. Instrumentation
+// adapter is what each solver implementation provides to the facade. The
+// stepping methods are the solver's own (each adapter embeds its solver)
+// and the in-place accessors come from its grid (onLayout), so an
+// adapter states only what differs per engine: how it presents its live
+// grid, what loading state into it must re-establish, and close. There
+// are two: the sequential engine's and the one over engine.Solver, which
+// runs both parallel schedules on one core.InPlace state. Instrumentation
 // is not the adapters' business: every solver embeds the core.Problem
 // whose Probe field New attaches the sinks to.
-type engine interface {
+type adapter interface {
 	Step()
 	Run(n int)
 	StepCount() int
@@ -299,7 +298,7 @@ func (p runProbe) Emit(e core.Event) {
 // Simulation is a configured LBM-IB problem with a selected engine.
 type Simulation struct {
 	cfg        Config
-	eng        engine
+	eng        adapter
 	problem    *core.Problem // the engine's state besides its fluid: the probe's attach point
 	sheets     []*fiber.Sheet
 	stepOffset int // steps completed before a Restore
@@ -402,8 +401,7 @@ func New(cfg Config) (*Simulation, error) {
 	// cube size; the effective values are stored back so Config(), the
 	// run-spec and the telemetry profiles describe the team and layout
 	// that actually run.
-	var st *core.InPlace // the parallel engines' state
-	var sched schedule
+	var ps *engine.Solver // a parallel engine
 	switch cfg.Solver {
 	case Sequential:
 		cs, err := core.NewSolver(coreCfg)
@@ -413,24 +411,20 @@ func New(cfg Config) (*Simulation, error) {
 		sim.cfg.Threads = 1
 		sim.eng, sim.problem = &seqEngine{cs, onLayout{cs.Fluid, nil}}, &cs.Problem
 	case OpenMP:
-		os, err := omp.NewSolver(omp.Config{Config: coreCfg, Threads: cfg.Threads})
-		if err != nil {
-			return nil, err
-		}
-		sched, st = os, os.InPlace
+		ps, err = engine.NewOpenMP(coreCfg, cfg.Threads)
 	case CubeBased:
-		cs, err := cubesolver.NewSolver(cubesolver.Config{Config: coreCfg, CubeSize: cfg.CubeSize, Threads: cfg.Threads})
-		if err != nil {
-			return nil, err
+		if ps, err = engine.NewCube(coreCfg, cfg.CubeSize, cfg.Threads); err == nil {
+			sim.cfg.CubeSize = ps.Fluid.BlockExtent()[0]
 		}
-		sched, st = cs, cs.InPlace
-		sim.cfg.CubeSize = cs.Fluid.BlockExtent()[0]
 	default:
 		return nil, fmt.Errorf("lbmib: unknown solver kind %d", cfg.Solver)
 	}
-	if st != nil {
-		sim.cfg.Threads = st.Threads()
-		sim.eng, sim.problem = &inPlaceEngine{sched, st, onLayout{st.Fluid, st.Refresh}}, &st.Problem
+	if err != nil {
+		return nil, err
+	}
+	if ps != nil {
+		sim.cfg.Threads = ps.Threads()
+		sim.eng, sim.problem = &inPlaceEngine{ps, onLayout{ps.Fluid, ps.Refresh}}, &ps.Problem
 	}
 	sinks, err := sim.initTelemetry()
 	if err != nil {
@@ -986,17 +980,10 @@ func (e *seqEngine) close()                          {}
 // loaded has nothing to re-establish: kernel 4 resets the force itself.
 func (e *seqEngine) loaded() {}
 
-// schedule is how a parallel engine steps its core.InPlace state.
-type schedule interface {
-	Step()
-	Run(n int)
-}
-
-// inPlaceEngine is every parallel engine — OpenMP and CubeBased:
-// the stepping is its schedule's, everything else its state's.
+// inPlaceEngine is every parallel engine — OpenMP and CubeBased: the
+// stepping is its schedule's, everything else its core.InPlace state's.
 type inPlaceEngine struct {
-	schedule
-	*core.InPlace
+	*engine.Solver
 	onLayout
 }
 

@@ -1,16 +1,16 @@
 #!/bin/sh
 # Tier-1 verification: build + full test suite, static checks, the race
 # detector on the packages where concurrency bugs would hide (telemetry
-# sinks are called from every worker thread; the cube solver owns the
-# P×Q×R barrier choreography; the omp and cube engines stream one shared
-# distribution array in place from worker threads, and every worker
-# spreads fiber forces into the box of fluid it owns (a race here means
-# two owned boxes overlap); the in-place and spread bodies they share
-# live in core; the race detector does not instrument assembly, so a
+# sinks are called from every worker thread; the engine package's cube
+# schedule owns the P×Q×R barrier choreography; both of its schedules,
+# OpenMP and cube, stream one shared distribution array in place from
+# worker threads, and every worker spreads fiber forces into the box of
+# fluid it owns (a race here means two owned boxes overlap); the in-place
+# and spread bodies they share live in core; the race detector does not instrument assembly, so a
 # race build selects the Go bodies of the node kernel, the stencil, the
 # spread and the gather (internal/cpu), and every record and
 # distribution access kernels 4, 5 and 8 make is one it sees; both
-# parallel engines run their workers on par's team; the perfmon profile — Table I/II
+# parallel schedules run their workers on par's team; the perfmon profile — Table I/II
 # accumulators, step ring and crossing ring of the critical-path report
 # — is written from all workers; par's timed barrier wraps the team
 # barrier; the digest's pieces, which the engines' teams run
@@ -57,7 +57,7 @@ if go build -gcflags='-d=ssa/check_bce/debug=1' ./internal/lattice/ ./internal/c
 	exit 1
 fi
 if grep -rn 'lattice\.\(Equilibrium\|GuoForce\)' --include='*.go' \
-	internal/core internal/omp internal/cubesolver |
+	internal/core internal/engine |
 	grep -v '_test\.go:'; then
 	echo "an engine package restates the collision arithmetic; call lattice.Collide" >&2
 	exit 1
@@ -93,9 +93,9 @@ fi
 # lattice.Collide, in the same order as the moments pass, which is what
 # keeps the engines bitwise equal to Sequential. An engine that composed
 # the two itself could drift from that order: outside tests, no file of
-# omp or cubesolver calls either.
+# internal/engine calls either.
 if grep -rn 'lattice\.\(Moments\|Collide\)(' --include='*.go' \
-	internal/omp internal/cubesolver |
+	internal/engine |
 	grep -v '_test\.go:'; then
 	echo "an engine calls the node kernel itself; fold through core.AABlock" >&2
 	exit 1
@@ -120,7 +120,7 @@ fi
 # not creep back onto a step path: no non-test file of core or of an
 # engine names it.
 if grep -rn 'grid\.Node\b' --include='*.go' \
-	internal/core internal/omp internal/cubesolver |
+	internal/core internal/engine |
 	grep -v '_test\.go:'; then
 	echo "an engine names grid.Node; step the grid's split arrays (grid.Grid)" >&2
 	exit 1
@@ -148,7 +148,7 @@ if grep -rn '\.Resolve(' --include='*.go' . | grep -v '^\./internal/core/' |
 	exit 1
 fi
 
-go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... ./internal/cubesolver/... ./internal/omp/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/grid/...
+go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... ./internal/engine/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/grid/...
 
 # Cross-engine differential smoke: 10 seeded cases on each of the three
 # engine modes (sequential, omp and, on cube-divisible grids, cube),
@@ -171,8 +171,8 @@ TMPDIR="$EXDIR" go run ./examples/movingsheet >/dev/null
 rm -rf "$EXDIR"
 
 # In-place step fuzz smoke: arbitrary tiny configurations through five
-# omp steps must never panic or produce a non-finite field.
-go test -run '^$' -fuzz '^FuzzStep$' -fuzztime 5s ./internal/omp/
+# OpenMP-schedule steps must never panic or produce a non-finite field.
+go test -run '^$' -fuzz '^FuzzStep$' -fuzztime 5s ./internal/engine/
 
 # Checkpoint decoder fuzz smoke: arbitrary bytes must never panic.
 go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 10s .
