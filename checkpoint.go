@@ -113,7 +113,7 @@ func eachPlane(l *grid.Grid, fn func(x int, plane []int) error) error {
 // state is engine-independent: a run checkpointed from the sequential
 // engine restores onto the cube engine and vice versa.
 func (s *Simulation) Checkpoint(w io.Writer) error {
-	l := s.eng.live()
+	l := s.live()
 	nx, ny, nz := l.Dims()
 	b := append([]byte(nil), checkpointMagic[:]...)
 	b = le.AppendUint32(b, checkpointVersion)

@@ -132,6 +132,11 @@ func main() {
 		if err := sim.Close(); err != nil {
 			log.Fatal(err)
 		}
+		// Close delivers the last step's sample (Config.Watchdog), so a
+		// violation in the final state surfaces only now.
+		if err := sim.Health(); err != nil {
+			log.Fatalf("watchdog: %v", err)
+		}
 		if *traceOut != "" {
 			fmt.Printf("trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", *traceOut)
 		}

@@ -103,6 +103,9 @@ func TestCritPathCubeEngine(t *testing.T) {
 		}
 	}
 
+	// The last step's line waits for its sample, which the next step or
+	// a between-steps reader takes: Close.
+	sim.Close()
 	sc := bufio.NewScanner(&log)
 	n, withCrit := 0, 0
 	for sc.Scan() {
@@ -300,6 +303,7 @@ func TestContentionOmpStepLog(t *testing.T) {
 		t.Errorf("imbalance ratio = %v, want ≥ 1", r.ImbalanceRatio)
 	}
 
+	sim.Close() // delivers the last step's sample, and its line
 	sc := bufio.NewScanner(&buf)
 	n := 0
 	for sc.Scan() {

@@ -18,15 +18,19 @@ import (
 
 	"lbmib/internal/engine"
 	"lbmib/internal/flightrec"
+	"lbmib/internal/lattice"
 	"lbmib/internal/telemetry"
 )
 
 // injectDepositFault installs an off-by-one stand-in at node (6,2,5):
 // from the given step on, the node receives a second (scaled) deposit of
 // its z-neighbor's distributions after every step — the signature of a
-// stream kernel writing one cell past its intended target. The extra
-// mass accumulates in one cube, so the watchdog's drift check and the
-// recorder's per-tile localization both have something to find.
+// stream kernel writing one cell past its intended target — and its
+// record the moments of the values it now holds, as the step's kernel 7
+// would have written them: Live leaves every record fresh, and a digest
+// reads a fresh record's density. The extra mass accumulates in one
+// cube, so the watchdog's drift check and the recorder's per-tile
+// localization both have something to find.
 func injectDepositFault(t *testing.T, fromStep int) {
 	t.Helper()
 	engine.FaultHook = func(s *engine.Solver) {
@@ -39,6 +43,8 @@ func injectDepositFault(t *testing.T, fromStep int) {
 		for i := range dst {
 			dst[i] += 0.01 * src[i]
 		}
+		m := g.At(6, 2, 5)
+		m.Rho = lattice.Moments(dst, m.Force, &m.Vel)
 	}
 	t.Cleanup(func() { engine.FaultHook = nil })
 }
@@ -68,10 +74,11 @@ func TestFlightRecorderBundleOnInjectedFault(t *testing.T) {
 
 	sim.Run(20)
 
-	// The watchdog must have stopped the run at the faulted step and
-	// localized the drift to the injection cube.
-	if got := sim.StepCount(); got != 5 {
-		t.Fatalf("run stopped at step %d, want 5 (first faulted step)", got)
+	// The watchdog must have stopped the run one step after the faulted
+	// state — step 6's collide sweep samples the state step 5 left — and
+	// localized the drift to the injection cube at step 5.
+	if got := sim.StepCount(); got != 6 {
+		t.Fatalf("run stopped at step %d, want 6 (one step after the first faulted state)", got)
 	}
 	var he *telemetry.HealthError
 	if err := sim.Health(); err == nil {
@@ -155,8 +162,8 @@ func TestFlightRecorderBundleOnInjectedFault(t *testing.T) {
 			t.Fatalf("log line %d invalid: %v", lines, err)
 		}
 	}
-	if lines != 5 {
-		t.Fatalf("step log has %d lines, want 5", lines)
+	if lines != 5 || last.Step != 5 {
+		t.Fatalf("step log has %d lines, the last for step %d, want 5 ending at the faulted step 5", lines, last.Step)
 	}
 	if last.Unhealthy == nil || last.Unhealthy.Cube != 5 || last.Unhealthy.Phase != "collide_stream" {
 		t.Fatalf("final step record unhealthy = %+v", last.Unhealthy)

@@ -285,6 +285,16 @@ func (s *Streamer) Block(b int, dst [][lattice.Q]float64) {
 // node collides with is its record's, or *force if force is non-nil.
 // With both non-nil the body never reads or writes a record.
 //
+// With a non-nil dg the sweep also digests the state it is about to
+// overwrite: each node's density and velocity — its record's when the
+// block is fresh, the fold's when it is stale, the same bits either way —
+// go into dg's slots for the block (grid.DigestRow), which the body
+// clears first and which no other block shares. That is the per-step
+// digest without a pass of its own (DESIGN.md §12). A nil dg leaves the
+// unobserved bodies as they were: the record path calls Collide and the
+// fold or force path collideWith, and only an observed node takes
+// collideObserved.
+//
 // Why the blocks may run in any order, concurrently, with no barrier
 // between them: in either phase the slots a node reads are exactly the
 // slots it writes — its own 19 when natural, its 19 L_q when swapped —
@@ -304,19 +314,30 @@ func (s *Streamer) Block(b int, dst [][lattice.Q]float64) {
 // node keeps, so no bit depends on which path a node took; Resolve runs
 // for wall links only. Streamer.Block, AAMomentsBlock and Canonicalize
 // are written the same way.
-func AABlock(s *Streamer, df [][lattice.Q]float64, b int, tau float64, swapped bool, fold, force *[3]float64) {
+func AABlock(s *Streamer, df [][lattice.Q]float64, b int, tau float64, swapped bool, fold, force *[3]float64, dg *grid.DigestGrid) {
 	m := s.l.Macros()
 	o, e := s.l.BlockBox(b)
 	idx := b * e[0] * e[1] * e[2]
 	// plain is the record path: the record's fields go to Collide
-	// directly; a fold or a given force goes through collideWith.
-	plain := fold == nil && force == nil
+	// directly; a fold or a given force goes through collideWith, and a
+	// digest through collideObserved, which adds each node to the row's
+	// slots through sink.
+	plain := fold == nil && force == nil && dg == nil
+	var obs grid.DigestRow
+	var sink *grid.DigestRow
+	if dg != nil {
+		dg.ClearSlots(o, e)
+		sink = &obs
+	}
 	// Scratch for one node, declared once so no node pays to zero it.
 	var g [lattice.Q]float64
 	var rho float64
 	for x := o[0]; x < o[0]+e[0]; x++ {
 		for y := o[1]; y < o[1]+e[1]; y++ {
 			row := s.row(x, y, +1)
+			if sink != nil {
+				obs = dg.Row(x, y)
+			}
 			for z := o[2]; z < o[2]+e[2]; z++ {
 				walls := row.walls | s.walls[2][z]
 				if !swapped {
@@ -327,8 +348,10 @@ func AABlock(s *Streamer, df [][lattice.Q]float64, b int, tau float64, swapped b
 					if r := &m[idx]; plain {
 						rho = r.Rho
 						lattice.Collide(f, rho, r.Vel, r.Force, tau)
-					} else {
+					} else if sink == nil {
 						rho = collideWith(f, r, fold, force, tau)
+					} else {
+						rho = collideObserved(f, r, fold, force, tau, sink, z)
 					}
 					f[1], f[2] = f[2], f[1]
 					f[3], f[4] = f[4], f[3]
@@ -372,8 +395,10 @@ func AABlock(s *Streamer, df [][lattice.Q]float64, b int, tau float64, swapped b
 				if r := &m[idx]; plain {
 					rho = r.Rho
 					lattice.Collide(&g, rho, r.Vel, r.Force, tau)
-				} else {
+				} else if sink == nil {
 					rho = collideWith(&g, r, fold, force, tau)
+				} else {
+					rho = collideObserved(&g, r, fold, force, tau, sink, z)
 				}
 				if walls == 0 {
 					df[idx][0] = g[0]
@@ -412,10 +437,29 @@ func collideWith(g *[lattice.Q]float64, r *grid.Macro, fold, force *[3]float64, 
 		force = &r.Force
 	}
 	if fold != nil {
-		return lattice.FoldCollide(g, *fold, *force, tau)
+		var u [3]float64
+		return lattice.FoldCollide(g, *fold, *force, tau, &u)
 	}
 	lattice.Collide(g, r.Rho, r.Vel, *force, tau)
 	return r.Rho
+}
+
+// collideObserved is collideWith on an observed sweep: the density and
+// velocity the collision starts from — the state the sweep overwrites —
+// also go to node z of the row's digest slots.
+func collideObserved(g *[lattice.Q]float64, r *grid.Macro, fold, force *[3]float64, tau float64, sink *grid.DigestRow, z int) (rho float64) {
+	if force == nil {
+		force = &r.Force
+	}
+	var u [3]float64
+	if fold != nil {
+		rho = lattice.FoldCollide(g, *fold, *force, tau, &u)
+	} else {
+		rho, u = r.Rho, r.Vel
+		lattice.Collide(g, rho, u, *force, tau)
+	}
+	sink.Add(z, rho, &u)
+	return rho
 }
 
 // rowLinks is the part of a row's links that x and y decide: their wall

@@ -82,8 +82,8 @@ func TestAABlockFoldMatchesMomentsThenCollide(t *testing.T) {
 						}
 						nb, _ := blocks(ref)
 						for b := 0; b < nb; b++ {
-							core.AABlock(sRef, ref.Dist(), b, p.Tau, swapped, nil, force)
-							core.AABlock(sFold, fold.Dist(), b, p.Tau, swapped, &body, force)
+							core.AABlock(sRef, ref.Dist(), b, p.Tau, swapped, nil, force, nil)
+							core.AABlock(sFold, fold.Dist(), b, p.Tau, swapped, &body, force, nil)
 						}
 						for i := range ref.Dist() {
 							for q := range ref.Dist()[i] {
@@ -108,7 +108,7 @@ func TestAABlockFoldDoesNotAllocate(t *testing.T) {
 	p := core.Problem{BCZ: core.BounceBack, LidVelocity: [3]float64{0.01, 0, 0}}
 	st := core.NewStreamer(g, p.StreamBC(16, 16, 16))
 	for _, swapped := range []bool{false, true} {
-		if n := testing.AllocsPerRun(10, func() { core.AABlock(st, g.Dist(), 0, 0.7, swapped, &body, &body) }); n != 0 {
+		if n := testing.AllocsPerRun(10, func() { core.AABlock(st, g.Dist(), 0, 0.7, swapped, &body, &body, nil) }); n != 0 {
 			t.Errorf("folded AABlock from swapped=%v: %v allocations per run, want 0", swapped, n)
 		}
 	}

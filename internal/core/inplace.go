@@ -15,7 +15,8 @@ import (
 // which blocks, where the team joins, and the block extent of their
 // grids, x-planes or k³ cubes. What reads
 // the state between steps is written once, here: Live, Canonical and
-// Refresh, the team Digest, and Loaded.
+// Refresh, the team Digest, and Loaded; and so is what lets the next
+// step's sweep digest it instead (Observe).
 type InPlace struct {
 	Problem
 	Fluid *grid.Grid
@@ -35,6 +36,10 @@ type InPlace struct {
 	// canonicalizePiece bound once, so Digest's team run allocates
 	// nothing.
 	canonRun func(p int)
+	// sink, when non-nil, is the digest the collide sweep of step
+	// sinkStep fills (Observe).
+	sink     *grid.DigestGrid
+	sinkStep int
 }
 
 // NewInPlace builds the state of an in-place engine over fluid, at rest,
@@ -111,12 +116,13 @@ func (s *InPlace) Canonical() *grid.Grid {
 
 // Digest fills d from the grid on the worker team, leaving the grid as
 // Live leaves it, bitwise as the grid's own one-goroutine Digest of
-// Live's grid. If the last step left the array swapped, the team first
-// canonicalizes it, one contiguous range of blocks per worker
-// (CanonicalizeBlocks), and joins; then each worker digests one
-// contiguous range of tiles or tile rows, refreshing each stale block's
-// records in the same loop (grid.DigestGrid.Begin). Every step after a
-// digest therefore starts from the natural phase. The team runs bodies
+// Live's grid and as the sweep Observe asks for. If the last step left
+// the array swapped, the team first canonicalizes it, one contiguous
+// range of blocks per worker (CanonicalizeBlocks), and joins; then each
+// worker digests one contiguous range of blocks, refreshing each stale
+// block's records in the same loop (grid.DigestGrid.Begin). It is the
+// digest of the readers between steps; a run that samples every step
+// takes the sample in the next step's sweep instead. The team runs bodies
 // bound once, so a digest allocates nothing. Call it between steps only.
 func (s *InPlace) Digest(d *grid.DigestGrid) error {
 	fresh, _ := s.Support.Sets(0)
@@ -132,6 +138,41 @@ func (s *InPlace) Digest(d *grid.DigestGrid) error {
 	s.Support.Refreshed()
 	d.End()
 	return nil
+}
+
+// Observe makes the next step's collide sweep digest the state it is
+// about to overwrite — the state StepCount names now — into d: every
+// block's owner adds its nodes' density and velocity to the block's
+// slots as it collides them (AABlock), and the step reduces the slots
+// once the team has joined (EndSweep). So once the step returns, d is
+// the digest Digest would have given between the steps, bit for bit,
+// without a pass of its own, and the array stays in the phase the step
+// leaves. d must fit the grid (grid.DigestGrid.Fits). Call it between
+// steps only.
+func (s *InPlace) Observe(d *grid.DigestGrid) error {
+	if err := d.Fits(s.Fluid); err != nil {
+		return err
+	}
+	s.sink, s.sinkStep = d, s.step
+	return nil
+}
+
+// Sink returns the digest the collide sweep of the k-th step of the
+// current run fills, or nil: Observe's, on the step it named.
+func (s *InPlace) Sink(k int) *grid.DigestGrid {
+	if s.sink != nil && s.step+k == s.sinkStep {
+		return s.sink
+	}
+	return nil
+}
+
+// EndSweep reduces the digest Observe asked for once its step has run,
+// after the team joined. The schedules call it at the end of every run.
+func (s *InPlace) EndSweep() {
+	if s.sink != nil && s.step > s.sinkStep {
+		s.sink.Reduce()
+		s.sink = nil
+	}
 }
 
 // canonicalizePiece canonicalizes worker p's static share of the blocks.

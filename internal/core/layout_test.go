@@ -138,7 +138,7 @@ func refStep(l *grid.Grid, st *core.Streamer, next [][lattice.Q]float64, tau flo
 func aaStep(l *grid.Grid, st *core.Streamer, tau float64, swapped bool, reset *[3]float64) {
 	nb, _ := blocks(l)
 	for b := 0; b < nb; b++ {
-		core.AABlock(st, l.Dist(), b, tau, swapped, nil, nil)
+		core.AABlock(st, l.Dist(), b, tau, swapped, nil, nil, nil)
 	}
 	for b := 0; b < nb; b++ {
 		core.AAMomentsBlock(st, l.Dist(), b, !swapped, reset)
@@ -342,11 +342,11 @@ func foldConformance(t *testing.T) {
 						aaStep(aa, sAA, p.Tau, swapped, &body)
 					case 1: // outside the support: no moments body
 						for b := 0; b < nb; b++ {
-							core.AABlock(sAA, aa.Dist(), b, p.Tau, swapped, nil, &body)
+							core.AABlock(sAA, aa.Dist(), b, p.Tau, swapped, nil, &body, nil)
 						}
 					case 2: // the stale records' moments folded in
 						for b := 0; b < nb; b++ {
-							core.AABlock(sAA, aa.Dist(), b, p.Tau, swapped, &body, &body)
+							core.AABlock(sAA, aa.Dist(), b, p.Tau, swapped, &body, &body, nil)
 						}
 						for b := 0; b < nb; b++ {
 							core.AAMomentsBlock(sAA, aa.Dist(), b, !swapped, &body)

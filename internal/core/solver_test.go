@@ -343,7 +343,7 @@ func TestCollideAndUpdateRangeDoNotAllocate(t *testing.T) {
 	st := NewStreamer(g, p.StreamBC(16, 16, 16))
 	for _, swapped := range []bool{false, true} {
 		if n := testing.AllocsPerRun(10, func() {
-			AABlock(st, g.Dist(), 0, 0.7, swapped, nil, nil)
+			AABlock(st, g.Dist(), 0, 0.7, swapped, nil, nil, nil)
 			AAMomentsBlock(st, g.Dist(), 0, !swapped, &reset)
 		}); n != 0 {
 			t.Errorf("AABlock and AAMomentsBlock from swapped=%v: %v allocations per run, want 0", swapped, n)

@@ -28,8 +28,10 @@ import "lbmib/internal/lattice"
 // Between steps, a reader of whole records — Live and everything built
 // on it, the facade's point accessors — refreshes the stale ones first
 // (RefreshAll): the moments body without the force reset, whose force is
-// then the body force. The per-step digest refreshes each stale block in
-// the loop that digests it (grid.DigestGrid.Begin).
+// then the body force. The explicit digest between steps refreshes each
+// stale block in the loop that digests it (grid.DigestGrid.Begin); the
+// per-step sample needs no refresh, since the next collide's fold
+// computes the stale blocks' moments anyway (AABlock with a digest).
 type Support struct {
 	sets [2][]bool
 	cur  int  // sets[cur] is the fresh set of the next step
@@ -89,7 +91,7 @@ func (p *Support) Advance(n int) {
 }
 
 // Refreshed records that every block has just been refreshed: the
-// per-step digest refreshes each stale block as it digests it
+// explicit digest refreshes each stale block as it digests it
 // (grid.DigestGrid.Begin).
 func (p *Support) Refreshed() { p.dirt = false }
 

@@ -19,17 +19,22 @@ func (s *Solver) runCube(n int) {
 	if n <= 0 {
 		return
 	}
-	first, p0 := s.StepCount(), s.Swapped()
-	s.Team.Run(func(tid int) {
-		for st := first; st < first+n; st++ {
-			s.cubeStep(st, st-first, tid, p0 != ((st-first)&1 == 1))
-		}
-	})
+	s.runFirst, s.runN, s.runPhase = s.StepCount(), n, s.Swapped()
+	s.Team.Run(s.cubeRun)
 	s.AdvanceStep(n)
 	if n&1 == 1 {
 		s.FlipPhase()
 	}
 	s.Support.Advance(n)
+}
+
+// cubeWorker is worker tid's part of the run runCube set up: every step
+// of it, the phase of each derived from the step index.
+func (s *Solver) cubeWorker(tid int) {
+	first, n, p0 := s.runFirst, s.runN, s.runPhase
+	for st := first; st < first+n; st++ {
+		s.cubeStep(st, st-first, tid, p0 != ((st-first)&1 == 1))
+	}
 }
 
 // cubeStep is Thread_entry_fn's per-step body (Algorithm 4). k counts the

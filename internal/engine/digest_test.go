@@ -8,17 +8,21 @@ import (
 	"lbmib/internal/grid"
 )
 
-// TestDigestOnTeamMatchesSerial: core.InPlace.Digest on the engine's
-// worker team (the array canonicalized on the team if the step left it
-// swapped, then one contiguous range of tile rows or cubes per worker) is
-// the one-goroutine digest of a twin solver's Live grid bit for bit, in
-// both phases (after an odd and an even number of steps), and with a NaN
-// seeded between steps, in the phase the step left, before and after a
-// step spreads it. The OpenMP schedule runs at 1–4 workers and at 5 and
-// 6, more than the 16³ grid's four tile rows; the cube schedule at 1–4
-// and on the odd meshes 3×1×1 and 3×3×1 beside 3×2×1. The twin's grid is
-// canonicalized by Live, not by the digest under test, so a skipped or
-// partial canonicalization shows.
+// TestDigestOnTeamMatchesSerial: the digest of a state is the same bits
+// by all three of its paths — core.InPlace.Digest on the engine's worker
+// team (the array canonicalized on the team if the step left it swapped,
+// then one contiguous range of blocks per worker), the one-goroutine
+// digest of a twin's Live grid (grid.DigestGrid.Fill), and the collide
+// sweep of a third twin's next step (core.InPlace.Observe), which steps
+// from whichever phase the last step left — after an odd and an even
+// number of steps, and with a NaN seeded into one record's velocity and
+// an infinity into one distribution between steps, in the phase the step
+// left, before and after a step spreads them. The OpenMP schedule runs at
+// 1–4 workers and at 5 and 6, more than the 16³ grid's four tile rows;
+// the cube schedule at 1–4 and on the odd meshes 3×1×1 and 3×3×1 beside
+// 3×2×1. Live canonicalizes the second twin, not the digest under test,
+// so a skipped or partial canonicalization shows; the sweep twin never
+// canonicalizes.
 func TestDigestOnTeamMatchesSerial(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -36,42 +40,53 @@ func TestDigestOnTeamMatchesSerial(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, threads := range tc.threads {
-				var got [2][]uint64
-				for i := range got {
+				var twins [3]*Solver
+				var digests [3]*grid.DigestGrid
+				for i := range twins {
 					s, err := tc.new(threads)
 					if err != nil {
 						t.Fatal(err)
 					}
-					d := newDigest(t)
-					digest := func() {
-						t.Helper()
-						if i == 0 {
-							err = s.Digest(d)
-						} else {
-							err = d.Fill(s.Live())
-						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						got[i] = append(got[i], digestBits(d)...)
-					}
+					defer s.Close()
 					s.Run(3)
-					digest()
-					s.Step()
-					digest()
+					twins[i], digests[i] = s, newDigest(t)
+				}
+				// point digests the twins' common state by the three
+				// paths and steps each once.
+				point := func(what string) {
+					t.Helper()
+					a, b, c := twins[0], twins[1], twins[2]
+					if err := a.Digest(digests[0]); err != nil {
+						t.Fatal(err)
+					}
+					if err := digests[1].Fill(b.Live()); err != nil {
+						t.Fatal(err)
+					}
+					if err := c.Observe(digests[2]); err != nil {
+						t.Fatal(err)
+					}
+					for _, s := range twins {
+						s.Step()
+					}
+					want := digestBits(digests[1])
+					if !slices.Equal(digestBits(digests[0]), want) {
+						t.Errorf("threads=%d, %s: the team's digest differs from the serial digest of Live's grid", threads, what)
+					}
+					if !slices.Equal(digestBits(digests[2]), want) {
+						t.Errorf("threads=%d, %s: the sweep's digest differs from the serial digest of Live's grid", threads, what)
+					}
+				}
+				point("3 steps")
+				point("4 steps")
+				for _, s := range twins {
 					tc.nan(s.Fluid.At(9, 3, 14))
 					s.Fluid.Dist()[s.Fluid.Idx(2, 15, 7)][5] = tc.inf
-					digest()
-					if d.NonFinite != 2 {
-						t.Fatalf("threads=%d: seeded digest counts %d non-finite nodes, want 2", threads, d.NonFinite)
-					}
-					s.Step()
-					digest()
-					s.Close()
 				}
-				if !slices.Equal(got[0], got[1]) {
-					t.Errorf("threads=%d: the team's digest differs from the serial digest of Live's grid", threads)
+				point("seeded")
+				if digests[1].NonFinite == 0 {
+					t.Fatalf("threads=%d: the seeded digest counts no non-finite node", threads)
 				}
+				point("seeded, one step on")
 			}
 		})
 	}

@@ -9,44 +9,57 @@ import (
 
 // stepOpenMP advances one time step under the OpenMP schedule: the nine
 // kernels in Algorithm 1 order, each a parallel region of the per-worker
-// loops that the team joins before the next kernel starts. Kernel 5's
-// region flips the phase bit; kernels 6 and 9 have no region (the stream
-// is in place), and kernels 4 and 7 none without a structure.
+// loops that the team joins before the next kernel starts (bindOpenMP).
 func (s *Solver) stepOpenMP() {
 	step := s.StepCount()
-	sheets := len(s.Sheets) > 0
-	kernel := func(k core.Kernel, fn func()) {
-		s.Timed(core.Event{Kind: core.KernelDone, Step: step, Kernel: k}, fn)
+	for i, kernel := range s.kernels {
+		s.Timed(core.Event{Kind: core.KernelDone, Step: step, Kernel: core.Kernel(i + 1)}, kernel)
 	}
-	fibers := func(k core.Kernel, body func(*fiber.Sheet, int, int)) {
-		kernel(k, func() { s.region(step, k, func(tid int) { s.fiberLoop(tid, body) }) })
-	}
-	fibers(core.KComputeBendingForce, (*fiber.Sheet).ComputeBendingForce)
-	fibers(core.KComputeStretchingForce, (*fiber.Sheet).ComputeStretchingForce)
-	fibers(core.KComputeElasticForce, (*fiber.Sheet).ComputeElasticForce)
-	kernel(core.KSpreadForce, func() {
-		if sheets {
-			s.region(step, core.KSpreadForce, func(tid int) { s.spreadLoop(tid, 0) })
-		}
-	})
-	kernel(core.KComputeCollision, func() {
-		swapped := s.FlipPhase()
-		s.region(step, core.KComputeCollision, func(tid int) { s.collideLoop(tid, 0, swapped) })
-	})
-	kernel(core.KStreamDistribution, func() {})
-	kernel(core.KUpdateVelocity, func() {
-		if sheets {
-			swapped := s.Swapped()
-			s.region(step, core.KUpdateVelocity, func(tid int) { s.momentsLoop(tid, 0, swapped) })
-		}
-		s.Support.Advance(1)
-	})
-	fibers(core.KMoveFibers, s.moveNodes)
-	kernel(core.KCopyDistribution, func() {})
 	if FaultHook != nil {
 		FaultHook(s)
 	}
 	s.AdvanceStep(1)
+}
+
+// bindOpenMP binds the OpenMP step's kernels, and the region bodies
+// they hand the team, once, so a step allocates nothing. Kernel 5's
+// region flips the phase bit and kernel 7's reads it, through s.phase,
+// which the coordinator writes before the region starts; kernels 6 and
+// 9 have no region (the stream is in place), and kernels 4 and 7 none
+// without a structure.
+func (s *Solver) bindOpenMP() {
+	sheets := len(s.Sheets) > 0
+	fibers := func(k core.Kernel, body func(*fiber.Sheet, int, int)) func() {
+		loop := func(tid int) { s.fiberLoop(tid, body) }
+		return func() { s.region(k, loop) }
+	}
+	spread := func(tid int) { s.spreadLoop(tid, 0) }
+	collide := func(tid int) { s.collideLoop(tid, 0, s.phase) }
+	moments := func(tid int) { s.momentsLoop(tid, 0, s.phase) }
+	s.kernels = [core.NumKernels]func(){
+		fibers(core.KComputeBendingForce, (*fiber.Sheet).ComputeBendingForce),
+		fibers(core.KComputeStretchingForce, (*fiber.Sheet).ComputeStretchingForce),
+		fibers(core.KComputeElasticForce, (*fiber.Sheet).ComputeElasticForce),
+		func() {
+			if sheets {
+				s.region(core.KSpreadForce, spread)
+			}
+		},
+		func() {
+			s.phase = s.FlipPhase()
+			s.region(core.KComputeCollision, collide)
+		},
+		func() {},
+		func() {
+			if sheets {
+				s.phase = s.Swapped()
+				s.region(core.KUpdateVelocity, moments)
+			}
+			s.Support.Advance(1)
+		},
+		fibers(core.KMoveFibers, s.moveNodes),
+		func() {},
+	}
 }
 
 // FaultHook, when non-nil, is invoked with the live solver after every
@@ -63,7 +76,7 @@ var FaultHook func(*Solver)
 // join — the OmpP-style measurement behind the paper's Table II: the rest
 // of the region's wall time a worker spent waiting at its implicit
 // barrier.
-func (s *Solver) region(step int, k core.Kernel, body func(tid int)) {
+func (s *Solver) region(k core.Kernel, body func(tid int)) {
 	probe := s.Probe
 	if probe == nil {
 		s.Team.Run(body)
@@ -73,7 +86,7 @@ func (s *Solver) region(step int, k core.Kernel, body func(tid int)) {
 	s.body, s.kernel = body, k
 	s.Team.Run(s.timed)
 	s.body = nil
-	probe.Emit(core.Event{Kind: core.RegionDone, Step: step, Kernel: k, Busy: s.busy})
+	probe.Emit(core.Event{Kind: core.RegionDone, Step: s.StepCount(), Kernel: k, Busy: s.busy})
 }
 
 // timedBody runs one worker's part of the current region under the clock.

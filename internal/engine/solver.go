@@ -78,6 +78,18 @@ type Solver struct {
 	body   func(tid int)
 	kernel core.Kernel
 	timed  func(tid int)
+
+	// kernels are the OpenMP step's nine kernels, bound once
+	// (bindOpenMP); phase is the array's phase the running collide or
+	// moments region reads.
+	kernels [core.NumKernels]func()
+	phase   bool
+
+	// The cube run in progress: its first step, its length and the
+	// array's phase before it; cubeRun is cubeWorker bound once.
+	runFirst, runN int
+	runPhase       bool
+	cubeRun        func(tid int)
 }
 
 // newSolver builds the state over fluid with a team of threads workers
@@ -119,6 +131,7 @@ func NewOpenMP(cfg core.Config, threads int) (*Solver, error) {
 	}
 	s.busy = make([]time.Duration, threads)
 	s.timed = s.timedBody
+	s.bindOpenMP()
 	return s, nil
 }
 
@@ -163,6 +176,7 @@ func NewCube(cfg core.Config, k, threads int) (*Solver, error) {
 	}
 	s.barrier = par.NewBarrier(threads)
 	s.timedBarrier = par.TimedBarrier{B: s.barrier, Arrive: s.BarrierArrived}
+	s.cubeRun = s.cubeWorker
 	return s, nil
 }
 
@@ -188,15 +202,18 @@ func (s *Solver) Box(tid int) grid.Box { return s.box[tid] }
 // Step advances one time step.
 func (s *Solver) Step() { s.Run(1) }
 
-// Run executes n time steps under the solver's schedule.
+// Run executes n time steps under the solver's schedule. A digest the
+// first of them was asked to take (core.InPlace.Observe) is complete
+// when Run returns.
 func (s *Solver) Run(n int) {
 	if s.barrier != nil {
 		s.runCube(n)
-		return
+	} else {
+		for range n {
+			s.stepOpenMP()
+		}
 	}
-	for range n {
-		s.stepOpenMP()
-	}
+	s.EndSweep()
 }
 
 // fiberLoop runs body over worker tid's fibers as (sheet, node-range)
@@ -233,12 +250,15 @@ func (s *Solver) spreadLoop(tid, k int) {
 // tid's blocks, fused per block and streamed in place from the array's
 // phase swapped (core.AABlock); a block with a stale record folds its
 // moments in (core.Support.Take). Writes into neighbouring workers'
-// blocks are race-free because no two nodes share a slot.
+// blocks are race-free because no two nodes share a slot. On an observed
+// step (core.InPlace.Sink) each block also digests the state it
+// overwrites into its own slots, which only its owner writes.
 func (s *Solver) collideLoop(tid, k int, swapped bool) {
 	df := s.Fluid.Dist()
+	dg := s.Sink(k)
 	for _, b := range s.owned[tid] {
 		fold, force := s.Support.Take(k, b, &s.BodyForce)
-		core.AABlock(s.Stream, df, b, s.Tau, swapped, fold, force)
+		core.AABlock(s.Stream, df, b, s.Tau, swapped, fold, force, dg)
 	}
 }
 

@@ -26,9 +26,9 @@ func spreadOnly(s *Solver) {
 			(*fiber.Sheet).ComputeStretchingForce,
 			(*fiber.Sheet).ComputeElasticForce,
 		} {
-			s.region(0, core.Kernel(k+1), func(tid int) { s.fiberLoop(tid, body) })
+			s.region(core.Kernel(k+1), func(tid int) { s.fiberLoop(tid, body) })
 		}
-		s.region(0, core.KSpreadForce, func(tid int) { s.spreadLoop(tid, 0) })
+		s.region(core.KSpreadForce, func(tid int) { s.spreadLoop(tid, 0) })
 		return
 	}
 	s.Team.Run(func(tid int) {

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -232,20 +233,34 @@ func (r *Recorder) WantSnapshot(step int) bool {
 
 // RecordDigest copies a filled digest into step's ring entry, taking
 // its tile size from d. The per-slot tile buffer is reused, so the
-// steady state allocates nothing.
+// steady state allocates nothing. JSON has no NaN or infinity, so a
+// non-finite mass or speed is kept as 0: the ring must still encode once
+// the state has blown up, and the NonFinite counts say which tiles did.
 func (r *Recorder) RecordDigest(step int, d *grid.DigestGrid) {
 	r.mu.Lock()
 	s := r.slotFor(step)
 	s.HasDigest = true
-	s.Mass = d.Mass
-	s.MaxVel = d.MaxVel
+	s.Mass = finite(d.Mass)
+	s.MaxVel = finite(d.MaxVel)
 	s.NonFinite = d.NonFinite
 	s.Digests = append(s.Digests[:0], d.Tiles...)
+	for i := range s.Digests {
+		t := &s.Digests[i]
+		t.Mass, t.MaxVel2 = finite(t.Mass), finite(t.MaxVel2)
+	}
 	r.tileK, r.tx, r.ty, r.tz = d.K, d.TX, d.TY, d.TZ
 	if step > r.lastStep {
 		r.lastStep = step
 	}
 	r.mu.Unlock()
+}
+
+// finite returns v, or 0 if v is NaN or infinite.
+func finite(v float64) float64 {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0
+	}
+	return v
 }
 
 // TakeSnapshot checkpoints the current state into memory via write

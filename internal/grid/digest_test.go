@@ -140,6 +140,13 @@ func TestDigestDimensionMismatch(t *testing.T) {
 	}
 }
 
+// TestDigestReadsPresentBufferAfterSwap: a digest reads a fresh block's
+// records and a stale block's array, as it is. With every distribution
+// doubled — and stored at the opposite slot, as the swapped phase of an
+// in-place step would leave it, so a digest that read a stale copy would
+// show it — the digest of fresh records is unchanged, and the digest of
+// stale ones refreshes them from the array as it is: each node's ρ
+// doubles, and so, exactly, does every tile's mass.
 func TestDigestReadsPresentBufferAfterSwap(t *testing.T) {
 	g := New(4, 4, 4)
 	d, err := NewDigestGrid(4, 4, 4, 2)
@@ -149,25 +156,36 @@ func TestDigestReadsPresentBufferAfterSwap(t *testing.T) {
 	if err := g.Digest(d); err != nil {
 		t.Fatal(err)
 	}
-	before := d.Tiles
-	d.Tiles = append([]TileDigest(nil), before...)
-	// The swapped phase of an in-place step stores each node's value q at
-	// slot Opposite[q]; double the values too, so a digest that read a
-	// stale copy would show it. The digest must read the array as it is.
+	before := append([]TileDigest(nil), d.Tiles...)
 	for i := range g.dist {
 		var sw [lattice.Q]float64
 		for q, v := range g.dist[i] {
 			sw[lattice.Opposite[q]] = 2 * v
 		}
+		sw[0] = 2 * g.dist[i][0]
 		g.dist[i] = sw
 	}
 	if err := g.Digest(d); err != nil {
 		t.Fatal(err)
 	}
 	for i := range d.Tiles {
-		if math.Abs(d.Tiles[i].Mass-2*before[i].Mass) > 1e-12 {
-			t.Fatalf("tile %d: mass after the swap %g, want %g", i, d.Tiles[i].Mass, 2*before[i].Mass)
+		if d.Tiles[i] != before[i] {
+			t.Fatalf("tile %d of fresh records: %+v after the swap, want %+v", i, d.Tiles[i], before[i])
 		}
+	}
+	digestSplit(t, g, d, 1, make([]bool, g.NumBlocks()))
+	for i := range d.Tiles {
+		if math.Float64bits(d.Tiles[i].Mass) == math.Float64bits(before[i].Mass) {
+			t.Fatalf("tile %d of stale records: mass %g, the records' before the refresh", i, d.Tiles[i].Mass)
+		}
+	}
+	ref, err := NewDigestGrid(4, 4, 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	referenceDigest(ref, gridNodes(g))
+	if diff := sameDigest(d, ref); diff != "" {
+		t.Fatalf("stale records refreshed from the array: %s", diff)
 	}
 }
 
@@ -230,28 +248,71 @@ func mustBlocked(nx, ny, nz int, block [3]int) *Grid {
 	return g
 }
 
-// referenceDigest is the per-node walk the digest body replaced, kept
-// as its oracle: every node of src in storage order — plane by plane on
-// the slab grid, cube by cube on a grid of cubes, z-fastest inside a
-// block — folded into its tile by digestNode.
-func referenceDigest(src *Grid, d *DigestGrid) {
-	d.reset()
-	dist, macro := src.Dist(), src.Macros()
-	_, ext := src.BlockBox(0)
-	i := 0
-	for b := 0; i < len(macro); b++ {
-		o, _ := src.BlockBox(b)
-		for x := o[0]; x < o[0]+ext[0]; x++ {
-			for y := o[1]; y < o[1]+ext[1]; y++ {
-				for z := o[2]; z < o[2]+ext[2]; z++ {
-					m := &macro[i]
-					d.digestNode(&dist[i], m.Rho, m.Vel, d.TileOf(x, y, z), x, y, z)
-					i++
+// referenceDigest is the digest's definition (TileDigest) written out
+// as a walk over the lattice, independent of the slots and of Reduce, as
+// their oracle: every node's ρ summed x-layer by x-layer into its tile,
+// the layers in x order, the tiles in tile order; the fastest node the
+// first strictly faster one in lattice order; the first bad node the
+// first with a NaN or infinite ρ or u.
+func referenceDigest(d *DigestGrid, node func(x, y, z int) (rho float64, u [3]float64)) {
+	tiles := make([]TileDigest, d.NumTiles())
+	maxV2, maxCell := 0.0, [3]int{}
+	bad, badRho, badVel, nonFinite := [3]int{-1, -1, -1}, 0.0, [3]float64{}, 0
+	for x := 0; x < d.NX; x++ {
+		layer := make([]float64, d.TY*d.TZ)
+		for y := 0; y < d.NY; y++ {
+			for z := 0; z < d.NZ; z++ {
+				rho, u := node(x, y, z)
+				layer[(y/d.K)*d.TZ+z/d.K] += rho
+				td := &tiles[d.TileOf(x, y, z)]
+				v2 := u[0]*u[0] + u[1]*u[1] + u[2]*u[2]
+				if v2 > td.MaxVel2 { // a NaN speed is never the fastest
+					td.MaxVel2 = v2
+				}
+				if v2 > maxV2 {
+					maxV2, maxCell = v2, [3]int{x, y, z}
+				}
+				if math.IsNaN(rho) || math.IsInf(rho, 0) ||
+					math.IsNaN(u[0]) || math.IsInf(u[0], 0) ||
+					math.IsNaN(u[1]) || math.IsInf(u[1], 0) ||
+					math.IsNaN(u[2]) || math.IsInf(u[2], 0) {
+					td.NonFinite++
+					nonFinite++
+					if bad[0] < 0 {
+						bad, badRho, badVel = [3]int{x, y, z}, rho, u
+					}
 				}
 			}
 		}
+		for c, m := range layer {
+			tiles[(x/d.K)*d.TY*d.TZ+c].Mass += m
+		}
 	}
-	d.finish()
+	d.Mass = 0
+	for _, td := range tiles {
+		d.Mass += td.Mass
+	}
+	copy(d.Tiles, tiles)
+	d.MaxVel, d.MaxVelCell, d.NonFinite = math.Sqrt(maxV2), maxCell, nonFinite
+	d.BadCell, d.BadRho, d.BadVel = bad, badRho, badVel
+}
+
+// gridNodes reads node (x, y, z)'s record from a grid of any layout.
+func gridNodes(g *Grid) func(x, y, z int) (float64, [3]float64) {
+	return func(x, y, z int) (float64, [3]float64) {
+		m := &g.macro[g.Idx(x, y, z)]
+		return m.Rho, m.Vel
+	}
+}
+
+// snapshotOf copies a grid's nodes into a snapshot.
+func snapshotOf(g *Grid) *Snapshot {
+	s := NewSnapshot(g.Dims())
+	eachNode(g.NX, g.NY, g.NZ, func(x, y, z int) {
+		i, n := g.Idx(x, y, z), s.At(x, y, z)
+		n.DF, n.Rho, n.Vel, n.Force = g.dist[i], g.macro[i].Rho, g.macro[i].Vel, g.macro[i].Force
+	})
+	return s
 }
 
 // digestSplit digests src in the given number of pieces, each on its own
@@ -409,10 +470,11 @@ func randomNode(rng *rand.Rand, df *[lattice.Q]float64, m *Macro) {
 }
 
 // TestDigestMatchesPerNodeReference: the digest body, whole or split
-// into any number of pieces on the slab grid and on grids of cubes, fills
-// every field bit for bit as the per-node walk does — tiles, aggregates,
-// the fastest cell (first in traversal order on ties) and the first bad
-// cell with its ρ and u.
+// into any number of pieces on the slab grid and on grids of cubes, and
+// the snapshot's walk fill every field bit for bit as the definition
+// written out does (referenceDigest) — tiles, aggregates, the fastest
+// cell (first in lattice order on ties) and the first bad cell with its
+// ρ and u.
 func TestDigestMatchesPerNodeReference(t *testing.T) {
 	type layout struct {
 		name string
@@ -447,7 +509,7 @@ func TestDigestMatchesPerNodeReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			referenceDigest(src, want)
+			referenceDigest(want, gridNodes(src))
 			got, err := NewDigestGrid(nx, ny, nz, l.k)
 			if err != nil {
 				t.Fatal(err)
@@ -457,6 +519,12 @@ func TestDigestMatchesPerNodeReference(t *testing.T) {
 			}
 			if diff := sameDigest(got, want); diff != "" {
 				t.Errorf("%s, %s, Fill: %s", l.name, f.name, diff)
+			}
+			if err := snapshotOf(src).Digest(got); err != nil {
+				t.Fatal(err)
+			}
+			if diff := sameDigest(got, want); diff != "" {
+				t.Errorf("%s, %s, Snapshot.Digest: %s", l.name, f.name, diff)
 			}
 			for _, parts := range []int{1, 2, 3, 5, 9} {
 				digestSplit(t, src, got, parts, nil)
@@ -474,8 +542,9 @@ func TestDigestMatchesPerNodeReference(t *testing.T) {
 // digests the refreshed records, whole or split into pieces, on the slab
 // grid and on a grid of cubes, with every fault field: the records and the
 // digest are the bits of a refresh of those blocks followed by the
-// per-node walk. Fresh blocks' records are read as they are, and every
-// block is fresh afterwards.
+// definition's walk (referenceDigest), whose tile masses are the
+// refreshed ρ summed layer by layer. Fresh blocks' records are read as
+// they are, and every block is fresh afterwards.
 func TestDigestRefreshesStaleBlocks(t *testing.T) {
 	layouts := []struct {
 		name string
@@ -514,7 +583,7 @@ func TestDigestRefreshesStaleBlocks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				referenceDigest(want, wantD)
+				referenceDigest(wantD, gridNodes(want))
 				got, err := NewDigestGrid(nx, ny, nz, l.k)
 				if err != nil {
 					t.Fatal(err)
@@ -575,7 +644,7 @@ func BenchmarkDigest(b *testing.B) {
 		}
 		b.Run(l.name+"/reference", func(b *testing.B) {
 			for range b.N {
-				referenceDigest(l.src, d)
+				referenceDigest(d, gridNodes(l.src))
 			}
 		})
 		for _, parts := range []int{1, 2} {

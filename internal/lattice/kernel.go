@@ -55,23 +55,24 @@ func Collide(g *[Q]float64, rho float64, u, f [3]float64, tau float64) {
 // FoldCollide is Moments of g under the force fold followed by Collide
 // with that density and velocity and the force f, in one call: the
 // moments of the previous step folded into this step's collision
-// (core.AABlock). It returns the density. On a host with AVX2 the
-// vector body forms the moments from the pair sums and
-// differences of the values it loaded for the collision; the bits are
-// those of the two calls, as Collide's are.
-func FoldCollide(g *[Q]float64, fold, f [3]float64, tau float64) (rho float64) {
+// (core.AABlock). It returns the density and writes the velocity into u,
+// as Moments does: the state's moments, which a sampled sweep digests.
+// On a host with AVX2 the vector body forms the moments from the pair
+// sums and differences of the values it loaded for the collision; the
+// bits are those of the two calls, as Collide's are.
+func FoldCollide(g *[Q]float64, fold, f [3]float64, tau float64, u *[3]float64) (rho float64) {
 	if cpu.Vector() {
-		return foldCollideAVX2(g, fold[0], fold[1], fold[2], f[0], f[1], f[2], tau)
+		rho, u[0], u[1], u[2] = foldCollideAVX2(g, fold[0], fold[1], fold[2], f[0], f[1], f[2], tau)
+		return rho
 	}
-	return foldCollide(g, fold, f, tau)
+	return foldCollide(g, fold, f, tau, u)
 }
 
 // foldCollide is FoldCollide in Go, the portable path and the vector
 // body's oracle.
-func foldCollide(g *[Q]float64, fold, f [3]float64, tau float64) (rho float64) {
-	var u [3]float64
-	rho = Moments(g, fold, &u)
-	collide(g, rho, u, f, tau)
+func foldCollide(g *[Q]float64, fold, f [3]float64, tau float64, u *[3]float64) (rho float64) {
+	rho = Moments(g, fold, u)
+	collide(g, rho, *u, f, tau)
 	return rho
 }
 

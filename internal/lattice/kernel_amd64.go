@@ -13,4 +13,4 @@ func collideAVX2(d *[Q]float64, rho, ux, uy, uz, fx, fy, fz, tau float64)
 // fold force and fx, fy, fz the collision's.
 //
 //go:noescape
-func foldCollideAVX2(d *[Q]float64, hx, hy, hz, fx, fy, fz, tau float64) (rho float64)
+func foldCollideAVX2(d *[Q]float64, hx, hy, hz, fx, fy, fz, tau float64) (rho, ux, uy, uz float64)

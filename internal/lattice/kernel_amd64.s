@@ -243,14 +243,14 @@ TEXT ·collideAVX2(SB), NOSPLIT, $0-72
 	VZEROUPPER
 	RET
 
-// func foldCollideAVX2(d *[Q]float64, hx, hy, hz, fx, fy, fz, tau float64) (rho float64)
+// func foldCollideAVX2(d *[Q]float64, hx, hy, hz, fx, fy, fz, tau float64) (rho, ux, uy, uz float64)
 //
 // Moments, then COLLIDE with the density and velocity it wrote to the
-// frame. The pair sums and differences come from the group vectors,
+// frame, which are also the results. The pair sums and differences come from the group vectors,
 // four pairs per instruction; Moments' sums over them run lane 0 by lane
 // 0 in its order. COLLIDE loads the groups again: keeping them in the
 // frame instead measured no faster.
-TEXT ·foldCollideAVX2(SB), NOSPLIT, $32-72
+TEXT ·foldCollideAVX2(SB), NOSPLIT, $32-96
 	MOVQ d+0(FP), DI
 	GATHER(8, 40, 24, 56, X0, Y0, X7)
 	GATHER(16, 48, 32, 64, X1, Y1, X7)
@@ -342,6 +342,12 @@ moments:
 	VMOVSD X9, 24(SP)
 
 collide:
+	VMOVSD 8(SP), X0
+	VMOVSD X0, ux+72(FP)
+	VMOVSD 16(SP), X0
+	VMOVSD X0, uy+80(FP)
+	VMOVSD 24(SP), X0
+	VMOVSD X0, uz+88(FP)
 	COLLIDE(0(SP), 8(SP), 16(SP), 24(SP), fx+32(FP), fy+40(FP), fz+48(FP), tau+56(FP))
 	VZEROUPPER
 	RET

@@ -10,6 +10,8 @@ func collideAVX2(g *[Q]float64, rho, ux, uy, uz, fx, fy, fz, tau float64) {
 	collide(g, rho, [3]float64{ux, uy, uz}, [3]float64{fx, fy, fz}, tau)
 }
 
-func foldCollideAVX2(g *[Q]float64, hx, hy, hz, fx, fy, fz, tau float64) (rho float64) {
-	return foldCollide(g, [3]float64{hx, hy, hz}, [3]float64{fx, fy, fz}, tau)
+func foldCollideAVX2(g *[Q]float64, hx, hy, hz, fx, fy, fz, tau float64) (rho, ux, uy, uz float64) {
+	var u [3]float64
+	rho = foldCollide(g, [3]float64{hx, hy, hz}, [3]float64{fx, fy, fz}, tau, &u)
+	return rho, u[0], u[1], u[2]
 }

@@ -360,7 +360,8 @@ func firstDiff(a, b *[Q]float64) int {
 
 // checkVector runs both bodies of Collide and of FoldCollide on s and
 // fails at the first bit that differs. The fold uses s.f as the fold
-// force and fold as the collision's.
+// force and fold as the collision's; the density and velocity it returns
+// must be Moments' bits under the fold force, from either body.
 func checkVector(t *testing.T, n int, s nodeState, fold [3]float64) {
 	t.Helper()
 	want, got := s.g, s.g
@@ -371,11 +372,20 @@ func checkVector(t *testing.T, n int, s nodeState, fold [3]float64) {
 			n, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i], s)
 	}
 	want, got = s.g, s.g
-	wantRho := foldCollide(&want, s.f, fold, s.tau)
-	gotRho := foldCollideAVX2(&got, s.f[0], s.f[1], s.f[2], fold[0], fold[1], fold[2], s.tau)
-	if !sameBits(gotRho, wantRho) {
-		t.Fatalf("FoldCollide, node %d: density %#016x (%g), Go %#016x (%g)\n%+v",
-			n, math.Float64bits(gotRho), gotRho, math.Float64bits(wantRho), wantRho, s)
+	var moments [3]float64
+	momentsRho := Moments(&want, s.f, &moments)
+	var wantU [3]float64
+	wantRho := foldCollide(&want, s.f, fold, s.tau, &wantU)
+	gotRho, gotU0, gotU1, gotU2 := foldCollideAVX2(&got, s.f[0], s.f[1], s.f[2], fold[0], fold[1], fold[2], s.tau)
+	gotU := [3]float64{gotU0, gotU1, gotU2}
+	if !sameBits(wantRho, momentsRho) || !sameBits(gotRho, wantRho) {
+		t.Fatalf("FoldCollide, node %d: density %#016x (%g), Go %#016x (%g), Moments %#016x\n%+v",
+			n, math.Float64bits(gotRho), gotRho, math.Float64bits(wantRho), wantRho, math.Float64bits(momentsRho), s)
+	}
+	for a := range moments {
+		if !sameBits(wantU[a], moments[a]) || !sameBits(gotU[a], wantU[a]) {
+			t.Fatalf("FoldCollide, node %d: velocity %v, Go %v, Moments %v\n%+v", n, gotU, wantU, moments, s)
+		}
 	}
 	if i := firstDiff(&got, &want); i >= 0 {
 		t.Fatalf("FoldCollide, node %d, direction %d: vector %#016x (%g), Go %#016x (%g)\n%+v",
@@ -499,9 +509,9 @@ func BenchmarkCollide(b *testing.B) {
 		{"vector", true, func(s *nodeState) { collideAVX2(&s.g, s.rho, s.u[0], s.u[1], s.u[2], s.f[0], s.f[1], s.f[2], s.tau) }},
 		{"portable", false, func(s *nodeState) { collide(&s.g, s.rho, s.u, s.f, s.tau) }},
 		{"fold/vector", true, func(s *nodeState) {
-			s.rho = foldCollideAVX2(&s.g, s.f[0], s.f[1], s.f[2], s.f[0], s.f[1], s.f[2], s.tau)
+			s.rho, s.u[0], s.u[1], s.u[2] = foldCollideAVX2(&s.g, s.f[0], s.f[1], s.f[2], s.f[0], s.f[1], s.f[2], s.tau)
 		}},
-		{"fold/portable", false, func(s *nodeState) { s.rho = foldCollide(&s.g, s.f, s.f, s.tau) }},
+		{"fold/portable", false, func(s *nodeState) { s.rho = foldCollide(&s.g, s.f, s.f, s.tau, &s.u) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			if c.vector && !cpu.Vector() {

@@ -93,7 +93,8 @@ const (
 )
 
 // Watchdog checks per-step physics health: total mass drift, maximum
-// velocity, and NaN/Inf contamination of ρ, u and the distributions. The
+// velocity, and NaN/Inf contamination of ρ and u, which the moments carry
+// from any non-finite distribution. The
 // first violation is latched — Healthy() turns false, Err() returns a
 // *HealthError naming the exact step, and later Checks return the same
 // error without re-evaluating, so a driver can abort or merely flag the
@@ -193,8 +194,7 @@ func (w *Watchdog) Check(step int, d *grid.DigestGrid) error {
 		return fail(fmt.Sprintf("non-finite state at node (%d,%d,%d): %s", c[0], c[1], c[2], what),
 			phase, c, true, d.TileOf(c[0], c[1], c[2]))
 	}
-	// A NaN anywhere in the distributions poisons the mass sum even
-	// before it reaches ρ/u, so check the aggregate too.
+	// Every node's ρ is finite here, but their sum may still overflow.
 	if math.IsNaN(mass) || math.IsInf(mass, 0) {
 		return fail(fmt.Sprintf("non-finite total mass %g", mass), phaseCollideStream, [3]int{}, false, -1)
 	}
@@ -212,19 +212,16 @@ func (w *Watchdog) Check(step int, d *grid.DigestGrid) error {
 	return nil
 }
 
-// describeBadNode classifies which field of the digest's first bad node
-// is non-finite, and the phase that produces it: ρ and u come from the
-// moment update, the distributions from collide/stream.
+// describeBadNode names the non-finite field of the digest's first bad
+// node, ρ or else u, and the phase that produces both: the moment update.
+// A non-finite distribution shows as a non-finite ρ, since a digest takes
+// each node's mass from its moments (grid.TileDigest).
 func describeBadNode(d *grid.DigestGrid) (what, phase string) {
-	rho, u := d.BadRho, d.BadVel
-	if math.IsNaN(rho) || math.IsInf(rho, 0) {
+	if rho := d.BadRho; math.IsNaN(rho) || math.IsInf(rho, 0) {
 		return fmt.Sprintf("rho=%g", rho), phaseUpdateVelocity
 	}
-	if math.IsNaN(u[0]) || math.IsNaN(u[1]) || math.IsNaN(u[2]) ||
-		math.IsInf(u[0], 0) || math.IsInf(u[1], 0) || math.IsInf(u[2], 0) {
-		return fmt.Sprintf("u=(%g,%g,%g)", u[0], u[1], u[2]), phaseUpdateVelocity
-	}
-	return "non-finite distribution mass", phaseCollideStream
+	u := d.BadVel
+	return fmt.Sprintf("u=(%g,%g,%g)", u[0], u[1], u[2]), phaseUpdateVelocity
 }
 
 // worstDriftTile names the tile whose mass moved furthest from its

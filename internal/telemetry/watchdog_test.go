@@ -26,6 +26,14 @@ func digestOf(t *testing.T, g *grid.Grid) *grid.DigestGrid {
 	return d
 }
 
+// deposit adds dm to node i's rest distribution and refreshes its record
+// as kernel 7 would: a digest reads each node's mass from its moments.
+func deposit(g *grid.Grid, i int, dm float64) {
+	g.Dist()[i][0] += dm
+	m := &g.Macros()[i]
+	m.Rho = lattice.Moments(&g.Dist()[i], m.Force, &m.Vel)
+}
+
 // TestWatchdogFlagsNaNAtExactStep seeds a NaN into one node's
 // distribution mid-run and asserts the watchdog latches the failure at
 // exactly the step the contamination appears, not before and not after.
@@ -40,9 +48,10 @@ func TestWatchdogFlagsNaNAtExactStep(t *testing.T) {
 			t.Fatalf("healthy run flagged at step %d: %v", step, err)
 		}
 	}
-	// Poison one distribution entry; the next collision/moment update
-	// would spread it, but the watchdog must already see the mass sum go
-	// non-finite on the very step it appears.
+	// Poison one distribution entry and one velocity; the next
+	// collision/moment update would spread them, but the watchdog must
+	// already see the velocity on the very step it appears (the
+	// distribution reaches a digest through the node's next moments).
 	s.Fluid.Dist()[123][5] = math.NaN()
 	s.Fluid.Macros()[200].Vel[1] = math.NaN()
 
@@ -95,7 +104,7 @@ func TestWatchdogMassDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inject 1% extra mass into one node.
-	g.Dist()[0][0] += 0.01 * g.TotalMass()
+	deposit(g, 0, 0.01*g.TotalMass())
 	err := wd.Check(1, digestOf(t, g))
 	if err == nil || !strings.Contains(err.Error(), "mass drifted") {
 		t.Fatalf("drift not flagged: %v", err)
@@ -122,8 +131,9 @@ func TestWatchdogGauges(t *testing.T) {
 	if err := wd.Check(0, digestOf(t, g)); err != nil {
 		t.Fatal(err)
 	}
-	if mass := r.Gauge("lbmib_mass", "").Value(); math.Abs(mass-g.TotalMass()) > 1e-12 {
-		t.Fatalf("mass gauge = %g, want %g", mass, g.TotalMass())
+	// A digest's mass is Σρ, 64 at rest, not the distributions' sum.
+	if mass := r.Gauge("lbmib_mass", "").Value(); mass != 64 {
+		t.Fatalf("mass gauge = %g, want 64", mass)
 	}
 	if r.Gauge("lbmib_unhealthy", "").Value() != 0 {
 		t.Fatal("healthy run has unhealthy gauge set")
@@ -195,7 +205,7 @@ func TestWatchdogDriftNamesWorstCube(t *testing.T) {
 	if err := wd.Check(0, digestOf(t, g)); err != nil {
 		t.Fatal(err)
 	}
-	g.Dist()[g.Idx(6, 6, 6)][0] += 1.0 // inject mass into tile (1,1,1)
+	deposit(g, g.Idx(6, 6, 6), 1) // inject mass into tile (1,1,1)
 	err := wd.Check(1, digestOf(t, g))
 	var he *HealthError
 	if !errors.As(err, &he) {
@@ -207,10 +217,11 @@ func TestWatchdogDriftNamesWorstCube(t *testing.T) {
 }
 
 // TestWatchdogCheckDigest checks a digest filled by another pass, as the
-// facade hands the watchdog the step's one sample.
+// facade hands the watchdog the step's one sample: a NaN distribution
+// reaches the node's ρ through the moments.
 func TestWatchdogCheckDigest(t *testing.T) {
 	g := grid.New(8, 8, 8)
-	g.Dist()[g.Idx(0, 0, 1)][3] = math.NaN()
+	deposit(g, g.Idx(0, 0, 1), math.NaN())
 	d, err := grid.NewDigestGrid(8, 8, 8, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +235,7 @@ func TestWatchdogCheckDigest(t *testing.T) {
 	if !errors.As(herr, &he) {
 		t.Fatalf("got %T, want *HealthError", herr)
 	}
-	if he.Step != 3 || !he.HasCell || he.Cell != ([3]int{0, 0, 1}) || he.Phase != "collide_stream" {
+	if he.Step != 3 || !he.HasCell || he.Cell != ([3]int{0, 0, 1}) || he.Phase != "update_velocity" {
 		t.Fatalf("digest check mislocalized: %+v", he)
 	}
 	if wd.Healthy() {
@@ -243,7 +254,10 @@ func TestWatchdogDigestNamesField(t *testing.T) {
 	}{
 		{"rho", func(_ *[lattice.Q]float64, m *grid.Macro) { m.Rho = math.NaN() }, "rho=NaN", "update_velocity"},
 		{"u", func(_ *[lattice.Q]float64, m *grid.Macro) { m.Vel[2] = math.Inf(-1) }, "u=(0,0,-Inf)", "update_velocity"},
-		{"distributions", func(df *[lattice.Q]float64, _ *grid.Macro) { df[7] = math.NaN() }, "non-finite distribution mass", "collide_stream"},
+		{"distributions", func(df *[lattice.Q]float64, m *grid.Macro) {
+			df[7] = math.NaN()
+			m.Rho = lattice.Moments(df, m.Force, &m.Vel)
+		}, "rho=NaN", "update_velocity"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := grid.New(8, 8, 8)

@@ -199,15 +199,22 @@ type Config struct {
 	TraceFile string
 	// LogWriter, when non-nil, receives one JSON line per completed step
 	// (step, mass, maxVel, kernelMillis, mlups). Mass and maxVel come from
-	// the step's digest: one pass over the engine's live layout per step,
-	// shared with the Watchdog and the FlightRec.
+	// the step's sample, the digest of the state the step left, shared
+	// with the Watchdog and the FlightRec. On the parallel engines a
+	// step's sample is taken by the next step's collide sweep, or by the
+	// next between-steps reader (Checkpoint, WritePostMortem, the fluid
+	// snapshot and writers, Close), so a step's line is written once the
+	// next step or reader has run; Sequential samples at the end of the
+	// step. Every line names the step it describes.
 	LogWriter io.Writer
-	// Watchdog, when non-nil, checks physics health after every step;
-	// once it flags the run, Run stops early and Health reports the
-	// violation. It reads the step's digest (one pass over the engine's
-	// live layout, shared with the LogWriter and the FlightRec), whose
-	// tiles are the engine's cubes on CubeBased and 4³
-	// blocks otherwise; a violation names its cell and tile.
+	// Watchdog, when non-nil, checks every step's sample (see LogWriter:
+	// on the parallel engines it is completed by the next step's sweep or
+	// the next between-steps reader); once it flags a state, Run stops —
+	// on the parallel engines at most one step after the violating state
+	// — and Health reports the violation, naming the violating step. The
+	// sample's tiles are the engine's cubes on CubeBased and 4³ blocks
+	// otherwise; a violation names its cell and tile. Health only reads
+	// what the samples delivered so far found.
 	Watchdog *telemetry.Watchdog
 	// FlightRec, when non-nil, keeps an always-on flight recorder: a
 	// fixed-size ring of per-step records (kernel/phase timings, per-cube
@@ -216,10 +223,12 @@ type Config struct {
 	// post-mortem bundle is written to FlightRec.Dir (see
 	// internal/flightrec); WritePostMortem writes one on demand. A zero
 	// flightrec.Config{} takes the documented default cadences. The ring
-	// keeps the same per-step digest the Watchdog and the LogWriter read:
-	// alone, the recorder digests every DigestEvery-th step; with either
-	// of them, every step is digested once and the ring copies it on its
-	// cadence.
+	// keeps the same per-step sample the Watchdog and the LogWriter read,
+	// under the step it describes: alone, the recorder samples every
+	// DigestEvery-th step; with either of them, every step is sampled once
+	// and the ring copies the sample on its cadence. A snapshot step's
+	// sample is completed before the snapshot is taken, so a snapshot is
+	// kept only once its state passed the Watchdog.
 	FlightRec *flightrec.Config
 	// CritPath, when true, attaches the attribution profile
 	// (perfmon.Profile) on any engine: per-kernel time (Table I) where the
@@ -274,10 +283,14 @@ type adapter interface {
 	// Digest fills the per-tile physics digest of live's grid and
 	// leaves the engine as live leaves it: an in-place engine
 	// canonicalizes its array and refreshes its stale records as it
-	// digests, both on its worker team (grid.DigestGrid.Begin), so every
-	// step after a sampled one starts from the natural phase. The values
-	// are the same bits at any thread count.
+	// digests, both on its worker team (grid.DigestGrid.Begin). The
+	// values are the same bits at any thread count. Between steps only.
 	Digest(d *grid.DigestGrid) error
+	// observe asks the next step's collide sweep to digest the state
+	// before it into d, complete when the step returns: the same bits as
+	// Digest, without a pass of its own (core.InPlace.Observe). The
+	// sequential engine has no sweep to ask and returns an error.
+	observe(d *grid.DigestGrid) error
 }
 
 // runProbe is what the facade attaches to its engine: it renumbers every
@@ -313,6 +326,13 @@ type Simulation struct {
 	mSteps    *telemetry.Counter
 	mMLUPS    *telemetry.Gauge
 	mStepSec  *telemetry.Histogram
+
+	// pending is whether the last step's sample is wanted and not yet
+	// delivered, and last what the step log records of that step besides
+	// the sample; sweep is whether the engine takes a sample in the next
+	// step's collide sweep (observe) rather than at the end of the step.
+	pending, sweep bool
+	last           stepTiming
 
 	prof *perfmon.Profile // Config.CritPath's attribution profile, or nil
 	wall time.Duration    // accumulated measured wall-clock time
@@ -425,6 +445,7 @@ func New(cfg Config) (*Simulation, error) {
 	if ps != nil {
 		sim.cfg.Threads = ps.Threads()
 		sim.eng, sim.problem = &inPlaceEngine{ps, onLayout{ps.Fluid, ps.Refresh}}, &ps.Problem
+		sim.sweep = true
 	}
 	sinks, err := sim.initTelemetry()
 	if err != nil {
@@ -599,8 +620,18 @@ func (s *Simulation) Run(n int) { s.runSteps(n) }
 // runSteps drives the engine with whatever bookkeeping the configured
 // telemetry requires: nothing extra without telemetry, batch timing with
 // a Registry alone, and step-by-step driving when a LogWriter, Watchdog
-// or flight recorder reads the per-step digest. With a recorder
+// or flight recorder reads the per-step sample. With a recorder
 // configured, a panicking step still leaves a post-mortem bundle behind.
+//
+// A step whose state is to be sampled leaves its sample pending. On the
+// parallel engines the next step's collide sweep digests that state as
+// it overwrites it (observe), and the sample is delivered — to the
+// watchdog, the ring and the step log, under the step it describes —
+// once that step returns; a between-steps reader completes it instead if
+// one comes first (flush). Sequential's kernel 7 leaves every record
+// fresh, so it samples its own state at the end of the step. A snapshot
+// step's sample is completed before the snapshot, so only a state the
+// watchdog passed is kept. DESIGN.md §12, "Samples", has the contract.
 func (s *Simulation) runSteps(n int) {
 	if n <= 0 {
 		return
@@ -629,71 +660,121 @@ func (s *Simulation) runSteps(n int) {
 		return
 	}
 	for i := 0; i < n; i++ {
-		if s.watchdog != nil && !s.watchdog.Healthy() {
+		if !s.healthy() {
 			return // the run is flagged; don't advance a diverged state
 		}
+		if s.pending && s.eng.observe(s.dig) != nil {
+			s.flush()
+		}
+		swept := s.pending
 		t0 := time.Now()
 		s.eng.Step()
 		elapsed := time.Since(t0)
 		s.recordBatch(1, nodes, elapsed)
 
 		step := s.StepCount()
-		mlups := 0.0
+		p := stepTiming{step: step, elapsed: elapsed}
 		if elapsed > 0 {
-			mlups = nodes / elapsed.Seconds() / 1e6
+			p.mlups = nodes / elapsed.Seconds() / 1e6
 		}
 		// The Table II rollup so far, read once for the recorder and the
 		// step log (zero without Config.CritPath).
-		var imbalance, waitShare float64
 		if s.prof != nil {
-			imbalance, waitShare = s.prof.ImbalanceRatio(), s.prof.BarrierWaitShare(s.wall)
-		}
-
-		// One digest of the live layout per sampled step feeds the
-		// watchdog, the step log and the ring: every step with a watchdog
-		// or step log, the recorder's cadence with the recorder alone.
-		keep := s.rec != nil && s.rec.WantDigest(step)
-		sampled := (s.watchdog != nil || s.logger != nil || keep) &&
-			s.eng.Digest(s.dig) == nil // a failed digest must not kill the run
-		var herr *telemetry.HealthError
-		if sampled && s.watchdog != nil {
-			// A type assertion, not errors.As: &herr would escape and
-			// cost an allocation on every step.
-			herr, _ = s.watchdog.Check(step, s.dig).(*telemetry.HealthError)
+			p.imbalance, p.waitShare = s.prof.ImbalanceRatio(), s.prof.BarrierWaitShare(s.wall)
 		}
 		if s.rec != nil {
-			if sampled && keep {
-				s.rec.RecordDigest(step, s.dig)
-			}
-			s.rec.RecordStep(step, elapsed, mlups, waitShare)
-			if herr == nil && s.rec.WantSnapshot(step) {
+			s.rec.RecordStep(step, elapsed, p.mlups, p.waitShare)
+		}
+		if swept {
+			s.deliver()
+		}
+		// Every step is sampled with a watchdog or step log, the
+		// recorder's cadence with the recorder alone; a flagged run's
+		// last step is not.
+		s.last = p
+		s.pending = s.healthy() && (s.watchdog != nil || s.logger != nil || s.rec != nil && s.rec.WantDigest(step))
+		if s.pending && !s.sweep {
+			s.flush()
+		}
+		if s.rec != nil && s.rec.WantSnapshot(step) {
+			s.flush()
+			if s.healthy() {
 				s.rec.TakeSnapshot(step, s.Checkpoint) //nolint:errcheck // best-effort; last good snapshot is kept
 			}
-			if herr != nil {
-				s.rec.WriteBundle("watchdog", herr) //nolint:errcheck // latched error is still exposed via Health
-			}
-		}
-
-		if s.logger != nil {
-			rec := telemetry.StepRecord{
-				Step:             step,
-				KernelMillis:     float64(elapsed.Microseconds()) / 1e3,
-				MLUPS:            mlups,
-				Imbalance:        imbalance,
-				BarrierWaitShare: waitShare,
-				Unhealthy:        herr.Record(),
-			}
-			if sampled {
-				rec.Mass, rec.MaxVel = s.dig.Mass, s.dig.MaxVel
-			}
-			if s.prof != nil {
-				if cp, ok := s.prof.StepRecord(step); ok {
-					rec.CritPath = &cp
-				}
-			}
-			s.logger.Log(rec) //nolint:errcheck // logging is best-effort
 		}
 	}
+}
+
+// stepTiming is what the step log records of a step besides its sample.
+type stepTiming struct {
+	step                        int
+	elapsed                     time.Duration
+	mlups, imbalance, waitShare float64
+}
+
+// healthy reports whether no watchdog has flagged the run.
+func (s *Simulation) healthy() bool { return s.watchdog == nil || s.watchdog.Healthy() }
+
+// flush completes the pending sample between steps with the engine's
+// explicit digest and delivers it. Every between-steps reader calls it
+// first, so no sampled step goes undelivered.
+func (s *Simulation) flush() {
+	if !s.pending {
+		return
+	}
+	if s.eng.Digest(s.dig) != nil { // a failed digest must not kill the run
+		s.pending = false
+		return
+	}
+	s.deliver()
+}
+
+// deliver hands the pending step's sample, now in s.dig, to the
+// watchdog, the ring and the step log, each under the step it
+// describes, and writes a bundle if the watchdog flags it.
+func (s *Simulation) deliver() {
+	p := s.last
+	s.pending = false
+	var herr *telemetry.HealthError
+	if s.watchdog != nil {
+		// A type assertion, not errors.As: &herr would escape and cost
+		// an allocation on every step.
+		herr, _ = s.watchdog.Check(p.step, s.dig).(*telemetry.HealthError)
+	}
+	if s.rec != nil {
+		if s.rec.WantDigest(p.step) {
+			s.rec.RecordDigest(p.step, s.dig)
+		}
+		if herr != nil {
+			s.rec.WriteBundle("watchdog", herr) //nolint:errcheck // latched error is still exposed via Health
+		}
+	}
+	if s.logger != nil {
+		rec := telemetry.StepRecord{
+			Step:             p.step,
+			Mass:             s.dig.Mass,
+			MaxVel:           s.dig.MaxVel,
+			KernelMillis:     float64(p.elapsed.Microseconds()) / 1e3,
+			MLUPS:            p.mlups,
+			Imbalance:        p.imbalance,
+			BarrierWaitShare: p.waitShare,
+			Unhealthy:        herr.Record(),
+		}
+		if s.prof != nil {
+			if cp, ok := s.prof.StepRecord(p.step); ok {
+				rec.CritPath = &cp
+			}
+		}
+		s.logger.Log(rec) //nolint:errcheck // logging is best-effort
+	}
+}
+
+// live completes any pending sample, then returns the engine's live
+// grid (adapter.live): the one way the facade's between-steps readers
+// reach the fluid.
+func (s *Simulation) live() *grid.Grid {
+	s.flush()
+	return s.eng.live()
 }
 
 // FlightRecorder returns the configured flight recorder, or nil.
@@ -707,6 +788,7 @@ func (s *Simulation) WritePostMortem(reason string) (string, error) {
 	if s.rec == nil {
 		return "", fmt.Errorf("lbmib: post-mortem requires Config.FlightRec")
 	}
+	s.flush()
 	var herr *telemetry.HealthError
 	if s.watchdog != nil {
 		errors.As(s.watchdog.Err(), &herr)
@@ -751,7 +833,9 @@ func (s *Simulation) CritPathReport() (perfmon.Report, bool) {
 
 // Health returns nil while the configured Watchdog (if any) considers
 // the run healthy, and the latched *telemetry.HealthError naming the
-// first unstable step otherwise.
+// first unstable step otherwise. It only reads: on the parallel engines
+// the last step's sample is checked by the next step or between-steps
+// reader (Config.Watchdog), not by Health.
 func (s *Simulation) Health() error {
 	if s.watchdog == nil {
 		return nil
@@ -766,8 +850,10 @@ func (s *Simulation) StepCount() int { return s.stepOffset + s.eng.StepCount() }
 // Close releases worker goroutines held by parallel engines and, when a
 // TraceFile is configured, writes the accumulated Chrome trace-event
 // timeline. The Simulation must not be used afterwards. Close is safe
-// for the sequential engine too (releasing nothing).
+// for the sequential engine too (releasing nothing). A pending sample is
+// delivered first.
 func (s *Simulation) Close() error {
+	s.flush()
 	s.eng.close()
 	if s.traceFile == nil {
 		return nil
@@ -846,7 +932,7 @@ func (s *Simulation) SheetVelocitiesAt(i int) ([][3]float64, error) {
 // the engine's live layout and owns its memory, so later steps do not
 // change it; DFNew is left zero.
 func (s *Simulation) FluidSnapshot() *grid.Snapshot {
-	l := s.eng.live()
+	l := s.live()
 	snap := grid.NewSnapshot(l.Dims())
 	df, macro, dst := l.Dist(), l.Macros(), snap.Nodes
 	_ = eachPlane(l, func(_ int, plane []int) error {
@@ -930,13 +1016,13 @@ func (s *Simulation) WriteSheetVTK(w io.Writer) error {
 // WriteFluidVTK writes the fluid velocity/density fields as legacy VTK,
 // read from the engine's live layout.
 func (s *Simulation) WriteFluidVTK(w io.Writer) error {
-	return output.WriteFluidVTK(w, s.eng.live())
+	return output.WriteFluidVTK(w, s.live())
 }
 
 // WriteFluidSliceCSV writes the x = plane velocity slice as CSV, read from
 // the engine's live layout.
 func (s *Simulation) WriteFluidSliceCSV(w io.Writer, plane int) error {
-	return output.WriteFluidSliceCSV(w, s.eng.live(), plane)
+	return output.WriteFluidSliceCSV(w, s.live(), plane)
 }
 
 // --- engine adapters ---
@@ -976,6 +1062,9 @@ func (e *seqEngine) live() *grid.Grid                { return e.Fluid }
 func (e *seqEngine) mass() float64                   { return e.Fluid.TotalMass() }
 func (e *seqEngine) Digest(d *grid.DigestGrid) error { return e.Fluid.Digest(d) }
 func (e *seqEngine) close()                          {}
+func (e *seqEngine) observe(*grid.DigestGrid) error {
+	return errors.New("lbmib: the sequential engine samples after its step")
+}
 
 // loaded has nothing to re-establish: kernel 4 resets the force itself.
 func (e *seqEngine) loaded() {}
@@ -987,7 +1076,8 @@ type inPlaceEngine struct {
 	onLayout
 }
 
-func (e *inPlaceEngine) live() *grid.Grid { return e.Live() }
-func (e *inPlaceEngine) mass() float64    { return e.Canonical().TotalMass() }
-func (e *inPlaceEngine) loaded()          { e.Loaded() }
-func (e *inPlaceEngine) close()           { e.Close() }
+func (e *inPlaceEngine) live() *grid.Grid                 { return e.Live() }
+func (e *inPlaceEngine) observe(d *grid.DigestGrid) error { return e.Observe(d) }
+func (e *inPlaceEngine) mass() float64                    { return e.Canonical().TotalMass() }
+func (e *inPlaceEngine) loaded()                          { e.Loaded() }
+func (e *inPlaceEngine) close()                           { e.Close() }

@@ -9,13 +9,18 @@ import (
 
 // BenchmarkObservedStep times one step of sheet_cube's problem — 64×64×32
 // nodes, a no-slip z, one 52×52 sheet, two threads, cubes of 8 — on the
-// cube and omp engines, "plain" (Step alone) and "observed" (Step, then
-// the per-step digest a watchdog or step log samples, at the facade's
-// tile size). Each case reports ns per node for the whole run and for
-// each parity of the step apart: "even" steps are the 1st, 3rd, … of the
-// timed run, "odd" the 2nd, 4th, … . An in-place engine alternates the
-// phase of its array step by step, so a cost that depends on the phase
-// shows as a gap between the two.
+// cube and omp engines, three ways: "plain" (Step alone); "observed", the
+// step as runSteps drives it when a watchdog or step log samples every
+// step — the collide sweep digests the state it overwrites (observe),
+// at the facade's tile size; and "explicit", Step then the between-steps
+// digest (Digest: canonicalize, then refresh and fold), the path every
+// observed step took before the sweep sampled. Each case reports ns per
+// node for the whole run and for each parity of the step apart: "even"
+// steps are the 1st, 3rd, … of the timed run, "odd" the 2nd, 4th, … . An
+// in-place engine alternates the phase of its array step by step, so a
+// cost that depends on the phase shows as a gap between the two; the
+// explicit digest leaves the array natural, so its steps all start from
+// the natural phase.
 //
 //	go test -run '^$' -bench ObservedStep -benchtime 64x .
 func BenchmarkObservedStep(b *testing.B) {
@@ -24,12 +29,8 @@ func BenchmarkObservedStep(b *testing.B) {
 		kind SolverKind
 		k    int // the facade's digest tile: the cube size, or 4
 	}{{"cube", CubeBased, 8}, {"omp", OpenMP, 4}} {
-		for _, observed := range []bool{false, true} {
-			name := e.name + "/plain"
-			if observed {
-				name = e.name + "/observed"
-			}
-			b.Run(name, func(b *testing.B) {
+		for _, mode := range []string{"plain", "observed", "explicit"} {
+			b.Run(e.name+"/"+mode, func(b *testing.B) {
 				const nx, ny, nz, n = 64, 64, 32, 52
 				w := 0.4 * n
 				s, err := New(Config{
@@ -55,11 +56,19 @@ func BenchmarkObservedStep(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					t0 := time.Now()
-					s.eng.Step()
-					if observed {
+					switch mode {
+					case "observed":
+						if err := s.eng.observe(d); err != nil {
+							b.Fatal(err)
+						}
+						s.eng.Step()
+					case "explicit":
+						s.eng.Step()
 						if err := s.eng.Digest(d); err != nil {
 							b.Fatal(err)
 						}
+					default:
+						s.eng.Step()
 					}
 					parity[i&1] += time.Since(t0)
 				}

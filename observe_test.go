@@ -1,25 +1,31 @@
 // Tests for per-step sampling: a Watchdog, a LogWriter and a flight
-// recorder read one digest of the engine's live layout per step, which
-// costs no allocation and leaves the simulated state bit for bit as an
-// unobserved run leaves it.
+// recorder read one digest of each sampled state — on the parallel
+// engines taken by the next step's collide sweep — which costs no
+// allocation, names the step it describes, and leaves the simulated
+// state bit for bit as an unobserved run leaves it.
 package lbmib
 
 import (
+	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"io"
 	"math"
 	"runtime"
 	"testing"
 
 	"lbmib/internal/flightrec"
+	"lbmib/internal/grid"
 	"lbmib/internal/telemetry"
 )
 
 // sampledEngine is one engine row of the sampling tests. allocs bounds
 // the objects a plain steady-state Step allocates on sampledConfig at 2
-// threads, as measured: an allocation per cube, plane or node exceeds it.
+// threads, as measured: every schedule binds the bodies it hands its team
+// once, so a step allocates nothing.
 // The deprecated Fused kind builds the omp engine; its row holds the
 // alias, under its old name, to every check omp meets.
 type sampledEngine struct {
@@ -30,9 +36,9 @@ type sampledEngine struct {
 
 var sampledEngines = []sampledEngine{
 	{"sequential", Sequential, 0},
-	{"omp", OpenMP, 19},
-	{"cube", CubeBased, 1},
-	{"fused", Fused, 19},
+	{"omp", OpenMP, 0},
+	{"cube", CubeBased, 0},
+	{"fused", Fused, 0},
 }
 
 func sampledConfig(e sampledEngine, threads int) Config {
@@ -44,7 +50,8 @@ func sampledConfig(e sampledEngine, threads int) Config {
 	}
 }
 
-// TestObservedStepSamplesLiveLayout: a Watchdog-only Step allocates
+// TestObservedStepSamplesLiveLayout: a Watchdog-only Step, which samples
+// every step (the parallel engines in the next step's sweep), allocates
 // exactly what a plain Step does, on every engine, and a plain Step no
 // more than the engine's bound. Sampling by snapshot allocated a fresh
 // slab grid per step on the cube engines; an allocation inside an
@@ -186,8 +193,8 @@ func TestCanonicalizeIsRepresentationOnly(t *testing.T) {
 // TestObservedRunsBitwise: on every engine, thread count and observer
 // set, the state after 20 and 21 steps equals the unobserved run's and,
 // on amd64, the recorded hashes of the engine's trajectory, with the
-// watchdog healthy on every step's digest. The cube engine also runs at
-// 3 threads, a 3×1×1 mesh, so a digest split over an odd team feeds the
+// watchdog healthy on every step's sample. The cube engine also runs at
+// 3 threads, a 3×1×1 mesh, so a sweep split over an odd team feeds the
 // watchdog, the step log and the recorder.
 func TestObservedRunsBitwise(t *testing.T) {
 	observers := []struct {
@@ -240,5 +247,80 @@ func TestObservedRunsBitwise(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStepLogNamesTheSampledStep: every line of the step log, and every
+// digest the flight recorder's ring keeps, names the step whose state it
+// describes. On the parallel engines a step's sample is completed by the
+// next step's sweep, or by a reader between steps (here Close), so a
+// line is written a step late; it must still carry the mass and speed of
+// the state its own step left — the bits of the explicit digest of an
+// unobserved twin after that many steps — on every engine, across Run
+// and Step calls.
+func TestStepLogNamesTheSampledStep(t *testing.T) {
+	const steps = 6
+	for _, e := range sampledEngines {
+		t.Run(e.name, func(t *testing.T) {
+			cfg := sampledConfig(e, 2)
+			twin, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer twin.Close()
+			d, err := grid.NewDigestGrid(16, 16, 16, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mass, maxVel [steps + 1]float64
+			for i := 1; i <= steps; i++ {
+				twin.Step()
+				if err := twin.eng.Digest(d); err != nil {
+					t.Fatal(err)
+				}
+				mass[i], maxVel[i] = d.Mass, d.MaxVel
+			}
+			var log bytes.Buffer
+			cfg.LogWriter = &log
+			cfg.FlightRec = &flightrec.Config{DigestEvery: 1}
+			sim, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.Run(3)
+			sim.Step()
+			sim.Run(2)
+			sim.Close()
+			sc := bufio.NewScanner(&log)
+			lines := 0
+			for sc.Scan() {
+				lines++
+				var rec telemetry.StepRecord
+				if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+					t.Fatal(err)
+				}
+				if rec.Step != lines || math.Float64bits(rec.Mass) != math.Float64bits(mass[lines]) ||
+					math.Float64bits(rec.MaxVel) != math.Float64bits(maxVel[lines]) {
+					t.Errorf("line %d: step %d mass %v maxVel %v, want step %d mass %v maxVel %v",
+						lines, rec.Step, rec.Mass, rec.MaxVel, lines, mass[lines], maxVel[lines])
+				}
+			}
+			if lines != steps {
+				t.Errorf("%d log lines, want %d", lines, steps)
+			}
+			digested := 0
+			for _, r := range sim.FlightRecorder().Records() {
+				if !r.HasDigest {
+					continue
+				}
+				digested++
+				if r.Step < 1 || r.Step > steps || math.Float64bits(r.Mass) != math.Float64bits(mass[r.Step]) {
+					t.Errorf("ring step %d keeps mass %v, want that step's %v", r.Step, r.Mass, mass[min(max(r.Step, 0), steps)])
+				}
+			}
+			if digested != steps {
+				t.Errorf("ring keeps %d digests, want %d", digested, steps)
+			}
+		})
 	}
 }

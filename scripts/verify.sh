@@ -14,7 +14,9 @@
 # accumulators, step ring and crossing ring of the critical-path report
 # — is written from all workers; par's timed barrier wraps the team
 # barrier; the digest's pieces, which the engines' teams run
-# concurrently, each write their own tiles and merge slot (grid);
+# concurrently, each write their own blocks' slots (grid), as the collide
+# sweep of an observed step does through the facade (the root package's
+# sampled-step tests);
 # perfsim, cachesim and machine are left out: they start no
 # goroutine and use no channel or atomic, so racing them checks nothing,
 # and perfsim's cache replays were most of the race step's wall time),
@@ -149,6 +151,14 @@ if grep -rn '\.Resolve(' --include='*.go' . | grep -v '^\./internal/core/' |
 fi
 
 go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... ./internal/engine/... ./internal/perfmon/... ./internal/par/... ./internal/flightrec/... ./internal/grid/...
+
+# The per-step sample as the facade takes it: during an observed step
+# every worker writes its blocks' digest slots inside the collide sweep,
+# and the coordinator reduces them after the join and hands the sample to
+# the watchdog, the step log and the ring. Only the root package drives
+# that path, so its sampled-step and digest tests run under the race
+# detector too.
+go test -race -run 'TestObservedStepSamplesLiveLayout|TestStepLogNamesTheSampledStep|TestSampleIsOneDigestByEveryPath|TestFlightRecorderBundleOnInjectedFault' .
 
 # Cross-engine differential smoke: 10 seeded cases on each of the three
 # engine modes (sequential, omp and, on cube-divisible grids, cube),

@@ -52,9 +52,8 @@ var staleConsumers = []struct {
 		}
 		return b.String()
 	}},
-	// The digest's record-derived fields; the tile masses, which are
-	// sums of distributions, are held against the serial digest of the
-	// engine's Live layout instead (TestDigestRefreshesStaleRecords).
+	// Every field of the digest: its masses are sums of the records' ρ,
+	// layer by layer (grid.TileDigest), so they too are Sequential's.
 	{"Digest", func(t *testing.T, s *Simulation) string {
 		d, err := grid.NewDigestGrid(16, 16, 16, 4)
 		if err != nil {
@@ -63,12 +62,7 @@ var staleConsumers = []struct {
 		if err := s.eng.Digest(d); err != nil {
 			t.Fatal(err)
 		}
-		var b bytes.Buffer
-		fmt.Fprint(&b, math.Float64bits(d.MaxVel), d.NonFinite, d.MaxVelCell, d.BadCell, d.BadRho, d.BadVel)
-		for _, td := range d.Tiles {
-			fmt.Fprint(&b, math.Float64bits(td.MaxVel2), td.NonFinite)
-		}
-		return b.String()
+		return digestFields(d)
 	}},
 }
 
@@ -161,26 +155,31 @@ func TestStaleRecordConsumers(t *testing.T) {
 	}
 }
 
-// TestDigestRefreshesStaleRecords holds the per-step digest on the
+// digestFields is every field of a digest, floats by their bits.
+func digestFields(d *grid.DigestGrid) string {
+	var b bytes.Buffer
+	for _, v := range []float64{d.Mass, d.MaxVel, d.BadRho, d.BadVel[0], d.BadVel[1], d.BadVel[2]} {
+		fmt.Fprintf(&b, "%x ", math.Float64bits(v))
+	}
+	fmt.Fprint(&b, d.NonFinite, d.MaxVelCell, d.BadCell)
+	for _, td := range d.Tiles {
+		fmt.Fprintf(&b, "%x %x %d;", math.Float64bits(td.Mass), math.Float64bits(td.MaxVel2), td.NonFinite)
+	}
+	return b.String()
+}
+
+// TestDigestRefreshesStaleRecords holds the explicit digest on the
 // engines' teams, which canonicalizes a swapped array first and then
 // refreshes each piece's stale records in the loop that digests them,
 // against the serial digest (grid.DigestGrid.Fill) of the layout Live
-// returns — every field, tile masses included — on staleEngines at one
-// to three threads, after odd and even step counts, fluid-only
-// and with a sheet, and with a NaN seeded into a record and a
-// distribution between steps.
+// returns and against the reference walk over FluidSnapshot's copy
+// (grid.Snapshot.Digest) — every field, tile masses included, all three
+// sums of the same ρ in the same order — on staleEngines at one to three
+// threads, after odd and even step counts, fluid-only and with a sheet,
+// and with a NaN seeded into a record and a distribution between steps:
+// the distribution's reaches the digest through its block's refresh if
+// the block is stale, and through the next step's moments otherwise.
 func TestDigestRefreshesStaleRecords(t *testing.T) {
-	fields := func(d *grid.DigestGrid) string {
-		var b bytes.Buffer
-		for _, v := range []float64{d.Mass, d.MaxVel, d.BadRho, d.BadVel[0], d.BadVel[1], d.BadVel[2]} {
-			fmt.Fprintf(&b, "%x ", math.Float64bits(v))
-		}
-		fmt.Fprint(&b, d.NonFinite, d.MaxVelCell, d.BadCell)
-		for _, td := range d.Tiles {
-			fmt.Fprintf(&b, "%x %x %d;", math.Float64bits(td.Mass), math.Float64bits(td.MaxVel2), td.NonFinite)
-		}
-		return b.String()
-	}
 	for _, p := range staleProblems {
 		for _, e := range staleEngines {
 			for threads := 1; threads <= 3; threads++ {
@@ -188,7 +187,7 @@ func TestDigestRefreshesStaleRecords(t *testing.T) {
 					for _, nan := range []bool{false, true} {
 						cfg := p.cfg
 						cfg.Solver, cfg.Threads, cfg.CubeSize = e.kind, threads, 4
-						var got [2]string
+						var got [3]string
 						for i := range got {
 							s, err := New(cfg)
 							if err != nil {
@@ -204,10 +203,13 @@ func TestDigestRefreshesStaleRecords(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							if i == 0 {
+							switch i {
+							case 0:
 								err = s.eng.Digest(d)
-							} else {
+							case 1:
 								err = d.Fill(s.eng.live())
+							default:
+								err = s.FluidSnapshot().Digest(d)
 							}
 							if err != nil {
 								t.Fatal(err)
@@ -215,12 +217,92 @@ func TestDigestRefreshesStaleRecords(t *testing.T) {
 							if nan && d.NonFinite == 0 {
 								t.Fatalf("%s/%s/%dt/%d steps: the seeded NaN went uncounted", p.name, e.name, threads, n)
 							}
-							got[i] = fields(d)
+							got[i] = digestFields(d)
 							s.Close()
 						}
-						if got[0] != got[1] {
-							t.Errorf("%s/%s/%dt/%d steps/NaN %v: the team's digest differs from the serial digest of Live's layout", p.name, e.name, threads, n, nan)
+						if got[0] != got[1] || got[2] != got[1] {
+							t.Errorf("%s/%s/%dt/%d steps/NaN %v: the team's digest, the serial digest of Live's layout and the snapshot's differ", p.name, e.name, threads, n, nan)
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSampleIsOneDigestByEveryPath: the sample of a state is the same
+// bits by every path that takes it — the collide sweep of the next step
+// (observe), the explicit digest between steps (Digest), and the
+// reference walk over FluidSnapshot's copy (grid.Snapshot.Digest) — on
+// omp and cube at one to four threads and on Sequential, fluid-only
+// (every block stale) and with a sheet (the support's blocks fresh, the
+// rest stale), from both phases of the in-place array (the sweep's twin
+// never canonicalizes), and after a point accessor has refreshed every
+// record. Every engine's sample is also Sequential's, bit for bit: a
+// digest sums the records' ρ in lattice order, whatever the layout.
+func TestSampleIsOneDigestByEveryPath(t *testing.T) {
+	engines := []struct {
+		name    string
+		kind    SolverKind
+		threads []int
+	}{{"sequential", Sequential, []int{1}}, {"omp", OpenMP, []int{1, 2, 3, 4}}, {"cube", CubeBased, []int{1, 2, 3, 4}}}
+	for _, p := range staleProblems {
+		var reference []string // Sequential's samples, point by point
+		for _, e := range engines {
+			for _, threads := range e.threads {
+				cfg := p.cfg
+				cfg.Solver, cfg.Threads, cfg.CubeSize = e.kind, threads, 4
+				var twins [2]*Simulation // explicit, sweep
+				for i := range twins {
+					s, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer s.Close()
+					s.Run(3)
+					twins[i] = s
+				}
+				x, y := twins[0], twins[1]
+				for point := 0; point < 5; point++ {
+					name := fmt.Sprintf("%s/%s/%dt/step %d", p.name, e.name, threads, 3+point)
+					if point == 3 {
+						x.FluidDensity(0, 0, 0)
+						y.FluidDensity(0, 0, 0)
+						name += " refreshed"
+					}
+					var d [3]*grid.DigestGrid
+					for i := range d {
+						var err error
+						if d[i], err = grid.NewDigestGrid(16, 16, 16, 4); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := x.eng.Digest(d[0]); err != nil {
+						t.Fatal(err)
+					}
+					if err := x.FluidSnapshot().Digest(d[1]); err != nil {
+						t.Fatal(err)
+					}
+					if e.kind == Sequential {
+						if err := y.eng.Digest(d[2]); err != nil {
+							t.Fatal(err)
+						}
+					} else if err := y.eng.observe(d[2]); err != nil {
+						t.Fatal(err)
+					}
+					y.eng.Step()
+					x.eng.Step()
+					want := digestFields(d[0])
+					if got := digestFields(d[1]); got != want {
+						t.Errorf("%s: Snapshot.Digest of FluidSnapshot differs from Digest", name)
+					}
+					if got := digestFields(d[2]); got != want {
+						t.Errorf("%s: the sweep's sample differs from Digest", name)
+					}
+					if e.kind == Sequential {
+						reference = append(reference, want)
+					} else if want != reference[point] {
+						t.Errorf("%s: the sample differs from Sequential's", name)
 					}
 				}
 			}
