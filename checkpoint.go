@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
 	"lbmib/internal/lattice"
+	"lbmib/internal/par"
 )
 
 // A checkpoint is a versioned block stream; every number is little-endian:
@@ -84,34 +86,41 @@ func (h *checkpointHeader) check(cfg Config) error {
 	return nil
 }
 
-// eachPlane visits l's nodes in the checkpoint's canonical order — x-major:
-// x, then y, then z — one x-plane at a time: fn gets the layout indices of
-// plane x's NY·NZ nodes in (y, z) order, in a slice reused across planes.
-// It stops at fn's first error and returns it.
-func eachPlane(l *grid.Grid, fn func(x int, plane []int) error) error {
-	nx, ny, nz := l.Dims()
-	at := grid.AxisIndex(l)
-	plane := make([]int, ny*nz)
-	for x := 0; x < nx; x++ {
-		i := 0
-		for y := 0; y < ny; y++ {
-			for z := 0; z < nz; z++ {
-				plane[i] = at[0][x] + at[1][y] + at[2][z]
-				i++
-			}
+// eachPlane has team t visit the x-planes 0..nx−1, one static range of
+// planes per worker: fn(x) reads or writes plane x's nodes only. The
+// fluid of a checkpoint is x-major — x, then y, then z — so plane x is
+// one contiguous run of NY·NZ records of the stream and of a snapshot.
+func eachPlane(t *par.Team, nx int, fn func(x int)) {
+	t.Run(func(p int) {
+		lo, hi := par.StaticRange(nx, t.Size(), p)
+		for x := lo; x < hi; x++ {
+			fn(x)
 		}
-		if err := fn(x, plane); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
+
+// checkpointSize is the length of the checkpoint Checkpoint writes: the
+// magic, the header, 208 bytes per fluid node and each sheet's block.
+func (s *Simulation) checkpointSize() int {
+	n := len(checkpointMagic) + headerBytes + 8*len(s.sheets) + s.cfg.NX*s.cfg.NY*s.cfg.NZ*recordBytes
+	for _, sh := range s.sheets {
+		n += sheetBytes(sh.NumNodes())
+	}
+	return n
+}
+
+// sheetBytes is the length of the block of a sheet of n nodes: four
+// parameters, five vector arrays, one fixed flag per node.
+func sheetBytes(n int) int { return 8*(4+15*n) + n }
 
 // Checkpoint writes the complete simulation state (fluid distributions,
 // macroscopic fields, sheet geometry and forces, step count) to w in the
 // block format above, read straight from the engine's live layout. The
 // state is engine-independent: a run checkpointed from the sequential
-// engine restores onto the cube engine and vice versa.
+// engine restores onto the cube engine and vice versa. The fluid is
+// encoded on the engine's team, an x-plane per worker and round, and
+// written in plane order (par.Ordered), so the bytes do not depend on
+// the engine or its width.
 func (s *Simulation) Checkpoint(w io.Writer) error {
 	l := s.live()
 	nx, ny, nz := l.Dims()
@@ -130,14 +139,17 @@ func (s *Simulation) Checkpoint(w io.Writer) error {
 		return fmt.Errorf("lbmib: writing checkpoint: %w", err)
 	}
 
-	// The fluid, one x-plane at a time through one reused buffer.
-	df, macro, buf := l.Dist(), l.Macros(), make([]byte, ny*nz*recordBytes)
-	if err := eachPlane(l, func(_ int, plane []int) error {
-		for i, j := range plane {
-			putRecord(buf[i*recordBytes:], &df[j], &macro[j])
+	df, macro, at := l.Dist(), l.Macros(), grid.AxisIndex(l)
+	planeBytes := ny * nz * recordBytes
+	if err := s.ordered().Write(w, nx, func(x int, buf []byte) []byte {
+		buf = slices.Grow(buf, planeBytes)[:planeBytes]
+		for y := 0; y < ny; y++ {
+			jy, row := at[0][x]+at[1][y], buf[y*nz*recordBytes:]
+			for z, az := range at[2] {
+				putRecord(row[z*recordBytes:], &df[jy+az], &macro[jy+az])
+			}
 		}
-		_, err := w.Write(buf)
-		return err
+		return buf
 	}); err != nil {
 		return fmt.Errorf("lbmib: writing checkpoint: %w", err)
 	}
@@ -267,7 +279,8 @@ func restoreChecked(cfg Config, h checkpointHeader, fill func(*Simulation) error
 
 // restoreBlocks reads a block-format checkpoint whose magic has been
 // consumed: the header, then the fluid records straight into the new
-// engine's live layout, then the sheets.
+// engine's live layout, read an x-plane per worker and round and decoded
+// on its team (par.Ordered), then the sheets.
 func restoreBlocks(r io.Reader, cfg Config) (*Simulation, error) {
 	h, err := readHeader(r, len(sheetShapes(cfg)))
 	if err != nil {
@@ -275,17 +288,17 @@ func restoreBlocks(r io.Reader, cfg Config) (*Simulation, error) {
 	}
 	return restoreChecked(cfg, h, func(sim *Simulation) error {
 		l := sim.eng.live()
-		df, macro, buf := l.Dist(), l.Macros(), make([]byte, h.ny*h.nz*recordBytes)
-		if err := eachPlane(l, func(x int, plane []int) error {
-			if _, err := io.ReadFull(r, buf); err != nil {
-				return fmt.Errorf("lbmib: decoding checkpoint: fluid plane %d: %w", x, err)
+		df, macro, at := l.Dist(), l.Macros(), grid.AxisIndex(l)
+		ny, nz := h.ny, h.nz
+		if x, err := sim.ordered().Read(r, h.nx, ny*nz*recordBytes, func(x int, buf []byte) {
+			for y := 0; y < ny; y++ {
+				jy, row := at[0][x]+at[1][y], buf[y*nz*recordBytes:]
+				for z, az := range at[2] {
+					getRecord(row[z*recordBytes:], &df[jy+az], &macro[jy+az])
+				}
 			}
-			for i, j := range plane {
-				getRecord(buf[i*recordBytes:], &df[j], &macro[j])
-			}
-			return nil
 		}); err != nil {
-			return err
+			return fmt.Errorf("lbmib: decoding checkpoint: fluid plane %d: %w", x, err)
 		}
 		for i, sh := range sim.sheets {
 			if err := readSheet(r, sh); err != nil {
@@ -327,8 +340,7 @@ func readHeader(r io.Reader, maxSheets int) (checkpointHeader, error) {
 // readSheet reads one sheet's block into sh, whose shape the header check
 // has matched.
 func readSheet(r io.Reader, sh *fiber.Sheet) error {
-	n := sh.NumNodes()
-	b := make([]byte, 8*(4+15*n)+n)
+	b := make([]byte, sheetBytes(sh.NumNodes()))
 	if _, err := io.ReadFull(r, b); err != nil {
 		return err
 	}
@@ -398,15 +410,18 @@ func restoreGob(r io.Reader, cfg Config) (*Simulation, error) {
 		// The stream's nodes are a normalized slab grid in canonical order:
 		// present distributions in DF.
 		l := sim.eng.live()
-		df, macro, src := l.Dist(), l.Macros(), st.Nodes
-		return eachPlane(l, func(_ int, plane []int) error {
-			for i, j := range plane {
-				n := &src[i]
-				df[j], macro[j] = n.DF, grid.Macro{Vel: n.Vel, Rho: n.Rho, Force: n.Force}
+		df, macro, at := l.Dist(), l.Macros(), grid.AxisIndex(l)
+		eachPlane(sim.eng.team(), st.NX, func(x int) {
+			src := st.Nodes[x*st.NY*st.NZ:]
+			for y := 0; y < st.NY; y++ {
+				jy := at[0][x] + at[1][y]
+				for z, az := range at[2] {
+					n := &src[y*st.NZ+z]
+					df[jy+az], macro[jy+az] = n.DF, grid.Macro{Vel: n.Vel, Rho: n.Rho, Force: n.Force}
+				}
 			}
-			src = src[len(plane):]
-			return nil
 		})
+		return nil
 	})
 }
 

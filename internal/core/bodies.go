@@ -536,22 +536,17 @@ func AAMomentsBlock(s *Streamer, df [][lattice.Q]float64, b int, swapped bool, r
 	}
 }
 
-// Canonicalize turns a swapped array df into the natural one in place,
-// between steps: the post-streaming f'_q(n), which a natural step left at
-// (n−e_q, Opposite[q]), trades places with f'_{Opposite[q]}(n−e_q), which
-// sits at (n, q). The trade is an involution, so each pair is swapped
-// once, from its member with q < Opposite[q]; a wall slot is its own
-// pair and stays where it is. The rest value never moves. The pairs are
-// disjoint, so the nodes are visited block by block, in memory order.
-func Canonicalize(s *Streamer, df [][lattice.Q]float64) {
-	CanonicalizeBlocks(s, df, 0, s.l.NumBlocks())
-}
-
-// CanonicalizeBlocks is Canonicalize of the nodes of blocks [lo, hi).
-// Each node swaps the pairs whose member with q < Opposite[q] it holds,
-// and every slot belongs to exactly one pair, so ranges that partition
-// the blocks may run concurrently, between steps, and leave the whole
-// array natural once all have run.
+// CanonicalizeBlocks turns the nodes of blocks [lo, hi) of a swapped
+// array df natural in place, between steps: the post-streaming f'_q(n),
+// which a natural step left at (n−e_q, Opposite[q]), trades places with
+// f'_{Opposite[q]}(n−e_q), which sits at (n, q). The trade is an
+// involution, so each pair is swapped once, from its member with
+// q < Opposite[q]; a wall slot is its own pair and stays where it is.
+// The rest value never moves. Each node swaps the pairs whose member
+// with q < Opposite[q] it holds, and every slot belongs to exactly one
+// pair, so ranges that partition the blocks may run concurrently, and
+// leave the whole array natural once all have run; within a range the
+// nodes are visited block by block, in memory order.
 func CanonicalizeBlocks(s *Streamer, df [][lattice.Q]float64, lo, hi int) {
 	_, e := s.l.BlockBox(0)
 	n := e[0] * e[1] * e[2]

@@ -20,3 +20,9 @@ func (s *Streamer) Classes() (n [3]int) {
 	}
 	return n
 }
+
+// Canonicalize is CanonicalizeBlocks over every block: the whole array,
+// on one goroutine.
+func Canonicalize(s *Streamer, df [][lattice.Q]float64) {
+	CanonicalizeBlocks(s, df, 0, s.l.NumBlocks())
+}

@@ -14,9 +14,9 @@ import (
 // OpenMP and cube, which differ only in which worker runs which body over
 // which blocks, where the team joins, and the block extent of their
 // grids, x-planes or k³ cubes. What reads
-// the state between steps is written once, here: Live, Canonical and
-// Refresh, the team Digest, and Loaded; and so is what lets the next
-// step's sweep digest it instead (Observe).
+// the state between steps is written once, here, and runs on the team:
+// Live, Canonical and Refresh, the team Digest, and Loaded; and so is
+// what lets the next step's sweep digest it instead (Observe).
 type InPlace struct {
 	Problem
 	Fluid *grid.Grid
@@ -33,9 +33,9 @@ type InPlace struct {
 	// swapped is the phase of the array between steps: false means
 	// natural. Every step flips it (FlipPhase).
 	swapped bool
-	// canonicalizePiece bound once, so Digest's team run allocates
-	// nothing.
-	canonRun func(p int)
+	// canonicalizePiece and refreshPiece bound once, so the team runs
+	// of Live, Canonical, Refresh and Digest allocate nothing.
+	canonRun, refreshRun func(p int)
 	// sink, when non-nil, is the digest the collide sweep of step
 	// sinkStep fills (Observe).
 	sink     *grid.DigestGrid
@@ -58,7 +58,7 @@ func NewInPlace(cfg Config, fluid *grid.Grid, threads int) (*InPlace, error) {
 		Support: NewSupport(fluid.NumBlocks()),
 		Team:    par.NewTeam(threads),
 	}
-	s.canonRun = s.canonicalizePiece
+	s.canonRun, s.refreshRun = s.canonicalizePiece, s.refreshPiece
 	SeedForce(fluid.Macros(), p.BodyForce)
 	return s, nil
 }
@@ -88,13 +88,21 @@ func (s *InPlace) FlipPhase() (swapped bool) {
 	return swapped
 }
 
-// Refresh brings every stale record up to date (RefreshAll). Call it
-// between steps only.
-func (s *InPlace) Refresh() { RefreshAll(s.Stream, s.Fluid.Dist(), s.Support, s.swapped) }
+// Refresh brings every stale record up to date on the team, one static
+// range of blocks per worker (RefreshBlocks). A support with no stale
+// record dispatches no region: the facade's point accessors call
+// Refresh on every read. Call it between steps only.
+func (s *InPlace) Refresh() {
+	if s.Support.Dirty() {
+		s.Team.Run(s.refreshRun)
+		s.Support.Refreshed()
+	}
+}
 
 // Live returns the grid with its distributions in the natural phase and
 // every record fresh: Canonical, then Refresh, which then reads each
-// node's own slots. Call it between steps only.
+// node's own slots. Both run on the team and allocate nothing. Call it
+// between steps only.
 func (s *InPlace) Live() *grid.Grid {
 	s.Canonical()
 	s.Refresh()
@@ -102,13 +110,14 @@ func (s *InPlace) Live() *grid.Grid {
 }
 
 // Canonical returns the grid with its distributions in the natural
-// phase, canonicalizing the array in place if the last step left it
-// swapped, and its records as the last step left them, stale ones
-// included: what a reader of the distributions alone needs. Call it
-// between steps only.
+// phase, canonicalizing the array in place on the team, one static
+// range of blocks per worker (CanonicalizeBlocks), if the last step
+// left it swapped, and its records as the last step left them, stale
+// ones included: what a reader of the distributions alone needs. Call
+// it between steps only.
 func (s *InPlace) Canonical() *grid.Grid {
 	if s.swapped {
-		Canonicalize(s.Stream, s.Fluid.Dist())
+		s.Team.Run(s.canonRun)
 		s.swapped = false
 	}
 	return s.Fluid
@@ -117,23 +126,20 @@ func (s *InPlace) Canonical() *grid.Grid {
 // Digest fills d from the grid on the worker team, leaving the grid as
 // Live leaves it, bitwise as the grid's own one-goroutine Digest of
 // Live's grid and as the sweep Observe asks for. If the last step left
-// the array swapped, the team first canonicalizes it, one contiguous
-// range of blocks per worker (CanonicalizeBlocks), and joins; then each
-// worker digests one contiguous range of blocks, refreshing each stale
-// block's records in the same loop (grid.DigestGrid.Begin). It is the
-// digest of the readers between steps; a run that samples every step
-// takes the sample in the next step's sweep instead. The team runs bodies
-// bound once, so a digest allocates nothing. Call it between steps only.
+// the array swapped, the team first canonicalizes it as Canonical does,
+// and joins; then each worker digests one contiguous range of blocks,
+// refreshing each stale block's records in the same loop
+// (grid.DigestGrid.Begin). It is the digest of the readers between
+// steps; a run that samples every step takes the sample in the next
+// step's sweep instead. The team runs bodies bound once, so a digest
+// allocates nothing. Call it between steps only.
 func (s *InPlace) Digest(d *grid.DigestGrid) error {
 	fresh, _ := s.Support.Sets(0)
 	part, err := d.Begin(s.Fluid, s.Team.Size(), fresh)
 	if err != nil {
 		return err
 	}
-	if s.swapped {
-		s.Team.Run(s.canonRun)
-		s.swapped = false
-	}
+	s.Canonical()
 	s.Team.Run(part)
 	s.Support.Refreshed()
 	d.End()
@@ -179,6 +185,13 @@ func (s *InPlace) EndSweep() {
 func (s *InPlace) canonicalizePiece(p int) {
 	lo, hi := par.StaticRange(s.Fluid.NumBlocks(), s.Team.Size(), p)
 	CanonicalizeBlocks(s.Stream, s.Fluid.Dist(), lo, hi)
+}
+
+// refreshPiece refreshes the stale records of worker p's static share of
+// the blocks.
+func (s *InPlace) refreshPiece(p int) {
+	lo, hi := par.StaticRange(s.Fluid.NumBlocks(), s.Team.Size(), p)
+	RefreshBlocks(s.Stream, s.Fluid.Dist(), s.Support, s.swapped, lo, hi)
 }
 
 // Loaded re-establishes the between-steps invariants after the grid's

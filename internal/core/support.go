@@ -27,8 +27,8 @@ import "lbmib/internal/lattice"
 //
 // Between steps, a reader of whole records — Live and everything built
 // on it, the facade's point accessors — refreshes the stale ones first
-// (RefreshAll): the moments body without the force reset, whose force is
-// then the body force. The explicit digest between steps refreshes each
+// (RefreshBlocks, one range of blocks per worker): the moments body
+// without the force reset, whose force is then the body force. The explicit digest between steps refreshes each
 // stale block in the loop that digests it (grid.DigestGrid.Begin); the
 // per-step sample needs no refresh, since the next collide's fold
 // computes the stale blocks' moments anyway (AABlock with a digest).
@@ -90,9 +90,9 @@ func (p *Support) Advance(n int) {
 	p.dirt = p.dirt || n > 0
 }
 
-// Refreshed records that every block has just been refreshed: the
-// explicit digest refreshes each stale block as it digests it
-// (grid.DigestGrid.Begin).
+// Refreshed records that every block has just been refreshed: by
+// RefreshBlocks over all of them, or by the explicit digest, which
+// refreshes each stale block as it digests it (grid.DigestGrid.Begin).
 func (p *Support) Refreshed() { p.dirt = false }
 
 // Share returns the range [lo, hi) of blocks that holds worker i's share
@@ -127,19 +127,22 @@ func Share(reach []bool, parts, i int) (lo, hi int) {
 	return lo, hi
 }
 
-// RefreshAll brings every stale record up to date from the array df, in
-// phase swapped: AAMomentsBlock with no force reset. It does nothing once
-// no step has run since every block was last fresh. Between steps only.
-func RefreshAll(s *Streamer, df [][lattice.Q]float64, p *Support, swapped bool) {
-	if !p.dirt {
-		return
-	}
+// Dirty reports whether a record may be stale: a step ran since every
+// block was last fresh.
+func (p *Support) Dirty() bool { return p.dirt }
+
+// RefreshBlocks brings the stale records of blocks [lo, hi) up to date
+// from the array df, in phase swapped: AAMomentsBlock with no force
+// reset. It reads the array and writes only those blocks' records and
+// fresh entries, so ranges that partition the blocks may run
+// concurrently; once all have run, the caller records it (Refreshed).
+// Between steps only.
+func RefreshBlocks(s *Streamer, df [][lattice.Q]float64, p *Support, swapped bool, lo, hi int) {
 	fresh := p.sets[p.cur]
-	for b := range fresh {
+	for b := lo; b < hi; b++ {
 		if !fresh[b] {
 			AAMomentsBlock(s, df, b, swapped, nil)
 			fresh[b] = true
 		}
 	}
-	p.dirt = false
 }

@@ -38,7 +38,7 @@ func buildFailedRun(t *testing.T, dir string) *Recorder {
 		r.RecordDigest(step, d)
 		r.RecordStep(step, time.Millisecond, 0.5, 0)
 		if step == 5 {
-			if err := r.TakeSnapshot(step, func(w io.Writer) error {
+			if err := r.TakeSnapshot(step, 0, func(w io.Writer) error {
 				_, err := io.WriteString(w, "checkpoint-at-5")
 				return err
 			}); err != nil {

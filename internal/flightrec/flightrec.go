@@ -267,17 +267,21 @@ func finite(v float64) float64 {
 // (the facade passes Simulation.Checkpoint). Two buffers alternate so a
 // snapshot that fails midway never destroys the previous good one. Call
 // only while the run is healthy: the retained snapshot is the bundle's
-// "last healthy checkpoint". A buffer is grown to the previous snapshot's
-// length before it is written, so a snapshot of a run whose state size
-// does not change reallocates at most once, never by repeated doubling.
-func (r *Recorder) TakeSnapshot(step int, write func(io.Writer) error) error {
+// "last healthy checkpoint". size is the length write produces, 0 if
+// unknown: before write runs, its buffer is grown once to size or to the
+// previous snapshot's length, whichever is larger, so a snapshot whose
+// length the caller states is never grown by repeated doubling, not even
+// the first, and one of unchanged size reallocates at most once. No
+// buffer is allocated before the first snapshot.
+func (r *Recorder) TakeSnapshot(step, size int, write func(io.Writer) error) error {
 	r.snapMu.Lock()
 	defer r.snapMu.Unlock()
 	next := (r.snapCur + 1) & 1
 	r.snapBufs[next].Reset()
 	if r.snapCur >= 0 {
-		r.snapBufs[next].Grow(r.snapBufs[r.snapCur].Len())
+		size = max(size, r.snapBufs[r.snapCur].Len())
 	}
+	r.snapBufs[next].Grow(size)
 	if err := write(&r.snapBufs[next]); err != nil {
 		return fmt.Errorf("flightrec: snapshot at step %d: %w", step, err)
 	}

@@ -127,12 +127,12 @@ func TestTakeSnapshotKeepsLastGood(t *testing.T) {
 	write := func(payload string) func(io.Writer) error {
 		return func(w io.Writer) error { _, err := io.WriteString(w, payload); return err }
 	}
-	if err := r.TakeSnapshot(10, write("good-10")); err != nil {
+	if err := r.TakeSnapshot(10, 0, write("good-10")); err != nil {
 		t.Fatal(err)
 	}
 	// A failing snapshot must not clobber the retained one.
 	errBoom := fmt.Errorf("boom")
-	if err := r.TakeSnapshot(20, func(w io.Writer) error {
+	if err := r.TakeSnapshot(20, 0, func(w io.Writer) error {
 		io.WriteString(w, "partial") //nolint:errcheck
 		return errBoom
 	}); err == nil {
@@ -142,7 +142,7 @@ func TestTakeSnapshotKeepsLastGood(t *testing.T) {
 	if step != 10 || string(b) != "good-10" {
 		t.Fatalf("retained snapshot = step %d %q, want step 10 \"good-10\"", step, b)
 	}
-	if err := r.TakeSnapshot(30, write("good-30")); err != nil {
+	if err := r.TakeSnapshot(30, 0, write("good-30")); err != nil {
 		t.Fatal(err)
 	}
 	if b, step := r.snapshotBytes(); step != 30 || string(b) != "good-30" {
@@ -161,12 +161,38 @@ func TestSnapshotBufferGrowsToPreviousLength(t *testing.T) {
 	const size = 1 << 16
 	chunk := make([]byte, 1024)
 	for i := 0; i < 3; i++ {
-		if err := r.TakeSnapshot(i, func(w io.Writer) error {
+		if err := r.TakeSnapshot(i, 0, func(w io.Writer) error {
 			if room := w.(*bytes.Buffer).Available(); i > 0 && room < size {
 				t.Errorf("snapshot %d: %d bytes of room before writing, want ≥ %d", i, room, size)
 			}
 			for n := 0; n < size; n += len(chunk) {
 				w.Write(chunk) //nolint:errcheck // bytes.Buffer
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A stated size is room made before the first snapshot's writer runs,
+// so neither buffer grows while a checkpoint of that length is written.
+func TestSnapshotBufferGrowsToStatedSize(t *testing.T) {
+	r := New(Config{})
+	const size = 100000
+	chunk := make([]byte, 1000)
+	for i := 0; i < 3; i++ {
+		if err := r.TakeSnapshot(i, size, func(w io.Writer) error {
+			b := w.(*bytes.Buffer)
+			if room := b.Available(); room < size {
+				t.Errorf("snapshot %d: %d bytes of room before writing, want ≥ %d", i, room, size)
+			}
+			c := b.Cap()
+			for n := 0; n < size; n += len(chunk) {
+				b.Write(chunk)
+			}
+			if b.Cap() != c {
+				t.Errorf("snapshot %d: buffer grew from %d to %d bytes while written", i, c, b.Cap())
 			}
 			return nil
 		}); err != nil {
@@ -209,7 +235,7 @@ func TestConcurrentWritersAndReader(t *testing.T) {
 			// deterministic tests assert it); here the reader just must
 			// not race, crash, or observe aliased slices.
 			r.LastStep()
-			r.TakeSnapshot(i, func(w io.Writer) error { //nolint:errcheck
+			r.TakeSnapshot(i, 0, func(w io.Writer) error { //nolint:errcheck
 				_, err := io.WriteString(w, "snap")
 				return err
 			})

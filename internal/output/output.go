@@ -3,6 +3,13 @@
 // structured/polydata files loadable in ParaView. The moving-sheet and
 // fixed-plate examples use it to produce the visual artifacts of the
 // paper's Figures 1 and 7.
+//
+// The fluid writers read each node's record, whatever the grid's block
+// extent; they read no distributions, so the phase an in-place engine
+// left its array in does not matter. They format on the team of their
+// par.Ordered, a chunk of consecutive lines per worker and round, and
+// write the chunks in order, so their bytes do not depend on the team's
+// width.
 package output
 
 import (
@@ -13,51 +20,21 @@ import (
 
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
+	"lbmib/internal/par"
 )
 
 // WriteSheetCSV writes one row per fiber node: fiber, node, x, y, z,
-// vx, vy, vz.
+// vx, vy, vz. Numbers print as fmt's %d and %g do.
 func WriteSheetCSV(w io.Writer, s *fiber.Sheet) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "fiber,node,x,y,z,vx,vy,vz"); err != nil {
-		return err
-	}
+	bw.WriteString("fiber,node,x,y,z,vx,vy,vz\n")
+	var line []byte
 	for f := 0; f < s.NumFibers; f++ {
 		for k := 0; k < s.NodesPerFiber; k++ {
 			i := s.Idx(f, k)
-			x, v := s.X[i], s.Vel[i]
-			if _, err := fmt.Fprintf(bw, "%d,%d,%g,%g,%g,%g,%g,%g\n",
-				f, k, x[0], x[1], x[2], v[0], v[1], v[2]); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// appendG appends v as fmt's %g verb prints a float64.
-func appendG(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
-
-// WriteFluidSliceCSV writes the velocity field of the x = plane slice as
-// CSV rows: y, z, ux, uy, uz, rho. The fluid writers read each node's
-// record, whatever f's block extent; they read no distributions, so the
-// phase an in-place engine left its array in does not matter.
-func WriteFluidSliceCSV(w io.Writer, f *grid.Grid, plane int) error {
-	nx, ny, nz := f.Dims()
-	if plane < 0 || plane >= nx {
-		return fmt.Errorf("output: plane %d outside grid of %d x-planes", plane, nx)
-	}
-	bw := bufio.NewWriter(w)
-	bw.WriteString("y,z,ux,uy,uz,rho\n")
-	macro, at := f.Macros(), grid.AxisIndex(f)
-	var line []byte
-	for y := 0; y < ny; y++ {
-		for z := 0; z < nz; z++ {
-			n := &macro[at[0][plane]+at[1][y]+at[2][z]]
-			line = strconv.AppendInt(line[:0], int64(y), 10)
-			line = append(line, ',')
-			line = strconv.AppendInt(line, int64(z), 10)
-			for _, v := range [4]float64{n.Vel[0], n.Vel[1], n.Vel[2], n.Rho} {
+			line = strconv.AppendInt(line[:0], int64(f), 10)
+			line = strconv.AppendInt(append(line, ','), int64(k), 10)
+			for _, v := range [6]float64{s.X[i][0], s.X[i][1], s.X[i][2], s.Vel[i][0], s.Vel[i][1], s.Vel[i][2]} {
 				line = appendG(append(line, ','), v)
 			}
 			bw.Write(append(line, '\n'))
@@ -66,74 +43,109 @@ func WriteFluidSliceCSV(w io.Writer, f *grid.Grid, plane int) error {
 	return bw.Flush() // a bufio.Writer keeps its first write error
 }
 
+// appendG appends v as fmt's %g verb prints a float64.
+func appendG(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
+
+// appendVec appends v's components as "%g %g %g\n" prints them.
+func appendVec(b []byte, v [3]float64) []byte {
+	b = appendG(b, v[0])
+	b = appendG(append(b, ' '), v[1])
+	b = appendG(append(b, ' '), v[2])
+	return append(b, '\n')
+}
+
+// WriteFluidSliceCSV writes the velocity field of the x = plane slice as
+// CSV rows: y, z, ux, uy, uz, rho; a chunk is one y-row. Numbers print
+// as fmt's %d and %g do.
+func WriteFluidSliceCSV(w io.Writer, f *grid.Grid, plane int, o *par.Ordered) error {
+	nx, ny, _ := f.Dims()
+	if plane < 0 || plane >= nx {
+		return fmt.Errorf("output: plane %d outside grid of %d x-planes", plane, nx)
+	}
+	if _, err := io.WriteString(w, "y,z,ux,uy,uz,rho\n"); err != nil {
+		return err
+	}
+	macro, at := f.Macros(), grid.AxisIndex(f)
+	return o.Write(w, ny, func(y int, b []byte) []byte {
+		xy := at[0][plane] + at[1][y]
+		for z, az := range at[2] {
+			n := &macro[xy+az]
+			b = strconv.AppendInt(b, int64(y), 10)
+			b = strconv.AppendInt(append(b, ','), int64(z), 10)
+			for _, v := range [4]float64{n.Vel[0], n.Vel[1], n.Vel[2], n.Rho} {
+				b = appendG(append(b, ','), v)
+			}
+			b = append(b, '\n')
+		}
+		return b
+	})
+}
+
 // WriteSheetVTK writes the sheet as legacy-VTK polydata: points plus a
-// quad cell per sheet facet, with node velocity as point data.
+// quad cell per sheet facet, with node velocity as point data. Numbers
+// print as fmt's %d and %g do.
 func WriteSheetVTK(w io.Writer, s *fiber.Sheet) error {
 	bw := bufio.NewWriter(w)
 	n := s.NumNodes()
-	fmt.Fprintln(bw, "# vtk DataFile Version 3.0")
-	fmt.Fprintln(bw, "LBM-IB fiber sheet")
-	fmt.Fprintln(bw, "ASCII")
-	fmt.Fprintln(bw, "DATASET POLYDATA")
-	fmt.Fprintf(bw, "POINTS %d double\n", n)
+	line := []byte("# vtk DataFile Version 3.0\nLBM-IB fiber sheet\nASCII\nDATASET POLYDATA\nPOINTS ")
+	line = strconv.AppendInt(line, int64(n), 10)
+	bw.Write(append(line, " double\n"...))
 	for _, x := range s.X {
-		fmt.Fprintf(bw, "%g %g %g\n", x[0], x[1], x[2])
+		bw.Write(appendVec(line[:0], x))
 	}
 	nq := (s.NumFibers - 1) * (s.NodesPerFiber - 1)
 	if nq > 0 {
-		fmt.Fprintf(bw, "POLYGONS %d %d\n", nq, nq*5)
+		line = strconv.AppendInt(append(line[:0], "POLYGONS "...), int64(nq), 10)
+		line = strconv.AppendInt(append(line, ' '), int64(nq*5), 10)
+		bw.Write(append(line, '\n'))
 		for f := 0; f < s.NumFibers-1; f++ {
 			for k := 0; k < s.NodesPerFiber-1; k++ {
-				fmt.Fprintf(bw, "4 %d %d %d %d\n",
-					s.Idx(f, k), s.Idx(f, k+1), s.Idx(f+1, k+1), s.Idx(f+1, k))
+				line = append(line[:0], '4')
+				for _, i := range [4]int{s.Idx(f, k), s.Idx(f, k+1), s.Idx(f+1, k+1), s.Idx(f+1, k)} {
+					line = strconv.AppendInt(append(line, ' '), int64(i), 10)
+				}
+				bw.Write(append(line, '\n'))
 			}
 		}
 	}
-	fmt.Fprintf(bw, "POINT_DATA %d\n", n)
-	fmt.Fprintln(bw, "VECTORS velocity double")
+	line = strconv.AppendInt(append(line[:0], "POINT_DATA "...), int64(n), 10)
+	bw.Write(append(line, "\nVECTORS velocity double\n"...))
 	for _, v := range s.Vel {
-		fmt.Fprintf(bw, "%g %g %g\n", v[0], v[1], v[2])
+		bw.Write(appendVec(line[:0], v))
 	}
-	return bw.Flush()
+	return bw.Flush() // a bufio.Writer keeps its first write error
 }
 
 // WriteFluidVTK writes the full fluid velocity/density fields as a legacy
-// VTK structured-points dataset. Numbers print as fmt's %g does.
-func WriteFluidVTK(w io.Writer, f *grid.Grid) error {
+// VTK structured-points dataset, x varying fastest as the format
+// expects. A chunk is one z-plane of one section: chunk z < NZ holds
+// plane z's velocities, chunk NZ+z its densities. Numbers print as fmt's
+// %g does.
+func WriteFluidVTK(w io.Writer, f *grid.Grid, o *par.Ordered) error {
 	nx, ny, nz := f.Dims()
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# vtk DataFile Version 3.0")
-	fmt.Fprintln(bw, "LBM-IB fluid grid")
-	fmt.Fprintln(bw, "ASCII")
-	fmt.Fprintln(bw, "DATASET STRUCTURED_POINTS")
-	fmt.Fprintf(bw, "DIMENSIONS %d %d %d\n", nx, ny, nz)
-	fmt.Fprintln(bw, "ORIGIN 0 0 0")
-	fmt.Fprintln(bw, "SPACING 1 1 1")
-	fmt.Fprintf(bw, "POINT_DATA %d\n", nx*ny*nz)
-	fmt.Fprintln(bw, "VECTORS velocity double")
+	head := fmt.Appendf(nil, "# vtk DataFile Version 3.0\nLBM-IB fluid grid\nASCII\n"+
+		"DATASET STRUCTURED_POINTS\nDIMENSIONS %d %d %d\nORIGIN 0 0 0\nSPACING 1 1 1\n"+
+		"POINT_DATA %d\nVECTORS velocity double\n", nx, ny, nz, nx*ny*nz)
+	if _, err := w.Write(head); err != nil {
+		return err
+	}
 	macro, at := f.Macros(), grid.AxisIndex(f)
-	var line []byte
-	// VTK structured points expect x varying fastest.
-	each := func(row func(n *grid.Macro)) {
-		for z := 0; z < nz; z++ {
-			for y := 0; y < ny; y++ {
-				yz := at[1][y] + at[2][z]
-				for x := 0; x < nx; x++ {
-					row(&macro[at[0][x]+yz])
+	return o.Write(w, 2*nz, func(c int, b []byte) []byte {
+		z := c % nz
+		if c == nz {
+			b = append(b, "SCALARS rho double 1\nLOOKUP_TABLE default\n"...)
+		}
+		for y := 0; y < ny; y++ {
+			yz := at[1][y] + at[2][z]
+			for _, ax := range at[0] {
+				n := &macro[ax+yz]
+				if c < nz {
+					b = appendVec(b, n.Vel)
+				} else {
+					b = append(appendG(b, n.Rho), '\n')
 				}
 			}
 		}
-	}
-	each(func(n *grid.Macro) {
-		line = appendG(line[:0], n.Vel[0])
-		line = appendG(append(line, ' '), n.Vel[1])
-		line = appendG(append(line, ' '), n.Vel[2])
-		bw.Write(append(line, '\n'))
+		return b
 	})
-	fmt.Fprintln(bw, "SCALARS rho double 1")
-	fmt.Fprintln(bw, "LOOKUP_TABLE default")
-	each(func(n *grid.Macro) {
-		bw.Write(append(appendG(line[:0], n.Rho), '\n'))
-	})
-	return bw.Flush() // a bufio.Writer keeps its first write error
 }

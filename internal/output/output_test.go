@@ -7,7 +7,11 @@ import (
 
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
+	"lbmib/internal/par"
 )
+
+// serial is a width-1 ordered stream: the fluid writers' code, inline.
+func serial() *par.Ordered { return par.NewOrdered(par.NewTeam(1)) }
 
 func sheet() *fiber.Sheet {
 	return fiber.NewSheet(fiber.Params{NumFibers: 3, NodesPerFiber: 4, Width: 2, Height: 3,
@@ -35,7 +39,7 @@ func TestWriteFluidSliceCSV(t *testing.T) {
 	g := grid.New(4, 3, 2)
 	g.At(2, 1, 0).Vel = [3]float64{0.5, 0, 0}
 	var b bytes.Buffer
-	if err := WriteFluidSliceCSV(&b, g, 2); err != nil {
+	if err := WriteFluidSliceCSV(&b, g, 2, serial()); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -50,10 +54,10 @@ func TestWriteFluidSliceCSV(t *testing.T) {
 
 func TestWriteFluidSliceCSVBadPlane(t *testing.T) {
 	g := grid.New(4, 3, 2)
-	if err := WriteFluidSliceCSV(&bytes.Buffer{}, g, 4); err == nil {
+	if err := WriteFluidSliceCSV(&bytes.Buffer{}, g, 4, serial()); err == nil {
 		t.Fatal("out-of-range plane accepted")
 	}
-	if err := WriteFluidSliceCSV(&bytes.Buffer{}, g, -1); err == nil {
+	if err := WriteFluidSliceCSV(&bytes.Buffer{}, g, -1, serial()); err == nil {
 		t.Fatal("negative plane accepted")
 	}
 }
@@ -92,7 +96,7 @@ func TestWriteSheetVTKSingleFiberNoPolygons(t *testing.T) {
 func TestWriteFluidVTKStructure(t *testing.T) {
 	g := grid.New(2, 2, 2)
 	var b bytes.Buffer
-	if err := WriteFluidVTK(&b, g); err != nil {
+	if err := WriteFluidVTK(&b, g, serial()); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

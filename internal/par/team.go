@@ -8,6 +8,10 @@
 //   - Barrier — a reusable global barrier (thread_barrier_wait);
 //   - StaticRange — OpenMP's static schedule (Algorithm 2/3's "#pragma
 //     omp parallel for"), the chunk of iterations each worker owns;
+//   - Ordered — ordered rounds over a team: each worker formats or
+//     decodes one chunk of a byte stream in its own buffer, the caller
+//     writes or reads the buffers in chunk order (the readers between
+//     steps: checkpoint, restore, fluid output);
 //   - Mesh — the P×Q×R logical thread mesh of Section V-A;
 //   - the block data-distribution functions cube2thread and fiber2thread.
 package par

@@ -51,6 +51,7 @@ import (
 	"lbmib/internal/grid"
 	"lbmib/internal/lattice"
 	"lbmib/internal/output"
+	"lbmib/internal/par"
 	"lbmib/internal/perfmon"
 	"lbmib/internal/telemetry"
 )
@@ -275,6 +276,10 @@ type adapter interface {
 	// loaded re-establishes the engine's invariants after Restore has
 	// overwritten the live grid's distributions, ρ, u and force.
 	loaded()
+	// team returns the engine's worker team, on which the readers
+	// between steps run; Sequential has none and returns a width-1 team,
+	// which runs their code inline.
+	team() *par.Team
 	close()
 
 	velocityAt(x, y, z int) [3]float64
@@ -336,6 +341,11 @@ type Simulation struct {
 
 	prof *perfmon.Profile // Config.CritPath's attribution profile, or nil
 	wall time.Duration    // accumulated measured wall-clock time
+
+	// stream is the ordered stream Checkpoint, Restore and the fluid
+	// writers run on the engine's team, with its per-worker buffers;
+	// built at first use (ordered), never by New.
+	stream *par.Ordered
 }
 
 func buildSheet(sc *SheetConfig) (*fiber.Sheet, error) {
@@ -699,7 +709,7 @@ func (s *Simulation) runSteps(n int) {
 		if s.rec != nil && s.rec.WantSnapshot(step) {
 			s.flush()
 			if s.healthy() {
-				s.rec.TakeSnapshot(step, s.Checkpoint) //nolint:errcheck // best-effort; last good snapshot is kept
+				s.rec.TakeSnapshot(step, s.checkpointSize(), s.Checkpoint) //nolint:errcheck // best-effort; last good snapshot is kept
 			}
 		}
 	}
@@ -775,6 +785,17 @@ func (s *Simulation) deliver() {
 func (s *Simulation) live() *grid.Grid {
 	s.flush()
 	return s.eng.live()
+}
+
+// ordered returns the ordered stream on the engine's team that
+// Checkpoint, Restore and the fluid writers format and decode on, built
+// at first use: its buffers, one chunk per worker, are not part of a
+// simulation that never writes.
+func (s *Simulation) ordered() *par.Ordered {
+	if s.stream == nil {
+		s.stream = par.NewOrdered(s.eng.team())
+	}
+	return s.stream
 }
 
 // FlightRecorder returns the configured flight recorder, or nil.
@@ -933,15 +954,19 @@ func (s *Simulation) SheetVelocitiesAt(i int) ([][3]float64, error) {
 // change it; DFNew is left zero.
 func (s *Simulation) FluidSnapshot() *grid.Snapshot {
 	l := s.live()
-	snap := grid.NewSnapshot(l.Dims())
-	df, macro, dst := l.Dist(), l.Macros(), snap.Nodes
-	_ = eachPlane(l, func(_ int, plane []int) error {
-		for i, j := range plane {
-			n, m := &dst[i], &macro[j]
-			n.DF, n.Vel, n.Rho, n.Force = df[j], m.Vel, m.Rho, m.Force
+	nx, ny, nz := l.Dims()
+	snap := grid.NewSnapshot(nx, ny, nz)
+	df, macro, at := l.Dist(), l.Macros(), grid.AxisIndex(l)
+	eachPlane(s.eng.team(), nx, func(x int) {
+		dst := snap.Nodes[x*ny*nz:]
+		for y := 0; y < ny; y++ {
+			jy := at[0][x] + at[1][y]
+			for z, az := range at[2] {
+				n, j := &dst[y*nz+z], jy+az
+				m := &macro[j]
+				n.DF, n.Vel, n.Rho, n.Force = df[j], m.Vel, m.Rho, m.Force
+			}
 		}
-		dst = dst[len(plane):]
-		return nil
 	})
 	return snap
 }
@@ -1014,15 +1039,15 @@ func (s *Simulation) WriteSheetVTK(w io.Writer) error {
 }
 
 // WriteFluidVTK writes the fluid velocity/density fields as legacy VTK,
-// read from the engine's live layout.
+// read from the engine's live layout and formatted on its team.
 func (s *Simulation) WriteFluidVTK(w io.Writer) error {
-	return output.WriteFluidVTK(w, s.live())
+	return output.WriteFluidVTK(w, s.live(), s.ordered())
 }
 
 // WriteFluidSliceCSV writes the x = plane velocity slice as CSV, read from
-// the engine's live layout.
+// the engine's live layout and formatted on its team.
 func (s *Simulation) WriteFluidSliceCSV(w io.Writer, plane int) error {
-	return output.WriteFluidSliceCSV(w, s.live(), plane)
+	return output.WriteFluidSliceCSV(w, s.live(), plane, s.ordered())
 }
 
 // --- engine adapters ---
@@ -1061,6 +1086,7 @@ type seqEngine struct {
 func (e *seqEngine) live() *grid.Grid                { return e.Fluid }
 func (e *seqEngine) mass() float64                   { return e.Fluid.TotalMass() }
 func (e *seqEngine) Digest(d *grid.DigestGrid) error { return e.Fluid.Digest(d) }
+func (e *seqEngine) team() *par.Team                 { return inline }
 func (e *seqEngine) close()                          {}
 func (e *seqEngine) observe(*grid.DigestGrid) error {
 	return errors.New("lbmib: the sequential engine samples after its step")
@@ -1068,6 +1094,10 @@ func (e *seqEngine) observe(*grid.DigestGrid) error {
 
 // loaded has nothing to re-establish: kernel 4 resets the force itself.
 func (e *seqEngine) loaded() {}
+
+// inline is the width-1 team Sequential's readers run on: it starts no
+// goroutine and runs every region on the caller.
+var inline = par.NewTeam(1)
 
 // inPlaceEngine is every parallel engine — OpenMP and CubeBased: the
 // stepping is its schedule's, everything else its core.InPlace state's.
@@ -1080,4 +1110,5 @@ func (e *inPlaceEngine) live() *grid.Grid                 { return e.Live() }
 func (e *inPlaceEngine) observe(d *grid.DigestGrid) error { return e.Observe(d) }
 func (e *inPlaceEngine) mass() float64                    { return e.Canonical().TotalMass() }
 func (e *inPlaceEngine) loaded()                          { e.Loaded() }
+func (e *inPlaceEngine) team() *par.Team                  { return e.Team }
 func (e *inPlaceEngine) close()                           { e.Close() }

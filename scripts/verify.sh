@@ -141,7 +141,7 @@ fi
 # One boundary body. Every stream resolves walls, wrap and the moving lid
 # through core.StreamBC.Resolve, called only from the shared bodies
 # (core.Streamer.Block pushes into the sequential engine's second array;
-# core.AABlock, core.AAMomentsBlock and core.Canonicalize stream in place);
+# core.AABlock, core.AAMomentsBlock and core.CanonicalizeBlocks stream in place);
 # an engine that resolves a boundary itself can drift from the others: no
 # non-test file outside internal/core calls it.
 if grep -rn '\.Resolve(' --include='*.go' . | grep -v '^\./internal/core/' |
@@ -157,8 +157,11 @@ go test -race ./internal/core/... ./internal/fiber/... ./internal/telemetry/... 
 # and the coordinator reduces them after the join and hands the sample to
 # the watchdog, the step log and the ring. Only the root package drives
 # that path, so its sampled-step and digest tests run under the race
-# detector too.
-go test -race -run 'TestObservedStepSamplesLiveLayout|TestStepLogNamesTheSampledStep|TestSampleIsOneDigestByEveryPath|TestFlightRecorderBundleOnInjectedFault' .
+# detector too. So do the readers between steps: Checkpoint, Restore and
+# the fluid writers format and decode on the engine's team, a chunk per
+# worker, and the caller moves the buffers in chunk order
+# (TestReadersAtTeamWidth).
+go test -race -run 'TestObservedStepSamplesLiveLayout|TestStepLogNamesTheSampledStep|TestSampleIsOneDigestByEveryPath|TestFlightRecorderBundleOnInjectedFault|TestReadersAtTeamWidth' .
 
 # Cross-engine differential smoke: 10 seeded cases on each of the three
 # engine modes (sequential, omp and, on cube-divisible grids, cube),

@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
 )
 
@@ -105,5 +106,95 @@ func TestFluidWritersMatchFmtOracle(t *testing.T) {
 			}
 			s.Close()
 		}
+	}
+}
+
+// oracleSheetCSV is the fmt-based sheet CSV writer the strconv writer in
+// internal/output replaced, kept as the byte-for-byte oracle.
+func oracleSheetCSV(w io.Writer, s *fiber.Sheet) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, "fiber,node,x,y,z,vx,vy,vz")
+	for f := 0; f < s.NumFibers; f++ {
+		for k := 0; k < s.NodesPerFiber; k++ {
+			i := s.Idx(f, k)
+			x, v := s.X[i], s.Vel[i]
+			fmt.Fprintf(bw, "%d,%d,%g,%g,%g,%g,%g,%g\n", f, k, x[0], x[1], x[2], v[0], v[1], v[2])
+		}
+	}
+	return bw.Flush()
+}
+
+// oracleSheetVTK is the fmt-based sheet VTK writer, the oracle of
+// WriteSheetVTK.
+func oracleSheetVTK(w io.Writer, s *fiber.Sheet) error {
+	bw := bufio.NewWriter(w)
+	n := s.NumNodes()
+	fmt.Fprintln(bw, "# vtk DataFile Version 3.0")
+	fmt.Fprintln(bw, "LBM-IB fiber sheet")
+	fmt.Fprintln(bw, "ASCII")
+	fmt.Fprintln(bw, "DATASET POLYDATA")
+	fmt.Fprintf(bw, "POINTS %d double\n", n)
+	for _, x := range s.X {
+		fmt.Fprintf(bw, "%g %g %g\n", x[0], x[1], x[2])
+	}
+	nq := (s.NumFibers - 1) * (s.NodesPerFiber - 1)
+	if nq > 0 {
+		fmt.Fprintf(bw, "POLYGONS %d %d\n", nq, nq*5)
+		for f := 0; f < s.NumFibers-1; f++ {
+			for k := 0; k < s.NodesPerFiber-1; k++ {
+				fmt.Fprintf(bw, "4 %d %d %d %d\n", s.Idx(f, k), s.Idx(f, k+1), s.Idx(f+1, k+1), s.Idx(f+1, k))
+			}
+		}
+	}
+	fmt.Fprintf(bw, "POINT_DATA %d\n", n)
+	fmt.Fprintln(bw, "VECTORS velocity double")
+	for _, v := range s.Vel {
+		fmt.Fprintf(bw, "%g %g %g\n", v[0], v[1], v[2])
+	}
+	return bw.Flush()
+}
+
+// The sheet writers print exactly what the fmt writers printed — a moved
+// sheet's positions and velocities, NaN, ±Inf and −0 included — for a
+// sheet of many fibers and for a single fiber, which has no polygons.
+func TestSheetWritersMatchFmtOracle(t *testing.T) {
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 1e-300, -2.5e21}
+	one := formatConfig(sampledEngines[0], 1)
+	one.Sheets[0].NumFibers = 1
+	for _, cfg := range []Config{formatConfig(sampledEngines[2], 2), one} {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Run(3)
+		sh := s.firstSheet()
+		for i, v := range special {
+			sh.X[i%sh.NumNodes()][i%3] = v
+			sh.Vel[(i+1)%sh.NumNodes()][(i+1)%3] = special[len(special)-1-i]
+		}
+		for _, w := range []struct {
+			name      string
+			got, want func(io.Writer) error
+		}{
+			{"WriteSheetCSV", s.WriteSheetCSV, func(w io.Writer) error { return oracleSheetCSV(w, sh) }},
+			{"WriteSheetVTK", s.WriteSheetVTK, func(w io.Writer) error { return oracleSheetVTK(w, sh) }},
+		} {
+			var got, want bytes.Buffer
+			if err := w.got(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.want(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%d fibers: %s differs from the fmt oracle:\n%s\nwant\n%s", sh.NumFibers, w.name, got.Bytes(), want.Bytes())
+			}
+			for _, v := range []string{"NaN", "+Inf", "-Inf", "-0"} {
+				if !bytes.Contains(got.Bytes(), []byte(v)) {
+					t.Errorf("%d fibers: %s lacks the planted %q", sh.NumFibers, w.name, v)
+				}
+			}
+		}
+		s.Close()
 	}
 }
