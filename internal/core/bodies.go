@@ -24,12 +24,12 @@ func SeedForce(m []grid.Macro, body [3]float64) {
 
 // CollideRange is kernel 5 over a node range: the BGK collision with Guo
 // forcing, in place on the present distributions df, reading the records
-// m of the same nodes.
+// m of the same nodes, four nodes per call of the node kernel.
 func CollideRange(df [][lattice.Q]float64, m []grid.Macro, tau float64) {
 	df = df[:len(m)]
-	for i := range m {
-		n := &m[i]
-		lattice.Collide(&df[i], n.Rho, n.Vel, n.Force, tau)
+	for i := 0; i < len(m); i += lattice.Lanes {
+		j := min(i+lattice.Lanes, len(m))
+		lattice.CollideGroup(df[i:j], m[i:j], nil, nil, tau, false, nil)
 	}
 }
 
@@ -255,11 +255,11 @@ func (s *Streamer) Block(b int, dst [][lattice.Q]float64) {
 // run, the array is in the other phase:
 //
 //   - Natural (swapped false): node n's value f_q(n) is at slot (n, q).
-//     The body collides the node's 19 values in place (lattice.Collide)
-//     and trades the values of each opposite pair, which stores value q
-//     at (n, Opposite[q]). On a wall link — n+e_q beyond a bounce-back
-//     wall — that slot takes the reflected value instead, lid term
-//     included.
+//     The body collides the node's 19 values in place and trades the
+//     values of each opposite pair, which stores value q at
+//     (n, Opposite[q]) (CollideGroup's trade). On a wall link — n+e_q beyond a
+//     bounce-back wall — that slot takes the reflected value instead,
+//     lid term included.
 //   - Swapped: value Opposite[q] of node n is at L_q, the slot direction
 //     q of the node owns: (n+e_q, q) in the interior, periodic wrap
 //     included, and (n, Opposite[q]) on a wall link. The body gathers it
@@ -288,12 +288,9 @@ func (s *Streamer) Block(b int, dst [][lattice.Q]float64) {
 // With a non-nil dg the sweep also digests the state it is about to
 // overwrite: each node's density and velocity — its record's when the
 // block is fresh, the fold's when it is stale, the same bits either way —
-// go into dg's slots for the block (grid.DigestRow), which the body
-// clears first and which no other block shares. That is the per-step
-// digest without a pass of its own (DESIGN.md §12). A nil dg leaves the
-// unobserved bodies as they were: the record path calls Collide and the
-// fold or force path collideWith, and only an observed node takes
-// collideObserved.
+// go into dg's slots for the block (grid.DigestRow), in z order, which
+// the body clears first and which no other block shares. That is the
+// per-step digest without a pass of its own (DESIGN.md §12).
 //
 // Why the blocks may run in any order, concurrently, with no barrier
 // between them: in either phase the slots a node reads are exactly the
@@ -303,7 +300,14 @@ func (s *Streamer) Block(b int, dst [][lattice.Q]float64) {
 // wall slot (n, Opposite[q]) is reached by no neighbour, since the
 // neighbour it would come from lies beyond the wall. What does need an
 // ordering is the moments body: it reads neighbours' slots, so it waits
-// until every block around its own has run.
+// until every block around its own has run. The same argument lets the
+// body take the nodes of a z-row in groups of lattice.Lanes, one call of
+// the node kernel each (lattice.CollideGroup), a row's last group short:
+// natural, the group's nodes are consecutive entries, collided and
+// traded in place; swapped, each node's gather fills one node of a
+// scratch group, the group collides, and each node scatters its values.
+// A node's wall links are resolved by itself after the call, with the
+// density the kernel reports it collided with.
 //
 // A node without a wall link — nearly every node — moves its values in
 // straight-line code, pair by pair, (q, q+1) for odd q, which is
@@ -318,148 +322,114 @@ func AABlock(s *Streamer, df [][lattice.Q]float64, b int, tau float64, swapped b
 	m := s.l.Macros()
 	o, e := s.l.BlockBox(b)
 	idx := b * e[0] * e[1] * e[2]
-	// plain is the record path: the record's fields go to Collide
-	// directly; a fold or a given force goes through collideWith, and a
-	// digest through collideObserved, which adds each node to the row's
-	// slots through sink.
-	plain := fold == nil && force == nil && dg == nil
 	var obs grid.DigestRow
-	var sink *grid.DigestRow
 	if dg != nil {
 		dg.ClearSlots(o, e)
-		sink = &obs
 	}
-	// Scratch for one node, declared once so no node pays to zero it.
-	var g [lattice.Q]float64
-	var rho float64
+	// The group's densities and velocities, as the kernel collided them,
+	// and the swapped phase's scratch group, declared once so no group
+	// pays to zero them.
+	var st [lattice.Lanes]lattice.State
+	var g [lattice.Lanes][lattice.Q]float64
 	for x := o[0]; x < o[0]+e[0]; x++ {
 		for y := o[1]; y < o[1]+e[1]; y++ {
 			row := s.row(x, y, +1)
-			if sink != nil {
+			if dg != nil {
 				obs = dg.Row(x, y)
 			}
-			for z := o[2]; z < o[2]+e[2]; z++ {
-				walls := row.walls | s.walls[2][z]
+			for z0 := o[2]; z0 < o[2]+e[2]; z0 += lattice.Lanes {
+				n := min(lattice.Lanes, o[2]+e[2]-z0)
 				if !swapped {
 					// Collide in place and trade each pair's values, which
 					// stores value q at Opposite[q]; then a wall link's
 					// slot takes the reflection of the value it holds.
-					f := &df[idx]
-					if r := &m[idx]; plain {
-						rho = r.Rho
-						lattice.Collide(f, rho, r.Vel, r.Force, tau)
-					} else if sink == nil {
-						rho = collideWith(f, r, fold, force, tau)
-					} else {
-						rho = collideObserved(f, r, fold, force, tau, sink, z)
+					lattice.CollideGroup(df[idx:idx+n], m[idx:idx+n], fold, force, tau, true, &st)
+					for k := 0; k < n; k++ {
+						z := z0 + k
+						f := &df[idx+k]
+						for w := row.walls | s.walls[2][z]; w != 0; w &= w - 1 {
+							q := bits.TrailingZeros32(w)
+							oq := lattice.Opposite[q]
+							_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, f[oq], st[k].Rho)
+							f[oq] = refl
+						}
 					}
-					f[1], f[2] = f[2], f[1]
-					f[3], f[4] = f[4], f[3]
-					f[5], f[6] = f[6], f[5]
-					f[7], f[8] = f[8], f[7]
-					f[9], f[10] = f[10], f[9]
-					f[11], f[12] = f[12], f[11]
-					f[13], f[14] = f[14], f[13]
-					f[15], f[16] = f[16], f[15]
-					f[17], f[18] = f[18], f[17]
-					for w := walls; w != 0; w &= w - 1 {
-						q := bits.TrailingZeros32(w)
-						oq := lattice.Opposite[q]
-						_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, f[oq], rho)
-						f[oq] = refl
-					}
-					idx++
-					continue
-				}
-				d := s.links(&row, z)
-				if walls == 0 {
-					g[0] = df[idx][0]
-					g[2], g[1] = df[idx+d[1]][1], df[idx+d[2]][2]
-					g[4], g[3] = df[idx+d[3]][3], df[idx+d[4]][4]
-					g[6], g[5] = df[idx+d[5]][5], df[idx+d[6]][6]
-					g[8], g[7] = df[idx+d[7]][7], df[idx+d[8]][8]
-					g[10], g[9] = df[idx+d[9]][9], df[idx+d[10]][10]
-					g[12], g[11] = df[idx+d[11]][11], df[idx+d[12]][12]
-					g[14], g[13] = df[idx+d[13]][13], df[idx+d[14]][14]
-					g[16], g[15] = df[idx+d[15]][15], df[idx+d[16]][16]
-					g[18], g[17] = df[idx+d[17]][17], df[idx+d[18]][18]
 				} else {
-					for q := 0; q < lattice.Q; q++ {
-						if oq := lattice.Opposite[q]; walls&(1<<q) != 0 {
-							g[oq] = df[idx][oq]
+					for k := 0; k < n; k++ {
+						i, d, h := idx+k, s.links(&row, z0+k), &g[k]
+						if walls := row.walls | s.walls[2][z0+k]; walls == 0 {
+							h[0] = df[i][0]
+							h[2], h[1] = df[i+d[1]][1], df[i+d[2]][2]
+							h[4], h[3] = df[i+d[3]][3], df[i+d[4]][4]
+							h[6], h[5] = df[i+d[5]][5], df[i+d[6]][6]
+							h[8], h[7] = df[i+d[7]][7], df[i+d[8]][8]
+							h[10], h[9] = df[i+d[9]][9], df[i+d[10]][10]
+							h[12], h[11] = df[i+d[11]][11], df[i+d[12]][12]
+							h[14], h[13] = df[i+d[13]][13], df[i+d[14]][14]
+							h[16], h[15] = df[i+d[15]][15], df[i+d[16]][16]
+							h[18], h[17] = df[i+d[17]][17], df[i+d[18]][18]
 						} else {
-							g[oq] = df[idx+d[q]][q]
+							s.gatherWalls(df, i, walls, d, h)
+						}
+					}
+					lattice.CollideGroup(g[:n], m[idx:idx+n], fold, force, tau, false, &st)
+					for k := 0; k < n; k++ {
+						z := z0 + k
+						i, d, h := idx+k, s.links(&row, z), &g[k]
+						if walls := row.walls | s.walls[2][z]; walls == 0 {
+							df[i][0] = h[0]
+							df[i+d[1]][1], df[i+d[2]][2] = h[1], h[2]
+							df[i+d[3]][3], df[i+d[4]][4] = h[3], h[4]
+							df[i+d[5]][5], df[i+d[6]][6] = h[5], h[6]
+							df[i+d[7]][7], df[i+d[8]][8] = h[7], h[8]
+							df[i+d[9]][9], df[i+d[10]][10] = h[9], h[10]
+							df[i+d[11]][11], df[i+d[12]][12] = h[11], h[12]
+							df[i+d[13]][13], df[i+d[14]][14] = h[13], h[14]
+							df[i+d[15]][15], df[i+d[16]][16] = h[15], h[16]
+							df[i+d[17]][17], df[i+d[18]][18] = h[17], h[18]
+						} else {
+							s.scatterWalls(df, i, walls, d, h, x, y, z, st[k].Rho)
 						}
 					}
 				}
-				if r := &m[idx]; plain {
-					rho = r.Rho
-					lattice.Collide(&g, rho, r.Vel, r.Force, tau)
-				} else if sink == nil {
-					rho = collideWith(&g, r, fold, force, tau)
-				} else {
-					rho = collideObserved(&g, r, fold, force, tau, sink, z)
-				}
-				if walls == 0 {
-					df[idx][0] = g[0]
-					df[idx+d[1]][1], df[idx+d[2]][2] = g[1], g[2]
-					df[idx+d[3]][3], df[idx+d[4]][4] = g[3], g[4]
-					df[idx+d[5]][5], df[idx+d[6]][6] = g[5], g[6]
-					df[idx+d[7]][7], df[idx+d[8]][8] = g[7], g[8]
-					df[idx+d[9]][9], df[idx+d[10]][10] = g[9], g[10]
-					df[idx+d[11]][11], df[idx+d[12]][12] = g[11], g[12]
-					df[idx+d[13]][13], df[idx+d[14]][14] = g[13], g[14]
-					df[idx+d[15]][15], df[idx+d[16]][16] = g[15], g[16]
-					df[idx+d[17]][17], df[idx+d[18]][18] = g[17], g[18]
-				} else {
-					for q := 0; q < lattice.Q; q++ {
-						if walls&(1<<q) != 0 {
-							_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, g[q], rho)
-							df[idx][lattice.Opposite[q]] = refl
-						} else {
-							df[idx+d[q]][q] = g[q]
-						}
+				if dg != nil {
+					for k := 0; k < n; k++ {
+						obs.Add(z0+k, st[k].Rho, &st[k].U)
 					}
 				}
-				idx++
+				idx += n
 			}
 		}
 	}
 }
 
-// collideWith is AABlock's collision of one node's values g when a fold
-// or a force is given: the density and velocity are lattice.Moments of g
-// under *fold (lattice.FoldCollide), or the record r's; the force is
-// *force, or r's. It returns the density, which the node's reflections
-// take. With both given it does not read r.
-func collideWith(g *[lattice.Q]float64, r *grid.Macro, fold, force *[3]float64, tau float64) (rho float64) {
-	if force == nil {
-		force = &r.Force
+// gatherWalls loads into g the values a swapped AABlock collides at
+// node i, which has the wall links walls and its neighbours at offsets
+// d: value Opposite[q] from L_q, (i+d[q], q), or from (i, Opposite[q])
+// on a wall link.
+func (s *Streamer) gatherWalls(df [][lattice.Q]float64, i int, walls uint32, d *[lattice.Q]int, g *[lattice.Q]float64) {
+	for q := 0; q < lattice.Q; q++ {
+		if oq := lattice.Opposite[q]; walls&(1<<q) != 0 {
+			g[oq] = df[i][oq]
+		} else {
+			g[oq] = df[i+d[q]][q]
+		}
 	}
-	if fold != nil {
-		var u [3]float64
-		return lattice.FoldCollide(g, *fold, *force, tau, &u)
-	}
-	lattice.Collide(g, r.Rho, r.Vel, *force, tau)
-	return r.Rho
 }
 
-// collideObserved is collideWith on an observed sweep: the density and
-// velocity the collision starts from — the state the sweep overwrites —
-// also go to node z of the row's digest slots.
-func collideObserved(g *[lattice.Q]float64, r *grid.Macro, fold, force *[3]float64, tau float64, sink *grid.DigestRow, z int) (rho float64) {
-	if force == nil {
-		force = &r.Force
+// scatterWalls stores the collided values g of node (x, y, z), entry i,
+// back into the slots gatherWalls read: value q into L_q, or, on a wall
+// link, its reflection off the wall with the node's density rho into
+// (i, Opposite[q]).
+func (s *Streamer) scatterWalls(df [][lattice.Q]float64, i int, walls uint32, d *[lattice.Q]int, g *[lattice.Q]float64, x, y, z int, rho float64) {
+	for q := 0; q < lattice.Q; q++ {
+		if walls&(1<<q) != 0 {
+			_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, g[q], rho)
+			df[i][lattice.Opposite[q]] = refl
+		} else {
+			df[i+d[q]][q] = g[q]
+		}
 	}
-	var u [3]float64
-	if fold != nil {
-		rho = lattice.FoldCollide(g, *fold, *force, tau, &u)
-	} else {
-		rho, u = r.Rho, r.Vel
-		lattice.Collide(g, rho, u, *force, tau)
-	}
-	sink.Add(z, rho, &u)
-	return rho
 }
 
 // rowLinks is the part of a row's links that x and y decide: their wall

@@ -35,12 +35,9 @@ import (
 // Macro is the per-node record besides the distributions: the
 // macroscopic velocity u and density ρ, and the elastic force density
 // spread from the structure during kernel 4 and consumed by the fluid
-// update. 56 bytes.
-type Macro struct {
-	Vel   [3]float64 // macroscopic velocity u
-	Rho   float64    // macroscopic density ρ
-	Force [3]float64 // elastic force density from the structure
-}
+// update. 56 bytes. It is the node kernel's lattice.Record, so that a
+// run of records is what lattice.CollideGroup reads.
+type Macro = lattice.Record
 
 // Grid is a structured Nx×Ny×Nz fluid mesh stored in blocks of one
 // extent: block b is the box BlockBox(b) of the domain and occupies

@@ -19,12 +19,13 @@
 // FoldCollide is the two in one call, all unrolled over the nine opposite
 // pairs (e, −e) of the velocity set, whose equilibrium and forcing share
 // a symmetric part and differ in the sign of an antisymmetric one.
-// kernel_amd64.s is the same unrolled kernel in AVX2, the nine pairs in
-// vector lanes, which Collide and FoldCollide run when the host has
-// AVX2. The loop forms are the oracle the unrolled Go forms are tested
-// against, and the unrolled Go forms — the path for every other host —
-// are the oracle the vector bodies must match bit for bit (kernel_test.go); no solver composes a collision
-// out of the loop forms.
+// kernel_amd64.s is the same unrolled kernel in AVX2, one node per
+// vector lane and up to four nodes per call, which CollideGroup runs
+// when the host has AVX2. The loop forms are the oracle the unrolled Go
+// forms are tested against, and the unrolled Go forms — the path for
+// every other host, and Collide's and FoldCollide's on every host — are
+// the oracle the vector body must match bit for bit (kernel_test.go); no
+// solver composes a collision out of the loop forms.
 package lattice
 
 // Q is the number of discrete velocities in the D3Q19 model (1 rest + 18

@@ -6,12 +6,10 @@ package lattice
 // over E and no index the compiler has to bounds-check (scripts/verify.sh
 // gates that). Equilibrium and GuoForce in d3q19.go are the same formulas
 // written down direction by direction; the tests hold this file to them.
-// On an AVX2 host, Collide and FoldCollide run the vector bodies of
-// kernel_amd64.s instead, which compute this file's expression trees
-// lane by lane; the tests hold them to collide and foldCollide bit for
-// bit.
-
-import "lbmib/internal/cpu"
+// On an AVX2 host, CollideGroup (group.go) runs the vector body of
+// kernel_amd64.s instead, which computes this file's expression trees
+// for up to four nodes at once, one node per lane; the tests hold it to
+// Collide and FoldCollide bit for bit.
 
 // pairTerms splits the equilibrium and the Guo term of an opposite pair
 // (e, −e) into the parts the two directions share and the parts that
@@ -39,46 +37,13 @@ func pairTerms(eu, ef, c, uf3, r, p float64) (se, ae, sf, af float64) {
 // scales the small non-equilibrium part, not two large terms that then
 // cancel, and so that the rest state is a fixed point bit for bit.
 //
-// On a host with AVX2 the vector body runs (kernel_amd64.s); it computes the same expression tree lane by lane,
-// so the result does not depend on which body ran — save which NaN a
-// NaN result is, which x86 takes from the order of a commutative
-// operation's operands, and the Go compiler leaves that order to
-// register allocation.
+// Collide is also the oracle of the vector body (kernel_amd64.s), which
+// runs this expression tree in each lane for a pass over many nodes
+// (CollideGroup): its result does not depend on which body ran — save
+// which NaN a NaN result is, which x86 takes from the order of a
+// commutative operation's operands, and the Go compiler leaves that
+// order to register allocation.
 func Collide(g *[Q]float64, rho float64, u, f [3]float64, tau float64) {
-	if cpu.Vector() {
-		collideAVX2(g, rho, u[0], u[1], u[2], f[0], f[1], f[2], tau)
-		return
-	}
-	collide(g, rho, u, f, tau)
-}
-
-// FoldCollide is Moments of g under the force fold followed by Collide
-// with that density and velocity and the force f, in one call: the
-// moments of the previous step folded into this step's collision
-// (core.AABlock). It returns the density and writes the velocity into u,
-// as Moments does: the state's moments, which a sampled sweep digests.
-// On a host with AVX2 the vector body forms the moments from the pair
-// sums and differences of the values it loaded for the collision; the
-// bits are those of the two calls, as Collide's are.
-func FoldCollide(g *[Q]float64, fold, f [3]float64, tau float64, u *[3]float64) (rho float64) {
-	if cpu.Vector() {
-		rho, u[0], u[1], u[2] = foldCollideAVX2(g, fold[0], fold[1], fold[2], f[0], f[1], f[2], tau)
-		return rho
-	}
-	return foldCollide(g, fold, f, tau, u)
-}
-
-// foldCollide is FoldCollide in Go, the portable path and the vector
-// body's oracle.
-func foldCollide(g *[Q]float64, fold, f [3]float64, tau float64, u *[3]float64) (rho float64) {
-	rho = Moments(g, fold, u)
-	collide(g, rho, *u, f, tau)
-	return rho
-}
-
-// collide is Collide in Go: the portable path and the vector body's
-// oracle.
-func collide(g *[Q]float64, rho float64, u, f [3]float64, tau float64) {
 	inv := 1 / tau
 	pre := 1 - 0.5*inv
 	ux, uy, uz := u[0], u[1], u[2]
@@ -118,6 +83,19 @@ func collide(g *[Q]float64, rho float64, u, f [3]float64, tau float64) {
 	se, ae, sf, af = pairTerms(uy-uz, fy-fz, c, uf3, r2, p2)
 	g[17] = relax(g[17], inv, se+ae, sf+af)
 	g[18] = relax(g[18], inv, se-ae, sf-af)
+}
+
+// FoldCollide is Moments of g under the force fold followed by Collide
+// with that density and velocity and the force f, in one call: the
+// moments of the previous step folded into this step's collision
+// (core.AABlock). It returns the density and writes the velocity into u,
+// as Moments does: the state's moments, which a sampled sweep digests.
+// The vector body forms the same moments from the pair sums and
+// differences of the values it loaded for the collision.
+func FoldCollide(g *[Q]float64, fold, f [3]float64, tau float64, u *[3]float64) (rho float64) {
+	rho = Moments(g, fold, u)
+	Collide(g, rho, *u, f, tau)
+	return rho
 }
 
 // relax is one direction of Collide, g + ((eq − g)·inv + src) with eq

@@ -1,16 +1,10 @@
 package lattice
 
-// The vector bodies of kernel_amd64.s; Collide and FoldCollide run them
-// where cpu.Vector reports AVX2.
-
-// collideAVX2 is collide, the nine opposite pairs in
-// the lanes of two 4-wide vectors and one 2-wide one.
+// collideAVX2 is the vector body of kernel_amd64.s, which CollideGroup
+// runs where cpu.Vector reports AVX2:
+// collideGroup on the n nodes from d and their records from r, one node
+// per lane. r is not read when fold and force are both non-nil; a nil
+// out is not written.
 //
 //go:noescape
-func collideAVX2(d *[Q]float64, rho, ux, uy, uz, fx, fy, fz, tau float64)
-
-// foldCollideAVX2 is foldCollide; hx, hy, hz is the
-// fold force and fx, fy, fz the collision's.
-//
-//go:noescape
-func foldCollideAVX2(d *[Q]float64, hx, hy, hz, fx, fy, fz, tau float64) (rho, ux, uy, uz float64)
+func collideAVX2(d *[Q]float64, r *Record, n int, fold, force *[3]float64, tau float64, trade bool, out *[Lanes]State)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"lbmib/internal/cpu"
 )
@@ -320,20 +321,20 @@ func TestCollideCommutesWithLatticeSymmetries(t *testing.T) {
 	t.Logf("16 symmetries bitwise; the other 32 within %.3g·w_i", worst)
 }
 
-// The vector bodies (kernel_amd64.s) are held to the Go kernel bit for
+// The vector body (kernel_amd64.s) is held to the Go kernel bit for
 // bit: every lane runs the Go expression tree operation for operation,
-// so no input, however degenerate, may tell the two apart. The one
-// exception is which NaN a NaN result is. Where two different NaNs meet
-// (an input NaN and the NaN an invalid operation such as ∞ − ∞ makes),
-// x86 returns the first operand's, and the Go compiler orders the
-// operands of a commutative product or sum as register allocation
-// suits it, differently from pair to pair and from one compiler release
-// to the next; so a NaN is matched by a NaN, and every other value by
-// its bits. The Go kernel is itself held to the formulas by the tests
-// above.
+// so no input, however degenerate, may tell the two apart, and no lane
+// may see another lane's node. The one exception is which NaN a NaN
+// result is. Where two different NaNs meet (an input NaN and the NaN an
+// invalid operation such as ∞ − ∞ makes), x86 returns the first
+// operand's, and the Go compiler orders the operands of a commutative
+// product or sum as register allocation suits it, differently from pair
+// to pair and from one compiler release to the next; so a NaN is
+// matched by a NaN, and every other value by its bits. The Go kernel is
+// itself held to the formulas by the tests above.
 
-// vectorStates is the number of random nodes each vector body is
-// compared on.
+// vectorStates is the number of random nodes the vector body is
+// compared on, in groups of up to Lanes.
 const vectorStates = 1_000_000
 
 func requireVector(t *testing.T) {
@@ -358,50 +359,115 @@ func firstDiff(a, b *[Q]float64) int {
 	return -1
 }
 
-// checkVector runs both bodies of Collide and of FoldCollide on s and
-// fails at the first bit that differs. The fold uses s.f as the fold
-// force and fold as the collision's; the density and velocity it returns
-// must be Moments' bits under the fold force, from either body.
-func checkVector(t *testing.T, n int, s nodeState, fold [3]float64) {
+// group is one call of the group kernel: one node per lane, each with
+// its own populations and record (g, rho, u and f of its state; the
+// lanes' own tau is not used), and the relaxation time, the fold force
+// and the given force (nil: none), whether the pairs are traded and
+// whether out is asked for, which the lanes share.
+type group struct {
+	lanes       []nodeState
+	tau         float64
+	fold, force *[3]float64
+	trade       bool
+	out         bool
+}
+
+// drawGroup draws a group of lane's nodes: four lanes in three groups
+// of four, one to three otherwise; each combination of fold and given
+// force, the trade in half the groups, and out in half. The forces are
+// fold(lanes), which must return values the group does not alias.
+func drawGroup(r *rand.Rand, lane func() nodeState, forces func(lanes []nodeState) (fold, force [3]float64)) group {
+	n := Lanes
+	if r.Intn(4) == 0 {
+		n = 1 + r.Intn(Lanes-1)
+	}
+	c := group{lanes: make([]nodeState, n), trade: r.Intn(2) == 0, out: r.Intn(2) == 0}
+	for k := range c.lanes {
+		c.lanes[k] = lane()
+	}
+	c.tau = c.lanes[0].tau
+	fold, force := forces(c.lanes)
+	switch r.Intn(4) {
+	case 1:
+		c.fold = &fold
+	case 2:
+		c.force = &force
+	case 3:
+		c.fold, c.force = &fold, &force
+	}
+	return c
+}
+
+// checkGroup runs the vector body and the Go kernel on c and fails at
+// the first bit that differs, in any lane's populations or in the
+// density and velocity it reports; with both forces given the vector
+// body gets no records at all. In a group with a fold every lane's
+// density and velocity, from either body, must be Moments' bits on its
+// node under the fold force: the values its wall reflections take and a
+// sampled sweep digests.
+func checkGroup(t *testing.T, i int, c group) {
 	t.Helper()
-	want, got := s.g, s.g
-	collide(&want, s.rho, s.u, s.f, s.tau)
-	collideAVX2(&got, s.rho, s.u[0], s.u[1], s.u[2], s.f[0], s.f[1], s.f[2], s.tau)
-	if i := firstDiff(&got, &want); i >= 0 {
-		t.Fatalf("Collide, node %d, direction %d: vector %#016x (%g), Go %#016x (%g)\n%+v",
-			n, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i], s)
+	n := len(c.lanes)
+	var got, want [Lanes][Q]float64
+	var recs [Lanes]Record
+	for k, s := range c.lanes {
+		got[k], want[k] = s.g, s.g
+		recs[k] = Record{Vel: s.u, Rho: s.rho, Force: s.f}
 	}
-	want, got = s.g, s.g
-	var moments [3]float64
-	momentsRho := Moments(&want, s.f, &moments)
-	var wantU [3]float64
-	wantRho := foldCollide(&want, s.f, fold, s.tau, &wantU)
-	gotRho, gotU0, gotU1, gotU2 := foldCollideAVX2(&got, s.f[0], s.f[1], s.f[2], fold[0], fold[1], fold[2], s.tau)
-	gotU := [3]float64{gotU0, gotU1, gotU2}
-	if !sameBits(wantRho, momentsRho) || !sameBits(gotRho, wantRho) {
-		t.Fatalf("FoldCollide, node %d: density %#016x (%g), Go %#016x (%g), Moments %#016x\n%+v",
-			n, math.Float64bits(gotRho), gotRho, math.Float64bits(wantRho), wantRho, math.Float64bits(momentsRho), s)
+	rec := &recs[0]
+	if c.fold != nil && c.force != nil {
+		rec = nil
 	}
-	for a := range moments {
-		if !sameBits(wantU[a], moments[a]) || !sameBits(gotU[a], wantU[a]) {
-			t.Fatalf("FoldCollide, node %d: velocity %v, Go %v, Moments %v\n%+v", n, gotU, wantU, moments, s)
+	var gotOut, wantOut [Lanes]State
+	out := &gotOut
+	if !c.out {
+		out = nil
+	}
+	collideAVX2(&got[0], rec, n, c.fold, c.force, c.tau, c.trade, out)
+	collideGroup(want[:n], recs[:n], c.fold, c.force, c.tau, c.trade, &wantOut)
+	for k := 0; k < n; k++ {
+		if d := firstDiff(&got[k], &want[k]); d >= 0 {
+			t.Fatalf("group %d (%d lanes, trade %t, fold %v, force %v), lane %d, slot %d: vector %#016x (%g), Go %#016x (%g)\n%+v",
+				i, n, c.trade, c.fold, c.force, k, d, math.Float64bits(got[k][d]), got[k][d], math.Float64bits(want[k][d]), want[k][d], c.lanes[k])
+		}
+		w := wantOut[k]
+		if c.fold != nil {
+			var m State
+			m.Rho = Moments(&c.lanes[k].g, *c.fold, &m.U)
+			if !sameState(w, m) {
+				t.Fatalf("group %d (%d lanes, fold %v), lane %d: FoldCollide collided with %+v, Moments %+v\n%+v", i, n, *c.fold, k, w, m, c.lanes[k])
+			}
+		}
+		if g := gotOut[k]; c.out && !sameState(g, w) {
+			t.Fatalf("group %d (%d lanes, fold %v), lane %d: collided with %+v, Go %+v\n%+v", i, n, c.fold, k, g, w, c.lanes[k])
 		}
 	}
-	if i := firstDiff(&got, &want); i >= 0 {
-		t.Fatalf("FoldCollide, node %d, direction %d: vector %#016x (%g), Go %#016x (%g)\n%+v",
-			n, i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i], s)
+	for k := n; k < Lanes; k++ {
+		if got[k] != ([Q]float64{}) {
+			t.Fatalf("group %d of %d lanes wrote lane %d", i, n, k)
+		}
 	}
 }
 
-// On the kernel's operating range — randomState's nodes — both vector
-// bodies give the Go kernel's bits.
+// sameState reports whether a and b agree by sameBits in the density
+// and every velocity component.
+func sameState(a, b State) bool {
+	return sameBits(a.Rho, b.Rho) && sameBits(a.U[0], b.U[0]) && sameBits(a.U[1], b.U[1]) && sameBits(a.U[2], b.U[2])
+}
+
+// On the kernel's operating range — randomState's nodes — every lane of
+// every group gives the Go kernel's bits on its own node.
 func TestVectorKernelMatchesGoBitwise(t *testing.T) {
 	requireVector(t)
 	r := rand.New(rand.NewSource(24))
-	for n := 0; n < vectorStates; n++ {
-		s := randomState(r)
-		fold := [3]float64{1e-2 * (2*r.Float64() - 1), 0, 1e-3 * r.NormFloat64()}
-		checkVector(t, n, s, fold)
+	lane := func() nodeState { return randomState(r) }
+	forces := func(lanes []nodeState) (fold, force [3]float64) {
+		return [3]float64{1e-2 * (2*r.Float64() - 1), 0, 1e-3 * r.NormFloat64()}, lanes[len(lanes)-1].f
+	}
+	for i, nodes := 0, 0; nodes < vectorStates; i++ {
+		c := drawGroup(r, lane, forces)
+		checkGroup(t, i, c)
+		nodes += len(c.lanes)
 	}
 }
 
@@ -414,10 +480,12 @@ var special = []float64{
 	math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(), 1, -1, 0.5,
 }
 
+// specialTaus reach towards 1/2 and far above 1.
+var specialTaus = [...]float64{0.5 + 0x1p-52, 0.5 + 1e-9, 0.500001, 0.51, 1, 64, 1e6, 1e300}
+
 // specialState draws every population, density, velocity and force
 // component from special with probability p, and from randomState's
-// node otherwise; tau comes from a set that reaches towards 1/2 and far
-// above 1.
+// node otherwise; tau comes from specialTaus.
 func specialState(r *rand.Rand, p float64) nodeState {
 	s := randomState(r)
 	pick := func(v *float64) {
@@ -433,95 +501,187 @@ func specialState(r *rand.Rand, p float64) nodeState {
 		pick(&s.u[d])
 		pick(&s.f[d])
 	}
-	taus := [...]float64{0.5 + 0x1p-52, 0.5 + 1e-9, 0.500001, 0.51, 1, 64, 1e6, 1e300}
-	s.tau = taus[r.Intn(len(taus))]
+	s.tau = specialTaus[r.Intn(len(specialTaus))]
 	return s
 }
 
-// Off the operating range the bodies still agree bit for bit: special
-// values in the populations, the density, the velocity and the forces,
-// relaxation times close to 1/2 and very large ones, exactly zero forces,
-// and populations that sum to a zero density of either sign, which takes
-// Moments' zero-density branch in the fold.
+// zeroDensityState is a node whose populations sum to a zero density of
+// either sign, which takes Moments' zero-density branch: every
+// population +0 or −0, or each pair's members of opposite sign and equal
+// size so that the sums cancel exactly.
+func zeroDensityState(r *rand.Rand) nodeState {
+	s := randomState(r)
+	switch r.Intn(3) {
+	case 0:
+		s.g = [Q]float64{}
+	case 1:
+		for i := range s.g {
+			s.g[i] = math.Copysign(0, -1)
+		}
+	default:
+		s.g[0] = 0
+		for i := 1; i < Q; i += 2 {
+			s.g[i+1] = -s.g[i]
+		}
+	}
+	return s
+}
+
+// Off the operating range every lane still agrees bit for bit: groups
+// whose every lane draws its populations, density, velocity and forces
+// from the special values (with probability 0.02, 0.1, 0.5 and 1),
+// relaxation times close to 1/2 and very large ones, exactly zero
+// forces, and zero-density lanes among ordinary ones, so that Moments'
+// zero branch is a per-lane choice in the fold.
 func TestVectorKernelMatchesGoOnSpecialValues(t *testing.T) {
 	requireVector(t)
 	r := rand.New(rand.NewSource(25))
-	n := 0
+	i := 0
 	for _, p := range []float64{0.02, 0.1, 0.5, 1} {
-		for k := 0; k < vectorStates/4; k++ {
-			s := specialState(r, p)
-			fold := [3]float64{}
-			if k%3 != 0 {
-				fold = s.u // any three values will do as a force
+		lane := func() nodeState {
+			if r.Intn(8) == 0 {
+				s := zeroDensityState(r)
+				var u [3]float64
+				if rho := Moments(&s.g, s.f, &u); rho != 0 {
+					t.Fatalf("zero-density state has density %g\n%+v", rho, s)
+				}
+				return s
 			}
-			if k%4 == 0 {
+			s := specialState(r, p)
+			if r.Intn(4) == 0 {
 				s.f = [3]float64{}
 			}
-			checkVector(t, n, s, fold)
-			n++
+			return s
+		}
+		forces := func(lanes []nodeState) (fold, force [3]float64) {
+			if r.Intn(3) != 0 {
+				fold = lanes[0].u // any three values will do as a force
+			}
+			if r.Intn(4) != 0 {
+				force = lanes[len(lanes)-1].f
+			}
+			return fold, force
+		}
+		for nodes := 0; nodes < vectorStates/4; i++ {
+			c := drawGroup(r, lane, forces)
+			c.tau = specialTaus[r.Intn(len(specialTaus))]
+			checkGroup(t, i, c)
+			nodes += len(c.lanes)
 		}
 	}
-	// Zero density: every population zero, or each pair's members of
-	// opposite sign and equal size, so the sums cancel exactly.
-	for k := 0; k < 1000; k++ {
-		s := randomState(r)
-		s.tau = 0.5 + 0x1p-52
-		if k%2 == 0 {
-			s.g = [Q]float64{}
-			if k%4 == 0 {
-				for i := range s.g {
-					s.g[i] = math.Copysign(0, -1)
+}
+
+// A group of n nodes writes its n nodes and nothing else: with sentinel
+// nodes and records before and after it, with and without the trade and
+// with every combination of fold and given force, every sentinel keeps
+// its bits, as does every record, and the group's nodes hold the Go
+// kernel's. One case of each puts the group at the end of its arrays,
+// so that the group's last node is the array's last record.
+func TestShortGroupsWriteOnlyTheirNodes(t *testing.T) {
+	requireVector(t)
+	r := rand.New(rand.NewSource(27))
+	fold, force := [3]float64{3e-3, -1e-3, 2e-3}, [3]float64{-1e-3, 4e-3, 1e-3}
+	for n := 1; n <= Lanes; n++ {
+		for _, after := range []int{2, 0} {
+			for _, trade := range []bool{false, true} {
+				for _, fs := range [][2]*[3]float64{{nil, nil}, {&fold, nil}, {nil, &force}, {&fold, &force}} {
+					g := make([][Q]float64, 2+n+after)
+					recs := make([]Record, len(g))
+					for i := range g {
+						s := randomState(r)
+						g[i], recs[i] = s.g, Record{Vel: s.u, Rho: s.rho, Force: s.f}
+					}
+					want := append([][Q]float64(nil), g...)
+					wantRecs := append([]Record(nil), recs...)
+					collideGroup(want[2:2+n], recs[2:2+n], fs[0], fs[1], 0.7, trade, nil)
+					var out [Lanes]State
+					collideAVX2(&g[2], &recs[2], n, fs[0], fs[1], 0.7, trade, &out)
+					for i := range g {
+						for q := range g[i] {
+							if math.Float64bits(g[i][q]) != math.Float64bits(want[i][q]) {
+								t.Fatalf("%d nodes, %d after, trade %t, fold %v, force %v: node %d of %d, slot %d: %#016x, want %#016x",
+									n, after, trade, fs[0], fs[1], i, len(g), q, math.Float64bits(g[i][q]), math.Float64bits(want[i][q]))
+							}
+						}
+					}
+					for i := range recs {
+						if recs[i] != wantRecs[i] {
+							t.Fatalf("%d nodes, trade %t: record %d changed", n, trade, i)
+						}
+					}
 				}
 			}
-		} else {
-			s.g[0] = 0
-			for i := 1; i < Q; i += 2 {
-				s.g[i+1] = -s.g[i]
-			}
 		}
-		var u [3]float64
-		if rho := Moments(&s.g, s.f, &u); rho != 0 {
-			t.Fatalf("zero-density node %d has density %g", k, rho)
-		}
-		checkVector(t, n, s, s.f)
-		n++
+	}
+}
+
+// TestGroupLayout pins the layouts kernel_amd64.s addresses by byte
+// offset, on every host: 152-byte populations, 56-byte records with Vel
+// at 0, Rho at 24 and Force at 32, and 32-byte states with U at 0 and
+// Rho at 24.
+func TestGroupLayout(t *testing.T) {
+	var r Record
+	var s State
+	got := [7]uintptr{unsafe.Sizeof([Q]float64{}), unsafe.Sizeof(r), unsafe.Offsetof(r.Vel), unsafe.Offsetof(r.Rho), unsafe.Offsetof(r.Force), unsafe.Sizeof(s), unsafe.Offsetof(s.Rho)}
+	if want := [7]uintptr{152, 56, 0, 24, 32, 32, 24}; got != want {
+		t.Fatalf("sizes and offsets %v, want %v: the vector body addresses the old layout", got, want)
 	}
 }
 
 // BenchmarkCollide times the node kernel on a ring of nodes larger than
-// L1 (1024 nodes, 152 KiB of populations), one node per iteration, so
+// L1 (1024 nodes, 152 KiB of populations and 56 KiB of records), so
 // consecutive calls are independent, as they are in a pass over a block:
-// the vector body and the Go kernel of Collide, and of FoldCollide.
+// the vector body and the Go kernel of Collide and of FoldCollide, one
+// node per call (for the vector body a group of one, a row's tail), and
+// of CollideGroup, four consecutive nodes per call,
+// with the records' moments and force ("group"), with the moments folded
+// in and a given force ("group/fold", a block outside the support), and
+// with the fold and the collided moments reported ("group/observed", a
+// sampled sweep). The metric is ns per node.
 //
 //	go test -run '^$' -bench Collide ./internal/lattice
 func BenchmarkCollide(b *testing.B) {
-	const ring = 1024 // a power of two
+	const ring = 1024 // a power of two, a multiple of Lanes
 	r := rand.New(rand.NewSource(26))
-	states := make([]nodeState, ring)
-	for i := range states {
-		states[i] = randomState(r)
+	g0 := make([][Q]float64, ring)
+	recs := make([]Record, ring)
+	for i := range g0 {
+		s := randomState(r)
+		g0[i], recs[i] = s.g, Record{Vel: s.u, Rho: s.rho, Force: s.f}
 	}
+	const tau = 0.8
+	body := [3]float64{1e-5, -2e-5, 0}
+	var out [Lanes]State
 	for _, c := range []struct {
 		name   string
 		vector bool
-		node   func(s *nodeState)
+		nodes  int
+		call   func(g [][Q]float64, r []Record)
 	}{
-		{"vector", true, func(s *nodeState) { collideAVX2(&s.g, s.rho, s.u[0], s.u[1], s.u[2], s.f[0], s.f[1], s.f[2], s.tau) }},
-		{"portable", false, func(s *nodeState) { collide(&s.g, s.rho, s.u, s.f, s.tau) }},
-		{"fold/vector", true, func(s *nodeState) {
-			s.rho, s.u[0], s.u[1], s.u[2] = foldCollideAVX2(&s.g, s.f[0], s.f[1], s.f[2], s.f[0], s.f[1], s.f[2], s.tau)
+		{"vector", true, 1, func(g [][Q]float64, r []Record) { collideAVX2(&g[0], &r[0], 1, nil, nil, tau, false, nil) }},
+		{"portable", false, 1, func(g [][Q]float64, r []Record) { Collide(&g[0], r[0].Rho, r[0].Vel, r[0].Force, tau) }},
+		{"fold/vector", true, 1, func(g [][Q]float64, r []Record) { collideAVX2(&g[0], nil, 1, &body, &r[0].Force, tau, false, &out) }},
+		{"fold/portable", false, 1, func(g [][Q]float64, r []Record) { FoldCollide(&g[0], body, r[0].Force, tau, &out[0].U) }},
+		{"group/vector", true, Lanes, func(g [][Q]float64, r []Record) { collideAVX2(&g[0], &r[0], Lanes, nil, nil, tau, true, nil) }},
+		{"group/portable", false, Lanes, func(g [][Q]float64, r []Record) { collideGroup(g, r, nil, nil, tau, true, nil) }},
+		{"group/fold/vector", true, Lanes, func(g [][Q]float64, r []Record) { collideAVX2(&g[0], nil, Lanes, &body, &body, tau, true, nil) }},
+		{"group/fold/portable", false, Lanes, func(g [][Q]float64, r []Record) { collideGroup(g, r, &body, &body, tau, true, nil) }},
+		{"group/observed/vector", true, Lanes, func(g [][Q]float64, r []Record) {
+			collideAVX2(&g[0], nil, Lanes, &body, &body, tau, true, &out)
 		}},
-		{"fold/portable", false, func(s *nodeState) { s.rho = foldCollide(&s.g, s.f, s.f, s.tau, &s.u) }},
+		{"group/observed/portable", false, Lanes, func(g [][Q]float64, r []Record) { collideGroup(g, r, &body, &body, tau, true, &out) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			if c.vector && !cpu.Vector() {
 				b.Skip("no vector body on this host")
 			}
-			ring := append([]nodeState(nil), states...)
+			g := append([][Q]float64(nil), g0...)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.node(&ring[i%len(ring)])
+				j := i * c.nodes % ring
+				c.call(g[j:j+c.nodes], recs[j:j+c.nodes])
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.nodes), "ns/node")
 		})
 	}
 }

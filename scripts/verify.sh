@@ -51,7 +51,10 @@ test -z "$(gofmt -l .)"
 # kernel indexes a *[19]float64 with constants only; a bounds check the
 # compiler could not remove there is a silent 2x on every engine, so the
 # compiler's own report must name no line of kernel.go, in lattice
-# itself or where core inlines its functions.
+# itself or where core inlines its functions. kernel.go is the
+# expression tree every lane of the vector body runs; the group entry
+# (group.go) keeps the slice checks that bound what the vector body
+# reads and writes, so the gate names kernel.go alone.
 # (2) No engine composes a collision out of the oracle functions:
 # outside tests, only initialisation (grid) names them.
 if go build -gcflags='-d=ssa/check_bce/debug=1' ./internal/lattice/ ./internal/core/ 2>&1 | grep 'kernel\.go'; then
@@ -65,8 +68,10 @@ if grep -rn 'lattice\.\(Equilibrium\|GuoForce\)' --include='*.go' \
 	exit 1
 fi
 
-# The vector bodies — the node kernel (internal/lattice/kernel_amd64.s),
-# the Peskin stencil (internal/ibm/delta_amd64.s), the spread and the
+# The vector bodies — the node kernel (internal/lattice/kernel_amd64.s:
+# one node per lane, up to four nodes per call, the populations
+# transposed so that a vector holds one direction of four nodes), the
+# Peskin stencil (internal/ibm/delta_amd64.s), the spread and the
 # gather (internal/grid/coupling_amd64.s) — are their Go twins' bits
 # (the packages' Vector tests), which holds only while they round where
 # the Go expression trees round: a fused multiply-add rounds a product
@@ -246,8 +251,11 @@ rm -f "$WDLOG"
 # not judged here.
 go test -run '^$' -bench InPlaceBodies -benchtime 1x ./internal/core
 
-# Node-kernel benchmark smoke: BenchmarkCollide times the vector body, the
-# Go kernel and the fold entry on a ring of nodes; one pass of each row.
+# Node-kernel benchmark smoke: BenchmarkCollide times the vector body and
+# the Go kernel on a ring of nodes, one node per call (the record and
+# fold paths; for the vector body a group of one, a row's tail) and four
+# per call (the group entry on the record, fold and observed-fold
+# paths), in ns/node; one pass of each row.
 go test -run '^$' -bench Collide -benchtime 1x ./internal/lattice
 
 # Coupling benchmark smoke: BenchmarkCoupling times the stencil, the
