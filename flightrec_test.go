@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"lbmib/internal/engine"
 	"lbmib/internal/flightrec"
@@ -438,5 +439,61 @@ func TestFlightRecorderRingSpeaksStepCount(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSnapshotWhileTheSampleFlags drives the recorder's snapshot the way
+// a driver of its own would: after every step it snapshots through
+// Simulation.Checkpoint. Checkpoint completes the step's pending sample
+// first, so on the step the watchdog flags, the bundle is written from
+// inside the snapshot's writer. The snapshot must return, which it can
+// only if the recorder does not hold its lock while the writer runs.
+func TestSnapshotWhileTheSampleFlags(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "postmortem")
+	sim, err := New(Config{
+		NX: 16, NY: 16, NZ: 16, Tau: 0.6,
+		BodyForce: [3]float64{0.05, 0, 0},
+		Solver:    OpenMP, Threads: 2,
+		Watchdog:  telemetry.NewWatchdog(telemetry.WatchdogConfig{}),
+		FlightRec: &flightrec.Config{Dir: dir},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 100 && sim.Health() == nil; i++ {
+			sim.Step()
+			if err := sim.FlightRecorder().TakeSnapshot(sim.StepCount(), 0, sim.Checkpoint); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		// The simulation stays open: Close would wait on the stuck team.
+		t.Fatalf("TakeSnapshot has not returned after 30 s (step %d)", sim.StepCount())
+	}
+	defer sim.Close()
+
+	var he *telemetry.HealthError
+	if !errors.As(sim.Health(), &he) {
+		t.Fatalf("the run was never flagged: Health() = %v", sim.Health())
+	}
+	b, err := flightrec.ReadBundle(dir)
+	if err != nil {
+		t.Fatalf("no bundle: %v", err)
+	}
+	if b.Manifest.Reason != "watchdog" || b.Manifest.Health == nil || b.Manifest.Health.Step != he.Step {
+		t.Fatalf("bundle reason %q, health %+v; want watchdog at step %d", b.Manifest.Reason, b.Manifest.Health, he.Step)
+	}
+	if b.Manifest.SnapshotStep >= he.Step {
+		t.Fatalf("bundle keeps the snapshot of step %d, not one before the flagged step %d", b.Manifest.SnapshotStep, he.Step)
 	}
 }

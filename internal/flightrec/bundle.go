@@ -114,12 +114,23 @@ func writeJSONFile(path string, v any) error {
 // WriteBundle materializes the post-mortem bundle into Config.Dir and
 // returns the directory. reason names the trigger ("watchdog",
 // "crosscheck", "panic", "manual"); herr, when non-nil, is the latched
-// watchdog error embedded in the manifest. Only the first call writes —
-// later triggers (a panic after a watchdog latch, say) return the
-// already-written bundle so the evidence closest to the failure wins.
+// watchdog error embedded in the manifest. Only the first successful
+// call writes — later triggers (a panic after a watchdog latch, say)
+// return the already-written bundle so the evidence closest to the
+// failure wins. The critical-path provider runs before the lock is
+// taken, so it may read any sink, this recorder included. The files are
+// written under the lock, which holds the ring still while it is
+// encoded.
 func (r *Recorder) WriteBundle(reason string, herr *telemetry.HealthError) (string, error) {
-	r.bundleMu.Lock()
-	defer r.bundleMu.Unlock()
+	var critPath []byte
+	if fn := r.critPathProvider(); fn != nil {
+		if b, err := fn(); err == nil {
+			critPath = b
+		}
+	}
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.bundleDone {
 		return r.bundleDir, nil
 	}
@@ -130,10 +141,9 @@ func (r *Recorder) WriteBundle(reason string, herr *telemetry.HealthError) (stri
 		return "", fmt.Errorf("flightrec: %w", err)
 	}
 
-	records := r.Records()
-	tileK, tx, ty, tz := r.tileShape()
+	records := r.records()
 	maxVel := 1 / math.Sqrt(3)
-	loc := Localize(records, tileK, tx, ty, tz, maxVel)
+	loc := Localize(records, r.tileK, r.tx, r.ty, r.tz, maxVel)
 
 	files := []string{ManifestFile, RingFile, LocalizationFile, TraceFile}
 	if err := writeJSONFile(filepath.Join(r.cfg.Dir, RingFile), ringDoc{Schema: Schema, Records: records}); err != nil {
@@ -154,49 +164,37 @@ func (r *Recorder) WriteBundle(reason string, herr *telemetry.HealthError) (stri
 		return "", fmt.Errorf("flightrec: trace: %w", err)
 	}
 
-	ckpt, snapStep := r.snapshotBytes()
-	if ckpt != nil {
-		if err := os.WriteFile(filepath.Join(r.cfg.Dir, CheckpointFile), ckpt, 0o644); err != nil {
+	if r.snapCur >= 0 {
+		if err := os.WriteFile(filepath.Join(r.cfg.Dir, CheckpointFile), r.snapBufs[r.snapCur].Bytes(), 0o644); err != nil {
 			return "", fmt.Errorf("flightrec: checkpoint: %w", err)
 		}
 		files = append(files, CheckpointFile)
 	}
-
-	// Auxiliary sections are best effort: a failing provider must not
-	// cost the core bundle evidence.
-	for _, name := range r.auxNames() {
-		data, err := r.auxData(name)
-		if err != nil || data == nil {
-			continue
-		}
-		if err := os.WriteFile(filepath.Join(r.cfg.Dir, name), data, 0o644); err != nil {
-			continue
-		}
-		files = append(files, name)
+	// The critical-path section is best effort: failing to write it must
+	// not cost the core bundle evidence.
+	if critPath != nil && os.WriteFile(filepath.Join(r.cfg.Dir, CritPathFile), critPath, 0o644) == nil {
+		files = append(files, CritPathFile)
 	}
 
 	version := "(devel)"
 	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" {
 		version = bi.Main.Version
 	}
-	r.mu.Lock()
-	lastStep := r.lastStep
 	var run *RunSpec
 	if r.haveRun {
 		spec := r.spec
 		run = &spec
 	}
-	r.mu.Unlock()
 	man := Manifest{
 		Schema:       Schema,
 		Reason:       reason,
 		WrittenAt:    time.Now().UTC().Format(time.RFC3339),
 		Version:      version,
 		GoVersion:    runtime.Version(),
-		LastStep:     lastStep,
-		SnapshotStep: snapStep,
-		TileSize:     tileK,
-		TileGrid:     [3]int{tx, ty, tz},
+		LastStep:     r.lastStep,
+		SnapshotStep: r.snapStep,
+		TileSize:     r.tileK,
+		TileGrid:     [3]int{r.tx, r.ty, r.tz},
 		Health:       herr.Record(),
 		Run:          run,
 		Files:        files,
@@ -211,8 +209,8 @@ func (r *Recorder) WriteBundle(reason string, herr *telemetry.HealthError) (stri
 
 // BundleDir returns the written bundle's directory, if any.
 func (r *Recorder) BundleDir() (string, bool) {
-	r.bundleMu.Lock()
-	defer r.bundleMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.bundleDir, r.bundleDone
 }
 

@@ -2,6 +2,8 @@ package flightrec
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -142,6 +144,65 @@ func TestWriteBundleOnlyOnce(t *testing.T) {
 	}
 	if got, ok := r.BundleDir(); !ok || got != dir {
 		t.Fatalf("BundleDir = %q, %v", got, ok)
+	}
+}
+
+// TestCritPathSection writes the bundle with each kind of critical-path
+// provider. One that returns no bytes or an error drops the section and
+// nothing else, and a second WriteBundle still returns the first
+// bundle. The provider reads the recorder, as a provider may, because
+// it runs before WriteBundle takes the lock.
+func TestCritPathSection(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		provide func() ([]byte, error)
+		want    bool
+	}{
+		{"report", func() ([]byte, error) { return []byte("{}\n"), nil }, true},
+		{"nil", func() ([]byte, error) { return nil, nil }, false},
+		{"error", func() ([]byte, error) { return []byte("{}\n"), errors.New("no report") }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "bundle")
+			r := buildFailedRun(t, dir)
+			r.SetCritPath(func() ([]byte, error) {
+				r.LastStep()
+				return tc.provide()
+			})
+			for i := 0; i < 2; i++ {
+				got := make(chan error, 1)
+				go func() {
+					d, err := r.WriteBundle("watchdog", nil)
+					if err == nil && d != dir {
+						err = fmt.Errorf("wrote to %q, want %q", d, dir)
+					}
+					got <- err
+				}()
+				select {
+				case err := <-got:
+					if err != nil {
+						t.Fatalf("WriteBundle call %d: %v", i+1, err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("WriteBundle call %d has not returned after 10 s", i+1)
+				}
+			}
+			b, err := ReadBundle(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			listed := false
+			for _, f := range b.Manifest.Files {
+				listed = listed || f == CritPathFile
+			}
+			_, statErr := os.Stat(filepath.Join(dir, CritPathFile))
+			if listed != tc.want || (statErr == nil) != tc.want {
+				t.Fatalf("critical-path section listed %v, on disk %v; want %v", listed, statErr == nil, tc.want)
+			}
+			if len(b.Records) == 0 || b.Checkpoint == nil {
+				t.Fatalf("core evidence lost: %d records, checkpoint %q", len(b.Records), b.Checkpoint)
+			}
+		})
 	}
 }
 

@@ -88,6 +88,11 @@ type Record struct {
 // the driver passes to RecordStep. All methods are safe for concurrent
 // use: engine worker threads report timings while the driver records
 // step aggregates and a bundle writer snapshots the ring.
+//
+// One mutex guards every field. Each method takes it with defer, and
+// nothing that takes another lock or runs the caller's code runs while
+// it is held: TakeSnapshot's writer and the critical-path provider run
+// outside it (DESIGN.md §11).
 type Recorder struct {
 	cfg Config
 
@@ -97,7 +102,6 @@ type Recorder struct {
 	// tile-grid shape of the digests in the ring (set on first digest)
 	tileK, tx, ty, tz int
 
-	snapMu   sync.Mutex
 	snapBufs [2]bytes.Buffer
 	snapCur  int // index of the last completed snapshot, -1 if none
 	snapStep int
@@ -105,51 +109,29 @@ type Recorder struct {
 	spec    RunSpec
 	haveRun bool
 
-	bundleMu   sync.Mutex
 	bundleDir  string
 	bundleDone bool
 
-	auxMu sync.Mutex
-	aux   map[string]func() ([]byte, error)
+	critPath func() ([]byte, error)
 }
 
-// SetAux registers a named auxiliary bundle section: when a bundle is
-// written, fn is called and its bytes land next to the core evidence
-// under the given file name (also listed in the manifest). The facade
-// wires the critical-path profiler's report in as CritPathFile this
-// way. Providers run at bundle-write time — after the failure — and
-// are best effort: an error drops the section, never the bundle.
-func (r *Recorder) SetAux(name string, fn func() ([]byte, error)) {
-	r.auxMu.Lock()
-	if r.aux == nil {
-		r.aux = map[string]func() ([]byte, error){}
-	}
-	r.aux[name] = fn
-	r.auxMu.Unlock()
+// SetCritPath sets the provider of the bundle's critical-path section:
+// when a bundle is written, fn is called and its bytes land next to the
+// core evidence as CritPathFile (also listed in the manifest). The
+// facade wires the critical-path profiler's report in this way. The
+// provider runs at bundle-write time — after the failure — and is best
+// effort: an error or nil bytes drop the section, never the bundle.
+func (r *Recorder) SetCritPath(fn func() ([]byte, error)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.critPath = fn
 }
 
-// auxNames returns the registered section names, sorted for a
-// deterministic manifest.
-func (r *Recorder) auxNames() []string {
-	r.auxMu.Lock()
-	defer r.auxMu.Unlock()
-	names := make([]string, 0, len(r.aux))
-	for n := range r.aux {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// auxData runs one registered provider.
-func (r *Recorder) auxData(name string) ([]byte, error) {
-	r.auxMu.Lock()
-	fn := r.aux[name]
-	r.auxMu.Unlock()
-	if fn == nil {
-		return nil, nil
-	}
-	return fn()
+// critPathProvider returns the provider SetCritPath set, nil if none.
+func (r *Recorder) critPathProvider() func() ([]byte, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.critPath
 }
 
 // New builds a recorder; zero config fields take the documented
@@ -176,9 +158,9 @@ func (r *Recorder) Config() Config { return r.cfg }
 // lbmib-sim postmortem can rebuild the configuration for replay.
 func (r *Recorder) SetRunSpec(spec RunSpec) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.spec = spec
 	r.haveRun = true
-	r.mu.Unlock()
 }
 
 // slotFor returns the ring slot for step, resetting it when the slot
@@ -196,21 +178,25 @@ func (r *Recorder) slotFor(step int) *Record {
 // into the event's step's record. Per-thread resolution lives in the
 // tracer; the ring keeps phase sums over worker threads.
 func (r *Recorder) Emit(e core.Event) {
-	switch {
-	case e.Kind == core.KernelDone && e.Kernel >= 1 && e.Kernel <= core.NumKernels:
-		r.mu.Lock()
-		r.slotFor(e.Step).KernelSeconds[e.Kernel-1] += e.D.Seconds()
-		r.mu.Unlock()
-	case e.Kind == core.PhaseDone && e.Phase >= 1 && e.Phase <= core.NumPhases:
-		r.mu.Lock()
-		r.slotFor(e.Step).PhaseSeconds[e.Phase-1] += e.D.Seconds()
-		r.mu.Unlock()
+	kernel := e.Kind == core.KernelDone && e.Kernel >= 1 && e.Kernel <= core.NumKernels
+	phase := e.Kind == core.PhaseDone && e.Phase >= 1 && e.Phase <= core.NumPhases
+	if !kernel && !phase {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.slotFor(e.Step)
+	if kernel {
+		s.KernelSeconds[e.Kernel-1] += e.D.Seconds()
+	} else {
+		s.PhaseSeconds[e.Phase-1] += e.D.Seconds()
 	}
 }
 
 // RecordStep finalizes step's ring entry with whole-step aggregates.
 func (r *Recorder) RecordStep(step int, wall time.Duration, mlups, barrierShare float64) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := r.slotFor(step)
 	s.WallSeconds = wall.Seconds()
 	s.MLUPS = mlups
@@ -218,7 +204,6 @@ func (r *Recorder) RecordStep(step int, wall time.Duration, mlups, barrierShare 
 	if step > r.lastStep {
 		r.lastStep = step
 	}
-	r.mu.Unlock()
 }
 
 // WantDigest reports whether step is on the digest cadence.
@@ -238,6 +223,7 @@ func (r *Recorder) WantSnapshot(step int) bool {
 // the state has blown up, and the NonFinite counts say which tiles did.
 func (r *Recorder) RecordDigest(step int, d *grid.DigestGrid) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := r.slotFor(step)
 	s.HasDigest = true
 	s.Mass = finite(d.Mass)
@@ -252,7 +238,6 @@ func (r *Recorder) RecordDigest(step int, d *grid.DigestGrid) {
 	if step > r.lastStep {
 		r.lastStep = step
 	}
-	r.mu.Unlock()
 }
 
 // finite returns v, or 0 if v is NaN or infinite.
@@ -273,38 +258,50 @@ func finite(v float64) float64 {
 // length the caller states is never grown by repeated doubling, not even
 // the first, and one of unchanged size reallocates at most once. No
 // buffer is allocated before the first snapshot.
+//
+// TakeSnapshot is for the driver goroutine: it must not run concurrently
+// with itself. write runs without the lock, into the spare buffer, which
+// no other method reads, and only the commit takes the lock. So write
+// may call back into the recorder: Checkpoint completes the step's
+// pending sample first, and a sample the watchdog flags writes the
+// bundle from inside write.
 func (r *Recorder) TakeSnapshot(step, size int, write func(io.Writer) error) error {
-	r.snapMu.Lock()
-	defer r.snapMu.Unlock()
+	next, buf := r.spare(size)
+	if err := write(buf); err != nil {
+		return fmt.Errorf("flightrec: snapshot at step %d: %w", step, err)
+	}
+	r.commit(next, step)
+	return nil
+}
+
+// spare empties the buffer the next snapshot is written into, grows it
+// as TakeSnapshot states, and returns it with its index.
+func (r *Recorder) spare(size int) (int, *bytes.Buffer) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	next := (r.snapCur + 1) & 1
-	r.snapBufs[next].Reset()
+	buf := &r.snapBufs[next]
+	buf.Reset()
 	if r.snapCur >= 0 {
 		size = max(size, r.snapBufs[r.snapCur].Len())
 	}
-	r.snapBufs[next].Grow(size)
-	if err := write(&r.snapBufs[next]); err != nil {
-		return fmt.Errorf("flightrec: snapshot at step %d: %w", step, err)
-	}
+	buf.Grow(size)
+	return next, buf
+}
+
+// commit makes buffer next the retained snapshot, of step.
+func (r *Recorder) commit(next, step int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.snapCur = next
 	r.snapStep = step
-	return nil
 }
 
 // SnapshotStep returns the step of the retained snapshot, −1 if none.
 func (r *Recorder) SnapshotStep() int {
-	r.snapMu.Lock()
-	defer r.snapMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.snapStep
-}
-
-// snapshotBytes returns a copy of the retained checkpoint and its step.
-func (r *Recorder) snapshotBytes() ([]byte, int) {
-	r.snapMu.Lock()
-	defer r.snapMu.Unlock()
-	if r.snapCur < 0 {
-		return nil, -1
-	}
-	return append([]byte(nil), r.snapBufs[r.snapCur].Bytes()...), r.snapStep
 }
 
 // LastStep returns the most recent step seen, −1 before any.
@@ -319,6 +316,11 @@ func (r *Recorder) LastStep() int {
 func (r *Recorder) Records() []Record {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.records()
+}
+
+// records is Records for a caller that holds r.mu.
+func (r *Recorder) records() []Record {
 	out := make([]Record, 0, len(r.slots))
 	for i := range r.slots {
 		s := &r.slots[i]
@@ -336,11 +338,4 @@ func (r *Recorder) Records() []Record {
 	// lastStep. Sort instead of walking the rotation.
 	sort.Slice(out, func(i, j int) bool { return out[i].Step < out[j].Step })
 	return out
-}
-
-// tileShape returns the digest tile-grid shape seen so far.
-func (r *Recorder) tileShape() (k, tx, ty, tz int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tileK, r.tx, r.ty, r.tz
 }

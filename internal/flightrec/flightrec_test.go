@@ -202,10 +202,12 @@ func TestSnapshotBufferGrowsToStatedSize(t *testing.T) {
 }
 
 // TestConcurrentWritersAndReader is the race-detector test: 8 writer
-// goroutines record timings while a reader snapshots the ring and a
-// second reader takes checkpoints.
+// goroutines record timings while a reader snapshots the ring, takes
+// checkpoints and writes the bundle, so the bundle's encoding of the
+// ring interleaves with Emit and RecordStep.
 func TestConcurrentWritersAndReader(t *testing.T) {
-	r := New(Config{RingSize: 32})
+	dir := t.TempDir()
+	r := New(Config{RingSize: 32, Dir: dir})
 	const writers = 8
 	const steps = 200
 	var wg sync.WaitGroup
@@ -239,6 +241,14 @@ func TestConcurrentWritersAndReader(t *testing.T) {
 				_, err := io.WriteString(w, "snap")
 				return err
 			})
+			if got, err := r.WriteBundle("manual", nil); err != nil || got != dir {
+				t.Errorf("WriteBundle = %q, %v; want %q", got, err, dir)
+				return
+			}
+			if got, ok := r.BundleDir(); !ok || got != dir {
+				t.Errorf("BundleDir = %q, %v; want %q", got, ok, dir)
+				return
+			}
 		}
 	}()
 	wg.Wait()
@@ -305,4 +315,21 @@ func BenchmarkRecordStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		recordOneStep(r, g, d, 513+i)
 	}
+}
+
+// snapshotBytes returns a copy of the retained checkpoint and its step.
+func (r *Recorder) snapshotBytes() ([]byte, int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.snapCur < 0 {
+		return nil, -1
+	}
+	return append([]byte(nil), r.snapBufs[r.snapCur].Bytes()...), r.snapStep
+}
+
+// tileShape returns the digest tile-grid shape seen so far.
+func (r *Recorder) tileShape() (k, tx, ty, tz int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.tileK, r.tx, r.ty, r.tz
 }

@@ -68,14 +68,14 @@ type Profile struct {
 
 	// Step ring: each step's per-segment critical, summed and per-thread
 	// busy time, folded into the cumulative totals below when a slot
-	// recycles.
+	// recycles. The totals are atomics, so a slot's fold takes no lock
+	// under the slot's own.
 	slots []stepSlot
 	// Crossing ring: who released each recent barrier crossing.
 	chain []chainSlot
 
-	foldMu                sync.Mutex
-	foldedSteps           int64
-	foldedCrit, foldedSum []int64 // per segment, nanos
+	foldedSteps           atomic.Int64
+	foldedCrit, foldedSum []atomic.Int64 // per segment, nanos
 	// critical is the run's critical time: Σ over steps and segments.
 	critical atomic.Int64
 
@@ -149,8 +149,8 @@ func NewProfile(cfg Config) *Profile {
 		}
 	}
 	p.chain = make([]chainSlot, window*max(nsites, 1))
-	p.foldedCrit = make([]int64, nsegs)
-	p.foldedSum = make([]int64, nsegs)
+	p.foldedCrit = make([]atomic.Int64, nsegs)
+	p.foldedSum = make([]atomic.Int64, nsegs)
 	return p
 }
 
@@ -193,13 +193,11 @@ func (p *Profile) claim(s *stepSlot, step int) {
 		return
 	}
 	if s.step >= 0 {
-		p.foldMu.Lock()
-		p.foldedSteps++
+		p.foldedSteps.Add(1)
 		for seg := range s.crit {
-			p.foldedCrit[seg] += s.crit[seg]
-			p.foldedSum[seg] += s.sum[seg] / int64(p.threads)
+			p.foldedCrit[seg].Add(s.crit[seg])
+			p.foldedSum[seg].Add(s.sum[seg] / int64(p.threads))
 		}
-		p.foldMu.Unlock()
 	}
 	s.step = step
 	clear(s.crit)
@@ -309,11 +307,12 @@ func (p *Profile) siteArrive(step, site, tid int, crossing uint64, wait time.Dur
 // the cumulative critical and mean-thread nanoseconds: the folded totals
 // plus the live ring slots.
 func (p *Profile) segmentTotals() (steps int64, crit, sum []int64) {
-	p.foldMu.Lock()
-	steps = p.foldedSteps
-	crit = append([]int64(nil), p.foldedCrit...)
-	sum = append([]int64(nil), p.foldedSum...)
-	p.foldMu.Unlock()
+	steps = p.foldedSteps.Load()
+	crit = make([]int64, len(p.foldedCrit))
+	sum = make([]int64, len(p.foldedSum))
+	for seg := range crit {
+		crit[seg], sum[seg] = p.foldedCrit[seg].Load(), p.foldedSum[seg].Load()
+	}
 	for i := range p.slots {
 		s := &p.slots[i]
 		s.mu.Lock()

@@ -221,3 +221,34 @@ func TestProfileRealSolverRanksFluidKernelsFirst(t *testing.T) {
 		}
 	}
 }
+
+// A coarse clock reports zero-length slices and waits. They are booked
+// like any other: the next event of the same step, on the same ring
+// slot, must still find it free.
+func TestZeroDurationEvents(t *testing.T) {
+	done := make(chan struct{})
+	p := NewProfile(Config{Engine: "cube", Threads: 2})
+	o := NewProfile(Config{Engine: "omp", Threads: 2})
+	go func() {
+		defer close(done)
+		for step := 1; step <= 2; step++ {
+			p.Emit(core.Event{Kind: core.PhaseDone, Step: step, Tid: 0, Phase: core.PhaseCollideStream})
+			p.Emit(core.Event{Kind: core.BarrierArrive, Step: step, Tid: 0, Site: core.SiteAfterStream, Crossing: uint64(step)})
+			p.Emit(core.Event{Kind: core.PhaseDone, Step: step, Tid: 1, Phase: core.PhaseCollideStream, D: time.Millisecond})
+			p.Emit(core.Event{Kind: core.BarrierArrive, Step: step, Tid: 1, Site: core.SiteAfterStream, Crossing: uint64(step), Last: true})
+			o.Emit(core.Event{Kind: core.RegionDone, Step: step, Kernel: core.KComputeCollision, Busy: []time.Duration{0, 0}})
+			o.Emit(core.Event{Kind: core.RegionDone, Step: step, Kernel: core.KComputeCollision, Busy: []time.Duration{0, time.Millisecond}})
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a profile's Emit has not returned after 10 s")
+	}
+	if rec, ok := p.StepRecord(2); !ok || rec.Tid != 1 || rec.Phase != "collide_stream" {
+		t.Fatalf("cube step record %+v, %v; want collide_stream on tid 1", rec, ok)
+	}
+	if rec, ok := o.StepRecord(2); !ok || rec.Tid != 1 {
+		t.Fatalf("omp step record %+v, %v; want tid 1", rec, ok)
+	}
+}

@@ -121,6 +121,9 @@ func TestTracerCubeSolverRun(t *testing.T) {
 	}
 }
 
+// TestTracerConcurrentSafe emits from eight goroutines at once. Every
+// other slice has zero length, as on a coarse clock, and is kept like
+// any other.
 func TestTracerConcurrentSafe(t *testing.T) {
 	tr := NewTracer()
 	var wg sync.WaitGroup
@@ -129,7 +132,8 @@ func TestTracerConcurrentSafe(t *testing.T) {
 		go func(tid int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tr.Emit(core.Event{Kind: core.PhaseDone, Step: i, Tid: tid, Phase: core.PhaseCollideStream, D: time.Microsecond})
+				d := time.Duration(i%2) * time.Microsecond
+				tr.Emit(core.Event{Kind: core.PhaseDone, Step: i, Tid: tid, Phase: core.PhaseCollideStream, D: d})
 			}
 		}(w)
 	}

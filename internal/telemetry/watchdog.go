@@ -139,11 +139,33 @@ func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 // it is not. The digest's one pass over the nodes already holds total
 // and per-tile mass, the maximum speed and the first non-finite node, so
 // a check reads no fluid state; violations are localized to d's tiles.
+// The check that latches also sets the lbmib_unhealthy_cube gauge, once
+// w's lock is released: registering a series takes the registry's.
 func (w *Watchdog) Check(step int, d *grid.DigestGrid) error {
+	herr, latched := w.check(step, d)
+	if herr == nil {
+		return nil
+	}
+	if r := w.cfg.Registry; latched && r != nil && herr.Cube >= 0 {
+		labels := []Label{L("cube", strconv.Itoa(herr.Cube)), L("phase", herr.Phase)}
+		if herr.HasCell {
+			c := herr.Cell
+			labels = append(labels, L("cell", fmt.Sprintf("%d,%d,%d", c[0], c[1], c[2])))
+		}
+		r.Gauge("lbmib_unhealthy_cube",
+			"1 for the first cube (and cell) the watchdog localized a violation to.",
+			labels...).Set(1)
+	}
+	return herr
+}
+
+// check is Check under w's lock. It returns the latched error, nil while
+// healthy, and whether this call latched it.
+func (w *Watchdog) check(step int, d *grid.DigestGrid) (*HealthError, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.failErr != nil {
-		return w.failErr
+		return w.failErr, false
 	}
 	w.checks++
 	mass, maxV := d.Mass, d.MaxVel
@@ -167,7 +189,7 @@ func (w *Watchdog) Check(step int, d *grid.DigestGrid) error {
 		w.gMaxVel.Set(maxV)
 	}
 
-	fail := func(reason, phase string, cell [3]int, hasCell bool, cube int) error {
+	fail := func(reason, phase string, cell [3]int, hasCell bool, cube int) (*HealthError, bool) {
 		w.failErr = &HealthError{
 			Step: step, Reason: reason,
 			Cell: cell, HasCell: hasCell,
@@ -176,16 +198,7 @@ func (w *Watchdog) Check(step int, d *grid.DigestGrid) error {
 		if w.gHealthy != nil {
 			w.gHealthy.Set(1)
 		}
-		if r := w.cfg.Registry; r != nil && cube >= 0 {
-			labels := []Label{L("cube", strconv.Itoa(cube)), L("phase", phase)}
-			if hasCell {
-				labels = append(labels, L("cell", fmt.Sprintf("%d,%d,%d", cell[0], cell[1], cell[2])))
-			}
-			r.Gauge("lbmib_unhealthy_cube",
-				"1 for the first cube (and cell) the watchdog localized a violation to.",
-				labels...).Set(1)
-		}
-		return w.failErr
+		return w.failErr, true
 	}
 
 	if d.BadCell[0] >= 0 {
@@ -209,7 +222,7 @@ func (w *Watchdog) Check(step int, d *grid.DigestGrid) error {
 			maxV, w.cfg.MaxVelocity, c[0], c[1], c[2]),
 			phaseUpdateVelocity, c, true, d.TileOf(c[0], c[1], c[2]))
 	}
-	return nil
+	return nil, false
 }
 
 // describeBadNode names the non-finite field of the digest's first bad

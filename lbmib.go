@@ -520,7 +520,7 @@ func (s *Simulation) initTelemetry() (core.Probes, error) {
 		s.prof = perfmon.NewProfile(perfmon.Config{Engine: cfg.Solver.String(), Threads: cfg.Threads, Tracer: s.tracer})
 		sinks = append(sinks, s.prof)
 		if s.rec != nil {
-			s.rec.SetAux(flightrec.CritPathFile, func() ([]byte, error) {
+			s.rec.SetCritPath(func() ([]byte, error) {
 				r, _ := s.CritPathReport()
 				return json.MarshalIndent(r, "", "  ")
 			})

@@ -12,7 +12,10 @@
 # distribution access kernels 4, 5 and 8 make is one it sees; both
 # parallel schedules run their workers on par's team; the perfmon profile — Table I/II
 # accumulators, step ring and crossing ring of the critical-path report
-# — is written from all workers; par's timed barrier wraps the team
+# — is written from all workers, and the worker that recycles a step
+# slot folds it into atomic totals that the report reads while workers
+# run; the flight recorder's one mutex guards the ring that workers
+# write and the bundle writer encodes; par's timed barrier wraps the team
 # barrier; the digest's pieces, which the engines' teams run
 # concurrently, each write their own blocks' slots (grid), as the collide
 # sweep of an observed step does through the facade (the root package's
@@ -36,8 +39,10 @@
 # the engines' bitwise-vs-Sequential tests under the race detector below
 # fail when a barrier that orders something is removed or folded, which
 # is what makes a fold (cube's after_spread and end_of_step in fluid-only
-# runs) legal. The one static
-# check left, lockcheck, runs inside go test ./... (TestLintSelfHost).
+# runs) legal. There is no static lock checker: no function holds a
+# mutex while it takes another or runs a caller's function (DESIGN.md
+# §11), so a lock-order cycle needs two edits, and every one-edit lock
+# defect fails a test below, most by hanging it into its -timeout.
 set -eux
 
 cd "$(dirname "$0")/.."
