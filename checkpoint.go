@@ -19,10 +19,10 @@ import (
 // A checkpoint is a versioned block stream; every number is little-endian:
 //
 //	magic   8 bytes "LBMIBCKP"
-//	header  version uint32 (2), step int64, NX NY NZ uint32, sheet count
+//	header  version uint32 (3), step int64, NX NY NZ uint32, sheet count
 //	        uint32, then per sheet NumFibers and NodesPerFiber uint32
 //	fluid   per node in x-major order (x, then y, then z): the 19 present
-//	        distributions, ρ, u and F — 26 float64, 208 bytes
+//	        distributions, ρ and u — 23 float64, 184 bytes
 //	sheets  per sheet: Ks, Kb, RestAlong, RestAcross, then the X, Vel,
 //	        BendForce, StretchForce and Force arrays (3 float64 per node
 //	        each), then Fixed (one byte per node, 0 or 1)
@@ -32,21 +32,28 @@ import (
 // holds the present distributions in the natural phase, which the engine
 // presents (live) whatever phase its in-place stream left them in; the
 // sequential engine's post-streaming array is not written, since its
-// stream writes each slot before the next step reads one.
-const checkpointVersion = 2
+// stream writes each slot before the next step reads one, nor is the
+// force, which every engine's next step resets to the body force.
+// Version 2 records also held F after u (26 float64); Restore skips it.
+const checkpointVersion = 3
 
 var checkpointMagic = [8]byte{'L', 'B', 'M', 'I', 'B', 'C', 'K', 'P'}
 
 const (
 	headerBytes = 28                  // the header up to the sheet shapes
-	recordBytes = 8 * (lattice.Q + 7) // one fluid node: distributions, ρ, u, F
+	recordBytes = 8 * (lattice.Q + 4) // one fluid node: distributions, ρ, u
 )
+
+// recordStride is the stride of a fluid record by the versions Restore
+// reads: a version-2 record holds F after u.
+var recordStride = map[uint32]int{2: 8 * (lattice.Q + 7), checkpointVersion: recordBytes}
 
 var le = binary.LittleEndian
 
 // checkpointHeader is what a checkpoint declares before its state: enough
 // to reject it against a Config before anything is built.
 type checkpointHeader struct {
+	stride     int // the bytes of one fluid record
 	step       int
 	nx, ny, nz int
 	sheets     [][2]int // NumFibers, NodesPerFiber
@@ -100,7 +107,7 @@ func eachPlane(t *par.Team, nx int, fn func(x int)) {
 }
 
 // checkpointSize is the length of the checkpoint Checkpoint writes: the
-// magic, the header, 208 bytes per fluid node and each sheet's block.
+// magic, the header, 184 bytes per fluid node and each sheet's block.
 func (s *Simulation) checkpointSize() int {
 	n := len(checkpointMagic) + headerBytes + 8*len(s.sheets) + s.cfg.NX*s.cfg.NY*s.cfg.NZ*recordBytes
 	for _, sh := range s.sheets {
@@ -189,19 +196,20 @@ func appendFloats(b []byte, vs ...float64) []byte {
 
 func getFloat(b []byte, i int) float64 { return math.Float64frombits(le.Uint64(b[8*i:])) }
 
-// putRecord encodes one node — its present distributions df, then ρ, u
-// and F from its record m — into b.
+// putRecord encodes one node — its present distributions df, then ρ and
+// u from its record m — into b.
 func putRecord(b []byte, df *[lattice.Q]float64, m *grid.Macro) {
 	_ = b[recordBytes-1]
 	for q, v := range df {
 		le.PutUint64(b[8*q:], math.Float64bits(v))
 	}
-	for i, v := range [7]float64{m.Rho, m.Vel[0], m.Vel[1], m.Vel[2], m.Force[0], m.Force[1], m.Force[2]} {
+	for i, v := range [4]float64{m.Rho, m.Vel[0], m.Vel[1], m.Vel[2]} {
 		le.PutUint64(b[8*(lattice.Q+i):], math.Float64bits(v))
 	}
 }
 
-// getRecord is putRecord's inverse.
+// getRecord is putRecord's inverse; it leaves m.Force as it is. A
+// version-2 record begins with the same 23 float64.
 func getRecord(b []byte, df *[lattice.Q]float64, m *grid.Macro) {
 	_ = b[recordBytes-1]
 	for q := range df {
@@ -209,14 +217,13 @@ func getRecord(b []byte, df *[lattice.Q]float64, m *grid.Macro) {
 	}
 	m.Rho = getFloat(b, lattice.Q)
 	m.Vel = [3]float64{getFloat(b, lattice.Q+1), getFloat(b, lattice.Q+2), getFloat(b, lattice.Q+3)}
-	m.Force = [3]float64{getFloat(b, lattice.Q+4), getFloat(b, lattice.Q+5), getFloat(b, lattice.Q+6)}
 }
 
 // restoreSizeLimit bounds how many bytes Restore will read for cfg: a
-// well-formed checkpoint costs well under 1 KiB per fluid node (208 bytes
-// in the block format; 45 float64 fields at ≤ 9 bytes each in a version-1
-// gob stream) and per fiber node, plus a fixed allowance for the headers.
-// Reading through this cap turns a corrupt stream that declares a huge
+// well-formed checkpoint costs well under 1 KiB per fluid node (184 bytes
+// in the block format, 208 in version 2; 45 float64 fields at ≤ 9 bytes
+// each in a version-1 gob stream) and per fiber node, plus a fixed
+// allowance for the headers. Reading through this cap turns a corrupt stream that declares a huge
 // slice into a decode error instead of an unbounded allocation.
 func restoreSizeLimit(cfg Config) int64 {
 	limit := int64(1<<16) + int64(cfg.NX)*int64(cfg.NY)*int64(cfg.NZ)*1024
@@ -227,8 +234,8 @@ func restoreSizeLimit(cfg Config) int64 {
 }
 
 // Restore builds a Simulation from cfg and overwrites its state with a
-// checkpoint previously written by Checkpoint, in the block format or as
-// a version-1 gob stream. The configuration's grid dimensions and sheet
+// checkpoint previously written by Checkpoint, in the block format (its
+// version 3 or 2) or as a version-1 gob stream. The configuration's grid dimensions and sheet
 // shapes must match the checkpoint, and are checked before anything is
 // built; engine kind, thread count and cube size are free to differ.
 //
@@ -280,7 +287,8 @@ func restoreChecked(cfg Config, h checkpointHeader, fill func(*Simulation) error
 // restoreBlocks reads a block-format checkpoint whose magic has been
 // consumed: the header, then the fluid records straight into the new
 // engine's live layout, read an x-plane per worker and round and decoded
-// on its team (par.Ordered), then the sheets.
+// on its team (par.Ordered), then the sheets. A version-2 record's force
+// is skipped: the force is the one New and the engine's load leave.
 func restoreBlocks(r io.Reader, cfg Config) (*Simulation, error) {
 	h, err := readHeader(r, len(sheetShapes(cfg)))
 	if err != nil {
@@ -289,12 +297,12 @@ func restoreBlocks(r io.Reader, cfg Config) (*Simulation, error) {
 	return restoreChecked(cfg, h, func(sim *Simulation) error {
 		l := sim.eng.live()
 		df, macro, at := l.Dist(), l.Macros(), grid.AxisIndex(l)
-		ny, nz := h.ny, h.nz
-		if x, err := sim.ordered().Read(r, h.nx, ny*nz*recordBytes, func(x int, buf []byte) {
+		ny, nz, stride := h.ny, h.nz, h.stride
+		if x, err := sim.ordered().Read(r, h.nx, ny*nz*stride, func(x int, buf []byte) {
 			for y := 0; y < ny; y++ {
-				jy, row := at[0][x]+at[1][y], buf[y*nz*recordBytes:]
+				jy, row := at[0][x]+at[1][y], buf[y*nz*stride:]
 				for z, az := range at[2] {
-					getRecord(row[z*recordBytes:], &df[jy+az], &macro[jy+az])
+					getRecord(row[z*stride:], &df[jy+az], &macro[jy+az])
 				}
 			}
 		}); err != nil {
@@ -317,8 +325,8 @@ func readHeader(r io.Reader, maxSheets int) (checkpointHeader, error) {
 	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return h, fmt.Errorf("lbmib: decoding checkpoint: header: %w", err)
 	}
-	if v := le.Uint32(b[:]); v != checkpointVersion {
-		return h, fmt.Errorf("lbmib: checkpoint version %d, want %d", v, checkpointVersion)
+	if h.stride = recordStride[le.Uint32(b[:])]; h.stride == 0 {
+		return h, fmt.Errorf("lbmib: checkpoint version %d, want 2 or %d", le.Uint32(b[:]), checkpointVersion)
 	}
 	h.step = int(int64(le.Uint64(b[4:])))
 	h.nx, h.ny, h.nz = int(le.Uint32(b[12:])), int(le.Uint32(b[16:])), int(le.Uint32(b[20:]))

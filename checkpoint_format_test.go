@@ -1,7 +1,7 @@
 // Tests for the block checkpoint format: it round-trips byte for byte on
 // every engine, restores across engines onto the writer's trajectory,
-// still reads version-1 gob checkpoints, and rejects a mismatched stream
-// before building anything.
+// still reads version-1 gob and version-2 block checkpoints, and rejects
+// a mismatched stream before building anything.
 package lbmib
 
 import (
@@ -133,6 +133,33 @@ func TestCheckpointV1Fixture(t *testing.T) {
 			s.Run(3)
 			if got := stateHash(t, s); got != want {
 				t.Errorf("%s/%dt: state after v1 restore + 3 steps is %s, want %s", e.name, threads, got, want)
+			}
+			s.Close()
+		}
+	}
+}
+
+// testdata/checkpoint-v2.bin is a version-2 block checkpoint, whose
+// records still held the force: formatConfig's problem on the cube engine
+// (k = 4, 2 threads) after 7 steps. Restored on every engine mode at 1 and
+// 2 threads and run 3 more steps it must land on the state hash
+// (stateHash) that the version-2 code recorded for the same restore: the
+// force it skips is dead.
+func TestCheckpointV2Fixture(t *testing.T) {
+	data := v2Fixture(t)
+	const want = "062b02f75e515ad090b8842d914f7584948869035ea2f6f424015f7059952992"
+	for _, e := range sampledEngines {
+		for _, threads := range []int{1, 2} {
+			s, err := Restore(bytes.NewReader(data), formatConfig(e, threads))
+			if err != nil {
+				t.Fatalf("%s/%dt: %v", e.name, threads, err)
+			}
+			if s.StepCount() != 7 {
+				t.Errorf("%s/%dt: restored StepCount %d, want 7", e.name, threads, s.StepCount())
+			}
+			s.Run(3)
+			if got := stateHash(t, s); got != want {
+				t.Errorf("%s/%dt: state after v2 restore + 3 steps is %s, want %s", e.name, threads, got, want)
 			}
 			s.Close()
 		}

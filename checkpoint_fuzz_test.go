@@ -43,9 +43,15 @@ func gobCheckpoint(t testing.TB, st checkpointState) []byte {
 
 // v1Fixture reads the committed version-1 gob checkpoint
 // (TestCheckpointV1Fixture describes it).
-func v1Fixture(t testing.TB) []byte {
+func v1Fixture(t testing.TB) []byte { return fixture(t, "testdata/checkpoint-v1.gob") }
+
+// v2Fixture reads the committed version-2 block checkpoint
+// (TestCheckpointV2Fixture describes it).
+func v2Fixture(t testing.TB) []byte { return fixture(t, "testdata/checkpoint-v2.bin") }
+
+func fixture(t testing.TB, name string) []byte {
 	t.Helper()
-	data, err := os.ReadFile("testdata/checkpoint-v1.gob")
+	data, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +81,7 @@ func malformedBlockStreams(valid []byte) []struct {
 		{"truncated fluid", "fluid plane", valid[:header+recordBytes*5]},
 		{"truncated sheet", "sheet 0", valid[:len(valid)-2]},
 		{"too many sheets", "sheets", patch(32, func(b []byte) { le.PutUint32(b, 1<<31) })},
-		{"version 3", "version 3", patch(8, func(b []byte) { le.PutUint32(b, 3) })},
+		{"version 4", "version 4", patch(8, func(b []byte) { le.PutUint32(b, 4) })},
 		{"negative step", "negative step", patch(12, func(b []byte) { le.PutUint64(b, 1<<63) })},
 		{"bad fixed flag", "fixed flag", patch(len(valid)-1, func(b []byte) { b[0] = 7 })},
 	}
@@ -87,8 +93,10 @@ func malformedBlockStreams(valid []byte) []struct {
 // bound. The harness's size cap and recover path are what this target
 // exercises.
 func FuzzRestore(f *testing.F) {
-	valid, v1 := validCheckpoint(f), v1Fixture(f)
-	f.Add(valid)
+	valid, v1, v2 := validCheckpoint(f), v1Fixture(f), v2Fixture(f)
+	f.Add(valid) // version 3
+	f.Add(v2)
+	f.Add(v2[:len(v2)/2])
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:1])
 	f.Add(v1)

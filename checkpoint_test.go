@@ -146,7 +146,9 @@ func TestRestoreRejectsGarbage(t *testing.T) {
 // Restore decodes external input, so every malformed stream must come
 // back as an error — never a panic or an unbounded allocation. The
 // unprefixed rows are version-1 gob streams (the truncated ones cut from
-// the committed fixture); the "v2" rows are block-format streams.
+// the committed fixture); the "v2" rows, named for the block format's
+// first version, are block-format streams of the version Checkpoint
+// writes.
 func TestRestoreRejectsMalformedStreams(t *testing.T) {
 	cfg := fuzzRestoreCfg()
 	v1 := v1Fixture(t)

@@ -195,11 +195,11 @@ func (s *InPlace) refreshPiece(p int) {
 }
 
 // Loaded re-establishes the between-steps invariants after the grid's
-// distributions, ρ, u and force were overwritten from outside (a
-// restored checkpoint), with the array in the natural phase: every
-// record's force is the body force, as spreading needs — the loaded
-// force is another engine's end-of-step state, dead for every engine —
-// and every record is fresh.
+// distributions, ρ and u (and, from a version-1 checkpoint, the force)
+// were overwritten from outside (a restored checkpoint), with the array
+// in the natural phase: every record's force is the body force, as
+// spreading needs (a version-1 stream's force is dead end-of-step
+// state), and every record is fresh.
 func (s *InPlace) Loaded() {
 	SeedForce(s.Fluid.Macros(), s.BodyForce)
 	s.Support.Loaded()

@@ -3,6 +3,7 @@ package crosscheck
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lbmib"
@@ -204,4 +205,60 @@ func hasNoSlip(c Case) bool {
 	return c.Config.BoundaryX == lbmib.NoSlip ||
 		c.Config.BoundaryY == lbmib.NoSlip ||
 		c.Config.BoundaryZ == lbmib.NoSlip
+}
+
+// TestCheckpointDiffNamesTheField flips one byte in each part of a real
+// checkpoint with two sheets and requires diffCheckpoints to name that
+// part, and the float64 it changed to show in max|Δ|.
+func TestCheckpointDiffNamesTheField(t *testing.T) {
+	c := Case{Config: lbmib.Config{NX: 4, NY: 6, NZ: 8, Tau: 0.7, Sheets: []*lbmib.SheetConfig{
+		{NumFibers: 2, NodesPerFiber: 3, Width: 1, Height: 2, Origin: [3]float64{1.5, 2, 3}, Ks: 0.05},
+		{NumFibers: 3, NodesPerFiber: 2, Width: 2, Height: 1, Origin: [3]float64{1.5, 2.5, 4}, Ks: 0.05},
+	}}}
+	sim, err := lbmib.New(c.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run(2)
+	want, err := checkpoint(sim)
+	sim.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stream: magic and header, 4·6·8 fluid records of 23 float64,
+	// then each sheet's parameters, 5 arrays and flags.
+	fluid, record := 8+28+8*2, 8*23
+	s1 := fluid + 4*6*8*record + 8*(4+15*6) + 6
+	floats1 := 8 * (4 + 15*6)
+	if end := s1 + floats1 + 6; end != len(want) {
+		t.Fatalf("the layout ends at byte %d, the checkpoint at %d", end, len(want))
+	}
+	node := fluid + ((1*6+2)*8+3)*record
+	for _, tc := range []struct {
+		off   int
+		where string
+		float bool
+	}{
+		{12, "the header", false},
+		{node + 8*7 + 6, "fluid node (1, 2, 3)", true},
+		{node + 8*19 + 7, "fluid node (1, 2, 3)", true},
+		{node + 8*22 + 6, "fluid node (1, 2, 3)", true},
+		{s1 + 8, "sheet 1, its parameters", true},
+		{s1 + 32 + 24*6 + 24*4 + 5, "sheet 1 node 4, Vel", true},
+		{s1 + 32 + 24*6*4 + 7, "sheet 1 node 0, Force", true},
+		{s1 + floats1 + 2, "sheet 1 node 2, Fixed", false},
+	} {
+		got := append([]byte(nil), want...)
+		got[tc.off] ^= 0x40
+		maxAbs, msg := diffCheckpoints(c, want, got)
+		if !strings.HasSuffix(msg, "first at "+tc.where) {
+			t.Errorf("byte %d: %q, want it to name %s", tc.off, msg, tc.where)
+		}
+		if (maxAbs > 0) != tc.float {
+			t.Errorf("byte %d (%s): max|Δ| %g", tc.off, tc.where, maxAbs)
+		}
+	}
+	if _, msg := diffCheckpoints(c, want, want); msg != "" {
+		t.Errorf("equal checkpoints: %q", msg)
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"lbmib"
+	"lbmib/internal/grid"
 	"lbmib/internal/lattice"
 )
 
@@ -71,39 +73,14 @@ func seqFinal(c Case) (state, error) {
 // shape, boundaries, body force and lid components — reruns it, and
 // demands the result be the axis-swapped image of the reference.
 func (r *Runner) checkPermuteXY(c Case, ref state) string {
-	pc := c
 	cfg := c.Config
 	cfg.NX, cfg.NY = c.Config.NY, c.Config.NX
 	cfg.BoundaryX, cfg.BoundaryY = c.Config.BoundaryY, c.Config.BoundaryX
 	cfg.BodyForce[0], cfg.BodyForce[1] = c.Config.BodyForce[1], c.Config.BodyForce[0]
 	cfg.LidVelocity[0], cfg.LidVelocity[1] = c.Config.LidVelocity[1], c.Config.LidVelocity[0]
-	pc.Config = cfg
-
-	got, err := seqFinal(pc)
-	if err != nil {
-		return fmt.Sprintf("metamorphic permute-xy: %v", err)
-	}
-	a, b := ref.grid, got.grid
-	maxAbs := 0.0
-	for x := 0; x < a.NX; x++ {
-		for y := 0; y < a.NY; y++ {
-			for z := 0; z < a.NZ; z++ {
-				na, nb := a.At(x, y, z), b.At(y, x, z)
-				dfa, dfb := &na.DF, &nb.DF
-				for q := 0; q < lattice.Q; q++ {
-					maxAbs = math.Max(maxAbs, math.Abs(dfa[q]-dfb[permXYDirs[q]]))
-				}
-				maxAbs = math.Max(maxAbs, math.Abs(na.Rho-nb.Rho))
-				maxAbs = math.Max(maxAbs, math.Abs(na.Vel[0]-nb.Vel[1]))
-				maxAbs = math.Max(maxAbs, math.Abs(na.Vel[1]-nb.Vel[0]))
-				maxAbs = math.Max(maxAbs, math.Abs(na.Vel[2]-nb.Vel[2]))
-			}
-		}
-	}
-	if maxAbs > r.MetaTol {
-		return fmt.Sprintf("metamorphic permute-xy: max|Δ|=%.3e exceeds %.1e", maxAbs, r.MetaTol)
-	}
-	return ""
+	return r.checkImage("permute-xy", c, cfg, ref, &permXYDirs,
+		func(b *grid.Snapshot, x, y, z int) *grid.Node { return b.At(y, x, z) },
+		func(a, b [3]float64) [3]float64 { return [3]float64{a[0] - b[1], a[1] - b[0], a[2] - b[2]} })
 }
 
 // checkMirrorX reflects the problem about the x mid-plane (negating the
@@ -111,35 +88,42 @@ func (r *Runner) checkPermuteXY(c Case, ref state) string {
 // demands the result be the mirror image of the reference. Both
 // periodic wrap and halfway bounce-back walls are reflection-symmetric.
 func (r *Runner) checkMirrorX(c Case, ref state) string {
-	mc := c
 	cfg := c.Config
 	cfg.BodyForce[0] = -cfg.BodyForce[0]
 	cfg.LidVelocity[0] = -cfg.LidVelocity[0]
-	mc.Config = cfg
+	return r.checkImage("mirror-x", c, cfg, ref, &mirrorXDir,
+		func(b *grid.Snapshot, x, y, z int) *grid.Node { return b.At(b.NX-1-x, y, z) },
+		func(a, b [3]float64) [3]float64 { return [3]float64{a[0] + b[0], a[1] - b[1], a[2] - b[2]} })
+}
 
-	got, err := seqFinal(mc)
+// checkImage runs the case transformed to cfg and demands that every
+// node (x, y, z) of the reference equal, to MetaTol, its image node of
+// the result with the directions mapped by dirs; velDiff returns the
+// three velocity differences of a node and its image.
+func (r *Runner) checkImage(name string, c Case, cfg lbmib.Config, ref state, dirs *[lattice.Q]int,
+	image func(b *grid.Snapshot, x, y, z int) *grid.Node, velDiff func(a, b [3]float64) [3]float64) string {
+	c.Config = cfg
+	got, err := seqFinal(c)
 	if err != nil {
-		return fmt.Sprintf("metamorphic mirror-x: %v", err)
+		return fmt.Sprintf("metamorphic %s: %v", name, err)
 	}
-	a, b := ref.grid, got.grid
-	maxAbs := 0.0
+	a, maxAbs := ref.grid, 0.0
 	for x := 0; x < a.NX; x++ {
 		for y := 0; y < a.NY; y++ {
 			for z := 0; z < a.NZ; z++ {
-				na, nb := a.At(x, y, z), b.At(a.NX-1-x, y, z)
-				dfa, dfb := &na.DF, &nb.DF
+				na, nb := a.At(x, y, z), image(got.grid, x, y, z)
 				for q := 0; q < lattice.Q; q++ {
-					maxAbs = math.Max(maxAbs, math.Abs(dfa[q]-dfb[mirrorXDir[q]]))
+					maxAbs = math.Max(maxAbs, math.Abs(na.DF[q]-nb.DF[dirs[q]]))
 				}
 				maxAbs = math.Max(maxAbs, math.Abs(na.Rho-nb.Rho))
-				maxAbs = math.Max(maxAbs, math.Abs(na.Vel[0]+nb.Vel[0]))
-				maxAbs = math.Max(maxAbs, math.Abs(na.Vel[1]-nb.Vel[1]))
-				maxAbs = math.Max(maxAbs, math.Abs(na.Vel[2]-nb.Vel[2]))
+				for _, d := range velDiff(na.Vel, nb.Vel) {
+					maxAbs = math.Max(maxAbs, math.Abs(d))
+				}
 			}
 		}
 	}
 	if maxAbs > r.MetaTol {
-		return fmt.Sprintf("metamorphic mirror-x: max|Δ|=%.3e exceeds %.1e", maxAbs, r.MetaTol)
+		return fmt.Sprintf("metamorphic %s: max|Δ|=%.3e exceeds %.1e", name, maxAbs, r.MetaTol)
 	}
 	return ""
 }

@@ -2,6 +2,7 @@ package crosscheck
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -9,7 +10,7 @@ import (
 	"lbmib"
 	"lbmib/internal/flightrec"
 	"lbmib/internal/grid"
-	"lbmib/internal/validate"
+	"lbmib/internal/lattice"
 )
 
 // Engine names one implementation under differential test; every engine
@@ -90,12 +91,11 @@ func NewRunner() *Runner {
 	return &Runner{MetaTol: 1e-11}
 }
 
-// state is a captured engine state: a fluid snapshot plus
-// per-sheet node positions and velocities.
+// state is a captured engine state for the physical oracles: a fluid
+// snapshot plus per-sheet node positions.
 type state struct {
 	grid   *grid.Snapshot
 	sheetX [][][3]float64
-	sheetV [][][3]float64
 }
 
 // capture snapshots a running simulation's state.
@@ -103,11 +103,17 @@ func capture(sim *lbmib.Simulation) state {
 	st := state{grid: sim.FluidSnapshot()}
 	for i := 0; i < sim.NumSheets(); i++ {
 		x, _ := sim.SheetPositionsAt(i)
-		v, _ := sim.SheetVelocitiesAt(i)
 		st.sheetX = append(st.sheetX, x)
-		st.sheetV = append(st.sheetV, v)
 	}
 	return st
+}
+
+// checkpoint returns the simulation's checkpoint: its whole state as
+// bytes, which every engine writes alike for the same state.
+func checkpoint(sim *lbmib.Simulation) ([]byte, error) {
+	var buf bytes.Buffer
+	err := sim.Checkpoint(&buf)
+	return buf.Bytes(), err
 }
 
 // solverKind maps a facade engine name to its SolverKind.
@@ -143,7 +149,9 @@ func (r *Runner) newEngine(c Case, e Engine) (*lbmib.Simulation, error) {
 }
 
 // Run executes the case on every applicable engine and applies the
-// differential, invariant, metamorphic and round-trip oracles.
+// differential, invariant, metamorphic and round-trip oracles. The
+// differential and round-trip oracles compare checkpoints: every final
+// checkpoint must equal the sequential reference's byte for byte.
 func (r *Runner) Run(c Case) Result {
 	res := Result{Seed: c.Seed}
 	if c.Steps < 1 {
@@ -157,13 +165,17 @@ func (r *Runner) Run(c Case) Result {
 	ref, err := r.newEngine(c, EngineSequential)
 	if err != nil {
 		res.Failures = append(res.Failures, fmt.Sprintf("building sequential reference: %v", err))
-		res.OK = false
 		return res
 	}
 	refFinal, refFails := r.drive(ref, c)
+	want, err := checkpoint(ref)
 	ref.Close()
 	for _, f := range refFails {
 		res.Failures = append(res.Failures, "sequential: "+f)
+	}
+	if err != nil {
+		res.Failures = append(res.Failures, fmt.Sprintf("sequential: checkpoint: %v", err))
+		return res
 	}
 
 	// The cube engine must reject indivisible shapes.
@@ -188,11 +200,14 @@ func (r *Runner) Run(c Case) Result {
 			res.Engines = append(res.Engines, er)
 			continue
 		}
-		final, fails := r.drive(eng, c)
+		_, fails := r.drive(eng, c)
 		er.Failures = append(er.Failures, fails...)
-		maxAbs, cmpFails := compareStates(refFinal, final)
-		er.MaxAbs = maxAbs
-		er.Failures = append(er.Failures, cmpFails...)
+		if got, err := checkpoint(eng); err != nil {
+			er.Failures = append(er.Failures, fmt.Sprintf("checkpoint: %v", err))
+		} else if maxAbs, msg := diffCheckpoints(c, want, got); msg != "" {
+			er.MaxAbs = maxAbs
+			er.Failures = append(er.Failures, msg)
+		}
 		// A diverged engine dumps its flight-recorder bundle before
 		// teardown, so the trajectory that disagreed is kept.
 		if len(er.Failures) > 0 && eng.FlightRecorder() != nil {
@@ -209,8 +224,14 @@ func (r *Runner) Run(c Case) Result {
 		res.Failures = append(res.Failures, r.metamorphic(c, refFinal)...)
 	}
 
-	// Mid-run checkpoint/restore must land back on the same trajectory.
-	res.Failures = append(res.Failures, r.roundTrips(c)...)
+	// A run checkpointed mid-way and finished on the next engine must land
+	// on the reference's final state.
+	es := Engines(c)
+	for i, e := range es {
+		if msg := r.roundTrip(c, e, es[(i+1)%len(es)], want); msg != "" {
+			res.Failures = append(res.Failures, msg)
+		}
+	}
 
 	res.OK = len(res.Failures) == 0
 	for _, er := range res.Engines {
@@ -227,10 +248,7 @@ func (r *Runner) drive(e *lbmib.Simulation, c Case) (state, []string) {
 	var fails []string
 	m0 := capture(e).grid.TotalMass()
 	for done := 0; done < c.Steps; {
-		n := c.CheckEvery
-		if done+n > c.Steps {
-			n = c.Steps - done
-		}
+		n := min(c.CheckEvery, c.Steps-done)
 		e.Run(n)
 		done += n
 		if msgs := checkInvariants(c, capture(e), m0); len(msgs) > 0 {
@@ -245,105 +263,90 @@ func (r *Runner) drive(e *lbmib.Simulation, c Case) (state, []string) {
 	return final, fails
 }
 
-// compareStates diffs two engine states over the physical fields
-// (distributions, velocity, density, sheet positions and velocities) and
-// demands bitwise equality.
-func compareStates(a, b state) (float64, []string) {
-	var fails []string
-	d, err := validate.GridsPhysics(a.grid, b.grid)
-	if err != nil {
-		return math.Inf(1), []string{err.Error()}
+// diffCheckpoints compares got, an engine's checkpoint of case c, with
+// want, the reference's. Unequal, it returns the largest |Δ| over their
+// float64 words (+Inf if their lengths differ) and a failure naming where
+// they first differ by the version-3 layout (lbmib's checkpoint.go): the
+// header, 23 float64 per fluid node in x-major order, then per sheet of
+// Config.Sheets four parameters, five arrays of 3 float64 per node and a
+// flag byte per node. TestCheckpointDiffNamesTheField holds this walk to
+// real checkpoints.
+func diffCheckpoints(c Case, want, got []byte) (float64, string) {
+	if bytes.Equal(want, got) {
+		return 0, ""
 	}
-	maxAbs := d.MaxAbs
-	if !d.Within(0) {
-		fails = append(fails, fmt.Sprintf("fluid state diverges: %v", d))
+	if len(want) != len(got) {
+		return math.Inf(1), fmt.Sprintf("checkpoint of %d bytes, the reference's %d", len(got), len(want))
 	}
-	if len(a.sheetX) != len(b.sheetX) {
-		return maxAbs, append(fails, fmt.Sprintf("sheet count %d vs %d", len(a.sheetX), len(b.sheetX)))
+	first := 0
+	for want[first] == got[first] {
+		first++
 	}
-	for i := range a.sheetX {
-		for j := range a.sheetX[i] {
-			for dim := 0; dim < 3; dim++ {
-				dx := math.Abs(a.sheetX[i][j][dim] - b.sheetX[i][j][dim])
-				dv := math.Abs(a.sheetV[i][j][dim] - b.sheetV[i][j][dim])
-				if dx > maxAbs {
-					maxAbs = dx
-				}
-				if dv > maxAbs {
-					maxAbs = dv
-				}
-				if dx > 0 || dv > 0 {
-					fails = append(fails, fmt.Sprintf(
-						"sheet %d node %d diverges: |Δx|=%.3e |Δv|=%.3e",
-						i, j, dx, dv))
-					return maxAbs, fails
-				}
+	maxAbs, off, where := 0.0, 8+28+8*len(c.Config.Sheets), "the header"
+	// part covers the n bytes from off on, elements of size bytes: if the
+	// first difference lies in them, name(i) names element i.
+	part := func(n, size int, name func(i int) string) {
+		if first >= off && first < off+n {
+			where = name((first - off) / size)
+		}
+		for o := off; size%8 == 0 && o < off+n; o += 8 {
+			a := math.Float64frombits(binary.LittleEndian.Uint64(want[o:]))
+			if d := math.Abs(a - math.Float64frombits(binary.LittleEndian.Uint64(got[o:]))); d > maxAbs {
+				maxAbs = d
 			}
 		}
+		off += n
 	}
-	return maxAbs, fails
-}
-
-// roundTrips checkpoints a fresh run of the case mid-way, restores it,
-// finishes the run and demands the restored trajectory land on the
-// uninterrupted one bit for bit, on every engine the case applies to.
-func (r *Runner) roundTrips(c Case) []string {
-	var fails []string
-	for _, e := range Engines(c) {
-		if msg := r.roundTrip(c, e); msg != "" {
-			fails = append(fails, msg)
+	ny, nz, rec := c.Config.NY, c.Config.NZ, 8*(lattice.Q+4)
+	part(c.Config.NX*ny*nz*rec, rec, func(i int) string {
+		return fmt.Sprintf("fluid node (%d, %d, %d)", i/(ny*nz), i/nz%ny, i%nz)
+	})
+	for s, sc := range c.Config.Sheets {
+		n := sc.NumFibers * sc.NodesPerFiber
+		part(32, 32, func(int) string { return fmt.Sprintf("sheet %d, its parameters", s) })
+		for _, a := range []string{"X", "Vel", "BendForce", "StretchForce", "Force"} {
+			part(24*n, 24, func(i int) string { return fmt.Sprintf("sheet %d node %d, %s", s, i, a) })
 		}
+		part(n, 1, func(i int) string { return fmt.Sprintf("sheet %d node %d, Fixed", s, i) })
 	}
-	return fails
+	return maxAbs, fmt.Sprintf("checkpoint differs from the reference's (max|Δ|=%.3e), first at %s", maxAbs, where)
 }
 
-func (r *Runner) roundTrip(c Case, e Engine) string {
-	half := c.Steps / 2
-	if half < 1 {
-		half = 1
-	}
-	rest := c.Steps - half
-	if rest < 0 {
-		rest = 0
-	}
+// roundTrip checkpoints a run of the case on engine from mid-way,
+// restores the checkpoint onto engine to at another thread count,
+// finishes the run there and demands the final checkpoint equal want,
+// the reference's, byte for byte.
+func (r *Runner) roundTrip(c Case, from, to Engine, want []byte) string {
+	half := max(c.Steps/2, 1)
+	cfg := configFor(c, to)
+	cfg.Threads = 1 + c.Config.Threads%3 // never the case's own count
+	name := fmt.Sprintf("round-trip %s → %s at %d threads", from, to, cfg.Threads)
 
-	// Uninterrupted trajectory.
-	full, err := r.newEngine(c, e)
+	first, err := r.newEngine(c, from)
 	if err != nil {
-		return fmt.Sprintf("round-trip %s: constructor: %v", e, err)
-	}
-	full.Run(c.Steps)
-	want := capture(full)
-	full.Close()
-
-	// Interrupted: run half, checkpoint, restore, run the rest.
-	first, err := r.newEngine(c, e)
-	if err != nil {
-		return fmt.Sprintf("round-trip %s: constructor: %v", e, err)
+		return fmt.Sprintf("%s: constructor: %v", name, err)
 	}
 	first.Run(half)
-	var buf bytes.Buffer
-	if err := first.Checkpoint(&buf); err != nil {
-		first.Close()
-		return fmt.Sprintf("round-trip %s: checkpoint: %v", e, err)
-	}
+	mid, err := checkpoint(first)
 	first.Close()
-
-	restored, err := lbmib.Restore(bytes.NewReader(buf.Bytes()), configFor(c, e))
 	if err != nil {
-		return fmt.Sprintf("round-trip %s: restore: %v", e, err)
+		return fmt.Sprintf("%s: checkpoint: %v", name, err)
 	}
-	restored.Run(rest)
-	if got := restored.StepCount(); got != c.Steps {
-		restored.Close()
-		return fmt.Sprintf("round-trip %s: step count %d after restore, want %d", e, got, c.Steps)
-	}
-	got := capture(restored)
-	restored.Close()
 
-	if maxAbs, cmpFails := compareStates(want, got); len(cmpFails) > 0 {
-		return fmt.Sprintf("round-trip %s: restored trajectory diverges (max|Δ|=%.3e): %s",
-			e, maxAbs, cmpFails[0])
+	// The final checkpoint's header holds the step count, so a restore
+	// that loses it differs from the reference's too.
+	restored, err := lbmib.Restore(bytes.NewReader(mid), cfg)
+	if err != nil {
+		return fmt.Sprintf("%s: restore: %v", name, err)
+	}
+	restored.Run(c.Steps - half)
+	got, err := checkpoint(restored)
+	restored.Close()
+	if err != nil {
+		return fmt.Sprintf("%s: checkpoint: %v", name, err)
+	}
+	if _, msg := diffCheckpoints(c, want, got); msg != "" {
+		return fmt.Sprintf("%s: restored trajectory diverges: %s", name, msg)
 	}
 	return ""
 }

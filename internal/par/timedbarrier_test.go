@@ -1,6 +1,7 @@
 package par
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -204,20 +205,27 @@ func TestBarrierWaitRankRanks(t *testing.T) {
 }
 
 // TestTimedBarrierSingleThread checks the degenerate one-participant
-// barrier stays a no-op (and still reports a zero-ish wait).
+// barrier: each of three crossings returns at once, as rank 0 and the
+// last arriver, with a zero wait and the next crossing number.
 func TestTimedBarrierSingleThread(t *testing.T) {
-	called := 0
-	tb := TimedBarrier{B: NewBarrier(1), Arrive: func(step, site, tid, rank int, _ uint64, w time.Duration, last bool) {
-		called++
+	var crossings []uint64
+	tb := TimedBarrier{B: NewBarrier(1), Arrive: func(step, site, tid, rank int, crossing uint64, w time.Duration, last bool) {
+		crossings = append(crossings, crossing)
 		if step != 9 || site != 3 || tid != 0 || rank != 0 || !last {
 			t.Errorf("got step=%d site=%d tid=%d rank=%d last=%v", step, site, tid, rank, last)
 		}
-		if w > time.Second {
-			t.Errorf("implausible wait %v for 1-thread barrier", w)
+		if w != 0 {
+			t.Errorf("wait %v for the last arriver of a 1-thread barrier, want 0", w)
 		}
 	}}
-	tb.Wait(9, 3, 0)
-	if called != 1 {
-		t.Fatalf("recorder called %d times, want 1", called)
+	// Three crossings: a barrier that kept its lock on the one-participant
+	// return would hang the second.
+	for i := 0; i < 3; i++ {
+		if rank := tb.Wait(9, 3, 0); rank != 0 {
+			t.Errorf("crossing %d: rank %d, want 0", i, rank)
+		}
+	}
+	if !slices.Equal(crossings, []uint64{0, 1, 2}) {
+		t.Fatalf("crossings %v, want [0 1 2]", crossings)
 	}
 }

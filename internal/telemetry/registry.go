@@ -199,8 +199,9 @@ func NewRegistry() *Registry {
 	return &Registry{index: make(map[string]*metric)}
 }
 
-// lookup finds or creates a series.
-func (r *Registry) lookup(name, help string, k kind, labels []Label) *metric {
+// lookup finds or creates a series, a histogram with its buckets: no
+// Snapshot sees a series before its histogram.
+func (r *Registry) lookup(name, help string, k kind, labels []Label, buckets []float64) *metric {
 	ls := append([]Label(nil), labels...)
 	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
 	key := seriesKey(name, ls)
@@ -218,6 +219,10 @@ func (r *Registry) lookup(name, help string, k kind, labels []Label) *metric {
 		m.counter = &Counter{}
 	case kindGauge:
 		m.gauge = &Gauge{}
+	case kindHistogram:
+		up := append([]float64(nil), buckets...)
+		sort.Float64s(up)
+		m.hist = &Histogram{upper: up, counts: make([]uint64, len(up)+1)}
 	}
 	r.index[key] = m
 	r.ordered = append(r.ordered, m)
@@ -227,12 +232,12 @@ func (r *Registry) lookup(name, help string, k kind, labels []Label) *metric {
 // Counter returns the counter series name{labels}, creating it on first
 // use.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.lookup(name, help, kindCounter, labels).counter
+	return r.lookup(name, help, kindCounter, labels, nil).counter
 }
 
 // Gauge returns the gauge series name{labels}, creating it on first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.lookup(name, help, kindGauge, labels).gauge
+	return r.lookup(name, help, kindGauge, labels, nil).gauge
 }
 
 // Histogram returns the histogram series name{labels} with the given
@@ -240,15 +245,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // bucket layout of an existing series is kept; callers must use
 // consistent buckets for the same name.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	m := r.lookup(name, help, kindHistogram, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m.hist == nil {
-		up := append([]float64(nil), buckets...)
-		sort.Float64s(up)
-		m.hist = &Histogram{upper: up, counts: make([]uint64, len(up)+1)}
-	}
-	return m.hist
+	return r.lookup(name, help, kindHistogram, labels, buckets).hist
 }
 
 // Bucket is one cumulative histogram bucket in a snapshot.
@@ -326,9 +323,6 @@ func (r *Registry) Snapshot() []Series {
 			s.Value = m.gauge.Value()
 		case kindHistogram:
 			h := m.hist
-			if h == nil { // racing Snapshot between series creation and bucket setup
-				break
-			}
 			h.mu.Lock()
 			s.Count = h.count
 			s.Sum = h.sum

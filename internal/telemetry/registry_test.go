@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -180,5 +181,38 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if got := r.Histogram("h", "", ExpBuckets(1, 2, 4)).Count(); got != 8*500 {
 		t.Fatalf("histogram count = %d, want %d", got, 8*500)
+	}
+}
+
+// A series is never visible without its histogram: one goroutine
+// registers 200 new histogram series while another snapshots the
+// registry, and every histogram a snapshot lists carries its buckets.
+// Under the race detector a histogram published after its series fails
+// here; the rounds give the window between the two many chances.
+func TestHistogramRegistrationDuringSnapshot(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		r := NewRegistry()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 200; i++ {
+				r.Histogram("h", "", ExpBuckets(1, 2, 4), Label{"i", strconv.Itoa(i)}).Observe(1)
+			}
+		}()
+		for running := true; running; {
+			select {
+			case <-done:
+				running = false
+			default:
+			}
+			for _, s := range r.Snapshot() {
+				if len(s.Buckets) != 5 {
+					t.Fatalf("round %d: series %v lists %d buckets, want 5", round, s.Labels, len(s.Buckets))
+				}
+			}
+		}
+		if n := len(r.Snapshot()); n != 200 {
+			t.Fatalf("round %d: %d series, want 200", round, n)
+		}
 	}
 }

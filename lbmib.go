@@ -949,9 +949,10 @@ func (s *Simulation) SheetVelocitiesAt(i int) ([][3]float64, error) {
 
 // FluidSnapshot returns a copy of the complete fluid state, one
 // grid.Node per fluid node in x-major order: each node's present
-// distributions in DF, with ρ, u and the force field. It is gathered from
-// the engine's live layout and owns its memory, so later steps do not
-// change it; DFNew is left zero.
+// distributions in DF, with ρ and u. It is gathered from the engine's
+// live layout and owns its memory, so later steps do not change it.
+// DFNew is left zero, and Force is the body force, which every engine's
+// next step starts from: the force a step spread is dead once it ends.
 func (s *Simulation) FluidSnapshot() *grid.Snapshot {
 	l := s.live()
 	nx, ny, nz := l.Dims()
@@ -963,8 +964,7 @@ func (s *Simulation) FluidSnapshot() *grid.Snapshot {
 			jy := at[0][x] + at[1][y]
 			for z, az := range at[2] {
 				n, j := &dst[y*nz+z], jy+az
-				m := &macro[j]
-				n.DF, n.Vel, n.Rho, n.Force = df[j], m.Vel, m.Rho, m.Force
+				n.DF, n.Vel, n.Rho, n.Force = df[j], macro[j].Vel, macro[j].Rho, s.cfg.BodyForce
 			}
 		}
 	})

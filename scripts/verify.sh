@@ -175,7 +175,10 @@ go test -race -run 'TestObservedStepSamplesLiveLayout|TestStepLogNamesTheSampled
 
 # Cross-engine differential smoke: 10 seeded cases on each of the three
 # engine modes (sequential, omp and, on cube-divisible grids, cube),
-# every engine bitwise equal to the sequential reference.
+# every engine's final checkpoint byte for byte equal to the sequential
+# reference's; each round trip checkpoints one engine mid-run, restores
+# onto the next engine at another thread count, and must finish on those
+# same bytes.
 go run ./cmd/lbmib-crosscheck -seeds 10
 
 # Example smoke: the three examples on the cube engine — quickstart,
@@ -221,8 +224,9 @@ rm -rf "$FRDIR"
 
 # Replay smoke: a milder blow-up that outlives the recorder's step-64
 # snapshot, so the bundle carries a real checkpoint. It must be a
-# block-format checkpoint, and replaying it must reproduce the failure at
-# the step the live run tripped.
+# block-format checkpoint (version 3: the state without the force), and
+# replaying it must reproduce the failure at the step the live run
+# tripped.
 FRDIR=$(mktemp -d)
 if go run ./cmd/lbmib-sim -solver cube -threads 2 -nx 16 -ny 16 -nz 16 \
 	-steps 300 -sheet "" -force 0.008 -flightrec "$FRDIR"; then

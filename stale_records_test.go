@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"lbmib/internal/core"
 	"lbmib/internal/grid"
 )
 
@@ -93,9 +92,6 @@ var staleProblems = []struct {
 // records read the stale state first: it must read Sequential's bits.
 // Then the same again on a simulation restored from the engine's
 // checkpoint and stepped on, whose records the restore loaded fresh.
-// Sequential's force field after a step holds the step's spread force,
-// which the in-place engines reset to the body force; it is dead state
-// (core.InPlace.Loaded), so the reference's is reset too before reading.
 func TestStaleRecordConsumers(t *testing.T) {
 	reference := func(cfg Config, steps []int) *Simulation {
 		cfg.Solver, cfg.Threads = Sequential, 1
@@ -111,7 +107,6 @@ func TestStaleRecordConsumers(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		core.SeedForce(s.eng.live().Macros(), cfg.BodyForce)
 		return s
 	}
 	for _, p := range staleProblems {
@@ -360,7 +355,6 @@ func TestTotalMassLeavesRecordsStale(t *testing.T) {
 				t.Fatal(err)
 			}
 			seq.Run(n)
-			core.SeedForce(seq.eng.live().Macros(), ref.BodyForce)
 			want := snapshot(seq)
 			seq.Close()
 			for _, e := range staleEngines {

@@ -13,35 +13,29 @@ import (
 type teamReader struct {
 	name string
 	read func(t *testing.T, s *Simulation) []byte
-	// force says whether the output holds each node's force in the
-	// checkpoint's record layout: the force a record keeps between steps
-	// is the engine's dead end-of-step state (Sequential's kernel 4 reset,
-	// an in-place engine's body force), the one field in which engines
-	// may differ.
-	force bool
 }
 
 var teamReaders = []teamReader{
-	{"Checkpoint", checkpointBytes, true},
+	{"Checkpoint", checkpointBytes},
 	{"WriteFluidVTK", func(t *testing.T, s *Simulation) []byte {
 		var b bytes.Buffer
 		if err := s.WriteFluidVTK(&b); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes()
-	}, false},
+	}},
 	{"WriteFluidSliceCSV", func(t *testing.T, s *Simulation) []byte {
 		var b bytes.Buffer
 		if err := s.WriteFluidSliceCSV(&b, 9); err != nil {
 			t.Fatal(err)
 		}
 		return b.Bytes()
-	}, false},
-	{"FluidSnapshot", func(_ *testing.T, s *Simulation) []byte { return snapshotRecords(s.FluidSnapshot()) }, true},
+	}},
+	{"FluidSnapshot", func(_ *testing.T, s *Simulation) []byte { return snapshotRecords(s.FluidSnapshot()) }},
 }
 
-// snapshotRecords encodes a snapshot's nodes in the checkpoint's record
-// layout: 19 distributions, ρ, u, F.
+// snapshotRecords encodes a snapshot's nodes as little-endian float64: 19
+// distributions, ρ, u, F.
 func snapshotRecords(g *grid.Snapshot) []byte {
 	var b []byte
 	for i := range g.Nodes {
@@ -49,17 +43,6 @@ func snapshotRecords(g *grid.Snapshot) []byte {
 		for _, v := range append(append(append(n.DF[:], n.Rho), n.Vel[:]...), n.Force[:]...) {
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
-	}
-	return b
-}
-
-// withoutForce returns a copy of b, which holds nodes records from byte
-// off on, with every record's force zeroed.
-func withoutForce(b []byte, off, nodes int) []byte {
-	b = append([]byte(nil), b...)
-	for i := 0; i < nodes; i++ {
-		r := b[off+i*recordBytes+8*(recordBytes/8-3) : off+(i+1)*recordBytes]
-		clear(r)
 	}
 	return b
 }
@@ -77,23 +60,10 @@ func teamConfig(e sampledEngine, threads int) Config {
 // in-place arrays are swapped and their records stale, and 6 — and after
 // a Restore of Sequential's checkpoint, each reader's output on omp and
 // cube at 1, 2, 3 and 5 threads equals the same engine's at 1 thread
-// byte for byte, and Sequential's but for the records' force. Each
-// reader runs first on its own simulation, so each meets the state a
-// step leaves.
+// and Sequential's byte for byte. Each reader runs first on its own
+// simulation, so each meets the state a step leaves.
 func TestReadersAtTeamWidth(t *testing.T) {
 	seqCfg := teamConfig(sampledEngines[0], 1)
-	nodes := seqCfg.NX * seqCfg.NY * seqCfg.NZ
-	ckptOff := len(checkpointMagic) + headerBytes + 8*len(seqCfg.Sheets)
-	masked := func(r teamReader, b []byte) []byte {
-		switch {
-		case !r.force:
-			return b
-		case r.name == "Checkpoint":
-			return withoutForce(b, ckptOff, nodes)
-		default:
-			return withoutForce(b, 0, nodes)
-		}
-	}
 	run := func(cfg Config, steps int, from []byte) *Simulation {
 		t.Helper()
 		var s *Simulation
@@ -117,7 +87,7 @@ func TestReadersAtTeamWidth(t *testing.T) {
 		seq.Close()
 		for _, r := range teamReaders {
 			seq := run(seqCfg, steps, nil)
-			want := masked(r, r.read(t, seq))
+			want := r.read(t, seq)
 			seq.Close()
 			for _, e := range sampledEngines[1:3] {
 				for _, restored := range []bool{false, true} {
@@ -135,7 +105,7 @@ func TestReadersAtTeamWidth(t *testing.T) {
 						} else if !bytes.Equal(got, one) {
 							t.Errorf("%s after %d steps (restored %v), %s at %d threads: differs from 1 thread", r.name, steps, restored, e.name, threads)
 						}
-						if !bytes.Equal(masked(r, got), want) {
+						if !bytes.Equal(got, want) {
 							t.Errorf("%s after %d steps (restored %v), %s at %d threads: differs from Sequential's", r.name, steps, restored, e.name, threads)
 						}
 					}
