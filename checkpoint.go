@@ -146,14 +146,16 @@ func (s *Simulation) Checkpoint(w io.Writer) error {
 		return fmt.Errorf("lbmib: writing checkpoint: %w", err)
 	}
 
-	df, macro, at := l.Dist(), l.Macros(), grid.AxisIndex(l)
+	macro, at := l.Macros(), grid.AxisIndex(l)
 	planeBytes := ny * nz * recordBytes
 	if err := s.ordered().Write(w, nx, func(x int, buf []byte) []byte {
 		buf = slices.Grow(buf, planeBytes)[:planeBytes]
 		for y := 0; y < ny; y++ {
 			jy, row := at[0][x]+at[1][y], buf[y*nz*recordBytes:]
 			for z, az := range at[2] {
-				putRecord(row[z*recordBytes:], &df[jy+az], &macro[jy+az])
+				var df [lattice.Q]float64
+				l.Load(jy+az, &df)
+				putRecord(row[z*recordBytes:], &df, &macro[jy+az])
 			}
 		}
 		return buf
@@ -296,13 +298,15 @@ func restoreBlocks(r io.Reader, cfg Config) (*Simulation, error) {
 	}
 	return restoreChecked(cfg, h, func(sim *Simulation) error {
 		l := sim.eng.live()
-		df, macro, at := l.Dist(), l.Macros(), grid.AxisIndex(l)
+		macro, at := l.Macros(), grid.AxisIndex(l)
 		ny, nz, stride := h.ny, h.nz, h.stride
 		if x, err := sim.ordered().Read(r, h.nx, ny*nz*stride, func(x int, buf []byte) {
 			for y := 0; y < ny; y++ {
 				jy, row := at[0][x]+at[1][y], buf[y*nz*stride:]
 				for z, az := range at[2] {
-					getRecord(row[z*stride:], &df[jy+az], &macro[jy+az])
+					var df [lattice.Q]float64
+					getRecord(row[z*stride:], &df, &macro[jy+az])
+					l.Store(jy+az, &df)
 				}
 			}
 		}); err != nil {
@@ -418,14 +422,15 @@ func restoreGob(r io.Reader, cfg Config) (*Simulation, error) {
 		// The stream's nodes are a normalized slab grid in canonical order:
 		// present distributions in DF.
 		l := sim.eng.live()
-		df, macro, at := l.Dist(), l.Macros(), grid.AxisIndex(l)
+		macro, at := l.Macros(), grid.AxisIndex(l)
 		eachPlane(sim.eng.team(), st.NX, func(x int) {
 			src := st.Nodes[x*st.NY*st.NZ:]
 			for y := 0; y < st.NY; y++ {
 				jy := at[0][x] + at[1][y]
 				for z, az := range at[2] {
 					n := &src[y*st.NZ+z]
-					df[jy+az], macro[jy+az] = n.DF, grid.Macro{Vel: n.Vel, Rho: n.Rho, Force: n.Force}
+					l.Store(jy+az, &n.DF)
+					macro[jy+az] = grid.Macro{Vel: n.Vel, Rho: n.Rho, Force: n.Force}
 				}
 			}
 		})

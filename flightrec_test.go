@@ -39,13 +39,15 @@ func injectDepositFault(t *testing.T, fromStep int) {
 			return
 		}
 		g := s.Live()
-		df := g.Dist()
-		dst, src := &df[g.Idx(6, 2, 5)], &df[g.Idx(6, 2, 6)]
+		var dst, src [lattice.Q]float64
+		g.Load(g.Idx(6, 2, 5), &dst)
+		g.Load(g.Idx(6, 2, 6), &src)
 		for i := range dst {
 			dst[i] += 0.01 * src[i]
 		}
+		g.Store(g.Idx(6, 2, 5), &dst)
 		m := g.At(6, 2, 5)
-		m.Rho = lattice.Moments(dst, m.Force, &m.Vel)
+		m.Rho = lattice.Moments(&dst, m.Force, &m.Vel)
 	}
 	t.Cleanup(func() { engine.FaultHook = nil })
 }

@@ -8,7 +8,6 @@ import (
 	"lbmib/internal/core"
 	"lbmib/internal/cpu"
 	"lbmib/internal/grid"
-	"lbmib/internal/lattice"
 )
 
 // TestAABlockVectorMatchesPortable holds AABlock on the vector node
@@ -16,10 +15,14 @@ import (
 // on the Go kernel (cpu.PortableForTest), bit for bit: on grids of every
 // block extent, from either phase, on the record path, with a given
 // force, with the fold and with both, each with and without a digest of
-// the sweep where a digest tiles the blocks. The boundary cases put wall
-// nodes at every position of a group, and the domains give rows of 12,
-// 9 and 11 nodes as well as blocks 2, 4 and 8 nodes deep, so that a
-// row's last group holds 1, 2, 3 or 4 nodes.
+// the sweep where a digest tiles the blocks, and once more on a state
+// whose every fifth slot holds a special value (±0, subnormals, ±max,
+// ±∞, NaN; a NaN matches any NaN there). The boundary cases put wall
+// nodes at every position of a group, the swapped phase on cubes and
+// across a periodic wrap gives groups whose lanes differ in class and go
+// lane by lane beside groups that share one table, and the domains give
+// rows of 12, 9 and 11 nodes as well as blocks 2, 4 and 8 nodes deep, so
+// that a row's last group holds 1, 2, 3 or 4 nodes.
 func TestAABlockVectorMatchesPortable(t *testing.T) {
 	if !cpu.Vector() {
 		t.Skip("no vector body on this host")
@@ -40,8 +43,13 @@ func TestAABlockVectorMatchesPortable(t *testing.T) {
 					sbc := p.StreamBC(dims[0], dims[1], dims[2])
 					for _, swapped := range []bool{false, true} {
 						for _, path := range paths {
-							for _, observed := range []bool{false, true} {
+							for _, mode := range [][2]bool{{false, false}, {true, false}, {false, true}} {
+								observed, special := mode[0], mode[1]
 								vec, port := twinLayout(t, dims, sh), twinLayout(t, dims, sh)
+								if special {
+									poison(vec)
+									poison(port)
+								}
 								var dgVec, dgPort *grid.DigestGrid
 								if observed {
 									k := 4
@@ -64,13 +72,12 @@ func TestAABlockVectorMatchesPortable(t *testing.T) {
 									core.AABlock(sPort, port.Dist(), b, p.Tau, swapped, path.fold, path.force, dgPort)
 								}
 								restore()
-								what := fmt.Sprintf("swapped=%v/%s/observed=%v", swapped, path.name, observed)
-								for i := range vec.Dist() {
-									for q := range vec.Dist()[i] {
-										a, b := vec.Dist()[i][q], port.Dist()[i][q]
-										if math.Float64bits(a) != math.Float64bits(b) {
-											t.Fatalf("%s: entry %d slot %d: vector %v (%#x), Go %v (%#x)", what, i, q, a, math.Float64bits(a), b, math.Float64bits(b))
-										}
+								what := fmt.Sprintf("swapped=%v/%s/observed=%v/special=%v", swapped, path.name, observed, special)
+								n := vec.Stride()
+								for j := range vec.Dist() {
+									a, b := vec.Dist()[j], port.Dist()[j]
+									if math.Float64bits(a) != math.Float64bits(b) && !(a != a && b != b) {
+										t.Fatalf("%s: entry %d slot %d: vector %v (%#x), Go %v (%#x)", what, j%n, j/n, a, math.Float64bits(a), b, math.Float64bits(b))
 									}
 								}
 								if !observed {
@@ -95,6 +102,23 @@ func TestAABlockVectorMatchesPortable(t *testing.T) {
 	}
 }
 
+// specials are values whose arithmetic differs from an ordinary
+// number's.
+var specials = []float64{0, math.Copysign(0, -1), 5e-324, -1e-310, math.MaxFloat64,
+	-math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+
+// poison writes the special values in turn into every fifth slot of g's
+// distributions, and one into every seventh record's density.
+func poison(g *grid.Grid) {
+	df, m := g.Dist(), g.Macros()
+	for j := 0; j < len(df); j += 5 {
+		df[j] = specials[j/5%len(specials)]
+	}
+	for i := 0; i < len(m); i += 7 {
+		m[i].Rho = specials[i/7%len(specials)]
+	}
+}
+
 // CollideRange takes its range four nodes at a time, the last group
 // short: on ranges of every length from 1 to 9, at every offset into the
 // array, the vector kernel leaves the Go kernel's bits in the range and
@@ -107,17 +131,16 @@ func TestCollideRangeGroupsMatchPortable(t *testing.T) {
 	randomState(g, 5)
 	for lo := 0; lo < 4; lo++ {
 		for n := 1; n <= 9 && lo+n <= g.NumNodes(); n++ {
-			vec := append([][lattice.Q]float64(nil), g.Dist()...)
-			port := append([][lattice.Q]float64(nil), g.Dist()...)
-			core.CollideRange(vec[lo:lo+n], g.Macros()[lo:lo+n], 0.7)
+			vec := append([]float64(nil), g.Dist()...)
+			port := append([]float64(nil), g.Dist()...)
+			core.CollideRange(vec, lo, g.Macros()[lo:lo+n], 0.7)
 			restore := cpu.PortableForTest()
-			core.CollideRange(port[lo:lo+n], g.Macros()[lo:lo+n], 0.7)
+			core.CollideRange(port, lo, g.Macros()[lo:lo+n], 0.7)
 			restore()
-			for i := range vec {
-				for q := range vec[i] {
-					if math.Float64bits(vec[i][q]) != math.Float64bits(port[i][q]) {
-						t.Fatalf("range [%d, %d): entry %d slot %d: vector %v, Go %v", lo, lo+n, i, q, vec[i][q], port[i][q])
-					}
+			nodes := g.Stride()
+			for j := range vec {
+				if math.Float64bits(vec[j]) != math.Float64bits(port[j]) {
+					t.Fatalf("range [%d, %d): entry %d slot %d: vector %v, Go %v", lo, lo+n, j%nodes, j/nodes, vec[j], port[j])
 				}
 			}
 		}

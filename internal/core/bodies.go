@@ -23,36 +23,50 @@ func SeedForce(m []grid.Macro, body [3]float64) {
 }
 
 // CollideRange is kernel 5 over a node range: the BGK collision with Guo
-// forcing, in place on the present distributions df, reading the records
-// m of the same nodes, four nodes per call of the node kernel.
-func CollideRange(df [][lattice.Q]float64, m []grid.Macro, tau float64) {
-	df = df[:len(m)]
+// forcing, in place on the present distributions of the nodes at entries
+// lo … lo+len(m)−1 of the direction-major array df, reading their
+// records m, four nodes per call of the node kernel, each node through
+// its own slots (lattice.Natural).
+func CollideRange(df []float64, lo int, m []grid.Macro, tau float64) {
+	nat := lattice.Natural(len(df) / lattice.Q)
+	grp := lattice.Uniform(&nat, &nat)
 	for i := 0; i < len(m); i += lattice.Lanes {
 		j := min(i+lattice.Lanes, len(m))
-		lattice.CollideGroup(df[i:j], m[i:j], nil, nil, tau, false, nil)
+		lattice.CollideGroup(df, lo+i, j-i, &grp, m[i:j], nil, nil, tau, nil)
 	}
 }
 
 // UpdateRange is kernel 7 over a node range: density and velocity from
-// the post-streaming distributions df and the elastic force (half-force
-// Guo correction), into the records m. A non-nil reset is then stored as
-// the node's force in the same pass — the fold that lets the engines which
-// retire kernel 4's full-grid reset keep spreading on top of the body
-// force.
-func UpdateRange(df [][lattice.Q]float64, m []grid.Macro, reset *[3]float64) {
-	df = df[:len(m)]
+// the post-streaming distributions of the nodes at entries lo …
+// lo+len(m)−1 of the direction-major array df and the elastic force
+// (half-force Guo correction), into their records m. A non-nil reset is
+// then stored as the node's force in the same pass — the fold that lets
+// the engines which retire kernel 4's full-grid reset keep spreading on
+// top of the body force.
+func UpdateRange(df []float64, lo int, m []grid.Macro, reset *[3]float64) {
+	n := len(df) / lattice.Q
+	var g [lattice.Q]float64
 	for i := range m {
-		n := &m[i]
-		n.Rho = lattice.Moments(&df[i], n.Force, &n.Vel)
+		for q := range g {
+			g[q] = df[q*n+lo+i]
+		}
+		r := &m[i]
+		r.Rho = lattice.Moments(&g, r.Force, &r.Vel)
 		if reset != nil {
-			n.Force = *reset
+			r.Force = *reset
 		}
 	}
 }
 
-// CopyRange is kernel 9 over a node range as published: the
-// post-streaming distributions src are copied into the present ones dst.
-func CopyRange(dst, src [][lattice.Q]float64) { copy(dst, src) }
+// CopyRange is kernel 9 over the node range [lo, hi) as published: the
+// post-streaming distributions src are copied into the present ones
+// dst, direction by direction.
+func CopyRange(dst, src []float64, lo, hi int) {
+	n := len(dst) / lattice.Q
+	for q := 0; q < lattice.Q; q++ {
+		copy(dst[q*n+lo:q*n+hi], src[q*n+lo:q*n+hi])
+	}
+}
 
 // StreamBC resolves the boundary streaming of one (node, direction) pair:
 // the periodic wrap, the halfway bounce-back walls, and the moving-lid
@@ -113,25 +127,40 @@ func (bc *StreamBC) Resolve(q, x, y, z int, gi, rho float64) (tx, ty, tz int, re
 }
 
 // Streamer is kernel 6's stream geometry bound to one grid and one set
-// of boundary conditions: one neighbour-offset table per axis class, the
-// per-axis wall sets, and the boundary resolution. Block pushes through
-// it into a second array (the sequential engine); AABlock, AAMomentsBlock
-// and Canonicalize stream in place through it (the parallel engines).
-// Every node of every block extent finds its neighbours the same way: one
-// lookup of its class triple, then its own entry plus the offset.
+// of boundary conditions: one neighbour-offset table per class triple,
+// the per-axis wall sets, and the boundary resolution. Block pushes
+// through it into a second array (the sequential engine); AABlock,
+// AAMomentsBlock and Canonicalize stream in place through it (the
+// parallel engines). Every node of every block extent finds its
+// neighbours the same way: one lookup of its class triple, then its own
+// entry plus the offset.
+//
+// The grid's array is direction-major (grid.Grid.Slot): value q of the
+// node at entry e is element q·S + e, S the grid's stride. So besides
+// the neighbour offsets the streamer tabulates, per class triple, where
+// the in-place bodies find and leave each value, as lattice.Offsets
+// counted from the node's own entry: the swapped phase's load and store
+// tables of AABlock and the gather of AAMomentsBlock. The natural phase
+// needs no class: every node loads its own slots and stores each value
+// at its opposite's, one pair of tables for the whole grid.
 type Streamer struct {
 	l  *grid.Grid
 	bc StreamBC
+	// stride is the grid's array's distance between two directions
+	// (grid.Grid.Stride).
+	stride int
 	// cls[a][c] is the class of coordinate c on axis a, scaled so that a
-	// node's three terms sum to its row of tab. Coordinates whose axis-a
-	// neighbours at −1 and +1 lie at the same entry offsets share a class;
-	// the offset of a move that crosses a wall counts as 0. So an axis has
-	// at most five: the domain's low end, a block's low face, the block
+	// node's three terms sum to its class triple's index. Coordinates
+	// whose axis-a neighbours at −1 and +1 lie at the same entry offsets,
+	// and whose moves along a cross the same walls, share a class; the
+	// offset of a move that crosses a wall counts as 0. So an axis has at
+	// most five: the domain's low end, a block's low face, the block
 	// interior, a block's high face and the domain's high end — three on
-	// the slab grid, whose x-planes abut in memory.
+	// the slab grid, whose x-planes abut in memory. A node's wall set is
+	// a function of its class triple.
 	cls [3][]int
-	// tab[(sign+1)/2][row][q] is the entry offset of the neighbour at
-	// sign·e_q from a node of class triple row; it means nothing for a q
+	// tab[(sign+1)/2][c][q] is the entry offset of the neighbour at
+	// sign·e_q from a node of class triple c; it means nothing for a q
 	// whose move crosses a wall.
 	tab [2][][lattice.Q]int
 	// walls[a][c] is the set of directions q (bit q) whose move from c
@@ -140,61 +169,112 @@ type Streamer struct {
 	// so a node's e_q neighbour sits at its offset unless q is in the
 	// union of the node's three wall sets — a wall link.
 	walls [3][]uint32
+	// swap[c] is where a node of class triple c loads and stores its
+	// values in a swapped AABlock; pull[c] is where AAMomentsBlock finds
+	// its post-streaming values after a natural one.
+	swap []swapTables
+	pull []lattice.Offsets
+	// natural is every node's group in a natural AABlock: its own slots
+	// in, each value to its opposite's slot out.
+	natLoad, natStore lattice.Offsets
+	natural           lattice.Group
+}
+
+// swapTables are the slots of a swapped AABlock for one class triple:
+// value Opposite[q] loads from L_q and value q stores into it, L_q being
+// (n+e_q, q), or (n, Opposite[q]) on a wall link.
+type swapTables struct {
+	load, store lattice.Offsets
+}
+
+// axisClass is what makes a coordinate's class: the entry offsets of
+// its neighbours at −1, 0 and +1 along the axis, and its wall set.
+type axisClass struct {
+	off   [3]int
+	walls uint32
 }
 
 // NewStreamer tabulates l's index geometry for streaming under bc.
 func NewStreamer(l *grid.Grid, bc StreamBC) *Streamer {
-	s := &Streamer{l: l, bc: bc}
-	// off[a][k][1+e] is the axis-a offset at e ∈ {−1, 0, 1} of class k.
-	var off [3][][3]int
+	s := &Streamer{l: l, bc: bc, stride: l.Stride()}
+	var classes [3][]axisClass
 	for a, t := range grid.AxisIndex(l) {
 		s.cls[a] = make([]int, len(t))
 		s.walls[a] = make([]uint32, len(t))
 		for c := range t {
-			var o [3]int
+			var k axisClass
 			for _, e := range [2]int{-1, 1} {
 				var p, d [3]int
 				p[a], d[a] = c, e
 				tx, ty, tz, _, bounce := bc.Resolve(direction(d), p[0], p[1], p[2], 0, 0)
 				if !bounce {
-					o[1+e] = t[[3]int{tx, ty, tz}[a]] - t[c]
+					k.off[1+e] = t[[3]int{tx, ty, tz}[a]] - t[c]
 					continue
 				}
 				for q, eq := range lattice.E {
 					if eq[a] == e {
-						s.walls[a][c] |= 1 << q
+						k.walls |= 1 << q
 					}
 				}
 			}
-			k := slices.Index(off[a], o)
-			if k < 0 {
-				k = len(off[a])
-				off[a] = append(off[a], o)
+			s.walls[a][c] = k.walls
+			i := slices.Index(classes[a], k)
+			if i < 0 {
+				i = len(classes[a])
+				classes[a] = append(classes[a], k)
 			}
-			s.cls[a][c] = k
+			s.cls[a][c] = i
 		}
 	}
-	ny, nz := len(off[1]), len(off[2])
+	ny, nz := len(classes[1]), len(classes[2])
 	for c := range s.cls[0] {
 		s.cls[0][c] *= ny * nz
 	}
 	for c := range s.cls[1] {
 		s.cls[1][c] *= nz
 	}
-	for i, sign := range [2]int{-1, 1} {
-		s.tab[i] = make([][lattice.Q]int, len(off[0])*ny*nz)
-		for cx, ox := range off[0] {
-			for cy, oy := range off[1] {
-				for cz, oz := range off[2] {
-					d := &s.tab[i][(cx*ny+cy)*nz+cz]
+	rows := len(classes[0]) * ny * nz
+	s.tab = [2][][lattice.Q]int{make([][lattice.Q]int, rows), make([][lattice.Q]int, rows)}
+	s.swap, s.pull = make([]swapTables, rows), make([]lattice.Offsets, rows)
+	for cx, kx := range classes[0] {
+		for cy, ky := range classes[1] {
+			for cz, kz := range classes[2] {
+				c := (cx*ny+cy)*nz + cz
+				walls := kx.walls | ky.walls | kz.walls
+				for i, sign := range [2]int{-1, 1} {
 					for q, e := range lattice.E {
-						d[q] = ox[1+sign*e[0]] + oy[1+sign*e[1]] + oz[1+sign*e[2]]
+						s.tab[i][c][q] = kx.off[1+sign*e[0]] + ky.off[1+sign*e[1]] + kz.off[1+sign*e[2]]
 					}
 				}
+				s.tables(c, walls)
 			}
 		}
 	}
+	s.natLoad, s.natStore = lattice.Natural(s.stride), lattice.Traded(s.stride)
+	s.natural = lattice.Uniform(&s.natLoad, &s.natStore)
 	return s
+}
+
+// tables fills the swapped phase's slot tables and the moments gather of
+// class triple c, whose wall set is walls, from its neighbour offsets.
+func (s *Streamer) tables(c int, walls uint32) {
+	push, pull := &s.tab[1][c], &s.tab[0][c]
+	sw := &s.swap[c]
+	for q := range lattice.E {
+		oq := lattice.Opposite[q]
+		if walls&(1<<q) != 0 {
+			sw.load[oq], sw.store[q] = oq*s.stride, oq*s.stride
+		} else {
+			sw.load[oq], sw.store[q] = q*s.stride+push[q], q*s.stride+push[q]
+		}
+		// The source n−e_q lies beyond a wall exactly when Opposite[q]
+		// is a wall link of n; then f'_q(n) stayed in its own slot.
+		if walls&(1<<oq) != 0 {
+			s.pull[c][q] = q * s.stride
+		} else {
+			s.pull[c][q] = oq*s.stride + pull[q]
+		}
+	}
 }
 
 // direction returns the lattice direction with velocity d.
@@ -207,43 +287,70 @@ func direction(d [3]int) int {
 	panic(fmt.Sprintf("core: no D3Q19 direction %v", d))
 }
 
+// row is the part of a node's class triple that x and y decide: the index
+// its z class is added to, and their wall sets.
+type row struct {
+	walls uint32
+	at    int
+}
+
+// row returns the row of (x, y).
+func (s *Streamer) row(x, y int) row {
+	return row{walls: s.walls[0][x] | s.walls[1][y], at: s.cls[0][x] + s.cls[1][y]}
+}
+
+// run returns the end of the run of nodes of row r from z on, below end,
+// that share z's class triple, and that triple's index and wall set.
+// The bodies that move whole runs take a row run by run.
+func (s *Streamer) run(r row, z, end int) (next, c int, walls uint32) {
+	cz := s.cls[2][z]
+	next = z + 1
+	for next < end && s.cls[2][next] == cz {
+		next++
+	}
+	return next, r.at + cz, r.walls | s.walls[2][z]
+}
+
 // Block pushes the post-collision distributions of every node of block b
 // from the grid's array to its 18 neighbours' slots in the
 // post-streaming array dst, which may lie in other blocks; a wall link
 // takes StreamBC.Resolve's reflection into the node's own slot. Each
 // (node, direction) slot has exactly one writer, so concurrent calls on
 // different blocks need no synchronization.
-func (s *Streamer) Block(b int, dst [][lattice.Q]float64) {
+//
+// The nodes of a row go run by run, a run being consecutive nodes of one
+// class triple: they share their neighbour offsets and their wall set,
+// so in the direction-major arrays the run's values of a direction
+// without a wall link land on consecutive slots, and move as one copy.
+// A run shorter than a vector group — a block's face, the periodic
+// wrap, a wall — and every wall link go node by node.
+func (s *Streamer) Block(b int, dst []float64) {
 	src, m := s.l.Dist(), s.l.Macros()
 	o, e := s.l.BlockBox(b)
 	idx := b * e[0] * e[1] * e[2]
 	for x := o[0]; x < o[0]+e[0]; x++ {
 		for y := o[1]; y < o[1]+e[1]; y++ {
-			row := s.row(x, y, +1)
-			for z := o[2]; z < o[2]+e[2]; z++ {
-				f, d := &src[idx], s.links(&row, z)
-				if walls := row.walls | s.walls[2][z]; walls == 0 {
-					dst[idx][0] = f[0]
-					dst[idx+d[1]][1], dst[idx+d[2]][2] = f[1], f[2]
-					dst[idx+d[3]][3], dst[idx+d[4]][4] = f[3], f[4]
-					dst[idx+d[5]][5], dst[idx+d[6]][6] = f[5], f[6]
-					dst[idx+d[7]][7], dst[idx+d[8]][8] = f[7], f[8]
-					dst[idx+d[9]][9], dst[idx+d[10]][10] = f[9], f[10]
-					dst[idx+d[11]][11], dst[idx+d[12]][12] = f[11], f[12]
-					dst[idx+d[13]][13], dst[idx+d[14]][14] = f[13], f[14]
-					dst[idx+d[15]][15], dst[idx+d[16]][16] = f[15], f[16]
-					dst[idx+d[17]][17], dst[idx+d[18]][18] = f[17], f[18]
-				} else {
-					for q := 0; q < lattice.Q; q++ {
+			r := s.row(x, y)
+			for z, end := o[2], o[2]+e[2]; z < end; {
+				next, c, walls := s.run(r, z, end)
+				d, n := &s.tab[1][c], next-z
+				for q := 0; q < lattice.Q; q++ {
+					j := q*s.stride + idx
+					if walls&(1<<q) == 0 && n >= lattice.Lanes {
+						copy(dst[j+d[q]:j+d[q]+n], src[j:j+n])
+						continue
+					}
+					for k := 0; k < n; k++ {
 						if walls&(1<<q) != 0 {
-							_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, f[q], m[idx].Rho)
-							dst[idx][lattice.Opposite[q]] = refl
-							continue
+							_, _, _, refl, _ := s.bc.Resolve(q, x, y, z+k, src[j+k], m[idx+k].Rho)
+							dst[lattice.Opposite[q]*s.stride+idx+k] = refl
+						} else {
+							dst[j+k+d[q]] = src[j+k]
 						}
-						dst[idx+d[q]][q] = f[q]
 					}
 				}
-				idx++
+				idx += n
+				z = next
 			}
 		}
 	}
@@ -257,12 +364,11 @@ func (s *Streamer) Block(b int, dst [][lattice.Q]float64) {
 //   - Natural (swapped false): node n's value f_q(n) is at slot (n, q).
 //     The body collides the node's 19 values in place and trades the
 //     values of each opposite pair, which stores value q at
-//     (n, Opposite[q]) (CollideGroup's trade). On a wall link — n+e_q beyond a
-//     bounce-back wall — that slot takes the reflected value instead,
-//     lid term included.
+//     (n, Opposite[q]). On a wall link — n+e_q beyond a bounce-back wall
+//     — that slot takes the reflected value instead, lid term included.
 //   - Swapped: value Opposite[q] of node n is at L_q, the slot direction
 //     q of the node owns: (n+e_q, q) in the interior, periodic wrap
-//     included, and (n, Opposite[q]) on a wall link. The body gathers it
+//     included, and (n, Opposite[q]) on a wall link. The body loads it
 //     from there, collides, and stores value q back into L_q; a wall
 //     slot takes the reflected value, lid term included.
 //
@@ -274,6 +380,15 @@ func (s *Streamer) Block(b int, dst [][lattice.Q]float64) {
 // StreamBC.Resolve from n's own density before this step's update, as
 // Block computes it, so no arithmetic differs and every engine stays
 // bitwise equal to the sequential one.
+//
+// So the phases differ only in where a node's values lie, which the
+// body names by table (lattice.Group): the natural phase's tables are
+// the grid's, the same for every node, and the swapped phase's are its
+// class triple's (Streamer.swap), whose wall links load from and store
+// to the node's own slots as the natural phase does. In both phases the
+// kernel stores value q of a wall link at (n, Opposite[q]), and the
+// body then replaces it there by its reflection, with the density the
+// kernel reports the node collided with.
 //
 // The density and velocity a node collides with come from its record,
 // or, with a non-nil fold, from the 19 values the body has just loaded:
@@ -302,23 +417,13 @@ func (s *Streamer) Block(b int, dst [][lattice.Q]float64) {
 // ordering is the moments body: it reads neighbours' slots, so it waits
 // until every block around its own has run. The same argument lets the
 // body take the nodes of a z-row in groups of lattice.Lanes, one call of
-// the node kernel each (lattice.CollideGroup), a row's last group short:
-// natural, the group's nodes are consecutive entries, collided and
-// traded in place; swapped, each node's gather fills one node of a
-// scratch group, the group collides, and each node scatters its values.
-// A node's wall links are resolved by itself after the call, with the
-// density the kernel reports it collided with.
-//
-// A node without a wall link — nearly every node — moves its values in
-// straight-line code, pair by pair, (q, q+1) for odd q, which is
-// lattice.Opposite's pairing: every slot index is a constant, so the only
-// per-value work is the neighbour's offset and its bounds check, not a
-// loop counter, an Opposite lookup or a variable slot. It moves the same
-// values to the same slots in the same order as the per-link loop a wall
-// node keeps, so no bit depends on which path a node took; Resolve runs
-// for wall links only. Streamer.Block, AAMomentsBlock and Canonicalize
-// are written the same way.
-func AABlock(s *Streamer, df [][lattice.Q]float64, b int, tau float64, swapped bool, fold, force *[3]float64, dg *grid.DigestGrid) {
+// the node kernel each (lattice.CollideGroup), a row's last group short.
+// In the natural phase, and in a swapped group whose four nodes share a
+// class triple, direction q of the group is one run of four slots, which
+// the vector body loads and stores whole; a swapped group across a
+// class change — a cube's z-face, the periodic wrap, a z-wall — goes
+// slot by slot, lane by lane.
+func AABlock(s *Streamer, df []float64, b int, tau float64, swapped bool, fold, force *[3]float64, dg *grid.DigestGrid) {
 	m := s.l.Macros()
 	o, e := s.l.BlockBox(b)
 	idx := b * e[0] * e[1] * e[2]
@@ -327,69 +432,31 @@ func AABlock(s *Streamer, df [][lattice.Q]float64, b int, tau float64, swapped b
 		dg.ClearSlots(o, e)
 	}
 	// The group's densities and velocities, as the kernel collided them,
-	// and the swapped phase's scratch group, declared once so no group
-	// pays to zero them.
+	// declared once so no group pays to zero them.
 	var st [lattice.Lanes]lattice.State
-	var g [lattice.Lanes][lattice.Q]float64
+	grp := s.natural
 	for x := o[0]; x < o[0]+e[0]; x++ {
 		for y := o[1]; y < o[1]+e[1]; y++ {
-			row := s.row(x, y, +1)
+			r := s.row(x, y)
 			if dg != nil {
 				obs = dg.Row(x, y)
 			}
 			for z0 := o[2]; z0 < o[2]+e[2]; z0 += lattice.Lanes {
 				n := min(lattice.Lanes, o[2]+e[2]-z0)
-				if !swapped {
-					// Collide in place and trade each pair's values, which
-					// stores value q at Opposite[q]; then a wall link's
-					// slot takes the reflection of the value it holds.
-					lattice.CollideGroup(df[idx:idx+n], m[idx:idx+n], fold, force, tau, true, &st)
+				if swapped {
 					for k := 0; k < n; k++ {
-						z := z0 + k
-						f := &df[idx+k]
-						for w := row.walls | s.walls[2][z]; w != 0; w &= w - 1 {
-							q := bits.TrailingZeros32(w)
-							oq := lattice.Opposite[q]
-							_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, f[oq], st[k].Rho)
-							f[oq] = refl
-						}
+						t := &s.swap[r.at+s.cls[2][z0+k]]
+						grp.Load[k], grp.Store[k] = &t.load, &t.store
 					}
-				} else {
-					for k := 0; k < n; k++ {
-						i, d, h := idx+k, s.links(&row, z0+k), &g[k]
-						if walls := row.walls | s.walls[2][z0+k]; walls == 0 {
-							h[0] = df[i][0]
-							h[2], h[1] = df[i+d[1]][1], df[i+d[2]][2]
-							h[4], h[3] = df[i+d[3]][3], df[i+d[4]][4]
-							h[6], h[5] = df[i+d[5]][5], df[i+d[6]][6]
-							h[8], h[7] = df[i+d[7]][7], df[i+d[8]][8]
-							h[10], h[9] = df[i+d[9]][9], df[i+d[10]][10]
-							h[12], h[11] = df[i+d[11]][11], df[i+d[12]][12]
-							h[14], h[13] = df[i+d[13]][13], df[i+d[14]][14]
-							h[16], h[15] = df[i+d[15]][15], df[i+d[16]][16]
-							h[18], h[17] = df[i+d[17]][17], df[i+d[18]][18]
-						} else {
-							s.gatherWalls(df, i, walls, d, h)
-						}
-					}
-					lattice.CollideGroup(g[:n], m[idx:idx+n], fold, force, tau, false, &st)
-					for k := 0; k < n; k++ {
-						z := z0 + k
-						i, d, h := idx+k, s.links(&row, z), &g[k]
-						if walls := row.walls | s.walls[2][z]; walls == 0 {
-							df[i][0] = h[0]
-							df[i+d[1]][1], df[i+d[2]][2] = h[1], h[2]
-							df[i+d[3]][3], df[i+d[4]][4] = h[3], h[4]
-							df[i+d[5]][5], df[i+d[6]][6] = h[5], h[6]
-							df[i+d[7]][7], df[i+d[8]][8] = h[7], h[8]
-							df[i+d[9]][9], df[i+d[10]][10] = h[9], h[10]
-							df[i+d[11]][11], df[i+d[12]][12] = h[11], h[12]
-							df[i+d[13]][13], df[i+d[14]][14] = h[13], h[14]
-							df[i+d[15]][15], df[i+d[16]][16] = h[15], h[16]
-							df[i+d[17]][17], df[i+d[18]][18] = h[17], h[18]
-						} else {
-							s.scatterWalls(df, i, walls, d, h, x, y, z, st[k].Rho)
-						}
+				}
+				lattice.CollideGroup(df, idx, n, &grp, m[idx:idx+n], fold, force, tau, &st)
+				for k := 0; k < n; k++ {
+					z := z0 + k
+					for w := r.walls | s.walls[2][z]; w != 0; w &= w - 1 {
+						q := bits.TrailingZeros32(w)
+						j := lattice.Opposite[q]*s.stride + idx + k
+						_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, df[j], st[k].Rho)
+						df[j] = refl
 					}
 				}
 				if dg != nil {
@@ -403,102 +470,36 @@ func AABlock(s *Streamer, df [][lattice.Q]float64, b int, tau float64, swapped b
 	}
 }
 
-// gatherWalls loads into g the values a swapped AABlock collides at
-// node i, which has the wall links walls and its neighbours at offsets
-// d: value Opposite[q] from L_q, (i+d[q], q), or from (i, Opposite[q])
-// on a wall link.
-func (s *Streamer) gatherWalls(df [][lattice.Q]float64, i int, walls uint32, d *[lattice.Q]int, g *[lattice.Q]float64) {
-	for q := 0; q < lattice.Q; q++ {
-		if oq := lattice.Opposite[q]; walls&(1<<q) != 0 {
-			g[oq] = df[i][oq]
-		} else {
-			g[oq] = df[i+d[q]][q]
-		}
-	}
-}
-
-// scatterWalls stores the collided values g of node (x, y, z), entry i,
-// back into the slots gatherWalls read: value q into L_q, or, on a wall
-// link, its reflection off the wall with the node's density rho into
-// (i, Opposite[q]).
-func (s *Streamer) scatterWalls(df [][lattice.Q]float64, i int, walls uint32, d *[lattice.Q]int, g *[lattice.Q]float64, x, y, z int, rho float64) {
-	for q := 0; q < lattice.Q; q++ {
-		if walls&(1<<q) != 0 {
-			_, _, _, refl, _ := s.bc.Resolve(q, x, y, z, g[q], rho)
-			df[i][lattice.Opposite[q]] = refl
-		} else {
-			df[i+d[q]][q] = g[q]
-		}
-	}
-}
-
-// rowLinks is the part of a row's links that x and y decide: their wall
-// sets, and the rows of the sign table their class pair selects, of which
-// z's class picks one.
-type rowLinks struct {
-	walls uint32
-	tab   [][lattice.Q]int
-}
-
-// row tabulates the links of row (x, y) towards sign·e_q.
-func (s *Streamer) row(x, y, sign int) rowLinks {
-	return rowLinks{walls: s.walls[0][x] | s.walls[1][y], tab: s.tab[(sign+1)/2][s.cls[0][x]+s.cls[1][y]:]}
-}
-
-// links returns the entry offsets of the neighbours at sign·e_q of the
-// node at z in row r, from the node's own entry. An offset means nothing
-// for a q whose move crosses a wall.
-func (s *Streamer) links(r *rowLinks, z int) *[lattice.Q]int { return &r.tab[s.cls[2][z]] }
-
 // AAMomentsBlock is kernel 7 of every node of block b after AABlock:
 // each node's density and velocity from its post-streaming values, then,
 // with a non-nil reset, UpdateRange's folded force reset. swapped is the
 // array's phase when the body runs, the phase AABlock left. Swapped, the
 // node gathers f_q(n) from (n−e_q, Opposite[q]), or from its own slot
-// (n, q) on a wall link; natural, it reads its own slots, which is
-// UpdateRange. Either way every block around b must have run AABlock
-// first, and the body writes only its own records.
-func AAMomentsBlock(s *Streamer, df [][lattice.Q]float64, b int, swapped bool, reset *[3]float64) {
+// (n, q) on a wall link, through its class triple's table; natural, it
+// reads its own slots, which is UpdateRange. Either way every block
+// around b must have run AABlock first, and the body writes only its own
+// records.
+func AAMomentsBlock(s *Streamer, df []float64, b int, swapped bool, reset *[3]float64) {
 	m := s.l.Macros()
 	o, e := s.l.BlockBox(b)
 	n := e[0] * e[1] * e[2]
 	idx := b * n
 	if !swapped {
-		UpdateRange(df[idx:idx+n], m[idx:idx+n], reset)
+		UpdateRange(df, idx, m[idx:idx+n], reset)
 		return
 	}
 	var g [lattice.Q]float64
 	for x := o[0]; x < o[0]+e[0]; x++ {
 		for y := o[1]; y < o[1]+e[1]; y++ {
-			row := s.row(x, y, -1)
+			r := s.row(x, y)
 			for z := o[2]; z < o[2]+e[2]; z++ {
-				d := s.links(&row, z)
-				if walls := row.walls | s.walls[2][z]; walls == 0 {
-					g[0] = df[idx][0]
-					g[1], g[2] = df[idx+d[1]][2], df[idx+d[2]][1]
-					g[3], g[4] = df[idx+d[3]][4], df[idx+d[4]][3]
-					g[5], g[6] = df[idx+d[5]][6], df[idx+d[6]][5]
-					g[7], g[8] = df[idx+d[7]][8], df[idx+d[8]][7]
-					g[9], g[10] = df[idx+d[9]][10], df[idx+d[10]][9]
-					g[11], g[12] = df[idx+d[11]][12], df[idx+d[12]][11]
-					g[13], g[14] = df[idx+d[13]][14], df[idx+d[14]][13]
-					g[15], g[16] = df[idx+d[15]][16], df[idx+d[16]][15]
-					g[17], g[18] = df[idx+d[17]][18], df[idx+d[18]][17]
-				} else {
-					// The source n−e_q lies beyond a wall exactly when
-					// Opposite[q] is a wall link of n.
-					for q := 0; q < lattice.Q; q++ {
-						if oq := lattice.Opposite[q]; walls&(1<<oq) != 0 {
-							g[q] = df[idx][q]
-						} else {
-							g[q] = df[idx+d[q]][oq]
-						}
-					}
+				for q, off := range &s.pull[r.at+s.cls[2][z]] {
+					g[q] = df[idx+off]
 				}
-				r := &m[idx]
-				r.Rho = lattice.Moments(&g, r.Force, &r.Vel)
+				rec := &m[idx]
+				rec.Rho = lattice.Moments(&g, rec.Force, &rec.Vel)
 				if reset != nil {
-					r.Force = *reset
+					rec.Force = *reset
 				}
 				idx++
 			}
@@ -515,40 +516,34 @@ func AAMomentsBlock(s *Streamer, df [][lattice.Q]float64, b int, swapped bool, r
 // The rest value never moves. Each node swaps the pairs whose member
 // with q < Opposite[q] it holds, and every slot belongs to exactly one
 // pair, so ranges that partition the blocks may run concurrently, and
-// leave the whole array natural once all have run; within a range the
-// nodes are visited block by block, in memory order.
-func CanonicalizeBlocks(s *Streamer, df [][lattice.Q]float64, lo, hi int) {
+// leave the whole array natural once all have run. Within a range the
+// nodes are visited block by block and row by row, a row run by run
+// (Streamer.Block): a run's nodes share their offsets, so each pair's
+// slots of the run are two runs of consecutive slots, traded in memory
+// order.
+func CanonicalizeBlocks(s *Streamer, df []float64, lo, hi int) {
 	_, e := s.l.BlockBox(0)
-	n := e[0] * e[1] * e[2]
 	for b := lo; b < hi; b++ {
 		o, _ := s.l.BlockBox(b)
-		i := b * n
+		i := b * e[0] * e[1] * e[2]
 		for x := o[0]; x < o[0]+e[0]; x++ {
 			for y := o[1]; y < o[1]+e[1]; y++ {
-				row := s.row(x, y, -1)
-				for z := o[2]; z < o[2]+e[2]; z++ {
-					d := s.links(&row, z)
-					if walls := row.walls | s.walls[2][z]; walls == 0 {
-						df[i][1], df[i+d[1]][2] = df[i+d[1]][2], df[i][1]
-						df[i][3], df[i+d[3]][4] = df[i+d[3]][4], df[i][3]
-						df[i][5], df[i+d[5]][6] = df[i+d[5]][6], df[i][5]
-						df[i][7], df[i+d[7]][8] = df[i+d[7]][8], df[i][7]
-						df[i][9], df[i+d[9]][10] = df[i+d[9]][10], df[i][9]
-						df[i][11], df[i+d[11]][12] = df[i+d[11]][12], df[i][11]
-						df[i][13], df[i+d[13]][14] = df[i+d[13]][14], df[i][13]
-						df[i][15], df[i+d[15]][16] = df[i+d[15]][16], df[i][15]
-						df[i][17], df[i+d[17]][18] = df[i+d[17]][18], df[i][17]
-					} else {
-						for q := 1; q < lattice.Q-1; q += 2 {
-							// The pair of (n, q) is (n−e_q, Opposite[q]), a
-							// wall slot when n−e_q lies beyond a wall.
-							if walls&(1<<(q+1)) == 0 {
-								k := i + d[q]
-								df[i][q], df[k][q+1] = df[k][q+1], df[i][q]
+				r := s.row(x, y)
+				for z, end := o[2], o[2]+e[2]; z < end; {
+					next, c, walls := s.run(r, z, end)
+					d := &s.tab[0][c]
+					for q := 1; q < lattice.Q-1; q += 2 {
+						// The pair of (n, q) is (n−e_q, Opposite[q]), a
+						// wall slot when n−e_q lies beyond a wall.
+						if walls&(1<<(q+1)) == 0 {
+							u, v := df[q*s.stride+i:][:next-z], df[(q+1)*s.stride+i+d[q]:][:next-z]
+							for k := range u {
+								u[k], v[k] = v[k], u[k]
 							}
 						}
 					}
-					i++
+					i += next - z
+					z = next
 				}
 			}
 		}

@@ -5,8 +5,8 @@ import "lbmib/internal/lattice"
 // Links returns what the bodies stream node (x, y, z) by: its wall set,
 // and the entry offsets of its neighbours at sign·e_q.
 func (s *Streamer) Links(x, y, z, sign int) (walls uint32, d [lattice.Q]int) {
-	r := s.row(x, y, sign)
-	return r.walls | s.walls[2][z], *s.links(&r, z)
+	r := s.row(x, y)
+	return r.walls | s.walls[2][z], s.tab[(sign+1)/2][r.at+s.cls[2][z]]
 }
 
 // Classes returns the number of coordinate classes on each axis.
@@ -23,6 +23,6 @@ func (s *Streamer) Classes() (n [3]int) {
 
 // Canonicalize is CanonicalizeBlocks over every block: the whole array,
 // on one goroutine.
-func Canonicalize(s *Streamer, df [][lattice.Q]float64) {
+func Canonicalize(s *Streamer, df []float64) {
 	CanonicalizeBlocks(s, df, 0, s.l.NumBlocks())
 }

@@ -33,7 +33,6 @@ import (
 
 	"lbmib/internal/fiber"
 	"lbmib/internal/grid"
-	"lbmib/internal/lattice"
 )
 
 // Kernel identifies one of the nine LBM-IB computational kernels, numbered
@@ -195,9 +194,10 @@ type Solver struct {
 	Stream *Streamer
 
 	step int
-	// next is kernel 6's post-streaming array, which kernel 9 copies
-	// back into Fluid's; only the sequential engine has it.
-	next [][lattice.Q]float64
+	// next is kernel 6's post-streaming array, direction-major as
+	// Fluid's, which kernel 9 copies back into Fluid's; only the
+	// sequential engine has it.
+	next []float64
 }
 
 // NewSolver builds the sequential solver with the fluid at rest. An empty
@@ -211,7 +211,7 @@ func NewSolver(cfg Config) (*Solver, error) {
 	}
 	s := &Solver{Problem: p, Fluid: grid.New(cfg.NX, cfg.NY, cfg.NZ)}
 	s.Stream = NewStreamer(s.Fluid, p.StreamBC(cfg.NX, cfg.NY, cfg.NZ))
-	s.next = make([][lattice.Q]float64, s.Fluid.NumNodes())
+	s.next = make([]float64, len(s.Fluid.Dist()))
 	return s, nil
 }
 
@@ -286,7 +286,7 @@ func (s *Solver) SpreadForce() {
 
 // ComputeCollision is kernel 5: the D3Q19 BGK collision with the elastic
 // body force applied at every fluid node, in the 19 directions of the model.
-func (s *Solver) ComputeCollision() { CollideRange(s.Fluid.Dist(), s.Fluid.Macros(), s.Tau) }
+func (s *Solver) ComputeCollision() { CollideRange(s.Fluid.Dist(), 0, s.Fluid.Macros(), s.Tau) }
 
 // StreamDistribution is kernel 6: it pushes each node's post-collision
 // distribution to its 18 immediate neighbors' slots in the post-streaming
@@ -300,7 +300,7 @@ func (s *Solver) StreamDistribution() {
 // UpdateVelocity is kernel 7: it recomputes each fluid node's density and
 // velocity from the post-streaming distribution and the elastic force
 // (half-force Guo correction).
-func (s *Solver) UpdateVelocity() { UpdateRange(s.next, s.Fluid.Macros(), nil) }
+func (s *Solver) UpdateVelocity() { UpdateRange(s.next, 0, s.Fluid.Macros(), nil) }
 
 // MoveFibers is kernel 8: each fiber node's velocity is interpolated from
 // the surrounding fluid nodes of its influential domain, and the node is
@@ -317,4 +317,4 @@ func (s *Solver) MoveFibers() {
 // reference keeps this copy exactly as the paper publishes it (Table I
 // prices it at ~6% of a step); the parallel engines stream in place and
 // have no second array to copy (AABlock).
-func (s *Solver) CopyDistribution() { CopyRange(s.Fluid.Dist(), s.next) }
+func (s *Solver) CopyDistribution() { CopyRange(s.Fluid.Dist(), s.next, 0, s.Fluid.NumNodes()) }

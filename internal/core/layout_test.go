@@ -11,6 +11,16 @@ import (
 	"lbmib/internal/lattice"
 )
 
+// values returns the 19 values of the node at entry e of the
+// direction-major array df.
+func values(df []float64, e int) (v [lattice.Q]float64) {
+	n := len(df) / lattice.Q
+	for q := range v {
+		v[q] = df[q*n+e]
+	}
+	return v
+}
+
 // randomState fills g with a reproducible non-equilibrium state: every
 // distribution slot, macroscopic field and force component differs from
 // node to node, so a misrouted or dropped value cannot go unnoticed.
@@ -19,7 +29,7 @@ func randomState(g *grid.Grid, seed int64) {
 	for i := range g.Macros() {
 		n := &g.Macros()[i]
 		for q := 0; q < lattice.Q; q++ {
-			g.Dist()[i][q] = lattice.W[q] * (0.8 + 0.4*r.Float64())
+			g.Dist()[g.Slot(i, q)] = lattice.W[q] * (0.8 + 0.4*r.Float64())
 		}
 		n.Rho = 0.9 + 0.2*r.Float64()
 		for d := 0; d < 3; d++ {
@@ -30,7 +40,8 @@ func randomState(g *grid.Grid, seed int64) {
 }
 
 // checkContract verifies the storage half of the block-layout contract:
-// the storage is split — one distribution array of N entries and N
+// the storage is split — one direction-major distribution array of 19
+// directions of S ≥ N values, value q of entry e at q·S + e, and N
 // records of 56 B — and blocks are contiguous, equal-sized, ordered
 // z-fastest inside BlockBox, tile the domain exactly once, and Idx is
 // separable per axis.
@@ -41,9 +52,12 @@ func checkContract(t *testing.T, l *grid.Grid) {
 	if size := unsafe.Sizeof(grid.Macro{}); size != 56 {
 		t.Fatalf("the per-node record is %d B, want 56 (u, ρ, F)", size)
 	}
-	if len(l.Dist()) != n || len(l.Macros()) != n {
-		t.Fatalf("storage holds %d distributions and %d records, want %d each",
-			len(l.Dist()), len(l.Macros()), n)
+	if s := l.Stride(); len(l.Dist()) != lattice.Q*s || s < n || len(l.Macros()) != n {
+		t.Fatalf("storage holds %d distribution values of stride %d and %d records, want 19 directions of at least %d and %d",
+			len(l.Dist()), s, len(l.Macros()), n, n)
+	}
+	if s := l.Stride(); l.Slot(n-1, lattice.Q-1) != (lattice.Q-1)*s+n-1 || l.Slot(3%n, 2) != 2*s+3%n {
+		t.Fatalf("value q of entry e is not at q·S + e")
 	}
 	seen := make([]bool, n)
 	_, e0 := l.BlockBox(0)
@@ -119,17 +133,17 @@ func blocks(l *grid.Grid) (nb, n int) {
 // refStep runs one step the way the sequential engine composes the
 // bodies: collide → Streamer.Block into the second array next → update
 // from next → kernel 9's copy back.
-func refStep(l *grid.Grid, st *core.Streamer, next [][lattice.Q]float64, tau float64, reset *[3]float64) {
+func refStep(l *grid.Grid, st *core.Streamer, next []float64, tau float64, reset *[3]float64) {
 	m := l.Macros()
 	nb, n := blocks(l)
-	core.CollideRange(l.Dist(), m, tau)
+	core.CollideRange(l.Dist(), 0, m, tau)
 	for b := 0; b < nb; b++ {
 		st.Block(b, next)
 	}
 	for b := 0; b < nb; b++ {
-		core.UpdateRange(next[b*n:(b+1)*n], m[b*n:(b+1)*n], reset)
+		core.UpdateRange(next, b*n, m[b*n:(b+1)*n], reset)
 	}
-	core.CopyRange(l.Dist(), next)
+	core.CopyRange(l.Dist(), next, 0, l.NumNodes())
 }
 
 // aaStep runs one in-place step from phase swapped the way the parallel
@@ -201,8 +215,8 @@ func smallDims(sh shape) [3]int {
 // through the swapped phase and back — must stay bitwise equal, under
 // periodic, bounce-back and moving-lid boundaries, on cubic and
 // non-cubic grids, with every lattice direction crossing block and
-// domain edges. On 16×8×16 at k = 8, the benchmark's cube edge, most
-// nodes have no wall link and stream by the bodies' straight-line path.
+// domain edges. On 16×8×16 at k = 8, the benchmark's cube edge, every
+// swapped group holds a cube-face lane and goes lane by lane.
 // Its aa case holds the in-place bodies against the two-array reference.
 func TestLayoutConformance(t *testing.T) {
 	for _, dims := range [][3]int{{8, 8, 8}, {8, 4, 12}, {16, 8, 16}} {
@@ -228,8 +242,8 @@ func TestLayoutConformance(t *testing.T) {
 						p := core.Problem{Tau: 0.8, BCX: bc.bcx, BCY: bc.bcy, BCZ: bc.bcz, LidVelocity: bc.lid}
 						sbc := p.StreamBC(dims[0], dims[1], dims[2])
 						sg, sl := core.NewStreamer(g, sbc), core.NewStreamer(l, sbc)
-						nextG := make([][lattice.Q]float64, g.NumNodes())
-						nextL := make([][lattice.Q]float64, l.NumNodes())
+						nextG := make([]float64, len(g.Dist()))
+						nextL := make([]float64, len(l.Dist()))
 						body := [3]float64{2e-5, -1e-5, 3e-5}
 						for s := 0; s < 2; s++ {
 							var reset *[3]float64
@@ -250,7 +264,7 @@ func TestLayoutConformance(t *testing.T) {
 										if a, b := g.At(x, y, z), l.At(x, y, z); *a != *b {
 											t.Fatalf("step %d: node (%d,%d,%d) differs between the layouts:\nslab %+v\n%s %+v", s, x, y, z, *a, sh.name, *b)
 										}
-										if g.Dist()[gi] != l.Dist()[li] {
+										if values(g.Dist(), gi) != values(l.Dist(), li) {
 											t.Fatalf("step %d: node (%d,%d,%d) distributions differ between the layouts", s, x, y, z)
 										}
 									}
@@ -285,7 +299,7 @@ func aaConformance(t *testing.T) {
 				ref, aa := twinLayout(t, dims, sh), twinLayout(t, dims, sh)
 				sbc := p.StreamBC(dims[0], dims[1], dims[2])
 				sRef, sAA := core.NewStreamer(ref, sbc), core.NewStreamer(aa, sbc)
-				next := make([][lattice.Q]float64, len(ref.Macros()))
+				next := make([]float64, len(ref.Dist()))
 				for s := 0; s < 2; s++ {
 					swapped := s == 1
 					reset := &body
@@ -296,14 +310,14 @@ func aaConformance(t *testing.T) {
 					aaStep(aa, sAA, p.Tau, swapped, reset)
 					got := aa.Dist()
 					if !swapped {
-						got = append([][lattice.Q]float64(nil), got...)
+						got = append([]float64(nil), got...)
 						core.Canonicalize(sAA, got)
 					}
-					for j := range next {
+					for j := range ref.Macros() {
 						if ref.Macros()[j] != aa.Macros()[j] {
 							t.Fatalf("step %d: node %d record: reference %+v, in place %+v", s, j, ref.Macros()[j], aa.Macros()[j])
 						}
-						if got[j] != next[j] || ref.Dist()[j] != next[j] {
+						if values(got, j) != values(next, j) || values(ref.Dist(), j) != values(next, j) {
 							t.Fatalf("step %d: node %d distributions differ from the reference's post-streaming array", s, j)
 						}
 					}
@@ -332,7 +346,7 @@ func foldConformance(t *testing.T) {
 				ref, aa := twinLayout(t, dims, sh), twinLayout(t, dims, sh)
 				sbc := p.StreamBC(dims[0], dims[1], dims[2])
 				sRef, sAA := core.NewStreamer(ref, sbc), core.NewStreamer(aa, sbc)
-				next := make([][lattice.Q]float64, len(ref.Macros()))
+				next := make([]float64, len(ref.Dist()))
 				nb, _ := blocks(aa)
 				for s := 0; s < 3; s++ {
 					refStep(ref, sRef, next, p.Tau, &body)
@@ -354,14 +368,14 @@ func foldConformance(t *testing.T) {
 					}
 					got := aa.Dist()
 					if !swapped {
-						got = append([][lattice.Q]float64(nil), got...)
+						got = append([]float64(nil), got...)
 						core.Canonicalize(sAA, got)
 					}
-					for j := range next {
+					for j := range ref.Macros() {
 						if s != 1 && ref.Macros()[j] != aa.Macros()[j] {
 							t.Fatalf("step %d: node %d record: reference %+v, folded %+v", s, j, ref.Macros()[j], aa.Macros()[j])
 						}
-						if got[j] != next[j] {
+						if values(got, j) != values(next, j) {
 							t.Fatalf("step %d: node %d distributions differ from the reference's post-streaming array", s, j)
 						}
 					}

@@ -152,8 +152,7 @@ func TestShearWaveDecayRate(t *testing.T) {
 				u := [3]float64{0, amp * math.Sin(k*float64(x)), 0}
 				var geq [lattice.Q]float64
 				lattice.Equilibrium(1, u, &geq)
-				i := s.Fluid.Idx(x, y, z)
-				s.Fluid.Dist()[i] = geq
+				s.Fluid.Store(s.Fluid.Idx(x, y, z), &geq)
 				nd.Vel = u
 				nd.Rho = 1
 			}
@@ -318,9 +317,9 @@ func TestCopyDistribution(t *testing.T) {
 	s.StreamDistribution()
 	s.UpdateVelocity()
 	s.CopyDistribution()
-	for i := range s.Fluid.Dist() {
-		if s.Fluid.Dist()[i] != s.next[i] {
-			t.Fatalf("node %d: arrays differ after copy", i)
+	for j := range s.Fluid.Dist() {
+		if s.Fluid.Dist()[j] != s.next[j] {
+			t.Fatalf("slot %d: arrays differ after copy", j)
 		}
 	}
 }
@@ -333,10 +332,10 @@ func TestCopyDistribution(t *testing.T) {
 func TestCollideAndUpdateRangeDoNotAllocate(t *testing.T) {
 	g := grid.New(16, 16, 16)
 	reset := [3]float64{1e-5, 0, 0}
-	if n := testing.AllocsPerRun(10, func() { CollideRange(g.Dist(), g.Macros(), 0.7) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { CollideRange(g.Dist(), 0, g.Macros(), 0.7) }); n != 0 {
 		t.Errorf("CollideRange over %d nodes: %v allocations per run, want 0", g.NumNodes(), n)
 	}
-	if n := testing.AllocsPerRun(10, func() { UpdateRange(g.Dist(), g.Macros(), &reset) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { UpdateRange(g.Dist(), 0, g.Macros(), &reset) }); n != 0 {
 		t.Errorf("UpdateRange over %d nodes: %v allocations per run, want 0", g.NumNodes(), n)
 	}
 	p := Problem{BCZ: BounceBack, LidVelocity: [3]float64{0.01, 0, 0}}
@@ -352,14 +351,14 @@ func TestCollideAndUpdateRangeDoNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { Canonicalize(st, g.Dist()) }); n != 0 {
 		t.Errorf("Canonicalize over %d nodes: %v allocations per run, want 0", g.NumNodes(), n)
 	}
-	next := make([][lattice.Q]float64, g.NumNodes())
+	next := make([]float64, len(g.Dist()))
 	if n := testing.AllocsPerRun(10, func() { st.Block(0, next) }); n != 0 {
 		t.Errorf("Streamer.Block: %v allocations per run, want 0", n)
 	}
 }
 
-// The in-place bodies trade and gather a node's values pair by pair,
-// (q, q+1) for odd q, and leave the rest value alone: that must be
+// CanonicalizeBlocks trades a node's values pair by pair, (q, q+1) for
+// odd q, and leaves the rest value alone: that must be
 // lattice.Opposite's pairing.
 func TestOppositePairsAreAdjacent(t *testing.T) {
 	if lattice.Opposite[0] != 0 {
@@ -377,26 +376,27 @@ func TestOppositePairsAreAdjacent(t *testing.T) {
 func TestStreamingIsPermutation(t *testing.T) {
 	s := MustNewSolver(Config{NX: 4, NY: 3, NZ: 5, Tau: 0.7})
 	// Give every node a unique distribution signature.
-	cur, next := s.Fluid.Dist(), s.next
-	for i := range cur {
+	cur, next, n := s.Fluid.Dist(), s.next, s.Fluid.NumNodes()
+	slot := s.Fluid.Slot
+	for i := 0; i < n; i++ {
 		for q := 0; q < lattice.Q; q++ {
-			cur[i][q] = float64(i*lattice.Q + q)
+			cur[slot(i, q)] = float64(i*lattice.Q + q)
 		}
 	}
 	s.StreamDistribution()
 	for q := 0; q < lattice.Q; q++ {
 		var sumOld, sumNew float64
-		for i := range cur {
-			sumOld += cur[i][q]
-			sumNew += next[i][q]
+		for i := 0; i < n; i++ {
+			sumOld += cur[slot(i, q)]
+			sumNew += next[slot(i, q)]
 		}
 		if math.Abs(sumOld-sumNew) > 1e-9 {
 			t.Fatalf("direction %d not conserved by streaming: %g vs %g", q, sumOld, sumNew)
 		}
 	}
 	// Spot check one displacement: direction 1 = (+1,0,0).
-	got := next[s.Fluid.Idx(1, 0, 0)][1]
-	want := cur[s.Fluid.Idx(0, 0, 0)][1]
+	got := next[s.Fluid.Slot(s.Fluid.Idx(1, 0, 0), 1)]
+	want := cur[s.Fluid.Slot(s.Fluid.Idx(0, 0, 0), 1)]
 	if got != want {
 		t.Fatalf("streaming displaced wrong value: got %g want %g", got, want)
 	}

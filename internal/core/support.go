@@ -1,7 +1,5 @@
 package core
 
-import "lbmib/internal/lattice"
-
 // Support is the state of an in-place engine's records, block by block,
 // that lets a step make one pass over the distributions instead of two
 // (DESIGN.md §5). Kernel 7 exists to fill each record with the density
@@ -137,7 +135,7 @@ func (p *Support) Dirty() bool { return p.dirt }
 // fresh entries, so ranges that partition the blocks may run
 // concurrently; once all have run, the caller records it (Refreshed).
 // Between steps only.
-func RefreshBlocks(s *Streamer, df [][lattice.Q]float64, p *Support, swapped bool, lo, hi int) {
+func RefreshBlocks(s *Streamer, df []float64, p *Support, swapped bool, lo, hi int) {
 	fresh := p.sets[p.cur]
 	for b := lo; b < hi; b++ {
 		if !fresh[b] {

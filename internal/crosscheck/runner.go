@@ -243,7 +243,11 @@ func (r *Runner) Run(c Case) Result {
 }
 
 // drive advances the engine to c.Steps, applying the invariant oracles
-// every c.CheckEvery steps, and returns the final state.
+// every c.CheckEvery steps, and returns the final state. Only the first
+// check that fails is recorded: an unphysical state fails every later
+// one too. The engine still runs to c.Steps, so that its checkpoint is
+// taken at the reference's step and diffCheckpoints can name the first
+// field that differs rather than the header's step count.
 func (r *Runner) drive(e *lbmib.Simulation, c Case) (state, []string) {
 	var fails []string
 	m0 := capture(e).grid.TotalMass()
@@ -251,11 +255,11 @@ func (r *Runner) drive(e *lbmib.Simulation, c Case) (state, []string) {
 		n := min(c.CheckEvery, c.Steps-done)
 		e.Run(n)
 		done += n
-		if msgs := checkInvariants(c, capture(e), m0); len(msgs) > 0 {
-			for _, m := range msgs {
-				fails = append(fails, fmt.Sprintf("step %d: %s", done, m))
-			}
-			break // the state is unphysical; later checks would cascade
+		if len(fails) > 0 {
+			continue
+		}
+		for _, m := range checkInvariants(c, capture(e), m0) {
+			fails = append(fails, fmt.Sprintf("step %d: %s", done, m))
 		}
 	}
 	final := capture(e)

@@ -8,6 +8,7 @@ import (
 	"lbmib"
 	"lbmib/internal/engine"
 	"lbmib/internal/flightrec"
+	"lbmib/internal/lattice"
 )
 
 // injectFault installs the canonical seeded bug: after every omp step,
@@ -18,8 +19,10 @@ import (
 func injectFault(t *testing.T) {
 	t.Helper()
 	engine.FaultHook = func(s *engine.Solver) {
-		df := s.Live().Dist()
-		df[0] = df[1]
+		g := s.Live()
+		var v [lattice.Q]float64
+		g.Load(1, &v)
+		g.Store(0, &v)
 	}
 	t.Cleanup(func() { engine.FaultHook = nil })
 }
@@ -46,7 +49,8 @@ func faultSensitiveSeed(t *testing.T) int64 {
 // off-by-one perturbation wired into the omp engine, the differential
 // oracles must flag omp and no other engine (and only report a
 // divergence while the hook is installed — the same seed must pass
-// clean).
+// clean), and omp's checkpoint, taken at the reference's step, must be
+// found to differ at a fluid node it names by its coordinates.
 func TestInjectedFaultDetected(t *testing.T) {
 	seed := faultSensitiveSeed(t)
 	r := NewRunner()
@@ -60,12 +64,15 @@ func TestInjectedFaultDetected(t *testing.T) {
 	if res.OK {
 		t.Fatalf("seed %d passed with an injected off-by-one in the omp engine; the harness is blind", seed)
 	}
-	flagged := false
+	flagged, located := false, false
 	for _, er := range res.Engines {
 		switch {
 		case len(er.Failures) == 0:
 		case er.Engine == string(EngineOMP):
 			flagged = true
+			for _, f := range er.Failures {
+				located = located || strings.Contains(f, "fluid node (")
+			}
 		default:
 			t.Errorf("%s engine flagged but the fault lives in omp:\n%s", er.Engine, strings.Join(er.Failures, "\n"))
 		}
@@ -74,6 +81,9 @@ func TestInjectedFaultDetected(t *testing.T) {
 	// the per-engine report is the primary signal.
 	if !flagged && len(res.Failures) == 0 {
 		t.Errorf("divergence reported but omp not named:\n%s", res.FailureSummary())
+	}
+	if !located {
+		t.Errorf("omp's checkpoint diff names no fluid node (x, y, z):\n%s", res.FailureSummary())
 	}
 	t.Logf("fault detected at seed %d:\n%s", seed, res.FailureSummary())
 }

@@ -17,8 +17,8 @@ func perturb(l *Layout) {
 		for y := 0; y < l.NY; y++ {
 			for z := 0; z < l.NZ; z++ {
 				i, n := l.Idx(x, y, z), l.At(x, y, z)
-				for q := range l.Dist()[i] {
-					l.Dist()[i][q] = rng.Float64()
+				for q := 0; q < lattice.Q; q++ {
+					l.Dist()[l.Slot(i, q)] = rng.Float64()
 				}
 				n.Vel = [3]float64{rng.NormFloat64() * 0.1, rng.NormFloat64() * 0.1, rng.NormFloat64() * 0.1}
 				n.Rho = 1 + rng.Float64()*0.1
@@ -37,12 +37,13 @@ func TestLayoutDigestMatchesSlabDigest(t *testing.T) {
 		if swap {
 			// The swapped phase of an in-place step: node values stored
 			// at the opposite slots. Both digests read the array as is.
-			for i := range l.Dist() {
-				var sw [lattice.Q]float64
-				for q, v := range l.Dist()[i] {
-					sw[lattice.Opposite[q]] = v
+			for i := range l.Macros() {
+				var v, sw [lattice.Q]float64
+				l.Load(i, &v)
+				for q := range v {
+					sw[lattice.Opposite[q]] = v[q]
 				}
-				l.Dist()[i] = sw
+				l.Store(i, &sw)
 			}
 		}
 		dl, err := grid.NewDigestGrid(8, 12, 4, 4)

@@ -128,7 +128,9 @@ func TestResetToEquilibrium(t *testing.T) {
 	n := l.At(3, 2, 1)
 	var geq [lattice.Q]float64
 	lattice.Equilibrium(1.1, u, &geq)
-	if l.Dist()[l.Idx(3, 2, 1)] != geq || n.Rho != 1.1 || n.Vel != u {
+	var got [lattice.Q]float64
+	l.Load(l.Idx(3, 2, 1), &got)
+	if got != geq || n.Rho != 1.1 || n.Vel != u {
 		t.Fatal("Reset did not set equilibrium state")
 	}
 }
@@ -140,7 +142,7 @@ func TestGridRoundTrip(t *testing.T) {
 		g.Macros()[i].Rho = float64(i)
 		g.Macros()[i].Vel = [3]float64{float64(i), float64(2 * i), float64(3 * i)}
 		for q := 0; q < lattice.Q; q++ {
-			g.Dist()[i][q] = float64(i*lattice.Q + q)
+			g.Dist()[g.Slot(i, q)] = float64(i*lattice.Q + q)
 		}
 	}
 	l := mustLayout(t, 8, 8, 8, 4)
@@ -152,8 +154,10 @@ func TestGridRoundTrip(t *testing.T) {
 		for y := 0; y < 8; y++ {
 			for z := 0; z < 8; z++ {
 				a, b := g.At(x, y, z), back.At(x, y, z)
-				i := g.Idx(x, y, z)
-				if a.Rho != b.Rho || a.Vel != b.Vel || g.Dist()[i] != back.Dist()[i] {
+				var va, vb [lattice.Q]float64
+				g.Load(g.Idx(x, y, z), &va)
+				back.Load(back.Idx(x, y, z), &vb)
+				if a.Rho != b.Rho || a.Vel != b.Vel || va != vb {
 					t.Fatalf("round trip differs at (%d,%d,%d)", x, y, z)
 				}
 			}

@@ -80,7 +80,7 @@ func TestDigestOnTeamMatchesSerial(t *testing.T) {
 				point("4 steps")
 				for _, s := range twins {
 					tc.nan(s.Fluid.At(9, 3, 14))
-					s.Fluid.Dist()[s.Fluid.Idx(2, 15, 7)][5] = tc.inf
+					s.Fluid.Dist()[s.Fluid.Slot(s.Fluid.Idx(2, 15, 7), 5)] = tc.inf
 				}
 				point("seeded")
 				if digests[1].NonFinite == 0 {

@@ -47,7 +47,7 @@ func TestFoldedEndBarrierBitwiseEqualsSequential(t *testing.T) {
 			}
 			g := toSlab(s.Live())
 			for i := range ref.Fluid.Macros() {
-				if ref.Fluid.Dist()[i] != g.Dist()[i] {
+				if values(ref.Fluid, i) != values(g, i) {
 					t.Fatalf("steps=%d threads=%d: node %d DF differs bitwise with the folded barrier", steps, threads, i)
 				}
 				if ref.Fluid.Macros()[i].Vel != g.Macros()[i].Vel {

@@ -50,7 +50,7 @@ func FuzzStep(f *testing.F) {
 		for i := range g.Macros() {
 			n := &g.Macros()[i]
 			for q := 0; q < lattice.Q; q++ {
-				if v := df[i][q]; math.IsNaN(v) || math.IsInf(v, 0) {
+				if v := df[g.Slot(i, q)]; math.IsNaN(v) || math.IsInf(v, 0) {
 					t.Fatalf("node %d slot %d non-finite: %g", i, q, v)
 				}
 			}

@@ -242,7 +242,7 @@ func TestWorkersWithoutFibers(t *testing.T) {
 
 	g := s.Live()
 	for i := range ref.Fluid.Macros() {
-		if ref.Fluid.Dist()[i] != g.Dist()[i] || ref.Fluid.Macros()[i].Vel != g.Macros()[i].Vel {
+		if values(ref.Fluid, i) != values(g, i) || ref.Fluid.Macros()[i].Vel != g.Macros()[i].Vel {
 			t.Fatalf("node %d differs bitwise from sequential", i)
 		}
 	}

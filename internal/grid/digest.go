@@ -122,7 +122,7 @@ type DigestGrid struct {
 	// The pass in progress, from Begin to End: the grid's arrays, its
 	// record state and block extent, the piece count, and part bound
 	// once.
-	dist   [][lattice.Q]float64
+	src    *Grid
 	macro  []Macro
 	fresh  []bool
 	block  [3]int
@@ -268,7 +268,7 @@ func (d *DigestGrid) Begin(src *Grid, parts int, fresh []bool) (func(p int), err
 	if d.run == nil {
 		d.run = d.part
 	}
-	d.dist, d.macro, d.fresh, d.block = src.dist, src.macro, fresh, src.block
+	d.src, d.macro, d.fresh, d.block = src, src.macro, fresh, src.block
 	d.blocks, d.parts = src.NumBlocks(), parts
 	return d.run, nil
 }
@@ -301,7 +301,7 @@ func (d *DigestGrid) part(p int) {
 
 // End reduces the slots the pieces filled (Reduce) and ends the pass.
 func (d *DigestGrid) End() {
-	d.dist, d.macro, d.fresh = nil, nil, nil
+	d.src, d.macro, d.fresh = nil, nil, nil
 	d.Reduce()
 }
 
@@ -332,7 +332,9 @@ func (d *DigestGrid) addBlock(b int, stale bool) {
 			for z := o[2]; z < o[2]+e[2]; z++ {
 				n := &d.macro[i]
 				if stale {
-					n.Rho = lattice.Moments(&d.dist[i], n.Force, &n.Vel)
+					var g [lattice.Q]float64
+					d.src.Load(i, &g)
+					n.Rho = lattice.Moments(&g, n.Force, &n.Vel)
 				}
 				row.Add(z, n.Rho, &n.Vel)
 				i++

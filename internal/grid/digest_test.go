@@ -157,13 +157,14 @@ func TestDigestReadsPresentBufferAfterSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := append([]TileDigest(nil), d.Tiles...)
-	for i := range g.dist {
-		var sw [lattice.Q]float64
-		for q, v := range g.dist[i] {
-			sw[lattice.Opposite[q]] = 2 * v
+	for i := range g.macro {
+		var v, sw [lattice.Q]float64
+		g.Load(i, &v)
+		for q := range v {
+			sw[lattice.Opposite[q]] = 2 * v[q]
 		}
-		sw[0] = 2 * g.dist[i][0]
-		g.dist[i] = sw
+		sw[0] = 2 * v[0]
+		g.Store(i, &sw)
 	}
 	if err := g.Digest(d); err != nil {
 		t.Fatal(err)
@@ -310,7 +311,8 @@ func snapshotOf(g *Grid) *Snapshot {
 	s := NewSnapshot(g.Dims())
 	eachNode(g.NX, g.NY, g.NZ, func(x, y, z int) {
 		i, n := g.Idx(x, y, z), s.At(x, y, z)
-		n.DF, n.Rho, n.Vel, n.Force = g.dist[i], g.macro[i].Rho, g.macro[i].Vel, g.macro[i].Force
+		g.Load(i, &n.DF)
+		n.Rho, n.Vel, n.Force = g.macro[i].Rho, g.macro[i].Vel, g.macro[i].Force
 	})
 	return s
 }
@@ -371,9 +373,19 @@ func sameDigest(got, want *DigestGrid) string {
 	return ""
 }
 
+// pops names one node's 19 values in a direction-major array: value q
+// at df[q·n + e].
+type pops struct {
+	df   []float64
+	n, e int
+}
+
+// at returns the slot of value q.
+func (p pops) at(q int) *float64 { return &p.df[q*p.n+p.e] }
+
 // nodeAt returns the distributions and record of node (x, y, z) of a
 // layout under test.
-type nodeAt = func(x, y, z int) (*[lattice.Q]float64, *Macro)
+type nodeAt = func(x, y, z int) (pops, *Macro)
 
 // digestField is a state the oracle test digests, written into an
 // nx×ny×nz layout of tile size k through node.
@@ -387,15 +399,18 @@ var digestFields = []digestField{
 	{"zero", func(rng *rand.Rand, nx, ny, nz, k int, node nodeAt) {
 		eachNode(nx, ny, nz, func(x, y, z int) {
 			df, m := node(x, y, z)
-			*df, *m = [lattice.Q]float64{}, Macro{}
+			for q := 0; q < lattice.Q; q++ {
+				*df.at(q) = 0
+			}
+			*m = Macro{}
 		})
 	}},
 	{"negative zero", func(rng *rand.Rand, nx, ny, nz, k int, node nodeAt) {
 		nz0 := math.Copysign(0, -1)
 		eachNode(nx, ny, nz, func(x, y, z int) {
 			df, m := node(x, y, z)
-			for q := range df {
-				df[q] = nz0
+			for q := 0; q < lattice.Q; q++ {
+				*df.at(q) = nz0
 			}
 			m.Rho, m.Vel = nz0, [3]float64{nz0, nz0, nz0}
 		})
@@ -414,12 +429,12 @@ var digestFields = []digestField{
 	}},
 	// Non-finite values in ρ, one velocity component or one
 	// distribution, in one tile or in two.
-	faultField("NaN rho in one tile", func(df *[lattice.Q]float64, m *Macro) { m.Rho = math.NaN() }, oneTile),
-	faultField("+Inf u in one tile", func(df *[lattice.Q]float64, m *Macro) { m.Vel[1] = math.Inf(1) }, oneTile),
-	faultField("-Inf distribution in one tile", func(df *[lattice.Q]float64, m *Macro) { df[7] = math.Inf(-1) }, oneTile),
-	faultField("NaN u in two tiles", func(df *[lattice.Q]float64, m *Macro) { m.Vel[2] = math.NaN() }, twoTiles),
-	faultField("NaN distribution in two tiles", func(df *[lattice.Q]float64, m *Macro) { df[18] = math.NaN() }, twoTiles),
-	faultField("+Inf rho in two tiles", func(df *[lattice.Q]float64, m *Macro) { m.Rho = math.Inf(1) }, twoTiles),
+	faultField("NaN rho in one tile", func(df pops, m *Macro) { m.Rho = math.NaN() }, oneTile),
+	faultField("+Inf u in one tile", func(df pops, m *Macro) { m.Vel[1] = math.Inf(1) }, oneTile),
+	faultField("-Inf distribution in one tile", func(df pops, m *Macro) { *df.at(7) = math.Inf(-1) }, oneTile),
+	faultField("NaN u in two tiles", func(df pops, m *Macro) { m.Vel[2] = math.NaN() }, twoTiles),
+	faultField("NaN distribution in two tiles", func(df pops, m *Macro) { *df.at(18) = math.NaN() }, twoTiles),
+	faultField("+Inf rho in two tiles", func(df pops, m *Macro) { m.Rho = math.Inf(1) }, twoTiles),
 }
 
 func fillRandom(rng *rand.Rand, nx, ny, nz, k int, node nodeAt) {
@@ -431,7 +446,7 @@ func fillRandom(rng *rand.Rand, nx, ny, nz, k int, node nodeAt) {
 
 // faultField is a random field with seed applied to the nodes cells
 // picks.
-func faultField(name string, seed func(df *[lattice.Q]float64, m *Macro), cells func(nx, ny, nz, k int) [][3]int) digestField {
+func faultField(name string, seed func(df pops, m *Macro), cells func(nx, ny, nz, k int) [][3]int) digestField {
 	return digestField{name, func(rng *rand.Rand, nx, ny, nz, k int, node nodeAt) {
 		fillRandom(rng, nx, ny, nz, k, node)
 		for _, c := range cells(nx, ny, nz, k) {
@@ -461,9 +476,9 @@ func eachNode(nx, ny, nz int, fn func(x, y, z int)) {
 	}
 }
 
-func randomNode(rng *rand.Rand, df *[lattice.Q]float64, m *Macro) {
-	for q := range df {
-		df[q] = rng.Float64() - 0.25
+func randomNode(rng *rand.Rand, df pops, m *Macro) {
+	for q := 0; q < lattice.Q; q++ {
+		*df.at(q) = rng.Float64() - 0.25
 	}
 	m.Rho = 1 + rng.NormFloat64()*0.01
 	m.Vel = [3]float64{rng.NormFloat64() * 0.05, rng.NormFloat64() * 0.05, rng.NormFloat64() * 0.05}
@@ -482,9 +497,9 @@ func TestDigestMatchesPerNodeReference(t *testing.T) {
 		src  func() (*Grid, nodeAt)
 	}
 	at := func(g *Grid) (*Grid, nodeAt) {
-		return g, func(x, y, z int) (*[lattice.Q]float64, *Macro) {
+		return g, func(x, y, z int) (pops, *Macro) {
 			i := g.Idx(x, y, z)
-			return &g.dist[i], &g.macro[i]
+			return pops{g.dist, len(g.macro), i}, &g.macro[i]
 		}
 	}
 	slab := func(nx, ny, nz int) func() (*Grid, nodeAt) {
@@ -563,9 +578,9 @@ func TestDigestRefreshesStaleBlocks(t *testing.T) {
 				n := ext[0] * ext[1] * ext[2]
 				for _, s := range []*Grid{src, want} {
 					dist, macro := s.Dist(), s.Macros()
-					f.fill(rand.New(rand.NewSource(7)), nx, ny, nz, l.k, func(x, y, z int) (*[lattice.Q]float64, *Macro) {
+					f.fill(rand.New(rand.NewSource(7)), nx, ny, nz, l.k, func(x, y, z int) (pops, *Macro) {
 						i := s.Idx(x, y, z)
-						return &dist[i], &macro[i]
+						return pops{dist, len(macro), i}, &macro[i]
 					})
 				}
 				fresh := make([]bool, len(src.Macros())/n)
@@ -574,9 +589,11 @@ func TestDigestRefreshesStaleBlocks(t *testing.T) {
 					if fresh[b] {
 						continue
 					}
-					dist, macro := want.Dist()[b*n:(b+1)*n], want.Macros()[b*n:(b+1)*n]
+					macro := want.Macros()[b*n : (b+1)*n]
 					for i := range macro {
-						macro[i].Rho = lattice.Moments(&dist[i], macro[i].Force, &macro[i].Vel)
+						var v [lattice.Q]float64
+						want.Load(b*n+i, &v)
+						macro[i].Rho = lattice.Moments(&v, macro[i].Force, &macro[i].Vel)
 					}
 				}
 				wantD, err := NewDigestGrid(nx, ny, nz, l.k)
@@ -635,8 +652,8 @@ func BenchmarkDigest(b *testing.B) {
 		{"slab-K4", 4, New(64, 64, 32)},
 	} {
 		dist, macro := l.src.Dist(), l.src.Macros()
-		for i := range dist {
-			randomNode(rng, &dist[i], &macro[i])
+		for i := range macro {
+			randomNode(rng, pops{dist, len(macro), i}, &macro[i])
 		}
 		d, err := NewDigestGrid(64, 64, 32, l.k)
 		if err != nil {
@@ -678,7 +695,9 @@ func BenchmarkDigest(b *testing.B) {
 		b.Run(l.name+"/refresh-then-digest", func(b *testing.B) {
 			for range b.N {
 				for i := range macro {
-					macro[i].Rho = lattice.Moments(&dist[i], macro[i].Force, &macro[i].Vel)
+					var v [lattice.Q]float64
+					l.src.Load(i, &v)
+					macro[i].Rho = lattice.Moments(&v, macro[i].Force, &macro[i].Vel)
 				}
 				if err := d.Fill(l.src); err != nil {
 					b.Fatal(err)

@@ -1,9 +1,10 @@
 // Package grid provides the fluid storage every engine steps: a
-// structured Nx×Ny×Nz mesh stored split, one array of the 19 distribution
-// values per node (152 B), and everything else a node carries — the
-// macroscopic velocity and density and the elastic force spread from
-// the immersed structure — in one array of the 56 B Macro record, 208 B
-// per node in all. A kernel then streams only the arrays it needs:
+// structured Nx×Ny×Nz mesh stored split, the 19 distribution values of
+// every node in one direction-major array (152 B per node: direction q
+// of every node, then direction q+1), and everything else a node carries
+// — the macroscopic velocity and density and the elastic force spread
+// from the immersed structure — in one array of the 56 B Macro record,
+// 208 B per node in all. A kernel then streams only the arrays it needs:
 // collision reads the distributions and the records, the force reset the
 // records alone.
 //
@@ -15,6 +16,21 @@
 // cube-based algorithm (Section V), each cube's nodes one contiguous
 // block (NewBlocked). Every body reaches the nodes through the one
 // contract Grid states, so the block shape is a parameter, not a type.
+//
+// Direction-major means that value q of the node at entry e is element
+// q·S + e of the array (Slot): the nodes' entry order is the blocks'
+// order above, once per direction, each direction's run of N values
+// starting S apart. So direction q of a run of consecutive entries —
+// four nodes of a z-row — is one run of consecutive float64, which a
+// vector loads and stores whole, and a stream of one direction moves
+// whole runs (core.AABlock, core.Streamer.Block). The stride S is the
+// node count N rounded up to a multiple of 512 float64 (4 KiB), plus 8
+// (one 64-byte line): a node's 19 values then lie 64 bytes apart modulo
+// 4 KiB, in 19 different sets of a cache indexed by the low address
+// bits, where an unpadded stride of a power-of-two grid — 64³, 64·64·32
+// — would put all 19 in one set and let the streams of one pass evict
+// each other (EXPERIMENTS.md, "Direction-major populations"). The
+// S − N slots at the end of each direction belong to no node.
 //
 // There is one distribution array, not two. The parallel engines stream
 // in place through it (the AA pattern, internal/core), and the sequential
@@ -60,11 +76,13 @@ type Grid struct {
 	// constructors and Clone bind it.
 	*Coupling
 
-	block [3]int // the extent of one block
-	// dist holds each node's 19 distribution values: the present ones,
-	// or between the two halves of an in-place step whatever phase the
-	// engine streaming it has left them in (core.AABlock).
-	dist  [][lattice.Q]float64
+	block  [3]int // the extent of one block
+	stride int    // S, the distance in dist between two directions
+	// dist holds the nodes' distribution values direction-major, value
+	// q of entry e at q·S + e (Slot): the present ones, or between the
+	// two halves of an in-place step whatever phase the engine
+	// streaming it has left them in (core.AABlock).
+	dist  []float64
 	macro []Macro
 }
 
@@ -100,8 +118,9 @@ func NewBlocked(nx, ny, nz int, block [3]int) (*Grid, error) {
 
 func newGrid(nx, ny, nz int, block [3]int) *Grid {
 	n := nx * ny * nz
-	g := &Grid{NX: nx, NY: ny, NZ: nz, block: block,
-		dist:  make([][lattice.Q]float64, n),
+	stride := (n+511)/512*512 + 8
+	g := &Grid{NX: nx, NY: ny, NZ: nz, block: block, stride: stride,
+		dist:  make([]float64, lattice.Q*stride),
 		macro: make([]Macro, n),
 	}
 	g.Coupling = newCoupling(g)
@@ -115,8 +134,12 @@ func newGrid(nx, ny, nz int, block [3]int) *Grid {
 func (g *Grid) Reset(rho float64, u [3]float64) {
 	var geq [lattice.Q]float64
 	lattice.Equilibrium(rho, u, &geq)
-	for i := range g.dist {
-		g.dist[i] = geq
+	n := g.NumNodes()
+	for q, v := range geq {
+		row := g.dist[q*g.stride : q*g.stride+n]
+		for i := range row {
+			row[i] = v
+		}
 	}
 	for i := range g.macro {
 		g.macro[i] = Macro{Vel: u, Rho: rho}
@@ -161,17 +184,43 @@ func (g *Grid) NumNodes() int { return len(g.macro) }
 // Dims returns the fluid grid dimensions.
 func (g *Grid) Dims() (nx, ny, nz int) { return g.NX, g.NY, g.NZ }
 
-// Dist returns the distribution array in storage order.
-func (g *Grid) Dist() [][lattice.Q]float64 { return g.dist }
+// Dist returns the direction-major distribution array, 19 directions of
+// Stride values each: value q of the node at entry e is element
+// Slot(e, q).
+func (g *Grid) Dist() []float64 { return g.dist }
+
+// Stride returns S, the distance in Dist between value q and value q+1
+// of a node: the node count rounded up to a multiple of 512, plus 8.
+func (g *Grid) Stride() int { return g.stride }
+
+// Slot returns the element of Dist that holds value q of the node at
+// entry e: q·S + e.
+func (g *Grid) Slot(e, q int) int { return q*g.stride + e }
+
+// Load copies the 19 values of the node at entry e into out, direction
+// by direction.
+func (g *Grid) Load(e int, out *[lattice.Q]float64) {
+	for q := range out {
+		out[q] = g.dist[q*g.stride+e]
+	}
+}
+
+// Store copies in into the 19 slots of the node at entry e.
+func (g *Grid) Store(e int, in *[lattice.Q]float64) {
+	for q, v := range in {
+		g.dist[q*g.stride+e] = v
+	}
+}
 
 // Macros returns every node's record in storage order.
 func (g *Grid) Macros() []Macro { return g.macro }
 
 // Record returns the present distributions and the record of node i in
 // x-major order, i = (x*NY + y)*NZ + z, whatever the block extent.
-func (g *Grid) Record(i int) (*[lattice.Q]float64, Macro) {
+func (g *Grid) Record(i int) (df [lattice.Q]float64, m Macro) {
 	j := g.Idx(i/(g.NY*g.NZ), i/g.NZ%g.NY, i%g.NZ)
-	return &g.dist[j], g.macro[j]
+	g.Load(j, &df)
+	return df, g.macro[j]
 }
 
 // BlockBox returns the fluid coordinates of block b's first node and the
@@ -205,15 +254,24 @@ func (g *Grid) CopyFrom(src *Grid) error {
 			src.NX, src.NY, src.NZ, g.NX, g.NY, g.NZ)
 	}
 	to, from := AxisIndex(g), AxisIndex(src)
+	copyNodes(to, from, g.macro, src.macro)
+	for q := 0; q < lattice.Q; q++ {
+		copyNodes(to, from, g.dist[q*g.stride:], src.dist[q*src.stride:])
+	}
+	return nil
+}
+
+// copyNodes copies every node's element of src into its element of dst,
+// the nodes' entries given by the per-axis index tables from and to.
+func copyNodes[T any](to, from [3][]int, dst, src []T) {
 	for x := range to[0] {
 		for y := range to[1] {
+			i, j := to[0][x]+to[1][y], from[0][x]+from[1][y]
 			for z := range to[2] {
-				i, j := to[0][x]+to[1][y]+to[2][z], from[0][x]+from[1][y]+from[2][z]
-				g.dist[i], g.macro[i] = src.dist[j], src.macro[j]
+				dst[i+to[2][z]] = src[j+from[2][z]]
 			}
 		}
 	}
-	return nil
 }
 
 // TotalMass returns Σ_nodes Σ_i g_i over the distributions, summed node
@@ -223,9 +281,9 @@ func (g *Grid) CopyFrom(src *Grid) error {
 // as an invariant.
 func (g *Grid) TotalMass() float64 {
 	sum := 0.0
-	for i := range g.dist {
-		for _, v := range &g.dist[i] {
-			sum += v
+	for i := range g.macro {
+		for q := 0; q < lattice.Q; q++ {
+			sum += g.dist[q*g.stride+i]
 		}
 	}
 	return sum
@@ -234,10 +292,9 @@ func (g *Grid) TotalMass() float64 {
 // TotalMomentum returns Σ_nodes Σ_i e_i g_i over the distributions.
 func (g *Grid) TotalMomentum() [3]float64 {
 	var m [3]float64
-	for i := range g.dist {
-		buf := &g.dist[i]
+	for i := range g.macro {
 		for q := 0; q < lattice.Q; q++ {
-			v := buf[q]
+			v := g.dist[q*g.stride+i]
 			m[0] += v * float64(lattice.E[q][0])
 			m[1] += v * float64(lattice.E[q][1])
 			m[2] += v * float64(lattice.E[q][2])
@@ -265,8 +322,8 @@ func speed2(v [3]float64) float64 { return v[0]*v[0] + v[1]*v[1] + v[2]*v[2] }
 // Clone returns a deep copy of the grid, used by the validation harness to
 // snapshot states for cross-solver comparison.
 func (g *Grid) Clone() *Grid {
-	c := &Grid{NX: g.NX, NY: g.NY, NZ: g.NZ, block: g.block,
-		dist:  append([][lattice.Q]float64(nil), g.dist...),
+	c := &Grid{NX: g.NX, NY: g.NY, NZ: g.NZ, block: g.block, stride: g.stride,
+		dist:  append([]float64(nil), g.dist...),
 		macro: append([]Macro(nil), g.macro...),
 	}
 	c.Coupling = newCoupling(c)

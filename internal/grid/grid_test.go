@@ -17,7 +17,8 @@ func TestNewInitializesRestState(t *testing.T) {
 	if n.Rho != 1 {
 		t.Fatalf("Rho = %g, want 1", n.Rho)
 	}
-	df := &g.Dist()[g.Idx(2, 1, 3)]
+	var df [lattice.Q]float64
+	g.Load(g.Idx(2, 1, 3), &df)
 	for i := 0; i < lattice.Q; i++ {
 		if math.Abs(df[i]-lattice.W[i]) > 1e-15 {
 			t.Fatalf("g[%d] = %g, want weight %g", i, df[i], lattice.W[i])
@@ -144,6 +145,12 @@ func TestIdxMatchesStoredOrders(t *testing.T) {
 	}
 }
 
+// values returns the 19 values of the node at entry i of g.
+func values(g *Grid, i int) (v [lattice.Q]float64) {
+	g.Load(i, &v)
+	return v
+}
+
 // TestCopyFromRoundTrip: a state copied from the slab grid into a grid
 // of every extent and back is the same state node for node, Record reads
 // the copy in x-major order, and a copy between grids of other
@@ -153,7 +160,7 @@ func TestCopyFromRoundTrip(t *testing.T) {
 	for i := range g.macro {
 		g.macro[i] = Macro{Vel: [3]float64{float64(i), float64(2 * i), float64(3 * i)}, Rho: float64(i), Force: [3]float64{0, float64(-i), 0}}
 		for q := 0; q < lattice.Q; q++ {
-			g.dist[i][q] = float64(i*lattice.Q + q)
+			g.dist[g.Slot(i, q)] = float64(i*lattice.Q + q)
 		}
 	}
 	for _, e := range extents {
@@ -161,11 +168,11 @@ func TestCopyFromRoundTrip(t *testing.T) {
 		if err := l.CopyFrom(g); err != nil {
 			t.Fatal(err)
 		}
-		if *l.At(5, 3, 9) != *g.At(5, 3, 9) || l.dist[l.Idx(5, 3, 9)] != g.dist[g.Idx(5, 3, 9)] {
+		if *l.At(5, 3, 9) != *g.At(5, 3, 9) || values(l, l.Idx(5, 3, 9)) != values(g, g.Idx(5, 3, 9)) {
 			t.Fatalf("%v: node (5,3,9) not copied to its place", e)
 		}
 		for i := range g.macro {
-			if df, m := l.Record(i); *df != g.dist[i] || m != g.macro[i] {
+			if df, m := l.Record(i); df != values(g, i) || m != g.macro[i] {
 				t.Fatalf("%v: Record(%d) is not node %d in x-major order", e, i, i)
 			}
 		}
@@ -173,7 +180,7 @@ func TestCopyFromRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range g.macro {
-			if back.macro[i] != g.macro[i] || back.dist[i] != g.dist[i] {
+			if back.macro[i] != g.macro[i] || values(back, i) != values(g, i) {
 				t.Fatalf("%v: round trip differs at node %d", e, i)
 			}
 		}

@@ -59,9 +59,9 @@ func (s *Snapshot) At(x, y, z int) *Node { return &s.Nodes[s.Idx(x, y, z)] }
 func (s *Snapshot) Cur() int { return 0 }
 
 // Record returns node i's present distributions and its record.
-func (s *Snapshot) Record(i int) (*[lattice.Q]float64, Macro) {
+func (s *Snapshot) Record(i int) ([lattice.Q]float64, Macro) {
 	n := &s.Nodes[i]
-	return &n.DF, Macro{Vel: n.Vel, Rho: n.Rho, Force: n.Force}
+	return n.DF, Macro{Vel: n.Vel, Rho: n.Rho, Force: n.Force}
 }
 
 // TotalMass returns Σ_nodes Σ_i g_i over the present distributions, in

@@ -20,7 +20,7 @@
 // pairs (e, −e) of the velocity set, whose equilibrium and forcing share
 // a symmetric part and differ in the sign of an antisymmetric one.
 // kernel_amd64.s is the same unrolled kernel in AVX2, one node per
-// vector lane and up to four nodes per call, which CollideGroup runs
+// vector lane and four nodes per call, which CollideGroup runs
 // when the host has AVX2. The loop forms are the oracle the unrolled Go
 // forms are tested against, and the unrolled Go forms — the path for
 // every other host, and Collide's and FoldCollide's on every host — are

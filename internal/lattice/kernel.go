@@ -8,7 +8,7 @@ package lattice
 // written down direction by direction; the tests hold this file to them.
 // On an AVX2 host, CollideGroup (group.go) runs the vector body of
 // kernel_amd64.s instead, which computes this file's expression trees
-// for up to four nodes at once, one node per lane; the tests hold it to
+// for four nodes at once, one node per lane; the tests hold it to
 // Collide and FoldCollide bit for bit.
 
 // pairTerms splits the equilibrium and the Guo term of an opposite pair

@@ -1,33 +1,33 @@
 #include "textflag.h"
 
 // The AVX2 body of the node kernel on float64 storage (kernel.go,
-// group.go): Collide or FoldCollide of up to four nodes per call, one
-// node per lane. Every lane runs kernel.go's expression tree, operation
+// group.go): Collide or FoldCollide of four nodes per call, one node
+// per lane. Every lane runs kernel.go's expression tree, operation
 // for operation: the same products, sums and differences in the same
 // order, with no fused multiply-add (it rounds once where the tree
 // rounds twice) and no reassociation, so each lane rounds exactly where
 // the Go kernel rounds and the result is its bits.
 //
-// The nodes' populations are transposed on the way in: direction q of
-// the four nodes becomes one vector, lane k node k's g_q, kept in the
-// frame as d_q. Directions 0–15 are read as four blocks of four, each
-// from two 16-byte loads per node, paired across the 128-bit halves by
-// VINSERTF128 and split by VUNPCKLPD/VUNPCKHPD; directions 16 and 17
-// come as one 16-byte load per node and 18 as one 8-byte load, so no
-// access reaches past a node's 152 bytes — the last record of an array
-// included. The records are transposed the same way: Vel and Rho as two
-// 16-byte loads per node, Force from offsets 24 and 40, so that no load
-// passes the record's 56 bytes either.
+// The populations live direction-major (group.go): value q of the node
+// at entry e at q·S + e, S the array's stride. Lane k is the node at entry i+k, and it loads
+// its value q from i+k+Load[k][q] and stores it to i+k+Store[k][q]
+// (lattice.Group's tables, float64 offsets scaled by 8 in the
+// addressing). When the four lanes share one table, direction q of the
+// four nodes is four consecutive float64 from the table's offset on, so
+// it is one 32-byte load and one 32-byte store; otherwise each lane
+// loads and stores its own 8 bytes through its own table. Either way
+// every lane's 19 values are loaded into the frame, d_q at 32q, before
+// anything is stored, and every access is a slot of one of the group's
+// four nodes, so nothing outside the array is read or written. The
+// records of the four consecutive nodes are transposed on the way in:
+// Vel and Rho as two 16-byte loads per node, Force from offsets 24 and
+// 40, so that no load passes the last record's 56 bytes.
 //
 // The per-call scalars — 1/τ, 1 − 1/2τ and its multiples by the
 // weights, and with a given force the force — are formed once and
 // broadcast, the per-node ones (c = 1 − 1.5u², 3u·f, ρw) once per
 // group, and each of the nine opposite pairs is then one pass of
-// pairTerms and relax over four nodes. On the way out the vectors are
-// transposed back, with the two members of every pair traded when the
-// caller asks (trade: value q stored at slot Opposite[q]). A group of
-// n < 4 nodes loads lane n−1's node into the lanes it does not use and
-// stores those lanes into the frame, never into memory of its caller.
+// pairTerms and relax over four nodes.
 
 // Constants, four lanes each. Bits are those the Go compiler gives the
 // constants of kernel.go and d3q19.go: 1, 0.5, 1.5, 3, 4.5, 9, the
@@ -85,8 +85,8 @@ GLOBL kc<>(SB), RODATA|NOPTR, $296
 
 // The frame, from R13, a 32-byte aligned address in it: d_q at 32q
 // (0–576); per-node ρw1, ρw2, 3ρw1, 3ρw2, ρw0; the per-call broadcasts
-// (1 − 1/2τ)w1, (1 − 1/2τ)w2, their triples and (−(1 − 1/2τ))w0; the
-// densities; and 152 bytes that take the stores of unused lanes.
+// (1 − 1/2τ)w1, (1 − 1/2τ)w2, their triples and (−(1 − 1/2τ))w0; and
+// the densities.
 #define RW1 608(R13)
 #define RW2 640(R13)
 #define RW1T 672(R13)
@@ -98,80 +98,62 @@ GLOBL kc<>(SB), RODATA|NOPTR, $296
 #define PW2T 864(R13)
 #define NW0 896(R13)
 #define RHO 928(R13)
-#define TRASH 960(R13)
 
-// Registers held across the body: AX the trade flag, CX the node count n;
-// DI, SI, R8, R9 the populations of lanes 0–3 (loads), then DI, R10,
-// R11, R12 where lanes 0–3 store; R10, R11, R12, BX the records of
-// lanes 0–3. Y12, Y11, Y10 hold ux, uy, uz, Y9, Y8, Y7 fx, fy, fz, Y14
-// c, Y13 3u·f and Y15 1/τ while the pairs run; Y0–Y6 are scratch.
+// Registers held across the body: DI the group's first entry; R8, R9,
+// R11, R12 the tables of lanes 0–3 (load, then store; a uniform group
+// uses R8 alone); AX, BX, CX, SI the offsets a direction takes; R10 the
+// first record. Y12, Y11, Y10 hold ux, uy, uz, Y9, Y8, Y7 fx, fy, fz,
+// Y14 c, Y13 3u·f and Y15 1/τ while the pairs run; Y0–Y6 are scratch.
 
-// LOAD4 transposes directions o/8 .. o/8+3 (byte offsets o and o16 =
-// o+16) of the four lanes' populations into d at frame offsets f0..f3.
-#define LOAD4(o, o16, f0, f1, f2, f3) \
-	VMOVUPD o(DI), X0; \
-	VINSERTF128 $1, o(R8), Y0, Y0; \
-	VMOVUPD o(SI), X1; \
-	VINSERTF128 $1, o(R9), Y1, Y1; \
-	VMOVUPD o16(DI), X2; \
-	VINSERTF128 $1, o16(R8), Y2, Y2; \
-	VMOVUPD o16(SI), X3; \
-	VINSERTF128 $1, o16(R9), Y3, Y3; \
-	VUNPCKLPD Y1, Y0, Y4; \
-	VUNPCKHPD Y1, Y0, Y5; \
-	VUNPCKLPD Y3, Y2, Y6; \
-	VUNPCKHPD Y3, Y2, Y7; \
-	VMOVAPD Y4, f0(R13); \
-	VMOVAPD Y5, f1(R13); \
-	VMOVAPD Y6, f2(R13); \
-	VMOVAPD Y7, f3(R13)
+// TABLES points R8, R9, R11, R12 at the four lanes' tables of the
+// lattice.Group half at o(DX).
+#define TABLES(o) \
+	MOVQ o(DX), R8; \
+	MOVQ o+8(DX), R9; \
+	MOVQ o+16(DX), R11; \
+	MOVQ o+24(DX), R12
 
-// LOAD1 assembles direction o/8 of the four lanes into d at frame
-// offset f with 8-byte loads: direction 18, the last 8 bytes of a node.
-#define LOAD1(o, f) \
-	VMOVSD o(DI), X0; \
-	VMOVHPD o(SI), X0, X0; \
-	VMOVSD o(R8), X1; \
-	VMOVHPD o(R9), X1, X1; \
+// LOADV loads direction q (o8 = 8q) of the four nodes through the
+// shared table into d at frame offset f = 32q.
+#define LOADV(o8, f) \
+	MOVQ o8(R8), AX; \
+	VMOVUPD (DI)(AX*8), Y0; \
+	VMOVAPD Y0, f(R13)
+
+// LOADL loads value q (o8 = 8q) of each lane through its own table into
+// d at frame offset f = 32q.
+#define LOADL(o8, f) \
+	MOVQ o8(R8), AX; \
+	MOVQ o8(R9), BX; \
+	MOVQ o8(R11), CX; \
+	MOVQ o8(R12), SI; \
+	VMOVSD (DI)(AX*8), X0; \
+	VMOVHPD 8(DI)(BX*8), X0, X0; \
+	VMOVSD 16(DI)(CX*8), X1; \
+	VMOVHPD 24(DI)(SI*8), X1, X1; \
 	VINSERTF128 $1, X1, Y0, Y0; \
 	VMOVAPD Y0, f(R13)
 
-// STORE4 stores d at frame offsets v0..v3 as slots o/8 .. o/8+3 of the
-// four lanes: the inverse of LOAD4.
-#define STORE4(o, o16, v0, v1, v2, v3) \
-	VMOVAPD v0(R13), Y0; \
-	VMOVAPD v1(R13), Y1; \
-	VMOVAPD v2(R13), Y2; \
-	VMOVAPD v3(R13), Y3; \
-	VUNPCKLPD Y1, Y0, Y4; \
-	VUNPCKHPD Y1, Y0, Y5; \
-	VUNPCKLPD Y3, Y2, Y6; \
-	VUNPCKHPD Y3, Y2, Y7; \
-	VMOVUPD X4, o(DI); \
-	VMOVUPD X6, o16(DI); \
-	VMOVUPD X5, o(R10); \
-	VMOVUPD X7, o16(R10); \
-	VEXTRACTF128 $1, Y4, o(R11); \
-	VEXTRACTF128 $1, Y6, o16(R11); \
-	VEXTRACTF128 $1, Y5, o(R12); \
-	VEXTRACTF128 $1, Y7, o16(R12)
+// STOREV stores d at frame offset f = 32q as value q (o8 = 8q) of the
+// four nodes through the shared table: the inverse of LOADV.
+#define STOREV(o8, f) \
+	MOVQ o8(R8), AX; \
+	VMOVAPD f(R13), Y0; \
+	VMOVUPD Y0, (DI)(AX*8)
 
-// STORE3 stores d at frame offsets v16, v17, v18 as slots 16, 17, 18.
-#define STORE3(v16, v17, v18) \
-	VMOVAPD v16(R13), Y0; \
-	VMOVAPD v17(R13), Y1; \
-	VMOVAPD v18(R13), Y2; \
-	VUNPCKLPD Y1, Y0, Y4; \
-	VUNPCKHPD Y1, Y0, Y5; \
-	VMOVUPD X4, 128(DI); \
-	VMOVUPD X5, 128(R10); \
-	VEXTRACTF128 $1, Y4, 128(R11); \
-	VEXTRACTF128 $1, Y5, 128(R12); \
-	VMOVSD X2, 144(DI); \
-	VMOVHPD X2, 144(R10); \
-	VEXTRACTF128 $1, Y2, X3; \
-	VMOVSD X3, 144(R11); \
-	VMOVHPD X3, 144(R12)
+// STOREL stores d at frame offset f = 32q as value q (o8 = 8q) of each
+// lane through its own table: the inverse of LOADL.
+#define STOREL(o8, f) \
+	MOVQ o8(R8), AX; \
+	MOVQ o8(R9), BX; \
+	MOVQ o8(R11), CX; \
+	MOVQ o8(R12), SI; \
+	VMOVAPD f(R13), Y0; \
+	VEXTRACTF128 $1, Y0, X1; \
+	VMOVSD X0, (DI)(AX*8); \
+	VMOVHPD X0, 8(DI)(BX*8); \
+	VMOVSD X1, 16(DI)(CX*8); \
+	VMOVHPD X1, 24(DI)(SI*8)
 
 // PAIR relaxes the opposite pair whose members' d are at frame offsets
 // a (+e) and b (−e), with e·u in eu and e·f in ef: pairTerms with ρw in
@@ -224,62 +206,73 @@ GLOBL kc<>(SB), RODATA|NOPTR, $296
 	VMULSD HALF, X0, X0; \
 	VBROADCASTSD X0, Y0
 
-// func collideAVX2(d *[Q]float64, r *Record, n int, fold, force *[3]float64, tau float64, trade bool, out *[Lanes]State)
-TEXT ·collideAVX2(SB), 0, $1152-64
+// func collideAVX2(f *float64, grp *Group, uniform bool, r *Record, fold, force *[3]float64, tau float64, out *[Lanes]State)
+TEXT ·collideAVX2(SB), 0, $1024-64
 	LEAQ 31(SP), R13
 	ANDQ $-32, R13
-	MOVQ n+16(FP), CX
-	MOVBQZX trade+48(FP), AX
+	MOVQ f+0(FP), DI
+	MOVQ r+24(FP), R10
+	MOVQ grp+8(FP), DX
+	TABLES(0)
+	MOVBQZX uniform+16(FP), AX
+	TESTQ AX, AX
+	JZ loadlanes
+	LOADV(0, 0)
+	LOADV(8, 32)
+	LOADV(16, 64)
+	LOADV(24, 96)
+	LOADV(32, 128)
+	LOADV(40, 160)
+	LOADV(48, 192)
+	LOADV(56, 224)
+	LOADV(64, 256)
+	LOADV(72, 288)
+	LOADV(80, 320)
+	LOADV(88, 352)
+	LOADV(96, 384)
+	LOADV(104, 416)
+	LOADV(112, 448)
+	LOADV(120, 480)
+	LOADV(128, 512)
+	LOADV(136, 544)
+	LOADV(144, 576)
+	JMP loaded
 
-	// Lane k reads node min(k, n−1).
-	MOVQ d+0(FP), DI
-	LEAQ 152(DI), SI
-	CMPQ CX, $1
-	CMOVQLE DI, SI
-	LEAQ 152(SI), R8
-	CMPQ CX, $2
-	CMOVQLE SI, R8
-	LEAQ 152(R8), R9
-	CMPQ CX, $3
-	CMOVQLE R8, R9
-	MOVQ r+8(FP), R10
-	LEAQ 56(R10), R11
-	CMPQ CX, $1
-	CMOVQLE R10, R11
-	LEAQ 56(R11), R12
-	CMPQ CX, $2
-	CMOVQLE R11, R12
-	LEAQ 56(R12), BX
-	CMPQ CX, $3
-	CMOVQLE R12, BX
+loadlanes:
+	LOADL(0, 0)
+	LOADL(8, 32)
+	LOADL(16, 64)
+	LOADL(24, 96)
+	LOADL(32, 128)
+	LOADL(40, 160)
+	LOADL(48, 192)
+	LOADL(56, 224)
+	LOADL(64, 256)
+	LOADL(72, 288)
+	LOADL(80, 320)
+	LOADL(88, 352)
+	LOADL(96, 384)
+	LOADL(104, 416)
+	LOADL(112, 448)
+	LOADL(120, 480)
+	LOADL(128, 512)
+	LOADL(136, 544)
+	LOADL(144, 576)
 
-	LOAD4(0, 16, 0, 32, 64, 96)
-	LOAD4(32, 48, 128, 160, 192, 224)
-	LOAD4(64, 80, 256, 288, 320, 352)
-	LOAD4(96, 112, 384, 416, 448, 480)
-	VMOVUPD 128(DI), X0
-	VINSERTF128 $1, 128(R8), Y0, Y0
-	VMOVUPD 128(SI), X1
-	VINSERTF128 $1, 128(R9), Y1, Y1
-	VUNPCKLPD Y1, Y0, Y4
-	VUNPCKHPD Y1, Y0, Y5
-	VMOVAPD Y4, 512(R13)
-	VMOVAPD Y5, 544(R13)
-	LOAD1(144, 576)
-
-	MOVQ fold+24(FP), DX
+loaded:
+	MOVQ fold+32(FP), DX
 	TESTQ DX, DX
 	JNZ folded
 
 	// The records' velocity (Y12, Y11, Y10) and density.
 	VMOVUPD 0(R10), X0
-	VINSERTF128 $1, 0(R12), Y0, Y0
-	VMOVUPD 0(R11), X1
-	VINSERTF128 $1, 0(BX), Y1, Y1
+	VINSERTF128 $1, 112(R10), Y0, Y0
+	VMOVUPD 56(R10), X1
+	VINSERTF128 $1, 168(R10), Y1, Y1
 	VMOVUPD 16(R10), X2
-	VINSERTF128 $1, 16(R12), Y2, Y2
-	VMOVUPD 16(R11), X3
-	VINSERTF128 $1, 16(BX), Y3, Y3
+	VINSERTF128 $1, 128(R10), Y2, Y2
+	VMOVUPD 72(R10), X3
+	VINSERTF128 $1, 184(R10), Y3, Y3
 	VUNPCKLPD Y1, Y0, Y12
 	VUNPCKHPD Y1, Y0, Y11
 	VUNPCKLPD Y3, Y2, Y10
@@ -360,19 +353,19 @@ folded:
 	VMOVAPD Y1, RHO
 
 forces:
-	MOVQ force+32(FP), DX
+	MOVQ force+40(FP), DX
 	TESTQ DX, DX
 	JNZ given
 
 	// The records' force (Y9, Y8, Y7).
 	VMOVUPD 24(R10), X0
-	VINSERTF128 $1, 24(R12), Y0, Y0
-	VMOVUPD 24(R11), X1
-	VINSERTF128 $1, 24(BX), Y1, Y1
+	VINSERTF128 $1, 136(R10), Y0, Y0
+	VMOVUPD 80(R10), X1
+	VINSERTF128 $1, 192(R10), Y1, Y1
 	VMOVUPD 40(R10), X2
-	VINSERTF128 $1, 40(R12), Y2, Y2
-	VMOVUPD 40(R11), X3
-	VINSERTF128 $1, 40(BX), Y3, Y3
+	VINSERTF128 $1, 152(R10), Y2, Y2
+	VMOVUPD 96(R10), X3
+	VINSERTF128 $1, 208(R10), Y3, Y3
 	VUNPCKHPD Y1, Y0, Y9
 	VUNPCKLPD Y3, Y2, Y8
 	VUNPCKHPD Y3, Y2, Y7
@@ -434,7 +427,7 @@ scalars:
 	// Per call: 1/τ (Y15), pre = 1 − 0.5/τ, pre w1, pre w2, their
 	// triples, (−pre) w0.
 	VMOVSD ONE, X0
-	VDIVSD tau+40(FP), X0, X0
+	VDIVSD tau+48(FP), X0, X0
 	VBROADCASTSD X0, Y15
 	VMULSD HALF, X0, X1
 	VMOVSD ONE, X2
@@ -490,34 +483,53 @@ scalars:
 	VSUBPD Y7, Y8, Y1
 	PAIR(Y0, Y1, RW2, RW2T, PW2, PW2T, 544, 576)
 
-	// Lane k stores to node k if k < n, else to the frame.
-	LEAQ TRASH, DX
-	MOVQ SI, R10
-	CMPQ CX, $1
-	CMOVQLE DX, R10
-	MOVQ R8, R11
-	CMPQ CX, $2
-	CMOVQLE DX, R11
-	MOVQ R9, R12
-	CMPQ CX, $3
-	CMOVQLE DX, R12
-
+	// Each value through its store table.
+	MOVQ grp+8(FP), DX
+	TABLES(32)
+	MOVBQZX uniform+16(FP), AX
 	TESTQ AX, AX
-	JNZ traded
-	STORE4(0, 16, 0, 32, 64, 96)
-	STORE4(32, 48, 128, 160, 192, 224)
-	STORE4(64, 80, 256, 288, 320, 352)
-	STORE4(96, 112, 384, 416, 448, 480)
-	STORE3(512, 544, 576)
+	JZ storelanes
+	STOREV(0, 0)
+	STOREV(8, 32)
+	STOREV(16, 64)
+	STOREV(24, 96)
+	STOREV(32, 128)
+	STOREV(40, 160)
+	STOREV(48, 192)
+	STOREV(56, 224)
+	STOREV(64, 256)
+	STOREV(72, 288)
+	STOREV(80, 320)
+	STOREV(88, 352)
+	STOREV(96, 384)
+	STOREV(104, 416)
+	STOREV(112, 448)
+	STOREV(120, 480)
+	STOREV(128, 512)
+	STOREV(136, 544)
+	STOREV(144, 576)
 	VZEROUPPER
 	RET
 
-traded:
-	// Slot s takes d at Opposite[s].
-	STORE4(0, 16, 0, 64, 32, 128)
-	STORE4(32, 48, 96, 192, 160, 256)
-	STORE4(64, 80, 224, 320, 288, 384)
-	STORE4(96, 112, 352, 448, 416, 512)
-	STORE3(480, 576, 544)
+storelanes:
+	STOREL(0, 0)
+	STOREL(8, 32)
+	STOREL(16, 64)
+	STOREL(24, 96)
+	STOREL(32, 128)
+	STOREL(40, 160)
+	STOREL(48, 192)
+	STOREL(56, 224)
+	STOREL(64, 256)
+	STOREL(72, 288)
+	STOREL(80, 320)
+	STOREL(88, 352)
+	STOREL(96, 384)
+	STOREL(104, 416)
+	STOREL(112, 448)
+	STOREL(120, 480)
+	STOREL(128, 512)
+	STOREL(136, 544)
+	STOREL(144, 576)
 	VZEROUPPER
 	RET

@@ -23,34 +23,51 @@ func guarded(t *testing.T) []byte {
 	return mem[:page]
 }
 
-// A group whose last node is the last record of its array reads nothing
-// past it: with the populations, and then the records, ending where an
-// inaccessible page begins, every group size, with and without the
-// trade and with every combination of
-// fold and given force runs without a fault and gives the Go kernel's
-// bits.
+// A group whose last node is the last node of its array reads and
+// writes nothing past it: with the direction-major populations, and then
+// the records, ending where an inaccessible page begins, every group
+// size at the end of the array, the natural phase's tables shared by
+// the four lanes (vector loads and stores) and as four copies (per-lane
+// loads and stores), with the trade and without, and with every
+// combination of fold and given force, runs without a fault and gives
+// the Go twin's bits. A short group there has no entry past its last
+// node to store an unused lane into: one stored would fault.
 func TestGroupReadsNothingPastTheArray(t *testing.T) {
-	requireVector(t)
+	const nodes = 8
 	popPage, recPage := guarded(t), guarded(t)
 	r := rand.New(rand.NewSource(28))
 	fold, force := [3]float64{3e-3, -1e-3, 2e-3}, [3]float64{-1e-3, 4e-3, 1e-3}
+	f := unsafe.Slice((*float64)(unsafe.Pointer(&popPage[len(popPage)-Q*nodes*8])), Q*nodes)
+	nat, tr := Natural(nodes), Traded(nodes)
+	var copies [2][Lanes]Offsets
 	for n := 1; n <= Lanes; n++ {
-		g := unsafe.Slice((*[Q]float64)(unsafe.Pointer(&popPage[len(popPage)-n*int(unsafe.Sizeof([Q]float64{}))])), n)
+		i := nodes - n
 		recs := unsafe.Slice((*Record)(unsafe.Pointer(&recPage[len(recPage)-n*int(unsafe.Sizeof(Record{}))])), n)
-		for _, trade := range []bool{false, true} {
-			for _, fs := range [][2]*[3]float64{{nil, nil}, {&fold, nil}, {nil, &force}, {&fold, &force}} {
-				want := make([][Q]float64, n)
-				for k := range g {
-					s := randomState(r)
-					g[k], want[k] = s.g, s.g
-					recs[k] = Record{Vel: s.u, Rho: s.rho, Force: s.f}
+		for _, store := range []*Offsets{&nat, &tr} {
+			for _, shared := range []bool{true, false} {
+				grp := Uniform(&nat, store)
+				if !shared {
+					for k := range grp.Load {
+						copies[0][k], copies[1][k] = nat, *store
+						grp.Load[k], grp.Store[k] = &copies[0][k], &copies[1][k]
+					}
 				}
-				collideGroup(want, recs, fs[0], fs[1], 0.7, trade, nil)
-				var out [Lanes]State
-				CollideGroup(g, recs, fs[0], fs[1], 0.7, trade, &out)
-				for k := range g {
-					if d := firstDiff(&g[k], &want[k]); d >= 0 {
-						t.Fatalf("%d nodes, trade %t, fold %v, force %v: node %d slot %d differs", n, trade, fs[0], fs[1], k, d)
+				for _, fs := range [][2]*[3]float64{{nil, nil}, {&fold, nil}, {nil, &force}, {&fold, &force}} {
+					for j := range f {
+						f[j] = r.Float64()
+					}
+					for k := range recs {
+						s := randomState(r)
+						recs[k] = Record{Vel: s.u, Rho: s.rho, Force: s.f}
+					}
+					want := append([]float64(nil), f...)
+					collideGroup(want, i, n, &grp, recs, fs[0], fs[1], 0.7, nil)
+					var out [Lanes]State
+					CollideGroup(f, i, n, &grp, recs, fs[0], fs[1], 0.7, &out)
+					for j := range f {
+						if !sameBits(f[j], want[j]) {
+							t.Fatalf("%d nodes, traded %t, shared %t, fold %v, force %v: slot %d differs", n, store == &tr, shared, fs[0], fs[1], j)
+						}
 					}
 				}
 			}

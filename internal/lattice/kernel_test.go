@@ -361,31 +361,98 @@ func firstDiff(a, b *[Q]float64) int {
 
 // group is one call of the group kernel: one node per lane, each with
 // its own populations and record (g, rho, u and f of its state; the
-// lanes' own tau is not used), and the relaxation time, the fold force
-// and the given force (nil: none), whether the pairs are traded and
-// whether out is asked for, which the lanes share.
+// lanes' own tau is not used), the slots its lanes read and write, and
+// the relaxation time, the fold force and the given force (nil: none)
+// and whether out is asked for, which the lanes share.
 type group struct {
 	lanes       []nodeState
 	tau         float64
 	fold, force *[3]float64
-	trade       bool
 	out         bool
+	// The group's first entry in an array of nodes nodes, and its
+	// tables: lane k's value q lives at i+k+load[k][q] and goes to
+	// i+k+store[k][q].
+	i, nodes int
+	load     [Lanes]Offsets
+	store    [Lanes]Offsets
+	shared   bool // every lane uses lane 0's tables
+}
+
+// The kinds of table drawGroup draws.
+const (
+	naturalTables = iota // own slots in, traded or own slots out
+	sharedTables         // one random table for every lane
+	laneTables           // each lane's own random slots
+	numTableKinds
+)
+
+// drawTables gives c an array and tables of the given kind. Natural:
+// the node's own slots, stored back or traded, as the natural phase of
+// an in-place step and the sequential collide do. Shared: each
+// direction in its own row of the array, at a random shift that keeps
+// the four lanes in the row, stored to the same slots in another order
+// — a swapped phase's group whose lanes share a class. Lane: each lane's 19 slots drawn
+// from a permutation of the whole array, disjoint from every other
+// lane's, loaded and stored in two random orders — a group whose lanes
+// differ in class, a cube's face or a wall lane. Every kind keeps the
+// lanes' slots apart, as CollideGroup requires.
+func drawTables(r *rand.Rand, c *group, kind int) {
+	c.nodes = Lanes + r.Intn(12)
+	c.i = r.Intn(c.nodes - Lanes + 1)
+	switch kind {
+	case naturalTables:
+		nat, tr := Natural(c.nodes), Traded(c.nodes)
+		store := nat
+		if r.Intn(2) == 0 {
+			store = tr
+		}
+		for k := range c.load {
+			c.load[k], c.store[k] = nat, store
+		}
+		c.shared = true
+	case sharedTables:
+		in, out := r.Perm(Q), r.Perm(Q)
+		var load, store Offsets
+		for q := range load {
+			load[q] = in[q]*c.nodes + r.Intn(c.nodes-Lanes+1) - c.i
+		}
+		for q := range store {
+			store[q] = load[out[q]]
+		}
+		for k := range c.load {
+			c.load[k], c.store[k] = load, store
+		}
+		c.shared = true
+	default:
+		slots := r.Perm(Q * c.nodes)
+		for k := 0; k < Lanes; k++ {
+			mine := slots[k*Q : (k+1)*Q]
+			out := r.Perm(Q)
+			for q := range mine {
+				c.load[k][q] = mine[q] - c.i - k
+				c.store[k][q] = mine[out[q]] - c.i - k
+			}
+		}
+		c.shared = false
+	}
 }
 
 // drawGroup draws a group of lane's nodes: four lanes in three groups
-// of four, one to three otherwise; each combination of fold and given
-// force, the trade in half the groups, and out in half. The forces are
-// fold(lanes), which must return values the group does not alias.
+// of four, one to three otherwise; each kind of table in turn, each
+// combination of fold and given force, and out in half the groups. The
+// forces are forces(lanes), which must return values the group does not
+// alias.
 func drawGroup(r *rand.Rand, lane func() nodeState, forces func(lanes []nodeState) (fold, force [3]float64)) group {
 	n := Lanes
 	if r.Intn(4) == 0 {
 		n = 1 + r.Intn(Lanes-1)
 	}
-	c := group{lanes: make([]nodeState, n), trade: r.Intn(2) == 0, out: r.Intn(2) == 0}
+	c := group{lanes: make([]nodeState, n), out: r.Intn(2) == 0}
 	for k := range c.lanes {
 		c.lanes[k] = lane()
 	}
 	c.tau = c.lanes[0].tau
+	drawTables(r, &c, r.Intn(numTableKinds))
 	fold, force := forces(c.lanes)
 	switch r.Intn(4) {
 	case 1:
@@ -398,23 +465,48 @@ func drawGroup(r *rand.Rand, lane func() nodeState, forces func(lanes []nodeStat
 	return c
 }
 
-// checkGroup runs the vector body and the Go kernel on c and fails at
-// the first bit that differs, in any lane's populations or in the
-// density and velocity it reports; with both forces given the vector
-// body gets no records at all. In a group with a fold every lane's
+// array lays c out: an array of c.nodes nodes of background values, each
+// lane's populations in its load slots; and the group's tables, lanes
+// 0–3 pointing into c's own tables, or all at lane 0's when shared.
+func (c *group) array(r *rand.Rand) ([]float64, Group) {
+	f := make([]float64, Q*c.nodes)
+	for j := range f {
+		f[j] = r.Float64()
+	}
+	for k, s := range c.lanes {
+		for q, o := range c.load[k] {
+			f[c.i+k+o] = s.g[q]
+		}
+	}
+	var grp Group
+	for k := range grp.Load {
+		j := k
+		if c.shared {
+			j = 0
+		}
+		grp.Load[k], grp.Store[k] = &c.load[j], &c.store[j]
+	}
+	return f, grp
+}
+
+// checkGroup runs the group on the vector body (a group of four) or on
+// CollideGroup (a shorter one, which takes the Go twin) and on the Go
+// kernel, and fails at the first bit that differs anywhere in the array
+// or in the density and velocity a lane reports; with both forces given
+// neither body gets records at all. In a group with a fold every lane's
 // density and velocity, from either body, must be Moments' bits on its
 // node under the fold force: the values its wall reflections take and a
 // sampled sweep digests.
-func checkGroup(t *testing.T, i int, c group) {
+func checkGroup(t *testing.T, r *rand.Rand, i int, c group) {
 	t.Helper()
 	n := len(c.lanes)
-	var got, want [Lanes][Q]float64
+	got, grp := c.array(r)
+	want := append([]float64(nil), got...)
 	var recs [Lanes]Record
 	for k, s := range c.lanes {
-		got[k], want[k] = s.g, s.g
 		recs[k] = Record{Vel: s.u, Rho: s.rho, Force: s.f}
 	}
-	rec := &recs[0]
+	rec := recs[:n]
 	if c.fold != nil && c.force != nil {
 		rec = nil
 	}
@@ -423,13 +515,23 @@ func checkGroup(t *testing.T, i int, c group) {
 	if !c.out {
 		out = nil
 	}
-	collideAVX2(&got[0], rec, n, c.fold, c.force, c.tau, c.trade, out)
-	collideGroup(want[:n], recs[:n], c.fold, c.force, c.tau, c.trade, &wantOut)
-	for k := 0; k < n; k++ {
-		if d := firstDiff(&got[k], &want[k]); d >= 0 {
-			t.Fatalf("group %d (%d lanes, trade %t, fold %v, force %v), lane %d, slot %d: vector %#016x (%g), Go %#016x (%g)\n%+v",
-				i, n, c.trade, c.fold, c.force, k, d, math.Float64bits(got[k][d]), got[k][d], math.Float64bits(want[k][d]), want[k][d], c.lanes[k])
+	if n == Lanes {
+		var r0 *Record
+		if rec != nil {
+			r0 = &rec[0]
 		}
+		collideAVX2(&got[c.i], &grp, c.shared, r0, c.fold, c.force, c.tau, out)
+	} else {
+		CollideGroup(got, c.i, n, &grp, rec, c.fold, c.force, c.tau, out)
+	}
+	collideGroup(want, c.i, n, &grp, recs[:n], c.fold, c.force, c.tau, &wantOut)
+	for j := range got {
+		if !sameBits(got[j], want[j]) {
+			t.Fatalf("group %d (%d lanes, shared %t, fold %v, force %v), slot %d (direction %d, entry %d): vector %#016x (%g), Go %#016x (%g)",
+				i, n, c.shared, c.fold, c.force, j, j/c.nodes, j%c.nodes, math.Float64bits(got[j]), got[j], math.Float64bits(want[j]), want[j])
+		}
+	}
+	for k := 0; k < n; k++ {
 		w := wantOut[k]
 		if c.fold != nil {
 			var m State
@@ -442,11 +544,6 @@ func checkGroup(t *testing.T, i int, c group) {
 			t.Fatalf("group %d (%d lanes, fold %v), lane %d: collided with %+v, Go %+v\n%+v", i, n, c.fold, k, g, w, c.lanes[k])
 		}
 	}
-	for k := n; k < Lanes; k++ {
-		if got[k] != ([Q]float64{}) {
-			t.Fatalf("group %d of %d lanes wrote lane %d", i, n, k)
-		}
-	}
 }
 
 // sameState reports whether a and b agree by sameBits in the density
@@ -456,7 +553,9 @@ func sameState(a, b State) bool {
 }
 
 // On the kernel's operating range — randomState's nodes — every lane of
-// every group gives the Go kernel's bits on its own node.
+// every group gives the Go kernel's bits on its own node, and the array
+// outside the group's slots keeps its own, whether the four lanes share
+// a table (one vector per direction) or not (a slot per lane).
 func TestVectorKernelMatchesGoBitwise(t *testing.T) {
 	requireVector(t)
 	r := rand.New(rand.NewSource(24))
@@ -466,7 +565,7 @@ func TestVectorKernelMatchesGoBitwise(t *testing.T) {
 	}
 	for i, nodes := 0, 0; nodes < vectorStates; i++ {
 		c := drawGroup(r, lane, forces)
-		checkGroup(t, i, c)
+		checkGroup(t, r, i, c)
 		nodes += len(c.lanes)
 	}
 }
@@ -565,49 +664,62 @@ func TestVectorKernelMatchesGoOnSpecialValues(t *testing.T) {
 		for nodes := 0; nodes < vectorStates/4; i++ {
 			c := drawGroup(r, lane, forces)
 			c.tau = specialTaus[r.Intn(len(specialTaus))]
-			checkGroup(t, i, c)
+			checkGroup(t, r, i, c)
 			nodes += len(c.lanes)
 		}
 	}
 }
 
-// A group of n nodes writes its n nodes and nothing else: with sentinel
-// nodes and records before and after it, with and without the trade and
-// with every combination of fold and given force, every sentinel keeps
-// its bits, as does every record, and the group's nodes hold the Go
-// kernel's. One case of each puts the group at the end of its arrays,
-// so that the group's last node is the array's last record.
+// A group of n nodes writes its n nodes' store slots and nothing else:
+// in an array of background values, with and without lanes of their
+// own, with every combination of fold and given force, every slot the
+// group's n nodes do not store keeps its bits, as does every record,
+// and each node's slots hold Collide's (or FoldCollide's) bits on the
+// values its load table names. So a short group — a row's tail, which
+// takes the Go twin — stores none of the lanes it does not use.
 func TestShortGroupsWriteOnlyTheirNodes(t *testing.T) {
-	requireVector(t)
 	r := rand.New(rand.NewSource(27))
 	fold, force := [3]float64{3e-3, -1e-3, 2e-3}, [3]float64{-1e-3, 4e-3, 1e-3}
 	for n := 1; n <= Lanes; n++ {
-		for _, after := range []int{2, 0} {
-			for _, trade := range []bool{false, true} {
-				for _, fs := range [][2]*[3]float64{{nil, nil}, {&fold, nil}, {nil, &force}, {&fold, &force}} {
-					g := make([][Q]float64, 2+n+after)
-					recs := make([]Record, len(g))
-					for i := range g {
-						s := randomState(r)
-						g[i], recs[i] = s.g, Record{Vel: s.u, Rho: s.rho, Force: s.f}
+		for kind := 0; kind < numTableKinds; kind++ {
+			for _, fs := range [][2]*[3]float64{{nil, nil}, {&fold, nil}, {nil, &force}, {&fold, &force}} {
+				c := group{lanes: make([]nodeState, n)}
+				for k := range c.lanes {
+					c.lanes[k] = randomState(r)
+				}
+				drawTables(r, &c, kind)
+				f, grp := c.array(r)
+				want := append([]float64(nil), f...)
+				recs := make([]Record, n)
+				for k, s := range c.lanes {
+					recs[k] = Record{Vel: s.u, Rho: s.rho, Force: s.f}
+					g := s.g
+					fk := s.f
+					if fs[1] != nil {
+						fk = *fs[1]
 					}
-					want := append([][Q]float64(nil), g...)
-					wantRecs := append([]Record(nil), recs...)
-					collideGroup(want[2:2+n], recs[2:2+n], fs[0], fs[1], 0.7, trade, nil)
-					var out [Lanes]State
-					collideAVX2(&g[2], &recs[2], n, fs[0], fs[1], 0.7, trade, &out)
-					for i := range g {
-						for q := range g[i] {
-							if math.Float64bits(g[i][q]) != math.Float64bits(want[i][q]) {
-								t.Fatalf("%d nodes, %d after, trade %t, fold %v, force %v: node %d of %d, slot %d: %#016x, want %#016x",
-									n, after, trade, fs[0], fs[1], i, len(g), q, math.Float64bits(g[i][q]), math.Float64bits(want[i][q]))
-							}
-						}
+					if fs[0] != nil {
+						var u [3]float64
+						FoldCollide(&g, *fs[0], fk, 0.7, &u)
+					} else {
+						Collide(&g, s.rho, s.u, fk, 0.7)
 					}
-					for i := range recs {
-						if recs[i] != wantRecs[i] {
-							t.Fatalf("%d nodes, trade %t: record %d changed", n, trade, i)
-						}
+					for q, o := range c.store[k] {
+						want[c.i+k+o] = g[q]
+					}
+				}
+				wantRecs := append([]Record(nil), recs...)
+				var out [Lanes]State
+				CollideGroup(f, c.i, n, &grp, recs, fs[0], fs[1], 0.7, &out)
+				for j := range f {
+					if !sameBits(f[j], want[j]) {
+						t.Fatalf("%d nodes, tables %d, fold %v, force %v: slot %d of %d: %#016x, want %#016x",
+							n, kind, fs[0], fs[1], j, len(f), math.Float64bits(f[j]), math.Float64bits(want[j]))
+					}
+				}
+				for k := range recs {
+					if recs[k] != wantRecs[k] {
+						t.Fatalf("%d nodes, tables %d: record %d changed", n, kind, k)
 					}
 				}
 			}
@@ -616,14 +728,16 @@ func TestShortGroupsWriteOnlyTheirNodes(t *testing.T) {
 }
 
 // TestGroupLayout pins the layouts kernel_amd64.s addresses by byte
-// offset, on every host: 152-byte populations, 56-byte records with Vel
-// at 0, Rho at 24 and Force at 32, and 32-byte states with U at 0 and
-// Rho at 24.
+// offset, on every host: 152-byte offset tables of 8-byte entries,
+// 64-byte groups with the load tables at 0 and the store tables at 32,
+// 56-byte records with Vel at 0, Rho at 24 and Force at 32, and 32-byte
+// states with U at 0 and Rho at 24.
 func TestGroupLayout(t *testing.T) {
 	var r Record
 	var s State
-	got := [7]uintptr{unsafe.Sizeof([Q]float64{}), unsafe.Sizeof(r), unsafe.Offsetof(r.Vel), unsafe.Offsetof(r.Rho), unsafe.Offsetof(r.Force), unsafe.Sizeof(s), unsafe.Offsetof(s.Rho)}
-	if want := [7]uintptr{152, 56, 0, 24, 32, 32, 24}; got != want {
+	var g Group
+	got := [10]uintptr{unsafe.Sizeof(Offsets{}), unsafe.Sizeof(g), unsafe.Offsetof(g.Load), unsafe.Offsetof(g.Store), unsafe.Sizeof(r), unsafe.Offsetof(r.Vel), unsafe.Offsetof(r.Rho), unsafe.Offsetof(r.Force), unsafe.Sizeof(s), unsafe.Offsetof(s.Rho)}
+	if want := [10]uintptr{152, 64, 0, 32, 56, 0, 24, 32, 32, 24}; got != want {
 		t.Fatalf("sizes and offsets %v, want %v: the vector body addresses the old layout", got, want)
 	}
 }
@@ -631,55 +745,67 @@ func TestGroupLayout(t *testing.T) {
 // BenchmarkCollide times the node kernel on a ring of nodes larger than
 // L1 (1024 nodes, 152 KiB of populations and 56 KiB of records), so
 // consecutive calls are independent, as they are in a pass over a block:
-// the vector body and the Go kernel of Collide and of FoldCollide, one
-// node per call (for the vector body a group of one, a row's tail), and
-// of CollideGroup, four consecutive nodes per call,
-// with the records' moments and force ("group"), with the moments folded
-// in and a given force ("group/fold", a block outside the support), and
-// with the fold and the collided moments reported ("group/observed", a
-// sampled sweep). The metric is ns per node.
+// the Go kernel of Collide and of FoldCollide, one node per call; a
+// row's tail, one node per CollideGroup call (the Go twin); and the
+// vector body and the Go twin of CollideGroup, four consecutive nodes
+// per call, on the direction-major ring through the natural phase's
+// tables (each direction one vector), and through four copies of them
+// ("lanes": the per-lane path of a cube's face), with the records'
+// moments and force ("group"), with the moments folded in and a given
+// force ("group/fold", a block outside the support), and with the fold
+// and the collided moments reported ("group/observed", a sampled
+// sweep). The metric is ns per node.
 //
 //	go test -run '^$' -bench Collide ./internal/lattice
 func BenchmarkCollide(b *testing.B) {
 	const ring = 1024 // a power of two, a multiple of Lanes
 	r := rand.New(rand.NewSource(26))
-	g0 := make([][Q]float64, ring)
+	nodes := make([][Q]float64, ring)
+	f0 := make([]float64, Q*ring)
 	recs := make([]Record, ring)
-	for i := range g0 {
+	for i := range nodes {
 		s := randomState(r)
-		g0[i], recs[i] = s.g, Record{Vel: s.u, Rho: s.rho, Force: s.f}
+		nodes[i], recs[i] = s.g, Record{Vel: s.u, Rho: s.rho, Force: s.f}
+		for q, v := range s.g {
+			f0[q*ring+i] = v
+		}
 	}
 	const tau = 0.8
 	body := [3]float64{1e-5, -2e-5, 0}
 	var out [Lanes]State
+	nat, tr := Natural(ring), Traded(ring)
+	shared := Uniform(&nat, &tr)
+	var lt [2][Lanes]Offsets
+	var lanes Group
+	for k := range lanes.Load {
+		lt[0][k], lt[1][k] = nat, tr
+		lanes.Load[k], lanes.Store[k] = &lt[0][k], &lt[1][k]
+	}
 	for _, c := range []struct {
 		name   string
 		vector bool
 		nodes  int
-		call   func(g [][Q]float64, r []Record)
+		call   func(f []float64, j int)
 	}{
-		{"vector", true, 1, func(g [][Q]float64, r []Record) { collideAVX2(&g[0], &r[0], 1, nil, nil, tau, false, nil) }},
-		{"portable", false, 1, func(g [][Q]float64, r []Record) { Collide(&g[0], r[0].Rho, r[0].Vel, r[0].Force, tau) }},
-		{"fold/vector", true, 1, func(g [][Q]float64, r []Record) { collideAVX2(&g[0], nil, 1, &body, &r[0].Force, tau, false, &out) }},
-		{"fold/portable", false, 1, func(g [][Q]float64, r []Record) { FoldCollide(&g[0], body, r[0].Force, tau, &out[0].U) }},
-		{"group/vector", true, Lanes, func(g [][Q]float64, r []Record) { collideAVX2(&g[0], &r[0], Lanes, nil, nil, tau, true, nil) }},
-		{"group/portable", false, Lanes, func(g [][Q]float64, r []Record) { collideGroup(g, r, nil, nil, tau, true, nil) }},
-		{"group/fold/vector", true, Lanes, func(g [][Q]float64, r []Record) { collideAVX2(&g[0], nil, Lanes, &body, &body, tau, true, nil) }},
-		{"group/fold/portable", false, Lanes, func(g [][Q]float64, r []Record) { collideGroup(g, r, &body, &body, tau, true, nil) }},
-		{"group/observed/vector", true, Lanes, func(g [][Q]float64, r []Record) {
-			collideAVX2(&g[0], nil, Lanes, &body, &body, tau, true, &out)
-		}},
-		{"group/observed/portable", false, Lanes, func(g [][Q]float64, r []Record) { collideGroup(g, r, &body, &body, tau, true, &out) }},
+		{"portable", false, 1, func(f []float64, j int) { Collide(&nodes[j], recs[j].Rho, recs[j].Vel, recs[j].Force, tau) }},
+		{"fold/portable", false, 1, func(f []float64, j int) { FoldCollide(&nodes[j], body, recs[j].Force, tau, &out[0].U) }},
+		{"tail/portable", false, 1, func(f []float64, j int) { CollideGroup(f, j, 1, &shared, recs[j:j+1], nil, nil, tau, nil) }},
+		{"group/vector", true, Lanes, func(f []float64, j int) { collideAVX2(&f[j], &shared, true, &recs[j], nil, nil, tau, nil) }},
+		{"group/lanes/vector", true, Lanes, func(f []float64, j int) { collideAVX2(&f[j], &lanes, false, &recs[j], nil, nil, tau, nil) }},
+		{"group/portable", false, Lanes, func(f []float64, j int) { collideGroup(f, j, Lanes, &shared, recs[j:], nil, nil, tau, nil) }},
+		{"group/fold/vector", true, Lanes, func(f []float64, j int) { collideAVX2(&f[j], &shared, true, nil, &body, &body, tau, nil) }},
+		{"group/fold/portable", false, Lanes, func(f []float64, j int) { collideGroup(f, j, Lanes, &shared, nil, &body, &body, tau, nil) }},
+		{"group/observed/vector", true, Lanes, func(f []float64, j int) { collideAVX2(&f[j], &shared, true, nil, &body, &body, tau, &out) }},
+		{"group/observed/portable", false, Lanes, func(f []float64, j int) { collideGroup(f, j, Lanes, &shared, nil, &body, &body, tau, &out) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			if c.vector && !cpu.Vector() {
 				b.Skip("no vector body on this host")
 			}
-			g := append([][Q]float64(nil), g0...)
+			f := append([]float64(nil), f0...)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				j := i * c.nodes % ring
-				c.call(g[j:j+c.nodes], recs[j:j+c.nodes])
+				c.call(f, i*c.nodes%ring)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.nodes), "ns/node")
 		})

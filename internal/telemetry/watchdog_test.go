@@ -29,9 +29,12 @@ func digestOf(t *testing.T, g *grid.Grid) *grid.DigestGrid {
 // deposit adds dm to node i's rest distribution and refreshes its record
 // as kernel 7 would: a digest reads each node's mass from its moments.
 func deposit(g *grid.Grid, i int, dm float64) {
-	g.Dist()[i][0] += dm
+	var v [lattice.Q]float64
+	g.Load(i, &v)
+	v[0] += dm
+	g.Store(i, &v)
 	m := &g.Macros()[i]
-	m.Rho = lattice.Moments(&g.Dist()[i], m.Force, &m.Vel)
+	m.Rho = lattice.Moments(&v, m.Force, &m.Vel)
 }
 
 // TestWatchdogFlagsNaNAtExactStep seeds a NaN into one node's
@@ -52,7 +55,7 @@ func TestWatchdogFlagsNaNAtExactStep(t *testing.T) {
 	// collision/moment update would spread them, but the watchdog must
 	// already see the velocity on the very step it appears (the
 	// distribution reaches a digest through the node's next moments).
-	s.Fluid.Dist()[123][5] = math.NaN()
+	s.Fluid.Dist()[s.Fluid.Slot(123, 5)] = math.NaN()
 	s.Fluid.Macros()[200].Vel[1] = math.NaN()
 
 	err := wd.Check(5, digestOf(t, s.Fluid))
@@ -261,7 +264,10 @@ func TestWatchdogDigestNamesField(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := grid.New(8, 8, 8)
-			tc.poison(&g.Dist()[g.Idx(3, 4, 5)], g.At(3, 4, 5))
+			var df [lattice.Q]float64
+			g.Load(g.Idx(3, 4, 5), &df)
+			tc.poison(&df, g.At(3, 4, 5))
+			g.Store(g.Idx(3, 4, 5), &df)
 			wd := NewWatchdog(WatchdogConfig{})
 			var he *HealthError
 			if err := wd.Check(1, digestOf(t, g)); !errors.As(err, &he) {

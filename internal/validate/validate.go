@@ -75,7 +75,7 @@ func (a *accum) diff() Diff {
 // both one.
 type Fluid interface {
 	Dims() (nx, ny, nz int)
-	Record(i int) (*[lattice.Q]float64, grid.Macro)
+	Record(i int) ([lattice.Q]float64, grid.Macro)
 }
 
 // Grids compares the full state (distributions, velocity, density, force)

@@ -957,14 +957,15 @@ func (s *Simulation) FluidSnapshot() *grid.Snapshot {
 	l := s.live()
 	nx, ny, nz := l.Dims()
 	snap := grid.NewSnapshot(nx, ny, nz)
-	df, macro, at := l.Dist(), l.Macros(), grid.AxisIndex(l)
+	macro, at := l.Macros(), grid.AxisIndex(l)
 	eachPlane(s.eng.team(), nx, func(x int) {
 		dst := snap.Nodes[x*ny*nz:]
 		for y := 0; y < ny; y++ {
 			jy := at[0][x] + at[1][y]
 			for z, az := range at[2] {
 				n, j := &dst[y*nz+z], jy+az
-				n.DF, n.Vel, n.Rho, n.Force = df[j], macro[j].Vel, macro[j].Rho, s.cfg.BodyForce
+				l.Load(j, &n.DF)
+				n.Vel, n.Rho, n.Force = macro[j].Vel, macro[j].Rho, s.cfg.BodyForce
 			}
 		}
 	})

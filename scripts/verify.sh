@@ -74,8 +74,9 @@ if grep -rn 'lattice\.\(Equilibrium\|GuoForce\)' --include='*.go' \
 fi
 
 # The vector bodies — the node kernel (internal/lattice/kernel_amd64.s:
-# one node per lane, up to four nodes per call, the populations
-# transposed so that a vector holds one direction of four nodes), the
+# one node per lane, four nodes per call, each direction of the four
+# nodes one 32-byte load and store of the direction-major array, or one
+# 8-byte access per lane through per-lane offset tables), the
 # Peskin stencil (internal/ibm/delta_amd64.s), the spread and the
 # gather (internal/grid/coupling_amd64.s) — are their Go twins' bits
 # (the packages' Vector tests), which holds only while they round where
@@ -135,6 +136,21 @@ if grep -rn 'grid\.Node\b' --include='*.go' \
 	internal/core internal/engine |
 	grep -v '_test\.go:'; then
 	echo "an engine names grid.Node; step the grid's split arrays (grid.Grid)" >&2
+	exit 1
+fi
+
+# One population layout. A grid stores its populations direction-major
+# (grid.Grid.Dist: value q of entry e at q·N + e), so that one direction
+# of four consecutive nodes is one vector and a stream of one direction
+# moves whole runs; the node-major array of 152 B records must not come
+# back onto a step path: outside the benchmark harness, no non-test Go
+# file declares a slice of 19-value arrays ([][lattice.Q]float64, or
+# [][Q]float64 inside internal/lattice). A snapshot keeps its per-node
+# grid.Node records, whose DF is one node's array, not a slice of them.
+if grep -rn '\[\]\[lattice\.Q\]float64\|\[\]\[19\]float64' --include='*.go' . |
+	grep -v '_test\.go:' | grep -v '^\./bench/' ||
+	grep -rn '\[\]\[Q\]float64' --include='*.go' internal/lattice | grep -v '_test\.go:'; then
+	echo "a node-major population slice is back; index the grid's direction-major array" >&2
 	exit 1
 fi
 
@@ -254,17 +270,18 @@ rm -f "$WDLOG"
 
 # Per-body benchmark smoke: BenchmarkInPlaceBodies times each stream body
 # of internal/core by itself (in-place bodies in each phase,
-# Canonicalize, the sequential push) on four block extents of one domain:
-# the slab grid, k = 8 cubes and the pencils 8×8×32 and 4×64×32.
+# Canonicalize, the sequential push) on four block extents of one domain
+# — the slab grid, k = 8 cubes and the pencils 8×8×32 and 4×64×32 — and
+# on the 64³ walled cavity as slab and k = 8 cubes.
 # One pass per case keeps it compiling and executing; its figures are
 # not judged here.
 go test -run '^$' -bench InPlaceBodies -benchtime 1x ./internal/core
 
-# Node-kernel benchmark smoke: BenchmarkCollide times the vector body and
-# the Go kernel on a ring of nodes, one node per call (the record and
-# fold paths; for the vector body a group of one, a row's tail) and four
-# per call (the group entry on the record, fold and observed-fold
-# paths), in ns/node; one pass of each row.
+# Node-kernel benchmark smoke: BenchmarkCollide times the Go kernel one
+# node per call (the record and fold paths, and a row's tail through the
+# group entry) and the vector body and its Go twin four nodes per call
+# (the record path with shared and per-lane tables, the fold and the
+# observed fold), in ns/node; one pass of each row.
 go test -run '^$' -bench Collide -benchtime 1x ./internal/lattice
 
 # Coupling benchmark smoke: BenchmarkCoupling times the stencil, the

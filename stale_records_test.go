@@ -310,7 +310,7 @@ func TestSampleIsOneDigestByEveryPath(t *testing.T) {
 // without refreshing or canonicalizing anything.
 func seedNaN(s *Simulation) {
 	l := s.eng.(*inPlaceEngine).Fluid
-	l.Dist()[200][5] = math.NaN()
+	l.Dist()[l.Slot(200, 5)] = math.NaN()
 	l.Macros()[3000].Vel[1] = math.NaN()
 }
 

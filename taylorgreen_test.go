@@ -39,8 +39,7 @@ func TestTaylorGreenVortexDecay(t *testing.T) {
 				u := [3]float64{ux, uy, 0}
 				var geq [lattice.Q]float64
 				lattice.Equilibrium(1, u, &geq)
-				i := s.Fluid.Idx(x, y, z)
-				s.Fluid.Dist()[i] = geq
+				s.Fluid.Store(s.Fluid.Idx(x, y, z), &geq)
 				nd.Vel = u
 				nd.Rho = 1
 			}
@@ -123,7 +122,7 @@ func taylorGreenError(t *testing.T, cfg Config, n int) float64 {
 	}
 	defer s.Close()
 	l := s.eng.live()
-	df, macro := l.Dist(), l.Macros()
+	macro := l.Macros()
 	for x := 0; x < n; x++ {
 		for y := 0; y < n; y++ {
 			ux, uy := exact(x, y, u0)
@@ -132,7 +131,9 @@ func taylorGreenError(t *testing.T, cfg Config, n int) float64 {
 			for z := 0; z < 2; z++ {
 				i := l.Idx(x, y, z)
 				macro[i].Rho, macro[i].Vel = rho, [3]float64{ux, uy, 0}
-				lattice.Equilibrium(rho, macro[i].Vel, &df[i])
+				var geq [lattice.Q]float64
+				lattice.Equilibrium(rho, macro[i].Vel, &geq)
+				l.Store(i, &geq)
 			}
 		}
 	}
