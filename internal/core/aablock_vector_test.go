@@ -133,9 +133,9 @@ func TestCollideRangeGroupsMatchPortable(t *testing.T) {
 		for n := 1; n <= 9 && lo+n <= g.NumNodes(); n++ {
 			vec := append([]float64(nil), g.Dist()...)
 			port := append([]float64(nil), g.Dist()...)
-			core.CollideRange(vec, lo, g.Macros()[lo:lo+n], 0.7)
+			core.CollideRange(vec, g.Stride(), lo, g.Macros()[lo:lo+n], 0.7)
 			restore := cpu.PortableForTest()
-			core.CollideRange(port, lo, g.Macros()[lo:lo+n], 0.7)
+			core.CollideRange(port, g.Stride(), lo, g.Macros()[lo:lo+n], 0.7)
 			restore()
 			nodes := g.Stride()
 			for j := range vec {

@@ -24,11 +24,11 @@ func SeedForce(m []grid.Macro, body [3]float64) {
 
 // CollideRange is kernel 5 over a node range: the BGK collision with Guo
 // forcing, in place on the present distributions of the nodes at entries
-// lo … lo+len(m)−1 of the direction-major array df, reading their
-// records m, four nodes per call of the node kernel, each node through
-// its own slots (lattice.Natural).
-func CollideRange(df []float64, lo int, m []grid.Macro, tau float64) {
-	nat := lattice.Natural(len(df) / lattice.Q)
+// lo … lo+len(m)−1 of the direction-major array df of stride stride
+// (grid.Grid.Stride), reading their records m, four nodes per call of
+// the node kernel, each node through its own slots (lattice.Natural).
+func CollideRange(df []float64, stride, lo int, m []grid.Macro, tau float64) {
+	nat := lattice.Natural(stride)
 	grp := lattice.Uniform(&nat, &nat)
 	for i := 0; i < len(m); i += lattice.Lanes {
 		j := min(i+lattice.Lanes, len(m))
@@ -38,17 +38,16 @@ func CollideRange(df []float64, lo int, m []grid.Macro, tau float64) {
 
 // UpdateRange is kernel 7 over a node range: density and velocity from
 // the post-streaming distributions of the nodes at entries lo …
-// lo+len(m)−1 of the direction-major array df and the elastic force
-// (half-force Guo correction), into their records m. A non-nil reset is
-// then stored as the node's force in the same pass — the fold that lets
-// the engines which retire kernel 4's full-grid reset keep spreading on
-// top of the body force.
-func UpdateRange(df []float64, lo int, m []grid.Macro, reset *[3]float64) {
-	n := len(df) / lattice.Q
+// lo+len(m)−1 of the direction-major array df of stride stride and the
+// elastic force (half-force Guo correction), into their records m. A
+// non-nil reset is then stored as the node's force in the same pass —
+// the fold that lets the engines which retire kernel 4's full-grid reset
+// keep spreading on top of the body force.
+func UpdateRange(df []float64, stride, lo int, m []grid.Macro, reset *[3]float64) {
 	var g [lattice.Q]float64
 	for i := range m {
 		for q := range g {
-			g[q] = df[q*n+lo+i]
+			g[q] = df[q*stride+lo+i]
 		}
 		r := &m[i]
 		r.Rho = lattice.Moments(&g, r.Force, &r.Vel)
@@ -60,11 +59,10 @@ func UpdateRange(df []float64, lo int, m []grid.Macro, reset *[3]float64) {
 
 // CopyRange is kernel 9 over the node range [lo, hi) as published: the
 // post-streaming distributions src are copied into the present ones
-// dst, direction by direction.
-func CopyRange(dst, src []float64, lo, hi int) {
-	n := len(dst) / lattice.Q
+// dst, direction by direction, both arrays of stride stride.
+func CopyRange(dst, src []float64, stride, lo, hi int) {
 	for q := 0; q < lattice.Q; q++ {
-		copy(dst[q*n+lo:q*n+hi], src[q*n+lo:q*n+hi])
+		copy(dst[q*stride+lo:q*stride+hi], src[q*stride+lo:q*stride+hi])
 	}
 }
 
@@ -321,9 +319,8 @@ func (s *Streamer) run(r row, z, end int) (next, c int, walls uint32) {
 // The nodes of a row go run by run, a run being consecutive nodes of one
 // class triple: they share their neighbour offsets and their wall set,
 // so in the direction-major arrays the run's values of a direction
-// without a wall link land on consecutive slots, and move as one copy.
-// A run shorter than a vector group — a block's face, the periodic
-// wrap, a wall — and every wall link go node by node.
+// without a wall link land on consecutive slots, and move as one copy,
+// whatever the run's length. Only a wall link goes node by node.
 func (s *Streamer) Block(b int, dst []float64) {
 	src, m := s.l.Dist(), s.l.Macros()
 	o, e := s.l.BlockBox(b)
@@ -336,17 +333,13 @@ func (s *Streamer) Block(b int, dst []float64) {
 				d, n := &s.tab[1][c], next-z
 				for q := 0; q < lattice.Q; q++ {
 					j := q*s.stride + idx
-					if walls&(1<<q) == 0 && n >= lattice.Lanes {
+					if walls&(1<<q) == 0 {
 						copy(dst[j+d[q]:j+d[q]+n], src[j:j+n])
 						continue
 					}
 					for k := 0; k < n; k++ {
-						if walls&(1<<q) != 0 {
-							_, _, _, refl, _ := s.bc.Resolve(q, x, y, z+k, src[j+k], m[idx+k].Rho)
-							dst[lattice.Opposite[q]*s.stride+idx+k] = refl
-						} else {
-							dst[j+k+d[q]] = src[j+k]
-						}
+						_, _, _, refl, _ := s.bc.Resolve(q, x, y, z+k, src[j+k], m[idx+k].Rho)
+						dst[lattice.Opposite[q]*s.stride+idx+k] = refl
 					}
 				}
 				idx += n
@@ -485,7 +478,7 @@ func AAMomentsBlock(s *Streamer, df []float64, b int, swapped bool, reset *[3]fl
 	n := e[0] * e[1] * e[2]
 	idx := b * n
 	if !swapped {
-		UpdateRange(df, idx, m[idx:idx+n], reset)
+		UpdateRange(df, s.stride, idx, m[idx:idx+n], reset)
 		return
 	}
 	var g [lattice.Q]float64

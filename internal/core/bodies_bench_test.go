@@ -20,7 +20,9 @@ import (
 // cubes, and the pencils 8×8×32 and 4×64×32, which keep z-rows whole —
 // and, under "cavity64/", the 64³ cavity with bounce-back walls on all
 // six faces and a moving lid (cavity_fused's fluid), as x-planes and as
-// k = 8 cubes. One iteration is one pass of the body over every node,
+// k = 8 cubes, and, under "tails54/", a 54³ domain with walls at both z
+// ends as k = 2, 3 and 9 cubes, whose z-rows of 2, 3 and 9 nodes end in
+// a short group of the node kernel. One iteration is one pass of the body over every node,
 // after one untimed pass; the ns/node metric is the pass time per node.
 // Once both AABlock phases of an extent have run, the benchmark logs
 // their ratio, swapped over natural, with and without the fold.
@@ -41,6 +43,7 @@ func BenchmarkInPlaceBodies(b *testing.B) {
 		{"", [3]int{64, 64, 32}, core.Problem{Tau: 0.8, BCZ: core.BounceBack}, append([]shape{slab, cubes(8)}, pencils...)},
 		{"cavity64/", [3]int{64, 64, 64}, core.Problem{Tau: 0.8, BCX: core.BounceBack, BCY: core.BounceBack, BCZ: core.BounceBack,
 			LidVelocity: [3]float64{0.05, 0, 0}}, []shape{slab, cubes(8)}},
+		{"tails54/", [3]int{54, 54, 54}, core.Problem{Tau: 0.8, BCZ: core.BounceBack}, []shape{cubes(2), cubes(3), cubes(9)}},
 	} {
 		for _, sh := range dom.shapes {
 			benchBodies(b, dom.prefix, dom.dims, dom.p, sh, &body)

@@ -286,7 +286,9 @@ func (s *Solver) SpreadForce() {
 
 // ComputeCollision is kernel 5: the D3Q19 BGK collision with the elastic
 // body force applied at every fluid node, in the 19 directions of the model.
-func (s *Solver) ComputeCollision() { CollideRange(s.Fluid.Dist(), 0, s.Fluid.Macros(), s.Tau) }
+func (s *Solver) ComputeCollision() {
+	CollideRange(s.Fluid.Dist(), s.Fluid.Stride(), 0, s.Fluid.Macros(), s.Tau)
+}
 
 // StreamDistribution is kernel 6: it pushes each node's post-collision
 // distribution to its 18 immediate neighbors' slots in the post-streaming
@@ -300,7 +302,7 @@ func (s *Solver) StreamDistribution() {
 // UpdateVelocity is kernel 7: it recomputes each fluid node's density and
 // velocity from the post-streaming distribution and the elastic force
 // (half-force Guo correction).
-func (s *Solver) UpdateVelocity() { UpdateRange(s.next, 0, s.Fluid.Macros(), nil) }
+func (s *Solver) UpdateVelocity() { UpdateRange(s.next, s.Fluid.Stride(), 0, s.Fluid.Macros(), nil) }
 
 // MoveFibers is kernel 8: each fiber node's velocity is interpolated from
 // the surrounding fluid nodes of its influential domain, and the node is
@@ -317,4 +319,6 @@ func (s *Solver) MoveFibers() {
 // reference keeps this copy exactly as the paper publishes it (Table I
 // prices it at ~6% of a step); the parallel engines stream in place and
 // have no second array to copy (AABlock).
-func (s *Solver) CopyDistribution() { CopyRange(s.Fluid.Dist(), s.next, 0, s.Fluid.NumNodes()) }
+func (s *Solver) CopyDistribution() {
+	CopyRange(s.Fluid.Dist(), s.next, s.Fluid.Stride(), 0, s.Fluid.NumNodes())
+}

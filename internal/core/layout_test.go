@@ -12,11 +12,10 @@ import (
 )
 
 // values returns the 19 values of the node at entry e of the
-// direction-major array df.
-func values(df []float64, e int) (v [lattice.Q]float64) {
-	n := len(df) / lattice.Q
+// direction-major array df of stride stride.
+func values(df []float64, stride, e int) (v [lattice.Q]float64) {
 	for q := range v {
-		v[q] = df[q*n+e]
+		v[q] = df[q*stride+e]
 	}
 	return v
 }
@@ -136,14 +135,14 @@ func blocks(l *grid.Grid) (nb, n int) {
 func refStep(l *grid.Grid, st *core.Streamer, next []float64, tau float64, reset *[3]float64) {
 	m := l.Macros()
 	nb, n := blocks(l)
-	core.CollideRange(l.Dist(), 0, m, tau)
+	core.CollideRange(l.Dist(), l.Stride(), 0, m, tau)
 	for b := 0; b < nb; b++ {
 		st.Block(b, next)
 	}
 	for b := 0; b < nb; b++ {
-		core.UpdateRange(next, b*n, m[b*n:(b+1)*n], reset)
+		core.UpdateRange(next, l.Stride(), b*n, m[b*n:(b+1)*n], reset)
 	}
-	core.CopyRange(l.Dist(), next, 0, l.NumNodes())
+	core.CopyRange(l.Dist(), next, l.Stride(), 0, l.NumNodes())
 }
 
 // aaStep runs one in-place step from phase swapped the way the parallel
@@ -264,7 +263,7 @@ func TestLayoutConformance(t *testing.T) {
 										if a, b := g.At(x, y, z), l.At(x, y, z); *a != *b {
 											t.Fatalf("step %d: node (%d,%d,%d) differs between the layouts:\nslab %+v\n%s %+v", s, x, y, z, *a, sh.name, *b)
 										}
-										if values(g.Dist(), gi) != values(l.Dist(), li) {
+										if values(g.Dist(), g.Stride(), gi) != values(l.Dist(), l.Stride(), li) {
 											t.Fatalf("step %d: node (%d,%d,%d) distributions differ between the layouts", s, x, y, z)
 										}
 									}
@@ -317,7 +316,7 @@ func aaConformance(t *testing.T) {
 						if ref.Macros()[j] != aa.Macros()[j] {
 							t.Fatalf("step %d: node %d record: reference %+v, in place %+v", s, j, ref.Macros()[j], aa.Macros()[j])
 						}
-						if values(got, j) != values(next, j) || values(ref.Dist(), j) != values(next, j) {
+						if values(got, aa.Stride(), j) != values(next, ref.Stride(), j) || values(ref.Dist(), ref.Stride(), j) != values(next, ref.Stride(), j) {
 							t.Fatalf("step %d: node %d distributions differ from the reference's post-streaming array", s, j)
 						}
 					}
@@ -375,7 +374,7 @@ func foldConformance(t *testing.T) {
 						if s != 1 && ref.Macros()[j] != aa.Macros()[j] {
 							t.Fatalf("step %d: node %d record: reference %+v, folded %+v", s, j, ref.Macros()[j], aa.Macros()[j])
 						}
-						if values(got, j) != values(next, j) {
+						if values(got, aa.Stride(), j) != values(next, ref.Stride(), j) {
 							t.Fatalf("step %d: node %d distributions differ from the reference's post-streaming array", s, j)
 						}
 					}

@@ -332,10 +332,10 @@ func TestCopyDistribution(t *testing.T) {
 func TestCollideAndUpdateRangeDoNotAllocate(t *testing.T) {
 	g := grid.New(16, 16, 16)
 	reset := [3]float64{1e-5, 0, 0}
-	if n := testing.AllocsPerRun(10, func() { CollideRange(g.Dist(), 0, g.Macros(), 0.7) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { CollideRange(g.Dist(), g.Stride(), 0, g.Macros(), 0.7) }); n != 0 {
 		t.Errorf("CollideRange over %d nodes: %v allocations per run, want 0", g.NumNodes(), n)
 	}
-	if n := testing.AllocsPerRun(10, func() { UpdateRange(g.Dist(), 0, g.Macros(), &reset) }); n != 0 {
+	if n := testing.AllocsPerRun(10, func() { UpdateRange(g.Dist(), g.Stride(), 0, g.Macros(), &reset) }); n != 0 {
 		t.Errorf("UpdateRange over %d nodes: %v allocations per run, want 0", g.NumNodes(), n)
 	}
 	p := Problem{BCZ: BounceBack, LidVelocity: [3]float64{0.01, 0, 0}}

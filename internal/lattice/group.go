@@ -85,9 +85,10 @@ func (g *Group) uniform() bool {
 // slot: what one node stores, no other node of the group loads or
 // stores. Then the order of the loads and stores is immaterial, and the
 // bits are those of the single-node calls whichever body runs (a NaN is
-// some NaN). On an AVX2 host a group of Lanes nodes runs the vector
-// body, one node per lane; a shorter group — a row's tail — runs the Go
-// twin, which reads through the same tables.
+// some NaN). On an AVX2 host every group runs the vector body, one node
+// per lane; a shorter group — a row's tail — goes lane by lane there,
+// its tables from lane n on unread, and stores only its own nodes.
+// Elsewhere the Go twin runs, which reads through the same tables.
 func CollideGroup(f []float64, i, n int, grp *Group, r []Record, fold, force *[3]float64, tau float64, out *[Lanes]State) {
 	if n == 0 {
 		return
@@ -98,20 +99,20 @@ func CollideGroup(f []float64, i, n int, grp *Group, r []Record, fold, force *[3
 	if fold == nil || force == nil {
 		r = r[:n]
 	}
-	if n == Lanes && cpu.Vector() {
-		_ = f[i+Lanes-1]
-		var rec *Record
-		if fold == nil || force == nil {
-			rec = &r[0]
-		}
-		collideAVX2(&f[i], grp, grp.uniform(), rec, fold, force, tau, out)
+	if !cpu.Vector() {
+		collideGroup(f, i, n, grp, r, fold, force, tau, out)
 		return
 	}
-	collideGroup(f, i, n, grp, r, fold, force, tau, out)
+	_ = f[i+n-1]
+	var rec *Record
+	if fold == nil || force == nil {
+		rec = &r[0]
+	}
+	collideAVX2(&f[i], grp, n, n == Lanes && grp.uniform(), rec, fold, force, tau, out)
 }
 
-// collideGroup is CollideGroup in Go: the portable path, a row's tail
-// and the vector body's oracle.
+// collideGroup is CollideGroup in Go: the portable path and the vector
+// body's oracle.
 func collideGroup(f []float64, i, n int, grp *Group, r []Record, fold, force *[3]float64, tau float64, out *[Lanes]State) {
 	for k := 0; k < n; k++ {
 		e := i + k

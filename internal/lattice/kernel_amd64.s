@@ -15,13 +15,17 @@
 // addressing). When the four lanes share one table, direction q of the
 // four nodes is four consecutive float64 from the table's offset on, so
 // it is one 32-byte load and one 32-byte store; otherwise each lane
-// loads and stores its own 8 bytes through its own table. Either way
-// every lane's 19 values are loaded into the frame, d_q at 32q, before
-// anything is stored, and every access is a slot of one of the group's
-// four nodes, so nothing outside the array is read or written. The
-// records of the four consecutive nodes are transposed on the way in:
-// Vel and Rho as two 16-byte loads per node, Force from offsets 24 and
-// 40, so that no load passes the last record's 56 bytes.
+// loads and stores its own 8 bytes through its own table. A short group
+// of n < 4 nodes — a row's tail — goes lane by lane: lanes 0 … n−1 load
+// through their own tables, every lane from n on loads lane 0's values
+// (it computes, and is never stored), and the stores take lanes 0 … n−1
+// alone. Either way every lane's 19 values are loaded into the
+// frame, d_q at 32q, before anything is stored, and every access is a
+// slot of one of the group's nodes, so nothing outside the array is read
+// or written. The records of the lanes, consecutive, are transposed on
+// the way in, a lane from n on taking lane 0's: Vel and Rho as two
+// 16-byte loads per node, Force from offsets 24 and 40, so that no load
+// passes the last record's 56 bytes.
 //
 // The per-call scalars — 1/τ, 1 − 1/2τ and its multiples by the
 // weights, and with a given force the force — are formed once and
@@ -101,9 +105,12 @@ GLOBL kc<>(SB), RODATA|NOPTR, $296
 
 // Registers held across the body: DI the group's first entry; R8, R9,
 // R11, R12 the tables of lanes 0–3 (load, then store; a uniform group
-// uses R8 alone); AX, BX, CX, SI the offsets a direction takes; R10 the
-// first record. Y12, Y11, Y10 hold ux, uy, uz, Y9, Y8, Y7 fx, fy, fz,
-// Y14 c, Y13 3u·f and Y15 1/τ while the pairs run; Y0–Y6 are scratch.
+// uses R8 alone); AX, BX, CX, SI the offsets a direction takes. The
+// per-lane loads keep the lanes' entries in DI, CX, SI and R10 and
+// their offsets in AX and BX; between the loads and the stores R10, R8,
+// R9 and R11 point at the records of lanes 0–3. Y12, Y11, Y10 hold ux,
+// uy, uz, Y9, Y8, Y7 fx, fy, fz, Y14 c, Y13 3u·f and Y15 1/τ while the
+// pairs run; Y0–Y6 are scratch.
 
 // TABLES points R8, R9, R11, R12 at the four lanes' tables of the
 // lattice.Group half at o(DX).
@@ -120,17 +127,18 @@ GLOBL kc<>(SB), RODATA|NOPTR, $296
 	VMOVUPD (DI)(AX*8), Y0; \
 	VMOVAPD Y0, f(R13)
 
-// LOADL loads value q (o8 = 8q) of each lane through its own table into
-// d at frame offset f = 32q.
+// LOADL loads value q (o8 = 8q) of each lane, through its table (R8,
+// R9, R11, R12) from its entry (DI, CX, SI, R10), into d at frame
+// offset f = 32q.
 #define LOADL(o8, f) \
 	MOVQ o8(R8), AX; \
 	MOVQ o8(R9), BX; \
-	MOVQ o8(R11), CX; \
-	MOVQ o8(R12), SI; \
 	VMOVSD (DI)(AX*8), X0; \
-	VMOVHPD 8(DI)(BX*8), X0, X0; \
-	VMOVSD 16(DI)(CX*8), X1; \
-	VMOVHPD 24(DI)(SI*8), X1, X1; \
+	VMOVHPD (CX)(BX*8), X0, X0; \
+	MOVQ o8(R11), AX; \
+	MOVQ o8(R12), BX; \
+	VMOVSD (SI)(AX*8), X1; \
+	VMOVHPD (R10)(BX*8), X1, X1; \
 	VINSERTF128 $1, X1, Y0, Y0; \
 	VMOVAPD Y0, f(R13)
 
@@ -154,6 +162,31 @@ GLOBL kc<>(SB), RODATA|NOPTR, $296
 	VMOVHPD X0, 8(DI)(BX*8); \
 	VMOVSD X1, 16(DI)(CX*8); \
 	VMOVHPD X1, 24(DI)(SI*8)
+
+// STORE3, STORE2 and STORE1 store d at frame offset f = 32q as value q
+// (o8 = 8q) of lanes 0–2, 0–1 and 0 alone, each through its own table:
+// a short group's STOREL, which leaves the lanes from n on unstored.
+#define STORE3(o8, f) \
+	MOVQ o8(R8), AX; \
+	MOVQ o8(R9), BX; \
+	MOVQ o8(R11), CX; \
+	VMOVAPD f(R13), Y0; \
+	VEXTRACTF128 $1, Y0, X1; \
+	VMOVSD X0, (DI)(AX*8); \
+	VMOVHPD X0, 8(DI)(BX*8); \
+	VMOVSD X1, 16(DI)(CX*8)
+
+#define STORE2(o8, f) \
+	MOVQ o8(R8), AX; \
+	MOVQ o8(R9), BX; \
+	VMOVAPD f(R13), X0; \
+	VMOVSD X0, (DI)(AX*8); \
+	VMOVHPD X0, 8(DI)(BX*8)
+
+#define STORE1(o8, f) \
+	MOVQ o8(R8), AX; \
+	VMOVSD f(R13), X0; \
+	VMOVSD X0, (DI)(AX*8)
 
 // PAIR relaxes the opposite pair whose members' d are at frame offsets
 // a (+e) and b (−e), with e·u in eu and e·f in ef: pairTerms with ρw in
@@ -206,15 +239,14 @@ GLOBL kc<>(SB), RODATA|NOPTR, $296
 	VMULSD HALF, X0, X0; \
 	VBROADCASTSD X0, Y0
 
-// func collideAVX2(f *float64, grp *Group, uniform bool, r *Record, fold, force *[3]float64, tau float64, out *[Lanes]State)
-TEXT ·collideAVX2(SB), 0, $1024-64
+// func collideAVX2(f *float64, grp *Group, n int, uniform bool, r *Record, fold, force *[3]float64, tau float64, out *[Lanes]State)
+TEXT ·collideAVX2(SB), 0, $1024-72
 	LEAQ 31(SP), R13
 	ANDQ $-32, R13
 	MOVQ f+0(FP), DI
-	MOVQ r+24(FP), R10
 	MOVQ grp+8(FP), DX
-	TABLES(0)
-	MOVBQZX uniform+16(FP), AX
+	MOVQ 0(DX), R8
+	MOVBQZX uniform+24(FP), AX
 	TESTQ AX, AX
 	JZ loadlanes
 	LOADV(0, 0)
@@ -239,6 +271,29 @@ TEXT ·collideAVX2(SB), 0, $1024-64
 	JMP loaded
 
 loadlanes:
+	// Lane k loads through its own table from its own entry, and a lane
+	// from n on through lane 0's from lane 0's.
+	MOVQ R8, R9
+	MOVQ R8, R11
+	MOVQ R8, R12
+	MOVQ DI, CX
+	MOVQ DI, SI
+	MOVQ DI, R10
+	MOVQ n+16(FP), AX
+	CMPQ AX, $2
+	JLT lanesset
+	MOVQ 8(DX), R9
+	LEAQ 8(DI), CX
+	CMPQ AX, $3
+	JLT lanesset
+	MOVQ 16(DX), R11
+	LEAQ 16(DI), SI
+	CMPQ AX, $4
+	JLT lanesset
+	MOVQ 24(DX), R12
+	LEAQ 24(DI), R10
+
+lanesset:
 	LOADL(0, 0)
 	LOADL(8, 32)
 	LOADL(16, 64)
@@ -260,19 +315,37 @@ loadlanes:
 	LOADL(144, 576)
 
 loaded:
-	MOVQ fold+32(FP), DX
+	// The lanes' records from R10, R8, R9, R11; a lane from n on takes
+	// lane 0's.
+	MOVQ r+32(FP), R10
+	MOVQ R10, R8
+	MOVQ R10, R9
+	MOVQ R10, R11
+	MOVQ n+16(FP), AX
+	CMPQ AX, $2
+	JLT recordsset
+	LEAQ 56(R10), R8
+	CMPQ AX, $3
+	JLT recordsset
+	LEAQ 112(R10), R9
+	CMPQ AX, $4
+	JLT recordsset
+	LEAQ 168(R10), R11
+
+recordsset:
+	MOVQ fold+40(FP), DX
 	TESTQ DX, DX
 	JNZ folded
 
 	// The records' velocity (Y12, Y11, Y10) and density.
 	VMOVUPD 0(R10), X0
-	VINSERTF128 $1, 112(R10), Y0, Y0
-	VMOVUPD 56(R10), X1
-	VINSERTF128 $1, 168(R10), Y1, Y1
+	VINSERTF128 $1, 0(R9), Y0, Y0
+	VMOVUPD 0(R8), X1
+	VINSERTF128 $1, 0(R11), Y1, Y1
 	VMOVUPD 16(R10), X2
-	VINSERTF128 $1, 128(R10), Y2, Y2
-	VMOVUPD 72(R10), X3
-	VINSERTF128 $1, 184(R10), Y3, Y3
+	VINSERTF128 $1, 16(R9), Y2, Y2
+	VMOVUPD 16(R8), X3
+	VINSERTF128 $1, 16(R11), Y3, Y3
 	VUNPCKLPD Y1, Y0, Y12
 	VUNPCKHPD Y1, Y0, Y11
 	VUNPCKLPD Y3, Y2, Y10
@@ -353,19 +426,19 @@ folded:
 	VMOVAPD Y1, RHO
 
 forces:
-	MOVQ force+40(FP), DX
+	MOVQ force+48(FP), DX
 	TESTQ DX, DX
 	JNZ given
 
 	// The records' force (Y9, Y8, Y7).
 	VMOVUPD 24(R10), X0
-	VINSERTF128 $1, 136(R10), Y0, Y0
-	VMOVUPD 80(R10), X1
-	VINSERTF128 $1, 192(R10), Y1, Y1
+	VINSERTF128 $1, 24(R9), Y0, Y0
+	VMOVUPD 24(R8), X1
+	VINSERTF128 $1, 24(R11), Y1, Y1
 	VMOVUPD 40(R10), X2
-	VINSERTF128 $1, 152(R10), Y2, Y2
-	VMOVUPD 96(R10), X3
-	VINSERTF128 $1, 208(R10), Y3, Y3
+	VINSERTF128 $1, 40(R9), Y2, Y2
+	VMOVUPD 40(R8), X3
+	VINSERTF128 $1, 40(R11), Y3, Y3
 	VUNPCKHPD Y1, Y0, Y9
 	VUNPCKLPD Y3, Y2, Y8
 	VUNPCKHPD Y3, Y2, Y7
@@ -378,7 +451,7 @@ given:
 
 outputs:
 	// What each lane collides with, as out[k] = {u, ρ}.
-	MOVQ out+56(FP), DX
+	MOVQ out+64(FP), DX
 	TESTQ DX, DX
 	JZ scalars
 	VMOVAPD RHO, Y6
@@ -427,7 +500,7 @@ scalars:
 	// Per call: 1/τ (Y15), pre = 1 − 0.5/τ, pre w1, pre w2, their
 	// triples, (−pre) w0.
 	VMOVSD ONE, X0
-	VDIVSD tau+48(FP), X0, X0
+	VDIVSD tau+56(FP), X0, X0
 	VBROADCASTSD X0, Y15
 	VMULSD HALF, X0, X1
 	VMOVSD ONE, X2
@@ -486,7 +559,10 @@ scalars:
 	// Each value through its store table.
 	MOVQ grp+8(FP), DX
 	TABLES(32)
-	MOVBQZX uniform+16(FP), AX
+	MOVQ n+16(FP), CX
+	CMPQ CX, $4
+	JLT storeshort
+	MOVBQZX uniform+24(FP), AX
 	TESTQ AX, AX
 	JZ storelanes
 	STOREV(0, 0)
@@ -531,5 +607,77 @@ storelanes:
 	STOREL(128, 512)
 	STOREL(136, 544)
 	STOREL(144, 576)
+	VZEROUPPER
+	RET
+
+storeshort:
+	CMPQ CX, $2
+	JLT store1
+	JEQ store2
+	STORE3(0, 0)
+	STORE3(8, 32)
+	STORE3(16, 64)
+	STORE3(24, 96)
+	STORE3(32, 128)
+	STORE3(40, 160)
+	STORE3(48, 192)
+	STORE3(56, 224)
+	STORE3(64, 256)
+	STORE3(72, 288)
+	STORE3(80, 320)
+	STORE3(88, 352)
+	STORE3(96, 384)
+	STORE3(104, 416)
+	STORE3(112, 448)
+	STORE3(120, 480)
+	STORE3(128, 512)
+	STORE3(136, 544)
+	STORE3(144, 576)
+	VZEROUPPER
+	RET
+
+store2:
+	STORE2(0, 0)
+	STORE2(8, 32)
+	STORE2(16, 64)
+	STORE2(24, 96)
+	STORE2(32, 128)
+	STORE2(40, 160)
+	STORE2(48, 192)
+	STORE2(56, 224)
+	STORE2(64, 256)
+	STORE2(72, 288)
+	STORE2(80, 320)
+	STORE2(88, 352)
+	STORE2(96, 384)
+	STORE2(104, 416)
+	STORE2(112, 448)
+	STORE2(120, 480)
+	STORE2(128, 512)
+	STORE2(136, 544)
+	STORE2(144, 576)
+	VZEROUPPER
+	RET
+
+store1:
+	STORE1(0, 0)
+	STORE1(8, 32)
+	STORE1(16, 64)
+	STORE1(24, 96)
+	STORE1(32, 128)
+	STORE1(40, 160)
+	STORE1(48, 192)
+	STORE1(56, 224)
+	STORE1(64, 256)
+	STORE1(72, 288)
+	STORE1(80, 320)
+	STORE1(88, 352)
+	STORE1(96, 384)
+	STORE1(104, 416)
+	STORE1(112, 448)
+	STORE1(120, 480)
+	STORE1(128, 512)
+	STORE1(136, 544)
+	STORE1(144, 576)
 	VZEROUPPER
 	RET

@@ -31,7 +31,9 @@ func guarded(t *testing.T) []byte {
 // loads and stores), with the trade and without, and with every
 // combination of fold and given force, runs without a fault and gives
 // the Go twin's bits. A short group there has no entry past its last
-// node to store an unused lane into: one stored would fault.
+// node to store an unused lane into, nor a record past its last node's
+// to read one from: either would fault. Its unused lanes' tables are
+// nil, so a read of one would fault too.
 func TestGroupReadsNothingPastTheArray(t *testing.T) {
 	const nodes = 8
 	popPage, recPage := guarded(t), guarded(t)
@@ -51,6 +53,9 @@ func TestGroupReadsNothingPastTheArray(t *testing.T) {
 						copies[0][k], copies[1][k] = nat, *store
 						grp.Load[k], grp.Store[k] = &copies[0][k], &copies[1][k]
 					}
+				}
+				for k := n; k < Lanes; k++ {
+					grp.Load[k], grp.Store[k] = nil, nil
 				}
 				for _, fs := range [][2]*[3]float64{{nil, nil}, {&fold, nil}, {nil, &force}, {&fold, &force}} {
 					for j := range f {

@@ -6,6 +6,6 @@ package lattice
 // keeps the calls to the amd64 body compiling; cpu.Vector is false, so
 // it never runs.
 
-func collideAVX2(f *float64, grp *Group, uniform bool, r *Record, fold, force *[3]float64, tau float64, out *[Lanes]State) {
+func collideAVX2(f *float64, grp *Group, n int, uniform bool, r *Record, fold, force *[3]float64, tau float64, out *[Lanes]State) {
 	panic("lattice: no vector body on this architecture")
 }

@@ -489,11 +489,12 @@ func (c *group) array(r *rand.Rand) ([]float64, Group) {
 	return f, grp
 }
 
-// checkGroup runs the group on the vector body (a group of four) or on
-// CollideGroup (a shorter one, which takes the Go twin) and on the Go
-// kernel, and fails at the first bit that differs anywhere in the array
-// or in the density and velocity a lane reports; with both forces given
-// neither body gets records at all. In a group with a fold every lane's
+// checkGroup runs the group on the vector body — directly for a group
+// of four, through CollideGroup for a shorter one, its tables from lane
+// n on nil — and on the Go twin, and fails at the first bit that differs anywhere
+// in the array or in the density and velocity a lane reports; with both
+// forces given neither body gets records at all. In a group with a fold
+// every lane's
 // density and velocity, from either body, must be Moments' bits on its
 // node under the fold force: the values its wall reflections take and a
 // sampled sweep digests.
@@ -520,8 +521,11 @@ func checkGroup(t *testing.T, r *rand.Rand, i int, c group) {
 		if rec != nil {
 			r0 = &rec[0]
 		}
-		collideAVX2(&got[c.i], &grp, c.shared, r0, c.fold, c.force, c.tau, out)
+		collideAVX2(&got[c.i], &grp, Lanes, c.shared, r0, c.fold, c.force, c.tau, out)
 	} else {
+		for k := n; k < Lanes; k++ {
+			grp.Load[k], grp.Store[k] = nil, nil
+		}
 		CollideGroup(got, c.i, n, &grp, rec, c.fold, c.force, c.tau, out)
 	}
 	collideGroup(want, c.i, n, &grp, recs[:n], c.fold, c.force, c.tau, &wantOut)
@@ -676,7 +680,8 @@ func TestVectorKernelMatchesGoOnSpecialValues(t *testing.T) {
 // group's n nodes do not store keeps its bits, as does every record,
 // and each node's slots hold Collide's (or FoldCollide's) bits on the
 // values its load table names. So a short group — a row's tail, which
-// takes the Go twin — stores none of the lanes it does not use.
+// takes the vector body's per-lane path on an AVX2 host — stores none
+// of the lanes it does not use, whose tables it is given as nil.
 func TestShortGroupsWriteOnlyTheirNodes(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
 	fold, force := [3]float64{3e-3, -1e-3, 2e-3}, [3]float64{-1e-3, 4e-3, 1e-3}
@@ -689,6 +694,9 @@ func TestShortGroupsWriteOnlyTheirNodes(t *testing.T) {
 				}
 				drawTables(r, &c, kind)
 				f, grp := c.array(r)
+				for k := n; k < Lanes; k++ {
+					grp.Load[k], grp.Store[k] = nil, nil
+				}
 				want := append([]float64(nil), f...)
 				recs := make([]Record, n)
 				for k, s := range c.lanes {
@@ -746,7 +754,8 @@ func TestGroupLayout(t *testing.T) {
 // L1 (1024 nodes, 152 KiB of populations and 56 KiB of records), so
 // consecutive calls are independent, as they are in a pass over a block:
 // the Go kernel of Collide and of FoldCollide, one node per call; a
-// row's tail, one node per CollideGroup call (the Go twin); and the
+// row's tail, one node per CollideGroup call, on the vector body's
+// short path and on the Go twin; and the
 // vector body and the Go twin of CollideGroup, four consecutive nodes
 // per call, on the direction-major ring through the natural phase's
 // tables (each direction one vector), and through four copies of them
@@ -789,13 +798,14 @@ func BenchmarkCollide(b *testing.B) {
 	}{
 		{"portable", false, 1, func(f []float64, j int) { Collide(&nodes[j], recs[j].Rho, recs[j].Vel, recs[j].Force, tau) }},
 		{"fold/portable", false, 1, func(f []float64, j int) { FoldCollide(&nodes[j], body, recs[j].Force, tau, &out[0].U) }},
-		{"tail/portable", false, 1, func(f []float64, j int) { CollideGroup(f, j, 1, &shared, recs[j:j+1], nil, nil, tau, nil) }},
-		{"group/vector", true, Lanes, func(f []float64, j int) { collideAVX2(&f[j], &shared, true, &recs[j], nil, nil, tau, nil) }},
-		{"group/lanes/vector", true, Lanes, func(f []float64, j int) { collideAVX2(&f[j], &lanes, false, &recs[j], nil, nil, tau, nil) }},
+		{"tail/vector", true, 1, func(f []float64, j int) { CollideGroup(f, j, 1, &shared, recs[j:j+1], nil, nil, tau, nil) }},
+		{"tail/portable", false, 1, func(f []float64, j int) { collideGroup(f, j, 1, &shared, recs[j:j+1], nil, nil, tau, nil) }},
+		{"group/vector", true, Lanes, func(f []float64, j int) { collideAVX2(&f[j], &shared, Lanes, true, &recs[j], nil, nil, tau, nil) }},
+		{"group/lanes/vector", true, Lanes, func(f []float64, j int) { collideAVX2(&f[j], &lanes, Lanes, false, &recs[j], nil, nil, tau, nil) }},
 		{"group/portable", false, Lanes, func(f []float64, j int) { collideGroup(f, j, Lanes, &shared, recs[j:], nil, nil, tau, nil) }},
-		{"group/fold/vector", true, Lanes, func(f []float64, j int) { collideAVX2(&f[j], &shared, true, nil, &body, &body, tau, nil) }},
+		{"group/fold/vector", true, Lanes, func(f []float64, j int) { collideAVX2(&f[j], &shared, Lanes, true, nil, &body, &body, tau, nil) }},
 		{"group/fold/portable", false, Lanes, func(f []float64, j int) { collideGroup(f, j, Lanes, &shared, nil, &body, &body, tau, nil) }},
-		{"group/observed/vector", true, Lanes, func(f []float64, j int) { collideAVX2(&f[j], &shared, true, nil, &body, &body, tau, &out) }},
+		{"group/observed/vector", true, Lanes, func(f []float64, j int) { collideAVX2(&f[j], &shared, Lanes, true, nil, &body, &body, tau, &out) }},
 		{"group/observed/portable", false, Lanes, func(f []float64, j int) { collideGroup(f, j, Lanes, &shared, nil, &body, &body, tau, &out) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {

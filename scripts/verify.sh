@@ -140,13 +140,14 @@ if grep -rn 'grid\.Node\b' --include='*.go' \
 fi
 
 # One population layout. A grid stores its populations direction-major
-# (grid.Grid.Dist: value q of entry e at q·N + e), so that one direction
-# of four consecutive nodes is one vector and a stream of one direction
-# moves whole runs; the node-major array of 152 B records must not come
-# back onto a step path: outside the benchmark harness, no non-test Go
-# file declares a slice of 19-value arrays ([][lattice.Q]float64, or
-# [][Q]float64 inside internal/lattice). A snapshot keeps its per-node
-# grid.Node records, whose DF is one node's array, not a slice of them.
+# (grid.Grid.Dist: value q of entry e at q·S + e, S the grid's stride),
+# so that one direction of four consecutive nodes is one vector and a
+# stream of one direction moves whole runs; the node-major array of
+# 152 B records must not come back onto a step path: outside the
+# benchmark harness, no non-test Go file declares a slice of 19-value
+# arrays ([][lattice.Q]float64, or [][Q]float64 inside
+# internal/lattice). A snapshot keeps its per-node grid.Node records,
+# whose DF is one node's array, not a slice of them.
 if grep -rn '\[\]\[lattice\.Q\]float64\|\[\]\[19\]float64' --include='*.go' . |
 	grep -v '_test\.go:' | grep -v '^\./bench/' ||
 	grep -rn '\[\]\[Q\]float64' --include='*.go' internal/lattice | grep -v '_test\.go:'; then
@@ -271,15 +272,17 @@ rm -f "$WDLOG"
 # Per-body benchmark smoke: BenchmarkInPlaceBodies times each stream body
 # of internal/core by itself (in-place bodies in each phase,
 # Canonicalize, the sequential push) on four block extents of one domain
-# — the slab grid, k = 8 cubes and the pencils 8×8×32 and 4×64×32 — and
-# on the 64³ walled cavity as slab and k = 8 cubes.
+# — the slab grid, k = 8 cubes and the pencils 8×8×32 and 4×64×32 —,
+# on the 64³ walled cavity as slab and k = 8 cubes, and on a 54³ domain
+# as k = 2, 3 and 9 cubes, whose rows end in a short group.
 # One pass per case keeps it compiling and executing; its figures are
 # not judged here.
 go test -run '^$' -bench InPlaceBodies -benchtime 1x ./internal/core
 
 # Node-kernel benchmark smoke: BenchmarkCollide times the Go kernel one
-# node per call (the record and fold paths, and a row's tail through the
-# group entry) and the vector body and its Go twin four nodes per call
+# node per call (the record and fold paths), a row's tail of one node
+# on the vector body and on its Go twin, and the vector body and its Go
+# twin four nodes per call
 # (the record path with shared and per-lane tables, the fold and the
 # observed fold), in ns/node; one pass of each row.
 go test -run '^$' -bench Collide -benchtime 1x ./internal/lattice
