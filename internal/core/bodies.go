@@ -39,21 +39,17 @@ func CollideRange(df []float64, stride, lo int, m []grid.Macro, tau float64) {
 // UpdateRange is kernel 7 over a node range: density and velocity from
 // the post-streaming distributions of the nodes at entries lo …
 // lo+len(m)−1 of the direction-major array df of stride stride and the
-// elastic force (half-force Guo correction), into their records m. A
-// non-nil reset is then stored as the node's force in the same pass —
-// the fold that lets the engines which retire kernel 4's full-grid reset
-// keep spreading on top of the body force.
+// elastic force (half-force Guo correction), into their records m, four
+// nodes per call of the moments kernel, each node through its own slots
+// (lattice.Natural). A non-nil reset is then stored as the node's force
+// in the same pass — the fold that lets the engines which retire kernel
+// 4's full-grid reset keep spreading on top of the body force.
 func UpdateRange(df []float64, stride, lo int, m []grid.Macro, reset *[3]float64) {
-	var g [lattice.Q]float64
-	for i := range m {
-		for q := range g {
-			g[q] = df[q*stride+lo+i]
-		}
-		r := &m[i]
-		r.Rho = lattice.Moments(&g, r.Force, &r.Vel)
-		if reset != nil {
-			r.Force = *reset
-		}
+	nat := lattice.Natural(stride)
+	grp := lattice.Uniform(&nat, &nat)
+	for i := 0; i < len(m); i += lattice.Lanes {
+		j := min(i+lattice.Lanes, len(m))
+		lattice.MomentsGroup(df, lo+i, j-i, &grp, m[i:j], reset)
 	}
 }
 
@@ -472,6 +468,12 @@ func AABlock(s *Streamer, df []float64, b int, tau float64, swapped bool, fold, 
 // reads its own slots, which is UpdateRange. Either way every block
 // around b must have run AABlock first, and the body writes only its own
 // records.
+//
+// Swapped, the nodes of a z-row go in groups of lattice.Lanes, one call
+// of the moments kernel each (lattice.MomentsGroup), a row's last group
+// short, each lane through its own class triple's table: a group whose
+// four nodes share a class triple loads each direction as one vector, as
+// AABlock's does.
 func AAMomentsBlock(s *Streamer, df []float64, b int, swapped bool, reset *[3]float64) {
 	m := s.l.Macros()
 	o, e := s.l.BlockBox(b)
@@ -481,20 +483,17 @@ func AAMomentsBlock(s *Streamer, df []float64, b int, swapped bool, reset *[3]fl
 		UpdateRange(df, s.stride, idx, m[idx:idx+n], reset)
 		return
 	}
-	var g [lattice.Q]float64
+	var grp lattice.Group
 	for x := o[0]; x < o[0]+e[0]; x++ {
 		for y := o[1]; y < o[1]+e[1]; y++ {
 			r := s.row(x, y)
-			for z := o[2]; z < o[2]+e[2]; z++ {
-				for q, off := range &s.pull[r.at+s.cls[2][z]] {
-					g[q] = df[idx+off]
+			for z0 := o[2]; z0 < o[2]+e[2]; z0 += lattice.Lanes {
+				n := min(lattice.Lanes, o[2]+e[2]-z0)
+				for k := 0; k < n; k++ {
+					grp.Load[k] = &s.pull[r.at+s.cls[2][z0+k]]
 				}
-				rec := &m[idx]
-				rec.Rho = lattice.Moments(&g, rec.Force, &rec.Vel)
-				if reset != nil {
-					rec.Force = *reset
-				}
-				idx++
+				lattice.MomentsGroup(df, idx, n, &grp, m[idx:idx+n], reset)
+				idx += n
 			}
 		}
 	}

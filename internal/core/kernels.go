@@ -10,8 +10,10 @@
 // arithmetic, which is what keeps the engines bitwise comparable. The
 // arithmetic of a fluid node itself — collision with forcing, and the
 // moments — is one level further down, in lattice.Collide and
-// lattice.Moments; CollideRange and UpdateRange are loops over them, and
-// so are the in-place bodies AABlock and AAMomentsBlock. Likewise a
+// lattice.Moments, which the node kernel runs four nodes per call
+// (lattice.CollideGroup, lattice.MomentsGroup); CollideRange and
+// UpdateRange are loops over those calls, and so are the in-place bodies
+// AABlock and AAMomentsBlock. Likewise a
 // fiber node's 64 stencil points: SpreadBox and MoveSheetNodes make one call per fiber node, and
 // the point loops, with the periodic wrap, are grid.Coupling's.
 //

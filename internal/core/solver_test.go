@@ -325,8 +325,9 @@ func TestCopyDistribution(t *testing.T) {
 }
 
 // Kernels 5 and 7 run once per node per step in every engine; a heap
-// allocation in any of their bodies (an escaping scratch array, say)
-// would be paid there. The stream bodies — the in-place ones, the
+// allocation in any of their bodies (an escaping scratch array or table
+// group, say) would be paid there, and so would one in the refresh of
+// stale records between steps. The stream bodies — the in-place ones, the
 // between-steps Canonicalize and the sequential push — run on a walled,
 // lid-driven grid so their boundary paths count too.
 func TestCollideAndUpdateRangeDoNotAllocate(t *testing.T) {
@@ -347,6 +348,17 @@ func TestCollideAndUpdateRangeDoNotAllocate(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("AABlock and AAMomentsBlock from swapped=%v: %v allocations per run, want 0", swapped, n)
 		}
+	}
+	if n := testing.AllocsPerRun(10, func() { AAMomentsBlock(st, g.Dist(), 0, true, nil) }); n != 0 {
+		t.Errorf("swapped AAMomentsBlock: %v allocations per run, want 0", n)
+	}
+	sup := NewSupport(g.NumBlocks())
+	if n := testing.AllocsPerRun(10, func() {
+		fresh, _ := sup.Sets(0)
+		clear(fresh)
+		RefreshBlocks(st, g.Dist(), sup, true, 0, g.NumBlocks())
+	}); n != 0 {
+		t.Errorf("RefreshBlocks over %d stale blocks: %v allocations per run, want 0", g.NumBlocks(), n)
 	}
 	if n := testing.AllocsPerRun(10, func() { Canonicalize(st, g.Dist()) }); n != 0 {
 		t.Errorf("Canonicalize over %d nodes: %v allocations per run, want 0", g.NumNodes(), n)

@@ -317,28 +317,31 @@ func (d *DigestGrid) Fill(src *Grid) error {
 }
 
 // addBlock adds block b's nodes to their slots in storage order,
-// refreshing each node's record first if the block is stale: its
-// density and velocity recomputed from its values under its force
-// (lattice.Moments, kernel 7's body), while the values are in cache.
+// refreshing each z-row's records first if the block is stale: their
+// density and velocity recomputed from their values under their force
+// (lattice.MomentsGroup, kernel 7's body, four nodes per call), while
+// the values are in cache.
 func (d *DigestGrid) addBlock(b int, stale bool) {
 	e := d.block
 	by, bz := d.NY/e[1], d.NZ/e[2]
 	o := [3]int{b / (by * bz) * e[0], b / bz % by * e[1], b % bz * e[2]}
 	d.ClearSlots(o, e)
 	i := b * e[0] * e[1] * e[2]
+	nat := lattice.Natural(d.src.stride)
+	grp := lattice.Uniform(&nat, &nat)
 	for x := o[0]; x < o[0]+e[0]; x++ {
 		for y := o[1]; y < o[1]+e[1]; y++ {
-			row := d.Row(x, y)
-			for z := o[2]; z < o[2]+e[2]; z++ {
-				n := &d.macro[i]
-				if stale {
-					var g [lattice.Q]float64
-					d.src.Load(i, &g)
-					n.Rho = lattice.Moments(&g, n.Force, &n.Vel)
+			row, rec := d.Row(x, y), d.macro[i:i+e[2]]
+			if stale {
+				for z := 0; z < e[2]; z += lattice.Lanes {
+					n := min(lattice.Lanes, e[2]-z)
+					lattice.MomentsGroup(d.src.dist, i+z, n, &grp, rec[z:z+n], nil)
 				}
-				row.Add(z, n.Rho, &n.Vel)
-				i++
 			}
+			for z := range rec {
+				row.Add(o[2]+z, rec[z].Rho, &rec[z].Vel)
+			}
+			i += e[2]
 		}
 	}
 }

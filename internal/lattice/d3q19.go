@@ -20,10 +20,10 @@
 // pairs (e, −e) of the velocity set, whose equilibrium and forcing share
 // a symmetric part and differ in the sign of an antisymmetric one.
 // kernel_amd64.s is the same unrolled kernel in AVX2, one node per
-// vector lane and four nodes per call, which CollideGroup runs
-// when the host has AVX2. The loop forms are the oracle the unrolled Go
+// vector lane and four nodes per call, which CollideGroup and
+// MomentsGroup run when the host has AVX2. The loop forms are the oracle the unrolled Go
 // forms are tested against, and the unrolled Go forms — the path for
-// every other host, and Collide's and FoldCollide's on every host — are
+// every other host, and Collide's, FoldCollide's and Moments' on every host — are
 // the oracle the vector body must match bit for bit (kernel_test.go); no
 // solver composes a collision out of the loop forms.
 package lattice

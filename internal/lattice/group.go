@@ -2,8 +2,8 @@ package lattice
 
 import "lbmib/internal/cpu"
 
-// Lanes is the number of nodes one call of CollideGroup collides: on an
-// AVX2 host, one node per lane of a 4-wide vector.
+// Lanes is the number of nodes one call of CollideGroup or MomentsGroup
+// takes: on an AVX2 host, one node per lane of a 4-wide vector.
 const Lanes = 4
 
 // Record is a node's macroscopic record: the velocity u and density ρ a
@@ -54,7 +54,7 @@ func Traded(s int) (t Offsets) {
 // of the array and stores its collided value q to i+k+Store[k][q]. A
 // group whose four lanes share one load and one store table reads and
 // writes each direction of its four nodes as one vector; any other group
-// goes lane by lane.
+// goes lane by lane. MomentsGroup reads through the load tables alone.
 type Group struct {
 	Load, Store [Lanes]*Offsets
 }
@@ -66,10 +66,10 @@ func Uniform(load, store *Offsets) Group {
 }
 
 // uniform reports whether every lane of the group shares lane 0's tables.
-func (g *Group) uniform() bool {
-	return g.Load[0] == g.Load[1] && g.Load[0] == g.Load[2] && g.Load[0] == g.Load[3] &&
-		g.Store[0] == g.Store[1] && g.Store[0] == g.Store[2] && g.Store[0] == g.Store[3]
-}
+func (g *Group) uniform() bool { return shared(&g.Load) && shared(&g.Store) }
+
+// shared reports whether the four lanes' tables are lane 0's.
+func shared(t *[Lanes]*Offsets) bool { return t[0] == t[1] && t[0] == t[2] && t[0] == t[3] }
 
 // CollideGroup is kernel 5 on the n ≤ Lanes nodes at entries i … i+n−1
 // of the direction-major array f, through the slots of grp: node k loads
@@ -111,31 +111,115 @@ func CollideGroup(f []float64, i, n int, grp *Group, r []Record, fold, force *[3
 	collideAVX2(&f[i], grp, n, n == Lanes && grp.uniform(), rec, fold, force, tau, out)
 }
 
+// MomentsGroup is kernel 7 on the n ≤ Lanes nodes at entries i … i+n−1
+// of the direction-major array f, through grp's load tables: node k
+// loads its 19 values through grp.Load[k] and takes their density and
+// velocity under its record's force, r[k].Rho = Moments(·, r[k].Force,
+// &r[k].Vel); then, with a non-nil reset, r[k].Force = *reset. grp's
+// store tables are not read, and neither are its load tables from lane
+// n on; nothing but the n records is written.
+//
+// The slots must lie in f. The bits are Moments' on each node whichever
+// body runs (a NaN is some NaN): on an AVX2 host the vector body, one
+// node per lane, each direction of the four nodes one vector when they
+// share a load table and a slot per lane otherwise, a short group lane
+// by lane; elsewhere the Go twin, which reads through the same tables.
+func MomentsGroup(f []float64, i, n int, grp *Group, r []Record, reset *[3]float64) {
+	if n == 0 {
+		return
+	}
+	if n > Lanes {
+		panic("lattice: MomentsGroup of more than Lanes nodes")
+	}
+	r = r[:n]
+	if !cpu.Vector() {
+		momentsGroup(f, i, n, grp, r, reset)
+		return
+	}
+	_ = f[i+n-1]
+	momentsAVX2(&f[i], grp, n, n == Lanes && shared(&grp.Load), &r[0], reset)
+}
+
 // collideGroup is CollideGroup in Go: the portable path and the vector
 // body's oracle.
 func collideGroup(f []float64, i, n int, grp *Group, r []Record, fold, force *[3]float64, tau float64, out *[Lanes]State) {
-	for k := 0; k < n; k++ {
-		e := i + k
-		var g [Q]float64
-		for q, o := range grp.Load[k] {
-			g[q] = f[e+o]
-		}
+	collide := func(g *[Q]float64, k int) {
 		var s State
 		fk := force
 		if fk == nil {
 			fk = &r[k].Force
 		}
 		if fold != nil {
-			s.Rho = FoldCollide(&g, *fold, *fk, tau, &s.U)
+			s.Rho = FoldCollide(g, *fold, *fk, tau, &s.U)
 		} else {
 			s = State{U: r[k].Vel, Rho: r[k].Rho}
-			Collide(&g, s.Rho, s.U, *fk, tau)
-		}
-		for q, o := range grp.Store[k] {
-			f[e+o] = g[q]
+			Collide(g, s.Rho, s.U, *fk, tau)
 		}
 		if out != nil {
 			out[k] = s
 		}
+	}
+	if n == Lanes && grp.uniform() {
+		var g [Lanes][Q]float64
+		gather(f, i, grp.Load[0], &g)
+		for k := range g {
+			collide(&g[k], k)
+		}
+		scatter(f, i, grp.Store[0], &g)
+		return
+	}
+	for k := range n {
+		var g [Q]float64
+		for q, o := range grp.Load[k] {
+			g[q] = f[i+k+o]
+		}
+		collide(&g, k)
+		for q, o := range grp.Store[k] {
+			f[i+k+o] = g[q]
+		}
+	}
+}
+
+// momentsGroup is MomentsGroup in Go: the portable path and the vector
+// body's oracle.
+func momentsGroup(f []float64, i, n int, grp *Group, r []Record, reset *[3]float64) {
+	moments := func(g *[Q]float64, rec *Record) {
+		rec.Rho = Moments(g, rec.Force, &rec.Vel)
+		if reset != nil {
+			rec.Force = *reset
+		}
+	}
+	if n == Lanes && shared(&grp.Load) {
+		var g [Lanes][Q]float64
+		gather(f, i, grp.Load[0], &g)
+		for k := range g {
+			moments(&g[k], &r[k])
+		}
+		return
+	}
+	for k := range n {
+		var g [Q]float64
+		for q, o := range grp.Load[k] {
+			g[q] = f[i+k+o]
+		}
+		moments(&g, &r[k])
+	}
+}
+
+// gather loads the values of four consecutive nodes from entry i on
+// through the one table t into g, direction by direction: each
+// direction's four values, on one or two cache lines, as one array
+// whose bounds are checked once.
+func gather(f []float64, i int, t *Offsets, g *[Lanes][Q]float64) {
+	for q, o := range t {
+		v := *(*[Lanes]float64)(f[i+o:])
+		g[0][q], g[1][q], g[2][q], g[3][q] = v[0], v[1], v[2], v[3]
+	}
+}
+
+// scatter stores g through the one table t: gather's inverse.
+func scatter(f []float64, i int, t *Offsets, g *[Lanes][Q]float64) {
+	for q, o := range t {
+		*(*[Lanes]float64)(f[i+o:]) = [Lanes]float64{g[0][q], g[1][q], g[2][q], g[3][q]}
 	}
 }

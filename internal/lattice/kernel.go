@@ -6,10 +6,10 @@ package lattice
 // over E and no index the compiler has to bounds-check (scripts/verify.sh
 // gates that). Equilibrium and GuoForce in d3q19.go are the same formulas
 // written down direction by direction; the tests hold this file to them.
-// On an AVX2 host, CollideGroup (group.go) runs the vector body of
-// kernel_amd64.s instead, which computes this file's expression trees
-// for four nodes at once, one node per lane; the tests hold it to
-// Collide and FoldCollide bit for bit.
+// On an AVX2 host, CollideGroup and MomentsGroup (group.go) run the
+// vector bodies of kernel_amd64.s instead, which compute this file's
+// expression trees for four nodes at once, one node per lane; the tests
+// hold them to Collide, FoldCollide and Moments bit for bit.
 
 // pairTerms splits the equilibrium and the Guo term of an opposite pair
 // (e, −e) into the parts the two directions share and the parts that

@@ -1,9 +1,11 @@
 #include "textflag.h"
 
-// The AVX2 body of the node kernel on float64 storage (kernel.go,
-// group.go): Collide or FoldCollide of four nodes per call, one node
-// per lane. Every lane runs kernel.go's expression tree, operation
-// for operation: the same products, sums and differences in the same
+// The AVX2 bodies of the node kernel on float64 storage (kernel.go,
+// group.go): Collide or FoldCollide (collideAVX2) and Moments
+// (momentsAVX2) of four nodes per call, one node per lane. The two
+// share the loads, the lane and record setup and the records' force
+// (the macros below). Every lane runs kernel.go's expression tree,
+// operation for operation: the same products, sums and differences in the same
 // order, with no fused multiply-add (it rounds once where the tree
 // rounds twice) and no reassociation, so each lane rounds exactly where
 // the Go kernel rounds and the result is its bits.
@@ -142,6 +144,57 @@ GLOBL kc<>(SB), RODATA|NOPTR, $296
 	VINSERTF128 $1, X1, Y0, Y0; \
 	VMOVAPD Y0, f(R13)
 
+// LOADALLV and LOADALLL load the 19 values of the group into the frame,
+// d_q at 32q: through the shared table (LOADV), or through each lane's
+// own (LOADL, after LANES).
+#define LOADALLV \
+	LOADV(0, 0); LOADV(8, 32); LOADV(16, 64); LOADV(24, 96); LOADV(32, 128); \
+	LOADV(40, 160); LOADV(48, 192); LOADV(56, 224); LOADV(64, 256); LOADV(72, 288); \
+	LOADV(80, 320); LOADV(88, 352); LOADV(96, 384); LOADV(104, 416); LOADV(112, 448); \
+	LOADV(120, 480); LOADV(128, 512); LOADV(136, 544); LOADV(144, 576)
+
+#define LOADALLL \
+	LOADL(0, 0); LOADL(8, 32); LOADL(16, 64); LOADL(24, 96); LOADL(32, 128); \
+	LOADL(40, 160); LOADL(48, 192); LOADL(56, 224); LOADL(64, 256); LOADL(72, 288); \
+	LOADL(80, 320); LOADL(88, 352); LOADL(96, 384); LOADL(104, 416); LOADL(112, 448); \
+	LOADL(120, 480); LOADL(128, 512); LOADL(136, 544); LOADL(144, 576)
+
+// LANES sets up LOADL for the n (AX) lanes of the group at DX whose lane
+// 0 loads through R8 from DI: lane k through its own table (R9, R11,
+// R12) from its own entry (CX, SI, R10), and a lane from n on through
+// lane 0's from lane 0's.
+#define LANES \
+	MOVQ R8, R9; MOVQ R8, R11; MOVQ R8, R12; \
+	MOVQ DI, CX; MOVQ DI, SI; MOVQ DI, R10; \
+	LEAQ 8(DI), BX; CMPQ AX, $2; CMOVQGE 8(DX), R9; CMOVQGE BX, CX; \
+	LEAQ 16(DI), BX; CMPQ AX, $3; CMOVQGE 16(DX), R11; CMOVQGE BX, SI; \
+	LEAQ 24(DI), BX; CMPQ AX, $4; CMOVQGE 24(DX), R12; CMOVQGE BX, R10
+
+// RECORDS points R10, R8, R9, R11 at the records of lanes 0–3, the n
+// (AX) consecutive records from the argument r on; a lane from n on
+// takes lane 0's.
+#define RECORDS \
+	MOVQ r+32(FP), R10; MOVQ R10, R8; MOVQ R10, R9; MOVQ R10, R11; \
+	LEAQ 56(R10), BX; CMPQ AX, $2; CMOVQGE BX, R8; \
+	LEAQ 112(R10), BX; CMPQ AX, $3; CMOVQGE BX, R9; \
+	LEAQ 168(R10), BX; CMPQ AX, $4; CMOVQGE BX, R11
+
+// FORCES transposes the force of the records at R10, R8, R9, R11 into
+// Y9, Y8, Y7 (fx, fy, fz), from offsets 24 and 40 so that no load
+// passes a record's 56 bytes; Y0–Y3 are scratch.
+#define FORCES \
+	VMOVUPD 24(R10), X0; \
+	VINSERTF128 $1, 24(R9), Y0, Y0; \
+	VMOVUPD 24(R8), X1; \
+	VINSERTF128 $1, 24(R11), Y1, Y1; \
+	VMOVUPD 40(R10), X2; \
+	VINSERTF128 $1, 40(R9), Y2, Y2; \
+	VMOVUPD 40(R8), X3; \
+	VINSERTF128 $1, 40(R11), Y3, Y3; \
+	VUNPCKHPD Y1, Y0, Y9; \
+	VUNPCKLPD Y3, Y2, Y8; \
+	VUNPCKHPD Y3, Y2, Y7
+
 // STOREV stores d at frame offset f = 32q as value q (o8 = 8q) of the
 // four nodes through the shared table: the inverse of LOADV.
 #define STOREV(o8, f) \
@@ -249,90 +302,22 @@ TEXT ·collideAVX2(SB), 0, $1024-72
 	MOVBQZX uniform+24(FP), AX
 	TESTQ AX, AX
 	JZ loadlanes
-	LOADV(0, 0)
-	LOADV(8, 32)
-	LOADV(16, 64)
-	LOADV(24, 96)
-	LOADV(32, 128)
-	LOADV(40, 160)
-	LOADV(48, 192)
-	LOADV(56, 224)
-	LOADV(64, 256)
-	LOADV(72, 288)
-	LOADV(80, 320)
-	LOADV(88, 352)
-	LOADV(96, 384)
-	LOADV(104, 416)
-	LOADV(112, 448)
-	LOADV(120, 480)
-	LOADV(128, 512)
-	LOADV(136, 544)
-	LOADV(144, 576)
+	LOADALLV
 	JMP loaded
 
 loadlanes:
 	// Lane k loads through its own table from its own entry, and a lane
 	// from n on through lane 0's from lane 0's.
-	MOVQ R8, R9
-	MOVQ R8, R11
-	MOVQ R8, R12
-	MOVQ DI, CX
-	MOVQ DI, SI
-	MOVQ DI, R10
 	MOVQ n+16(FP), AX
-	CMPQ AX, $2
-	JLT lanesset
-	MOVQ 8(DX), R9
-	LEAQ 8(DI), CX
-	CMPQ AX, $3
-	JLT lanesset
-	MOVQ 16(DX), R11
-	LEAQ 16(DI), SI
-	CMPQ AX, $4
-	JLT lanesset
-	MOVQ 24(DX), R12
-	LEAQ 24(DI), R10
-
-lanesset:
-	LOADL(0, 0)
-	LOADL(8, 32)
-	LOADL(16, 64)
-	LOADL(24, 96)
-	LOADL(32, 128)
-	LOADL(40, 160)
-	LOADL(48, 192)
-	LOADL(56, 224)
-	LOADL(64, 256)
-	LOADL(72, 288)
-	LOADL(80, 320)
-	LOADL(88, 352)
-	LOADL(96, 384)
-	LOADL(104, 416)
-	LOADL(112, 448)
-	LOADL(120, 480)
-	LOADL(128, 512)
-	LOADL(136, 544)
-	LOADL(144, 576)
+	LANES
+	LOADALLL
 
 loaded:
 	// The lanes' records from R10, R8, R9, R11; a lane from n on takes
 	// lane 0's.
-	MOVQ r+32(FP), R10
-	MOVQ R10, R8
-	MOVQ R10, R9
-	MOVQ R10, R11
 	MOVQ n+16(FP), AX
-	CMPQ AX, $2
-	JLT recordsset
-	LEAQ 56(R10), R8
-	CMPQ AX, $3
-	JLT recordsset
-	LEAQ 112(R10), R9
-	CMPQ AX, $4
-	JLT recordsset
-	LEAQ 168(R10), R11
+	RECORDS
 
-recordsset:
 	MOVQ fold+40(FP), DX
 	TESTQ DX, DX
 	JNZ folded
@@ -431,17 +416,7 @@ forces:
 	JNZ given
 
 	// The records' force (Y9, Y8, Y7).
-	VMOVUPD 24(R10), X0
-	VINSERTF128 $1, 24(R9), Y0, Y0
-	VMOVUPD 24(R8), X1
-	VINSERTF128 $1, 24(R11), Y1, Y1
-	VMOVUPD 40(R10), X2
-	VINSERTF128 $1, 40(R9), Y2, Y2
-	VMOVUPD 40(R8), X3
-	VINSERTF128 $1, 40(R11), Y3, Y3
-	VUNPCKHPD Y1, Y0, Y9
-	VUNPCKLPD Y3, Y2, Y8
-	VUNPCKHPD Y3, Y2, Y7
+	FORCES
 	JMP outputs
 
 given:
@@ -679,5 +654,156 @@ store1:
 	STORE1(128, 512)
 	STORE1(136, 544)
 	STORE1(144, 576)
+	VZEROUPPER
+	RET
+
+// func momentsAVX2(f *float64, grp *Group, n int, uniform bool, r *Record, reset *[3]float64)
+//
+// Moments of four nodes, one per lane, loaded as the collision loads
+// them and summed as the fold sums them, under each lane's own force:
+// the pair sums into ρ in Moments' order, g0 + ((sx + sy) + sz) + (sxy
+// + sxny) + (sxz + sxnz) + (syz + synz); the pair differences and half
+// the force into the momentum. The records' u and ρ, their first 32
+// bytes, go out as one vector per lane, lanes 0 … n−1 alone.
+TEXT ·momentsAVX2(SB), 0, $640-48
+	LEAQ 31(SP), R13
+	ANDQ $-32, R13
+	MOVQ f+0(FP), DI
+	MOVQ grp+8(FP), DX
+	MOVQ 0(DX), R8
+	MOVQ n+16(FP), AX
+	MOVBQZX uniform+24(FP), BX
+	TESTQ BX, BX
+	JZ loadlanes
+	LOADALLV
+	JMP loaded
+
+loadlanes:
+	LANES
+	LOADALLL
+
+loaded:
+	MOVQ n+16(FP), AX
+	RECORDS
+	FORCES
+
+	// Half each lane's force (Y11, Y12, Y13).
+	VMULPD HALF, Y9, Y11
+	VMULPD HALF, Y8, Y12
+	VMULPD HALF, Y7, Y13
+
+	// ρ (Y1) and the pair differences (Y2–Y10).
+	SUM(32, 64, Y0)
+	SUM(96, 128, Y1)
+	VADDPD Y1, Y0, Y0
+	SUM(160, 192, Y1)
+	VADDPD Y1, Y0, Y0
+	VMOVAPD 0(R13), Y1
+	VADDPD Y0, Y1, Y1
+	SUM(224, 256, Y0)
+	SUM(288, 320, Y2)
+	VADDPD Y2, Y0, Y0
+	VADDPD Y0, Y1, Y1
+	SUM(352, 384, Y0)
+	SUM(416, 448, Y2)
+	VADDPD Y2, Y0, Y0
+	VADDPD Y0, Y1, Y1
+	SUM(480, 512, Y0)
+	SUM(544, 576, Y2)
+	VADDPD Y2, Y0, Y0
+	VADDPD Y0, Y1, Y1
+	DIFF(32, 64, Y2)   // dx
+	DIFF(96, 128, Y3)  // dy
+	DIFF(160, 192, Y4) // dz
+	DIFF(224, 256, Y5) // dxy
+	DIFF(288, 320, Y6) // dxny
+	DIFF(352, 384, Y7) // dxz
+	DIFF(416, 448, Y8) // dxnz
+	DIFF(480, 512, Y9) // dyz
+	DIFF(544, 576, Y10) // dynz
+	VMOVUPD ONE, Y15
+	VDIVPD Y1, Y15, Y15
+	// Only an exact zero density (either sign) takes Moments' zero
+	// branch: its lanes get ρ = u = +0. NaN is unordered and divides.
+	VXORPD Y0, Y0, Y0
+	VCMPPD $0, Y0, Y1, Y14
+
+	// u0 = (dx + (dxy + dxny) + (dxz + dxnz) + 0.5 fx) / ρ
+	VADDPD Y6, Y5, Y0
+	VADDPD Y0, Y2, Y0
+	VADDPD Y8, Y7, Y2
+	VADDPD Y2, Y0, Y0
+	VADDPD Y11, Y0, Y0
+	VMULPD Y15, Y0, Y11
+
+	// u1 = (dy + (dxy − dxny) + (dyz + dynz) + 0.5 fy) / ρ
+	VSUBPD Y6, Y5, Y0
+	VADDPD Y0, Y3, Y0
+	VADDPD Y10, Y9, Y2
+	VADDPD Y2, Y0, Y0
+	VADDPD Y12, Y0, Y0
+	VMULPD Y15, Y0, Y12
+
+	// u2 = (dz + (dxz − dxnz) + (dyz − dynz) + 0.5 fz) / ρ
+	VSUBPD Y8, Y7, Y0
+	VADDPD Y0, Y4, Y0
+	VSUBPD Y10, Y9, Y2
+	VADDPD Y2, Y0, Y0
+	VADDPD Y13, Y0, Y0
+	VMULPD Y15, Y0, Y13
+
+	VANDNPD Y1, Y14, Y1
+	VANDNPD Y11, Y14, Y11
+	VANDNPD Y12, Y14, Y12
+	VANDNPD Y13, Y14, Y13
+
+	// {u, ρ} of lane k is lane k's first 32 bytes: the 4×4 transpose
+	// of (u0, u1, u2, ρ), one row per lane into Y5 as it is stored.
+	VUNPCKLPD Y12, Y11, Y0 // u0, u1 of lanes 0 and 2
+	VUNPCKHPD Y12, Y11, Y2 // of lanes 1 and 3
+	VUNPCKLPD Y1, Y13, Y3  // u2, ρ of lanes 0 and 2
+	VUNPCKHPD Y1, Y13, Y4  // of lanes 1 and 3
+	MOVQ reset+40(FP), DX
+	TESTQ DX, DX
+	JZ noreset
+	VMOVUPD 0(DX), X6
+	VMOVSD 16(DX), X7
+
+noreset:
+	VPERM2F128 $0x20, Y3, Y0, Y5
+	VMOVUPD Y5, 0(R10)
+	CMPQ AX, $2
+	JLT stored
+	VPERM2F128 $0x20, Y4, Y2, Y5
+	VMOVUPD Y5, 0(R8)
+	CMPQ AX, $3
+	JLT stored
+	VPERM2F128 $0x31, Y3, Y0, Y5
+	VMOVUPD Y5, 0(R9)
+	CMPQ AX, $4
+	JLT stored
+	VPERM2F128 $0x31, Y4, Y2, Y5
+	VMOVUPD Y5, 0(R11)
+
+stored:
+	// With a reset, each of the n records' force takes it.
+	TESTQ DX, DX
+	JZ done
+	VMOVUPD X6, 32(R10)
+	VMOVSD X7, 48(R10)
+	CMPQ AX, $2
+	JLT done
+	VMOVUPD X6, 32(R8)
+	VMOVSD X7, 48(R8)
+	CMPQ AX, $3
+	JLT done
+	VMOVUPD X6, 32(R9)
+	VMOVSD X7, 48(R9)
+	CMPQ AX, $4
+	JLT done
+	VMOVUPD X6, 32(R11)
+	VMOVSD X7, 48(R11)
+
+done:
 	VZEROUPPER
 	RET

@@ -79,3 +79,52 @@ func TestGroupReadsNothingPastTheArray(t *testing.T) {
 		}
 	}
 }
+
+// A moments group whose last node is the last node of its array, and
+// whose last record ends where an inaccessible page begins, reads and
+// writes nothing past either: every group size, the natural tables
+// shared (vector loads) and as four copies (per-lane loads), the unused
+// lanes' tables nil, with and without a reset, runs without a fault and
+// gives the Go twin's records bit for bit.
+func TestMomentsGroupReadsNothingPastTheArray(t *testing.T) {
+	const nodes = 8
+	popPage, recPage := guarded(t), guarded(t)
+	r := rand.New(rand.NewSource(31))
+	reset := [3]float64{-1e-3, 4e-3, 1e-3}
+	f := unsafe.Slice((*float64)(unsafe.Pointer(&popPage[len(popPage)-Q*nodes*8])), Q*nodes)
+	nat := Natural(nodes)
+	var copies [Lanes]Offsets
+	for n := 1; n <= Lanes; n++ {
+		i := nodes - n
+		recs := unsafe.Slice((*Record)(unsafe.Pointer(&recPage[len(recPage)-n*int(unsafe.Sizeof(Record{}))])), n)
+		for _, shared := range []bool{true, false} {
+			grp := Uniform(&nat, nil)
+			if !shared {
+				for k := range grp.Load {
+					copies[k] = nat
+					grp.Load[k] = &copies[k]
+				}
+			}
+			for k := n; k < Lanes; k++ {
+				grp.Load[k] = nil
+			}
+			for _, rs := range []*[3]float64{nil, &reset} {
+				for j := range f {
+					f[j] = r.Float64()
+				}
+				for k := range recs {
+					s := randomState(r)
+					recs[k] = Record{Vel: s.u, Rho: s.rho, Force: s.f}
+				}
+				want := append([]Record(nil), recs...)
+				momentsGroup(f, i, n, &grp, want, rs)
+				MomentsGroup(f, i, n, &grp, recs, rs)
+				for k := range recs {
+					if recs[k] != want[k] {
+						t.Fatalf("%d nodes, shared %t, reset %v: record %d is %+v, want %+v", n, shared, rs, k, recs[k], want[k])
+					}
+				}
+			}
+		}
+	}
+}

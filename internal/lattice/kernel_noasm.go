@@ -9,3 +9,7 @@ package lattice
 func collideAVX2(f *float64, grp *Group, n int, uniform bool, r *Record, fold, force *[3]float64, tau float64, out *[Lanes]State) {
 	panic("lattice: no vector body on this architecture")
 }
+
+func momentsAVX2(f *float64, grp *Group, n int, uniform bool, r *Record, reset *[3]float64) {
+	panic("lattice: no vector body on this architecture")
+}

@@ -735,6 +735,130 @@ func TestShortGroupsWriteOnlyTheirNodes(t *testing.T) {
 	}
 }
 
+// momentsCase is one call of the moments group: the lanes' nodes laid
+// out by drawTables (their store tables unused), and the force reset,
+// nil or not.
+type momentsCase struct {
+	group
+	reset *[3]float64
+}
+
+// drawMoments draws a moments group of lane's nodes: four lanes in three
+// groups of four, one to three otherwise, each kind of table in turn,
+// and a reset in half the groups.
+func drawMoments(r *rand.Rand, lane func() nodeState) momentsCase {
+	n := Lanes
+	if r.Intn(4) == 0 {
+		n = 1 + r.Intn(Lanes-1)
+	}
+	c := momentsCase{group: group{lanes: make([]nodeState, n)}}
+	for k := range c.lanes {
+		c.lanes[k] = lane()
+	}
+	drawTables(r, &c.group, r.Intn(numTableKinds))
+	if r.Intn(2) == 0 {
+		c.reset = &[3]float64{1e-3 * r.NormFloat64(), 0, -2e-3}
+	}
+	return c
+}
+
+// checkMoments runs the moments group on the vector body where the host
+// has one (through MomentsGroup, which takes the shared path for a
+// shared group of four) and on the Go twin, and fails at the first bit
+// that differs from Moments on a lane's node under its record's force:
+// each of the n records must hold Moments' density and velocity and
+// the reset force, or its own with no reset; every record from n on and
+// every slot of the array must keep its bits. The tables of a short
+// group from lane n on are nil.
+func checkMoments(t *testing.T, r *rand.Rand, i int, c momentsCase) {
+	t.Helper()
+	n := len(c.lanes)
+	f, grp := c.array(r)
+	for k := n; k < Lanes; k++ {
+		grp.Load[k], grp.Store[k] = nil, nil
+	}
+	var want [Lanes]Record
+	for k, s := range c.lanes {
+		want[k].Force = s.f
+		want[k].Rho = Moments(&s.g, s.f, &want[k].Vel)
+		if c.reset != nil {
+			want[k].Force = *c.reset
+		}
+	}
+	type body struct {
+		name string
+		run  func(f []float64, r []Record)
+	}
+	bodies := []body{{"Go twin", func(f []float64, r []Record) { momentsGroup(f, c.i, n, &grp, r, c.reset) }}}
+	if cpu.Vector() {
+		bodies = append(bodies, body{"vector", func(f []float64, r []Record) { MomentsGroup(f, c.i, n, &grp, r, c.reset) }})
+	}
+	for _, b := range bodies {
+		got := append([]float64(nil), f...)
+		var recs [Lanes]Record
+		for k := range recs {
+			recs[k] = Record{Vel: [3]float64{r.Float64(), -1, 2}, Rho: r.Float64(), Force: [3]float64{3, r.Float64(), -4}}
+			if k < n {
+				recs[k] = Record{Vel: c.lanes[k].u, Rho: c.lanes[k].rho, Force: c.lanes[k].f}
+			}
+		}
+		before := recs
+		b.run(got, recs[:n])
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(f[j]) {
+				t.Fatalf("group %d (%d lanes, shared %t), %s: slot %d changed", i, n, c.shared, b.name, j)
+			}
+		}
+		for k := range recs {
+			g, w := recs[k], want[k]
+			if k >= n {
+				w = before[k]
+			}
+			if !sameState(State{U: g.Vel, Rho: g.Rho}, State{U: w.Vel, Rho: w.Rho}) ||
+				!sameBits(g.Force[0], w.Force[0]) || !sameBits(g.Force[1], w.Force[1]) || !sameBits(g.Force[2], w.Force[2]) {
+				t.Fatalf("group %d (%d lanes, shared %t, reset %v), %s, record %d: %+v, want %+v\n%+v",
+					i, n, c.shared, c.reset, b.name, k, g, w, c.lanes[min(k, n-1)])
+			}
+		}
+	}
+}
+
+// MomentsGroup, vector and Go twin, gives Moments' bits on every lane of
+// every group of randomState's nodes: four lanes or fewer, sharing a
+// table or not, with and without a reset.
+func TestMomentsGroupMatchesMomentsBitwise(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	lane := func() nodeState { return randomState(r) }
+	for i, nodes := 0, 0; nodes < vectorStates/4; i++ {
+		c := drawMoments(r, lane)
+		checkMoments(t, r, i, c)
+		nodes += len(c.lanes)
+	}
+}
+
+// Off the operating range too: lanes whose populations and force draw
+// from the special values (NaN, ±Inf, ±0, subnormals, the extreme
+// normals) with probability 0.02, 0.1, 0.5 and 1, and zero-density
+// lanes — populations of +0, of −0, or pairs that cancel exactly —
+// among them, whose density is +0 and velocity +0 lane by lane.
+func TestMomentsGroupMatchesMomentsOnSpecialValues(t *testing.T) {
+	r := rand.New(rand.NewSource(30))
+	i := 0
+	for _, p := range []float64{0.02, 0.1, 0.5, 1} {
+		lane := func() nodeState {
+			if r.Intn(6) == 0 {
+				return zeroDensityState(r)
+			}
+			return specialState(r, p)
+		}
+		for nodes := 0; nodes < vectorStates/16; i++ {
+			c := drawMoments(r, lane)
+			checkMoments(t, r, i, c)
+			nodes += len(c.lanes)
+		}
+	}
+}
+
 // TestGroupLayout pins the layouts kernel_amd64.s addresses by byte
 // offset, on every host: 152-byte offset tables of 8-byte entries,
 // 64-byte groups with the load tables at 0 and the store tables at 32,
@@ -763,7 +887,10 @@ func TestGroupLayout(t *testing.T) {
 // moments and force ("group"), with the moments folded in and a given
 // force ("group/fold", a block outside the support), and with the fold
 // and the collided moments reported ("group/observed", a sampled
-// sweep). The metric is ns per node.
+// sweep); and kernel 7 on the same ring, through the same tables
+// ("moments": MomentsGroup's vector body and its Go twin, four nodes per
+// call with shared and per-lane tables, and a one-node tail), each
+// node's moments into its record. The metric is ns per node.
 //
 //	go test -run '^$' -bench Collide ./internal/lattice
 func BenchmarkCollide(b *testing.B) {
@@ -807,6 +934,12 @@ func BenchmarkCollide(b *testing.B) {
 		{"group/fold/portable", false, Lanes, func(f []float64, j int) { collideGroup(f, j, Lanes, &shared, nil, &body, &body, tau, nil) }},
 		{"group/observed/vector", true, Lanes, func(f []float64, j int) { collideAVX2(&f[j], &shared, Lanes, true, nil, &body, &body, tau, &out) }},
 		{"group/observed/portable", false, Lanes, func(f []float64, j int) { collideGroup(f, j, Lanes, &shared, nil, &body, &body, tau, &out) }},
+		{"moments/tail/vector", true, 1, func(f []float64, j int) { MomentsGroup(f, j, 1, &shared, recs[j:j+1], nil) }},
+		{"moments/tail/portable", false, 1, func(f []float64, j int) { momentsGroup(f, j, 1, &shared, recs[j:j+1], nil) }},
+		{"moments/group/vector", true, Lanes, func(f []float64, j int) { momentsAVX2(&f[j], &shared, Lanes, true, &recs[j], nil) }},
+		{"moments/group/lanes/vector", true, Lanes, func(f []float64, j int) { momentsAVX2(&f[j], &lanes, Lanes, false, &recs[j], nil) }},
+		{"moments/group/portable", false, Lanes, func(f []float64, j int) { momentsGroup(f, j, Lanes, &shared, recs[j:j+Lanes], nil) }},
+		{"moments/group/lanes/portable", false, Lanes, func(f []float64, j int) { momentsGroup(f, j, Lanes, &lanes, recs[j:j+Lanes], nil) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			if c.vector && !cpu.Vector() {

@@ -114,6 +114,20 @@ if grep -rn 'lattice\.\(Moments\|Collide\)(' --include='*.go' \
 	exit 1
 fi
 
+# One moments body. Kernel 7 takes four nodes per call of the node
+# kernel (lattice.MomentsGroup: one vector per direction of the
+# direction-major array, the records written one vector per lane), in
+# Sequential's pass, the in-place moments pass, the refresh of stale
+# records and the digest's; a loop that gathers one node's 19 values at
+# a time for the scalar lattice.Moments costs that pass twice over and
+# must not come back: outside internal/lattice and the benchmark
+# harness, no non-test Go file calls it.
+if grep -rn 'lattice\.Moments(' --include='*.go' . | grep -v '_test\.go:' |
+	grep -v '^\./internal/lattice/\|^\./bench/'; then
+	echo "a per-node kernel 7 loop is back; take the moments through lattice.MomentsGroup" >&2
+	exit 1
+fi
+
 # One coupling body, per stencil. The 64-calls-per-fiber-node API
 # (AddForce / VelocityAt, one interface call per stencil point) is gone
 # and must not creep back: no non-test file under internal/ declares or
@@ -284,7 +298,9 @@ go test -run '^$' -bench InPlaceBodies -benchtime 1x ./internal/core
 # on the vector body and on its Go twin, and the vector body and its Go
 # twin four nodes per call
 # (the record path with shared and per-lane tables, the fold and the
-# observed fold), in ns/node; one pass of each row.
+# observed fold), and the moments body the same ways (four nodes with
+# shared and per-lane tables, a one-node tail), in ns/node; one pass of
+# each row.
 go test -run '^$' -bench Collide -benchtime 1x ./internal/lattice
 
 # Coupling benchmark smoke: BenchmarkCoupling times the stencil, the
