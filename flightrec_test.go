@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -50,6 +51,60 @@ func injectDepositFault(t *testing.T, fromStep int) {
 		m.Rho = lattice.Moments(&dst, m.Force, &m.Vel)
 	}
 	t.Cleanup(func() { engine.FaultHook = nil })
+}
+
+// plantNaN makes one distribution value of node (5,4,2) NaN in the state
+// the last step left, and the node's record the moments of what it now
+// holds (ρ and u NaN), after the pending sample of that state has been
+// delivered: the next step's state is the first that violates.
+func plantNaN(s *Simulation) {
+	l := s.live()
+	j := l.Idx(5, 4, 2)
+	var df [lattice.Q]float64
+	l.Load(j, &df)
+	df[5] = math.NaN()
+	l.Store(j, &df)
+	m := l.At(5, 4, 2)
+	m.Rho = lattice.Moments(&df, m.Force, &m.Vel)
+}
+
+// TestBundleKeepsTheFlaggedSample: the ring keeps the sample the
+// watchdog flags even off its DigestEvery cadence, so the bundle's
+// localization finds the flagged step, on every engine. With DigestEvery
+// 2 the NaN is planted so that the flag lands on an odd step.
+func TestBundleKeepsTheFlaggedSample(t *testing.T) {
+	for _, kind := range []SolverKind{Sequential, OpenMP, CubeBased} {
+		for _, plantAt := range []int{2, 8} {
+			t.Run(fmt.Sprintf("%v/flag at %d", kind, plantAt+1), func(t *testing.T) {
+				dir := filepath.Join(t.TempDir(), "postmortem")
+				sim, err := New(Config{
+					NX: 8, NY: 8, NZ: 8, Tau: 0.7,
+					BodyForce: [3]float64{1e-5, 0, 0},
+					Solver:    kind, Threads: 2, CubeSize: 4,
+					Watchdog:  telemetry.NewWatchdog(telemetry.WatchdogConfig{}),
+					FlightRec: &flightrec.Config{DigestEvery: 2, Dir: dir},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sim.Close()
+				sim.Run(plantAt)
+				plantNaN(sim)
+				sim.Run(10)
+				var he *telemetry.HealthError
+				if !errors.As(sim.Health(), &he) || he.Step != plantAt+1 {
+					t.Fatalf("Health() = %v, want a violation at step %d", sim.Health(), plantAt+1)
+				}
+				b, err := flightrec.ReadBundle(dir)
+				if err != nil {
+					t.Fatalf("no bundle: %v", err)
+				}
+				if loc := b.Localization; !loc.Found || loc.Step != he.Step {
+					t.Fatalf("the bundle's localization is %+v, want the flagged step %d found", loc, he.Step)
+				}
+			})
+		}
+	}
 }
 
 // TestFlightRecorderBundleOnInjectedFault is the forensics acceptance

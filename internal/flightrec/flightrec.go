@@ -34,7 +34,9 @@ type Config struct {
 	// per-cube digest (default 8; 1 keeps every step). Digesting is the
 	// only full-grid pass, so this is the overhead knob when the recorder
 	// runs alone; a driver with a watchdog or step log digests every step
-	// anyway, and the ring copies the same digest on its cadence.
+	// anyway, and the ring copies the same digest on its cadence, and the
+	// digest the watchdog flags on any step (the facade's sampler decides
+	// both).
 	DigestEvery int
 	// SnapshotEvery is the in-memory checkpoint cadence in steps
 	// (default 64). Snapshots are only retained while the run is
@@ -204,16 +206,6 @@ func (r *Recorder) RecordStep(step int, wall time.Duration, mlups, barrierShare 
 	if step > r.lastStep {
 		r.lastStep = step
 	}
-}
-
-// WantDigest reports whether step is on the digest cadence.
-func (r *Recorder) WantDigest(step int) bool {
-	return step%r.cfg.DigestEvery == 0
-}
-
-// WantSnapshot reports whether step is on the checkpoint cadence.
-func (r *Recorder) WantSnapshot(step int) bool {
-	return step%r.cfg.SnapshotEvery == 0
 }
 
 // RecordDigest copies a filled digest into step's ring entry, taking

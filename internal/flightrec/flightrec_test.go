@@ -112,12 +112,14 @@ func TestRecordDigestCopiesTiles(t *testing.T) {
 	}
 }
 
-func TestCadencePredicates(t *testing.T) {
-	r := New(Config{DigestEvery: 4, SnapshotEvery: 8})
-	if !r.WantDigest(8) || r.WantDigest(3) || !r.WantSnapshot(16) || r.WantSnapshot(4) {
-		t.Fatal("cadence predicates wrong")
+// TestConfigDefaults: Config reports the cadences given and the
+// documented default of each field left zero; the facade's sampler reads
+// the cadences from it.
+func TestConfigDefaults(t *testing.T) {
+	if c := New(Config{DigestEvery: 4, SnapshotEvery: 8}).Config(); c.DigestEvery != 4 || c.SnapshotEvery != 8 || c.RingSize != 256 {
+		t.Fatalf("given cadences or defaults lost: %+v", c)
 	}
-	if c := r.Config(); c.RingSize != 256 {
+	if c := New(Config{}).Config(); c.DigestEvery != 8 || c.SnapshotEvery != 64 || c.RingSize != 256 {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 }
@@ -293,7 +295,7 @@ func recordOneStep(r *Recorder, g *grid.Grid, d *grid.DigestGrid, step int) {
 	for p := core.Phase(1); p <= core.NumPhases; p++ {
 		r.Emit(core.Event{Kind: core.PhaseDone, Step: step, Phase: p, D: time.Microsecond})
 	}
-	if r.WantDigest(step) {
+	if step%r.Config().DigestEvery == 0 {
 		g.Digest(d) //nolint:errcheck // shapes fixed in test
 		r.RecordDigest(step, d)
 	}

@@ -894,22 +894,26 @@ func TestGroupLayout(t *testing.T) {
 //
 //	go test -run '^$' -bench Collide ./internal/lattice
 func BenchmarkCollide(b *testing.B) {
+	// The ring of nodes is laid out direction-major at a grid's padded
+	// stride (grid.newGrid: the node count rounded up to 512, plus 8), so
+	// a node's 19 values do not share one L1 set as at a stride of 1024.
 	const ring = 1024 // a power of two, a multiple of Lanes
+	const stride = (ring+511)/512*512 + 8
 	r := rand.New(rand.NewSource(26))
 	nodes := make([][Q]float64, ring)
-	f0 := make([]float64, Q*ring)
+	f0 := make([]float64, Q*stride)
 	recs := make([]Record, ring)
 	for i := range nodes {
 		s := randomState(r)
 		nodes[i], recs[i] = s.g, Record{Vel: s.u, Rho: s.rho, Force: s.f}
 		for q, v := range s.g {
-			f0[q*ring+i] = v
+			f0[q*stride+i] = v
 		}
 	}
 	const tau = 0.8
 	body := [3]float64{1e-5, -2e-5, 0}
 	var out [Lanes]State
-	nat, tr := Natural(ring), Traded(ring)
+	nat, tr := Natural(stride), Traded(stride)
 	shared := Uniform(&nat, &tr)
 	var lt [2][Lanes]Offsets
 	var lanes Group

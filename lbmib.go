@@ -203,10 +203,12 @@ type Config struct {
 	// the step's sample, the digest of the state the step left, shared
 	// with the Watchdog and the FlightRec. On the parallel engines a
 	// step's sample is taken by the next step's collide sweep, or by the
-	// next between-steps reader (Checkpoint, WritePostMortem, the fluid
-	// snapshot and writers, Close), so a step's line is written once the
-	// next step or reader has run; Sequential samples at the end of the
-	// step. Every line names the step it describes.
+	// next between-steps reader (Checkpoint, WritePostMortem,
+	// FlightRecorder, the fluid snapshot and writers, Close), so a step's
+	// line is written once the next step or reader has run; Sequential
+	// samples at the end of the step, and every engine at the end of a
+	// recorder's snapshot step. Every line names the step it describes,
+	// and no step is logged twice.
 	LogWriter io.Writer
 	// Watchdog, when non-nil, checks every step's sample (see LogWriter:
 	// on the parallel engines it is completed by the next step's sweep or
@@ -227,9 +229,12 @@ type Config struct {
 	// keeps the same per-step sample the Watchdog and the LogWriter read,
 	// under the step it describes: alone, the recorder samples every
 	// DigestEvery-th step; with either of them, every step is sampled once
-	// and the ring copies the sample on its cadence. A snapshot step's
-	// sample is completed before the snapshot is taken, so a snapshot is
-	// kept only once its state passed the Watchdog.
+	// and the ring copies the sample on its cadence, and the sample the
+	// Watchdog flags on any step, so that the bundle's localization sees
+	// the flagged digest. A snapshot step's sample is completed before the
+	// snapshot is taken, so a snapshot is kept only once its state passed
+	// the Watchdog. FlightRecorder completes the pending sample before it
+	// returns the recorder, so its ring holds the sample of StepCount().
 	FlightRec *flightrec.Config
 	// CritPath, when true, attaches the attribution profile
 	// (perfmon.Profile) on any engine: per-kernel time (Table I) where the
@@ -331,13 +336,7 @@ type Simulation struct {
 	mSteps    *telemetry.Counter
 	mMLUPS    *telemetry.Gauge
 	mStepSec  *telemetry.Histogram
-
-	// pending is whether the last step's sample is wanted and not yet
-	// delivered, and last what the step log records of that step besides
-	// the sample; sweep is whether the engine takes a sample in the next
-	// step's collide sweep (observe) rather than at the end of the step.
-	pending, sweep bool
-	last           stepTiming
+	samp      sampler // when the sample is taken, completed and kept
 
 	prof *perfmon.Profile // Config.CritPath's attribution profile, or nil
 	wall time.Duration    // accumulated measured wall-clock time
@@ -455,7 +454,7 @@ func New(cfg Config) (*Simulation, error) {
 	if ps != nil {
 		sim.cfg.Threads = ps.Threads()
 		sim.eng, sim.problem = &inPlaceEngine{ps, onLayout{ps.Fluid, ps.Refresh}}, &ps.Problem
-		sim.sweep = true
+		sim.samp.sweep = true
 	}
 	sinks, err := sim.initTelemetry()
 	if err != nil {
@@ -491,6 +490,8 @@ func (s *Simulation) initTelemetry() (core.Probes, error) {
 		s.dig = d
 	}
 	s.watchdog = cfg.Watchdog
+	s.samp.every = cfg.Watchdog != nil || cfg.LogWriter != nil
+	s.samp.flagged = s.Health() != nil // a watchdog that has flagged another run
 	if cfg.LogWriter != nil {
 		s.logger = telemetry.NewStepLogger(cfg.LogWriter)
 	}
@@ -506,6 +507,7 @@ func (s *Simulation) initTelemetry() (core.Probes, error) {
 	if fc := cfg.FlightRec; fc != nil {
 		s.rec = flightrec.New(*fc)
 		s.rec.SetRunSpec(s.runSpec())
+		s.samp.ringEvery, s.samp.snapEvery = s.rec.Config().DigestEvery, s.rec.Config().SnapshotEvery
 		sinks = append(sinks, s.rec)
 	}
 	if r := cfg.Telemetry; r != nil {
@@ -633,15 +635,14 @@ func (s *Simulation) Run(n int) { s.runSteps(n) }
 // or flight recorder reads the per-step sample. With a recorder
 // configured, a panicking step still leaves a post-mortem bundle behind.
 //
-// A step whose state is to be sampled leaves its sample pending. On the
-// parallel engines the next step's collide sweep digests that state as
-// it overwrites it (observe), and the sample is delivered — to the
-// watchdog, the ring and the step log, under the step it describes —
-// once that step returns; a between-steps reader completes it instead if
-// one comes first (flush). Sequential's kernel 7 leaves every record
-// fresh, so it samples its own state at the end of the step. A snapshot
-// step's sample is completed before the snapshot, so only a state the
-// watchdog passed is kept. DESIGN.md §12, "Samples", has the contract.
+// The sampler decides when a step's sample is taken and completed, and
+// runSteps carries it out: on the parallel engines it arms the next
+// step's collide sweep (observe), which digests the sampled state as it
+// overwrites it, and delivers the sample once that step returns;
+// Sequential's kernel 7 leaves every record fresh, so its sample is
+// completed at the end of its own step (flush), as is a snapshot step's,
+// so only a state the watchdog passed is kept. DESIGN.md §12, "Samples",
+// has the contract.
 func (s *Simulation) runSteps(n int) {
 	if n <= 0 {
 		return
@@ -653,11 +654,7 @@ func (s *Simulation) runSteps(n int) {
 	if s.rec != nil {
 		defer func() {
 			if p := recover(); p != nil {
-				var herr *telemetry.HealthError
-				if s.watchdog != nil {
-					errors.As(s.watchdog.Err(), &herr)
-				}
-				s.rec.WriteBundle("panic", herr) //nolint:errcheck // already panicking
+				s.rec.WriteBundle("panic", s.healthErr()) //nolint:errcheck // already panicking
 				panic(p)
 			}
 		}()
@@ -669,21 +666,16 @@ func (s *Simulation) runSteps(n int) {
 		s.recordBatch(n, nodes, time.Since(t0))
 		return
 	}
-	for i := 0; i < n; i++ {
-		if !s.healthy() {
-			return // the run is flagged; don't advance a diverged state
-		}
-		if s.pending && s.eng.observe(s.dig) != nil {
+	for i := 0; i < n && s.samp.mayStep(); i++ {
+		if s.samp.observe() && s.eng.observe(s.dig) != nil {
 			s.flush()
 		}
-		swept := s.pending
 		t0 := time.Now()
 		s.eng.Step()
 		elapsed := time.Since(t0)
 		s.recordBatch(1, nodes, elapsed)
 
-		step := s.StepCount()
-		p := stepTiming{step: step, elapsed: elapsed}
+		p := stepTiming{step: s.StepCount(), elapsed: elapsed}
 		if elapsed > 0 {
 			p.mlups = nodes / elapsed.Seconds() / 1e6
 		}
@@ -693,24 +685,17 @@ func (s *Simulation) runSteps(n int) {
 			p.imbalance, p.waitShare = s.prof.ImbalanceRatio(), s.prof.BarrierWaitShare(s.wall)
 		}
 		if s.rec != nil {
-			s.rec.RecordStep(step, elapsed, p.mlups, p.waitShare)
+			s.rec.RecordStep(p.step, elapsed, p.mlups, p.waitShare)
 		}
-		if swept {
-			s.deliver()
+		if q, ok := s.samp.swept(); ok {
+			s.deliver(q)
 		}
-		// Every step is sampled with a watchdog or step log, the
-		// recorder's cadence with the recorder alone; a flagged run's
-		// last step is not.
-		s.last = p
-		s.pending = s.healthy() && (s.watchdog != nil || s.logger != nil || s.rec != nil && s.rec.WantDigest(step))
-		if s.pending && !s.sweep {
+		s.samp.stepDone(p)
+		if s.samp.due() {
 			s.flush()
 		}
-		if s.rec != nil && s.rec.WantSnapshot(step) {
-			s.flush()
-			if s.healthy() {
-				s.rec.TakeSnapshot(step, s.checkpointSize(), s.Checkpoint) //nolint:errcheck // best-effort; last good snapshot is kept
-			}
+		if s.samp.snapshot() {
+			s.rec.TakeSnapshot(p.step, s.checkpointSize(), s.Checkpoint) //nolint:errcheck // best-effort; last good snapshot is kept
 		}
 	}
 }
@@ -722,37 +707,34 @@ type stepTiming struct {
 	mlups, imbalance, waitShare float64
 }
 
-// healthy reports whether no watchdog has flagged the run.
-func (s *Simulation) healthy() bool { return s.watchdog == nil || s.watchdog.Healthy() }
-
-// flush completes the pending sample between steps with the engine's
+// flush completes a pending sample between steps with the engine's
 // explicit digest and delivers it. Every between-steps reader calls it
 // first, so no sampled step goes undelivered.
 func (s *Simulation) flush() {
-	if !s.pending {
+	if !s.samp.owed() {
 		return
 	}
 	if s.eng.Digest(s.dig) != nil { // a failed digest must not kill the run
-		s.pending = false
+		s.samp.digestFailed()
 		return
 	}
-	s.deliver()
+	s.deliver(s.samp.flushed())
 }
 
-// deliver hands the pending step's sample, now in s.dig, to the
-// watchdog, the ring and the step log, each under the step it
-// describes, and writes a bundle if the watchdog flags it.
-func (s *Simulation) deliver() {
-	p := s.last
-	s.pending = false
+// deliver hands the sample of step p, now in s.dig, to the watchdog, the
+// ring and the step log, each under the step it describes, and writes a
+// bundle if the watchdog flags it.
+func (s *Simulation) deliver(p stepTiming) {
 	var herr *telemetry.HealthError
 	if s.watchdog != nil {
 		// A type assertion, not errors.As: &herr would escape and cost
 		// an allocation on every step.
-		herr, _ = s.watchdog.Check(p.step, s.dig).(*telemetry.HealthError)
+		if herr, _ = s.watchdog.Check(p.step, s.dig).(*telemetry.HealthError); herr != nil {
+			s.samp.flag()
+		}
 	}
 	if s.rec != nil {
-		if s.rec.WantDigest(p.step) {
+		if s.samp.ringKeeps(p.step) {
 			s.rec.RecordDigest(p.step, s.dig)
 		}
 		if herr != nil {
@@ -779,6 +761,14 @@ func (s *Simulation) deliver() {
 	}
 }
 
+// healthErr returns the watchdog's latched error, nil while the run is
+// healthy or without a watchdog.
+func (s *Simulation) healthErr() *telemetry.HealthError {
+	var herr *telemetry.HealthError
+	errors.As(s.Health(), &herr)
+	return herr
+}
+
 // live completes any pending sample, then returns the engine's live
 // grid (adapter.live): the one way the facade's between-steps readers
 // reach the fluid.
@@ -798,23 +788,25 @@ func (s *Simulation) ordered() *par.Ordered {
 	return s.stream
 }
 
-// FlightRecorder returns the configured flight recorder, or nil.
-func (s *Simulation) FlightRecorder() *flightrec.Recorder { return s.rec }
+// FlightRecorder returns the configured flight recorder, or nil. Like
+// every reader between steps, it first completes the pending sample, so
+// the ring holds the sample of StepCount() on every engine.
+func (s *Simulation) FlightRecorder() *flightrec.Recorder {
+	s.flush()
+	return s.rec
+}
 
 // WritePostMortem writes a post-mortem bundle on demand (reason
 // "manual" for operator-initiated dumps, "crosscheck" when a
 // differential harness caught a divergence). It requires Config.FlightRec
-// with a Dir, and embeds the watchdog's latched error if any.
+// with a Dir, and embeds the watchdog's latched error if any. Like every
+// reader between steps, it first completes the pending sample.
 func (s *Simulation) WritePostMortem(reason string) (string, error) {
+	s.flush()
 	if s.rec == nil {
 		return "", fmt.Errorf("lbmib: post-mortem requires Config.FlightRec")
 	}
-	s.flush()
-	var herr *telemetry.HealthError
-	if s.watchdog != nil {
-		errors.As(s.watchdog.Err(), &herr)
-	}
-	return s.rec.WriteBundle(reason, herr)
+	return s.rec.WriteBundle(reason, s.healthErr())
 }
 
 // recordBatch updates the registry metrics for n steps that took

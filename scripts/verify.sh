@@ -255,7 +255,9 @@ rm -rf "$FRDIR"
 
 # Replay smoke: a milder blow-up that outlives the recorder's step-64
 # snapshot, so the bundle carries a real checkpoint. It must be a
-# block-format checkpoint (version 3: the state without the force), and
+# block-format checkpoint (version 3: the state without the force), its
+# localization must find the flagged step (the ring keeps the flagged
+# sample off its DigestEvery cadence: the run trips at step 73), and
 # replaying it must reproduce the failure at the step the live run
 # tripped.
 FRDIR=$(mktemp -d)
@@ -266,6 +268,7 @@ if go run ./cmd/lbmib-sim -solver cube -threads 2 -nx 16 -ny 16 -nz 16 \
 	exit 1
 fi
 test "$(head -c 8 "$FRDIR/checkpoint.bin")" = LBMIBCKP
+grep -q '"found": true' "$FRDIR/localization.json"
 go run ./cmd/lbmib-sim postmortem -replay "$FRDIR" | grep -q 'failure reproduced at step 73'
 rm -rf "$FRDIR"
 
